@@ -1,12 +1,12 @@
 GO ?= go
 
-.PHONY: check fmt vet test race build cover bench-transport bench-fleet bench-obs bench-adversary bench-image bench-federation
+.PHONY: check fmt vet test test-benchmark race build cover bench-fleet bench-obs bench-adversary bench-image bench-federation
 
 ## check: the full tier-1 gate — formatting, vet, build, tests with the
 ## race detector (the lifecycle churn stress and the federation
-## cross-shard churn stress must pass under -race), and the coverage
-## floor on the telemetry packages.
-check: fmt vet race cover
+## cross-shard churn stress must pass under -race), the coverage
+## floor on the telemetry packages, and the benchmark module's tests.
+check: fmt vet race cover test-benchmark
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -20,8 +20,14 @@ vet:
 build:
 	$(GO) build ./...
 
-test:
+test: test-benchmark
 	$(GO) test ./...
+
+## test-benchmark: benchmark/ is a nested module that ./... skips, so
+## this is the step that fails when a change breaks a surface the
+## benchmark binds to (benchmark/README.md, "The binding rule").
+test-benchmark:
+	$(GO) test -C benchmark ./...
 
 race:
 	$(GO) test -race ./...
@@ -31,7 +37,7 @@ race:
 ## plus crash recovery), the journal persistence layer, the Backend
 ## scheduler (dispatch, lease reclaim, draining), the Provider facade
 ## (capacity splitting, multi-part instances, rebind), the transport
-## fast path (framing, binary codec, coordinator/node loops), the fleet
+## fast path (framing, codec, coordinator/node loops), the fleet
 ## simulation harness (SoA engine, timing wheel integration, analytic
 ## cross-validation), the federation layer (consistent-hash ring,
 ## cross-shard rebalancing, journal failover), the netsim layer (links,
@@ -50,12 +56,6 @@ cover:
 		echo "$$pkg: coverage $$pct% (floor $$floor%)"; \
 	done
 
-## bench-transport: regenerate the transport fast-path regression gate
-## (BENCH_transport.json) — fails if the broadcast encode counter is not
-## flat in session count or the binary codec's alloc win drops below 2x.
-bench-transport:
-	$(GO) run ./cmd/oddci-bench -sweep transport -out BENCH_transport.json
-
 ## bench-fleet: regenerate the million-PNA harness gate
 ## (BENCH_fleet.json) — wakeup→quorum at n = 10³…10⁶ in one process,
 ## failing if any availability or ramp-up curve leaves its analytic
@@ -64,8 +64,8 @@ bench-fleet:
 	$(GO) run ./cmd/oddci-bench -sweep fleet -out BENCH_fleet.json
 
 ## bench-obs: regenerate the tracing overhead gate (BENCH_obs.json) —
-## fails if the sampled-off span collector costs the binary task
-## hand-off more than 2% versus the untraced baseline, or allocates.
+## fails if the sampled-off span collector costs the task hand-off
+## more than 2% versus the untraced baseline, or allocates.
 bench-obs:
 	$(GO) run ./cmd/oddci-bench -sweep obs -out BENCH_obs.json
 

@@ -28,8 +28,9 @@ import (
 //     alone, and a hash-unaware legacy receiver must still converge
 //     from full cycles under injected section loss.
 //   - transport: staging encodes must be flat in the session count, and
-//     an UpdateImage must cost exactly the three per-update artifacts
-//     plus the changed chunk frames — identically at 1 and 16 sessions.
+//     an UpdateImage must cost exactly the two per-update artifacts
+//     (control, manifest) plus the changed chunk frames — identically
+//     at 1 and 16 sessions.
 
 const (
 	imageBenchModules    = 16
@@ -308,8 +309,8 @@ func imageStageCase(seed int64, n int) (imageStageRow, error) {
 		if errs[i] != nil {
 			return row, fmt.Errorf("node %d: %w", i+1, errs[i])
 		}
-		if !reports[i].Joined || !reports[i].DeltaImage {
-			return row, fmt.Errorf("node %d did not join over the delta plane: %+v", i+1, reports[i])
+		if !reports[i].Joined {
+			return row, fmt.Errorf("node %d did not join: %+v", i+1, reports[i])
 		}
 		row.Restages += reports[i].Restages
 	}

@@ -13,14 +13,6 @@
 //
 //	oddci-bench -sweep backend -out BENCH_backend.json
 //
-// The transport sweep benchmarks the TCP fast path over loopback
-// (broadcast staging, heartbeat round trips, task hand-offs in both
-// codecs) and enforces two invariants: the broadcast encode counter
-// stays flat from 1 to 100 sessions, and the binary task plane cuts
-// allocs per hand-off at least 2x versus the JSON baseline:
-//
-//	oddci-bench -sweep transport -out BENCH_transport.json
-//
 // The fleet sweep drives the million-PNA simulation harness
 // (internal/fleet) through wakeup→quorum at populations from 10³ to
 // 10⁶, recording wall clock, peak RSS, and event counts per run, and
@@ -29,8 +21,8 @@
 //
 //	oddci-bench -sweep fleet -out BENCH_fleet.json
 //
-// The obs sweep is the tracing overhead gate: it measures the binary
-// task hand-off against a coordinator carrying a sampled-off span
+// The obs sweep is the tracing overhead gate: it measures the task
+// hand-off against a coordinator carrying a sampled-off span
 // collector versus the untraced baseline, and fails if the sampled-off
 // hot path regresses more than 2% or allocates:
 //
@@ -48,8 +40,8 @@
 // bytes must stay ≤1.25× the changed payload, warm receivers converge
 // from the delta alone, legacy receivers converge from lossy full
 // cycles), and transport staging encodes must be flat from 1 to 16
-// sessions with a one-chunk UpdateImage costing exactly one re-encoded
-// chunk:
+// sessions with a one-chunk UpdateImage costing exactly 3 encodes
+// (control, manifest, the chunk):
 //
 //	oddci-bench -sweep image -out BENCH_image.json
 //
@@ -82,10 +74,10 @@ import (
 
 func main() {
 	var (
-		sweep = flag.String("sweep", "fig6", "one of fig6, fig7, table1, churn, backend, transport, fleet, obs, adversary, image, federation")
+		sweep = flag.String("sweep", "fig6", "one of fig6, fig7, table1, churn, backend, fleet, obs, adversary, image, federation")
 		seed  = flag.Int64("seed", 2009, "random seed")
 		nodes = flag.Int("nodes", 200, "DES population for validated sweeps")
-		out   = flag.String("out", "", "output file for the backend/transport sweeps' JSON gate (default BENCH_<sweep>.json)")
+		out   = flag.String("out", "", "output file for a sweep's JSON gate (default BENCH_<sweep>.json)")
 	)
 	flag.Parse()
 	w := csv.NewWriter(os.Stdout)
@@ -104,11 +96,6 @@ func main() {
 			*out = "BENCH_backend.json"
 		}
 		err = sweepBackend(w, *out)
-	case "transport":
-		if *out == "" {
-			*out = "BENCH_transport.json"
-		}
-		err = sweepTransport(w, *out)
 	case "fleet":
 		if *out == "" {
 			*out = "BENCH_fleet.json"

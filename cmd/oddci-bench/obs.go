@@ -1,14 +1,18 @@
 package main
 
 import (
+	"bufio"
 	"encoding/csv"
 	"encoding/json"
 	"fmt"
+	"net"
 	"os"
 	"sync/atomic"
 	"testing"
 
+	"oddci/internal/appimage"
 	"oddci/internal/span"
+	"oddci/internal/transport"
 )
 
 // obsOverheadLimit is the tracing overhead gate: with a collector
@@ -28,11 +32,122 @@ type obsBenchResult struct {
 	OverheadFrac float64 `json:"overhead_frac,omitempty"`
 }
 
+// benchTaskHandoff measures one full hand-off per op — request, assign,
+// result — over real loopback TCP against a coordinator carrying the
+// given span collector (nil for the untraced baseline). The client
+// speaks the wire directly, mirroring the node's fast path (prebuilt
+// request frame, reused buffers), so the measured loop contains exactly
+// the frames under test. testing.Benchmark's alloc counters are
+// process-wide, so both sides of each hand-off are in the numbers.
+func benchTaskHandoff(spans *span.Collector, failed *atomic.Bool) func(b *testing.B) {
+	return func(b *testing.B) {
+		fail := func(err error) {
+			fmt.Fprintln(os.Stderr, "obs bench:", err)
+			failed.Store(true)
+		}
+		coord, err := transport.NewCoordinator(transport.CoordinatorConfig{
+			Listen: "127.0.0.1:0",
+			Name:   "bench",
+			Image:  &appimage.Image{Name: "bench", Version: 1, EntryPoint: "w", Payload: make([]byte, 32<<10)},
+			Spans:  spans,
+		})
+		if err != nil {
+			fail(err)
+			return
+		}
+		defer coord.Close()
+		go coord.Serve()
+		// Keep a floor of backlog beyond b.N so the dispatcher never
+		// comes up empty mid-measurement.
+		const floor = 10_000
+		for left := b.N + 1 + floor; left > 0; left -= 100_000 {
+			if _, err := coord.Backend().Submit(backendJob(min(left, 100_000))); err != nil {
+				fail(err)
+				return
+			}
+		}
+		conn, err := net.Dial("tcp", coord.Addr())
+		if err != nil {
+			fail(err)
+			return
+		}
+		defer conn.Close()
+		fr := transport.NewFrameReader(conn)
+		defer fr.Close()
+		bw := bufio.NewWriterSize(conn, 4<<10)
+		hello, err := json.Marshal(&transport.Hello{Wire: transport.WireVersion, NodeID: 1})
+		if err != nil {
+			fail(err)
+			return
+		}
+		if t, _, err := fr.Next(); err != nil || t != transport.FrameBanner {
+			fail(fmt.Errorf("banner: type %d, %v", t, err))
+			return
+		}
+		if err := transport.WriteFrame(bw, transport.FrameHello, hello); err != nil {
+			fail(err)
+			return
+		}
+		reqFrame := transport.BeginFrame(nil, transport.FrameTaskRequest)
+		reqFrame = transport.AppendTaskRequest(reqFrame, &transport.TaskRequestMsg{NodeID: 1})
+		if reqFrame, err = transport.EndFrame(reqFrame, 0); err != nil {
+			fail(err)
+			return
+		}
+		var wbuf []byte
+		var assign transport.TaskAssignMsg
+		handoff := func() error {
+			if _, err := bw.Write(reqFrame); err != nil {
+				return err
+			}
+			if err := bw.Flush(); err != nil {
+				return err
+			}
+			t, payload, err := fr.Next()
+			for err == nil && t != transport.FrameTaskAssign && t != transport.FrameNoTask {
+				t, payload, err = fr.Next() // the staged broadcast, ahead of the first reply
+			}
+			if err != nil {
+				return err
+			}
+			if t == transport.FrameNoTask {
+				return fmt.Errorf("no task with backlog pending")
+			}
+			if err := transport.DecodeTaskAssign(payload, &assign); err != nil {
+				return err
+			}
+			res := transport.TaskResultMsg{NodeID: 1, JobID: assign.JobID, TaskID: assign.TaskID}
+			wbuf = transport.BeginFrame(wbuf[:0], transport.FrameTaskResult)
+			wbuf = transport.AppendTaskResult(wbuf, &res)
+			if wbuf, err = transport.EndFrame(wbuf, 0); err != nil {
+				return err
+			}
+			if _, err := bw.Write(wbuf); err != nil {
+				return err
+			}
+			return bw.Flush()
+		}
+		// One untimed hand-off drains the staged broadcast.
+		if err := handoff(); err != nil {
+			fail(err)
+			return
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := handoff(); err != nil {
+				fail(err)
+				return
+			}
+		}
+	}
+}
+
 // oneRound runs the hand-off benchmark once against a coordinator
 // carrying the given collector.
 func oneRound(spans *span.Collector) (obsBenchResult, error) {
 	var failed atomic.Bool
-	r := testing.Benchmark(benchTaskHandoffSpans(true, spans, &failed))
+	r := testing.Benchmark(benchTaskHandoff(spans, &failed))
 	if failed.Load() {
 		return obsBenchResult{}, fmt.Errorf("obs bench: measurement invalidated")
 	}
@@ -57,16 +172,16 @@ func keepMin(best *obsBenchResult, r obsBenchResult) {
 	}
 }
 
-// sweepObs measures the tracing overhead gate: the binary task hand-off
-// with a sampled-off collector versus the untraced baseline, in one
+// sweepObs measures the tracing overhead gate: the task hand-off with a
+// sampled-off collector versus the untraced baseline, in one
 // process. Writes BENCH_obs.json (or -out) and fails when the
 // sampled-off path regresses past obsOverheadLimit.
 func sweepObs(w *csv.Writer, outPath string) error {
 	if err := w.Write([]string{"bench", "iterations", "ns_per_op", "allocs_per_op", "overhead_frac"}); err != nil {
 		return err
 	}
-	// Sampled-off: the collector is live and negotiates trace_ctx, but
-	// every head-based draw loses — the hot path pays only the nil-span
+	// Sampled-off: the collector is live, but every head-based draw
+	// loses — the hot path pays only the nil-span
 	// checks, which is the deployment default worth guarding.
 	offSpans := span.NewCollector(span.Config{Capacity: 4096, SampleRate: -1})
 	const rounds = 6

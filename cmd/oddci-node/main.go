@@ -25,7 +25,7 @@ func main() {
 		standby   = flag.Bool("standby", false, "device idle in standby (faster CPU)")
 		keyHex    = flag.String("controller-key", "", "pin the coordinator's ed25519 public key (hex)")
 		seed      = flag.Int64("seed", 1, "probability-gate seed")
-		spanCap   = flag.Int("trace-spans", 1024, "local span ring capacity; also negotiates trace_ctx so the coordinator can parent dispatch/commit spans under this node's requests (0 disables)")
+		spanCap   = flag.Int("trace-spans", 1024, "local span ring capacity; a node with one stamps its span contexts onto requests and results so the coordinator can parent dispatch/commit spans under them (0 disables)")
 	)
 	flag.Parse()
 

@@ -95,7 +95,7 @@ type Config struct {
 	OnWakeup func(id instance.ID, seq uint32, probability float64)
 	// OnImageUpdate, if set, observes Recompose image replacements after
 	// they commit — the hook that lets a TCP coordinator ride the same
-	// update onto its delta_img plane (Coordinator.UpdateImage). Like
+	// update onto its chunk plane (Coordinator.UpdateImage). Like
 	// OnWakeup it runs with the Controller lock held and must not call
 	// back into the Controller.
 	OnImageUpdate func(id instance.ID, img *appimage.Image)
@@ -1079,7 +1079,7 @@ func (c *Controller) Resize(id instance.ID, target int) error {
 // Recompose replaces a live instance's application image in place. The
 // new image is encoded once, the wakeup envelope re-airs at seq+1 with
 // the new digest and probability zero — members ride the carousel (or,
-// via Config.OnImageUpdate, the TCP coordinator's delta_img plane) to
+// via Config.OnImageUpdate, the TCP coordinator's chunk plane) to
 // the new content, while idle nodes never roll against the bump — and
 // the journal records the replacement so a recovered Controller
 // re-enters the carousel with the new image. Like DestroyInstance the

@@ -105,7 +105,7 @@ func (i *Instance) Resize(target int) error {
 
 // Recompose replaces the instance's application image in place; live
 // members receive the new content as a delta (carousel module hashes on
-// the broadcast plane, delta_img chunks on TCP).
+// the broadcast plane, manifest + chunk frames on TCP).
 func (i *Instance) Recompose(img *appimage.Image) error {
 	i.mu.Lock()
 	if i.destroyed {

@@ -2,11 +2,13 @@ package transport
 
 import (
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"oddci/internal/dsmcc"
 	"oddci/internal/span"
 )
 
@@ -39,9 +41,9 @@ func TestTaskPlaneCodecRoundTrip(t *testing.T) {
 		}
 		// The decoded payload must not alias the wire buffer (frame
 		// buffers are reused).
-		if len(raw) > 36 {
+		if len(raw) > 37 {
 			raw[len(raw)-1] ^= 0xFF
-			if bytes.Equal(out.Payload, raw[36:]) {
+			if bytes.Equal(out.Payload, raw[37:]) {
 				t.Fatal("decoded payload aliases the frame buffer")
 			}
 		}
@@ -86,15 +88,15 @@ func TestTaskPlaneCodecRejectsMalformed(t *testing.T) {
 			t.Errorf("case %d: malformed assign accepted", i)
 		}
 		var r TaskResultMsg
-		if err := DecodeTaskResult(b, &r); err == nil && len(b) >= 28 {
+		if err := DecodeTaskResult(b, &r); err == nil && len(b) >= 29 {
 			t.Errorf("case %d: malformed result accepted", i)
 		}
 	}
 	var req TaskRequestMsg
-	if err := DecodeTaskRequest([]byte{1, 2, 3}, &req); err == nil {
-		t.Error("short request accepted")
+	if err := DecodeTaskRequest(make([]byte, 8), &req); err == nil {
+		t.Error("request without a flags byte accepted")
 	}
-	if err := DecodeTaskRequest(make([]byte, 9), &req); err == nil {
+	if err := DecodeTaskRequest(make([]byte, 10), &req); err == nil {
 		t.Error("long request accepted")
 	}
 	var nt NoTaskMsg
@@ -125,14 +127,14 @@ func TestTaskAssignCodecProperty(t *testing.T) {
 }
 
 func TestBeginEndFrame(t *testing.T) {
-	b := BeginFrame(nil, FrameTaskRequestBin)
+	b := BeginFrame(nil, FrameTaskRequest)
 	b = AppendTaskRequest(b, &TaskRequestMsg{NodeID: 42})
 	b, err := EndFrame(b, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	typ, payload, err := ReadFrame(bytes.NewReader(b))
-	if err != nil || typ != FrameTaskRequestBin {
+	if err != nil || typ != FrameTaskRequest {
 		t.Fatalf("typ=%d err=%v", typ, err)
 	}
 	var req TaskRequestMsg
@@ -140,7 +142,7 @@ func TestBeginEndFrame(t *testing.T) {
 		t.Fatalf("req=%+v err=%v", req, err)
 	}
 	// AppendFrame produces identical bytes.
-	alt, err := AppendFrame(nil, FrameTaskRequestBin, payload)
+	alt, err := AppendFrame(nil, FrameTaskRequest, payload)
 	if err != nil || !bytes.Equal(alt, b) {
 		t.Fatalf("AppendFrame mismatch: %x vs %x (err=%v)", alt, b, err)
 	}
@@ -190,7 +192,7 @@ func TestFrameReaderOversizedPayload(t *testing.T) {
 	big := make([]byte, poolBufCap+poolBufCap/2)
 	rand.New(rand.NewSource(3)).Read(big)
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, FrameImage, big); err != nil {
+	if err := WriteFrame(&buf, FrameImageChunk, big); err != nil {
 		t.Fatal(err)
 	}
 	WriteFrame(&buf, FrameHello, []byte("after"))
@@ -198,7 +200,7 @@ func TestFrameReaderOversizedPayload(t *testing.T) {
 	fr := NewFrameReader(&buf)
 	defer fr.Close()
 	typ, p, err := fr.Next()
-	if err != nil || typ != FrameImage || !bytes.Equal(p, big) {
+	if err != nil || typ != FrameImageChunk || !bytes.Equal(p, big) {
 		t.Fatalf("typ=%d err=%v equal=%v", typ, err, bytes.Equal(p, big))
 	}
 	if _, m1 := FramePoolStats(); m1 == m0 {
@@ -210,7 +212,7 @@ func TestFrameReaderOversizedPayload(t *testing.T) {
 	}
 	// The oversized reader must still reject frames above MaxFrame.
 	var huge bytes.Buffer
-	huge.Write([]byte{byte(FrameImage), 0xFF, 0xFF, 0xFF, 0xFF})
+	huge.Write([]byte{byte(FrameImageChunk), 0xFF, 0xFF, 0xFF, 0xFF})
 	fr2 := NewFrameReader(&huge)
 	defer fr2.Close()
 	if _, _, err := fr2.Next(); err != ErrFrameTooLarge {
@@ -218,15 +220,11 @@ func TestFrameReaderOversizedPayload(t *testing.T) {
 	}
 }
 
-func TestNodeSetStriping(t *testing.T) {
-	s := newNodeSet()
+func TestNodeSet(t *testing.T) {
+	s := nodeSet{m: make(map[uint64]struct{})}
 	for i := uint64(0); i < 1000; i++ {
-		if !s.Add(i) {
-			t.Fatalf("first add of %d reported duplicate", i)
-		}
-		if s.Add(i) {
-			t.Fatalf("second add of %d reported new", i)
-		}
+		s.Add(i)
+		s.Add(i) // a reconnecting node counts once
 	}
 	if s.Len() != 1000 {
 		t.Fatalf("Len = %d, want 1000", s.Len())
@@ -236,10 +234,9 @@ func TestNodeSetStriping(t *testing.T) {
 	}
 }
 
-// Benchmarks: one task hand-off message set through each codec, for
-// `go test -bench TaskCodec` parity with the oddci-bench sweep.
-
-func BenchmarkBinaryTaskCodec(b *testing.B) {
+// BenchmarkTaskCodec: one assign through the codec, for
+// `go test -bench TaskCodec`.
+func BenchmarkTaskCodec(b *testing.B) {
 	assign := TaskAssignMsg{JobID: 1, TaskID: 12345, RefSeconds: 2, OutputSize: 64}
 	var buf []byte
 	var out TaskAssignMsg
@@ -252,101 +249,118 @@ func BenchmarkBinaryTaskCodec(b *testing.B) {
 	}
 }
 
-func BenchmarkJSONTaskCodec(b *testing.B) {
-	assign := TaskAssignMsg{JobID: 1, TaskID: 12345, RefSeconds: 2, OutputSize: 64}
-	var out TaskAssignMsg
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		raw, err := json.Marshal(&assign)
-		if err != nil {
-			b.Fatal(err)
+// TestTaskPlaneCodecFlags: every optional-field combination a shape may
+// carry round-trips and re-encodes bit-exactly; a reused decode target
+// is zeroed by a bare message; and the flags byte is checked against
+// the tail in both directions.
+func TestTaskPlaneCodecFlags(t *testing.T) {
+	ctx := span.Context{Trace: span.TraceID{0xDEADBEEF, 0xCAFED00D}, Span: 0x1234, Sampled: true}
+	cred := bytes.Repeat([]byte{0xAB}, credentialLen)
+
+	for _, trace := range []span.Context{{}, ctx} {
+		req := TaskRequestMsg{NodeID: 7, Trace: trace}
+		raw := AppendTaskRequest(nil, &req)
+		out := TaskRequestMsg{Trace: span.Context{Span: 99}} // stale reused target
+		if err := DecodeTaskRequest(raw, &out); err != nil || out != req {
+			t.Fatalf("request trace=%v round trip: %+v err=%v", trace.Valid(), out, err)
 		}
-		if err := json.Unmarshal(raw, &out); err != nil {
-			b.Fatal(err)
+		for _, c := range [][]byte{nil, cred} {
+			assign := TaskAssignMsg{JobID: 2, TaskID: 5, RefSeconds: 1.5, OutputSize: 64,
+				Payload: []byte("in"), Cred: c, Trace: trace}
+			rawA := AppendTaskAssign(nil, &assign)
+			outA := TaskAssignMsg{Cred: []byte("stale"), Trace: span.Context{Span: 99}}
+			if err := DecodeTaskAssign(rawA, &outA); err != nil {
+				t.Fatal(err)
+			}
+			if outA.Trace != trace || !bytes.Equal(outA.Cred, c) || !bytes.Equal(AppendTaskAssign(nil, &outA), rawA) {
+				t.Fatalf("assign cred=%t trace=%t not canonical: %+v", c != nil, trace.Valid(), outA)
+			}
+			res := TaskResultMsg{NodeID: 7, JobID: 2, TaskID: 5, Payload: []byte("out"), Cred: c, Trace: trace}
+			rawR := AppendTaskResult(nil, &res)
+			outR := TaskResultMsg{Cred: []byte("stale"), Trace: span.Context{Span: 99}}
+			if err := DecodeTaskResult(rawR, &outR); err != nil {
+				t.Fatal(err)
+			}
+			if outR.Trace != trace || !bytes.Equal(outR.Cred, c) || !bytes.Equal(AppendTaskResult(nil, &outR), rawR) {
+				t.Fatalf("result cred=%t trace=%t not canonical: %+v", c != nil, trace.Valid(), outR)
+			}
 		}
+	}
+
+	// flagsAt is where each shape keeps its flags byte.
+	reqRaw := AppendTaskRequest(nil, &TaskRequestMsg{NodeID: 7, Trace: ctx})
+	asgRaw := AppendTaskAssign(nil, &TaskAssignMsg{Payload: []byte("in"), Cred: cred, Trace: ctx})
+	resRaw := AppendTaskResult(nil, &TaskResultMsg{Payload: []byte("out"), Cred: cred, Trace: ctx})
+	shapes := []struct {
+		name    string
+		raw     []byte
+		flagsAt int
+		decode  func([]byte) error
+	}{
+		{"request", reqRaw, 8, func(b []byte) error { return DecodeTaskRequest(b, new(TaskRequestMsg)) }},
+		{"assign", asgRaw, 32, func(b []byte) error { return DecodeTaskAssign(b, new(TaskAssignMsg)) }},
+		{"result", resRaw, 24, func(b []byte) error { return DecodeTaskResult(b, new(TaskResultMsg)) }},
+	}
+	for _, sh := range shapes {
+		mutate := func(what string, f func(b []byte) []byte) {
+			if sh.decode(f(append([]byte(nil), sh.raw...))) == nil {
+				t.Errorf("%s with %s accepted", sh.name, what)
+			}
+		}
+		mutate("an unknown flag bit", func(b []byte) []byte { b[sh.flagsAt] |= 0x80; return b })
+		mutate("a trace bit and no trace", func(b []byte) []byte { return b[:len(b)-span.EncodedLen] })
+		mutate("a trace and no trace bit", func(b []byte) []byte { b[sh.flagsAt] &^= extTrace; return b })
+		mutate("junk trace flags", func(b []byte) []byte { b[len(b)-1] = 0xFF; return b })
+		mutate("a trace bit over the zero context", func(b []byte) []byte {
+			clear(b[len(b)-span.EncodedLen:])
+			return b
+		})
+	}
+	// A request may not carry a credential, whatever its tail holds.
+	credReq := append(binary.BigEndian.AppendUint64(nil, 7), extCred)
+	if DecodeTaskRequest(append(credReq, cred...), new(TaskRequestMsg)) == nil {
+		t.Error("request with a credential accepted")
 	}
 }
 
-// Trace-suffix round trips: each task-plane message must carry an
-// optional span context and re-encode bit-exactly, while base-length
-// (untraced, PR 5-era) encodings still decode with a zero context.
-func TestTaskPlaneCodecTraceSuffix(t *testing.T) {
-	ctx := span.Context{Trace: span.TraceID{0xDEADBEEF, 0xCAFED00D}, Span: 0x1234, Sampled: true}
-
-	req := TaskRequestMsg{NodeID: 7, Trace: ctx}
-	raw := AppendTaskRequest(nil, &req)
-	if len(raw) != 8+span.EncodedLen {
-		t.Fatalf("traced request length = %d, want %d", len(raw), 8+span.EncodedLen)
-	}
-	out := TaskRequestMsg{Trace: span.Context{Span: 99}} // stale reused target
-	if err := DecodeTaskRequest(raw, &out); err != nil || out != req {
-		t.Fatalf("traced request round trip: %+v err=%v", out, err)
-	}
-	// Base-length frame into the same reused target must zero the trace.
-	if err := DecodeTaskRequest(raw[:8], &out); err != nil {
+func TestImagePlaneCodec(t *testing.T) {
+	in := ImageManifest{Name: "image.1", Size: 2*4096 + 1, ChunkBytes: 4096,
+		Hashes: []dsmcc.ModuleHash{1, 0xFFFFFFFFFFFFFFFF, 3}}
+	raw := AppendImageManifest(nil, &in)
+	var out ImageManifest
+	if err := DecodeImageManifest(raw, &out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Trace.Valid() {
-		t.Fatalf("base-length request left stale trace %+v", out.Trace)
+	if out.Name != in.Name || out.Size != in.Size || out.ChunkBytes != in.ChunkBytes ||
+		!slices.Equal(out.Hashes, in.Hashes) || !bytes.Equal(AppendImageManifest(nil, &out), raw) {
+		t.Fatalf("manifest round trip: %+v != %+v", out, in)
 	}
-
-	assign := TaskAssignMsg{JobID: 2, TaskID: 5, RefSeconds: 1.5, OutputSize: 64,
-		Payload: []byte("in"), Trace: ctx}
-	rawA := AppendTaskAssign(nil, &assign)
-	var outA TaskAssignMsg
-	if err := DecodeTaskAssign(rawA, &outA); err != nil {
-		t.Fatal(err)
+	bad := map[string]ImageManifest{
+		"size 0":          {Name: "x", Size: 0, ChunkBytes: 4096},
+		"size > MaxFrame": {Name: "x", Size: MaxFrame + 1, ChunkBytes: MaxFrame, Hashes: []dsmcc.ModuleHash{1, 2}},
+		"chunk size 0":    {Name: "x", Size: 4096, ChunkBytes: 0, Hashes: []dsmcc.ModuleHash{1}},
+		"a hash short":    {Name: "x", Size: 8193, ChunkBytes: 4096, Hashes: []dsmcc.ModuleHash{1, 2}},
+		"a hash over":     {Name: "x", Size: 8192, ChunkBytes: 4096, Hashes: []dsmcc.ModuleHash{1, 2, 3}},
 	}
-	if outA.Trace != ctx || !bytes.Equal(AppendTaskAssign(nil, &outA), rawA) {
-		t.Fatalf("traced assign not canonical: %+v", outA)
+	for name, m := range bad {
+		if DecodeImageManifest(AppendImageManifest(nil, &m), &out) == nil {
+			t.Errorf("manifest with %s accepted", name)
+		}
 	}
-	if err := DecodeTaskAssign(rawA[:len(rawA)-span.EncodedLen], &outA); err != nil {
-		t.Fatal(err)
-	}
-	if outA.Trace.Valid() || !bytes.Equal(outA.Payload, assign.Payload) {
-		t.Fatalf("base-length assign: trace=%+v payload=%q", outA.Trace, outA.Payload)
+	for _, b := range [][]byte{nil, {0}, raw[:5], raw[:len(raw)-1], append(raw[:len(raw):len(raw)], 0)} {
+		if DecodeImageManifest(b, &out) == nil {
+			t.Errorf("malformed manifest %x accepted", b)
+		}
 	}
 
-	res := TaskResultMsg{NodeID: 7, JobID: 2, TaskID: 5, Payload: []byte("out"), Trace: ctx}
-	rawR := AppendTaskResult(nil, &res)
-	var outR TaskResultMsg
-	if err := DecodeTaskResult(rawR, &outR); err != nil {
-		t.Fatal(err)
+	chunk := AppendImageChunk(nil, 0xABCD, []byte("data"))
+	h, data, err := DecodeImageChunk(chunk)
+	if err != nil || h != 0xABCD || string(data) != "data" || !bytes.Equal(AppendImageChunk(nil, h, data), chunk) {
+		t.Fatalf("chunk round trip: h=%x data=%q err=%v", uint64(h), data, err)
 	}
-	if outR.Trace != ctx || !bytes.Equal(AppendTaskResult(nil, &outR), rawR) {
-		t.Fatalf("traced result not canonical: %+v", outR)
-	}
-	if err := DecodeTaskResult(rawR[:len(rawR)-span.EncodedLen], &outR); err != nil {
-		t.Fatal(err)
-	}
-	if outR.Trace.Valid() {
-		t.Fatalf("base-length result left stale trace %+v", outR.Trace)
-	}
-
-	// A suffix with unknown flag bits is rejected, not silently decoded.
-	bad := append([]byte(nil), raw...)
-	bad[len(bad)-1] = 0xFF
-	if err := DecodeTaskRequest(bad, &out); err == nil {
-		t.Fatal("request with junk trace flags accepted")
-	}
-	badA := append([]byte(nil), rawA...)
-	badA[len(badA)-1] = 0xFF
-	if err := DecodeTaskAssign(badA, &outA); err == nil {
-		t.Fatal("assign with junk trace flags accepted")
-	}
-	badR := append([]byte(nil), rawR...)
-	badR[len(badR)-1] = 0xFF
-	if err := DecodeTaskResult(badR, &outR); err == nil {
-		t.Fatal("result with junk trace flags accepted")
-	}
-
-	// JSON leg (ForceJSON nodes): the context survives marshal/unmarshal.
-	j, err := json.Marshal(&req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var outJ TaskRequestMsg
-	if err := json.Unmarshal(j, &outJ); err != nil || outJ.Trace != ctx {
-		t.Fatalf("json trace round trip: %+v err=%v", outJ.Trace, err)
+	for _, b := range [][]byte{nil, chunk[:7], chunk[:8]} {
+		if _, _, err := DecodeImageChunk(b); err == nil {
+			t.Errorf("chunk of %d bytes accepted", len(b))
+		}
 	}
 }

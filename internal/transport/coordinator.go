@@ -52,10 +52,9 @@ type CoordinatorConfig struct {
 	// check.
 	Obs *obs.Registry
 	// Spans, if set, enables end-to-end causal tracing: the wakeup on
-	// the wire starts a root span whose context rides in the banner
-	// (capability-negotiated via trace_ctx, like the binary task
-	// plane), node sessions record under it, and the backend closes
-	// each task's tree with dispatch/lease-expiry/commit spans.
+	// the wire starts a root span whose context rides in the banner,
+	// node sessions record under it, and the backend closes each task's
+	// tree with dispatch/lease-expiry/commit spans.
 	Spans *span.Collector
 	// Shard identifies this coordinator's slice of a federated control
 	// plane; it rides in the banner so nodes can confirm which shard
@@ -68,10 +67,9 @@ type CoordinatorConfig struct {
 	// fault-injection tests shorten it to force lease-expiry retries.
 	LeaseBase time.Duration
 	// CredentialMode selects the backend's result-credential policy.
-	// Credentials are issued only to sessions whose hello advertised
-	// them, so pre-credential nodes keep their exact wire format; what
-	// happens to their credential-less results is this policy's call
-	// (CredWarn tolerates, CredEnforce rejects).
+	// Any mode but CredOff attaches a credential to every assignment;
+	// what happens to a result that comes back without it is this
+	// policy's call (CredWarn tolerates, CredEnforce rejects).
 	CredentialMode backend.CredentialMode
 	// HeartbeatSilence is how long the coordinator tolerates hearing no
 	// heartbeat (while nodes are connected) before the heartbeat-silence
@@ -85,111 +83,61 @@ type CoordinatorConfig struct {
 	// seq.
 	StateDir string
 	// ImageChunkBytes is the split size of the content-addressed image
-	// plane (default 256 KiB). Delta-capable nodes receive the image as
-	// a manifest plus hash-addressed chunks, so an UpdateImage re-stages
-	// only the chunks whose content actually changed.
+	// plane (default 256 KiB). Nodes receive the image as a manifest
+	// plus hash-addressed chunks, so an UpdateImage re-stages only the
+	// chunks whose content actually changed.
 	ImageChunkBytes int
 }
 
 // imageStage is one immutable generation of the staged broadcast: the
-// signed control frame, the legacy full-image frame, and the
-// content-addressed manifest + chunk frames. Sessions read the current
-// stage through an atomic pointer; UpdateImage swaps in a successor
-// that reuses every pre-encoded chunk frame whose hash survived, so
-// re-staging re-encodes only changed content (the PR 5 encode-once
-// property, now per chunk instead of per image).
+// signed control frame and the content-addressed manifest + chunk
+// frames. Sessions read the current stage through an atomic pointer;
+// UpdateImage swaps in a successor that reuses every pre-encoded chunk
+// frame whose hash survived, so re-staging re-encodes only changed
+// content.
 type imageStage struct {
 	epoch   uint64
 	seq     uint32
 	wakeups uint32
-	imgRaw  []byte
 
 	ctrlFrame     []byte
-	imageFrame    []byte
 	manifestFrame []byte
 	// hashes lists the chunks in assembly order; chunkFrames holds each
 	// distinct chunk pre-encoded as a complete frame.
-	hashes      []string
-	chunkFrames map[string][]byte
-	// broadcast is ctrlFrame+imageFrame concatenated: the two-frame push
-	// legacy sessions receive verbatim.
-	broadcast []byte
+	hashes      []dsmcc.ModuleHash
+	chunkFrames map[dsmcc.ModuleHash][]byte
+	// bytes is what a joining session is sent: control + manifest +
+	// every distinct chunk frame.
+	bytes int
 }
 
-// splitChunks cuts raw into n-byte slices (the last may be short).
-func splitChunks(raw []byte, n int) [][]byte {
-	var out [][]byte
-	for len(raw) > 0 {
-		k := n
-		if k > len(raw) {
-			k = len(raw)
-		}
-		out = append(out, raw[:k])
-		raw = raw[k:]
-	}
-	return out
-}
-
-// nodeSetShards stripes the distinct-node set so concurrent sessions
-// touch disjoint locks (node IDs hash via SplitMix64).
-const nodeSetShards = 16
-
-type nodeSetShard struct {
-	mu sync.Mutex
-	m  map[uint64]struct{}
-}
-
-// nodeSet is a counted striped set of node IDs: Add contends only on
-// one shard, Len is a single atomic load (O(1) for /metrics scrapes).
+// nodeSet is a counted set of node IDs. Add runs once per session, at
+// hello; Len is a single atomic load (O(1) for /metrics scrapes).
 type nodeSet struct {
-	shards [nodeSetShards]nodeSetShard
-	count  atomic.Int64
+	mu    sync.Mutex
+	m     map[uint64]struct{}
+	count atomic.Int64
 }
 
-func newNodeSet() *nodeSet {
-	s := &nodeSet{}
-	for i := range s.shards {
-		s.shards[i].m = make(map[uint64]struct{})
-	}
-	return s
-}
-
-// mix64 is a SplitMix64-style finalizer (same scheme as the backend's
-// stripe locks): cheap, well-distributed bits for shard selection.
-func mix64(h uint64) uint64 {
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	h *= 0xc4ceb9fe1a85ec53
-	h ^= h >> 33
-	return h
-}
-
-// Add inserts id, reporting whether it was new.
-func (s *nodeSet) Add(id uint64) bool {
-	sh := &s.shards[mix64(id)%nodeSetShards]
-	sh.mu.Lock()
-	_, ok := sh.m[id]
-	if !ok {
-		sh.m[id] = struct{}{}
-	}
-	sh.mu.Unlock()
-	if !ok {
+// Add inserts id.
+func (s *nodeSet) Add(id uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.m[id]; !ok {
+		s.m[id] = struct{}{}
 		s.count.Add(1)
 	}
-	return !ok
 }
 
 // Has reports membership.
 func (s *nodeSet) Has(id uint64) bool {
-	sh := &s.shards[mix64(id)%nodeSetShards]
-	sh.mu.Lock()
-	_, ok := sh.m[id]
-	sh.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.m[id]
 	return ok
 }
 
-// Len returns the distinct-node count without touching any shard.
+// Len returns the distinct-node count without taking the lock.
 func (s *nodeSet) Len() int { return int(s.count.Load()) }
 
 // coordMetrics are the transport-plane telemetry handles (all nil-safe
@@ -223,8 +171,8 @@ type Coordinator struct {
 	recovered bool
 
 	// Encode-once broadcast: the banner frame and the staged carousel
-	// (control file + image, chunked and legacy forms) are encoded at
-	// construction and written verbatim to every session — per-node cost
+	// (control file, manifest, chunks) are encoded once per image
+	// generation and written verbatim to every session — per-node cost
 	// is a memcpy into the socket, never a marshal. UpdateImage swaps
 	// the stage pointer; sessions pick the new generation up at their
 	// next heartbeat.
@@ -240,11 +188,11 @@ type Coordinator struct {
 	// pre-encoded buffer. Zero when tracing is off or unsampled.
 	wakeupCtx span.Context
 
-	// Session accounting: atomics and a striped node set, so heartbeats
+	// Session accounting: atomics and a counted node set, so heartbeats
 	// from N sessions never serialize on one coordinator-global mutex.
 	heartbeats   atomic.Int64
 	lastBeatNano atomic.Int64
-	nodes        *nodeSet
+	nodes        nodeSet
 
 	mu     sync.Mutex // guards closed only
 	closed bool
@@ -269,12 +217,24 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = simtime.NewReal()
 	}
-	// Durable identity and sequence continuity.
-	var (
-		store   *journal.Store
-		state   *journal.State
-		prevRec *journal.InstanceRecord
-	)
+	if cfg.HeartbeatSilence <= 0 {
+		cfg.HeartbeatSilence = 3 * cfg.HeartbeatPeriod
+	}
+	if cfg.RetryAfter <= 0 {
+		cfg.RetryAfter = time.Second
+	}
+	if cfg.LeaseBase <= 0 {
+		cfg.LeaseBase = 30 * time.Second
+	}
+	if cfg.ImageChunkBytes <= 0 {
+		cfg.ImageChunkBytes = 256 << 10
+	}
+	// Durable identity and sequence continuity. before stands in for the
+	// generation this process stages a delta from: nothing on a fresh
+	// start, the recorded sequence after a restart — so nodes that
+	// already evaluated the pre-crash wakeup evaluate this one afresh.
+	var store *journal.Store
+	before := &imageStage{}
 	if cfg.StateDir != "" {
 		if cfg.Key == nil {
 			key, err := journal.LoadOrCreateKey(cfg.StateDir)
@@ -288,12 +248,14 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		if err != nil {
 			return nil, err
 		}
-		state, err = store.Load()
+		state, err := store.Load()
 		if err != nil {
 			store.Close()
 			return nil, err
 		}
-		prevRec = state.Instances[1]
+		if rec := state.Instances[1]; rec != nil {
+			before.seq, before.wakeups = rec.Seq, rec.Wakeups
+		}
 	}
 	if cfg.Key == nil {
 		_, key, err := ed25519.GenerateKey(rand.Reader)
@@ -301,80 +263,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 			return nil, err
 		}
 		cfg.Key = key
-	}
-	imgRaw, err := cfg.Image.Encode()
-	if err != nil {
-		if store != nil {
-			store.Close()
-		}
-		return nil, err
-	}
-	digest := appimage.DigestOf(imgRaw)
-	// Resume one past the recorded sequence: nodes that already
-	// evaluated the pre-crash wakeup evaluate this one afresh.
-	seq := uint32(1)
-	var wakeups uint32 = 1
-	if prevRec != nil {
-		seq = prevRec.Seq + 1
-		wakeups = prevRec.Wakeups + 1
-	}
-	wakeup := &control.Wakeup{
-		InstanceID:      1,
-		Seq:             seq,
-		Probability:     cfg.Probability,
-		Requirements:    cfg.Requirements,
-		ImageFile:       "image.1",
-		ImageDigest:     digest,
-		HeartbeatPeriod: cfg.HeartbeatPeriod,
-	}
-	ctrlFile, err := control.SignWakeup(wakeup, cfg.Key)
-	if err != nil {
-		if store != nil {
-			store.Close()
-		}
-		return nil, err
-	}
-	if store != nil {
-		rec := journal.InstanceRecord{
-			ID:              1,
-			Seq:             seq,
-			Wakeups:         wakeups,
-			Probability:     cfg.Probability,
-			Target:          1,
-			HeartbeatPeriod: cfg.HeartbeatPeriod,
-			Requirements:    cfg.Requirements,
-			ImageFile:       "image.1",
-			Image:           imgRaw,
-		}
-		if prevRec == nil {
-			if err := store.Append(journal.Record{Op: journal.OpCreate, Inst: rec}); err != nil {
-				store.Close()
-				return nil, err
-			}
-		} else {
-			// Restarted: compact to a one-record snapshot carrying the
-			// bumped sequence (and the possibly-updated image).
-			st := journal.NewState()
-			st.NextID = 2
-			st.Instances[1] = &rec
-			st.Order = []uint64{1}
-			if err := store.Compact(st); err != nil {
-				store.Close()
-				return nil, err
-			}
-		}
-	}
-	if cfg.HeartbeatSilence <= 0 {
-		cfg.HeartbeatSilence = 3 * cfg.HeartbeatPeriod
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
-	}
-	if cfg.LeaseBase <= 0 {
-		cfg.LeaseBase = 30 * time.Second
-	}
-	if cfg.ImageChunkBytes <= 0 {
-		cfg.ImageChunkBytes = 256 << 10
 	}
 	be, err := backend.New(backend.Config{
 		Clock:          cfg.Clock,
@@ -385,6 +273,9 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		CredentialMode: cfg.CredentialMode,
 	})
 	if err != nil {
+		if store != nil {
+			store.Close()
+		}
 		return nil, err
 	}
 	ln, err := net.Listen("tcp", cfg.Listen)
@@ -400,27 +291,29 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		pub:       cfg.Key.Public().(ed25519.PublicKey),
 		be:        be,
 		store:     store,
-		recovered: prevRec != nil,
-		nodes:     newNodeSet(),
+		recovered: before.seq != 0,
+		nodes:     nodeSet{m: make(map[uint64]struct{})},
 	}
+	st, err := c.stageImage(before, cfg.Image)
+	if err != nil {
+		c.Close()
+		return nil, err
+	}
+	c.stage.Store(st)
 
 	// The wakeup on the wire roots the deployment's trace. Its context
 	// rides in the banner — one constant value for the coordinator's
 	// lifetime, so the encode-once invariant below survives tracing.
 	if wakeupSp := cfg.Spans.Root("wakeup", "coordinator"); wakeupSp != nil {
-		wakeupSp.SetDetail("instance=1 seq=%d p=%.2f", seq, cfg.Probability)
-		cfg.Spans.SetLink(span.LinkKey(1, uint64(seq)), wakeupSp.Context())
+		wakeupSp.SetDetail("instance=1 seq=%d p=%.2f", st.seq, cfg.Probability)
+		cfg.Spans.SetLink(span.LinkKey(1, uint64(st.seq)), wakeupSp.Context())
 		c.wakeupCtx = wakeupSp.Context()
 		wakeupSp.End()
 	}
 
-	// Encode-once broadcast staging: banner, control file, and image
-	// (legacy and chunked forms) are marshaled exactly once here,
-	// independent of how many sessions will replay them.
 	bannerRaw, err := json.Marshal(&Banner{
-		ControllerKey: c.pub, Name: cfg.Name, TaskBin: true,
-		TraceCtx: cfg.Spans != nil, Trace: c.wakeupCtx, DeltaImg: true,
-		Shard: cfg.Shard,
+		Wire: WireVersion, ControllerKey: c.pub, Name: cfg.Name,
+		Trace: c.wakeupCtx, Shard: cfg.Shard,
 	})
 	if err != nil {
 		c.Close()
@@ -431,12 +324,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		return nil, err
 	}
 	c.encodeOps.Add(1)
-	st, err := c.newStage(nil, imgRaw, ctrlFile, seq, wakeups)
-	if err != nil {
-		c.Close()
-		return nil, err
-	}
-	c.stage.Store(st)
 	reply := control.EncodeHeartbeatReply(&control.HeartbeatReply{Command: control.CmdNone})
 	if c.hbReplyFrame, err = AppendFrame(nil, FrameHeartbeatReply, reply); err != nil {
 		c.Close()
@@ -447,94 +334,25 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	return c, nil
 }
 
-// newStage pre-encodes one broadcast generation. prev, when non-nil,
-// donates every chunk frame whose content hash is unchanged, so only
-// new content costs an encode — the per-chunk form of the encode-once
-// invariant that the image bench asserts stays flat in session count.
-func (c *Coordinator) newStage(prev *imageStage, imgRaw, ctrlFile []byte, seq, wakeups uint32) (*imageStage, error) {
-	st := &imageStage{
-		seq: seq, wakeups: wakeups, imgRaw: imgRaw,
-		chunkFrames: make(map[string][]byte),
-	}
-	if prev != nil {
-		st.epoch = prev.epoch + 1
-	}
-	var err error
-	if st.ctrlFrame, err = AppendFrame(nil, FrameControl, ctrlFile); err != nil {
-		return nil, err
-	}
-	c.encodeOps.Add(1)
-	imgJSON, err := json.Marshal(&ImageFile{Name: "image.1", Data: imgRaw})
-	if err != nil {
-		return nil, err
-	}
-	if st.imageFrame, err = AppendFrame(nil, FrameImage, imgJSON); err != nil {
-		return nil, err
-	}
-	c.encodeOps.Add(1)
-	chunks := splitChunks(imgRaw, c.cfg.ImageChunkBytes)
-	st.hashes = make([]string, len(chunks))
-	for i, ch := range chunks {
-		h := dsmcc.HashOf(ch).String()
-		st.hashes[i] = h
-		if _, ok := st.chunkFrames[h]; ok {
-			continue // duplicate content within the image
-		}
-		if prev != nil {
-			if f, ok := prev.chunkFrames[h]; ok {
-				st.chunkFrames[h] = f // unchanged: reused verbatim, no encode
-				continue
-			}
-		}
-		raw, err := json.Marshal(&ImageChunk{Hash: h, Data: ch})
-		if err != nil {
-			return nil, err
-		}
-		frame, err := AppendFrame(nil, FrameImageChunk, raw)
-		if err != nil {
-			return nil, err
-		}
-		st.chunkFrames[h] = frame
-		c.encodeOps.Add(1)
-	}
-	manRaw, err := json.Marshal(&ImageManifest{
-		Name: "image.1", Size: len(imgRaw),
-		ChunkBytes: c.cfg.ImageChunkBytes, Hashes: st.hashes,
-	})
-	if err != nil {
-		return nil, err
-	}
-	if st.manifestFrame, err = AppendFrame(nil, FrameImageManifest, manRaw); err != nil {
-		return nil, err
-	}
-	c.encodeOps.Add(1)
-	st.broadcast = append(append([]byte(nil), st.ctrlFrame...), st.imageFrame...)
-	return st, nil
-}
-
-// UpdateImage recomposes the staged application image mid-flight: the
-// wakeup re-signs under the next sequence, the legacy image frame and
-// manifest re-encode, and chunk frames re-encode only for changed
-// content. Delta sessions are re-staged at their next heartbeat with
-// just the chunks this session has not yet received; legacy sessions
-// keep their original image (their strict reply loop would reject
-// unsolicited mid-session frames) while new legacy joins receive the
-// updated full image.
-func (c *Coordinator) UpdateImage(img *appimage.Image) error {
-	if img == nil {
-		return errors.New("transport: UpdateImage needs an image")
-	}
+// stageImage builds the generation after prev: it signs the wakeup
+// under the next sequence, pre-encodes the control, manifest and chunk
+// frames, and journals the result. prev donates every chunk frame whose
+// content hash is unchanged, so only new content costs an encode — the
+// per-chunk form of the encode-once invariant. A first staging is the
+// same delta, from a prev that holds nothing. The caller publishes the
+// returned stage.
+func (c *Coordinator) stageImage(prev *imageStage, img *appimage.Image) (*imageStage, error) {
 	imgRaw, err := img.Encode()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	c.updateMu.Lock()
-	defer c.updateMu.Unlock()
-	prev := c.stage.Load()
-	seq, wakeups := prev.seq+1, prev.wakeups+1
+	st := &imageStage{
+		seq: prev.seq + 1, wakeups: prev.wakeups + 1,
+		chunkFrames: make(map[dsmcc.ModuleHash][]byte),
+	}
 	ctrlFile, err := control.SignWakeup(&control.Wakeup{
 		InstanceID:      1,
-		Seq:             seq,
+		Seq:             st.seq,
 		Probability:     c.cfg.Probability,
 		Requirements:    c.cfg.Requirements,
 		ImageFile:       "image.1",
@@ -542,20 +360,45 @@ func (c *Coordinator) UpdateImage(img *appimage.Image) error {
 		HeartbeatPeriod: c.cfg.HeartbeatPeriod,
 	}, c.cfg.Key)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	st, err := c.newStage(prev, imgRaw, ctrlFile, seq, wakeups)
-	if err != nil {
-		return err
+	if st.ctrlFrame, err = AppendFrame(nil, FrameControl, ctrlFile); err != nil {
+		return nil, err
 	}
+	c.encodeOps.Add(1)
+	for off := 0; off < len(imgRaw); off += c.cfg.ImageChunkBytes {
+		ch := imgRaw[off:min(off+c.cfg.ImageChunkBytes, len(imgRaw))]
+		h := dsmcc.HashOf(ch)
+		st.hashes = append(st.hashes, h)
+		if _, ok := st.chunkFrames[h]; ok {
+			continue // duplicate content within the image
+		}
+		frame, ok := prev.chunkFrames[h] // unchanged: reused verbatim, no encode
+		if !ok {
+			frame = BeginFrame(make([]byte, 0, 5+dsmcc.HashLen+len(ch)), FrameImageChunk)
+			if frame, err = EndFrame(AppendImageChunk(frame, h, ch), 0); err != nil {
+				return nil, err
+			}
+			c.encodeOps.Add(1)
+		}
+		st.chunkFrames[h] = frame
+		st.bytes += len(frame)
+	}
+	manifest := AppendImageManifest(nil, &ImageManifest{
+		Name: "image.1", Size: len(imgRaw),
+		ChunkBytes: c.cfg.ImageChunkBytes, Hashes: st.hashes,
+	})
+	if st.manifestFrame, err = AppendFrame(nil, FrameImageManifest, manifest); err != nil {
+		return nil, err
+	}
+	c.encodeOps.Add(1)
+	st.bytes += len(st.ctrlFrame) + len(st.manifestFrame)
+
 	if c.store != nil {
-		// Same one-record snapshot the restart path writes: a coordinator
-		// restarted after the update resumes past this sequence with the
-		// updated image.
-		snap := journal.NewState()
-		snap.NextID = 2
-		snap.Instances[1] = &journal.InstanceRecord{
-			ID: 1, Seq: seq, Wakeups: wakeups,
+		rec := journal.InstanceRecord{
+			ID:              1,
+			Seq:             st.seq,
+			Wakeups:         st.wakeups,
 			Probability:     c.cfg.Probability,
 			Target:          1,
 			HeartbeatPeriod: c.cfg.HeartbeatPeriod,
@@ -563,11 +406,42 @@ func (c *Coordinator) UpdateImage(img *appimage.Image) error {
 			ImageFile:       "image.1",
 			Image:           imgRaw,
 		}
-		snap.Order = []uint64{1}
-		if err := c.store.Compact(snap); err != nil {
-			return err
+		if prev.seq == 0 { // nothing recorded before: the journal's first entry
+			err = c.store.Append(journal.Record{Op: journal.OpCreate, Inst: rec})
+		} else {
+			// Restarted or updated: compact to a one-record snapshot
+			// carrying the bumped sequence and the current image, so the
+			// next restart resumes past it.
+			snap := journal.NewState()
+			snap.NextID = 2
+			snap.Instances[1] = &rec
+			snap.Order = []uint64{1}
+			err = c.store.Compact(snap)
+		}
+		if err != nil {
+			return nil, err
 		}
 	}
+	return st, nil
+}
+
+// UpdateImage recomposes the staged application image mid-flight: the
+// wakeup re-signs under the next sequence, the manifest re-encodes, and
+// chunk frames re-encode only for changed content. Connected sessions
+// are re-staged at their next heartbeat with just the chunks the new
+// manifest lists and their previous one did not.
+func (c *Coordinator) UpdateImage(img *appimage.Image) error {
+	if img == nil {
+		return errors.New("transport: UpdateImage needs an image")
+	}
+	c.updateMu.Lock()
+	defer c.updateMu.Unlock()
+	prev := c.stage.Load()
+	st, err := c.stageImage(prev, img)
+	if err != nil {
+		return err
+	}
+	st.epoch = prev.epoch + 1
 	c.stage.Store(st)
 	return nil
 }
@@ -579,14 +453,14 @@ func (c *Coordinator) instrument(reg *obs.Registry) {
 		heartbeats:      reg.Counter("oddci_coordinator_heartbeats_total", "Heartbeat frames received from nodes"),
 		sessions:        reg.Counter("oddci_coordinator_sessions_total", "Node TCP sessions accepted"),
 		framesInHB:      reg.Counter("oddci_transport_frames_in_heartbeat_total", "Heartbeat frames read"),
-		framesInTaskReq: reg.Counter("oddci_transport_frames_in_task_request_total", "Task-request frames read (JSON and binary)"),
-		framesInTaskRes: reg.Counter("oddci_transport_frames_in_task_result_total", "Task-result frames read (JSON and binary)"),
+		framesInTaskReq: reg.Counter("oddci_transport_frames_in_task_request_total", "Task-request frames read"),
+		framesInTaskRes: reg.Counter("oddci_transport_frames_in_task_result_total", "Task-result frames read"),
 		framesInOther:   reg.Counter("oddci_transport_frames_in_other_total", "Frames read of any other type"),
 		framesOut:       reg.Counter("oddci_transport_frames_out_total", "Frames written to node sessions"),
 		bytesIn:         reg.Counter("oddci_transport_bytes_in_total", "Frame bytes read from node sessions"),
 		bytesOut:        reg.Counter("oddci_transport_bytes_out_total", "Frame bytes written to node sessions"),
 		broadcastBytes:  reg.Counter("oddci_transport_broadcast_bytes_total", "Pre-encoded broadcast bytes staged to sessions"),
-		restages:        reg.Counter("oddci_transport_restages_total", "Mid-session image re-stagings pushed to delta sessions"),
+		restages:        reg.Counter("oddci_transport_restages_total", "Mid-session image re-stagings pushed to sessions"),
 		restageBytes:    reg.Counter("oddci_transport_restage_bytes_total", "Bytes pushed by mid-session re-stagings (control + manifest + missing chunks only)"),
 		readLat:         reg.Histogram("oddci_transport_frame_read_seconds", "Frame payload drain latency after the header arrived", nil),
 		writeLat:        reg.Histogram("oddci_transport_frame_write_seconds", "Session write-flush latency", nil),
@@ -674,13 +548,14 @@ func (c *Coordinator) LastHeartbeat() time.Time {
 }
 
 // BroadcastEncodes counts the broadcast artifacts (banner, control
-// file, image) encoded since construction — flat in the number of
-// sessions by design, which the transport bench sweep asserts.
+// file, manifest, chunks) encoded since construction — flat in the
+// number of sessions by design.
 func (c *Coordinator) BroadcastEncodes() int64 { return c.encodeOps.Load() }
 
 // BroadcastBytes returns the size of the pre-encoded staged broadcast
-// (control + image frames) each joining legacy session receives.
-func (c *Coordinator) BroadcastBytes() int { return len(c.stage.Load().broadcast) }
+// (control + manifest + distinct chunk frames) each joining session
+// receives.
+func (c *Coordinator) BroadcastBytes() int { return c.stage.Load().bytes }
 
 // Submit enqueues a job and marks the backend draining so nodes go home
 // when it finishes.
@@ -773,9 +648,9 @@ func (c *Coordinator) session(conn net.Conn) {
 		return nil
 	}
 
-	// Banner, then the staged "broadcast" after the hello: all three
-	// artifacts are immutable pre-encoded buffers shared by every
-	// session — zero per-node marshaling.
+	// Banner, then the staged "broadcast" after the hello: every
+	// artifact is an immutable pre-encoded buffer shared by all sessions
+	// — zero per-node marshaling.
 	if _, err := bw.Write(c.bannerFrame); err != nil {
 		return
 	}
@@ -790,32 +665,25 @@ func (c *Coordinator) session(conn net.Conn) {
 	}
 	c.met.bytesIn.Add(int64(5 + len(payload)))
 	var hello Hello
-	if err := jsonUnmarshal(payload, &hello); err != nil {
-		return
+	if err := json.Unmarshal(payload, &hello); err != nil || hello.Wire != WireVersion {
+		return // the banner already told the peer which wire this is
 	}
 	c.nodes.Add(hello.NodeID)
 	c.met.sessions.Inc()
 
-	// Outbound trace contexts are capability-negotiated like the binary
-	// task plane: an untraced node's strict decoders expect base-length
-	// frames, so suffixes only flow when its hello advertised trace_ctx.
-	traceOK := hello.TraceCtx && c.cfg.Spans != nil
-	// Credentials flow only when both sides opted in: the node's hello
-	// advertised the echo and the coordinator runs a credentialed mode.
-	credOK := hello.Cred && c.cfg.CredentialMode != backend.CredOff
 	sessSp := c.cfg.Spans.Start(c.wakeupCtx, "session", "coordinator")
-	sessSp.SetDetail("node=%d trace_ctx=%t", hello.NodeID, hello.TraceCtx)
+	sessSp.SetDetail("node=%d", hello.NodeID)
 	defer sessSp.End()
 
-	// Staged broadcast push. Delta sessions receive the signed control,
-	// the manifest, and every chunk frame; legacy sessions receive the
-	// two-frame control+image push. Either way the per-session cost is a
-	// memcpy of immutable pre-encoded buffers.
-	deltaOK := hello.DeltaImg
-	st := c.stage.Load()
-	sessEpoch := st.epoch
-	var sentHashes map[string]bool
-	pushDelta := func(st *imageStage) (int, error) {
+	// Staged broadcast push: the signed control, the manifest, and every
+	// chunk the session does not hold — all of them at join, only the
+	// new ones at a re-stage. sent is exactly the last pushed manifest's
+	// chunk set (the node keeps the same set), so it cannot grow across
+	// updates. The per-session cost is a memcpy of immutable pre-encoded
+	// buffers.
+	var sent map[dsmcc.ModuleHash]struct{}
+	var sessEpoch uint64
+	pushStage := func(st *imageStage) (int, error) {
 		wrote, frames := 0, int64(0)
 		write := func(b []byte) error {
 			if _, err := bw.Write(b); err != nil {
@@ -829,34 +697,27 @@ func (c *Coordinator) session(conn net.Conn) {
 		if err == nil {
 			err = write(st.manifestFrame)
 		}
+		listed := make(map[dsmcc.ModuleHash]struct{}, len(st.chunkFrames))
 		for _, h := range st.hashes {
 			if err != nil {
 				break
 			}
-			if sentHashes[h] {
+			if _, dup := listed[h]; dup {
 				continue
 			}
-			if err = write(st.chunkFrames[h]); err == nil {
-				sentHashes[h] = true
+			listed[h] = struct{}{}
+			if _, held := sent[h]; !held {
+				err = write(st.chunkFrames[h])
 			}
 		}
+		sent, sessEpoch = listed, st.epoch
 		c.met.framesOut.Add(frames)
 		c.met.bytesOut.Add(int64(wrote))
 		c.met.broadcastBytes.Add(int64(wrote))
 		return wrote, err
 	}
-	if deltaOK {
-		sentHashes = make(map[string]bool, len(st.hashes))
-		if _, err := pushDelta(st); err != nil {
-			return
-		}
-	} else {
-		if _, err := bw.Write(st.broadcast); err != nil {
-			return
-		}
-		c.met.framesOut.Add(2)
-		c.met.bytesOut.Add(int64(len(st.broadcast)))
-		c.met.broadcastBytes.Add(int64(len(st.broadcast)))
+	if _, err := pushStage(c.stage.Load()); err != nil {
+		return
 	}
 	if err := flush(); err != nil {
 		return
@@ -866,14 +727,29 @@ func (c *Coordinator) session(conn net.Conn) {
 	// live for the whole session, so a task hand-off allocates only
 	// what the backend itself does.
 	var (
-		wbuf   []byte
-		binReq TaskRequestMsg
-		binRes TaskResultMsg
-		beReq  backend.TaskRequest
+		wbuf  []byte
+		req   TaskRequestMsg
+		res   TaskResultMsg
+		beReq backend.TaskRequest
 	)
-	sendBin := func(t FrameType, enc func([]byte) []byte) error {
-		wbuf = BeginFrame(wbuf[:0], t)
-		wbuf = enc(wbuf)
+	reply := func(resp any) error {
+		switch m := resp.(type) {
+		case *backend.TaskAssign:
+			// The backend attaches a credential iff its mode issues them
+			// and a dispatch context iff it has a collector; both ride
+			// whenever present.
+			wbuf = BeginFrame(wbuf[:0], FrameTaskAssign)
+			wbuf = AppendTaskAssign(wbuf, &TaskAssignMsg{
+				JobID: m.JobID, TaskID: m.TaskID,
+				RefSeconds: m.RefSeconds, OutputSize: m.OutputSize,
+				Payload: m.Payload, Cred: m.Credential, Trace: m.Trace,
+			})
+		case *backend.NoTask:
+			wbuf = BeginFrame(wbuf[:0], FrameNoTask)
+			wbuf = AppendNoTask(wbuf, &NoTaskMsg{RetryAfterMS: m.RetryAfter.Milliseconds(), Done: m.Done})
+		default:
+			return nil
+		}
 		var err error
 		if wbuf, err = EndFrame(wbuf, 0); err != nil {
 			return err
@@ -882,39 +758,6 @@ func (c *Coordinator) session(conn net.Conn) {
 		c.met.framesOut.Inc()
 		c.met.bytesOut.Add(int64(len(wbuf)))
 		return err
-	}
-	sendJSON := func(t FrameType, v any) error {
-		raw, err := json.Marshal(v)
-		if err != nil {
-			return err
-		}
-		c.met.framesOut.Inc()
-		c.met.bytesOut.Add(int64(5 + len(raw)))
-		return WriteFrame(bw, t, raw)
-	}
-	reply := func(resp any, bin bool) error {
-		switch m := resp.(type) {
-		case *backend.TaskAssign:
-			out := TaskAssignMsg{JobID: m.JobID, TaskID: m.TaskID,
-				RefSeconds: m.RefSeconds, OutputSize: m.OutputSize, Payload: m.Payload}
-			if traceOK {
-				out.Trace = m.Trace
-			}
-			if credOK {
-				out.Cred = m.Credential
-			}
-			if bin {
-				return sendBin(FrameTaskAssignBin, func(b []byte) []byte { return AppendTaskAssign(b, &out) })
-			}
-			return sendJSON(FrameTaskAssign, &out)
-		case *backend.NoTask:
-			out := NoTaskMsg{RetryAfterMS: m.RetryAfter.Milliseconds(), Done: m.Done}
-			if bin {
-				return sendBin(FrameNoTaskBin, func(b []byte) []byte { return AppendNoTask(b, &out) })
-			}
-			return sendJSON(FrameNoTask, &out)
-		}
-		return nil
 	}
 
 	for {
@@ -949,56 +792,30 @@ func (c *Coordinator) session(conn net.Conn) {
 			}
 			c.met.framesOut.Inc()
 			c.met.bytesOut.Add(int64(len(c.hbReplyFrame)))
-			// Heartbeats are the re-staging tick: a delta session whose
-			// stage is stale gets the new control + manifest + only the
-			// chunks it has never been sent. Legacy sessions are never
-			// re-staged mid-flight — their strict reply loop would choke
-			// on unsolicited frames.
-			if deltaOK {
-				if cur := c.stage.Load(); cur.epoch != sessEpoch {
-					wrote, err := pushDelta(cur)
-					if err != nil {
-						return
-					}
-					sessEpoch = cur.epoch
-					c.met.restages.Inc()
-					c.met.restageBytes.Add(int64(wrote))
+			// Heartbeats are the re-staging tick: a session whose stage is
+			// stale gets the new control + manifest + only the chunks its
+			// previous manifest did not list.
+			if cur := c.stage.Load(); cur.epoch != sessEpoch {
+				wrote, err := pushStage(cur)
+				if err != nil {
+					return
 				}
-			}
-		case FrameTaskRequestBin:
-			c.met.framesInTaskReq.Inc()
-			if err := DecodeTaskRequest(payload, &binReq); err != nil {
-				continue
-			}
-			beReq.NodeID = binReq.NodeID
-			beReq.Trace = binReq.Trace
-			if err := reply(c.be.HandleRequest(&beReq), true); err != nil {
-				return
+				c.met.restageBytes.Add(int64(wrote))
+				c.met.restages.Inc()
 			}
 		case FrameTaskRequest:
 			c.met.framesInTaskReq.Inc()
-			var req TaskRequestMsg
-			if err := unmarshal(payload, &req); err != nil {
+			if err := DecodeTaskRequest(payload, &req); err != nil {
 				continue
 			}
 			beReq.NodeID = req.NodeID
 			beReq.Trace = req.Trace
-			if err := reply(c.be.HandleRequest(&beReq), false); err != nil {
+			if err := reply(c.be.HandleRequest(&beReq)); err != nil {
 				return
 			}
-		case FrameTaskResultBin:
-			c.met.framesInTaskRes.Inc()
-			if err := DecodeTaskResult(payload, &binRes); err != nil {
-				continue
-			}
-			c.be.HandleResult(&backend.TaskResult{
-				NodeID: binRes.NodeID, JobID: binRes.JobID, TaskID: binRes.TaskID,
-				Payload: binRes.Payload, Credential: binRes.Cred, Trace: binRes.Trace,
-			})
 		case FrameTaskResult:
 			c.met.framesInTaskRes.Inc()
-			var res TaskResultMsg
-			if err := unmarshal(payload, &res); err != nil {
+			if err := DecodeTaskResult(payload, &res); err != nil {
 				continue
 			}
 			c.be.HandleResult(&backend.TaskResult{
@@ -1010,11 +827,4 @@ func (c *Coordinator) session(conn net.Conn) {
 			c.met.framesInOther.Inc()
 		}
 	}
-}
-
-func unmarshal(payload []byte, v any) error {
-	if err := jsonUnmarshal(payload, v); err != nil {
-		return fmt.Errorf("transport: bad frame: %w", err)
-	}
-	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"oddci/internal/dsmcc"
 	"oddci/internal/span"
 )
 
@@ -20,8 +21,8 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add(append([]byte(nil), seed.Bytes()...))
 	f.Add([]byte{})
 	f.Add([]byte{byte(FrameControl), 0, 0, 0, 0})
-	f.Add([]byte{byte(FrameImage), 0xFF, 0xFF, 0xFF, 0xFF}) // over MaxFrame
-	f.Add([]byte{byte(FrameTaskAssignBin), 0, 0, 0, 9, 1, 2, 3})
+	f.Add([]byte{byte(FrameImageChunk), 0xFF, 0xFF, 0xFF, 0xFF}) // over MaxFrame
+	f.Add([]byte{byte(FrameTaskAssign), 0, 0, 0, 9, 1, 2, 3})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		typ, payload, err := ReadFrame(bytes.NewReader(data))
@@ -53,25 +54,25 @@ func FuzzReadFrame(f *testing.F) {
 // the decoded message reproduces the input bit-exactly.
 func FuzzTaskPlaneCodec(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(append([]byte{0}, AppendTaskRequest(nil, &TaskRequestMsg{NodeID: 7})...))
-	f.Add(append([]byte{1}, AppendTaskAssign(nil, &TaskAssignMsg{
-		JobID: 1, TaskID: 2, RefSeconds: 2.5, OutputSize: 64, Payload: []byte("in")})...))
 	f.Add(append([]byte{2}, AppendNoTask(nil, &NoTaskMsg{RetryAfterMS: 1500})...))
 	f.Add(append([]byte{2}, AppendNoTask(nil, &NoTaskMsg{Done: true})...))
-	f.Add(append([]byte{3}, AppendTaskResult(nil, &TaskResultMsg{
-		NodeID: 9, JobID: 1, TaskID: 2, Payload: []byte("out")})...))
-	// Credentialed variants: each suffix class the decoders must
-	// disambiguate (bare, trace-only above, cred-only, cred+trace).
-	cred := bytes.Repeat([]byte{0xAB}, 64)
+	// Every flag class per shape: bare, cred, trace, cred+trace. A
+	// request may carry only the trace, so its cred classes are seeds
+	// the decoder must reject.
+	cred := bytes.Repeat([]byte{0xAB}, credentialLen)
 	ctx := span.Context{Trace: span.TraceID{0xDEAD, 0xBEEF}, Span: 0x77, Sampled: true}
-	f.Add(append([]byte{1}, AppendTaskAssign(nil, &TaskAssignMsg{
-		JobID: 1, TaskID: 2, Payload: []byte("in"), Cred: cred})...))
-	f.Add(append([]byte{1}, AppendTaskAssign(nil, &TaskAssignMsg{
-		JobID: 1, TaskID: 2, Payload: []byte("in"), Cred: cred, Trace: ctx})...))
-	f.Add(append([]byte{3}, AppendTaskResult(nil, &TaskResultMsg{
-		NodeID: 9, JobID: 1, TaskID: 2, Payload: []byte("out"), Cred: cred})...))
-	f.Add(append([]byte{3}, AppendTaskResult(nil, &TaskResultMsg{
-		NodeID: 9, JobID: 1, TaskID: 2, Payload: []byte("out"), Cred: cred, Trace: ctx})...))
+	for _, trace := range []span.Context{{}, ctx} {
+		req := AppendTaskRequest(nil, &TaskRequestMsg{NodeID: 7, Trace: trace})
+		f.Add(append([]byte{0}, req...))
+		req[8] |= extCred
+		f.Add(append(append([]byte{0}, req...), cred...))
+		for _, c := range [][]byte{nil, cred} {
+			f.Add(append([]byte{1}, AppendTaskAssign(nil, &TaskAssignMsg{
+				JobID: 1, TaskID: 2, RefSeconds: 2.5, OutputSize: 64, Payload: []byte("in"), Cred: c, Trace: trace})...))
+			f.Add(append([]byte{3}, AppendTaskResult(nil, &TaskResultMsg{
+				NodeID: 9, JobID: 1, TaskID: 2, Payload: []byte("out"), Cred: c, Trace: trace})...))
+		}
+	}
 	f.Add([]byte{1, 0, 0, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -107,6 +108,44 @@ func FuzzTaskPlaneCodec(f *testing.F) {
 				if !bytes.Equal(AppendTaskResult(nil, &m), body) {
 					t.Fatal("non-canonical task result accepted")
 				}
+			}
+		}
+	})
+}
+
+// FuzzImagePlaneCodec drives the manifest and chunk decoders with
+// arbitrary payloads (the first byte selects which). Neither may panic
+// or allocate past what the payload's own length pays for, and any
+// accepted payload must be canonical.
+func FuzzImagePlaneCodec(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(append([]byte{0}, AppendImageManifest(nil, &ImageManifest{
+		Name: "image.1", Size: 5, ChunkBytes: 4, Hashes: []dsmcc.ModuleHash{1, 2}})...))
+	f.Add(append([]byte{0}, AppendImageManifest(nil, &ImageManifest{
+		Name: "image.1", Size: 0xFFFFFFFF, ChunkBytes: 1 << 18})...)) // the "size: -1" manifest
+	f.Add(append([]byte{0}, AppendImageManifest(nil, &ImageManifest{
+		Name: "", Size: MaxFrame, ChunkBytes: 1})...)) // 64 Mi hashes promised, none sent
+	f.Add(append([]byte{1}, AppendImageChunk(nil, dsmcc.HashOf([]byte("chunk")), []byte("chunk"))...))
+	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 1})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		sel, body := data[0], data[1:]
+		if sel%2 == 0 {
+			var m ImageManifest
+			if DecodeImageManifest(body, &m) == nil {
+				if len(m.Hashes)*dsmcc.HashLen > len(body) {
+					t.Fatal("manifest decoded more hashes than it carried")
+				}
+				if !bytes.Equal(AppendImageManifest(nil, &m), body) {
+					t.Fatal("non-canonical image manifest accepted")
+				}
+			}
+		} else if h, chunk, err := DecodeImageChunk(body); err == nil {
+			if !bytes.Equal(AppendImageChunk(nil, h, chunk), body) {
+				t.Fatal("non-canonical image chunk accepted")
 			}
 		}
 	})

@@ -1,0 +1,343 @@
+package transport
+
+import (
+	"crypto/ed25519"
+	"encoding/binary"
+	"math/rand"
+	"sync"
+	"testing"
+	"time"
+
+	"oddci/internal/appimage"
+	"oddci/internal/control"
+	"oddci/internal/dsmcc"
+	"oddci/internal/obs"
+)
+
+// chunkedImage builds an image whose payload is incompressible random
+// bytes, so every chunk carries a distinct content hash.
+func chunkedImage(t *testing.T, seed int64, payloadBytes int) *appimage.Image {
+	t.Helper()
+	p := make([]byte, payloadBytes)
+	rand.New(rand.NewSource(seed)).Read(p)
+	return &appimage.Image{Name: "net", Version: 1, EntryPoint: "w", Payload: p}
+}
+
+// TestJoinAssemblesChunkedImage: a node must assemble and verify the
+// image from the manifest + chunk plane, and the coordinator's encode
+// counter must be exactly the per-artifact count — independent of how
+// many sessions joined.
+func TestJoinAssemblesChunkedImage(t *testing.T) {
+	img := chunkedImage(t, 1, 32<<10)
+	coord := serveCoordinator(t, CoordinatorConfig{
+		Image:           img,
+		ImageChunkBytes: 4 << 10,
+		HeartbeatPeriod: 5 * time.Second,
+	})
+	raw, err := img.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantChunks := (len(raw) + (4 << 10) - 1) / (4 << 10)
+	if coord.StagedChunks() != wantChunks {
+		t.Fatalf("staged chunks = %d, want %d", coord.StagedChunks(), wantChunks)
+	}
+	// banner + control + manifest + the chunk frames.
+	wantEncodes := int64(3 + wantChunks)
+	if got := coord.BroadcastEncodes(); got != wantEncodes {
+		t.Fatalf("encodes after staging = %d, want %d", got, wantEncodes)
+	}
+
+	h, err := coord.Submit(testJob(t, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const nodes = 4
+	var wg sync.WaitGroup
+	reports := make([]NodeReport, nodes)
+	errs := make([]error, nodes)
+	for i := 0; i < nodes; i++ {
+		i := i
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			reports[i], errs[i] = RunNode(NodeConfig{
+				Addr: coord.Addr(), NodeID: uint64(i + 1),
+				TimeScale: 200, Seed: 5, PinnedKey: coord.PublicKey(),
+			})
+		}()
+	}
+	wg.Wait()
+	for i := 0; i < nodes; i++ {
+		if errs[i] != nil {
+			t.Fatalf("node %d: %v", i+1, errs[i])
+		}
+		if !reports[i].Joined {
+			t.Fatalf("node %d report %+v, want joined", i+1, reports[i])
+		}
+	}
+	if _, done := h.Done(); !done {
+		t.Fatal("job incomplete")
+	}
+	// Serving 4 sessions must not have encoded anything new.
+	if got := coord.BroadcastEncodes(); got != wantEncodes {
+		t.Fatalf("encodes after %d sessions = %d, want %d (flat in session count)", nodes, got, wantEncodes)
+	}
+}
+
+// TestUpdateImageRestagesOnlyChangedChunks: a mid-flight UpdateImage
+// re-encodes only the changed chunk frames (plus the two per-update
+// artifacts: control, manifest), and a connected node picks the new
+// image up at its next heartbeat, re-verifying the digest from its
+// retained chunks plus the pushed delta.
+func TestUpdateImageRestagesOnlyChangedChunks(t *testing.T) {
+	img := chunkedImage(t, 2, 32<<10)
+	reg := obs.NewRegistry()
+	coord := serveCoordinator(t, CoordinatorConfig{
+		Image:           img,
+		ImageChunkBytes: 4 << 10,
+		HeartbeatPeriod: 5 * time.Second, // 25 ms at TimeScale 200
+		Obs:             reg,
+	})
+
+	h, err := coord.Submit(testJob(t, 32)) // ~10 ms per task: ample update window
+	if err != nil {
+		t.Fatal(err)
+	}
+	var report NodeReport
+	var nodeErr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		report, nodeErr = RunNode(NodeConfig{
+			Addr: coord.Addr(), NodeID: 1,
+			TimeScale: 200, Seed: 7, PinnedKey: coord.PublicKey(),
+		})
+	}()
+
+	// Flip bytes inside exactly one 4 KiB chunk while the node works.
+	time.Sleep(50 * time.Millisecond)
+	before := coord.BroadcastEncodes()
+	img2 := chunkedImage(t, 2, 32<<10)
+	for i := 9000; i < 9100; i++ {
+		img2.Payload[i] ^= 0xFF
+	}
+	if err := coord.UpdateImage(img2); err != nil {
+		t.Fatalf("UpdateImage: %v", err)
+	}
+	// control + manifest + exactly one changed chunk.
+	if got := coord.BroadcastEncodes() - before; got != 3 {
+		t.Fatalf("UpdateImage cost %d encodes, want 3 (2 artifacts + 1 changed chunk)", got)
+	}
+	if coord.ImageEpoch() != 1 {
+		t.Fatalf("image epoch = %d, want 1", coord.ImageEpoch())
+	}
+	if coord.Seq() != 2 {
+		t.Fatalf("seq after update = %d, want 2", coord.Seq())
+	}
+
+	<-done
+	if nodeErr != nil {
+		t.Fatal(nodeErr)
+	}
+	if _, ok := h.Done(); !ok {
+		t.Fatal("job incomplete")
+	}
+	if report.Restages != 1 {
+		t.Fatalf("node restages = %d, want 1 (one mid-session image update)", report.Restages)
+	}
+	if v, _ := reg.Value("oddci_transport_restages_total"); v != 1 {
+		t.Fatalf("restage counter = %v, want 1", v)
+	}
+	// The restage push carried the control + manifest + ONE chunk frame,
+	// not the whole image.
+	restageBytes, _ := reg.Value("oddci_transport_restage_bytes_total")
+	if restageBytes <= 0 || restageBytes >= float64(coord.BroadcastBytes()) {
+		t.Fatalf("restage bytes = %v, want positive and well under the full broadcast (%d)", restageBytes, coord.BroadcastBytes())
+	}
+}
+
+// TestUpdateImagePersistsAcrossRestart: the journal snapshot written by
+// UpdateImage must carry the bumped sequence, so a restarted
+// coordinator resumes past it.
+func TestUpdateImagePersistsAcrossRestart(t *testing.T) {
+	dir := t.TempDir()
+	c1, err := NewCoordinator(CoordinatorConfig{
+		Listen: "127.0.0.1:0", Image: chunkedImage(t, 5, 16<<10), StateDir: dir,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c1.UpdateImage(chunkedImage(t, 6, 16<<10)); err != nil {
+		t.Fatal(err)
+	}
+	if c1.Seq() != 2 {
+		t.Fatalf("seq after update = %d, want 2", c1.Seq())
+	}
+	c1.Close()
+
+	c2, err := NewCoordinator(CoordinatorConfig{
+		Listen: "127.0.0.1:0", Image: chunkedImage(t, 6, 16<<10), StateDir: dir,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	if c2.Seq() != 3 {
+		t.Fatalf("restarted seq = %d, want 3 (bumped past the update's recorded wakeup)", c2.Seq())
+	}
+}
+
+// TestChunkDedupWithinImage: an image whose chunks are content-identical
+// stages (and ships) exactly one chunk frame, and a node still
+// assembles the full image from the single held chunk.
+func TestChunkDedupWithinImage(t *testing.T) {
+	img := testImage() // 32 KiB zero payload: every 4 KiB chunk identical
+	coord := serveCoordinator(t, CoordinatorConfig{
+		Image:           img,
+		ImageChunkBytes: 4 << 10,
+	})
+	if coord.StagedChunks() >= 8 {
+		t.Fatalf("staged %d chunk frames for a self-similar image, want deduplicated (<8)", coord.StagedChunks())
+	}
+	if _, err := coord.Submit(testJob(t, 2)); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := RunNode(NodeConfig{
+		Addr: coord.Addr(), NodeID: 1,
+		TimeScale: 200, Seed: 13, PinnedKey: coord.PublicKey(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Joined {
+		t.Fatalf("report %+v, want a join from deduplicated chunks", rep)
+	}
+}
+
+// TestRestageABAConverges: re-staging image A, then B, then A again
+// must converge on a connected node. Both ends hold exactly the last
+// manifest's chunk set, so the chunk only A has is pushed a second time
+// on the way back instead of being assumed held.
+func TestRestageABAConverges(t *testing.T) {
+	imgA := chunkedImage(t, 8, 32<<10)
+	imgB := chunkedImage(t, 8, 32<<10)
+	for i := 9000; i < 9100; i++ {
+		imgB.Payload[i] ^= 0xFF
+	}
+	reg := obs.NewRegistry()
+	coord := serveCoordinator(t, CoordinatorConfig{
+		Image:           imgA,
+		ImageChunkBytes: 4 << 10,
+		HeartbeatPeriod: time.Second, // 5 ms at TimeScale 200
+		Obs:             reg,
+	})
+	h, err := coord.Submit(testJob(t, 64)) // ~10 ms per task
+	if err != nil {
+		t.Fatal(err)
+	}
+	var report NodeReport
+	var nodeErr error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		report, nodeErr = RunNode(NodeConfig{
+			Addr: coord.Addr(), NodeID: 1,
+			TimeScale: 200, Seed: 7, PinnedKey: coord.PublicKey(),
+		})
+	}()
+	// A heartbeat means the session joined on image A.
+	waitFor(t, "the first heartbeat", func() bool { return coord.HeartbeatCount() > 0 })
+	var pushed [2]float64
+	for i, img := range []*appimage.Image{imgB, imgA} {
+		if err := coord.UpdateImage(img); err != nil {
+			t.Fatalf("UpdateImage %d: %v", i, err)
+		}
+		waitFor(t, "the re-staging to reach the session", func() bool {
+			v, _ := reg.Value("oddci_transport_restages_total")
+			return v == float64(i+1)
+		})
+		pushed[i], _ = reg.Value("oddci_transport_restage_bytes_total")
+	}
+	<-done
+	if nodeErr != nil {
+		t.Fatal(nodeErr)
+	}
+	if _, ok := h.Done(); !ok {
+		t.Fatal("job incomplete")
+	}
+	if report.Restages != 2 {
+		t.Fatalf("node restages = %d, want 2 (A to B and back to A)", report.Restages)
+	}
+	// Each leg pushed control + manifest + the one chunk that differs.
+	if back := pushed[1] - pushed[0]; back != pushed[0] || int(back) <= 4<<10 {
+		t.Fatalf("re-stage bytes: %v out, %v back; want equal legs of one chunk each", pushed[0], back)
+	}
+}
+
+// signedControl is a valid control frame for image.1, as a coordinator
+// holding key would stage it.
+func signedControl(t *testing.T, key ed25519.PrivateKey, digest appimage.Digest) []byte {
+	t.Helper()
+	file, err := control.SignWakeup(&control.Wakeup{
+		InstanceID: 1, Seq: 1, Probability: 1, ImageFile: "image.1",
+		ImageDigest: digest, HeartbeatPeriod: time.Second,
+	}, key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame, err := AppendFrame(nil, FrameControl, file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
+// TestHostileImagePlaneRejected: the manifest and chunk frames are not
+// signed, so a node must survive whatever follows a valid control
+// frame. Each case once crashed the node or grew its memory without
+// bound; now RunNode returns an error, having allocated nothing the
+// frames did not pay for.
+func TestHostileImagePlaneRejected(t *testing.T) {
+	pub, key, err := ed25519.GenerateKey(rand.New(rand.NewSource(40)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := func(typ FrameType, payload []byte) []byte {
+		f, err := AppendFrame(nil, typ, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	rawManifest := func(size, chunk uint32, hashes int) []byte {
+		b := append([]byte{0, 7}, "image.1"...)
+		b = binary.BigEndian.AppendUint32(b, size)
+		b = binary.BigEndian.AppendUint32(b, chunk)
+		return frame(FrameImageManifest, append(b, make([]byte, 8*hashes)...))
+	}
+	data := []byte("sixteen byte blk")
+	listed := frame(FrameImageManifest, AppendImageManifest(nil, &ImageManifest{
+		Name: "image.1", Size: 32, ChunkBytes: 16,
+		Hashes: []dsmcc.ModuleHash{dsmcc.HashOf(data), 2},
+	}))
+	cases := map[string][]byte{
+		"size -1":            rawManifest(0xFFFFFFFF, 1<<18, 1),
+		"size 0":             rawManifest(0, 1<<18, 0),
+		"chunk size 0":       rawManifest(1<<20, 0, 4),
+		"too few hashes":     rawManifest(1<<20, 1<<18, 3),
+		"too many hashes":    rawManifest(1<<20, 1<<18, 5),
+		"chunk, no manifest": frame(FrameImageChunk, AppendImageChunk(nil, dsmcc.HashOf(data), data)),
+		"unlisted chunk":     append(listed, frame(FrameImageChunk, AppendImageChunk(nil, 3, data))...),
+		"mis-hashed chunk":   append(listed, frame(FrameImageChunk, AppendImageChunk(nil, 2, data))...),
+		"oversized chunk":    append(listed, frame(FrameImageChunk, AppendImageChunk(nil, 2, make([]byte, 17)))...),
+	}
+	for name, hostile := range cases {
+		frames := append(signedControl(t, key, appimage.Digest{}), hostile...)
+		banner := Banner{Wire: WireVersion, ControllerKey: pub, Name: "hostile"}
+		rep, err := RunNode(NodeConfig{Addr: fakeCoordinator(t, banner, frames), NodeID: 1, PinnedKey: pub})
+		if err == nil || rep.Joined {
+			t.Errorf("%s: err=%v joined=%v, want the frame rejected", name, err, rep.Joined)
+		}
+	}
+}

@@ -21,8 +21,6 @@ import (
 	"oddci/internal/stb"
 )
 
-func jsonUnmarshal(payload []byte, v any) error { return json.Unmarshal(payload, v) }
-
 // NodeConfig parameterizes one node-agent process.
 type NodeConfig struct {
 	// Addr is the coordinator's TCP address.
@@ -46,22 +44,10 @@ type NodeConfig struct {
 	Clock simtime.Clock
 	// Seed drives the probability draw.
 	Seed int64
-	// ForceJSON speaks the legacy JSON task plane even when the
-	// coordinator advertises the binary codec — the mixed-version
-	// interop path, also used as the bench baseline.
-	ForceJSON bool
-	// OmitCredential suppresses the hello's cred advertisement and any
-	// credential echo — the pre-credential node's exact wire behavior,
-	// used by the mixed-version interop tests.
-	OmitCredential bool
-	// ForceFullImage suppresses the hello's delta_img advertisement so
-	// the image arrives as one legacy FrameImage — the pre-delta node's
-	// exact wire behavior, used by the mixed-version interop tests.
-	ForceFullImage bool
 	// Spans, if set, records this agent's join/image-load/execute spans
-	// and advertises trace_ctx in the hello so the coordinator sends
-	// dispatch contexts back. A nil collector is the untraced-peer
-	// interop path: no contexts on the wire in either direction.
+	// and stamps their contexts onto its requests and results. A nil
+	// collector sends none; contexts the coordinator sends are accepted
+	// either way.
 	Spans *span.Collector
 }
 
@@ -70,17 +56,112 @@ type NodeReport struct {
 	Joined     bool
 	TasksDone  int
 	Heartbeats int
-	// BinaryTaskPlane reports whether the binary codec was negotiated.
-	BinaryTaskPlane bool
-	// DeltaImage reports whether the content-addressed image plane was
-	// negotiated.
-	DeltaImage bool
 	// Restages counts mid-session image updates this node assembled and
-	// verified from pushed delta chunks.
+	// verified from pushed chunks.
 	Restages int
 	// BannerShard echoes the serving coordinator's federation shard id
 	// from its banner (0 for unsharded coordinators).
 	BannerShard int
+}
+
+// imageAssembler folds the pushed broadcast — signed control file,
+// manifest, chunks — into a verified image. The join loop and the
+// worker's reply loop both feed it, so a first staging and a mid-session
+// re-staging are one code path: a delta against whatever is held.
+type imageAssembler struct {
+	key    ed25519.PublicKey
+	wakeup *control.Wakeup
+	// manifest is the last one received (nil before the first). chunks
+	// has one entry per hash it lists — nil until that chunk arrives —
+	// and nothing else, so what a node holds is bounded by the manifest.
+	manifest *ImageManifest
+	chunks   map[dsmcc.ModuleHash][]byte
+	// img is the last image assembled and verified against digest.
+	img    *appimage.Image
+	digest appimage.Digest
+}
+
+// feed consumes one frame of the broadcast (other frame types are
+// ignored) and reports whether it completed a new verified image.
+func (a *imageAssembler) feed(t FrameType, payload []byte) (staged bool, err error) {
+	switch t {
+	case FrameControl:
+		msgs, err := control.OpenAll(payload, a.key)
+		if err != nil {
+			return false, fmt.Errorf("transport: control file rejected: %w", err)
+		}
+		var w *control.Wakeup
+		for _, m := range msgs {
+			if mw, ok := m.(*control.Wakeup); ok {
+				w = mw
+			}
+		}
+		if w == nil {
+			return false, errors.New("transport: no wakeup on air")
+		}
+		// Adopt its digest; assembly waits for the manifest that
+		// describes the new content.
+		a.wakeup = w
+		return false, nil
+	case FrameImageManifest:
+		var m ImageManifest
+		if err := DecodeImageManifest(payload, &m); err != nil {
+			return false, err
+		}
+		// Keep the chunks the new manifest still lists, drop the rest.
+		held := a.chunks
+		a.manifest, a.chunks = &m, make(map[dsmcc.ModuleHash][]byte, len(m.Hashes))
+		for _, h := range m.Hashes {
+			a.chunks[h] = held[h]
+		}
+	case FrameImageChunk:
+		h, data, err := DecodeImageChunk(payload)
+		if err != nil {
+			return false, err
+		}
+		have, listed := a.chunks[h]
+		if !listed {
+			return false, fmt.Errorf("transport: image chunk %s is not in the current manifest", h)
+		}
+		if len(data) > a.manifest.ChunkBytes {
+			return false, fmt.Errorf("transport: image chunk of %d bytes, manifest says at most %d", len(data), a.manifest.ChunkBytes)
+		}
+		if got := dsmcc.HashOf(data); got != h {
+			return false, fmt.Errorf("transport: image chunk hashes to %s, declared %s", got, h)
+		}
+		if have == nil {
+			a.chunks[h] = append([]byte(nil), data...) // payload is the reader's reused buffer
+		}
+	default:
+		return false, nil
+	}
+	if a.wakeup == nil || a.manifest.Name != a.wakeup.ImageFile {
+		return false, nil // nothing to assemble against yet
+	}
+	if a.img != nil && a.wakeup.ImageDigest == a.digest {
+		return false, nil // no new image generation yet
+	}
+	// Attempted after every manifest and chunk frame: the buffer is sized
+	// first and abandoned at the first chunk not held yet. Attempting only
+	// once the set is complete is a speed-up that ROADMAP item 3 leaves to
+	// a change that claims it.
+	buf := make([]byte, 0, a.manifest.Size)
+	for _, h := range a.manifest.Hashes {
+		ch := a.chunks[h]
+		if ch == nil {
+			return false, nil // incomplete
+		}
+		buf = append(buf, ch...)
+	}
+	if len(buf) != a.manifest.Size {
+		return false, fmt.Errorf("transport: assembled image is %d bytes, manifest says %d", len(buf), a.manifest.Size)
+	}
+	img, err := appimage.Verify(buf, a.wakeup.ImageDigest)
+	if err != nil {
+		return false, fmt.Errorf("transport: image rejected: %w", err)
+	}
+	a.img, a.digest = img, a.wakeup.ImageDigest
+	return true, nil
 }
 
 // RunNode connects, obeys the broadcast control plane, executes tasks
@@ -116,24 +197,16 @@ func RunNode(cfg NodeConfig) (report NodeReport, err error) {
 		return report, fmt.Errorf("transport: frame type %d, want %d", t, FrameBanner)
 	}
 	var banner Banner
-	if err := jsonUnmarshal(payload, &banner); err != nil {
+	if err := json.Unmarshal(payload, &banner); err != nil {
 		return report, fmt.Errorf("transport: banner: %w", err)
+	}
+	if banner.Wire != WireVersion {
+		return report, fmt.Errorf("%w: coordinator says %d, this node %d", ErrWireVersion, banner.Wire, WireVersion)
 	}
 	key := ed25519.PublicKey(banner.ControllerKey)
 	if cfg.PinnedKey != nil && !key.Equal(cfg.PinnedKey) {
 		return report, errors.New("transport: coordinator key does not match pin")
 	}
-	// Codec negotiation: binary task plane only when the coordinator
-	// advertises it (old coordinators don't), JSON otherwise. Trace
-	// contexts flow the same way: only when both sides advertise them.
-	bin := banner.TaskBin && !cfg.ForceJSON
-	report.BinaryTaskPlane = bin
-	traceOK := banner.TraceCtx && cfg.Spans != nil
-	// The content-addressed image plane flows the same way: both sides
-	// must advertise before manifest/chunk frames replace the single
-	// FrameImage push.
-	deltaOK := banner.DeltaImg && !cfg.ForceFullImage
-	report.DeltaImage = deltaOK
 	report.BannerShard = banner.Shard
 	nodeName := fmt.Sprintf("node-%d", cfg.NodeID)
 	// The join span parents under the coordinator's wakeup broadcast
@@ -141,7 +214,7 @@ func RunNode(cfg NodeConfig) (report NodeReport, err error) {
 	// through image acquisition. End is idempotent, so the deferred
 	// call only stamps early exits.
 	joinSp := cfg.Spans.Start(banner.Trace, "join", nodeName)
-	joinSp.SetDetail("instance=1 bin=%t", bin)
+	joinSp.SetDetail("instance=1")
 	defer joinSp.End()
 
 	// The heartbeat goroutine and the worker loop interleave writes on
@@ -165,134 +238,44 @@ func RunNode(cfg NodeConfig) (report NodeReport, err error) {
 		}
 		return bw.Flush()
 	}
-	sendJSON := func(t FrameType, v any) error {
-		raw, err := json.Marshal(v)
-		if err != nil {
-			return err
-		}
-		return send(t, raw)
-	}
-	if err := sendJSON(FrameHello, &Hello{
-		NodeID: cfg.NodeID, Class: uint8(cfg.Profile.Class),
+	hello, err := json.Marshal(&Hello{
+		Wire: WireVersion, NodeID: cfg.NodeID, Class: uint8(cfg.Profile.Class),
 		MemMB: cfg.Profile.MemMB, CPUScore: cfg.Profile.CPUScore,
-		TraceCtx: cfg.Spans != nil, Cred: !cfg.OmitCredential,
-		DeltaImg: deltaOK,
-	}); err != nil {
+	})
+	if err != nil {
+		return report, err
+	}
+	if err := send(FrameHello, hello); err != nil {
 		return report, err
 	}
 
-	// Acquire the wakeup and its image from the pushed "broadcast".
-	// On the delta plane the image arrives as a manifest plus
-	// hash-addressed chunks; chunks persist across re-stagings, so a
-	// mid-session update only ships content this node has never held.
-	var wakeup *control.Wakeup
-	var img *appimage.Image
-	var manifest *ImageManifest
-	chunks := make(map[string][]byte)
-	// tryAssemble concatenates the manifest's chunks when all are held
-	// and verifies the result against the current wakeup digest. It
-	// returns (nil, nil) while incomplete.
-	tryAssemble := func() (*appimage.Image, error) {
-		if wakeup == nil || manifest == nil || manifest.Name != wakeup.ImageFile {
-			return nil, nil
-		}
-		buf := make([]byte, 0, manifest.Size)
-		for _, h := range manifest.Hashes {
-			ch, ok := chunks[h]
-			if !ok {
-				return nil, nil
-			}
-			buf = append(buf, ch...)
-		}
-		if len(buf) != manifest.Size {
-			return nil, fmt.Errorf("transport: assembled image is %d bytes, manifest says %d", len(buf), manifest.Size)
-		}
-		return appimage.Verify(buf, wakeup.ImageDigest)
-	}
-	storeChunk := func(payload []byte) error {
-		var ch ImageChunk
-		if err := jsonUnmarshal(payload, &ch); err != nil {
-			return err
-		}
-		if got := dsmcc.HashOf(ch.Data).String(); got != ch.Hash {
-			return fmt.Errorf("transport: image chunk hashes to %s, declared %s", got, ch.Hash)
-		}
-		chunks[ch.Hash] = ch.Data
-		return nil
-	}
-	for img == nil {
+	// Acquire the wakeup and its image from the pushed "broadcast": a
+	// manifest plus hash-addressed chunks, assembled and verified against
+	// the signed digest.
+	asm := &imageAssembler{key: key}
+	for asm.img == nil {
 		t, payload, err := fr.Next()
 		if err != nil {
 			return report, err
 		}
-		switch t {
-		case FrameControl:
-			msgs, err := control.OpenAll(payload, key)
-			if err != nil {
-				joinSp.SetError()
-				return report, fmt.Errorf("transport: control file rejected: %w", err)
-			}
-			for _, m := range msgs {
-				if w, ok := m.(*control.Wakeup); ok {
-					wakeup = w
-				}
-			}
-			if wakeup == nil {
-				return report, errors.New("transport: no wakeup on air")
-			}
-			if !wakeup.Requirements.Match(cfg.Profile) {
+		// Task frames cannot arrive before we ask for work; feed ignores
+		// anything that is not part of the broadcast.
+		if _, err := asm.feed(t, payload); err != nil {
+			joinSp.SetError()
+			return report, err
+		}
+		if t == FrameControl {
+			if !asm.wakeup.Requirements.Match(cfg.Profile) {
 				return report, nil // not eligible; report.Joined stays false
 			}
-			if rng.Float64() >= wakeup.Probability {
+			if rng.Float64() >= asm.wakeup.Probability {
 				return report, nil // probability gate dropped us
-			}
-		case FrameImage:
-			var f ImageFile
-			if err := jsonUnmarshal(payload, &f); err != nil {
-				return report, err
-			}
-			if wakeup == nil || f.Name != wakeup.ImageFile {
-				continue
-			}
-			imgSp := cfg.Spans.Start(joinSp.Context(), "image-load", nodeName)
-			verified, err := appimage.Verify(f.Data, wakeup.ImageDigest)
-			if err != nil {
-				imgSp.SetError()
-				imgSp.End()
-				joinSp.SetError()
-				return report, fmt.Errorf("transport: image rejected: %w", err)
-			}
-			imgSp.SetDetail("bytes=%d file=%s", len(f.Data), f.Name)
-			imgSp.End()
-			img = verified
-		case FrameImageManifest:
-			var m ImageManifest
-			if err := jsonUnmarshal(payload, &m); err != nil {
-				return report, err
-			}
-			manifest = &m
-		case FrameImageChunk:
-			if err := storeChunk(payload); err != nil {
-				joinSp.SetError()
-				return report, err
-			}
-		default:
-			// Task frames cannot arrive before we ask for work.
-		}
-		if img == nil && deltaOK && manifest != nil {
-			verified, err := tryAssemble()
-			if err != nil {
-				joinSp.SetError()
-				return report, fmt.Errorf("transport: image rejected: %w", err)
-			}
-			if verified != nil {
-				imgSp := cfg.Spans.Start(joinSp.Context(), "image-load", nodeName)
-				imgSp.SetDetail("bytes=%d chunks=%d file=%s", manifest.Size, len(manifest.Hashes), manifest.Name)
-				imgSp.End()
-				img = verified
 			}
 		}
 	}
+	imgSp := cfg.Spans.Start(joinSp.Context(), "image-load", nodeName)
+	imgSp.SetDetail("bytes=%d chunks=%d file=%s", asm.manifest.Size, len(asm.manifest.Hashes), asm.manifest.Name)
+	imgSp.End()
 	report.Joined = true
 	joinCtx := joinSp.Context()
 	joinSp.End()
@@ -305,10 +288,10 @@ func RunNode(cfg NodeConfig) (report NodeReport, err error) {
 	var hbWG sync.WaitGroup
 	hbWG.Add(1)
 	// Snapshot the session constants: a mid-flight re-stage swaps the
-	// wakeup pointer under the worker loop, but the instance identity
+	// assembler's wakeup under the worker loop, but the instance identity
 	// and heartbeat cadence are fixed for the connection's lifetime.
-	hbInstance := wakeup.InstanceID
-	hbPeriod := wakeup.HeartbeatPeriod
+	hbInstance := asm.wakeup.InstanceID
+	hbPeriod := asm.wakeup.HeartbeatPeriod
 	go func() {
 		defer hbWG.Done()
 		period := hbPeriod
@@ -343,11 +326,10 @@ func RunNode(cfg NodeConfig) (report NodeReport, err error) {
 
 	// Worker loop: pull → execute (scaled by the device model) → push.
 	// Heartbeat replies interleave with task replies on the same
-	// connection, so reads skip them. On delta sessions, re-staging
-	// frames (a fresh signed control, manifest, and only never-held
-	// chunks) also interleave here: the node folds them into its chunk
-	// store and re-verifies the image when the set completes.
-	lastDigest := wakeup.ImageDigest
+	// connection, so reads skip them. Re-staging frames (a fresh signed
+	// control, manifest, and only the chunks not held) also interleave
+	// here; the assembler folds them in and re-verifies the image when
+	// the set completes.
 	readTaskReply := func() (FrameType, []byte, error) {
 		for {
 			t, payload, err := fr.Next()
@@ -356,74 +338,35 @@ func RunNode(cfg NodeConfig) (report NodeReport, err error) {
 			}
 			switch t {
 			case FrameHeartbeatReply:
-				continue
-			case FrameControl:
-				// A re-staged wakeup: adopt its digest; assembly waits for
-				// the manifest that describes the new content.
-				msgs, err := control.OpenAll(payload, key)
+			case FrameControl, FrameImageManifest, FrameImageChunk:
+				staged, err := asm.feed(t, payload)
 				if err != nil {
-					return 0, nil, fmt.Errorf("transport: re-staged control rejected: %w", err)
-				}
-				for _, m := range msgs {
-					if w, ok := m.(*control.Wakeup); ok {
-						wakeup = w
-					}
-				}
-				continue
-			case FrameImageManifest:
-				var m ImageManifest
-				if err := jsonUnmarshal(payload, &m); err != nil {
 					return 0, nil, err
 				}
-				manifest = &m
-			case FrameImageChunk:
-				if err := storeChunk(payload); err != nil {
-					return 0, nil, err
+				if staged {
+					report.Restages++
 				}
 			default:
 				return t, payload, nil
 			}
-			if wakeup.ImageDigest == lastDigest {
-				continue // no new image generation yet
-			}
-			verified, err := tryAssemble()
-			if err != nil {
-				return 0, nil, fmt.Errorf("transport: re-staged image rejected: %w", err)
-			}
-			if verified != nil {
-				img = verified
-				lastDigest = wakeup.ImageDigest
-				report.Restages++
-			}
 		}
 	}
-	// On the binary plane the request frame is identical every round:
-	// build it once (the join context is constant after joining, so the
-	// trace suffix keeps the frame immutable). Result frames rebuild
-	// into a reused buffer. Outbound contexts are gated on traceOK: an
-	// untraced coordinator's strict binary decoders expect base-length
-	// payloads.
-	var reqTrace span.Context
-	if traceOK {
-		reqTrace = joinCtx
+	// The request frame is identical every round: build it once (the
+	// join context is constant after joining, so it stays immutable).
+	// Result frames rebuild into a reused buffer. A node stamps contexts
+	// iff it has a collector; joinCtx is zero without one.
+	reqFrame := BeginFrame(nil, FrameTaskRequest)
+	reqFrame = AppendTaskRequest(reqFrame, &TaskRequestMsg{NodeID: cfg.NodeID, Trace: joinCtx})
+	if reqFrame, err = EndFrame(reqFrame, 0); err != nil {
+		return report, err
 	}
-	var reqFrame, wbuf []byte
-	if bin {
-		reqFrame = BeginFrame(nil, FrameTaskRequestBin)
-		reqFrame = AppendTaskRequest(reqFrame, &TaskRequestMsg{NodeID: cfg.NodeID, Trace: reqTrace})
-		if reqFrame, err = EndFrame(reqFrame, 0); err != nil {
-			return report, err
-		}
-	}
-	var assign TaskAssignMsg
-	var noTask NoTaskMsg
+	var (
+		wbuf   []byte
+		assign TaskAssignMsg
+		noTask NoTaskMsg
+	)
 	for {
-		if bin {
-			err = sendRaw(reqFrame)
-		} else {
-			err = sendJSON(FrameTaskRequest, &TaskRequestMsg{NodeID: cfg.NodeID, Trace: reqTrace})
-		}
-		if err != nil {
+		if err := sendRaw(reqFrame); err != nil {
 			return report, err
 		}
 		t, payload, err := readTaskReply()
@@ -431,14 +374,8 @@ func RunNode(cfg NodeConfig) (report NodeReport, err error) {
 			return report, err
 		}
 		switch t {
-		case FrameTaskAssignBin, FrameTaskAssign:
-			if t == FrameTaskAssignBin {
-				err = DecodeTaskAssign(payload, &assign)
-			} else {
-				assign = TaskAssignMsg{} // omitted JSON fields must not inherit stale state
-				err = jsonUnmarshal(payload, &assign)
-			}
-			if err != nil {
+		case FrameTaskAssign:
+			if err := DecodeTaskAssign(payload, &assign); err != nil {
 				return report, err
 			}
 			// The execute span parents under the dispatch that assigned
@@ -453,42 +390,25 @@ func RunNode(cfg NodeConfig) (report NodeReport, err error) {
 			d := cfg.Perf.TaskDuration(assign.RefSeconds, cfg.Mode)
 			time.Sleep(time.Duration(float64(d) / cfg.TimeScale))
 			exeSp.End()
-			res := TaskResultMsg{NodeID: cfg.NodeID, JobID: assign.JobID, TaskID: assign.TaskID}
-			if !cfg.OmitCredential {
-				// Opaque echo; the backend verifies. An uncredentialed
-				// coordinator sent none, so this stays empty against it.
-				res.Cred = assign.Cred
-			}
-			if traceOK {
+			// The credential is an opaque echo of whatever was given; the
+			// backend verifies.
+			res := TaskResultMsg{NodeID: cfg.NodeID, JobID: assign.JobID, TaskID: assign.TaskID, Cred: assign.Cred}
+			if cfg.Spans != nil {
 				// Results parent under the dispatch context so the
 				// backend's commit span closes the same subtree.
-				res.Trace = assign.Trace
-				if !res.Trace.Valid() {
-					res.Trace = joinCtx
-				}
+				res.Trace = exeParent
 			}
-			if bin {
-				wbuf = BeginFrame(wbuf[:0], FrameTaskResultBin)
-				wbuf = AppendTaskResult(wbuf, &res)
-				if wbuf, err = EndFrame(wbuf, 0); err != nil {
-					return report, err
-				}
-				err = sendRaw(wbuf)
-			} else {
-				err = sendJSON(FrameTaskResult, &res)
+			wbuf = BeginFrame(wbuf[:0], FrameTaskResult)
+			wbuf = AppendTaskResult(wbuf, &res)
+			if wbuf, err = EndFrame(wbuf, 0); err != nil {
+				return report, err
 			}
-			if err != nil {
+			if err := sendRaw(wbuf); err != nil {
 				return report, err
 			}
 			report.TasksDone++
-		case FrameNoTaskBin, FrameNoTask:
-			if t == FrameNoTaskBin {
-				err = DecodeNoTask(payload, &noTask)
-			} else {
-				noTask = NoTaskMsg{}
-				err = jsonUnmarshal(payload, &noTask)
-			}
-			if err != nil {
+		case FrameNoTask:
+			if err := DecodeNoTask(payload, &noTask); err != nil {
 				return report, err
 			}
 			if noTask.Done {

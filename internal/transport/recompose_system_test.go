@@ -19,23 +19,17 @@ import (
 // TestRecomposeDrivesDeltaPlane is the end-to-end recomposition path:
 // Provider-facing Controller.Recompose commits the new image, its
 // OnImageUpdate hook rides the same update onto a live TCP
-// coordinator's delta_img plane, and a connected node re-stages from
+// coordinator's chunk plane, and a connected node re-stages from
 // pushed delta chunks — no full image re-air anywhere on the wire.
 func TestRecomposeDrivesDeltaPlane(t *testing.T) {
 	img := chunkedImage(t, 20, 32<<10)
 	reg := obs.NewRegistry()
-	coord, err := NewCoordinator(CoordinatorConfig{
-		Listen:          "127.0.0.1:0",
+	coord := serveCoordinator(t, CoordinatorConfig{
 		Image:           img,
 		ImageChunkBytes: 4 << 10,
 		HeartbeatPeriod: 5 * time.Second, // 25 ms at TimeScale 200
 		Obs:             reg,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	go coord.Serve()
 
 	// The control-plane Controller runs on sim time; only its Recompose
 	// commit path matters here. Its OnImageUpdate hook runs with the
@@ -111,11 +105,11 @@ func TestRecomposeDrivesDeltaPlane(t *testing.T) {
 	if pushed.Load() != 1 {
 		t.Fatalf("hook pushed %d updates, want 1", pushed.Load())
 	}
-	// control + legacy image + manifest + the flipped payload chunk +
-	// the header chunk the version bump dirtied: the coordinator never
-	// re-encoded the six unchanged chunks.
-	if got := coord.BroadcastEncodes() - before; got != 5 {
-		t.Fatalf("recompose cost %d encodes, want 5 (3 artifacts + 2 changed chunks)", got)
+	// control + manifest + the flipped payload chunk + the header chunk
+	// the version bump dirtied: the coordinator never re-encoded the six
+	// unchanged chunks.
+	if got := coord.BroadcastEncodes() - before; got != 4 {
+		t.Fatalf("recompose cost %d encodes, want 4 (2 artifacts + 2 changed chunks)", got)
 	}
 
 	<-done
@@ -125,8 +119,8 @@ func TestRecomposeDrivesDeltaPlane(t *testing.T) {
 	if _, ok := h.Done(); !ok {
 		t.Fatal("job incomplete")
 	}
-	if !report.DeltaImage || report.Restages != 1 {
-		t.Fatalf("report %+v, want delta session with 1 restage", report)
+	if report.Restages != 1 {
+		t.Fatalf("report %+v, want 1 restage", report)
 	}
 	// The Controller committed the recomposition under the bumped
 	// sequence, and the coordinator followed.

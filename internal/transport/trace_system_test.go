@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -31,46 +30,36 @@ func tracedJob(t *testing.T, n int) *workload.Job {
 // deployment's single trace.
 func stealTask(t *testing.T, addr string, wakeup span.Context) {
 	t.Helper()
-	conn, err := net.Dial("tcp", addr)
+	p, err := dialRaw(addr, Hello{Wire: WireVersion, NodeID: 99})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer conn.Close()
-	fr := NewFrameReader(conn)
-	defer fr.Close()
-	typ, _, err := fr.Next()
-	if err != nil || typ != FrameBanner {
-		t.Fatalf("banner: typ=%d err=%v", typ, err)
-	}
-	if err := WriteJSON(conn, FrameHello, &Hello{NodeID: 99, TraceCtx: true}); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteJSON(conn, FrameTaskRequest, &TaskRequestMsg{NodeID: 99, Trace: wakeup}); err != nil {
+	defer p.Close()
+	req := AppendTaskRequest(nil, &TaskRequestMsg{NodeID: 99, Trace: wakeup})
+	if err := WriteFrame(p.conn, FrameTaskRequest, req); err != nil {
 		t.Fatal(err)
 	}
 	for {
-		typ, _, err := fr.Next()
+		typ, _, err := p.fr.Next()
 		if err != nil {
 			t.Fatalf("awaiting stolen assign: %v", err)
 		}
 		switch typ {
-		case FrameTaskAssign, FrameTaskAssignBin:
+		case FrameTaskAssign:
 			return // lease held; the deferred close abandons it
-		case FrameNoTask, FrameNoTaskBin:
+		case FrameNoTask:
 			t.Fatal("no task to steal — submit the job before injecting the fault")
 		}
 	}
 }
 
 // TestTraceEndToEndLeaseExpiryRetry is the tentpole acceptance test:
-// a fault-injected job over real loopback TCP — one binary-codec node,
-// one ForceJSON node, and a peer that leases a task and dies — must
-// produce ONE connected causal tree spanning wakeup → join →
+// a fault-injected job over real loopback TCP — two nodes and a peer
+// that leases a task and dies — must produce ONE connected causal tree spanning wakeup → join →
 // image-load → dispatch → lease-expiry retry → commit.
 func TestTraceEndToEndLeaseExpiryRetry(t *testing.T) {
 	spans := span.NewCollector(span.Config{Capacity: 8192})
-	coord, err := NewCoordinator(CoordinatorConfig{
-		Listen:          "127.0.0.1:0",
+	coord := serveCoordinator(t, CoordinatorConfig{
 		Name:            "traced",
 		Image:           testImage(),
 		HeartbeatPeriod: 5 * time.Second,
@@ -78,11 +67,6 @@ func TestTraceEndToEndLeaseExpiryRetry(t *testing.T) {
 		RetryAfter:      20 * time.Millisecond,
 		LeaseBase:       60 * time.Millisecond,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	go coord.Serve()
 
 	const tasks = 6
 	h, err := coord.Submit(tracedJob(t, tasks))
@@ -101,8 +85,8 @@ func TestTraceEndToEndLeaseExpiryRetry(t *testing.T) {
 	var wg sync.WaitGroup
 	reports := make([]NodeReport, 2)
 	errs := make([]error, 2)
-	for i, forceJSON := range []bool{false, true} {
-		i, forceJSON := i, forceJSON
+	for i := range reports {
+		i := i
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -112,7 +96,6 @@ func TestTraceEndToEndLeaseExpiryRetry(t *testing.T) {
 				TimeScale: 500,
 				Seed:      3,
 				PinnedKey: coord.PublicKey(),
-				ForceJSON: forceJSON,
 				Spans:     spans,
 			})
 		}()
@@ -128,9 +111,6 @@ func TestTraceEndToEndLeaseExpiryRetry(t *testing.T) {
 	}
 	if h.Redispatches() < 1 {
 		t.Fatalf("Redispatches = %d, want >= 1 (lease-expiry fault did not fire)", h.Redispatches())
-	}
-	if reports[0].BinaryTaskPlane == reports[1].BinaryTaskPlane {
-		t.Fatalf("want one node per codec: %+v %+v", reports[0], reports[1])
 	}
 	// Let the session goroutines end their spans before snapshotting.
 	coord.Drain(2 * time.Second)
@@ -181,7 +161,7 @@ func TestTraceEndToEndLeaseExpiryRetry(t *testing.T) {
 		t.Fatalf("tree:\n%s", tree.RenderWaterfall())
 	}
 	if byNode["node-1"] == 0 || byNode["node-2"] == 0 {
-		t.Fatalf("both node flavors must appear in the tree: %v", byNode)
+		t.Fatalf("both nodes must appear in the tree: %v", byNode)
 	}
 
 	// The retry span must hang off a dispatch span and carry the flag.
@@ -214,31 +194,27 @@ func TestTraceEndToEndLeaseExpiryRetry(t *testing.T) {
 	}
 }
 
-// TestTraceMixedVersionDegradation pins the graceful-degradation
-// contract: a traced side paired with an untraced peer completes the
-// job with no contexts on the wire and no broken trees.
-func TestTraceMixedVersionDegradation(t *testing.T) {
+// TestTraceOneSidedCollector pins the graceful-degradation contract: a
+// side with a collector paired with a peer that has none completes the
+// job, and whatever the traced side records is a whole tree. Nothing is
+// negotiated — each side stamps contexts iff it has a collector and
+// accepts them either way.
+func TestTraceOneSidedCollector(t *testing.T) {
 	t.Run("traced-coordinator-untraced-node", func(t *testing.T) {
 		spans := span.NewCollector(span.Config{Capacity: 1024})
-		coord, err := NewCoordinator(CoordinatorConfig{
-			Listen:          "127.0.0.1:0",
+		coord := serveCoordinator(t, CoordinatorConfig{
 			Image:           testImage(),
 			HeartbeatPeriod: 5 * time.Second,
 			Spans:           spans,
 			RetryAfter:      20 * time.Millisecond,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer coord.Close()
-		go coord.Serve()
 		h, err := coord.Submit(tracedJob(t, 4))
 		if err != nil {
 			t.Fatal(err)
 		}
 		report, err := RunNode(NodeConfig{
 			Addr: coord.Addr(), NodeID: 1, TimeScale: 500, Seed: 3,
-			PinnedKey: coord.PublicKey(), // Spans nil: an old, untraced agent
+			PinnedKey: coord.PublicKey(), // Spans nil: an untraced agent
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -247,9 +223,14 @@ func TestTraceMixedVersionDegradation(t *testing.T) {
 			t.Fatalf("job incomplete: done=%v report=%+v", done, report)
 		}
 		coord.Drain(2 * time.Second)
-		// The coordinator's own spans survive; nothing node-side, and no
+		// The coordinator's own spans survive (the node ignored the
+		// dispatch contexts it was sent); nothing node-side, and no
 		// disconnected fragments — every retained trace is a whole tree.
-		for _, tr := range spans.Traces() {
+		traces := spans.Traces()
+		if len(traces) == 0 {
+			t.Fatal("traced coordinator recorded nothing")
+		}
+		for _, tr := range traces {
 			if !tr.Connected() {
 				t.Fatalf("degraded run left a broken tree:\n%s", tr.RenderWaterfall())
 			}
@@ -262,17 +243,11 @@ func TestTraceMixedVersionDegradation(t *testing.T) {
 	})
 
 	t.Run("untraced-coordinator-traced-node", func(t *testing.T) {
-		coord, err := NewCoordinator(CoordinatorConfig{
-			Listen:          "127.0.0.1:0",
+		coord := serveCoordinator(t, CoordinatorConfig{
 			Image:           testImage(),
-			HeartbeatPeriod: 5 * time.Second, // Spans nil: an old coordinator
+			HeartbeatPeriod: 5 * time.Second, // Spans nil: an untraced coordinator
 			RetryAfter:      20 * time.Millisecond,
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer coord.Close()
-		go coord.Serve()
 		h, err := coord.Submit(tracedJob(t, 4))
 		if err != nil {
 			t.Fatal(err)

@@ -1,10 +1,11 @@
 // Package transport carries the OddCI protocol over real TCP: the
 // deployment skeleton for running the coordinator (Controller head-end
 // + Backend) and the node agents as separate processes. Frames are
-// length-prefixed with a one-byte type; control-plane payloads reuse
-// the signed binary codecs from internal/control, task-plane payloads
-// are length-delimited binary messages (with a JSON fallback for older
-// nodes, negotiated through the banner).
+// length-prefixed with a one-byte type; the handshake is two small JSON
+// structs, control-plane payloads reuse the signed binary codecs from
+// internal/control, and the task and image planes are length-delimited
+// binary messages. There is one wire, WireVersion: both handshake
+// frames carry it and each side refuses a peer that speaks another.
 //
 // Scope note: across processes the broadcast channel is emulated as a
 // server push of the carousel contents to every connected node — the
@@ -13,11 +14,11 @@
 // remains the measurement instrument; this package is the interop and
 // deployment path.
 //
-// Wire fast path: the coordinator pre-encodes the banner, control, and
-// image frames once at construction and writes the same immutable
-// bytes to every session, so staging N nodes costs O(1) encodes on the
-// coordinator CPU — the broadcast invariant the paper's cost model
-// rests on. Task-plane frames are built into reused buffers
+// Wire fast path: the coordinator pre-encodes the banner, control,
+// manifest and chunk frames once per image generation and writes the
+// same immutable bytes to every session, so staging N nodes costs O(1)
+// encodes on the coordinator CPU — the broadcast invariant the paper's
+// cost model rests on. Task-plane frames are built into reused buffers
 // (BeginFrame/EndFrame), read through pooled payload buffers
 // (FrameReader), and batched behind bufio writers with explicit flush
 // points.
@@ -26,7 +27,6 @@ package transport
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -35,15 +35,25 @@ import (
 	"sync/atomic"
 	"time"
 
+	"oddci/internal/dsmcc"
 	"oddci/internal/obs"
 	"oddci/internal/simtime"
 	"oddci/internal/span"
 )
 
+// WireVersion is the protocol generation both handshake frames carry.
+// Any change to a frame layout below bumps it.
+const WireVersion = 2
+
+// ErrWireVersion reports a peer whose handshake carries another
+// WireVersion; the session ends before anything else is exchanged.
+var ErrWireVersion = errors.New("transport: peer speaks another wire version")
+
 // FrameType tags a frame.
 type FrameType uint8
 
-// Frame types.
+// Frame types. 4 and 7–10 belonged to wire v1 (full-image push and the
+// JSON task plane) and stay retired, so a v1 frame never parses as v2.
 const (
 	// FrameHello is the node's first frame: JSON Hello.
 	FrameHello FrameType = 1
@@ -53,32 +63,20 @@ const (
 	// FrameControl carries the signed control file (concatenated
 	// envelopes, internal/control codec).
 	FrameControl FrameType = 3
-	// FrameImage carries one named carousel image: JSON ImageFile.
-	FrameImage FrameType = 4
 	// FrameHeartbeat carries an encoded control.Heartbeat.
 	FrameHeartbeat FrameType = 5
 	// FrameHeartbeatReply carries an encoded control.HeartbeatReply.
 	FrameHeartbeatReply FrameType = 6
-	// FrameTaskRequest, FrameTaskAssign, FrameNoTask and
-	// FrameTaskResult carry the legacy JSON task-plane messages. A
-	// coordinator answers them in kind, so old nodes interoperate.
-	FrameTaskRequest FrameType = 7
-	FrameTaskAssign  FrameType = 8
-	FrameNoTask      FrameType = 9
-	FrameTaskResult  FrameType = 10
-	// FrameTaskRequestBin, FrameTaskAssignBin, FrameNoTaskBin and
-	// FrameTaskResultBin carry the binary task-plane codec (below). A
-	// node speaks them only when the banner advertises TaskBin.
-	FrameTaskRequestBin FrameType = 11
-	FrameTaskAssignBin  FrameType = 12
-	FrameNoTaskBin      FrameType = 13
-	FrameTaskResultBin  FrameType = 14
+	// FrameTaskRequest, FrameTaskAssign, FrameNoTask and FrameTaskResult
+	// carry the binary task-plane codec (below).
+	FrameTaskRequest FrameType = 11
+	FrameTaskAssign  FrameType = 12
+	FrameNoTask      FrameType = 13
+	FrameTaskResult  FrameType = 14
 	// FrameImageManifest and FrameImageChunk carry the content-addressed
 	// image plane: the manifest names the image and lists its chunk
 	// hashes in order; each chunk frame carries one hash-addressed slice
-	// of the encoded image. They flow only on sessions whose hello
-	// advertised delta_img, so pre-delta nodes keep seeing exactly one
-	// FrameImage.
+	// of the encoded image. A first staging is a delta from nothing.
 	FrameImageManifest FrameType = 15
 	FrameImageChunk    FrameType = 16
 )
@@ -88,107 +86,74 @@ const MaxFrame = 64 << 20
 
 // Hello introduces a node.
 type Hello struct {
+	// Wire is the node's WireVersion.
+	Wire   int    `json:"wire"`
 	NodeID uint64 `json:"node_id"`
 	// Class/MemMB/CPUScore describe the device.
 	Class    uint8  `json:"class"`
 	MemMB    uint32 `json:"mem_mb"`
 	CPUScore uint32 `json:"cpu_score"`
-	// TraceCtx advertises that this node understands trace-context
-	// propagation on the task plane. Old nodes omit it.
-	TraceCtx bool `json:"trace_ctx,omitempty"`
-	// Cred advertises that this node echoes result credentials. The
-	// coordinator issues credentials only to advertising nodes, so a
-	// pre-credential node never sees the new bytes; whether its missing
-	// echoes are tolerated is the coordinator's CredentialMode policy.
-	Cred bool `json:"cred,omitempty"`
-	// DeltaImg advertises that this node assembles images from the
-	// content-addressed manifest + chunk plane and accepts mid-session
-	// re-staging. Old nodes omit it and receive the single FrameImage.
-	DeltaImg bool `json:"delta_img,omitempty"`
 }
 
 // Banner introduces the coordinator.
 type Banner struct {
+	// Wire is the coordinator's WireVersion.
+	Wire int `json:"wire"`
 	// ControllerKey is the ed25519 public key (hex-free raw bytes,
 	// base64 via JSON) nodes verify control frames against.
 	ControllerKey []byte `json:"controller_key"`
 	// Name labels the deployment.
 	Name string `json:"name"`
-	// TaskBin advertises the binary task-plane codec. Old coordinators
-	// omit it, so new nodes fall back to the JSON frames against them.
-	TaskBin bool `json:"task_bin,omitempty"`
-	// TraceCtx advertises trace-context propagation, negotiated like
-	// TaskBin: both sides must advertise before either stamps contexts
-	// onto task-plane messages, so old peers never see the new bytes.
-	TraceCtx bool `json:"trace_ctx,omitempty"`
 	// Trace is the root wakeup span context of the instance this
 	// coordinator stages. A constant for the coordinator's lifetime, so
-	// the pre-encoded banner stays encode-once; old nodes parse it as
-	// an unknown string field and ignore it.
+	// the pre-encoded banner stays encode-once.
 	Trace span.Context `json:"trace,omitempty"`
-	// DeltaImg advertises the content-addressed image plane, negotiated
-	// like TaskBin: the node only hears manifest/chunk frames after its
-	// hello echoed the capability back.
-	DeltaImg bool `json:"delta_img,omitempty"`
 	// Shard identifies this coordinator's slice of a federated control
-	// plane (federation.ShardID). Single-coordinator deployments omit
-	// it; old nodes parse it as an unknown field and ignore it.
+	// plane (federation.ShardID). Single-coordinator deployments omit it.
 	Shard int `json:"shard,omitempty"`
-}
-
-// ImageFile is one carousel file pushed to nodes.
-type ImageFile struct {
-	Name string `json:"name"`
-	Data []byte `json:"data"`
 }
 
 // ImageManifest describes one content-addressed image: the chunk
 // hashes, in concatenation order, whose payloads reassemble the encoded
-// image. Hashes are the dsmcc module-hash rendering (16 hex digits of
-// truncated SHA-256), so the TCP plane and the carousel plane address
-// content identically.
+// image. Hashes are dsmcc module hashes (truncated SHA-256), so the TCP
+// plane and the carousel plane address content identically.
 type ImageManifest struct {
-	Name string `json:"name"`
+	Name string
 	// Size is the assembled image's byte length.
-	Size int `json:"size"`
+	Size int
 	// ChunkBytes is the split size every chunk but the last uses.
-	ChunkBytes int `json:"chunk_bytes"`
-	// Hashes lists the chunks in assembly order.
-	Hashes []string `json:"hashes"`
-}
-
-// ImageChunk is one hash-addressed slice of an encoded image.
-type ImageChunk struct {
-	Hash string `json:"hash"`
-	Data []byte `json:"data"`
+	ChunkBytes int
+	// Hashes lists the chunks in assembly order: ⌈Size/ChunkBytes⌉ of
+	// them, exactly.
+	Hashes []dsmcc.ModuleHash
 }
 
 // TaskRequestMsg asks for work.
 type TaskRequestMsg struct {
-	NodeID uint64 `json:"node_id"`
+	NodeID uint64
 	// Trace is the requesting worker's span context (zero when the hop
-	// is untraced). Stamped only after TraceCtx negotiation.
-	Trace span.Context `json:"trace,omitempty"`
+	// is untraced).
+	Trace span.Context
 }
 
 // TaskAssignMsg hands a task over.
 type TaskAssignMsg struct {
-	JobID      int     `json:"job_id"`
-	TaskID     int     `json:"task_id"`
-	RefSeconds float64 `json:"ref_seconds"`
-	OutputSize int     `json:"output_size"`
-	Payload    []byte  `json:"payload,omitempty"`
+	JobID      int
+	TaskID     int
+	RefSeconds float64
+	OutputSize int
+	Payload    []byte
 	// Cred is the result credential the worker must echo (empty when the
-	// session did not negotiate credentials).
-	Cred []byte `json:"cred,omitempty"`
+	// backend issues none).
+	Cred []byte
 	// Trace is the backend dispatch span context for this assignment.
-	Trace span.Context `json:"trace,omitempty"`
+	Trace span.Context
 }
 
 // NoTaskMsg backs a worker off.
 type NoTaskMsg struct {
-	RetryAfterMS int64 `json:"retry_after_ms"`
-	Done         bool  `json:"done"`
+	RetryAfterMS int64
+	Done         bool
 }
 
 // RetryAfter converts the wire field.
@@ -198,62 +163,101 @@ func (m NoTaskMsg) RetryAfter() time.Duration {
 
 // TaskResultMsg returns output.
 type TaskResultMsg struct {
-	NodeID  uint64 `json:"node_id"`
-	JobID   int    `json:"job_id"`
-	TaskID  int    `json:"task_id"`
-	Payload []byte `json:"payload,omitempty"`
+	NodeID  uint64
+	JobID   int
+	TaskID  int
+	Payload []byte
 	// Cred echoes the assignment's credential back to the coordinator.
-	Cred []byte `json:"cred,omitempty"`
+	Cred []byte
 	// Trace is the worker's upload span context for this result.
-	Trace span.Context `json:"trace,omitempty"`
+	Trace span.Context
 }
 
 // Binary task-plane codec. Deterministic big-endian layouts in the
-// style of internal/control; decoders are strict (no trailing bytes),
-// so every accepted input is the canonical encoding of its message.
+// style of internal/control:
 //
-// Trace-context propagation appends an optional fixed 25-byte suffix
-// (span.EncodedLen) after each message's base encoding. Strictness is
-// preserved per shape: a payload must be exactly the base length or
-// exactly base+25 — for the length-prefixed messages the embedded
-// payload-length field disambiguates, and the suffix itself rejects
-// unknown flag bits. Untraced messages encode without the suffix, so
-// negotiated-off sessions are byte-identical to the PR 5 wire format.
+//	request = node(8) flags(1)
+//	assign  = job(8) task(8) ref(8) out(8) flags(1) len(4) payload
+//	result  = node(8) job(8) task(8) flags(1) len(4) payload
+//	no-task = retryMS(8) done(1)
 //
-// Result credentials add a second optional suffix on the assign/result
-// shapes, ordered [payload][cred(64)][trace(25)]: the trailing extra
-// bytes beyond the embedded payload length must total exactly 0, 25,
-// 64, or 89, all pairwise distinct, so the decoder stays strict. Both
-// suffixes ride only negotiated sessions (Hello.Cred × the
-// coordinator's CredentialMode), so pre-credential peers never see
-// them.
+// followed by the optional fields the flags byte announces, in bit
+// order. Decoders are strict — unknown bits, a bit the shape may not
+// carry, a tail whose length differs from what the flags say, and a set
+// bit over an empty value are all rejected — so every accepted input is
+// the canonical encoding of its message.
+//
+// A new optional field is declared here and nowhere else: one bit in
+// this block, one clause each in appendExt and decodeExt.
+const (
+	extCred  byte = 1 << 0 // result credential, credentialLen bytes
+	extTrace byte = 1 << 1 // span context, span.EncodedLen bytes
+)
 
 // credentialLen mirrors backend.CredentialLen; the codec treats the
 // token as opaque fixed-size bytes.
 const credentialLen = 64
 
-// AppendTaskRequest appends the binary task-request payload to dst.
-func AppendTaskRequest(dst []byte, m *TaskRequestMsg) []byte {
-	dst = binary.BigEndian.AppendUint64(dst, m.NodeID)
-	if m.Trace.Valid() {
-		dst = m.Trace.AppendBinary(dst)
+// appendExt appends the optional fields that are present and announces
+// each in the flags byte at dst[flagsAt].
+func appendExt(dst []byte, flagsAt int, cred []byte, trace span.Context) []byte {
+	if len(cred) == credentialLen {
+		dst[flagsAt] |= extCred
+		dst = append(dst, cred...)
+	}
+	if trace.Valid() {
+		dst[flagsAt] |= extTrace
+		dst = trace.AppendBinary(dst)
 	}
 	return dst
 }
 
+// decodeExt parses the optional fields flags announces out of tail,
+// which must hold exactly those. allowed lists the bits the shape may
+// carry. The credential is copied out of tail.
+func decodeExt(tail []byte, flags, allowed byte, cred *[]byte, trace *span.Context) error {
+	if flags&^allowed != 0 {
+		return fmt.Errorf("flags %#02x not allowed here", flags)
+	}
+	if flags&extCred != 0 {
+		if len(tail) < credentialLen {
+			return errors.New("truncated credential")
+		}
+		*cred = append([]byte(nil), tail[:credentialLen]...)
+		tail = tail[credentialLen:]
+	}
+	if flags&extTrace != 0 {
+		if len(tail) < span.EncodedLen {
+			return errors.New("truncated trace context")
+		}
+		ctx, err := span.DecodeBinary(tail[:span.EncodedLen])
+		if err != nil || !ctx.Valid() {
+			return errors.New("malformed trace context")
+		}
+		*trace = ctx
+		tail = tail[span.EncodedLen:]
+	}
+	if len(tail) != 0 {
+		return errors.New("trailing bytes")
+	}
+	return nil
+}
+
+// AppendTaskRequest appends the binary task-request payload to dst.
+func AppendTaskRequest(dst []byte, m *TaskRequestMsg) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, m.NodeID)
+	dst = append(dst, 0)
+	return appendExt(dst, len(dst)-1, nil, m.Trace)
+}
+
 // DecodeTaskRequest reverses AppendTaskRequest into m.
 func DecodeTaskRequest(b []byte, m *TaskRequestMsg) error {
+	if len(b) < 9 {
+		return errors.New("transport: truncated task request")
+	}
 	m.Trace = span.Context{}
-	switch len(b) {
-	case 8:
-	case 8 + span.EncodedLen:
-		ctx, err := span.DecodeBinary(b[8:])
-		if err != nil {
-			return errors.New("transport: malformed task request trace context")
-		}
-		m.Trace = ctx
-	default:
-		return errors.New("transport: malformed task request")
+	if err := decodeExt(b[9:], b[8], extTrace, nil, &m.Trace); err != nil {
+		return fmt.Errorf("transport: task request: %w", err)
 	}
 	m.NodeID = binary.BigEndian.Uint64(b)
 	return nil
@@ -265,31 +269,26 @@ func AppendTaskAssign(dst []byte, m *TaskAssignMsg) []byte {
 	dst = binary.BigEndian.AppendUint64(dst, uint64(int64(m.TaskID)))
 	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(m.RefSeconds))
 	dst = binary.BigEndian.AppendUint64(dst, uint64(int64(m.OutputSize)))
+	dst = append(dst, 0)
+	flagsAt := len(dst) - 1
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(m.Payload)))
 	dst = append(dst, m.Payload...)
-	if len(m.Cred) == credentialLen {
-		dst = append(dst, m.Cred...)
-	}
-	if m.Trace.Valid() {
-		dst = m.Trace.AppendBinary(dst)
-	}
-	return dst
+	return appendExt(dst, flagsAt, m.Cred, m.Trace)
 }
 
 // DecodeTaskAssign reverses AppendTaskAssign into m. The payload and
 // credential are copied out of b, so b may be a reused frame buffer.
 func DecodeTaskAssign(b []byte, m *TaskAssignMsg) error {
-	if len(b) < 36 {
+	if len(b) < 37 {
 		return errors.New("transport: truncated task assign")
 	}
-	n := binary.BigEndian.Uint32(b[32:])
-	if uint64(n) > uint64(len(b)-36) {
+	n := binary.BigEndian.Uint32(b[33:])
+	if uint64(n) > uint64(len(b)-37) {
 		return errors.New("transport: task assign payload length mismatch")
 	}
-	tail := b[36+int(n):]
 	m.Cred, m.Trace = nil, span.Context{}
-	if err := decodeTaskSuffix(tail, &m.Cred, &m.Trace); err != nil {
-		return fmt.Errorf("transport: task assign %w", err)
+	if err := decodeExt(b[37+int(n):], b[32], extCred|extTrace, &m.Cred, &m.Trace); err != nil {
+		return fmt.Errorf("transport: task assign: %w", err)
 	}
 	m.JobID = int(int64(binary.BigEndian.Uint64(b)))
 	m.TaskID = int(int64(binary.BigEndian.Uint64(b[8:])))
@@ -297,37 +296,8 @@ func DecodeTaskAssign(b []byte, m *TaskAssignMsg) error {
 	m.OutputSize = int(int64(binary.BigEndian.Uint64(b[24:])))
 	m.Payload = nil
 	if n > 0 {
-		m.Payload = append([]byte(nil), b[36:36+int(n)]...)
+		m.Payload = append([]byte(nil), b[37:37+int(n)]...)
 	}
-	return nil
-}
-
-// decodeTaskSuffix parses the optional [cred(64)][trace(25)] tail shared
-// by the assign and result shapes. The four legal lengths are pairwise
-// distinct, so the shape stays strict without any flag byte.
-func decodeTaskSuffix(tail []byte, cred *[]byte, trace *span.Context) error {
-	withCred := false
-	switch len(tail) {
-	case 0:
-		return nil
-	case span.EncodedLen:
-	case credentialLen:
-		*cred = append([]byte(nil), tail...)
-		return nil
-	case credentialLen + span.EncodedLen:
-		withCred = true
-	default:
-		return errors.New("payload length mismatch")
-	}
-	if withCred {
-		*cred = append([]byte(nil), tail[:credentialLen]...)
-		tail = tail[credentialLen:]
-	}
-	ctx, err := span.DecodeBinary(tail)
-	if err != nil {
-		return errors.New("trace context malformed")
-	}
-	*trace = ctx
 	return nil
 }
 
@@ -356,40 +326,99 @@ func AppendTaskResult(dst []byte, m *TaskResultMsg) []byte {
 	dst = binary.BigEndian.AppendUint64(dst, m.NodeID)
 	dst = binary.BigEndian.AppendUint64(dst, uint64(int64(m.JobID)))
 	dst = binary.BigEndian.AppendUint64(dst, uint64(int64(m.TaskID)))
+	dst = append(dst, 0)
+	flagsAt := len(dst) - 1
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(m.Payload)))
 	dst = append(dst, m.Payload...)
-	if len(m.Cred) == credentialLen {
-		dst = append(dst, m.Cred...)
-	}
-	if m.Trace.Valid() {
-		dst = m.Trace.AppendBinary(dst)
-	}
-	return dst
+	return appendExt(dst, flagsAt, m.Cred, m.Trace)
 }
 
 // DecodeTaskResult reverses AppendTaskResult into m. The payload and
 // credential are copied out of b, so b may be a reused frame buffer.
 func DecodeTaskResult(b []byte, m *TaskResultMsg) error {
-	if len(b) < 28 {
+	if len(b) < 29 {
 		return errors.New("transport: truncated task result")
 	}
-	n := binary.BigEndian.Uint32(b[24:])
-	if uint64(n) > uint64(len(b)-28) {
+	n := binary.BigEndian.Uint32(b[25:])
+	if uint64(n) > uint64(len(b)-29) {
 		return errors.New("transport: task result payload length mismatch")
 	}
-	tail := b[28+int(n):]
 	m.Cred, m.Trace = nil, span.Context{}
-	if err := decodeTaskSuffix(tail, &m.Cred, &m.Trace); err != nil {
-		return fmt.Errorf("transport: task result %w", err)
+	if err := decodeExt(b[29+int(n):], b[24], extCred|extTrace, &m.Cred, &m.Trace); err != nil {
+		return fmt.Errorf("transport: task result: %w", err)
 	}
 	m.NodeID = binary.BigEndian.Uint64(b)
 	m.JobID = int(int64(binary.BigEndian.Uint64(b[8:])))
 	m.TaskID = int(int64(binary.BigEndian.Uint64(b[16:])))
 	m.Payload = nil
 	if n > 0 {
-		m.Payload = append([]byte(nil), b[28:28+int(n)]...)
+		m.Payload = append([]byte(nil), b[29:29+int(n)]...)
 	}
 	return nil
+}
+
+// Binary image-plane codec, strict and canonical like the task plane:
+//
+//	manifest = nameLen(2) name size(4) chunkBytes(4) hash(8)...
+//	chunk    = hash(8) bytes
+//
+// The manifest's hash count is implied: ⌈size/chunkBytes⌉, exactly.
+
+// AppendImageManifest appends the binary manifest payload to dst.
+func AppendImageManifest(dst []byte, m *ImageManifest) []byte {
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(m.Name)))
+	dst = append(dst, m.Name...)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(m.Size))
+	dst = binary.BigEndian.AppendUint32(dst, uint32(m.ChunkBytes))
+	for _, h := range m.Hashes {
+		dst = binary.BigEndian.AppendUint64(dst, uint64(h))
+	}
+	return dst
+}
+
+// DecodeImageManifest reverses AppendImageManifest into m. Size and
+// ChunkBytes are bounded to (0, MaxFrame] and the hash list must be
+// exactly as long as they imply, so a manifest can never ask its
+// reader for more memory than one frame may carry.
+func DecodeImageManifest(b []byte, m *ImageManifest) error {
+	if len(b) < 2 {
+		return errors.New("transport: truncated image manifest")
+	}
+	nameLen := int(binary.BigEndian.Uint16(b))
+	if len(b) < 2+nameLen+8 {
+		return errors.New("transport: truncated image manifest")
+	}
+	name, rest := b[2:2+nameLen], b[2+nameLen:]
+	size, chunk := binary.BigEndian.Uint32(rest), binary.BigEndian.Uint32(rest[4:])
+	if size == 0 || size > MaxFrame || chunk == 0 || chunk > MaxFrame {
+		return fmt.Errorf("transport: image manifest size %d / chunk %d out of range", size, chunk)
+	}
+	rest = rest[8:]
+	count := (int(size) + int(chunk) - 1) / int(chunk)
+	if len(rest) != count*dsmcc.HashLen {
+		return fmt.Errorf("transport: image manifest lists %d hash bytes, want %d chunks", len(rest), count)
+	}
+	m.Name, m.Size, m.ChunkBytes = string(name), int(size), int(chunk)
+	m.Hashes = make([]dsmcc.ModuleHash, count)
+	for i := range m.Hashes {
+		m.Hashes[i] = dsmcc.ModuleHash(binary.BigEndian.Uint64(rest[i*dsmcc.HashLen:]))
+	}
+	return nil
+}
+
+// AppendImageChunk appends the binary chunk payload to dst.
+func AppendImageChunk(dst []byte, hash dsmcc.ModuleHash, data []byte) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, uint64(hash))
+	return append(dst, data...)
+}
+
+// DecodeImageChunk reverses AppendImageChunk. data aliases b; whether
+// it hashes to hash is the receiver's check, not the codec's.
+func DecodeImageChunk(b []byte) (hash dsmcc.ModuleHash, data []byte, err error) {
+	if len(b) <= dsmcc.HashLen {
+		return 0, nil, errors.New("transport: truncated image chunk")
+	}
+	return dsmcc.ModuleHash(binary.BigEndian.Uint64(b)), b[dsmcc.HashLen:], nil
 }
 
 // Frame buffer pool: payload buffers for reads and contiguous write
@@ -489,15 +518,6 @@ func EndFrame(b []byte, start int) ([]byte, error) {
 	return b, nil
 }
 
-// WriteJSON marshals v and emits it as a frame of type t.
-func WriteJSON(w io.Writer, t FrameType, v any) error {
-	raw, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	return WriteFrame(w, t, raw)
-}
-
 // ErrFrameTooLarge reports an oversized incoming frame.
 var ErrFrameTooLarge = errors.New("transport: incoming frame exceeds limit")
 
@@ -518,18 +538,6 @@ func ReadFrame(r io.Reader) (FrameType, []byte, error) {
 		return 0, nil, err
 	}
 	return FrameType(hdr[0]), payload, nil
-}
-
-// ReadJSON reads a frame and unmarshals it into v, checking the type.
-func ReadJSON(r io.Reader, want FrameType, v any) error {
-	t, payload, err := ReadFrame(r)
-	if err != nil {
-		return err
-	}
-	if t != want {
-		return fmt.Errorf("transport: frame type %d, want %d", t, want)
-	}
-	return json.Unmarshal(payload, v)
 }
 
 // frameReadBufSize is the bufio.Reader size behind a FrameReader.

@@ -11,6 +11,7 @@ import (
 
 	"oddci/internal/appimage"
 	"oddci/internal/core/instance"
+	"oddci/internal/obs"
 	"oddci/internal/simtime"
 	"oddci/internal/workload"
 )
@@ -76,7 +77,7 @@ func TestReadFrameTruncated(t *testing.T) {
 
 func TestReadFrameOversizeRejected(t *testing.T) {
 	var buf bytes.Buffer
-	buf.Write([]byte{byte(FrameImage), 0xFF, 0xFF, 0xFF, 0xFF})
+	buf.Write([]byte{byte(FrameImageChunk), 0xFF, 0xFF, 0xFF, 0xFF})
 	if _, _, err := ReadFrame(&buf); err != ErrFrameTooLarge {
 		t.Fatalf("err = %v", err)
 	}
@@ -84,6 +85,20 @@ func TestReadFrameOversizeRejected(t *testing.T) {
 
 func testImage() *appimage.Image {
 	return &appimage.Image{Name: "net", Version: 1, EntryPoint: "w", Payload: make([]byte, 32<<10)}
+}
+
+// serveCoordinator starts a coordinator on a loopback port and closes it
+// when the test ends.
+func serveCoordinator(t *testing.T, cfg CoordinatorConfig) *Coordinator {
+	t.Helper()
+	cfg.Listen = "127.0.0.1:0"
+	coord, err := NewCoordinator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(coord.Close)
+	go coord.Serve()
+	return coord
 }
 
 func testJob(t *testing.T, n int) *workload.Job {
@@ -100,17 +115,13 @@ func testJob(t *testing.T, n int) *workload.Job {
 // in one process, time-scaled 200× so 2-reference-second tasks take
 // ~10 ms each.
 func TestTCPEndToEnd(t *testing.T) {
-	coord, err := NewCoordinator(CoordinatorConfig{
-		Listen:          "127.0.0.1:0",
+	reg := obs.NewRegistry()
+	coord := serveCoordinator(t, CoordinatorConfig{
 		Name:            "test",
 		Image:           testImage(),
 		HeartbeatPeriod: 5 * time.Second,
+		Obs:             reg,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	go coord.Serve()
 
 	h, err := coord.Submit(testJob(t, 24))
 	if err != nil {
@@ -159,35 +170,31 @@ func TestTCPEndToEnd(t *testing.T) {
 	}
 	for i := 1; i <= nodes; i++ {
 		if !coord.SeenNode(uint64(i)) {
-			t.Fatalf("node %d missing from the striped node set", i)
+			t.Fatalf("node %d missing from the node set", i)
 		}
 	}
 	if coord.SeenNode(999) {
-		t.Fatal("phantom node in the striped node set")
+		t.Fatal("phantom node in the node set")
 	}
-	for i, r := range reports {
-		if !r.BinaryTaskPlane {
-			t.Fatalf("node %d did not negotiate the binary task plane", i+1)
-		}
+	if v, _ := reg.Value("oddci_transport_frames_in_task_request_total"); v < 24 {
+		t.Fatalf("task request frames counter = %v, want >= 24", v)
+	}
+	if v, _ := reg.Value("oddci_transport_frames_in_task_result_total"); v != 24 {
+		t.Fatalf("task result frames counter = %v, want 24", v)
+	}
+	if v, _ := reg.Value("oddci_transport_bytes_out_total"); v < float64(coord.BroadcastBytes()) {
+		t.Fatalf("bytes out counter = %v, want at least one staged broadcast (%d)", v, coord.BroadcastBytes())
 	}
 }
 
 func TestTCPNodeRejectsForgedCoordinator(t *testing.T) {
-	coord, err := NewCoordinator(CoordinatorConfig{
-		Listen: "127.0.0.1:0",
-		Image:  testImage(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	go coord.Serve()
+	coord := serveCoordinator(t, CoordinatorConfig{Image: testImage()})
 	if _, err := coord.Submit(testJob(t, 1)); err != nil {
 		t.Fatal(err)
 	}
 
 	otherPub, _, _ := ed25519.GenerateKey(rand.New(rand.NewSource(1)))
-	_, err = RunNode(NodeConfig{
+	_, err := RunNode(NodeConfig{
 		Addr:      coord.Addr(),
 		NodeID:    1,
 		TimeScale: 200,
@@ -199,16 +206,10 @@ func TestTCPNodeRejectsForgedCoordinator(t *testing.T) {
 }
 
 func TestTCPRequirementsFilter(t *testing.T) {
-	coord, err := NewCoordinator(CoordinatorConfig{
-		Listen:       "127.0.0.1:0",
+	coord := serveCoordinator(t, CoordinatorConfig{
 		Image:        testImage(),
 		Requirements: instance.Requirements{Class: instance.ClassConsole},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	go coord.Serve()
 	if _, err := coord.Submit(testJob(t, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -325,18 +326,12 @@ func TestCoordinatorRestartKeepsIdentity(t *testing.T) {
 func TestInjectedClockStampsTransport(t *testing.T) {
 	epoch := time.Date(2030, 6, 1, 12, 0, 0, 0, time.UTC)
 	clk := simtime.NewSim(epoch)
-	coord, err := NewCoordinator(CoordinatorConfig{
-		Listen:          "127.0.0.1:0",
+	coord := serveCoordinator(t, CoordinatorConfig{
 		Name:            "clock-test",
 		Image:           testImage(),
 		HeartbeatPeriod: 5 * time.Second,
 		Clock:           clk,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer coord.Close()
-	go coord.Serve()
 
 	h, err := coord.Submit(testJob(t, 8))
 	if err != nil {
