@@ -36,9 +36,10 @@ type obsBenchResult struct {
 // result — over real loopback TCP against a coordinator carrying the
 // given span collector (nil for the untraced baseline). The client
 // speaks the wire directly, mirroring the node's fast path (prebuilt
-// request frame, reused buffers), so the measured loop contains exactly
-// the frames under test. testing.Benchmark's alloc counters are
-// process-wide, so both sides of each hand-off are in the numbers.
+// request frame, reused buffers, each result written together with the
+// next request), so the measured loop contains exactly the frames under
+// test in the cadence RunNode ships. testing.Benchmark's alloc counters
+// are process-wide, so both sides of each hand-off are in the numbers.
 func benchTaskHandoff(spans *span.Collector, failed *atomic.Bool) func(b *testing.B) {
 	return func(b *testing.B) {
 		fail := func(err error) {
@@ -96,13 +97,9 @@ func benchTaskHandoff(spans *span.Collector, failed *atomic.Bool) func(b *testin
 		}
 		var wbuf []byte
 		var assign transport.TaskAssignMsg
+		// handoff reads the assignment the last write asked for, then
+		// writes its result and the next request in one flush.
 		handoff := func() error {
-			if _, err := bw.Write(reqFrame); err != nil {
-				return err
-			}
-			if err := bw.Flush(); err != nil {
-				return err
-			}
 			t, payload, err := fr.Next()
 			for err == nil && t != transport.FrameTaskAssign && t != transport.FrameNoTask {
 				t, payload, err = fr.Next() // the staged broadcast, ahead of the first reply
@@ -122,12 +119,22 @@ func benchTaskHandoff(spans *span.Collector, failed *atomic.Bool) func(b *testin
 			if wbuf, err = transport.EndFrame(wbuf, 0); err != nil {
 				return err
 			}
+			wbuf = append(wbuf, reqFrame...)
 			if _, err := bw.Write(wbuf); err != nil {
 				return err
 			}
 			return bw.Flush()
 		}
-		// One untimed hand-off drains the staged broadcast.
+		// The first request travels alone, behind the hello; one untimed
+		// hand-off then drains the staged broadcast.
+		if _, err := bw.Write(reqFrame); err != nil {
+			fail(err)
+			return
+		}
+		if err := bw.Flush(); err != nil {
+			fail(err)
+			return
+		}
 		if err := handoff(); err != nil {
 			fail(err)
 			return
@@ -162,7 +169,7 @@ func oneRound(spans *span.Collector) (obsBenchResult, error) {
 }
 
 // keepMin folds one round into the running best. A loopback hand-off
-// is a ~17 µs syscall round trip, so single rounds wander by several
+// is an ~11 µs syscall round trip, so single rounds wander by several
 // percent; min-of-K converges on the true floor, and the caller
 // interleaves baseline and sampled-off rounds so clock drift and
 // thermal state hit both sides equally.

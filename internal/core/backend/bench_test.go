@@ -10,8 +10,8 @@ import (
 )
 
 // benchJob builds one n-task job with trivial payloads.
-func benchJob(b *testing.B, n int) *workload.Job {
-	b.Helper()
+func benchJob(tb testing.TB, n int) *workload.Job {
+	tb.Helper()
 	tasks := make([]workload.Task, n)
 	for i := range tasks {
 		tasks[i] = workload.Task{ID: i, InputBytes: 64, OutputBytes: 32, STBSeconds: 1}

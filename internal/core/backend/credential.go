@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
+	"hash"
 )
 
 // Result credentials. Every dispatch in a credentialed deployment hands
@@ -39,6 +40,9 @@ const (
 // seq(8) | node(8) | job(8) | task(8) | mac(32).
 const CredentialLen = 64
 
+// credentialBindingLen is the prefix the MAC covers.
+const credentialBindingLen = CredentialLen - sha256.Size
+
 // credentialSecretLen is the generated MAC secret size.
 const credentialSecretLen = 32
 
@@ -52,12 +56,19 @@ var (
 // AppendCredential appends the credential binding (seq, node, job, task)
 // under secret to dst.
 func AppendCredential(dst []byte, secret []byte, seq, node uint64, job, task int) []byte {
+	return appendCredential(dst, hmac.New(sha256.New, secret), seq, node, job, task)
+}
+
+// appendCredential is AppendCredential over an already keyed MAC, which
+// it resets first: the scheduler keys one per shard and reuses it for
+// every token, since the key schedule costs more than the MAC itself.
+func appendCredential(dst []byte, mac hash.Hash, seq, node uint64, job, task int) []byte {
 	dst = binary.BigEndian.AppendUint64(dst, seq)
 	dst = binary.BigEndian.AppendUint64(dst, node)
 	dst = binary.BigEndian.AppendUint64(dst, uint64(int64(job)))
 	dst = binary.BigEndian.AppendUint64(dst, uint64(int64(task)))
-	mac := hmac.New(sha256.New, secret)
-	mac.Write(dst[len(dst)-32:])
+	mac.Reset()
+	mac.Write(dst[len(dst)-credentialBindingLen:])
 	return mac.Sum(dst)
 }
 
@@ -66,12 +77,19 @@ func AppendCredential(dst []byte, secret []byte, seq, node uint64, job, task int
 // issued for — callers compare the fields against the submitting slot to
 // tell a replay from a genuine echo.
 func DecodeCredential(secret, cred []byte) (seq, node uint64, job, task int, err error) {
+	var sum [sha256.Size]byte
+	return decodeCredential(hmac.New(sha256.New, secret), &sum, cred)
+}
+
+// decodeCredential is DecodeCredential over an already keyed MAC (reset
+// first) and a scratch array for the expected sum.
+func decodeCredential(mac hash.Hash, sum *[sha256.Size]byte, cred []byte) (seq, node uint64, job, task int, err error) {
 	if len(cred) != CredentialLen {
 		return 0, 0, 0, 0, ErrCredentialMalformed
 	}
-	mac := hmac.New(sha256.New, secret)
-	mac.Write(cred[:32])
-	if !hmac.Equal(mac.Sum(nil), cred[32:]) {
+	mac.Reset()
+	mac.Write(cred[:credentialBindingLen])
+	if !hmac.Equal(mac.Sum(sum[:0]), cred[credentialBindingLen:]) {
 		return 0, 0, 0, 0, ErrCredentialForged
 	}
 	seq = binary.BigEndian.Uint64(cred)
@@ -92,20 +110,64 @@ const (
 )
 
 // verifyCredentialLocked classifies res's credential against the seq the
-// task last issued to that node. Called with ts's shard lock held.
-func (b *Backend) verifyCredentialLocked(ts *taskState, res *TaskResult) credVerdict {
+// task last issued to that node. Called with s.mu, ts's shard lock, held.
+func (s *shard) verifyCredentialLocked(ts *taskState, res *TaskResult) credVerdict {
 	if len(res.Credential) == 0 {
 		return credMissing
 	}
-	seq, node, job, task, err := DecodeCredential(b.trust.secret, res.Credential)
+	seq, node, job, task, err := decodeCredential(s.mac, &s.macSum, res.Credential)
 	if err != nil {
 		return credForged
 	}
-	issued, ok := ts.credSeqs[res.NodeID]
+	issued, ok := ts.issuedSeq(res.NodeID)
 	if !ok || seq != issued || node != res.NodeID || job != res.JobID || task != res.TaskID {
 		return credReplayed
 	}
 	return credOK
+}
+
+// issueCredentialLocked mints the credential for one dispatch of ts to
+// node, as one CredentialLen allocation the assignment owns, and records
+// its seq as the node's live binding. Called with s.mu held.
+func (s *shard) issueCredentialLocked(ts *taskState, node, seq uint64) []byte {
+	ts.bindSeq(node, seq)
+	return appendCredential(make([]byte, 0, CredentialLen), s.mac, seq, node, ts.key.job, ts.key.task)
+}
+
+// Live credential bindings of one task: which seq was last issued to
+// which node. The first node to be bound is held inline, which at
+// Replication 1 is every binding there ever is; further replicas spill
+// to credSeqs. Seqs start at 1, so a zero credSeq means no inline
+// binding.
+
+// bindSeq records seq as node's live binding.
+func (ts *taskState) bindSeq(node, seq uint64) {
+	if ts.credSeq == 0 || ts.credNode == node {
+		ts.credNode, ts.credSeq = node, seq
+		return
+	}
+	if ts.credSeqs == nil {
+		ts.credSeqs = make(map[uint64]uint64, 2)
+	}
+	ts.credSeqs[node] = seq
+}
+
+// issuedSeq returns node's live binding.
+func (ts *taskState) issuedSeq(node uint64) (uint64, bool) {
+	if ts.credSeq != 0 && ts.credNode == node {
+		return ts.credSeq, true
+	}
+	seq, ok := ts.credSeqs[node]
+	return seq, ok
+}
+
+// unbindSeq drops node's binding. The inline slot may have been refilled
+// by a node that spilled earlier, so both places are cleared.
+func (ts *taskState) unbindSeq(node uint64) {
+	if ts.credNode == node {
+		ts.credSeq = 0
+	}
+	delete(ts.credSeqs, node)
 }
 
 // generateCredentialSecret draws a fresh MAC secret.

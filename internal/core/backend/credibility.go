@@ -50,8 +50,7 @@ type nodeTrust struct {
 // vote weights are snapshotted before the shard section, and commit-time
 // verdicts are applied after it.
 type trustTracker struct {
-	secret []byte        // credential MAC secret (nil when CredOff)
-	seq    atomic.Uint64 // credential issue sequence
+	seq atomic.Uint64 // credential issue sequence
 
 	mu    sync.Mutex
 	nodes map[uint64]*nodeTrust
@@ -60,8 +59,8 @@ type trustTracker struct {
 	quarCount atomic.Int64
 }
 
-func newTrustTracker(secret []byte) *trustTracker {
-	return &trustTracker{secret: secret, nodes: make(map[uint64]*nodeTrust)}
+func newTrustTracker() *trustTracker {
+	return &trustTracker{nodes: make(map[uint64]*nodeTrust)}
 }
 
 // get returns node's entry, creating it at full trust. Called with mu
@@ -207,7 +206,7 @@ func (b *Backend) revokeLeases(node uint64) {
 				continue
 			}
 			delete(ts.outstanding, node)
-			delete(ts.credSeqs, node)
+			ts.unbindSeq(node)
 			ts.launched--
 			ts.retries++
 			b.met.retried.Inc()
@@ -262,16 +261,4 @@ func (b *Backend) QuarantinedCount() int {
 		return 0
 	}
 	return int(b.trust.quarCount.Load())
-}
-
-// issueCredential mints the credential for one dispatch and records its
-// seq as the node's live binding on ts. Called with ts's shard lock
-// held; the tracker's seq is atomic so no tracker lock is needed.
-func (b *Backend) issueCredentialLocked(ts *taskState, node uint64) []byte {
-	seq := b.trust.seq.Add(1)
-	if ts.credSeqs == nil {
-		ts.credSeqs = make(map[uint64]uint64, 2)
-	}
-	ts.credSeqs[node] = seq
-	return AppendCredential(nil, b.trust.secret, seq, node, ts.key.job, ts.key.task)
 }

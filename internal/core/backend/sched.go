@@ -1,6 +1,8 @@
 package backend
 
 import (
+	"crypto/sha256"
+	"hash"
 	"sync"
 	"time"
 )
@@ -37,6 +39,11 @@ type shard struct {
 	ready  readyQueue // dispatchable slots, FIFO
 	leases leaseHeap  // outstanding leases by deadline, lazily invalidated
 	active map[taskKey]*taskState
+	// mac is HMAC-SHA256 keyed once with the credential secret (nil when
+	// CredOff) and macSum the scratch a verify sums into: mu already
+	// serialises every issue and verify of this stripe's tasks.
+	mac    hash.Hash
+	macSum [sha256.Size]byte
 }
 
 // readyQueue is a ring-buffer FIFO of dispatchable task slots. Pops and

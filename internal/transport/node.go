@@ -166,7 +166,19 @@ func (a *imageAssembler) feed(t FrameType, payload []byte) (staged bool, err err
 
 // RunNode connects, obeys the broadcast control plane, executes tasks
 // until the Backend reports done, and returns.
-func RunNode(cfg NodeConfig) (report NodeReport, err error) {
+func RunNode(cfg NodeConfig) (NodeReport, error) {
+	conn, err := net.Dial("tcp", cfg.Addr)
+	if err != nil {
+		return NodeReport{}, err
+	}
+	defer conn.Close()
+	return runNode(cfg, conn)
+}
+
+// runNode is RunNode over an established connection, which it reads
+// through one FrameReader and writes through one bufio.Writer: a Write on
+// conn is a write syscall on the node's socket.
+func runNode(cfg NodeConfig, conn net.Conn) (report NodeReport, err error) {
 	if cfg.TimeScale <= 0 {
 		cfg.TimeScale = 1
 	}
@@ -181,11 +193,6 @@ func RunNode(cfg NodeConfig) (report NodeReport, err error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed ^ int64(cfg.NodeID)))
 
-	conn, err := net.Dial("tcp", cfg.Addr)
-	if err != nil {
-		return report, err
-	}
-	defer conn.Close()
 	fr := NewFrameReader(conn)
 	defer fr.Close()
 
@@ -219,7 +226,8 @@ func RunNode(cfg NodeConfig) (report NodeReport, err error) {
 
 	// The heartbeat goroutine and the worker loop interleave writes on
 	// the one connection, so sends serialize on wmu; the bufio writer
-	// turns each frame into a single contiguous syscall at flush.
+	// turns each send, of one frame or several, into a single contiguous
+	// syscall at flush.
 	var wmu sync.Mutex
 	bw := bufio.NewWriterSize(conn, 4<<10)
 	send := func(t FrameType, payload []byte) error {
@@ -273,9 +281,12 @@ func RunNode(cfg NodeConfig) (report NodeReport, err error) {
 			}
 		}
 	}
-	imgSp := cfg.Spans.Start(joinSp.Context(), "image-load", nodeName)
-	imgSp.SetDetail("bytes=%d chunks=%d file=%s", asm.manifest.Size, len(asm.manifest.Hashes), asm.manifest.Name)
-	imgSp.End()
+	// SetDetail's variadic arguments are boxed before it can see a nil
+	// span, so an untraced node is spared the call, not just its body.
+	if imgSp := cfg.Spans.Start(joinSp.Context(), "image-load", nodeName); imgSp != nil {
+		imgSp.SetDetail("bytes=%d chunks=%d file=%s", asm.manifest.Size, len(asm.manifest.Hashes), asm.manifest.Name)
+		imgSp.End()
+	}
 	report.Joined = true
 	joinCtx := joinSp.Context()
 	joinSp.End()
@@ -365,10 +376,15 @@ func RunNode(cfg NodeConfig) (report NodeReport, err error) {
 		assign TaskAssignMsg
 		noTask NoTaskMsg
 	)
+	// Hand-off cadence: a finished task's result and the request for the
+	// next one leave in one write, so the coordinator reads both at once
+	// and answers with one write of its own. A request travels alone only
+	// when there is no result to carry it: the first, and the one after a
+	// back-off.
+	if err := sendRaw(reqFrame); err != nil {
+		return report, err
+	}
 	for {
-		if err := sendRaw(reqFrame); err != nil {
-			return report, err
-		}
 		t, payload, err := readTaskReply()
 		if err != nil {
 			return report, err
@@ -386,7 +402,9 @@ func RunNode(cfg NodeConfig) (report NodeReport, err error) {
 				exeParent = joinCtx
 			}
 			exeSp := cfg.Spans.Start(exeParent, "execute", nodeName)
-			exeSp.SetDetail("job=%d task=%d", assign.JobID, assign.TaskID)
+			if exeSp != nil {
+				exeSp.SetDetail("job=%d task=%d", assign.JobID, assign.TaskID)
+			}
 			d := cfg.Perf.TaskDuration(assign.RefSeconds, cfg.Mode)
 			time.Sleep(time.Duration(float64(d) / cfg.TimeScale))
 			exeSp.End()
@@ -403,6 +421,7 @@ func RunNode(cfg NodeConfig) (report NodeReport, err error) {
 			if wbuf, err = EndFrame(wbuf, 0); err != nil {
 				return report, err
 			}
+			wbuf = append(wbuf, reqFrame...)
 			if err := sendRaw(wbuf); err != nil {
 				return report, err
 			}
@@ -415,6 +434,9 @@ func RunNode(cfg NodeConfig) (report NodeReport, err error) {
 				return report, nil
 			}
 			time.Sleep(time.Duration(float64(noTask.RetryAfter()) / cfg.TimeScale))
+			if err := sendRaw(reqFrame); err != nil {
+				return report, err
+			}
 		default:
 			return report, fmt.Errorf("transport: unexpected frame %d awaiting task reply", t)
 		}

@@ -144,7 +144,8 @@ type TaskAssignMsg struct {
 	OutputSize int
 	Payload    []byte
 	// Cred is the result credential the worker must echo (empty when the
-	// backend issues none).
+	// backend issues none). See DecodeTaskAssign for how long a decoded
+	// Payload and Cred stay valid.
 	Cred []byte
 	// Trace is the backend dispatch span context for this assignment.
 	Trace span.Context
@@ -167,7 +168,8 @@ type TaskResultMsg struct {
 	JobID   int
 	TaskID  int
 	Payload []byte
-	// Cred echoes the assignment's credential back to the coordinator.
+	// Cred echoes the assignment's credential back to the coordinator
+	// (decoded: valid until the next DecodeTaskResult into this message).
 	Cred []byte
 	// Trace is the worker's upload span context for this result.
 	Trace span.Context
@@ -214,7 +216,8 @@ func appendExt(dst []byte, flagsAt int, cred []byte, trace span.Context) []byte 
 
 // decodeExt parses the optional fields flags announces out of tail,
 // which must hold exactly those. allowed lists the bits the shape may
-// carry. The credential is copied out of tail.
+// carry. The credential is appended to *cred, which the caller has
+// emptied: a reused message keeps one credential buffer for its life.
 func decodeExt(tail []byte, flags, allowed byte, cred *[]byte, trace *span.Context) error {
 	if flags&^allowed != 0 {
 		return fmt.Errorf("flags %#02x not allowed here", flags)
@@ -223,7 +226,7 @@ func decodeExt(tail []byte, flags, allowed byte, cred *[]byte, trace *span.Conte
 		if len(tail) < credentialLen {
 			return errors.New("truncated credential")
 		}
-		*cred = append([]byte(nil), tail[:credentialLen]...)
+		*cred = append(*cred, tail[:credentialLen]...)
 		tail = tail[credentialLen:]
 	}
 	if flags&extTrace != 0 {
@@ -276,8 +279,10 @@ func AppendTaskAssign(dst []byte, m *TaskAssignMsg) []byte {
 	return appendExt(dst, flagsAt, m.Cred, m.Trace)
 }
 
-// DecodeTaskAssign reverses AppendTaskAssign into m. The payload and
-// credential are copied out of b, so b may be a reused frame buffer.
+// DecodeTaskAssign reverses AppendTaskAssign into m. Payload and Cred
+// are copied out of b, which may therefore be a reused frame buffer,
+// into m's own buffers: they are valid until the next decode into m,
+// and a session that reuses m allocates nothing per assignment.
 func DecodeTaskAssign(b []byte, m *TaskAssignMsg) error {
 	if len(b) < 37 {
 		return errors.New("transport: truncated task assign")
@@ -286,7 +291,7 @@ func DecodeTaskAssign(b []byte, m *TaskAssignMsg) error {
 	if uint64(n) > uint64(len(b)-37) {
 		return errors.New("transport: task assign payload length mismatch")
 	}
-	m.Cred, m.Trace = nil, span.Context{}
+	m.Cred, m.Trace = m.Cred[:0], span.Context{}
 	if err := decodeExt(b[37+int(n):], b[32], extCred|extTrace, &m.Cred, &m.Trace); err != nil {
 		return fmt.Errorf("transport: task assign: %w", err)
 	}
@@ -294,10 +299,7 @@ func DecodeTaskAssign(b []byte, m *TaskAssignMsg) error {
 	m.TaskID = int(int64(binary.BigEndian.Uint64(b[8:])))
 	m.RefSeconds = math.Float64frombits(binary.BigEndian.Uint64(b[16:]))
 	m.OutputSize = int(int64(binary.BigEndian.Uint64(b[24:])))
-	m.Payload = nil
-	if n > 0 {
-		m.Payload = append([]byte(nil), b[37:37+int(n)]...)
-	}
+	m.Payload = append(m.Payload[:0], b[37:37+int(n)]...)
 	return nil
 }
 
@@ -333,8 +335,11 @@ func AppendTaskResult(dst []byte, m *TaskResultMsg) []byte {
 	return appendExt(dst, flagsAt, m.Cred, m.Trace)
 }
 
-// DecodeTaskResult reverses AppendTaskResult into m. The payload and
-// credential are copied out of b, so b may be a reused frame buffer.
+// DecodeTaskResult reverses AppendTaskResult into m, copying out of b,
+// which may therefore be a reused frame buffer. Cred goes into m's own
+// buffer and is valid until the next decode into m: the backend reads a
+// credential and never keeps it. Payload is a fresh copy every time,
+// because the backend keeps it as a vote.
 func DecodeTaskResult(b []byte, m *TaskResultMsg) error {
 	if len(b) < 29 {
 		return errors.New("transport: truncated task result")
@@ -343,7 +348,7 @@ func DecodeTaskResult(b []byte, m *TaskResultMsg) error {
 	if uint64(n) > uint64(len(b)-29) {
 		return errors.New("transport: task result payload length mismatch")
 	}
-	m.Cred, m.Trace = nil, span.Context{}
+	m.Cred, m.Trace = m.Cred[:0], span.Context{}
 	if err := decodeExt(b[29+int(n):], b[24], extCred|extTrace, &m.Cred, &m.Trace); err != nil {
 		return fmt.Errorf("transport: task result: %w", err)
 	}
@@ -436,7 +441,8 @@ var poolHits, poolMisses atomic.Uint64
 
 // FramePoolStats reports how many frame-buffer requests were served
 // within the pooled size cap (hits) versus forced to allocate an
-// oversized one-shot buffer (misses), process-wide.
+// oversized one-shot buffer (misses), process-wide. A FrameReader counts
+// its own frames and adds them here when it closes.
 func FramePoolStats() (hits, misses uint64) {
 	return poolHits.Load(), poolMisses.Load()
 }
@@ -550,6 +556,13 @@ const frameReadBufSize = 32 << 10
 type FrameReader struct {
 	br  *bufio.Reader
 	buf []byte
+	// hdr lives here, not in Next's frame: ReadFull takes it through an
+	// interface, which would move a local to the heap on every call.
+	hdr [5]byte
+	// hits and misses are this reader's share of FramePoolStats, folded
+	// in at Close so that sessions do not write one shared cache line per
+	// frame.
+	hits, misses uint64
 	// optional read-latency instrumentation (payload drain time after
 	// the header arrived — excludes idle wait for the next frame).
 	hist *obs.Histogram
@@ -579,19 +592,18 @@ func (fr *FrameReader) Buffered() int { return fr.br.Buffered() }
 
 // Next reads one frame. The payload aliases the reader's reused buffer.
 func (fr *FrameReader) Next() (FrameType, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(fr.br, hdr[:]); err != nil {
+	if _, err := io.ReadFull(fr.br, fr.hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := int(binary.BigEndian.Uint32(hdr[1:]))
+	n := int(binary.BigEndian.Uint32(fr.hdr[1:]))
 	if n > MaxFrame {
 		return 0, nil, ErrFrameTooLarge
 	}
 	if n > cap(fr.buf) {
-		poolMisses.Add(1)
+		fr.misses++
 		fr.buf = make([]byte, 0, n)
 	} else {
-		poolHits.Add(1)
+		fr.hits++
 	}
 	payload := fr.buf[:n]
 	var t0 time.Time
@@ -604,14 +616,17 @@ func (fr *FrameReader) Next() (FrameType, []byte, error) {
 	if fr.hist != nil && fr.clk != nil {
 		fr.hist.ObserveDuration(fr.clk.Now().Sub(t0))
 	}
-	return FrameType(hdr[0]), payload, nil
+	return FrameType(fr.hdr[0]), payload, nil
 }
 
-// Close returns the payload buffer to the pool.
+// Close returns the payload buffer to the pool and adds the reader's
+// frame counts to FramePoolStats.
 func (fr *FrameReader) Close() {
 	if fr.buf != nil {
 		b := fr.buf
 		fr.buf = nil
 		putFrameBuf(&b)
+		poolHits.Add(fr.hits)
+		poolMisses.Add(fr.misses)
 	}
 }
