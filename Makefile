@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet test test-benchmark race build cover bench-fleet bench-obs bench-adversary bench-image bench-federation
+.PHONY: check fmt vet test test-benchmark race build cover bench
 
 ## check: the full tier-1 gate — formatting, vet, build, tests with the
 ## race detector (the lifecycle churn stress and the federation
@@ -36,7 +36,7 @@ race:
 ## (obs registry/exposition, trace recorder), the Controller (lifecycle
 ## plus crash recovery), the journal persistence layer, the Backend
 ## scheduler (dispatch, lease reclaim, draining), the Provider facade
-## (capacity splitting, multi-part instances, rebind), the transport
+## (capacity splitting, recompose, rebind), the transport
 ## fast path (framing, codec, coordinator/node loops), the fleet
 ## simulation harness (SoA engine, timing wheel integration, analytic
 ## cross-validation), the federation layer (consistent-hash ring,
@@ -56,41 +56,11 @@ cover:
 		echo "$$pkg: coverage $$pct% (floor $$floor%)"; \
 	done
 
-## bench-fleet: regenerate the million-PNA harness gate
-## (BENCH_fleet.json) — wakeup→quorum at n = 10³…10⁶ in one process,
-## failing if any availability or ramp-up curve leaves its analytic
-## tolerance.
-bench-fleet:
-	$(GO) run ./cmd/oddci-bench -sweep fleet -out BENCH_fleet.json
-
-## bench-obs: regenerate the tracing overhead gate (BENCH_obs.json) —
-## fails if the sampled-off span collector costs the task hand-off
-## more than 2% versus the untraced baseline, or allocates.
-bench-obs:
-	$(GO) run ./cmd/oddci-bench -sweep obs -out BENCH_obs.json
-
-## bench-adversary: regenerate the byzantine hardening gate
-## (BENCH_adversary.json) — full adversarial deployments over fraction ×
-## replication × seed, failing on any wrong commit at Replication 5, on
-## quarantine coverage below 95% of the byzantine population, or if
-## arming credibility tracking costs the honest dispatch path more
-## than 3%.
-bench-adversary:
-	$(GO) run ./cmd/oddci-bench -sweep adversary -out BENCH_adversary.json
-
-## bench-image: regenerate the delta image distribution gate
-## (BENCH_image.json) — re-air wire bytes must stay within 1.25x the
-## changed module payload at 1/16, 1/4 and full deltas, cache-warm and
-## legacy receivers must both converge (the latter under 20% section
-## loss), and transport staging encodes must be flat in session count.
-bench-image:
-	$(GO) run ./cmd/oddci-bench -sweep image -out BENCH_image.json
-
-## bench-federation: regenerate the sharded control plane gate
-## (BENCH_federation.json) — convergence at 1→16 coordinator shards must
-## stay within 1.15x the single-shard baseline, a killed shard must
-## journal-fail-over and reconverge with zero duplicate wakeups (also
-## re-run at 10^6 PNAs in the SoA engine), and the shared chunk cache
-## must hit on every shard after the first.
-bench-federation:
-	$(GO) run ./cmd/oddci-bench -sweep federation -out BENCH_federation.json
+## bench: every speed and count the repository reports — the four
+## workloads of BENCHMARK.json, each in a process of its own, medians and
+## spreads on stdout and in benchmark/out/result.json; `go run -C
+## benchmark . -compare a.json b.json` applies the bounds to two such
+## files (benchmark/README.md, "Running it"). Pass/fail invariants are
+## not here: they are tests, and ride in `race`.
+bench:
+	$(GO) run -C benchmark .

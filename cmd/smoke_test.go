@@ -1,0 +1,109 @@
+// Package cmd holds the smoke test for the binaries below it: each is
+// built from source and driven once through the surface a user would
+// touch, offline, over loopback only.
+package cmd
+
+import (
+	"bufio"
+	"bytes"
+	"os/exec"
+	"path/filepath"
+	"regexp"
+	"strconv"
+	"strings"
+	"testing"
+
+	"oddci/internal/experiments"
+)
+
+func TestBinaries(t *testing.T) {
+	bin := t.TempDir()
+	build := exec.Command("go", "build", "-o", bin+string(filepath.Separator),
+		"./oddci-sim", "./oddci-blast", "./oddci-coordinator", "./oddci-node")
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	// run executes one built binary to completion and returns its stdout.
+	run := func(t *testing.T, name string, args ...string) string {
+		t.Helper()
+		var stderr bytes.Buffer
+		cmd := exec.Command(filepath.Join(bin, name), args...)
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("%s %s: %v\n%s", name, strings.Join(args, " "), err, stderr.Bytes())
+		}
+		return string(out)
+	}
+
+	t.Run("oddci-sim -list", func(t *testing.T) {
+		got := strings.Fields(run(t, "oddci-sim", "-list"))
+		if want := experiments.IDs(); strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Fatalf("listed %v, want experiments.IDs() = %v", got, want)
+		}
+	})
+
+	t.Run("oddci-sim -exp table1 -quick", func(t *testing.T) {
+		if out := run(t, "oddci-sim", "-exp", "table1", "-quick"); !strings.Contains(out, "table1") {
+			t.Fatalf("output does not name the experiment:\n%s", out)
+		}
+	})
+
+	t.Run("oddci-blast finds planted fragments", func(t *testing.T) {
+		out := run(t, "oddci-blast", "-synth-db", "50x400", "-synth-query", "120", "-plant", "2")
+		m := regexp.MustCompile(`hits ≥ \d+: (\d+)`).FindStringSubmatch(out)
+		if m == nil {
+			t.Fatalf("no hit count in output:\n%s", out)
+		}
+		if n, _ := strconv.Atoi(m[1]); n < 1 {
+			t.Fatalf("%d hits with 2 fragments planted:\n%s", n, out)
+		}
+	})
+
+	t.Run("coordinator and node complete a job", func(t *testing.T) {
+		coord := exec.Command(filepath.Join(bin, "oddci-coordinator"),
+			"-listen", "127.0.0.1:0", "-tasks", "4", "-task-seconds", "0.01", "-timeout", "1m")
+		stdout, err := coord.StdoutPipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var stderr bytes.Buffer
+		coord.Stderr = &stderr
+		if err := coord.Start(); err != nil {
+			t.Fatal(err)
+		}
+		defer func() { // no-ops once the coordinator has exited and been waited for
+			coord.Process.Kill()
+			coord.Wait()
+		}()
+
+		// The coordinator prints where it listens and the key a node pins
+		// before it serves; the rest of its output follows the node's run.
+		// Its own -timeout bounds the reads should the job never finish.
+		var addr, key, rest string
+		lines := bufio.NewScanner(stdout)
+		for (addr == "" || key == "") && lines.Scan() {
+			if v, ok := strings.CutPrefix(lines.Text(), "oddci-coordinator listening on "); ok {
+				addr = v
+			} else if v, ok := strings.CutPrefix(lines.Text(), "controller key: "); ok {
+				key = v
+			}
+		}
+		if addr == "" || key == "" {
+			t.Fatalf("coordinator printed no address (%q) or key (%q)\n%s", addr, key, stderr.Bytes())
+		}
+		node := run(t, "oddci-node", "-addr", addr, "-timescale", "100", "-controller-key", key)
+		if !strings.Contains(node, "4 tasks executed") {
+			t.Fatalf("node output:\n%s", node)
+		}
+		for lines.Scan() {
+			rest += lines.Text() + "\n"
+		}
+		if err := coord.Wait(); err != nil {
+			t.Fatalf("coordinator: %v\n%s", err, stderr.Bytes())
+		}
+		if !strings.Contains(rest, "job complete") || !strings.Contains(rest, " 4 results") {
+			t.Fatalf("coordinator output after the node's run:\n%s", rest)
+		}
+	})
+}

@@ -87,8 +87,9 @@ func BenchmarkHandleResultParallel(b *testing.B) {
 }
 
 // BenchmarkEndToEndThroughput100k measures whole request→result task
-// round-trips against 100k-task jobs, the end-to-end scheduler
-// throughput number tracked by `oddci-bench -sweep backend`.
+// round-trips against 100k-task jobs: the scheduler's end-to-end
+// throughput, for ad-hoc use (the tracked numbers are the repository
+// benchmark's backend.dispatch_ns and backend.commit_ns).
 func BenchmarkEndToEndThroughput100k(b *testing.B) {
 	be := benchBackend(b, ((b.N/100_000)+1)*100_000)
 	var nodeSeq atomic.Uint64

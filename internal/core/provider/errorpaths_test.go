@@ -1,207 +1,11 @@
 package provider
 
 import (
-	"crypto/ed25519"
-	"errors"
-	"math/rand"
 	"testing"
-	"time"
 
 	"oddci/internal/appimage"
 	"oddci/internal/control"
-	"oddci/internal/core/controller"
-	"oddci/internal/dsmcc"
-	"oddci/internal/middleware"
-	"oddci/internal/simtime"
 )
-
-// newStoppedNetwork builds a Controller that was never started, so
-// every lifecycle call on it fails — the per-network error injector.
-func newStoppedNetwork(t *testing.T, clk *simtime.Sim, seed int64) *controller.Controller {
-	t.Helper()
-	car, err := dsmcc.NewCarousel(0x300, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bcast, err := dsmcc.NewBroadcaster(clk, car, 1e6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	_, priv, err := ed25519.GenerateKey(rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctrl, err := controller.New(controller.Config{
-		Clock: clk, Broadcaster: bcast,
-		Signalling: middleware.NewSignalling(clk, 0),
-		Key:        priv, Rng: rng,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ctrl
-}
-
-// gcPart destroys one network-level instance and advances virtual time
-// through enough maintenance passes that the Controller garbage-collects
-// it, so later Status/Resize calls hit ErrInstanceGone.
-func gcPart(t *testing.T, clk *simtime.Sim, net *controller.Controller, id uint64) {
-	t.Helper()
-	if err := net.DestroyInstance(1); err != nil {
-		t.Fatal(err)
-	}
-	clk.RunUntil(clk.Now().Add(10 * time.Minute))
-	if _, err := net.Status(1); !errors.Is(err, controller.ErrInstanceGone) {
-		t.Fatalf("part not garbage-collected: %v", err)
-	}
-	_ = id
-}
-
-func TestMultiStatusErrorPath(t *testing.T) {
-	clk := simtime.NewSim(epoch)
-	netA := newNetwork(t, clk, 20)
-	netB := newNetwork(t, clk, 21)
-	feedIdle(clk, netA, 1, 11)
-	feedIdle(clk, netB, 100, 110)
-	m, _ := NewMulti(netA, netB)
-	inst, err := m.Create(controller.InstanceSpec{Image: spec().Image, Target: 10, InitialProbability: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Destroy part A behind the MultiInstance's back and let the
-	// maintenance loop garbage-collect it: aggregation must surface the
-	// ErrInstanceGone instead of silently reporting half the fleet.
-	gcPart(t, clk, netA, 1)
-	if _, err := inst.Status(); !errors.Is(err, controller.ErrInstanceGone) {
-		t.Fatalf("Status over a gone part = %v, want ErrInstanceGone", err)
-	}
-	netA.Stop()
-	netB.Stop()
-	clk.Wait()
-}
-
-func TestMultiResizeErrorPaths(t *testing.T) {
-	clk := simtime.NewSim(epoch)
-	netA := newNetwork(t, clk, 22)
-	netB := newNetwork(t, clk, 23)
-	feedIdle(clk, netA, 1, 11)
-	feedIdle(clk, netB, 100, 110)
-	m, _ := NewMulti(netA, netB)
-	inst, err := m.Create(controller.InstanceSpec{Image: spec().Image, Target: 10, InitialProbability: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := inst.Resize(-1); err == nil {
-		t.Fatal("negative target accepted")
-	}
-	gcPart(t, clk, netA, 1)
-	if err := inst.Resize(6); !errors.Is(err, controller.ErrInstanceGone) {
-		t.Fatalf("Resize over a gone part = %v, want ErrInstanceGone", err)
-	}
-	if err := inst.Destroy(); err == nil {
-		t.Fatal("Destroy should surface the gone part")
-	}
-	if err := inst.Resize(6); err == nil {
-		t.Fatal("resize after destroy accepted")
-	}
-	netA.Stop()
-	netB.Stop()
-	clk.Wait()
-}
-
-// TestMultiResizeFoldsNonParticipants: a network that received no share
-// at create time cannot gain one later; its share folds into the first
-// participating network so the aggregate target stays exact.
-func TestMultiResizeFoldsNonParticipants(t *testing.T) {
-	clk := simtime.NewSim(epoch)
-	netA := newNetwork(t, clk, 24)
-	netB := newNetwork(t, clk, 25)
-	feedIdle(clk, netA, 1, 11) // netB has no idle nodes: share 0
-	m, _ := NewMulti(netA, netB)
-	inst, err := m.Create(controller.InstanceSpec{Image: spec().Image, Target: 4, InitialProbability: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parts := inst.Parts(); parts[1] != 0 {
-		t.Fatalf("empty network received a share: %v", parts)
-	}
-	// Now netB has idle population, so the re-split assigns it weight —
-	// which must fold back into netA.
-	feedIdle(clk, netB, 100, 140)
-	if err := inst.Resize(8); err != nil {
-		t.Fatal(err)
-	}
-	agg, err := inst.Status()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if agg.Target != 8 {
-		t.Fatalf("aggregate target %d after fold-in resize, want 8", agg.Target)
-	}
-	netA.Stop()
-	netB.Stop()
-	clk.Wait()
-}
-
-// TestMultiCreateRollsBack: when a later network rejects its share, the
-// parts already created on earlier networks are destroyed again.
-func TestMultiCreateRollsBack(t *testing.T) {
-	clk := simtime.NewSim(epoch)
-	netA := newNetwork(t, clk, 26)
-	netB := newStoppedNetwork(t, clk, 27) // CreateInstance fails: not started
-	feedIdle(clk, netA, 1, 11)
-	feedIdle(clk, netB, 100, 110)
-	m, _ := NewMulti(netA, netB)
-	if _, err := m.Create(controller.InstanceSpec{Image: spec().Image, Target: 10, InitialProbability: 1}); err == nil {
-		t.Fatal("create against a dead network succeeded")
-	}
-	// The part staged on netA must have been rolled back (destroyed;
-	// the reset envelope lingers until garbage collection).
-	st, err := netA.Status(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Destroyed {
-		t.Fatal("rolled-back part still alive on network A")
-	}
-	netA.Stop()
-	clk.Wait()
-}
-
-func TestMultiRecompose(t *testing.T) {
-	clk := simtime.NewSim(epoch)
-	netA := newNetwork(t, clk, 28)
-	netB := newNetwork(t, clk, 29)
-	feedIdle(clk, netA, 1, 11)
-	feedIdle(clk, netB, 100, 110)
-	m, _ := NewMulti(netA, netB)
-	inst, err := m.Create(controller.InstanceSpec{Image: spec().Image, Target: 10, InitialProbability: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v2 := &appimage.Image{Name: "a", Version: 2, EntryPoint: "e", Payload: []byte{9, 9}}
-	if err := inst.Recompose(v2); err != nil {
-		t.Fatal(err)
-	}
-	agg, err := inst.Status()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Each part re-airs its wakeup once for the image update.
-	if agg.Wakeups != 4 {
-		t.Fatalf("aggregate wakeups %d after recompose, want 4", agg.Wakeups)
-	}
-	if err := inst.Destroy(); err != nil {
-		t.Fatal(err)
-	}
-	if err := inst.Recompose(v2); err == nil {
-		t.Fatal("recompose after destroy accepted")
-	}
-	netA.Stop()
-	netB.Stop()
-	clk.Wait()
-}
 
 func TestProviderRecomposeAndRebind(t *testing.T) {
 	p, clk, ctrl := newProvider(t)

@@ -13,8 +13,7 @@ import "sort"
 // larger weight and then the lower index: with idle populations [1, 3]
 // and target 2 the heavier network takes the spare unit ([0, 2]), where
 // a first-come scan would skew the small fleet onto the light network
-// ([1, 1]). The federation layer and Multi both route through this one
-// apportionment.
+// ([1, 1]). The federation layer routes through this apportionment.
 //
 // Negative weights count as zero. A weight vector that sums to zero
 // carries no information: the target spreads evenly, remainder to the

@@ -148,3 +148,45 @@ func TestSplitDegenerateInputs(t *testing.T) {
 		t.Fatalf("Split with negative weight = %v", out)
 	}
 }
+
+func TestSplitExactAndProportional(t *testing.T) {
+	got := Split(10, []int{30, 10})
+	if got[0]+got[1] != 10 {
+		t.Fatalf("split not exact: %v", got)
+	}
+	if got[0] != 8 && got[0] != 7 {
+		t.Fatalf("split not proportional: %v", got)
+	}
+	even := Split(10, []int{0, 0, 0})
+	if even[0]+even[1]+even[2] != 10 {
+		t.Fatalf("even split not exact: %v", even)
+	}
+}
+
+// Property: split always sums to the target and never goes negative.
+func TestSplitProperty(t *testing.T) {
+	f := func(target uint8, raw []uint8) bool {
+		if len(raw) == 0 {
+			raw = []uint8{1}
+		}
+		if len(raw) > 8 {
+			raw = raw[:8]
+		}
+		weights := make([]int, len(raw))
+		for i, w := range raw {
+			weights[i] = int(w)
+		}
+		out := Split(int(target), weights)
+		sum := 0
+		for _, v := range out {
+			if v < 0 {
+				return false
+			}
+			sum += v
+		}
+		return sum == int(target)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}

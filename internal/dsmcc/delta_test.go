@@ -95,6 +95,37 @@ func TestDeltaCycleCarriesOnlyChangedModules(t *testing.T) {
 	if got := len(mustDelta(t, c)); got != 1 {
 		t.Fatalf("no-op delta has %d sections, want 1 (DII only)", got)
 	}
+
+	// Re-air cost at image scale: changing k of 16 modules of 64 KiB may
+	// put at most 1.25× the changed payload on the wire — section and TS
+	// packet framing plus the directory, never an unchanged module.
+	const modules, moduleBytes = 16, 64 << 10
+	img, err := NewCarousel(0x420, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	files := make([]File, modules)
+	for i := range files {
+		files[i] = File{fmt.Sprintf("m%02d", i), randBytes(rng, moduleBytes)}
+	}
+	mustSetFiles(t, img, files...)
+	for _, k := range []int{1, 4, 16} {
+		for i := 0; i < k; i++ {
+			files[i].Data = randBytes(rng, moduleBytes)
+		}
+		mustSetFiles(t, img, files...)
+		l, err := img.Layout()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l.ChangedModules != k {
+			t.Fatalf("ChangedModules = %d after changing %d of %d", l.ChangedModules, k, modules)
+		}
+		if ratio := float64(l.DeltaWire) / float64(k*moduleBytes); ratio > 1.25 {
+			t.Fatalf("re-airing %d of %d modules costs %d wire bytes, %.3f× the changed payload (max 1.25×)",
+				k, modules, l.DeltaWire, ratio)
+		}
+	}
 }
 
 // A warm hash-aware receiver must converge to the new generation from
@@ -362,6 +393,43 @@ func TestMixedVersionInterop(t *testing.T) {
 			t.Fatal("hash-aware receiver failed against a pre-hash head-end")
 		}
 	})
+	t.Run("legacy receiver, lossy full cycles", func(t *testing.T) {
+		// A delta airing leaves a cold hash-unaware receiver without the
+		// unchanged module; it must still converge on the generation from
+		// full cycles that each lose a fifth of their sections. A
+		// 100-block module never arrives whole in one cycle (0.8¹⁰⁰), so
+		// this holds only if blocks are kept across cycles, in whatever
+		// order they land.
+		c, _ := NewCarousel(0x300, 0)
+		keep := randBytes(rng, 400_000)
+		mustSetFiles(t, c, File{"mod", data}, File{"keep", keep})
+		mustSetFiles(t, c, File{"mod", randBytes(rng, 20000)}, File{"keep", keep})
+		recv := NewReceiver()
+		recv.DisableHashes = true
+		feedSections(recv, mustDelta(t, c))
+		if _, ok := recv.File("keep"); ok {
+			t.Fatal("cold legacy receiver completed the unchanged module from a delta that does not carry it")
+		}
+		want := c.Files()
+		for cycle := 1; ; cycle++ {
+			if cycle > 20 {
+				t.Fatal("legacy receiver did not converge within 20 cycles at 20% section loss")
+			}
+			for _, sec := range mustCycle(t, c) {
+				if rng.Float64() >= 0.2 {
+					recv.HandleSection(sec)
+				}
+			}
+			done := true
+			for _, f := range want {
+				got, ok := recv.File(f.Name)
+				done = done && ok && bytes.Equal(got, f.Data)
+			}
+			if done {
+				break
+			}
+		}
+	})
 }
 
 func TestDIIHashExtensionCodec(t *testing.T) {
@@ -503,6 +571,31 @@ func TestRequestFileCachedDeliveryTiming(t *testing.T) {
 	}
 	if fullWait := b.airTime(e.WireEnd); warmWait >= fullWait {
 		t.Fatalf("warm delivery (%v) not faster than a full re-read (%v)", warmWait, fullWait)
+	}
+}
+
+// The federated seam: four shard carousels air one image and stage it
+// through one content-addressed store, so only the first goes to the air
+// for it and the aggregate hit rate is (k−1)/k.
+func TestSharedChunkCacheAcrossBroadcasters(t *testing.T) {
+	const shards = 4
+	clk := simtime.NewSim(epoch)
+	img := randBytes(rand.New(rand.NewSource(9)), 1<<20)
+	met := NewCacheMetrics(obs.NewRegistry())
+	shared := NewChunkCache(8 << 20)
+	shared.Instrument(met)
+	for s := 0; s < shards; s++ {
+		b := startBroadcaster(t, clk, 1e6, File{Name: "image", Data: img})
+		b.RequestFileCached("image", shared, FileGranularity, func(data []byte, _ time.Time, err error) {
+			if err != nil || !bytes.Equal(data, img) {
+				t.Errorf("shard %d: wrong image delivered, err=%v", s, err)
+			}
+		})
+		clk.Wait()
+	}
+	hits, misses := met.Hits(), met.Misses()
+	if total := hits + misses; total == 0 || float64(hits)/float64(total) < 0.70 {
+		t.Fatalf("shared cache saw %d hits and %d misses across %d shards, want a hit rate ≥0.70", hits, misses, shards)
 	}
 }
 

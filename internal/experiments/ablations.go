@@ -13,7 +13,7 @@ import (
 	"oddci/internal/core/controller"
 	"oddci/internal/core/instance"
 	"oddci/internal/dsmcc"
-	"oddci/internal/metrics"
+	"oddci/internal/experiments/stats"
 	"oddci/internal/middleware"
 	"oddci/internal/simtime"
 	"oddci/internal/system"
@@ -50,7 +50,7 @@ func runAblProb(cfg Config) (*Result, error) {
 	if cfg.Quick {
 		probs = []float64{0.3, 0.7}
 	}
-	tbl := metrics.NewTable(
+	tbl := stats.NewTable(
 		fmt.Sprintf("Joiners after one wakeup over %d idle nodes", nodes),
 		"p", "expected p·N", "joined", "|z| (binomial std units)")
 	maxZ := 0.0
@@ -88,7 +88,7 @@ func runAblProb(cfg Config) (*Result, error) {
 		tbl.AddRow(p, mean, joined, z)
 	}
 	return &Result{
-		Tables: []*metrics.Table{tbl},
+		Tables: []*stats.Table{tbl},
 		Notes: []string{
 			fmt.Sprintf("worst deviation %.2f binomial standard units — the gate sizes instances to ±√N accuracy, which the maintenance loop then trims", maxZ),
 		},
@@ -117,7 +117,7 @@ func runAblChurn(cfg Config) (*Result, error) {
 		cases = cases[2:]
 	}
 	target := nodes / 2
-	tbl := metrics.NewTable(
+	tbl := stats.NewTable(
 		fmt.Sprintf("Instance size under churn (N=%d, target=%d, 45 min)", nodes, target),
 		"churn", "mean size", "min", "max", "wakeup rebroadcasts", "power cycles")
 	for ci, cc := range cases {
@@ -144,7 +144,7 @@ func runAblChurn(cfg Config) (*Result, error) {
 		}); err != nil {
 			return nil, err
 		}
-		var size metrics.Sample
+		var size stats.Sample
 		for m := 10; m <= 45; m++ {
 			m := m
 			clk.AfterFunc(time.Duration(m)*time.Minute, func() {
@@ -166,7 +166,7 @@ func runAblChurn(cfg Config) (*Result, error) {
 		tbl.AddRow(cc.name, size.Mean(), size.Min(), size.Max(), wakeups, cycles)
 	}
 	return &Result{
-		Tables: []*metrics.Table{tbl},
+		Tables: []*stats.Table{tbl},
 		Notes: []string{
 			"the maintenance loop (heartbeat expiry + wakeup retransmission with re-estimated probability) holds the instance near target across churn regimes; harsher churn costs more rebroadcasts",
 		},
@@ -219,11 +219,11 @@ func runAblHeartbeat(cfg Config) (*Result, error) {
 	ctrl.Stop()
 	perSec := float64(n) / elapsed
 
-	tbl := metrics.NewTable("Heartbeat consolidation throughput (sharded consolidator, one core)",
+	tbl := stats.NewTable("Heartbeat consolidation throughput (sharded consolidator, one core)",
 		"heartbeats", "wall seconds", "heartbeats/s", "population @30s period", "population @5min period")
 	tbl.AddRow(n, elapsed, perSec, perSec*30, perSec*300)
 	return &Result{
-		Tables: []*metrics.Table{tbl},
+		Tables: []*stats.Table{tbl},
 		Notes: []string{
 			"the paper defers Controller-bottleneck engineering to future work (§3, footnote 3); the consolidator shards node state 64 ways (BenchmarkHandleHeartbeatParallel exercises all cores) and the heartbeat period — adaptively re-tuned when TargetHeartbeatRate is set — is the first-order scaling knob",
 		},
@@ -238,7 +238,7 @@ func runAblCarousel(cfg Config) (*Result, error) {
 	if cfg.Quick {
 		samples = 1000
 	}
-	tbl := metrics.NewTable("Carousel access latency in cycles, by target file share of cycle",
+	tbl := stats.NewTable("Carousel access latency in cycles, by target file share of cycle",
 		"file share", "file-gran. mean", "file-gran. max", "block-cache mean", "block-cache max")
 	for _, share := range []float64{0.1, 0.5, 0.9, 0.99} {
 		const total = 1 << 20
@@ -257,7 +257,7 @@ func runAblCarousel(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		var fg, bc metrics.Sample
+		var fg, bc stats.Sample
 		for i := 0; i < samples; i++ {
 			pos := rng.Int63n(l.CycleWire)
 			f, _ := l.NextCompletion("target", pos, dsmcc.FileGranularity)
@@ -268,7 +268,7 @@ func runAblCarousel(cfg Config) (*Result, error) {
 		tbl.AddRow(share, fg.Mean(), fg.Max(), bc.Mean(), bc.Max())
 	}
 	return &Result{
-		Tables: []*metrics.Table{tbl},
+		Tables: []*stats.Table{tbl},
 		Notes: []string{
 			"file-granularity receivers (the paper's model) pay up to ~2 cycles when the file dominates; block caching caps the wait at ~1 cycle — a free 33% wakeup improvement the standard permits",
 		},

@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"oddci/blast"
-	"oddci/internal/metrics"
+	"oddci/internal/experiments/stats"
 	"oddci/internal/netsim"
 	"oddci/internal/simtime"
 	"oddci/internal/stb"
@@ -109,10 +109,10 @@ func runTable2(cfg Config) (*Result, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed + 2))
 	perf := stb.DefaultPerf()
 
-	tbl := metrics.NewTable(
+	tbl := stats.NewTable(
 		"BLAST processing time (seconds)",
 		"#Test", "Query (nt)", "DB (kbases)", "PC", "STB in use", "STB standby", "Source")
-	var inUseOverPC, inUseOverStandby metrics.Sample
+	var inUseOverPC, inUseOverStandby stats.Sample
 	for _, t := range table2Tests(cfg.Quick) {
 		pc, hits, err := runBlastTest(t, rng, cellRate)
 		if err != nil {
@@ -148,7 +148,7 @@ func runTable2(cfg Config) (*Result, error) {
 			inUseOverPC.Mean(), inUseOverStandby.Mean()),
 		fmt.Sprintf("device-model pipeline check: a 10 reference-second task occupies the virtual clock for %.1fs in use", elapsed.Seconds()),
 	}
-	return &Result{Tables: []*metrics.Table{tbl}, Notes: notes}, nil
+	return &Result{Tables: []*stats.Table{tbl}, Notes: notes}, nil
 }
 
 // runTable3 reproduces the remote-processing category (#13–15): the STB
@@ -177,7 +177,7 @@ func runTable3(cfg Config) (*Result, error) {
 		tests = tests[:2]
 	}
 
-	tbl := metrics.NewTable(
+	tbl := stats.NewTable(
 		"Remote BLAST round trip (seconds, δ=150 kbps)",
 		"#Test", "Query (nt)", "DB (Mbases)", "Upload", "Server", "Download", "Total", "Local on STB")
 	notes := []string{}
@@ -222,5 +222,5 @@ func runTable3(cfg Config) (*Result, error) {
 	}
 	notes = append(notes,
 		"remote processing trades a ~20× device slowdown for two 150 kbps transfers: for large databases the server-side scan dominates and the STB is better used as a thin client — the paper's BLASTCL3 scenario")
-	return &Result{Tables: []*metrics.Table{tbl}, Notes: notes}, nil
+	return &Result{Tables: []*stats.Table{tbl}, Notes: notes}, nil
 }

@@ -6,7 +6,7 @@ import (
 
 	"oddci/internal/core/backend"
 	"oddci/internal/core/controller"
-	"oddci/internal/metrics"
+	"oddci/internal/experiments/stats"
 	"oddci/internal/netsim"
 	"oddci/internal/simtime"
 	"oddci/internal/system"
@@ -59,8 +59,8 @@ type ByzantineOutcome struct {
 // RunByzantineScenario assembles a full deployment with the scenario's
 // adversary plan, runs one job to completion, and audits the committed
 // results against ground truth. Shared by the byzantine experiment and
-// the oddci-bench adversary sweep, so the gates and the tables measure
-// the same code path.
+// TestByzantineGates, so the gates and the tables measure the same code
+// path.
 func RunByzantineScenario(sc ByzantineScenario) (*ByzantineOutcome, error) {
 	if sc.Nodes <= 0 {
 		sc.Nodes = 40
@@ -169,7 +169,7 @@ func runByzantine(cfg Config) (*Result, error) {
 		fractions = []float64{0, 0.2}
 		replications = []int{5}
 	}
-	tbl := metrics.NewTable(
+	tbl := stats.NewTable(
 		"Byzantine fraction × replication (40 nodes, 200 tasks, enforce mode)",
 		"f", "R", "byz nodes", "byz quarantined", "honest quarantined",
 		"wrong commits", "unresolved", "conflicts", "lies", "makespan")
@@ -187,7 +187,7 @@ func runByzantine(cfg Config) (*Result, error) {
 		}
 	}
 	return &Result{
-		Tables: []*metrics.Table{tbl},
+		Tables: []*stats.Table{tbl},
 		Notes: []string{
 			"weighted quorum at R=5 needs 3000 milli-credits of agreeing weight; colluding groups are capped at 2 members (2000), so agreeing liars cannot commit a wrong result — the R=3 rows show the margin boundary where a full-trust colluding pair reaches quorum",
 			"credential-only attackers (replay/forge) submit honest payloads and are caught purely by MAC verification in enforce mode; two rejections halve full trust below the 300 quarantine floor",

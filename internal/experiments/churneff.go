@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"oddci/internal/analytic"
-	"oddci/internal/metrics"
+	"oddci/internal/experiments/stats"
 	"oddci/internal/sim"
 )
 
@@ -37,7 +37,7 @@ func runChurnEff(cfg Config) (*Result, error) {
 		phis = []float64{1000}
 	}
 
-	tbl := metrics.NewTable(
+	tbl := stats.NewTable(
 		fmt.Sprintf("Efficiency under churn (N=%d, n/N=%d)", nodes, ratio),
 		"regime", "Φ", "efficiency", "vs stable model", "tasks lost", "departures")
 	for _, rg := range regimes {
@@ -76,7 +76,7 @@ func runChurnEff(cfg Config) (*Result, error) {
 		}
 	}
 	return &Result{
-		Tables: []*metrics.Table{tbl},
+		Tables: []*stats.Table{tbl},
 		Notes: []string{
 			"churn hurts most when task times approach session lengths (high Φ): lost work plus lease latency compound; short tasks barely notice churn",
 			"the paper's Figure 6 assumes nodes stay for the whole job (§5.2.1); this extension quantifies the optimism of that assumption",

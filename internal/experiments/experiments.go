@@ -10,7 +10,7 @@ import (
 	"sort"
 	"strings"
 
-	"oddci/internal/metrics"
+	"oddci/internal/experiments/stats"
 )
 
 // Config tunes a run.
@@ -25,8 +25,8 @@ type Config struct {
 type Result struct {
 	ID     string
 	Title  string
-	Tables []*metrics.Table
-	Figs   []*metrics.Figure
+	Tables []*stats.Table
+	Figs   []*stats.Figure
 	Notes  []string
 }
 

@@ -132,3 +132,31 @@ func TestTable2Shape(t *testing.T) {
 		t.Fatalf("no measured rows:\n%s", out)
 	}
 }
+
+// TestByzantineGates runs the full adversarial grid (fraction ×
+// replication × seed) and holds the two hardening gates in every cell:
+// no wrong commit at Replication 5 — the 3000 milli-credit quorum is out
+// of reach of colluding groups capped at 2000 — and at least 95% of the
+// byzantine population quarantined wherever there is one.
+func TestByzantineGates(t *testing.T) {
+	for _, r := range []int{3, 5} {
+		for _, f := range []float64{0, 0.1, 0.2, 0.3} {
+			for _, seed := range []int64{2009, 4181, 9973} {
+				out, err := RunByzantineScenario(ByzantineScenario{Fraction: f, Replication: r, Seed: seed})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r == 5 && out.WrongCommits != 0 {
+					t.Errorf("R=5 f=%.1f seed=%d: %d wrong commits", f, seed, out.WrongCommits)
+				}
+				if (f > 0) != (out.Byzantine > 0) {
+					t.Errorf("R=%d f=%.1f seed=%d: %d byzantine nodes", r, f, seed, out.Byzantine)
+				}
+				if float64(out.ByzQuarantined) < 0.95*float64(out.Byzantine) {
+					t.Errorf("R=%d f=%.1f seed=%d: %d of %d byzantine nodes quarantined, want ≥95%%",
+						r, f, seed, out.ByzQuarantined, out.Byzantine)
+				}
+			}
+		}
+	}
+}

@@ -5,7 +5,7 @@ import (
 	"math"
 
 	"oddci/internal/analytic"
-	"oddci/internal/metrics"
+	"oddci/internal/experiments/stats"
 	"oddci/internal/sim"
 )
 
@@ -30,7 +30,7 @@ var fig67Ratios = []float64{1, 10, 100, 1000}
 
 // desValidation runs the DES at sampled points and reports deviation
 // from the closed form.
-func desValidation(cfg Config, metric func(p analytic.Params, r sim.JobResult) (got, want float64)) (*metrics.Table, error) {
+func desValidation(cfg Config, metric func(p analytic.Params, r sim.JobResult) (got, want float64)) (*stats.Table, error) {
 	nodes := 200
 	phis := []float64{10, 1000, 100000}
 	ratios := []float64{10, 100}
@@ -38,7 +38,7 @@ func desValidation(cfg Config, metric func(p analytic.Params, r sim.JobResult) (
 		nodes = 50
 		phis = []float64{1000}
 	}
-	tbl := metrics.NewTable("DES cross-validation (N="+fmt.Sprint(nodes)+")",
+	tbl := stats.NewTable("DES cross-validation (N="+fmt.Sprint(nodes)+")",
 		"n/N", "Φ", "DES", "analytic", "deviation %")
 	for _, ratio := range ratios {
 		for _, phi := range phis {
@@ -66,7 +66,7 @@ func desValidation(cfg Config, metric func(p analytic.Params, r sim.JobResult) (
 }
 
 func runFig6(cfg Config) (*Result, error) {
-	fig := metrics.NewFigure("Efficiency of an OddCI-DTV instance, (s+r)=1 KB", "phi", "efficiency")
+	fig := stats.NewFigure("Efficiency of an OddCI-DTV instance, (s+r)=1 KB", "phi", "efficiency")
 	for _, ratio := range fig67Ratios {
 		s := fig.AddSeries(fmt.Sprintf("n/N=%g", ratio))
 		for _, phi := range fig67Phis(cfg.Quick) {
@@ -85,11 +85,11 @@ func runFig6(cfg Config) (*Result, error) {
 		"Φ = p·δ/(s+r) (the paper's printed formula is inverted relative to its own numeric anchors; see DESIGN.md)",
 		"DES deviations at small n/N stem from join-phase discreteness: with ~1 task per node the slowest joiner (2 cycles) sets the makespan while the closed form charges the 1.5-cycle mean",
 	}
-	return &Result{Figs: []*metrics.Figure{fig}, Tables: []*metrics.Table{val}, Notes: notes}, nil
+	return &Result{Figs: []*stats.Figure{fig}, Tables: []*stats.Table{val}, Notes: notes}, nil
 }
 
 func runFig7(cfg Config) (*Result, error) {
-	fig := metrics.NewFigure("Makespan of an OddCI-DTV instance (log y)", "phi", "makespan seconds")
+	fig := stats.NewFigure("Makespan of an OddCI-DTV instance (log y)", "phi", "makespan seconds")
 	for _, ratio := range fig67Ratios {
 		s := fig.AddSeries(fmt.Sprintf("n/N=%g", ratio))
 		for _, phi := range fig67Phis(cfg.Quick) {
@@ -106,5 +106,5 @@ func runFig7(cfg Config) (*Result, error) {
 	notes := []string{
 		"high efficiency buys long makespans: at fixed n/N the makespan grows ~linearly in Φ once compute dominates the wakeup term — the efficiency/latency compromise §5.2.2 discusses",
 	}
-	return &Result{Figs: []*metrics.Figure{fig}, Tables: []*metrics.Table{val}, Notes: notes}, nil
+	return &Result{Figs: []*stats.Figure{fig}, Tables: []*stats.Table{val}, Notes: notes}, nil
 }

@@ -7,7 +7,7 @@ import (
 
 	"oddci/internal/core/controller"
 	"oddci/internal/core/provider"
-	"oddci/internal/metrics"
+	"oddci/internal/experiments/stats"
 	"oddci/internal/netsim"
 	"oddci/internal/obs"
 	"oddci/internal/simtime"
@@ -36,10 +36,10 @@ func runLifecycle(cfg Config) (*Result, error) {
 		failProbs = []float64{0, 0.25}
 	}
 
-	tbl := metrics.NewTable(
+	tbl := stats.NewTable(
 		fmt.Sprintf("Lifecycle churn, %d create→destroy rounds over 12 power-cycling nodes", cyclesFor(cfg.Quick)),
 		"update fail prob", "rounds", "injected", "failed", "refresh retries", "GCs", "peak resets on air", "final files", "final ctl bytes")
-	telTbl := metrics.NewTable(
+	telTbl := stats.NewTable(
 		"Live telemetry snapshot at end of run (obs registry)",
 		"update fail prob", "heartbeats", "wakeups", "joins", "nodes expired", "resets sent", "wakeup→join p90 (s)", "broadcast MB")
 
@@ -129,7 +129,7 @@ func runLifecycle(cfg Config) (*Result, error) {
 			mbAired)
 	}
 	return &Result{
-		Tables: []*metrics.Table{tbl, telTbl},
+		Tables: []*stats.Table{tbl, telTbl},
 		Notes: []string{
 			"destroyed instances keep their reset on air for a bounded retransmission window, then are GC'd: final carousel always returns to 2 files (xlet + control file) and an empty control file",
 			"failed carousel updates never strand state — the refresh retries with exponential backoff and each maintenance pass re-attempts, so higher fail probabilities cost retries, not correctness",

@@ -1,9 +1,9 @@
-// Package metrics provides the measurement toolkit used by the
+// Package stats provides the measurement toolkit used by the
 // experiment harness: summary statistics with confidence intervals (the
 // paper reports means "with a confidence level of 90%"), makespan and
 // efficiency accounting for job runs, and plain-text table/series
 // rendering in the style of the paper's tables and figures.
-package metrics
+package stats
 
 import (
 	"fmt"

@@ -5,7 +5,7 @@ import (
 	"time"
 
 	"oddci/internal/baseline"
-	"oddci/internal/metrics"
+	"oddci/internal/experiments/stats"
 	"oddci/internal/simtime"
 )
 
@@ -31,10 +31,10 @@ func runTable1(cfg Config) (*Result, error) {
 	if cfg.Quick {
 		ns = []int{100, 10000, 1000000}
 	}
-	tbl := metrics.NewTable(
+	tbl := stats.NewTable(
 		"Setup time (last node ready, seconds) — image 8 MB",
 		"N", "OddCI (β=1Mbps)", "Desktop grid (1Gbps uplink)", "IaaS (C=100, 2min boot)", "Multicast tree (k=8)")
-	fig := metrics.NewFigure("Table I scalability", "N", "setup seconds")
+	fig := stats.NewFigure("Table I scalability", "N", "setup seconds")
 	so := fig.AddSeries("oddci")
 	sg := fig.AddSeries("desktop-grid")
 	si := fig.AddSeries("iaas")
@@ -94,5 +94,5 @@ func runTable1(cfg Config) (*Result, error) {
 	if crossover != "" {
 		notes = append(notes, crossover)
 	}
-	return &Result{Tables: []*metrics.Table{tbl}, Figs: []*metrics.Figure{fig}, Notes: notes}, nil
+	return &Result{Tables: []*stats.Table{tbl}, Figs: []*stats.Figure{fig}, Notes: notes}, nil
 }

@@ -5,8 +5,8 @@ import (
 	"math/rand"
 
 	"oddci/internal/dsmcc"
+	"oddci/internal/experiments/stats"
 	"oddci/internal/flute"
-	"oddci/internal/metrics"
 	"oddci/internal/simtime"
 )
 
@@ -27,7 +27,7 @@ func runAblTransport(cfg Config) (*Result, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 17))
 
-	tbl := metrics.NewTable(
+	tbl := stats.NewTable(
 		"Random-phase wakeup, cycles of the respective carousel (β equal)",
 		"Image (MB)", "DTV mean", "DTV max", "FLUTE mean", "FLUTE max")
 	for _, img := range images {
@@ -54,7 +54,7 @@ func runAblTransport(cfg Config) (*Result, error) {
 		if err := caster.Start(files); err != nil {
 			return nil, err
 		}
-		var dtv, fm metrics.Sample
+		var dtv, fm stats.Sample
 		for i := 0; i < samples; i++ {
 			dp := rng.Int63n(dl.CycleWire)
 			dd, _ := dl.NextCompletion("image", dp, dsmcc.FileGranularity)
@@ -69,7 +69,7 @@ func runAblTransport(cfg Config) (*Result, error) {
 		tbl.AddRow(float64(img)/(1<<20), dtv.Mean(), dtv.Max(), fm.Mean(), fm.Max())
 	}
 	return &Result{
-		Tables: []*metrics.Table{tbl},
+		Tables: []*stats.Table{tbl},
 		Notes: []string{
 			"FLUTE's interleaved chunks plus receiver-side caching cap the wakeup at 1.0 cycle (vs the DTV receiver's 1.5 mean / 2.0 max) — §3.3's substrate choice has a measurable wakeup consequence",
 			"the full control plane runs unchanged over either substrate (see TestEndToEndOverIPMulticast)",

@@ -5,7 +5,7 @@ import (
 	"math/rand"
 
 	"oddci/internal/dsmcc"
-	"oddci/internal/metrics"
+	"oddci/internal/experiments/stats"
 )
 
 func init() {
@@ -27,10 +27,10 @@ func runWakeup(cfg Config) (*Result, error) {
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 3))
 
-	tbl := metrics.NewTable(
+	tbl := stats.NewTable(
 		"Wakeup time (seconds)",
 		"Image (MB)", "β (Mbps)", "analytic 1.5·I/β", "measured mean (file gran.)", "measured max", "block-cache mean")
-	fig := metrics.NewFigure("Wakeup vs image size (β=1 Mbps)", "image MB", "seconds")
+	fig := stats.NewFigure("Wakeup vs image size (β=1 Mbps)", "image MB", "seconds")
 	sa := fig.AddSeries("analytic")
 	sm := fig.AddSeries("measured")
 
@@ -54,7 +54,7 @@ func runWakeup(cfg Config) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			var fg, bc metrics.Sample
+			var fg, bc stats.Sample
 			var fgMax float64
 			byteSec := 8 / beta
 			for i := 0; i < samples; i++ {
@@ -90,5 +90,5 @@ func runWakeup(cfg Config) (*Result, error) {
 		"the block-cache receiver (out-of-order block reassembly) needs only ~1.0 cycle — the ablation the paper's file-granularity receiver leaves on the table",
 		"the paper's text claims <64 s for an 8 MB image at 1 Mbps, but its own W formula gives 96 s; the formula (and our measurement) is taken as authoritative",
 	}
-	return &Result{Tables: []*metrics.Table{tbl}, Figs: []*metrics.Figure{fig}, Notes: notes}, nil
+	return &Result{Tables: []*stats.Table{tbl}, Figs: []*stats.Figure{fig}, Notes: notes}, nil
 }

@@ -24,7 +24,7 @@ import (
 // DriverConfig configures a federation convergence run: real journal-
 // backed Controllers, one per shard, driven against a simulated PNA
 // population on a virtual clock. This is the machinery behind the
-// `oddci-bench -sweep federation` gate.
+// convergence and failover gates in driver_test.go.
 type DriverConfig struct {
 	Shards      int
 	PerShardPop int // simulated PNAs per shard

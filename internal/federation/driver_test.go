@@ -72,3 +72,32 @@ func TestDriverRebalance(t *testing.T) {
 		t.Fatalf("convergence without rebalancing a starved shard: %+v", res)
 	}
 }
+
+// TestDriverConvergenceFlatInShards: with the per-shard population and
+// target held fixed, convergence at 2…16 shards stays within 1.15× the
+// one-shard run, with no wakeup aired twice — sharding the control plane
+// buys capacity, not latency.
+func TestDriverConvergenceFlatInShards(t *testing.T) {
+	const perShardPop, perShardTarget = 1024, 128
+	var oneShard float64
+	for _, shards := range []int{1, 2, 4, 8, 16} {
+		res, err := RunDriver(DriverConfig{
+			Shards: shards, PerShardPop: perShardPop, TotalTarget: perShardTarget * shards,
+			ImageBytes: 1_250_000, Beta: 1e6, // C = 10 s
+			Seed: 2009, BaseDir: t.TempDir(), KillShard: -1,
+		})
+		if err != nil {
+			t.Fatalf("%d shards: %v", shards, err)
+		}
+		if !res.Converged || res.DuplicateWakeup != 0 {
+			t.Fatalf("%d shards: converged=%v with %d duplicate wakeups: %+v", shards, res.Converged, res.DuplicateWakeup, res)
+		}
+		if shards == 1 {
+			oneShard = res.ConvergeSeconds
+		}
+		if ratio := res.ConvergeSeconds / oneShard; ratio > 1.15 {
+			t.Fatalf("%d shards converge in %.1fs, %.2f× the one-shard %.1fs (max 1.15×)",
+				shards, res.ConvergeSeconds, ratio, oneShard)
+		}
+	}
+}

@@ -281,8 +281,7 @@ type FedInstance struct {
 }
 
 // Create provisions one logical instance across the live shards,
-// splitting the target in proportion to each shard's idle population
-// (replacing the static split of the single-network Multi provider).
+// splitting the target in proportion to each shard's idle population.
 func (f *Federation) Create(spec controller.InstanceSpec) (*FedInstance, error) {
 	if spec.Target <= 0 {
 		return nil, errors.New("federation: target must be positive")
@@ -402,9 +401,9 @@ func (fi *FedInstance) Status() (controller.InstanceStatus, error) {
 }
 
 // Resize re-splits the new aggregate target over live shards by idle
-// capacity plus current membership. Unlike the single-network Multi, a
-// shard that had no part can gain one: every shard airs its own
-// carousel, so new content starts airing on the shard at create time.
+// capacity plus current membership. A shard that had no part can gain
+// one: every shard airs its own carousel, so new content starts airing
+// on the shard at create time.
 func (fi *FedInstance) Resize(target int) error {
 	if target < 0 {
 		return errors.New("federation: negative target")

@@ -467,8 +467,7 @@ func TestFedInstanceResizeRecompose(t *testing.T) {
 	}
 
 	// Idle appears on shard 1; growing the instance must open a part
-	// there — unlike the single-network Multi, each shard airs its own
-	// carousel.
+	// there: each shard airs its own carousel.
 	feedIdle(t, clk, fed, 1, 100, 140)
 	if err := inst.Resize(16); err != nil {
 		t.Fatal(err)

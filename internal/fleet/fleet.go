@@ -40,8 +40,9 @@
 //     match the numerical inverse of the churn-adjusted ramp within
 //     the binomial fluctuation divided by the curve's local slope.
 //
-// Result.Validate applies all three bounds; the fleet sweep in
-// cmd/oddci-bench fails its JSON gate on any violation.
+// Result.Validate applies all three bounds; TestRunValidates holds
+// runs of 2·10³ to 10⁵ nodes to them, and the repository benchmark's
+// fleet_ramp workload every run of 10⁶.
 package fleet
 
 import (

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -9,39 +10,45 @@ import (
 	"oddci/internal/analytic"
 )
 
-// TestRunValidates is the main cross-validation gate at test scale: a
-// few thousand nodes through warm-up, wakeup, and ramp, with every
-// availability and ramp sample inside its analytic bound.
+// TestRunValidates is the main cross-validation gate, at every rung
+// below the 10⁶ run the benchmark's fleet_ramp workload validates: warm-up,
+// wakeup, and ramp, with every availability and ramp sample inside its
+// analytic bound.
 func TestRunValidates(t *testing.T) {
-	r, err := Run(Config{Nodes: 2000, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if r.Availability != 0.75 {
-		t.Fatalf("model availability = %v, want 0.75 for 3h on / 1h off", r.Availability)
-	}
-	// AvailAtWake is Binomial(2000, 0.75): mean 1500, σ ≈ 19.4.
-	if r.AvailAtWake < 1350 || r.AvailAtWake > 1650 {
-		t.Fatalf("AvailAtWake = %d, implausible for Binomial(2000, 0.75)", r.AvailAtWake)
-	}
-	if len(r.Avail) != 48 || len(r.Ramp) != 48 {
-		t.Fatalf("curve lengths %d/%d, want 48 samples each", len(r.Avail), len(r.Ramp))
-	}
-	if r.QuorumSimSeconds < 0 {
-		t.Fatal("quorum never reached")
-	}
-	// Defaults: C = 80s, quorum 0.8 ⇒ model ≈ C(1+q) minus a hair of churn.
-	if r.QuorumModelSeconds < 140 || r.QuorumModelSeconds > 160 {
-		t.Fatalf("model quorum = %.1fs, want near C(1+0.8) = 144s", r.QuorumModelSeconds)
-	}
-	if r.Heartbeats == 0 {
-		t.Fatal("no heartbeats generated")
-	}
-	if r.DirectJoins == 0 || r.FinalJoined == 0 {
-		t.Fatalf("no joins recorded: direct=%d final=%d", r.DirectJoins, r.FinalJoined)
+	for _, n := range []int{2_000, 10_000, 100_000} {
+		t.Run(fmt.Sprint(n), func(t *testing.T) {
+			r, err := Run(Config{Nodes: n, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			if r.Availability != 0.75 {
+				t.Fatalf("model availability = %v, want 0.75 for 3h on / 1h off", r.Availability)
+			}
+			// AvailAtWake is Binomial(n, 0.75): σ = √(n·0.75·0.25).
+			mean, sigma := 0.75*float64(n), math.Sqrt(float64(n)*0.75*0.25)
+			if d := math.Abs(float64(r.AvailAtWake) - mean); d > 8*sigma {
+				t.Fatalf("AvailAtWake = %d, implausible for Binomial(%d, 0.75)", r.AvailAtWake, n)
+			}
+			if len(r.Avail) != 48 || len(r.Ramp) != 48 {
+				t.Fatalf("curve lengths %d/%d, want 48 samples each", len(r.Avail), len(r.Ramp))
+			}
+			if r.QuorumSimSeconds < 0 {
+				t.Fatal("quorum never reached")
+			}
+			// Defaults: C = 80s, quorum 0.8 ⇒ model ≈ C(1+q) minus a hair of churn.
+			if r.QuorumModelSeconds < 140 || r.QuorumModelSeconds > 160 {
+				t.Fatalf("model quorum = %.1fs, want near C(1+0.8) = 144s", r.QuorumModelSeconds)
+			}
+			if r.Heartbeats == 0 {
+				t.Fatal("no heartbeats generated")
+			}
+			if r.DirectJoins == 0 || r.FinalJoined == 0 {
+				t.Fatalf("no joins recorded: direct=%d final=%d", r.DirectJoins, r.FinalJoined)
+			}
+		})
 	}
 }
 

@@ -216,27 +216,33 @@ func (s *Sim) maybeAdvanceLocked() {
 	}
 	s.advancing = false
 	s.cond.Broadcast()
-	if s.actors > 0 && s.runnable == 0 && s.publishing == 0 && s.live == 0 {
-		msg := fmt.Sprintf("simtime: deadlock: %d goroutine(s) parked with no pending events at %s",
-			s.actors, s.now.Format(time.RFC3339Nano))
-		s.mu.Unlock() // release before panicking so recovery does not poison the clock
-		panic(msg)
-	}
 }
 
 // Wait implements Clock. It drives the event loop when no participating
 // goroutines exist, and otherwise blocks until all of them have returned
 // and the event queue is drained of live events.
+//
+// Wait is also where a deadlock is declared: every actor parked, nothing
+// live, and the driver here, so nobody is left who could book an event.
+// An actor that parks before the driver reaches Wait proves nothing —
+// the driver may still be about to call AfterFunc.
 func (s *Sim) Wait() {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	for {
-		if !s.advancing && s.runnable == 0 && s.publishing == 0 && s.live > 0 {
+		idle := !s.advancing && s.runnable == 0 && s.publishing == 0
+		if idle && s.live > 0 {
 			s.maybeAdvanceLocked()
 			continue
 		}
 		if s.actors == 0 && s.live == 0 && !s.advancing {
+			s.mu.Unlock()
 			return
+		}
+		if idle && s.actors > 0 {
+			msg := fmt.Sprintf("simtime: deadlock: %d goroutine(s) parked with no pending events at %s",
+				s.actors, s.now.Format(time.RFC3339Nano))
+			s.mu.Unlock() // release before panicking so recovery does not poison the clock
+			panic(msg)
 		}
 		s.cond.Wait()
 	}

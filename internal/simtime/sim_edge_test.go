@@ -127,16 +127,15 @@ func TestSimRunUntilRejectsActors(t *testing.T) {
 // hung fleet runs debuggable.
 func TestSimDeadlockPanicMessage(t *testing.T) {
 	clk := NewSim(epoch)
-	msg := make(chan any, 1)
 	clk.Go(func() {
-		defer func() { msg <- recover() }()
 		clk.Suspend(func(wake func()) {}) // wake is dropped: nothing can ever fire
 	})
 	select {
-	case p := <-msg:
+	case p := <-waitPanic(clk):
 		s, ok := p.(string)
-		if !ok || !strings.Contains(s, "deadlock") || !strings.Contains(s, "1 goroutine") {
-			t.Fatalf("panic = %v, want a deadlock message naming the parked goroutine count", p)
+		if !ok || !strings.Contains(s, "deadlock") || !strings.Contains(s, "1 goroutine") ||
+			!strings.Contains(s, epoch.Format(time.RFC3339Nano)) {
+			t.Fatalf("panic = %v, want a deadlock message naming the parked goroutine count and the instant", p)
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("deadlock not detected")

@@ -3,6 +3,7 @@ package simtime
 import (
 	"math/rand"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -148,20 +149,93 @@ func TestSimWakeBeforeParkIsSafe(t *testing.T) {
 	}
 }
 
+// waitPanic runs clk.Wait on its own goroutine and delivers what it
+// panicked with, or nil if it returned.
+func waitPanic(clk *Sim) <-chan any {
+	out := make(chan any, 1)
+	go func() {
+		defer func() { out <- recover() }()
+		clk.Wait()
+	}()
+	return out
+}
+
 func TestSimDeadlockPanics(t *testing.T) {
 	clk := NewSim(epoch)
-	panicked := make(chan any, 1)
 	clk.Go(func() {
-		defer func() { panicked <- recover() }()
 		clk.Suspend(func(wake func()) {}) // nobody will ever wake us
 	})
 	select {
-	case p := <-panicked:
+	case p := <-waitPanic(clk):
 		if p == nil {
-			t.Fatal("expected deadlock panic, got nil recover")
+			t.Fatal("Wait returned with an actor parked forever, want a deadlock panic")
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("deadlock not detected")
+	}
+}
+
+// TestSimParkBeforeDriverBooksIsNotDeadlock: actors that park while the
+// owning goroutine has yet to book the event that wakes them are not
+// deadlocked — the owner is not in Wait, so it can still call AfterFunc.
+// parked closes when the last actor has published its wake, and the
+// sleep then lets it finish parking, so the event is booked only once
+// every actor is blocked with nothing pending.
+func TestSimParkBeforeDriverBooksIsNotDeadlock(t *testing.T) {
+	clk := NewSim(epoch)
+	const actors = 3
+	var mu sync.Mutex
+	var wakes []func()
+	parked := make(chan struct{})
+	resumed := 0
+	for i := 0; i < actors; i++ {
+		clk.Go(func() {
+			clk.Suspend(func(wake func()) {
+				mu.Lock()
+				wakes = append(wakes, wake)
+				if len(wakes) == actors {
+					close(parked)
+				}
+				mu.Unlock()
+			})
+			mu.Lock()
+			resumed++
+			mu.Unlock()
+		})
+	}
+	<-parked
+	time.Sleep(100 * time.Millisecond)
+	clk.AfterFunc(time.Second, func() {
+		for _, wake := range wakes {
+			wake()
+		}
+	})
+	clk.Wait()
+	if resumed != actors {
+		t.Fatalf("%d of %d actors resumed", resumed, actors)
+	}
+}
+
+// TestSimDeadlockAfterEventsDrain: the genuine case. The driver is in
+// Wait, the last event fires without waking anybody, and every actor is
+// parked: nothing can book another event, so Wait panics.
+func TestSimDeadlockAfterEventsDrain(t *testing.T) {
+	clk := NewSim(epoch)
+	for i := 0; i < 3; i++ {
+		clk.Go(func() { clk.Suspend(func(wake func()) {}) })
+	}
+	clk.AfterFunc(time.Second, func() {})
+	select {
+	case p := <-waitPanic(clk):
+		s, _ := p.(string)
+		if !strings.Contains(s, "deadlock: 3 goroutine(s) parked") {
+			t.Fatalf("Wait panic = %v, want a deadlock naming 3 parked goroutines", p)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("deadlock not detected")
+	}
+	if !clk.Now().Equal(epoch.Add(time.Second)) {
+		t.Fatalf("deadlock declared at %v, want after the last event at epoch+1s", clk.Now())
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"oddci/internal/dsmcc"
+	"oddci/internal/span"
 )
 
 // writeLog is the node's connection with every Write recorded as the
@@ -245,6 +246,67 @@ func TestTaskDecodeAllocCeilings(t *testing.T) {
 		}
 	}); got != 0 {
 		t.Errorf("FrameReader.Next allocates %.0f times per frame", got)
+	}
+}
+
+// handoffAllocs serves one wire-level client from a loopback coordinator
+// carrying spans, and reports what one hand-off — the assignment read,
+// then its result and the next request in one write, the cadence runNode
+// ships — allocates across the whole process, both ends included.
+func handoffAllocs(t *testing.T, spans *span.Collector) float64 {
+	t.Helper()
+	const runs = 300
+	coord := serveCoordinator(t, CoordinatorConfig{Image: testImage(), Spans: spans})
+	// One warm-up hand-off here, one inside AllocsPerRun, and the last
+	// request still draws an assignment.
+	if _, err := coord.Submit(testJob(t, runs+3)); err != nil {
+		t.Fatal(err)
+	}
+	p, err := dialRaw(coord.Addr(), Hello{Wire: WireVersion, NodeID: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	p.conn.SetDeadline(time.Now().Add(30 * time.Second))
+	reqFrame, _ := AppendFrame(nil, FrameTaskRequest, AppendTaskRequest(nil, &TaskRequestMsg{NodeID: 1}))
+	if _, err := p.conn.Write(reqFrame); err != nil {
+		t.Fatal(err)
+	}
+	var wbuf []byte
+	var assign TaskAssignMsg
+	handoff := func() {
+		typ, payload, err := p.fr.Next()
+		for err == nil && typ != FrameTaskAssign { // the staged broadcast, ahead of the first reply
+			typ, payload, err = p.fr.Next()
+		}
+		if err == nil {
+			err = DecodeTaskAssign(payload, &assign)
+		}
+		if err == nil {
+			wbuf = BeginFrame(wbuf[:0], FrameTaskResult)
+			wbuf = AppendTaskResult(wbuf, &TaskResultMsg{NodeID: 1, JobID: assign.JobID, TaskID: assign.TaskID})
+			wbuf, err = EndFrame(wbuf, 0)
+		}
+		if err == nil {
+			wbuf = append(wbuf, reqFrame...)
+			_, err = p.conn.Write(wbuf)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	handoff()
+	return testing.AllocsPerRun(runs, handoff)
+}
+
+// TestSampledOffTracingAllocatesNothing: a coordinator whose collector
+// loses every head-based draw pays for tracing in nil checks alone, so a
+// hand-off against it allocates no more than one with no collector.
+func TestSampledOffTracingAllocatesNothing(t *testing.T) {
+	untraced := handoffAllocs(t, nil)
+	off := handoffAllocs(t, span.NewCollector(span.Config{Capacity: 4096, SampleRate: -1}))
+	if off > untraced {
+		t.Fatalf("sampled-off hand-off allocates %.0f times, untraced %.0f", off, untraced)
 	}
 }
 
