@@ -66,31 +66,52 @@ func BenchmarkChurnEfficiency(b *testing.B) { benchExperiment(b, "churn-eff") }
 // substrates' wakeup distributions.
 func BenchmarkAblationTransport(b *testing.B) { benchExperiment(b, "abl-transport") }
 
+// deployAndRun is one whole live-mode deployment through the facade: a
+// job of 5-second tasks, a 1 MiB worker image staged to every node, run
+// to completion on the virtual clock.
+func deployAndRun(tb testing.TB, nodes, tasks int, seed int64) (time.Duration, *JobHandle) {
+	tb.Helper()
+	sys, err := New(Options{Nodes: nodes, Seed: seed})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	job, err := (&Generator{Name: "bench", Tasks: tasks, MeanSeconds: 5,
+		InputBytes: 512, OutputBytes: 512, ImageBytes: 1 << 20}).Generate()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	h, err := sys.SubmitJob(job)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := sys.CreateInstance(InstanceSpec{
+		Image: WorkerImage(1 << 20), Target: nodes, InitialProbability: 1,
+	}); err != nil {
+		tb.Fatal(err)
+	}
+	makespan, err := sys.RunJob(h)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return makespan, h
+}
+
 // BenchmarkEndToEndSmallJob runs a complete live deployment (32 STBs,
 // 128 tasks) per iteration: the product's end-to-end hot path.
 func BenchmarkEndToEndSmallJob(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		sys, err := New(Options{Nodes: 32, Seed: int64(i)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		job, err := (&Generator{Name: "bench", Tasks: 128, MeanSeconds: 5,
-			InputBytes: 512, OutputBytes: 512, ImageBytes: 1 << 20}).Generate()
-		if err != nil {
-			b.Fatal(err)
-		}
-		h, err := sys.SubmitJob(job)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sys.CreateInstance(InstanceSpec{
-			Image: WorkerImage(1 << 20), Target: 32, InitialProbability: 1,
-		}); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sys.RunJob(h); err != nil {
-			b.Fatal(err)
-		}
+		deployAndRun(b, 32, 128, int64(i))
+	}
+}
+
+// BenchmarkSimDeploy128 is the benchmark's sim_deploy op (128 STBs,
+// 1024 tasks, 1 MiB image) under `go test -bench SimDeploy -benchmem`:
+// B/op is what staging allocates, which must not grow with the node
+// count times the image size.
+func BenchmarkSimDeploy128(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		deployAndRun(b, 128, 1024, int64(i))
 	}
 }
 

@@ -47,7 +47,8 @@ func (im *Image) Encode() ([]byte, error) {
 	return b, nil
 }
 
-// Decode parses an encoded image.
+// Decode parses an encoded image. The returned Payload aliases raw, so
+// it is read-only whenever raw is (a shared carousel delivery is).
 func Decode(raw []byte) (*Image, error) {
 	if len(raw) < 10 {
 		return nil, errors.New("appimage: truncated")

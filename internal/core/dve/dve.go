@@ -59,7 +59,10 @@ type Env struct {
 	Clk        simtime.Clock
 	NodeID     uint64
 	InstanceID instance.ID
-	Image      *appimage.Image
+	// Image is the verified application. Its Payload aliases the bytes
+	// the carousel delivered, which every node of the instance shares:
+	// applications read it and never write it.
+	Image *appimage.Image
 	// Backend is the direct channel to the Backend component.
 	Backend *netsim.Endpoint
 	// TaskDuration converts a reference-STB processing time to this

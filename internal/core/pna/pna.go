@@ -381,6 +381,10 @@ func (p *PNA) handleWakeup(w *control.Wakeup) {
 		} else {
 			p.met.imageLoad.ObserveDuration(loadDur)
 		}
+		// data is shared with every other PNA this generation reached
+		// and img.Payload aliases it into the DVE (read-only, see
+		// xlet.Context.ReadFile). Sharing the slice does not share the
+		// check: each node verifies the bytes it was handed.
 		img, err := appimage.Verify(data, w.ImageDigest)
 		if err != nil {
 			p.mu.Lock()

@@ -553,3 +553,34 @@ func TestHeartbeatPeriodRetuneApplied(t *testing.T) {
 		t.Fatalf("heartbeats = %d; period retune not applied", got)
 	}
 }
+
+// Each PNA verifies the bytes it was itself handed: of two nodes that
+// hear one signed wakeup and receive different buffers of equal length,
+// only the one whose buffer matches the digest launches.
+func TestDigestCheckedPerNodeBuffer(t *testing.T) {
+	good, bad := newRig(t, nil), newRig(t, nil)
+	_, imgRaw, digest := good.image(t)
+	other := append([]byte(nil), imgRaw...)
+	other[len(other)/2] ^= 0x80 // inside the payload: still decodes, no longer the signed image
+	for _, n := range []struct {
+		r   *rig
+		raw []byte
+	}{{good, imgRaw}, {bad, other}} {
+		n.r.ctx.setFiles(map[string][]byte{
+			DefaultConfigFile: n.r.wakeupConfig(t, n.r.baseWakeup(digest)),
+			"image.1":         n.raw,
+		})
+		n.r.agent.StartXlet()
+		n.r.clk.AfterFunc(time.Minute, func() { n.r.agent.DestroyXlet(true) })
+		n.r.clk.Wait()
+	}
+	if good.appRuns != 1 || good.agent.Rejections != 0 {
+		t.Fatalf("matching buffer: app ran %d times, %d rejections", good.appRuns, good.agent.Rejections)
+	}
+	if bad.appRuns != 0 || bad.agent.Rejections == 0 {
+		t.Fatalf("mismatching buffer: app ran %d times, %d rejections", bad.appRuns, bad.agent.Rejections)
+	}
+	if st, _ := bad.agent.State(); st != control.StateIdle {
+		t.Fatalf("state = %v after aborted join", st)
+	}
+}

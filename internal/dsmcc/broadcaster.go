@@ -117,6 +117,15 @@ func (b *Broadcaster) Start(files []File) error {
 	return nil
 }
 
+// Layout returns the schedule of the generation on air (nil before
+// Start). A Layout is never modified once computed; its entries' Data is
+// the shared, read-only content RequestFile delivers.
+func (b *Broadcaster) Layout() *Layout {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.layout
+}
+
 // Generation returns the generation currently on air.
 func (b *Broadcaster) Generation() uint32 {
 	b.mu.Lock()
@@ -234,7 +243,9 @@ var ErrNoSuchFile = errors.New("dsmcc: no such file in carousel")
 // disappears from the carousel before delivery. If the carousel content
 // changes mid-read (version bump), the read restarts against the new
 // generation, exactly as a receiver re-acquiring a new module version
-// would.
+// would. The data is the carousel's own slice (LayoutEntry.Data), the
+// same one for every receiver of that generation: read it, never write
+// it.
 func (b *Broadcaster) RequestFile(name string, strategy ReceiverStrategy, fn func(data []byte, at time.Time, err error)) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -254,7 +265,9 @@ func (b *Broadcaster) RequestFile(name string, strategy ReceiverStrategy, fn fun
 // Otherwise the read proceeds on the normal cyclic schedule and the
 // delivered bytes are published into the cache for next time. Against a
 // pre-hash carousel (no hash extension) this degrades to RequestFile
-// exactly.
+// exactly. Either way the data is shared and read-only, as in
+// RequestFile: a hit delivers the cache's slice, a miss stores the
+// carousel's.
 func (b *Broadcaster) RequestFileCached(name string, cache *ChunkCache, strategy ReceiverStrategy, fn func(data []byte, at time.Time, err error)) {
 	if cache == nil {
 		b.RequestFile(name, strategy, fn)
@@ -325,7 +338,7 @@ func (b *Broadcaster) scheduleCachedLocked(name string, cache *ChunkCache, strat
 		b.mu.Unlock()
 		delivered.Inc()
 		served.Inc()
-		fn(append([]byte(nil), cached...), b.clk.Now(), nil)
+		fn(cached, b.clk.Now(), nil)
 	})
 }
 
@@ -359,16 +372,9 @@ func (b *Broadcaster) scheduleDeliveryLocked(name string, strategy ReceiverStrat
 			b.mu.Unlock()
 			return
 		}
-		var data []byte
-		for _, f := range b.car.Files() {
-			if f.Name == name {
-				data = append([]byte(nil), f.Data...)
-				break
-			}
-		}
 		delivered := b.delivered
 		b.mu.Unlock()
 		delivered.Inc()
-		fn(data, b.clk.Now(), nil)
+		fn(cur.Data, b.clk.Now(), nil)
 	})
 }

@@ -285,3 +285,92 @@ func TestByteExactMidCycleJoin(t *testing.T) {
 		t.Fatalf("image not assembled after second cycle (%v)", recv)
 	}
 }
+
+// Delivery is by reference: every receiver of a generation is handed the
+// slice the carousel was staged with, on the air path, on the cold
+// cached path (which stores that same slice) and on the cache-hit path.
+func TestDeliverySharesStagedBytes(t *testing.T) {
+	clk := simtime.NewSim(epoch)
+	img := bytes.Repeat([]byte{0xA5}, 200000)
+	b := startBroadcaster(t, clk, 1e6, File{Name: "conf", Data: []byte("c")}, File{Name: "image", Data: img})
+	cache := NewChunkCache(1 << 20)
+
+	var air [2][]byte
+	for i := range air {
+		i := i
+		b.RequestFile("image", FileGranularity, func(d []byte, _ time.Time, err error) {
+			if err != nil {
+				t.Errorf("air receiver %d: %v", i, err)
+			}
+			air[i] = d
+		})
+	}
+	var cold []byte
+	b.RequestFileCached("image", cache, FileGranularity, func(d []byte, _ time.Time, err error) {
+		if err != nil {
+			t.Errorf("cold cached receiver: %v", err)
+		}
+		cold = d
+	})
+	clk.Wait()
+	for i, d := range [][]byte{air[0], air[1], cold} {
+		if len(d) != len(img) || &d[0] != &img[0] {
+			t.Fatalf("receiver %d got a copy (len %d), want the staged slice itself", i, len(d))
+		}
+		if cap(d) != len(d) {
+			t.Fatalf("receiver %d: cap %d beyond len %d, an append would write into shared bytes", i, cap(d), len(d))
+		}
+	}
+	stored, ok := cache.Get(HashOf(img))
+	if !ok || &stored[0] != &img[0] {
+		t.Fatal("ChunkCache.Put copied the delivered buffer instead of storing it")
+	}
+
+	// Cache-hit path: a different backing array under the same hash, so
+	// the test can tell the cache's slice from the carousel's.
+	twin := append([]byte(nil), img...)
+	warm := NewChunkCache(1 << 20)
+	warm.Put(HashOf(twin), twin)
+	var hit [2][]byte
+	for i := range hit {
+		i := i
+		b.RequestFileCached("image", warm, FileGranularity, func(d []byte, _ time.Time, err error) {
+			if err != nil {
+				t.Errorf("warm receiver %d: %v", i, err)
+			}
+			hit[i] = d
+		})
+	}
+	clk.Wait()
+	for i, d := range hit {
+		if len(d) != len(twin) || &d[0] != &twin[0] {
+			t.Fatalf("warm receiver %d did not get the cache's own slice", i)
+		}
+	}
+}
+
+// A file that leaves the carousel while a read is pending is an error at
+// delivery time, never (nil, nil); one that stays is delivered from the
+// new generation's layout entry.
+func TestBroadcasterFileRemovedMidRead(t *testing.T) {
+	clk := simtime.NewSim(epoch)
+	keep := make([]byte, 300000)
+	b := startBroadcaster(t, clk, 1e6, File{Name: "keep", Data: keep}, File{Name: "gone", Data: make([]byte, 300000)})
+	var goneData, keepData []byte
+	var goneErr, keepErr error
+	clk.Go(func() {
+		clk.Sleep(b.CycleDuration() * 3 / 4) // past "keep", inside "gone": both reads span the commit
+		b.RequestFile("gone", FileGranularity, func(d []byte, _ time.Time, err error) { goneData, goneErr = d, err })
+		b.RequestFile("keep", FileGranularity, func(d []byte, _ time.Time, err error) { keepData, keepErr = d, err })
+		if err := b.Update([]File{{Name: "keep", Data: keep}}); err != nil {
+			t.Error(err)
+		}
+	})
+	clk.Wait()
+	if goneErr != ErrNoSuchFile || goneData != nil {
+		t.Fatalf("removed file: %d bytes, err %v; want ErrNoSuchFile", len(goneData), goneErr)
+	}
+	if keepErr != nil || len(keepData) != len(keep) || &keepData[0] != &keep[0] {
+		t.Fatalf("surviving file: %d bytes, err %v; want the staged slice", len(keepData), keepErr)
+	}
+}

@@ -88,7 +88,8 @@ func (c *ChunkCache) Contains(h ModuleHash) bool {
 
 // Put stores data under h, evicting least-recently-used entries to stay
 // within the byte bound. Payloads larger than the whole cache are
-// ignored. The data is copied.
+// ignored. The cache keeps data itself, not a copy, and Get hands the
+// same slice out: the caller must not write to it afterwards.
 func (c *ChunkCache) Put(h ModuleHash, data []byte) {
 	if c == nil || h == 0 || int64(len(data)) > c.max {
 		return
@@ -101,7 +102,7 @@ func (c *ChunkCache) Put(h ModuleHash, data []byte) {
 		c.ll.MoveToFront(el)
 		return
 	}
-	e := &chunkEntry{hash: h, data: append([]byte(nil), data...)}
+	e := &chunkEntry{hash: h, data: data}
 	c.items[h] = c.ll.PushFront(e)
 	c.bytes += int64(len(e.data))
 	c.met.insert()

@@ -1,6 +1,7 @@
 package dsmcc
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -70,7 +71,9 @@ func (c *Carousel) Files() []File { return c.files }
 // SetFiles replaces the carousel contents. Module IDs are stable per
 // name; versions bump when a file's content changes. The generation
 // counter always increments, signalling receivers that the directory
-// changed.
+// changed. The carousel keeps each Data slice, not a copy, and hands it
+// on to receivers (LayoutEntry.Data): the caller must not write to it
+// afterwards.
 func (c *Carousel) SetFiles(files []File) error {
 	seen := make(map[string]bool, len(files))
 	for _, f := range files {
@@ -96,7 +99,7 @@ func (c *Carousel) SetFiles(files []File) error {
 			c.moduleIDs[f.Name] = c.nextModule
 			c.nextModule++
 		}
-		if prev, existed := old[f.Name]; !existed || !bytesEqual(prev, f.Data) {
+		if prev, existed := old[f.Name]; !existed || !bytes.Equal(prev, f.Data) {
 			if existed {
 				c.versions[f.Name]++
 			}
@@ -124,18 +127,6 @@ func (c *Carousel) Changed() []string {
 		}
 	}
 	return out
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // DII builds the current directory message.
@@ -263,6 +254,11 @@ type LayoutEntry struct {
 	// Changed marks modules whose content changed in the SetFiles this
 	// layout was computed from — the delta re-air set.
 	Changed bool
+	// Data is the module's content: the slice SetFiles was handed, not a
+	// copy. It is what the Broadcaster delivers, so every receiver of
+	// this generation shares it and nobody may write to it. Its capacity
+	// is clipped to its length, so an append reallocates.
+	Data []byte
 }
 
 // Layout is the wire-byte schedule of one carousel cycle. Offset 0 is
@@ -304,6 +300,7 @@ func (c *Carousel) Layout() (*Layout, error) {
 			Size:      len(f.Data),
 			WireStart: pos,
 			Changed:   c.changed[f.Name],
+			Data:      f.Data[:len(f.Data):len(f.Data)],
 		}
 		if !c.noHashExt {
 			e.Hash = c.hashes[f.Name]

@@ -14,6 +14,7 @@
 package flute
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sync"
@@ -38,7 +39,9 @@ type layout struct {
 	// chunkEnds maps file name → the wire-byte end offset of each of
 	// its chunks within the cycle.
 	chunkEnds map[string][]int64
-	files     map[string][]byte
+	// files holds the slices Start/Update were handed, capacity clipped
+	// so an append reallocates: RequestFile delivers them as they are.
+	files map[string][]byte
 }
 
 func buildLayout(files []dsmcc.File, generation uint32) (*layout, error) {
@@ -58,7 +61,7 @@ func buildLayout(files []dsmcc.File, generation uint32) (*layout, error) {
 		if _, dup := l.files[f.Name]; dup {
 			return nil, fmt.Errorf("flute: duplicate file %q", f.Name)
 		}
-		l.files[f.Name] = f.Data
+		l.files[f.Name] = f.Data[:len(f.Data):len(f.Data)]
 		chunks := (len(f.Data) + ChunkPayload - 1) / ChunkPayload
 		if chunks == 0 {
 			chunks = 1 // empty files still occupy one announcement chunk
@@ -288,7 +291,9 @@ var ErrNoSuchFile = errors.New("flute: no such file on air")
 
 // RequestFile implements middleware.ObjectCarousel. The strategy is
 // ignored: datagram receivers always cache out-of-order chunks (the
-// block-cache behaviour is inherent to FLUTE).
+// block-cache behaviour is inherent to FLUTE). The data is the slice
+// Start/Update was handed, the same one for every receiver of that
+// generation: read it, never write it.
 func (c *Caster) RequestFile(name string, _ dsmcc.ReceiverStrategy, fn func(data []byte, at time.Time, err error)) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -324,26 +329,13 @@ func (c *Caster) scheduleLocked(name string, fn func([]byte, time.Time, error)) 
 			c.mu.Unlock()
 			fn(nil, c.clk.Now(), ErrNoSuchFile)
 			return
-		case cur.generation != gen && !bytesEqual(data, l.files[name]):
+		case cur.generation != gen && !bytes.Equal(data, l.files[name]):
 			// Content changed mid-read: restart on the new generation.
 			c.scheduleLocked(name, fn)
 			c.mu.Unlock()
 			return
 		}
-		out := append([]byte(nil), data...)
 		c.mu.Unlock()
-		fn(out, c.clk.Now(), nil)
+		fn(data, c.clk.Now(), nil)
 	})
-}
-
-func bytesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

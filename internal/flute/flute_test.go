@@ -274,3 +274,39 @@ func TestRequestRestartsOnContentChange(t *testing.T) {
 		t.Fatalf("delivered %d bytes, want the fresh content", len(got))
 	}
 }
+
+// Delivery is by reference: every receiver of a generation is handed the
+// slice the caster was started with, and a generation change that leaves
+// a file's slice alone does not restart reads of it.
+func TestDeliverySharesStagedBytes(t *testing.T) {
+	clk := simtime.NewSim(epoch)
+	img := bytes.Repeat([]byte{0x5A}, 200000)
+	c := startCaster(t, clk, 1e6, dsmcc.File{Name: "conf", Data: []byte("v1")}, dsmcc.File{Name: "image", Data: img})
+	var got [2][]byte
+	clk.Go(func() {
+		clk.Sleep(c.CycleDuration() / 2)
+		for i := range got {
+			i := i
+			c.RequestFile("image", dsmcc.FileGranularity, func(d []byte, _ time.Time, err error) {
+				if err != nil {
+					t.Errorf("receiver %d: %v", i, err)
+				}
+				got[i] = d
+			})
+		}
+		// Only the control file changes; the image slice is handed over
+		// again unchanged, as the Controller does on every refresh.
+		if err := c.Update([]dsmcc.File{{Name: "conf", Data: []byte("v2")}, {Name: "image", Data: img}}); err != nil {
+			t.Error(err)
+		}
+	})
+	clk.Wait()
+	for i, d := range got {
+		if len(d) != len(img) || &d[0] != &img[0] {
+			t.Fatalf("receiver %d got a copy (len %d), want the staged slice itself", i, len(d))
+		}
+		if cap(d) != len(d) {
+			t.Fatalf("receiver %d: cap %d beyond len %d, an append would write into shared bytes", i, cap(d), len(d))
+		}
+	}
+}

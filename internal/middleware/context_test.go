@@ -142,3 +142,47 @@ func TestNewManagerRequiresRng(t *testing.T) {
 		t.Fatal("missing rng accepted")
 	}
 }
+
+// The carousel's delivery reaches the application by reference: the
+// authenticator and every Xlet's ReadFile, with or without a chunk
+// cache, cold or warm, see the one slice the carousel was staged with.
+func TestDeliveryReachesXletsByReference(t *testing.T) {
+	code := make([]byte, 1000)
+	image := make([]byte, 50000)
+	r := newRig(t, dsmcc.File{Name: "pna.xlet", Data: code}, dsmcc.File{Name: "image", Data: image})
+	var authSaw [][]byte
+	auth := func(_ string, c []byte) error { authSaw = append(authSaw, c); return nil }
+	probes := []*ctxProbe{{}, {}}
+	for i, cfg := range []Config{
+		{Authenticate: auth},
+		{Authenticate: auth, Cache: dsmcc.NewChunkCache(1 << 20)},
+	} {
+		probe := probes[i]
+		m := newManager(t, r, cfg)
+		m.RegisterFactory("pna.xlet", func() xlet.Xlet { return probe })
+		if err := m.Start(); err != nil {
+			t.Fatal(err)
+		}
+		defer m.Stop()
+	}
+	r.sig.Publish(pnaAIT(ait.Autostart))
+	r.clk.Wait()
+	if len(authSaw) != 2 || &authSaw[0][0] != &code[0] || &authSaw[1][0] != &code[0] {
+		t.Fatalf("authenticator saw %d deliveries, want 2 of the staged code slice", len(authSaw))
+	}
+	for round := 0; round < 2; round++ { // the second round is a cache hit for probe 1
+		for i, p := range probes {
+			var got []byte
+			p.ctx.ReadFile("image", func(data []byte, err error) {
+				if err != nil {
+					t.Errorf("round %d probe %d: %v", round, i, err)
+				}
+				got = data
+			})
+			r.clk.Wait()
+			if len(got) != len(image) || &got[0] != &image[0] {
+				t.Fatalf("round %d probe %d read a copy (len %d), want the staged slice", round, i, len(got))
+			}
+		}
+	}
+}

@@ -18,9 +18,17 @@ import (
 // IP-multicast FLUTE-style caster (§3.3 lists both as OddCI enabling
 // technologies). The middleware and the applications it hosts are
 // agnostic to which one carries their files.
+//
+// Delivery is by reference. The data a carousel hands to fn is its own
+// staged copy of the file, one slice shared by every receiver of that
+// generation (a broadcast costs the same for one receiver as for N), and
+// it stays shared through the middleware, the application (xlet.Context
+// ReadFile), appimage.Decode and the DVE. Whoever staged the bytes and
+// everyone they are delivered to may read them; nobody writes them. A
+// consumer that needs to change them copies first.
 type ObjectCarousel interface {
 	// RequestFile delivers the named file as a receiver starting to
-	// listen now would obtain it.
+	// listen now would obtain it. data is shared and read-only.
 	RequestFile(name string, strategy dsmcc.ReceiverStrategy, fn func(data []byte, at time.Time, err error))
 	// OnGeneration notifies of content changes; it returns a cancel.
 	OnGeneration(fn func(gen uint32, at time.Time)) (cancel func())
@@ -29,7 +37,8 @@ type ObjectCarousel interface {
 // Authenticator verifies application code fetched from the carousel
 // before it runs — the DTV security hook ("the receiver can authenticate
 // downloaded applications signed by application developers or
-// transmitters"). A nil Authenticator accepts everything.
+// transmitters"). A nil Authenticator accepts everything. code is the
+// carousel's shared delivery (see ObjectCarousel): read-only.
 type Authenticator func(classFile string, code []byte) error
 
 // CachedCarousel is the optional content-addressed extension of
@@ -37,7 +46,8 @@ type Authenticator func(classFile string, code []byte) error
 // dsmcc Broadcaster) can satisfy reads from a receiver-local chunk
 // cache at DII latency instead of re-airing the full module. Carriers
 // without hashes (flute) simply don't implement it and reads degrade to
-// RequestFile.
+// RequestFile. Deliveries are shared and read-only exactly as
+// ObjectCarousel's are, and so is what the cache keeps.
 type CachedCarousel interface {
 	RequestFileCached(name string, cache *dsmcc.ChunkCache, strategy dsmcc.ReceiverStrategy, fn func(data []byte, at time.Time, err error))
 }

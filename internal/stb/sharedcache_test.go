@@ -108,4 +108,38 @@ func TestSharedCacheSeamDefaults(t *testing.T) {
 	if s.ChunkCache() != nil {
 		t.Fatal("default STB grew a chunk cache")
 	}
+
+	// Per-box caches: each box keeps its own store, and what a box stages
+	// through it is the carousel's slice itself, not a copy.
+	img := make([]byte, 64<<10)
+	rand.New(rand.NewSource(32)).Read(img)
+	b := shardBroadcaster(t, clk, 0x300, img)
+	var boxes [2]*STB
+	for i := range boxes {
+		box, err := New(Config{
+			ID: uint64(10 + i), Clock: clk, Broadcaster: b,
+			Signalling:      middleware.NewSignalling(clk, 0),
+			Rng:             rand.New(rand.NewSource(int64(10 + i))),
+			ChunkCacheBytes: -1, // default budget
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		boxes[i] = box
+	}
+	if boxes[0].ChunkCache() == nil || boxes[0].ChunkCache() == boxes[1].ChunkCache() {
+		t.Fatal("per-box chunk caches missing or shared")
+	}
+	b.RequestFileCached("image", boxes[0].ChunkCache(), dsmcc.FileGranularity, func(_ []byte, _ time.Time, err error) {
+		if err != nil {
+			t.Errorf("staging through box 0: %v", err)
+		}
+	})
+	clk.Wait()
+	if kept, ok := boxes[0].ChunkCache().Get(dsmcc.HashOf(img)); !ok || &kept[0] != &img[0] {
+		t.Fatal("box 0's cache does not hold the staged slice")
+	}
+	if boxes[1].ChunkCache().Contains(dsmcc.HashOf(img)) {
+		t.Fatal("box 1's private cache saw box 0's staging")
+	}
 }

@@ -55,7 +55,10 @@ type Context interface {
 	AppKey() uint64
 	// ReadFile requests a carousel file. fn runs when the object
 	// carousel delivers it (possibly a full cycle later), or with err on
-	// failure.
+	// failure. data is the carousel's own staged bytes, shared with
+	// every other receiver of that generation (middleware.ObjectCarousel
+	// states the contract): read them, keep them as long as needed,
+	// never write them.
 	ReadFile(name string, fn func(data []byte, err error))
 	// Go spawns a goroutine owned by the Xlet; the middleware tracks it
 	// via the clock.

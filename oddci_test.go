@@ -2,6 +2,7 @@ package oddci
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -389,4 +390,31 @@ func TestFacadeCausalTrace(t *testing.T) {
 	}
 	off.Shutdown()
 	off.Wait()
+}
+
+// Live mode at 1024 nodes: one 1 MiB image reaches every receiver by
+// reference, so what the deployment allocates must stay far below
+// nodes × image size (1 GiB here). The makespan is pinned because how
+// bytes are shared may change wall time and memory, never virtual time.
+func TestFacadeLiveScale1024(t *testing.T) {
+	const (
+		nodes, tasks = 1024, 8192
+		seed         = 19
+		wantMakespan = 57882506664 * time.Nanosecond // measured with a private copy per receiver
+	)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	makespan, h := deployAndRun(t, nodes, tasks, seed)
+	runtime.ReadMemStats(&after)
+	if got := len(h.Results()); got != tasks {
+		t.Fatalf("results = %d of %d", got, tasks)
+	}
+	if makespan != wantMakespan {
+		t.Fatalf("virtual makespan %v (%d ns), pinned %v", makespan, makespan, wantMakespan)
+	}
+	grew := after.TotalAlloc - before.TotalAlloc
+	t.Logf("deployment allocated %d MiB", grew>>20)
+	if grew >= 256<<20 {
+		t.Fatalf("deployment allocated %d MiB, want < 256 MiB", grew>>20)
+	}
 }
