@@ -33,8 +33,9 @@ race:
 	$(GO) test -race ./...
 
 ## cover: enforce per-package coverage floors — the observability layer
-## (obs registry/exposition, trace recorder), the Controller (lifecycle
-## plus crash recovery), the journal persistence layer, the Backend
+## (obs registry/exposition, the span collector with its trace and
+## timeline renders), the Controller (lifecycle plus crash recovery),
+## the journal persistence layer, the Backend
 ## scheduler (dispatch, lease reclaim, draining), the Provider facade
 ## (capacity splitting, recompose, rebind), the transport
 ## fast path (framing, codec, coordinator/node loops), the fleet
@@ -46,7 +47,7 @@ race:
 ## packages a carousel delivery passes through by reference, shared and
 ## read-only (the FLUTE caster, the middleware, the set-top box that owns
 ## the chunk cache, and the PNA that verifies what it was handed).
-COVER_PKGS ?= ./internal/obs:85 ./internal/trace:85 ./internal/span:80 ./internal/core/controller:85 ./internal/journal:78 ./internal/core/backend:82 ./internal/core/provider:80 ./internal/transport:75 ./internal/fleet:75 ./internal/federation:75 ./internal/netsim:85 ./internal/dsmcc:80 ./internal/flute:90 ./internal/middleware:90 ./internal/stb:85 ./internal/core/pna:80
+COVER_PKGS ?= ./internal/obs:85 ./internal/span:80 ./internal/core/controller:85 ./internal/journal:78 ./internal/core/backend:82 ./internal/core/provider:80 ./internal/transport:75 ./internal/fleet:75 ./internal/federation:75 ./internal/netsim:85 ./internal/dsmcc:80 ./internal/flute:90 ./internal/middleware:90 ./internal/stb:85 ./internal/core/pna:80
 cover:
 	@for entry in $(COVER_PKGS); do \
 		pkg="$${entry%%:*}"; floor="$${entry##*:}"; \

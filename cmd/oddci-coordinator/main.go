@@ -11,6 +11,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -80,7 +81,7 @@ func main() {
 		spanCap     = flag.Int("trace-spans", 4096, "span ring capacity for end-to-end causal tracing (0 disables tracing)")
 		spanRate    = flag.Float64("trace-sample", 1, "head-based trace sampling rate in (0,1]; negative disables sampling (retry/error evidence still recorded)")
 		pprofOn     = flag.Bool("pprof", false, "mount net/http/pprof and runtime goroutine/heap gauges on the -metrics mux")
-		credMode    = flag.String("cred", "off", "result-credential policy: off (legacy wire), warn (verify and count, accept), enforce (reject bad echoes and penalize credibility)")
+		credMode    = flag.String("cred", "off", "result-credential policy: off (assignments carry no credential), warn (verify and count, accept), enforce (reject bad echoes and penalize credibility)")
 	)
 	flag.Parse()
 
@@ -133,19 +134,24 @@ func main() {
 		fmt.Printf("recovered state from %s: resuming at wakeup seq %d\n", *stateDir, coord.Seq())
 	}
 	if reg != nil {
-		mux := obs.NewHandler(reg, nil, traceSource(spans))
+		mux := obs.NewHandler(reg, traceSource(spans))
 		if *pprofOn {
 			mountPprof(mux, reg)
 		}
-		srv := &http.Server{Addr: *metricsAddr, Handler: mux}
+		// Listen before printing, so the address printed is the one
+		// bound: -metrics 127.0.0.1:0 picks a free port.
+		ln, err := net.Listen("tcp", *metricsAddr)
+		if err != nil {
+			log.Fatalf("-metrics %s: %v", *metricsAddr, err)
+		}
 		go func() {
-			if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+			if err := http.Serve(ln, mux); err != nil && err != http.ErrServerClosed {
 				log.Printf("metrics server: %v", err)
 			}
 		}()
-		fmt.Printf("telemetry on http://%s/metrics (also /varz, /healthz, /trace)\n", *metricsAddr)
+		fmt.Printf("telemetry on http://%s/metrics (also /varz, /healthz, /timeline, /trace)\n", ln.Addr())
 		if *pprofOn {
-			fmt.Printf("profiling on http://%s/debug/pprof/\n", *metricsAddr)
+			fmt.Printf("profiling on http://%s/debug/pprof/\n", ln.Addr())
 		}
 	}
 	job, err := (&workload.Generator{

@@ -6,6 +6,8 @@ package cmd
 import (
 	"bufio"
 	"bytes"
+	"io"
+	"net/http"
 	"os/exec"
 	"path/filepath"
 	"regexp"
@@ -62,7 +64,8 @@ func TestBinaries(t *testing.T) {
 
 	t.Run("coordinator and node complete a job", func(t *testing.T) {
 		coord := exec.Command(filepath.Join(bin, "oddci-coordinator"),
-			"-listen", "127.0.0.1:0", "-tasks", "4", "-task-seconds", "0.01", "-timeout", "1m")
+			"-listen", "127.0.0.1:0", "-metrics", "127.0.0.1:0",
+			"-tasks", "4", "-task-seconds", "0.01", "-timeout", "1m")
 		stdout, err := coord.StdoutPipe()
 		if err != nil {
 			t.Fatal(err)
@@ -77,20 +80,38 @@ func TestBinaries(t *testing.T) {
 			coord.Wait()
 		}()
 
-		// The coordinator prints where it listens and the key a node pins
-		// before it serves; the rest of its output follows the node's run.
-		// Its own -timeout bounds the reads should the job never finish.
-		var addr, key, rest string
+		// The coordinator prints where its telemetry is served, where it
+		// listens and the key a node pins before it serves; the rest of
+		// its output follows the node's run. Its own -timeout bounds the
+		// reads should the job never finish.
+		var telemetry, addr, key, rest string
 		lines := bufio.NewScanner(stdout)
 		for (addr == "" || key == "") && lines.Scan() {
-			if v, ok := strings.CutPrefix(lines.Text(), "oddci-coordinator listening on "); ok {
+			if v, ok := strings.CutPrefix(lines.Text(), "telemetry on "); ok {
+				telemetry, _, _ = strings.Cut(v, "/metrics")
+			} else if v, ok := strings.CutPrefix(lines.Text(), "oddci-coordinator listening on "); ok {
 				addr = v
 			} else if v, ok := strings.CutPrefix(lines.Text(), "controller key: "); ok {
 				key = v
 			}
 		}
-		if addr == "" || key == "" {
-			t.Fatalf("coordinator printed no address (%q) or key (%q)\n%s", addr, key, stderr.Bytes())
+		if telemetry == "" || addr == "" || key == "" {
+			t.Fatalf("coordinator printed no telemetry URL (%q), address (%q) or key (%q)\n%s", telemetry, addr, key, stderr.Bytes())
+		}
+		// The job waits for the node, so the coordinator is still up:
+		// every endpoint its -metrics help names answers, on the port
+		// that :0 bound, and the timeline already holds the wakeup that
+		// staged the image.
+		for path, want := range map[string]string{"/healthz": "ok", "/timeline": "wakeup", "/trace": "wakeup"} {
+			resp, err := http.Get(telemetry + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), want) {
+				t.Fatalf("GET %s = %d, want 200 naming %q:\n%s", path, resp.StatusCode, want, body)
+			}
 		}
 		node := run(t, "oddci-node", "-addr", addr, "-timescale", "100", "-controller-key", key)
 		if !strings.Contains(node, "4 tasks executed") {

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"slices"
 	"strings"
 	"time"
 
@@ -24,7 +25,7 @@ func main() {
 		Seed:              11,
 		HeartbeatPeriod:   20 * time.Second,
 		MaintenancePeriod: 30 * time.Second,
-		TraceCapacity:     4096,
+		SpanCapacity:      1 << 14,
 		Metrics:           true,
 	})
 	if err != nil {
@@ -83,15 +84,12 @@ func main() {
 
 	fmt.Printf("\ninstance lifecycle timeline:\n")
 	var t0 time.Time
-	for _, ev := range sys.TraceEvents() {
-		switch ev.Kind {
-		case oddci.TraceCreate, oddci.TraceDestroy, oddci.TraceGC,
-			oddci.TraceRefreshRetry, oddci.TraceRefreshOK:
+	for _, ev := range sys.Spans().Timeline() {
+		if slices.Contains([]string{"create", "destroy", "gc", "refresh-retry", "refresh-ok"}, ev.Name) {
 			if t0.IsZero() {
-				t0 = ev.At
+				t0 = ev.Start
 			}
-			fmt.Printf("%9s  %-9s  instance=%d  %s\n",
-				ev.At.Sub(t0).Truncate(time.Second), ev.Kind, ev.Instance, ev.Detail)
+			fmt.Printf("%9s  %-9s  %s\n", ev.Start.Sub(t0).Truncate(time.Second), ev.Name, ev.Detail)
 		}
 	}
 	bytes, files, liveInst, onAir := sys.ContentStats()

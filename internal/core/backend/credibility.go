@@ -1,7 +1,6 @@
 package backend
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -180,16 +179,9 @@ func (b *Backend) penalizeRejection(node uint64) {
 func (b *Backend) quarantineNode(node uint64, score int64) {
 	b.met.byzQuarantines.Inc()
 	if b.cfg.Spans != nil {
-		now := b.cfg.Clock.Now()
 		// Quarantines are evidence, recorded even when no trace is
 		// sampled — same policy as lease-expiry retries.
-		b.cfg.Spans.ForceRecord(span.Data{
-			Name:   "quarantine",
-			Node:   "backend",
-			Detail: fmt.Sprintf("node=%d score=%d", node, score),
-			Start:  now,
-			End:    now,
-		})
+		b.cfg.Spans.Event(span.Context{}, "quarantine", "backend", "node=%d score=%d", node, score)
 	}
 	b.revokeLeases(node)
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"oddci/internal/obs"
 	"oddci/internal/simtime"
 )
 
@@ -120,6 +121,69 @@ func TestActiveTasksReturnsToZeroAfterJobs(t *testing.T) {
 	}
 	if got := b.open.Load(); got != 0 {
 		t.Fatalf("open tasks = %d after all jobs completed, want 0", got)
+	}
+}
+
+// A long-lived Backend keeps nothing of a finished job: the job table
+// returns to empty, the caller's handle keeps its results, and a result
+// replayed for a finished job is dropped, counted, and moves nobody's
+// credibility.
+func TestFinishedJobsAreReleased(t *testing.T) {
+	clk := simtime.NewSim(epoch)
+	reg := obs.NewRegistry()
+	b, err := New(Config{Clock: clk, Obs: reg, TrackCredibility: true,
+		RetryAfter: 5 * time.Second, LeaseBase: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const jobs, tasks = 64, 3
+	var handles []*JobHandle
+	var last *TaskResult
+	for j := 0; j < jobs; j++ {
+		h, err := b.Submit(mkJob(t, tasks, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles = append(handles, h)
+		for n := uint64(1); n <= tasks; n++ {
+			a, ok := b.HandleRequest(&TaskRequest{NodeID: n}).(*TaskAssign)
+			if !ok {
+				t.Fatalf("job %d: node %d starved", j, n)
+			}
+			last = &TaskResult{NodeID: n, JobID: a.JobID, TaskID: a.TaskID, Payload: []byte("r")}
+			b.HandleResult(last)
+		}
+	}
+	b.jmu.RLock()
+	held := len(b.jobs)
+	b.jmu.RUnlock()
+	if held != 0 {
+		t.Fatalf("job table holds %d finished jobs, want 0", held)
+	}
+	for _, h := range handles {
+		if _, done := h.Done(); !done || len(h.Results()) != tasks {
+			t.Fatalf("job %d: done=%v results=%d; the handle must keep what the Backend released", h.ID, done, len(h.Results()))
+		}
+	}
+
+	// Replay the last result from a node that never voted: no commit, no
+	// credibility either way, one late result counted.
+	const straggler = uint64(99)
+	replay := *last
+	replay.NodeID = straggler
+	replay.Payload = []byte("WRONG")
+	b.HandleResult(&replay)
+	if got := counter(t, reg, "oddci_backend_late_results_total"); got != 1 {
+		t.Fatalf("late results counted = %v, want 1", got)
+	}
+	if got := b.Credibility(straggler); got != credFullScore {
+		t.Fatalf("a late result moved credibility to %d", got)
+	}
+	if got := string(handles[jobs-1].Results()[replay.TaskID]); got != "r" {
+		t.Fatalf("a late result overwrote a committed one: %q", got)
+	}
+	if b.Completed != jobs*tasks {
+		t.Fatalf("completed = %d, want %d", b.Completed, jobs*tasks)
 	}
 }
 

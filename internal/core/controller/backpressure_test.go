@@ -85,8 +85,8 @@ func TestBackpressureClamps(t *testing.T) {
 		NodeID: 1, State: control.StateIdle,
 		Profile: stbProfile(), SentAt: r.clk.Now(),
 	})
-	if reply.Period != 10*time.Second { // MinHeartbeatPeriod default
-		t.Fatalf("period = %v, want clamp at 10s", reply.Period)
+	if reply.Period != MinHeartbeatPeriod {
+		t.Fatalf("period = %v, want clamp at %v", reply.Period, MinHeartbeatPeriod)
 	}
 	r.ctrl.Stop()
 	r.clk.Wait()

@@ -51,10 +51,6 @@ type Config struct {
 	Signalling  *middleware.Signalling
 	// Key signs broadcast control messages.
 	Key ed25519.PrivateKey
-	// PNAXlet is the agent code carried in the carousel; PNAClassFile
-	// names it (default "pna.xlet").
-	PNAXlet      []byte
-	PNAClassFile string
 	// OrgID identifies the broadcaster in AIT entries.
 	OrgID uint32
 	// MaintenancePeriod is the instance-size control loop interval.
@@ -72,12 +68,6 @@ type Config struct {
 	// pending refreshes on its own cadence.
 	RefreshRetryBase time.Duration
 	RefreshRetryMax  time.Duration
-	// HeartbeatGrace is how many heartbeat periods may elapse before a
-	// silent node is presumed gone.
-	HeartbeatGrace int
-	// SafetyFactor overshoots recomposition probabilities to converge
-	// faster under estimation error.
-	SafetyFactor float64
 	// TargetHeartbeatRate, if positive, bounds the Controller's inbound
 	// heartbeat load: idle nodes are re-tuned (via heartbeat replies) so
 	// the whole population produces about this many heartbeats per
@@ -86,12 +76,8 @@ type Config struct {
 	// consume too much of the Controller's ... resources". Busy nodes
 	// keep their instance's period.
 	TargetHeartbeatRate float64
-	// MinHeartbeatPeriod and MaxHeartbeatPeriod clamp the adaptive
-	// period (defaults 10 s and 30 min).
-	MinHeartbeatPeriod time.Duration
-	MaxHeartbeatPeriod time.Duration
 	// OnWakeup, if set, observes every wakeup broadcast (initial and
-	// recompositions) — the tracing hook.
+	// recompositions): the federation driver recruits from it.
 	OnWakeup func(id instance.ID, seq uint32, probability float64)
 	// OnImageUpdate, if set, observes Recompose image replacements after
 	// they commit — the hook that lets a TCP coordinator ride the same
@@ -99,26 +85,18 @@ type Config struct {
 	// OnWakeup it runs with the Controller lock held and must not call
 	// back into the Controller.
 	OnImageUpdate func(id instance.ID, img *appimage.Image)
-	// OnLifecycle, if set, observes instance lifecycle transitions and
-	// head-end refresh retries. Like OnWakeup it runs with Controller
-	// locks held and must not call back into the Controller.
-	OnLifecycle func(ev LifecycleEvent)
 	// Obs, if set, receives live telemetry (oddci_controller_* metrics)
 	// and the carousel-refresh / heartbeat-silence health checks. Hot
 	// paths touch only pre-created handles via atomics.
 	Obs *obs.Registry
-	// RefreshStuckAfter is the consecutive failed-refresh count at which
-	// the carousel-refresh health check reports unhealthy (default 3).
-	RefreshStuckAfter int
-	// HeartbeatSilence is the no-heartbeats-at-all window after which
-	// the heartbeat-silence health check reports unhealthy while nodes
-	// are tracked (default 3×MaxHeartbeatPeriod).
-	HeartbeatSilence time.Duration
 	// Spans, if set, records causal spans: every wakeup broadcast
 	// (initial and recompositions) starts a root span, published in the
 	// collector's link table under (instance, seq) so joining PNAs can
 	// parent their join spans without widening the signed control
-	// codec. Lifecycle mutations (destroy, trim) record spans too.
+	// codec. Lifecycle facts (create, trim, destroy, gc, refresh retry
+	// and recovery) are point events on the same collector, under the
+	// instance's latest wakeup trace: the ordered record /timeline
+	// renders. The oddci_controller_*_total counters say how many.
 	Spans *span.Collector
 	// Rng seeds sequence jitter; required.
 	Rng *rand.Rand
@@ -141,26 +119,8 @@ func (c *Config) fill() error {
 	if c.Rng == nil {
 		return errors.New("controller: rng is required")
 	}
-	if c.PNAClassFile == "" {
-		c.PNAClassFile = "pna.xlet"
-	}
-	if len(c.PNAXlet) == 0 {
-		c.PNAXlet = []byte("oddci-pna-xlet-v1")
-	}
 	if c.MaintenancePeriod <= 0 {
 		c.MaintenancePeriod = time.Minute
-	}
-	if c.HeartbeatGrace <= 0 {
-		c.HeartbeatGrace = 3
-	}
-	if c.SafetyFactor <= 0 {
-		c.SafetyFactor = 1.2
-	}
-	if c.MinHeartbeatPeriod <= 0 {
-		c.MinHeartbeatPeriod = 10 * time.Second
-	}
-	if c.MaxHeartbeatPeriod <= 0 {
-		c.MaxHeartbeatPeriod = 30 * time.Minute
 	}
 	if c.ResetRetransmitTicks <= 0 {
 		c.ResetRetransmitTicks = 3
@@ -174,62 +134,34 @@ func (c *Config) fill() error {
 			c.RefreshRetryMax = c.RefreshRetryBase
 		}
 	}
-	if c.RefreshStuckAfter <= 0 {
-		c.RefreshStuckAfter = 3
-	}
-	if c.HeartbeatSilence <= 0 {
-		c.HeartbeatSilence = 3 * c.MaxHeartbeatPeriod
-	}
 	return nil
 }
 
-// LifecycleKind classifies a LifecycleEvent.
-type LifecycleKind uint8
-
-// Lifecycle event kinds: the instance state machine
-// (live → destroyed → reset-on-air → GC'd) plus head-end refresh
-// health.
+// Policy values no deployment, test or benchmark ever set differently.
 const (
-	LifecycleCreated LifecycleKind = iota + 1
-	LifecycleRecomposed
-	LifecycleTrimmed
-	LifecycleDestroyed
-	LifecycleGCed
-	LifecycleRefreshRetry
-	LifecycleRefreshRecovered
+	// PNAClassFile names the agent code on the carousel and in the AIT.
+	PNAClassFile = "pna.xlet"
+	// HeartbeatGrace is how many heartbeat periods may elapse before a
+	// silent node is presumed gone.
+	HeartbeatGrace = 3
+	// SafetyFactor overshoots recomposition probabilities to converge
+	// faster under estimation error.
+	SafetyFactor = 1.2
+	// MinHeartbeatPeriod and MaxHeartbeatPeriod clamp the adaptive
+	// period TargetHeartbeatRate hands to idle nodes.
+	MinHeartbeatPeriod = 10 * time.Second
+	MaxHeartbeatPeriod = 30 * time.Minute
+	// RefreshStuckAfter is the consecutive failed-refresh count at which
+	// the carousel-refresh health check reports unhealthy.
+	RefreshStuckAfter = 3
+	// HeartbeatSilence is the no-heartbeats-at-all window after which
+	// the heartbeat-silence health check reports unhealthy while nodes
+	// are tracked.
+	HeartbeatSilence = 3 * MaxHeartbeatPeriod
 )
 
-// String implements fmt.Stringer.
-func (k LifecycleKind) String() string {
-	switch k {
-	case LifecycleCreated:
-		return "created"
-	case LifecycleRecomposed:
-		return "recomposed"
-	case LifecycleTrimmed:
-		return "trimmed"
-	case LifecycleDestroyed:
-		return "destroyed"
-	case LifecycleGCed:
-		return "gc"
-	case LifecycleRefreshRetry:
-		return "refresh-retry"
-	case LifecycleRefreshRecovered:
-		return "refresh-recovered"
-	default:
-		return fmt.Sprintf("LifecycleKind(%d)", uint8(k))
-	}
-}
-
-// LifecycleEvent is one Config.OnLifecycle observation.
-type LifecycleEvent struct {
-	Kind     LifecycleKind
-	Instance instance.ID // 0 for head-end-wide refresh events
-	Node     uint64      // set for trim events
-	Seq      uint32      // instance sequence at the transition
-	// Attempt is the consecutive failed-refresh count (refresh events).
-	Attempt int
-}
+// pnaXlet is the agent code carried in the carousel.
+var pnaXlet = []byte("oddci-pna-xlet-v1")
 
 // Lifecycle errors, distinguishable with errors.Is.
 var (
@@ -455,7 +387,7 @@ func (c *Controller) instrument(reg *obs.Registry) {
 	})
 	reg.RegisterHealth("carousel-refresh", func() error {
 		pending, attempts := c.RefreshPending()
-		if pending && attempts >= c.cfg.RefreshStuckAfter {
+		if pending && attempts >= RefreshStuckAfter {
 			return fmt.Errorf("refresh stuck in backoff after %d failed attempts", attempts)
 		}
 		return nil
@@ -465,7 +397,7 @@ func (c *Controller) instrument(reg *obs.Registry) {
 		if last == 0 || c.nodeCount.Load() == 0 {
 			return nil // nothing tracked yet: silence is expected
 		}
-		if silent := c.cfg.Clock.Now().Sub(time.Unix(0, last)); silent > c.cfg.HeartbeatSilence {
+		if silent := c.cfg.Clock.Now().Sub(time.Unix(0, last)); silent > HeartbeatSilence {
 			return fmt.Errorf("no heartbeat for %s from %d tracked nodes", silent, c.nodeCount.Load())
 		}
 		return nil
@@ -589,7 +521,7 @@ func (c *Controller) adoptGraceLocked(st *instState, now time.Time) time.Time {
 	if period <= 0 {
 		period = time.Minute // the PNA's default reporting period
 	}
-	return now.Add(time.Duration(c.cfg.HeartbeatGrace) * period)
+	return now.Add(time.Duration(HeartbeatGrace) * period)
 }
 
 // journalRecordLocked renders st as its full durable record (OpCreate
@@ -707,7 +639,7 @@ func (c *Controller) scheduleMaintenanceLocked() {
 // continues straight into the image within the same cycle.
 func (c *Controller) carouselFilesLocked() []dsmcc.File {
 	files := []dsmcc.File{
-		{Name: c.cfg.PNAClassFile, Data: c.cfg.PNAXlet},
+		{Name: PNAClassFile, Data: pnaXlet},
 		{Name: pnaConfigFile, Data: c.controlFileLocked()},
 	}
 	for _, st := range c.orderedLocked() {
@@ -764,7 +696,7 @@ func (c *Controller) publishAITLocked() error {
 			AppID:       1,
 			ControlCode: ait.Autostart,
 			Name:        "OddCI-PNA",
-			ClassFile:   c.cfg.PNAClassFile,
+			ClassFile:   PNAClassFile,
 		}},
 	}
 	return c.cfg.Signalling.Publish(table)
@@ -794,7 +726,9 @@ func (c *Controller) requestRefreshLocked() {
 func (c *Controller) refreshDoneLocked() {
 	if c.refreshPending {
 		c.met.refreshOK.Inc()
-		c.emitLocked(LifecycleEvent{Kind: LifecycleRefreshRecovered, Attempt: c.refreshAttempts})
+		if c.cfg.Spans != nil {
+			c.eventLocked(0, "refresh-ok", "attempts=%d", c.refreshAttempts)
+		}
 	}
 	c.refreshPending = false
 	c.refreshAttempts = 0
@@ -811,7 +745,9 @@ func (c *Controller) refreshFailedLocked() {
 	c.refreshPending = true
 	c.refreshAttempts++
 	c.met.refreshRetry.Inc()
-	c.emitLocked(LifecycleEvent{Kind: LifecycleRefreshRetry, Attempt: c.refreshAttempts})
+	if c.cfg.Spans != nil {
+		c.eventLocked(0, "refresh-retry", "attempt=%d", c.refreshAttempts)
+	}
 	if c.stopped || c.refreshTimer != nil {
 		return
 	}
@@ -845,25 +781,38 @@ func (c *Controller) RefreshPending() (bool, int) {
 	return c.refreshPending, c.refreshAttempts
 }
 
-func (c *Controller) emitLocked(ev LifecycleEvent) {
-	if c.cfg.OnLifecycle != nil {
-		c.cfg.OnLifecycle(ev)
-	}
-}
-
 // wakeupSpanLocked starts the root span of one wakeup broadcast and
 // publishes its context in the collector's link table under
 // (instance, seq), where joining PNAs (same process) or the TCP
-// coordinator's banner (remote nodes) pick it up. Sampling is decided
-// here, at the head of the trace.
+// coordinator's banner (remote nodes) pick it up, and under
+// (instance, 0), where the instance's lifecycle events find the trace
+// to hang under. Sampling is decided here, at the head of the trace; a
+// wakeup that loses the draw still reaches the timeline, as an orphan
+// event.
 func (c *Controller) wakeupSpanLocked(st *instState, prob float64) {
-	sp := c.cfg.Spans.Root("wakeup", "controller")
+	sc := c.cfg.Spans
+	if sc == nil {
+		return
+	}
+	sp := sc.Root("wakeup", "controller")
 	if sp == nil {
+		sc.Event(span.Context{}, "wakeup", "controller", "instance=%d seq=%d p=%.2f", st.id, st.seq, prob)
 		return
 	}
 	sp.SetDetail("instance=%d seq=%d p=%.2f", st.id, st.seq, prob)
-	c.cfg.Spans.SetLink(span.LinkKey(uint64(st.id), uint64(st.seq)), sp.Context())
+	sc.SetLink(span.LinkKey(uint64(st.id), uint64(st.seq)), sp.Context())
+	sc.SetLink(span.LinkKey(uint64(st.id), 0), sp.Context())
 	sp.End()
+}
+
+// eventLocked puts one lifecycle fact on the span timeline, under the
+// instance's latest wakeup trace when the link table still knows it and
+// as an orphan otherwise (id 0: a head-end-wide fact). The counters in
+// c.met say how many; this says when, and next to what. Callers check
+// c.cfg.Spans first, so an untraced Controller boxes no arguments.
+func (c *Controller) eventLocked(id instance.ID, name, detail string, args ...any) {
+	parent, _ := c.cfg.Spans.GetLink(span.LinkKey(uint64(id), 0))
+	c.cfg.Spans.Event(parent, name, "controller", detail, args...)
 }
 
 // WakeupTraceContext returns the trace context of an instance's most
@@ -951,7 +900,7 @@ func (c *Controller) stale(ni *nodeInfo, now time.Time) bool {
 	if period <= 0 {
 		period = time.Minute
 	}
-	return now.Sub(ni.lastSeen) > time.Duration(c.cfg.HeartbeatGrace)*period
+	return now.Sub(ni.lastSeen) > time.Duration(HeartbeatGrace)*period
 }
 
 // probabilityFor sizes the wakeup probability: target surplus nodes
@@ -960,7 +909,7 @@ func (c *Controller) probabilityFor(deficit, pop int) float64 {
 	if pop <= 0 {
 		return 1
 	}
-	p := c.cfg.SafetyFactor * float64(deficit) / float64(pop)
+	p := SafetyFactor * float64(deficit) / float64(pop)
 	if p > 1 {
 		return 1
 	}
@@ -1040,8 +989,10 @@ func (c *Controller) CreateInstance(spec InstanceSpec) (instance.ID, error) {
 	c.journalAppendLocked(journal.Record{Op: journal.OpCreate, Inst: journalRecordLocked(st)})
 	c.met.created.Inc()
 	c.met.wakeups.Inc()
-	c.emitLocked(LifecycleEvent{Kind: LifecycleCreated, Instance: id, Seq: st.seq})
 	c.wakeupSpanLocked(st, prob)
+	if c.cfg.Spans != nil {
+		c.eventLocked(id, "create", "instance=%d target=%d", id, spec.Target)
+	}
 	if c.cfg.OnWakeup != nil {
 		c.cfg.OnWakeup(id, st.seq, prob)
 	}
@@ -1126,7 +1077,6 @@ func (c *Controller) Recompose(id instance.ID, img *appimage.Image) error {
 	}})
 	c.met.imageUpdates.Inc()
 	c.met.wakeups.Inc()
-	c.emitLocked(LifecycleEvent{Kind: LifecycleRecomposed, Instance: id, Seq: st.seq})
 	c.wakeupSpanLocked(st, 0)
 	c.requestRefreshLocked()
 	if c.cfg.OnImageUpdate != nil {
@@ -1165,10 +1115,8 @@ func (c *Controller) DestroyInstance(id instance.ID) error {
 		ResetTicks: int32(st.resetTicks),
 	}})
 	c.met.destroyed.Inc()
-	c.emitLocked(LifecycleEvent{Kind: LifecycleDestroyed, Instance: id, Seq: st.seq})
-	if sp := c.cfg.Spans.Root("instance-destroy", "controller"); sp != nil {
-		sp.SetDetail("instance=%d seq=%d", id, st.seq)
-		sp.End()
+	if c.cfg.Spans != nil {
+		c.eventLocked(id, "destroy", "instance=%d seq=%d", id, st.seq)
 	}
 	c.requestRefreshLocked()
 	return nil
@@ -1305,7 +1253,6 @@ func (c *Controller) maintain() {
 					Probability: w.Probability,
 				}})
 				c.met.wakeups.Inc()
-				c.emitLocked(LifecycleEvent{Kind: LifecycleRecomposed, Instance: st.id, Seq: st.seq})
 				c.wakeupSpanLocked(st, w.Probability)
 				if c.cfg.OnWakeup != nil {
 					c.cfg.OnWakeup(st.id, st.seq, w.Probability)
@@ -1334,7 +1281,9 @@ func (c *Controller) maintain() {
 		refresh = true
 		c.journalAppendLocked(journal.Record{Op: journal.OpGC, Inst: journal.InstanceRecord{ID: uint64(id)}})
 		c.met.gced.Inc()
-		c.emitLocked(LifecycleEvent{Kind: LifecycleGCed, Instance: id})
+		if c.cfg.Spans != nil {
+			c.eventLocked(id, "gc", "instance=%d", id)
+		}
 	}
 	if refresh || c.refreshPending {
 		c.requestRefreshLocked()
@@ -1417,12 +1366,7 @@ func (c *Controller) HandleHeartbeat(hb *control.Heartbeat) *control.HeartbeatRe
 		// are not re-tuned, so sizing from the total population would
 		// leave the realized idle rate below target.
 		desired := time.Duration(float64(c.idleCount.Load()) / c.cfg.TargetHeartbeatRate * float64(time.Second))
-		if desired < c.cfg.MinHeartbeatPeriod {
-			desired = c.cfg.MinHeartbeatPeriod
-		}
-		if desired > c.cfg.MaxHeartbeatPeriod {
-			desired = c.cfg.MaxHeartbeatPeriod
-		}
+		desired = min(max(desired, MinHeartbeatPeriod), MaxHeartbeatPeriod)
 		cur := ni.hbPeriod
 		if cur <= 0 || relDiff(cur, desired) > 0.2 {
 			reply.Period = desired
@@ -1463,13 +1407,10 @@ func (c *Controller) HandleHeartbeat(hb *control.Heartbeat) *control.HeartbeatRe
 			reply.Command = control.CmdReset
 			c.met.resetsSent.Inc()
 			c.met.trims.Inc()
-			c.emitLocked(LifecycleEvent{Kind: LifecycleTrimmed, Instance: st.id, Node: hb.NodeID, Seq: st.seq})
-			// Trim spans parent under the wakeup that overshot, so the
+			// A trim hangs under the wakeup that overshot, so the
 			// overshoot is visible in the broadcast's own trace.
-			parent, _ := c.cfg.Spans.GetLink(span.LinkKey(uint64(st.id), uint64(st.seq)))
-			if sp := c.cfg.Spans.Start(parent, "trim", "controller"); sp != nil {
-				sp.SetDetail("node=%d", hb.NodeID)
-				sp.End()
+			if c.cfg.Spans != nil {
+				c.eventLocked(st.id, "trim", "instance=%d node=%d", st.id, hb.NodeID)
 			}
 		default:
 			if _, member := st.members[hb.NodeID]; !member && !st.joinSinceWakeup {

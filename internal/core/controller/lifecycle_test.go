@@ -3,12 +3,14 @@ package controller
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
 	"oddci/internal/control"
 	"oddci/internal/dsmcc"
 	"oddci/internal/netsim"
+	"oddci/internal/span"
 )
 
 // flakyHead wraps a HeadEnd so carousel updates fail according to a
@@ -38,10 +40,11 @@ func newFlakyRig(t *testing.T, plan *netsim.FaultPlan, tweak func(*Config)) *rig
 func (r *rig) onAirFiles() int { return len(r.car.Files()) }
 
 func TestDestroyedInstanceGCdAfterRetransmitWindow(t *testing.T) {
-	var events []LifecycleEvent
+	var spans *span.Collector
 	r := newRigWith(t, nil, func(cfg *Config) {
 		cfg.ResetRetransmitTicks = 2
-		cfg.OnLifecycle = func(ev LifecycleEvent) { events = append(events, ev) }
+		spans = span.NewCollector(span.Config{Clock: cfg.Clock})
+		cfg.Spans = spans
 	})
 	id, err := r.ctrl.CreateInstance(InstanceSpec{Image: testImage(t), Target: 4, InitialProbability: 0.5})
 	if err != nil {
@@ -92,20 +95,17 @@ func TestDestroyedInstanceGCdAfterRetransmitWindow(t *testing.T) {
 	if err := r.ctrl.Resize(id, 9); !errors.Is(err, ErrInstanceGone) {
 		t.Fatalf("Resize after GC = %v, want ErrInstanceGone", err)
 	}
-	var kinds []LifecycleKind
-	for _, ev := range events {
-		if ev.Instance == id {
-			kinds = append(kinds, ev.Kind)
-		}
+	// The instance's whole life reads off the span timeline in order,
+	// and every fact of it hangs in the wakeup's own trace.
+	var names []string
+	for _, d := range spans.Timeline() {
+		names = append(names, d.Name)
 	}
-	want := []LifecycleKind{LifecycleCreated, LifecycleDestroyed, LifecycleGCed}
-	if len(kinds) != len(want) {
-		t.Fatalf("lifecycle kinds = %v, want %v", kinds, want)
+	if got, want := strings.Join(names, " "), "wakeup create destroy gc"; got != want {
+		t.Fatalf("timeline = %q, want %q", got, want)
 	}
-	for i := range want {
-		if kinds[i] != want[i] {
-			t.Fatalf("lifecycle kinds = %v, want %v", kinds, want)
-		}
+	if traces := spans.Traces(); len(traces) != 1 || !traces[0].Connected() || len(traces[0].Spans) != 4 {
+		t.Fatalf("lifecycle events left the wakeup trace:\n%s", spans.RenderTimeline(0))
 	}
 	r.ctrl.Stop()
 	r.clk.Wait()
@@ -113,18 +113,13 @@ func TestDestroyedInstanceGCdAfterRetransmitWindow(t *testing.T) {
 
 func TestRefreshRetryBacksOffAndRecovers(t *testing.T) {
 	plan := netsim.NewFaultPlan(nil, 0, 0)
-	retries, recovered := 0, 0
+	var spans *span.Collector
 	r := newFlakyRig(t, plan, func(cfg *Config) {
 		cfg.RefreshRetryBase = 2 * time.Second
 		cfg.RefreshRetryMax = 8 * time.Second
-		cfg.OnLifecycle = func(ev LifecycleEvent) {
-			switch ev.Kind {
-			case LifecycleRefreshRetry:
-				retries++
-			case LifecycleRefreshRecovered:
-				recovered++
-			}
-		}
+		// Sampling off: lifecycle events are recorded all the same.
+		spans = span.NewCollector(span.Config{Clock: cfg.Clock, SampleRate: -1})
+		cfg.Spans = spans
 	})
 	id, err := r.ctrl.CreateInstance(InstanceSpec{Image: testImage(t), Target: 2, InitialProbability: 0.5})
 	if err != nil {
@@ -152,8 +147,12 @@ func TestRefreshRetryBacksOffAndRecovers(t *testing.T) {
 	if pending, _ := r.ctrl.RefreshPending(); pending {
 		t.Fatal("refresh still pending after retries should have drained")
 	}
-	if retries != 3 || recovered != 1 {
-		t.Fatalf("retry events = %d, recovered = %d; want 3 and 1", retries, recovered)
+	tl := spans.RenderTimeline(0)
+	if retries, recovered := strings.Count(tl, "refresh-retry"), strings.Count(tl, "refresh-ok"); retries != 3 || recovered != 1 {
+		t.Fatalf("retry events = %d, recovered = %d; want 3 and 1:\n%s", retries, recovered, tl)
+	}
+	if !strings.Contains(tl, "wakeup") || !strings.Contains(tl, "attempt=3") {
+		t.Fatalf("unsampled wakeup or retry detail missing from the timeline:\n%s", tl)
 	}
 	msgs, err := control.OpenAll(r.currentControlFile(t), r.pub)
 	if err != nil {

@@ -38,7 +38,7 @@ func TestHealthzFlipsWhenRefreshStuck(t *testing.T) {
 		cfg.RefreshRetryBase = 2 * time.Second
 		cfg.RefreshRetryMax = 8 * time.Second
 	})
-	srv := httptest.NewServer(obs.NewHandler(reg, nil, nil))
+	srv := httptest.NewServer(obs.NewHandler(reg, nil))
 	defer srv.Close()
 
 	id, err := r.ctrl.CreateInstance(InstanceSpec{Image: testImage(t), Target: 2, InitialProbability: 0.5})
@@ -52,7 +52,7 @@ func TestHealthzFlipsWhenRefreshStuck(t *testing.T) {
 
 	// Destroy with the next three updates failing: the immediate refresh
 	// plus the +2s and +6s retries fail, reaching the stuck threshold
-	// (RefreshStuckAfter defaults to 3) while the +14s retry is pending.
+	// (RefreshStuckAfter is 3) while the +14s retry is pending.
 	plan.FailNext(3)
 	if err := r.ctrl.DestroyInstance(id); err != nil {
 		t.Fatal(err)

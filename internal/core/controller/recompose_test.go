@@ -2,11 +2,16 @@ package controller
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
 	"oddci/internal/appimage"
+	"oddci/internal/control"
 	"oddci/internal/core/instance"
+	"oddci/internal/journal"
 )
 
 // Recompose replaces an instance's image in place: busy members keep
@@ -106,20 +111,82 @@ func TestRecomposeRequiresStarted(t *testing.T) {
 	}
 }
 
-func TestLifecycleKindString(t *testing.T) {
-	for k, want := range map[LifecycleKind]string{
-		LifecycleCreated:      "created",
-		LifecycleRecomposed:   "recomposed",
-		LifecycleTrimmed:      "trimmed",
-		LifecycleDestroyed:    "destroyed",
-		LifecycleGCed:         "gc",
-		LifecycleRefreshRetry: "refresh-retry",
-	} {
-		if got := k.String(); got != want {
-			t.Fatalf("%d.String() = %q, want %q", k, got, want)
+// TestRecompositionWakeupAdvancesSeq loses members after convergence so
+// the maintenance loop has to recompose, and holds the loop to the rule
+// PNAs dedupe on: every wakeup aired for an instance carries a sequence
+// number strictly greater than the last. A fault-free run airs no
+// recomposition, which is how dropping the loop's st.seq++ once passed
+// every test here and in federation.
+func TestRecompositionWakeupAdvancesSeq(t *testing.T) {
+	dir := t.TempDir()
+	store := openRecoveryStore(t, dir, journal.Options{})
+	var aired []uint32
+	r := newRigWith(t, nil, func(cfg *Config) {
+		cfg.Journal = store
+		cfg.OnWakeup = func(_ instance.ID, seq uint32, _ float64) { aired = append(aired, seq) }
+	})
+	id, err := r.ctrl.CreateInstance(InstanceSpec{
+		Image: testImage(t), Target: 3, InitialProbability: 1,
+		HeartbeatPeriod: 30 * time.Second,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Nodes 1–3 join, 4–6 stay idle: converged, nothing to recompose.
+	beat := func(members ...uint64) {
+		for _, n := range members {
+			r.heartbeatBusy(n, id)
+		}
+		for n := uint64(4); n <= 6; n++ {
+			r.heartbeatIdle(n)
 		}
 	}
-	if got := LifecycleKind(250).String(); got == "" {
-		t.Fatal("unknown kind stringifies empty")
+	for pass := 0; pass < 3; pass++ {
+		beat(1, 2, 3)
+		r.advance(30 * time.Second)
+	}
+	if st, _ := r.ctrl.Status(id); st.Busy != 3 || len(aired) != 1 {
+		t.Fatalf("before the loss: busy=%d wakeups aired=%v, want 3 and one", st.Busy, aired)
+	}
+	// Nodes 2 and 3 fall silent. Past the grace window the loop sees a
+	// deficit of two with idle nodes to recruit, and recomposes.
+	for pass := 0; pass < 6; pass++ {
+		beat(1)
+		r.advance(30 * time.Second)
+	}
+	if len(aired) < 2 {
+		t.Fatalf("no recomposition aired after losing two members: %v", aired)
+	}
+	for i := 1; i < len(aired); i++ {
+		if aired[i] <= aired[i-1] {
+			t.Fatalf("wakeup seq did not advance: %v (OnWakeup reported a repeated or older (instance, seq))", aired)
+		}
+	}
+	latest := aired[len(aired)-1]
+	msgs, err := control.OpenAll(r.currentControlFile(t), r.pub)
+	if err != nil || len(msgs) != 1 {
+		t.Fatalf("control file: %d messages, err %v", len(msgs), err)
+	}
+	if w, ok := msgs[0].(*control.Wakeup); !ok || w.Seq != latest {
+		t.Fatalf("on-air message %+v, want the wakeup at seq %d", msgs[0], latest)
+	}
+	r.ctrl.Stop()
+	store.Close()
+	raw, err := os.ReadFile(filepath.Join(dir, "state.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := journal.DecodeJournal(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var journaled []uint32
+	for _, rec := range recs {
+		if rec.Op == journal.OpRecompose && rec.Inst.ID == uint64(id) {
+			journaled = append(journaled, rec.Inst.Seq)
+		}
+	}
+	if want := aired[1:]; !slices.Equal(journaled, want) {
+		t.Fatalf("journaled recompose seqs = %v, aired %v", journaled, want)
 	}
 }

@@ -160,7 +160,7 @@ func TestRecoveredAdoptionGrace(t *testing.T) {
 	// gone. Node 7 idles — recompose bait if the grace window leaks.
 	r2.heartbeatBusy(1, id)
 	r2.heartbeatIdle(7)
-	// Default grace: HeartbeatGrace(3) × the PNA's 1-minute reporting
+	// Grace: HeartbeatGrace (3) × the PNA's 1-minute reporting
 	// period. Maintenance runs every 30s; none of the passes inside the
 	// window may re-wake despite deficit 1 and an eligible idle node.
 	for now := 30 * time.Second; now <= 150*time.Second; now += 30 * time.Second {

@@ -170,6 +170,7 @@ type PNA struct {
 	started        bool
 	joinStartedAt  time.Time // wakeup commitment time (DVE-start latency)
 	joinSpan       *span.Span
+	joinCtx        span.Context // where this membership's leave event hangs
 
 	// Drops counts wakeups discarded by the probability gate;
 	// Rejections counts signature/digest failures. Experiment hooks.
@@ -358,8 +359,12 @@ func (p *PNA) handleWakeup(w *control.Wakeup) {
 	if joinSp != nil {
 		joinSp.SetDetail("instance=%d seq=%d", w.InstanceID, w.Seq)
 		p.mu.Lock()
-		p.joinSpan = joinSp
+		p.joinSpan, p.joinCtx = joinSp, joinSp.Context()
 		p.mu.Unlock()
+	} else if p.cfg.Spans != nil {
+		// The timeline lists every join: one that has no span (the
+		// trace lost the sampling draw) is a point event instead.
+		p.cfg.Spans.Event(rootCtx, "join", p.nodeName(), "instance=%d seq=%d", w.InstanceID, w.Seq)
 	}
 	if hook != nil {
 		hook(p.cfg.NodeID, control.StateBusy, w.InstanceID)
@@ -400,6 +405,19 @@ func (p *PNA) handleWakeup(w *control.Wakeup) {
 
 func (p *PNA) nodeName() string { return fmt.Sprintf("node-%d", p.cfg.NodeID) }
 
+// leaveEvent puts the end of a membership on the span timeline, under
+// the join that began it.
+func (p *PNA) leaveEvent(id instance.ID) {
+	if p.cfg.Spans == nil {
+		return
+	}
+	p.mu.Lock()
+	ctx := p.joinCtx
+	p.joinCtx = span.Context{}
+	p.mu.Unlock()
+	p.cfg.Spans.Event(ctx, "leave", p.nodeName(), "instance=%d", id)
+}
+
 // takeJoinSpan detaches the open join span (if any) for ending.
 func (p *PNA) takeJoinSpan() *span.Span {
 	p.mu.Lock()
@@ -425,6 +443,7 @@ func (p *PNA) abortJoin(id instance.ID, _ error) {
 		sp.SetError()
 		sp.End()
 	}
+	p.leaveEvent(id)
 	if hook != nil {
 		hook(p.cfg.NodeID, control.StateIdle, 0)
 	}
@@ -542,6 +561,7 @@ func (p *PNA) resetInstance(id instance.ID) {
 	if d != nil {
 		d.Destroy()
 	}
+	p.leaveEvent(id)
 	if hook != nil {
 		hook(p.cfg.NodeID, control.StateIdle, 0)
 	}

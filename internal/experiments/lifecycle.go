@@ -12,7 +12,6 @@ import (
 	"oddci/internal/obs"
 	"oddci/internal/simtime"
 	"oddci/internal/system"
-	"oddci/internal/trace"
 )
 
 func init() {
@@ -45,7 +44,6 @@ func runLifecycle(cfg Config) (*Result, error) {
 
 	for i, prob := range failProbs {
 		clk := simtime.NewSim(simEpoch)
-		rec := trace.NewRecorder(1 << 17)
 		reg := obs.NewRegistry()
 		plan := netsim.NewFaultPlan(rand.New(rand.NewSource(cfg.Seed+int64(i))), prob, 3)
 		sys, err := system.New(system.Config{
@@ -54,7 +52,6 @@ func runLifecycle(cfg Config) (*Result, error) {
 			Seed:                 cfg.Seed + int64(i),
 			HeartbeatPeriod:      15 * time.Second,
 			MaintenancePeriod:    10 * time.Second,
-			Trace:                rec,
 			Obs:                  reg,
 			HeadEndFaults:        plan,
 			ResetRetransmitTicks: 3,
@@ -110,11 +107,12 @@ func runLifecycle(cfg Config) (*Result, error) {
 		clk.Wait()
 
 		injected, failed := plan.Stats()
+		snap := reg.Snapshot()
 		tbl.AddRow(prob, rounds, injected, failed,
-			rec.Count(trace.KindRefreshRetry), rec.Count(trace.KindGC),
+			snap.Counters["oddci_controller_refresh_retries_total"],
+			snap.Counters["oddci_controller_instances_gced_total"],
 			peakOnAir, finalFiles, finalBytes)
 
-		snap := reg.Snapshot()
 		mbAired := 0.0
 		if v, ok := reg.Value("oddci_dsmcc_broadcast_bytes"); ok {
 			mbAired = v / 1e6

@@ -8,21 +8,9 @@ import (
 	"strconv"
 )
 
-// TimelineSource is what /timeline needs from a trace recorder; the
-// trace package's Recorder satisfies it (Render), kept as an interface
-// so obs stays dependency-free. A source that also implements
-// jsonlSource (trace.Recorder does) unlocks /timeline?format=jsonl.
-type TimelineSource interface {
-	Render(limit int) string
-}
-
-// jsonlSource is the optional streaming face of a timeline source.
-type jsonlSource interface {
-	WriteJSONL(w io.Writer) error
-}
-
-// TraceSource is what /trace needs from a span collector; the span
-// package's Collector satisfies it, kept as an interface so obs stays
+// TraceSource is what /trace and /timeline need from a span collector:
+// two renders of one ring, by cause and by time. The span package's
+// Collector satisfies it, kept as an interface so obs stays
 // dependency-free.
 type TraceSource interface {
 	// RenderTraces renders an index of the most recent limit traces.
@@ -32,6 +20,11 @@ type TraceSource interface {
 	RenderTrace(id string) (string, bool)
 	// WriteJSONL streams every retained span, one JSON object per line.
 	WriteJSONL(w io.Writer) error
+	// RenderTimeline renders the last limit retained entries, spans and
+	// point events alike, in time order.
+	RenderTimeline(limit int) string
+	// WriteTimelineJSONL streams the same entries, oldest first.
+	WriteTimelineJSONL(w io.Writer) error
 }
 
 // jsonlContentType labels newline-delimited JSON exports.
@@ -44,9 +37,9 @@ const jsonlContentType = "application/x-ndjson; charset=utf-8"
 //	             trace-ID exemplars when tracing is on)
 //	/healthz     200 "ok" when every registered check passes, else 503
 //	             with one "name: error" line per failing check
-//	/timeline    recent trace events (?limit=N, default 100;
-//	             ?format=jsonl streams them as NDJSON), if a timeline
-//	             source is wired (404 otherwise)
+//	/timeline    recent spans and lifecycle events in time order
+//	             (?limit=N, default 100; ?format=jsonl streams them as
+//	             NDJSON), if a trace source is wired (404 otherwise)
 //	/trace       recent distributed traces, one summary line each
 //	             (?limit=N, default 50; ?format=jsonl exports every
 //	             retained span), if a trace source is wired
@@ -55,7 +48,7 @@ const jsonlContentType = "application/x-ndjson; charset=utf-8"
 //
 // The returned mux is open for extension (the coordinator CLI mounts
 // net/http/pprof on it behind a flag).
-func NewHandler(reg *Registry, timeline TimelineSource, traces TraceSource) *http.ServeMux {
+func NewHandler(reg *Registry, traces TraceSource) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -83,18 +76,13 @@ func NewHandler(reg *Registry, timeline TimelineSource, traces TraceSource) *htt
 		}
 	})
 	mux.HandleFunc("/timeline", func(w http.ResponseWriter, req *http.Request) {
-		if timeline == nil {
+		if traces == nil {
 			http.NotFound(w, req)
 			return
 		}
 		if req.URL.Query().Get("format") == "jsonl" {
-			js, ok := timeline.(jsonlSource)
-			if !ok {
-				http.Error(w, "timeline source has no JSONL export", http.StatusNotImplemented)
-				return
-			}
 			w.Header().Set("Content-Type", jsonlContentType)
-			js.WriteJSONL(w)
+			traces.WriteTimelineJSONL(w)
 			return
 		}
 		limit, ok := parseLimit(w, req, 100)
@@ -102,7 +90,7 @@ func NewHandler(reg *Registry, timeline TimelineSource, traces TraceSource) *htt
 			return
 		}
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		fmt.Fprint(w, timeline.Render(limit))
+		fmt.Fprint(w, traces.RenderTimeline(limit))
 	})
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, req *http.Request) {
 		if traces == nil {

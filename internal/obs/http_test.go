@@ -11,10 +11,6 @@ import (
 	"testing"
 )
 
-type fakeTimeline struct{}
-
-func (fakeTimeline) Render(limit int) string { return fmt.Sprintf("timeline limit=%d\n", limit) }
-
 func get(t *testing.T, srv *httptest.Server, path string) (int, string, http.Header) {
 	t.Helper()
 	resp, err := http.Get(srv.URL + path)
@@ -32,7 +28,7 @@ func get(t *testing.T, srv *httptest.Server, path string) (int, string, http.Hea
 func TestHandlerMetricsAndVarz(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("oddci_demo_total", "a demo counter").Add(2)
-	srv := httptest.NewServer(NewHandler(r, nil, nil))
+	srv := httptest.NewServer(NewHandler(r, nil))
 	defer srv.Close()
 
 	code, body, hdr := get(t, srv, "/metrics")
@@ -65,7 +61,7 @@ func TestHandlerHealthz(t *testing.T) {
 		}
 		return errors.New("broken")
 	})
-	srv := httptest.NewServer(NewHandler(r, nil, nil))
+	srv := httptest.NewServer(NewHandler(r, nil))
 	defer srv.Close()
 
 	code, body, _ := get(t, srv, "/healthz")
@@ -84,14 +80,14 @@ func TestHandlerHealthz(t *testing.T) {
 
 func TestHandlerTimeline(t *testing.T) {
 	r := NewRegistry()
-	srv := httptest.NewServer(NewHandler(r, nil, nil))
+	srv := httptest.NewServer(NewHandler(r, nil))
 	code, _, _ := get(t, srv, "/timeline")
 	srv.Close()
 	if code != http.StatusNotFound {
 		t.Fatalf("/timeline without source = %d, want 404", code)
 	}
 
-	srv = httptest.NewServer(NewHandler(r, fakeTimeline{}, nil))
+	srv = httptest.NewServer(NewHandler(r, fakeTraces{}))
 	defer srv.Close()
 	code, body, _ := get(t, srv, "/timeline")
 	if code != http.StatusOK || body != "timeline limit=100\n" {
@@ -107,26 +103,18 @@ func TestHandlerTimeline(t *testing.T) {
 	}
 }
 
-// fakeTimelineJSONL is a timeline source with the optional JSONL face.
-type fakeTimelineJSONL struct{ fakeTimeline }
-
-func (fakeTimelineJSONL) WriteJSONL(w io.Writer) error {
-	_, err := io.WriteString(w, `{"at":"t0","kind":"wakeup"}`+"\n")
-	return err
-}
-
 func TestHandlerTimelineJSONL(t *testing.T) {
 	r := NewRegistry()
 
-	// A plain source has no JSONL export: 501, not a panic.
-	srv := httptest.NewServer(NewHandler(r, fakeTimeline{}, nil))
+	// Unwired, the JSONL form is a 404 like the text form.
+	srv := httptest.NewServer(NewHandler(r, nil))
 	code, _, _ := get(t, srv, "/timeline?format=jsonl")
 	srv.Close()
-	if code != http.StatusNotImplemented {
-		t.Fatalf("/timeline?format=jsonl without JSONL source = %d, want 501", code)
+	if code != http.StatusNotFound {
+		t.Fatalf("/timeline?format=jsonl without source = %d, want 404", code)
 	}
 
-	srv = httptest.NewServer(NewHandler(r, fakeTimelineJSONL{}, nil))
+	srv = httptest.NewServer(NewHandler(r, fakeTraces{}))
 	defer srv.Close()
 	code, body, hdr := get(t, srv, "/timeline?format=jsonl")
 	if code != http.StatusOK {
@@ -135,7 +123,7 @@ func TestHandlerTimelineJSONL(t *testing.T) {
 	if ct := hdr.Get("Content-Type"); !strings.HasPrefix(ct, "application/x-ndjson") {
 		t.Fatalf("/timeline?format=jsonl content type = %q, want application/x-ndjson", ct)
 	}
-	if !strings.Contains(body, `"kind":"wakeup"`) {
+	if !strings.Contains(body, `"name":"wakeup"`) {
 		t.Fatalf("/timeline?format=jsonl body = %q", body)
 	}
 }
@@ -154,17 +142,24 @@ func (fakeTraces) WriteJSONL(w io.Writer) error {
 	_, err := io.WriteString(w, `{"trace":"deadbeef"}`+"\n")
 	return err
 }
+func (fakeTraces) RenderTimeline(limit int) string {
+	return fmt.Sprintf("timeline limit=%d\n", limit)
+}
+func (fakeTraces) WriteTimelineJSONL(w io.Writer) error {
+	_, err := io.WriteString(w, `{"name":"wakeup"}`+"\n")
+	return err
+}
 
 func TestHandlerTrace(t *testing.T) {
 	r := NewRegistry()
-	srv := httptest.NewServer(NewHandler(r, nil, nil))
+	srv := httptest.NewServer(NewHandler(r, nil))
 	code, _, _ := get(t, srv, "/trace")
 	srv.Close()
 	if code != http.StatusNotFound {
 		t.Fatalf("/trace without source = %d, want 404", code)
 	}
 
-	srv = httptest.NewServer(NewHandler(r, nil, fakeTraces{}))
+	srv = httptest.NewServer(NewHandler(r, fakeTraces{}))
 	defer srv.Close()
 	code, body, _ := get(t, srv, "/trace")
 	if code != http.StatusOK || body != "traces limit=50\n" {

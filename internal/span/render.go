@@ -92,17 +92,6 @@ func orderTree(spans []Data) []Data {
 			children[d.Parent] = append(children[d.Parent], d)
 		}
 	}
-	byStart := func(s []Data) {
-		sort.Slice(s, func(i, j int) bool {
-			if !s[i].Start.Equal(s[j].Start) {
-				return s[i].Start.Before(s[j].Start)
-			}
-			if s[i].Seq != s[j].Seq {
-				return s[i].Seq < s[j].Seq
-			}
-			return s[i].ID < s[j].ID
-		})
-	}
 	byStart(roots)
 	for _, kids := range children {
 		byStart(kids)
@@ -119,6 +108,19 @@ func orderTree(spans []Data) []Data {
 		walk(r)
 	}
 	return out
+}
+
+// byStart sorts entries by start time, then creation order, then ID.
+func byStart(s []Data) {
+	sort.Slice(s, func(i, j int) bool {
+		if !s[i].Start.Equal(s[j].Start) {
+			return s[i].Start.Before(s[j].Start)
+		}
+		if s[i].Seq != s[j].Seq {
+			return s[i].Seq < s[j].Seq
+		}
+		return s[i].ID < s[j].ID
+	})
 }
 
 // Depths returns each span's tree depth, aligned with t.Spans.
@@ -255,16 +257,73 @@ func (c *Collector) RenderTrace(id string) (string, bool) {
 // grouped by trace (most recent first), tree order within a trace.
 func (c *Collector) WriteJSONL(w io.Writer) error {
 	for _, t := range c.Traces() {
-		for _, d := range t.Spans {
-			line := fmt.Sprintf(
-				`{"trace":%q,"span":"%016x","parent":"%016x","name":%q,"node":%q,"detail":%q,"start":%q,"end":%q,"err":%t,"retry":%t}`+"\n",
-				d.Trace.String(), uint64(d.ID), uint64(d.Parent), d.Name, d.Node, d.Detail,
-				d.Start.UTC().Format(time.RFC3339Nano), d.End.UTC().Format(time.RFC3339Nano),
-				d.Err, d.Retry)
-			if _, err := io.WriteString(w, line); err != nil {
-				return err
-			}
+		if err := writeJSONL(w, t.Spans); err != nil {
+			return err
 		}
 	}
 	return nil
+}
+
+func writeJSONL(w io.Writer, entries []Data) error {
+	for _, d := range entries {
+		line := fmt.Sprintf(
+			`{"trace":%q,"span":"%016x","parent":"%016x","name":%q,"node":%q,"detail":%q,"start":%q,"end":%q,"err":%t,"retry":%t}`+"\n",
+			d.Trace.String(), uint64(d.ID), uint64(d.Parent), d.Name, d.Node, d.Detail,
+			d.Start.UTC().Format(time.RFC3339Nano), d.End.UTC().Format(time.RFC3339Nano),
+			d.Err, d.Retry)
+		if _, err := io.WriteString(w, line); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Timeline returns every retained entry, spans and point events alike,
+// in the order things happened: by start time, then creation order.
+// /trace groups the ring by cause; this is the same ring read by time.
+func (c *Collector) Timeline() []Data {
+	out := c.Snapshot()
+	byStart(out)
+	return out
+}
+
+// RenderTimeline renders the last limit timeline entries (zero or
+// negative: all), one line each, with offsets from the first one shown,
+// suitable for /timeline.
+func (c *Collector) RenderTimeline(limit int) string {
+	entries := c.Timeline()
+	if len(entries) == 0 {
+		return "(empty timeline)\n"
+	}
+	if limit > 0 && len(entries) > limit {
+		entries = entries[len(entries)-limit:]
+	}
+	t0 := entries[0].Start
+	var b strings.Builder
+	for _, d := range entries {
+		fmt.Fprintf(&b, "%9s  %-13s", d.Start.Sub(t0).Truncate(time.Millisecond), d.Name)
+		if d.Node != "" {
+			fmt.Fprintf(&b, "  node=%s", d.Node)
+		}
+		if d.Detail != "" {
+			fmt.Fprintf(&b, "  %s", d.Detail)
+		}
+		if dur := d.End.Sub(d.Start); dur > 0 {
+			fmt.Fprintf(&b, "  took=%s", fmtDur(dur))
+		}
+		if d.Retry {
+			b.WriteString("  RETRY")
+		}
+		if d.Err {
+			b.WriteString("  ERR")
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// WriteTimelineJSONL streams the timeline as one JSON object per line,
+// oldest first, in WriteJSONL's line format.
+func (c *Collector) WriteTimelineJSONL(w io.Writer) error {
+	return writeJSONL(w, c.Timeline())
 }

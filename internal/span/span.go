@@ -370,6 +370,17 @@ func (c *Collector) idFrom(n uint64) uint64 { return mix64(c.seed ^ n) }
 
 func (c *Collector) nextID() uint64 { return c.idFrom(c.nextRaw()) }
 
+// nextSpan draws a creation sequence number and the non-zero span ID
+// derived from it.
+func (c *Collector) nextSpan() (uint64, SpanID) {
+	n := c.nextRaw()
+	id := SpanID(c.idFrom(n))
+	if id == 0 {
+		id = 1
+	}
+	return n, id
+}
+
 func (c *Collector) sampled(t TraceID) bool {
 	if c.thresh == ^uint64(0) {
 		return true
@@ -391,11 +402,7 @@ func (c *Collector) Root(name, node string) *Span {
 	if !c.sampled(t) {
 		return nil
 	}
-	n := c.nextRaw()
-	id := SpanID(c.idFrom(n))
-	if id == 0 {
-		id = 1
-	}
+	n, id := c.nextSpan()
 	return &Span{c: c, data: Data{
 		Trace: t,
 		ID:    id,
@@ -413,11 +420,7 @@ func (c *Collector) Start(parent Context, name, node string) *Span {
 	if c == nil || !parent.Valid() || !parent.Sampled {
 		return nil
 	}
-	n := c.nextRaw()
-	id := SpanID(c.idFrom(n))
-	if id == 0 {
-		id = 1
-	}
+	n, id := c.nextSpan()
 	return &Span{c: c, data: Data{
 		Trace:  parent.Trace,
 		ID:     id,
@@ -429,8 +432,49 @@ func (c *Collector) Start(parent Context, name, node string) *Span {
 	}}
 }
 
+// Event records a point event: a finished entry of no duration
+// (Start == End), stamped now. Unlike Start it records whatever the
+// head-based draw said, the rule ForceRecord applies to error and retry
+// evidence: a lifecycle fact (a trim, a GC, a refresh retry) is what
+// /timeline is read for. Under a valid parent the event also shows in
+// that trace's waterfall; under the zero Context it is an orphan that
+// only the timeline lists. detail follows SetDetail. The nil collector
+// costs one branch, but arguments are boxed by the caller, so a call
+// that passes any belongs behind the caller's own nil check.
+func (c *Collector) Event(parent Context, name, node, detail string, args ...any) {
+	if c == nil {
+		return
+	}
+	if !parent.Valid() {
+		parent = Context{}
+	}
+	if len(args) > 0 {
+		detail = fmt.Sprintf(detail, args...)
+	}
+	n, id := c.nextSpan()
+	now := c.clk.Now()
+	c.record(Data{
+		Trace:  parent.Trace,
+		ID:     id,
+		Parent: parent.Span,
+		Seq:    n,
+		Name:   name,
+		Node:   node,
+		Detail: detail,
+		Start:  now,
+		End:    now,
+	})
+}
+
 func (c *Collector) record(d Data) {
-	sh := &c.shards[d.Trace[1]%collectorShards]
+	// One trace stays in one shard. Orphans have no trace to key on and
+	// would all share shard 0 and a sixteenth of the capacity, so they
+	// spread by creation order.
+	key := d.Trace[1]
+	if d.Trace.IsZero() {
+		key = d.Seq
+	}
+	sh := &c.shards[key%collectorShards]
 	sh.mu.Lock()
 	if sh.n == len(sh.buf) {
 		sh.head = (sh.head + 1) % len(sh.buf)
@@ -482,23 +526,15 @@ func (c *Collector) Stats() (started, kept, dropped int64) {
 	return c.started.Load(), c.kept.Load(), c.dropped.Load()
 }
 
-// Clock returns the collector's injected clock (the Real clock for a
-// nil collector), letting instrumented call sites stamp force-recorded
-// evidence consistently.
-func (c *Collector) Clock() simtime.Clock {
-	if c == nil {
-		return simtime.NewReal()
-	}
-	return c.clk
-}
-
 // --- link table -----------------------------------------------------
 //
 // The wakeup broadcast travels the signed control codec, which must
 // not change shape under old verifiers. Instead of embedding trace
 // context there, the Controller publishes (instanceID, seq) → Context
 // in this bounded table and the coordinator/PNA side looks it up when
-// a node joins. Keys are instanceID<<32 | seq.
+// a node joins. Keys are instanceID<<32 | seq. No wakeup airs with seq 0,
+// so (instance, 0) names the instance's latest wakeup: where its
+// lifecycle events hang.
 
 const maxLinks = 1024
 

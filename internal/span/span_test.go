@@ -180,12 +180,13 @@ func TestTreeAssembly(t *testing.T) {
 // collectors with equal seeds over equal virtual clocks must render
 // byte-identical timelines — any time.Now() leak would diverge them.
 func TestFrozenSimByteIdentical(t *testing.T) {
-	render := func() (string, string) {
+	render := func() (string, string, string) {
 		sim := simtime.NewSim(epoch)
 		c := NewCollector(Config{Clock: sim, Seed: 11})
 		var root, child *Span
 		sim.AfterFunc(0, func() { root = c.Root("wakeup", "ctl") })
 		sim.AfterFunc(5*time.Millisecond, func() { child = c.Start(root.Context(), "join", "n1") })
+		sim.AfterFunc(7*time.Millisecond, func() { c.Event(root.Context(), "trim", "ctl", "node=%d", 2) })
 		sim.AfterFunc(9*time.Millisecond, func() { child.End() })
 		sim.AfterFunc(12*time.Millisecond, func() { root.End() })
 		sim.Wait()
@@ -193,15 +194,21 @@ func TestFrozenSimByteIdentical(t *testing.T) {
 		if !ok {
 			t.Fatalf("trace not retained")
 		}
-		return c.RenderTraces(0), tr.RenderWaterfall()
+		return c.RenderTraces(0), tr.RenderWaterfall(), c.RenderTimeline(0)
 	}
-	idx1, wf1 := render()
-	idx2, wf2 := render()
+	idx1, wf1, tl1 := render()
+	idx2, wf2, tl2 := render()
 	if idx1 != idx2 {
 		t.Fatalf("index render diverged:\n%s\nvs\n%s", idx1, idx2)
 	}
 	if wf1 != wf2 {
 		t.Fatalf("waterfall render diverged:\n%s\nvs\n%s", wf1, wf2)
+	}
+	if tl1 != tl2 {
+		t.Fatalf("timeline render diverged:\n%s\nvs\n%s", tl1, tl2)
+	}
+	if !strings.Contains(wf1, "trim") || !strings.Contains(tl1, "7ms") {
+		t.Fatalf("the event is missing from the waterfall or the timeline:\n%s\n%s", wf1, tl1)
 	}
 	if !strings.Contains(wf1, "join") || !strings.Contains(wf1, "+5.0ms") {
 		t.Fatalf("waterfall missing expected content:\n%s", wf1)
@@ -258,6 +265,10 @@ func TestNilSafety(t *testing.T) {
 		t.Fatalf("nil collector Start should return nil")
 	}
 	c.ForceRecord(Data{})
+	c.Event(Context{}, "x", "", "")
+	if c.Timeline() != nil || c.RenderTimeline(0) != "(empty timeline)\n" || c.WriteTimelineJSONL(&bytes.Buffer{}) != nil {
+		t.Fatalf("nil collector timeline should be empty")
+	}
 	c.SetLink(1, Context{})
 	if _, ok := c.GetLink(1); ok {
 		t.Fatalf("nil collector GetLink should miss")
@@ -268,13 +279,8 @@ func TestNilSafety(t *testing.T) {
 	if c.RenderTraces(0) != "" {
 		// RenderTraces on nil goes through Traces/Stats; it renders a header.
 	}
-	if c.Clock() == nil {
-		t.Fatalf("nil collector Clock should fall back to real")
-	}
-	real := NewCollector(Config{})
-	if real.Clock() == nil {
-		t.Fatalf("default clock missing")
-	}
+	// The zero Config falls back to the real clock.
+	NewCollector(Config{}).Root("x", "").End()
 
 	// Ending twice records once.
 	c2 := NewCollector(Config{Clock: simtime.NewSim(epoch), Seed: 1})
@@ -333,6 +339,7 @@ func TestConcurrentRecordSnapshot(t *testing.T) {
 					child.SetRetry()
 				}
 				child.End()
+				c.Event(root.Context(), "trim", "n", "")
 				root.End()
 				c.SetLink(LinkKey(uint64(w), uint64(i)), root.Context())
 				c.GetLink(LinkKey(uint64(w), uint64(i/2)))
@@ -351,6 +358,7 @@ func TestConcurrentRecordSnapshot(t *testing.T) {
 			c.Snapshot()
 			c.Traces()
 			c.RenderTraces(10)
+			c.RenderTimeline(10)
 			var sink bytes.Buffer
 			c.WriteJSONL(&sink)
 		}
@@ -360,7 +368,169 @@ func TestConcurrentRecordSnapshot(t *testing.T) {
 	readWg.Wait()
 
 	_, kept, _ := c.Stats()
-	if kept != writers*iters*2 {
-		t.Fatalf("kept %d spans, want %d", kept, writers*iters*2)
+	if kept != writers*iters*3 {
+		t.Fatalf("kept %d spans, want %d", kept, writers*iters*3)
+	}
+}
+
+// TestEventRecordAndRender: point events are zero-duration entries that
+// record whatever the sampling draw said, hang under a valid parent,
+// and read back in time order next to the spans.
+func TestEventRecordAndRender(t *testing.T) {
+	sim := simtime.NewSim(epoch)
+	c := NewCollector(Config{Clock: sim, SampleRate: -1, Seed: 6})
+	parent := Context{Trace: TraceID{7, 9}, Span: 3} // a trace that lost the draw
+	c.Event(parent, "wakeup", "controller", "instance=%d seq=%d p=%.2f", 1, 1, 0.5)
+	sim.AfterFunc(3*time.Second, func() { c.Event(parent, "join", "node-7", "instance=1") })
+	sim.AfterFunc(9*time.Second, func() { c.Event(Context{Trace: TraceID{7, 9}}, "leave", "node-7", "") })
+	sim.Wait()
+
+	evs := c.Timeline()
+	if len(evs) != 3 {
+		t.Fatalf("entries = %d, want 3 despite sampling being off", len(evs))
+	}
+	if evs[0].Name != "wakeup" || evs[2].Name != "leave" {
+		t.Fatalf("order wrong: %+v", evs)
+	}
+	for _, d := range evs[:2] {
+		if d.Trace != parent.Trace || d.Parent != parent.Span || d.ID == 0 || !d.Start.Equal(d.End) {
+			t.Fatalf("event not a zero-duration child of its parent: %+v", d)
+		}
+	}
+	// A half-formed parent (no span ID) is no parent: an orphan.
+	if !evs[2].Trace.IsZero() || evs[2].Parent != 0 {
+		t.Fatalf("invalid parent should leave an orphan: %+v", evs[2])
+	}
+	out := c.RenderTimeline(0)
+	for _, want := range []string{"wakeup", "join", "node=node-7", "instance=1 seq=1 p=0.50", "3s", "9s"} {
+		if !strings.Contains(out, want) {
+			t.Fatalf("render missing %q:\n%s", want, out)
+		}
+	}
+	// A span shows how long it took; flags survive.
+	sp := NewCollector(Config{Clock: sim, Seed: 6})
+	root := sp.Root("dispatch", "backend")
+	root.SetRetry()
+	root.SetError()
+	sim.AfterFunc(1500*time.Millisecond, root.End)
+	sim.Wait()
+	if out := sp.RenderTimeline(0); !strings.Contains(out, "took=1.500s") || !strings.Contains(out, "RETRY") || !strings.Contains(out, "ERR") {
+		t.Fatalf("span line lacks duration or flags:\n%s", out)
+	}
+}
+
+// TestEventNilCollectorAllocatesNothing pins what an untraced
+// deployment pays at an event site: one branch.
+func TestEventNilCollectorAllocatesNothing(t *testing.T) {
+	var c *Collector
+	parent := Context{Trace: TraceID{1, 2}, Span: 3, Sampled: true}
+	if n := testing.AllocsPerRun(100, func() { c.Event(parent, "power-on", "node-1", "") }); n != 0 {
+		t.Fatalf("nil collector Event allocated %v times per call", n)
+	}
+}
+
+// TestTimelineRingDropsOldest: the ring keeps the newest entries, and
+// orphans spread over every shard instead of sharing one.
+func TestTimelineRingDropsOldest(t *testing.T) {
+	sim := simtime.NewSim(epoch)
+	c := NewCollector(Config{Clock: sim, Capacity: 64, Seed: 1})
+	for i := 0; i < 160; i++ {
+		c.Event(Context{}, "tick", "", "i=%d", i)
+		sim.RunUntil(sim.Now().Add(time.Second))
+	}
+	evs := c.Timeline()
+	if len(evs) != 64 {
+		t.Fatalf("kept %d orphans of capacity 64: they must not share one shard", len(evs))
+	}
+	if evs[0].Detail != "i=96" || evs[63].Detail != "i=159" {
+		t.Fatalf("wrong window: %s .. %s", evs[0].Detail, evs[63].Detail)
+	}
+	if _, kept, dropped := c.Stats(); kept != 160 || dropped != 96 {
+		t.Fatalf("kept=%d dropped=%d, want 160 and 96", kept, dropped)
+	}
+}
+
+func TestRenderTimelineLimitAndEmpty(t *testing.T) {
+	c := NewCollector(Config{Clock: simtime.NewSim(epoch), Seed: 1})
+	if !strings.Contains(c.RenderTimeline(0), "empty") {
+		t.Fatal("empty render wrong")
+	}
+	for i := 0; i < 5; i++ {
+		c.Event(Context{}, "power-on", "node-1", "")
+	}
+	if out := c.RenderTimeline(2); strings.Count(out, "power-on") != 2 {
+		t.Fatalf("limit ignored:\n%s", out)
+	}
+}
+
+func TestRenderTimelineNegativeLimit(t *testing.T) {
+	c := NewCollector(Config{Clock: simtime.NewSim(epoch), Seed: 1})
+	for i := 0; i < 5; i++ {
+		c.Event(Context{}, "power-on", "node-1", "")
+	}
+	if got := strings.Count(c.RenderTimeline(-3), "power-on"); got != 5 {
+		t.Fatalf("negative limit rendered %d events, want all 5", got)
+	}
+}
+
+func TestWriteTimelineJSONL(t *testing.T) {
+	sim := simtime.NewSim(epoch)
+	c := NewCollector(Config{Clock: sim, Seed: 4})
+	root := c.Root("wakeup", "controller")
+	root.SetDetail("instance=3 seq=1 p=0.50")
+	root.End()
+	sim.AfterFunc(time.Second, func() { c.Event(root.Context(), "join", "node-7", "instance=3") })
+	sim.Wait()
+	var b strings.Builder
+	if err := c.WriteTimelineJSONL(&b); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
+	if len(lines) != 2 {
+		t.Fatalf("lines = %d:\n%s", len(lines), b.String())
+	}
+	for _, want := range []string{`"name":"wakeup"`, `"node":"controller"`, `"detail":"instance=3 seq=1 p=0.50"`} {
+		if !strings.Contains(lines[0], want) {
+			t.Fatalf("line 0 missing %s: %s", want, lines[0])
+		}
+	}
+	if !strings.Contains(lines[1], `"node":"node-7"`) || !strings.Contains(lines[1], `"name":"join"`) {
+		t.Fatalf("line 1 wrong: %s", lines[1])
+	}
+	var decoded map[string]any
+	if err := json.Unmarshal([]byte(lines[1]), &decoded); err != nil {
+		t.Fatalf("line 1 is not valid JSON: %v", err)
+	}
+	if decoded["start"] != decoded["end"] || decoded["trace"] != root.Context().Trace.String() {
+		t.Fatalf("event line should be zero-duration inside the wakeup trace: %s", lines[1])
+	}
+}
+
+// TestTimelineFrozenSimReplay drives two identical simulated-clock runs
+// recording events: they are stamped from the injected clock (never the
+// wall clock), so both timelines render byte-identical.
+func TestTimelineFrozenSimReplay(t *testing.T) {
+	run := func() string {
+		sim := simtime.NewSim(epoch)
+		c := NewCollector(Config{Clock: sim, Seed: 16})
+		c.Event(Context{}, "wakeup", "controller", "instance=1 seq=1 p=0.50")
+		sim.AfterFunc(1500*time.Millisecond, func() { c.Event(Context{}, "join", "node-7", "instance=1") })
+		sim.AfterFunc(4*time.Second, func() { c.Event(Context{}, "leave", "node-7", "") })
+		sim.Wait()
+		return c.RenderTimeline(0)
+	}
+	a, b := run(), run()
+	if a != b {
+		t.Fatalf("frozen-sim replays differ:\n--- a ---\n%s--- b ---\n%s", a, b)
+	}
+	for _, want := range []string{"1.5s", "4s", "join", "leave"} {
+		if !strings.Contains(a, want) {
+			t.Fatalf("render missing %q:\n%s", want, a)
+		}
+	}
+	// Wall-clock stamping would put all three events microseconds apart;
+	// the injected sim clock spaces them exactly as scheduled.
+	if strings.Count(a, " 0s ") > 1 {
+		t.Fatalf("events collapsed onto the wall clock:\n%s", a)
 	}
 }

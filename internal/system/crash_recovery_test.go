@@ -11,8 +11,8 @@ import (
 	"oddci/internal/core/controller"
 	"oddci/internal/core/provider"
 	"oddci/internal/netsim"
+	"oddci/internal/obs"
 	"oddci/internal/simtime"
-	"oddci/internal/trace"
 	"oddci/internal/workload"
 )
 
@@ -31,7 +31,7 @@ func TestControllerCrashRecoveryUnderFaults(t *testing.T) {
 		tasks = 600
 	)
 	clk := simtime.NewSim(epoch)
-	rec := trace.NewRecorder(1 << 16)
+	reg := obs.NewRegistry()
 	plan := netsim.NewFaultPlan(rand.New(rand.NewSource(31)), 0.2, 3)
 	sys, err := New(Config{
 		Clock:                clk,
@@ -39,7 +39,7 @@ func TestControllerCrashRecoveryUnderFaults(t *testing.T) {
 		Seed:                 11,
 		HeartbeatPeriod:      15 * time.Second,
 		MaintenancePeriod:    10 * time.Second,
-		Trace:                rec,
+		Obs:                  reg,
 		HeadEndFaults:        plan,
 		ResetRetransmitTicks: 3,
 		RefreshRetryBase:     2 * time.Second,
@@ -183,8 +183,8 @@ func TestControllerCrashRecoveryUnderFaults(t *testing.T) {
 	if !errors.Is(goneErr, controller.ErrInstanceGone) {
 		t.Fatalf("crash-window destroyed instance = %v, want ErrInstanceGone after recovered GC", goneErr)
 	}
-	if gc := rec.Count(trace.KindGC); gc != destroys {
-		t.Fatalf("gc events = %d, destroys = %d; recovery must GC each destroyed instance exactly once", gc, destroys)
+	if gc, _ := reg.Value("oddci_controller_instances_gced_total"); int(gc) != destroys {
+		t.Fatalf("gc count = %v, destroys = %d; recovery must GC each destroyed instance exactly once", gc, destroys)
 	}
 	if !jobDone.Load() {
 		t.Fatal("backend job did not complete across the controller crash")

@@ -10,8 +10,8 @@ import (
 	"oddci/internal/core/instance"
 	"oddci/internal/core/provider"
 	"oddci/internal/netsim"
+	"oddci/internal/obs"
 	"oddci/internal/simtime"
-	"oddci/internal/trace"
 )
 
 // TestLifecycleChurnUnderFaults is the end-to-end hardening stress:
@@ -25,7 +25,7 @@ func TestLifecycleChurnUnderFaults(t *testing.T) {
 	const cycles = 212
 
 	clk := simtime.NewSim(epoch)
-	rec := trace.NewRecorder(1 << 17)
+	reg := obs.NewRegistry()
 	plan := netsim.NewFaultPlan(rand.New(rand.NewSource(23)), 0.25, 3)
 	sys, err := New(Config{
 		Clock:                clk,
@@ -33,7 +33,7 @@ func TestLifecycleChurnUnderFaults(t *testing.T) {
 		Seed:                 7,
 		HeartbeatPeriod:      15 * time.Second,
 		MaintenancePeriod:    10 * time.Second,
-		Trace:                rec,
+		Obs:                  reg,
 		HeadEndFaults:        plan,
 		ResetRetransmitTicks: 3,
 		RefreshRetryBase:     2 * time.Second,
@@ -122,17 +122,21 @@ func TestLifecycleChurnUnderFaults(t *testing.T) {
 	if ghosts != 0 {
 		t.Fatalf("%d ghost members survived their instances' resets", ghosts)
 	}
-	if gc := rec.Count(trace.KindGC); gc != destroys {
-		t.Fatalf("gc events = %d, destroys = %d; every destroyed instance must be GC'd exactly once", gc, destroys)
+	counter := func(name string) int {
+		v, _ := reg.Value(name)
+		return int(v)
+	}
+	if gc := counter("oddci_controller_instances_gced_total"); gc != destroys {
+		t.Fatalf("gc count = %d, destroys = %d; every destroyed instance must be GC'd exactly once", gc, destroys)
 	}
 	injected, failed := plan.Stats()
 	if failed == 0 {
 		t.Fatalf("plan injected %d updates, failed none — faults never exercised", injected)
 	}
-	if rec.Count(trace.KindRefreshRetry) == 0 {
-		t.Fatal("no refresh-retry events despite injected failures")
+	if counter("oddci_controller_refresh_retries_total") == 0 {
+		t.Fatal("no refresh retries counted despite injected failures")
 	}
-	if rec.Count(trace.KindRefreshOK) == 0 {
-		t.Fatal("no refresh recoveries recorded")
+	if counter("oddci_controller_refresh_recoveries_total") == 0 {
+		t.Fatal("no refresh recoveries counted")
 	}
 }

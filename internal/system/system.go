@@ -33,7 +33,6 @@ import (
 	"oddci/internal/simtime"
 	"oddci/internal/span"
 	"oddci/internal/stb"
-	"oddci/internal/trace"
 )
 
 // Config sizes a deployment. Zero values select the paper's defaults.
@@ -46,16 +45,12 @@ type Config struct {
 	// Delta is the per-node direct-channel capacity in bps each way
 	// (default 150 kbps).
 	Delta float64
-	// DirectLatency is the direct channels' propagation delay.
-	DirectLatency time.Duration
 	// Seed drives every random stream in the deployment.
 	Seed int64
 	// HeartbeatPeriod is the default PNA reporting interval.
 	HeartbeatPeriod time.Duration
 	// MaintenancePeriod is the Controller's instance-size loop.
 	MaintenancePeriod time.Duration
-	// AITPeriod is the signalling repetition interval.
-	AITPeriod time.Duration
 	// Strategy selects the carousel receiver behaviour.
 	Strategy dsmcc.ReceiverStrategy
 	// StandbyFraction of nodes idle in standby; the rest are in use.
@@ -71,10 +66,6 @@ type Config struct {
 	// TargetHeartbeatRate, if positive, lets the Controller re-tune
 	// idle nodes' heartbeat periods to bound its inbound load.
 	TargetHeartbeatRate float64
-	// Trace, if set, records control-plane events (wakeups, joins,
-	// resets, power transitions, instance lifecycle, refresh health)
-	// into a timeline.
-	Trace *trace.Recorder
 	// Obs, if set, collects telemetry from every component
 	// (oddci_controller_*, oddci_backend_*, oddci_pna_*, oddci_dve_*,
 	// oddci_dsmcc_*, oddci_netsim_*).
@@ -82,7 +73,10 @@ type Config struct {
 	// Spans, if set, records end-to-end causal traces: wakeup
 	// broadcasts start root spans, PNAs hang join/image-load/dve-start
 	// under them, and the Backend closes each tree with
-	// dispatch/lease-expiry/commit spans.
+	// dispatch/lease-expiry/commit spans. The same collector holds the
+	// lifecycle timeline as point events: instance create/trim/destroy/
+	// gc and refresh health from the Controller, leaves from the PNAs,
+	// power transitions from here.
 	Spans *span.Collector
 	// HeadEndFaults, if set, injects failures into the Controller's
 	// carousel updates (not into the receivers), exercising the
@@ -159,9 +153,6 @@ func (c *Config) fill() error {
 	}
 	if c.MaintenancePeriod <= 0 {
 		c.MaintenancePeriod = time.Minute
-	}
-	if c.AITPeriod <= 0 {
-		c.AITPeriod = middleware.DefaultAITPeriod
 	}
 	if c.InitialPowerOn == 0 {
 		c.InitialPowerOn = 1
@@ -242,7 +233,7 @@ func New(cfg Config) (*System, error) {
 		b.Instrument(cfg.Obs)
 		bcast = b
 	}
-	sig := middleware.NewSignalling(clk, cfg.AITPeriod)
+	sig := middleware.NewSignalling(clk, middleware.DefaultAITPeriod)
 
 	// Fault injection wraps only the Controller's transmit path; the
 	// receivers keep reading whatever the carousel last committed.
@@ -250,34 +241,6 @@ func New(cfg Config) (*System, error) {
 	if cfg.HeadEndFaults != nil {
 		head = &faultyHeadEnd{inner: bcast, plan: cfg.HeadEndFaults}
 		cfg.HeadEndFaults.Instrument(cfg.Obs, "headend")
-	}
-
-	var onLifecycle func(controller.LifecycleEvent)
-	if cfg.Trace != nil {
-		onLifecycle = func(ev controller.LifecycleEvent) {
-			var kind trace.Kind
-			detail := ""
-			switch ev.Kind {
-			case controller.LifecycleCreated:
-				kind = trace.KindCreate
-			case controller.LifecycleTrimmed:
-				kind = trace.KindTrim
-			case controller.LifecycleDestroyed:
-				kind = trace.KindDestroy
-			case controller.LifecycleGCed:
-				kind = trace.KindGC
-			case controller.LifecycleRefreshRetry:
-				kind, detail = trace.KindRefreshRetry, fmt.Sprintf("attempt=%d", ev.Attempt)
-			case controller.LifecycleRefreshRecovered:
-				kind, detail = trace.KindRefreshOK, fmt.Sprintf("attempts=%d", ev.Attempt)
-			default:
-				// Recompositions already surface as wakeup events.
-				return
-			}
-			cfg.Trace.Record(trace.Event{
-				At: clk.Now(), Kind: kind, Node: ev.Node, Instance: uint64(ev.Instance), Detail: detail,
-			})
-		}
 	}
 
 	ctrlCfg := controller.Config{
@@ -293,15 +256,6 @@ func New(cfg Config) (*System, error) {
 		RefreshRetryMax:      cfg.RefreshRetryMax,
 		Obs:                  cfg.Obs,
 		Spans:                cfg.Spans,
-		OnLifecycle:          onLifecycle,
-		OnWakeup: func(id instance.ID, seq uint32, probability float64) {
-			if cfg.Trace != nil {
-				cfg.Trace.Record(trace.Event{
-					At: clk.Now(), Kind: trace.KindWakeup, Instance: uint64(id),
-					Detail: fmt.Sprintf("seq=%d p=%.2f", seq, probability),
-				})
-			}
-		},
 	}
 	var store *journal.Store
 	if cfg.StateDir != "" {
@@ -381,7 +335,7 @@ func New(cfg Config) (*System, error) {
 	if cfg.ChunkCacheBytes != 0 {
 		cacheMet = dsmcc.NewCacheMetrics(cfg.Obs)
 	}
-	linkCfg := netsim.LinkConfig{RateBps: cfg.Delta, Latency: cfg.DirectLatency}
+	linkCfg := netsim.LinkConfig{RateBps: cfg.Delta}
 	for i := 0; i < cfg.Nodes; i++ {
 		nodeID := uint64(i + 1)
 		nodeRng := rand.New(rand.NewSource(rng.Int63()))
@@ -423,22 +377,22 @@ func New(cfg Config) (*System, error) {
 		if err != nil {
 			return nil, err
 		}
-		box.OnPower = func(on bool, at time.Time) {
+		box.OnPower = func(on bool, _ time.Time) {
 			if !on {
 				// A box that dies mid-task leaves no state-change
 				// callback behind; evict it from the oracle so LiveBusy
 				// does not count ghosts.
 				s.notePowerGone(nodeID)
 			}
-			if cfg.Trace != nil {
-				kind := trace.KindPowerOff
+			if cfg.Spans != nil {
+				name := "power-off"
 				if on {
-					kind = trace.KindPowerOn
+					name = "power-on"
 				}
-				cfg.Trace.Record(trace.Event{At: at, Kind: kind, Node: nodeID})
+				cfg.Spans.Event(span.Context{}, name, fmt.Sprintf("node-%d", nodeID), "")
 			}
 		}
-		box.RegisterApp("pna.xlet", factory)
+		box.RegisterApp(controller.PNAClassFile, factory)
 		s.STBs = append(s.STBs, box)
 	}
 	return s, nil
@@ -656,15 +610,6 @@ func (s *System) noteState(nodeID uint64, st control.NodeState, inst instance.ID
 		m[nodeID] = true
 	}
 	s.mu.Unlock()
-	if s.cfg.Trace != nil {
-		kind := trace.KindLeave
-		if st == control.StateBusy {
-			kind = trace.KindJoin
-		}
-		s.cfg.Trace.Record(trace.Event{
-			At: s.Clock.Now(), Kind: kind, Node: nodeID, Instance: uint64(inst),
-		})
-	}
 }
 
 // notePowerGone drops a powered-off node from the oracle membership.

@@ -71,10 +71,6 @@ type CoordinatorConfig struct {
 	// what happens to a result that comes back without it is this
 	// policy's call (CredWarn tolerates, CredEnforce rejects).
 	CredentialMode backend.CredentialMode
-	// HeartbeatSilence is how long the coordinator tolerates hearing no
-	// heartbeat (while nodes are connected) before the heartbeat-silence
-	// health check fails (default 3× HeartbeatPeriod).
-	HeartbeatSilence time.Duration
 	// StateDir, if set, makes the coordinator durable across restarts:
 	// the signing key persists (nodes keep verifying the same identity,
 	// unless Key is given explicitly) and the wakeup sequence resumes
@@ -216,9 +212,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = simtime.NewReal()
-	}
-	if cfg.HeartbeatSilence <= 0 {
-		cfg.HeartbeatSilence = 3 * cfg.HeartbeatPeriod
 	}
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = time.Second
@@ -492,8 +485,10 @@ func (c *Coordinator) instrument(reg *obs.Registry) {
 		if c.nodes.Len() == 0 || nano == 0 {
 			return nil
 		}
-		if silent := c.cfg.Clock.Now().Sub(time.Unix(0, nano)); silent > c.cfg.HeartbeatSilence {
-			return fmt.Errorf("no heartbeat for %v (limit %v)", silent.Round(time.Millisecond), c.cfg.HeartbeatSilence)
+		// Tolerate three missed periods while nodes are connected.
+		limit := 3 * c.cfg.HeartbeatPeriod
+		if silent := c.cfg.Clock.Now().Sub(time.Unix(0, nano)); silent > limit {
+			return fmt.Errorf("no heartbeat for %v (limit %v)", silent.Round(time.Millisecond), limit)
 		}
 		return nil
 	})

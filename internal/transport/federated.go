@@ -21,12 +21,6 @@ type FederatedNodeConfig struct {
 	// ShardAddrs lists every coordinator's address, indexed by
 	// federation.ShardID. NodeConfig.Addr is ignored.
 	ShardAddrs []string
-	// VNodes is the ring's virtual node count per shard
-	// (federation.DefaultVNodes if 0). Must match the coordinators'.
-	VNodes int
-	// MaxHandoffs caps the ring walk past the home shard
-	// (default: every other shard, i.e. len(ShardAddrs)-1).
-	MaxHandoffs int
 }
 
 // FederatedReport extends NodeReport with the session's placement.
@@ -48,7 +42,9 @@ func RunFederatedNode(cfg FederatedNodeConfig) (FederatedReport, error) {
 	if len(cfg.ShardAddrs) == 0 {
 		return rep, errors.New("transport: no shard addresses")
 	}
-	ring, err := federation.NewRing(len(cfg.ShardAddrs), cfg.VNodes)
+	// The ring must be the one the shards were laid out by, so its
+	// size is federation's constant, not a setting to get wrong.
+	ring, err := federation.NewRing(len(cfg.ShardAddrs), federation.DefaultVNodes)
 	if err != nil {
 		return rep, err
 	}
@@ -56,11 +52,8 @@ func RunFederatedNode(cfg FederatedNodeConfig) (FederatedReport, error) {
 	rep.HomeShard = home
 	rep.ServedBy = -1
 
-	maxHandoffs := cfg.MaxHandoffs
-	if maxHandoffs <= 0 || maxHandoffs > len(cfg.ShardAddrs)-1 {
-		maxHandoffs = len(cfg.ShardAddrs) - 1
-	}
-	order := append([]federation.ShardID{home}, ring.Neighbors(home, maxHandoffs)...)
+	// The walk past the home shard visits every other shard once.
+	order := append([]federation.ShardID{home}, ring.Neighbors(home, len(cfg.ShardAddrs)-1)...)
 
 	var lastErr error
 	for i, s := range order {

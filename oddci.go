@@ -41,7 +41,6 @@ import (
 	"oddci/internal/span"
 	"oddci/internal/stb"
 	"oddci/internal/system"
-	"oddci/internal/trace"
 	"oddci/internal/workload"
 )
 
@@ -78,27 +77,6 @@ type (
 	PerfModel = stb.PerfModel
 	// STB is one simulated receiver.
 	STB = stb.STB
-	// TraceEvent is one control-plane timeline entry.
-	TraceEvent = trace.Event
-	// TraceKind classifies trace events.
-	TraceKind = trace.Kind
-)
-
-// Trace event kinds.
-const (
-	TraceWakeup   = trace.KindWakeup
-	TraceReset    = trace.KindReset
-	TraceJoin     = trace.KindJoin
-	TraceLeave    = trace.KindLeave
-	TracePowerOn  = trace.KindPowerOn
-	TracePowerOff = trace.KindPowerOff
-	// Instance lifecycle and head-end refresh health.
-	TraceCreate       = trace.KindCreate
-	TraceTrim         = trace.KindTrim
-	TraceDestroy      = trace.KindDestroy
-	TraceGC           = trace.KindGC
-	TraceRefreshRetry = trace.KindRefreshRetry
-	TraceRefreshOK    = trace.KindRefreshOK
 )
 
 // Sentinel errors for instance lookups (match with errors.Is).
@@ -179,16 +157,16 @@ type Options struct {
 	// substrate instead of the DTV DSM-CC carousel (§3.3's alternative
 	// enabling technology).
 	IPMulticast bool
-	// TraceCapacity, if positive, records the control-plane timeline
-	// (wakeups, joins, resets, power transitions) into a ring of this
-	// many events, readable via Timeline and TraceEvents.
-	TraceCapacity int
 	// SpanCapacity, if positive, enables end-to-end causal tracing:
 	// every sampled wakeup broadcast starts a distributed trace whose
 	// spans (join, image-load, dve-start, dispatch, lease-expiry,
 	// commit) land in a ring of this many entries, readable via
 	// RenderTraces / RenderTrace / WriteSpansJSONL and served on
-	// /trace by MetricsHandler.
+	// /trace by MetricsHandler. The same ring holds the lifecycle
+	// timeline (instance create/trim/destroy/gc, refresh health, leaves,
+	// power transitions) as point events that no sampling draw drops,
+	// readable in time order via Timeline / WriteTimelineJSONL and
+	// served on /timeline.
 	SpanCapacity int
 	// SpanSampleRate is the head-based sampling rate in [0,1]; 0 means
 	// sample every trace, negative disables sampling entirely (error
@@ -209,12 +187,11 @@ type Options struct {
 
 // System is an assembled OddCI-DTV deployment.
 type System struct {
-	sys    *system.System
-	clk    simtime.Clock
-	sim    *simtime.Sim // nil in real-time mode
-	tracer *trace.Recorder
-	obs    *obs.Registry
-	spans  *span.Collector
+	sys   *system.System
+	clk   simtime.Clock
+	sim   *simtime.Sim // nil in real-time mode
+	obs   *obs.Registry
+	spans *span.Collector
 }
 
 // New assembles and starts a deployment.
@@ -234,10 +211,6 @@ func New(opts Options) (*System, error) {
 	transport := system.TransportDTV
 	if opts.IPMulticast {
 		transport = system.TransportIPMulticast
-	}
-	var tracer *trace.Recorder
-	if opts.TraceCapacity > 0 {
-		tracer = trace.NewRecorder(opts.TraceCapacity).WithClock(clk)
 	}
 	var reg *obs.Registry
 	if opts.Metrics {
@@ -264,7 +237,6 @@ func New(opts Options) (*System, error) {
 		Strategy:          strategy,
 		Replication:       opts.Replication,
 		Transport:         transport,
-		Trace:             tracer,
 		Obs:               reg,
 		Spans:             spans,
 		StateDir:          opts.StateDir,
@@ -275,33 +247,26 @@ func New(opts Options) (*System, error) {
 	if err := sys.Start(); err != nil {
 		return nil, err
 	}
-	return &System{sys: sys, clk: clk, sim: sim, tracer: tracer, obs: reg, spans: spans}, nil
+	return &System{sys: sys, clk: clk, sim: sim, obs: reg, spans: spans}, nil
 }
 
-// Timeline renders the recorded control-plane events (the last limit
-// entries; 0 = all). Requires Options.TraceCapacity.
+// Timeline renders the retained spans and lifecycle events in time
+// order (the last limit entries; 0 = all). Requires
+// Options.SpanCapacity.
 func (s *System) Timeline(limit int) string {
-	if s.tracer == nil {
-		return "(tracing disabled; set Options.TraceCapacity)\n"
+	if s.spans == nil {
+		return "(span tracing disabled; set Options.SpanCapacity)\n"
 	}
-	return s.tracer.Render(limit)
+	return s.spans.RenderTimeline(limit)
 }
 
-// TraceEvents returns the recorded events, oldest first.
-func (s *System) TraceEvents() []TraceEvent {
-	if s.tracer == nil {
-		return nil
-	}
-	return s.tracer.Events()
-}
-
-// WriteTimelineJSONL streams the recorded trace as one JSON object per
-// line, oldest first. Requires Options.TraceCapacity.
+// WriteTimelineJSONL streams the same entries as one JSON object per
+// line, oldest first. Requires Options.SpanCapacity.
 func (s *System) WriteTimelineJSONL(w io.Writer) error {
-	if s.tracer == nil {
-		return errors.New("oddci: tracing disabled; set Options.TraceCapacity")
+	if s.spans == nil {
+		return errors.New("oddci: span tracing disabled; set Options.SpanCapacity")
 	}
-	return s.tracer.WriteJSONL(w)
+	return s.spans.WriteTimelineJSONL(w)
 }
 
 // Metric returns the current value of a named counter or gauge (and
@@ -368,15 +333,11 @@ func (s *System) MetricsHandler() http.Handler {
 	if s.obs == nil {
 		return nil
 	}
-	var timeline obs.TimelineSource
-	if s.tracer != nil {
-		timeline = s.tracer
-	}
 	var traces obs.TraceSource
 	if s.spans != nil {
 		traces = s.spans
 	}
-	return obs.NewHandler(s.obs, timeline, traces)
+	return obs.NewHandler(s.obs, traces)
 }
 
 // Now returns the deployment's current (virtual or wall) time.

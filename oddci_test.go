@@ -1,6 +1,7 @@
 package oddci
 
 import (
+	"io"
 	"math"
 	"runtime"
 	"strings"
@@ -184,7 +185,7 @@ func TestFacadeRealTimeSmoke(t *testing.T) {
 }
 
 func TestFacadeTimeline(t *testing.T) {
-	sys, err := New(Options{Nodes: 4, Seed: 5, TraceCapacity: 256})
+	sys, err := New(Options{Nodes: 4, Seed: 5, SpanCapacity: 4096, Metrics: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,26 +196,32 @@ func TestFacadeTimeline(t *testing.T) {
 	}
 	sys.After(3*time.Minute, sys.Shutdown)
 	sys.Wait()
-	evs := sys.TraceEvents()
 	joins := 0
-	for _, ev := range evs {
-		if ev.Kind == TraceJoin {
+	for _, d := range sys.Spans().Timeline() {
+		if d.Name == "join" {
 			joins++
 		}
 	}
-	if joins != 4 {
-		t.Fatalf("trace joins = %d, want 4", joins)
+	if counted, _ := sys.Metric("oddci_pna_joins_total"); joins != 4 || counted != 4 {
+		t.Fatalf("timeline joins = %d, counted joins = %v, want 4 and 4", joins, counted)
 	}
-	if sys.Timeline(0) == "" {
-		t.Fatal("empty timeline render")
+	if tl := sys.Timeline(0); !strings.Contains(tl, "wakeup") || !strings.Contains(tl, "power-off") {
+		t.Fatalf("timeline render lacks the wakeup or the shutdown:\n%s", tl)
+	}
+	if last := sys.Timeline(1); strings.Count(last, "\n") != 1 {
+		t.Fatalf("Timeline(1) = %q, want one line", last)
+	}
+	var jsonl strings.Builder
+	if err := sys.WriteTimelineJSONL(&jsonl); err != nil || !strings.Contains(jsonl.String(), `"name":"create"`) {
+		t.Fatalf("WriteTimelineJSONL: err=%v\n%s", err, jsonl.String())
 	}
 
 	off, err := New(Options{Nodes: 1, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if off.TraceEvents() != nil {
-		t.Fatal("tracing should be off by default")
+	if !strings.Contains(off.Timeline(0), "disabled") || off.WriteTimelineJSONL(io.Discard) == nil {
+		t.Fatal("the timeline should be off by default")
 	}
 	off.Shutdown()
 	off.Wait()
