@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet test test-benchmark race build cover bench
+.PHONY: check fmt vet test test-benchmark race build cover bench loc
 
 ## check: the full tier-1 gate — formatting, vet, build, tests with the
 ## race detector (the lifecycle churn stress and the federation
@@ -45,7 +45,7 @@ race:
 ## faults, and the byzantine adversary plan), the DSM-CC carousel
 ## codec (hashes, delta cycles, chunk cache, receiver interop), and the
 ## packages a carousel delivery passes through by reference, shared and
-## read-only (the FLUTE caster, the middleware, the set-top box that owns
+## read-only (the FLUTE wire layout, the middleware, the set-top box that owns
 ## the chunk cache, and the PNA that verifies what it was handed).
 COVER_PKGS ?= ./internal/obs:85 ./internal/span:80 ./internal/core/controller:85 ./internal/journal:78 ./internal/core/backend:82 ./internal/core/provider:80 ./internal/transport:75 ./internal/fleet:75 ./internal/federation:75 ./internal/netsim:85 ./internal/dsmcc:80 ./internal/flute:90 ./internal/middleware:90 ./internal/stb:85 ./internal/core/pna:80
 cover:
@@ -68,3 +68,14 @@ cover:
 ## not here: they are tests, and ride in `race`.
 bench:
 	$(GO) run -C benchmark .
+
+## loc: the size figures ROADMAP's "Current state" and every simplicity
+## PR quote — non-test and test Go lines and the package count, for the
+## root module and for benchmark/ (a module of its own).
+loc:
+	@for mod in . benchmark; do \
+		nontest="$$(find $$mod -path ./benchmark -prune -o -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l)"; \
+		test="$$(find $$mod -path ./benchmark -prune -o -name '*_test.go' -print0 | xargs -0 cat | wc -l)"; \
+		pkgs="$$($(GO) list -C $$mod ./... | wc -l)"; \
+		echo "$$mod: $$nontest non-test + $$test test Go lines, $$pkgs packages"; \
+	done

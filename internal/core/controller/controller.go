@@ -35,8 +35,9 @@ import (
 )
 
 // HeadEnd is the transmitter-side view of any cyclic file-broadcast
-// service the Controller can manage content on: the DSM-CC carousel
-// broadcaster or an IP-multicast caster.
+// service the Controller can manage content on: the playout engine
+// (dsmcc.Broadcaster, over a DSM-CC or a flute layout) or a wrapper
+// that injects faults or resumes one already cycling.
 type HeadEnd interface {
 	// Start begins cycling the initial contents.
 	Start(files []dsmcc.File) error

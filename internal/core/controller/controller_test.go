@@ -159,7 +159,7 @@ func (r *rig) currentFile(t *testing.T, name string) []byte {
 	t.Helper()
 	var data []byte
 	var derr error
-	r.bcast.RequestFile(name, dsmcc.BlockCache, func(d []byte, _ time.Time, err error) {
+	r.bcast.RequestFile(name, dsmcc.BlockCache, nil, func(d []byte, _ time.Time, err error) {
 		data, derr = d, err
 	})
 	r.advance(10 * time.Second)

@@ -61,8 +61,6 @@ type Config struct {
 	DefaultHeartbeat time.Duration
 	// HeartbeatTimeout bounds the reply wait.
 	HeartbeatTimeout time.Duration
-	// ConfigFile overrides DefaultConfigFile.
-	ConfigFile string
 	// OnStateChange observes idle/busy transitions (experiment hooks).
 	OnStateChange func(nodeID uint64, st control.NodeState, inst instance.ID)
 	// Obs, if set, receives fleet-wide agent telemetry (oddci_pna_*
@@ -94,9 +92,6 @@ func (c *Config) fill() error {
 	}
 	if c.HeartbeatTimeout <= 0 {
 		c.HeartbeatTimeout = 10 * time.Second
-	}
-	if c.ConfigFile == "" {
-		c.ConfigFile = DefaultConfigFile
 	}
 	return nil
 }
@@ -284,7 +279,7 @@ func (p *PNA) checkConfig() {
 	if destroyed || ctx == nil {
 		return
 	}
-	ctx.ReadFile(p.cfg.ConfigFile, func(data []byte, err error) {
+	ctx.ReadFile(DefaultConfigFile, func(data []byte, err error) {
 		if err != nil {
 			return // no control message on air
 		}

@@ -10,25 +10,40 @@ import (
 	"oddci/internal/simtime"
 )
 
-// Broadcaster transmits a Carousel cyclically at a fixed rate over
-// virtual time. It is the timing model of the broadcast channel: rather
-// than emitting an event per TS packet (unworkable at scale), it exposes
-// the deterministic position of the cyclic stream and schedules one
-// event per requested file delivery, which is byte-exact with respect to
-// the Layout (a test cross-checks this against streaming the real
-// encoded bytes).
+// Content is what a Broadcaster plays out: a versioned set of files
+// that knows its own wire schedule. *Carousel is the DSM-CC one
+// (contiguous modules behind a directory section); flute.Session is the
+// IP-multicast one (datagram chunks interleaved round-robin). The
+// Broadcaster serialises every call.
+type Content interface {
+	// Check reports the error SetFiles would return for files, changing
+	// nothing. An empty set never passes.
+	Check(files []File) error
+	// SetFiles replaces the contents and starts a new generation. It
+	// keeps each Data slice, not a copy.
+	SetFiles(files []File) error
+	// Layout returns the wire schedule of the current generation. It
+	// succeeds after every successful SetFiles.
+	Layout() (*Layout, error)
+}
+
+// Broadcaster transmits a Content cyclically at a fixed rate over
+// virtual time: the one playout engine under both of §3.3's broadcast
+// substrates. It is the timing model of the broadcast channel: rather
+// than emitting an event per TS packet or datagram (unworkable at
+// scale), it exposes the deterministic position of the cyclic stream and
+// schedules one event per requested file delivery, which is byte-exact
+// with respect to the Layout (a test cross-checks this against streaming
+// the real encoded bytes).
 type Broadcaster struct {
 	clk  simtime.Clock
 	rate float64 // bits per second (the β of the paper)
 
 	mu           sync.Mutex
-	car          *Carousel
-	layout       *Layout
+	car          Content
+	layout       *Layout   // the generation on air; nil before Start
 	origin       time.Time // when byte position 0 of the current layout aired
-	started      bool
-	pending      []File
-	pendingSet   bool
-	commitTimer  simtime.Timer
+	pending      []File    // queued update (never empty); nil when none is
 	genListeners map[int]func(gen uint32, at time.Time)
 	nextListener int
 	// airedWire accumulates the wire bytes broadcast by generations that
@@ -61,7 +76,7 @@ func (b *Broadcaster) Instrument(reg *obs.Registry) {
 	reg.GaugeFunc("oddci_dsmcc_broadcast_bytes", "Cumulative wire bytes aired by the carousel", func() float64 {
 		b.mu.Lock()
 		defer b.mu.Unlock()
-		if !b.started {
+		if b.layout == nil {
 			return 0
 		}
 		return float64(b.airedWire + b.positionLocked(b.clk.Now()))
@@ -79,7 +94,7 @@ func (b *Broadcaster) Instrument(reg *obs.Registry) {
 }
 
 // NewBroadcaster wraps car for transmission at rateBps.
-func NewBroadcaster(clk simtime.Clock, car *Carousel, rateBps float64) (*Broadcaster, error) {
+func NewBroadcaster(clk simtime.Clock, car Content, rateBps float64) (*Broadcaster, error) {
 	if rateBps <= 0 {
 		return nil, errors.New("dsmcc: broadcast rate must be positive")
 	}
@@ -101,9 +116,14 @@ func (b *Broadcaster) airTime(bytes int64) time.Duration {
 func (b *Broadcaster) Start(files []File) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.started {
+	if b.layout != nil {
 		return errors.New("dsmcc: broadcaster already started")
 	}
+	return b.airLocked(files)
+}
+
+// airLocked makes files the generation on air, its cycle starting now.
+func (b *Broadcaster) airLocked(files []File) error {
 	if err := b.car.SetFiles(files); err != nil {
 		return err
 	}
@@ -111,9 +131,7 @@ func (b *Broadcaster) Start(files []File) error {
 	if err != nil {
 		return err
 	}
-	b.layout = l
-	b.origin = b.clk.Now()
-	b.started = true
+	b.layout, b.origin = l, b.clk.Now()
 	return nil
 }
 
@@ -159,24 +177,29 @@ func (b *Broadcaster) positionLocked(t time.Time) int64 {
 // Update replaces the carousel contents at the next cycle boundary, as a
 // real playout server would (receivers mid-read of the old generation
 // finish their cycle). Successive updates before the boundary coalesce;
-// the last one wins.
+// the last one wins. The content set is validated here, so an update the
+// carrier cannot air is the caller's error now and never reaches the
+// cycle boundary.
 func (b *Broadcaster) Update(files []File) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if !b.started {
+	if b.layout == nil {
 		return errors.New("dsmcc: broadcaster not started")
 	}
+	if err := b.car.Check(files); err != nil {
+		return err
+	}
+	scheduled := b.pending != nil
 	b.pending = files
-	if b.pendingSet {
+	if scheduled {
 		return nil // commit already scheduled
 	}
-	b.pendingSet = true
 	now := b.clk.Now()
 	pos := b.positionLocked(now)
 	w := b.layout.CycleWire
 	boundary := (pos/w + 1) * w
 	delay := b.origin.Add(b.airTime(boundary)).Sub(now)
-	b.commitTimer = b.clk.AfterFunc(delay, b.commit)
+	b.clk.AfterFunc(delay, b.commit)
 	return nil
 }
 
@@ -185,19 +208,12 @@ func (b *Broadcaster) commit() {
 	b.mu.Lock()
 	files := b.pending
 	b.pending = nil
-	b.pendingSet = false
-	if err := b.car.SetFiles(files); err != nil {
+	b.airedWire += b.positionLocked(b.clk.Now())
+	if err := b.airLocked(files); err != nil {
 		b.mu.Unlock()
 		panic(fmt.Sprintf("dsmcc: committing validated update failed: %v", err))
 	}
-	b.airedWire += b.positionLocked(b.clk.Now())
-	l, err := b.car.Layout()
-	if err != nil {
-		b.mu.Unlock()
-		panic(fmt.Sprintf("dsmcc: layout of committed update failed: %v", err))
-	}
-	b.layout = l
-	b.origin = b.clk.Now()
+	l := b.layout
 	b.commits.Inc()
 	// Delta accounting: what this commit costs to re-air (DII + changed
 	// modules) versus the full cycle a delta-unaware head-end would burn.
@@ -243,47 +259,33 @@ var ErrNoSuchFile = errors.New("dsmcc: no such file in carousel")
 // disappears from the carousel before delivery. If the carousel content
 // changes mid-read (version bump), the read restarts against the new
 // generation, exactly as a receiver re-acquiring a new module version
-// would. The data is the carousel's own slice (LayoutEntry.Data), the
-// same one for every receiver of that generation: read it, never write
-// it.
-func (b *Broadcaster) RequestFile(name string, strategy ReceiverStrategy, fn func(data []byte, at time.Time, err error)) {
+// would.
+//
+// cache, if non-nil, is the receiver's persistent chunk store. When it
+// already holds the module's current content (by the hash the directory
+// advertises), delivery completes as soon as the next directory airs —
+// the receiver needs only that to learn its local bytes are current,
+// which is what shrinks a re-stage from I/β to changed/β. Otherwise the
+// read proceeds on the cyclic schedule and the delivered bytes are
+// published into the cache for next time. A layout without hashes (a
+// pre-hash DSM-CC head-end, flute) never hits, so its reads are timed
+// exactly as with a nil cache.
+//
+// The data is shared and read-only: the carousel's own slice
+// (LayoutEntry.Data), the same one for every receiver of that
+// generation, or on a hit the cache's.
+func (b *Broadcaster) RequestFile(name string, strategy ReceiverStrategy, cache *ChunkCache, fn func(data []byte, at time.Time, err error)) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if !b.started {
+	if b.layout == nil {
 		now := b.clk.Now()
 		b.clk.AfterFunc(0, func() { fn(nil, now, errors.New("dsmcc: broadcaster not started")) })
 		return
 	}
-	b.scheduleDeliveryLocked(name, strategy, fn)
+	b.scheduleDeliveryLocked(name, strategy, cache, fn)
 }
 
-// RequestFileCached is RequestFile for a receiver holding a persistent
-// chunk cache. If the cache already holds the named module's current
-// content (by hash), delivery completes as soon as the next DII airs —
-// the receiver needs only the directory to learn its local bytes are
-// current, which is what shrinks a re-stage from I/β to changed/β.
-// Otherwise the read proceeds on the normal cyclic schedule and the
-// delivered bytes are published into the cache for next time. Against a
-// pre-hash carousel (no hash extension) this degrades to RequestFile
-// exactly. Either way the data is shared and read-only, as in
-// RequestFile: a hit delivers the cache's slice, a miss stores the
-// carousel's.
-func (b *Broadcaster) RequestFileCached(name string, cache *ChunkCache, strategy ReceiverStrategy, fn func(data []byte, at time.Time, err error)) {
-	if cache == nil {
-		b.RequestFile(name, strategy, fn)
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if !b.started {
-		now := b.clk.Now()
-		b.clk.AfterFunc(0, func() { fn(nil, now, errors.New("dsmcc: broadcaster not started")) })
-		return
-	}
-	b.scheduleCachedLocked(name, cache, strategy, fn)
-}
-
-func (b *Broadcaster) scheduleCachedLocked(name string, cache *ChunkCache, strategy ReceiverStrategy, fn func([]byte, time.Time, error)) {
+func (b *Broadcaster) scheduleDeliveryLocked(name string, strategy ReceiverStrategy, cache *ChunkCache, fn func([]byte, time.Time, error)) {
 	now := b.clk.Now()
 	e, ok := b.layout.Entry(name)
 	if !ok {
@@ -292,68 +294,19 @@ func (b *Broadcaster) scheduleCachedLocked(name string, cache *ChunkCache, strat
 	}
 	var cached []byte
 	hit := false
-	if e.Hash != 0 {
+	if cache != nil && e.Hash != 0 {
 		cached, hit = cache.Get(e.Hash)
 	}
-	if !hit {
-		// Air path; publish the delivered bytes for future reads.
-		b.scheduleDeliveryLocked(name, strategy, func(d []byte, at time.Time, err error) {
-			if err == nil {
-				cache.Put(HashOf(d), d)
-			}
-			fn(d, at, err)
-		})
-		return
-	}
-	// Cache hit: done once the next DII airs and confirms the hash.
 	version := e.Version
 	pos := b.positionLocked(now)
-	w := b.layout.CycleWire
-	k := pos / w
-	done := k*w + b.layout.DIIWire
-	if pos-k*w > 0 {
-		done += w // mid-cycle: the next DII starts a cycle later
+	var done int64
+	if hit {
+		// Done once the next directory airs and confirms the hash.
+		done = b.layout.NextDirectory(pos)
+	} else {
+		done, _ = b.layout.NextCompletion(name, pos, strategy)
 	}
-	at := b.origin.Add(b.airTime(done))
-	delay := at.Sub(now)
-	if delay < 0 {
-		delay = 0
-	}
-	b.clk.AfterFunc(delay, func() {
-		b.mu.Lock()
-		cur, ok := b.layout.Entry(name)
-		switch {
-		case !ok:
-			b.mu.Unlock()
-			fn(nil, b.clk.Now(), ErrNoSuchFile)
-			return
-		case cur.Version != version:
-			// Content changed before the DII aired: re-evaluate — the
-			// new content may be cached too.
-			b.scheduleCachedLocked(name, cache, strategy, fn)
-			b.mu.Unlock()
-			return
-		}
-		delivered, served := b.delivered, b.cacheServed
-		b.mu.Unlock()
-		delivered.Inc()
-		served.Inc()
-		fn(cached, b.clk.Now(), nil)
-	})
-}
-
-func (b *Broadcaster) scheduleDeliveryLocked(name string, strategy ReceiverStrategy, fn func([]byte, time.Time, error)) {
-	now := b.clk.Now()
-	e, ok := b.layout.Entry(name)
-	if !ok {
-		b.clk.AfterFunc(0, func() { fn(nil, now, ErrNoSuchFile) })
-		return
-	}
-	version := e.Version
-	pos := b.positionLocked(now)
-	done, _ := b.layout.NextCompletion(name, pos, strategy)
-	at := b.origin.Add(b.airTime(done))
-	delay := at.Sub(now)
+	delay := b.origin.Add(b.airTime(done)).Sub(now)
 	if delay < 0 {
 		delay = 0
 	}
@@ -367,14 +320,22 @@ func (b *Broadcaster) scheduleDeliveryLocked(name string, strategy ReceiverStrat
 			return
 		case cur.Version != version:
 			// Content changed under the read: restart on the new
-			// generation.
-			b.scheduleDeliveryLocked(name, strategy, fn)
+			// generation — the new content may be cached too.
+			b.scheduleDeliveryLocked(name, strategy, cache, fn)
 			b.mu.Unlock()
 			return
 		}
-		delivered := b.delivered
+		delivered, served := b.delivered, b.cacheServed
 		b.mu.Unlock()
 		delivered.Inc()
-		fn(cur.Data, b.clk.Now(), nil)
+		data := cur.Data
+		switch {
+		case hit:
+			served.Inc()
+			data = cached
+		case cache != nil:
+			cache.Put(HashOf(data), data)
+		}
+		fn(data, b.clk.Now(), nil)
 	})
 }

@@ -35,7 +35,7 @@ func TestBroadcasterDeliveryAtPhaseZero(t *testing.T) {
 
 	var at time.Time
 	var got []byte
-	b.RequestFile("image", FileGranularity, func(data []byte, when time.Time, err error) {
+	b.RequestFile("image", FileGranularity, nil, func(data []byte, when time.Time, err error) {
 		if err != nil {
 			t.Errorf("request: %v", err)
 			return
@@ -64,7 +64,7 @@ func TestBroadcasterMidCycleWaitsFullRetransmission(t *testing.T) {
 	var at time.Time
 	clk.Go(func() {
 		clk.Sleep(cycle / 2) // tune mid-module
-		b.RequestFile("image", FileGranularity, func(_ []byte, when time.Time, err error) {
+		b.RequestFile("image", FileGranularity, nil, func(_ []byte, when time.Time, err error) {
 			if err != nil {
 				t.Errorf("request: %v", err)
 			}
@@ -99,7 +99,7 @@ func TestBroadcasterWakeupMatchesPaperModel(t *testing.T) {
 		clk.Go(func() {
 			clk.Sleep(offset)
 			start := clk.Now()
-			b.RequestFile("image", FileGranularity, func(_ []byte, when time.Time, err error) {
+			b.RequestFile("image", FileGranularity, nil, func(_ []byte, when time.Time, err error) {
 				if err == nil {
 					total += when.Sub(start)
 					count++
@@ -161,7 +161,7 @@ func TestBroadcasterCoalescesUpdates(t *testing.T) {
 	if commits != 1 {
 		t.Fatalf("commits = %d, want 1 (coalesced)", commits)
 	}
-	if got := b.car.Files()[0].Data; !bytes.Equal(got, []byte("v3")) {
+	if got := b.Layout().Entries[0].Data; !bytes.Equal(got, []byte("v3")) {
 		t.Fatalf("committed content %q, want v3 (last update wins)", got)
 	}
 }
@@ -170,7 +170,7 @@ func TestBroadcasterRequestUnknownFile(t *testing.T) {
 	clk := simtime.NewSim(epoch)
 	b := startBroadcaster(t, clk, 1e6, File{Name: "a", Data: []byte{1}})
 	var got error
-	b.RequestFile("missing", FileGranularity, func(_ []byte, _ time.Time, err error) { got = err })
+	b.RequestFile("missing", FileGranularity, nil, func(_ []byte, _ time.Time, err error) { got = err })
 	clk.Wait()
 	if got != ErrNoSuchFile {
 		t.Fatalf("err = %v, want ErrNoSuchFile", got)
@@ -298,7 +298,7 @@ func TestDeliverySharesStagedBytes(t *testing.T) {
 	var air [2][]byte
 	for i := range air {
 		i := i
-		b.RequestFile("image", FileGranularity, func(d []byte, _ time.Time, err error) {
+		b.RequestFile("image", FileGranularity, nil, func(d []byte, _ time.Time, err error) {
 			if err != nil {
 				t.Errorf("air receiver %d: %v", i, err)
 			}
@@ -306,7 +306,7 @@ func TestDeliverySharesStagedBytes(t *testing.T) {
 		})
 	}
 	var cold []byte
-	b.RequestFileCached("image", cache, FileGranularity, func(d []byte, _ time.Time, err error) {
+	b.RequestFile("image", FileGranularity, cache, func(d []byte, _ time.Time, err error) {
 		if err != nil {
 			t.Errorf("cold cached receiver: %v", err)
 		}
@@ -334,7 +334,7 @@ func TestDeliverySharesStagedBytes(t *testing.T) {
 	var hit [2][]byte
 	for i := range hit {
 		i := i
-		b.RequestFileCached("image", warm, FileGranularity, func(d []byte, _ time.Time, err error) {
+		b.RequestFile("image", FileGranularity, warm, func(d []byte, _ time.Time, err error) {
 			if err != nil {
 				t.Errorf("warm receiver %d: %v", i, err)
 			}
@@ -360,8 +360,8 @@ func TestBroadcasterFileRemovedMidRead(t *testing.T) {
 	var goneErr, keepErr error
 	clk.Go(func() {
 		clk.Sleep(b.CycleDuration() * 3 / 4) // past "keep", inside "gone": both reads span the commit
-		b.RequestFile("gone", FileGranularity, func(d []byte, _ time.Time, err error) { goneData, goneErr = d, err })
-		b.RequestFile("keep", FileGranularity, func(d []byte, _ time.Time, err error) { keepData, keepErr = d, err })
+		b.RequestFile("gone", FileGranularity, nil, func(d []byte, _ time.Time, err error) { goneData, goneErr = d, err })
+		b.RequestFile("keep", FileGranularity, nil, func(d []byte, _ time.Time, err error) { keepData, keepErr = d, err })
 		if err := b.Update([]File{{Name: "keep", Data: keep}}); err != nil {
 			t.Error(err)
 		}

@@ -68,6 +68,53 @@ func (c *Carousel) BlockSize() int { return c.blockSize }
 // Files returns the current contents.
 func (c *Carousel) Files() []File { return c.files }
 
+// CheckFiles reports whether files is a content set any carrier can
+// air: non-empty, every file named, no name twice.
+func CheckFiles(files []File) error {
+	if len(files) == 0 {
+		return errors.New("dsmcc: empty content set")
+	}
+	seen := make(map[string]bool, len(files))
+	for _, f := range files {
+		if f.Name == "" {
+			return errors.New("dsmcc: empty file name")
+		}
+		if seen[f.Name] {
+			return fmt.Errorf("dsmcc: duplicate file %q", f.Name)
+		}
+		seen[f.Name] = true
+	}
+	return nil
+}
+
+// Check reports whether SetFiles would accept files, changing nothing:
+// on top of CheckFiles, every name fits a DII entry, every file fits a
+// module, and the directory fits one section. Layout and EncodeCycle
+// cannot fail on a set that passed.
+func (c *Carousel) Check(files []File) error {
+	if err := CheckFiles(files); err != nil {
+		return err
+	}
+	dii := diiHeaderLen
+	for _, f := range files {
+		if len(f.Name) > 255 {
+			return fmt.Errorf("dsmcc: file name %q too long", f.Name)
+		}
+		blocks := (len(f.Data) + c.blockSize - 1) / c.blockSize
+		if blocks > 0xFFFF {
+			return fmt.Errorf("dsmcc: file %q needs %d blocks, max 65535", f.Name, blocks)
+		}
+		dii += diiModuleLen + len(f.Name)
+	}
+	if !c.noHashExt {
+		dii += 1 + HashLen*len(files)
+	}
+	if dii > mpegts.MaxSectionPayload {
+		return errors.New("dsmcc: DII exceeds one section; split the carousel")
+	}
+	return nil
+}
+
 // SetFiles replaces the carousel contents. Module IDs are stable per
 // name; versions bump when a file's content changes. The generation
 // counter always increments, signalling receivers that the directory
@@ -75,19 +122,8 @@ func (c *Carousel) Files() []File { return c.files }
 // on to receivers (LayoutEntry.Data): the caller must not write to it
 // afterwards.
 func (c *Carousel) SetFiles(files []File) error {
-	seen := make(map[string]bool, len(files))
-	for _, f := range files {
-		if f.Name == "" || len(f.Name) > 255 {
-			return fmt.Errorf("dsmcc: invalid file name %q", f.Name)
-		}
-		if seen[f.Name] {
-			return fmt.Errorf("dsmcc: duplicate file %q", f.Name)
-		}
-		seen[f.Name] = true
-		blocks := (len(f.Data) + c.blockSize - 1) / c.blockSize
-		if blocks > 0xFFFF {
-			return fmt.Errorf("dsmcc: file %q needs %d blocks, max 65535", f.Name, blocks)
-		}
+	if err := c.Check(files); err != nil {
+		return err
 	}
 	old := make(map[string][]byte, len(c.files))
 	for _, f := range c.files {
@@ -115,18 +151,6 @@ func (c *Carousel) SetFiles(files []File) error {
 	c.files = sorted
 	c.generation++
 	return nil
-}
-
-// Changed returns the names whose content changed (or first appeared)
-// in the most recent SetFiles — the delta a re-air needs to carry.
-func (c *Carousel) Changed() []string {
-	out := make([]string, 0, len(c.changed))
-	for _, f := range c.files {
-		if c.changed[f.Name] {
-			out = append(out, f.Name)
-		}
-	}
-	return out
 }
 
 // DII builds the current directory message.
@@ -262,7 +286,7 @@ type LayoutEntry struct {
 }
 
 // Layout is the wire-byte schedule of one carousel cycle. Offset 0 is
-// the start of the DII.
+// the start of the DII. A Layout is never modified once published.
 type Layout struct {
 	Generation uint32
 	CycleWire  int64
@@ -274,7 +298,23 @@ type Layout struct {
 	DeltaWire      int64
 	ChangedModules int
 	Entries        []LayoutEntry
-	byName         map[string]*LayoutEntry
+	// Completion, if set, replaces NextCompletion's contiguous-module
+	// rule for a carrier that arranges a cycle differently (flute's
+	// interleaved datagrams). It returns, as an offset from the start of
+	// the cycle the receiver tuned in at, where a receiver that began
+	// listening inCycle bytes into that cycle holds all of e.
+	Completion func(e *LayoutEntry, inCycle int64) int64
+	byName     map[string]*LayoutEntry
+}
+
+// NewLayout returns l with its entries indexed by name: the last step
+// of computing a schedule, Carousel.Layout's or another carrier's.
+func NewLayout(l Layout) *Layout {
+	l.byName = make(map[string]*LayoutEntry, len(l.Entries))
+	for i := range l.Entries {
+		l.byName[l.Entries[i].Name] = &l.Entries[i]
+	}
+	return &l
 }
 
 // Layout computes the current cycle's schedule without encoding payload
@@ -288,7 +328,7 @@ func (c *Carousel) Layout() (*Layout, error) {
 	if err != nil {
 		return nil, err
 	}
-	l := &Layout{Generation: c.generation, byName: make(map[string]*LayoutEntry)}
+	l := Layout{Generation: c.generation, Entries: make([]LayoutEntry, 0, len(c.files))}
 	pos := sectionWireBytes(len(dii))
 	l.DIIWire = pos
 	l.DeltaWire = pos
@@ -323,10 +363,9 @@ func (c *Carousel) Layout() (*Layout, error) {
 			l.ChangedModules++
 		}
 		l.Entries = append(l.Entries, e)
-		l.byName[f.Name] = &l.Entries[len(l.Entries)-1]
 	}
 	l.CycleWire = pos
-	return l, nil
+	return NewLayout(l), nil
 }
 
 // Entry looks up a file's layout entry.
@@ -369,6 +408,9 @@ func (l *Layout) NextCompletion(name string, pos int64, strategy ReceiverStrateg
 	w := l.CycleWire
 	k := pos / w
 	inCycle := pos - k*w
+	if l.Completion != nil {
+		return k*w + l.Completion(e, inCycle), true
+	}
 	switch strategy {
 	case BlockCache:
 		if inCycle > e.WireStart && inCycle < e.WireEnd {
@@ -383,4 +425,17 @@ func (l *Layout) NextCompletion(name string, pos int64, strategy ReceiverStrateg
 		}
 		return (k+1)*w + e.WireEnd, true
 	}
+}
+
+// NextDirectory computes, in wire bytes since cycle origin, when a
+// receiver that starts listening at byte position pos has heard one
+// whole directory section: all a receiver whose cache already holds a
+// module's advertised content needs.
+func (l *Layout) NextDirectory(pos int64) int64 {
+	w := l.CycleWire
+	k := pos / w
+	if pos > k*w {
+		k++ // mid-cycle: the next DII starts a cycle later
+	}
+	return k*w + l.DIIWire
 }

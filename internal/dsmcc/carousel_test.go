@@ -2,6 +2,7 @@ package dsmcc
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -215,5 +216,42 @@ func TestEncodeCycleEmptyFile(t *testing.T) {
 	}
 	if d, ok := r.File("x"); !ok || !bytes.Equal(d, []byte{1}) {
 		t.Fatal("x not assembled")
+	}
+}
+
+// Check's directory budget is the encoder's: around the one-section
+// limit, a set passes exactly when its DII encodes.
+func TestCheckAgreesWithDIIEncode(t *testing.T) {
+	for _, hashed := range []bool{true, false} {
+		accepted, rejected := 0, 0
+		for n := 10; n < 40; n++ {
+			files := make([]File, n)
+			for i := range files {
+				files[i] = File{Name: fmt.Sprintf("%0150d", i), Data: []byte{byte(i)}}
+			}
+			c, _ := NewCarousel(1, 0)
+			c.SetHashExtension(hashed)
+			checkErr := c.Check(files)
+			dii := &DII{}
+			for _, f := range files {
+				m := ModuleInfo{Name: f.Name}
+				if hashed {
+					m.Hash = HashOf(f.Data)
+				}
+				dii.Modules = append(dii.Modules, m)
+			}
+			_, encErr := dii.Encode()
+			if (checkErr == nil) != (encErr == nil) {
+				t.Fatalf("hashed=%v n=%d: Check %v, Encode %v", hashed, n, checkErr, encErr)
+			}
+			if checkErr == nil {
+				accepted++
+			} else {
+				rejected++
+			}
+		}
+		if accepted == 0 || rejected == 0 {
+			t.Fatalf("hashed=%v: sweep did not straddle the limit (%d accepted, %d rejected)", hashed, accepted, rejected)
+		}
 	}
 }

@@ -30,6 +30,7 @@ const maxBlockSize = mpegts.MaxSectionPayload - ddbHeaderLen
 
 const (
 	diiHeaderLen = 12 // transactionId(4) downloadId(4) blockSize(2) numModules(2)
+	diiModuleLen = 8  // moduleId(2) version(1) size(4) nameLen(1), then the name
 	ddbHeaderLen = 9  // downloadId(4) moduleId(2) version(1) blockNumber(2)
 )
 

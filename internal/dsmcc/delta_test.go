@@ -525,9 +525,9 @@ func TestChunkCacheLRUAndBounds(t *testing.T) {
 	}
 }
 
-// RequestFileCached: a warm cache turns a full-module wait into a
-// DII-latency wait; a cold cache behaves like RequestFile and warms up.
-func TestRequestFileCachedDeliveryTiming(t *testing.T) {
+// RequestFile with a cache: a warm cache turns a full-module wait into a
+// DII-latency wait; a cold cache is timed like no cache and warms up.
+func TestCachedRequestDeliveryTiming(t *testing.T) {
 	clk := simtime.NewSim(epoch)
 	img := randBytes(rand.New(rand.NewSource(7)), 1<<20)
 	cfgFile := []byte("config")
@@ -536,7 +536,7 @@ func TestRequestFileCachedDeliveryTiming(t *testing.T) {
 
 	// Cold: same completion as an uncached receiver, and the cache warms.
 	var coldAt time.Time
-	b.RequestFileCached("image", cache, FileGranularity, func(data []byte, at time.Time, err error) {
+	b.RequestFile("image", FileGranularity, cache, func(data []byte, at time.Time, err error) {
 		if err != nil || !bytes.Equal(data, img) {
 			t.Errorf("cold fetch: err=%v", err)
 		}
@@ -556,7 +556,7 @@ func TestRequestFileCachedDeliveryTiming(t *testing.T) {
 	// DII, not after the megabyte module re-airs.
 	start := clk.Now()
 	var warmAt time.Time
-	b.RequestFileCached("image", cache, FileGranularity, func(data []byte, at time.Time, err error) {
+	b.RequestFile("image", FileGranularity, cache, func(data []byte, at time.Time, err error) {
 		if err != nil || !bytes.Equal(data, img) {
 			t.Errorf("warm fetch: err=%v", err)
 		}
@@ -586,7 +586,7 @@ func TestSharedChunkCacheAcrossBroadcasters(t *testing.T) {
 	shared.Instrument(met)
 	for s := 0; s < shards; s++ {
 		b := startBroadcaster(t, clk, 1e6, File{Name: "image", Data: img})
-		b.RequestFileCached("image", shared, FileGranularity, func(data []byte, _ time.Time, err error) {
+		b.RequestFile("image", FileGranularity, shared, func(data []byte, _ time.Time, err error) {
 			if err != nil || !bytes.Equal(data, img) {
 				t.Errorf("shard %d: wrong image delivered, err=%v", s, err)
 			}
@@ -599,9 +599,9 @@ func TestSharedChunkCacheAcrossBroadcasters(t *testing.T) {
 	}
 }
 
-// RequestFileCached must restart cleanly when content changes before
+// A cached RequestFile must restart cleanly when content changes before
 // the cached delivery lands, and must not serve stale bytes.
-func TestRequestFileCachedRestartsOnUpdate(t *testing.T) {
+func TestCachedRequestRestartsOnUpdate(t *testing.T) {
 	clk := simtime.NewSim(epoch)
 	rng := rand.New(rand.NewSource(8))
 	v1 := randBytes(rng, 500000)
@@ -611,7 +611,7 @@ func TestRequestFileCachedRestartsOnUpdate(t *testing.T) {
 
 	v2 := randBytes(rng, 500000)
 	var got []byte
-	b.RequestFileCached("image", cache, FileGranularity, func(data []byte, at time.Time, err error) {
+	b.RequestFile("image", FileGranularity, cache, func(data []byte, at time.Time, err error) {
 		if err != nil {
 			t.Errorf("fetch: %v", err)
 		}

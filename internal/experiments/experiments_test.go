@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -130,6 +131,27 @@ func TestTable2Shape(t *testing.T) {
 	out := res.Tables[0].String()
 	if !strings.Contains(out, "measured") {
 		t.Fatalf("no measured rows:\n%s", out)
+	}
+}
+
+// The abl-transport table's shape, on unrounded values: a flute receiver
+// never waits more than one cycle, the DTV file-granularity receiver
+// averages the paper's 1.5 and never more than 2.
+func TestAblTransportShape(t *testing.T) {
+	for _, img := range []int{1 << 20, 4 << 20} {
+		dtv, fl, err := transportWaits(img, 2000, rand.New(rand.NewSource(int64(img))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fl.Max() > 1.0 {
+			t.Errorf("%d MiB: FLUTE max %.4f cycles, want ≤ 1.0", img>>20, fl.Max())
+		}
+		if m := dtv.Mean(); m < 1.4 || m > 1.6 {
+			t.Errorf("%d MiB: DTV mean %.4f cycles, want in [1.4, 1.6]", img>>20, m)
+		}
+		if dtv.Max() > 2.0 {
+			t.Errorf("%d MiB: DTV max %.4f cycles, want ≤ 2.0", img>>20, dtv.Max())
+		}
 	}
 }
 

@@ -23,11 +23,11 @@ var (
 	ErrUnknownShard = errors.New("federation: unknown shard")
 )
 
-// DefaultRebalanceLag is the fraction of the analytically expected fill
-// a shard may fall behind before Rebalance moves population to ring
-// neighbors. 0.25 tolerates ordinary carousel-phase variance while
-// catching shards that genuinely cannot recruit.
-const DefaultRebalanceLag = 0.25
+// rebalanceLag is the fraction of the analytically expected fill a shard
+// may fall behind before Rebalance moves population to ring neighbors.
+// 0.25 tolerates ordinary carousel-phase variance while catching shards
+// that genuinely cannot recruit.
+const rebalanceLag = 0.25
 
 // Shard declares one coordinator shard: a started Controller plus a
 // Rebuild closure that reconstructs it from its journal after a crash
@@ -42,10 +42,6 @@ type Shard struct {
 // Config configures a Federation.
 type Config struct {
 	Shards []Shard
-	// VNodes is the per-shard virtual node count (DefaultVNodes if 0).
-	VNodes int
-	// RebalanceLag overrides DefaultRebalanceLag when > 0.
-	RebalanceLag float64
 	// Obs receives federation metrics when non-nil.
 	Obs *obs.Registry
 }
@@ -68,7 +64,6 @@ type Federation struct {
 	order  []ShardID // ascending, fixed at construction
 	insts  map[uint64]*FedInstance
 	nextID uint64
-	lag    float64
 
 	rebalances  *obs.Counter
 	movedTarget *obs.Counter
@@ -84,12 +79,8 @@ func New(cfg Config) (*Federation, error) {
 	f := &Federation{
 		shards: make(map[ShardID]*shardState, len(cfg.Shards)),
 		insts:  make(map[uint64]*FedInstance),
-		lag:    cfg.RebalanceLag,
 	}
-	if f.lag <= 0 {
-		f.lag = DefaultRebalanceLag
-	}
-	ring, err := NewRing(1, cfg.VNodes)
+	ring, err := NewRing(1, DefaultVNodes)
 	if err != nil {
 		return nil, err
 	}
@@ -558,7 +549,7 @@ func (f *Federation) rebalanceInstance(inst *FedInstance, expect float64) (int, 
 		}
 		want := int(math.Floor(expect * float64(st.Target)))
 		deficit := want - st.Busy
-		if want == 0 || float64(deficit) <= f.lag*float64(want) {
+		if want == 0 || float64(deficit) <= rebalanceLag*float64(want) {
 			continue
 		}
 		idle, _ := ctrl.Population()

@@ -28,9 +28,6 @@ type ShardedConfig struct {
 	Config
 	// Shards is the coordinator shard count (required, <= 64).
 	Shards int
-	// VNodes is the consistent-hash virtual node count per shard
-	// (federation.DefaultVNodes if 0).
-	VNodes int
 	// KillShard, when >= 0, crashes that shard's coordinator KillAfter
 	// after the wakeup and rebuilds it RecoverAfter later.
 	KillShard    int
@@ -124,7 +121,7 @@ func RunSharded(cfg ShardedConfig) (*ShardedResult, error) {
 	if cfg.KillShard >= cfg.Shards {
 		return nil, errors.New("fleet: KillShard out of range")
 	}
-	ring, err := federation.NewRing(cfg.Shards, cfg.VNodes)
+	ring, err := federation.NewRing(cfg.Shards, federation.DefaultVNodes)
 	if err != nil {
 		return nil, err
 	}

@@ -12,9 +12,14 @@ import (
 
 var epoch = time.Date(2009, 11, 1, 0, 0, 0, 0, time.UTC)
 
-func startCaster(t *testing.T, clk simtime.Clock, rate float64, files ...dsmcc.File) *Caster {
+// newCaster puts a fresh Session behind the shared playout engine.
+func newCaster(clk simtime.Clock, rate float64) (*dsmcc.Broadcaster, error) {
+	return dsmcc.NewBroadcaster(clk, NewSession(), rate)
+}
+
+func startCaster(t *testing.T, clk simtime.Clock, rate float64, files ...dsmcc.File) *dsmcc.Broadcaster {
 	t.Helper()
-	c, err := NewCaster(clk, rate)
+	c, err := newCaster(clk, rate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,18 +29,45 @@ func startCaster(t *testing.T, clk simtime.Clock, rate float64, files ...dsmcc.F
 	return c
 }
 
+func buildLayout(t *testing.T, files []dsmcc.File) *dsmcc.Layout {
+	t.Helper()
+	s := NewSession()
+	if err := s.SetFiles(files); err != nil {
+		t.Fatal(err)
+	}
+	l, err := s.Layout()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+// cycleWire is the on-air cycle's wire size, 0 before Start.
+func cycleWire(c *dsmcc.Broadcaster) int64 {
+	if l := c.Layout(); l != nil {
+		return l.CycleWire
+	}
+	return 0
+}
+
+// completionOf is the receiver completion model of the on-air layout.
+func completionOf(c *dsmcc.Broadcaster, name string, pos int64) (int64, bool) {
+	l := c.Layout()
+	if l == nil {
+		return 0, false
+	}
+	return l.NextCompletion(name, pos, dsmcc.FileGranularity)
+}
+
 func TestLayoutInterleavesChunks(t *testing.T) {
 	files := []dsmcc.File{
 		{Name: "a", Data: make([]byte, 3*ChunkPayload)},
 		{Name: "b", Data: make([]byte, 3*ChunkPayload)},
 	}
-	l, err := buildLayout(files, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ends, _ := interleave(files)
 	// Interleaving: a's chunks and b's chunks alternate, so a's k-th
 	// chunk ends before b's k-th chunk, which ends before a's (k+1)-th.
-	ea, eb := l.chunkEnds["a"], l.chunkEnds["b"]
+	ea, eb := ends["a"], ends["b"]
 	if len(ea) != 3 || len(eb) != 3 {
 		t.Fatalf("chunks: %d/%d", len(ea), len(eb))
 	}
@@ -57,25 +89,22 @@ func TestCompletionAtMostOneCycle(t *testing.T) {
 		{Name: "small", Data: make([]byte, 10*ChunkPayload)},
 		{Name: "image", Data: make([]byte, 500*ChunkPayload)},
 	}
-	l, err := buildLayout(files, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	l := buildLayout(t, files)
 	var sum float64
 	const samples = 3000
 	for i := 0; i < samples; i++ {
-		pos := rng.Int63n(l.cycleWire)
-		done, ok := l.completion("image", pos)
+		pos := rng.Int63n(l.CycleWire)
+		done, ok := l.NextCompletion("image", pos, dsmcc.FileGranularity)
 		if !ok {
 			t.Fatal("image missing")
 		}
 		wait := done - pos
-		if wait > l.cycleWire {
-			t.Fatalf("completion took %d of a %d-byte cycle", wait, l.cycleWire)
+		if wait > l.CycleWire {
+			t.Fatalf("completion took %d of a %d-byte cycle", wait, l.CycleWire)
 		}
 		sum += float64(wait)
 	}
-	mean := sum / samples / float64(l.cycleWire)
+	mean := sum / samples / float64(l.CycleWire)
 	// Interleaved chunks: the last missing chunk is the one airing just
 	// before the join, so the expected wait is ≈ one cycle.
 	if mean < 0.95 || mean > 1.0 {
@@ -91,7 +120,7 @@ func TestRequestFileDeliversContent(t *testing.T) {
 	c := startCaster(t, clk, 1e6, dsmcc.File{Name: "image", Data: img})
 	var got []byte
 	var at time.Time
-	c.RequestFile("image", dsmcc.FileGranularity, func(data []byte, when time.Time, err error) {
+	c.RequestFile("image", dsmcc.FileGranularity, nil, func(data []byte, when time.Time, err error) {
 		if err != nil {
 			t.Errorf("request: %v", err)
 			return
@@ -116,10 +145,7 @@ func TestWakeupBeatsDSMCC(t *testing.T) {
 		{Name: "pna.xlet", Data: make([]byte, 20000)},
 		{Name: "image", Data: img},
 	}
-	fl, err := buildLayout(files, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fl := buildLayout(t, files)
 	car, err := dsmcc.NewCarousel(0x300, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -135,9 +161,9 @@ func TestWakeupBeatsDSMCC(t *testing.T) {
 	var fluteSum, dsmccSum float64
 	const samples = 1000
 	for i := 0; i < samples; i++ {
-		fp := rng.Int63n(fl.cycleWire)
-		fd, _ := fl.completion("image", fp)
-		fluteSum += float64(fd-fp) / float64(fl.cycleWire)
+		fp := rng.Int63n(fl.CycleWire)
+		fd, _ := fl.NextCompletion("image", fp, dsmcc.FileGranularity)
+		fluteSum += float64(fd-fp) / float64(fl.CycleWire)
 		dp := rng.Int63n(dl.CycleWire)
 		dd, _ := dl.NextCompletion("image", dp, dsmcc.FileGranularity)
 		dsmccSum += float64(dd-dp) / float64(dl.CycleWire)
@@ -177,7 +203,7 @@ func TestUpdateAtCycleBoundary(t *testing.T) {
 		t.Fatalf("commit at %v, want one cycle", at)
 	}
 	var got []byte
-	c.RequestFile("a", dsmcc.FileGranularity, func(data []byte, _ time.Time, err error) { got = data })
+	c.RequestFile("a", dsmcc.FileGranularity, nil, func(data []byte, _ time.Time, err error) { got = data })
 	clk.Wait()
 	if string(got) != "final" {
 		t.Fatalf("content %q, want coalesced final", got)
@@ -188,19 +214,19 @@ func TestRequestUnknownFile(t *testing.T) {
 	clk := simtime.NewSim(epoch)
 	c := startCaster(t, clk, 1e6, dsmcc.File{Name: "a", Data: []byte{1}})
 	var got error
-	c.RequestFile("missing", dsmcc.FileGranularity, func(_ []byte, _ time.Time, err error) { got = err })
+	c.RequestFile("missing", dsmcc.FileGranularity, nil, func(_ []byte, _ time.Time, err error) { got = err })
 	clk.Wait()
-	if got != ErrNoSuchFile {
+	if got != dsmcc.ErrNoSuchFile {
 		t.Fatalf("err = %v", got)
 	}
 }
 
 func TestValidation(t *testing.T) {
 	clk := simtime.NewSim(epoch)
-	if _, err := NewCaster(clk, 0); err == nil {
+	if _, err := newCaster(clk, 0); err == nil {
 		t.Fatal("zero rate accepted")
 	}
-	c, _ := NewCaster(clk, 1e6)
+	c, _ := newCaster(clk, 1e6)
 	if err := c.Start(nil); err == nil {
 		t.Fatal("empty start accepted")
 	}
@@ -221,15 +247,15 @@ func TestValidation(t *testing.T) {
 
 func TestAccessorsAndListenerCancel(t *testing.T) {
 	clk := simtime.NewSim(epoch)
-	c, _ := NewCaster(clk, 1e6)
-	if c.Generation() != 0 || c.CycleWire() != 0 || c.CycleDuration() != 0 {
+	c, _ := newCaster(clk, 1e6)
+	if c.Generation() != 0 || cycleWire(c) != 0 || c.CycleDuration() != 0 {
 		t.Fatal("unstarted caster not zero")
 	}
-	if _, ok := c.Completion("x", 0); ok {
+	if _, ok := completionOf(c, "x", 0); ok {
 		t.Fatal("completion on unstarted caster")
 	}
 	var got error
-	c.RequestFile("x", dsmcc.FileGranularity, func(_ []byte, _ time.Time, err error) { got = err })
+	c.RequestFile("x", dsmcc.FileGranularity, nil, func(_ []byte, _ time.Time, err error) { got = err })
 	clk.Wait()
 	if got == nil {
 		t.Fatal("request before start accepted")
@@ -237,10 +263,10 @@ func TestAccessorsAndListenerCancel(t *testing.T) {
 	if err := c.Start([]dsmcc.File{{Name: "a", Data: make([]byte, 5000)}}); err != nil {
 		t.Fatal(err)
 	}
-	if c.Generation() != 1 || c.CycleWire() == 0 {
+	if c.Generation() != 1 || cycleWire(c) == 0 {
 		t.Fatal("accessors wrong after start")
 	}
-	if done, ok := c.Completion("a", 0); !ok || done <= 0 || done > c.CycleWire() {
+	if done, ok := completionOf(c, "a", 0); !ok || done <= 0 || done > cycleWire(c) {
 		t.Fatalf("completion = %d, %v", done, ok)
 	}
 	n := 0
@@ -261,7 +287,7 @@ func TestRequestRestartsOnContentChange(t *testing.T) {
 	var got []byte
 	clk.Go(func() {
 		clk.Sleep(c.CycleDuration() / 2)
-		c.RequestFile("a", dsmcc.FileGranularity, func(data []byte, _ time.Time, err error) {
+		c.RequestFile("a", dsmcc.FileGranularity, nil, func(data []byte, _ time.Time, err error) {
 			if err == nil {
 				got = data
 			}
@@ -287,7 +313,7 @@ func TestDeliverySharesStagedBytes(t *testing.T) {
 		clk.Sleep(c.CycleDuration() / 2)
 		for i := range got {
 			i := i
-			c.RequestFile("image", dsmcc.FileGranularity, func(d []byte, _ time.Time, err error) {
+			c.RequestFile("image", dsmcc.FileGranularity, nil, func(d []byte, _ time.Time, err error) {
 				if err != nil {
 					t.Errorf("receiver %d: %v", i, err)
 				}
@@ -308,5 +334,32 @@ func TestDeliverySharesStagedBytes(t *testing.T) {
 		if cap(d) != len(d) {
 			t.Fatalf("receiver %d: cap %d beyond len %d, an append would write into shared bytes", i, cap(d), len(d))
 		}
+	}
+}
+
+// A session advertises no content hashes, so a receiver's chunk cache
+// never short-cuts a read (a warm one is timed as no cache at all), and
+// what is delivered is still published for carriers that do.
+func TestCachedReadFallsThroughToAir(t *testing.T) {
+	clk := simtime.NewSim(epoch)
+	img := bytes.Repeat([]byte{0xA5}, 100000)
+	c := startCaster(t, clk, 1e6, dsmcc.File{Name: "image", Data: img})
+	cache := dsmcc.NewChunkCache(1 << 20)
+	cache.Put(dsmcc.HashOf(img), img)
+	var plain, cached time.Time
+	clk.Go(func() {
+		clk.Sleep(c.CycleDuration() / 3)
+		c.RequestFile("image", dsmcc.FileGranularity, nil, func(_ []byte, at time.Time, _ error) { plain = at })
+		c.RequestFile("image", dsmcc.FileGranularity, cache, func(_ []byte, at time.Time, _ error) { cached = at })
+	})
+	clk.Wait()
+	if plain.IsZero() || !cached.Equal(plain) {
+		t.Fatalf("warm-cache read delivered at %v, uncached at %v", cached, plain)
+	}
+	cold := dsmcc.NewChunkCache(1 << 20)
+	c.RequestFile("image", dsmcc.FileGranularity, cold, func([]byte, time.Time, error) {})
+	clk.Wait()
+	if d, ok := cold.Get(dsmcc.HashOf(img)); !ok || &d[0] != &img[0] {
+		t.Fatal("air delivery not published into the receiver's cache")
 	}
 }

@@ -14,10 +14,13 @@ import (
 )
 
 // ObjectCarousel is the receiver-side view of any cyclic file-broadcast
-// service: the DSM-CC object carousel of a DTV network, or an
-// IP-multicast FLUTE-style caster (§3.3 lists both as OddCI enabling
-// technologies). The middleware and the applications it hosts are
-// agnostic to which one carries their files.
+// service (§3.3 lists the DSM-CC object carousel of a DTV network and
+// IP multicast as OddCI enabling technologies). One playout engine,
+// dsmcc.Broadcaster, serves both, airing a DSM-CC Carousel or a flute
+// Session; this is the half of it a receiver may use, reading and
+// listening but never changing what is on air. The middleware and the
+// applications it hosts are agnostic to which wire layout carries their
+// files.
 //
 // Delivery is by reference. The data a carousel hands to fn is its own
 // staged copy of the file, one slice shared by every receiver of that
@@ -28,8 +31,12 @@ import (
 // consumer that needs to change them copies first.
 type ObjectCarousel interface {
 	// RequestFile delivers the named file as a receiver starting to
-	// listen now would obtain it. data is shared and read-only.
-	RequestFile(name string, strategy dsmcc.ReceiverStrategy, fn func(data []byte, at time.Time, err error))
+	// listen now would obtain it. cache, if non-nil, is the receiver's
+	// chunk store: a carrier that advertises content hashes satisfies a
+	// read of content already in it at directory latency, and every
+	// carrier publishes what it delivers into it. data is shared and
+	// read-only, and so is what the cache keeps.
+	RequestFile(name string, strategy dsmcc.ReceiverStrategy, cache *dsmcc.ChunkCache, fn func(data []byte, at time.Time, err error))
 	// OnGeneration notifies of content changes; it returns a cancel.
 	OnGeneration(fn func(gen uint32, at time.Time)) (cancel func())
 }
@@ -41,17 +48,6 @@ type ObjectCarousel interface {
 // carousel's shared delivery (see ObjectCarousel): read-only.
 type Authenticator func(classFile string, code []byte) error
 
-// CachedCarousel is the optional content-addressed extension of
-// ObjectCarousel: carriers that know per-module content hashes (the
-// dsmcc Broadcaster) can satisfy reads from a receiver-local chunk
-// cache at DII latency instead of re-airing the full module. Carriers
-// without hashes (flute) simply don't implement it and reads degrade to
-// RequestFile. Deliveries are shared and read-only exactly as
-// ObjectCarousel's are, and so is what the cache keeps.
-type CachedCarousel interface {
-	RequestFileCached(name string, cache *dsmcc.ChunkCache, strategy dsmcc.ReceiverStrategy, fn func(data []byte, at time.Time, err error))
-}
-
 // Config parameterizes an application manager.
 type Config struct {
 	// Strategy selects how the carousel is read (FileGranularity is the
@@ -61,10 +57,10 @@ type Config struct {
 	Authenticate Authenticator
 	// Rng drives this receiver's signalling phase. Required.
 	Rng *rand.Rand
-	// Cache, if set, is this receiver's persistent chunk store: file
-	// reads go through the carousel's content-addressed fast path when
-	// it offers one. The cache typically belongs to the set-top box and
-	// survives the manager (power cycles).
+	// Cache, if set, is this receiver's persistent chunk store, handed
+	// to the carousel with every application file read. The cache
+	// typically belongs to the set-top box and survives the manager
+	// (power cycles).
 	Cache *dsmcc.ChunkCache
 }
 
@@ -217,7 +213,7 @@ func (m *Manager) launch(app ait.Application) {
 	m.apps[app.Key()] = ra
 	m.mu.Unlock()
 
-	m.bcast.RequestFile(app.ClassFile, m.cfg.Strategy, func(code []byte, _ time.Time, err error) {
+	m.bcast.RequestFile(app.ClassFile, m.cfg.Strategy, nil, func(code []byte, _ time.Time, err error) {
 		abort := func() {
 			m.mu.Lock()
 			if m.apps[app.Key()] == ra {
@@ -308,13 +304,7 @@ func (c *managerContext) Clock() simtime.Clock { return c.m.clk }
 func (c *managerContext) AppKey() uint64       { return c.key }
 
 func (c *managerContext) ReadFile(name string, fn func([]byte, error)) {
-	if cc, ok := c.m.bcast.(CachedCarousel); ok && c.m.cfg.Cache != nil {
-		cc.RequestFileCached(name, c.m.cfg.Cache, c.m.cfg.Strategy, func(data []byte, _ time.Time, err error) {
-			fn(data, err)
-		})
-		return
-	}
-	c.m.bcast.RequestFile(name, c.m.cfg.Strategy, func(data []byte, _ time.Time, err error) {
+	c.m.bcast.RequestFile(name, c.m.cfg.Strategy, c.m.cfg.Cache, func(data []byte, _ time.Time, err error) {
 		fn(data, err)
 	})
 }

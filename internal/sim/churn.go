@@ -16,16 +16,19 @@ type ChurnJobConfig struct {
 	JobConfig
 	// MeanOn and MeanOff are the exponential up/down period means.
 	MeanOn, MeanOff time.Duration
-	// LeaseSeconds is how long a task lost to a departure stays leased
-	// before the Backend re-dispatches it (default 4·p + 120 s).
-	LeaseSeconds float64
-	// RejoinDelay is the time from a node powering back on to pulling
-	// work again (middleware boot + wakeup retransmission + image
-	// re-fetch; default 1.5 carousel cycles + 60 s).
-	RejoinDelay time.Duration
-	// RetryAfter is the idle-node poll backoff (default 30 s).
-	RetryAfter time.Duration
 }
+
+const (
+	// leaseSlackSeconds: a task lost to a departure stays leased for 4·p
+	// plus this long before the Backend re-dispatches it.
+	leaseSlackSeconds = 120
+	// rejoinSlack: a node pulls work again 1.5 carousel cycles plus this
+	// long after powering back on (middleware boot + wakeup
+	// retransmission + image re-fetch).
+	rejoinSlack = time.Minute
+	// retryAfter is the idle-node poll backoff.
+	retryAfter = 30 * time.Second
+)
 
 // ChurnJobResult extends the base result with churn accounting.
 type ChurnJobResult struct {
@@ -36,23 +39,24 @@ type ChurnJobResult struct {
 
 // RunChurnJob executes the churn model.
 func RunChurnJob(cfg ChurnJobConfig) (ChurnJobResult, error) {
+	if cfg.MeanOn <= 0 || cfg.MeanOff <= 0 {
+		return ChurnJobResult{}, errors.New("sim: churn means must be positive")
+	}
+	return run(cfg)
+}
+
+// run is the one event loop: per-node wakeup draws, then a
+// work-conserving pull loop per node. A zero MeanOn switches churn off:
+// nobody leaves, so nothing is lost, re-dispatched or polled for.
+func run(cfg ChurnJobConfig) (ChurnJobResult, error) {
 	var out ChurnJobResult
 	if err := cfg.JobConfig.validate(); err != nil {
 		return out, err
 	}
-	if cfg.MeanOn <= 0 || cfg.MeanOff <= 0 {
-		return out, errors.New("sim: churn means must be positive")
-	}
-	if cfg.LeaseSeconds <= 0 {
-		cfg.LeaseSeconds = 4*cfg.TaskSeconds + 120
-	}
+	churn := cfg.MeanOn > 0
 	cycle := float64(cfg.ImageBytes) * 8 / cfg.Beta
-	if cfg.RejoinDelay <= 0 {
-		cfg.RejoinDelay = secs(1.5*cycle) + time.Minute
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = 30 * time.Second
-	}
+	lease := secs(4*cfg.TaskSeconds + leaseSlackSeconds)
+	rejoinDelay := secs(1.5*cycle) + rejoinSlack
 
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	epoch := time.Date(2009, 11, 1, 0, 0, 0, 0, time.UTC)
@@ -65,11 +69,15 @@ func RunChurnJob(cfg ChurnJobConfig) (ChurnJobResult, error) {
 		queue     = cfg.Tasks
 		remaining = cfg.Tasks // not yet successfully completed
 		lastDone  time.Time
-		deathAt   = make([]time.Time, cfg.Nodes)
+		wakeSum   time.Duration
+		deathAt   []time.Time // churn only
 		alive     = make([]bool, cfg.Nodes)
 		taskCount = make([]int, cfg.Nodes)
 	)
 
+	if churn {
+		deathAt = make([]time.Time, cfg.Nodes)
+	}
 	exp := func(mean time.Duration) time.Duration {
 		return time.Duration(rng.ExpFloat64() * float64(mean))
 	}
@@ -77,64 +85,54 @@ func RunChurnJob(cfg ChurnJobConfig) (ChurnJobResult, error) {
 	var pull func(i int)
 	var nodeUp func(i int)
 
-	// Re-dispatched tasks re-enter the queue; idle nodes find them on
-	// their next poll (the Backend's RetryAfter backoff).
-	requeue := func(delay time.Duration) {
-		clk.AfterFunc(delay, func() { queue++ })
-	}
-
 	pull = func(i int) {
 		if !alive[i] || remaining == 0 {
 			return
 		}
 		if queue == 0 {
-			// Poll again later (a lease may expire meanwhile).
-			j := i
-			clk.AfterFunc(cfg.RetryAfter, func() {
-				if alive[j] && remaining > 0 {
-					pull(j)
-				}
-			})
+			if churn {
+				// Poll again later: a lease may expire meanwhile (the
+				// Backend's RetryAfter backoff).
+				clk.AfterFunc(retryAfter, func() { pull(i) })
+			}
 			return
 		}
 		queue--
-		done := clk.Now().Add(perTask)
-		if deathAt[i].Before(done) {
+		if churn && deathAt[i].Before(clk.Now().Add(perTask)) {
 			// The node dies mid-task: the result is lost; the Backend
-			// re-dispatches after the lease expires.
+			// re-dispatches after the lease expires, and idle nodes find
+			// the task on their next poll.
 			out.TasksLost++
-			requeue(deathAt[i].Sub(clk.Now()) + secs(cfg.LeaseSeconds))
+			clk.AfterFunc(deathAt[i].Sub(clk.Now())+lease, func() { queue++ })
 			return
 		}
-		j := i
 		clk.AfterFunc(perTask, func() {
 			remaining--
-			taskCount[j]++
+			taskCount[i]++
 			lastDone = clk.Now()
-			if remaining > 0 && alive[j] {
-				pull(j)
-			}
+			pull(i)
 		})
 	}
 
 	nodeUp = func(i int) {
 		alive[i] = true
-		life := exp(cfg.MeanOn)
-		deathAt[i] = clk.Now().Add(life)
-		j := i
-		clk.AfterFunc(life, func() {
-			alive[j] = false
-			if remaining == 0 {
-				return // the job already finished; not a departure it felt
-			}
-			out.Departures++
-			off := exp(cfg.MeanOff)
-			clk.AfterFunc(off+cfg.RejoinDelay, func() {
-				if remaining > 0 {
-					nodeUp(j) // nodeUp pulls
+		if churn {
+			life := exp(cfg.MeanOn)
+			deathAt[i] = clk.Now().Add(life)
+			clk.AfterFunc(life, func() {
+				alive[i] = false
+				if remaining == 0 {
+					return // the job already finished; not a departure it felt
 				}
+				out.Departures++
+				off := exp(cfg.MeanOff)
+				clk.AfterFunc(off+rejoinDelay, func() {
+					if remaining > 0 {
+						nodeUp(i) // nodeUp pulls
+					}
+				})
 			})
-		})
+		}
 		pull(i)
 	}
 
@@ -146,16 +144,26 @@ func RunChurnJob(cfg ChurnJobConfig) (ChurnJobResult, error) {
 		default:
 			w = secs(cycle * (1 + rng.Float64()))
 		}
+		wakeSum += w
+		if w > out.WakeupMax {
+			out.WakeupMax = w
+		}
 		i := i
 		clk.AfterFunc(w, func() { nodeUp(i) })
 	}
-	clk.RunUntil(epoch.Add(1000 * time.Hour))
+	if churn {
+		// Departures can starve a job for ever; give up at a horizon.
+		clk.RunUntil(epoch.Add(1000 * time.Hour))
+	} else {
+		clk.Wait()
+	}
 	if remaining != 0 {
 		return out, errors.New("sim: churn job did not complete within 1000 simulated hours")
 	}
 
 	makespan := lastDone.Sub(epoch)
 	out.Makespan = makespan
+	out.WakeupMean = wakeSum / time.Duration(cfg.Nodes)
 	out.Events = clk.Fired()
 	out.TasksMin = cfg.Tasks
 	for _, tc := range taskCount {

@@ -15,11 +15,9 @@ package sim
 
 import (
 	"errors"
-	"math/rand"
 	"time"
 
 	"oddci/internal/analytic"
-	"oddci/internal/simtime"
 )
 
 // JoinModel selects how nodes' wakeup completion times are drawn.
@@ -98,78 +96,9 @@ func (c JobConfig) Params() analytic.Params {
 
 func secs(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
 
-// RunJob executes the model and returns measured quantities.
+// RunJob executes the model and returns measured quantities: the churn
+// model with nobody leaving.
 func RunJob(cfg JobConfig) (JobResult, error) {
-	if err := cfg.validate(); err != nil {
-		return JobResult{}, err
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	epoch := time.Date(2009, 11, 1, 0, 0, 0, 0, time.UTC)
-	clk := simtime.NewSim(epoch)
-
-	cycle := float64(cfg.ImageBytes) * 8 / cfg.Beta
-	perTask := secs(float64(cfg.RequestBytes+cfg.TaskInBytes)*8/cfg.Delta) +
-		secs(cfg.TaskSeconds) +
-		secs(float64(cfg.TaskOutBytes)*8/cfg.Delta)
-
-	var (
-		queue     = cfg.Tasks
-		lastDone  time.Time
-		wakeSum   time.Duration
-		wakeMax   time.Duration
-		taskCount = make([]int, cfg.Nodes)
-	)
-
-	var nodeLoop func(i int)
-	nodeLoop = func(i int) {
-		if queue == 0 {
-			return
-		}
-		queue--
-		taskCount[i]++
-		clk.AfterFunc(perTask, func() {
-			lastDone = clk.Now()
-			nodeLoop(i)
-		})
-	}
-
-	for i := 0; i < cfg.Nodes; i++ {
-		var w time.Duration
-		switch cfg.Join {
-		case JoinSynchronized:
-			w = secs(cycle)
-		default:
-			w = secs(cycle * (1 + rng.Float64()))
-		}
-		wakeSum += w
-		if w > wakeMax {
-			wakeMax = w
-		}
-		i := i
-		clk.AfterFunc(w, func() { nodeLoop(i) })
-	}
-	clk.Wait()
-
-	if queue != 0 {
-		return JobResult{}, errors.New("sim: tasks left unexecuted")
-	}
-	makespan := lastDone.Sub(epoch)
-	res := JobResult{
-		Makespan:   makespan,
-		WakeupMean: wakeSum / time.Duration(cfg.Nodes),
-		WakeupMax:  wakeMax,
-		Events:     clk.Fired(),
-		TasksMin:   cfg.Tasks,
-	}
-	for _, tc := range taskCount {
-		if tc < res.TasksMin {
-			res.TasksMin = tc
-		}
-		if tc > res.TasksMax {
-			res.TasksMax = tc
-		}
-	}
-	p := cfg.Params()
-	res.Efficiency = p.Tasks * p.TaskSeconds / (makespan.Seconds() * p.N)
-	return res, nil
+	out, err := run(ChurnJobConfig{JobConfig: cfg})
+	return out.JobResult, err
 }

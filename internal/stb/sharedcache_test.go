@@ -69,7 +69,7 @@ func TestSharedChunkCacheAcrossShards(t *testing.T) {
 
 	// Cold: receiver 1 stages off shard A's carousel and warms the store.
 	var coldAt time.Time
-	bA.RequestFileCached("image", s1.ChunkCache(), dsmcc.FileGranularity, func(data []byte, at time.Time, err error) {
+	bA.RequestFile("image", dsmcc.FileGranularity, s1.ChunkCache(), func(data []byte, at time.Time, err error) {
 		if err != nil || !bytes.Equal(data, img) {
 			t.Errorf("cold fetch via shard A: err=%v", err)
 		}
@@ -85,7 +85,7 @@ func TestSharedChunkCacheAcrossShards(t *testing.T) {
 	// same content — and completes from shared chunks.
 	start := clk.Now()
 	var warmAt time.Time
-	bB.RequestFileCached("image", s2.ChunkCache(), dsmcc.FileGranularity, func(data []byte, at time.Time, err error) {
+	bB.RequestFile("image", dsmcc.FileGranularity, s2.ChunkCache(), func(data []byte, at time.Time, err error) {
 		if err != nil || !bytes.Equal(data, img) {
 			t.Errorf("warm fetch via shard B: err=%v", err)
 		}
@@ -130,7 +130,7 @@ func TestSharedCacheSeamDefaults(t *testing.T) {
 	if boxes[0].ChunkCache() == nil || boxes[0].ChunkCache() == boxes[1].ChunkCache() {
 		t.Fatal("per-box chunk caches missing or shared")
 	}
-	b.RequestFileCached("image", boxes[0].ChunkCache(), dsmcc.FileGranularity, func(_ []byte, _ time.Time, err error) {
+	b.RequestFile("image", dsmcc.FileGranularity, boxes[0].ChunkCache(), func(_ []byte, _ time.Time, err error) {
 		if err != nil {
 			t.Errorf("staging through box 0: %v", err)
 		}

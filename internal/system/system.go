@@ -207,32 +207,23 @@ func New(cfg Config) (*System, error) {
 		return nil, fmt.Errorf("system: keygen: %w", err)
 	}
 
-	// The broadcast substrate: both implement the Controller's HeadEnd
-	// and the middleware's ObjectCarousel, so the rest of the system is
-	// identical either way.
-	var bcast interface {
-		controller.HeadEnd
-		middleware.ObjectCarousel
-	}
+	// The broadcast substrate is a choice of wire layout; one playout
+	// engine airs either, so the rest of the system is identical.
+	var content dsmcc.Content
 	switch cfg.Transport {
 	case TransportIPMulticast:
-		caster, err := flute.NewCaster(clk, cfg.Beta)
-		if err != nil {
-			return nil, err
-		}
-		bcast = caster
+		content = flute.NewSession()
 	default:
-		car, err := dsmcc.NewCarousel(0x300, 0)
+		content, err = dsmcc.NewCarousel(0x300, 0)
 		if err != nil {
 			return nil, err
 		}
-		b, err := dsmcc.NewBroadcaster(clk, car, cfg.Beta)
-		if err != nil {
-			return nil, err
-		}
-		b.Instrument(cfg.Obs)
-		bcast = b
 	}
+	bcast, err := dsmcc.NewBroadcaster(clk, content, cfg.Beta)
+	if err != nil {
+		return nil, err
+	}
+	bcast.Instrument(cfg.Obs)
 	sig := middleware.NewSignalling(clk, middleware.DefaultAITPeriod)
 
 	// Fault injection wraps only the Controller's transmit path; the

@@ -44,6 +44,42 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 }
 
+// A multicast deployment is the same engine over another wire layout: it
+// completes a job and reports through the same broadcast telemetry.
+func TestFacadeOverIPMulticast(t *testing.T) {
+	sys, err := New(Options{Nodes: 16, Seed: 22, IPMulticast: true, Metrics: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := (&Generator{
+		Name: "mcast", Tasks: 64, MeanSeconds: 5,
+		InputBytes: 512, OutputBytes: 512, ImageBytes: 1 << 20,
+	}).Generate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := sys.SubmitJob(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.CreateInstance(InstanceSpec{
+		Image: WorkerImage(1 << 20), Target: 16, InitialProbability: 1,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.RunJob(h); err != nil {
+		t.Fatal(err)
+	}
+	if len(h.Results()) != 64 {
+		t.Fatalf("results = %d", len(h.Results()))
+	}
+	for _, name := range []string{"oddci_dsmcc_broadcast_bytes", "oddci_dsmcc_file_deliveries_total"} {
+		if v, ok := sys.Metric(name); !ok || v <= 0 {
+			t.Errorf("%s = %v (present %v) on a multicast deployment, want > 0", name, v, ok)
+		}
+	}
+}
+
 func TestFacadeCustomApp(t *testing.T) {
 	sys, err := New(Options{Nodes: 8, Seed: 2})
 	if err != nil {
