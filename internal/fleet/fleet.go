@@ -8,8 +8,10 @@
 // gives closed forms with no variance at all. fleet sits between them:
 // it keeps only what the paper's population-scale questions need — each
 // node's power phase, its next deadline, and a private RNG stream — in
-// struct-of-arrays form (25 bytes per node), and schedules all node
-// deadlines on one hierarchical timing wheel (simtime.Wheel). The wheel
+// struct-of-arrays form (25 bytes per node), and schedules the node
+// deadlines that fall inside the run on one hierarchical timing wheel
+// (simtime.Wheel); a deadline past the window is remembered, not
+// booked, so the wheel's size follows the events that happen. The wheel
 // delivers every deadline due at a tick as a single batch, so one
 // simtime event turns into thousands of node transitions; that batching
 // is what makes 10⁶ nodes tractable in one process.
@@ -147,6 +149,8 @@ func (c Config) Validate() error {
 		return errors.New("fleet: Warmup too short for Samples distinct ticks")
 	case int64(c.Window/c.Tick) < int64(c.Samples):
 		return errors.New("fleet: Window too short for Samples distinct ticks")
+	case int64(c.Warmup/c.Tick)+int64(c.Window/c.Tick) >= simtime.WheelHorizon:
+		return errors.New("fleet: (Warmup+Window)/Tick exceeds the timing wheel horizon")
 	}
 	return nil
 }
@@ -295,9 +299,14 @@ func Run(cfg Config) (*Result, error) {
 	}
 	e := newEngine(cfg)
 	e.init()
+	return e.run(), nil
+}
+
+// run plays the booked events out to the end of the window.
+func (e *engine) run() *Result {
 	e.armNext()
 	e.clk.RunUntil(e.timeOf(e.endTick))
-	return e.finish(), nil
+	return e.finish()
 }
 
 func newEngine(cfg Config) *engine {
@@ -305,7 +314,6 @@ func newEngine(cfg Config) *engine {
 	e := &engine{
 		cfg:        cfg,
 		epoch:      time.Date(2009, 11, 1, 0, 0, 0, 0, time.UTC),
-		clk:        nil,
 		whl:        simtime.NewWheel(0),
 		phase:      make([]uint8, n),
 		offAt:      make([]int64, n),
@@ -336,18 +344,17 @@ func newEngine(cfg Config) *engine {
 func (e *engine) timeOf(tick int64) time.Time { return e.epoch.Add(time.Duration(tick) * e.cfg.Tick) }
 func (e *engine) tickOf(t time.Time) int64    { return int64(t.Sub(e.epoch) / e.cfg.Tick) }
 
-// clampTick bounds a tick to just past the simulation end: the wheel
-// horizon (2³² ticks) would otherwise reject the far tail of the
-// exponential draws, and nothing after endTick is ever fired anyway.
-func (e *engine) clampTick(t int64) int64 { return min(t, e.endTick+1) }
-
-// setDeadline books id's single live deadline. Every set schedules a
-// wheel entry; superseded entries are cancelled lazily — nodeEvent
-// skips a fired (tick, id) whose deadline has moved on.
+// setDeadline records id's single live deadline and books it on the
+// wheel if it can fire: the run stops at endTick, so a later deadline
+// (most of them — the power-cycle means dwarf the window) is only
+// remembered, which is all the staleness check needs. Superseded
+// entries are cancelled lazily — nodeEvent skips a fired (tick, id)
+// whose deadline has moved on.
 func (e *engine) setDeadline(id int32, tick int64) {
-	tick = e.clampTick(tick)
 	e.deadline[id] = tick
-	e.whl.Schedule(tick, id)
+	if tick <= e.endTick {
+		e.whl.Schedule(tick, id)
+	}
 }
 
 // SplitMix64: one 8-byte state word per node gives each node an
@@ -397,7 +404,7 @@ func (e *engine) init() {
 			e.phase[i] = phaseIdle
 			e.onCount++
 			e.cohortOn[id%e.ncoh]++
-			e.offAt[i] = e.clampTick(e.expTicks(s, e.meanOnSec))
+			e.offAt[i] = e.expTicks(s, e.meanOnSec)
 			e.setDeadline(id, e.offAt[i])
 		} else {
 			e.phase[i] = phaseOff
@@ -483,7 +490,7 @@ func (e *engine) powerOn(tick int64, id int32) {
 	e.onCount++
 	e.cohortOn[id%e.ncoh]++
 	s := &e.rng[id]
-	e.offAt[id] = e.clampTick(tick + e.expTicks(s, e.meanOnSec))
+	e.offAt[id] = tick + e.expTicks(s, e.meanOnSec)
 	if tick >= e.wakeTick {
 		// The wakeup message and image are still on the carousel:
 		// late arrivals load and join too (they are counted in the
@@ -509,7 +516,7 @@ func (e *engine) powerOff(tick int64, id int32) {
 		}
 	}
 	e.phase[id] = phaseOff
-	e.setDeadline(id, e.clampTick(tick+e.expTicks(&e.rng[id], e.meanOffSec)))
+	e.setDeadline(id, tick+e.expTicks(&e.rng[id], e.meanOffSec))
 }
 
 // drainJoins completes the load→join transitions deferred by the fire

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -202,5 +203,50 @@ func TestResultValidateFlagsViolations(t *testing.T) {
 	tampered.QuorumSimSeconds = -1
 	if tampered.Validate() == nil {
 		t.Fatal("unreached quorum not flagged")
+	}
+}
+
+// TestConfigValidateWheelHorizon: a window the wheel cannot span is a
+// config error, not a panic in Wheel.Schedule when the wakeup sentinel
+// is booked 7.2·10⁹ ticks out.
+func TestConfigValidateWheelHorizon(t *testing.T) {
+	cfg := Config{Nodes: 100, Tick: time.Microsecond, Warmup: 2 * time.Hour}
+	if _, err := Run(cfg); err == nil {
+		t.Fatal("Run accepted a window past the wheel horizon")
+	}
+	if _, err := RunSharded(ShardedConfig{Config: cfg, Shards: 2, KillShard: -1}); err == nil {
+		t.Fatal("RunSharded accepted a window past the wheel horizon")
+	}
+}
+
+// TestWheelEmptyAtEnd: only deadlines that can fire are booked, so a
+// finished run leaves nothing on the wheel. Before PR 23 every deadline
+// past the window was booked at endTick+1 and ~1.7 entries per node were
+// still there, having been appended, cascaded and never fired.
+func TestWheelEmptyAtEnd(t *testing.T) {
+	e := newEngine(Config{Nodes: 100_000, Seed: 1}.withDefaults())
+	e.init()
+	e.run()
+	if n := e.whl.Len(); n != 0 {
+		t.Fatalf("%d entries left on the wheel after the run (%.2f per node)", n, float64(n)/100_000)
+	}
+}
+
+// TestRunAllocBudget bounds the bytes one run allocates: 25 B/node of
+// SoA state plus wheel slots for the deadlines that fire measured
+// ~102 B/node when this was written, against ~527 with the dead
+// entries booked.
+func TestRunAllocBudget(t *testing.T) {
+	const nodes, budget = 100_000, 200 // bytes per node
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := Run(Config{Nodes: nodes, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	perNode := float64(after.TotalAlloc-before.TotalAlloc) / nodes
+	t.Logf("%.1f B/node allocated", perNode)
+	if perNode > budget {
+		t.Fatalf("one run allocated %.1f B/node, budget %d", perNode, budget)
 	}
 }

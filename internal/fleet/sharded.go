@@ -165,18 +165,16 @@ func RunSharded(cfg ShardedConfig) (*ShardedResult, error) {
 
 	if cfg.KillShard >= 0 {
 		x.killShard = cfg.KillShard
-		killTick := e.clampTick(e.wakeTick + int64(cfg.KillAfter/cfg.Tick))
-		recoverTick := e.clampTick(killTick + int64(cfg.RecoverAfter/cfg.Tick))
-		if recoverTick > e.endTick {
+		killTick := e.wakeTick + int64(cfg.KillAfter/cfg.Tick)
+		recoverTick := killTick + int64(cfg.RecoverAfter/cfg.Tick)
+		if killTick > e.endTick || recoverTick > e.endTick {
 			return nil, errors.New("fleet: kill/recover schedule exceeds the observation window")
 		}
 		e.whl.Schedule(killTick, idShardKill)
 		e.whl.Schedule(recoverTick, idShardRecover)
 	}
 
-	e.armNext()
-	e.clk.RunUntil(e.timeOf(e.endTick))
-	e.finish()
+	e.run()
 	return x.finish(), nil
 }
 

@@ -14,7 +14,9 @@ import "fmt"
 // throughput:
 //
 //   - events are (tick, id) pairs, not closures: no per-event allocation
-//     beyond slot array growth, and slot arrays are recycled;
+//     beyond slot array growth. A drained slot keeps its own backing
+//     array for the next items that land in it; nothing is shared or
+//     pooled between slots, so a burst's capacity stays where it fell;
 //   - insertion and cancellation are O(1); cancellation is lazy — callers
 //     skip a fired (tick, id) whose id no longer expects that tick;
 //   - all events due at one tick are delivered as a single batch, which
