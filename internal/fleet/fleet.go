@@ -1,7 +1,7 @@
 // Package fleet is a compact million-PNA simulation harness: one
 // process tracks the power/join lifecycle of up to 10⁶ simulated
 // processing-node agents in virtual time, with no per-node goroutines
-// and no per-node Sim timers.
+// and no simtime.Sim event heap at all.
 //
 // The live stack (internal/system) runs real Controller/Backend/STB
 // code and tops out around 10³–10⁴ nodes per run; the analytic package
@@ -11,10 +11,12 @@
 // struct-of-arrays form (25 bytes per node), and schedules the node
 // deadlines that fall inside the run on one hierarchical timing wheel
 // (simtime.Wheel); a deadline past the window is remembered, not
-// booked, so the wheel's size follows the events that happen. The wheel
-// delivers every deadline due at a tick as a single batch, so one
-// simtime event turns into thousands of node transitions; that batching
-// is what makes 10⁶ nodes tractable in one process.
+// booked, so the wheel's size follows the events that happen. The engine
+// drives the wheel itself — a run is one Wheel.AdvanceTo to the end of
+// the window — and the wheel delivers every deadline due at a tick as a
+// single batch, so one advance step turns into thousands of node
+// transitions; that batching is what makes 10⁶ nodes tractable in one
+// process.
 //
 // The model: each node alternates exponentially distributed on and off
 // periods (means MeanOn, MeanOff), so the stationary probability of
@@ -184,8 +186,9 @@ type Result struct {
 	FinalJoined int    `json:"final_joined"` // in-instance nodes at window end
 	Heartbeats  uint64 `json:"heartbeats"`
 
-	// NodeEvents / WheelBatches is the batching ratio; SimEvents is how
-	// few events the simtime heap actually saw.
+	// NodeEvents / WheelBatches is the batching ratio. SimEvents counts
+	// wheel advances, which is WheelBatches; kept because benchmark/ and
+	// the golden files read it.
 	NodeEvents   uint64 `json:"node_events"`
 	WheelBatches uint64 `json:"wheel_batches"`
 	SimEvents    uint64 `json:"sim_events"`
@@ -244,7 +247,6 @@ const maxCohorts = 256
 
 type engine struct {
 	cfg Config
-	clk *simtime.Sim
 	whl *simtime.Wheel
 
 	// Struct-of-arrays node state, indexed by node id.
@@ -258,7 +260,6 @@ type engine struct {
 	// dequeue retention.
 	joinq netsim.Ring[int32]
 
-	epoch       time.Time
 	secPerTick  float64
 	wakeTick    int64
 	endTick     int64
@@ -302,10 +303,10 @@ func Run(cfg Config) (*Result, error) {
 	return e.run(), nil
 }
 
-// run plays the booked events out to the end of the window.
+// run plays the booked events out to the end of the window: one wheel
+// advance, every batch in tick order, fire booking follow-ups into it.
 func (e *engine) run() *Result {
-	e.armNext()
-	e.clk.RunUntil(e.timeOf(e.endTick))
+	e.whl.AdvanceTo(e.endTick, e.fire)
 	return e.finish()
 }
 
@@ -313,7 +314,6 @@ func newEngine(cfg Config) *engine {
 	n := cfg.Nodes
 	e := &engine{
 		cfg:        cfg,
-		epoch:      time.Date(2009, 11, 1, 0, 0, 0, 0, time.UTC),
 		whl:        simtime.NewWheel(0),
 		phase:      make([]uint8, n),
 		offAt:      make([]int64, n),
@@ -325,7 +325,6 @@ func newEngine(cfg Config) *engine {
 		cycleSec:   cfg.ImageBytes * 8 / cfg.Beta,
 		quorumTick: -1,
 	}
-	e.clk = simtime.NewSim(e.epoch)
 	e.params = analytic.Params{ImageBits: cfg.ImageBytes * 8, Beta: cfg.Beta}
 	e.avail = analytic.Availability(e.meanOnSec, e.meanOffSec)
 	e.wakeTick = int64(cfg.Warmup / cfg.Tick)
@@ -340,9 +339,6 @@ func newEngine(cfg Config) *engine {
 	}
 	return e
 }
-
-func (e *engine) timeOf(tick int64) time.Time { return e.epoch.Add(time.Duration(tick) * e.cfg.Tick) }
-func (e *engine) tickOf(t time.Time) int64    { return int64(t.Sub(e.epoch) / e.cfg.Tick) }
 
 // setDeadline records id's single live deadline and books it on the
 // wheel if it can fire: the run stops at endTick, so a later deadline
@@ -434,23 +430,8 @@ func sampleGrid(from, to int64, n int) []int64 {
 	return ticks
 }
 
-// armNext books one Sim timer for the wheel's next pending tick — the
-// only place the event heap is involved. Each firing advances the wheel
-// through the current tick, delivering every node deadline due there as
-// one batch.
-func (e *engine) armNext() {
-	next, ok := e.whl.Next()
-	if !ok {
-		return
-	}
-	e.clk.AfterFunc(e.timeOf(next).Sub(e.clk.Now()), e.step)
-}
-
-func (e *engine) step() {
-	e.whl.AdvanceTo(e.tickOf(e.clk.Now()), e.fire)
-	e.armNext()
-}
-
+// fire applies one tick's batch: every node deadline and sentinel due
+// there, then the joins the batch deferred.
 func (e *engine) fire(tick int64, ids []int32) {
 	e.res.WheelBatches++
 	for _, id := range ids {
@@ -646,7 +627,7 @@ func (e *engine) finish() *Result {
 	r.AvailAtWake = e.availAtWake
 	r.DirectJoins = e.directJoins
 	r.FinalJoined = e.joined
-	r.SimEvents = e.clk.Fired()
+	r.SimEvents = r.WheelBatches
 	r.QuorumSimSeconds = -1
 	if e.quorumTick >= 0 {
 		r.QuorumSimSeconds = float64(e.quorumTick-e.wakeTick) * e.secPerTick

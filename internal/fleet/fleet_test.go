@@ -55,7 +55,7 @@ func TestRunValidates(t *testing.T) {
 
 // TestRunDeterministic: identical configs produce identical results,
 // bit for bit — the whole point of per-node RNG streams plus the
-// deterministic wheel/Sim stack.
+// deterministic wheel.
 func TestRunDeterministic(t *testing.T) {
 	cfg := Config{Nodes: 1500, Seed: 7}
 	r1, err := Run(cfg)
@@ -86,9 +86,9 @@ func TestRunSeedsDiffer(t *testing.T) {
 }
 
 // TestRunBatching: the event-batching claim. Node transitions must
-// dwarf the number of events the simtime heap fires — the wheel turns
-// one Sim event into a whole tick's batch. Needs a population large
-// enough that many transitions share each 10 ms tick.
+// dwarf the number of batches the wheel fires — one advance step
+// delivers a whole tick's deadlines. Needs a population large enough
+// that many transitions share each 10 ms tick.
 func TestRunBatching(t *testing.T) {
 	r, err := Run(Config{Nodes: 100_000, Seed: 3})
 	if err != nil {
@@ -97,11 +97,8 @@ func TestRunBatching(t *testing.T) {
 	if err := r.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if r.NodeEvents < 2*r.SimEvents {
-		t.Fatalf("node events %d vs sim events %d: wheel batching not effective", r.NodeEvents, r.SimEvents)
-	}
-	if r.WheelBatches == 0 || r.NodeEvents < r.WheelBatches {
-		t.Fatalf("implausible batch accounting: %d batches, %d node events", r.WheelBatches, r.NodeEvents)
+	if r.WheelBatches == 0 || r.NodeEvents < 2*r.WheelBatches {
+		t.Fatalf("node events %d vs wheel batches %d: wheel batching not effective", r.NodeEvents, r.WheelBatches)
 	}
 }
 
@@ -232,21 +229,33 @@ func TestWheelEmptyAtEnd(t *testing.T) {
 	}
 }
 
-// TestRunAllocBudget bounds the bytes one run allocates: 25 B/node of
-// SoA state plus wheel slots for the deadlines that fire measured
-// ~102 B/node when this was written, against ~527 with the dead
-// entries booked.
-func TestRunAllocBudget(t *testing.T) {
-	const nodes, budget = 100_000, 200 // bytes per node
+// allocatedBy reports the bytes and the mallocs f made.
+func allocatedBy(f func()) (bytes, mallocs uint64) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if _, err := Run(Config{Nodes: nodes, Seed: 1}); err != nil {
-		t.Fatal(err)
-	}
+	f()
 	runtime.ReadMemStats(&after)
-	perNode := float64(after.TotalAlloc-before.TotalAlloc) / nodes
-	t.Logf("%.1f B/node allocated", perNode)
-	if perNode > budget {
-		t.Fatalf("one run allocated %.1f B/node, budget %d", perNode, budget)
+	return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
+}
+
+// TestRunAllocBudget bounds what one run allocates, in bytes and in
+// mallocs. 25 B/node of SoA state plus 8-byte wheel entries for the
+// deadlines that fire measure ~49 B/node (~94 with 16-byte entries);
+// slot growth and the curves are ~3.5 k mallocs, where a Sim timer and a
+// closure per wheel batch made it ~72 k.
+func TestRunAllocBudget(t *testing.T) {
+	const nodes, byteBudget, mallocBudget = 100_000, 80, 8_000
+	bytes, mallocs := allocatedBy(func() {
+		if _, err := Run(Config{Nodes: nodes, Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	perNode := float64(bytes) / nodes
+	t.Logf("%.1f B/node allocated in %d mallocs", perNode, mallocs)
+	if perNode > byteBudget {
+		t.Errorf("one run allocated %.1f B/node, budget %d", perNode, byteBudget)
+	}
+	if mallocs > mallocBudget {
+		t.Errorf("one run made %d allocations, budget %d", mallocs, mallocBudget)
 	}
 }

@@ -44,6 +44,14 @@ func TestGoldenResults(t *testing.T) {
 				t.Fatal(err)
 			}
 			got = append(got, '\n')
+			// sim_events is a retained alias of wheel_batches; hold it there.
+			var n struct {
+				SimEvents    uint64 `json:"sim_events"`
+				WheelBatches uint64 `json:"wheel_batches"`
+			}
+			if err := json.Unmarshal(got, &n); err != nil || n.SimEvents != n.WheelBatches || n.SimEvents == 0 {
+				t.Fatalf("sim_events %d != wheel_batches %d (%v)", n.SimEvents, n.WheelBatches, err)
+			}
 			path := filepath.Join("testdata", tc.name+".json")
 			if *update {
 				if err := os.WriteFile(path, got, 0o644); err != nil {

@@ -121,6 +121,13 @@ func RunSharded(cfg ShardedConfig) (*ShardedResult, error) {
 	if cfg.KillShard >= cfg.Shards {
 		return nil, errors.New("fleet: KillShard out of range")
 	}
+	killAfter := int64(cfg.KillAfter / cfg.Tick)
+	recoverAfter := killAfter + int64(cfg.RecoverAfter/cfg.Tick)
+	if cfg.KillShard >= 0 {
+		if window := int64(cfg.Window / cfg.Tick); killAfter > window || recoverAfter > window {
+			return nil, errors.New("fleet: kill/recover schedule exceeds the observation window")
+		}
+	}
 	ring, err := federation.NewRing(cfg.Shards, federation.DefaultVNodes)
 	if err != nil {
 		return nil, err
@@ -165,13 +172,8 @@ func RunSharded(cfg ShardedConfig) (*ShardedResult, error) {
 
 	if cfg.KillShard >= 0 {
 		x.killShard = cfg.KillShard
-		killTick := e.wakeTick + int64(cfg.KillAfter/cfg.Tick)
-		recoverTick := killTick + int64(cfg.RecoverAfter/cfg.Tick)
-		if killTick > e.endTick || recoverTick > e.endTick {
-			return nil, errors.New("fleet: kill/recover schedule exceeds the observation window")
-		}
-		e.whl.Schedule(killTick, idShardKill)
-		e.whl.Schedule(recoverTick, idShardRecover)
+		e.whl.Schedule(e.wakeTick+killAfter, idShardKill)
+		e.whl.Schedule(e.wakeTick+recoverAfter, idShardRecover)
 	}
 
 	e.run()

@@ -77,4 +77,18 @@ func TestShardedRejectsBadConfig(t *testing.T) {
 	}); err == nil {
 		t.Fatal("kill schedule beyond the window accepted")
 	}
+	// A schedule only the recovery overshoots is the same config error,
+	// and it is returned before the population is allocated and drawn:
+	// 10⁶ nodes of SoA state alone would be 25 MB.
+	bytes, _ := allocatedBy(func() {
+		if _, err := RunSharded(ShardedConfig{
+			Config: Config{Nodes: 1_000_000}, Shards: 2,
+			KillShard: 1, KillAfter: time.Minute, RecoverAfter: time.Hour,
+		}); err == nil {
+			t.Fatal("recover schedule beyond the window accepted")
+		}
+	})
+	if bytes > 1<<20 {
+		t.Fatalf("rejecting a bad kill schedule allocated %d bytes: the check runs after the engine is built", bytes)
+	}
 }

@@ -14,18 +14,22 @@ import "fmt"
 // throughput:
 //
 //   - events are (tick, id) pairs, not closures: no per-event allocation
-//     beyond slot array growth. A drained slot keeps its own backing
-//     array for the next items that land in it; nothing is shared or
-//     pooled between slots, so a burst's capacity stays where it fell;
+//     beyond slot array growth, and a resident entry is 8 bytes — the id
+//     and the low 32 bits of the tick, which is all of the tick the
+//     2³²-tick horizon leaves undetermined (see wheelItem). A drained
+//     slot keeps its own backing array for the next items that land in
+//     it; nothing is shared or pooled between slots, so a burst's
+//     capacity stays where it fell;
 //   - insertion and cancellation are O(1); cancellation is lazy — callers
 //     skip a fired (tick, id) whose id no longer expects that tick;
 //   - all events due at one tick are delivered as a single batch, which
-//     is what lets a caller turn one Sim event into thousands of node
+//     is what lets a caller turn one advance into thousands of node
 //     transitions.
 //
-// A Wheel is not a Clock and is not safe for concurrent use: it is meant
-// to be driven from a single goroutine or from Sim event callbacks, with
-// one pending Sim timer armed for the wheel's next non-empty tick.
+// A Wheel is not a Clock and is not safe for concurrent use. It needs no
+// event heap beside it: a single goroutine calls AdvanceTo with the tick
+// to play out to (the fleet engine makes that one call per run), or Next
+// to learn the next non-empty tick first.
 type Wheel struct {
 	// now is the cursor: every tick ≤ now has been fired or verified
 	// empty. Next may advance it across verified-empty gaps.
@@ -51,9 +55,13 @@ const (
 	WheelHorizon = int64(1) << (wheelBits * wheelLevels)
 )
 
+// wheelItem is one resident entry. Only the low word of the tick is
+// kept: every resident item satisfies 0 < tick − now < WheelHorizon = 2³²
+// (Schedule enforces it and the cursor only moves toward the tick), so
+// the full tick is now + int64(lo − uint32(now)), exactly.
 type wheelItem struct {
-	tick int64
-	id   int32
+	lo uint32
+	id int32
 }
 
 // NewWheel returns a wheel whose cursor starts at start: the first
@@ -81,34 +89,36 @@ func (w *Wheel) Schedule(tick int64, id int32) {
 	if tick-w.now >= WheelHorizon {
 		panic(fmt.Sprintf("simtime: wheel schedule %d exceeds horizon (cursor %d)", tick, w.now))
 	}
-	w.place(wheelItem{tick: tick, id: id})
+	w.place(tick, id)
 	w.count++
 }
 
-// place inserts it into the shallowest level whose ring spans the delta
-// to the cursor. Slot index is the tick's level-l digit, so the item
+// place inserts (tick, id) into the shallowest level whose ring spans the
+// delta to the cursor. Slot index is the tick's level-l digit, so the item
 // cascades down one level each time its window becomes current. The span
 // check is inclusive (delta ≤ ring span): an item exactly one span away
 // still lands one level down, where its slot's previous ring pass is
 // already behind the cursor — an exclusive check would re-insert a
 // boundary item into the level-l slot being drained, deferring it a full
 // ring revolution.
-func (w *Wheel) place(it wheelItem) {
-	delta := it.tick - w.now
+func (w *Wheel) place(tick int64, id int32) {
+	delta := tick - w.now
 	var l int
 	for l = 0; l < wheelLevels-1; l++ {
 		if delta <= int64(1)<<(wheelBits*(l+1)) {
 			break
 		}
 	}
-	slot := (it.tick >> (wheelBits * uint(l))) & wheelMask
-	w.slots[l][slot] = append(w.slots[l][slot], it)
+	slot := (tick >> (wheelBits * uint(l))) & wheelMask
+	w.slots[l][slot] = append(w.slots[l][slot], wheelItem{lo: uint32(tick), id: id})
 	w.resident[l]++
 }
 
 // rollWindow moves the level-0 window forward one step, cascading every
 // higher-level slot whose window starts at the new boundary. Cascaded
-// items re-place at lower levels relative to the advanced cursor.
+// items re-place at lower levels relative to the advanced cursor, their
+// ticks rebuilt from the low word (the cursor sits at base−1 here, behind
+// every one of them).
 func (w *Wheel) rollWindow() {
 	w.win++
 	base := w.win << wheelBits
@@ -120,8 +130,9 @@ func (w *Wheel) rollWindow() {
 		items := *slot
 		*slot = (*slot)[:0]
 		w.resident[l] -= len(items)
+		now := w.now
 		for _, it := range items {
-			w.place(it)
+			w.place(now+int64(it.lo-uint32(now)), it.id)
 		}
 	}
 }
@@ -164,8 +175,8 @@ func (w *Wheel) AdvanceTo(limit int64, fire func(tick int64, ids []int32)) {
 		slot := &w.slots[0][t&wheelMask]
 		buf := w.fire[:0]
 		for _, it := range *slot {
-			if it.tick != t {
-				panic(fmt.Sprintf("simtime: wheel slot holds tick %d while firing %d", it.tick, t))
+			if it.lo != uint32(t) {
+				panic(fmt.Sprintf("simtime: wheel slot holds low word %#x while firing tick %d", it.lo, t))
 			}
 			buf = append(buf, it.id)
 		}

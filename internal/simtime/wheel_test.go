@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"unsafe"
 )
 
 // collect drains the wheel up to limit into (tick, id) pairs.
@@ -150,12 +151,58 @@ func TestWheelSpanBoundaries(t *testing.T) {
 	}
 }
 
+// TestWheelItemIsEightBytes pins the resident entry's size: the low word
+// of the tick and the id, no padding.
+func TestWheelItemIsEightBytes(t *testing.T) {
+	if n := unsafe.Sizeof(wheelItem{}); n != 8 {
+		t.Fatalf("wheelItem is %d bytes, want 8", n)
+	}
+}
+
+// TestWheelLowWordAcrossBoundary: an item keeps only the low 32 bits of
+// its tick, so ticks on both sides of 2³² — where the low word wraps —
+// and one a full horizon out, which rides down through all four levels,
+// must each fire at their exact tick. The farther starts put items past
+// 2³² on levels 2 and 3 while the cursor is still short of it, so their
+// ticks are rebuilt across the wrap at the cascade.
+func TestWheelLowWordAcrossBoundary(t *testing.T) {
+	for _, back := range []int64{300, 70_000, 1<<24 + 7} {
+		start := int64(1)<<32 - back
+		want := []int64{
+			start + 1, 1<<32 - 1, 1 << 32, 1<<32 + 1,
+			1<<32 + 255, 1<<32 + 256, 1<<32 + 1000, 1<<32 + 70_000, 1<<32 + 1<<24 + 5,
+			start + WheelHorizon - 1,
+		}
+		w := NewWheel(start)
+		for i := len(want) - 1; i >= 0; i-- { // booked out of order
+			w.Schedule(want[i], int32(i))
+		}
+		ticks, ids := collect(w, start+WheelHorizon)
+		if len(ticks) != len(want) {
+			t.Fatalf("start 2³²-%d: fired %d items, want %d", back, len(ticks), len(want))
+		}
+		for i := range want {
+			if ticks[i] != want[i] || ids[i] != int32(i) {
+				t.Fatalf("start 2³²-%d: firing %d = (%d,%d), want (%d,%d)", back, i, ticks[i], ids[i], want[i], i)
+			}
+		}
+		if w.Len() != 0 {
+			t.Fatalf("start 2³²-%d: Len = %d after drain", back, w.Len())
+		}
+	}
+}
+
 // TestWheelMatchesReference runs randomized schedules (including
-// schedules issued mid-fire) against a sorted-slice reference model.
+// schedules issued mid-fire) against a sorted-slice reference model,
+// from starts near zero and from starts just short of 2³², where the
+// stored low word of most ticks wraps.
 func TestWheelMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 20; trial++ {
+	for trial := 0; trial < 40; trial++ {
 		start := rng.Int63n(1 << 20)
+		if trial >= 20 {
+			start = 1<<32 - 1 - start
+		}
 		w := NewWheel(start)
 		type ref struct {
 			tick int64
