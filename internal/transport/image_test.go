@@ -275,9 +275,9 @@ func TestRestageABAConverges(t *testing.T) {
 	}
 }
 
-// signedControl is a valid control frame for image.1, as a coordinator
+// signedWakeup is a valid control file for image.1, as a coordinator
 // holding key would stage it.
-func signedControl(t *testing.T, key ed25519.PrivateKey, digest appimage.Digest) []byte {
+func signedWakeup(t *testing.T, key ed25519.PrivateKey, digest appimage.Digest) []byte {
 	t.Helper()
 	file, err := control.SignWakeup(&control.Wakeup{
 		InstanceID: 1, Seq: 1, Probability: 1, ImageFile: "image.1",
@@ -286,7 +286,13 @@ func signedControl(t *testing.T, key ed25519.PrivateKey, digest appimage.Digest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	frame, err := AppendFrame(nil, FrameControl, file)
+	return file
+}
+
+// signedControl is signedWakeup framed.
+func signedControl(t *testing.T, key ed25519.PrivateKey, digest appimage.Digest) []byte {
+	t.Helper()
+	frame, err := AppendFrame(nil, FrameControl, signedWakeup(t, key, digest))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,6 +327,11 @@ func TestHostileImagePlaneRejected(t *testing.T) {
 		Name: "image.1", Size: 32, ChunkBytes: 16,
 		Hashes: []dsmcc.ModuleHash{dsmcc.HashOf(data), 2},
 	}))
+	short := data[:5]
+	shortListed := frame(FrameImageManifest, AppendImageManifest(nil, &ImageManifest{
+		Name: "image.1", Size: 32, ChunkBytes: 16,
+		Hashes: []dsmcc.ModuleHash{dsmcc.HashOf(short), 2},
+	}))
 	cases := map[string][]byte{
 		"size -1":            rawManifest(0xFFFFFFFF, 1<<18, 1),
 		"size 0":             rawManifest(0, 1<<18, 0),
@@ -331,13 +342,30 @@ func TestHostileImagePlaneRejected(t *testing.T) {
 		"unlisted chunk":     append(listed, frame(FrameImageChunk, AppendImageChunk(nil, 3, data))...),
 		"mis-hashed chunk":   append(listed, frame(FrameImageChunk, AppendImageChunk(nil, 2, data))...),
 		"oversized chunk":    append(listed, frame(FrameImageChunk, AppendImageChunk(nil, 2, make([]byte, 17)))...),
+		// Listed and correctly hashed, but 5 bytes for a 16-byte slot
+		// that is not the last: refused on receipt, not at verification.
+		"short chunk in a full slot": append(shortListed, frame(FrameImageChunk, AppendImageChunk(nil, dsmcc.HashOf(short), short))...),
 	}
 	for name, hostile := range cases {
 		frames := append(signedControl(t, key, appimage.Digest{}), hostile...)
 		banner := Banner{Wire: WireVersion, ControllerKey: pub, Name: "hostile"}
-		rep, err := RunNode(NodeConfig{Addr: fakeCoordinator(t, banner, frames), NodeID: 1, PinnedKey: pub})
-		if err == nil || rep.Joined {
-			t.Errorf("%s: err=%v joined=%v, want the frame rejected", name, err, rep.Joined)
+		addr := fakeCoordinator(t, banner, frames)
+		// The fake coordinator never hangs up, so a node that accepts the
+		// frame waits for more instead of failing.
+		var rep NodeReport
+		done := make(chan error, 1)
+		go func() {
+			var err error
+			rep, err = RunNode(NodeConfig{Addr: addr, NodeID: 1, PinnedKey: pub})
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			if err == nil || rep.Joined {
+				t.Errorf("%s: err=%v joined=%v, want the frame rejected", name, err, rep.Joined)
+			}
+		case <-time.After(5 * time.Second):
+			t.Errorf("%s: node still waiting for frames, want the frame rejected on receipt", name)
 		}
 	}
 }

@@ -68,17 +68,36 @@ type NodeReport struct {
 // manifest, chunks — into a verified image. The join loop and the
 // worker's reply loop both feed it, so a first staging and a mid-session
 // re-staging are one code path: a delta against whatever is held.
+//
+// The image is assembled in place: each manifest gets one buffer of its
+// Size, each chunk is copied once into every slot its hash fills (from
+// its frame, or from the previous buffer if that one held it), and the
+// buffer is verified once, when the last missing chunk lands.
 type imageAssembler struct {
 	key    ed25519.PublicKey
 	wakeup *control.Wakeup
-	// manifest is the last one received (nil before the first). chunks
-	// has one entry per hash it lists — nil until that chunk arrives —
-	// and nothing else, so what a node holds is bounded by the manifest.
+	// manifest is the last one received (nil before the first) and buf
+	// its image. chains has one entry per distinct hash it lists and
+	// nothing else, so what a node holds is bounded by the manifest;
+	// next[i] is the next slot after i that the same hash fills (0 ends
+	// a chain: no later slot is slot 0). missing counts the hashes whose
+	// bytes are not in buf yet.
 	manifest *ImageManifest
-	chunks   map[dsmcc.ModuleHash][]byte
-	// img is the last image assembled and verified against digest.
+	buf      []byte
+	chains   map[dsmcc.ModuleHash]chain
+	next     []int
+	missing  int
+	// img is the last image verified, against digest. Its Payload
+	// aliases that generation's buf, which is never written again.
 	img    *appimage.Image
 	digest appimage.Digest
+}
+
+// chain locates one distinct hash of the manifest: the first slot it
+// fills, and whether its bytes are in the buffer yet.
+type chain struct {
+	first int
+	held  bool
 }
 
 // feed consumes one frame of the broadcast (other frame types are
@@ -108,19 +127,35 @@ func (a *imageAssembler) feed(t FrameType, payload []byte) (staged bool, err err
 		if err := DecodeImageManifest(payload, &m); err != nil {
 			return false, err
 		}
-		// Keep the chunks the new manifest still lists, drop the rest.
-		held := a.chunks
-		a.manifest, a.chunks = &m, make(map[dsmcc.ModuleHash][]byte, len(m.Hashes))
-		for _, h := range m.Hashes {
-			a.chunks[h] = held[h]
+		// A fresh buffer, never the previous one (the last verified image
+		// aliases it). Chunks the new manifest still lists are copied
+		// across from the previous buffer; the rest are dropped.
+		prev := *a
+		a.manifest, a.buf, a.missing = &m, make([]byte, m.Size), 0
+		a.chains, a.next = make(map[dsmcc.ModuleHash]chain, len(m.Hashes)), make([]int, len(m.Hashes))
+		for i := len(m.Hashes) - 1; i >= 0; i-- { // backwards, so a chain runs in slot order
+			c, dup := a.chains[m.Hashes[i]]
+			if dup {
+				a.next[i] = c.first
+			} else {
+				a.missing++
+			}
+			a.chains[m.Hashes[i]] = chain{first: i}
+		}
+		for h, c := range prev.chains {
+			if _, listed := a.chains[h]; listed && c.held {
+				lo, hi := prev.slot(c.first)
+				if err := a.fill(h, prev.buf[lo:hi]); err != nil {
+					return false, err
+				}
+			}
 		}
 	case FrameImageChunk:
 		h, data, err := DecodeImageChunk(payload)
 		if err != nil {
 			return false, err
 		}
-		have, listed := a.chunks[h]
-		if !listed {
+		if _, listed := a.chains[h]; !listed {
 			return false, fmt.Errorf("transport: image chunk %s is not in the current manifest", h)
 		}
 		if len(data) > a.manifest.ChunkBytes {
@@ -129,40 +164,60 @@ func (a *imageAssembler) feed(t FrameType, payload []byte) (staged bool, err err
 		if got := dsmcc.HashOf(data); got != h {
 			return false, fmt.Errorf("transport: image chunk hashes to %s, declared %s", got, h)
 		}
-		if have == nil {
-			a.chunks[h] = append([]byte(nil), data...) // payload is the reader's reused buffer
+		if err := a.fill(h, data); err != nil { // payload is the reader's reused buffer
+			return false, err
 		}
 	default:
 		return false, nil
 	}
-	if a.wakeup == nil || a.manifest.Name != a.wakeup.ImageFile {
-		return false, nil // nothing to assemble against yet
+	if a.missing > 0 || a.wakeup == nil || a.manifest.Name != a.wakeup.ImageFile {
+		return false, nil // incomplete, or nothing to assemble against yet
 	}
 	if a.img != nil && a.wakeup.ImageDigest == a.digest {
 		return false, nil // no new image generation yet
 	}
-	// Attempted after every manifest and chunk frame: the buffer is sized
-	// first and abandoned at the first chunk not held yet. Attempting only
-	// once the set is complete is a speed-up that ROADMAP item 3 leaves to
-	// a change that claims it.
-	buf := make([]byte, 0, a.manifest.Size)
-	for _, h := range a.manifest.Hashes {
-		ch := a.chunks[h]
-		if ch == nil {
-			return false, nil // incomplete
-		}
-		buf = append(buf, ch...)
-	}
-	if len(buf) != a.manifest.Size {
-		return false, fmt.Errorf("transport: assembled image is %d bytes, manifest says %d", len(buf), a.manifest.Size)
-	}
-	img, err := appimage.Verify(buf, a.wakeup.ImageDigest)
+	img, err := appimage.Verify(a.buf, a.wakeup.ImageDigest)
 	if err != nil {
 		return false, fmt.Errorf("transport: image rejected: %w", err)
 	}
 	a.img, a.digest = img, a.wakeup.ImageDigest
 	return true, nil
 }
+
+// slot is the byte range of chunk i in the image: ChunkBytes long, the
+// last one shorter.
+func (a *imageAssembler) slot(i int) (lo, hi int) {
+	lo = i * a.manifest.ChunkBytes
+	return lo, min(lo+a.manifest.ChunkBytes, a.manifest.Size)
+}
+
+// fill copies a listed chunk into every slot its hash fills, the first
+// time it is held; a repeat changes nothing. A chunk whose length is not
+// its slot's is refused.
+func (a *imageAssembler) fill(h dsmcc.ModuleHash, data []byte) error {
+	c := a.chains[h]
+	if c.held {
+		return nil
+	}
+	for i := c.first; ; {
+		lo, hi := a.slot(i)
+		if len(data) != hi-lo {
+			return fmt.Errorf("transport: image chunk %s is %d bytes, its slot %d", h, len(data), hi-lo)
+		}
+		copy(a.buf[lo:hi], data)
+		if i = a.next[i]; i == 0 {
+			break
+		}
+	}
+	a.chains[h] = chain{first: c.first, held: true}
+	a.missing--
+	return nil
+}
+
+// minHeartbeatPeriod floors the heartbeat period once TimeScale has
+// divided it: a large enough scale would round it to zero, which
+// time.NewTicker refuses.
+const minHeartbeatPeriod = time.Millisecond
 
 // RunNode connects, obeys the broadcast control plane, executes tasks
 // until the Backend reports done, and returns.
@@ -309,7 +364,7 @@ func runNode(cfg NodeConfig, conn net.Conn) (report NodeReport, err error) {
 		if period <= 0 {
 			period = 10 * time.Second
 		}
-		period = time.Duration(float64(period) / cfg.TimeScale)
+		period = max(time.Duration(float64(period)/cfg.TimeScale), minHeartbeatPeriod)
 		tick := time.NewTicker(period)
 		defer tick.Stop()
 		for {

@@ -187,6 +187,29 @@ func TestTCPEndToEnd(t *testing.T) {
 	}
 }
 
+// TestJoinWithHugeTimeScale: a TimeScale large enough to round the
+// heartbeat period to zero must not panic the node's ticker; it joins
+// and finishes the job.
+func TestJoinWithHugeTimeScale(t *testing.T) {
+	coord := serveCoordinator(t, CoordinatorConfig{Image: testImage()})
+	h, err := coord.Submit(testJob(t, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	report, err := RunNode(NodeConfig{
+		Addr: coord.Addr(), NodeID: 1, TimeScale: 1e12, PinnedKey: coord.PublicKey(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !report.Joined || report.TasksDone != 4 {
+		t.Fatalf("report %+v, want joined with 4 tasks done", report)
+	}
+	if _, done := h.Done(); !done {
+		t.Fatal("job incomplete")
+	}
+}
+
 func TestTCPNodeRejectsForgedCoordinator(t *testing.T) {
 	coord := serveCoordinator(t, CoordinatorConfig{Image: testImage()})
 	if _, err := coord.Submit(testJob(t, 1)); err != nil {
