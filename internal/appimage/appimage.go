@@ -1,8 +1,9 @@
 // Package appimage defines the application-image format staged to
 // processing nodes through the broadcast channel: a manifest (name,
-// version, entry point) plus the payload, with a SHA-256 digest binding
-// the two. The wakeup control message references an image by digest so
-// a PNA can verify what the carousel delivered before executing it.
+// version, entry point) plus the payload, with a SHA-256 root over the
+// encoding's chunks binding the two. The wakeup control message
+// references an image by that digest so a PNA can verify what the
+// carousel delivered before executing it.
 package appimage
 
 import (
@@ -81,8 +82,45 @@ func Decode(raw []byte) (*Image, error) {
 	return im, nil
 }
 
-// Digest is a SHA-256 over the canonical encoding.
+// Digest is a SHA-256: of one chunk of an encoded image, or the image's
+// root over those (RootOf).
 type Digest [sha256.Size]byte
+
+// ChunkBytes is the chunk size of the image digest: an encoded image is
+// hashed, and staged over TCP, as consecutive ChunkBytes chunks, the
+// last one shorter.
+const ChunkBytes = 256 << 10
+
+// rootTag separates a root from the digest of a chunk that happens to
+// hold the same bytes.
+const rootTag = "oddci appimage root v1\x00"
+
+// RootOf is the digest of a size-byte encoded image whose ChunkBytes
+// chunks hash, in order, to chunks: a SHA-256 over a fixed tag, size as a
+// big-endian uint64, then each chunk's SHA-256. The length binds the
+// chunk count and the last chunk's length, so a receiver that checks
+// each chunk against its entry on arrival and the entries against the
+// root once has checked every byte, each byte once.
+func RootOf(size int, chunks []Digest) Digest {
+	return root(size, len(chunks), func(i int) Digest { return chunks[i] })
+}
+
+// root hashes the tag, size, then chunk(i) for each of n chunks. The
+// hash state stays on the stack, so a root allocates nothing.
+func root(size, n int, chunk func(i int) Digest) Digest {
+	h := sha256.New()
+	h.Write([]byte(rootTag))
+	var b [8]byte
+	binary.BigEndian.PutUint64(b[:], uint64(size))
+	h.Write(b[:])
+	for i := 0; i < n; i++ {
+		c := chunk(i)
+		h.Write(c[:])
+	}
+	var d Digest
+	h.Sum(d[:0])
+	return d
+}
 
 // Digest computes the image's content digest.
 func (im *Image) Digest() (Digest, error) {
@@ -90,11 +128,16 @@ func (im *Image) Digest() (Digest, error) {
 	if err != nil {
 		return Digest{}, err
 	}
-	return sha256.Sum256(raw), nil
+	return DigestOf(raw), nil
 }
 
-// DigestOf hashes an already-encoded image.
-func DigestOf(raw []byte) Digest { return sha256.Sum256(raw) }
+// DigestOf is the digest of an already-encoded image: RootOf its chunks,
+// computed in one pass without allocating.
+func DigestOf(raw []byte) Digest {
+	return root(len(raw), (len(raw)+ChunkBytes-1)/ChunkBytes, func(i int) Digest {
+		return sha256.Sum256(raw[i*ChunkBytes : min((i+1)*ChunkBytes, len(raw))])
+	})
+}
 
 // Verify checks raw against an expected digest and decodes it.
 func Verify(raw []byte, want Digest) (*Image, error) {

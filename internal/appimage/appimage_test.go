@@ -2,6 +2,9 @@ package appimage
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -116,6 +119,70 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// pinnedImage is three chunks, the last 1000 bytes long; byte i is
+// i*7 plus its chunk index.
+func pinnedImage() []byte {
+	raw := make([]byte, 2*ChunkBytes+1000)
+	for i := range raw {
+		raw[i] = byte(i*7 + i/ChunkBytes)
+	}
+	return raw
+}
+
+// chunkDigests is the plain SHA-256 of each ChunkBytes chunk of raw.
+func chunkDigests(raw []byte) []Digest {
+	var ds []Digest
+	for off := 0; off < len(raw); off += ChunkBytes {
+		ds = append(ds, sha256.Sum256(raw[off:min(off+ChunkBytes, len(raw))]))
+	}
+	return ds
+}
+
+// TestDigestIsChunkRoot pins the image digest: a root over the full
+// per-chunk SHA-256s, bound to the image length. The literal was
+// computed outside Go, from the definition on RootOf.
+func TestDigestIsChunkRoot(t *testing.T) {
+	raw := pinnedImage()
+	const want = "c95edcdfd615373a56d5edcb2e6c35b2328560341629d30d2630b81366101abd"
+	if got := DigestOf(raw); hex.EncodeToString(got[:]) != want {
+		t.Fatalf("DigestOf = %x, want %s", got, want)
+	}
+	ds := chunkDigests(raw)
+	if len(ds) != 3 || DigestOf(raw) != RootOf(len(raw), ds) {
+		t.Fatal("DigestOf differs from RootOf over its chunk digests")
+	}
+
+	mutants := map[string][]byte{"appended byte": append(raw[:len(raw):len(raw)], 0)}
+	for c := 0; c < 3; c++ {
+		m := append([]byte(nil), raw...)
+		m[c*ChunkBytes+100] ^= 1
+		mutants[fmt.Sprintf("byte flipped in chunk %d", c)] = m
+	}
+	swapped := append([]byte(nil), raw...)
+	copy(swapped, raw[ChunkBytes:2*ChunkBytes])
+	copy(swapped[ChunkBytes:], raw[:ChunkBytes])
+	mutants["chunks 0 and 1 swapped"] = swapped
+	for name, m := range mutants {
+		if DigestOf(m) == DigestOf(raw) {
+			t.Errorf("%s: root unchanged", name)
+		}
+	}
+	// The length is in the root: the same digests under another size
+	// root differently.
+	if RootOf(len(raw)+1, ds) == RootOf(len(raw), ds) {
+		t.Error("root does not bind the image length")
+	}
+}
+
+// TestDigestOfAllocatesNothing: the controller, every PNA and the TCP
+// coordinator call DigestOf per image; it streams.
+func TestDigestOfAllocatesNothing(t *testing.T) {
+	raw := make([]byte, 1<<20)
+	if got := testing.AllocsPerRun(10, func() { DigestOf(raw) }); got != 0 {
+		t.Fatalf("DigestOf of 1 MiB allocates %.0f times", got)
 	}
 }
 

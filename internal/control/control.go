@@ -41,7 +41,10 @@ type Wakeup struct {
 	Requirements instance.Requirements
 	// ImageFile is the carousel file carrying the application image.
 	ImageFile string
-	// ImageDigest authenticates the image content.
+	// ImageDigest authenticates the image content: appimage.DigestOf
+	// the encoded image, a root over the SHA-256 of each of its
+	// appimage.ChunkBytes chunks, so a receiver can check chunks as
+	// they arrive (appimage.RootOf).
 	ImageDigest appimage.Digest
 	// HeartbeatPeriod tells the PNA how often to report, letting the
 	// Controller bound its own heartbeat load.

@@ -3,12 +3,12 @@ package transport
 import (
 	"bytes"
 	"crypto/ed25519"
+	"crypto/sha256"
 	"math/rand"
 	"runtime"
 	"testing"
 
 	"oddci/internal/appimage"
-	"oddci/internal/dsmcc"
 )
 
 // asmFrame is one broadcast frame as the assembler is fed it.
@@ -18,15 +18,14 @@ type asmFrame struct {
 }
 
 // generationFrames is one image generation as a coordinator holding key
-// pushes it — control, manifest, then the chunk of each slot in send —
-// for raw split into chunkBytes chunks.
-func generationFrames(t *testing.T, key ed25519.PrivateKey, raw []byte, chunkBytes int, send []int) []asmFrame {
+// pushes it — control, manifest, then the chunk of each slot in send.
+func generationFrames(t *testing.T, key ed25519.PrivateKey, raw []byte, send []int) []asmFrame {
 	t.Helper()
-	m := ImageManifest{Name: "image.1", Size: len(raw), ChunkBytes: chunkBytes}
+	m := ImageManifest{Name: "image.1", Size: len(raw)}
 	var chunks [][]byte
-	for off := 0; off < len(raw); off += chunkBytes {
-		ch := raw[off:min(off+chunkBytes, len(raw))]
-		m.Hashes = append(m.Hashes, dsmcc.HashOf(ch))
+	for off := 0; off < len(raw); off += appimage.ChunkBytes {
+		ch := raw[off:min(off+appimage.ChunkBytes, len(raw))]
+		m.Digests = append(m.Digests, sha256.Sum256(ch))
 		chunks = append(chunks, ch)
 	}
 	frames := []asmFrame{
@@ -34,9 +33,22 @@ func generationFrames(t *testing.T, key ed25519.PrivateKey, raw []byte, chunkByt
 		{FrameImageManifest, AppendImageManifest(nil, &m)},
 	}
 	for _, i := range send {
-		frames = append(frames, asmFrame{FrameImageChunk, AppendImageChunk(nil, m.Hashes[i], chunks[i])})
+		frames = append(frames, asmFrame{FrameImageChunk, AppendImageChunk(nil, m.Digests[i], chunks[i])})
 	}
 	return frames
+}
+
+// onWire concatenates frames as a coordinator writes them.
+func onWire(t *testing.T, frames []asmFrame) []byte {
+	t.Helper()
+	var b []byte
+	for _, f := range frames {
+		var err error
+		if b, err = AppendFrame(b, f.t, f.p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b
 }
 
 // feedAll feeds frames in order and returns the index of each frame
@@ -94,36 +106,50 @@ func allocatedBy(f func()) uint64 {
 }
 
 // TestAssemblerEconomy: a cold 32 × 256 KiB join and a 2-of-32 restage
-// each allocate about one image, and each stages exactly once. Sizing a
-// buffer per frame, as an assembly attempt after every frame does, costs
-// ~33 images cold and ~3 on the restage.
+// each allocate about one image, stage exactly once, and hash each byte
+// they are sent once: the cold join its image, the restage its two
+// chunks. Sizing a buffer per frame, as an assembly attempt after every
+// frame does, costs ~33 images cold and ~3 on the restage; checking the
+// whole buffer again at completion hashes every image byte twice cold
+// and all of it on a restage.
 func TestAssemblerEconomy(t *testing.T) {
-	const chunkBytes, chunks = 256 << 10, 32
+	const chunks = 32
 	pub, key, err := ed25519.GenerateKey(rand.New(rand.NewSource(26)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold := encodeImage(t, chunkedImage(t, 26, chunks*chunkBytes-64))
+	cold := encodeImage(t, chunkedImage(t, 26, chunks*appimage.ChunkBytes-64))
 	restaged := append([]byte(nil), cold...)
-	restaged[5*chunkBytes] ^= 0xFF
-	restaged[20*chunkBytes+7] ^= 0xFF
+	restaged[5*appimage.ChunkBytes] ^= 0xFF
+	restaged[20*appimage.ChunkBytes+7] ^= 0xFF
 	a := &imageAssembler{key: pub}
 	for _, phase := range []struct {
-		name string
-		raw  []byte
-		send []int
+		name   string
+		raw    []byte
+		send   []int
+		hashed int
 	}{
-		{"cold", cold, slots(0, chunks)},
-		{"restage", restaged, []int{5, 20}},
+		{"cold", cold, slots(0, chunks), len(cold)},
+		{"restage", restaged, []int{5, 20}, 2 * appimage.ChunkBytes},
 	} {
-		frames := generationFrames(t, key, phase.raw, chunkBytes, phase.send)
+		frames := generationFrames(t, key, phase.raw, phase.send)
 		var stagedAt []int
+		hashed := a.hashed
 		got := allocatedBy(func() { stagedAt = feedAll(t, a, frames) })
 		stagesOnLast(t, a, frames, stagedAt, phase.raw)
 		t.Logf("%s: %d bytes allocated, %.3f × the image", phase.name, got, float64(got)/float64(len(phase.raw)))
 		if limit := 1.1 * float64(len(phase.raw)); float64(got) > limit {
 			t.Errorf("%s allocated %d bytes, want ≤ %.0f (1.1 × the %d-byte image)", phase.name, got, limit, len(phase.raw))
 		}
+		if hashed = a.hashed - hashed; hashed != phase.hashed {
+			t.Errorf("%s hashed %d bytes, want %d", phase.name, hashed, phase.hashed)
+		}
+	}
+	// A chunk longer than its slot is refused before it is hashed.
+	hashed := a.hashed
+	oversized := AppendImageChunk(nil, a.manifest.Digests[0], make([]byte, appimage.ChunkBytes+1))
+	if _, err := a.feed(FrameImageChunk, oversized); err == nil || a.hashed != hashed {
+		t.Errorf("oversized chunk: err = %v after hashing %d bytes, want it refused unhashed", err, a.hashed-hashed)
 	}
 }
 
@@ -132,7 +158,7 @@ func TestAssemblerEconomy(t *testing.T) {
 // puts them, and whether or not one is repeated; the chunks a restage
 // still lists are not sent again.
 func TestAssemblerDeliveryOrderAndLayout(t *testing.T) {
-	const cb = 4 << 10
+	const cb = appimage.ChunkBytes
 	pub, key, err := ed25519.GenerateKey(rand.New(rand.NewSource(27)))
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +169,7 @@ func TestAssemblerDeliveryOrderAndLayout(t *testing.T) {
 
 	t.Run("reverse order", func(t *testing.T) {
 		a := &imageAssembler{key: pub}
-		frames := generationFrames(t, key, base, cb, []int{7, 6, 5, 4, 3, 2, 1, 0})
+		frames := generationFrames(t, key, base, []int{7, 6, 5, 4, 3, 2, 1, 0})
 		stagesOnLast(t, a, frames, feedAll(t, a, frames), base)
 	})
 
@@ -151,13 +177,13 @@ func TestAssemblerDeliveryOrderAndLayout(t *testing.T) {
 		raw := append([]byte(nil), base...)
 		copy(raw[5*cb:6*cb], raw[2*cb:3*cb])
 		a := &imageAssembler{key: pub}
-		frames := generationFrames(t, key, raw, cb, []int{0, 1, 2, 3, 4, 6, 7})
+		frames := generationFrames(t, key, raw, []int{0, 1, 2, 3, 4, 6, 7})
 		stagesOnLast(t, a, frames, feedAll(t, a, frames), raw)
 	})
 
 	t.Run("restage moves held chunks and shortens the image", func(t *testing.T) {
 		a := &imageAssembler{key: pub}
-		frames := generationFrames(t, key, base, cb, slots(0, 8))
+		frames := generationFrames(t, key, base, slots(0, 8))
 		stagesOnLast(t, a, frames, feedAll(t, a, frames), base)
 		first := a.img
 		// Five full slots and a 1000-byte tail: a new header chunk, four
@@ -166,7 +192,7 @@ func TestAssemblerDeliveryOrderAndLayout(t *testing.T) {
 		for to, from := range []int{6, 3, 1, 4} {
 			copy(raw[(to+1)*cb:(to+2)*cb], base[from*cb:(from+1)*cb])
 		}
-		frames = generationFrames(t, key, raw, cb, []int{0, 5})
+		frames = generationFrames(t, key, raw, []int{0, 5})
 		stagesOnLast(t, a, frames, feedAll(t, a, frames), raw)
 		if !bytes.Equal(first.Payload, img.Payload) {
 			t.Fatal("restaging wrote into the previous image's buffer")
@@ -175,7 +201,7 @@ func TestAssemblerDeliveryOrderAndLayout(t *testing.T) {
 
 	t.Run("held chunk re-sent while another is missing", func(t *testing.T) {
 		a := &imageAssembler{key: pub}
-		frames := generationFrames(t, key, base, cb, []int{0, 1, 2, 3, 4, 5, 6, 3, 3, 7})
+		frames := generationFrames(t, key, base, []int{0, 1, 2, 3, 4, 5, 6, 3, 3, 7})
 		stagesOnLast(t, a, frames, feedAll(t, a, frames), base)
 	})
 }

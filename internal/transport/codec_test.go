@@ -8,7 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"oddci/internal/dsmcc"
+	"oddci/internal/appimage"
 	"oddci/internal/span"
 )
 
@@ -331,23 +331,23 @@ func TestTaskPlaneCodecFlags(t *testing.T) {
 }
 
 func TestImagePlaneCodec(t *testing.T) {
-	in := ImageManifest{Name: "image.1", Size: 2*4096 + 1, ChunkBytes: 4096,
-		Hashes: []dsmcc.ModuleHash{1, 0xFFFFFFFFFFFFFFFF, 3}}
+	const cb = appimage.ChunkBytes
+	ones := appimage.Digest(bytes.Repeat([]byte{0xFF}, digestLen))
+	in := ImageManifest{Name: "image.1", Size: 2*cb + 1, Digests: []appimage.Digest{{1}, ones, {3}}}
 	raw := AppendImageManifest(nil, &in)
 	var out ImageManifest
 	if err := DecodeImageManifest(raw, &out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Name != in.Name || out.Size != in.Size || out.ChunkBytes != in.ChunkBytes ||
-		!slices.Equal(out.Hashes, in.Hashes) || !bytes.Equal(AppendImageManifest(nil, &out), raw) {
+	if out.Name != in.Name || out.Size != in.Size ||
+		!slices.Equal(out.Digests, in.Digests) || !bytes.Equal(AppendImageManifest(nil, &out), raw) {
 		t.Fatalf("manifest round trip: %+v != %+v", out, in)
 	}
 	bad := map[string]ImageManifest{
-		"size 0":          {Name: "x", Size: 0, ChunkBytes: 4096},
-		"size > MaxFrame": {Name: "x", Size: MaxFrame + 1, ChunkBytes: MaxFrame, Hashes: []dsmcc.ModuleHash{1, 2}},
-		"chunk size 0":    {Name: "x", Size: 4096, ChunkBytes: 0, Hashes: []dsmcc.ModuleHash{1}},
-		"a hash short":    {Name: "x", Size: 8193, ChunkBytes: 4096, Hashes: []dsmcc.ModuleHash{1, 2}},
-		"a hash over":     {Name: "x", Size: 8192, ChunkBytes: 4096, Hashes: []dsmcc.ModuleHash{1, 2, 3}},
+		"size 0":          {Name: "x", Size: 0},
+		"size > MaxFrame": {Name: "x", Size: MaxFrame + 1, Digests: make([]appimage.Digest, MaxFrame/cb+1)},
+		"a digest short":  {Name: "x", Size: 2*cb + 1, Digests: []appimage.Digest{{1}, {2}}},
+		"a digest over":   {Name: "x", Size: 2 * cb, Digests: []appimage.Digest{{1}, {2}, {3}}},
 	}
 	for name, m := range bad {
 		if DecodeImageManifest(AppendImageManifest(nil, &m), &out) == nil {
@@ -360,12 +360,12 @@ func TestImagePlaneCodec(t *testing.T) {
 		}
 	}
 
-	chunk := AppendImageChunk(nil, 0xABCD, []byte("data"))
-	h, data, err := DecodeImageChunk(chunk)
-	if err != nil || h != 0xABCD || string(data) != "data" || !bytes.Equal(AppendImageChunk(nil, h, data), chunk) {
-		t.Fatalf("chunk round trip: h=%x data=%q err=%v", uint64(h), data, err)
+	chunk := AppendImageChunk(nil, ones, []byte("data"))
+	d, data, err := DecodeImageChunk(chunk)
+	if err != nil || d != ones || string(data) != "data" || !bytes.Equal(AppendImageChunk(nil, d, data), chunk) {
+		t.Fatalf("chunk round trip: d=%x data=%q err=%v", d, data, err)
 	}
-	for _, b := range [][]byte{nil, chunk[:7], chunk[:8]} {
+	for _, b := range [][]byte{nil, chunk[:digestLen-1], chunk[:digestLen]} {
 		if _, _, err := DecodeImageChunk(b); err == nil {
 			t.Errorf("chunk of %d bytes accepted", len(b))
 		}

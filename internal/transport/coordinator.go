@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"crypto/ed25519"
 	"crypto/rand"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -16,7 +17,6 @@ import (
 	"oddci/internal/control"
 	"oddci/internal/core/backend"
 	"oddci/internal/core/instance"
-	"oddci/internal/dsmcc"
 	"oddci/internal/journal"
 	"oddci/internal/obs"
 	"oddci/internal/simtime"
@@ -78,19 +78,14 @@ type CoordinatorConfig struct {
 	// broadcast re-evaluate the new one instead of ignoring a replayed
 	// seq.
 	StateDir string
-	// ImageChunkBytes is the split size of the content-addressed image
-	// plane (default 256 KiB). Nodes receive the image as a manifest
-	// plus hash-addressed chunks, so an UpdateImage re-stages only the
-	// chunks whose content actually changed.
-	ImageChunkBytes int
 }
 
 // imageStage is one immutable generation of the staged broadcast: the
 // signed control frame and the content-addressed manifest + chunk
-// frames. Sessions read the current stage through an atomic pointer;
-// UpdateImage swaps in a successor that reuses every pre-encoded chunk
-// frame whose hash survived, so re-staging re-encodes only changed
-// content.
+// frames, one chunk per appimage.ChunkBytes of the image. Sessions read
+// the current stage through an atomic pointer; UpdateImage swaps in a
+// successor that reuses every pre-encoded chunk frame whose digest
+// survived, so re-staging re-encodes only changed content.
 type imageStage struct {
 	epoch   uint64
 	seq     uint32
@@ -98,10 +93,11 @@ type imageStage struct {
 
 	ctrlFrame     []byte
 	manifestFrame []byte
-	// hashes lists the chunks in assembly order; chunkFrames holds each
-	// distinct chunk pre-encoded as a complete frame.
-	hashes      []dsmcc.ModuleHash
-	chunkFrames map[dsmcc.ModuleHash][]byte
+	// distinct lists each distinct chunk's digest once, in order of
+	// first appearance; chunkFrames holds each pre-encoded as a complete
+	// frame.
+	distinct    []appimage.Digest
+	chunkFrames map[appimage.Digest][]byte
 	// bytes is what a joining session is sent: control + manifest +
 	// every distinct chunk frame.
 	bytes int
@@ -219,9 +215,6 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.LeaseBase <= 0 {
 		cfg.LeaseBase = 30 * time.Second
 	}
-	if cfg.ImageChunkBytes <= 0 {
-		cfg.ImageChunkBytes = 256 << 10
-	}
 	// Durable identity and sequence continuity. before stands in for the
 	// generation this process stages a delta from: nothing on a fresh
 	// start, the recorded sequence after a restart — so nodes that
@@ -327,13 +320,13 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	return c, nil
 }
 
-// stageImage builds the generation after prev: it signs the wakeup
-// under the next sequence, pre-encodes the control, manifest and chunk
-// frames, and journals the result. prev donates every chunk frame whose
-// content hash is unchanged, so only new content costs an encode — the
-// per-chunk form of the encode-once invariant. A first staging is the
-// same delta, from a prev that holds nothing. The caller publishes the
-// returned stage.
+// stageImage builds the generation after prev: it hashes each chunk
+// once, signs the wakeup over the root of those digests under the next
+// sequence, pre-encodes the control, manifest and chunk frames, and
+// journals the result. prev donates every chunk frame whose digest is
+// unchanged, so only new content costs an encode — the per-chunk form
+// of the encode-once invariant. A first staging is the same delta, from
+// a prev that holds nothing. The caller publishes the returned stage.
 func (c *Coordinator) stageImage(prev *imageStage, img *appimage.Image) (*imageStage, error) {
 	imgRaw, err := img.Encode()
 	if err != nil {
@@ -341,7 +334,27 @@ func (c *Coordinator) stageImage(prev *imageStage, img *appimage.Image) (*imageS
 	}
 	st := &imageStage{
 		seq: prev.seq + 1, wakeups: prev.wakeups + 1,
-		chunkFrames: make(map[dsmcc.ModuleHash][]byte),
+		chunkFrames: make(map[appimage.Digest][]byte),
+	}
+	manifest := ImageManifest{Name: "image.1", Size: len(imgRaw)}
+	for off := 0; off < len(imgRaw); off += appimage.ChunkBytes {
+		ch := imgRaw[off:min(off+appimage.ChunkBytes, len(imgRaw))]
+		d := appimage.Digest(sha256.Sum256(ch))
+		manifest.Digests = append(manifest.Digests, d)
+		if _, ok := st.chunkFrames[d]; ok {
+			continue // duplicate content within the image
+		}
+		frame, ok := prev.chunkFrames[d] // unchanged: reused verbatim, no encode
+		if !ok {
+			frame = BeginFrame(make([]byte, 0, 5+len(d)+len(ch)), FrameImageChunk)
+			if frame, err = EndFrame(AppendImageChunk(frame, d, ch), 0); err != nil {
+				return nil, err
+			}
+			c.encodeOps.Add(1)
+		}
+		st.distinct = append(st.distinct, d)
+		st.chunkFrames[d] = frame
+		st.bytes += len(frame)
 	}
 	ctrlFile, err := control.SignWakeup(&control.Wakeup{
 		InstanceID:      1,
@@ -349,7 +362,7 @@ func (c *Coordinator) stageImage(prev *imageStage, img *appimage.Image) (*imageS
 		Probability:     c.cfg.Probability,
 		Requirements:    c.cfg.Requirements,
 		ImageFile:       "image.1",
-		ImageDigest:     appimage.DigestOf(imgRaw),
+		ImageDigest:     appimage.RootOf(len(imgRaw), manifest.Digests),
 		HeartbeatPeriod: c.cfg.HeartbeatPeriod,
 	}, c.cfg.Key)
 	if err != nil {
@@ -359,29 +372,7 @@ func (c *Coordinator) stageImage(prev *imageStage, img *appimage.Image) (*imageS
 		return nil, err
 	}
 	c.encodeOps.Add(1)
-	for off := 0; off < len(imgRaw); off += c.cfg.ImageChunkBytes {
-		ch := imgRaw[off:min(off+c.cfg.ImageChunkBytes, len(imgRaw))]
-		h := dsmcc.HashOf(ch)
-		st.hashes = append(st.hashes, h)
-		if _, ok := st.chunkFrames[h]; ok {
-			continue // duplicate content within the image
-		}
-		frame, ok := prev.chunkFrames[h] // unchanged: reused verbatim, no encode
-		if !ok {
-			frame = BeginFrame(make([]byte, 0, 5+dsmcc.HashLen+len(ch)), FrameImageChunk)
-			if frame, err = EndFrame(AppendImageChunk(frame, h, ch), 0); err != nil {
-				return nil, err
-			}
-			c.encodeOps.Add(1)
-		}
-		st.chunkFrames[h] = frame
-		st.bytes += len(frame)
-	}
-	manifest := AppendImageManifest(nil, &ImageManifest{
-		Name: "image.1", Size: len(imgRaw),
-		ChunkBytes: c.cfg.ImageChunkBytes, Hashes: st.hashes,
-	})
-	if st.manifestFrame, err = AppendFrame(nil, FrameImageManifest, manifest); err != nil {
+	if st.manifestFrame, err = AppendFrame(nil, FrameImageManifest, AppendImageManifest(nil, &manifest)); err != nil {
 		return nil, err
 	}
 	c.encodeOps.Add(1)
@@ -672,12 +663,11 @@ func (c *Coordinator) session(conn net.Conn) {
 
 	// Staged broadcast push: the signed control, the manifest, and every
 	// chunk the session does not hold — all of them at join, only the
-	// new ones at a re-stage. sent is exactly the last pushed manifest's
-	// chunk set (the node keeps the same set), so it cannot grow across
-	// updates. The per-session cost is a memcpy of immutable pre-encoded
-	// buffers.
-	var sent map[dsmcc.ModuleHash]struct{}
-	var sessEpoch uint64
+	// new ones at a re-stage. The session holds exactly the chunks of
+	// the last stage pushed (the node keeps the same set), so nothing
+	// grows across updates and a push allocates nothing. The per-session
+	// cost is a memcpy of immutable pre-encoded buffers.
+	pushed := &imageStage{} // holds nothing: the join pushes every chunk
 	pushStage := func(st *imageStage) (int, error) {
 		wrote, frames := 0, int64(0)
 		write := func(b []byte) error {
@@ -692,20 +682,15 @@ func (c *Coordinator) session(conn net.Conn) {
 		if err == nil {
 			err = write(st.manifestFrame)
 		}
-		listed := make(map[dsmcc.ModuleHash]struct{}, len(st.chunkFrames))
-		for _, h := range st.hashes {
+		for _, d := range st.distinct {
 			if err != nil {
 				break
 			}
-			if _, dup := listed[h]; dup {
-				continue
-			}
-			listed[h] = struct{}{}
-			if _, held := sent[h]; !held {
-				err = write(st.chunkFrames[h])
+			if _, held := pushed.chunkFrames[d]; !held {
+				err = write(st.chunkFrames[d])
 			}
 		}
-		sent, sessEpoch = listed, st.epoch
+		pushed = st
 		c.met.framesOut.Add(frames)
 		c.met.bytesOut.Add(int64(wrote))
 		c.met.broadcastBytes.Add(int64(wrote))
@@ -790,7 +775,7 @@ func (c *Coordinator) session(conn net.Conn) {
 			// Heartbeats are the re-staging tick: a session whose stage is
 			// stale gets the new control + manifest + only the chunks its
 			// previous manifest did not list.
-			if cur := c.stage.Load(); cur.epoch != sessEpoch {
+			if cur := c.stage.Load(); cur != pushed {
 				wrote, err := pushStage(cur)
 				if err != nil {
 					return

@@ -2,9 +2,10 @@ package transport
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"testing"
 
-	"oddci/internal/dsmcc"
+	"oddci/internal/appimage"
 	"oddci/internal/span"
 )
 
@@ -120,13 +121,13 @@ func FuzzTaskPlaneCodec(f *testing.F) {
 func FuzzImagePlaneCodec(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(append([]byte{0}, AppendImageManifest(nil, &ImageManifest{
-		Name: "image.1", Size: 5, ChunkBytes: 4, Hashes: []dsmcc.ModuleHash{1, 2}})...))
+		Name: "image.1", Size: appimage.ChunkBytes + 1, Digests: []appimage.Digest{{1}, {2}}})...))
 	f.Add(append([]byte{0}, AppendImageManifest(nil, &ImageManifest{
-		Name: "image.1", Size: 0xFFFFFFFF, ChunkBytes: 1 << 18})...)) // the "size: -1" manifest
+		Name: "image.1", Size: 0xFFFFFFFF})...)) // the "size: -1" manifest
 	f.Add(append([]byte{0}, AppendImageManifest(nil, &ImageManifest{
-		Name: "", Size: MaxFrame, ChunkBytes: 1})...)) // 64 Mi hashes promised, none sent
-	f.Add(append([]byte{1}, AppendImageChunk(nil, dsmcc.HashOf([]byte("chunk")), []byte("chunk"))...))
-	f.Add([]byte{1, 0, 0, 0, 0, 0, 0, 0, 1})
+		Name: "", Size: MaxFrame})...)) // 256 digests promised, none sent
+	f.Add(append([]byte{1}, AppendImageChunk(nil, sha256.Sum256([]byte("chunk")), []byte("chunk"))...))
+	f.Add(append([]byte{1}, make([]byte, digestLen)...)) // a digest and no bytes
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
@@ -136,8 +137,8 @@ func FuzzImagePlaneCodec(f *testing.F) {
 		if sel%2 == 0 {
 			var m ImageManifest
 			if DecodeImageManifest(body, &m) == nil {
-				if len(m.Hashes)*dsmcc.HashLen > len(body) {
-					t.Fatal("manifest decoded more hashes than it carried")
+				if len(m.Digests)*digestLen > len(body) {
+					t.Fatal("manifest decoded more digests than it carried")
 				}
 				if !bytes.Equal(AppendImageManifest(nil, &m), body) {
 					t.Fatal("non-canonical image manifest accepted")

@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"oddci/internal/dsmcc"
+	"oddci/internal/appimage"
 	"oddci/internal/span"
 )
 
@@ -79,12 +79,10 @@ func noTaskFrame(m NoTaskMsg) []byte {
 // missingChunks lists the chunk frames of st that prev does not hold.
 func missingChunks(st, prev *imageStage) [][]byte {
 	var out [][]byte
-	sent := map[dsmcc.ModuleHash]bool{}
-	for _, h := range st.hashes {
-		if _, held := prev.chunkFrames[h]; !held && !sent[h] {
-			out = append(out, st.chunkFrames[h])
+	for _, d := range st.distinct {
+		if _, held := prev.chunkFrames[d]; !held {
+			out = append(out, st.chunkFrames[d])
 		}
-		sent[h] = true
 	}
 	return out
 }
@@ -129,7 +127,7 @@ func runScripted(t *testing.T, coord *Coordinator, st *imageStage, script func(p
 
 func stagedCoordinator(t *testing.T) *Coordinator {
 	t.Helper()
-	coord, err := NewCoordinator(CoordinatorConfig{Listen: "127.0.0.1:0", Image: chunkedImage(t, 5, 32<<10), ImageChunkBytes: 8 << 10})
+	coord, err := NewCoordinator(CoordinatorConfig{Listen: "127.0.0.1:0", Image: chunkedImage(t, 5, 4*appimage.ChunkBytes)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,9 +170,9 @@ func TestHandoffCadence(t *testing.T) {
 func TestHandoffFoldsInterleavedFrames(t *testing.T) {
 	coord := stagedCoordinator(t)
 	first := coord.stage.Load()
-	next := chunkedImage(t, 5, 32<<10)
+	next := chunkedImage(t, 5, 4*appimage.ChunkBytes)
 	next.Version = 2
-	next.Payload[20<<10] ^= 0xFF
+	flipInChunk(next, 2)
 	if err := coord.UpdateImage(next); err != nil {
 		t.Fatal(err)
 	}

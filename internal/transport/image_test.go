@@ -2,6 +2,7 @@ package transport
 
 import (
 	"crypto/ed25519"
+	"crypto/sha256"
 	"encoding/binary"
 	"math/rand"
 	"sync"
@@ -10,7 +11,6 @@ import (
 
 	"oddci/internal/appimage"
 	"oddci/internal/control"
-	"oddci/internal/dsmcc"
 	"oddci/internal/obs"
 )
 
@@ -23,22 +23,29 @@ func chunkedImage(t *testing.T, seed int64, payloadBytes int) *appimage.Image {
 	return &appimage.Image{Name: "net", Version: 1, EntryPoint: "w", Payload: p}
 }
 
+// flipInChunk inverts 100 payload bytes that all fall in chunk k of the
+// encoded image.
+func flipInChunk(img *appimage.Image, k int) {
+	for i := k*appimage.ChunkBytes + 1000; i < k*appimage.ChunkBytes+1100; i++ {
+		img.Payload[i] ^= 0xFF
+	}
+}
+
 // TestJoinAssemblesChunkedImage: a node must assemble and verify the
 // image from the manifest + chunk plane, and the coordinator's encode
 // counter must be exactly the per-artifact count — independent of how
 // many sessions joined.
 func TestJoinAssemblesChunkedImage(t *testing.T) {
-	img := chunkedImage(t, 1, 32<<10)
+	img := chunkedImage(t, 1, 8*appimage.ChunkBytes)
 	coord := serveCoordinator(t, CoordinatorConfig{
 		Image:           img,
-		ImageChunkBytes: 4 << 10,
 		HeartbeatPeriod: 5 * time.Second,
 	})
 	raw, err := img.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantChunks := (len(raw) + (4 << 10) - 1) / (4 << 10)
+	wantChunks := (len(raw) + appimage.ChunkBytes - 1) / appimage.ChunkBytes
 	if coord.StagedChunks() != wantChunks {
 		t.Fatalf("staged chunks = %d, want %d", coord.StagedChunks(), wantChunks)
 	}
@@ -91,11 +98,10 @@ func TestJoinAssemblesChunkedImage(t *testing.T) {
 // image up at its next heartbeat, re-verifying the digest from its
 // retained chunks plus the pushed delta.
 func TestUpdateImageRestagesOnlyChangedChunks(t *testing.T) {
-	img := chunkedImage(t, 2, 32<<10)
+	img := chunkedImage(t, 2, 8*appimage.ChunkBytes)
 	reg := obs.NewRegistry()
 	coord := serveCoordinator(t, CoordinatorConfig{
 		Image:           img,
-		ImageChunkBytes: 4 << 10,
 		HeartbeatPeriod: 5 * time.Second, // 25 ms at TimeScale 200
 		Obs:             reg,
 	})
@@ -115,13 +121,11 @@ func TestUpdateImageRestagesOnlyChangedChunks(t *testing.T) {
 		})
 	}()
 
-	// Flip bytes inside exactly one 4 KiB chunk while the node works.
+	// Flip bytes inside exactly one chunk while the node works.
 	time.Sleep(50 * time.Millisecond)
 	before := coord.BroadcastEncodes()
-	img2 := chunkedImage(t, 2, 32<<10)
-	for i := 9000; i < 9100; i++ {
-		img2.Payload[i] ^= 0xFF
-	}
+	img2 := chunkedImage(t, 2, 8*appimage.ChunkBytes)
+	flipInChunk(img2, 2)
 	if err := coord.UpdateImage(img2); err != nil {
 		t.Fatalf("UpdateImage: %v", err)
 	}
@@ -192,11 +196,10 @@ func TestUpdateImagePersistsAcrossRestart(t *testing.T) {
 // stages (and ships) exactly one chunk frame, and a node still
 // assembles the full image from the single held chunk.
 func TestChunkDedupWithinImage(t *testing.T) {
-	img := testImage() // 32 KiB zero payload: every 4 KiB chunk identical
-	coord := serveCoordinator(t, CoordinatorConfig{
-		Image:           img,
-		ImageChunkBytes: 4 << 10,
-	})
+	// A zero payload of 8 chunks: every chunk but the first and last
+	// identical.
+	img := &appimage.Image{Name: "net", Version: 1, EntryPoint: "w", Payload: make([]byte, 8*appimage.ChunkBytes)}
+	coord := serveCoordinator(t, CoordinatorConfig{Image: img})
 	if coord.StagedChunks() >= 8 {
 		t.Fatalf("staged %d chunk frames for a self-similar image, want deduplicated (<8)", coord.StagedChunks())
 	}
@@ -220,15 +223,12 @@ func TestChunkDedupWithinImage(t *testing.T) {
 // manifest's chunk set, so the chunk only A has is pushed a second time
 // on the way back instead of being assumed held.
 func TestRestageABAConverges(t *testing.T) {
-	imgA := chunkedImage(t, 8, 32<<10)
-	imgB := chunkedImage(t, 8, 32<<10)
-	for i := 9000; i < 9100; i++ {
-		imgB.Payload[i] ^= 0xFF
-	}
+	imgA := chunkedImage(t, 8, 8*appimage.ChunkBytes)
+	imgB := chunkedImage(t, 8, 8*appimage.ChunkBytes)
+	flipInChunk(imgB, 2)
 	reg := obs.NewRegistry()
 	coord := serveCoordinator(t, CoordinatorConfig{
 		Image:           imgA,
-		ImageChunkBytes: 4 << 10,
 		HeartbeatPeriod: time.Second, // 5 ms at TimeScale 200
 		Obs:             reg,
 	})
@@ -270,7 +270,7 @@ func TestRestageABAConverges(t *testing.T) {
 		t.Fatalf("node restages = %d, want 2 (A to B and back to A)", report.Restages)
 	}
 	// Each leg pushed control + manifest + the one chunk that differs.
-	if back := pushed[1] - pushed[0]; back != pushed[0] || int(back) <= 4<<10 {
+	if back := pushed[1] - pushed[0]; back != pushed[0] || int(back) <= appimage.ChunkBytes {
 		t.Fatalf("re-stage bytes: %v out, %v back; want equal legs of one chunk each", pushed[0], back)
 	}
 }
@@ -316,35 +316,54 @@ func TestHostileImagePlaneRejected(t *testing.T) {
 		}
 		return f
 	}
-	rawManifest := func(size, chunk uint32, hashes int) []byte {
+	rawManifest := func(size uint32, digests int) []byte {
 		b := append([]byte{0, 7}, "image.1"...)
 		b = binary.BigEndian.AppendUint32(b, size)
-		b = binary.BigEndian.AppendUint32(b, chunk)
-		return frame(FrameImageManifest, append(b, make([]byte, 8*hashes)...))
+		return frame(FrameImageManifest, append(b, make([]byte, digestLen*digests)...))
 	}
+	chunk := func(d appimage.Digest, data []byte) []byte {
+		return frame(FrameImageChunk, AppendImageChunk(nil, d, data))
+	}
+	// A full slot then a 16-byte one, under digests no bytes have.
 	data := []byte("sixteen byte blk")
 	listed := frame(FrameImageManifest, AppendImageManifest(nil, &ImageManifest{
-		Name: "image.1", Size: 32, ChunkBytes: 16,
-		Hashes: []dsmcc.ModuleHash{dsmcc.HashOf(data), 2},
+		Name: "image.1", Size: appimage.ChunkBytes + 16, Digests: []appimage.Digest{{1}, {2}},
 	}))
 	short := data[:5]
 	shortListed := frame(FrameImageManifest, AppendImageManifest(nil, &ImageManifest{
-		Name: "image.1", Size: 32, ChunkBytes: 16,
-		Hashes: []dsmcc.ModuleHash{dsmcc.HashOf(short), 2},
+		Name: "image.1", Size: appimage.ChunkBytes + 16, Digests: []appimage.Digest{sha256.Sum256(short), {2}},
 	}))
+	// A real image of three slots, signed, and two unsigned variants that
+	// decode as well as it does.
+	raw := encodeImage(t, chunkedImage(t, 41, 2*appimage.ChunkBytes+500))
+	signed := onWire(t, generationFrames(t, key, raw, nil))
+	flipped := append([]byte(nil), raw...)
+	flipped[100] ^= 1
+	longer := encodeImage(t, chunkedImage(t, 41, 2*appimage.ChunkBytes+501))
+	unsigned := func(variant []byte) []byte { // its manifest and every chunk
+		return onWire(t, generationFrames(t, key, variant, slots(0, 3))[1:])
+	}
 	cases := map[string][]byte{
-		"size -1":            rawManifest(0xFFFFFFFF, 1<<18, 1),
-		"size 0":             rawManifest(0, 1<<18, 0),
-		"chunk size 0":       rawManifest(1<<20, 0, 4),
-		"too few hashes":     rawManifest(1<<20, 1<<18, 3),
-		"too many hashes":    rawManifest(1<<20, 1<<18, 5),
-		"chunk, no manifest": frame(FrameImageChunk, AppendImageChunk(nil, dsmcc.HashOf(data), data)),
-		"unlisted chunk":     append(listed, frame(FrameImageChunk, AppendImageChunk(nil, 3, data))...),
-		"mis-hashed chunk":   append(listed, frame(FrameImageChunk, AppendImageChunk(nil, 2, data))...),
-		"oversized chunk":    append(listed, frame(FrameImageChunk, AppendImageChunk(nil, 2, make([]byte, 17)))...),
-		// Listed and correctly hashed, but 5 bytes for a 16-byte slot
-		// that is not the last: refused on receipt, not at verification.
-		"short chunk in a full slot": append(shortListed, frame(FrameImageChunk, AppendImageChunk(nil, dsmcc.HashOf(short), short))...),
+		"size -1":            rawManifest(0xFFFFFFFF, 1),
+		"size 0":             rawManifest(0, 0),
+		"size over MaxFrame": rawManifest(MaxFrame+1, MaxFrame/appimage.ChunkBytes+1),
+		"too few digests":    rawManifest(1<<20, 3),
+		"too many digests":   rawManifest(1<<20, 5),
+		"chunk, no manifest": chunk(sha256.Sum256(data), data),
+		"unlisted chunk":     append(listed, chunk(appimage.Digest{3}, data)...),
+		"mis-hashed chunk":   append(listed, chunk(appimage.Digest{2}, data)...),
+		"oversized chunk":    append(listed, chunk(appimage.Digest{1}, make([]byte, appimage.ChunkBytes+1))...),
+		// Listed and correctly hashed, but 5 bytes for a full slot: refused
+		// on receipt, not at completion.
+		"short chunk in a full slot": append(shortListed, chunk(sha256.Sum256(short), short)...),
+		// The signed manifest, and chunk 1's bytes under chunk 0's digest:
+		// only the per-chunk check can refuse them, and it must do so on
+		// receipt, since nothing else follows.
+		"chunk under another listed digest": append(signed, chunk(sha256.Sum256(raw[:appimage.ChunkBytes]), raw[appimage.ChunkBytes:2*appimage.ChunkBytes])...),
+		// Every chunk matches its manifest digest, but the manifest is not
+		// the signed one: refused at completion, by the root.
+		"manifest not rooting to the signed digest": append(signed, unsigned(flipped)...),
+		"manifest size not the signed length":       append(signed, unsigned(longer)...),
 	}
 	for name, hostile := range cases {
 		frames := append(signedControl(t, key, appimage.Digest{}), hostile...)

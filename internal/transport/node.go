@@ -3,6 +3,7 @@ package transport
 import (
 	"bufio"
 	"crypto/ed25519"
+	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -15,7 +16,6 @@ import (
 	"oddci/internal/appimage"
 	"oddci/internal/control"
 	"oddci/internal/core/instance"
-	"oddci/internal/dsmcc"
 	"oddci/internal/simtime"
 	"oddci/internal/span"
 	"oddci/internal/stb"
@@ -69,31 +69,36 @@ type NodeReport struct {
 // worker's reply loop both feed it, so a first staging and a mid-session
 // re-staging are one code path: a delta against whatever is held.
 //
-// The image is assembled in place: each manifest gets one buffer of its
-// Size, each chunk is copied once into every slot its hash fills (from
-// its frame, or from the previous buffer if that one held it), and the
-// buffer is verified once, when the last missing chunk lands.
+// The image is assembled in place and each byte is hashed once: each
+// manifest gets one buffer of its Size; a chunk is checked against its
+// manifest digest when its frame arrives and copied once into every slot
+// that digest fills; a chunk the previous buffer held is copied across
+// unhashed, having been checked under the same digest. When the last
+// missing chunk lands, the manifest's root is checked against the signed
+// digest.
 type imageAssembler struct {
 	key    ed25519.PublicKey
 	wakeup *control.Wakeup
 	// manifest is the last one received (nil before the first) and buf
-	// its image. chains has one entry per distinct hash it lists and
+	// its image. chains has one entry per distinct digest it lists and
 	// nothing else, so what a node holds is bounded by the manifest;
-	// next[i] is the next slot after i that the same hash fills (0 ends
-	// a chain: no later slot is slot 0). missing counts the hashes whose
-	// bytes are not in buf yet.
+	// next[i] is the next slot after i that the same digest fills (0
+	// ends a chain: no later slot is slot 0). missing counts the digests
+	// whose bytes are not in buf yet.
 	manifest *ImageManifest
 	buf      []byte
-	chains   map[dsmcc.ModuleHash]chain
+	chains   map[appimage.Digest]chain
 	next     []int
 	missing  int
+	// hashed counts the chunk bytes hashed, for tests.
+	hashed int
 	// img is the last image verified, against digest. Its Payload
 	// aliases that generation's buf, which is never written again.
 	img    *appimage.Image
 	digest appimage.Digest
 }
 
-// chain locates one distinct hash of the manifest: the first slot it
+// chain locates one distinct digest of the manifest: the first slot it
 // fills, and whether its bytes are in the buffer yet.
 type chain struct {
 	first int
@@ -132,39 +137,41 @@ func (a *imageAssembler) feed(t FrameType, payload []byte) (staged bool, err err
 		// across from the previous buffer; the rest are dropped.
 		prev := *a
 		a.manifest, a.buf, a.missing = &m, make([]byte, m.Size), 0
-		a.chains, a.next = make(map[dsmcc.ModuleHash]chain, len(m.Hashes)), make([]int, len(m.Hashes))
-		for i := len(m.Hashes) - 1; i >= 0; i-- { // backwards, so a chain runs in slot order
-			c, dup := a.chains[m.Hashes[i]]
+		a.chains, a.next = make(map[appimage.Digest]chain, len(m.Digests)), make([]int, len(m.Digests))
+		for i := len(m.Digests) - 1; i >= 0; i-- { // backwards, so a chain runs in slot order
+			c, dup := a.chains[m.Digests[i]]
 			if dup {
 				a.next[i] = c.first
 			} else {
 				a.missing++
 			}
-			a.chains[m.Hashes[i]] = chain{first: i}
+			a.chains[m.Digests[i]] = chain{first: i}
 		}
-		for h, c := range prev.chains {
-			if _, listed := a.chains[h]; listed && c.held {
+		for d, c := range prev.chains {
+			if _, listed := a.chains[d]; listed && c.held {
 				lo, hi := prev.slot(c.first)
-				if err := a.fill(h, prev.buf[lo:hi]); err != nil {
+				if err := a.fill(d, prev.buf[lo:hi]); err != nil {
 					return false, err
 				}
 			}
 		}
 	case FrameImageChunk:
-		h, data, err := DecodeImageChunk(payload)
+		d, data, err := DecodeImageChunk(payload)
 		if err != nil {
 			return false, err
 		}
-		if _, listed := a.chains[h]; !listed {
-			return false, fmt.Errorf("transport: image chunk %s is not in the current manifest", h)
+		c, listed := a.chains[d]
+		if !listed {
+			return false, fmt.Errorf("transport: image chunk %x is not in the current manifest", d)
 		}
-		if len(data) > a.manifest.ChunkBytes {
-			return false, fmt.Errorf("transport: image chunk of %d bytes, manifest says at most %d", len(data), a.manifest.ChunkBytes)
+		if lo, hi := a.slot(c.first); len(data) != hi-lo {
+			return false, fmt.Errorf("transport: image chunk %x is %d bytes, its slot %d", d, len(data), hi-lo)
 		}
-		if got := dsmcc.HashOf(data); got != h {
-			return false, fmt.Errorf("transport: image chunk hashes to %s, declared %s", got, h)
+		a.hashed += len(data)
+		if sha256.Sum256(data) != d { // the one check binding these bytes to the signed root
+			return false, fmt.Errorf("transport: image chunk does not hash to its digest %x", d)
 		}
-		if err := a.fill(h, data); err != nil { // payload is the reader's reused buffer
+		if err := a.fill(d, data); err != nil { // payload is the reader's reused buffer
 			return false, err
 		}
 	default:
@@ -176,7 +183,10 @@ func (a *imageAssembler) feed(t FrameType, payload []byte) (staged bool, err err
 	if a.img != nil && a.wakeup.ImageDigest == a.digest {
 		return false, nil // no new image generation yet
 	}
-	img, err := appimage.Verify(a.buf, a.wakeup.ImageDigest)
+	if appimage.RootOf(a.manifest.Size, a.manifest.Digests) != a.wakeup.ImageDigest {
+		return false, errors.New("transport: image rejected: manifest does not root to the signed digest")
+	}
+	img, err := appimage.Decode(a.buf)
 	if err != nil {
 		return false, fmt.Errorf("transport: image rejected: %w", err)
 	}
@@ -184,32 +194,32 @@ func (a *imageAssembler) feed(t FrameType, payload []byte) (staged bool, err err
 	return true, nil
 }
 
-// slot is the byte range of chunk i in the image: ChunkBytes long, the
-// last one shorter.
+// slot is the byte range of chunk i in the image: appimage.ChunkBytes
+// long, the last one shorter.
 func (a *imageAssembler) slot(i int) (lo, hi int) {
-	lo = i * a.manifest.ChunkBytes
-	return lo, min(lo+a.manifest.ChunkBytes, a.manifest.Size)
+	lo = i * appimage.ChunkBytes
+	return lo, min(lo+appimage.ChunkBytes, a.manifest.Size)
 }
 
-// fill copies a listed chunk into every slot its hash fills, the first
+// fill copies a listed chunk into every slot its digest fills, the first
 // time it is held; a repeat changes nothing. A chunk whose length is not
 // its slot's is refused.
-func (a *imageAssembler) fill(h dsmcc.ModuleHash, data []byte) error {
-	c := a.chains[h]
+func (a *imageAssembler) fill(d appimage.Digest, data []byte) error {
+	c := a.chains[d]
 	if c.held {
 		return nil
 	}
 	for i := c.first; ; {
 		lo, hi := a.slot(i)
 		if len(data) != hi-lo {
-			return fmt.Errorf("transport: image chunk %s is %d bytes, its slot %d", h, len(data), hi-lo)
+			return fmt.Errorf("transport: image chunk %x is %d bytes, its slot %d", d, len(data), hi-lo)
 		}
 		copy(a.buf[lo:hi], data)
 		if i = a.next[i]; i == 0 {
 			break
 		}
 	}
-	a.chains[h] = chain{first: c.first, held: true}
+	a.chains[d] = chain{first: c.first, held: true}
 	a.missing--
 	return nil
 }
@@ -313,8 +323,8 @@ func runNode(cfg NodeConfig, conn net.Conn) (report NodeReport, err error) {
 	}
 
 	// Acquire the wakeup and its image from the pushed "broadcast": a
-	// manifest plus hash-addressed chunks, assembled and verified against
-	// the signed digest.
+	// manifest plus digest-addressed chunks, assembled and verified
+	// against the signed root.
 	asm := &imageAssembler{key: key}
 	for asm.img == nil {
 		t, payload, err := fr.Next()
@@ -339,7 +349,7 @@ func runNode(cfg NodeConfig, conn net.Conn) (report NodeReport, err error) {
 	// SetDetail's variadic arguments are boxed before it can see a nil
 	// span, so an untraced node is spared the call, not just its body.
 	if imgSp := cfg.Spans.Start(joinSp.Context(), "image-load", nodeName); imgSp != nil {
-		imgSp.SetDetail("bytes=%d chunks=%d file=%s", asm.manifest.Size, len(asm.manifest.Hashes), asm.manifest.Name)
+		imgSp.SetDetail("bytes=%d chunks=%d file=%s", asm.manifest.Size, len(asm.manifest.Digests), asm.manifest.Name)
 		imgSp.End()
 	}
 	report.Joined = true

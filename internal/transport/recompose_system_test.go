@@ -22,11 +22,10 @@ import (
 // coordinator's chunk plane, and a connected node re-stages from
 // pushed delta chunks — no full image re-air anywhere on the wire.
 func TestRecomposeDrivesDeltaPlane(t *testing.T) {
-	img := chunkedImage(t, 20, 32<<10)
+	img := chunkedImage(t, 20, 8*appimage.ChunkBytes)
 	reg := obs.NewRegistry()
 	coord := serveCoordinator(t, CoordinatorConfig{
 		Image:           img,
-		ImageChunkBytes: 4 << 10,
 		HeartbeatPeriod: 5 * time.Second, // 25 ms at TimeScale 200
 		Obs:             reg,
 	})
@@ -94,11 +93,9 @@ func TestRecomposeDrivesDeltaPlane(t *testing.T) {
 	// Recompose mid-session: one chunk's worth of payload changes.
 	time.Sleep(50 * time.Millisecond)
 	before := coord.BroadcastEncodes()
-	img2 := chunkedImage(t, 20, 32<<10)
+	img2 := chunkedImage(t, 20, 8*appimage.ChunkBytes)
 	img2.Version = 2
-	for i := 9000; i < 9100; i++ {
-		img2.Payload[i] ^= 0xFF
-	}
+	flipInChunk(img2, 2)
 	if err := ctrl.Recompose(id, img2); err != nil {
 		t.Fatalf("Recompose: %v", err)
 	}
@@ -106,7 +103,7 @@ func TestRecomposeDrivesDeltaPlane(t *testing.T) {
 		t.Fatalf("hook pushed %d updates, want 1", pushed.Load())
 	}
 	// control + manifest + the flipped payload chunk + the header chunk
-	// the version bump dirtied: the coordinator never re-encoded the six
+	// the version bump dirtied: the coordinator never re-encoded the seven
 	// unchanged chunks.
 	if got := coord.BroadcastEncodes() - before; got != 4 {
 		t.Fatalf("recompose cost %d encodes, want 4 (2 artifacts + 2 changed chunks)", got)

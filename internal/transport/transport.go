@@ -35,7 +35,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"oddci/internal/dsmcc"
+	"oddci/internal/appimage"
 	"oddci/internal/obs"
 	"oddci/internal/simtime"
 	"oddci/internal/span"
@@ -43,7 +43,7 @@ import (
 
 // WireVersion is the protocol generation both handshake frames carry.
 // Any change to a frame layout below bumps it.
-const WireVersion = 2
+const WireVersion = 3
 
 // ErrWireVersion reports a peer whose handshake carries another
 // WireVersion; the session ends before anything else is exchanged.
@@ -53,7 +53,9 @@ var ErrWireVersion = errors.New("transport: peer speaks another wire version")
 type FrameType uint8
 
 // Frame types. 4 and 7–10 belonged to wire v1 (full-image push and the
-// JSON task plane) and stay retired, so a v1 frame never parses as v2.
+// JSON task plane), 15 and 16 to wire v2 (the image plane under 64-bit
+// chunk addresses); all stay retired, so an older frame never parses as
+// a current one.
 const (
 	// FrameHello is the node's first frame: JSON Hello.
 	FrameHello FrameType = 1
@@ -75,10 +77,10 @@ const (
 	FrameTaskResult  FrameType = 14
 	// FrameImageManifest and FrameImageChunk carry the content-addressed
 	// image plane: the manifest names the image and lists its chunk
-	// hashes in order; each chunk frame carries one hash-addressed slice
-	// of the encoded image. A first staging is a delta from nothing.
-	FrameImageManifest FrameType = 15
-	FrameImageChunk    FrameType = 16
+	// digests in order; each chunk frame carries one digest-addressed
+	// slice of the encoded image. A first staging is a delta from nothing.
+	FrameImageManifest FrameType = 17
+	FrameImageChunk    FrameType = 18
 )
 
 // MaxFrame bounds a frame's payload (images dominate).
@@ -113,19 +115,18 @@ type Banner struct {
 	Shard int `json:"shard,omitempty"`
 }
 
-// ImageManifest describes one content-addressed image: the chunk
-// hashes, in concatenation order, whose payloads reassemble the encoded
-// image. Hashes are dsmcc module hashes (truncated SHA-256), so the TCP
-// plane and the carousel plane address content identically.
+// ImageManifest describes one content-addressed image: the full SHA-256
+// of each appimage.ChunkBytes chunk, in concatenation order, whose
+// payloads reassemble the encoded image. appimage.RootOf(Size, Digests)
+// is the image digest the signed wakeup carries, so a manifest that
+// roots to it authenticates every chunk it lists.
 type ImageManifest struct {
 	Name string
 	// Size is the assembled image's byte length.
 	Size int
-	// ChunkBytes is the split size every chunk but the last uses.
-	ChunkBytes int
-	// Hashes lists the chunks in assembly order: ⌈Size/ChunkBytes⌉ of
+	// Digests lists the chunks in assembly order: ⌈Size/ChunkBytes⌉ of
 	// them, exactly.
-	Hashes []dsmcc.ModuleHash
+	Digests []appimage.Digest
 }
 
 // TaskRequestMsg asks for work.
@@ -364,66 +365,69 @@ func DecodeTaskResult(b []byte, m *TaskResultMsg) error {
 
 // Binary image-plane codec, strict and canonical like the task plane:
 //
-//	manifest = nameLen(2) name size(4) chunkBytes(4) hash(8)...
-//	chunk    = hash(8) bytes
+//	manifest = nameLen(2) name size(4) digest(32)...
+//	chunk    = digest(32) bytes
 //
-// The manifest's hash count is implied: ⌈size/chunkBytes⌉, exactly.
+// The manifest's digest count is implied: ⌈size/appimage.ChunkBytes⌉,
+// exactly.
+
+// digestLen is one chunk digest's length on the wire.
+const digestLen = len(appimage.Digest{})
 
 // AppendImageManifest appends the binary manifest payload to dst.
 func AppendImageManifest(dst []byte, m *ImageManifest) []byte {
 	dst = binary.BigEndian.AppendUint16(dst, uint16(len(m.Name)))
 	dst = append(dst, m.Name...)
 	dst = binary.BigEndian.AppendUint32(dst, uint32(m.Size))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(m.ChunkBytes))
-	for _, h := range m.Hashes {
-		dst = binary.BigEndian.AppendUint64(dst, uint64(h))
+	for i := range m.Digests {
+		dst = append(dst, m.Digests[i][:]...)
 	}
 	return dst
 }
 
-// DecodeImageManifest reverses AppendImageManifest into m. Size and
-// ChunkBytes are bounded to (0, MaxFrame] and the hash list must be
-// exactly as long as they imply, so a manifest can never ask its
-// reader for more memory than one frame may carry.
+// DecodeImageManifest reverses AppendImageManifest into m. Size is
+// bounded to (0, MaxFrame] and the digest list must be exactly as long
+// as it implies, so a manifest can never ask its reader for more memory
+// than one frame may carry.
 func DecodeImageManifest(b []byte, m *ImageManifest) error {
 	if len(b) < 2 {
 		return errors.New("transport: truncated image manifest")
 	}
 	nameLen := int(binary.BigEndian.Uint16(b))
-	if len(b) < 2+nameLen+8 {
+	if len(b) < 2+nameLen+4 {
 		return errors.New("transport: truncated image manifest")
 	}
 	name, rest := b[2:2+nameLen], b[2+nameLen:]
-	size, chunk := binary.BigEndian.Uint32(rest), binary.BigEndian.Uint32(rest[4:])
-	if size == 0 || size > MaxFrame || chunk == 0 || chunk > MaxFrame {
-		return fmt.Errorf("transport: image manifest size %d / chunk %d out of range", size, chunk)
+	size := binary.BigEndian.Uint32(rest)
+	if size == 0 || size > MaxFrame {
+		return fmt.Errorf("transport: image manifest size %d out of range", size)
 	}
-	rest = rest[8:]
-	count := (int(size) + int(chunk) - 1) / int(chunk)
-	if len(rest) != count*dsmcc.HashLen {
-		return fmt.Errorf("transport: image manifest lists %d hash bytes, want %d chunks", len(rest), count)
+	rest = rest[4:]
+	count := (int(size) + appimage.ChunkBytes - 1) / appimage.ChunkBytes
+	if len(rest) != count*digestLen {
+		return fmt.Errorf("transport: image manifest lists %d digest bytes, want %d chunks", len(rest), count)
 	}
-	m.Name, m.Size, m.ChunkBytes = string(name), int(size), int(chunk)
-	m.Hashes = make([]dsmcc.ModuleHash, count)
-	for i := range m.Hashes {
-		m.Hashes[i] = dsmcc.ModuleHash(binary.BigEndian.Uint64(rest[i*dsmcc.HashLen:]))
+	m.Name, m.Size = string(name), int(size)
+	m.Digests = make([]appimage.Digest, count)
+	for i := range m.Digests {
+		copy(m.Digests[i][:], rest[i*digestLen:])
 	}
 	return nil
 }
 
 // AppendImageChunk appends the binary chunk payload to dst.
-func AppendImageChunk(dst []byte, hash dsmcc.ModuleHash, data []byte) []byte {
-	dst = binary.BigEndian.AppendUint64(dst, uint64(hash))
+func AppendImageChunk(dst []byte, digest appimage.Digest, data []byte) []byte {
+	dst = append(dst, digest[:]...)
 	return append(dst, data...)
 }
 
 // DecodeImageChunk reverses AppendImageChunk. data aliases b; whether
-// it hashes to hash is the receiver's check, not the codec's.
-func DecodeImageChunk(b []byte) (hash dsmcc.ModuleHash, data []byte, err error) {
-	if len(b) <= dsmcc.HashLen {
-		return 0, nil, errors.New("transport: truncated image chunk")
+// it hashes to digest is the receiver's check, not the codec's.
+func DecodeImageChunk(b []byte) (digest appimage.Digest, data []byte, err error) {
+	if len(b) <= digestLen {
+		return digest, nil, errors.New("transport: truncated image chunk")
 	}
-	return dsmcc.ModuleHash(binary.BigEndian.Uint64(b)), b[dsmcc.HashLen:], nil
+	return appimage.Digest(b[:digestLen]), b[digestLen:], nil
 }
 
 // Frame buffer pool: payload buffers for reads and contiguous write

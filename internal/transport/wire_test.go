@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"oddci/internal/appimage"
 )
 
 // rawPeer is a test-side node that speaks the wire directly, so a test
@@ -97,33 +99,40 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // peer of another wire version at the handshake, before anything is
 // staged.
 func TestWireVersionMismatch(t *testing.T) {
-	// A v1 coordinator's banner has no wire field.
-	v1Banner := map[string]any{"controller_key": make([]byte, 32), "name": "v1"}
-	rep, err := RunNode(NodeConfig{Addr: fakeCoordinator(t, v1Banner, nil), NodeID: 1})
-	if !errors.Is(err, ErrWireVersion) {
-		t.Fatalf("node against a v1 banner: err = %v, want ErrWireVersion", err)
-	}
-	if rep.Joined {
-		t.Fatal("node joined a v1 coordinator")
+	// A v1 coordinator's banner has no wire field; a v2 one says 2.
+	for wire, banner := range map[int]any{
+		1: map[string]any{"controller_key": make([]byte, 32), "name": "v1"},
+		2: Banner{Wire: 2, ControllerKey: make([]byte, 32), Name: "v2"},
+	} {
+		rep, err := RunNode(NodeConfig{Addr: fakeCoordinator(t, banner, nil), NodeID: 1})
+		if !errors.Is(err, ErrWireVersion) {
+			t.Fatalf("node against a v%d banner: err = %v, want ErrWireVersion", wire, err)
+		}
+		if rep.Joined {
+			t.Fatalf("node joined a v%d coordinator", wire)
+		}
 	}
 
 	coord := serveCoordinator(t, CoordinatorConfig{Image: testImage()})
-	// A v1 node's hello has no wire field either: it gets the banner
-	// (which names the version) and then the connection, nothing staged.
-	p, err := dialRaw(coord.Addr(), Hello{NodeID: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	if p.banner.Wire != WireVersion {
-		t.Fatalf("banner wire = %d, want %d", p.banner.Wire, WireVersion)
-	}
-	p.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	if typ, _, err := p.fr.Next(); err == nil {
-		t.Fatalf("v1 hello was answered with frame type %d, want the session dropped", typ)
+	// A v1 node's hello has no wire field either, and a v2 node's says 2:
+	// each gets the banner (which names the version) and then the
+	// connection, nothing staged.
+	for wire, hello := range map[int]Hello{1: {NodeID: 7}, 2: {Wire: 2, NodeID: 8}} {
+		p, err := dialRaw(coord.Addr(), hello)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		if p.banner.Wire != WireVersion {
+			t.Fatalf("banner wire = %d, want %d", p.banner.Wire, WireVersion)
+		}
+		p.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if typ, _, err := p.fr.Next(); err == nil {
+			t.Fatalf("v%d hello was answered with frame type %d, want the session dropped", wire, typ)
+		}
 	}
 	if coord.NodeCount() != 0 {
-		t.Fatalf("v1 hello was counted as a node (NodeCount = %d)", coord.NodeCount())
+		t.Fatalf("an old hello was counted as a node (NodeCount = %d)", coord.NodeCount())
 	}
 }
 
@@ -149,9 +158,9 @@ func stageOnly(addr string, nodeID uint64) (int, error) {
 			if err := DecodeImageManifest(payload, &m); err != nil {
 				return 0, err
 			}
-			distinct := map[uint64]bool{}
-			for _, h := range m.Hashes {
-				distinct[uint64(h)] = true
+			distinct := map[appimage.Digest]bool{}
+			for _, d := range m.Digests {
+				distinct[d] = true
 			}
 			want, size = len(distinct), m.Size
 		case FrameImageChunk:
