@@ -1,12 +1,13 @@
 GO ?= go
 
-.PHONY: check fmt vet test test-benchmark race build cover bench loc
+.PHONY: check fmt vet test test-benchmark race cores build cover bench loc
 
 ## check: the full tier-1 gate — formatting, vet, build, tests with the
 ## race detector (the lifecycle churn stress and the federation
-## cross-shard churn stress must pass under -race), the coverage
-## floor on the telemetry packages, and the benchmark module's tests.
-check: fmt vet race cover test-benchmark
+## cross-shard churn stress must pass under -race), the image digest at
+## several core counts, the coverage floor on the telemetry packages, and
+## the benchmark module's tests.
+check: fmt vet race cores cover test-benchmark
 
 fmt:
 	@out="$$(gofmt -l .)"; \
@@ -31,6 +32,12 @@ test-benchmark:
 
 race:
 	$(GO) test -race ./...
+
+## cores: appimage.DigestOf streams on one core and fans chunks out on
+## several, chosen by GOMAXPROCS, so its package runs at 1, 2 and 4 to
+## gate both paths whatever the machine's default.
+cores:
+	$(GO) test -cpu 1,2,4 ./internal/appimage
 
 ## cover: enforce per-package coverage floors — the observability layer
 ## (obs registry/exposition, the span collector with its trace and

@@ -11,6 +11,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 )
 
 // Image is one deployable application.
@@ -131,12 +135,119 @@ func (im *Image) Digest() (Digest, error) {
 	return DigestOf(raw), nil
 }
 
-// DigestOf is the digest of an already-encoded image: RootOf its chunks,
-// computed in one pass without allocating.
+// DigestOf is the digest of an already-encoded image: RootOf its chunks.
+// A multi-chunk image's chunks are hashed on up to GOMAXPROCS cores (see
+// hashJob); one chunk, or one core, streams in one pass. Neither path
+// allocates in steady state, and both give the same root.
+//
+// The helpers that share the work are not actors of any simulated clock,
+// and the caller waits for them on a WaitGroup, not by suspending on its
+// clock, so it still counts as runnable there and virtual time cannot
+// advance mid-hash: the result, and every simulated timeline, is the same
+// on any core count.
 func DigestOf(raw []byte) Digest {
-	return root(len(raw), (len(raw)+ChunkBytes-1)/ChunkBytes, func(i int) Digest {
-		return sha256.Sum256(raw[i*ChunkBytes : min((i+1)*ChunkBytes, len(raw))])
-	})
+	n := chunkCount(len(raw))
+	if n < 2 || runtime.GOMAXPROCS(0) < 2 {
+		return root(len(raw), n, func(i int) Digest { return chunkDigest(raw, i) })
+	}
+	j := jobs.Get().(*hashJob)
+	d := RootOf(len(raw), j.hash(raw))
+	jobs.Put(j)
+	return d
+}
+
+// ChunkDigests appends to dst the SHA-256 of each ChunkBytes chunk of
+// the encoded image raw, in order — the list RootOf(len(raw), ·) roots —
+// hashing them as DigestOf does, and returns the extended slice.
+func ChunkDigests(dst []Digest, raw []byte) []Digest {
+	j := jobs.Get().(*hashJob)
+	dst = append(dst, j.hash(raw)...)
+	jobs.Put(j)
+	return dst
+}
+
+func chunkCount(size int) int { return (size + ChunkBytes - 1) / ChunkBytes }
+
+// chunkDigest is the SHA-256 of chunk i of raw: the one place an encoded
+// image is split and hashed.
+func chunkDigest(raw []byte, i int) Digest {
+	return sha256.Sum256(raw[i*ChunkBytes : min((i+1)*ChunkBytes, len(raw))])
+}
+
+// hashJob is one image's chunk hashing, shared by its caller and any
+// helpers it finds idle. Jobs are pooled, so ds keeps its capacity and a
+// hash allocates nothing once warm.
+type hashJob struct {
+	raw  []byte
+	ds   []Digest       // ds[i] is chunk i's digest, written by whoever claims i
+	next atomic.Int64   // the next chunk index to claim
+	wg   sync.WaitGroup // helpers still working on this job
+}
+
+var (
+	jobs = sync.Pool{New: func() any { return new(hashJob) }}
+
+	// hashWork feeds the helpers: runtime.NumCPU()-1 goroutines, started
+	// on the first multi-core hash and parked on this channel for the life
+	// of the process. It is unbuffered and only ever sent to without
+	// blocking, so a job goes only to a helper already waiting, and a
+	// caller that finds none idle hashes the rest itself rather than
+	// queueing behind another caller's image.
+	hashWork     = make(chan *hashJob)
+	startHelpers sync.Once
+)
+
+func helper() {
+	for j := range hashWork {
+		j.claim()
+		j.wg.Done()
+	}
+}
+
+// hash fills j.ds with raw's chunk digests, on this goroutine and up to
+// min(GOMAXPROCS, chunks)-1 idle helpers, and returns it once every chunk
+// is hashed. The slice is the job's: it is valid until j is pooled again.
+func (j *hashJob) hash(raw []byte) []Digest {
+	n := chunkCount(len(raw))
+	j.raw, j.ds = raw, slices.Grow(j.ds[:0], n)[:n]
+	j.next.Store(0)
+	if workers := min(runtime.GOMAXPROCS(0), n); workers > 1 {
+		startHelpers.Do(func() {
+			for range runtime.NumCPU() - 1 {
+				go helper()
+			}
+		})
+		j.recruit(workers - 1)
+	}
+	j.claim()
+	j.wg.Wait() // no helper touches j after this, so it may be pooled
+	j.raw = nil // a pooled job must not keep the image alive
+	return j.ds
+}
+
+// recruit hands j to up to k helpers, stopping as soon as none is
+// waiting for work.
+func (j *hashJob) recruit(k int) {
+	for ; k > 0; k-- {
+		j.wg.Add(1)
+		select {
+		case hashWork <- j:
+		default:
+			j.wg.Done()
+			return
+		}
+	}
+}
+
+// claim hashes chunks until none is left to claim.
+func (j *hashJob) claim() {
+	for {
+		i := int(j.next.Add(1) - 1)
+		if i >= len(j.ds) {
+			return
+		}
+		j.ds[i] = chunkDigest(j.raw, i)
+	}
 }
 
 // Verify checks raw against an expected digest and decodes it.

@@ -5,8 +5,12 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -177,14 +181,124 @@ func TestDigestIsChunkRoot(t *testing.T) {
 	}
 }
 
-// TestDigestOfAllocatesNothing: the controller, every PNA and the TCP
-// coordinator call DigestOf per image; it streams.
+// raceEnabled is set under -race (race_test.go), where sync.Pool drops
+// pooled items on purpose.
+var raceEnabled bool
+
+// patterned is size bytes that differ per seed and per position, so a
+// digest put in another chunk's slot, or taken from another image, shows.
+func patterned(seed, size int) []byte {
+	raw := make([]byte, size)
+	rand.New(rand.NewSource(int64(seed))).Read(raw)
+	return raw
+}
+
+// TestDigestOfAllocatesNothing: the controller and every PNA call
+// DigestOf per image; it allocates nothing, on one core (where it
+// streams) or on several (where it fans out). testing.AllocsPerRun pins
+// GOMAXPROCS to 1, so only MemStats around runs at GOMAXPROCS 2 see the
+// multi-core path; a digest slice made per call fails it 1000 times over.
+// The runtime itself allocates now and then while goroutines hand off
+// (a new thread, a wait-queue entry for a P whose cache ran dry), so the
+// bound holds for the best of three runs.
 func TestDigestOfAllocatesNothing(t *testing.T) {
 	raw := make([]byte, 1<<20)
 	if got := testing.AllocsPerRun(10, func() { DigestOf(raw) }); got != 0 {
-		t.Fatalf("DigestOf of 1 MiB allocates %.0f times", got)
+		t.Fatalf("DigestOf of 1 MiB allocates %.0f times on one core", got)
+	}
+	if raceEnabled {
+		t.Skip("sync.Pool drops items under -race; the multi-core half is not measurable")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for range 100 { // warm: start the helpers, pool a job with its digests
+		DigestOf(raw)
+	}
+	const calls = 1000
+	best := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range calls {
+			DigestOf(raw)
+		}
+		runtime.ReadMemStats(&after)
+		best = min(best, after.Mallocs-before.Mallocs)
+	}
+	if best > 4 {
+		t.Fatalf("%d DigestOf calls of 1 MiB at GOMAXPROCS 2 made %d allocations at best, want ≤ 4", calls, best)
 	}
 }
+
+// TestDigestOfAnyCoreCount: at 1, 2 and 8 procs, for images of no chunk,
+// one, a chunk boundary either side, and many, DigestOf is RootOf over the
+// plain per-chunk SHA-256s and ChunkDigests is that list, appended. With
+// the pinned image among them, TestDigestIsChunkRoot's literal holds at
+// every proc count.
+func TestDigestOfAnyCoreCount(t *testing.T) {
+	images := map[string][]byte{"pinned": pinnedImage()}
+	for i, size := range []int{0, 1, ChunkBytes - 1, ChunkBytes, ChunkBytes + 1, 33*ChunkBytes + 7} {
+		images[fmt.Sprintf("%d bytes", size)] = patterned(i, size)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		for name, raw := range images {
+			want := chunkDigests(raw)
+			if got := DigestOf(raw); got != RootOf(len(raw), want) {
+				t.Errorf("procs %d, %s: DigestOf differs from RootOf over its chunk digests", procs, name)
+			}
+			head := Digest{0xAA}
+			if got := ChunkDigests([]Digest{head}, raw); got[0] != head || !slices.Equal(got[1:], want) {
+				t.Errorf("procs %d, %s: ChunkDigests differs from the per-chunk SHA-256s", procs, name)
+			}
+		}
+	}
+}
+
+// TestDigestOfConcurrentCallers: callers hashing distinct images at once
+// share the helpers and the job pool, and none ever gets a digest of
+// another's chunks. Run it under -race.
+func TestDigestOfConcurrentCallers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	const callers, rounds = 16, 8
+	var wg sync.WaitGroup
+	for c := range callers {
+		raw := patterned(100+c, (2+c%4)*ChunkBytes+c)
+		wantChunks := chunkDigests(raw)
+		want := RootOf(len(raw), wantChunks)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := range rounds {
+				if DigestOf(raw) != want {
+					t.Errorf("caller %d, round %d: DigestOf is not its image's root", c, r)
+					return
+				}
+				if !slices.Equal(ChunkDigests(nil, raw), wantChunks) {
+					t.Errorf("caller %d, round %d: ChunkDigests are not its image's chunks", c, r)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// BenchmarkDigestOf: compare MB/s at -cpu 1,2 to see the fan-out.
+func BenchmarkDigestOf(b *testing.B) {
+	for _, size := range []int{1 << 20, 8 << 20} {
+		raw := patterned(0, size)
+		b.Run(fmt.Sprintf("%dMiB", size>>20), func(b *testing.B) {
+			b.SetBytes(int64(size))
+			b.ReportAllocs()
+			for range b.N {
+				digestSink = DigestOf(raw)
+			}
+		})
+	}
+}
+
+var digestSink Digest
 
 func TestOversizedNamesRejected(t *testing.T) {
 	im := &Image{Name: string(make([]byte, 256))}

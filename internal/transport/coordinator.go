@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"crypto/ed25519"
 	"crypto/rand"
-	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -321,12 +320,13 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 }
 
 // stageImage builds the generation after prev: it hashes each chunk
-// once, signs the wakeup over the root of those digests under the next
-// sequence, pre-encodes the control, manifest and chunk frames, and
-// journals the result. prev donates every chunk frame whose digest is
-// unchanged, so only new content costs an encode — the per-chunk form
-// of the encode-once invariant. A first staging is the same delta, from
-// a prev that holds nothing. The caller publishes the returned stage.
+// once (appimage.ChunkDigests, which spreads them over the cores), signs
+// the wakeup over the root of those digests under the next sequence,
+// pre-encodes the control, manifest and chunk frames, and journals the
+// result. prev donates every chunk frame whose digest is unchanged, so
+// only new content costs an encode — the per-chunk form of the
+// encode-once invariant. A first staging is the same delta, from a prev
+// that holds nothing. The caller publishes the returned stage.
 func (c *Coordinator) stageImage(prev *imageStage, img *appimage.Image) (*imageStage, error) {
 	imgRaw, err := img.Encode()
 	if err != nil {
@@ -336,11 +336,9 @@ func (c *Coordinator) stageImage(prev *imageStage, img *appimage.Image) (*imageS
 		seq: prev.seq + 1, wakeups: prev.wakeups + 1,
 		chunkFrames: make(map[appimage.Digest][]byte),
 	}
-	manifest := ImageManifest{Name: "image.1", Size: len(imgRaw)}
-	for off := 0; off < len(imgRaw); off += appimage.ChunkBytes {
-		ch := imgRaw[off:min(off+appimage.ChunkBytes, len(imgRaw))]
-		d := appimage.Digest(sha256.Sum256(ch))
-		manifest.Digests = append(manifest.Digests, d)
+	manifest := ImageManifest{Name: "image.1", Size: len(imgRaw), Digests: appimage.ChunkDigests(nil, imgRaw)}
+	for i, d := range manifest.Digests {
+		ch := imgRaw[i*appimage.ChunkBytes : min((i+1)*appimage.ChunkBytes, len(imgRaw))]
 		if _, ok := st.chunkFrames[d]; ok {
 			continue // duplicate content within the image
 		}
