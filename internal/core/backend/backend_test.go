@@ -159,6 +159,28 @@ func TestNoTaskDoneSignalling(t *testing.T) {
 	}
 }
 
+// TestNoTaskAllocatesNothing: an empty dispatch hands back one of the
+// Backend's two shared replies, whether it backs the worker off or sends
+// it home, so polling an idle backend costs the collector nothing.
+func TestNoTaskAllocatesNothing(t *testing.T) {
+	b := newBackend(t, simtime.NewSim(epoch))
+	req := &TaskRequest{NodeID: 1}
+	for _, draining := range []bool{false, true} {
+		b.SetDraining(draining)
+		first := b.HandleRequest(req).(*NoTask)
+		if first.Done != draining || first.RetryAfter != 5*time.Second {
+			t.Fatalf("draining %v: reply %+v", draining, *first)
+		}
+		if got := testing.AllocsPerRun(100, func() {
+			if b.HandleRequest(req) != first {
+				t.Fatal("a second empty dispatch built another reply")
+			}
+		}); got != 0 {
+			t.Fatalf("draining %v: an empty dispatch allocates %.0f times", draining, got)
+		}
+	}
+}
+
 func TestOnCompleteAfterDoneFiresImmediately(t *testing.T) {
 	clk := simtime.NewSim(epoch)
 	b := newBackend(t, clk)

@@ -5,11 +5,15 @@ import (
 	"fmt"
 	"net"
 	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"oddci/internal/appimage"
+	"oddci/internal/core/backend"
 	"oddci/internal/span"
+	"oddci/internal/workload"
 )
 
 // writeLog is the node's connection with every Write recorded as the
@@ -35,20 +39,50 @@ func (w *writeLog) Write(p []byte) (int, error) {
 }
 
 // scriptedPeer is the coordinator's end of a net.Pipe, driven frame by
-// frame by the test. The first failure sticks and turns the rest of the
-// script into no-ops.
+// frame by the test. Each send is one write, made in the background as a
+// socket's send buffer would take it, so the script can read what the
+// node writes meanwhile. The first failure sticks and turns the rest of
+// the script into no-ops.
 type scriptedPeer struct {
-	conn net.Conn
-	fr   *FrameReader
-	err  error
+	conn    net.Conn
+	fr      *FrameReader
+	err     error
+	writing chan error
+	// unanswered counts the task requests read and not yet answered by an
+	// assign or a no-task; most is its peak.
+	unanswered, most int
 }
 
+// send writes frames as one write, once the previous send has landed.
 func (p *scriptedPeer) send(frames ...[]byte) {
-	for _, f := range frames {
-		if p.err == nil {
-			_, p.err = p.conn.Write(f)
-		}
+	p.wait()
+	if p.err != nil {
+		return
 	}
+	var b []byte
+	for _, f := range frames {
+		if t := FrameType(f[0]); t == FrameTaskAssign || t == FrameNoTask {
+			p.unanswered--
+		}
+		b = append(b, f...)
+	}
+	done := make(chan error, 1)
+	p.writing = done
+	go func() {
+		_, err := p.conn.Write(b)
+		done <- err
+	}()
+}
+
+// wait blocks until the last send has landed.
+func (p *scriptedPeer) wait() {
+	if p.writing == nil {
+		return
+	}
+	if err := <-p.writing; err != nil && p.err == nil {
+		p.err = err
+	}
+	p.writing = nil
 }
 
 // expect reads one frame per type, in order.
@@ -62,14 +96,23 @@ func (p *scriptedPeer) expect(types ...FrameType) {
 			p.err = fmt.Errorf("awaiting frame %d: %w", want, err)
 		} else if got != want {
 			p.err = fmt.Errorf("frame %d, want %d", got, want)
+		} else if got == FrameTaskRequest {
+			p.unanswered++
+			p.most = max(p.most, p.unanswered)
 		}
 	}
 }
 
-func assignFrame(task int) []byte {
-	f, _ := AppendFrame(nil, FrameTaskAssign, AppendTaskAssign(nil, &TaskAssignMsg{JobID: 1, TaskID: task, Payload: []byte("in")}))
+// assignFrame hands over task, refSeconds long on the reference device:
+// at the node's TimeScale of 1, that is how long it sleeps.
+func assignFrame(task int, refSeconds float64) []byte {
+	f, _ := AppendFrame(nil, FrameTaskAssign, AppendTaskAssign(nil, &TaskAssignMsg{
+		JobID: 1, TaskID: task, RefSeconds: refSeconds, Payload: []byte("in")}))
 	return f
 }
+
+// longTask outlasts a round trip over a pipe many times over.
+const longTask = 0.05
 
 func noTaskFrame(m NoTaskMsg) []byte {
 	f, _ := AppendFrame(nil, FrameNoTask, AppendNoTask(nil, &m))
@@ -88,14 +131,14 @@ func missingChunks(st, prev *imageStage) [][]byte {
 }
 
 // runScripted joins a node to coord's broadcast of st over a pipe, then
-// hands the peer end to script. It returns the node's report and what it
-// wrote after the hello.
-func runScripted(t *testing.T, coord *Coordinator, st *imageStage, script func(p *scriptedPeer)) (NodeReport, [][]FrameType) {
+// hands the peer end to script; both ends give up after timeout. It
+// returns the node's report and what it wrote after the hello.
+func runScripted(t *testing.T, coord *Coordinator, st *imageStage, timeout time.Duration, script func(p *scriptedPeer)) (NodeReport, [][]FrameType) {
 	t.Helper()
 	nodeEnd, peerEnd := net.Pipe()
 	defer nodeEnd.Close()
 	defer peerEnd.Close()
-	deadline := time.Now().Add(10 * time.Second)
+	deadline := time.Now().Add(timeout)
 	nodeEnd.SetDeadline(deadline)
 	peerEnd.SetDeadline(deadline)
 
@@ -108,6 +151,7 @@ func runScripted(t *testing.T, coord *Coordinator, st *imageStage, script func(p
 		p.send(st.ctrlFrame, st.manifestFrame)
 		p.send(missingChunks(st, &imageStage{})...)
 		script(p)
+		p.wait()
 		peerErr <- p.err
 	}()
 
@@ -135,32 +179,168 @@ func stagedCoordinator(t *testing.T) *Coordinator {
 	return coord
 }
 
-// TestHandoffCadence pins what the node writes together: a completed
-// task is one write holding the result and then the next request, and a
-// request travels alone only first and after a back-off.
+// TestHandoffCadence is the spec of the node's request window: what it
+// writes together, and how many requests it leaves unanswered.
 func TestHandoffCadence(t *testing.T) {
+	const (
+		req = FrameTaskRequest
+		res = FrameTaskResult
+	)
+	backOff := noTaskFrame(NoTaskMsg{RetryAfterMS: 1})
+	for _, c := range []struct {
+		name   string
+		script func(p *scriptedPeer)
+		tasks  int
+		want   [][]FrameType
+	}{{
+		// A task that takes time keeps one request in flight: a completed
+		// task is one write holding its result and the next request, and a
+		// request travels alone only first and after a back-off.
+		name: "tasks that take time",
+		script: func(p *scriptedPeer) {
+			p.expect(req)
+			p.send(assignFrame(0, longTask))
+			p.expect(res, req)
+			p.send(backOff)
+			p.expect(req)
+			p.send(assignFrame(1, longTask))
+			p.expect(res, req)
+			p.send(noTaskFrame(NoTaskMsg{Done: true}))
+		},
+		tasks: 2,
+		want:  [][]FrameType{{req}, {res, req}, {req}, {res, req}},
+	}, {
+		// Zero-length tasks open the window to LeaseSlack: the node asks
+		// for the next tasks before it is answered, and its results and
+		// top-up requests leave together once the replies buffered so far
+		// are used up. A back-off closes the window: once the last
+		// outstanding reply is in, one request follows.
+		name: "zero-length tasks",
+		script: func(p *scriptedPeer) {
+			p.expect(req)
+			p.send(assignFrame(0, 0))
+			p.expect(res, req, req, req, req)
+			p.send(assignFrame(1, 0), assignFrame(2, 0), assignFrame(3, 0), backOff)
+			p.expect(res, req, res, req, res, req)
+			p.send(backOff, backOff, backOff)
+			p.expect(req)
+			p.send(noTaskFrame(NoTaskMsg{Done: true}))
+		},
+		tasks: 4,
+		want:  [][]FrameType{{req}, {res, req, req, req, req}, {res, req, res, req, res, req}, {req}},
+	}, {
+		// Tasks that take time behind a zero-length one: the node holds
+		// the LeaseSlack assigns it asked for, but each result leaves
+		// before the next task runs, and it asks again only when it
+		// holds none.
+		name: "tasks that take time after a zero-length one",
+		script: func(p *scriptedPeer) {
+			p.expect(req)
+			p.send(assignFrame(0, 0))
+			p.expect(res, req, req, req, req)
+			p.send(assignFrame(1, longTask), assignFrame(2, longTask), assignFrame(3, longTask), assignFrame(4, longTask))
+			p.expect(res, res, res, res, req)
+			p.send(noTaskFrame(NoTaskMsg{Done: true}))
+		},
+		tasks: 5,
+		want:  [][]FrameType{{req}, {res, req, req, req, req}, {res}, {res}, {res}, {res, req}},
+	}} {
+		t.Run(c.name, func(t *testing.T) {
+			coord := stagedCoordinator(t)
+			most := 0
+			report, writes := runScripted(t, coord, coord.stage.Load(), 10*time.Second, func(p *scriptedPeer) {
+				c.script(p)
+				most = p.most
+			})
+			if !slices.EqualFunc(writes, c.want, slices.Equal[[]FrameType]) {
+				t.Fatalf("node writes = %v, want %v", writes, c.want)
+			}
+			if most > backend.LeaseSlack {
+				t.Fatalf("node left %d requests unanswered, at most %d allowed", most, backend.LeaseSlack)
+			}
+			if report.TasksDone != c.tasks || !report.Joined {
+				t.Fatalf("report = %+v, want %d tasks done", report, c.tasks)
+			}
+		})
+	}
+}
+
+// TestHandoffFlushesBeforeEveryRead: a result waits for the replies
+// already read to be used up, not for the next task reply. A heartbeat
+// reply, or a whole re-stage, arriving in one write with the assignment
+// must not hold the result back: the node flushes before its next read
+// would block, wherever in the reply loop that read is.
+func TestHandoffFlushesBeforeEveryRead(t *testing.T) {
 	coord := stagedCoordinator(t)
-	report, writes := runScripted(t, coord, coord.stage.Load(), func(p *scriptedPeer) {
-		p.expect(FrameTaskRequest)
-		p.send(assignFrame(0))
-		p.expect(FrameTaskResult, FrameTaskRequest)
-		p.send(noTaskFrame(NoTaskMsg{RetryAfterMS: 1}))
-		p.expect(FrameTaskRequest)
-		p.send(assignFrame(1))
-		p.expect(FrameTaskResult, FrameTaskRequest)
-		p.send(noTaskFrame(NoTaskMsg{Done: true}))
-	})
-	want := [][]FrameType{
-		{FrameTaskRequest},
-		{FrameTaskResult, FrameTaskRequest},
-		{FrameTaskRequest},
-		{FrameTaskResult, FrameTaskRequest},
+	first := coord.stage.Load()
+	next := chunkedImage(t, 5, 4*appimage.ChunkBytes)
+	next.Version = 2
+	flipInChunk(next, 2)
+	if err := coord.UpdateImage(next); err != nil {
+		t.Fatal(err)
 	}
-	if !slices.EqualFunc(writes, want, slices.Equal[[]FrameType]) {
-		t.Fatalf("node writes = %v, want %v", writes, want)
+	second := coord.stage.Load()
+	restage := append([][]byte{coord.hbReplyFrame, second.ctrlFrame, second.manifestFrame}, missingChunks(second, first)...)
+	for _, c := range []struct {
+		name     string
+		after    [][]byte
+		restages int
+	}{
+		{"heartbeat reply", [][]byte{coord.hbReplyFrame}, 0},
+		{"re-stage", restage, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			report, _ := runScripted(t, coord, first, 2*time.Second, func(p *scriptedPeer) {
+				p.expect(FrameTaskRequest)
+				p.send(append([][]byte{assignFrame(0, longTask)}, c.after...)...)
+				p.expect(FrameTaskResult, FrameTaskRequest) // nothing more is sent until the result is in
+				p.send(noTaskFrame(NoTaskMsg{Done: true}))
+			})
+			if report.TasksDone != 1 || report.Restages != c.restages {
+				t.Fatalf("report = %+v, want 1 task done and %d re-stages", report, c.restages)
+			}
+		})
 	}
-	if report.TasksDone != 2 || !report.Joined {
-		t.Fatalf("report = %+v, want 2 tasks done", report)
+}
+
+// TestNoHoardingOverLoopback: a node running tasks that take time asks
+// for one at a time. Two nodes on a two-task job whose tasks far outlast
+// the loopback round trip take one task each, even when the second dials
+// after the first holds its task; a node that asked for LeaseSlack tasks
+// up front would take both.
+func TestNoHoardingOverLoopback(t *testing.T) {
+	coord := serveCoordinator(t, CoordinatorConfig{Image: testImage(), RetryAfter: 10 * time.Millisecond})
+	job := &workload.Job{Name: "hoard", Tasks: []workload.Task{{ID: 0, STBSeconds: 0.3}, {ID: 1, STBSeconds: 0.3}}}
+	h, err := coord.Submit(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		reports [2]NodeReport
+		errs    [2]error
+		wg      sync.WaitGroup
+	)
+	run := func(n int) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			reports[n], errs[n] = RunNode(NodeConfig{Addr: coord.Addr(), NodeID: uint64(n + 1), PinnedKey: coord.PublicKey()})
+		}()
+	}
+	run(0)
+	waitFor(t, "the first node's assignment", func() bool { return atomic.LoadInt64(&coord.Backend().Assigned) > 0 })
+	run(1)
+	wg.Wait()
+	for n := range reports {
+		if errs[n] != nil {
+			t.Fatalf("node %d: %v", n+1, errs[n])
+		}
+		if reports[n].TasksDone != 1 {
+			t.Fatalf("node %d did %d tasks, want 1 each (reports %+v)", n+1, reports[n].TasksDone, reports)
+		}
+	}
+	if _, done := h.Done(); !done {
+		t.Fatal("job incomplete")
 	}
 }
 
@@ -182,13 +362,13 @@ func TestHandoffFoldsInterleavedFrames(t *testing.T) {
 		t.Fatalf("update changed %d of %d chunks, want some and not all", len(delta), len(second.chunkFrames))
 	}
 
-	report, writes := runScripted(t, coord, first, func(p *scriptedPeer) {
+	report, writes := runScripted(t, coord, first, 10*time.Second, func(p *scriptedPeer) {
 		p.expect(FrameTaskRequest)
-		p.send(assignFrame(0))
+		p.send(assignFrame(0, longTask))
 		p.expect(FrameTaskResult, FrameTaskRequest)
 		p.send(coord.hbReplyFrame, second.ctrlFrame, second.manifestFrame)
 		p.send(delta...)
-		p.send(assignFrame(1))
+		p.send(assignFrame(1, longTask))
 		p.expect(FrameTaskResult, FrameTaskRequest)
 		p.send(noTaskFrame(NoTaskMsg{Done: true}))
 	})
@@ -249,8 +429,9 @@ func TestTaskDecodeAllocCeilings(t *testing.T) {
 
 // handoffAllocs serves one wire-level client from a loopback coordinator
 // carrying spans, and reports what one hand-off — the assignment read,
-// then its result and the next request in one write, the cadence runNode
-// ships — allocates across the whole process, both ends included.
+// then its result and the next request in one write, runNode's cadence
+// for a task that outlasts the round trip — allocates across the whole
+// process, both ends included.
 func handoffAllocs(t *testing.T, spans *span.Collector) float64 {
 	t.Helper()
 	const runs = 300

@@ -15,6 +15,7 @@ import (
 
 	"oddci/internal/appimage"
 	"oddci/internal/control"
+	"oddci/internal/core/backend"
 	"oddci/internal/core/instance"
 	"oddci/internal/simtime"
 	"oddci/internal/span"
@@ -406,8 +407,29 @@ func runNode(cfg NodeConfig, conn net.Conn) (report NodeReport, err error) {
 	// control, manifest, and only the chunks not held) also interleave
 	// here; the assembler folds them in and re-verifies the image when
 	// the set completes.
+	//
+	// Hand-off cadence: results and requests collect in wbuf and leave in
+	// one write when the next read would block, the coordinator's flush
+	// rule, so it reads them at once and answers them with one write of
+	// its own. The flush sits before every read of the loop, not only
+	// before the first: a heartbeat reply read ahead of a task reply must
+	// not hold a result back.
+	var wbuf []byte
+	flush := func() error {
+		if len(wbuf) == 0 {
+			return nil
+		}
+		err := sendRaw(wbuf)
+		wbuf = wbuf[:0]
+		return err
+	}
 	readTaskReply := func() (FrameType, []byte, error) {
 		for {
+			if fr.Buffered() == 0 {
+				if err := flush(); err != nil {
+					return 0, nil, err
+				}
+			}
 			t, payload, err := fr.Next()
 			if err != nil {
 				return 0, nil, err
@@ -429,26 +451,30 @@ func runNode(cfg NodeConfig, conn net.Conn) (report NodeReport, err error) {
 	}
 	// The request frame is identical every round: build it once (the
 	// join context is constant after joining, so it stays immutable).
-	// Result frames rebuild into a reused buffer. A node stamps contexts
-	// iff it has a collector; joinCtx is zero without one.
+	// Result frames build into wbuf. A node stamps contexts iff it has a
+	// collector; joinCtx is zero without one.
 	reqFrame := BeginFrame(nil, FrameTaskRequest)
 	reqFrame = AppendTaskRequest(reqFrame, &TaskRequestMsg{NodeID: cfg.NodeID, Trace: joinCtx})
 	if reqFrame, err = EndFrame(reqFrame, 0); err != nil {
 		return report, err
 	}
+	// The node keeps window requests unanswered; inflight counts them.
+	// After a task that takes no device time the window is
+	// backend.LeaseSlack, so the node asks for its next tasks before it is
+	// answered; after any other task it is 1, and a request rides with
+	// each result. A NoTask closes the window to one: when the last reply
+	// is in, the back-off sends a lone request.
+	window, inflight := 1, 0
+	request := func() {
+		for ; inflight < window; inflight++ {
+			wbuf = append(wbuf, reqFrame...)
+		}
+	}
 	var (
-		wbuf   []byte
 		assign TaskAssignMsg
 		noTask NoTaskMsg
 	)
-	// Hand-off cadence: a finished task's result and the request for the
-	// next one leave in one write, so the coordinator reads both at once
-	// and answers with one write of its own. A request travels alone only
-	// when there is no result to carry it: the first, and the one after a
-	// back-off.
-	if err := sendRaw(reqFrame); err != nil {
-		return report, err
-	}
+	request()
 	for {
 		t, payload, err := readTaskReply()
 		if err != nil {
@@ -456,8 +482,17 @@ func runNode(cfg NodeConfig, conn net.Conn) (report NodeReport, err error) {
 		}
 		switch t {
 		case FrameTaskAssign:
+			inflight--
 			if err := DecodeTaskAssign(payload, &assign); err != nil {
 				return report, err
+			}
+			// Results batched behind zero-length tasks leave before a task
+			// that takes time starts, not after it ends.
+			d := time.Duration(float64(cfg.Perf.TaskDuration(assign.RefSeconds, cfg.Mode)) / cfg.TimeScale)
+			if d > 0 {
+				if err := flush(); err != nil {
+					return report, err
+				}
 			}
 			// The execute span parents under the dispatch that assigned
 			// the task; an untraced coordinator sends no context, so the
@@ -470,8 +505,7 @@ func runNode(cfg NodeConfig, conn net.Conn) (report NodeReport, err error) {
 			if exeSp != nil {
 				exeSp.SetDetail("job=%d task=%d", assign.JobID, assign.TaskID)
 			}
-			d := cfg.Perf.TaskDuration(assign.RefSeconds, cfg.Mode)
-			time.Sleep(time.Duration(float64(d) / cfg.TimeScale))
+			time.Sleep(d)
 			exeSp.End()
 			// The credential is an opaque echo of whatever was given; the
 			// backend verifies.
@@ -481,26 +515,29 @@ func runNode(cfg NodeConfig, conn net.Conn) (report NodeReport, err error) {
 				// backend's commit span closes the same subtree.
 				res.Trace = exeParent
 			}
-			wbuf = BeginFrame(wbuf[:0], FrameTaskResult)
-			wbuf = AppendTaskResult(wbuf, &res)
-			if wbuf, err = EndFrame(wbuf, 0); err != nil {
-				return report, err
-			}
-			wbuf = append(wbuf, reqFrame...)
-			if err := sendRaw(wbuf); err != nil {
+			start := len(wbuf)
+			wbuf = AppendTaskResult(BeginFrame(wbuf, FrameTaskResult), &res)
+			if wbuf, err = EndFrame(wbuf, start); err != nil {
 				return report, err
 			}
 			report.TasksDone++
+			window = 1
+			if d == 0 {
+				window = backend.LeaseSlack
+			}
+			request()
 		case FrameNoTask:
+			inflight--
 			if err := DecodeNoTask(payload, &noTask); err != nil {
 				return report, err
 			}
 			if noTask.Done {
 				return report, nil
 			}
-			time.Sleep(time.Duration(float64(noTask.RetryAfter()) / cfg.TimeScale))
-			if err := sendRaw(reqFrame); err != nil {
-				return report, err
+			window = 1
+			if inflight == 0 {
+				time.Sleep(time.Duration(float64(noTask.RetryAfter()) / cfg.TimeScale))
+				request()
 			}
 		default:
 			return report, fmt.Errorf("transport: unexpected frame %d awaiting task reply", t)

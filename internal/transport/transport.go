@@ -21,7 +21,10 @@
 // cost model rests on. Task-plane frames are built into reused buffers
 // (BeginFrame/EndFrame), read through pooled payload buffers
 // (FrameReader), and batched behind bufio writers with explicit flush
-// points.
+// points. Task frames are pipelined, not one per round trip: each side
+// flushes only when its next read would block, and a node whose tasks
+// take no device time keeps up to backend.LeaseSlack requests in flight
+// (runNode).
 package transport
 
 import (
