@@ -282,21 +282,34 @@ type vote struct {
 	weight int64
 }
 
+// taskState is one task's scheduling state. Submit allocates a job's
+// task states as one slab, and a task keeps its first lease and its
+// first vote inline, so a task at Replication 1 never allocates after
+// Submit; a second concurrent replica spills to outstanding and grows
+// votes onto the heap.
 type taskState struct {
 	key  taskKey
 	job  *JobHandle
 	task *workload.Task
-	// outstanding maps nodes currently leased on this task to their
-	// lease deadlines. The shard's lease heap mirrors these entries;
-	// a heap entry is live only while the deadline here still matches.
+	// The nodes currently leased on this task and their lease deadlines:
+	// the first in leaseNode/leaseAt while leased is set, the rest in
+	// outstanding (nil until a second concurrent lease). Read and write
+	// them through leaseOf, setLease, dropLease and leaseCount. The
+	// shard's lease heap mirrors these entries; a heap entry is live only
+	// while the deadline here still matches.
+	leaseNode   uint64
+	leaseAt     time.Time
 	outstanding map[uint64]time.Time
-	votes       []vote
+	// votes starts on firstVote, so the first vote is stored inline.
+	votes     []vote
+	firstVote [1]vote
 	// launched counts replica slots consumed against the MaxReplicas
 	// budget. A lease that expires is refunded (and tallied in retries
 	// instead), so only slots that can still produce a vote are charged.
 	launched   int
 	retries    int // lease-expiry re-dispatches, accounted outside the budget
 	queued     int // slots currently in the shard's ready queue
+	leased     bool
 	conflicted bool
 	done       bool
 	// credNode/credSeq and credSeqs hold the seq of the credential last
@@ -316,7 +329,7 @@ func (ts *taskState) eligible(n uint64) bool {
 	if ts.done {
 		return false
 	}
-	if _, leased := ts.outstanding[n]; leased {
+	if _, leased := ts.leaseOf(n); leased {
 		return false
 	}
 	for _, v := range ts.votes {
@@ -332,6 +345,14 @@ func (ts *taskState) eligible(n uint64) bool {
 // earlier-voted payload (accumulation order, strict >), matching the
 // unweighted tally's behavior for uniform weights.
 func (ts *taskState) tally() (best []byte, bestW int64, distinct int) {
+	if len(ts.votes) == 1 {
+		// A lone vote is its own plurality; this is the loop's result
+		// without its map, down to a zero weight leaving best unset.
+		if v := ts.votes[0]; v.weight > 0 {
+			return v.payload, v.weight, 1
+		}
+		return nil, 0, 1
+	}
 	sums := make(map[string]int64, len(ts.votes))
 	for _, v := range ts.votes {
 		k := string(v.payload)
@@ -347,6 +368,51 @@ func (ts *taskState) tally() (best []byte, bestW int64, distinct int) {
 		}
 	}
 	return best, bestW, distinct
+}
+
+// leaseOf returns node n's lease deadline, if n holds a lease.
+func (ts *taskState) leaseOf(n uint64) (time.Time, bool) {
+	if ts.leased && ts.leaseNode == n {
+		return ts.leaseAt, true
+	}
+	at, ok := ts.outstanding[n]
+	return at, ok
+}
+
+// setLease records a lease for node n, which holds none (dispatch only
+// leases an eligible node): in the inline slot if it is free, else in
+// the spill map.
+func (ts *taskState) setLease(n uint64, at time.Time) {
+	if !ts.leased {
+		ts.leaseNode, ts.leaseAt, ts.leased = n, at, true
+		return
+	}
+	if ts.outstanding == nil {
+		ts.outstanding = make(map[uint64]time.Time, 2)
+	}
+	ts.outstanding[n] = at
+}
+
+// dropLease releases node n's lease and reports whether n held one.
+func (ts *taskState) dropLease(n uint64) bool {
+	if ts.leased && ts.leaseNode == n {
+		ts.leased = false
+		return true
+	}
+	if _, held := ts.outstanding[n]; held {
+		delete(ts.outstanding, n)
+		return true
+	}
+	return false
+}
+
+// leaseCount returns the number of leases outstanding on the task.
+func (ts *taskState) leaseCount() int {
+	n := len(ts.outstanding)
+	if ts.leased {
+		n++
+	}
+	return n
 }
 
 // Backend is the job-side component.
@@ -551,28 +617,41 @@ func (b *Backend) Submit(job *workload.Job) (*JobHandle, error) {
 		Job:       job,
 		taskIndex: taskIndex,
 		submitted: b.cfg.Clock.Now(),
-		results:   make(map[int][]byte),
+		results:   make(map[int][]byte, len(job.Tasks)),
 	}
 	b.jobs[h.ID] = h
 	b.jmu.Unlock()
 
-	// Bucket tasks by shard so each stripe is locked once.
-	buckets := make([][]*taskState, len(b.shards))
-	for i := range job.Tasks {
-		ts := &taskState{
-			key:         taskKey{job: h.ID, task: job.Tasks[i].ID},
-			job:         h,
-			task:        &job.Tasks[i],
-			outstanding: make(map[uint64]time.Time),
-		}
-		si := ts.key.hash() & b.shardMask
-		buckets[si] = append(buckets[si], ts)
+	// One slab of task states per job, so Submit allocates O(1) times
+	// whatever the job's size.
+	slab := make([]taskState, len(job.Tasks))
+	end := make([]int, len(b.shards)) // per shard: its task count, then its bucket's bounds
+	for i := range slab {
+		ts := &slab[i]
+		ts.key = taskKey{job: h.ID, task: job.Tasks[i].ID}
+		ts.job, ts.task = h, &job.Tasks[i]
+		ts.votes = ts.firstVote[:0]
+		end[ts.key.hash()&b.shardMask]++
 	}
-	for si, list := range buckets {
+	// Bucket tasks by shard so each stripe is locked once: every bucket
+	// is sliced, in task order, from one array.
+	pos := 0
+	for si, n := range end {
+		end[si], pos = pos, pos+n
+	}
+	order := make([]*taskState, len(slab))
+	for i := range slab {
+		si := slab[i].key.hash() & b.shardMask
+		order[end[si]] = &slab[i]
+		end[si]++
+	}
+	lo := 0
+	for si, s := range b.shards {
+		list := order[lo:end[si]]
+		lo = end[si]
 		if len(list) == 0 {
 			continue
 		}
-		s := b.shards[si]
 		s.mu.Lock()
 		for _, ts := range list {
 			s.active[ts.key] = ts
@@ -593,7 +672,7 @@ func (b *Backend) Submit(job *workload.Job) (*JobHandle, error) {
 // current plurality to still reach quorum, within the replica budget.
 // Called with ts's shard lock held.
 func (b *Backend) slotDeficitLocked(ts *taskState) bool {
-	inFlight := len(ts.outstanding) + ts.queued
+	inFlight := ts.leaseCount() + ts.queued
 	if len(ts.votes)+inFlight < b.cfg.Replication {
 		return true
 	}
@@ -628,10 +707,10 @@ func (b *Backend) reclaimLocked(s *shard, now time.Time) {
 		if ts == nil || ts.done {
 			continue // task committed since; entry is stale
 		}
-		if dl, held := ts.outstanding[e.node]; !held || !dl.Equal(e.at) {
+		if dl, held := ts.leaseOf(e.node); !held || !dl.Equal(e.at) {
 			continue // lease was answered or re-granted since; stale
 		}
-		delete(ts.outstanding, e.node)
+		ts.dropLease(e.node)
 		ts.launched-- // refund: the slot never produced a vote
 		ts.retries++
 		b.met.retried.Inc()
@@ -678,10 +757,13 @@ func (b *Backend) emitRetrySpan(ts *taskState, node uint64, now time.Time, reque
 
 // popLocked returns the next queued slot eligible for node n, skipping
 // committed tasks (lazy removal) and preserving FIFO order for slots n
-// cannot take. Called with s.mu held.
+// cannot take. The slots it steps past collect in the shard's scratch
+// slice, which is cleared once they are pushed back, so a dispatch that
+// skips allocates nothing once the scratch has grown. Called with s.mu
+// held.
 func (s *shard) popLocked(n uint64) *taskState {
 	var out *taskState
-	var skipped []*taskState
+	skipped := s.skipped[:0]
 	for s.ready.len() > 0 {
 		ts := s.ready.popFront()
 		ts.queued--
@@ -698,18 +780,34 @@ func (s *shard) popLocked(n uint64) *taskState {
 		s.ready.pushFront(skipped[i])
 		skipped[i].queued++
 	}
+	clear(skipped) // the scratch must not keep a finished job's slab alive
+	s.skipped = skipped[:0]
 	return out
 }
 
-// HandleRequest assigns work in response to a TaskRequest. It is the
-// transport-agnostic scheduler entry: Serve adapts it to netsim
-// channels, and the TCP deployment skeleton calls it directly.
+// HandleRequest assigns work in response to a TaskRequest: a fresh
+// *TaskAssign the caller may keep, or a shared *NoTask. It is the
+// transport-agnostic scheduler entry that Serve adapts to netsim
+// channels; it is HandleRequestInto with a nil assignment.
 func (b *Backend) HandleRequest(req *TaskRequest) any {
+	return b.HandleRequestInto(req, nil)
+}
+
+// HandleRequestInto is HandleRequest writing the assignment into a,
+// which the caller owns and may reuse from one call to the next; it
+// returns a, or a shared *NoTask and leaves a as it was. Every field of
+// a is overwritten: Payload aliases the job's task input, which no one
+// may modify, and the credential is minted into a.Credential's own
+// buffer (allocated once, CredentialLen bytes), so the next call into a
+// overwrites the token. A caller that keeps a token past that call
+// copies it. A nil a draws a fresh assignment when there is work, so an
+// empty dispatch allocates nothing either way.
+func (b *Backend) HandleRequestInto(req *TaskRequest, a *TaskAssign) any {
 	if b.met.dispatchLat == nil {
-		return b.dispatch(req)
+		return b.dispatch(req, a)
 	}
 	start := b.cfg.Clock.Now()
-	reply := b.dispatch(req)
+	reply := b.dispatch(req, a)
 	elapsed := b.cfg.Clock.Now().Sub(start).Seconds()
 	if req.Trace.Valid() && req.Trace.Sampled {
 		// Exemplar: pin this latency sample's bucket to the trace that
@@ -721,7 +819,7 @@ func (b *Backend) HandleRequest(req *TaskRequest) any {
 	return reply
 }
 
-func (b *Backend) dispatch(req *TaskRequest) any {
+func (b *Backend) dispatch(req *TaskRequest, a *TaskAssign) any {
 	now := b.cfg.Clock.Now()
 	// Quarantined nodes keep polling but never receive work; the check
 	// is a single atomic load until the first quarantine happens.
@@ -742,34 +840,33 @@ func (b *Backend) dispatch(req *TaskRequest) any {
 		}
 		lease := time.Duration(ts.task.STBSeconds*LeaseSlack*float64(time.Second)) + b.cfg.LeaseBase
 		deadline := now.Add(lease)
-		ts.outstanding[req.NodeID] = deadline
+		ts.setLease(req.NodeID, deadline)
 		s.leases.push(leaseEntry{at: deadline, key: ts.key, node: req.NodeID})
 		ts.launched++
 		var payload []byte
 		if p, ok := ts.task.Payload.([]byte); ok {
 			payload = p
 		}
-		assign := &TaskAssign{
-			JobID:      ts.job.ID,
-			TaskID:     ts.task.ID,
-			RefSeconds: ts.task.STBSeconds,
-			OutputSize: ts.task.OutputBytes,
-			Payload:    payload,
+		if a == nil {
+			a = new(TaskAssign)
 		}
+		a.JobID, a.TaskID = ts.job.ID, ts.task.ID
+		a.RefSeconds, a.OutputSize = ts.task.STBSeconds, ts.task.OutputBytes
+		a.Payload, a.Credential, a.Trace = payload, a.Credential[:0], span.Context{}
 		if b.cfg.CredentialMode != CredOff {
-			assign.Credential = s.issueCredentialLocked(ts, req.NodeID, b.trust.seq.Add(1))
+			a.Credential = s.issueCredentialLocked(ts, req.NodeID, b.trust.seq.Add(1), a.Credential)
 		}
 		sp := b.cfg.Spans.Start(req.Trace, "dispatch", "backend")
 		if sp != nil {
 			sp.SetDetail("job=%d task=%d node=%d retries=%d", ts.job.ID, ts.task.ID, req.NodeID, ts.retries)
-			assign.Trace = sp.Context()
-			ts.traceCtx = assign.Trace
+			a.Trace = sp.Context()
+			ts.traceCtx = a.Trace
 		}
 		s.mu.Unlock()
 		sp.End()
 		atomic.AddInt64(&b.Assigned, 1)
 		b.met.dispatched.Inc()
-		return assign
+		return a
 	}
 	// An idle instance keeps polling: its lifetime is the Provider's
 	// decision (reset), not the Backend's. Done is only signalled while
@@ -834,8 +931,7 @@ func (b *Backend) HandleResult(res *TaskResult) {
 				// expiry, so the budget math stays sound and an honest
 				// replica can take its place.
 				b.met.credRejected.Inc()
-				if _, held := ts.outstanding[res.NodeID]; held {
-					delete(ts.outstanding, res.NodeID)
+				if ts.dropLease(res.NodeID) {
 					ts.launched--
 					ts.retries++
 					b.met.retried.Inc()
@@ -854,7 +950,7 @@ func (b *Backend) HandleResult(res *TaskResult) {
 			}
 		}
 	}
-	delete(ts.outstanding, res.NodeID) // the heap entry invalidates lazily
+	ts.dropLease(res.NodeID) // the heap entry invalidates lazily
 	for _, v := range ts.votes {
 		if v.node == res.NodeID {
 			s.mu.Unlock()
@@ -873,7 +969,7 @@ func (b *Backend) HandleResult(res *TaskResult) {
 		// Quorum not reached yet. Can the in-flight pipeline still get
 		// there, topping up with extra replicas within the budget?
 		// In-flight slots count optimistically at full weight.
-		inFlight := len(ts.outstanding) + ts.queued
+		inFlight := ts.leaseCount() + ts.queued
 		for bestW+int64(inFlight)*credFullScore < b.quorumWeight() && ts.launched+ts.queued < b.cfg.MaxReplicas {
 			s.ready.pushBack(ts)
 			ts.queued++

@@ -127,11 +127,15 @@ func (s *shard) verifyCredentialLocked(ts *taskState, res *TaskResult) credVerdi
 }
 
 // issueCredentialLocked mints the credential for one dispatch of ts to
-// node, as one CredentialLen allocation the assignment owns, and records
+// node into buf, the assignment's own buffer, emptied by the caller
+// (allocated here, CredentialLen bytes, the first time), and records
 // its seq as the node's live binding. Called with s.mu held.
-func (s *shard) issueCredentialLocked(ts *taskState, node, seq uint64) []byte {
+func (s *shard) issueCredentialLocked(ts *taskState, node, seq uint64, buf []byte) []byte {
+	if cap(buf) < CredentialLen {
+		buf = make([]byte, 0, CredentialLen)
+	}
 	ts.bindSeq(node, seq)
-	return appendCredential(make([]byte, 0, CredentialLen), s.mac, seq, node, ts.key.job, ts.key.task)
+	return appendCredential(buf, s.mac, seq, node, ts.key.job, ts.key.task)
 }
 
 // Live credential bindings of one task: which seq was last issued to

@@ -194,10 +194,9 @@ func (b *Backend) revokeLeases(node uint64) {
 	for _, s := range b.shards {
 		s.mu.Lock()
 		for _, ts := range s.active {
-			if _, held := ts.outstanding[node]; !held {
+			if !ts.dropLease(node) {
 				continue
 			}
-			delete(ts.outstanding, node)
 			ts.unbindSeq(node)
 			ts.launched--
 			ts.retries++

@@ -35,9 +35,9 @@ func budgetViolations(b *Backend) []string {
 				bad = append(bad, fmt.Sprintf("task %+v: launched+queued = %d+%d exceeds MaxReplicas %d",
 					ts.key, ts.launched, ts.queued, b.cfg.MaxReplicas))
 			}
-			if len(ts.outstanding) > ts.launched {
+			if ts.leaseCount() > ts.launched {
 				bad = append(bad, fmt.Sprintf("task %+v: %d outstanding leases exceed %d launched slots",
-					ts.key, len(ts.outstanding), ts.launched))
+					ts.key, ts.leaseCount(), ts.launched))
 			}
 		}
 		s.mu.Unlock()

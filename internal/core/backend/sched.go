@@ -44,6 +44,8 @@ type shard struct {
 	// serialises every issue and verify of this stripe's tasks.
 	mac    hash.Hash
 	macSum [sha256.Size]byte
+	// skipped is popLocked's scratch for the slots it steps past.
+	skipped []*taskState
 }
 
 // readyQueue is a ring-buffer FIFO of dispatchable task slots. Pops and

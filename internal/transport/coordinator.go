@@ -701,14 +701,16 @@ func (c *Coordinator) session(conn net.Conn) {
 		return
 	}
 
-	// Reused hot-path state: decode targets and the frame build buffer
-	// live for the whole session, so a task hand-off allocates only
-	// what the backend itself does.
+	// Reused hot-path state: decode targets, the frame build buffer and
+	// the assignment the backend writes into live for the whole session.
+	// reply encodes the assignment before the next read, so the next
+	// dispatch may overwrite it, token included.
 	var (
 		wbuf  []byte
 		req   TaskRequestMsg
 		res   TaskResultMsg
 		beReq backend.TaskRequest
+		asg   backend.TaskAssign
 	)
 	reply := func(resp any) error {
 		switch m := resp.(type) {
@@ -788,7 +790,7 @@ func (c *Coordinator) session(conn net.Conn) {
 			}
 			beReq.NodeID = req.NodeID
 			beReq.Trace = req.Trace
-			if err := reply(c.be.HandleRequest(&beReq)); err != nil {
+			if err := reply(c.be.HandleRequestInto(&beReq, &asg)); err != nil {
 				return
 			}
 		case FrameTaskResult:

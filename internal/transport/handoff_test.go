@@ -428,14 +428,15 @@ func TestTaskDecodeAllocCeilings(t *testing.T) {
 }
 
 // handoffAllocs serves one wire-level client from a loopback coordinator
-// carrying spans, and reports what one hand-off — the assignment read,
-// then its result and the next request in one write, runNode's cadence
-// for a task that outlasts the round trip — allocates across the whole
+// carrying spans and issuing credentials per mode, and reports what one
+// hand-off — the assignment read, then its result (echoing the
+// credential) and the next request in one write, runNode's cadence for
+// a task that outlasts the round trip — allocates across the whole
 // process, both ends included.
-func handoffAllocs(t *testing.T, spans *span.Collector) float64 {
+func handoffAllocs(t *testing.T, spans *span.Collector, mode backend.CredentialMode) float64 {
 	t.Helper()
 	const runs = 300
-	coord := serveCoordinator(t, CoordinatorConfig{Image: testImage(), Spans: spans})
+	coord := serveCoordinator(t, CoordinatorConfig{Image: testImage(), Spans: spans, CredentialMode: mode})
 	// One warm-up hand-off here, one inside AllocsPerRun, and the last
 	// request still draws an assignment.
 	if _, err := coord.Submit(testJob(t, runs+3)); err != nil {
@@ -463,7 +464,7 @@ func handoffAllocs(t *testing.T, spans *span.Collector) float64 {
 		}
 		if err == nil {
 			wbuf = BeginFrame(wbuf[:0], FrameTaskResult)
-			wbuf = AppendTaskResult(wbuf, &TaskResultMsg{NodeID: 1, JobID: assign.JobID, TaskID: assign.TaskID})
+			wbuf = AppendTaskResult(wbuf, &TaskResultMsg{NodeID: 1, JobID: assign.JobID, TaskID: assign.TaskID, Cred: assign.Cred})
 			wbuf, err = EndFrame(wbuf, 0)
 		}
 		if err == nil {
@@ -475,17 +476,36 @@ func handoffAllocs(t *testing.T, spans *span.Collector) float64 {
 		}
 	}
 	handoff()
-	return testing.AllocsPerRun(runs, handoff)
+	allocs := testing.AllocsPerRun(runs, handoff)
+	if mode != backend.CredOff && len(assign.Cred) != backend.CredentialLen {
+		t.Fatalf("assignment carried a %d-byte credential", len(assign.Cred))
+	}
+	if got := atomic.LoadInt64(&coord.be.Completed); got < runs {
+		t.Fatalf("%d of %d hand-offs committed", got, runs)
+	}
+	return allocs
 }
 
 // TestSampledOffTracingAllocatesNothing: a coordinator whose collector
 // loses every head-based draw pays for tracing in nil checks alone, so a
 // hand-off against it allocates no more than one with no collector.
 func TestSampledOffTracingAllocatesNothing(t *testing.T) {
-	untraced := handoffAllocs(t, nil)
-	off := handoffAllocs(t, span.NewCollector(span.Config{Capacity: 4096, SampleRate: -1}))
+	untraced := handoffAllocs(t, nil, backend.CredOff)
+	off := handoffAllocs(t, span.NewCollector(span.Config{Capacity: 4096, SampleRate: -1}), backend.CredOff)
 	if off > untraced {
 		t.Fatalf("sampled-off hand-off allocates %.0f times, untraced %.0f", off, untraced)
+	}
+}
+
+// TestLoopbackHandoffAllocatesNothing: a whole hand-off over loopback —
+// both ends' codecs, the backend's dispatch into the session's reused
+// assignment, the credential's issue and verify, and the commit —
+// allocates nothing anywhere in the process.
+func TestLoopbackHandoffAllocatesNothing(t *testing.T) {
+	for _, mode := range []backend.CredentialMode{backend.CredOff, backend.CredEnforce} {
+		if got := handoffAllocs(t, nil, mode); got != 0 {
+			t.Errorf("credential mode %d: a loopback hand-off allocates %.0f times", mode, got)
+		}
 	}
 }
 
