@@ -178,7 +178,7 @@ func main() {
 	case <-done:
 		ms, _ := h.Makespan()
 		fmt.Printf("job complete: makespan %.1fs, %d results, %d heartbeats seen, %d nodes\n",
-			ms.Seconds(), len(h.Results()), coord.HeartbeatCount(), coord.NodeCount())
+			ms.Seconds(), len(h.Results()), coord.Controller().HeartbeatsSeen(), coord.NodeCount())
 		coord.Drain(10 * time.Second) // let nodes poll once more and go home
 	case <-time.After(*jobTimeout):
 		fmt.Fprintln(os.Stderr, "timed out waiting for the job")

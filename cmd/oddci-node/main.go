@@ -56,6 +56,10 @@ func main() {
 		fmt.Printf("node %d: did not join (requirements or probability gate)\n", *id)
 		return
 	}
-	fmt.Printf("node %d: done — %d tasks executed, %d heartbeats sent\n",
-		*id, report.TasksDone, report.Heartbeats)
+	end := "done"
+	if report.Reset {
+		end = "reset by the controller"
+	}
+	fmt.Printf("node %d: %s — %d tasks executed, %d heartbeats sent\n",
+		*id, end, report.TasksDone, report.Heartbeats)
 }

@@ -14,6 +14,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"oddci/internal/experiments"
 )
@@ -62,10 +63,13 @@ func TestBinaries(t *testing.T) {
 		}
 	})
 
+	stateDir := t.TempDir()
 	t.Run("coordinator and node complete a job", func(t *testing.T) {
+		// 50 ms tasks and a 10 ms heartbeat at the node's -timescale 100,
+		// so the node reports while the job runs.
 		coord := exec.Command(filepath.Join(bin, "oddci-coordinator"),
-			"-listen", "127.0.0.1:0", "-metrics", "127.0.0.1:0",
-			"-tasks", "4", "-task-seconds", "0.01", "-timeout", "1m")
+			"-listen", "127.0.0.1:0", "-metrics", "127.0.0.1:0", "-state-dir", stateDir,
+			"-tasks", "4", "-task-seconds", "5", "-heartbeat", "1s", "-timeout", "1m")
 		stdout, err := coord.StdoutPipe()
 		if err != nil {
 			t.Fatal(err)
@@ -113,9 +117,38 @@ func TestBinaries(t *testing.T) {
 				t.Fatalf("GET %s = %d, want 200 naming %q:\n%s", path, resp.StatusCode, want, body)
 			}
 		}
-		node := run(t, "oddci-node", "-addr", addr, "-timescale", "100", "-controller-key", key)
-		if !strings.Contains(node, "4 tasks executed") {
-			t.Fatalf("node output:\n%s", node)
+		var node bytes.Buffer
+		nodeCmd := exec.Command(filepath.Join(bin, "oddci-node"), "-addr", addr, "-timescale", "100", "-controller-key", key)
+		nodeCmd.Stdout = &node
+		if err := nodeCmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		// The node's heartbeats reach the coordinator's Controller while
+		// the job runs: /metrics counts them.
+		beats := regexp.MustCompile(`(?m)^oddci_controller_heartbeats_total ([0-9.e+]+)$`)
+		for deadline := time.Now().Add(20 * time.Second); ; time.Sleep(2 * time.Millisecond) {
+			resp, err := http.Get(telemetry + "/metrics")
+			if err != nil {
+				t.Fatalf("GET /metrics before a heartbeat was counted: %v", err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			m := beats.FindSubmatch(body)
+			if m == nil {
+				t.Fatalf("/metrics carries no oddci_controller_heartbeats_total:\n%s", body)
+			}
+			if n, _ := strconv.ParseFloat(string(m[1]), 64); n > 0 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("no heartbeat reached the controller")
+			}
+		}
+		if err := nodeCmd.Wait(); err != nil {
+			t.Fatalf("oddci-node: %v\n%s", err, node.Bytes())
+		}
+		if !strings.Contains(node.String(), "4 tasks executed") {
+			t.Fatalf("node output:\n%s", node.Bytes())
 		}
 		for lines.Scan() {
 			rest += lines.Text() + "\n"
@@ -125,6 +158,35 @@ func TestBinaries(t *testing.T) {
 		}
 		if !strings.Contains(rest, "job complete") || !strings.Contains(rest, " 4 results") {
 			t.Fatalf("coordinator output after the node's run:\n%s", rest)
+		}
+	})
+
+	t.Run("coordinator resumes from its state dir", func(t *testing.T) {
+		coord := exec.Command(filepath.Join(bin, "oddci-coordinator"),
+			"-listen", "127.0.0.1:0", "-state-dir", stateDir, "-timeout", "1m")
+		stdout, err := coord.StdoutPipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := coord.Start(); err != nil {
+			t.Fatal(err)
+		}
+		defer func() {
+			coord.Process.Kill()
+			coord.Wait()
+		}()
+		// The first run created the instance at seq 1; this one recomposes
+		// it under the next sequence before it listens.
+		want := "recovered state from " + stateDir + ": resuming at wakeup seq 2"
+		var out string
+		for lines := bufio.NewScanner(stdout); lines.Scan(); {
+			out += lines.Text() + "\n"
+			if strings.HasPrefix(lines.Text(), "oddci-coordinator listening on ") {
+				break
+			}
+		}
+		if !strings.Contains(out, want) {
+			t.Fatalf("second run on the state dir printed:\n%s\nwant a line %q", out, want)
 		}
 	})
 }

@@ -28,7 +28,6 @@ import (
 	"oddci/internal/dsmcc"
 	"oddci/internal/journal"
 	"oddci/internal/middleware"
-	"oddci/internal/netsim"
 	"oddci/internal/obs"
 	"oddci/internal/simtime"
 	"oddci/internal/span"
@@ -36,8 +35,9 @@ import (
 
 // HeadEnd is the transmitter-side view of any cyclic file-broadcast
 // service the Controller can manage content on: the playout engine
-// (dsmcc.Broadcaster, over a DSM-CC or a flute layout) or a wrapper
-// that injects faults or resumes one already cycling.
+// (dsmcc.Broadcaster, over a DSM-CC or a flute layout), a wrapper that
+// injects faults or resumes one already cycling, or the TCP coordinator
+// (transport.Coordinator), which pushes the same files to its sessions.
 type HeadEnd interface {
 	// Start begins cycling the initial contents.
 	Start(files []dsmcc.File) error
@@ -49,7 +49,10 @@ type HeadEnd interface {
 type Config struct {
 	Clock       simtime.Clock
 	Broadcaster HeadEnd
-	Signalling  *middleware.Signalling
+	// Signalling, if set, carries the AIT that announces the PNA. A head-end
+	// with no AIT (the TCP coordinator, whose banner announces the
+	// application) leaves it nil.
+	Signalling *middleware.Signalling
 	// Key signs broadcast control messages.
 	Key ed25519.PrivateKey
 	// OrgID identifies the broadcaster in AIT entries.
@@ -80,12 +83,6 @@ type Config struct {
 	// OnWakeup, if set, observes every wakeup broadcast (initial and
 	// recompositions): the federation driver recruits from it.
 	OnWakeup func(id instance.ID, seq uint32, probability float64)
-	// OnImageUpdate, if set, observes Recompose image replacements after
-	// they commit — the hook that lets a TCP coordinator ride the same
-	// update onto its chunk plane (Coordinator.UpdateImage). Like
-	// OnWakeup it runs with the Controller lock held and must not call
-	// back into the Controller.
-	OnImageUpdate func(id instance.ID, img *appimage.Image)
 	// Obs, if set, receives live telemetry (oddci_controller_* metrics)
 	// and the carousel-refresh / heartbeat-silence health checks. Hot
 	// paths touch only pre-created handles via atomics.
@@ -99,7 +96,7 @@ type Config struct {
 	// instance's latest wakeup trace: the ordered record /timeline
 	// renders. The oddci_controller_*_total counters say how many.
 	Spans *span.Collector
-	// Rng seeds sequence jitter; required.
+	// Rng is unused: nothing in the Controller draws randomness.
 	Rng *rand.Rand
 	// Journal, if set, makes the control plane durable: lifecycle
 	// mutations (create/resize/recompose/destroy/gc) are appended as
@@ -111,14 +108,11 @@ type Config struct {
 }
 
 func (c *Config) fill() error {
-	if c.Clock == nil || c.Broadcaster == nil || c.Signalling == nil {
-		return errors.New("controller: clock, broadcaster and signalling are required")
+	if c.Clock == nil || c.Broadcaster == nil {
+		return errors.New("controller: clock and broadcaster are required")
 	}
 	if len(c.Key) == 0 {
 		return errors.New("controller: signing key is required")
-	}
-	if c.Rng == nil {
-		return errors.New("controller: rng is required")
 	}
 	if c.MaintenancePeriod <= 0 {
 		c.MaintenancePeriod = time.Minute
@@ -193,9 +187,11 @@ type InstanceSpec struct {
 
 // InstanceStatus is the consolidated view passed to the Provider.
 type InstanceStatus struct {
-	ID       instance.ID
-	Target   int
-	Busy     int
+	ID     instance.ID
+	Target int
+	Busy   int
+	// Seq is the sequence number of the instance's envelope on air.
+	Seq      uint32
 	Wakeups  int // wakeup broadcasts sent (1 + recompositions)
 	Resets   int
 	Trimming int // pending reset commands for excess nodes
@@ -548,12 +544,21 @@ func journalRecordLocked(st *instState) journal.InstanceRecord {
 	return rec
 }
 
-// journalAppendLocked persists one lifecycle mutation. Append errors do
-// not fail the control plane — the store latches the error into Err and
-// the journal-stalled health check, and the operator decides.
+// journalAppendLocked persists one lifecycle mutation, then compacts
+// once the journal outgrows its threshold: the current tables become the
+// snapshot and the journal resets, bounding replay time and disk growth.
+// Every append checks, because OpCreate and OpRecompose records carry a
+// whole image. Append and compaction errors do not fail the control
+// plane — the store latches the error into Err and the journal-stalled
+// health check, and the operator decides.
 func (c *Controller) journalAppendLocked(r journal.Record) {
-	if c.cfg.Journal != nil {
-		_ = c.cfg.Journal.Append(r)
+	j := c.cfg.Journal
+	if j == nil {
+		return
+	}
+	_ = j.Append(r)
+	if j.NeedsCompaction() {
+		_ = j.Compact(c.durableStateLocked())
 	}
 }
 
@@ -641,7 +646,7 @@ func (c *Controller) scheduleMaintenanceLocked() {
 func (c *Controller) carouselFilesLocked() []dsmcc.File {
 	files := []dsmcc.File{
 		{Name: PNAClassFile, Data: pnaXlet},
-		{Name: pnaConfigFile, Data: c.controlFileLocked()},
+		{Name: ControlFile, Data: c.controlFileLocked()},
 	}
 	for _, st := range c.orderedLocked() {
 		if !st.destroyed {
@@ -651,7 +656,9 @@ func (c *Controller) carouselFilesLocked() []dsmcc.File {
 	return files
 }
 
-const pnaConfigFile = "oddci.config"
+// ControlFile names the signed control file on the carousel: the
+// concatenated wakeup and reset envelopes.
+const ControlFile = "oddci.config"
 
 func (c *Controller) orderedLocked() []*instState {
 	out := make([]*instState, 0, len(c.order))
@@ -688,6 +695,9 @@ func (c *Controller) controlFileLocked() []byte {
 }
 
 func (c *Controller) publishAITLocked() error {
+	if c.cfg.Signalling == nil {
+		return nil
+	}
 	c.aitVersion = (c.aitVersion + 1) & 0x1F
 	table := &ait.AIT{
 		Type:    ait.TypeDVBJ,
@@ -1029,12 +1039,14 @@ func (c *Controller) Resize(id instance.ID, target int) error {
 }
 
 // Recompose replaces a live instance's application image in place. The
-// new image is encoded once, the wakeup envelope re-airs at seq+1 with
-// the new digest and probability zero — members ride the carousel (or,
-// via Config.OnImageUpdate, the TCP coordinator's chunk plane) to
-// the new content, while idle nodes never roll against the bump — and
-// the journal records the replacement so a recovered Controller
-// re-enters the carousel with the new image. Like DestroyInstance the
+// new image is encoded once and the wakeup envelope re-airs at seq+1
+// with the new digest; members ride the head-end (the carousel, or the
+// TCP coordinator's chunk plane) to the new content. At or above target
+// the wakeup airs probability zero, so idle nodes never roll against the
+// bump; below target it keeps the last wakeup's probability, so a node
+// that first hears the instance now still joins. The journal records
+// the replacement, probability included, so a recovered Controller
+// re-enters the head-end with the new image. Like DestroyInstance the
 // mutation commits even when the head-end update fails; the refresh
 // retries with backoff.
 func (c *Controller) Recompose(id instance.ID, img *appimage.Image) error {
@@ -1067,22 +1079,22 @@ func (c *Controller) Recompose(id instance.ID, img *appimage.Image) error {
 	st.wakeups++
 	w := *st.lastWakeup
 	w.Seq = st.seq
-	w.Probability = 0 // content update, not a recruitment round
+	if len(st.members) >= st.spec.Target {
+		w.Probability = 0 // a content update, not a recruitment round
+	}
 	w.ImageDigest = digest
 	st.lastWakeup = &w
 	c.journalAppendLocked(journal.Record{Op: journal.OpRecompose, Inst: journal.InstanceRecord{
-		ID:      uint64(id),
-		Seq:     st.seq,
-		Wakeups: uint32(st.wakeups),
-		Image:   imageRaw,
+		ID:          uint64(id),
+		Seq:         st.seq,
+		Wakeups:     uint32(st.wakeups),
+		Probability: w.Probability,
+		Image:       imageRaw,
 	}})
 	c.met.imageUpdates.Inc()
 	c.met.wakeups.Inc()
-	c.wakeupSpanLocked(st, 0)
+	c.wakeupSpanLocked(st, w.Probability)
 	c.requestRefreshLocked()
-	if c.cfg.OnImageUpdate != nil {
-		c.cfg.OnImageUpdate(id, img)
-	}
 	return nil
 }
 
@@ -1137,6 +1149,7 @@ func (c *Controller) Status(id instance.ID) (InstanceStatus, error) {
 	if st.destroyed {
 		return InstanceStatus{
 			ID:        id,
+			Seq:       st.seq,
 			Wakeups:   st.wakeups,
 			Resets:    st.resets,
 			Destroyed: true,
@@ -1146,6 +1159,7 @@ func (c *Controller) Status(id instance.ID) (InstanceStatus, error) {
 		ID:       id,
 		Target:   st.spec.Target,
 		Busy:     len(st.members),
+		Seq:      st.seq,
 		Wakeups:  st.wakeups,
 		Resets:   st.resets,
 		Trimming: st.trimPending,
@@ -1289,40 +1303,29 @@ func (c *Controller) maintain() {
 	if refresh || c.refreshPending {
 		c.requestRefreshLocked()
 	}
-	// Compact once the journal outgrows its threshold: snapshot the
-	// current tables and reset the journal, bounding both replay time
-	// and disk growth under sustained churn.
-	if c.cfg.Journal != nil && c.cfg.Journal.NeedsCompaction() {
-		_ = c.cfg.Journal.Compact(c.durableStateLocked())
-	}
 	c.mu.Unlock()
 }
 
-// ServeNode runs the heartbeat session for one node's direct channel.
-// The system wiring spawns one per device.
-func (c *Controller) ServeNode(ep *netsim.Endpoint) {
-	for {
-		pkt, err := ep.Recv()
-		if err != nil {
-			return
-		}
-		raw, ok := pkt.Payload.([]byte)
-		if !ok {
-			continue
-		}
-		hb, err := control.DecodeHeartbeat(raw)
-		if err != nil {
-			continue
-		}
-		reply := c.HandleHeartbeat(hb)
-		ep.Send(pkt.From, control.EncodeHeartbeatReply(reply), control.HeartbeatReplyWireSize)
+// noNews is the reply to a heartbeat that needs no command and no new
+// period — almost every one. It is shared, so callers must not modify a
+// reply.
+var noNews = &control.HeartbeatReply{Command: control.CmdNone}
+
+// replyOf returns the shared noNews reply unless cmd or period carries
+// something, and only then allocates.
+func replyOf(cmd control.Command, period time.Duration) *control.HeartbeatReply {
+	if cmd == control.CmdNone && period == 0 {
+		return noNews
 	}
+	return &control.HeartbeatReply{Command: cmd, Period: period}
 }
 
-// HandleHeartbeat consolidates one report and decides the reply. It is
-// the hot path behind ServeNode, exported for load benchmarks. Idle
-// heartbeats (the bulk at scale) touch only the node's shard; busy ones
-// additionally take the instance table. Shard locks are never held
+// HandleHeartbeat consolidates one report and decides the reply, which
+// is read-only: a reply with no news is one value shared by every call.
+// It is the hot path behind every heartbeat sink: the system's node
+// channels, the federation driver and the TCP coordinator's sessions.
+// Idle heartbeats (the bulk at scale) touch only the node's shard; busy
+// ones additionally take the instance table. Shard locks are never held
 // while acquiring c.mu.
 func (c *Controller) HandleHeartbeat(hb *control.Heartbeat) *control.HeartbeatReply {
 	c.heartbeatsSeen.Add(1)
@@ -1360,7 +1363,7 @@ func (c *Controller) HandleHeartbeat(hb *control.Heartbeat) *control.HeartbeatRe
 	ni.profile = hb.Profile
 	ni.lastSeen = now
 
-	reply := &control.HeartbeatReply{Command: control.CmdNone}
+	var period time.Duration
 	if hb.State == control.StateIdle && c.cfg.TargetHeartbeatRate > 0 {
 		// Back-pressure: spread the *idle* population's reports over
 		// the target rate. Busy nodes keep their instance's period and
@@ -1370,7 +1373,7 @@ func (c *Controller) HandleHeartbeat(hb *control.Heartbeat) *control.HeartbeatRe
 		desired = min(max(desired, MinHeartbeatPeriod), MaxHeartbeatPeriod)
 		cur := ni.hbPeriod
 		if cur <= 0 || relDiff(cur, desired) > 0.2 {
-			reply.Period = desired
+			period = desired
 			ni.hbPeriod = desired
 			c.met.hbPeriod.Set(desired.Seconds())
 		}
@@ -1378,7 +1381,7 @@ func (c *Controller) HandleHeartbeat(hb *control.Heartbeat) *control.HeartbeatRe
 	sh.mu.Unlock()
 
 	if oldInstance == hb.InstanceID && hb.State != control.StateBusy {
-		return reply // pure idle refresh: no instance bookkeeping
+		return replyOf(control.CmdNone, period) // pure idle refresh: no instance bookkeeping
 	}
 
 	c.mu.Lock()
@@ -1388,6 +1391,7 @@ func (c *Controller) HandleHeartbeat(hb *control.Heartbeat) *control.HeartbeatRe
 			delete(old.members, hb.NodeID)
 		}
 	}
+	cmd := control.CmdNone
 	var trimmed bool
 	var instancePeriod time.Duration
 	if hb.State == control.StateBusy {
@@ -1395,7 +1399,7 @@ func (c *Controller) HandleHeartbeat(hb *control.Heartbeat) *control.HeartbeatRe
 		switch {
 		case !ok || st.destroyed:
 			// Stray member of a dismantled instance: reset it.
-			reply.Command = control.CmdReset
+			cmd = control.CmdReset
 			c.met.resetsSent.Inc()
 			if ok {
 				st.resets++
@@ -1405,7 +1409,7 @@ func (c *Controller) HandleHeartbeat(hb *control.Heartbeat) *control.HeartbeatRe
 			st.resets++
 			delete(st.members, hb.NodeID)
 			trimmed = true
-			reply.Command = control.CmdReset
+			cmd = control.CmdReset
 			c.met.resetsSent.Inc()
 			c.met.trims.Inc()
 			// A trim hangs under the wakeup that overshot, so the
@@ -1442,7 +1446,7 @@ func (c *Controller) HandleHeartbeat(hb *control.Heartbeat) *control.HeartbeatRe
 		}
 		sh.mu.Unlock()
 	}
-	return reply
+	return replyOf(cmd, period)
 }
 
 // DumpState renders the durable control-plane state as deterministic

@@ -408,3 +408,33 @@ func TestConcurrentHeartbeatsRaceStress(t *testing.T) {
 	r.ctrl.Stop()
 	r.clk.Wait()
 }
+
+// TestHeartbeatReplyAllocatesNothing: a heartbeat with no news for its
+// node — a busy member reporting again, an idle node refreshing — is
+// answered with the shared read-only reply, so consolidating it makes
+// no heap object. A reply that carries a command still works.
+func TestHeartbeatReplyAllocatesNothing(t *testing.T) {
+	r := newRig(t)
+	defer r.ctrl.Stop()
+	id, err := r.ctrl.CreateInstance(InstanceSpec{Image: testImage(t), Target: 1, InitialProbability: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	busy := &control.Heartbeat{NodeID: 1, State: control.StateBusy, InstanceID: id, Profile: stbProfile(), SentAt: r.clk.Now()}
+	idle := &control.Heartbeat{NodeID: 2, State: control.StateIdle, Profile: stbProfile(), SentAt: r.clk.Now()}
+	for name, hb := range map[string]*control.Heartbeat{"busy": busy, "idle": idle} {
+		r.ctrl.HandleHeartbeat(hb) // first report: the node's table entry
+		if n := testing.AllocsPerRun(100, func() { r.ctrl.HandleHeartbeat(hb) }); n != 0 {
+			t.Errorf("repeated %s heartbeat: %v allocations, want 0", name, n)
+		}
+		if got := r.ctrl.HandleHeartbeat(hb); *got != (control.HeartbeatReply{Command: control.CmdNone}) {
+			t.Errorf("repeated %s heartbeat got %+v, want no news", name, got)
+		}
+	}
+	if err := r.ctrl.Resize(id, 0); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.ctrl.HandleHeartbeat(busy); got.Command != control.CmdReset {
+		t.Fatalf("trimmed member got %+v, want a reset", got)
+	}
+}

@@ -15,26 +15,16 @@ import (
 )
 
 // Recompose replaces an instance's image in place: busy members keep
-// working (carried by the OnImageUpdate hook downstream), idle nodes
-// never roll against the bump (probability 0), and the sequence
-// advances so receivers re-evaluate.
+// working, idle nodes never roll against the bump of an instance at
+// target (probability 0), and the sequence advances so receivers
+// re-evaluate.
 func TestRecomposeSemantics(t *testing.T) {
-	var hook []struct {
-		id  instance.ID
-		img *appimage.Image
-	}
 	type wake struct {
 		seq  uint32
 		prob float64
 	}
 	var wakes []wake
 	r := newRigWith(t, nil, func(cfg *Config) {
-		cfg.OnImageUpdate = func(id instance.ID, img *appimage.Image) {
-			hook = append(hook, struct {
-				id  instance.ID
-				img *appimage.Image
-			}{id, img})
-		}
 		cfg.OnWakeup = func(_ instance.ID, seq uint32, prob float64) {
 			wakes = append(wakes, wake{seq, prob})
 		}
@@ -68,8 +58,9 @@ func TestRecomposeSemantics(t *testing.T) {
 	if err := r.ctrl.Recompose(id, img2); err != nil {
 		t.Fatal(err)
 	}
-	if len(hook) != 1 || hook[0].id != id || hook[0].img != img2 {
-		t.Fatalf("OnImageUpdate saw %+v, want one call for instance %d", hook, id)
+	r.advance(time.Second) // commit the carousel update
+	if w := onAirWakeup(t, r); w.Seq != 2 || w.Probability != 0 {
+		t.Fatalf("on-air wakeup seq=%d p=%v after recomposing an instance at target, want 2/0", w.Seq, w.Probability)
 	}
 	st, err := r.ctrl.Status(id)
 	if err != nil {
@@ -189,4 +180,110 @@ func TestRecompositionWakeupAdvancesSeq(t *testing.T) {
 	if want := aired[1:]; !slices.Equal(journaled, want) {
 		t.Fatalf("journaled recompose seqs = %v, aired %v", journaled, want)
 	}
+}
+
+// onAirWakeup opens the committed control file and returns its one
+// wakeup.
+func onAirWakeup(t *testing.T, r *rig) *control.Wakeup {
+	t.Helper()
+	msgs, err := control.OpenAll(r.currentControlFile(t), r.pub)
+	if err != nil || len(msgs) != 1 {
+		t.Fatalf("control file: %d messages, err %v", len(msgs), err)
+	}
+	w, ok := msgs[0].(*control.Wakeup)
+	if !ok {
+		t.Fatalf("on-air message %T, want a wakeup", msgs[0])
+	}
+	return w
+}
+
+// TestRecomposeBelowTargetKeepsProbability: an instance short of its
+// target keeps recruiting through a recomposition — the new wakeup airs
+// the last one's probability, not 0, so a node that first hears the
+// instance after the update still rolls against it — and the journal
+// records that probability, so a replay of the state dir equals the
+// live state.
+func TestRecomposeBelowTargetKeepsProbability(t *testing.T) {
+	dir := t.TempDir()
+	r1, s1 := journaledRig(t, dir, nil, journal.Options{})
+	id, err := r1.ctrl.CreateInstance(InstanceSpec{Image: testImage(t), Target: 4, InitialProbability: 0.75})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1.heartbeatBusy(1, id) // one member of four
+	img2 := testImage(t)
+	img2.Version = 2
+	if err := r1.ctrl.Recompose(id, img2); err != nil {
+		t.Fatal(err)
+	}
+	r1.advance(time.Second)
+	if w := onAirWakeup(t, r1); w.Seq != 2 || w.Probability != 0.75 {
+		t.Fatalf("on-air wakeup seq=%d p=%v below target, want 2/0.75", w.Seq, w.Probability)
+	}
+	want := r1.ctrl.DumpState()
+	r1.ctrl.Stop()
+	s1.Close()
+
+	r2, _ := journaledRig(t, dir, nil, journal.Options{})
+	defer r2.ctrl.Stop()
+	if got := r2.ctrl.DumpState(); got != want {
+		t.Fatalf("replay diverged from live:\n--- live ---\n%s--- replayed ---\n%s", want, got)
+	}
+}
+
+// TestJournalBoundedUnderImageRecords: every Recompose journals a whole
+// image, and no maintenance pass runs here, so only the append path can
+// compact. 64 replacements of a 1 MiB image must leave the state dir
+// under 3 MiB (the snapshot plus at most a snapshot's worth of journal),
+// and the replayed state must equal the live one.
+func TestJournalBoundedUnderImageRecords(t *testing.T) {
+	dir := t.TempDir()
+	r1, s1 := journaledRig(t, dir, nil, journal.Options{})
+	big := func(v uint32) *appimage.Image {
+		img := &appimage.Image{Name: "big", Version: v, EntryPoint: "e", Payload: make([]byte, 1<<20)}
+		img.Payload[0] = byte(v)
+		return img
+	}
+	id, err := r1.ctrl.CreateInstance(InstanceSpec{Image: big(1), Target: 1, InitialProbability: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for v := uint32(2); v <= 65; v++ {
+		if err := r1.ctrl.Recompose(id, big(v)); err != nil {
+			t.Fatal(err)
+		}
+		if size := dirBytes(t, dir); size >= 3<<20 {
+			t.Fatalf("state dir holds %d bytes after %d recompositions, want under 3 MiB", size, v-1)
+		}
+	}
+	if err := s1.Err(); err != nil {
+		t.Fatal(err)
+	}
+	want := r1.ctrl.DumpState()
+	r1.ctrl.Stop()
+	s1.Close()
+
+	r2, _ := journaledRig(t, dir, nil, journal.Options{})
+	defer r2.ctrl.Stop()
+	if got := r2.ctrl.DumpState(); got != want {
+		t.Fatalf("replay diverged from live:\n--- live ---\n%s--- replayed ---\n%s", want, got)
+	}
+}
+
+// dirBytes sums the sizes of the regular files in dir.
+func dirBytes(t *testing.T, dir string) int64 {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var n int64
+	for _, e := range entries {
+		info, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		n += info.Size()
+	}
+	return n
 }

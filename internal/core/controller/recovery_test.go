@@ -197,8 +197,8 @@ func TestRecoveredAdoptionGrace(t *testing.T) {
 // state to match the pre-crash dump byte for byte.
 func TestRecoveryFromCompactedSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	// CompactEvery=1 arms compaction immediately; the next maintenance
-	// pass folds the journal into the snapshot.
+	// CompactEvery=1 arms compaction on the first append, which folds the
+	// journal into the snapshot.
 	r1, s1 := journaledRig(t, dir, nil, journal.Options{CompactEvery: 1})
 	if _, err := r1.ctrl.CreateInstance(InstanceSpec{
 		Image: testImage(t), Target: 4, InitialProbability: 0.25,
@@ -208,7 +208,7 @@ func TestRecoveryFromCompactedSnapshot(t *testing.T) {
 	}
 	r1.advance(35 * time.Second)
 	if s1.NeedsCompaction() {
-		t.Fatal("maintenance should have compacted the journal")
+		t.Fatal("the create's append should have compacted the journal")
 	}
 	want := r1.ctrl.DumpState()
 	s1.Close()

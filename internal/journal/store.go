@@ -25,7 +25,8 @@ const (
 // Options tunes a Store.
 type Options struct {
 	// CompactEvery is the journal record count that arms compaction
-	// (default 256). NeedsCompaction reports true at or beyond it.
+	// (default 256). NeedsCompaction reports true at or beyond it, and
+	// also once the journal holds more bytes than the last snapshot.
 	CompactEvery int
 	// NoSync skips the fsync after each append. Tests use it; a real
 	// coordinator should not.
@@ -49,12 +50,17 @@ type Store struct {
 	dir  string
 	opts Options
 
-	mu       sync.Mutex
-	f        *os.File
-	recs     int   // journal records since last compaction
-	appended int64 // bytes appended this session (telemetry)
-	lastErr  error
-	closed   bool
+	mu      sync.Mutex
+	f       *os.File
+	recs    int // journal records since last compaction
+	lastErr error
+	closed  bool
+
+	// baseBytes is the state the journal is measured against: the last
+	// snapshot loaded or written or, on a store without one, the first
+	// record appended, which a snapshot would hold too. recBytes counts
+	// the journal bytes beyond it.
+	baseBytes, recBytes int64
 
 	appends     *obs.Counter
 	bytes       *obs.Counter
@@ -138,7 +144,9 @@ func (s *Store) instrument(reg *obs.Registry) {
 func (s *Store) Load() (*State, error) {
 	start := s.opts.Clock.Now()
 	var snap *Snapshot
+	var snapBytes int64
 	if b, err := os.ReadFile(filepath.Join(s.dir, snapshotFile)); err == nil {
+		snapBytes = int64(len(b))
 		snap, err = DecodeSnapshot(b)
 		if err != nil {
 			return nil, err
@@ -156,7 +164,7 @@ func (s *Store) Load() (*State, error) {
 	}
 	st := Replay(snap, recs)
 	s.mu.Lock()
-	s.recs = len(recs)
+	s.recs, s.recBytes, s.baseBytes = len(recs), int64(max(len(jb)-len(JournalHeader()), 0)), snapBytes
 	s.mu.Unlock()
 	if s.replayed != nil {
 		s.replayed.Add(int64(len(recs)))
@@ -189,7 +197,11 @@ func (s *Store) Append(r Record) error {
 		}
 	}
 	s.recs++
-	s.appended += int64(len(frame))
+	if s.baseBytes == 0 {
+		s.baseBytes = int64(len(frame))
+	} else {
+		s.recBytes += int64(len(frame))
+	}
 	if s.appends != nil {
 		s.appends.Inc()
 		s.bytes.Add(int64(len(frame)))
@@ -198,11 +210,15 @@ func (s *Store) Append(r Record) error {
 }
 
 // NeedsCompaction reports whether the journal has grown past the
-// compaction threshold.
+// compaction threshold: CompactEvery records, or more bytes beyond the
+// last snapshot than the snapshot holds (on a store without one, beyond
+// the first record than that record holds). The byte rule bounds a
+// state dir that records whole images to about twice the live state,
+// however many are replaced, and never rewrites a lone record.
 func (s *Store) NeedsCompaction() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.recs >= s.opts.CompactEvery
+	return s.recs >= s.opts.CompactEvery || s.recBytes > s.baseBytes
 }
 
 // Compact atomically replaces the snapshot with st's image and resets
@@ -243,7 +259,7 @@ func (s *Store) Compact(st *State) error {
 			s.fsyncs.Inc()
 		}
 	}
-	s.recs = 0
+	s.recs, s.recBytes, s.baseBytes = 0, 0, int64(len(b))
 	if s.compactions != nil {
 		s.compactions.Inc()
 	}

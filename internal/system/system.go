@@ -407,8 +407,7 @@ func (f *faultyHeadEnd) Update(files []dsmcc.File) error {
 }
 
 // serveController is the head-end side of every node's direct channel.
-// Unlike binding Controller.ServeNode at dial time, it resolves the
-// current Controller per message, so node sessions survive a controller
+// It resolves the current Controller per message, so node sessions survive a controller
 // crash: while crashed, heartbeats simply go unanswered (the PNA's
 // RecvTimeout tolerates missing replies), and after a restart the same
 // sessions feed the recovered Controller — re-adoption, not re-waking.

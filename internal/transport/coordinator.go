@@ -4,9 +4,11 @@ import (
 	"bufio"
 	"crypto/ed25519"
 	"crypto/rand"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -15,7 +17,9 @@ import (
 	"oddci/internal/appimage"
 	"oddci/internal/control"
 	"oddci/internal/core/backend"
+	"oddci/internal/core/controller"
 	"oddci/internal/core/instance"
+	"oddci/internal/dsmcc"
 	"oddci/internal/journal"
 	"oddci/internal/obs"
 	"oddci/internal/simtime"
@@ -23,8 +27,9 @@ import (
 	"oddci/internal/workload"
 )
 
-// CoordinatorConfig assembles the server side of a TCP deployment: the
-// Controller head-end and Backend roles in one process.
+// CoordinatorConfig assembles the server side of a TCP deployment: a
+// Controller whose head-end is this coordinator, and a Backend, in one
+// process.
 type CoordinatorConfig struct {
 	// Listen is the TCP address ("127.0.0.1:0" for tests).
 	Listen string
@@ -38,22 +43,22 @@ type CoordinatorConfig struct {
 	Requirements instance.Requirements
 	// HeartbeatPeriod instructs the nodes (default 10 s).
 	HeartbeatPeriod time.Duration
-	// Clock drives the backend's lease timestamps and the coordinator's
-	// heartbeat bookkeeping (default wall clock). Injecting a simulated
-	// clock keeps transport timestamps consistent with simtime-driven
-	// tests.
+	// Clock drives the Controller, the backend's lease timestamps and
+	// the coordinator's telemetry (default wall clock). Injecting a
+	// simulated clock keeps transport timestamps consistent with
+	// simtime-driven tests.
 	Clock simtime.Clock
 	// Key signs control frames; generated if nil.
 	Key ed25519.PrivateKey
-	// Obs, if set, collects coordinator, transport and backend
-	// telemetry (oddci_coordinator_*, oddci_transport_*,
-	// oddci_backend_*) and registers the heartbeat-silence health
-	// check.
+	// Obs, if set, collects controller, coordinator, transport and
+	// backend telemetry (oddci_controller_*, oddci_coordinator_*,
+	// oddci_transport_*, oddci_backend_*) and the Controller's health
+	// checks, heartbeat-silence among them.
 	Obs *obs.Registry
-	// Spans, if set, enables end-to-end causal tracing: the wakeup on
-	// the wire starts a root span whose context rides in the banner,
-	// node sessions record under it, and the backend closes each task's
-	// tree with dispatch/lease-expiry/commit spans.
+	// Spans, if set, enables end-to-end causal tracing: the Controller's
+	// wakeup starts a root span whose context rides in the banner, node
+	// sessions record under it, and the backend closes each task's tree
+	// with dispatch/lease-expiry/commit spans.
 	Spans *span.Collector
 	// Shard identifies this coordinator's slice of a federated control
 	// plane; it rides in the banner so nodes can confirm which shard
@@ -72,34 +77,56 @@ type CoordinatorConfig struct {
 	CredentialMode backend.CredentialMode
 	// StateDir, if set, makes the coordinator durable across restarts:
 	// the signing key persists (nodes keep verifying the same identity,
-	// unless Key is given explicitly) and the wakeup sequence resumes
-	// past its pre-crash value, so nodes that already evaluated the old
-	// broadcast re-evaluate the new one instead of ignoring a replayed
-	// seq.
+	// unless Key is given explicitly) and the Controller journals its
+	// instance there. A restart recomposes the recorded instance with
+	// Image, so the wakeup sequence resumes past its pre-crash value and
+	// nodes that already evaluated the old broadcast re-evaluate the new
+	// one; the instance keeps its recorded probability, requirements and
+	// heartbeat period.
 	StateDir string
 }
 
-// imageStage is one immutable generation of the staged broadcast: the
-// signed control frame and the content-addressed manifest + chunk
-// frames, one chunk per appimage.ChunkBytes of the image. Sessions read
-// the current stage through an atomic pointer; UpdateImage swaps in a
-// successor that reuses every pre-encoded chunk frame whose digest
-// survived, so re-staging re-encodes only changed content.
-type imageStage struct {
-	epoch   uint64
-	seq     uint32
-	wakeups uint32
+// EveryNode is the target size of a coordinator's instance: every node
+// that answers the wakeup is wanted. It is the largest target the
+// journal records.
+const EveryNode = math.MaxInt32
 
+// imageStage is one immutable generation of the staged broadcast: the
+// Controller's control file as one frame, and the content-addressed
+// manifest + chunk frames of its image, one chunk per
+// appimage.ChunkBytes. Sessions read the current stage through an
+// atomic pointer; each head-end update swaps in a successor that reuses
+// every chunk frame header whose digest survived, so re-staging encodes
+// only changed content.
+type imageStage struct {
 	ctrlFrame     []byte
 	manifestFrame []byte
+	// raw is the image file as the Controller staged it. The Controller
+	// never writes to it, so chunk frames send their bytes straight from
+	// it and the image is held once, not again as frames.
+	raw []byte
 	// distinct lists each distinct chunk's digest once, in order of
-	// first appearance; chunkFrames holds each pre-encoded as a complete
-	// frame.
-	distinct    []appimage.Digest
-	chunkFrames map[appimage.Digest][]byte
+	// first appearance.
+	distinct []appimage.Digest
+	chunks   map[appimage.Digest]stagedChunk
 	// bytes is what a joining session is sent: control + manifest +
 	// every distinct chunk frame.
 	bytes int
+}
+
+// stagedChunk is one distinct chunk of a stage: its pre-encoded frame
+// header (type, length, digest), which its bytes follow on the wire, and
+// the first slot of the image it fills.
+type stagedChunk struct {
+	hdr  []byte
+	slot int
+}
+
+// chunk returns the frame header and the bytes of distinct chunk d.
+func (st *imageStage) chunk(d appimage.Digest) (hdr, data []byte) {
+	c := st.chunks[d]
+	lo := c.slot * appimage.ChunkBytes
+	return c.hdr, st.raw[lo:min(lo+appimage.ChunkBytes, len(st.raw))]
 }
 
 // nodeSet is a counted set of node IDs. Add runs once per session, at
@@ -134,8 +161,7 @@ func (s *nodeSet) Len() int { return int(s.count.Load()) }
 // coordMetrics are the transport-plane telemetry handles (all nil-safe
 // when the coordinator runs without a registry).
 type coordMetrics struct {
-	heartbeats *obs.Counter
-	sessions   *obs.Counter
+	sessions *obs.Counter
 
 	framesInHB      *obs.Counter
 	framesInTaskReq *obs.Counter
@@ -152,38 +178,39 @@ type coordMetrics struct {
 	writeLat *obs.Histogram
 }
 
-// Coordinator is the listening process.
+// Coordinator is the listening process. It is the head-end of its own
+// Controller (controller.HeadEnd): the Controller owns the instance —
+// wakeup sequence, journal, heartbeat consolidation, size — and hands
+// the coordinator each generation of its files, which every session
+// receives as pushed frames.
 type Coordinator struct {
-	cfg       CoordinatorConfig
-	ln        net.Listener
-	pub       ed25519.PublicKey
-	be        *backend.Backend
-	store     *journal.Store
-	recovered bool
+	cfg   CoordinatorConfig
+	ln    net.Listener
+	pub   ed25519.PublicKey
+	be    *backend.Backend
+	ctrl  *controller.Controller
+	id    instance.ID
+	store *journal.Store
 
-	// Encode-once broadcast: the banner frame and the staged carousel
-	// (control file, manifest, chunks) are encoded once per image
-	// generation and written verbatim to every session — per-node cost
-	// is a memcpy into the socket, never a marshal. UpdateImage swaps
-	// the stage pointer; sessions pick the new generation up at their
-	// next heartbeat.
+	// Encode-once broadcast: the banner frame and the staged files
+	// (control file, manifest, chunks) are encoded once per generation
+	// and written verbatim to every session — per-node cost is a memcpy
+	// into the socket, never a marshal. Update swaps the stage pointer;
+	// sessions pick the new generation up at their next heartbeat.
 	bannerFrame  []byte
 	stage        atomic.Pointer[imageStage]
 	hbReplyFrame []byte
 	encodeOps    atomic.Int64
-	// updateMu serializes UpdateImage (stage readers are lock-free).
-	updateMu sync.Mutex
 
-	// wakeupCtx is the root wakeup span's context — one constant per
-	// coordinator lifetime, so the banner carrying it stays a shared
-	// pre-encoded buffer. Zero when tracing is off or unsampled.
+	// wakeupCtx is the context of the wakeup that created (or, after a
+	// restart, recomposed) the instance — one constant per coordinator
+	// lifetime, so the banner carrying it stays a shared pre-encoded
+	// buffer. Zero when tracing is off or unsampled.
 	wakeupCtx span.Context
 
-	// Session accounting: atomics and a counted node set, so heartbeats
-	// from N sessions never serialize on one coordinator-global mutex.
-	heartbeats   atomic.Int64
-	lastBeatNano atomic.Int64
-	nodes        nodeSet
+	// nodes counts the distinct node IDs that said hello, so sessions
+	// never serialize on one coordinator-global mutex.
+	nodes nodeSet
 
 	mu     sync.Mutex // guards closed only
 	closed bool
@@ -193,8 +220,10 @@ type Coordinator struct {
 	wg sync.WaitGroup
 }
 
-// NewCoordinator binds the listener and prepares the signed control
-// file plus the pre-encoded broadcast frames.
+// NewCoordinator binds the listener, starts the Controller over this
+// coordinator as its head-end, and creates (or, over a recovered
+// StateDir, recomposes) the instance, which stages the pre-encoded
+// broadcast frames.
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.Image == nil {
 		return nil, errors.New("transport: coordinator needs an image")
@@ -214,225 +243,170 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.LeaseBase <= 0 {
 		cfg.LeaseBase = 30 * time.Second
 	}
-	// Durable identity and sequence continuity. before stands in for the
-	// generation this process stages a delta from: nothing on a fresh
-	// start, the recorded sequence after a restart — so nodes that
-	// already evaluated the pre-crash wakeup evaluate this one afresh.
-	var store *journal.Store
-	before := &imageStage{}
+	c := &Coordinator{cfg: cfg, nodes: nodeSet{m: make(map[uint64]struct{})}}
+	c.stage.Store(&imageStage{})
+	if err := c.start(); err != nil {
+		c.Close()
+		return nil, err
+	}
+	c.instrument(cfg.Obs)
+	return c, nil
+}
+
+// start builds what NewCoordinator assembles; Close releases whatever
+// it got to.
+func (c *Coordinator) start() error {
+	cfg := &c.cfg
+	var err error
 	if cfg.StateDir != "" {
 		if cfg.Key == nil {
-			key, err := journal.LoadOrCreateKey(cfg.StateDir)
-			if err != nil {
-				return nil, err
+			if cfg.Key, err = journal.LoadOrCreateKey(cfg.StateDir); err != nil {
+				return err
 			}
-			cfg.Key = key
 		}
-		var err error
-		store, err = journal.Open(cfg.StateDir, journal.Options{Obs: cfg.Obs, Clock: cfg.Clock})
-		if err != nil {
-			return nil, err
-		}
-		state, err := store.Load()
-		if err != nil {
-			store.Close()
-			return nil, err
-		}
-		if rec := state.Instances[1]; rec != nil {
-			before.seq, before.wakeups = rec.Seq, rec.Wakeups
+		if c.store, err = journal.Open(cfg.StateDir, journal.Options{Obs: cfg.Obs, Clock: cfg.Clock}); err != nil {
+			return err
 		}
 	}
 	if cfg.Key == nil {
-		_, key, err := ed25519.GenerateKey(rand.Reader)
-		if err != nil {
-			return nil, err
+		if _, cfg.Key, err = ed25519.GenerateKey(rand.Reader); err != nil {
+			return err
 		}
-		cfg.Key = key
 	}
-	be, err := backend.New(backend.Config{
+	c.pub = cfg.Key.Public().(ed25519.PublicKey)
+	if c.be, err = backend.New(backend.Config{
 		Clock:          cfg.Clock,
 		RetryAfter:     cfg.RetryAfter,
 		LeaseBase:      cfg.LeaseBase,
 		Obs:            cfg.Obs,
 		Spans:          cfg.Spans,
 		CredentialMode: cfg.CredentialMode,
-	})
+	}); err != nil {
+		return err
+	}
+	if c.ln, err = net.Listen("tcp", cfg.Listen); err != nil {
+		return err
+	}
+	if c.ctrl, err = controller.New(controller.Config{
+		Clock: cfg.Clock, Broadcaster: c, Key: cfg.Key,
+		Obs: cfg.Obs, Spans: cfg.Spans, Journal: c.store,
+	}); err != nil {
+		return err
+	}
+	if err = c.ctrl.Start(); err != nil {
+		return err
+	}
+	// One instance per coordinator: a recovered live one takes the image
+	// under the next sequence; otherwise the instance is created.
+	if st, serr := c.ctrl.Status(1); serr == nil && !st.Destroyed {
+		c.id, err = 1, c.ctrl.Recompose(1, cfg.Image)
+	} else {
+		c.id, err = c.ctrl.CreateInstance(controller.InstanceSpec{
+			Image:              cfg.Image,
+			Target:             EveryNode,
+			Requirements:       cfg.Requirements,
+			HeartbeatPeriod:    cfg.HeartbeatPeriod,
+			InitialProbability: cfg.Probability,
+		})
+	}
 	if err != nil {
-		if store != nil {
-			store.Close()
-		}
-		return nil, err
+		return err
 	}
-	ln, err := net.Listen("tcp", cfg.Listen)
-	if err != nil {
-		if store != nil {
-			store.Close()
-		}
-		return nil, err
-	}
-	c := &Coordinator{
-		cfg:       cfg,
-		ln:        ln,
-		pub:       cfg.Key.Public().(ed25519.PublicKey),
-		be:        be,
-		store:     store,
-		recovered: before.seq != 0,
-		nodes:     nodeSet{m: make(map[uint64]struct{})},
-	}
-	st, err := c.stageImage(before, cfg.Image)
-	if err != nil {
-		c.Close()
-		return nil, err
-	}
-	c.stage.Store(st)
-
-	// The wakeup on the wire roots the deployment's trace. Its context
-	// rides in the banner — one constant value for the coordinator's
-	// lifetime, so the encode-once invariant below survives tracing.
-	if wakeupSp := cfg.Spans.Root("wakeup", "coordinator"); wakeupSp != nil {
-		wakeupSp.SetDetail("instance=1 seq=%d p=%.2f", st.seq, cfg.Probability)
-		cfg.Spans.SetLink(span.LinkKey(1, uint64(st.seq)), wakeupSp.Context())
-		c.wakeupCtx = wakeupSp.Context()
-		wakeupSp.End()
-	}
+	c.wakeupCtx = c.ctrl.WakeupTraceContext(c.id, c.Seq())
 
 	bannerRaw, err := json.Marshal(&Banner{
 		Wire: WireVersion, ControllerKey: c.pub, Name: cfg.Name,
 		Trace: c.wakeupCtx, Shard: cfg.Shard,
 	})
 	if err != nil {
-		c.Close()
-		return nil, err
-	}
-	if c.bannerFrame, err = AppendFrame(nil, FrameBanner, bannerRaw); err != nil {
-		c.Close()
-		return nil, err
-	}
-	c.encodeOps.Add(1)
-	reply := control.EncodeHeartbeatReply(&control.HeartbeatReply{Command: control.CmdNone})
-	if c.hbReplyFrame, err = AppendFrame(nil, FrameHeartbeatReply, reply); err != nil {
-		c.Close()
-		return nil, err
-	}
-
-	c.instrument(cfg.Obs)
-	return c, nil
-}
-
-// stageImage builds the generation after prev: it hashes each chunk
-// once (appimage.ChunkDigests, which spreads them over the cores), signs
-// the wakeup over the root of those digests under the next sequence,
-// pre-encodes the control, manifest and chunk frames, and journals the
-// result. prev donates every chunk frame whose digest is unchanged, so
-// only new content costs an encode — the per-chunk form of the
-// encode-once invariant. A first staging is the same delta, from a prev
-// that holds nothing. The caller publishes the returned stage.
-func (c *Coordinator) stageImage(prev *imageStage, img *appimage.Image) (*imageStage, error) {
-	imgRaw, err := img.Encode()
-	if err != nil {
-		return nil, err
-	}
-	st := &imageStage{
-		seq: prev.seq + 1, wakeups: prev.wakeups + 1,
-		chunkFrames: make(map[appimage.Digest][]byte),
-	}
-	manifest := ImageManifest{Name: "image.1", Size: len(imgRaw), Digests: appimage.ChunkDigests(nil, imgRaw)}
-	for i, d := range manifest.Digests {
-		ch := imgRaw[i*appimage.ChunkBytes : min((i+1)*appimage.ChunkBytes, len(imgRaw))]
-		if _, ok := st.chunkFrames[d]; ok {
-			continue // duplicate content within the image
-		}
-		frame, ok := prev.chunkFrames[d] // unchanged: reused verbatim, no encode
-		if !ok {
-			frame = BeginFrame(make([]byte, 0, 5+len(d)+len(ch)), FrameImageChunk)
-			if frame, err = EndFrame(AppendImageChunk(frame, d, ch), 0); err != nil {
-				return nil, err
-			}
-			c.encodeOps.Add(1)
-		}
-		st.distinct = append(st.distinct, d)
-		st.chunkFrames[d] = frame
-		st.bytes += len(frame)
-	}
-	ctrlFile, err := control.SignWakeup(&control.Wakeup{
-		InstanceID:      1,
-		Seq:             st.seq,
-		Probability:     c.cfg.Probability,
-		Requirements:    c.cfg.Requirements,
-		ImageFile:       "image.1",
-		ImageDigest:     appimage.RootOf(len(imgRaw), manifest.Digests),
-		HeartbeatPeriod: c.cfg.HeartbeatPeriod,
-	}, c.cfg.Key)
-	if err != nil {
-		return nil, err
-	}
-	if st.ctrlFrame, err = AppendFrame(nil, FrameControl, ctrlFile); err != nil {
-		return nil, err
-	}
-	c.encodeOps.Add(1)
-	if st.manifestFrame, err = AppendFrame(nil, FrameImageManifest, AppendImageManifest(nil, &manifest)); err != nil {
-		return nil, err
-	}
-	c.encodeOps.Add(1)
-	st.bytes += len(st.ctrlFrame) + len(st.manifestFrame)
-
-	if c.store != nil {
-		rec := journal.InstanceRecord{
-			ID:              1,
-			Seq:             st.seq,
-			Wakeups:         st.wakeups,
-			Probability:     c.cfg.Probability,
-			Target:          1,
-			HeartbeatPeriod: c.cfg.HeartbeatPeriod,
-			Requirements:    c.cfg.Requirements,
-			ImageFile:       "image.1",
-			Image:           imgRaw,
-		}
-		if prev.seq == 0 { // nothing recorded before: the journal's first entry
-			err = c.store.Append(journal.Record{Op: journal.OpCreate, Inst: rec})
-		} else {
-			// Restarted or updated: compact to a one-record snapshot
-			// carrying the bumped sequence and the current image, so the
-			// next restart resumes past it.
-			snap := journal.NewState()
-			snap.NextID = 2
-			snap.Instances[1] = &rec
-			snap.Order = []uint64{1}
-			err = c.store.Compact(snap)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	return st, nil
-}
-
-// UpdateImage recomposes the staged application image mid-flight: the
-// wakeup re-signs under the next sequence, the manifest re-encodes, and
-// chunk frames re-encode only for changed content. Connected sessions
-// are re-staged at their next heartbeat with just the chunks the new
-// manifest lists and their previous one did not.
-func (c *Coordinator) UpdateImage(img *appimage.Image) error {
-	if img == nil {
-		return errors.New("transport: UpdateImage needs an image")
-	}
-	c.updateMu.Lock()
-	defer c.updateMu.Unlock()
-	prev := c.stage.Load()
-	st, err := c.stageImage(prev, img)
-	if err != nil {
 		return err
 	}
-	st.epoch = prev.epoch + 1
+	if c.bannerFrame, err = AppendFrame(nil, FrameBanner, bannerRaw); err != nil {
+		return err
+	}
+	c.encodeOps.Add(1)
+	c.hbReplyFrame, err = AppendFrame(nil, FrameHeartbeatReply, control.EncodeHeartbeatReply(&control.HeartbeatReply{}))
+	return err
+}
+
+// Start stages the Controller's initial files. With Update it is the
+// controller.HeadEnd contract; the Controller calls both.
+func (c *Coordinator) Start(files []dsmcc.File) error { return c.Update(files) }
+
+// Update stages the Controller's files as the next generation. The
+// control file goes out verbatim as the control frame; the one image
+// file is split into appimage.ChunkBytes chunks, each hashed once
+// (appimage.ChunkDigests spreads them over the cores), and a manifest
+// frame lists them. The previous stage donates every chunk frame whose
+// digest is unchanged, so only new content costs an encode — the
+// per-chunk form of the encode-once invariant; a first staging is the
+// same delta from a stage that holds nothing. The PNA code file has no
+// TCP counterpart (a node is its own agent), and a second image file
+// is an error: a coordinator serves one instance.
+func (c *Coordinator) Update(files []dsmcc.File) error {
+	var ctrlFile []byte
+	var img *dsmcc.File
+	for i := range files {
+		switch f := &files[i]; f.Name {
+		case controller.PNAClassFile: // a node is its own agent
+		case controller.ControlFile:
+			ctrlFile = f.Data
+		default:
+			if img != nil {
+				return fmt.Errorf("transport: a coordinator serves one instance, got images %s and %s", img.Name, f.Name)
+			}
+			img = f
+		}
+	}
+	prev := c.stage.Load()
+	st := &imageStage{chunks: make(map[appimage.Digest]stagedChunk)}
+	var err error
+	if len(ctrlFile) > 0 {
+		if st.ctrlFrame, err = AppendFrame(nil, FrameControl, ctrlFile); err != nil {
+			return err
+		}
+		c.encodeOps.Add(1)
+	}
+	if img != nil {
+		st.raw = img.Data
+		manifest := ImageManifest{Name: img.Name, Size: len(st.raw), Digests: appimage.ChunkDigests(nil, st.raw)}
+		for i, d := range manifest.Digests {
+			if _, ok := st.chunks[d]; ok {
+				continue // duplicate content within the image
+			}
+			n := min(appimage.ChunkBytes, len(st.raw)-i*appimage.ChunkBytes)
+			hdr := prev.chunks[d].hdr // unchanged content: reused, no encode
+			if hdr == nil {
+				hdr = binary.BigEndian.AppendUint32([]byte{byte(FrameImageChunk)}, uint32(digestLen+n))
+				hdr = AppendImageChunk(hdr, d, nil) // the frame up to the chunk's bytes
+				c.encodeOps.Add(1)
+			}
+			st.distinct = append(st.distinct, d)
+			st.chunks[d] = stagedChunk{hdr: hdr, slot: i}
+			st.bytes += len(hdr) + n
+		}
+		if st.manifestFrame, err = AppendFrame(nil, FrameImageManifest, AppendImageManifest(nil, &manifest)); err != nil {
+			return err
+		}
+		c.encodeOps.Add(1)
+	}
+	st.bytes += len(st.ctrlFrame) + len(st.manifestFrame)
 	c.stage.Store(st)
 	return nil
 }
 
-// instrument registers coordinator telemetry and the heartbeat-silence
-// health check.
+// UpdateImage recomposes the instance with img (Controller.Recompose):
+// the wakeup re-airs under the next sequence, the manifest re-encodes,
+// and chunk frames re-encode only for changed content. Connected
+// sessions are re-staged at their next heartbeat with just the chunks
+// the new manifest lists and their previous one did not.
+func (c *Coordinator) UpdateImage(img *appimage.Image) error {
+	return c.ctrl.Recompose(c.id, img)
+}
+
+// instrument registers coordinator and transport telemetry.
 func (c *Coordinator) instrument(reg *obs.Registry) {
 	c.met = coordMetrics{
-		heartbeats:      reg.Counter("oddci_coordinator_heartbeats_total", "Heartbeat frames received from nodes"),
 		sessions:        reg.Counter("oddci_coordinator_sessions_total", "Node TCP sessions accepted"),
 		framesInHB:      reg.Counter("oddci_transport_frames_in_heartbeat_total", "Heartbeat frames read"),
 		framesInTaskReq: reg.Counter("oddci_transport_frames_in_task_request_total", "Task-request frames read"),
@@ -456,9 +430,6 @@ func (c *Coordinator) instrument(reg *obs.Registry) {
 	reg.GaugeFunc("oddci_transport_broadcast_encodes", "Broadcast artifacts encoded since start (flat in the session count)", func() float64 {
 		return float64(c.encodeOps.Load())
 	})
-	reg.GaugeFunc("oddci_transport_image_epoch", "Staged image generation (bumped by UpdateImage)", func() float64 {
-		return float64(c.stage.Load().epoch)
-	})
 	reg.GaugeFunc("oddci_transport_frame_pool_hits", "Frame buffer requests served within the pool size cap (process-wide)", func() float64 {
 		h, _ := FramePoolStats()
 		return float64(h)
@@ -466,20 +437,6 @@ func (c *Coordinator) instrument(reg *obs.Registry) {
 	reg.GaugeFunc("oddci_transport_frame_pool_misses", "Frame buffer requests above the pool size cap (process-wide)", func() float64 {
 		_, m := FramePoolStats()
 		return float64(m)
-	})
-	reg.RegisterHealth("heartbeat-silence", func() error {
-		// Sampled from atomics at one-second granularity: the check
-		// never touches the heartbeat data path.
-		nano := c.lastBeatNano.Load()
-		if c.nodes.Len() == 0 || nano == 0 {
-			return nil
-		}
-		// Tolerate three missed periods while nodes are connected.
-		limit := 3 * c.cfg.HeartbeatPeriod
-		if silent := c.cfg.Clock.Now().Sub(time.Unix(0, nano)); silent > limit {
-			return fmt.Errorf("no heartbeat for %v (limit %v)", silent.Round(time.Millisecond), limit)
-		}
-		return nil
 	})
 }
 
@@ -491,45 +448,35 @@ func (c *Coordinator) PublicKey() ed25519.PublicKey { return c.pub }
 
 // Seq returns the wakeup sequence on the wire (bumped past the recorded
 // one after a StateDir restart, and by each UpdateImage).
-func (c *Coordinator) Seq() uint32 { return c.stage.Load().seq }
-
-// ImageEpoch returns the staged image generation (zero at construction,
-// bumped by each UpdateImage).
-func (c *Coordinator) ImageEpoch() uint64 { return c.stage.Load().epoch }
+func (c *Coordinator) Seq() uint32 {
+	st, _ := c.ctrl.Status(c.id)
+	return st.Seq
+}
 
 // StagedChunks returns how many distinct content-addressed chunk frames
 // the current stage holds.
-func (c *Coordinator) StagedChunks() int { return len(c.stage.Load().chunkFrames) }
+func (c *Coordinator) StagedChunks() int { return len(c.stage.Load().chunks) }
 
 // Recovered reports whether this coordinator resumed from a StateDir
 // written by a previous run.
-func (c *Coordinator) Recovered() bool { return c.recovered }
+func (c *Coordinator) Recovered() bool { return c.ctrl.Recovered() }
 
 // Backend exposes the scheduler for job submission.
 func (c *Coordinator) Backend() *backend.Backend { return c.be }
 
+// Controller exposes the instance's Controller: Status, Resize,
+// DumpState, and the heartbeats it consolidated.
+func (c *Coordinator) Controller() *controller.Controller { return c.ctrl }
+
 // WakeupTraceContext returns the root wakeup span's context (zero when
 // tracing is off or the trace was not sampled).
 func (c *Coordinator) WakeupTraceContext() span.Context { return c.wakeupCtx }
-
-// HeartbeatCount returns how many heartbeats sessions have consumed.
-func (c *Coordinator) HeartbeatCount() int64 { return c.heartbeats.Load() }
 
 // NodeCount returns the number of distinct node IDs seen, in O(1).
 func (c *Coordinator) NodeCount() int { return c.nodes.Len() }
 
 // SeenNode reports whether a node ID ever connected.
 func (c *Coordinator) SeenNode(id uint64) bool { return c.nodes.Has(id) }
-
-// LastHeartbeat returns the last heartbeat arrival sampled at
-// one-second granularity (zero time before the first beat).
-func (c *Coordinator) LastHeartbeat() time.Time {
-	nano := c.lastBeatNano.Load()
-	if nano == 0 {
-		return time.Time{}
-	}
-	return time.Unix(0, nano)
-}
 
 // BroadcastEncodes counts the broadcast artifacts (banner, control
 // file, manifest, chunks) encoded since construction — flat in the
@@ -570,8 +517,8 @@ func (c *Coordinator) Serve() {
 	c.wg.Wait()
 }
 
-// Close shuts the listener down; active sessions end when their nodes
-// disconnect.
+// Close shuts the listener down and stops the Controller's timers before
+// closing its journal; active sessions end when their nodes disconnect.
 func (c *Coordinator) Close() {
 	c.mu.Lock()
 	if c.closed {
@@ -580,7 +527,12 @@ func (c *Coordinator) Close() {
 	}
 	c.closed = true
 	c.mu.Unlock()
-	c.ln.Close()
+	if c.ln != nil {
+		c.ln.Close()
+	}
+	if c.ctrl != nil {
+		c.ctrl.Stop()
+	}
 	if c.store != nil {
 		c.store.Close()
 	}
@@ -659,7 +611,7 @@ func (c *Coordinator) session(conn net.Conn) {
 	sessSp.SetDetail("node=%d", hello.NodeID)
 	defer sessSp.End()
 
-	// Staged broadcast push: the signed control, the manifest, and every
+	// Staged broadcast push: the control file, the manifest, and every
 	// chunk the session does not hold — all of them at join, only the
 	// new ones at a re-stage. The session holds exactly the chunks of
 	// the last stage pushed (the node keeps the same set), so nothing
@@ -669,23 +621,27 @@ func (c *Coordinator) session(conn net.Conn) {
 	pushStage := func(st *imageStage) (int, error) {
 		wrote, frames := 0, int64(0)
 		write := func(b []byte) error {
-			if _, err := bw.Write(b); err != nil {
-				return err
-			}
+			_, err := bw.Write(b)
 			wrote += len(b)
-			frames++
-			return nil
+			return err
 		}
-		err := write(st.ctrlFrame)
-		if err == nil {
-			err = write(st.manifestFrame)
+		var err error
+		for _, f := range [2][]byte{st.ctrlFrame, st.manifestFrame} {
+			if err == nil && f != nil {
+				err = write(f)
+				frames++
+			}
 		}
 		for _, d := range st.distinct {
 			if err != nil {
 				break
 			}
-			if _, held := pushed.chunkFrames[d]; !held {
-				err = write(st.chunkFrames[d])
+			if _, held := pushed.chunks[d]; !held {
+				hdr, data := st.chunk(d)
+				if err = write(hdr); err == nil {
+					err = write(data)
+				}
+				frames++
 			}
 		}
 		pushed = st
@@ -704,8 +660,11 @@ func (c *Coordinator) session(conn net.Conn) {
 	// Reused hot-path state: decode targets, the frame build buffer and
 	// the assignment the backend writes into live for the whole session.
 	// reply encodes the assignment before the next read, so the next
-	// dispatch may overwrite it, token included.
+	// dispatch may overwrite it, token included. reset is set once the
+	// Controller has told this node to leave: from then on its heartbeats
+	// are not consolidated again and its requests get no task.
 	var (
+		reset bool
 		wbuf  []byte
 		req   TaskRequestMsg
 		res   TaskResultMsg
@@ -755,27 +714,28 @@ func (c *Coordinator) session(conn net.Conn) {
 		switch t {
 		case FrameHeartbeat:
 			c.met.framesInHB.Inc()
-			if _, err := control.DecodeHeartbeat(payload); err != nil {
+			hb, err := control.DecodeHeartbeat(payload)
+			if err != nil || reset {
 				continue
 			}
-			c.heartbeats.Add(1)
-			// One-second-granularity atomic sample (same trick as
-			// Controller.HandleHeartbeat): the silence health check
-			// tolerates minutes, and the load keeps the common case a
-			// read-shared cache line instead of a contended store.
-			if nano := c.cfg.Clock.Now().UnixNano(); nano-c.lastBeatNano.Load() > int64(time.Second) {
-				c.lastBeatNano.Store(nano)
+			// The Controller consolidates the report; a reply with no news
+			// goes out as the pre-encoded frame.
+			frame := c.hbReplyFrame
+			if r := c.ctrl.HandleHeartbeat(hb); r.Command != control.CmdNone || r.Period != 0 {
+				if wbuf, err = AppendFrame(wbuf[:0], FrameHeartbeatReply, control.EncodeHeartbeatReply(r)); err != nil {
+					return
+				}
+				frame, reset = wbuf, r.Command == control.CmdReset
 			}
-			c.met.heartbeats.Inc()
-			if _, err := bw.Write(c.hbReplyFrame); err != nil {
+			if _, err := bw.Write(frame); err != nil {
 				return
 			}
 			c.met.framesOut.Inc()
-			c.met.bytesOut.Add(int64(len(c.hbReplyFrame)))
+			c.met.bytesOut.Add(int64(len(frame)))
 			// Heartbeats are the re-staging tick: a session whose stage is
 			// stale gets the new control + manifest + only the chunks its
 			// previous manifest did not list.
-			if cur := c.stage.Load(); cur != pushed {
+			if cur := c.stage.Load(); cur != pushed && !reset {
 				wrote, err := pushStage(cur)
 				if err != nil {
 					return
@@ -785,7 +745,7 @@ func (c *Coordinator) session(conn net.Conn) {
 			}
 		case FrameTaskRequest:
 			c.met.framesInTaskReq.Inc()
-			if err := DecodeTaskRequest(payload, &req); err != nil {
+			if err := DecodeTaskRequest(payload, &req); err != nil || reset {
 				continue
 			}
 			beReq.NodeID = req.NodeID

@@ -123,8 +123,9 @@ func noTaskFrame(m NoTaskMsg) []byte {
 func missingChunks(st, prev *imageStage) [][]byte {
 	var out [][]byte
 	for _, d := range st.distinct {
-		if _, held := prev.chunkFrames[d]; !held {
-			out = append(out, st.chunkFrames[d])
+		if _, held := prev.chunks[d]; !held {
+			hdr, data := st.chunk(d)
+			out = append(out, slices.Concat(hdr, data))
 		}
 	}
 	return out
@@ -358,8 +359,8 @@ func TestHandoffFoldsInterleavedFrames(t *testing.T) {
 	}
 	second := coord.stage.Load()
 	delta := missingChunks(second, first)
-	if len(delta) == 0 || len(delta) == len(second.chunkFrames) {
-		t.Fatalf("update changed %d of %d chunks, want some and not all", len(delta), len(second.chunkFrames))
+	if len(delta) == 0 || len(delta) == len(second.chunks) {
+		t.Fatalf("update changed %d of %d chunks, want some and not all", len(delta), len(second.chunks))
 	}
 
 	report, writes := runScripted(t, coord, first, 10*time.Second, func(p *scriptedPeer) {

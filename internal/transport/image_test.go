@@ -133,9 +133,6 @@ func TestUpdateImageRestagesOnlyChangedChunks(t *testing.T) {
 	if got := coord.BroadcastEncodes() - before; got != 3 {
 		t.Fatalf("UpdateImage cost %d encodes, want 3 (2 artifacts + 1 changed chunk)", got)
 	}
-	if coord.ImageEpoch() != 1 {
-		t.Fatalf("image epoch = %d, want 1", coord.ImageEpoch())
-	}
 	if coord.Seq() != 2 {
 		t.Fatalf("seq after update = %d, want 2", coord.Seq())
 	}
@@ -247,7 +244,7 @@ func TestRestageABAConverges(t *testing.T) {
 		})
 	}()
 	// A heartbeat means the session joined on image A.
-	waitFor(t, "the first heartbeat", func() bool { return coord.HeartbeatCount() > 0 })
+	waitFor(t, "the first heartbeat", func() bool { return coord.Controller().HeartbeatsSeen() > 0 })
 	var pushed [2]float64
 	for i, img := range []*appimage.Image{imgB, imgA} {
 		if err := coord.UpdateImage(img); err != nil {

@@ -63,7 +63,13 @@ type NodeReport struct {
 	// BannerShard echoes the serving coordinator's federation shard id
 	// from its banner (0 for unsharded coordinators).
 	BannerShard int
+	// Reset reports that the Controller told this node to leave (a trim
+	// or a dismantled instance) and the node ended its session.
+	Reset bool
 }
+
+// errReset ends a session whose heartbeat reply carried a reset.
+var errReset = errors.New("transport: reset by the controller")
 
 // imageAssembler folds the pushed broadcast — signed control file,
 // manifest, chunks — into a verified image. The join loop and the
@@ -403,7 +409,8 @@ func runNode(cfg NodeConfig, conn net.Conn) (report NodeReport, err error) {
 
 	// Worker loop: pull → execute (scaled by the device model) → push.
 	// Heartbeat replies interleave with task replies on the same
-	// connection, so reads skip them. Re-staging frames (a fresh signed
+	// connection, so reads skip them unless one is a reset, which ends
+	// the session. Re-staging frames (a fresh signed
 	// control, manifest, and only the chunks not held) also interleave
 	// here; the assembler folds them in and re-verifies the image when
 	// the set completes.
@@ -436,6 +443,9 @@ func runNode(cfg NodeConfig, conn net.Conn) (report NodeReport, err error) {
 			}
 			switch t {
 			case FrameHeartbeatReply:
+				if r, err := control.DecodeHeartbeatReply(payload); err == nil && r.Command == control.CmdReset {
+					return 0, nil, errReset
+				}
 			case FrameControl, FrameImageManifest, FrameImageChunk:
 				staged, err := asm.feed(t, payload)
 				if err != nil {
@@ -477,6 +487,10 @@ func runNode(cfg NodeConfig, conn net.Conn) (report NodeReport, err error) {
 	request()
 	for {
 		t, payload, err := readTaskReply()
+		if err == errReset {
+			report.Reset = true
+			return report, nil
+		}
 		if err != nil {
 			return report, err
 		}
