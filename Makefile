@@ -56,7 +56,7 @@ cores:
 ## read-only (the FLUTE wire layout, the middleware, the set-top box that owns
 ## the chunk cache, and the PNA that verifies what it was handed), and the
 ## image format whose chunk root every wakeup signs.
-COVER_PKGS ?= ./internal/obs:85 ./internal/span:80 ./internal/core/controller:85 ./internal/journal:78 ./internal/core/backend:82 ./internal/core/provider:80 ./internal/transport:85 ./internal/fleet:90 ./internal/simtime:90 ./internal/federation:75 ./internal/netsim:85 ./internal/dsmcc:80 ./internal/flute:90 ./internal/middleware:90 ./internal/stb:85 ./internal/core/pna:80 ./internal/appimage:90
+COVER_PKGS ?= ./internal/obs:85 ./internal/span:80 ./internal/core/controller:85 ./internal/journal:88 ./internal/core/backend:82 ./internal/core/provider:80 ./internal/transport:85 ./internal/fleet:90 ./internal/simtime:90 ./internal/federation:75 ./internal/netsim:85 ./internal/dsmcc:80 ./internal/flute:90 ./internal/middleware:90 ./internal/stb:85 ./internal/core/pna:80 ./internal/appimage:90
 cover:
 	@for entry in $(COVER_PKGS); do \
 		pkg="$${entry%%:*}"; floor="$${entry##*:}"; \

@@ -7,6 +7,7 @@
 package appimage
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -146,7 +147,7 @@ func (im *Image) Digest() (Digest, error) {
 // advance mid-hash: the result, and every simulated timeline, is the same
 // on any core count.
 func DigestOf(raw []byte) Digest {
-	n := chunkCount(len(raw))
+	n := ChunkCount(len(raw))
 	if n < 2 || runtime.GOMAXPROCS(0) < 2 {
 		return root(len(raw), n, func(i int) Digest { return chunkDigest(raw, i) })
 	}
@@ -160,19 +161,41 @@ func DigestOf(raw []byte) Digest {
 // the encoded image raw, in order — the list RootOf(len(raw), ·) roots —
 // hashing them as DigestOf does, and returns the extended slice.
 func ChunkDigests(dst []Digest, raw []byte) []Digest {
-	j := jobs.Get().(*hashJob)
-	dst = append(dst, j.hash(raw)...)
-	jobs.Put(j)
+	dst, _ = ChunkDigestsSince(dst, raw, nil, nil)
 	return dst
 }
 
-func chunkCount(size int) int { return (size + ChunkBytes - 1) / ChunkBytes }
-
-// chunkDigest is the SHA-256 of chunk i of raw: the one place an encoded
-// image is split and hashed.
-func chunkDigest(raw []byte, i int) Digest {
-	return sha256.Sum256(raw[i*ChunkBytes : min((i+1)*ChunkBytes, len(raw))])
+// ChunkDigestsSince is ChunkDigests for a successor of prev, an encoded
+// image whose chunk digests are prevDs: chunk i takes prevDs[i] unhashed
+// when its bytes equal chunk i of prev, so an update hashes only the
+// chunks it changed. Comparing costs a memory scan, far less than a
+// hash, and is shared out over the cores as the hashing is. It also
+// returns how many chunks it hashed.
+func ChunkDigestsSince(dst []Digest, raw, prev []byte, prevDs []Digest) ([]Digest, int) {
+	if len(prevDs) != ChunkCount(len(prev)) {
+		prev, prevDs = nil, nil // not prev's digests: hash every chunk
+	}
+	j := jobs.Get().(*hashJob)
+	j.prev, j.prevDs = prev, prevDs
+	dst = append(dst, j.hash(raw)...)
+	hashed := int(j.hashed.Load())
+	jobs.Put(j)
+	return dst, hashed
 }
+
+// ChunkCount is the number of ChunkBytes chunks in a size-byte encoded
+// image: the length of its chunk digest list.
+func ChunkCount(size int) int { return (size + ChunkBytes - 1) / ChunkBytes }
+
+// Chunk returns chunk i of the encoded image raw: the one place an
+// encoded image is split.
+func Chunk(raw []byte, i int) []byte {
+	return raw[i*ChunkBytes : min((i+1)*ChunkBytes, len(raw))]
+}
+
+// chunkDigest is the SHA-256 of chunk i of raw: the one place a chunk is
+// hashed.
+func chunkDigest(raw []byte, i int) Digest { return sha256.Sum256(Chunk(raw, i)) }
 
 // hashJob is one image's chunk hashing, shared by its caller and any
 // helpers it finds idle. Jobs are pooled, so ds keeps its capacity and a
@@ -182,6 +205,12 @@ type hashJob struct {
 	ds   []Digest       // ds[i] is chunk i's digest, written by whoever claims i
 	next atomic.Int64   // the next chunk index to claim
 	wg   sync.WaitGroup // helpers still working on this job
+	// prev and prevDs, when set, are the encoding raw succeeds and its
+	// chunk digests (ChunkDigestsSince); hashed counts the chunks that
+	// differed from it and were hashed.
+	prev   []byte
+	prevDs []Digest
+	hashed atomic.Int64
 }
 
 var (
@@ -208,9 +237,10 @@ func helper() {
 // min(GOMAXPROCS, chunks)-1 idle helpers, and returns it once every chunk
 // is hashed. The slice is the job's: it is valid until j is pooled again.
 func (j *hashJob) hash(raw []byte) []Digest {
-	n := chunkCount(len(raw))
+	n := ChunkCount(len(raw))
 	j.raw, j.ds = raw, slices.Grow(j.ds[:0], n)[:n]
 	j.next.Store(0)
+	j.hashed.Store(0)
 	if workers := min(runtime.GOMAXPROCS(0), n); workers > 1 {
 		startHelpers.Do(func() {
 			for range runtime.NumCPU() - 1 {
@@ -221,7 +251,8 @@ func (j *hashJob) hash(raw []byte) []Digest {
 	}
 	j.claim()
 	j.wg.Wait() // no helper touches j after this, so it may be pooled
-	j.raw = nil // a pooled job must not keep the image alive
+	// A pooled job must not keep an image alive.
+	j.raw, j.prev, j.prevDs = nil, nil, nil
 	return j.ds
 }
 
@@ -246,7 +277,12 @@ func (j *hashJob) claim() {
 		if i >= len(j.ds) {
 			return
 		}
+		if i < len(j.prevDs) && bytes.Equal(Chunk(j.raw, i), Chunk(j.prev, i)) {
+			j.ds[i] = j.prevDs[i]
+			continue
+		}
 		j.ds[i] = chunkDigest(j.raw, i)
+		j.hashed.Add(1)
 	}
 }
 

@@ -255,9 +255,55 @@ func TestDigestOfAnyCoreCount(t *testing.T) {
 	}
 }
 
+// TestChunkDigestsSinceHashesOnlyChanges: against its predecessor, an
+// image's chunk digests are the ones ChunkDigests computes, and only
+// the chunks that differ are hashed — by content at the same slot, so a
+// grown or shrunk tail is hashed and a stale digest list is ignored — at
+// any proc count.
+func TestChunkDigestsSinceHashesOnlyChanges(t *testing.T) {
+	prev := patterned(7, 6*ChunkBytes+100)
+	prevDs := chunkDigests(prev)
+	edit := func(raw []byte, chunks ...int) []byte {
+		raw = slices.Clone(raw)
+		for _, k := range chunks {
+			raw[k*ChunkBytes+17] ^= 0xFF
+		}
+		return raw
+	}
+	cases := []struct {
+		name   string
+		raw    []byte
+		prevDs []Digest
+		hashed int
+	}{
+		{"unchanged", slices.Clone(prev), prevDs, 0},
+		{"two changed", edit(prev, 1, 4), prevDs, 2},
+		{"tail grown", append(slices.Clone(prev), 1, 2, 3), prevDs, 1},
+		{"a chunk longer", append(slices.Clone(prev), make([]byte, ChunkBytes)...), prevDs, 2},
+		{"shrunk to three", slices.Clone(prev[:3*ChunkBytes]), prevDs, 0},
+		{"stale digests ignored", edit(prev, 2), prevDs[:3], 7},
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		for _, c := range cases {
+			got, hashed := ChunkDigestsSince(nil, c.raw, prev, c.prevDs)
+			if !slices.Equal(got, chunkDigests(c.raw)) {
+				t.Errorf("procs %d, %s: digests differ from the image's chunk SHA-256s", procs, c.name)
+			}
+			if hashed != c.hashed {
+				t.Errorf("procs %d, %s: hashed %d chunks, want %d", procs, c.name, hashed, c.hashed)
+			}
+		}
+		if _, hashed := ChunkDigestsSince(nil, prev, nil, nil); hashed != len(prevDs) {
+			t.Errorf("procs %d: a first generation hashed %d of %d chunks", procs, hashed, len(prevDs))
+		}
+	}
+}
+
 // TestDigestOfConcurrentCallers: callers hashing distinct images at once
 // share the helpers and the job pool, and none ever gets a digest of
-// another's chunks. Run it under -race.
+// another's chunks, or another's predecessor's. Run it under -race.
 func TestDigestOfConcurrentCallers(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	const callers, rounds = 16, 8
@@ -266,6 +312,9 @@ func TestDigestOfConcurrentCallers(t *testing.T) {
 		raw := patterned(100+c, (2+c%4)*ChunkBytes+c)
 		wantChunks := chunkDigests(raw)
 		want := RootOf(len(raw), wantChunks)
+		next := slices.Clone(raw)
+		next[ChunkBytes+c] ^= 0xFF // chunk 1 changes
+		wantNext := chunkDigests(next)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -276,6 +325,10 @@ func TestDigestOfConcurrentCallers(t *testing.T) {
 				}
 				if !slices.Equal(ChunkDigests(nil, raw), wantChunks) {
 					t.Errorf("caller %d, round %d: ChunkDigests are not its image's chunks", c, r)
+					return
+				}
+				if ds, hashed := ChunkDigestsSince(nil, next, raw, wantChunks); hashed != 1 || !slices.Equal(ds, wantNext) {
+					t.Errorf("caller %d, round %d: ChunkDigestsSince hashed %d chunks or got another's digests", c, r, hashed)
 					return
 				}
 			}

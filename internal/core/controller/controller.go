@@ -209,10 +209,15 @@ type instState struct {
 	imageDigest appimage.Digest
 	// imageRaw is the image's serialized bytes, encoded exactly once at
 	// Create/recovery. Carousel refreshes re-stage these bytes verbatim
-	// (the PR 5 encode-once property applied to the head-end): with
+	// (the encode-once property applied to the head-end): with
 	// content-hashed modules downstream, an unchanged image re-airs as a
-	// cache hit, never as a re-encode.
-	imageRaw     []byte
+	// cache hit, never as a re-encode. Nothing writes to them, so the
+	// next generation compares against them to hash only what changed.
+	imageRaw []byte
+	// chunks are imageRaw's appimage.ChunkBytes chunk digests: the list
+	// imageDigest roots, handed to the head-end and the journal with the
+	// bytes, so neither hashes them again.
+	chunks       []appimage.Digest
 	seq          uint32
 	wakeups      int
 	resets       int
@@ -319,6 +324,7 @@ type ctrlMetrics struct {
 	recoveredInst *obs.Counter
 	imageEncodes  *obs.Counter
 	imageUpdates  *obs.Counter
+	chunksHashed  *obs.Counter
 }
 
 // instrument creates metric handles and registers the gauge functions
@@ -343,6 +349,7 @@ func (c *Controller) instrument(reg *obs.Registry) {
 		recoveredInst: reg.Counter("oddci_controller_instances_recovered_total", "Instances recovered from snapshot+journal at startup"),
 		imageEncodes:  reg.Counter("oddci_controller_image_encodes_total", "Image serializations performed (once per instance create, flat in refresh count)"),
 		imageUpdates:  reg.Counter("oddci_controller_image_updates_total", "Live-instance image replacements (Recompose)"),
+		chunksHashed:  reg.Counter("oddci_controller_image_chunks_hashed_total", "Image chunks hashed (every chunk at create, only the changed ones at Recompose)"),
 	}
 	if reg == nil {
 		return
@@ -455,10 +462,11 @@ func (c *Controller) recover() error {
 		if err != nil {
 			return fmt.Errorf("controller: recover instance %d image: %w", id, err)
 		}
-		digest := appimage.DigestOf(rec.Image)
+		digest := appimage.RootOf(len(rec.Image), rec.Chunks) // Load checked them
 		is := &instState{
 			id:       instance.ID(rec.ID),
 			imageRaw: rec.Image,
+			chunks:   rec.Chunks,
 			spec: InstanceSpec{
 				Image:           img,
 				Target:          int(rec.Target),
@@ -540,7 +548,7 @@ func journalRecordLocked(st *instState) journal.InstanceRecord {
 	if st.lastWakeup != nil {
 		rec.Probability = st.lastWakeup.Probability
 	}
-	rec.Image = st.imageRaw // encoded once at Create/recovery
+	rec.Image, rec.Chunks = st.imageRaw, st.chunks // encoded and hashed once
 	return rec
 }
 
@@ -650,7 +658,7 @@ func (c *Controller) carouselFilesLocked() []dsmcc.File {
 	}
 	for _, st := range c.orderedLocked() {
 		if !st.destroyed {
-			files = append(files, dsmcc.File{Name: st.imageFile, Data: st.imageRaw})
+			files = append(files, dsmcc.File{Name: st.imageFile, Data: st.imageRaw, Chunks: st.chunks})
 		}
 	}
 	return files
@@ -939,14 +947,16 @@ func (c *Controller) CreateInstance(spec InstanceSpec) (instance.ID, error) {
 	if spec.InitialProbability < 0 || spec.InitialProbability > 1 {
 		return 0, errors.New("controller: initial probability out of [0,1]")
 	}
-	// Serialize the image exactly once; every carousel refresh and
-	// journal record reuses these bytes.
+	// Serialize and hash the image exactly once; every carousel refresh
+	// and journal record reuses these bytes and their chunk digests.
 	imageRaw, err := spec.Image.Encode()
 	if err != nil {
 		return 0, fmt.Errorf("controller: image: %w", err)
 	}
-	digest := appimage.DigestOf(imageRaw)
+	chunks := appimage.ChunkDigests(nil, imageRaw)
+	digest := appimage.RootOf(len(imageRaw), chunks)
 	c.met.imageEncodes.Inc()
+	c.met.chunksHashed.Add(int64(len(chunks)))
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -962,6 +972,7 @@ func (c *Controller) CreateInstance(spec InstanceSpec) (instance.ID, error) {
 		imageFile:   fmt.Sprintf("image.%d", id),
 		imageDigest: digest,
 		imageRaw:    imageRaw,
+		chunks:      chunks,
 		members:     make(map[uint64]time.Time),
 		wakeupAt:    now,
 		createdAt:   now,
@@ -1039,7 +1050,8 @@ func (c *Controller) Resize(id instance.ID, target int) error {
 }
 
 // Recompose replaces a live instance's application image in place. The
-// new image is encoded once and the wakeup envelope re-airs at seq+1
+// new image is encoded once, and only its chunks that differ from the
+// current image's are hashed; the wakeup envelope re-airs at seq+1
 // with the new digest; members ride the head-end (the carousel, or the
 // TCP coordinator's chunk plane) to the new content. At or above target
 // the wakeup airs probability zero, so idle nodes never roll against the
@@ -1057,8 +1069,19 @@ func (c *Controller) Recompose(id instance.ID, img *appimage.Image) error {
 	if err != nil {
 		return fmt.Errorf("controller: image: %w", err)
 	}
-	digest := appimage.DigestOf(imageRaw)
 	c.met.imageEncodes.Inc()
+	// Diff and hash outside the lock. Whatever generation is current by
+	// the time it is retaken, the digests are imageRaw's.
+	var prevRaw []byte
+	var prevChunks []appimage.Digest
+	c.mu.Lock()
+	if st := c.instances[id]; st != nil {
+		prevRaw, prevChunks = st.imageRaw, st.chunks
+	}
+	c.mu.Unlock()
+	chunks, hashed := appimage.ChunkDigestsSince(nil, imageRaw, prevRaw, prevChunks)
+	digest := appimage.RootOf(len(imageRaw), chunks)
+	c.met.chunksHashed.Add(int64(hashed))
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -1073,7 +1096,7 @@ func (c *Controller) Recompose(id instance.ID, img *appimage.Image) error {
 		return fmt.Errorf("%w: %d", ErrInstanceGone, id)
 	}
 	st.spec.Image = img
-	st.imageRaw = imageRaw
+	st.imageRaw, st.chunks = imageRaw, chunks
 	st.imageDigest = digest
 	st.seq++
 	st.wakeups++
@@ -1090,6 +1113,7 @@ func (c *Controller) Recompose(id instance.ID, img *appimage.Image) error {
 		Wakeups:     uint32(st.wakeups),
 		Probability: w.Probability,
 		Image:       imageRaw,
+		Chunks:      chunks,
 	}})
 	c.met.imageUpdates.Inc()
 	c.met.wakeups.Inc()

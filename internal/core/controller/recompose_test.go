@@ -167,7 +167,7 @@ func TestRecompositionWakeupAdvancesSeq(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := journal.DecodeJournal(raw)
+	_, recs, err := journal.DecodeJournal(raw)
 	if err != nil {
 		t.Fatal(err)
 	}

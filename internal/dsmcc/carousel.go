@@ -7,6 +7,7 @@ import (
 	"sort"
 	"time"
 
+	"oddci/internal/appimage"
 	"oddci/internal/mpegts"
 )
 
@@ -14,6 +15,11 @@ import (
 type File struct {
 	Name string
 	Data []byte
+	// Chunks, when set, are the digests of Data's appimage.ChunkBytes
+	// chunks, as the Controller hashed them: a head-end that stages an
+	// image by chunk (the TCP coordinator) takes them instead of hashing
+	// Data again. The carousel ignores them.
+	Chunks []appimage.Digest
 }
 
 // Carousel is the sender-side content model: a versioned set of files

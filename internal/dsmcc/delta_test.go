@@ -56,7 +56,7 @@ func TestDeltaCycleCarriesOnlyChangedModules(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, b, d := randBytes(rng, 30000), randBytes(rng, 30000), randBytes(rng, 30000)
-	mustSetFiles(t, c, File{"a", a}, File{"b", b}, File{"d", d})
+	mustSetFiles(t, c, File{Name: "a", Data: a}, File{Name: "b", Data: b}, File{Name: "d", Data: d})
 
 	// First SetFiles: everything is new, delta == full.
 	if got, want := len(mustDelta(t, c)), len(mustCycle(t, c)); got != want {
@@ -65,7 +65,7 @@ func TestDeltaCycleCarriesOnlyChangedModules(t *testing.T) {
 
 	// Change one module: the delta is the DII + that module's blocks.
 	b2 := randBytes(rng, 30000)
-	mustSetFiles(t, c, File{"a", a}, File{"b", b2}, File{"d", d})
+	mustSetFiles(t, c, File{Name: "a", Data: a}, File{Name: "b", Data: b2}, File{Name: "d", Data: d})
 	delta := mustDelta(t, c)
 	wantBlocks := blocksFor(len(b2), c.BlockSize())
 	if got := len(delta) - 1; got != wantBlocks {
@@ -91,7 +91,7 @@ func TestDeltaCycleCarriesOnlyChangedModules(t *testing.T) {
 	}
 
 	// No-op update: delta is just the DII.
-	mustSetFiles(t, c, File{"a", a}, File{"b", b2}, File{"d", d})
+	mustSetFiles(t, c, File{Name: "a", Data: a}, File{Name: "b", Data: b2}, File{Name: "d", Data: d})
 	if got := len(mustDelta(t, c)); got != 1 {
 		t.Fatalf("no-op delta has %d sections, want 1 (DII only)", got)
 	}
@@ -106,7 +106,7 @@ func TestDeltaCycleCarriesOnlyChangedModules(t *testing.T) {
 	}
 	files := make([]File, modules)
 	for i := range files {
-		files[i] = File{fmt.Sprintf("m%02d", i), randBytes(rng, moduleBytes)}
+		files[i] = File{Name: fmt.Sprintf("m%02d", i), Data: randBytes(rng, moduleBytes)}
 	}
 	mustSetFiles(t, img, files...)
 	for _, k := range []int{1, 4, 16} {
@@ -138,7 +138,7 @@ func TestWarmReceiverConvergesFromDeltaAlone(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, b := randBytes(rng, 25000), randBytes(rng, 25000)
-	mustSetFiles(t, c, File{"a", a}, File{"b", b})
+	mustSetFiles(t, c, File{Name: "a", Data: a}, File{Name: "b", Data: b})
 
 	recv := NewReceiver()
 	feedSections(recv, mustCycle(t, c))
@@ -149,7 +149,7 @@ func TestWarmReceiverConvergesFromDeltaAlone(t *testing.T) {
 	}
 
 	b2 := randBytes(rng, 25000)
-	mustSetFiles(t, c, File{"a", a}, File{"b", b2})
+	mustSetFiles(t, c, File{Name: "a", Data: a}, File{Name: "b", Data: b2})
 	feedSections(recv, mustDelta(t, c))
 	if got, ok := recv.File("b"); !ok || !bytes.Equal(got, b2) {
 		t.Fatal("changed module b not re-assembled from delta")
@@ -172,12 +172,12 @@ func TestDeltaReairHealsBlockLoss(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, b := randBytes(rng, 25000), randBytes(rng, 25000)
-	mustSetFiles(t, c, File{"a", a}, File{"b", b})
+	mustSetFiles(t, c, File{Name: "a", Data: a}, File{Name: "b", Data: b})
 	recv := NewReceiver()
 	feedSections(recv, mustCycle(t, c))
 
 	b2 := randBytes(rng, 25000)
-	mustSetFiles(t, c, File{"a", a}, File{"b", b2})
+	mustSetFiles(t, c, File{Name: "a", Data: a}, File{Name: "b", Data: b2})
 	delta := mustDelta(t, c)
 	// Drop one DDB of the changed module (section index 2: DII, blk0, blk1...).
 	lossy := append([][]byte(nil), delta[:2]...)
@@ -206,12 +206,12 @@ func TestDeltaDIILossBuffersBlocksUntilDirectory(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, b := randBytes(rng, 25000), randBytes(rng, 25000)
-	mustSetFiles(t, c, File{"a", a}, File{"b", b})
+	mustSetFiles(t, c, File{Name: "a", Data: a}, File{Name: "b", Data: b})
 	recv := NewReceiver()
 	feedSections(recv, mustCycle(t, c))
 
 	b2 := randBytes(rng, 25000)
-	mustSetFiles(t, c, File{"a", a}, File{"b", b2})
+	mustSetFiles(t, c, File{Name: "a", Data: a}, File{Name: "b", Data: b2})
 	delta := mustDelta(t, c)
 	feedSections(recv, delta[1:]) // DII lost
 	if got, ok := recv.File("b"); !ok || !bytes.Equal(got, b) {
@@ -233,7 +233,7 @@ func TestCacheHitAssemblyUnderChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, b := randBytes(rng, 25000), randBytes(rng, 25000)
-	mustSetFiles(t, c, File{"a", a}, File{"b", b})
+	mustSetFiles(t, c, File{Name: "a", Data: a}, File{Name: "b", Data: b})
 
 	reg := obs.NewRegistry()
 	met := NewCacheMetrics(reg)
@@ -249,7 +249,7 @@ func TestCacheHitAssemblyUnderChurn(t *testing.T) {
 
 	// Power cycle: a brand-new receiver, same cache. Only a delta airs.
 	b2 := randBytes(rng, 25000)
-	mustSetFiles(t, c, File{"a", a}, File{"b", b2})
+	mustSetFiles(t, c, File{Name: "a", Data: a}, File{Name: "b", Data: b2})
 	second := NewReceiver()
 	second.SetCache(cache)
 	feedSections(second, mustDelta(t, c))
@@ -291,7 +291,7 @@ func TestModuleVersionWrapRegression(t *testing.T) {
 			recv.DisableHashes = legacy
 			for i := 0; i < 300; i++ {
 				content := []byte(fmt.Sprintf("generation %d content", i))
-				mustSetFiles(t, c, File{"mod", content}, File{"fixed", fixed})
+				mustSetFiles(t, c, File{Name: "mod", Data: content}, File{Name: "fixed", Data: fixed})
 				feedSections(recv, mustDelta(t, c))
 				if got, ok := recv.File("mod"); !ok || !bytes.Equal(got, content) {
 					t.Fatalf("update %d (version %d): receiver serves %q, want %q",
@@ -313,13 +313,13 @@ func TestGenerationWrapReceiverFollows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustSetFiles(t, c, File{"mod", []byte("old")})
+	mustSetFiles(t, c, File{Name: "mod", Data: []byte("old")})
 	c.generation = 0xFFFFFFFF - 1 // long-lived instance near the wrap
 
 	recv := NewReceiver()
 	feedSections(recv, mustCycle(t, c))
 	for i, content := range []string{"newer", "newest", "post-wrap"} {
-		mustSetFiles(t, c, File{"mod", []byte(content)})
+		mustSetFiles(t, c, File{Name: "mod", Data: []byte(content)})
 		feedSections(recv, mustCycle(t, c))
 		if got, ok := recv.File("mod"); !ok || string(got) != content {
 			t.Fatalf("step %d (generation %#x): receiver serves %q, want %q",
@@ -373,7 +373,7 @@ func TestMixedVersionInterop(t *testing.T) {
 
 	t.Run("legacy receiver, hashed wire", func(t *testing.T) {
 		c, _ := NewCarousel(0x300, 0)
-		mustSetFiles(t, c, File{"mod", data})
+		mustSetFiles(t, c, File{Name: "mod", Data: data})
 		recv := NewReceiver()
 		recv.DisableHashes = true
 		feedSections(recv, mustCycle(t, c))
@@ -384,7 +384,7 @@ func TestMixedVersionInterop(t *testing.T) {
 	t.Run("hash-aware receiver, legacy wire", func(t *testing.T) {
 		c, _ := NewCarousel(0x300, 0)
 		c.SetHashExtension(false)
-		mustSetFiles(t, c, File{"mod", data})
+		mustSetFiles(t, c, File{Name: "mod", Data: data})
 		recv := NewReceiver()
 		cache := NewChunkCache(1 << 20)
 		recv.SetCache(cache)
@@ -402,8 +402,8 @@ func TestMixedVersionInterop(t *testing.T) {
 		// order they land.
 		c, _ := NewCarousel(0x300, 0)
 		keep := randBytes(rng, 400_000)
-		mustSetFiles(t, c, File{"mod", data}, File{"keep", keep})
-		mustSetFiles(t, c, File{"mod", randBytes(rng, 20000)}, File{"keep", keep})
+		mustSetFiles(t, c, File{Name: "mod", Data: data}, File{Name: "keep", Data: keep})
+		mustSetFiles(t, c, File{Name: "mod", Data: randBytes(rng, 20000)}, File{Name: "keep", Data: keep})
 		recv := NewReceiver()
 		recv.DisableHashes = true
 		feedSections(recv, mustDelta(t, c))

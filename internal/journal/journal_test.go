@@ -1,12 +1,17 @@
 package journal
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
+	"oddci/internal/appimage"
 	"oddci/internal/core/instance"
 )
 
@@ -29,6 +34,7 @@ func randInstance(rng *rand.Rand, id uint64) InstanceRecord {
 		},
 		ImageFile: "image." + string(rune('a'+rng.Intn(26))),
 		Image:     img,
+		Chunks:    appimage.ChunkDigests(nil, img),
 	}
 }
 
@@ -42,6 +48,11 @@ func randRecord(rng *rand.Rand, id uint64) Record {
 		r.Inst = InstanceRecord{ID: id, Target: int32(rng.Intn(1000))}
 	case OpRecompose:
 		r.Inst = InstanceRecord{ID: id, Seq: rng.Uint32(), Wakeups: rng.Uint32(), Probability: rng.Float64()}
+		if rng.Intn(2) == 0 { // an image replacement, not a sequence bump
+			r.Inst.Image = make([]byte, 1+rng.Intn(2048))
+			rng.Read(r.Inst.Image)
+			r.Inst.Chunks = appimage.ChunkDigests(nil, r.Inst.Image)
+		}
 	case OpDestroy:
 		r.Inst = InstanceRecord{ID: id, Seq: rng.Uint32(), Resets: rng.Uint32(), ResetTicks: int32(rng.Intn(10))}
 	case OpGC:
@@ -59,13 +70,17 @@ func TestJournalRoundTripProperty(t *testing.T) {
 		for i := 0; i < n; i++ {
 			recs = append(recs, randRecord(rng, uint64(1+rng.Intn(8))))
 		}
-		b, err := EncodeJournal(recs)
+		gen := rng.Uint64()
+		b, err := EncodeJournal(gen, recs)
 		if err != nil {
 			t.Fatalf("trial %d: encode: %v", trial, err)
 		}
-		got, err := DecodeJournal(b)
+		gotGen, got, err := DecodeJournal(b)
 		if err != nil {
 			t.Fatalf("trial %d: decode: %v", trial, err)
+		}
+		if gotGen != gen {
+			t.Fatalf("trial %d: generation %d round-tripped to %d", trial, gen, gotGen)
 		}
 		if len(got) != len(recs) {
 			t.Fatalf("trial %d: %d records round-tripped to %d", trial, len(recs), len(got))
@@ -161,7 +176,7 @@ func TestReplayIdempotenceProperty(t *testing.T) {
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	snap := &Snapshot{NextID: 42}
+	snap := &Snapshot{Gen: 7, NextID: 42}
 	for i := 0; i < 5; i++ {
 		snap.Instances = append(snap.Instances, randInstance(rng, uint64(i+1)))
 	}
@@ -173,7 +188,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.NextID != snap.NextID || len(got.Instances) != len(snap.Instances) {
+	if got.Gen != snap.Gen || got.NextID != snap.NextID || len(got.Instances) != len(snap.Instances) {
 		t.Fatalf("snapshot header round-trip: %+v", got)
 	}
 	for i := range snap.Instances {
@@ -188,14 +203,14 @@ func TestCorruptJournalTypedErrors(t *testing.T) {
 		{Op: OpCreate, Inst: randInstance(rand.New(rand.NewSource(5)), 1)},
 		{Op: OpResize, Inst: InstanceRecord{ID: 1, Target: 9}},
 	}
-	good, err := EncodeJournal(recs)
+	good, err := EncodeJournal(0, recs)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	t.Run("truncated tail", func(t *testing.T) {
 		for cut := 1; cut < 12; cut++ {
-			_, err := DecodeJournal(good[:len(good)-cut])
+			_, _, err := DecodeJournal(good[:len(good)-cut])
 			if !errors.Is(err, ErrTruncated) {
 				t.Fatalf("cut %d: err = %v, want ErrTruncated", cut, err)
 			}
@@ -207,26 +222,26 @@ func TestCorruptJournalTypedErrors(t *testing.T) {
 	t.Run("bit flip", func(t *testing.T) {
 		bad := append([]byte(nil), good...)
 		bad[len(bad)-10] ^= 0x40
-		if _, err := DecodeJournal(bad); !errors.Is(err, ErrCorrupt) {
+		if _, _, err := DecodeJournal(bad); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("err = %v, want ErrCorrupt", err)
 		}
 	})
 	t.Run("bad magic", func(t *testing.T) {
 		bad := append([]byte(nil), good...)
 		bad[0] = 'X'
-		if _, err := DecodeJournal(bad); !errors.Is(err, ErrCorrupt) {
+		if _, _, err := DecodeJournal(bad); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("err = %v, want ErrCorrupt", err)
 		}
 	})
 	t.Run("bad version", func(t *testing.T) {
 		bad := append([]byte(nil), good...)
 		bad[4] = 99
-		if _, err := DecodeJournal(bad); !errors.Is(err, ErrCorrupt) {
+		if _, _, err := DecodeJournal(bad); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("err = %v, want ErrCorrupt", err)
 		}
 	})
 	t.Run("empty is valid", func(t *testing.T) {
-		if recs, err := DecodeJournal(nil); err != nil || len(recs) != 0 {
+		if _, recs, err := DecodeJournal(nil); err != nil || len(recs) != 0 {
 			t.Fatalf("empty journal: %v, %d records", err, len(recs))
 		}
 	})
@@ -294,5 +309,92 @@ func TestApplySemantics(t *testing.T) {
 	}
 	if s.Empty() {
 		t.Fatal("state with issued IDs must not report empty")
+	}
+}
+
+// TestChunkFramingTypedErrors: the chunk-store grammar a strict decoder
+// holds a journal and a snapshot to — chunk frames are exactly their
+// record's first appearances of unstored digests, in slot order, each a
+// slot's length — and the append-side checks that keep a store from
+// writing anything else.
+func TestChunkFramingTypedErrors(t *testing.T) {
+	img := []byte("one short chunk")
+	d := appimage.ChunkDigests(nil, img)[0]
+	chunk := func(d appimage.Digest, data []byte) []byte {
+		return appendFrame(nil, append(append([]byte{byte(opChunk)}, d[:]...), data...))
+	}
+	record := func(r Record) []byte {
+		p, err := appendRecordPayload(nil, &r, []appimage.Digest{d})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return appendFrame(nil, p)
+	}
+	create := Record{Op: OpCreate, Inst: InstanceRecord{ID: 1, ImageFile: "image.1", Image: img}}
+	replace := Record{Op: OpRecompose, Inst: InstanceRecord{ID: 1, Seq: 2, Image: img}}
+	journal := func(frames ...[]byte) []byte {
+		b := journalHeader(0)
+		for _, f := range frames {
+			b = append(b, f...)
+		}
+		return b
+	}
+	other := appimage.Digest{9}
+	for name, c := range map[string]struct {
+		b         []byte
+		truncated bool
+	}{
+		"chunks with no record after":    {journal(chunk(d, img)), true},
+		"chunk its record does not name": {journal(chunk(d, img), chunk(other, img), record(create)), false},
+		"chunk stored twice":             {journal(chunk(d, img), record(create), chunk(d, img), record(replace)), false},
+		"chunk before a resize":          {journal(chunk(d, img), record(Record{Op: OpResize, Inst: InstanceRecord{ID: 1}})), false},
+		"chunk of the wrong length":      {journal(chunk(d, img[1:]), record(create)), false},
+		"manifest naming nothing stored": {journal(record(replace)), false},
+		"short chunk frame":              {journal(appendFrame(nil, []byte{byte(opChunk), 1, 2})), false},
+		"empty recompose manifest":       {journal(appendFrame(nil, append(record(Record{Op: OpRecompose})[4:4+25], 0, 0, 0, 0))), false},
+		"manifest short of its digests":  {journal(appendFrame(nil, append(record(Record{Op: OpRecompose})[4:4+25], 0, 0, 0, 9))), false},
+	} {
+		_, _, err := DecodeJournal(c.b)
+		if !errors.Is(err, ErrCorrupt) || errors.Is(err, ErrTruncated) != c.truncated {
+			t.Errorf("%s: err = %v, want ErrCorrupt (truncated: %v)", name, err, c.truncated)
+		}
+	}
+
+	// A snapshot's chunk table obeys the same rule over all its instances.
+	snap, err := EncodeSnapshot(&Snapshot{NextID: 2, Instances: []InstanceRecord{create.Inst}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seal := func(body []byte) []byte {
+		return binary.BigEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
+	}
+	chunkTableEnd := 25 + digestLen + 4 + len(img)
+	for name, b := range map[string][]byte{
+		// The instances cut: the stored chunk is named by none.
+		"stored chunk no instance names": seal(append(slices.Clone(snap[:chunkTableEnd]), 0, 0, 0, 0)),
+		"truncated chunk table":          seal(slices.Clone(snap[:32])),
+	} {
+		if _, err := DecodeSnapshot(b); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
+		}
+	}
+
+	// Append refuses a digest list that does not fit the image, and a
+	// refused record stores nothing: the next append of the same image
+	// still writes its chunk.
+	s := openTestStore(t, t.TempDir(), Options{})
+	if _, err := s.Load(); err != nil {
+		t.Fatal(err)
+	}
+	bad := create
+	bad.Inst.Chunks = []appimage.Digest{d, d}
+	if err := s.Append(bad); err == nil {
+		t.Fatal("append with two digests for a one-chunk image succeeded")
+	}
+	if err := s.Append(create); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := s.Load(); err != nil || !bytes.Equal(st.Instances[1].Image, img) {
+		t.Fatalf("after a refused append: %v", err)
 	}
 }

@@ -7,15 +7,18 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 
+	"oddci/internal/appimage"
 	"oddci/internal/obs"
 	"oddci/internal/simtime"
 )
 
-// File names inside a state directory. The snapshot is replaced
-// atomically (write temp + rename); the journal is append-only and
-// truncated to empty only as the second half of a compaction.
+// File names inside a state directory. The snapshot and the key are
+// replaced atomically (write a temp file, fsync it, rename it over, fsync
+// the directory); the journal is append-only, and starts over, under the
+// new snapshot's generation, only once that snapshot is durable.
 const (
 	snapshotFile = "state.snap"
 	journalFile  = "state.journal"
@@ -56,6 +59,24 @@ type Store struct {
 	lastErr error
 	closed  bool
 
+	// gen is the generation of the snapshot on disk, which the journal
+	// extends. size is the journal's length up to its last whole,
+	// written record (0: not yet started under gen). reset asks that the
+	// file be cut back to size, and started over with a header for gen
+	// at 0, before it takes another record: a compaction or a Load left
+	// it extending an earlier snapshot, or an append failed partway.
+	// syncDir asks that the directory be fsynced before that, so the
+	// journal loses no byte before the snapshot that holds them is
+	// durable.
+	gen            uint64
+	size           int64
+	reset, syncDir bool
+
+	// held is the set of chunk digests the snapshot and the journal
+	// store, so an append writes only the chunks neither holds. It is nil
+	// until Load or Compact learns it.
+	held map[appimage.Digest]struct{}
+
 	// baseBytes is the state the journal is measured against: the last
 	// snapshot loaded or written or, on a store without one, the first
 	// record appended, which a snapshot would hold too. recBytes counts
@@ -72,7 +93,7 @@ type Store struct {
 }
 
 // Open creates or reuses dir and opens the journal for appending. It
-// does not replay; call Load for that.
+// does not replay; call Load (or Compact) before the first Append.
 func Open(dir string, opts Options) (*Store, error) {
 	if opts.CompactEvery <= 0 {
 		opts.CompactEvery = 256
@@ -83,33 +104,13 @@ func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: state dir: %w", err)
 	}
-	s := &Store{dir: dir, opts: opts}
-	if err := s.openJournal(); err != nil {
-		return nil, err
+	f, err := os.OpenFile(filepath.Join(dir, journalFile), os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, fmt.Errorf("journal: open: %w", err)
 	}
+	s := &Store{dir: dir, opts: opts, f: f}
 	s.instrument(opts.Obs)
 	return s, nil
-}
-
-func (s *Store) openJournal() error {
-	path := filepath.Join(s.dir, journalFile)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("journal: open: %w", err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("journal: stat: %w", err)
-	}
-	if st.Size() == 0 {
-		if _, err := f.Write(JournalHeader()); err != nil {
-			f.Close()
-			return fmt.Errorf("journal: write header: %w", err)
-		}
-	}
-	s.f = f
-	return nil
 }
 
 func (s *Store) instrument(reg *obs.Registry) {
@@ -140,17 +141,26 @@ func (s *Store) instrument(reg *obs.Registry) {
 
 // Load replays snapshot+journal from disk into a State. A missing pair
 // yields an empty state; corruption is reported with the codec's typed
-// errors and nothing is replayed past it.
+// errors and nothing is replayed past it. A journal that extends an
+// earlier snapshot generation than the one on disk is skipped: a
+// compaction already folded it in, and was cut before it started the
+// journal over (the next Append does). One that extends a later
+// generation is ErrCorrupt, its snapshot lost. Each recovered image is
+// checked against its chunk digests, so the State's Chunks are its
+// images' and a root over them is the bytes' root.
 func (s *Store) Load() (*State, error) {
 	start := s.opts.Clock.Now()
-	var snap *Snapshot
+	st := NewState()
+	table := newChunkTable()
+	var gen uint64
 	var snapBytes int64
 	if b, err := os.ReadFile(filepath.Join(s.dir, snapshotFile)); err == nil {
 		snapBytes = int64(len(b))
-		snap, err = DecodeSnapshot(b)
-		if err != nil {
+		var snap *Snapshot
+		if snap, table, err = decodeSnapshot(b); err != nil {
 			return nil, err
 		}
+		st, gen = Replay(snap, nil), snap.Gen
 	} else if !errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("journal: read snapshot: %w", err)
 	}
@@ -158,55 +168,131 @@ func (s *Store) Load() (*State, error) {
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("journal: read journal: %w", err)
 	}
-	recs, err := DecodeJournal(jb)
-	if err != nil {
-		return nil, err
+	recs, stale := 0, false
+	if len(jb) == 0 {
+		jb = nil // never started: the first Append writes its header
+	} else {
+		jgen, frames, err := parseJournalHeader(jb)
+		if err != nil {
+			return nil, err
+		}
+		switch {
+		case jgen > gen:
+			return nil, fmt.Errorf("%w: journal extends snapshot generation %d, but the snapshot on disk is generation %d", ErrCorrupt, jgen, gen)
+		case jgen < gen:
+			jb, stale = nil, true
+		default:
+			if err := decodeJournal(frames, table, func(r Record) { st.Apply(r); recs++ }); err != nil {
+				return nil, err
+			}
+		}
 	}
-	st := Replay(snap, recs)
+	for _, id := range st.Order {
+		rec := st.Instances[id]
+		if !slices.Equal(appimage.ChunkDigests(nil, rec.Image), rec.Chunks) {
+			return nil, fmt.Errorf("%w: instance %d image does not hash to its chunk digests", ErrCorrupt, id)
+		}
+	}
+	held := make(map[appimage.Digest]struct{}, len(table.held))
+	for d := range table.held {
+		held[d] = struct{}{}
+	}
 	s.mu.Lock()
-	s.recs, s.recBytes, s.baseBytes = len(recs), int64(max(len(jb)-len(JournalHeader()), 0)), snapBytes
+	s.recs, s.recBytes, s.baseBytes = recs, int64(max(len(jb)-journalHeaderLen, 0)), snapBytes
+	s.gen, s.size, s.held = gen, int64(len(jb)), held
+	s.reset, s.syncDir = jb == nil, stale && !s.opts.NoSync
 	s.mu.Unlock()
 	if s.replayed != nil {
-		s.replayed.Add(int64(len(recs)))
+		s.replayed.Add(int64(recs))
 		s.replayTime.ObserveDuration(s.opts.Clock.Now().Sub(start))
 	}
 	return st, nil
 }
 
-// Append frames and writes one record, fsyncing unless NoSync. The
-// first error latches into Err and the journal-stalled health check.
+// Append writes one record, fsyncing unless NoSync: a create or image
+// replacement goes in as the chunks of its image the state dir does not
+// hold yet, then the record with its manifest, in one write and one
+// fsync (which also covers a journal Compact just started over). The
+// first error latches into Err and the journal-stalled health check;
+// a record that fails is cut off the journal before the next one goes
+// in, so a transient error costs that record, not the ones after it.
 func (s *Store) Append(r Record) error {
-	frame, err := EncodeRecord(r)
-	if err != nil {
-		return s.fail(err)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return errors.New("journal: store closed")
 	}
-	if _, err := s.f.Write(frame); err != nil {
-		return s.failLocked(fmt.Errorf("journal: append: %w", err))
+	if s.held == nil {
+		return s.failLocked(errors.New("journal: append before Load: the chunks the state dir stores are unknown"))
 	}
-	if !s.opts.NoSync {
-		if err := s.f.Sync(); err != nil {
-			return s.failLocked(fmt.Errorf("journal: fsync: %w", err))
-		}
-		if s.fsyncs != nil {
-			s.fsyncs.Inc()
+	if s.reset {
+		if err := s.resetLocked(); err != nil {
+			return s.failLocked(err)
 		}
 	}
+	frames, err := appendRecordFrames(nil, r, s.held)
+	if err != nil {
+		return s.failLocked(err)
+	}
+	if _, err = s.f.Write(frames); err != nil {
+		err = fmt.Errorf("journal: append: %w", err)
+	} else if !s.opts.NoSync {
+		if err = s.f.Sync(); err != nil {
+			err = fmt.Errorf("journal: fsync: %w", err)
+		} else {
+			s.fsynced(1)
+		}
+	}
+	if err != nil {
+		forgetChunks(frames, s.held)
+		s.reset = true
+		return s.failLocked(err)
+	}
+	s.size += int64(len(frames))
 	s.recs++
 	if s.baseBytes == 0 {
-		s.baseBytes = int64(len(frame))
+		s.baseBytes = int64(len(frames))
 	} else {
-		s.recBytes += int64(len(frame))
+		s.recBytes += int64(len(frames))
 	}
 	if s.appends != nil {
 		s.appends.Inc()
-		s.bytes.Add(int64(len(frame)))
+		s.bytes.Add(int64(len(frames)))
 	}
 	return nil
+}
+
+// resetLocked cuts the journal back to size, and at 0 starts it over
+// with a header for gen; a directory fsync owed by a compaction goes
+// first. It does not fsync the journal: until the next append's fsync,
+// a power cut leaves it extending the earlier generation, empty, or
+// holding the header, and Load replays none of those past the snapshot.
+func (s *Store) resetLocked() error {
+	if s.syncDir {
+		if err := syncDir(s.dir); err != nil {
+			return err
+		}
+		s.syncDir = false
+		s.fsynced(1)
+	}
+	if err := s.f.Truncate(s.size); err != nil {
+		return fmt.Errorf("journal: truncate: %w", err)
+	}
+	if s.size == 0 {
+		// O_APPEND writes land at the (new) end regardless of offset.
+		if _, err := s.f.Write(journalHeader(s.gen)); err != nil {
+			return fmt.Errorf("journal: write header: %w", err)
+		}
+		s.size = journalHeaderLen
+	}
+	s.reset = false
+	return nil
+}
+
+func (s *Store) fsynced(n int64) {
+	if s.fsyncs != nil {
+		s.fsyncs.Add(n)
+	}
 }
 
 // NeedsCompaction reports whether the journal has grown past the
@@ -221,55 +307,88 @@ func (s *Store) NeedsCompaction() bool {
 	return s.recs >= s.opts.CompactEvery || s.recBytes > s.baseBytes
 }
 
-// Compact atomically replaces the snapshot with st's image and resets
-// the journal to empty. Crash ordering is safe at every step: the
-// snapshot rename is atomic, and until the journal truncation lands the
-// journal's records merely replay idempotently on top of the new
-// snapshot.
+// Compact atomically replaces the snapshot with st's image, one
+// generation on, and starts the journal over under it. The new snapshot
+// is durable before the journal loses a byte: it is written to a temp
+// file and fsynced, renamed over the old one, and the directory
+// fsynced, and only then is the journal truncated. A crash before the
+// rename leaves the old pair (and a temp file Load ignores and the next
+// Compact replaces); after it, the journal names the old generation
+// until it starts over, so Load skips it. The chunks the snapshot
+// stores become the ones later appends skip. Once the rename lands a
+// later error only defers the journal's restart to the next Append.
 func (s *Store) Compact(st *State) error {
-	b, err := EncodeSnapshot(st.Snapshot())
-	if err != nil {
-		return s.fail(err)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return errors.New("journal: store closed")
 	}
-	tmp := filepath.Join(s.dir, snapshotFile+".tmp")
-	if err := os.WriteFile(tmp, b, 0o644); err != nil {
-		return s.failLocked(fmt.Errorf("journal: write snapshot: %w", err))
+	snap := st.Snapshot()
+	snap.Gen = s.gen + 1
+	b, held, err := encodeSnapshot(snap)
+	if err != nil {
+		return s.failLocked(err)
 	}
-	if err := os.Rename(tmp, filepath.Join(s.dir, snapshotFile)); err != nil {
-		return s.failLocked(fmt.Errorf("journal: commit snapshot: %w", err))
-	}
-	// Reset the journal: truncate and rewrite the header.
-	if err := s.f.Truncate(0); err != nil {
-		return s.failLocked(fmt.Errorf("journal: truncate: %w", err))
-	}
-	// O_APPEND writes land at the (new) end regardless of offset.
-	if _, err := s.f.Write(JournalHeader()); err != nil {
-		return s.failLocked(fmt.Errorf("journal: rewrite header: %w", err))
+	if err := replaceFile(s.dir, snapshotFile, b, 0o644, !s.opts.NoSync); err != nil {
+		return s.failLocked(err)
 	}
 	if !s.opts.NoSync {
-		if err := s.f.Sync(); err != nil {
-			return s.failLocked(fmt.Errorf("journal: fsync: %w", err))
-		}
-		if s.fsyncs != nil {
-			s.fsyncs.Inc()
-		}
+		s.fsynced(1)
 	}
+	s.gen, s.size, s.held = snap.Gen, 0, held
+	s.reset, s.syncDir = true, !s.opts.NoSync
 	s.recs, s.recBytes, s.baseBytes = 0, 0, int64(len(b))
+	if err := s.resetLocked(); err != nil {
+		return s.failLocked(err)
+	}
 	if s.compactions != nil {
 		s.compactions.Inc()
 	}
 	return nil
 }
 
-func (s *Store) fail(err error) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.failLocked(err)
+// replaceFile makes b the content of dir/name, whole: it writes
+// name.tmp, fsyncs it and renames it over name, so a crash leaves the
+// old file or the new one. A leftover name.tmp from an earlier crash is
+// overwritten. The rename is durable only once dir is fsynced
+// (syncDir). sync false skips the fsync (tests).
+func replaceFile(dir, name string, b []byte, perm os.FileMode, sync bool) error {
+	path := filepath.Join(dir, name)
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, perm)
+	if err != nil {
+		return fmt.Errorf("journal: write %s: %w", name, err)
+	}
+	_, err = f.Write(b)
+	if err == nil && sync {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("journal: write %s: %w", name, err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return fmt.Errorf("journal: commit %s: %w", name, err)
+	}
+	return nil
+}
+
+// syncDir fsyncs dir, making the renames in it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("journal: fsync dir: %w", err)
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("journal: fsync dir: %w", err)
+	}
+	return nil
 }
 
 func (s *Store) failLocked(err error) error {
@@ -314,7 +433,9 @@ func (s *Store) Close() error {
 // key from dir, generating and saving one on first use. Persisting the
 // key matters as much as the instance table: PNAs verify control
 // envelopes against the controller's public key, so a restarted
-// coordinator must keep signing with the same identity.
+// coordinator must keep signing with the same identity. A new key is
+// written through replaceFile and the directory fsynced before it is
+// returned, so once it can sign anything it is on disk whole.
 func LoadOrCreateKey(dir string) (ed25519.PrivateKey, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("journal: state dir: %w", err)
@@ -332,8 +453,11 @@ func LoadOrCreateKey(dir string) (ed25519.PrivateKey, error) {
 	if err != nil {
 		return nil, fmt.Errorf("journal: generate key: %w", err)
 	}
-	if err := os.WriteFile(path, priv, 0o600); err != nil {
-		return nil, fmt.Errorf("journal: save key: %w", err)
+	if err := replaceFile(dir, keyFile, priv, 0o600, true); err != nil {
+		return nil, err
+	}
+	if err := syncDir(dir); err != nil {
+		return nil, err
 	}
 	return priv, nil
 }

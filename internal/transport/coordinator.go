@@ -335,14 +335,14 @@ func (c *Coordinator) Start(files []dsmcc.File) error { return c.Update(files) }
 
 // Update stages the Controller's files as the next generation. The
 // control file goes out verbatim as the control frame; the one image
-// file is split into appimage.ChunkBytes chunks, each hashed once
-// (appimage.ChunkDigests spreads them over the cores), and a manifest
-// frame lists them. The previous stage donates every chunk frame whose
-// digest is unchanged, so only new content costs an encode — the
-// per-chunk form of the encode-once invariant; a first staging is the
-// same delta from a stage that holds nothing. The PNA code file has no
-// TCP counterpart (a node is its own agent), and a second image file
-// is an error: a coordinator serves one instance.
+// file is split into appimage.ChunkBytes chunks, and a manifest frame
+// lists them under the digests the Controller hashed (File.Chunks), so
+// the coordinator hashes nothing. The previous stage donates every
+// chunk frame whose digest is unchanged, so only new content costs an
+// encode — the per-chunk form of the encode-once invariant; a first
+// staging is the same delta from a stage that holds nothing. The PNA
+// code file has no TCP counterpart (a node is its own agent), and a
+// second image file is an error: a coordinator serves one instance.
 func (c *Coordinator) Update(files []dsmcc.File) error {
 	var ctrlFile []byte
 	var img *dsmcc.File
@@ -369,12 +369,15 @@ func (c *Coordinator) Update(files []dsmcc.File) error {
 	}
 	if img != nil {
 		st.raw = img.Data
-		manifest := ImageManifest{Name: img.Name, Size: len(st.raw), Digests: appimage.ChunkDigests(nil, st.raw)}
+		if len(img.Chunks) != appimage.ChunkCount(len(st.raw)) {
+			return fmt.Errorf("transport: image file %s comes with %d chunk digests for %d bytes", img.Name, len(img.Chunks), len(st.raw))
+		}
+		manifest := ImageManifest{Name: img.Name, Size: len(st.raw), Digests: img.Chunks}
 		for i, d := range manifest.Digests {
 			if _, ok := st.chunks[d]; ok {
 				continue // duplicate content within the image
 			}
-			n := min(appimage.ChunkBytes, len(st.raw)-i*appimage.ChunkBytes)
+			n := len(appimage.Chunk(st.raw, i))
 			hdr := prev.chunks[d].hdr // unchanged content: reused, no encode
 			if hdr == nil {
 				hdr = binary.BigEndian.AppendUint32([]byte{byte(FrameImageChunk)}, uint32(digestLen+n))

@@ -5,12 +5,15 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
 
 	"oddci/internal/appimage"
 	"oddci/internal/control"
+	"oddci/internal/journal"
 	"oddci/internal/obs"
 )
 
@@ -186,6 +189,90 @@ func TestUpdateImagePersistsAcrossRestart(t *testing.T) {
 	defer c2.Close()
 	if c2.Seq() != 3 {
 		t.Fatalf("restarted seq = %d, want 3 (bumped past the update's recorded wakeup)", c2.Seq())
+	}
+}
+
+// TestUpdateJournalsAndHashesOnlyChanges: over a state dir, an update
+// that changes 2 of 32 chunks appends those 2 chunks and a manifest to
+// the journal and hashes those 2 chunks, in the Controller; the
+// coordinator stages the digests the Controller hands it (File.Chunks)
+// and has no hashing path of its own. After 20 such updates, spanning a
+// compaction, the journal recovers the last image bit for bit and a
+// restart's wakeup seq continues past it.
+func TestUpdateJournalsAndHashesOnlyChanges(t *testing.T) {
+	dir := t.TempDir()
+	reg := obs.NewRegistry()
+	img := chunkedImage(t, 21, 32*appimage.ChunkBytes-4096)
+	coord, err := NewCoordinator(CoordinatorConfig{Listen: "127.0.0.1:0", Image: img, StateDir: dir, Obs: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	value := func(name string) float64 {
+		v, _ := reg.Value(name)
+		return v
+	}
+	journalBytes := func() int64 {
+		fi, err := os.Stat(filepath.Join(dir, "state.journal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	const hashedChunks = "oddci_controller_image_chunks_hashed_total"
+	if n := value(hashedChunks); n != 32 {
+		t.Fatalf("create hashed %v chunks, want each of the 32 once", n)
+	}
+	rng := rand.New(rand.NewSource(22))
+	for u := 1; u <= 20; u++ {
+		first := rng.Intn(32)
+		for _, k := range []int{first, (first + 1 + rng.Intn(31)) % 32} {
+			off := k*appimage.ChunkBytes + 1000 // fresh bytes: never a chunk held before
+			rng.Read(img.Payload[off : off+100])
+		}
+		j0, h0, c0 := journalBytes(), value(hashedChunks), value("oddci_journal_compactions_total")
+		if err := coord.UpdateImage(img); err != nil {
+			t.Fatal(err)
+		}
+		if h := value(hashedChunks) - h0; h != 2 {
+			t.Fatalf("update %d hashed %v chunks, want the 2 it changed", u, h)
+		}
+		if grew := journalBytes() - j0; value("oddci_journal_compactions_total") == c0 && grew > 2*appimage.ChunkBytes+4096 {
+			t.Fatalf("update %d grew the journal by %d bytes, want ≤ 2 chunks + 4 KiB", u, grew)
+		}
+	}
+	if value("oddci_journal_compactions_total") < 1 {
+		t.Fatal("20 updates ran no compaction; the restart below would not cross one")
+	}
+	raw, err := img.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	staged := coord.stage.Load()
+	if staged.raw == nil || appimage.DigestOf(staged.raw) != appimage.DigestOf(raw) {
+		t.Fatal("the coordinator does not stage the last image")
+	}
+	seq := coord.Seq()
+	coord.Close()
+
+	store, err := journal.Open(dir, journal.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Load()
+	store.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := st.Instances[1]; rec == nil || appimage.DigestOf(rec.Image) != appimage.DigestOf(raw) {
+		t.Fatal("the state dir does not recover the last image bit for bit")
+	}
+	c2, err := NewCoordinator(CoordinatorConfig{Listen: "127.0.0.1:0", Image: img, StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	if c2.Seq() != seq+1 {
+		t.Fatalf("restarted seq = %d, want %d (past the last update's %d)", c2.Seq(), seq+1, seq)
 	}
 }
 
