@@ -51,29 +51,3 @@ func ReadFASTA(r io.Reader) ([]Sequence, error) {
 	}
 	return out, nil
 }
-
-// WriteFASTA renders sequences with the given line width (default 70).
-func WriteFASTA(w io.Writer, seqs []Sequence, width int) error {
-	if width <= 0 {
-		width = 70
-	}
-	bw := bufio.NewWriter(w)
-	for _, s := range seqs {
-		if _, err := fmt.Fprintf(bw, ">%s\n", s.ID); err != nil {
-			return err
-		}
-		for off := 0; off < len(s.Data); off += width {
-			end := off + width
-			if end > len(s.Data) {
-				end = len(s.Data)
-			}
-			if _, err := bw.Write(s.Data[off:end]); err != nil {
-				return err
-			}
-			if err := bw.WriteByte('\n'); err != nil {
-				return err
-			}
-		}
-	}
-	return bw.Flush()
-}

@@ -59,12 +59,6 @@ func (w *Writer) WriteBytes(p []byte) {
 	w.buf = append(w.buf, p...)
 }
 
-// Aligned reports whether the writer sits on a byte boundary.
-func (w *Writer) Aligned() bool { return w.bit == 0 }
-
-// Len returns the number of complete bytes written so far.
-func (w *Writer) Len() int { return len(w.buf) }
-
 // Bytes returns the accumulated buffer. The writer must be byte-aligned.
 func (w *Writer) Bytes() []byte {
 	if w.bit != 0 {
@@ -81,9 +75,9 @@ func (w *Writer) Err() error {
 	return nil
 }
 
-// PatchByte overwrites the byte at offset off; used to backfill length
+// patchByte overwrites the byte at offset off; used to backfill length
 // fields after a variable-size body is written.
-func (w *Writer) PatchByte(off int, b byte) {
+func (w *Writer) patchByte(off int, b byte) {
 	if off < 0 || off >= len(w.buf) {
 		w.errs = append(w.errs, fmt.Errorf("bits: patch offset %d out of range", off))
 		return
@@ -125,10 +119,10 @@ func (r *Reader) Read(n int) (uint64, error) {
 	return v, nil
 }
 
-// ReadBytes consumes n whole bytes; the reader must be byte-aligned.
-func (r *Reader) ReadBytes(n int) ([]byte, error) {
+// readBytes consumes n whole bytes; the reader must be byte-aligned.
+func (r *Reader) readBytes(n int) ([]byte, error) {
 	if r.pos%8 != 0 {
-		return nil, errors.New("bits: ReadBytes while unaligned")
+		return nil, errors.New("bits: readBytes while unaligned")
 	}
 	if r.Remaining() < n*8 {
 		return nil, ErrOverrun
@@ -149,6 +143,3 @@ func (r *Reader) Skip(n int) error {
 
 // Remaining reports how many bits are left.
 func (r *Reader) Remaining() int { return len(r.buf)*8 - int(r.pos) }
-
-// Offset reports the current byte offset (rounded down).
-func (r *Reader) Offset() int { return int(r.pos / 8) }

@@ -64,8 +64,8 @@ func TestUnalignedBytesRejected(t *testing.T) {
 	if _, err := r.Read(3); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.ReadBytes(1); err == nil {
-		t.Fatal("unaligned ReadBytes not rejected")
+	if _, err := r.readBytes(1); err == nil {
+		t.Fatal("unaligned readBytes not rejected")
 	}
 }
 
@@ -88,8 +88,8 @@ func TestSkipAndOffset(t *testing.T) {
 	if err != nil || v != 0x4 {
 		t.Fatalf("read after skip = %#x,%v want 0x4", v, err)
 	}
-	if r.Offset() != 2 {
-		t.Fatalf("offset = %d, want 2", r.Offset())
+	if r.pos != 16 {
+		t.Fatalf("bit position = %d, want 16", r.pos)
 	}
 }
 
@@ -102,9 +102,9 @@ func TestWriteBytesRoundTrip(t *testing.T) {
 	if _, err := r.Read(8); err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.ReadBytes(3)
+	got, err := r.readBytes(3)
 	if err != nil || !bytes.Equal(got, []byte{1, 2, 3}) {
-		t.Fatalf("ReadBytes = %v, %v", got, err)
+		t.Fatalf("readBytes = %v, %v", got, err)
 	}
 }
 
@@ -151,12 +151,12 @@ func TestPatchByte(t *testing.T) {
 	w := NewWriter()
 	w.Write(0, 8)
 	w.Write(0xBEEF, 16)
-	w.PatchByte(0, 0x02) // backfill a length
+	w.patchByte(0, 0x02) // backfill a length
 	buf := w.Bytes()
 	if buf[0] != 0x02 {
 		t.Fatalf("patched byte = %#x", buf[0])
 	}
-	w.PatchByte(99, 0)
+	w.patchByte(99, 0)
 	if w.Err() == nil {
 		t.Fatal("out-of-range patch not recorded")
 	}

@@ -15,7 +15,11 @@ import (
 // MAC secret — verifies the echo before counting the vote. A forged
 // token fails the MAC; a genuine token presented for the wrong slot
 // (another node's lease, another task, or a lease that was re-granted
-// since) is a replay. Nodes never verify credentials, so no key is
+// since) is a replay. Forgeries and replays are not returned to anyone:
+// the Backend classifies each one and counts it
+// (oddci_backend_byzantine_cred_forged_total and
+// oddci_backend_byzantine_cred_replayed_total), and under CredEnforce
+// drops the vote. Nodes never verify credentials, so no key is
 // distributed: the token round-trips as opaque bytes.
 //
 // The MAC is HMAC-SHA256 over the 32-byte binding prefix, not an
@@ -46,22 +50,16 @@ const credentialBindingLen = CredentialLen - sha256.Size
 // credentialSecretLen is the generated MAC secret size.
 const credentialSecretLen = 32
 
-// Credential decode/verify errors.
+// Credential decode errors.
 var (
 	ErrCredentialMalformed = errors.New("backend: malformed credential")
 	ErrCredentialForged    = errors.New("backend: forged credential")
-	ErrCredentialReplayed  = errors.New("backend: replayed credential")
 )
 
-// AppendCredential appends the credential binding (seq, node, job, task)
-// under secret to dst.
-func AppendCredential(dst []byte, secret []byte, seq, node uint64, job, task int) []byte {
-	return appendCredential(dst, hmac.New(sha256.New, secret), seq, node, job, task)
-}
-
-// appendCredential is AppendCredential over an already keyed MAC, which
-// it resets first: the scheduler keys one per shard and reuses it for
-// every token, since the key schedule costs more than the MAC itself.
+// appendCredential appends the credential binding (seq, node, job, task)
+// to dst under mac, which it resets first: the scheduler keys one per
+// shard and reuses it for every token, since the key schedule costs more
+// than the MAC itself.
 func appendCredential(dst []byte, mac hash.Hash, seq, node uint64, job, task int) []byte {
 	dst = binary.BigEndian.AppendUint64(dst, seq)
 	dst = binary.BigEndian.AppendUint64(dst, node)
@@ -72,17 +70,11 @@ func appendCredential(dst []byte, mac hash.Hash, seq, node uint64, job, task int
 	return mac.Sum(dst)
 }
 
-// DecodeCredential checks cred's shape and MAC under secret and returns
-// its bound fields. It does not know which slot the credential was
-// issued for — callers compare the fields against the submitting slot to
-// tell a replay from a genuine echo.
-func DecodeCredential(secret, cred []byte) (seq, node uint64, job, task int, err error) {
-	var sum [sha256.Size]byte
-	return decodeCredential(hmac.New(sha256.New, secret), &sum, cred)
-}
-
-// decodeCredential is DecodeCredential over an already keyed MAC (reset
-// first) and a scratch array for the expected sum.
+// decodeCredential checks cred's shape and MAC under mac (reset first,
+// with sum as scratch for the expected sum) and returns its bound fields.
+// It does not know which slot the credential was issued for — callers
+// compare the fields against the submitting slot to tell a replay from a
+// genuine echo.
 func decodeCredential(mac hash.Hash, sum *[sha256.Size]byte, cred []byte) (seq, node uint64, job, task int, err error) {
 	if len(cred) != CredentialLen {
 		return 0, 0, 0, 0, ErrCredentialMalformed

@@ -1,7 +1,6 @@
 package backend
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -214,10 +213,10 @@ func (b *Backend) revokeLeases(node uint64) {
 	}
 }
 
-// Credibility returns node's current score in milli-credits
+// credibility returns node's current score in milli-credits
 // (credFullScore = full trust). Untracked deployments and unseen nodes
 // report full trust.
-func (b *Backend) Credibility(node uint64) int64 {
+func (b *Backend) credibility(node uint64) int64 {
 	if b.trust == nil {
 		return credFullScore
 	}
@@ -227,23 +226,6 @@ func (b *Backend) Credibility(node uint64) int64 {
 // Quarantined reports whether node is quarantined.
 func (b *Backend) Quarantined(node uint64) bool {
 	return b.trust.quarantined(node)
-}
-
-// QuarantinedNodes returns the quarantined node IDs, sorted.
-func (b *Backend) QuarantinedNodes() []uint64 {
-	if b.trust == nil {
-		return nil
-	}
-	b.trust.mu.Lock()
-	var out []uint64
-	for id, nt := range b.trust.nodes {
-		if nt.quarantined {
-			out = append(out, id)
-		}
-	}
-	b.trust.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // QuarantinedCount returns the number of quarantined nodes in O(1).

@@ -50,7 +50,7 @@ func TestQuarantineLifecycle(t *testing.T) {
 		b.HandleResult(&TaskResult{NodeID: liar, JobID: a.JobID, TaskID: a.TaskID,
 			Payload: []byte("WRONG")})
 	}
-	if got := b.Credibility(liar); got != credFullScore {
+	if got := b.credibility(liar); got != credFullScore {
 		t.Fatalf("scores moved before any commit: %d", got)
 	}
 
@@ -63,8 +63,8 @@ func TestQuarantineLifecycle(t *testing.T) {
 			b.HandleResult(&TaskResult{NodeID: n, JobID: a.JobID, TaskID: a.TaskID,
 				Payload: []byte("ok")})
 		}
-		if want := []int64{500, 250, 125}[i]; b.Credibility(liar) != want {
-			t.Fatalf("liar credibility after loss %d = %d, want %d", i+1, b.Credibility(liar), want)
+		if want := []int64{500, 250, 125}[i]; b.credibility(liar) != want {
+			t.Fatalf("liar credibility after loss %d = %d, want %d", i+1, b.credibility(liar), want)
 		}
 	}
 	// The fourth task never saw the liar's vote; honest votes finish it.
@@ -80,19 +80,16 @@ func TestQuarantineLifecycle(t *testing.T) {
 			t.Fatalf("task %d committed %q", id, payload)
 		}
 	}
-	if got := b.Credibility(liar); got != 125 {
+	if got := b.credibility(liar); got != 125 {
 		t.Fatalf("liar credibility = %d, want 125 after three losses", got)
 	}
 	if !b.Quarantined(liar) || b.Quarantined(1) {
 		t.Fatalf("quarantine flags wrong: liar=%t honest=%t", b.Quarantined(liar), b.Quarantined(1))
 	}
-	if got := b.QuarantinedNodes(); len(got) != 1 || got[0] != liar {
-		t.Fatalf("QuarantinedNodes = %v", got)
-	}
 	if got := b.QuarantinedCount(); got != 1 {
 		t.Fatalf("QuarantinedCount = %d", got)
 	}
-	if got := b.Credibility(1); got != credFullScore {
+	if got := b.credibility(1); got != credFullScore {
 		t.Fatalf("honest winner credibility = %d, want full", got)
 	}
 	// The liar's fourth lease was revoked at quarantine time (the only
@@ -139,7 +136,7 @@ func TestRewardCapsAtFullScore(t *testing.T) {
 		t.Fatal("job incomplete")
 	}
 	for n := uint64(1); n <= 3; n++ {
-		if got := b.Credibility(n); got != credFullScore {
+		if got := b.credibility(n); got != credFullScore {
 			t.Fatalf("node %d credibility = %d after all-honest commits", n, got)
 		}
 	}
@@ -192,7 +189,7 @@ func TestCredentialVerdictsAndEnforcement(t *testing.T) {
 	if got := counter(t, reg, "oddci_backend_byzantine_cred_missing_total"); got != 1 {
 		t.Fatalf("cred missing counter = %v", got)
 	}
-	if got := b.Credibility(2); got != credFullScore/2 {
+	if got := b.credibility(2); got != credFullScore/2 {
 		t.Fatalf("credibility after rejection = %d, want %d", got, credFullScore/2)
 	}
 
@@ -208,7 +205,7 @@ func TestCredentialVerdictsAndEnforcement(t *testing.T) {
 
 	// Replayed: a genuine MAC bound to another node's slot.
 	a = grab(5)
-	stolen := AppendCredential(nil, secret, 999, 1, a.JobID, a.TaskID)
+	stolen := mintCredential(nil, secret, 999, 1, a.JobID, a.TaskID)
 	b.HandleResult(&TaskResult{NodeID: 5, JobID: a.JobID, TaskID: a.TaskID,
 		Payload: []byte("ok"), Credential: stolen})
 	if got := counter(t, reg, "oddci_backend_byzantine_cred_replayed_total"); got != 1 {
@@ -266,7 +263,7 @@ func TestCredentialWarnModeAccepts(t *testing.T) {
 	if got := counter(t, reg, "oddci_backend_byzantine_cred_rejected_total"); got != 0 {
 		t.Fatalf("warn mode rejected %v votes", got)
 	}
-	if got := b.Credibility(1); got != credFullScore {
+	if got := b.credibility(1); got != credFullScore {
 		t.Fatalf("warn mode penalized credibility to %d", got)
 	}
 }

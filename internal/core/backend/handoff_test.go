@@ -104,7 +104,7 @@ func TestReusedAssignmentCarriesNothingOver(t *testing.T) {
 
 	// Each token names its own slot and no other.
 	for i, s := range slots {
-		seq, node, job, task, err := DecodeCredential(secret, s.token)
+		seq, node, job, task, err := openCredential(secret, s.token)
 		if err != nil {
 			t.Fatalf("token %d: %v", i, err)
 		}
@@ -369,7 +369,7 @@ func TestConcurrentCredentialedHandoff(t *testing.T) {
 		t.Fatalf("assigned %d, completed %d, want %d each: a credential was refused", b.Assigned, b.Completed, tasks)
 	}
 	for w := uint64(1); w <= workers; w++ {
-		if got := b.Credibility(w); got != credFullScore {
+		if got := b.credibility(w); got != credFullScore {
 			t.Fatalf("node %d credibility %d after clean echoes", w, got)
 		}
 	}

@@ -176,7 +176,7 @@ func TestFinishedJobsAreReleased(t *testing.T) {
 	if got := counter(t, reg, "oddci_backend_late_results_total"); got != 1 {
 		t.Fatalf("late results counted = %v, want 1", got)
 	}
-	if got := b.Credibility(straggler); got != credFullScore {
+	if got := b.credibility(straggler); got != credFullScore {
 		t.Fatalf("a late result moved credibility to %d", got)
 	}
 	if got := string(handles[jobs-1].Results()[replay.TaskID]); got != "r" {

@@ -1473,11 +1473,11 @@ func (c *Controller) HandleHeartbeat(hb *control.Heartbeat) *control.HeartbeatRe
 	return replyOf(cmd, period)
 }
 
-// DumpState renders the durable control-plane state as deterministic
+// dumpState renders the durable control-plane state as deterministic
 // text: carousel order, fixed field order, no map iteration anywhere.
 // Two controllers that replayed the same snapshot+journal produce
 // byte-identical dumps — the recovery determinism contract.
-func (c *Controller) DumpState() string {
+func (c *Controller) dumpState() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var b []byte

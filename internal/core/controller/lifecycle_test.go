@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,31 +14,43 @@ import (
 	"oddci/internal/span"
 )
 
-// flakyHead wraps a HeadEnd so carousel updates fail according to a
-// deterministic netsim.FaultPlan. Start is never injected: the tests
-// target steady-state refresh, not bring-up.
+// flakyHead wraps a HeadEnd so carousel updates fail whenever fail
+// says so: a deterministic netsim.FaultPlan's Next, or a burst's. Start
+// is never injected: the tests target steady-state refresh, not
+// bring-up.
 type flakyHead struct {
 	inner HeadEnd
-	plan  *netsim.FaultPlan
+	fail  func() bool
 }
 
 func (f *flakyHead) Start(files []dsmcc.File) error { return f.inner.Start(files) }
 
 func (f *flakyHead) Update(files []dsmcc.File) error {
-	if f.plan.Next() {
+	if f.fail() {
 		return errors.New("injected head-end update failure")
 	}
 	return f.inner.Update(files)
 }
 
-func newFlakyRig(t *testing.T, plan *netsim.FaultPlan, tweak func(*Config)) *rig {
+func newFlakyRig(t *testing.T, fail func() bool, tweak func(*Config)) *rig {
 	t.Helper()
-	return newRigWith(t, func(h HeadEnd) HeadEnd { return &flakyHead{inner: h, plan: plan} }, tweak)
+	return newRigWith(t, func(h HeadEnd) HeadEnd { return &flakyHead{inner: h, fail: fail} }, tweak)
 }
+
+// burst fails exactly the next n head-end updates once armed with n.
+type burst struct{ n atomic.Int32 }
+
+func (b *burst) next() bool { return b.n.Add(-1) >= 0 }
 
 // onAirFiles counts committed carousel files (xlet + control file +
 // one image per live instance).
-func (r *rig) onAirFiles() int { return len(r.car.Files()) }
+func (r *rig) onAirFiles() int {
+	l, err := r.car.Layout()
+	if err != nil {
+		return 0
+	}
+	return len(l.Entries)
+}
 
 func TestDestroyedInstanceGCdAfterRetransmitWindow(t *testing.T) {
 	var spans *span.Collector
@@ -112,9 +125,9 @@ func TestDestroyedInstanceGCdAfterRetransmitWindow(t *testing.T) {
 }
 
 func TestRefreshRetryBacksOffAndRecovers(t *testing.T) {
-	plan := netsim.NewFaultPlan(nil, 0, 0)
+	var plan burst
 	var spans *span.Collector
-	r := newFlakyRig(t, plan, func(cfg *Config) {
+	r := newFlakyRig(t, plan.next, func(cfg *Config) {
 		cfg.RefreshRetryBase = 2 * time.Second
 		cfg.RefreshRetryMax = 8 * time.Second
 		// Sampling off: lifecycle events are recorded all the same.
@@ -129,7 +142,7 @@ func TestRefreshRetryBacksOffAndRecovers(t *testing.T) {
 
 	// The next three head-end updates fail; DestroyInstance must still
 	// commit the destruction and hand the broadcast to the retry path.
-	plan.FailNext(3)
+	plan.n.Store(3)
 	if err := r.ctrl.DestroyInstance(id); err != nil {
 		t.Fatalf("DestroyInstance with failing head-end: %v", err)
 	}
@@ -169,9 +182,9 @@ func TestRefreshRetryBacksOffAndRecovers(t *testing.T) {
 }
 
 func TestCreateRollsBackWhenStagingFails(t *testing.T) {
-	plan := netsim.NewFaultPlan(nil, 0, 0)
-	r := newFlakyRig(t, plan, nil)
-	plan.FailNext(1)
+	var plan burst
+	r := newFlakyRig(t, plan.next, nil)
+	plan.n.Store(1)
 	if _, err := r.ctrl.CreateInstance(InstanceSpec{Image: testImage(t), Target: 3, InitialProbability: 0.5}); err == nil {
 		t.Fatal("CreateInstance succeeded despite staging failure")
 	}
@@ -237,7 +250,7 @@ func TestDestroyCreateCyclesReturnToBaseline(t *testing.T) {
 // during the run and drain to zero afterwards.
 func TestChurnWithInjectedFaultsStaysBounded(t *testing.T) {
 	plan := netsim.NewFaultPlan(rand.New(rand.NewSource(11)), 0.3, 3)
-	r := newFlakyRig(t, plan, func(cfg *Config) {
+	r := newFlakyRig(t, plan.Next, func(cfg *Config) {
 		cfg.ResetRetransmitTicks = 2
 		cfg.RefreshRetryBase = 2 * time.Second
 		cfg.RefreshRetryMax = 8 * time.Second

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"oddci/internal/netsim"
 	"oddci/internal/obs"
 )
 
@@ -32,8 +31,8 @@ func getObs(t *testing.T, srv *httptest.Server, path string) (int, string) {
 // to 200 once a retry lands.
 func TestHealthzFlipsWhenRefreshStuck(t *testing.T) {
 	reg := obs.NewRegistry()
-	plan := netsim.NewFaultPlan(nil, 0, 0)
-	r := newFlakyRig(t, plan, func(cfg *Config) {
+	var plan burst
+	r := newFlakyRig(t, plan.next, func(cfg *Config) {
 		cfg.Obs = reg
 		cfg.RefreshRetryBase = 2 * time.Second
 		cfg.RefreshRetryMax = 8 * time.Second
@@ -53,7 +52,7 @@ func TestHealthzFlipsWhenRefreshStuck(t *testing.T) {
 	// Destroy with the next three updates failing: the immediate refresh
 	// plus the +2s and +6s retries fail, reaching the stuck threshold
 	// (RefreshStuckAfter is 3) while the +14s retry is pending.
-	plan.FailNext(3)
+	plan.n.Store(3)
 	if err := r.ctrl.DestroyInstance(id); err != nil {
 		t.Fatal(err)
 	}

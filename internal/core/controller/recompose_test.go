@@ -220,13 +220,13 @@ func TestRecomposeBelowTargetKeepsProbability(t *testing.T) {
 	if w := onAirWakeup(t, r1); w.Seq != 2 || w.Probability != 0.75 {
 		t.Fatalf("on-air wakeup seq=%d p=%v below target, want 2/0.75", w.Seq, w.Probability)
 	}
-	want := r1.ctrl.DumpState()
+	want := r1.ctrl.dumpState()
 	r1.ctrl.Stop()
 	s1.Close()
 
 	r2, _ := journaledRig(t, dir, nil, journal.Options{})
 	defer r2.ctrl.Stop()
-	if got := r2.ctrl.DumpState(); got != want {
+	if got := r2.ctrl.dumpState(); got != want {
 		t.Fatalf("replay diverged from live:\n--- live ---\n%s--- replayed ---\n%s", want, got)
 	}
 }
@@ -259,13 +259,13 @@ func TestJournalBoundedUnderImageRecords(t *testing.T) {
 	if err := s1.Err(); err != nil {
 		t.Fatal(err)
 	}
-	want := r1.ctrl.DumpState()
+	want := r1.ctrl.dumpState()
 	r1.ctrl.Stop()
 	s1.Close()
 
 	r2, _ := journaledRig(t, dir, nil, journal.Options{})
 	defer r2.ctrl.Stop()
-	if got := r2.ctrl.DumpState(); got != want {
+	if got := r2.ctrl.dumpState(); got != want {
 		t.Fatalf("replay diverged from live:\n--- live ---\n%s--- replayed ---\n%s", want, got)
 	}
 }

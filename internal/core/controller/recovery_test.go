@@ -122,7 +122,7 @@ func TestDeterministicRecovery(t *testing.T) {
 	regA, regB := obs.NewRegistry(), obs.NewRegistry()
 	rA, _ := journaledRig(t, dir, regA, journal.Options{})
 	rB, _ := journaledRig(t, dir, regB, journal.Options{})
-	dumpA, dumpB := rA.ctrl.DumpState(), rB.ctrl.DumpState()
+	dumpA, dumpB := rA.ctrl.dumpState(), rB.ctrl.dumpState()
 	if dumpA != dumpB {
 		t.Fatalf("replayed state dumps differ:\n--- A ---\n%s--- B ---\n%s", dumpA, dumpB)
 	}
@@ -210,14 +210,14 @@ func TestRecoveryFromCompactedSnapshot(t *testing.T) {
 	if s1.NeedsCompaction() {
 		t.Fatal("the create's append should have compacted the journal")
 	}
-	want := r1.ctrl.DumpState()
+	want := r1.ctrl.dumpState()
 	s1.Close()
 
 	r2, _ := journaledRig(t, dir, nil, journal.Options{})
 	if !r2.ctrl.Recovered() {
 		t.Fatal("snapshot-only state dir should recover")
 	}
-	if got := r2.ctrl.DumpState(); got != want {
+	if got := r2.ctrl.dumpState(); got != want {
 		t.Fatalf("snapshot recovery diverged:\n--- want ---\n%s--- got ---\n%s", want, got)
 	}
 	r2.ctrl.Stop()

@@ -74,9 +74,9 @@ func (c *ChunkCache) Get(h ModuleHash) ([]byte, bool) {
 	return el.Value.(*chunkEntry).data, true
 }
 
-// Contains reports whether h is cached without touching recency or the
+// contains reports whether h is cached without touching recency or the
 // hit/miss counters.
-func (c *ChunkCache) Contains(h ModuleHash) bool {
+func (c *ChunkCache) contains(h ModuleHash) bool {
 	if c == nil || h == 0 {
 		return false
 	}
@@ -186,8 +186,7 @@ func (m *CacheMetrics) evict() {
 	}
 }
 
-// Hits, Misses, Inserts, and Evictions expose the counters for tests
-// and benches.
+// Hits and Misses expose the hit and miss counters.
 func (m *CacheMetrics) Hits() int64 {
 	if m == nil {
 		return 0
@@ -200,18 +199,4 @@ func (m *CacheMetrics) Misses() int64 {
 		return 0
 	}
 	return m.misses.Value()
-}
-
-func (m *CacheMetrics) Inserts() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.inserts.Value()
-}
-
-func (m *CacheMetrics) Evictions() int64 {
-	if m == nil {
-		return 0
-	}
-	return m.evictions.Value()
 }

@@ -59,20 +59,12 @@ func NewCarousel(pid uint16, blockSize int) (*Carousel, error) {
 	}, nil
 }
 
-// SetHashExtension toggles the DII content-hash extension (on by
-// default). Turning it off models a pre-hash head-end for
-// mixed-version interop tests.
-func (c *Carousel) SetHashExtension(on bool) { c.noHashExt = !on }
-
 // Generation returns the current content generation (the DII transaction
 // id). It starts at 0 (empty) and increments on every SetFiles.
 func (c *Carousel) Generation() uint32 { return c.generation }
 
 // BlockSize returns the configured DDB payload size.
 func (c *Carousel) BlockSize() int { return c.blockSize }
-
-// Files returns the current contents.
-func (c *Carousel) Files() []File { return c.files }
 
 // CheckFiles reports whether files is a content set any carrier can
 // air: non-empty, every file named, no name twice.

@@ -230,7 +230,7 @@ func TestCheckAgreesWithDIIEncode(t *testing.T) {
 				files[i] = File{Name: fmt.Sprintf("%0150d", i), Data: []byte{byte(i)}}
 			}
 			c, _ := NewCarousel(1, 0)
-			c.SetHashExtension(hashed)
+			c.noHashExt = !hashed
 			checkErr := c.Check(files)
 			dii := &DII{}
 			for _, f := range files {

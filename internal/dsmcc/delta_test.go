@@ -262,7 +262,7 @@ func TestCacheHitAssemblyUnderChurn(t *testing.T) {
 	if met.Hits() == 0 {
 		t.Fatal("expected cache hits to be counted")
 	}
-	if !cache.Contains(HashOf(b2)) {
+	if !cache.contains(HashOf(b2)) {
 		t.Fatal("newly assembled module must be published into the cache")
 	}
 }
@@ -284,7 +284,7 @@ func TestModuleVersionWrapRegression(t *testing.T) {
 				t.Fatal(err)
 			}
 			if legacy {
-				c.SetHashExtension(false)
+				c.noHashExt = true
 			}
 			fixed := []byte("steady payload that never changes")
 			recv := NewReceiver()
@@ -334,7 +334,7 @@ func TestGenerationWrapReceiverFollows(t *testing.T) {
 	stale := &DII{TransactionID: 0xFFFFFFFF, DownloadID: c.DownloadID, BlockSize: uint16(c.BlockSize()),
 		Modules: []ModuleInfo{{ID: 0, Version: 0, Size: 3, Name: "mod"}}}
 	recv.handleDII(stale)
-	if got := recv.Directory().TransactionID; got != c.Generation() {
+	if got := recv.dii.TransactionID; got != c.Generation() {
 		t.Fatalf("stale straggler DII rolled the directory back to %#x", got)
 	}
 }
@@ -383,7 +383,7 @@ func TestMixedVersionInterop(t *testing.T) {
 	})
 	t.Run("hash-aware receiver, legacy wire", func(t *testing.T) {
 		c, _ := NewCarousel(0x300, 0)
-		c.SetHashExtension(false)
+		c.noHashExt = true
 		mustSetFiles(t, c, File{Name: "mod", Data: data})
 		recv := NewReceiver()
 		cache := NewChunkCache(1 << 20)
@@ -410,7 +410,7 @@ func TestMixedVersionInterop(t *testing.T) {
 		if _, ok := recv.File("keep"); ok {
 			t.Fatal("cold legacy receiver completed the unchanged module from a delta that does not carry it")
 		}
-		want := c.Files()
+		want := c.files
 		for cycle := 1; ; cycle++ {
 			if cycle > 20 {
 				t.Fatal("legacy receiver did not converge within 20 cycles at 20% section loss")
@@ -497,11 +497,11 @@ func TestChunkCacheLRUAndBounds(t *testing.T) {
 	if _, ok := cache.Get(h1); !ok {
 		t.Fatal("h1 (recently used) should have survived")
 	}
-	if met.Evictions() != 1 {
-		t.Fatalf("evictions = %d, want 1", met.Evictions())
+	if met.evictions.Value() != 1 {
+		t.Fatalf("evictions = %d, want 1", met.evictions.Value())
 	}
-	if met.Inserts() != 3 {
-		t.Fatalf("inserts = %d, want 3", met.Inserts())
+	if met.inserts.Value() != 3 {
+		t.Fatalf("inserts = %d, want 3", met.inserts.Value())
 	}
 
 	// Oversized payloads are ignored; zero hashes are ignored.
@@ -548,7 +548,7 @@ func TestCachedRequestDeliveryTiming(t *testing.T) {
 	if want := epoch.Add(b.airTime(e.WireEnd)); !coldAt.Equal(want) {
 		t.Fatalf("cold delivery at %v, want %v", coldAt, want)
 	}
-	if !cache.Contains(HashOf(img)) {
+	if !cache.contains(HashOf(img)) {
 		t.Fatal("cold fetch did not warm the cache")
 	}
 
@@ -632,7 +632,7 @@ func TestCachedRequestRestartsOnUpdate(t *testing.T) {
 		// listener precedes the boundary commit.
 		return
 	}
-	if !cache.Contains(HashOf(v2)) {
+	if !cache.contains(HashOf(v2)) {
 		t.Fatal("restarted fetch did not warm the cache with the new bytes")
 	}
 }

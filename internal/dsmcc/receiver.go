@@ -96,13 +96,6 @@ func (r *Receiver) File(name string) ([]byte, bool) {
 	return d, ok
 }
 
-// Directory returns the most recent DII, if any.
-func (r *Receiver) Directory() *DII {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dii
-}
-
 // HandleSection consumes one raw section (table 0x3B or 0x3C).
 func (r *Receiver) HandleSection(sec []byte) {
 	if len(sec) == 0 {

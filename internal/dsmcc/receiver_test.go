@@ -17,7 +17,7 @@ func TestReceiverRejectsGarbageSections(t *testing.T) {
 	if r.SectionErrors != 3 {
 		t.Fatalf("section errors = %d, want 3 (nil input is ignored)", r.SectionErrors)
 	}
-	if r.Directory() != nil {
+	if r.dii != nil {
 		t.Fatal("directory from garbage")
 	}
 	if !strings.Contains(r.String(), "errors:3") {
@@ -50,7 +50,7 @@ func TestReceiverDirectoryAndCallbacks(t *testing.T) {
 	if dirSeen != 1 || fileSeen != 1 {
 		t.Fatalf("dir=%d file=%d, want 1,1", dirSeen, fileSeen)
 	}
-	if d := r.Directory(); d == nil || len(d.Modules) != 1 {
+	if d := r.dii; d == nil || len(d.Modules) != 1 {
 		t.Fatalf("directory: %+v", d)
 	}
 }

@@ -1,14 +1,12 @@
 // Package stats provides the measurement toolkit used by the
-// experiment harness: summary statistics with confidence intervals (the
-// paper reports means "with a confidence level of 90%"), makespan and
-// efficiency accounting for job runs, and plain-text table/series
-// rendering in the style of the paper's tables and figures.
+// experiment harness: summary statistics over observations and
+// plain-text table/series rendering in the style of the paper's tables
+// and figures.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"time"
 )
@@ -21,12 +19,6 @@ type Sample struct {
 // Add appends one observation.
 func (s *Sample) Add(x float64) { s.xs = append(s.xs, x) }
 
-// AddDuration appends a duration in seconds.
-func (s *Sample) AddDuration(d time.Duration) { s.Add(d.Seconds()) }
-
-// N returns the number of observations.
-func (s *Sample) N() int { return len(s.xs) }
-
 // Mean returns the arithmetic mean (0 for an empty sample).
 func (s *Sample) Mean() float64 {
 	if len(s.xs) == 0 {
@@ -37,21 +29,6 @@ func (s *Sample) Mean() float64 {
 		sum += x
 	}
 	return sum / float64(len(s.xs))
-}
-
-// Std returns the sample standard deviation (n-1 denominator).
-func (s *Sample) Std() float64 {
-	n := len(s.xs)
-	if n < 2 {
-		return 0
-	}
-	m := s.Mean()
-	var ss float64
-	for _, x := range s.xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n-1))
 }
 
 // Min returns the smallest observation (0 for empty).
@@ -80,77 +57,6 @@ func (s *Sample) Max() float64 {
 		}
 	}
 	return m
-}
-
-// Percentile returns the p-th percentile (0 ≤ p ≤ 100) by linear
-// interpolation.
-func (s *Sample) Percentile(p float64) float64 {
-	n := len(s.xs)
-	if n == 0 {
-		return 0
-	}
-	sorted := append([]float64(nil), s.xs...)
-	sort.Float64s(sorted)
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[n-1]
-	}
-	rank := p / 100 * float64(n-1)
-	lo := int(math.Floor(rank))
-	frac := rank - float64(lo)
-	if lo+1 >= n {
-		return sorted[n-1]
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
-}
-
-// tCritical90 approximates the two-sided 90% Student-t critical value
-// for n-1 degrees of freedom.
-func tCritical90(df int) float64 {
-	// Table for small df, asymptote 1.645 (normal) beyond.
-	table := map[int]float64{
-		1: 6.314, 2: 2.920, 3: 2.353, 4: 2.132, 5: 2.015,
-		6: 1.943, 7: 1.895, 8: 1.860, 9: 1.833, 10: 1.812,
-		11: 1.796, 12: 1.782, 13: 1.771, 14: 1.761, 15: 1.753,
-		20: 1.725, 25: 1.708, 30: 1.697, 40: 1.684, 60: 1.671, 120: 1.658,
-	}
-	if v, ok := table[df]; ok {
-		return v
-	}
-	if df > 120 {
-		return 1.645 // normal approximation
-	}
-	// Nearest smaller tabulated df (conservative: its critical value is
-	// larger).
-	keys := []int{120, 60, 40, 30, 25, 20, 15, 14, 13, 12, 11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1}
-	for _, k := range keys {
-		if df >= k {
-			return table[k]
-		}
-	}
-	return 6.314
-}
-
-// CI90 returns the half-width of the 90% confidence interval of the
-// mean.
-func (s *Sample) CI90() float64 {
-	n := len(s.xs)
-	if n < 2 {
-		return 0
-	}
-	return tCritical90(n-1) * s.Std() / math.Sqrt(float64(n))
-}
-
-// RelativeError90 returns CI90/Mean — the paper's "maximum error"
-// phrasing (e.g. "20.6 worse with a maximum error of 10%").
-func (s *Sample) RelativeError90() float64 {
-	m := s.Mean()
-	if m == 0 {
-		return 0
-	}
-	return s.CI90() / m
 }
 
 // Table renders aligned plain-text tables in the style of the paper.
@@ -193,9 +99,6 @@ func formatFloat(v float64) string {
 		return fmt.Sprintf("%.3f", v)
 	}
 }
-
-// Rows returns the number of data rows.
-func (t *Table) Rows() int { return len(t.rows) }
 
 // String renders the table.
 func (t *Table) String() string {

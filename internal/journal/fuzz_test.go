@@ -42,7 +42,7 @@ func FuzzDecodeJournal(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(journalHeader(0))
 	rng := rand.New(rand.NewSource(1))
-	good, err := EncodeJournal(3, []Record{
+	good, err := encodeJournal(3, []Record{
 		{Op: OpCreate, Inst: randInstance(rng, 1)},
 		{Op: OpResize, Inst: InstanceRecord{ID: 1, Target: 7}},
 		{Op: OpRecompose, Inst: InstanceRecord{ID: 1, Seq: 2, Wakeups: 2, Probability: 0.5}},
@@ -58,7 +58,7 @@ func FuzzDecodeJournal(f *testing.F) {
 	f.Add(good[:len(good)-3])
 	f.Add(append(append([]byte{}, good...), 0, 0, 0))
 	// A manifest alone: its chunk frames cut away.
-	small, err := EncodeJournal(0, []Record{{Op: OpCreate, Inst: randInstance(rng, 1)}})
+	small, err := encodeJournal(0, []Record{{Op: OpCreate, Inst: randInstance(rng, 1)}})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func FuzzDecodeJournal(f *testing.F) {
 	f.Add(append(journalHeader(0), small[journalHeaderLen+chunkFrame:]...))
 	// A repeated whole chunk, stored once (large: a seed, not a fuzzing
 	// start point worth mutating for long).
-	repeated, err := EncodeJournal(0, []Record{{Op: OpCreate, Inst: imageSeed(randInstance(rng, 1))}})
+	repeated, err := encodeJournal(0, []Record{{Op: OpCreate, Inst: imageSeed(randInstance(rng, 1))}})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func FuzzDecodeJournal(f *testing.F) {
 			}
 		}
 		checkManifests(t, insts)
-		re, err := EncodeJournal(gen, recs)
+		re, err := encodeJournal(gen, recs)
 		if err != nil {
 			t.Fatalf("decoded journal does not re-encode: %v", err)
 		}
@@ -113,7 +113,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	second := randInstance(rng, 2)
 	second.Image = append(appimage.Chunk(first.Image, 0), second.Image...) // shares chunk 0
 	second.Chunks = appimage.ChunkDigests(nil, second.Image)
-	snap, err := EncodeSnapshot(&Snapshot{
+	snap, _, err := encodeSnapshot(&Snapshot{
 		Gen:       4,
 		NextID:    3,
 		Instances: []InstanceRecord{first, second},
@@ -124,17 +124,17 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	f.Add(snap)
 	f.Add(snap[:len(snap)-5])
 	f.Add([]byte{})
-	empty, err := EncodeSnapshot(&Snapshot{NextID: 9})
+	empty, _, err := encodeSnapshot(&Snapshot{NextID: 9})
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(empty)
-	if _, err := DecodeSnapshot(snap); err != nil {
+	if _, _, err := decodeSnapshot(snap); err != nil {
 		f.Fatalf("seed snapshot does not decode: %v", err)
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := DecodeSnapshot(data)
+		s, _, err := decodeSnapshot(data)
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("untyped decode error: %v", err)
@@ -142,7 +142,7 @@ func FuzzDecodeSnapshot(f *testing.F) {
 			return
 		}
 		checkManifests(t, s.Instances)
-		re, err := EncodeSnapshot(s)
+		re, _, err := encodeSnapshot(s)
 		if err != nil {
 			t.Fatalf("decoded snapshot does not re-encode: %v", err)
 		}

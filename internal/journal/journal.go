@@ -495,10 +495,11 @@ func forgetChunks(frames []byte, held map[appimage.Digest]struct{}) {
 	}
 }
 
-// EncodeJournal renders a whole journal file (header + framed records)
+// encodeJournal renders a whole journal file (header + framed records)
 // extending snapshot generation gen, as if over no snapshot: each
 // chunk's bytes go in before the first record that names it, once.
-func EncodeJournal(gen uint64, recs []Record) ([]byte, error) {
+// DecodeJournal inverts it byte for byte.
+func encodeJournal(gen uint64, recs []Record) ([]byte, error) {
 	b := journalHeader(gen)
 	held := make(map[appimage.Digest]struct{})
 	for _, r := range recs {
@@ -623,19 +624,13 @@ func decodeJournal(b []byte, t *chunkTable, apply func(Record)) error {
 	return nil
 }
 
-// EncodeSnapshot renders a snapshot file:
+// encodeSnapshot renders a snapshot file, and returns the digests of
+// the chunks it stores:
 // magic(4) | version(1) | gen(8) | nextID(8) | count(4) | chunks | count(4) |
 // instances | crc32(all). A chunk is digest(32) | length(4) | bytes;
 // each distinct chunk of the instances' images is stored once, in order
 // of first appearance, and the instances carry their images as
 // manifests.
-func EncodeSnapshot(s *Snapshot) ([]byte, error) {
-	b, _, err := encodeSnapshot(s)
-	return b, err
-}
-
-// encodeSnapshot is EncodeSnapshot, also returning the digests of the
-// chunks it stores.
 func encodeSnapshot(s *Snapshot) ([]byte, map[appimage.Digest]struct{}, error) {
 	type slot struct{ inst, i int }
 	lists := make([][]appimage.Digest, len(s.Instances))
@@ -683,17 +678,11 @@ func encodeSnapshot(s *Snapshot) ([]byte, map[appimage.Digest]struct{}, error) {
 // the checksum.
 const snapshotMinLen = 5 + 8 + 8 + 4 + 4 + 4
 
-// DecodeSnapshot parses a snapshot file strictly: besides framing and
-// field checks, every manifest must name stored chunks of the right
+// decodeSnapshot parses a snapshot file strictly, and returns its chunk
+// table for the journal after it to resolve against: besides framing
+// and field checks, every manifest must name stored chunks of the right
 // lengths, and every stored chunk must be named, in order of first
 // appearance.
-func DecodeSnapshot(b []byte) (*Snapshot, error) {
-	s, _, err := decodeSnapshot(b)
-	return s, err
-}
-
-// decodeSnapshot is DecodeSnapshot, also returning its chunk table, for
-// the journal after it to resolve against.
 func decodeSnapshot(b []byte) (*Snapshot, *chunkTable, error) {
 	if len(b) < snapshotMinLen {
 		return nil, nil, fmt.Errorf("%w: short snapshot", ErrCorrupt)

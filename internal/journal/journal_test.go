@@ -71,7 +71,7 @@ func TestJournalRoundTripProperty(t *testing.T) {
 			recs = append(recs, randRecord(rng, uint64(1+rng.Intn(8))))
 		}
 		gen := rng.Uint64()
-		b, err := EncodeJournal(gen, recs)
+		b, err := encodeJournal(gen, recs)
 		if err != nil {
 			t.Fatalf("trial %d: encode: %v", trial, err)
 		}
@@ -151,11 +151,11 @@ func TestReplayIdempotenceProperty(t *testing.T) {
 		}
 		once := Replay(nil, recs)
 		twice := Replay(nil, append(append([]Record{}, recs...), recs...))
-		s1, err := EncodeSnapshot(once.Snapshot())
+		s1, _, err := encodeSnapshot(once.Snapshot())
 		if err != nil {
 			t.Fatalf("trial %d: snapshot once: %v", trial, err)
 		}
-		s2, err := EncodeSnapshot(twice.Snapshot())
+		s2, _, err := encodeSnapshot(twice.Snapshot())
 		if err != nil {
 			t.Fatalf("trial %d: snapshot twice: %v", trial, err)
 		}
@@ -164,7 +164,7 @@ func TestReplayIdempotenceProperty(t *testing.T) {
 		}
 		// And the snapshot is a fixed point of replay.
 		again := Replay(once.Snapshot(), nil)
-		s3, err := EncodeSnapshot(again.Snapshot())
+		s3, _, err := encodeSnapshot(again.Snapshot())
 		if err != nil {
 			t.Fatalf("trial %d: snapshot again: %v", trial, err)
 		}
@@ -180,11 +180,11 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		snap.Instances = append(snap.Instances, randInstance(rng, uint64(i+1)))
 	}
-	b, err := EncodeSnapshot(snap)
+	b, _, err := encodeSnapshot(snap)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := DecodeSnapshot(b)
+	got, _, err := decodeSnapshot(b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestCorruptJournalTypedErrors(t *testing.T) {
 		{Op: OpCreate, Inst: randInstance(rand.New(rand.NewSource(5)), 1)},
 		{Op: OpResize, Inst: InstanceRecord{ID: 1, Target: 9}},
 	}
-	good, err := EncodeJournal(0, recs)
+	good, err := encodeJournal(0, recs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,12 +246,12 @@ func TestCorruptJournalTypedErrors(t *testing.T) {
 		}
 	})
 	t.Run("corrupt snapshot", func(t *testing.T) {
-		snap, err := EncodeSnapshot(&Snapshot{NextID: 3})
+		snap, _, err := encodeSnapshot(&Snapshot{NextID: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
 		snap[len(snap)-1] ^= 1
-		if _, err := DecodeSnapshot(snap); !errors.Is(err, ErrCorrupt) {
+		if _, _, err := decodeSnapshot(snap); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("err = %v, want ErrCorrupt", err)
 		}
 	})
@@ -361,7 +361,7 @@ func TestChunkFramingTypedErrors(t *testing.T) {
 	}
 
 	// A snapshot's chunk table obeys the same rule over all its instances.
-	snap, err := EncodeSnapshot(&Snapshot{NextID: 2, Instances: []InstanceRecord{create.Inst}})
+	snap, _, err := encodeSnapshot(&Snapshot{NextID: 2, Instances: []InstanceRecord{create.Inst}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +374,7 @@ func TestChunkFramingTypedErrors(t *testing.T) {
 		"stored chunk no instance names": seal(append(slices.Clone(snap[:chunkTableEnd]), 0, 0, 0, 0)),
 		"truncated chunk table":          seal(slices.Clone(snap[:32])),
 	} {
-		if _, err := DecodeSnapshot(b); !errors.Is(err, ErrCorrupt) {
+		if _, _, err := decodeSnapshot(b); !errors.Is(err, ErrCorrupt) {
 			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
 		}
 	}

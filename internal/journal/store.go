@@ -409,9 +409,6 @@ func (s *Store) Err() error {
 	return s.lastErr
 }
 
-// Dir returns the state directory the store persists into.
-func (s *Store) Dir() string { return s.dir }
-
 // Close flushes and closes the journal file. Further appends fail.
 func (s *Store) Close() error {
 	s.mu.Lock()

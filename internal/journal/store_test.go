@@ -424,7 +424,7 @@ func TestVersion1StateDirRejected(t *testing.T) {
 	if _, err := openTestStore(t, dir, Options{}).Load(); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "journal version 1") {
 		t.Fatalf("Load of a version-1 journal = %v, want the version error", err)
 	}
-	snap, err := EncodeSnapshot(&Snapshot{NextID: 2})
+	snap, _, err := encodeSnapshot(&Snapshot{NextID: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

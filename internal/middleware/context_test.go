@@ -95,7 +95,7 @@ func TestInitFailureDestroysXlet(t *testing.T) {
 	if m.LaunchErrors == 0 {
 		t.Fatal("init failure not counted")
 	}
-	if len(m.Apps()) != 0 {
+	if len(appStates(m)) != 0 {
 		t.Fatal("failed app left registered")
 	}
 }
@@ -129,8 +129,8 @@ func TestDestroyWhileDownloadInFlight(t *testing.T) {
 	if launched {
 		t.Fatal("killed-in-flight app still launched")
 	}
-	if len(m.Apps()) != 0 {
-		t.Fatalf("apps: %+v", m.Apps())
+	if len(appStates(m)) != 0 {
+		t.Fatalf("apps: %+v", appStates(m))
 	}
 	m.Stop()
 	r.clk.Wait()

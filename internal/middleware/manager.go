@@ -90,12 +90,6 @@ type runningApp struct {
 	lc  xlet.Lifecycle
 }
 
-// AppStatus reports one application's lifecycle state.
-type AppStatus struct {
-	Application ait.Application
-	State       xlet.State
-}
-
 // NewManager builds a manager for one receiver.
 func NewManager(clk simtime.Clock, bcast ObjectCarousel, sig *Signalling, cfg Config) (*Manager, error) {
 	if cfg.Rng == nil {
@@ -157,17 +151,6 @@ func (m *Manager) Stop() {
 		}
 		a.lc.To(xlet.Destroyed)
 	}
-}
-
-// Apps reports the current applications and their states.
-func (m *Manager) Apps() []AppStatus {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]AppStatus, 0, len(m.apps))
-	for _, a := range m.apps {
-		out = append(out, AppStatus{Application: a.app, State: a.lc.State()})
-	}
-	return out
 }
 
 // handleAIT processes one received AIT repetition.

@@ -117,8 +117,8 @@ func TestAutostartLaunchesXlet(t *testing.T) {
 	if fx.inits != 1 || fx.starts != 1 {
 		t.Fatalf("inits=%d starts=%d, want 1,1", fx.inits, fx.starts)
 	}
-	apps := m.Apps()
-	if len(apps) != 1 || apps[0].State != xlet.Started {
+	apps := appStates(m)
+	if len(apps) != 1 || apps[0] != xlet.Started {
 		t.Fatalf("apps: %+v", apps)
 	}
 	if m.LaunchErrors != 0 {
@@ -156,8 +156,8 @@ func TestKillDestroysXlet(t *testing.T) {
 	if fx.destroys != 1 {
 		t.Fatalf("destroys = %d (KILL is unconditional)", fx.destroys)
 	}
-	if len(m.Apps()) != 0 {
-		t.Fatalf("apps still present: %+v", m.Apps())
+	if len(appStates(m)) != 0 {
+		t.Fatalf("apps still present: %+v", appStates(m))
 	}
 }
 
@@ -179,7 +179,7 @@ func TestAuthenticationFailureBlocksLaunch(t *testing.T) {
 	if m.AuthFailures != 1 {
 		t.Fatalf("auth failures = %d", m.AuthFailures)
 	}
-	if len(m.Apps()) != 0 {
+	if len(appStates(m)) != 0 {
 		t.Fatal("rejected app left registered")
 	}
 }
@@ -226,8 +226,8 @@ func TestLaunchDelayIncludesCarouselCycle(t *testing.T) {
 	m.Start()
 	r.sig.Publish(pnaAIT(ait.Autostart))
 	r.clk.Wait()
-	apps := m.Apps()
-	if len(apps) != 1 || apps[0].State != xlet.Started {
+	apps := appStates(m)
+	if len(apps) != 1 || apps[0] != xlet.Started {
 		t.Fatalf("apps: %+v", apps)
 	}
 	startedAt = r.clk.Now()
@@ -246,7 +246,7 @@ func TestNotifyDestroyedDeregisters(t *testing.T) {
 	r.sig.Publish(pnaAIT(ait.Autostart))
 	r.clk.Wait()
 	fx.ctx.NotifyDestroyed()
-	if len(m.Apps()) != 0 {
+	if len(appStates(m)) != 0 {
 		t.Fatal("self-destroyed app still registered")
 	}
 }
@@ -281,7 +281,21 @@ func TestSignallingCancelledListenerSilent(t *testing.T) {
 	if n != 0 {
 		t.Fatal("cancelled listener received AIT")
 	}
-	if sig.Listeners() != 0 {
+	sig.mu.Lock()
+	tuned := len(sig.listeners)
+	sig.mu.Unlock()
+	if tuned != 0 {
 		t.Fatal("listener count wrong")
 	}
+}
+
+// appStates snapshots the lifecycle state of each application m holds.
+func appStates(m *Manager) []xlet.State {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var out []xlet.State
+	for _, a := range m.apps {
+		out = append(out, a.lc.State())
+	}
+	return out
 }

@@ -49,9 +49,6 @@ func NewSignalling(clk simtime.Clock, period time.Duration) *Signalling {
 	return &Signalling{clk: clk, period: period, listeners: make(map[int]*sigListener)}
 }
 
-// Period returns the repetition interval.
-func (s *Signalling) Period() time.Duration { return s.period }
-
 // Publish puts a new AIT on air. Every subscribed receiver sees it at
 // its next repetition slot.
 func (s *Signalling) Publish(t *ait.AIT) error {
@@ -102,11 +99,4 @@ func (s *Signalling) Subscribe(rng *rand.Rand, fn func(raw []byte)) (cancel func
 		delete(s.listeners, id)
 		s.mu.Unlock()
 	}
-}
-
-// Listeners reports how many receivers are tuned.
-func (s *Signalling) Listeners() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.listeners)
 }

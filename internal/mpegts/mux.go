@@ -45,17 +45,6 @@ func (m *Mux) EnqueueSection(pid uint16, section []byte) error {
 	return nil
 }
 
-// Pending reports the total queued packets.
-func (m *Mux) Pending() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := 0
-	for _, q := range m.queues {
-		n += len(q.pkts)
-	}
-	return n
-}
-
 // NextPacket emits the next packet round-robin, or nil when all queues
 // are empty.
 func (m *Mux) NextPacket() *Packet {
@@ -120,8 +109,8 @@ func (d *Demux) Handle(pid uint16, fn func(section []byte)) {
 	}
 }
 
-// Unhandle removes the handler for pid.
-func (d *Demux) Unhandle(pid uint16) {
+// unhandle removes the handler for pid.
+func (d *Demux) unhandle(pid uint16) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	delete(d.handlers, pid)

@@ -43,8 +43,8 @@ func TestMuxPendingAndDrain(t *testing.T) {
 	s := &Section{TableID: 1, Payload: []byte{1, 2, 3}}
 	raw, _ := s.Encode()
 	mux.EnqueueSection(7, raw)
-	if mux.Pending() != 1 {
-		t.Fatalf("pending = %d", mux.Pending())
+	if n := len(mux.queues[7].pkts); n != 1 {
+		t.Fatalf("pending = %d", n)
 	}
 	stream, err := mux.DrainBytes()
 	if err != nil {
@@ -53,7 +53,7 @@ func TestMuxPendingAndDrain(t *testing.T) {
 	if len(stream) != PacketSize {
 		t.Fatalf("stream = %d bytes", len(stream))
 	}
-	if mux.Pending() != 0 {
+	if len(mux.queues[7].pkts) != 0 {
 		t.Fatal("drain left packets")
 	}
 	if mux.NextPacket() != nil {
@@ -84,5 +84,80 @@ func TestMuxContinuityPerPID(t *testing.T) {
 				t.Fatalf("PID %#x continuity %v", pid, ccs)
 			}
 		}
+	}
+}
+
+func TestMuxDemuxEndToEnd(t *testing.T) {
+	mux := NewMux()
+	// Two PIDs carrying different tables, interleaved.
+	sig := &Section{TableID: TableIDAIT, TableIDExt: 0x10, Payload: []byte("signalling")}
+	rawSig, _ := sig.Encode()
+	if err := mux.EnqueueSection(0x20, rawSig); err != nil {
+		t.Fatal(err)
+	}
+	var wantData [][]byte
+	for i := 0; i < 5; i++ {
+		s := &Section{TableID: TableIDDSMCCDDB, TableIDExt: uint16(i), Payload: bytes.Repeat([]byte{byte(i)}, 900)}
+		raw, _ := s.Encode()
+		wantData = append(wantData, raw)
+		if err := mux.EnqueueSection(0x300, raw); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stream, err := mux.DrainBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stream)%PacketSize != 0 {
+		t.Fatalf("stream not packet-aligned: %d", len(stream))
+	}
+
+	demux := NewDemux()
+	var gotSig []byte
+	var gotData [][]byte
+	demux.Handle(0x20, func(sec []byte) { gotSig = sec })
+	demux.Handle(0x300, func(sec []byte) { gotData = append(gotData, sec) })
+	if err := demux.PushBytes(stream); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotSig, rawSig) {
+		t.Fatalf("signalling section not recovered: %x", gotSig)
+	}
+	if len(gotData) != len(wantData) {
+		t.Fatalf("recovered %d data sections, want %d", len(gotData), len(wantData))
+	}
+	for i := range gotData {
+		if !bytes.Equal(gotData[i], wantData[i]) {
+			t.Fatalf("data section %d differs", i)
+		}
+	}
+}
+
+func TestDemuxCountsUnhandled(t *testing.T) {
+	demux := NewDemux()
+	p := &Packet{PID: 0x99, Payload: bytes.Repeat([]byte{0}, 184)}
+	demux.PushPacket(p)
+	if demux.Unhandled != 1 {
+		t.Fatalf("Unhandled = %d", demux.Unhandled)
+	}
+}
+
+func TestDemuxUnhandle(t *testing.T) {
+	demux := NewDemux()
+	n := 0
+	demux.Handle(5, func([]byte) { n++ })
+	s := &Section{TableID: 1, Payload: []byte{1}}
+	raw, _ := s.Encode()
+	pkts, _, _ := PacketizeSection(5, 0, raw)
+	for _, p := range pkts {
+		demux.PushPacket(p)
+	}
+	demux.unhandle(5)
+	pkts2, _, _ := PacketizeSection(5, 1, raw)
+	for _, p := range pkts2 {
+		demux.PushPacket(p)
+	}
+	if n != 1 {
+		t.Fatalf("handler ran %d times, want 1", n)
 	}
 }

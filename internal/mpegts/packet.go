@@ -1,7 +1,7 @@
 // Package mpegts implements the subset of the MPEG-2 transport stream
 // (ISO/IEC 13818-1) that a DTV data service needs: 188-byte TS packets,
 // PSI section framing with CRC-32/MPEG-2, section packetization and
-// reassembly, PAT/PMT codecs, and a round-robin multiplexer. The DSM-CC
+// reassembly, and a round-robin multiplexer over fixed PIDs. The DSM-CC
 // object carousel (internal/dsmcc) and the AIT (internal/ait) ride on
 // these sections, exactly as in a real OddCI-DTV transmission chain.
 package mpegts
@@ -19,10 +19,6 @@ const (
 	// MaxPayload is the payload capacity of a packet without an
 	// adaptation field.
 	MaxPayload = PacketSize - 4
-	// NullPID identifies stuffing packets.
-	NullPID = 0x1FFF
-	// PATPID is the fixed PID of the Program Association Table.
-	PATPID = 0x0000
 )
 
 // Errors returned by packet parsing.

@@ -9,6 +9,13 @@ import (
 	"oddci/internal/crc"
 )
 
+// Table IDs of the sections this system carries.
+const (
+	TableIDDSMCCDII = 0x3B // DSM-CC U-N messages (DownloadInfoIndication)
+	TableIDDSMCCDDB = 0x3C // DSM-CC download data (DownloadDataBlock)
+	TableIDAIT      = 0x74
+)
+
 // Section framing constants.
 const (
 	// MaxSectionLength is the largest value of the 12-bit section length
@@ -23,8 +30,7 @@ const (
 )
 
 // Section is a long-form (section_syntax_indicator = 1) PSI/private
-// section, the container used by the PAT, PMT, AIT and all DSM-CC
-// messages.
+// section, the container used by the AIT and all DSM-CC messages.
 type Section struct {
 	TableID     uint8
 	TableIDExt  uint16

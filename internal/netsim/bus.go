@@ -67,13 +67,6 @@ func (b *Bus) Subscribe(fn func(Packet)) *Subscription {
 	return &Subscription{bus: b, id: id}
 }
 
-// Subscribers reports the current number of listeners.
-func (b *Bus) Subscribers() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.subs)
-}
-
 // Publish transmits payload of the given wire size. Delivery happens to
 // the subscribers present when serialization completes; the per-node
 // cyclic-access behaviour of the carousel is layered above in
@@ -109,14 +102,6 @@ func (b *Bus) Publish(from string, payload any, size int) {
 			fn(p)
 		}
 	})
-}
-
-// BusyUntil reports when the channel finishes its current backlog; used by
-// the carousel scheduler to plan cycles.
-func (b *Bus) BusyUntil() time.Time {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.busyUntil
 }
 
 // Stats reports transmissions and bytes accepted onto the channel.

@@ -40,9 +40,9 @@ func NewFaultPlan(rng *rand.Rand, failProb float64, maxConsecutive int) *FaultPl
 	return &FaultPlan{rng: rng, failProb: failProb, maxConsecutive: maxConsecutive}
 }
 
-// WithDelay sets the slow-operation latency reported by Delay and
+// withDelay sets the slow-operation latency reported by opDelay and
 // returns the plan (builder style).
-func (f *FaultPlan) WithDelay(d time.Duration) *FaultPlan {
+func (f *FaultPlan) withDelay(d time.Duration) *FaultPlan {
 	f.mu.Lock()
 	f.delay = d
 	f.mu.Unlock()
@@ -79,17 +79,17 @@ func (f *FaultPlan) Next() bool {
 	return fail
 }
 
-// FailNext forces the next n draws to fail regardless of probability
+// failNext forces the next n draws to fail regardless of probability
 // and the consecutive bound — deterministic scripts use it to stage
 // exact failure bursts.
-func (f *FaultPlan) FailNext(n int) {
+func (f *FaultPlan) failNext(n int) {
 	f.mu.Lock()
 	f.forced += n
 	f.mu.Unlock()
 }
 
-// Delay reports the configured slow-operation latency (0 = fast).
-func (f *FaultPlan) Delay() time.Duration {
+// opDelay reports the configured slow-operation latency (0 = fast).
+func (f *FaultPlan) opDelay() time.Duration {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.delay

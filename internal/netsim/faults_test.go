@@ -44,7 +44,7 @@ func TestFaultPlanBoundsConsecutiveFailures(t *testing.T) {
 
 func TestFaultPlanForcedBurst(t *testing.T) {
 	p := NewFaultPlan(nil, 0, 1)
-	p.FailNext(4)
+	p.failNext(4)
 	for i := 0; i < 4; i++ {
 		if !p.Next() {
 			t.Fatalf("forced draw %d did not fail", i)
@@ -73,8 +73,8 @@ func TestFaultPlanDeterministicUnderSeed(t *testing.T) {
 }
 
 func TestFaultPlanDelay(t *testing.T) {
-	p := NewFaultPlan(nil, 0, 0).WithDelay(250 * time.Millisecond)
-	if p.Delay() != 250*time.Millisecond {
-		t.Fatalf("delay = %v", p.Delay())
+	p := NewFaultPlan(nil, 0, 0).withDelay(250 * time.Millisecond)
+	if p.opDelay() != 250*time.Millisecond {
+		t.Fatalf("delay = %v", p.opDelay())
 	}
 }

@@ -54,7 +54,7 @@ func TestLinkLatencyOnly(t *testing.T) {
 	l := NewLink(clk, LinkConfig{Latency: 250 * time.Millisecond}, dst)
 	l.Send(Packet{Payload: 1, Size: 1 << 20}) // infinite rate: pure latency
 	clk.Wait()
-	p, ok := dst.TryRecv()
+	p, ok := dst.tryRecv()
 	if !ok || !p.ArrivedAt.Equal(epoch.Add(250*time.Millisecond)) {
 		t.Fatalf("arrival %v", p.ArrivedAt)
 	}

@@ -107,8 +107,8 @@ func (m *Mailbox[T]) dropWaiter(seq uint64) {
 	}
 }
 
-// TryRecv dequeues without blocking.
-func (m *Mailbox[T]) TryRecv() (T, bool) {
+// tryRecv dequeues without blocking.
+func (m *Mailbox[T]) tryRecv() (T, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.q.PopFront()

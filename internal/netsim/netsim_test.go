@@ -18,13 +18,13 @@ func TestMailboxFIFO(t *testing.T) {
 		m.Put(i)
 	}
 	for i := 0; i < 10; i++ {
-		v, ok := m.TryRecv()
+		v, ok := m.tryRecv()
 		if !ok || v != i {
-			t.Fatalf("TryRecv = %d,%v want %d,true", v, ok, i)
+			t.Fatalf("tryRecv = %d,%v want %d,true", v, ok, i)
 		}
 	}
-	if _, ok := m.TryRecv(); ok {
-		t.Fatal("TryRecv on empty mailbox returned ok")
+	if _, ok := m.tryRecv(); ok {
+		t.Fatal("tryRecv on empty mailbox returned ok")
 	}
 }
 
@@ -101,7 +101,7 @@ func TestLinkSerializationDelay(t *testing.T) {
 	l := NewLink(clk, LinkConfig{RateBps: 1e6, Latency: 100 * time.Millisecond}, dst)
 	l.Send(Packet{Payload: "a", Size: 125000})
 	clk.Wait()
-	p, ok := dst.TryRecv()
+	p, ok := dst.tryRecv()
 	if !ok {
 		t.Fatal("packet not delivered")
 	}
@@ -121,7 +121,7 @@ func TestLinkBackToBackSerializes(t *testing.T) {
 	clk.Wait()
 	var arrivals []time.Time
 	for {
-		p, ok := dst.TryRecv()
+		p, ok := dst.tryRecv()
 		if !ok {
 			break
 		}
@@ -241,8 +241,11 @@ func TestBusUnsubscribe(t *testing.T) {
 	if count != 1 {
 		t.Fatalf("received %d packets, want 1 (unsubscribed before second)", count)
 	}
-	if bus.Subscribers() != 0 {
-		t.Fatalf("subscribers = %d, want 0", bus.Subscribers())
+	bus.mu.Lock()
+	subs := len(bus.subs)
+	bus.mu.Unlock()
+	if subs != 0 {
+		t.Fatalf("subscribers = %d, want 0", subs)
 	}
 }
 

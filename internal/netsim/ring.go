@@ -42,8 +42,8 @@ func (r *Ring[T]) PopFront() (T, bool) {
 	return v, true
 }
 
-// Peek returns the oldest item without removing it.
-func (r *Ring[T]) Peek() (T, bool) {
+// peek returns the oldest item without removing it.
+func (r *Ring[T]) peek() (T, bool) {
 	if r.n == 0 {
 		var zero T
 		return zero, false

@@ -37,16 +37,16 @@ func TestRingFIFOAcrossGrowth(t *testing.T) {
 
 func TestRingPeek(t *testing.T) {
 	var r Ring[string]
-	if _, ok := r.Peek(); ok {
-		t.Fatal("Peek on empty ring returned ok")
+	if _, ok := r.peek(); ok {
+		t.Fatal("peek on empty ring returned ok")
 	}
 	r.PushBack("a")
 	r.PushBack("b")
-	if v, ok := r.Peek(); !ok || v != "a" {
-		t.Fatalf("Peek = %q,%v want a,true", v, ok)
+	if v, ok := r.peek(); !ok || v != "a" {
+		t.Fatalf("peek = %q,%v want a,true", v, ok)
 	}
 	if r.Len() != 2 {
-		t.Fatalf("Peek consumed an item: Len = %d", r.Len())
+		t.Fatalf("peek consumed an item: Len = %d", r.Len())
 	}
 }
 

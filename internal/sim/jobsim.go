@@ -20,19 +20,16 @@ import (
 	"oddci/internal/analytic"
 )
 
-// JoinModel selects how nodes' wakeup completion times are drawn.
+// JoinModel selects how nodes' wakeup completion times are drawn. The
+// zero value models receivers whose carousel reads begin at a uniformly
+// random phase: W ~ U(C, 2C) for an image-dominated carousel — the
+// paper's 1.5·I/β expectation.
 type JoinModel int
 
-const (
-	// JoinRandomPhase models receivers whose carousel reads begin at a
-	// uniformly random phase: W ~ U(C, 2C) for an image-dominated
-	// carousel — the paper's 1.5·I/β expectation.
-	JoinRandomPhase JoinModel = iota
-	// JoinSynchronized models receivers that all begin reading at the
-	// carousel commit: W = C for everyone (the block-cache receiver's
-	// best case).
-	JoinSynchronized
-)
+// JoinSynchronized models receivers that all begin reading at the
+// carousel commit: W = C for everyone (the block-cache receiver's best
+// case).
+const JoinSynchronized JoinModel = 1
 
 // JobConfig parameterizes one run.
 type JobConfig struct {

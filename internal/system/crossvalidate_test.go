@@ -38,7 +38,14 @@ func TestLiveMatchesDESModel(t *testing.T) {
 	if err := sys.Start(); err != nil {
 		t.Fatal(err)
 	}
-	job, err := workload.FromParams(p, "xval")
+	job, err := (&workload.Generator{
+		Name:        "xval",
+		ImageBytes:  int(p.ImageBits / 8),
+		Tasks:       int(p.Tasks),
+		InputBytes:  int(p.TaskInBits / 8),
+		OutputBytes: int(p.TaskOutBits / 8),
+		MeanSeconds: p.TaskSeconds,
+	}).Generate()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -654,14 +654,3 @@ func (s *System) Shutdown() {
 	s.mu.Unlock()
 	ctrl.Stop()
 }
-
-// PoweredOn counts live nodes.
-func (s *System) PoweredOn() int {
-	n := 0
-	for _, box := range s.STBs {
-		if box.Powered() {
-			n++
-		}
-	}
-	return n
-}

@@ -133,7 +133,7 @@ func TestBeginEndFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	typ, payload, err := ReadFrame(bytes.NewReader(b))
+	typ, payload, err := readFrame(bytes.NewReader(b))
 	if err != nil || typ != FrameTaskRequest {
 		t.Fatalf("typ=%d err=%v", typ, err)
 	}
@@ -151,7 +151,7 @@ func TestBeginEndFrame(t *testing.T) {
 	}
 }
 
-// FrameReader must agree with ReadFrame on any frame sequence while
+// FrameReader must agree with readFrame on any frame sequence while
 // reusing one pooled payload buffer.
 func TestFrameReaderSequence(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
@@ -236,7 +236,7 @@ func TestNodeSet(t *testing.T) {
 	if s.Len() != 1000 {
 		t.Fatalf("Len = %d, want 1000", s.Len())
 	}
-	if !s.Has(999) || s.Has(1000) {
+	if !s.has(999) || s.has(1000) {
 		t.Fatal("membership wrong")
 	}
 }

@@ -147,8 +147,8 @@ func (s *nodeSet) Add(id uint64) {
 	}
 }
 
-// Has reports membership.
-func (s *nodeSet) Has(id uint64) bool {
+// has reports membership.
+func (s *nodeSet) has(id uint64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	_, ok := s.m[id]
@@ -456,40 +456,30 @@ func (c *Coordinator) Seq() uint32 {
 	return st.Seq
 }
 
-// StagedChunks returns how many distinct content-addressed chunk frames
+// stagedChunks returns how many distinct content-addressed chunk frames
 // the current stage holds.
-func (c *Coordinator) StagedChunks() int { return len(c.stage.Load().chunks) }
+func (c *Coordinator) stagedChunks() int { return len(c.stage.Load().chunks) }
 
 // Recovered reports whether this coordinator resumed from a StateDir
 // written by a previous run.
 func (c *Coordinator) Recovered() bool { return c.ctrl.Recovered() }
 
-// Backend exposes the scheduler for job submission.
-func (c *Coordinator) Backend() *backend.Backend { return c.be }
-
-// Controller exposes the instance's Controller: Status, Resize,
-// DumpState, and the heartbeats it consolidated.
+// Controller exposes the instance's Controller: Status, Resize, and the
+// heartbeats it consolidated.
 func (c *Coordinator) Controller() *controller.Controller { return c.ctrl }
-
-// WakeupTraceContext returns the root wakeup span's context (zero when
-// tracing is off or the trace was not sampled).
-func (c *Coordinator) WakeupTraceContext() span.Context { return c.wakeupCtx }
 
 // NodeCount returns the number of distinct node IDs seen, in O(1).
 func (c *Coordinator) NodeCount() int { return c.nodes.Len() }
-
-// SeenNode reports whether a node ID ever connected.
-func (c *Coordinator) SeenNode(id uint64) bool { return c.nodes.Has(id) }
 
 // BroadcastEncodes counts the broadcast artifacts (banner, control
 // file, manifest, chunks) encoded since construction — flat in the
 // number of sessions by design.
 func (c *Coordinator) BroadcastEncodes() int64 { return c.encodeOps.Load() }
 
-// BroadcastBytes returns the size of the pre-encoded staged broadcast
+// broadcastBytes returns the size of the pre-encoded staged broadcast
 // (control + manifest + distinct chunk frames) each joining session
 // receives.
-func (c *Coordinator) BroadcastBytes() int { return c.stage.Load().bytes }
+func (c *Coordinator) broadcastBytes() int { return c.stage.Load().bytes }
 
 // Submit enqueues a job and marks the backend draining so nodes go home
 // when it finishes.

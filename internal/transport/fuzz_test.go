@@ -10,7 +10,7 @@ import (
 )
 
 // FuzzReadFrame hammers the frame parsers with arbitrary bytes:
-// ReadFrame and FrameReader.Next must never panic, must agree with
+// readFrame and FrameReader.Next must never panic, must agree with
 // each other, and anything accepted must re-encode through WriteFrame
 // to the identical byte prefix.
 func FuzzReadFrame(f *testing.F) {
@@ -26,18 +26,18 @@ func FuzzReadFrame(f *testing.F) {
 	f.Add([]byte{byte(FrameTaskAssign), 0, 0, 0, 9, 1, 2, 3})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		typ, payload, err := ReadFrame(bytes.NewReader(data))
+		typ, payload, err := readFrame(bytes.NewReader(data))
 		fr := NewFrameReader(bytes.NewReader(data))
 		defer fr.Close()
 		typ2, payload2, err2 := fr.Next()
 		if (err == nil) != (err2 == nil) {
-			t.Fatalf("ReadFrame err=%v but FrameReader err=%v", err, err2)
+			t.Fatalf("readFrame err=%v but FrameReader err=%v", err, err2)
 		}
 		if err != nil {
 			return
 		}
 		if typ != typ2 || !bytes.Equal(payload, payload2) {
-			t.Fatal("ReadFrame and FrameReader disagree on an accepted frame")
+			t.Fatal("readFrame and FrameReader disagree on an accepted frame")
 		}
 		var re bytes.Buffer
 		if err := WriteFrame(&re, typ, payload); err != nil {

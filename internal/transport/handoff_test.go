@@ -329,7 +329,7 @@ func TestNoHoardingOverLoopback(t *testing.T) {
 		}()
 	}
 	run(0)
-	waitFor(t, "the first node's assignment", func() bool { return atomic.LoadInt64(&coord.Backend().Assigned) > 0 })
+	waitFor(t, "the first node's assignment", func() bool { return atomic.LoadInt64(&coord.be.Assigned) > 0 })
 	run(1)
 	wg.Wait()
 	for n := range reports {

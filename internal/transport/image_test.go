@@ -49,8 +49,8 @@ func TestJoinAssemblesChunkedImage(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantChunks := (len(raw) + appimage.ChunkBytes - 1) / appimage.ChunkBytes
-	if coord.StagedChunks() != wantChunks {
-		t.Fatalf("staged chunks = %d, want %d", coord.StagedChunks(), wantChunks)
+	if coord.stagedChunks() != wantChunks {
+		t.Fatalf("staged chunks = %d, want %d", coord.stagedChunks(), wantChunks)
 	}
 	// banner + control + manifest + the chunk frames.
 	wantEncodes := int64(3 + wantChunks)
@@ -156,8 +156,8 @@ func TestUpdateImageRestagesOnlyChangedChunks(t *testing.T) {
 	// The restage push carried the control + manifest + ONE chunk frame,
 	// not the whole image.
 	restageBytes, _ := reg.Value("oddci_transport_restage_bytes_total")
-	if restageBytes <= 0 || restageBytes >= float64(coord.BroadcastBytes()) {
-		t.Fatalf("restage bytes = %v, want positive and well under the full broadcast (%d)", restageBytes, coord.BroadcastBytes())
+	if restageBytes <= 0 || restageBytes >= float64(coord.broadcastBytes()) {
+		t.Fatalf("restage bytes = %v, want positive and well under the full broadcast (%d)", restageBytes, coord.broadcastBytes())
 	}
 }
 
@@ -284,8 +284,8 @@ func TestChunkDedupWithinImage(t *testing.T) {
 	// identical.
 	img := &appimage.Image{Name: "net", Version: 1, EntryPoint: "w", Payload: make([]byte, 8*appimage.ChunkBytes)}
 	coord := serveCoordinator(t, CoordinatorConfig{Image: img})
-	if coord.StagedChunks() >= 8 {
-		t.Fatalf("staged %d chunk frames for a self-similar image, want deduplicated (<8)", coord.StagedChunks())
+	if coord.stagedChunks() >= 8 {
+		t.Fatalf("staged %d chunk frames for a self-similar image, want deduplicated (<8)", coord.stagedChunks())
 	}
 	if _, err := coord.Submit(testJob(t, 2)); err != nil {
 		t.Fatal(err)

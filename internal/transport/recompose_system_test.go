@@ -75,8 +75,8 @@ func TestRecomposeDrivesDeltaPlane(t *testing.T) {
 	// No full re-air: the restage pushed control + manifest + the missing
 	// chunks, a fraction of the staged broadcast.
 	restageBytes, _ := reg.Value("oddci_transport_restage_bytes_total")
-	if restageBytes <= 0 || restageBytes >= float64(coord.BroadcastBytes()) {
+	if restageBytes <= 0 || restageBytes >= float64(coord.broadcastBytes()) {
 		t.Fatalf("restage bytes = %v, want positive and well under the full broadcast (%d)",
-			restageBytes, coord.BroadcastBytes())
+			restageBytes, coord.broadcastBytes())
 	}
 }

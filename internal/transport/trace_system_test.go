@@ -73,7 +73,7 @@ func TestTraceEndToEndLeaseExpiryRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wakeup := coord.WakeupTraceContext()
+	wakeup := coord.wakeupCtx
 	if !wakeup.Valid() || !wakeup.Sampled {
 		t.Fatalf("wakeup context not sampled: %+v", wakeup)
 	}

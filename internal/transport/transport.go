@@ -534,10 +534,10 @@ func EndFrame(b []byte, start int) ([]byte, error) {
 // ErrFrameTooLarge reports an oversized incoming frame.
 var ErrFrameTooLarge = errors.New("transport: incoming frame exceeds limit")
 
-// ReadFrame consumes one frame. The returned payload is freshly
-// allocated and owned by the caller; session loops should prefer
+// readFrame consumes one frame into a freshly allocated payload: the
+// plain reference FrameReader is checked against. Session loops use
 // FrameReader, which reuses a pooled buffer across frames.
-func ReadFrame(r io.Reader) (FrameType, []byte, error) {
+func readFrame(r io.Reader) (FrameType, []byte, error) {
 	var hdr [5]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err

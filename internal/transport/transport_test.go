@@ -22,7 +22,7 @@ func TestFrameRoundTrip(t *testing.T) {
 	if err := WriteFrame(&buf, FrameControl, payload); err != nil {
 		t.Fatal(err)
 	}
-	typ, got, err := ReadFrame(&buf)
+	typ, got, err := readFrame(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestFrameSequenceProperty(t *testing.T) {
 			}
 		}
 		for _, fr := range frames {
-			typ, p, err := ReadFrame(&buf)
+			typ, p, err := readFrame(&buf)
 			if err != nil || typ != fr.t || !bytes.Equal(p, fr.p) {
 				return false
 			}
@@ -69,7 +69,7 @@ func TestReadFrameTruncated(t *testing.T) {
 	WriteFrame(&buf, FrameHello, []byte("abcdef"))
 	raw := buf.Bytes()
 	for _, cut := range []int{0, 3, len(raw) - 1} {
-		if _, _, err := ReadFrame(bytes.NewReader(raw[:cut])); err == nil {
+		if _, _, err := readFrame(bytes.NewReader(raw[:cut])); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
 		}
 	}
@@ -78,7 +78,7 @@ func TestReadFrameTruncated(t *testing.T) {
 func TestReadFrameOversizeRejected(t *testing.T) {
 	var buf bytes.Buffer
 	buf.Write([]byte{byte(FrameImageChunk), 0xFF, 0xFF, 0xFF, 0xFF})
-	if _, _, err := ReadFrame(&buf); err != ErrFrameTooLarge {
+	if _, _, err := readFrame(&buf); err != ErrFrameTooLarge {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -169,11 +169,11 @@ func TestTCPEndToEnd(t *testing.T) {
 		t.Fatalf("coordinator saw %d nodes", coord.NodeCount())
 	}
 	for i := 1; i <= nodes; i++ {
-		if !coord.SeenNode(uint64(i)) {
+		if !coord.nodes.has(uint64(i)) {
 			t.Fatalf("node %d missing from the node set", i)
 		}
 	}
-	if coord.SeenNode(999) {
+	if coord.nodes.has(999) {
 		t.Fatal("phantom node in the node set")
 	}
 	if v, _ := reg.Value("oddci_transport_frames_in_task_request_total"); v < 24 {
@@ -182,8 +182,8 @@ func TestTCPEndToEnd(t *testing.T) {
 	if v, _ := reg.Value("oddci_transport_frames_in_task_result_total"); v != 24 {
 		t.Fatalf("task result frames counter = %v, want 24", v)
 	}
-	if v, _ := reg.Value("oddci_transport_bytes_out_total"); v < float64(coord.BroadcastBytes()) {
-		t.Fatalf("bytes out counter = %v, want at least one staged broadcast (%d)", v, coord.BroadcastBytes())
+	if v, _ := reg.Value("oddci_transport_bytes_out_total"); v < float64(coord.broadcastBytes()) {
+		t.Fatalf("bytes out counter = %v, want at least one staged broadcast (%d)", v, coord.broadcastBytes())
 	}
 }
 
@@ -262,7 +262,7 @@ func TestCoordinatorDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	go coord.Serve()
-	if coord.Backend() == nil {
+	if coord.be == nil {
 		t.Fatal("backend accessor nil")
 	}
 	h, err := coord.Submit(testJob(t, 4))

@@ -72,12 +72,12 @@ func fakeCoordinator(t *testing.T, banner any, frames []byte) (addr string) {
 		if WriteFrame(conn, FrameBanner, raw) != nil {
 			return
 		}
-		if _, _, err := ReadFrame(conn); err != nil {
+		if _, _, err := readFrame(conn); err != nil {
 			return
 		}
 		conn.Write(frames)
 		for {
-			if _, _, err := ReadFrame(conn); err != nil {
+			if _, _, err := readFrame(conn); err != nil {
 				return
 			}
 		}
@@ -213,9 +213,9 @@ func TestLargeImageEncodeOnce(t *testing.T) {
 		t.Fatalf("NodeCount = %d, want %d", coord.NodeCount(), nodes)
 	}
 	for i, n := range gotBytes {
-		if n < 3<<20 || n != coord.BroadcastBytes() {
-			t.Fatalf("node %d received %d staged bytes, want BroadcastBytes = %d (at least the image size)",
-				i+1, n, coord.BroadcastBytes())
+		if n < 3<<20 || n != coord.broadcastBytes() {
+			t.Fatalf("node %d received %d staged bytes, want broadcastBytes = %d (at least the image size)",
+				i+1, n, coord.broadcastBytes())
 		}
 	}
 }

@@ -115,9 +115,9 @@ func (g *Generator) Generate() (*Job, error) {
 	return j, nil
 }
 
-// FromParams builds the uniform job described by an analytic parameter
-// set — the bridge between the closed-form models and the simulator.
-func FromParams(p analytic.Params, name string) (*Job, error) {
+// fromParams builds the uniform job described by an analytic parameter
+// set — the inverse of Job.Params.
+func fromParams(p analytic.Params, name string) (*Job, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}

@@ -69,7 +69,7 @@ func TestGeneratorValidation(t *testing.T) {
 
 func TestFromParamsRoundTrip(t *testing.T) {
 	p := analytic.Figure6Defaults(10, 100).WithPhi(100)
-	j, err := FromParams(p, "fig6")
+	j, err := fromParams(p, "fig6")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestFromParamsRoundTrip(t *testing.T) {
 	if math.Abs(got.Makespan()-p.Makespan()) > 1e-6*p.Makespan() {
 		t.Fatalf("makespan drifted: %v vs %v", got.Makespan(), p.Makespan())
 	}
-	if _, err := FromParams(analytic.Params{}, "bad"); err == nil {
+	if _, err := fromParams(analytic.Params{}, "bad"); err == nil {
 		t.Fatal("invalid params accepted")
 	}
 }

@@ -118,9 +118,6 @@ func legal(from, to State) bool {
 	}
 }
 
-// CanTransition reports whether from → to is a legal lifecycle move.
-func CanTransition(from, to State) bool { return legal(from, to) }
-
 // To performs the transition, or reports why it is illegal.
 func (l *Lifecycle) To(to State) error {
 	if !legal(l.state, to) {

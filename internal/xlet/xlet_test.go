@@ -54,7 +54,7 @@ func TestDestroyFromAnyLiveState(t *testing.T) {
 }
 
 // Property: a random walk through To() can never leave Destroyed, and
-// every accepted transition matches CanTransition.
+// every accepted transition matches legal.
 func TestLifecycleWalkProperty(t *testing.T) {
 	f := func(seed int64, steps uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -63,7 +63,7 @@ func TestLifecycleWalkProperty(t *testing.T) {
 			from := l.State()
 			to := State(rng.Intn(4))
 			err := l.To(to)
-			if (err == nil) != CanTransition(from, to) {
+			if (err == nil) != legal(from, to) {
 				return false
 			}
 			if err != nil && l.State() != from {
