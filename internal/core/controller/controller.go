@@ -100,7 +100,7 @@ type Config struct {
 	Rng *rand.Rand
 	// Journal, if set, makes the control plane durable: lifecycle
 	// mutations (create/resize/recompose/destroy/gc) are appended as
-	// they commit, and New replays the store's snapshot+journal so a
+	// they commit, and New replays the store's journal so a
 	// restarted Controller re-enters the carousel at the recorded
 	// generation instead of re-staging every image. Live nodes are
 	// re-adopted from their next heartbeat — never re-woken.
@@ -346,7 +346,7 @@ func (c *Controller) instrument(reg *obs.Registry) {
 		convergeTime:  reg.Histogram("oddci_controller_converge_seconds", "Time from instance creation to first reaching target size", nil),
 		refreshDelay:  reg.Gauge("oddci_controller_refresh_backoff_seconds", "Backoff delay armed for the next refresh retry"),
 		maintainTicks: reg.Counter("oddci_controller_maintenance_passes_total", "Maintenance loop passes"),
-		recoveredInst: reg.Counter("oddci_controller_instances_recovered_total", "Instances recovered from snapshot+journal at startup"),
+		recoveredInst: reg.Counter("oddci_controller_instances_recovered_total", "Instances recovered from the journal at startup"),
 		imageEncodes:  reg.Counter("oddci_controller_image_encodes_total", "Image serializations performed (once per instance create, flat in refresh count)"),
 		imageUpdates:  reg.Counter("oddci_controller_image_updates_total", "Live-instance image replacements (Recompose)"),
 		chunksHashed:  reg.Counter("oddci_controller_image_chunks_hashed_total", "Image chunks hashed (every chunk at create, only the changed ones at Recompose)"),
@@ -417,7 +417,7 @@ func (c *Controller) shard(nodeID uint64) *nodeShard {
 }
 
 // New builds a Controller. With Config.Journal set, it replays the
-// store's snapshot+journal and comes up holding the pre-crash instance
+// store's journal and comes up holding the pre-crash instance
 // table (Start then re-airs it in one head-end update).
 func New(cfg Config) (*Controller, error) {
 	if err := cfg.fill(); err != nil {
@@ -530,7 +530,7 @@ func (c *Controller) adoptGraceLocked(st *instState, now time.Time) time.Time {
 }
 
 // journalRecordLocked renders st as its full durable record (OpCreate
-// and compaction snapshots).
+// and compaction).
 func journalRecordLocked(st *instState) journal.InstanceRecord {
 	rec := journal.InstanceRecord{
 		ID:              uint64(st.id),
@@ -553,8 +553,8 @@ func journalRecordLocked(st *instState) journal.InstanceRecord {
 }
 
 // journalAppendLocked persists one lifecycle mutation, then compacts
-// once the journal outgrows its threshold: the current tables become the
-// snapshot and the journal resets, bounding replay time and disk growth.
+// once the journal outgrows its threshold: the current tables replace
+// it, one create per instance, bounding replay time and disk growth.
 // Every append checks, because OpCreate and OpRecompose records carry a
 // whole image. Append and compaction errors do not fail the control
 // plane — the store latches the error into Err and the journal-stalled
@@ -1475,7 +1475,7 @@ func (c *Controller) HandleHeartbeat(hb *control.Heartbeat) *control.HeartbeatRe
 
 // dumpState renders the durable control-plane state as deterministic
 // text: carousel order, fixed field order, no map iteration anywhere.
-// Two controllers that replayed the same snapshot+journal produce
+// Two controllers that replayed the same journal produce
 // byte-identical dumps — the recovery determinism contract.
 func (c *Controller) dumpState() string {
 	c.mu.Lock()

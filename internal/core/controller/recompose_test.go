@@ -234,7 +234,7 @@ func TestRecomposeBelowTargetKeepsProbability(t *testing.T) {
 // TestJournalBoundedUnderImageRecords: every Recompose journals a whole
 // image, and no maintenance pass runs here, so only the append path can
 // compact. 64 replacements of a 1 MiB image must leave the state dir
-// under 3 MiB (the snapshot plus at most a snapshot's worth of journal),
+// under 3 MiB (the compacted state plus at most as much again appended),
 // and the replayed state must equal the live one.
 func TestJournalBoundedUnderImageRecords(t *testing.T) {
 	dir := t.TempDir()

@@ -86,7 +86,7 @@ func TestRecoveredStatusDistinction(t *testing.T) {
 	r2.clk.Wait()
 }
 
-// TestDeterministicRecovery replays the same snapshot+journal into two
+// TestDeterministicRecovery replays the same journal into two
 // independent controllers and requires byte-identical durable state
 // dumps and byte-identical /varz renderings.
 func TestDeterministicRecovery(t *testing.T) {
@@ -193,32 +193,40 @@ func TestRecoveredAdoptionGrace(t *testing.T) {
 }
 
 // TestRecoveryFromCompactedSnapshot restarts from a state dir whose
-// journal was folded into a snapshot, and requires the recovered live
-// state to match the pre-crash dump byte for byte.
+// journal was compacted, folded into one create per instance, and
+// requires the recovered live state to match the pre-crash dump byte
+// for byte.
 func TestRecoveryFromCompactedSnapshot(t *testing.T) {
 	dir := t.TempDir()
-	// CompactEvery=1 arms compaction on the first append, which folds the
-	// journal into the snapshot.
-	r1, s1 := journaledRig(t, dir, nil, journal.Options{CompactEvery: 1})
-	if _, err := r1.ctrl.CreateInstance(InstanceSpec{
+	storeReg := obs.NewRegistry()
+	r1, s1 := journaledRig(t, dir, nil, journal.Options{Obs: storeReg})
+	id, err := r1.ctrl.CreateInstance(InstanceSpec{
 		Image: testImage(t), Target: 4, InitialProbability: 0.25,
 		HeartbeatPeriod: 20 * time.Second,
-	}); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
+	// 255 resizes after the create: 256 records arm compaction, which
+	// folds the journal into the instance's create.
+	for i := 0; i < 255; i++ {
+		if err := r1.ctrl.Resize(id, 4+i%2); err != nil {
+			t.Fatal(err)
+		}
+	}
 	r1.advance(35 * time.Second)
-	if s1.NeedsCompaction() {
-		t.Fatal("the create's append should have compacted the journal")
+	if v, _ := storeReg.Value("oddci_journal_compactions_total"); v < 1 || s1.NeedsCompaction() {
+		t.Fatal("256 appends should have compacted the journal")
 	}
 	want := r1.ctrl.dumpState()
 	s1.Close()
 
 	r2, _ := journaledRig(t, dir, nil, journal.Options{})
 	if !r2.ctrl.Recovered() {
-		t.Fatal("snapshot-only state dir should recover")
+		t.Fatal("a compacted state dir should recover")
 	}
 	if got := r2.ctrl.dumpState(); got != want {
-		t.Fatalf("snapshot recovery diverged:\n--- want ---\n%s--- got ---\n%s", want, got)
+		t.Fatalf("compacted recovery diverged:\n--- want ---\n%s--- got ---\n%s", want, got)
 	}
 	r2.ctrl.Stop()
 	r2.clk.Wait()

@@ -11,8 +11,7 @@ import (
 )
 
 // imageSeed is an image of two identical whole chunks and a short tail:
-// a seed whose chunk frames (or snapshot chunk table) store a repeated
-// chunk once.
+// a seed whose chunk frames store a repeated chunk once.
 func imageSeed(rec InstanceRecord) InstanceRecord {
 	rec.Image = chunkyImage([]byte{7, 7}, 33)
 	rec.Chunks = appimage.ChunkDigests(nil, rec.Image)
@@ -37,12 +36,12 @@ func checkManifests(t *testing.T, recs []InstanceRecord) {
 // bare header.
 func FuzzDecodeJournal(f *testing.F) {
 	// Seed corpus: empty, header-only, a real journal with chunk frames
-	// and manifests, and mutations of it (committed under testdata/fuzz
-	// for `go test -fuzz` runs).
+	// and manifests, mutations of it, and a compacted file (committed
+	// under testdata/fuzz for `go test -fuzz` runs).
 	f.Add([]byte{})
-	f.Add(journalHeader(0))
+	f.Add(journalHeader(1))
 	rng := rand.New(rand.NewSource(1))
-	good, err := encodeJournal(3, []Record{
+	good, _, err := encodeJournal(3, []Record{
 		{Op: OpCreate, Inst: randInstance(rng, 1)},
 		{Op: OpResize, Inst: InstanceRecord{ID: 1, Target: 7}},
 		{Op: OpRecompose, Inst: InstanceRecord{ID: 1, Seq: 2, Wakeups: 2, Probability: 0.5}},
@@ -58,27 +57,56 @@ func FuzzDecodeJournal(f *testing.F) {
 	f.Add(good[:len(good)-3])
 	f.Add(append(append([]byte{}, good...), 0, 0, 0))
 	// A manifest alone: its chunk frames cut away.
-	small, err := encodeJournal(0, []Record{{Op: OpCreate, Inst: randInstance(rng, 1)}})
+	small, _, err := encodeJournal(1, []Record{{Op: OpCreate, Inst: randInstance(rng, 1)}})
 	if err != nil {
 		f.Fatal(err)
 	}
 	chunkFrame := 8 + int(binary.BigEndian.Uint32(small[journalHeaderLen:]))
-	f.Add(append(journalHeader(0), small[journalHeaderLen+chunkFrame:]...))
+	f.Add(append(journalHeader(1), small[journalHeaderLen+chunkFrame:]...))
 	// A repeated whole chunk, stored once (large: a seed, not a fuzzing
 	// start point worth mutating for long).
-	repeated, err := encodeJournal(0, []Record{{Op: OpCreate, Inst: imageSeed(randInstance(rng, 1))}})
+	repeated, _, err := encodeJournal(1, []Record{{Op: OpCreate, Inst: imageSeed(randInstance(rng, 1))}})
 	if err != nil {
 		f.Fatal(err)
 	}
 	f.Add(repeated)
-	for _, seed := range [][]byte{good, repeated} {
+	// A compacted file: two instances sharing a chunk, a destroyed one
+	// not yet collected, and a header nextID above the last live ID (the
+	// highest was collected before the compaction).
+	st := NewState()
+	first := imageSeed(liveInstance(rng, 1))
+	second := liveInstance(rng, 2)
+	second.Image = append(appimage.Chunk(first.Image, 0), second.Image...)
+	second.Chunks = appimage.ChunkDigests(nil, second.Image)
+	for _, r := range []Record{
+		{Op: OpCreate, Inst: first},
+		{Op: OpCreate, Inst: second},
+		{Op: OpCreate, Inst: liveInstance(rng, 3)},
+		{Op: OpCreate, Inst: liveInstance(rng, 4)},
+		{Op: OpDestroy, Inst: InstanceRecord{ID: 3, Seq: 2, Resets: 1, ResetTicks: 4}},
+		{Op: OpDestroy, Inst: InstanceRecord{ID: 4, Seq: 2, Resets: 1, ResetTicks: 4}},
+		{Op: OpGC, Inst: InstanceRecord{ID: 4}},
+	} {
+		st.Apply(r)
+	}
+	compact, _, err := encodeState(st)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(compact)
+	for _, seed := range [][]byte{good, repeated, compact} {
 		if _, _, err := DecodeJournal(seed); err != nil {
 			f.Fatalf("seed journal does not decode: %v", err)
 		}
 	}
+	nextID, recs, _ := DecodeJournal(compact)
+	folded := foldRecords(nextID, recs)
+	if re, _, err := encodeState(folded); err != nil || !bytes.Equal(re, compact) || nextID != 5 || !folded.Instances[3].Destroyed {
+		f.Fatalf("compacted seed (nextID %d) does not fold and re-encode to itself: %v", nextID, err)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		gen, recs, err := DecodeJournal(data)
+		nextID, recs, err := DecodeJournal(data)
 		if err != nil {
 			if !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("untyped decode error: %v", err)
@@ -92,63 +120,14 @@ func FuzzDecodeJournal(f *testing.F) {
 			}
 		}
 		checkManifests(t, insts)
-		re, err := encodeJournal(gen, recs)
+		re, _, err := encodeJournal(nextID, recs)
 		if err != nil {
 			t.Fatalf("decoded journal does not re-encode: %v", err)
 		}
 		if len(data) > 0 && !bytes.Equal(re, data) {
 			t.Fatalf("accepted journal re-encodes to other bytes (%d vs %d)", len(re), len(data))
 		}
-		// Replay must not panic on any decodable journal.
-		Replay(nil, recs)
-	})
-}
-
-// FuzzDecodeSnapshot is the snapshot-side twin: its chunk table stores
-// each distinct chunk once, in order of first appearance, and every
-// accepted snapshot re-encodes to the same bytes.
-func FuzzDecodeSnapshot(f *testing.F) {
-	rng := rand.New(rand.NewSource(2))
-	first := imageSeed(randInstance(rng, 1))
-	second := randInstance(rng, 2)
-	second.Image = append(appimage.Chunk(first.Image, 0), second.Image...) // shares chunk 0
-	second.Chunks = appimage.ChunkDigests(nil, second.Image)
-	snap, _, err := encodeSnapshot(&Snapshot{
-		Gen:       4,
-		NextID:    3,
-		Instances: []InstanceRecord{first, second},
-	})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(snap)
-	f.Add(snap[:len(snap)-5])
-	f.Add([]byte{})
-	empty, _, err := encodeSnapshot(&Snapshot{NextID: 9})
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(empty)
-	if _, _, err := decodeSnapshot(snap); err != nil {
-		f.Fatalf("seed snapshot does not decode: %v", err)
-	}
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		s, _, err := decodeSnapshot(data)
-		if err != nil {
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("untyped decode error: %v", err)
-			}
-			return
-		}
-		checkManifests(t, s.Instances)
-		re, _, err := encodeSnapshot(s)
-		if err != nil {
-			t.Fatalf("decoded snapshot does not re-encode: %v", err)
-		}
-		if !bytes.Equal(re, data) {
-			t.Fatalf("accepted snapshot re-encodes to other bytes (%d vs %d)", len(re), len(data))
-		}
-		Replay(s, nil)
+		// Folding must not panic on any decodable journal.
+		foldRecords(nextID, recs)
 	})
 }

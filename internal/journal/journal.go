@@ -1,34 +1,33 @@
-// Package journal is the Controller's durability layer: a compact
-// binary snapshot of control-plane state (instances, wanted sizes,
-// sequence counters, reset-retransmission windows) plus an append-only
-// journal of lifecycle mutations (create / resize / recompose /
-// destroy / gc). A crashed coordinator replays snapshot+journal to
-// recover exactly the instances it was maintaining, so the broadcast
-// channel's O(1) staging advantage is not forfeited to an O(N)
-// re-stage after every restart.
+// Package journal is the Controller's durability layer: one
+// append-only file of lifecycle mutations (create / resize / recompose /
+// destroy / gc) covering control-plane state (instances, wanted sizes,
+// sequence counters, reset-retransmission windows). A crashed
+// coordinator folds the file to recover exactly the instances it was
+// maintaining, so the broadcast channel's O(1) staging advantage is not
+// forfeited to an O(N) re-stage after every restart.
 //
 // The design splits cleanly in two:
 //
-//   - the codec and replay state machine (this file): deterministic
+//   - the codec and fold state machine (this file): deterministic
 //     binary encodings with CRC-32 framing, and a State that applies
-//     Records idempotently — replaying the same journal twice yields
-//     the same State, and two independent replays of the same bytes
-//     yield byte-identical snapshots;
-//   - the file Store (store.go): snapshot + journal files on disk,
-//     fsync'd appends, and periodic snapshot compaction. Snapshots are
-//     numbered by generation and a journal names the one it extends,
-//     so a journal that a compaction folded in but did not get to
-//     truncate is skipped rather than replayed.
+//     Records idempotently — folding the same journal twice yields the
+//     same State, and two independent folds of the same bytes re-encode
+//     to byte-identical files;
+//   - the file Store (store.go): fsync'd appends to the one state file,
+//     and compaction, which writes the folded state as a journal of its
+//     own (a header naming the ID high-water mark, then one create per
+//     instance) and renames it over the file. Every crash state is a
+//     byte prefix of the file or one side of that rename.
 //
 // Images are stored by chunk, under the same digests the TCP image
 // plane names: one digest tree. A record carries its image as a
 // manifest, the image's size and the SHA-256 of each of its
 // appimage.ChunkBytes chunks (the list appimage.RootOf roots), and a
 // chunk's bytes are written once, just before the first record that
-// names them, unless the snapshot or an earlier frame already holds
-// them. So an update that changes two chunks of an image appends those
-// two chunks and a manifest, not the image; and a snapshot holds each
-// distinct chunk of the live images once.
+// names them, unless an earlier frame already holds them. So an update
+// that changes two chunks of an image appends those two chunks and a
+// manifest, not the image; and a compacted file holds each distinct
+// chunk of the live images once.
 //
 // What is deliberately NOT journaled: instance membership, node state,
 // and heartbeat back-pressure tuning. All of it is reconstructed from
@@ -38,6 +37,7 @@
 package journal
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -55,11 +55,14 @@ import (
 // half a control plane and then broadcasting from it is worse than
 // refusing to start.
 var (
-	// ErrCorrupt reports a snapshot or journal whose framing, checksum,
-	// or field encoding is invalid.
+	// ErrCorrupt reports a journal whose header, framing, checksum, or
+	// field encoding is invalid, or whose codec version is not this one.
 	ErrCorrupt = errors.New("journal: corrupt")
-	// ErrTruncated reports a journal whose final record runs past the
-	// end of the file (a torn append). It wraps ErrCorrupt.
+	// ErrTruncated reports a journal cut short: its header, or its final
+	// frame, runs past the end of the file, or chunk frames have no
+	// record after them (a torn append). It wraps ErrCorrupt.
+	// DecodeJournal fails on it; Store.Load folds up to the last whole
+	// record.
 	ErrTruncated = fmt.Errorf("%w: truncated tail", ErrCorrupt)
 )
 
@@ -141,49 +144,38 @@ type Record struct {
 	Inst InstanceRecord
 }
 
-// Snapshot is the compact full-state image written at compaction time.
-// Instances are in carousel (creation) order; replay preserves it.
-type Snapshot struct {
-	// Gen numbers the compaction that wrote the snapshot (a State's
-	// Snapshot leaves it 0; Store.Compact counts up). The journal after
-	// it names the same Gen, so a journal that names an earlier one is
-	// one a compaction already folded in and was cut before resetting.
-	Gen       uint64
-	NextID    uint64
-	Instances []InstanceRecord
-}
+// journalMagic and codecVersion open every state file. Version 3 keeps
+// the whole state dir in the one file; version 1 (images whole in their
+// records) and version 2 (a snapshot file beside the journal, tied to it
+// by a generation) are refused with the version error and not migrated.
+var journalMagic = [4]byte{'O', 'J', 'N', 'L'}
 
-// File magics and the codec version. Version 2 stores images by chunk
-// and numbers snapshot generations; a version-1 state dir, which held
-// each image whole in its records, is refused with the version error
-// and not migrated.
-var (
-	snapshotMagic = [4]byte{'O', 'J', 'S', 'N'}
-	journalMagic  = [4]byte{'O', 'J', 'N', 'L'}
-)
-
-const codecVersion = 2
+const codecVersion = 3
 
 // journalHeader is the fixed prefix of a journal file: magic(4) |
-// version(1) | gen(8), gen being the snapshot generation it extends.
-func journalHeader(gen uint64) []byte {
+// version(1) | nextID(8), nextID being the ID high-water mark when the
+// file was written: what a compaction folded in, IDs it garbage-collected
+// included.
+func journalHeader(nextID uint64) []byte {
 	b := append(journalMagic[:], codecVersion)
-	return binary.BigEndian.AppendUint64(b, gen)
+	return binary.BigEndian.AppendUint64(b, nextID)
 }
 
 const journalHeaderLen = 13
 
-// parseJournalHeader checks a journal file's header and returns the
-// snapshot generation it extends and the frames after it.
-func parseJournalHeader(b []byte) (gen uint64, frames []byte, err error) {
-	if len(b) < 5 || [4]byte(b[:4]) != journalMagic {
+// parseJournalHeader checks a journal file's header and returns the ID
+// high-water mark it names and the frames after it. A file shorter than
+// a header whose bytes begin one is ErrTruncated: a first append torn
+// before its header was whole.
+func parseJournalHeader(b []byte) (nextID uint64, frames []byte, err error) {
+	if !bytes.HasPrefix(journalMagic[:], b[:min(len(b), 4)]) {
 		return 0, nil, fmt.Errorf("%w: bad journal header", ErrCorrupt)
 	}
-	if b[4] != codecVersion {
+	if len(b) > 4 && b[4] != codecVersion {
 		return 0, nil, fmt.Errorf("%w: journal version %d (want %d)", ErrCorrupt, b[4], codecVersion)
 	}
 	if len(b) < journalHeaderLen {
-		return 0, nil, fmt.Errorf("%w: short journal header", ErrCorrupt)
+		return 0, nil, fmt.Errorf("%w: short journal header", ErrTruncated)
 	}
 	return binary.BigEndian.Uint64(b[5:]), b[journalHeaderLen:], nil
 }
@@ -495,20 +487,33 @@ func forgetChunks(frames []byte, held map[appimage.Digest]struct{}) {
 	}
 }
 
-// encodeJournal renders a whole journal file (header + framed records)
-// extending snapshot generation gen, as if over no snapshot: each
-// chunk's bytes go in before the first record that names it, once.
+// encodeJournal renders a whole journal file: the header naming nextID,
+// then recs' frames, each chunk's bytes once, before the first record
+// that names it. It returns the digests of the chunks it stores.
 // DecodeJournal inverts it byte for byte.
-func encodeJournal(gen uint64, recs []Record) ([]byte, error) {
-	b := journalHeader(gen)
+func encodeJournal(nextID uint64, recs []Record) ([]byte, map[appimage.Digest]struct{}, error) {
+	b := journalHeader(nextID)
 	held := make(map[appimage.Digest]struct{})
 	for _, r := range recs {
 		var err error
 		if b, err = appendRecordFrames(b, r, held); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	return b, nil
+	return b, held, nil
+}
+
+// encodeState renders st as the journal a compaction writes: a header
+// naming st.NextID, then one create per instance, in carousel order,
+// destroyed and not yet collected ones included.
+func encodeState(st *State) ([]byte, map[appimage.Digest]struct{}, error) {
+	recs := make([]Record, 0, len(st.Order))
+	for _, id := range st.Order {
+		if rec, ok := st.Instances[id]; ok {
+			recs = append(recs, Record{Op: OpCreate, Inst: *rec})
+		}
+	}
+	return encodeJournal(st.NextID, recs)
 }
 
 // chunkTable is the chunks a state dir stores, keyed by digest, as a
@@ -540,7 +545,7 @@ func (t *chunkTable) resolve(size int, ds []appimage.Digest) ([]byte, error) {
 		data, ok := t.held[d]
 		if !ok {
 			if len(t.pending) == 0 || t.pending[0].d != d {
-				return nil, fmt.Errorf("%w: manifest names chunk %x, which no snapshot or earlier record holds", ErrCorrupt, d[:8])
+				return nil, fmt.Errorf("%w: manifest names chunk %x, which no earlier frame stores", ErrCorrupt, d[:8])
 			}
 			data = t.pending[0].data
 			t.pending = t.pending[1:]
@@ -557,32 +562,33 @@ func (t *chunkTable) resolve(size int, ds []appimage.Digest) ([]byte, error) {
 	return img, nil
 }
 
-// DecodeJournal parses a journal file strictly, returning the snapshot
-// generation it extends and its records, decoded as if over no
-// snapshot: a bad header, a record whose checksum or encoding is
-// invalid, or a manifest naming a chunk no earlier frame stores
-// (ErrCorrupt), or a final frame that runs past the end of the file or
-// chunk frames with no record after them (ErrTruncated) fails the whole
-// decode — no partial state escapes. An empty file is an empty journal.
-func DecodeJournal(b []byte) (gen uint64, recs []Record, err error) {
+// DecodeJournal parses a journal file strictly, returning the ID
+// high-water mark its header names and its records: a bad header, a
+// record whose checksum or encoding is invalid, or a manifest naming a
+// chunk no earlier frame stores (ErrCorrupt), or a torn tail
+// (ErrTruncated) fails the whole decode — no partial state escapes. An
+// empty file is an empty journal.
+func DecodeJournal(b []byte) (nextID uint64, recs []Record, err error) {
 	if len(b) == 0 {
 		return 0, nil, nil
 	}
-	gen, frames, err := parseJournalHeader(b)
+	nextID, frames, err := parseJournalHeader(b)
 	if err != nil {
 		return 0, nil, err
 	}
-	if err := decodeJournal(frames, newChunkTable(), func(r Record) { recs = append(recs, r) }); err != nil {
+	if err := decodeJournal(frames, newChunkTable(), func(r Record, _ int) { recs = append(recs, r) }); err != nil {
 		return 0, nil, err
 	}
-	return gen, recs, nil
+	return nextID, recs, nil
 }
 
-// decodeJournal decodes a journal's frames (b, past its header) over
-// the chunks t holds (a snapshot's), handing each record to apply as it
-// decodes, so a replay holds one rebuilt image per instance, not one
-// per record.
-func decodeJournal(b []byte, t *chunkTable, apply func(Record)) error {
+// decodeJournal decodes a journal's frames (b, past its header) into t,
+// handing each record to apply as it decodes, with the offset in b just
+// past its frame, so a fold holds one rebuilt image per instance, not
+// one per record. A torn tail is ErrTruncated after every whole record
+// before it has been applied.
+func decodeJournal(b []byte, t *chunkTable, apply func(r Record, end int)) error {
+	total := len(b)
 	for n := 0; len(b) > 0; n++ {
 		if len(b) < 4 {
 			return ErrTruncated
@@ -616,7 +622,7 @@ func decodeJournal(b []byte, t *chunkTable, apply func(Record)) error {
 		if len(t.pending) != 0 {
 			return fmt.Errorf("%w: frame %d stores a chunk its record does not name", ErrCorrupt, n)
 		}
-		apply(r)
+		apply(r, total-len(b))
 	}
 	if len(t.pending) != 0 {
 		return ErrTruncated // chunks whose record never landed: a torn append
@@ -624,124 +630,11 @@ func decodeJournal(b []byte, t *chunkTable, apply func(Record)) error {
 	return nil
 }
 
-// encodeSnapshot renders a snapshot file, and returns the digests of
-// the chunks it stores:
-// magic(4) | version(1) | gen(8) | nextID(8) | count(4) | chunks | count(4) |
-// instances | crc32(all). A chunk is digest(32) | length(4) | bytes;
-// each distinct chunk of the instances' images is stored once, in order
-// of first appearance, and the instances carry their images as
-// manifests.
-func encodeSnapshot(s *Snapshot) ([]byte, map[appimage.Digest]struct{}, error) {
-	type slot struct{ inst, i int }
-	lists := make([][]appimage.Digest, len(s.Instances))
-	held := make(map[appimage.Digest]struct{})
-	var stored []slot
-	size := snapshotMinLen
-	for k := range s.Instances {
-		chunks, err := chunksOf(&s.Instances[k])
-		if err != nil {
-			return nil, nil, err
-		}
-		lists[k] = chunks
-		for i, d := range chunks {
-			if _, ok := held[d]; !ok {
-				held[d] = struct{}{}
-				stored = append(stored, slot{k, i})
-				size += digestLen + 4 + len(appimage.Chunk(s.Instances[k].Image, i))
-			}
-		}
-		size += 128 + len(chunks)*digestLen
-	}
-	b := make([]byte, 0, size)
-	b = append(b, snapshotMagic[:]...)
-	b = append(b, codecVersion)
-	b = binary.BigEndian.AppendUint64(b, s.Gen)
-	b = binary.BigEndian.AppendUint64(b, s.NextID)
-	b = binary.BigEndian.AppendUint32(b, uint32(len(stored)))
-	for _, c := range stored {
-		data := appimage.Chunk(s.Instances[c.inst].Image, c.i)
-		b = append(b, lists[c.inst][c.i][:]...)
-		b = binary.BigEndian.AppendUint32(b, uint32(len(data)))
-		b = append(b, data...)
-	}
-	b = binary.BigEndian.AppendUint32(b, uint32(len(s.Instances)))
-	for k := range s.Instances {
-		var err error
-		if b, err = appendInstance(b, &s.Instances[k], lists[k]); err != nil {
-			return nil, nil, err
-		}
-	}
-	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b)), held, nil
-}
-
-// snapshotMinLen is an empty snapshot's length: header, both counts and
-// the checksum.
-const snapshotMinLen = 5 + 8 + 8 + 4 + 4 + 4
-
-// decodeSnapshot parses a snapshot file strictly, and returns its chunk
-// table for the journal after it to resolve against: besides framing
-// and field checks, every manifest must name stored chunks of the right
-// lengths, and every stored chunk must be named, in order of first
-// appearance.
-func decodeSnapshot(b []byte) (*Snapshot, *chunkTable, error) {
-	if len(b) < snapshotMinLen {
-		return nil, nil, fmt.Errorf("%w: short snapshot", ErrCorrupt)
-	}
-	if [4]byte(b[:4]) != snapshotMagic {
-		return nil, nil, fmt.Errorf("%w: bad snapshot magic", ErrCorrupt)
-	}
-	if b[4] != codecVersion {
-		return nil, nil, fmt.Errorf("%w: snapshot version %d (want %d)", ErrCorrupt, b[4], codecVersion)
-	}
-	body, sum := b[:len(b)-4], binary.BigEndian.Uint32(b[len(b)-4:])
-	if crc32.ChecksumIEEE(body) != sum {
-		return nil, nil, fmt.Errorf("%w: snapshot checksum mismatch", ErrCorrupt)
-	}
-	s := &Snapshot{Gen: binary.BigEndian.Uint64(body[5:]), NextID: binary.BigEndian.Uint64(body[13:])}
-	t := newChunkTable()
-	count := int(binary.BigEndian.Uint32(body[21:]))
-	rest := body[25:]
-	for ; count > 0; count-- {
-		if len(rest) < digestLen+4 {
-			return nil, nil, fmt.Errorf("%w: short snapshot chunk", ErrCorrupt)
-		}
-		d, n := appimage.Digest(rest), int(binary.BigEndian.Uint32(rest[digestLen:]))
-		rest = rest[digestLen+4:]
-		if len(rest) < n {
-			return nil, nil, fmt.Errorf("%w: short snapshot chunk", ErrCorrupt)
-		}
-		t.pending = append(t.pending, storedChunk{d, rest[:n]})
-		rest = rest[n:]
-	}
-	if len(rest) < 4 {
-		return nil, nil, fmt.Errorf("%w: short snapshot", ErrCorrupt)
-	}
-	count = int(binary.BigEndian.Uint32(rest))
-	rest = rest[4:]
-	for ; count > 0; count-- {
-		rec, size, r, err := decodeInstance(rest)
-		if err != nil {
-			return nil, nil, err
-		}
-		if rec.Image, err = t.resolve(size, rec.Chunks); err != nil {
-			return nil, nil, err
-		}
-		s.Instances = append(s.Instances, rec)
-		rest = r
-	}
-	if len(t.pending) != 0 {
-		return nil, nil, fmt.Errorf("%w: snapshot stores %d chunks no instance names", ErrCorrupt, len(t.pending))
-	}
-	if len(rest) != 0 {
-		return nil, nil, fmt.Errorf("%w: trailing bytes in snapshot", ErrCorrupt)
-	}
-	return s, t, nil
-}
-
-// State is the replayed control-plane image: the instance table in
+// State is the folded control-plane image: the instance table in
 // carousel order plus the ID high-water mark. NextID is durable so a
 // restarted Controller keeps distinguishing IDs it garbage-collected
-// (gone) from IDs it never issued (unknown).
+// (gone) from IDs it never issued (unknown); a compacted file's header
+// keeps it when the highest IDs were collected.
 type State struct {
 	NextID    uint64
 	Order     []uint64
@@ -762,8 +655,8 @@ func (s *State) Empty() bool {
 // and Chunks rather than copies. Apply is idempotent: records
 // carry absolute values, creates below the ID high-water mark are
 // replays and are skipped, and destroy/gc on already-destroyed/absent
-// instances are no-ops — so replaying a journal twice yields the same
-// state as replaying it once.
+// instances are no-ops — so folding a journal twice yields the same
+// state as folding it once.
 func (s *State) Apply(r Record) {
 	switch r.Op {
 	case OpCreate:
@@ -805,40 +698,4 @@ func (s *State) Apply(r Record) {
 			}
 		}
 	}
-}
-
-// Replay folds a snapshot and a journal into a State. A nil snapshot
-// starts from empty.
-func Replay(snap *Snapshot, recs []Record) *State {
-	s := NewState()
-	if snap != nil {
-		if snap.NextID > s.NextID {
-			s.NextID = snap.NextID
-		}
-		for i := range snap.Instances {
-			rec := snap.Instances[i]
-			s.Instances[rec.ID] = &rec
-			s.Order = append(s.Order, rec.ID)
-			if rec.ID >= s.NextID {
-				s.NextID = rec.ID + 1
-			}
-		}
-	}
-	for _, r := range recs {
-		s.Apply(r)
-	}
-	return s
-}
-
-// Snapshot renders the state back into a compact snapshot, preserving
-// carousel order — the deterministic fixed point the property tests
-// pivot on: Replay(x.Snapshot(), nil).Snapshot() == x.Snapshot().
-func (s *State) Snapshot() *Snapshot {
-	out := &Snapshot{NextID: s.NextID}
-	for _, id := range s.Order {
-		if rec, ok := s.Instances[id]; ok {
-			out.Instances = append(out.Instances, *rec)
-		}
-	}
-	return out
 }

@@ -2,9 +2,7 @@ package journal
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
-	"hash/crc32"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -70,17 +68,17 @@ func TestJournalRoundTripProperty(t *testing.T) {
 		for i := 0; i < n; i++ {
 			recs = append(recs, randRecord(rng, uint64(1+rng.Intn(8))))
 		}
-		gen := rng.Uint64()
-		b, err := encodeJournal(gen, recs)
+		nextID := rng.Uint64()
+		b, _, err := encodeJournal(nextID, recs)
 		if err != nil {
 			t.Fatalf("trial %d: encode: %v", trial, err)
 		}
-		gotGen, got, err := DecodeJournal(b)
+		gotNext, got, err := DecodeJournal(b)
 		if err != nil {
 			t.Fatalf("trial %d: decode: %v", trial, err)
 		}
-		if gotGen != gen {
-			t.Fatalf("trial %d: generation %d round-tripped to %d", trial, gen, gotGen)
+		if gotNext != nextID {
+			t.Fatalf("trial %d: header nextID %d round-tripped to %d", trial, nextID, gotNext)
 		}
 		if len(got) != len(recs) {
 			t.Fatalf("trial %d: %d records round-tripped to %d", trial, len(recs), len(got))
@@ -101,9 +99,31 @@ func normalize(r Record) Record {
 	return r
 }
 
-// Property: replaying a journal twice yields the same state as once —
-// the idempotence that makes a compaction crash window safe (journal
-// records re-apply on top of the snapshot that already contains them).
+// foldRecords folds decoded records as Load does: NextID is the higher
+// of the folded one and the header's.
+func foldRecords(nextID uint64, recs []Record) *State {
+	st := NewState()
+	for _, r := range recs {
+		st.Apply(r)
+	}
+	st.NextID = max(st.NextID, nextID)
+	return st
+}
+
+// compacted renders st as Compact writes it: the canonical bytes two
+// states are compared by.
+func compacted(t *testing.T, st *State) []byte {
+	t.Helper()
+	b, _, err := encodeState(st)
+	if err != nil {
+		t.Fatalf("encodeState: %v", err)
+	}
+	return b
+}
+
+// Property: folding a journal twice yields the same state as once, and a
+// compacted file is a fixed point of the fold: decoding and folding it
+// re-encodes to the same bytes.
 func TestReplayIdempotenceProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 50; trial++ {
@@ -149,51 +169,24 @@ func TestReplayIdempotenceProperty(t *testing.T) {
 			}
 			recs = append(recs, r)
 		}
-		once := Replay(nil, recs)
-		twice := Replay(nil, append(append([]Record{}, recs...), recs...))
-		s1, _, err := encodeSnapshot(once.Snapshot())
+		b, _, err := encodeJournal(1, recs)
 		if err != nil {
-			t.Fatalf("trial %d: snapshot once: %v", trial, err)
+			t.Fatalf("trial %d: encode: %v", trial, err)
 		}
-		s2, _, err := encodeSnapshot(twice.Snapshot())
+		nextID, decoded, err := DecodeJournal(b)
 		if err != nil {
-			t.Fatalf("trial %d: snapshot twice: %v", trial, err)
+			t.Fatalf("trial %d: decode: %v", trial, err)
 		}
-		if string(s1) != string(s2) {
-			t.Fatalf("trial %d: double replay diverged", trial)
+		once := compacted(t, foldRecords(nextID, decoded))
+		if twice := compacted(t, foldRecords(nextID, append(slices.Clone(decoded), decoded...))); !bytes.Equal(once, twice) {
+			t.Fatalf("trial %d: double fold diverged", trial)
 		}
-		// And the snapshot is a fixed point of replay.
-		again := Replay(once.Snapshot(), nil)
-		s3, _, err := encodeSnapshot(again.Snapshot())
+		nextID, decoded, err = DecodeJournal(once)
 		if err != nil {
-			t.Fatalf("trial %d: snapshot again: %v", trial, err)
+			t.Fatalf("trial %d: decode compacted: %v", trial, err)
 		}
-		if string(s1) != string(s3) {
-			t.Fatalf("trial %d: snapshot not a replay fixed point", trial)
-		}
-	}
-}
-
-func TestSnapshotRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	snap := &Snapshot{Gen: 7, NextID: 42}
-	for i := 0; i < 5; i++ {
-		snap.Instances = append(snap.Instances, randInstance(rng, uint64(i+1)))
-	}
-	b, _, err := encodeSnapshot(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := decodeSnapshot(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Gen != snap.Gen || got.NextID != snap.NextID || len(got.Instances) != len(snap.Instances) {
-		t.Fatalf("snapshot header round-trip: %+v", got)
-	}
-	for i := range snap.Instances {
-		if !reflect.DeepEqual(snap.Instances[i], got.Instances[i]) {
-			t.Fatalf("instance %d: %+v != %+v", i, snap.Instances[i], got.Instances[i])
+		if again := compacted(t, foldRecords(nextID, decoded)); !bytes.Equal(once, again) {
+			t.Fatalf("trial %d: compacted file not a fold fixed point", trial)
 		}
 	}
 }
@@ -203,7 +196,7 @@ func TestCorruptJournalTypedErrors(t *testing.T) {
 		{Op: OpCreate, Inst: randInstance(rand.New(rand.NewSource(5)), 1)},
 		{Op: OpResize, Inst: InstanceRecord{ID: 1, Target: 9}},
 	}
-	good, err := encodeJournal(0, recs)
+	good, _, err := encodeJournal(1, recs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,16 +236,6 @@ func TestCorruptJournalTypedErrors(t *testing.T) {
 	t.Run("empty is valid", func(t *testing.T) {
 		if _, recs, err := DecodeJournal(nil); err != nil || len(recs) != 0 {
 			t.Fatalf("empty journal: %v, %d records", err, len(recs))
-		}
-	})
-	t.Run("corrupt snapshot", func(t *testing.T) {
-		snap, _, err := encodeSnapshot(&Snapshot{NextID: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		snap[len(snap)-1] ^= 1
-		if _, _, err := decodeSnapshot(snap); !errors.Is(err, ErrCorrupt) {
-			t.Fatalf("err = %v, want ErrCorrupt", err)
 		}
 	})
 }
@@ -313,7 +296,7 @@ func TestApplySemantics(t *testing.T) {
 }
 
 // TestChunkFramingTypedErrors: the chunk-store grammar a strict decoder
-// holds a journal and a snapshot to — chunk frames are exactly their
+// holds a journal to — chunk frames are exactly their
 // record's first appearances of unstored digests, in slot order, each a
 // slot's length — and the append-side checks that keep a store from
 // writing anything else.
@@ -333,7 +316,7 @@ func TestChunkFramingTypedErrors(t *testing.T) {
 	create := Record{Op: OpCreate, Inst: InstanceRecord{ID: 1, ImageFile: "image.1", Image: img}}
 	replace := Record{Op: OpRecompose, Inst: InstanceRecord{ID: 1, Seq: 2, Image: img}}
 	journal := func(frames ...[]byte) []byte {
-		b := journalHeader(0)
+		b := journalHeader(1)
 		for _, f := range frames {
 			b = append(b, f...)
 		}
@@ -357,25 +340,6 @@ func TestChunkFramingTypedErrors(t *testing.T) {
 		_, _, err := DecodeJournal(c.b)
 		if !errors.Is(err, ErrCorrupt) || errors.Is(err, ErrTruncated) != c.truncated {
 			t.Errorf("%s: err = %v, want ErrCorrupt (truncated: %v)", name, err, c.truncated)
-		}
-	}
-
-	// A snapshot's chunk table obeys the same rule over all its instances.
-	snap, _, err := encodeSnapshot(&Snapshot{NextID: 2, Instances: []InstanceRecord{create.Inst}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seal := func(body []byte) []byte {
-		return binary.BigEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
-	}
-	chunkTableEnd := 25 + digestLen + 4 + len(img)
-	for name, b := range map[string][]byte{
-		// The instances cut: the stored chunk is named by none.
-		"stored chunk no instance names": seal(append(slices.Clone(snap[:chunkTableEnd]), 0, 0, 0, 0)),
-		"truncated chunk table":          seal(slices.Clone(snap[:32])),
-	} {
-		if _, _, err := decodeSnapshot(b); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: err = %v, want ErrCorrupt", name, err)
 		}
 	}
 

@@ -15,22 +15,23 @@ import (
 	"oddci/internal/simtime"
 )
 
-// File names inside a state directory. The snapshot and the key are
-// replaced atomically (write a temp file, fsync it, rename it over, fsync
-// the directory); the journal is append-only, and starts over, under the
-// new snapshot's generation, only once that snapshot is durable.
+// File names inside a state directory. The journal is the one state
+// file: records go on its end, and Compact replaces it whole, as the
+// key is written (a temp file, fsynced, renamed over, the directory
+// fsynced). A version-2 dir kept a snapshot in v2SnapFile; Load refuses
+// a dir that holds one.
 const (
-	snapshotFile = "state.snap"
-	journalFile  = "state.journal"
-	keyFile      = "controller.key"
+	journalFile = "state.journal"
+	keyFile     = "controller.key"
+	v2SnapFile  = "state.snap"
 )
+
+// compactEvery is the record count since the last compaction that arms
+// the next one.
+const compactEvery = 256
 
 // Options tunes a Store.
 type Options struct {
-	// CompactEvery is the journal record count that arms compaction
-	// (default 256). NeedsCompaction reports true at or beyond it, and
-	// also once the journal holds more bytes than the last snapshot.
-	CompactEvery int
 	// NoSync skips the fsync after each append. Tests use it; a real
 	// coordinator should not.
 	NoSync bool
@@ -46,7 +47,7 @@ type Options struct {
 	Clock simtime.Clock
 }
 
-// Store persists a snapshot + journal pair in a directory. It is safe
+// Store persists a journal file in a directory. It is safe
 // for concurrent use; the Controller appends from its maintenance loop
 // and API paths.
 type Store struct {
@@ -59,28 +60,26 @@ type Store struct {
 	lastErr error
 	closed  bool
 
-	// gen is the generation of the snapshot on disk, which the journal
-	// extends. size is the journal's length up to its last whole,
-	// written record (0: not yet started under gen). reset asks that the
-	// file be cut back to size, and started over with a header for gen
-	// at 0, before it takes another record: a compaction or a Load left
-	// it extending an earlier snapshot, or an append failed partway.
-	// syncDir asks that the directory be fsynced before that, so the
-	// journal loses no byte before the snapshot that holds them is
+	// size is the file's length up to its last whole, written record (0:
+	// not started). reset asks that the file be cut back to size, and
+	// started with a header at 0, before it takes another record: Load
+	// found it empty or ending in a torn append, or an append failed
+	// partway. syncDir asks that the directory be fsynced first: a
+	// compaction renamed a new file in and its directory fsync failed,
+	// and no record is acknowledged on the new file before the rename is
 	// durable.
-	gen            uint64
 	size           int64
 	reset, syncDir bool
 
-	// held is the set of chunk digests the snapshot and the journal
-	// store, so an append writes only the chunks neither holds. It is nil
-	// until Load or Compact learns it.
+	// held is the set of chunk digests the file stores, so an append
+	// writes only the chunks it lacks. It is nil until Load or Compact
+	// learns it.
 	held map[appimage.Digest]struct{}
 
-	// baseBytes is the state the journal is measured against: the last
-	// snapshot loaded or written or, on a store without one, the first
-	// record appended, which a snapshot would hold too. recBytes counts
-	// the journal bytes beyond it.
+	// baseBytes is the state the file is measured against: the instances
+	// the last compaction wrote or, in a file never compacted, its first
+	// record, which a compaction would write too. recBytes counts the
+	// bytes after it.
 	baseBytes, recBytes int64
 
 	appends     *obs.Counter
@@ -95,9 +94,6 @@ type Store struct {
 // Open creates or reuses dir and opens the journal for appending. It
 // does not replay; call Load (or Compact) before the first Append.
 func Open(dir string, opts Options) (*Store, error) {
-	if opts.CompactEvery <= 0 {
-		opts.CompactEvery = 256
-	}
 	if opts.Clock == nil {
 		opts.Clock = simtime.NewReal()
 	}
@@ -120,10 +116,10 @@ func (s *Store) instrument(reg *obs.Registry) {
 	s.appends = reg.Counter("oddci_journal_appends_total", "Journal records appended")
 	s.bytes = reg.Counter("oddci_journal_bytes_total", "Bytes appended to the journal")
 	s.fsyncs = reg.Counter("oddci_journal_fsyncs_total", "Journal fsyncs issued")
-	s.compactions = reg.Counter("oddci_journal_compactions_total", "Snapshot compactions completed")
+	s.compactions = reg.Counter("oddci_journal_compactions_total", "Journal compactions completed")
 	s.errored = reg.Counter("oddci_journal_errors_total", "Journal append/compaction failures")
 	s.replayed = reg.Counter("oddci_journal_replayed_records_total", "Journal records replayed at recovery")
-	s.replayTime = reg.Histogram("oddci_journal_replay_seconds", "Wall time to replay snapshot+journal", nil)
+	s.replayTime = reg.Histogram("oddci_journal_replay_seconds", "Wall time to fold the journal at recovery", nil)
 	reg.GaugeFunc("oddci_journal_records", "Journal records since last compaction", func() float64 {
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -139,54 +135,51 @@ func (s *Store) instrument(reg *obs.Registry) {
 	})
 }
 
-// Load replays snapshot+journal from disk into a State. A missing pair
-// yields an empty state; corruption is reported with the codec's typed
-// errors and nothing is replayed past it. A journal that extends an
-// earlier snapshot generation than the one on disk is skipped: a
-// compaction already folded it in, and was cut before it started the
-// journal over (the next Append does). One that extends a later
-// generation is ErrCorrupt, its snapshot lost. Each recovered image is
+// Load folds the journal file into a State. A missing or empty file is
+// an empty state. A file that ends in a torn append — its header or
+// final frame cut short, or chunk frames with no record after them —
+// folds up to its last whole record, and the next Append cuts the rest
+// off; any other damage is reported with the codec's typed errors and
+// nothing is returned. A version-1 or version-2 dir, including one that
+// holds a v2 snapshot, is refused with the version error. NextID is the
+// higher of the folded one and the header's. Each recovered image is
 // checked against its chunk digests, so the State's Chunks are its
 // images' and a root over them is the bytes' root.
 func (s *Store) Load() (*State, error) {
 	start := s.opts.Clock.Now()
-	st := NewState()
-	table := newChunkTable()
-	var gen uint64
-	var snapBytes int64
-	if b, err := os.ReadFile(filepath.Join(s.dir, snapshotFile)); err == nil {
-		snapBytes = int64(len(b))
-		var snap *Snapshot
-		if snap, table, err = decodeSnapshot(b); err != nil {
-			return nil, err
-		}
-		st, gen = Replay(snap, nil), snap.Gen
+	if _, err := os.Lstat(filepath.Join(s.dir, v2SnapFile)); err == nil {
+		return nil, fmt.Errorf("%w: journal version 2 (want %d): the state dir holds %s", ErrCorrupt, codecVersion, v2SnapFile)
 	} else if !errors.Is(err, os.ErrNotExist) {
-		return nil, fmt.Errorf("journal: read snapshot: %w", err)
+		return nil, fmt.Errorf("journal: stat %s: %w", v2SnapFile, err)
 	}
-	jb, err := os.ReadFile(filepath.Join(s.dir, journalFile))
+	b, err := os.ReadFile(filepath.Join(s.dir, journalFile))
 	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return nil, fmt.Errorf("journal: read journal: %w", err)
 	}
-	recs, stale := 0, false
-	if len(jb) == 0 {
-		jb = nil // never started: the first Append writes its header
-	} else {
-		jgen, frames, err := parseJournalHeader(jb)
-		if err != nil {
-			return nil, err
-		}
-		switch {
-		case jgen > gen:
-			return nil, fmt.Errorf("%w: journal extends snapshot generation %d, but the snapshot on disk is generation %d", ErrCorrupt, jgen, gen)
-		case jgen < gen:
-			jb, stale = nil, true
-		default:
-			if err := decodeJournal(frames, table, func(r Record) { st.Apply(r); recs++ }); err != nil {
-				return nil, err
+	st, table := NewState(), newChunkTable()
+	// whole ends the last whole record, base the state NeedsCompaction
+	// measures against, and recs counts the records after base's creates.
+	var replayed, recs, whole, base int
+	nextID, frames, err := parseJournalHeader(b)
+	if err == nil {
+		err = decodeJournal(frames, table, func(r Record, end int) {
+			st.Apply(r)
+			replayed++
+			whole = end
+			if r.Op == OpCreate && r.Inst.ID < nextID {
+				base = end // an instance the last compaction wrote
+				return
 			}
-		}
+			recs++
+			if base == 0 {
+				base = end // a file never compacted: its first record
+			}
+		})
 	}
+	if err != nil && !errors.Is(err, ErrTruncated) {
+		return nil, err
+	}
+	st.NextID = max(st.NextID, nextID)
 	for _, id := range st.Order {
 		rec := st.Instances[id]
 		if !slices.Equal(appimage.ChunkDigests(nil, rec.Image), rec.Chunks) {
@@ -197,13 +190,17 @@ func (s *Store) Load() (*State, error) {
 	for d := range table.held {
 		held[d] = struct{}{}
 	}
+	size := 0 // no whole header: nothing was ever acknowledged
+	if len(b) >= journalHeaderLen {
+		size = journalHeaderLen + whole
+	}
 	s.mu.Lock()
-	s.recs, s.recBytes, s.baseBytes = recs, int64(max(len(jb)-journalHeaderLen, 0)), snapBytes
-	s.gen, s.size, s.held = gen, int64(len(jb)), held
-	s.reset, s.syncDir = jb == nil, stale && !s.opts.NoSync
+	s.recs, s.baseBytes, s.recBytes = recs, int64(base), int64(whole-base)
+	s.size, s.held = int64(size), held
+	s.reset = size == 0 || size < len(b) // a header to write or a torn tail to cut
 	s.mu.Unlock()
 	if s.replayed != nil {
-		s.replayed.Add(int64(recs))
+		s.replayed.Add(int64(replayed))
 		s.replayTime.ObserveDuration(s.opts.Clock.Now().Sub(start))
 	}
 	return st, nil
@@ -212,7 +209,7 @@ func (s *Store) Load() (*State, error) {
 // Append writes one record, fsyncing unless NoSync: a create or image
 // replacement goes in as the chunks of its image the state dir does not
 // hold yet, then the record with its manifest, in one write and one
-// fsync (which also covers a journal Compact just started over). The
+// fsync (which also covers a torn tail Load left to cut). The
 // first error latches into Err and the journal-stalled health check;
 // a record that fails is cut off the journal before the next one goes
 // in, so a transient error costs that record, not the ones after it.
@@ -225,7 +222,7 @@ func (s *Store) Append(r Record) error {
 	if s.held == nil {
 		return s.failLocked(errors.New("journal: append before Load: the chunks the state dir stores are unknown"))
 	}
-	if s.reset {
+	if s.reset || s.syncDir {
 		if err := s.resetLocked(); err != nil {
 			return s.failLocked(err)
 		}
@@ -262,11 +259,12 @@ func (s *Store) Append(r Record) error {
 	return nil
 }
 
-// resetLocked cuts the journal back to size, and at 0 starts it over
-// with a header for gen; a directory fsync owed by a compaction goes
-// first. It does not fsync the journal: until the next append's fsync,
-// a power cut leaves it extending the earlier generation, empty, or
-// holding the header, and Load replays none of those past the snapshot.
+// resetLocked readies the file for an append: it fsyncs the directory
+// a compaction's rename waits on, then, if reset is set, cuts the file
+// back to size, and at 0 starts it with a header. It does not fsync the
+// file: the next append's fsync covers the cut and the header with its
+// record, and until then a power cut leaves a file Load folds to the
+// same state.
 func (s *Store) resetLocked() error {
 	if s.syncDir {
 		if err := syncDir(s.dir); err != nil {
@@ -275,12 +273,15 @@ func (s *Store) resetLocked() error {
 		s.syncDir = false
 		s.fsynced(1)
 	}
+	if !s.reset {
+		return nil
+	}
 	if err := s.f.Truncate(s.size); err != nil {
 		return fmt.Errorf("journal: truncate: %w", err)
 	}
 	if s.size == 0 {
 		// O_APPEND writes land at the (new) end regardless of offset.
-		if _, err := s.f.Write(journalHeader(s.gen)); err != nil {
+		if _, err := s.f.Write(journalHeader(1)); err != nil {
 			return fmt.Errorf("journal: write header: %w", err)
 		}
 		s.size = journalHeaderLen
@@ -295,49 +296,49 @@ func (s *Store) fsynced(n int64) {
 	}
 }
 
-// NeedsCompaction reports whether the journal has grown past the
-// compaction threshold: CompactEvery records, or more bytes beyond the
-// last snapshot than the snapshot holds (on a store without one, beyond
-// the first record than that record holds). The byte rule bounds a
-// state dir that records whole images to about twice the live state,
-// however many are replaced, and never rewrites a lone record.
+// NeedsCompaction reports whether the file has grown past the
+// compaction threshold: compactEvery records since the last compaction,
+// or more bytes after the instances it wrote than those hold (in a file
+// never compacted, after the first record than that record holds). The
+// byte rule bounds a state dir that records whole images to about twice
+// the live state, however many are replaced, and never rewrites a lone
+// record.
 func (s *Store) NeedsCompaction() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.recs >= s.opts.CompactEvery || s.recBytes > s.baseBytes
+	return s.recs >= compactEvery || s.recBytes > s.baseBytes
 }
 
-// Compact atomically replaces the snapshot with st's image, one
-// generation on, and starts the journal over under it. The new snapshot
-// is durable before the journal loses a byte: it is written to a temp
-// file and fsynced, renamed over the old one, and the directory
-// fsynced, and only then is the journal truncated. A crash before the
-// rename leaves the old pair (and a temp file Load ignores and the next
-// Compact replaces); after it, the journal names the old generation
-// until it starts over, so Load skips it. The chunks the snapshot
-// stores become the ones later appends skip. Once the rename lands a
-// later error only defers the journal's restart to the next Append.
+// Compact replaces the file with st, folded: a header naming st.NextID,
+// then one create per instance, each distinct chunk stored once, before
+// the first manifest that names it. It writes state.journal.tmp, fsyncs
+// it, renames it over state.journal and fsyncs the directory, and
+// appends go on the new file from then on. A crash leaves the old file
+// whole (beside a temp file Load ignores and the next Compact
+// overwrites) or the new one. If the directory fsync fails, the next
+// Append retries it before it writes, so no record is acknowledged on
+// the new file before its rename is durable.
 func (s *Store) Compact(st *State) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return errors.New("journal: store closed")
 	}
-	snap := st.Snapshot()
-	snap.Gen = s.gen + 1
-	b, held, err := encodeSnapshot(snap)
+	b, held, err := encodeState(st)
 	if err != nil {
 		return s.failLocked(err)
 	}
-	if err := replaceFile(s.dir, snapshotFile, b, 0o644, !s.opts.NoSync); err != nil {
+	f, err := replaceFile(s.dir, journalFile, b, 0o644, !s.opts.NoSync)
+	if err != nil {
 		return s.failLocked(err)
 	}
 	if !s.opts.NoSync {
 		s.fsynced(1)
 	}
-	s.gen, s.size, s.held = snap.Gen, 0, held
-	s.reset, s.syncDir = true, !s.opts.NoSync
-	s.recs, s.recBytes, s.baseBytes = 0, 0, int64(len(b))
+	s.f.Close() // the replaced file: the new one holds its state
+	s.f, s.size, s.held = f, int64(len(b)), held
+	s.reset, s.syncDir = false, !s.opts.NoSync
+	s.recs, s.recBytes, s.baseBytes = 0, 0, int64(len(b)-journalHeaderLen)
 	if err := s.resetLocked(); err != nil {
 		return s.failLocked(err)
 	}
@@ -349,30 +350,29 @@ func (s *Store) Compact(st *State) error {
 
 // replaceFile makes b the content of dir/name, whole: it writes
 // name.tmp, fsyncs it and renames it over name, so a crash leaves the
-// old file or the new one. A leftover name.tmp from an earlier crash is
-// overwritten. The rename is durable only once dir is fsynced
-// (syncDir). sync false skips the fsync (tests).
-func replaceFile(dir, name string, b []byte, perm os.FileMode, sync bool) error {
+// old file or the new one, and returns the new file, open for appending.
+// A leftover name.tmp from an earlier crash is overwritten. The rename
+// is durable only once dir is fsynced (syncDir). sync false skips the
+// fsync (tests).
+func replaceFile(dir, name string, b []byte, perm os.FileMode, sync bool) (*os.File, error) {
 	path := filepath.Join(dir, name)
 	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, perm)
+	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC|os.O_APPEND, perm)
 	if err != nil {
-		return fmt.Errorf("journal: write %s: %w", name, err)
+		return nil, fmt.Errorf("journal: write %s: %w", name, err)
 	}
 	_, err = f.Write(b)
 	if err == nil && sync {
 		err = f.Sync()
 	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
+	if err == nil {
+		err = os.Rename(tmp, path)
 	}
 	if err != nil {
-		return fmt.Errorf("journal: write %s: %w", name, err)
+		f.Close()
+		return nil, fmt.Errorf("journal: write %s: %w", name, err)
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("journal: commit %s: %w", name, err)
-	}
-	return nil
+	return f, nil
 }
 
 // syncDir fsyncs dir, making the renames in it durable.
@@ -450,8 +450,12 @@ func LoadOrCreateKey(dir string) (ed25519.PrivateKey, error) {
 	if err != nil {
 		return nil, fmt.Errorf("journal: generate key: %w", err)
 	}
-	if err := replaceFile(dir, keyFile, priv, 0o600, true); err != nil {
+	f, err := replaceFile(dir, keyFile, priv, 0o600, true)
+	if err != nil {
 		return nil, err
+	}
+	if err := f.Close(); err != nil {
+		return nil, fmt.Errorf("journal: write %s: %w", keyFile, err)
 	}
 	if err := syncDir(dir); err != nil {
 		return nil, err

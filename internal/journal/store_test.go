@@ -87,15 +87,20 @@ func TestStoreAppendLoadAcrossReopen(t *testing.T) {
 func TestStoreCompactionResetsJournal(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(8))
-	s := loadedTestStore(t, dir, Options{CompactEvery: 3})
+	s := loadedTestStore(t, dir, Options{})
 
+	// The byte rule: the records after the first hold more bytes.
 	for id := uint64(1); id <= 3; id++ {
-		if err := s.Append(Record{Op: OpCreate, Inst: liveInstance(rng, id)}); err != nil {
+		rec := liveInstance(rng, id)
+		rec.Image = make([]byte, 600+400*(id/3)) // 600, 600, 1000
+		rng.Read(rec.Image)
+		rec.Chunks = appimage.ChunkDigests(nil, rec.Image)
+		if err := s.Append(Record{Op: OpCreate, Inst: rec}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if !s.NeedsCompaction() {
-		t.Fatal("3 records with CompactEvery=3 should arm compaction")
+		if armed := s.NeedsCompaction(); armed != (id == 3) {
+			t.Fatalf("after %d creates NeedsCompaction = %v, want %v", id, armed, id == 3)
+		}
 	}
 	st, err := s.Load()
 	if err != nil {
@@ -111,11 +116,11 @@ func TestStoreCompactionResetsJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(jb, journalHeader(1)) {
-		t.Fatalf("journal is %x after compaction, want a bare header for generation 1", jb)
+	if want := compacted(t, st); !bytes.Equal(jb, want) || !bytes.HasPrefix(jb, journalHeader(4)) {
+		t.Fatalf("journal holds %d bytes after compaction, want the 3 instances as creates under nextID 4 (%d bytes)", len(jb), len(want))
 	}
 
-	// Post-compaction appends coexist with the snapshot.
+	// Post-compaction appends go on the compacted file.
 	if err := s.Append(Record{Op: OpResize, Inst: InstanceRecord{ID: 2, Target: 5}}); err != nil {
 		t.Fatal(err)
 	}
@@ -126,15 +131,21 @@ func TestStoreCompactionResetsJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(st2.Order) != 3 || st2.Instances[2].Target != 5 {
-		t.Fatalf("snapshot+journal replay wrong: order=%v target=%d", st2.Order, st2.Instances[2].Target)
+		t.Fatalf("compacted journal replay wrong: order=%v target=%d", st2.Order, st2.Instances[2].Target)
 	}
 }
 
+// TestStoreLoadTruncatedTail: a power cut during an append leaves the
+// file ending in a short frame; Load folds up to the last whole record,
+// and the next append cuts the torn bytes off and lands after it.
 func TestStoreLoadTruncatedTail(t *testing.T) {
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(9))
 	s := loadedTestStore(t, dir, Options{})
 	if err := s.Append(Record{Op: OpCreate, Inst: liveInstance(rng, 1)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append(Record{Op: OpResize, Inst: InstanceRecord{ID: 1, Target: 7}}); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -144,12 +155,27 @@ func TestStoreLoadTruncatedTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, b[:len(b)-2], 0o644); err != nil {
+	if err := os.WriteFile(path, b[:len(b)-3], 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s2 := openTestStore(t, dir, Options{})
-	if _, err := s2.Load(); !errors.Is(err, ErrTruncated) {
-		t.Fatalf("Load on cut tail = %v, want ErrTruncated", err)
+	st, err := s2.Load()
+	if err != nil {
+		t.Fatalf("Load on cut tail: %v", err)
+	}
+	if r := st.Instances[1]; r == nil || r.Target == 7 || st.NextID != 2 {
+		t.Fatal("Load on cut tail did not fold exactly the whole create")
+	}
+	if err := s2.Append(Record{Op: OpResize, Inst: InstanceRecord{ID: 1, Target: 8}}); err != nil {
+		t.Fatal(err)
+	}
+	s2.Close()
+	st, err = openTestStore(t, dir, Options{}).Load()
+	if err != nil {
+		t.Fatalf("reload after the append over a cut tail: %v", err)
+	}
+	if st.Instances[1].Target != 8 {
+		t.Fatalf("target = %d after reload, want the append after the cut (8)", st.Instances[1].Target)
 	}
 }
 
@@ -289,7 +315,7 @@ func fileSize(t *testing.T, path string) int64 {
 }
 
 // TestRepeatedChunksStoredOnce: an image whose chunks repeat stores
-// each distinct chunk once, in the journal and in the snapshot; a
+// each distinct chunk once, appended and compacted; a
 // replacement that only reorders held chunks stores none; and both
 // reload bit for bit.
 func TestRepeatedChunksStoredOnce(t *testing.T) {
@@ -324,23 +350,21 @@ func TestRepeatedChunksStoredOnce(t *testing.T) {
 	if err := s.Compact(st); err != nil {
 		t.Fatal(err)
 	}
-	if n := fileSize(t, filepath.Join(dir, snapshotFile)); n > 2*appimage.ChunkBytes+100+slack {
-		t.Fatalf("snapshot holds %d bytes for 3 distinct chunks", n)
+	if n := fileSize(t, jpath); n > 2*appimage.ChunkBytes+100+slack {
+		t.Fatalf("compacted journal holds %d bytes for 3 distinct chunks", n)
 	}
 	st, err = s.Load()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(st.Instances[1].Image, swapped) {
-		t.Fatal("snapshot did not rebuild the image bit for bit")
+		t.Fatal("compacted journal did not rebuild the image bit for bit")
 	}
 }
 
 // TestManifestNamingMissingChunkFailsLoad: a manifest naming a chunk
-// that neither the snapshot nor an earlier frame stores fails Load with
-// ErrCorrupt — no panic, and no short image — whether the chunk frame
-// was cut out of the journal or the snapshot holding it is gone (which
-// the journal's generation already tells).
+// that no earlier frame stores, or chunks stored under digests they do
+// not hash to, fail Load with ErrCorrupt — no panic, and no short image.
 func TestManifestNamingMissingChunkFailsLoad(t *testing.T) {
 	img := chunkyImage([]byte{1, 2}, 10)
 	rec := liveInstance(rand.New(rand.NewSource(13)), 1)
@@ -368,34 +392,6 @@ func TestManifestNamingMissingChunkFailsLoad(t *testing.T) {
 			t.Fatalf("Load = %v, want ErrCorrupt for a manifest naming an unstored chunk", err)
 		}
 	})
-	t.Run("snapshot gone", func(t *testing.T) {
-		dir := t.TempDir()
-		s := loadedTestStore(t, dir, Options{})
-		if err := s.Append(Record{Op: OpCreate, Inst: rec}); err != nil {
-			t.Fatal(err)
-		}
-		st, err := s.Load()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Compact(st); err != nil {
-			t.Fatal(err)
-		}
-		// The same image again: its manifest names only snapshot chunks.
-		if err := s.Append(Record{Op: OpRecompose, Inst: InstanceRecord{ID: 1, Seq: 2, Wakeups: 2, Image: img}}); err != nil {
-			t.Fatal(err)
-		}
-		s.Close()
-		if _, err := openTestStore(t, dir, Options{}).Load(); err != nil {
-			t.Fatalf("Load with the snapshot: %v", err)
-		}
-		if err := os.Remove(filepath.Join(dir, snapshotFile)); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := openTestStore(t, dir, Options{}).Load(); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "generation 1") {
-			t.Fatalf("Load = %v, want ErrCorrupt for a journal extending the lost snapshot", err)
-		}
-	})
 	t.Run("bytes under another digest", func(t *testing.T) {
 		// A chunk table is keyed by digest; Load checks the bytes it
 		// rebuilds hash to them.
@@ -413,28 +409,42 @@ func TestManifestNamingMissingChunkFailsLoad(t *testing.T) {
 	})
 }
 
-// TestVersion1StateDirRejected: a state dir from before images were
-// stored by chunk is refused with the typed version error, not migrated.
+// TestVersion1StateDirRejected: a state dir of an earlier codec version
+// is refused with the typed version error, not migrated and never read
+// as empty: a version-1 journal (images whole in their records), a
+// version-2 journal (a snapshot's generation in its header), and a
+// version-2 snapshot file of any content, beside a journal or alone.
 func TestVersion1StateDirRejected(t *testing.T) {
-	v1 := append(journalMagic[:], 1)
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, journalFile), v1, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := openTestStore(t, dir, Options{}).Load(); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "journal version 1") {
-		t.Fatalf("Load of a version-1 journal = %v, want the version error", err)
-	}
-	snap, _, err := encodeSnapshot(&Snapshot{NextID: 2})
+	current, _, err := encodeJournal(2, []Record{{Op: OpCreate, Inst: liveInstance(rand.New(rand.NewSource(19)), 1)}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap[4] = 1
-	dir = t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, snapshotFile), snap, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := openTestStore(t, dir, Options{}).Load(); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "snapshot version 1") {
-		t.Fatalf("Load of a version-1 snapshot = %v, want the version error", err)
+	v2 := slices.Clone(current)
+	v2[4] = 2
+	for _, c := range []struct {
+		name          string
+		journal, snap []byte
+		version       string
+	}{
+		{"v1 journal", append(journalMagic[:], 1), nil, "journal version 1"},
+		{"v2 journal", v2, nil, "journal version 2"},
+		{"v2 snapshot beside a journal", current, []byte("OJSN\x02"), "journal version 2"},
+		{"v2 snapshot alone", nil, []byte{}, "journal version 2"},
+	} {
+		dir := t.TempDir()
+		if c.journal != nil {
+			if err := os.WriteFile(filepath.Join(dir, journalFile), c.journal, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if c.snap != nil {
+			if err := os.WriteFile(filepath.Join(dir, v2SnapFile), c.snap, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := openTestStore(t, dir, Options{}).Load(); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), c.version) {
+			t.Errorf("%s: Load = %v, want the version error (%s)", c.name, err, c.version)
+		}
 	}
 }
 
@@ -468,10 +478,10 @@ func TestAppendNeedsLoad(t *testing.T) {
 	}
 }
 
-// TestCompactIgnoresLeftoverTemp: a state.snap.tmp left by a compaction
-// interrupted before its rename is ignored by Load and replaced by the
-// next Compact, which fsyncs the temp file and the directory; the
-// journal it starts over is fsynced by the next append, with its record.
+// TestCompactIgnoresLeftoverTemp: a state.journal.tmp left by a
+// compaction interrupted before its rename is ignored by Load and
+// replaced by the next Compact, which fsyncs the temp file and the
+// directory; the next append costs one fsync, for its record.
 func TestCompactIgnoresLeftoverTemp(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
@@ -487,23 +497,23 @@ func TestCompactIgnoresLeftoverTemp(t *testing.T) {
 	if err := s.Append(Record{Op: OpCreate, Inst: rec}); err != nil {
 		t.Fatal(err)
 	}
-	tmp := filepath.Join(dir, snapshotFile+".tmp")
-	if err := os.WriteFile(tmp, []byte("half a snapshot"), 0o644); err != nil {
+	tmp := filepath.Join(dir, journalFile+".tmp")
+	if err := os.WriteFile(tmp, []byte("half a compaction"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	st, err := s.Load()
 	if err != nil {
-		t.Fatalf("Load with a leftover temp snapshot: %v", err)
+		t.Fatalf("Load with a leftover temp file: %v", err)
 	}
 	fsyncs, _ := reg.Value("oddci_journal_fsyncs_total")
 	if err := s.Compact(st); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(tmp); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("temp snapshot still there after Compact: %v", err)
+		t.Fatalf("temp file still there after Compact: %v", err)
 	}
 	if v, _ := reg.Value("oddci_journal_fsyncs_total"); v-fsyncs != 2 {
-		t.Fatalf("Compact issued %v fsyncs, want 2 (temp snapshot, directory)", v-fsyncs)
+		t.Fatalf("Compact issued %v fsyncs, want 2 (temp file, directory)", v-fsyncs)
 	}
 	if err := s.Append(Record{Op: OpResize, Inst: InstanceRecord{ID: 1, Target: rec.Target}}); err != nil {
 		t.Fatal(err)
@@ -558,87 +568,13 @@ func TestLoadOrCreateKeyDurable(t *testing.T) {
 	}
 }
 
-// TestCompactionCutBeforeJournalReset: a compaction that dies after its
-// snapshot rename and before the journal starts over leaves the old
-// journal beside the new snapshot. Its chunk frames store chunks that
-// snapshot holds, and its earlier manifests name chunks only the old
-// snapshot held; Load must skip it whole and recover the last image bit
-// for bit, and the next append must start the journal over.
-func TestCompactionCutBeforeJournalReset(t *testing.T) {
-	dir := t.TempDir()
-	s := loadedTestStore(t, dir, Options{})
-	rec := liveInstance(rand.New(rand.NewSource(17)), 1)
-	rec.Image, rec.Chunks = chunkyImage([]byte{1, 2, 3, 4}, 10), nil
-	if err := s.Append(Record{Op: OpCreate, Inst: rec}); err != nil {
-		t.Fatal(err)
-	}
-	st, err := s.Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Compact(st); err != nil {
-		t.Fatal(err)
-	}
-	// Two updates, each of one chunk: the first's manifest names chunks
-	// 1-3 of the first image, which the next snapshot no longer holds.
-	last := chunkyImage([]byte{5, 6, 3, 4}, 10)
-	for seq, img := range [][]byte{chunkyImage([]byte{5, 2, 3, 4}, 10), last} {
-		if err := s.Append(Record{Op: OpRecompose, Inst: InstanceRecord{ID: 1, Seq: uint32(seq + 2), Wakeups: 1, Image: img}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	jpath := filepath.Join(dir, journalFile)
-	old, err := os.ReadFile(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st, err = s.Load(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Compact(st); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	if err := os.WriteFile(jpath, old, 0o644); err != nil { // the truncation never landed
-		t.Fatal(err)
-	}
-
-	s = openTestStore(t, dir, Options{})
-	got, err := s.Load()
-	if err != nil {
-		t.Fatalf("Load of a new snapshot beside the journal it folded in: %v", err)
-	}
-	if r := got.Instances[1]; r == nil || r.Seq != 3 || !bytes.Equal(r.Image, last) || appimage.RootOf(len(r.Image), r.Chunks) != appimage.DigestOf(last) {
-		t.Fatal("recovered state is not the last image")
-	}
-	if s.NeedsCompaction() {
-		t.Fatal("a skipped journal counts toward compaction")
-	}
-	if err := s.Append(Record{Op: OpResize, Inst: InstanceRecord{ID: 1, Target: 77}}); err != nil {
-		t.Fatal(err)
-	}
-	jb, err := os.ReadFile(jpath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(jb, journalHeader(2)) || len(jb) > 64 {
-		t.Fatalf("the append after a skipped journal left %d bytes, want one record under generation 2", len(jb))
-	}
-	s.Close()
-	got, err = openTestStore(t, dir, Options{}).Load()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := got.Instances[1]; r.Target != 77 || !bytes.Equal(r.Image, last) {
-		t.Fatal("reload after the journal started over lost the append or the image")
-	}
-}
-
-// TestStoreAppendsAfterIOErrors: a failed append or a compaction whose
-// journal reset fails does not stall the store. A record that failed is
-// cut off before the next goes in (its chunks stored again), and a
-// compaction's reset is retried by the next append, so the directory
-// loads at every point and ends holding every record that succeeded.
+// TestStoreAppendsAfterIOErrors: a failed append, a failed compaction
+// or a compaction whose directory fsync failed does not stall the store.
+// A record that failed is cut off before the next goes in (its chunks
+// stored again), a compaction that failed leaves the old file in use,
+// and a directory fsync that failed is retried before the next append
+// is acknowledged, so the directory loads at every point and ends
+// holding every record that succeeded.
 func TestStoreAppendsAfterIOErrors(t *testing.T) {
 	dir := t.TempDir()
 	s := loadedTestStore(t, dir, Options{})
@@ -686,22 +622,50 @@ func TestStoreAppendsAfterIOErrors(t *testing.T) {
 		t.Fatal("the retried record's new chunk was not stored")
 	}
 
-	// A compaction whose journal reset fails after the rename.
+	// A compaction that cannot write its temp file.
 	st, err := s.Load()
 	if err != nil {
 		t.Fatal(err)
 	}
-	breakFile()
+	tmp := jpath + ".tmp"
+	if err := os.Mkdir(tmp, 0o755); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Compact(st); err == nil {
-		t.Fatal("compaction over a read-only journal reported success")
+		t.Fatal("compaction over an unwritable temp path reported success")
 	}
-	loads("after a failed reset")
-	s.f = writable
+	loads("after a failed compaction")
 	if err := s.Append(Record{Op: OpResize, Inst: InstanceRecord{ID: 1, Target: 5}}); err != nil {
-		t.Fatalf("append after a failed reset: %v", err)
+		t.Fatalf("append after a failed compaction: %v", err)
 	}
-	if st := loads("after the retried reset"); st.Instances[1].Target != 5 || !bytes.Equal(st.Instances[1].Image, img) {
-		t.Fatal("state after the retried reset differs from what was appended")
+	if st := loads("after a failed compaction"); st.Instances[1].Target != 5 || !bytes.Equal(st.Instances[1].Image, img) {
+		t.Fatal("state after a failed compaction differs from what was appended")
+	}
+
+	// A compaction whose directory fsync failed: no append is
+	// acknowledged until a retry of it succeeds.
+	if err := os.Remove(tmp); err != nil {
+		t.Fatal(err)
+	}
+	if st, err = s.Load(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Compact(st); err != nil {
+		t.Fatal(err)
+	}
+	s.syncDir, s.dir = true, filepath.Join(dir, "gone")
+	if err := s.Append(Record{Op: OpResize, Inst: InstanceRecord{ID: 1, Target: 6}}); err == nil {
+		t.Fatal("append before the compaction's rename was durable succeeded")
+	}
+	s.dir = dir
+	if err := s.Append(Record{Op: OpResize, Inst: InstanceRecord{ID: 1, Target: 6}}); err != nil {
+		t.Fatalf("append after the directory fsync recovered: %v", err)
+	}
+	if s.syncDir {
+		t.Fatal("the retried directory fsync is still owed")
+	}
+	if st := loads("after the retried directory fsync"); st.Instances[1].Target != 6 || !bytes.Equal(st.Instances[1].Image, img) {
+		t.Fatal("state after the retried directory fsync differs from what was appended")
 	}
 	if s.Err() == nil {
 		t.Fatal("Err() should still report the first failure")

@@ -21,7 +21,7 @@ import (
 // job while throwaway instances churn against a fault-injected head-end;
 // the controller is then hard-stopped mid-round — inside a destroyed
 // instance's reset-retransmission window — and restarted from
-// snapshot+journal. The recovered control plane must re-adopt the
+// its journal. The recovered control plane must re-adopt the
 // surviving workers from their heartbeats (no duplicate wakeups),
 // reconverge to the keeper's target, GC every destroyed instance exactly
 // once across the crash, and the job must still complete.

@@ -109,7 +109,7 @@ type Config struct {
 	DeviceMix []DeviceSpec
 	// StateDir, if set, makes the control plane durable: the Controller
 	// journals lifecycle mutations there, and CrashController /
-	// RestartController exercise a hard stop + snapshot/journal recovery
+	// RestartController exercise a hard stop + journal recovery
 	// while the carousel keeps cycling and the devices stay up.
 	StateDir string
 	// ChunkCacheBytes gives every set-top box a persistent
@@ -477,7 +477,7 @@ func (r resumedHeadEnd) Start(files []dsmcc.File) error  { return r.inner.Update
 func (r resumedHeadEnd) Update(files []dsmcc.File) error { return r.inner.Update(files) }
 
 // RestartController brings the control plane back from the state
-// directory: it reopens the journal store, replays snapshot+journal
+// directory: it reopens the journal store, replays the journal
 // into a fresh Controller, re-airs the recovered content in one
 // head-end update, and rebinds the Provider's outstanding handles.
 func (s *System) RestartController() error {

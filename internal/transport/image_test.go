@@ -161,7 +161,7 @@ func TestUpdateImageRestagesOnlyChangedChunks(t *testing.T) {
 	}
 }
 
-// TestUpdateImagePersistsAcrossRestart: the journal snapshot written by
+// TestUpdateImagePersistsAcrossRestart: the journal record written by
 // UpdateImage must carry the bumped sequence, so a restarted
 // coordinator resumes past it.
 func TestUpdateImagePersistsAcrossRestart(t *testing.T) {

@@ -180,8 +180,8 @@ type Options struct {
 	Metrics bool
 	// StateDir, if set, makes the control plane durable: the Controller
 	// journals instance lifecycle mutations there and CrashController /
-	// RestartController exercise a hard stop plus snapshot+journal
-	// recovery while the carousel and devices keep running.
+	// RestartController exercise a hard stop plus journal recovery
+	// while the carousel and devices keep running.
 	StateDir string
 }
 
@@ -386,7 +386,7 @@ func (s *System) ContentStats() (controlFileBytes, carouselFiles, live, destroye
 func (s *System) CrashController() error { return s.sys.CrashController() }
 
 // RestartController brings the control plane back from Options.StateDir
-// by replaying its snapshot+journal: the recovered Controller re-airs
+// by replaying its journal: the recovered Controller re-airs
 // the recorded instances and re-adopts surviving members from their
 // next heartbeat instead of re-waking them.
 func (s *System) RestartController() error { return s.sys.RestartController() }
