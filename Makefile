@@ -4,9 +4,9 @@ GO ?= go
 
 ## check: the full tier-1 gate — formatting, vet, build, tests with the
 ## race detector (the lifecycle churn stress and the federation
-## cross-shard churn stress must pass under -race), the image digest at
-## several core counts, the coverage floor on the telemetry packages, and
-## the benchmark module's tests.
+## cross-shard churn stress must pass under -race), the image digest and
+## the fleet engine at several core counts, the coverage floor on the
+## telemetry packages, and the benchmark module's tests.
 check: fmt vet race cores cover test-benchmark
 
 fmt:
@@ -34,10 +34,12 @@ race:
 	$(GO) test -race ./...
 
 ## cores: appimage.DigestOf streams on one core and fans chunks out on
-## several, chosen by GOMAXPROCS, so its package runs at 1, 2 and 4 to
-## gate both paths whatever the machine's default.
+## several, and the fleet engine's init and wakeup sweeps run inline on
+## one core and split by id range on several, both chosen by GOMAXPROCS,
+## so their packages run at 1, 2 and 4 to gate both paths whatever the
+## machine's default (the fleet golden results must not move).
 cores:
-	$(GO) test -cpu 1,2,4 ./internal/appimage
+	$(GO) test -cpu 1,2,4 ./internal/appimage ./internal/fleet
 
 ## cover: enforce per-package coverage floors — the observability layer
 ## (obs registry/exposition, the span collector with its trace and

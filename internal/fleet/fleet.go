@@ -16,7 +16,11 @@
 // the window — and the wheel delivers every deadline due at a tick as a
 // single batch, so one advance step turns into thousands of node
 // transitions; that batching is what makes 10⁶ nodes tractable in one
-// process.
+// process. A run hands its node arrays and wheel to the next one, which
+// then allocates almost nothing (takeNodeState), and the two sweeps over
+// every node — the initial draws and the wakeup — split into one id range
+// per core (sweep). Neither moves a result: it is bit-identical at any
+// core count and after any earlier run.
 //
 // The model: each node alternates exponentially distributed on and off
 // periods (means MeanOn, MeanOff), so the stationary probability of
@@ -53,6 +57,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 	"time"
 
 	"oddci/internal/analytic"
@@ -245,15 +251,60 @@ const (
 
 const maxCohorts = 256
 
-type engine struct {
-	cfg Config
+// nodeState is the part of an engine a run hands to the next one: the
+// struct-of-arrays node state, indexed by node id, and the wheel. init
+// writes every element of every array and Reset empties the wheel, so
+// nothing of the run that left them can be read.
+type nodeState struct {
 	whl *simtime.Wheel
 
-	// Struct-of-arrays node state, indexed by node id.
 	phase    []uint8
-	offAt    []int64 // on nodes: power-off tick; off nodes: unused
+	offAt    []int64 // on nodes: power-off tick; off nodes: 0
 	deadline []int64 // tick of the node's (single) live wheel entry
 	rng      []uint64
+}
+
+// spare holds the nodeState of the last run to finish. One slot, not a
+// sync.Pool: the collector empties a pool between runs, and each refill
+// allocates a million nodes' arrays again while the old ones still await
+// collection, which is the memory and time reuse is meant to save.
+var spare struct {
+	sync.Mutex
+	st nodeState
+}
+
+// takeNodeState returns node arrays of length n and an empty wheel at
+// tick 0: the spare's when its arrays hold n nodes, fresh ones when they
+// do not or when another run holds the spare. The wheel is reused
+// whenever there is one.
+func takeNodeState(n int) nodeState {
+	spare.Lock()
+	st := spare.st
+	spare.st = nodeState{}
+	spare.Unlock()
+	if cap(st.phase) < n {
+		st.phase, st.offAt = make([]uint8, n), make([]int64, n)
+		st.deadline, st.rng = make([]int64, n), make([]uint64, n)
+	}
+	st.phase, st.offAt, st.deadline, st.rng = st.phase[:n], st.offAt[:n], st.deadline[:n], st.rng[:n]
+	if st.whl == nil {
+		st.whl = simtime.NewWheel(0)
+	} else {
+		st.whl.Reset(0)
+	}
+	return st
+}
+
+// putNodeState makes st the spare for the next run.
+func putNodeState(st nodeState) {
+	spare.Lock()
+	spare.st = st
+	spare.Unlock()
+}
+
+type engine struct {
+	cfg Config
+	nodeState
 
 	// joinq defers load completions out of the wheel's fire batch; it
 	// reuses netsim.Ring, the same structure that fixed the Mailbox
@@ -300,7 +351,9 @@ func Run(cfg Config) (*Result, error) {
 	}
 	e := newEngine(cfg)
 	e.init()
-	return e.run(), nil
+	r := e.run()
+	putNodeState(e.nodeState)
+	return r, nil
 }
 
 // run plays the booked events out to the end of the window: one wheel
@@ -314,11 +367,7 @@ func newEngine(cfg Config) *engine {
 	n := cfg.Nodes
 	e := &engine{
 		cfg:        cfg,
-		whl:        simtime.NewWheel(0),
-		phase:      make([]uint8, n),
-		offAt:      make([]int64, n),
-		deadline:   make([]int64, n),
-		rng:        make([]uint64, n),
+		nodeState:  takeNodeState(n),
 		secPerTick: cfg.Tick.Seconds(),
 		meanOnSec:  cfg.MeanOn.Seconds(),
 		meanOffSec: cfg.MeanOff.Seconds(),
@@ -345,7 +394,8 @@ func newEngine(cfg Config) *engine {
 // (most of them — the power-cycle means dwarf the window) is only
 // remembered, which is all the staleness check needs. Superseded
 // entries are cancelled lazily — nodeEvent skips a fired (tick, id)
-// whose deadline has moved on.
+// whose deadline has moved on. init and wakeup store their deadlines in
+// a sweep and book them by the same rule in one scan after it.
 func (e *engine) setDeadline(id int32, tick int64) {
 	e.deadline[id] = tick
 	if tick <= e.endTick {
@@ -391,20 +441,23 @@ func (e *engine) loadTicks(s *uint64) int64 {
 // its residual period is a fresh exponential draw (legitimate by
 // memorylessness), so the alternating process starts in equilibrium
 // instead of converging toward it during warm-up.
+//
+// The draws run as a sweep over id ranges, each range tallying its own
+// on-count; the deadlines are booked afterwards in id order, so the
+// wheel sees the same insertion sequence at any core count.
 func (e *engine) init() {
-	for i := range e.phase {
-		id := int32(i)
-		s := &e.rng[i]
-		*s = uint64(e.cfg.Seed)*0xD1342543DE82EF95 + (uint64(i)+1)*0x9E3779B97F4A7C15
-		if unitHalf(s) < e.avail {
-			e.phase[i] = phaseIdle
-			e.onCount++
-			e.cohortOn[id%e.ncoh]++
-			e.offAt[i] = e.expTicks(s, e.meanOnSec)
-			e.setDeadline(id, e.offAt[i])
-		} else {
-			e.phase[i] = phaseOff
-			e.setDeadline(id, e.expTicks(s, e.meanOffSec))
+	k := sweepRanges(len(e.phase))
+	tallies := make([]initTally, k)
+	sweep(k, len(e.phase), func(r, lo, hi int) { tallies[r] = e.initRange(lo, hi) })
+	for r := range tallies {
+		e.onCount += tallies[r].on
+		for c := range e.cohortOn {
+			e.cohortOn[c] += tallies[r].cohortOn[c]
+		}
+	}
+	for i, d := range e.deadline {
+		if d <= e.endTick {
+			e.whl.Schedule(d, int32(i))
 		}
 	}
 
@@ -419,6 +472,64 @@ func (e *engine) init() {
 		first := (int64(k)*e.hbTicks)/int64(e.ncoh) + 1
 		e.whl.Schedule(first, idCohortBase-k)
 	}
+}
+
+// initTally is one id range's share of the initial on-counts.
+type initTally struct {
+	on       int
+	cohortOn [maxCohorts]int32
+}
+
+// initRange draws nodes [lo, hi): seed, phase, offAt and deadline, every
+// one written, and tallies the on nodes.
+func (e *engine) initRange(lo, hi int) (tl initTally) {
+	for i := lo; i < hi; i++ {
+		s := &e.rng[i]
+		*s = uint64(e.cfg.Seed)*0xD1342543DE82EF95 + (uint64(i)+1)*0x9E3779B97F4A7C15
+		if unitHalf(s) < e.avail {
+			e.phase[i] = phaseIdle
+			tl.on++
+			tl.cohortOn[int32(i)%e.ncoh]++
+			e.offAt[i] = e.expTicks(s, e.meanOnSec)
+			e.deadline[i] = e.offAt[i]
+		} else {
+			e.phase[i] = phaseOff
+			e.offAt[i] = 0
+			e.deadline[i] = e.expTicks(s, e.meanOffSec)
+		}
+	}
+	return tl
+}
+
+// minSweepRange is the fewest nodes worth a goroutine of their own in a
+// sweep (~0.7 ms of init draws).
+const minSweepRange = 1 << 14
+
+// sweepRanges is the number of id ranges a sweep over n nodes uses: one
+// per core, but no range under minSweepRange nodes.
+func sweepRanges(n int) int {
+	return max(min(runtime.GOMAXPROCS(0), n/minSweepRange), 1)
+}
+
+// sweep calls f(r, lo, hi) for the k contiguous id ranges that split
+// [0, n), range 0 on the calling goroutine and the rest on goroutines of
+// their own, and returns once every call has. f touches only its own
+// range's nodes and its own partials.
+func sweep(k, n int, f func(r, lo, hi int)) {
+	if k == 1 {
+		f(0, 0, n)
+		return
+	}
+	var wg sync.WaitGroup
+	wg.Add(k - 1)
+	for r := 1; r < k; r++ {
+		go func() {
+			defer wg.Done()
+			f(r, n*r/k, n*(r+1)/k)
+		}()
+	}
+	f(0, 0, n/k)
+	wg.Wait()
 }
 
 // sampleGrid returns n strictly increasing ticks in (from, to].
@@ -544,17 +655,26 @@ func (e *engine) sentinel(tick int64, id int32) {
 
 // wakeup broadcasts the instance creation: every on node joins the
 // carousel at a random phase. This is the one O(Nodes) event; all
-// other work is proportional to transitions, not population.
+// other work is proportional to transitions, not population. Like init,
+// it draws in a sweep over id ranges and books in id order after.
 func (e *engine) wakeup(tick int64) {
 	e.availAtWake = e.onCount
 	e.quorumNeed = int(math.Ceil(e.cfg.QuorumFrac * float64(e.availAtWake)))
-	for i := range e.phase {
-		if e.phase[i]&phaseMask != phaseIdle {
-			continue
+	n := len(e.phase)
+	sweep(sweepRanges(n), n, func(_, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if e.phase[i] == phaseIdle {
+				e.phase[i] = phaseLoading | flagDirect
+				e.deadline[i] = min(tick+e.loadTicks(&e.rng[i]), e.offAt[i])
+			}
 		}
-		id := int32(i)
-		e.phase[i] = phaseLoading | flagDirect
-		e.setDeadline(id, min(tick+e.loadTicks(&e.rng[i]), e.offAt[i]))
+	})
+	// Only this sweep sets phaseLoading|flagDirect, so the scan books
+	// exactly its deadlines, in id order.
+	for i, p := range e.phase {
+		if p == phaseLoading|flagDirect && e.deadline[i] <= e.endTick {
+			e.whl.Schedule(e.deadline[i], int32(i))
+		}
 	}
 	if e.ext != nil {
 		e.ext.onWakeup()

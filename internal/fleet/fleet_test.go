@@ -1,10 +1,12 @@
 package fleet
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"reflect"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -238,24 +240,94 @@ func allocatedBy(f func()) (bytes, mallocs uint64) {
 	return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
 }
 
-// TestRunAllocBudget bounds what one run allocates, in bytes and in
-// mallocs. 25 B/node of SoA state plus 8-byte wheel entries for the
-// deadlines that fire measure ~49 B/node (~94 with 16-byte entries);
-// slot growth and the curves are ~3.5 k mallocs, where a Sim timer and a
-// closure per wheel batch made it ~72 k.
+// TestRunAllocBudget bounds what a run allocates, in bytes and in
+// mallocs, cold and warm. A cold run (no spare node state) allocates 25
+// B/node of SoA state plus 8-byte wheel entries for the deadlines that
+// fire: ~53 B/node (~94 with 16-byte entries); slot growth and the curves
+// are ~3.5 k mallocs, where a Sim timer and a closure per wheel batch
+// made it ~72 k. A warm run at the same N reuses the last run's arrays
+// and wheel slots and allocates only its result, its tallies and its
+// sweep goroutines: ~12 KB in ~25 mallocs on one core, ~21 KB in ~44 at
+// six ranges, the most a sweep splits 10⁵ nodes into.
 func TestRunAllocBudget(t *testing.T) {
 	const nodes, byteBudget, mallocBudget = 100_000, 80, 8_000
-	bytes, mallocs := allocatedBy(func() {
+	const warmByteBudget, warmMallocBudget = 24 << 10, 48
+	takeNodeState(0) // empty the spare: the first run below is cold
+	run := func() {
 		if _, err := Run(Config{Nodes: nodes, Seed: 1}); err != nil {
 			t.Fatal(err)
 		}
-	})
+	}
+	bytes, mallocs := allocatedBy(run)
 	perNode := float64(bytes) / nodes
-	t.Logf("%.1f B/node allocated in %d mallocs", perNode, mallocs)
+	t.Logf("cold: %.1f B/node allocated in %d mallocs", perNode, mallocs)
 	if perNode > byteBudget {
-		t.Errorf("one run allocated %.1f B/node, budget %d", perNode, byteBudget)
+		t.Errorf("a cold run allocated %.1f B/node, budget %d", perNode, byteBudget)
 	}
 	if mallocs > mallocBudget {
-		t.Errorf("one run made %d allocations, budget %d", mallocs, mallocBudget)
+		t.Errorf("a cold run made %d allocations, budget %d", mallocs, mallocBudget)
+	}
+	bytes, mallocs = allocatedBy(run)
+	t.Logf("warm: %d B allocated in %d mallocs", bytes, mallocs)
+	if bytes > warmByteBudget {
+		t.Errorf("a warm run allocated %d B, budget %d", bytes, warmByteBudget)
+	}
+	if mallocs > warmMallocBudget {
+		t.Errorf("a warm run made %d allocations, budget %d", mallocs, warmMallocBudget)
+	}
+}
+
+// TestRunReuseIsolated: a run on the node state a larger, smaller,
+// sharded or other-seed run left behind returns what it returned before,
+// byte for byte, and two runs at once each get their own state and leave
+// no goroutine behind.
+func TestRunReuseIsolated(t *testing.T) {
+	marshal := func(r any, err error) string {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	big := Config{Nodes: 100_000, Seed: 1}
+	first := marshal(Run(big))
+	marshal(Run(Config{Nodes: 20_000, Seed: 2}))
+	marshal(RunSharded(goldenSharded))
+	if again := marshal(Run(big)); again != first {
+		t.Fatal("a run on reused node state differs from the same run before")
+	}
+
+	other := Config{Nodes: 50_000, Seed: 3}
+	serial := []string{first, marshal(Run(other))}
+	base := runtime.NumGoroutine()
+	got := make([]string, 2)
+	var wg sync.WaitGroup
+	for i, cfg := range []Config{big, other} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r, err := Run(cfg)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			b, _ := json.Marshal(r) // a Result has no field json cannot encode
+			got[i] = string(b)
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if got[i] != serial[i] {
+			t.Fatalf("concurrent run %d differs from its serial result", i)
+		}
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the runs, %d before", runtime.NumGoroutine(), base)
+		}
 	}
 }

@@ -13,6 +13,13 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/*.json from this build's results")
 
+// goldenSharded is the sharded golden case: a shard killed mid-ramp and
+// recovered inside the window.
+var goldenSharded = ShardedConfig{
+	Config: Config{Nodes: 50_000, Seed: 12},
+	Shards: 8, KillShard: 3, KillAfter: 90 * time.Second, RecoverAfter: 60 * time.Second,
+}
+
 // TestGoldenResults pins whole results — every counter, curve point and
 // quorum time, to the last bit of every float — to values recorded
 // before the wheel stopped booking deadlines past the window (PR 23). A
@@ -26,12 +33,7 @@ func TestGoldenResults(t *testing.T) {
 	}{
 		{"run_1e5_seed1", func() (any, error) { return Run(Config{Nodes: 100_000, Seed: 1}) }},
 		{"run_1e5_seed2", func() (any, error) { return Run(Config{Nodes: 100_000, Seed: 2}) }},
-		{"sharded_5e4_kill_recover", func() (any, error) {
-			return RunSharded(ShardedConfig{
-				Config: Config{Nodes: 50_000, Seed: 12},
-				Shards: 8, KillShard: 3, KillAfter: 90 * time.Second, RecoverAfter: 60 * time.Second,
-			})
-		}},
+		{"sharded_5e4_kill_recover", func() (any, error) { return RunSharded(goldenSharded) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -177,7 +177,9 @@ func RunSharded(cfg ShardedConfig) (*ShardedResult, error) {
 	}
 
 	e.run()
-	return x.finish(), nil
+	r := x.finish()
+	putNodeState(e.nodeState)
+	return r, nil
 }
 
 // onWakeup: every shard's carousel airs its own copy of the signed

@@ -15,6 +15,11 @@ import (
 // fired event's effects (typically waking one goroutine) are fully drained
 // before the next event at the same instant fires, so runs are repeatable.
 //
+// A driver that is not itself an actor (a goroutine spawned through Go)
+// and spawns several actors gets no such ordering guarantee: once every
+// actor spawned so far is parked, the earliest booked event may fire
+// before its next spawn, so spawn them from one actor instead.
+//
 // With no participating goroutines, Sim degenerates into a classic
 // single-threaded event loop: schedule callbacks with AfterFunc and drive
 // them with Wait. This is the mode used by the large-N experiment models.

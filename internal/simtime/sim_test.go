@@ -84,20 +84,26 @@ func TestSimSleepAdvancesVirtualTime(t *testing.T) {
 	}
 }
 
+// TestSimManyGoroutinesDeterministic spawns its sleepers from inside one
+// actor: the spawner stays runnable until every sleeper exists, so time
+// cannot move before the last one has booked its sleep. Spawned from the
+// test goroutine, which is not an actor, sleeper i could park before
+// sleeper i+1 existed and let the earliest sleep fire mid-setup.
 func TestSimManyGoroutinesDeterministic(t *testing.T) {
 	run := func() []int {
 		clk := NewSim(epoch)
 		var mu sync.Mutex
 		var order []int
-		for i := 0; i < 50; i++ {
-			i := i
-			clk.Go(func() {
-				clk.Sleep(time.Duration(50-i) * time.Millisecond)
-				mu.Lock()
-				order = append(order, i)
-				mu.Unlock()
-			})
-		}
+		clk.Go(func() {
+			for i := 0; i < 50; i++ {
+				clk.Go(func() {
+					clk.Sleep(time.Duration(50-i) * time.Millisecond)
+					mu.Lock()
+					order = append(order, i)
+					mu.Unlock()
+				})
+			}
+		})
 		clk.Wait()
 		return order
 	}

@@ -19,7 +19,8 @@ import "fmt"
 //     2³²-tick horizon leaves undetermined (see wheelItem). A drained
 //     slot keeps its own backing array for the next items that land in
 //     it; nothing is shared or pooled between slots, so a burst's
-//     capacity stays where it fell;
+//     capacity stays where it fell, and Reset keeps all of it for the
+//     next schedule;
 //   - insertion and cancellation are O(1); cancellation is lazy — callers
 //     skip a fired (tick, id) whose id no longer expects that tick;
 //   - all events due at one tick are delivered as a single batch, which
@@ -68,6 +69,20 @@ type wheelItem struct {
 // schedulable tick is start+1.
 func NewWheel(start int64) *Wheel {
 	return &Wheel{now: start, win: start >> wheelBits}
+}
+
+// Reset empties the wheel and moves its cursor to start, as NewWheel(start)
+// would, but keeps every slot's backing array (and the batch buffer), so a
+// wheel reused for a schedule like the last one books it without growing
+// a slot. Items still pending are dropped.
+func (w *Wheel) Reset(start int64) {
+	for l := range w.slots {
+		for s := range w.slots[l] {
+			w.slots[l][s] = w.slots[l][s][:0]
+		}
+	}
+	w.now, w.win, w.count = start, start>>wheelBits, 0
+	w.resident = [wheelLevels]int{}
 }
 
 // Now returns the cursor tick: all ticks ≤ Now have fired or were

@@ -1,6 +1,7 @@
 package simtime
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -192,43 +193,58 @@ func TestWheelLowWordAcrossBoundary(t *testing.T) {
 	}
 }
 
+type ref struct {
+	tick int64
+	id   int32
+}
+
+// playReference books 300 random ticks from start and advances w to
+// limit, booking more from inside a quarter of the fire calls. It
+// returns every (tick, id) fired, in firing order, and every one booked;
+// rng decides the whole schedule, so the same seed replays it exactly.
+func playReference(w *Wheel, rng *rand.Rand, start, limit int64) (got, booked []ref) {
+	var id int32
+	add := func(now int64) {
+		tick := now + 1 + rng.Int63n(1<<uint(8+rng.Intn(17)))
+		w.Schedule(tick, id)
+		booked = append(booked, ref{tick, id})
+		id++
+	}
+	for i := 0; i < 300; i++ {
+		add(start)
+	}
+	w.AdvanceTo(limit, func(tick int64, ids []int32) {
+		for _, fid := range ids {
+			got = append(got, ref{tick, fid})
+		}
+		if rng.Intn(4) == 0 && id < 400 {
+			add(tick)
+		}
+	})
+	return got, booked
+}
+
+// referenceStart is trial's start tick: near zero for the first 20
+// trials, just short of 2³² for the rest, where the stored low word of
+// most ticks wraps.
+func referenceStart(rng *rand.Rand, trial int) int64 {
+	start := rng.Int63n(1 << 20)
+	if trial >= 20 {
+		start = 1<<32 - 1 - start
+	}
+	return start
+}
+
 // TestWheelMatchesReference runs randomized schedules (including
 // schedules issued mid-fire) against a sorted-slice reference model,
-// from starts near zero and from starts just short of 2³², where the
-// stored low word of most ticks wraps.
+// from starts near zero and from starts just short of 2³².
 func TestWheelMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 40; trial++ {
-		start := rng.Int63n(1 << 20)
-		if trial >= 20 {
-			start = 1<<32 - 1 - start
-		}
+		start := referenceStart(rng, trial)
 		w := NewWheel(start)
-		type ref struct {
-			tick int64
-			id   int32
-		}
-		var want []ref
-		var id int32
-		add := func(now int64) {
-			tick := now + 1 + rng.Int63n(1<<uint(8+rng.Intn(17)))
-			w.Schedule(tick, id)
-			want = append(want, ref{tick, id})
-			id++
-		}
-		for i := 0; i < 300; i++ {
-			add(start)
-		}
-		var got []ref
 		limit := start + 1<<25
-		w.AdvanceTo(limit, func(tick int64, ids []int32) {
-			for _, fid := range ids {
-				got = append(got, ref{tick, fid})
-			}
-			if rng.Intn(4) == 0 && id < 400 {
-				add(tick)
-			}
-		})
+		got, want := playReference(w, rng, start, limit)
 		// Drop reference entries beyond the advance limit.
 		var inRange []ref
 		for _, r := range want {
@@ -248,6 +264,60 @@ func TestWheelMatchesReference(t *testing.T) {
 		if w.Len() != len(want)-len(inRange) {
 			t.Fatalf("trial %d: Len = %d, want %d pending", trial, w.Len(), len(want)-len(inRange))
 		}
+	}
+}
+
+// TestWheelResetMatchesNewWheel plays the reference schedule on one wheel,
+// reset between rounds, and on a new wheel per round: every round must
+// fire the same (tick, id) sequence. Each round stops at 2²² ticks, with
+// items still booked on levels 1 and 2 that the reset must drop.
+func TestWheelResetMatchesNewWheel(t *testing.T) {
+	reused := NewWheel(0)
+	for trial := 0; trial < 40; trial++ {
+		seed := int64(100 + trial)
+		start := referenceStart(rand.New(rand.NewSource(seed)), trial)
+		limit := start + 1<<22
+		reused.Reset(start)
+		if reused.Len() != 0 || reused.Now() != start {
+			t.Fatalf("trial %d: after Reset(%d) Len = %d, Now = %d", trial, start, reused.Len(), reused.Now())
+		}
+		fresh := NewWheel(start)
+		want, _ := playReference(fresh, rand.New(rand.NewSource(seed)), start, limit)
+		got, _ := playReference(reused, rand.New(rand.NewSource(seed)), start, limit)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("trial %d: reset wheel fired %v, new wheel %v", trial, got, want)
+		}
+		if reused.Len() != fresh.Len() || reused.Len() == 0 {
+			t.Fatalf("trial %d: Len = %d pending, new wheel %d (want some)", trial, reused.Len(), fresh.Len())
+		}
+	}
+}
+
+// TestWheelResetAllocatesNothing: a schedule repeated after Reset finds
+// every slot array, at every level and after every cascade, already as
+// large as it needs.
+func TestWheelResetAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	ticks := make([]int64, 2000)
+	for i := range ticks {
+		ticks[i] = 1 + rng.Int63n(1<<uint(1+rng.Intn(26)))
+	}
+	w := NewWheel(0)
+	var fired int
+	fire := func(_ int64, ids []int32) { fired += len(ids) }
+	play := func() {
+		w.Reset(0)
+		for i, tick := range ticks {
+			w.Schedule(tick, int32(i))
+		}
+		w.AdvanceTo(1<<26, fire)
+	}
+	play()
+	if fired != len(ticks) {
+		t.Fatalf("fired %d of %d", fired, len(ticks))
+	}
+	if n := testing.AllocsPerRun(10, play); n != 0 {
+		t.Fatalf("a repeated schedule after Reset made %v allocations, want 0", n)
 	}
 }
 
