@@ -4,8 +4,8 @@ GO ?= go
 
 ## check: the full tier-1 gate — formatting, vet, build, tests with the
 ## race detector (the lifecycle churn stress and the federation
-## cross-shard churn stress must pass under -race), the image digest and
-## the fleet engine at several core counts, the coverage floor on the
+## cross-shard churn stress must pass under -race), the image digest, the
+## fleet engine and the virtual-time kernel at several core counts, the coverage floor on the
 ## telemetry packages, and the benchmark module's tests.
 check: fmt vet race cores cover test-benchmark
 
@@ -37,9 +37,13 @@ race:
 ## several, and the fleet engine's init and wakeup sweeps run inline on
 ## one core and split by id range on several, both chosen by GOMAXPROCS,
 ## so their packages run at 1, 2 and 4 to gate both paths whatever the
-## machine's default (the fleet golden results must not move).
+## machine's default (the fleet golden results must not move). simtime
+## and netsim run there too: Sim hands a parked actor a parker reused
+## from its free list, and a Link delivers from a FIFO ring that each
+## arrival pops, so a stale wake or an out-of-order pop shows up as a
+## different interleaving of actors on another core count.
 cores:
-	$(GO) test -cpu 1,2,4 ./internal/appimage ./internal/fleet
+	$(GO) test -cpu 1,2,4 ./internal/appimage ./internal/fleet ./internal/simtime ./internal/netsim
 
 ## cover: enforce per-package coverage floors — the observability layer
 ## (obs registry/exposition, the span collector with its trace and

@@ -16,10 +16,12 @@ func Worker(env *dve.Env) error {
 	if env.Backend == nil {
 		return nil
 	}
+	// Propagate the DVE's trace context (the PNA's dve-start span) so the
+	// Backend's dispatch span joins this node's wakeup trace. The request
+	// never changes and the Backend only reads it, so one serves the run.
+	req := &TaskRequest{NodeID: env.NodeID, Trace: env.Trace}
 	for !env.Destroyed() {
-		// Propagate the DVE's trace context (the PNA's dve-start span)
-		// so the Backend's dispatch span joins this node's wakeup trace.
-		env.Backend.Send("backend", &TaskRequest{NodeID: env.NodeID, Trace: env.Trace}, RequestWireSize)
+		env.Backend.Send("backend", req, RequestWireSize)
 		pkt, err := env.Backend.Recv()
 		if err != nil {
 			return nil // channel closed: DVE destroyed

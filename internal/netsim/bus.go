@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -32,14 +33,17 @@ type Bus struct {
 	mu        sync.Mutex
 	busyUntil time.Time
 	nextID    int
-	subs      map[int]func(Packet)
-	published int64
-	bytes     int64
+	subs      []subscriber // in subscription order, so delivery and loss draws repeat
+}
+
+type subscriber struct {
+	id int
+	fn func(Packet)
 }
 
 // NewBus creates an idle broadcast channel.
 func NewBus(clk simtime.Clock, cfg BusConfig) *Bus {
-	return &Bus{clk: clk, cfg: cfg, subs: make(map[int]func(Packet))}
+	return &Bus{clk: clk, cfg: cfg}
 }
 
 // Subscription identifies a bus listener for later cancellation.
@@ -50,9 +54,15 @@ type Subscription struct {
 
 // Cancel stops delivery to this subscriber.
 func (s *Subscription) Cancel() {
-	s.bus.mu.Lock()
-	delete(s.bus.subs, s.id)
-	s.bus.mu.Unlock()
+	b := s.bus
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for i, sub := range b.subs {
+		if sub.id == s.id {
+			b.subs = slices.Delete(b.subs, i, i+1)
+			return
+		}
+	}
 }
 
 // Subscribe registers fn to receive every packet whose transmission
@@ -63,7 +73,7 @@ func (b *Bus) Subscribe(fn func(Packet)) *Subscription {
 	defer b.mu.Unlock()
 	id := b.nextID
 	b.nextID++
-	b.subs[id] = fn
+	b.subs = append(b.subs, subscriber{id: id, fn: fn})
 	return &Subscription{bus: b, id: id}
 }
 
@@ -82,8 +92,6 @@ func (b *Bus) Publish(from string, payload any, size int) {
 	}
 	done := start.Add(serialization(size, b.cfg.RateBps))
 	b.busyUntil = done
-	b.published++
-	b.bytes += int64(size)
 	b.mu.Unlock()
 
 	arrival := done.Add(b.cfg.Latency)
@@ -91,22 +99,15 @@ func (b *Bus) Publish(from string, payload any, size int) {
 		p.ArrivedAt = b.clk.Now()
 		b.mu.Lock()
 		targets := make([]func(Packet), 0, len(b.subs))
-		for _, fn := range b.subs {
+		for _, sub := range b.subs {
 			if b.cfg.DropProb > 0 && b.cfg.Rng != nil && b.cfg.Rng.Float64() < b.cfg.DropProb {
 				continue
 			}
-			targets = append(targets, fn)
+			targets = append(targets, sub.fn)
 		}
 		b.mu.Unlock()
 		for _, fn := range targets {
 			fn(p)
 		}
 	})
-}
-
-// Stats reports transmissions and bytes accepted onto the channel.
-func (b *Bus) Stats() (published, bytes int64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.published, b.bytes
 }

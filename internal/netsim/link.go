@@ -38,13 +38,22 @@ type LinkConfig struct {
 // packet's transmission starts when the previous one finishes, which is
 // what makes a shared uplink (e.g. a desktop-grid master staging images
 // over unicast) a bottleneck.
+//
+// In-flight packets wait in a FIFO ring, and every arrival event pops the
+// front one, so a send books a timer around a func bound once rather than
+// a closure over its packet. That is sound because a link's arrivals
+// never decrease (busyUntil only grows and Latency is fixed) and the
+// clock fires same-instant events in booking order, which Send keeps
+// equal to ring order by booking under l.mu.
 type Link struct {
-	clk simtime.Clock
-	cfg LinkConfig
-	dst *Mailbox[Packet]
+	clk       simtime.Clock
+	cfg       LinkConfig
+	dst       *Mailbox[Packet]
+	deliverFn func()
 
 	mu        sync.Mutex
 	busyUntil time.Time
+	inflight  Ring[Packet]
 	sent      int64
 	dropped   int64
 	bytesSent int64
@@ -52,7 +61,18 @@ type Link struct {
 
 // NewLink creates a link feeding dst.
 func NewLink(clk simtime.Clock, cfg LinkConfig, dst *Mailbox[Packet]) *Link {
-	return &Link{clk: clk, cfg: cfg, dst: dst}
+	l := &Link{clk: clk, cfg: cfg, dst: dst}
+	l.deliverFn = l.deliver
+	return l
+}
+
+// deliver hands the oldest in-flight packet to the destination.
+func (l *Link) deliver() {
+	l.mu.Lock()
+	p, _ := l.inflight.PopFront()
+	l.mu.Unlock()
+	p.ArrivedAt = l.clk.Now()
+	l.dst.Put(p)
 }
 
 // serialization returns the time needed to clock size bytes onto the wire.
@@ -79,20 +99,14 @@ func (l *Link) Send(p Packet) {
 	l.busyUntil = done
 	l.sent++
 	l.bytesSent += int64(p.Size)
-	drop := l.cfg.DropProb > 0 && l.cfg.Rng != nil && l.cfg.Rng.Float64() < l.cfg.DropProb
-	if drop {
+	if l.cfg.DropProb > 0 && l.cfg.Rng != nil && l.cfg.Rng.Float64() < l.cfg.DropProb {
 		l.dropped++
-	}
-	l.mu.Unlock()
-
-	if drop {
+		l.mu.Unlock()
 		return
 	}
-	arrival := done.Add(l.cfg.Latency)
-	l.clk.AfterFunc(arrival.Sub(now), func() {
-		p.ArrivedAt = l.clk.Now()
-		l.dst.Put(p)
-	})
+	l.inflight.PushBack(p)
+	l.clk.AfterFunc(done.Add(l.cfg.Latency).Sub(now), l.deliverFn)
+	l.mu.Unlock()
 }
 
 // Stats reports packets sent, packets dropped, and bytes accepted.

@@ -10,6 +10,7 @@ package netsim
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"time"
 
@@ -35,18 +36,22 @@ type waiter struct {
 // receivers block through the clock's Suspend primitive, so blocking
 // receives participate correctly in virtual-time advancement.
 type Mailbox[T any] struct {
-	clk simtime.Clock
+	clk  simtime.Clock
+	park func(wake func()) // Recv's publish func, bound once
 
 	mu      sync.Mutex
 	q       Ring[T]
 	waiters []waiter
+	spare   []waiter // a drained, cleared waiter array for the next park
 	wseq    uint64
 	closed  bool
 }
 
 // NewMailbox returns an empty mailbox bound to clk.
 func NewMailbox[T any](clk simtime.Clock) *Mailbox[T] {
-	return &Mailbox[T]{clk: clk}
+	m := &Mailbox[T]{clk: clk}
+	m.park = func(wake func()) { m.register(wake) }
+	return m
 }
 
 // Put enqueues v and wakes any blocked receivers. Put on a closed mailbox
@@ -58,12 +63,9 @@ func (m *Mailbox[T]) Put(v T) {
 		return
 	}
 	m.q.PushBack(v)
-	w := m.waiters
-	m.waiters = nil
+	w := m.takeWaitersLocked()
 	m.mu.Unlock()
-	for _, wt := range w {
-		wt.wake()
-	}
+	m.wakeAll(w)
 }
 
 // Close marks the mailbox closed. Blocked receivers return ErrClosed once
@@ -71,12 +73,56 @@ func (m *Mailbox[T]) Put(v T) {
 func (m *Mailbox[T]) Close() {
 	m.mu.Lock()
 	m.closed = true
+	w := m.takeWaitersLocked()
+	m.mu.Unlock()
+	m.wakeAll(w)
+}
+
+// takeWaitersLocked detaches the registered waiters, if there are any.
+func (m *Mailbox[T]) takeWaitersLocked() []waiter {
+	if len(m.waiters) == 0 {
+		return nil
+	}
 	w := m.waiters
 	m.waiters = nil
-	m.mu.Unlock()
+	return w
+}
+
+// wakeAll calls every waiter in w, then hands the array back, cleared,
+// as the spare the next park appends to.
+func (m *Mailbox[T]) wakeAll(w []waiter) {
+	if w == nil {
+		return
+	}
 	for _, wt := range w {
 		wt.wake()
 	}
+	clear(w)
+	m.mu.Lock()
+	if m.spare == nil {
+		m.spare = w[:0]
+	}
+	m.mu.Unlock()
+}
+
+// register files wake for the next Put or Close, or calls it at once if
+// an item or the close is already there. It reports the entry's sequence
+// number and whether it was filed.
+func (m *Mailbox[T]) register(wake func()) (uint64, bool) {
+	m.mu.Lock()
+	if m.q.Len() > 0 || m.closed {
+		m.mu.Unlock()
+		wake()
+		return 0, false
+	}
+	if m.waiters == nil {
+		m.waiters, m.spare = m.spare, nil
+	}
+	seq := m.wseq
+	m.wseq++
+	m.waiters = append(m.waiters, waiter{seq: seq, wake: wake})
+	m.mu.Unlock()
+	return seq, true
 }
 
 // Len reports the number of queued items.
@@ -101,7 +147,7 @@ func (m *Mailbox[T]) dropWaiter(seq uint64) {
 	defer m.mu.Unlock()
 	for i, wt := range m.waiters {
 		if wt.seq == seq {
-			m.waiters = append(m.waiters[:i], m.waiters[i+1:]...)
+			m.waiters = slices.Delete(m.waiters, i, i+1)
 			return
 		}
 	}
@@ -129,17 +175,7 @@ func (m *Mailbox[T]) Recv() (T, error) {
 			return zero, ErrClosed
 		}
 		m.mu.Unlock()
-		m.clk.Suspend(func(wake func()) {
-			m.mu.Lock()
-			if m.q.Len() > 0 || m.closed {
-				m.mu.Unlock()
-				wake()
-				return
-			}
-			m.waiters = append(m.waiters, waiter{seq: m.wseq, wake: wake})
-			m.wseq++
-			m.mu.Unlock()
-		})
+		m.clk.Suspend(m.park)
 	}
 }
 
@@ -165,31 +201,26 @@ func (m *Mailbox[T]) RecvTimeout(d time.Duration) (T, error) {
 			var zero T
 			return zero, ErrTimeout
 		}
-		var tm simtime.Timer
-		var seq uint64
-		registered := false
-		m.clk.Suspend(func(wake func()) {
-			m.mu.Lock()
-			if m.q.Len() > 0 || m.closed {
-				m.mu.Unlock()
-				wake()
-				return
-			}
-			seq = m.wseq
-			m.wseq++
-			m.waiters = append(m.waiters, waiter{seq: seq, wake: wake})
-			registered = true
-			m.mu.Unlock()
-			tm = m.clk.AfterFunc(remaining, wake)
-		})
-		if tm != nil {
-			tm.Stop()
+		// One struct for what the publish func sets, so it escapes as
+		// one object rather than one per variable.
+		var st struct {
+			tm         simtime.Timer
+			seq        uint64
+			registered bool
 		}
-		if registered {
+		m.clk.Suspend(func(wake func()) {
+			if st.seq, st.registered = m.register(wake); st.registered {
+				st.tm = m.clk.AfterFunc(remaining, wake)
+			}
+		})
+		if st.tm != nil {
+			st.tm.Stop()
+		}
+		if st.registered {
 			// Whatever woke us, this wake closure is spent: if the timer
 			// fired (or a Put raced the registration), the entry is still
 			// on the list and would pile up across repeated timeouts.
-			m.dropWaiter(seq)
+			m.dropWaiter(st.seq)
 		}
 	}
 }

@@ -92,3 +92,40 @@ func TestMailboxRecvTimeoutZeroAfterClose(t *testing.T) {
 		t.Fatalf("%d stale waiters after close, want 0", w)
 	}
 }
+
+// lateTimers is a Sim whose timers cannot be stopped, as on a wall clock
+// where the timer fires while the receiver it woke is still resuming.
+type lateTimers struct{ *simtime.Sim }
+
+type unstoppable struct{}
+
+func (unstoppable) Stop() bool { return false }
+
+func (c lateTimers) AfterFunc(d time.Duration, fn func()) simtime.Timer {
+	c.Sim.AfterFunc(d, fn)
+	return unstoppable{}
+}
+
+// TestMailboxTimeoutTimerAfterPut: a RecvTimeout that a Put ended leaves
+// its timer behind; when it fires, the receiver is parked in a Sleep on
+// the same reused parker, which must run its full length.
+func TestMailboxTimeoutTimerAfterPut(t *testing.T) {
+	sim := simtime.NewSim(epoch)
+	m := NewMailbox[int](lateTimers{sim})
+	var woke time.Time
+	sim.AfterFunc(time.Second, func() { m.Put(7) })
+	sim.Go(func() {
+		if v, err := m.RecvTimeout(5 * time.Second); err != nil || v != 7 {
+			t.Errorf("RecvTimeout = %d, %v, want 7", v, err)
+		}
+		sim.Sleep(10 * time.Second) // the stale timer fires at epoch+6s
+		woke = sim.Now()
+	})
+	sim.Wait()
+	if !woke.Equal(epoch.Add(11 * time.Second)) {
+		t.Fatalf("Sleep ended at %v, want epoch+11s", woke)
+	}
+	if n := m.waiterCount(); n != 0 {
+		t.Fatalf("%d stale waiters, want 0", n)
+	}
+}

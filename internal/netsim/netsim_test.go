@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -284,5 +285,78 @@ func TestSerializationProperty(t *testing.T) {
 func TestSerializationZeroRateInstant(t *testing.T) {
 	if serialization(1<<30, 0) != 0 {
 		t.Fatal("zero rate should mean infinite capacity")
+	}
+}
+
+// TestLinkSameInstantInSendOrder: packets that arrive at one instant
+// leave the link's in-flight ring in the order they were sent.
+func TestLinkSameInstantInSendOrder(t *testing.T) {
+	clk := simtime.NewSim(epoch)
+	dst := NewMailbox[Packet](clk)
+	l := NewLink(clk, LinkConfig{Latency: time.Second}, dst)
+	const n = 20
+	for i := 0; i < n; i++ {
+		l.Send(Packet{Payload: i, Size: 100})
+	}
+	clk.Wait()
+	for i := 0; i < n; i++ {
+		p, ok := dst.tryRecv()
+		if !ok {
+			t.Fatalf("%d of %d packets delivered", i, n)
+		}
+		if p.Payload != i || !p.ArrivedAt.Equal(epoch.Add(time.Second)) {
+			t.Fatalf("delivery %d: payload %v at %v, want %d at epoch+1s", i, p.Payload, p.ArrivedAt, i)
+		}
+	}
+}
+
+// TestBusDeliveryRepeats: at a fixed seed, which subscribers a lossy
+// publish reaches, and in what order, is the same on every run.
+func TestBusDeliveryRepeats(t *testing.T) {
+	run := func() []int {
+		clk := simtime.NewSim(epoch)
+		bus := NewBus(clk, BusConfig{DropProb: 0.5, Rng: rand.New(rand.NewSource(1))})
+		var got []int
+		for i := 0; i < 16; i++ {
+			i := i
+			bus.Subscribe(func(Packet) { got = append(got, i) })
+		}
+		bus.Publish("c", nil, 100)
+		clk.Wait()
+		return got
+	}
+	first := run()
+	for r := 0; r < 5; r++ {
+		if again := run(); !slices.Equal(again, first) {
+			t.Fatalf("run %d delivered to %v, first run to %v", r+2, again, first)
+		}
+	}
+	if !slices.IsSorted(first) {
+		t.Fatalf("delivered to %v, want subscription order", first)
+	}
+}
+
+// TestLinkHopAllocs holds one Link.Send → Mailbox.Recv hop inside an
+// actor to the arrival event and the receiver's wake func: the packet
+// waits in the link's ring and the mailbox's, and Recv's publish func
+// and waiter array are reused.
+func TestLinkHopAllocs(t *testing.T) {
+	clk := simtime.NewSim(epoch)
+	dst := NewMailbox[Packet](clk)
+	l := NewLink(clk, LinkConfig{RateBps: 1e6, Latency: time.Millisecond}, dst)
+	payload := new(int)
+	var allocs float64
+	clk.Go(func() {
+		allocs = testing.AllocsPerRun(100, func() {
+			l.Send(Packet{From: "a", To: "b", Payload: payload, Size: 188})
+			if p, err := dst.Recv(); err != nil || p.Payload != payload {
+				t.Errorf("Recv = %v, %v", p.Payload, err)
+			}
+		})
+	})
+	clk.Wait()
+	t.Logf("%.1f allocations per hop", allocs)
+	if allocs > 2 {
+		t.Fatalf("a hop allocates %.1f objects, want <= 2", allocs)
 	}
 }

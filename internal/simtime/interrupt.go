@@ -1,6 +1,7 @@
 package simtime
 
 import (
+	"slices"
 	"sync"
 	"time"
 )
@@ -12,7 +13,29 @@ import (
 type Interrupter struct {
 	mu        sync.Mutex
 	cancelled bool
-	wakers    []func()
+	wakers    []waker
+	seq       uint64
+	spare     *sleep // the last finished sleep's state, for the next to reuse
+}
+
+// waker is one sleep's registered wake callback. The sequence number lets
+// a sleep that ended on its timer drop its own spent entry, which would
+// otherwise stay until Cancel.
+type waker struct {
+	seq  uint64
+	wake func()
+}
+
+// sleep is the state of one Sleep call, kept in one struct so that
+// nothing escapes on its own. Its publish func is bound once, when the
+// struct is made, and the struct is reused by the next Sleep.
+type sleep struct {
+	i       *Interrupter
+	clk     Clock
+	d       time.Duration
+	tm      Timer // set, with seq, only if park filed a wake entry
+	seq     uint64
+	publish func(wake func())
 }
 
 // Cancelled reports whether Cancel has been called.
@@ -29,8 +52,8 @@ func (i *Interrupter) Cancel() {
 	w := i.wakers
 	i.wakers = nil
 	i.mu.Unlock()
-	for _, wake := range w {
-		wake()
+	for _, wk := range w {
+		wk.wake()
 	}
 }
 
@@ -42,22 +65,50 @@ func (i *Interrupter) Sleep(clk Clock, d time.Duration) bool {
 		i.mu.Unlock()
 		return false
 	}
+	sl := i.spare
+	i.spare = nil
 	i.mu.Unlock()
-
-	var tm Timer
-	clk.Suspend(func(wake func()) {
-		i.mu.Lock()
-		if i.cancelled {
-			i.mu.Unlock()
-			wake()
-			return
-		}
-		i.wakers = append(i.wakers, wake)
-		i.mu.Unlock()
-		tm = clk.AfterFunc(d, wake)
-	})
-	if tm != nil {
-		tm.Stop()
+	if sl == nil {
+		sl = &sleep{i: i}
+		sl.publish = sl.park
 	}
-	return !i.Cancelled()
+	sl.clk, sl.d = clk, d
+
+	clk.Suspend(sl.publish)
+	filed := sl.tm != nil
+	if filed {
+		sl.tm.Stop()
+	}
+
+	i.mu.Lock()
+	if filed {
+		for k, wk := range i.wakers {
+			if wk.seq == sl.seq {
+				i.wakers = slices.Delete(i.wakers, k, k+1)
+				break
+			}
+		}
+	}
+	ok := !i.cancelled
+	*sl = sleep{i: i, publish: sl.publish}
+	i.spare = sl
+	i.mu.Unlock()
+	return ok
+}
+
+// park is a sleep's publish func: it files wake for Cancel and books the
+// timer, or wakes at once if Cancel came first.
+func (sl *sleep) park(wake func()) {
+	i := sl.i
+	i.mu.Lock()
+	if i.cancelled {
+		i.mu.Unlock()
+		wake()
+		return
+	}
+	sl.seq = i.seq
+	i.seq++
+	i.wakers = append(i.wakers, waker{seq: sl.seq, wake: wake})
+	i.mu.Unlock()
+	sl.tm = sl.clk.AfterFunc(sl.d, wake)
 }

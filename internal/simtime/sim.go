@@ -39,6 +39,8 @@ type Sim struct {
 	advancing  bool
 
 	fired uint64 // total events fired, for diagnostics
+
+	parkers []*parker // idle parkers for Suspend to reuse
 }
 
 // NewSim returns a Sim clock whose virtual time starts at start.
@@ -48,12 +50,29 @@ func NewSim(start time.Time) *Sim {
 	return s
 }
 
+// An event is its own Timer. Events are never recycled: a caller may
+// hold a Timer long after it fired, and its Stop must not reach a later
+// booking.
 type event struct {
+	s       *Sim
 	at      time.Time
 	seq     uint64
 	fn      func()
 	stopped bool
 	index   int // heap index, -1 once popped
+}
+
+// Stop implements Timer.
+func (ev *event) Stop() bool {
+	s := ev.s
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if ev.stopped || ev.index == -1 {
+		return false
+	}
+	ev.stopped = true
+	s.live--
+	return true
 }
 
 type eventHeap []*event
@@ -100,35 +119,19 @@ func (s *Sim) Fired() uint64 {
 	return s.fired
 }
 
-type simTimer struct {
-	s  *Sim
-	ev *event
-}
-
-func (t simTimer) Stop() bool {
-	t.s.mu.Lock()
-	defer t.s.mu.Unlock()
-	if t.ev.stopped || t.ev.index == -1 {
-		return false
-	}
-	t.ev.stopped = true
-	t.s.live--
-	return true
-}
-
 // AfterFunc implements Clock.
 func (s *Sim) AfterFunc(d time.Duration, fn func()) Timer {
 	if d < 0 {
 		d = 0
 	}
 	s.mu.Lock()
-	ev := &event{at: s.now.Add(d), seq: s.seq, fn: fn}
+	ev := &event{s: s, at: s.now.Add(d), seq: s.seq, fn: fn}
 	s.seq++
 	heap.Push(&s.events, ev)
 	s.live++
 	s.cond.Broadcast()
 	s.mu.Unlock()
-	return simTimer{s, ev}
+	return ev
 }
 
 // Go implements Clock.
@@ -150,26 +153,49 @@ func (s *Sim) Go(fn func()) {
 	}()
 }
 
+// A parker is what an actor blocks on inside Suspend. Sim keeps idle
+// parkers on a free list, so a park costs only its wake closure. That
+// closure is bound to one generation: once the actor has resumed and
+// the parker gone back on the list, gen has moved on, and a late or
+// repeated call (an Interrupter's Cancel after its timer fired, a
+// RecvTimeout timer after a Put) does nothing.
+type parker struct {
+	ch    chan struct{} // capacity 1: the one send per generation never blocks
+	gen   uint64
+	woken bool
+}
+
+// wake resumes the actor parked on p in generation gen, at most once.
+func (s *Sim) wake(p *parker, gen uint64) {
+	s.mu.Lock()
+	if p.gen != gen || p.woken {
+		s.mu.Unlock()
+		return
+	}
+	p.woken = true
+	s.runnable++
+	s.cond.Broadcast()
+	s.mu.Unlock()
+	p.ch <- struct{}{}
+}
+
 // Suspend implements Clock.
 func (s *Sim) Suspend(publish func(wake func())) {
-	ch := make(chan struct{})
-	var once sync.Once
-	wake := func() {
-		once.Do(func() {
-			s.mu.Lock()
-			s.runnable++
-			s.cond.Broadcast()
-			s.mu.Unlock()
-			close(ch)
-		})
-	}
-
 	s.mu.Lock()
+	var p *parker
+	if n := len(s.parkers); n > 0 {
+		p = s.parkers[n-1]
+		s.parkers[n-1] = nil
+		s.parkers = s.parkers[:n-1]
+	} else {
+		p = &parker{ch: make(chan struct{}, 1)}
+	}
+	gen := p.gen
 	s.runnable--
 	s.publishing++
 	s.mu.Unlock()
 
-	publish(wake)
+	publish(func() { s.wake(p, gen) })
 
 	s.mu.Lock()
 	s.publishing--
@@ -177,7 +203,13 @@ func (s *Sim) Suspend(publish func(wake func())) {
 	s.cond.Broadcast()
 	s.mu.Unlock()
 
-	<-ch
+	<-p.ch
+
+	s.mu.Lock()
+	p.gen++
+	p.woken = false
+	s.parkers = append(s.parkers, p)
+	s.mu.Unlock()
 }
 
 // Sleep implements Clock.

@@ -155,6 +155,46 @@ func TestSimWakeBeforeParkIsSafe(t *testing.T) {
 	}
 }
 
+// TestSimStaleWakeIgnored: a wake func whose park is over must not
+// resume a later park, though Sim hands that park the same parker.
+func TestSimStaleWakeIgnored(t *testing.T) {
+	clk := NewSim(epoch)
+	var stale func()
+	var woke time.Time
+	clk.Go(func() {
+		clk.Suspend(func(wake func()) {
+			stale = wake
+			clk.AfterFunc(time.Second, wake)
+		})
+		stale() // the park is over: this call must do nothing
+		clk.Suspend(func(wake func()) {
+			clk.AfterFunc(2*time.Second, stale)
+			clk.AfterFunc(10*time.Second, wake)
+		})
+		woke = clk.Now()
+	})
+	clk.Wait()
+	if !woke.Equal(epoch.Add(11 * time.Second)) {
+		t.Fatalf("second park ended at %v, want epoch+11s", woke)
+	}
+}
+
+// TestSimSleepAllocs holds a steady-state Sleep inside an actor to its
+// wake func and its event: the parker comes off the free list, and the
+// event is its own Timer.
+func TestSimSleepAllocs(t *testing.T) {
+	clk := NewSim(epoch)
+	var allocs float64
+	clk.Go(func() {
+		allocs = testing.AllocsPerRun(100, func() { clk.Sleep(time.Second) })
+	})
+	clk.Wait()
+	t.Logf("%.1f allocations per Sleep", allocs)
+	if allocs > 2 {
+		t.Fatalf("Sleep allocates %.1f objects, want <= 2", allocs)
+	}
+}
+
 // waitPanic runs clk.Wait on its own goroutine and delivers what it
 // panicked with, or nil if it returned.
 func waitPanic(clk *Sim) <-chan any {
