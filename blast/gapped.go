@@ -46,7 +46,6 @@ const (
 
 // GappedAlignment is the refined form of a Hit.
 type GappedAlignment struct {
-	SeqID      string
 	Score      int
 	QueryStart int
 	SubjStart  int
@@ -233,7 +232,6 @@ func Refine(query []byte, subject []byte, hit Hit, g GapParams) (*GappedAlignmen
 		}
 	}
 	return &GappedAlignment{
-		SeqID:      hit.SeqID,
 		Score:      best,
 		QueryStart: q0 + i,
 		SubjStart:  s0 + j,

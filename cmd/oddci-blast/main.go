@@ -98,7 +98,8 @@ func main() {
 				q = blast.ReverseComplement(query)
 			}
 			if a, err := blast.Refine(q, byID[h.SeqID], h.Hit, gp); err == nil {
-				fmt.Printf("  gapped=%d identity=%.1f%% cigar=%s", a.Score, a.Identity*100, a.Cigar())
+				fmt.Printf("  gapped=%d q=%d..%d s=%d..%d identity=%.1f%% cigar=%s", a.Score,
+					a.QueryStart, a.QueryStart+a.QueryLen, a.SubjStart, a.SubjStart+a.SubjLen, a.Identity*100, a.Cigar())
 			}
 		}
 		fmt.Println()

@@ -60,6 +60,6 @@ func main() {
 	if report.Reset {
 		end = "reset by the controller"
 	}
-	fmt.Printf("node %d: %s — %d tasks executed, %d heartbeats sent\n",
-		*id, end, report.TasksDone, report.Heartbeats)
+	fmt.Printf("node %d: %s — %d tasks executed, %d heartbeats sent, %d image updates restaged\n",
+		*id, end, report.TasksDone, report.Heartbeats, report.Restages)
 }

@@ -26,8 +26,6 @@ import (
 
 // StagingResult reports one staging run.
 type StagingResult struct {
-	// Mean is the average time for a node to become ready.
-	Mean time.Duration
 	// Last is when the final node became ready (the setup makespan).
 	Last time.Duration
 }
@@ -55,14 +53,7 @@ func (u Unicast) Analytic(n int) (StagingResult, error) {
 	// beats the worker's own link.
 	iu := float64(u.ImageBytes) * 8 / u.UplinkBps
 	id := float64(u.ImageBytes) * 8 / u.DeltaBps
-	var sum float64
-	var last float64
-	for i := 1; i <= n; i++ {
-		f := math.Max(float64(i)*iu, id)
-		sum += f
-		last = f
-	}
-	return StagingResult{Mean: secs(sum / float64(n)), Last: secs(last)}, nil
+	return StagingResult{Last: secs(math.Max(float64(n)*iu, id))}, nil
 }
 
 // Simulate runs the staging as a DES and returns the same envelope.
@@ -71,7 +62,6 @@ func (u Unicast) Simulate(clk *simtime.Sim, n int) (StagingResult, error) {
 		return StagingResult{}, err
 	}
 	start := clk.Now()
-	var sum time.Duration
 	var last time.Duration
 	served := 0
 	uplinkFree := start
@@ -84,7 +74,6 @@ func (u Unicast) Simulate(clk *simtime.Sim, n int) (StagingResult, error) {
 		}
 		clk.AfterFunc(ready.Sub(start), func() {
 			d := clk.Now().Sub(start)
-			sum += d
 			if d > last {
 				last = d
 			}
@@ -95,7 +84,7 @@ func (u Unicast) Simulate(clk *simtime.Sim, n int) (StagingResult, error) {
 	if served != n {
 		return StagingResult{}, errors.New("baseline: unicast simulation lost nodes")
 	}
-	return StagingResult{Mean: sum / time.Duration(n), Last: last}, nil
+	return StagingResult{Last: last}, nil
 }
 
 func (u Unicast) validate() error {
@@ -122,12 +111,7 @@ func (v IaaS) Analytic(n int) (StagingResult, error) {
 	}
 	per := v.Boot + secs(float64(v.ImageBytes)*8/v.DeltaBps)
 	waves := (n + v.Concurrency - 1) / v.Concurrency
-	var sum time.Duration
-	for i := 0; i < n; i++ {
-		wave := i/v.Concurrency + 1
-		sum += time.Duration(wave) * per
-	}
-	return StagingResult{Mean: sum / time.Duration(n), Last: time.Duration(waves) * per}, nil
+	return StagingResult{Last: time.Duration(waves) * per}, nil
 }
 
 // MulticastTree models an overlay where every staged worker serves k
@@ -146,7 +130,6 @@ func (m MulticastTree) Analytic(n int) (StagingResult, error) {
 	per := float64(m.ImageBytes) * 8 / m.DeltaBps
 	// Nodes per level: k, k², ...; node count n ⇒ depth ceil(log_k of
 	// covered population).
-	var sum float64
 	level := 1
 	remaining := n
 	capacity := m.Fanout
@@ -156,14 +139,12 @@ func (m MulticastTree) Analytic(n int) (StagingResult, error) {
 		if take > capacity {
 			take = capacity
 		}
-		t := float64(level) * per
-		sum += float64(take) * t
-		last = t
+		last = float64(level) * per
 		remaining -= take
 		capacity *= m.Fanout
 		level++
 	}
-	return StagingResult{Mean: secs(sum / float64(n)), Last: secs(last)}, nil
+	return StagingResult{Last: secs(last)}, nil
 }
 
 // OddCI models the broadcast staging: every tuned node assembles the
@@ -181,5 +162,5 @@ func (o OddCI) Analytic(n int) (StagingResult, error) {
 		return StagingResult{}, errors.New("baseline: oddci needs positive image and rate")
 	}
 	cycle := float64(o.ImageBytes) * 8 / o.BetaBps
-	return StagingResult{Mean: secs(1.5 * cycle), Last: secs(2 * cycle)}, nil
+	return StagingResult{Last: secs(2 * cycle)}, nil
 }

@@ -75,16 +75,6 @@ func (w *Writer) Err() error {
 	return nil
 }
 
-// patchByte overwrites the byte at offset off; used to backfill length
-// fields after a variable-size body is written.
-func (w *Writer) patchByte(off int, b byte) {
-	if off < 0 || off >= len(w.buf) {
-		w.errs = append(w.errs, fmt.Errorf("bits: patch offset %d out of range", off))
-		return
-	}
-	w.buf[off] = b
-}
-
 // Reader consumes bits MSB-first from a byte slice.
 type Reader struct {
 	buf []byte
@@ -117,19 +107,6 @@ func (r *Reader) Read(n int) (uint64, error) {
 		n -= int(take)
 	}
 	return v, nil
-}
-
-// readBytes consumes n whole bytes; the reader must be byte-aligned.
-func (r *Reader) readBytes(n int) ([]byte, error) {
-	if r.pos%8 != 0 {
-		return nil, errors.New("bits: readBytes while unaligned")
-	}
-	if r.Remaining() < n*8 {
-		return nil, ErrOverrun
-	}
-	start := r.pos / 8
-	r.pos += uint(n) * 8
-	return r.buf[start : start+uint(n) : start+uint(n)], nil
 }
 
 // Skip discards n bits.

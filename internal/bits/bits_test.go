@@ -1,7 +1,6 @@
 package bits
 
 import (
-	"bytes"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -59,14 +58,6 @@ func TestUnalignedBytesRejected(t *testing.T) {
 	if w.Err() == nil {
 		t.Fatal("unaligned WriteBytes not recorded")
 	}
-
-	r := NewReader([]byte{0xAB, 0xCD})
-	if _, err := r.Read(3); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.readBytes(1); err == nil {
-		t.Fatal("unaligned readBytes not rejected")
-	}
 }
 
 func TestReaderOverrun(t *testing.T) {
@@ -102,9 +93,10 @@ func TestWriteBytesRoundTrip(t *testing.T) {
 	if _, err := r.Read(8); err != nil {
 		t.Fatal(err)
 	}
-	got, err := r.readBytes(3)
-	if err != nil || !bytes.Equal(got, []byte{1, 2, 3}) {
-		t.Fatalf("readBytes = %v, %v", got, err)
+	for _, want := range []byte{1, 2, 3} {
+		if got, err := r.Read(8); err != nil || got != uint64(want) {
+			t.Fatalf("byte = %v, %v, want %d", got, err, want)
+		}
 	}
 }
 
@@ -144,20 +136,5 @@ func TestFieldSequenceRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPatchByte(t *testing.T) {
-	w := NewWriter()
-	w.Write(0, 8)
-	w.Write(0xBEEF, 16)
-	w.patchByte(0, 0x02) // backfill a length
-	buf := w.Bytes()
-	if buf[0] != 0x02 {
-		t.Fatalf("patched byte = %#x", buf[0])
-	}
-	w.patchByte(99, 0)
-	if w.Err() == nil {
-		t.Fatal("out-of-range patch not recorded")
 	}
 }

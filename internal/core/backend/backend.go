@@ -439,11 +439,10 @@ type Backend struct {
 	// are shared by every worker and read-only.
 	retry, done *NoTask
 
-	// Assigned and Completed count dispatches and committed tasks;
-	// Conflicts counts tasks whose replicas disagreed; Unresolved
-	// counts tasks committed by plurality after exhausting replicas.
-	// Updated atomically; read them only after the system quiesces.
-	Assigned   int64
+	// Completed counts committed tasks; Conflicts counts tasks whose
+	// replicas disagreed; Unresolved counts tasks committed by plurality
+	// after exhausting replicas. Updated atomically; read them only
+	// after the system quiesces.
 	Completed  int64
 	Conflicts  int64
 	Unresolved int64
@@ -864,7 +863,6 @@ func (b *Backend) dispatch(req *TaskRequest, a *TaskAssign) any {
 		}
 		s.mu.Unlock()
 		sp.End()
-		atomic.AddInt64(&b.Assigned, 1)
 		b.met.dispatched.Inc()
 		return a
 	}

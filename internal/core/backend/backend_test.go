@@ -81,8 +81,8 @@ func TestAssignAndComplete(t *testing.T) {
 	if !ok || ms <= 0 {
 		t.Fatalf("makespan = %v, %v", ms, ok)
 	}
-	if b.Assigned != 3 || b.Completed != 3 {
-		t.Fatalf("assigned=%d completed=%d", b.Assigned, b.Completed)
+	if b.Completed != 3 || h.Redispatches() != 0 {
+		t.Fatalf("completed=%d redispatches=%d", b.Completed, h.Redispatches())
 	}
 }
 
@@ -250,7 +250,9 @@ func TestWorkerLoopDirect(t *testing.T) {
 	ep, hangup := dial(clk, b)
 	reg := dve.NewRegistry()
 	reg.Register(WorkerEntryPoint, Worker)
-	d, err := dve.Launch(dve.Config{
+	var exited bool
+	var exitErr error
+	_, err = dve.Launch(dve.Config{
 		Clock:    clk,
 		Registry: reg,
 		Image:    &appimage.Image{Name: "w", EntryPoint: WorkerEntryPoint, Payload: []byte{1}},
@@ -262,14 +264,17 @@ func TestWorkerLoopDirect(t *testing.T) {
 		},
 		// In the full system the PNA destroys the DVE when the worker
 		// returns; here the test releases the channel itself.
-		OnExit: func(error) { hangup() },
+		OnExit: func(err error) {
+			exited, exitErr = true, err
+			hangup()
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	clk.Wait()
-	if done, err := d.Done(); !done || err != nil {
-		t.Fatalf("worker done=%v err=%v", done, err)
+	if !exited || exitErr != nil {
+		t.Fatalf("worker exited=%v err=%v", exited, exitErr)
 	}
 	if _, ok := h.Done(); !ok {
 		t.Fatal("job incomplete")

@@ -213,16 +213,6 @@ func (b *Backend) revokeLeases(node uint64) {
 	}
 }
 
-// credibility returns node's current score in milli-credits
-// (credFullScore = full trust). Untracked deployments and unseen nodes
-// report full trust.
-func (b *Backend) credibility(node uint64) int64 {
-	if b.trust == nil {
-		return credFullScore
-	}
-	return b.trust.weight(node)
-}
-
 // Quarantined reports whether node is quarantined.
 func (b *Backend) Quarantined(node uint64) bool {
 	return b.trust.quarantined(node)

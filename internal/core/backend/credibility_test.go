@@ -9,6 +9,16 @@ import (
 )
 
 // counter reads a registry counter, defaulting to 0.
+// credibility returns node's current score in milli-credits
+// (credFullScore = full trust). Untracked deployments and unseen nodes
+// report full trust.
+func (b *Backend) credibility(node uint64) int64 {
+	if b.trust == nil {
+		return credFullScore
+	}
+	return b.trust.weight(node)
+}
+
 func counter(t *testing.T, reg *obs.Registry, name string) float64 {
 	t.Helper()
 	v, _ := reg.Value(name)

@@ -365,8 +365,8 @@ func TestConcurrentCredentialedHandoff(t *testing.T) {
 	if got := len(h.Results()); got != tasks {
 		t.Fatalf("%d results, want %d", got, tasks)
 	}
-	if b.Completed != tasks || b.Assigned != tasks {
-		t.Fatalf("assigned %d, completed %d, want %d each: a credential was refused", b.Assigned, b.Completed, tasks)
+	if b.Completed != tasks || h.Redispatches() != 0 {
+		t.Fatalf("completed %d, want %d, and %d redispatches: a credential was refused", b.Completed, tasks, h.Redispatches())
 	}
 	for w := uint64(1); w <= workers; w++ {
 		if got := b.credibility(w); got != credFullScore {

@@ -108,9 +108,7 @@ type DVE struct {
 	hangup    func()
 	destroyed *obs.Counter
 
-	mu   sync.Mutex
-	done bool
-	err  error
+	mu sync.Mutex
 	// torn guards the destroyed counter against double Destroy calls.
 	torn   bool
 	onExit func(err error)
@@ -174,8 +172,6 @@ func Launch(cfg Config) (*DVE, error) {
 			appErrors.Inc()
 		}
 		d.mu.Lock()
-		d.done = true
-		d.err = err
 		exit := d.onExit
 		d.mu.Unlock()
 		if exit != nil {
@@ -203,12 +199,4 @@ func (d *DVE) Destroy() {
 	if d.hangup != nil {
 		d.hangup()
 	}
-}
-
-// Done reports whether the application goroutine has returned, and its
-// error.
-func (d *DVE) Done() (bool, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.done, d.err
 }

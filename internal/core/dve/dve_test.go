@@ -18,7 +18,7 @@ func testImage(entry string) *appimage.Image {
 func TestLaunchRunsApp(t *testing.T) {
 	clk := simtime.NewSim(epoch)
 	reg := NewRegistry()
-	var ran bool
+	var ran, exited bool
 	var exitErr error
 	reg.Register("app", func(env *Env) error {
 		ran = true
@@ -27,10 +27,10 @@ func TestLaunchRunsApp(t *testing.T) {
 		}
 		return nil
 	})
-	d, err := Launch(Config{
+	_, err := Launch(Config{
 		Clock: clk, Registry: reg, Image: testImage("app"),
 		NodeID: 7, InstanceID: 3,
-		OnExit: func(err error) { exitErr = err },
+		OnExit: func(err error) { exited, exitErr = true, err },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -39,9 +39,8 @@ func TestLaunchRunsApp(t *testing.T) {
 	if !ran {
 		t.Fatal("app never ran")
 	}
-	done, appErr := d.Done()
-	if !done || appErr != nil || exitErr != nil {
-		t.Fatalf("done=%v err=%v exit=%v", done, appErr, exitErr)
+	if !exited || exitErr != nil {
+		t.Fatalf("exited=%v err=%v", exited, exitErr)
 	}
 }
 
@@ -85,7 +84,10 @@ func TestDestroyInterruptsExecute(t *testing.T) {
 		sawDestroyed = env.Destroyed()
 		return errors.New("aborted")
 	})
-	d, err := Launch(Config{Clock: clk, Registry: reg, Image: testImage("app")})
+	var exited bool
+	var exitErr error
+	d, err := Launch(Config{Clock: clk, Registry: reg, Image: testImage("app"),
+		OnExit: func(err error) { exited, exitErr = true, err }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,8 +102,8 @@ func TestDestroyInterruptsExecute(t *testing.T) {
 	if !clk.Now().Equal(epoch.Add(5 * time.Second)) {
 		t.Fatalf("teardown at %v, want epoch+5s (prompt)", clk.Now())
 	}
-	if done, appErr := d.Done(); !done || appErr == nil {
-		t.Fatalf("done=%v err=%v", done, appErr)
+	if !exited || exitErr == nil {
+		t.Fatalf("exited=%v err=%v", exited, exitErr)
 	}
 }
 

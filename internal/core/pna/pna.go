@@ -166,25 +166,6 @@ type PNA struct {
 	joinStartedAt  time.Time // wakeup commitment time (DVE-start latency)
 	joinSpan       *span.Span
 	joinCtx        span.Context // where this membership's leave event hangs
-
-	// Drops counts wakeups discarded by the probability gate;
-	// Rejections counts signature/digest failures. Experiment hooks.
-	Drops      int
-	Rejections int
-}
-
-// State returns the agent's current state and instance.
-func (p *PNA) State() (control.NodeState, instance.ID) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.state, p.instID
-}
-
-// TasksDone returns the completed-task counter.
-func (p *PNA) TasksDone() uint32 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.tasksDone
 }
 
 // InitXlet implements xlet.Xlet.
@@ -224,11 +205,6 @@ func (p *PNA) StartXlet() error {
 	p.checkConfig()
 	return nil
 }
-
-// PauseXlet implements xlet.Xlet. The PNA keeps heartbeating while
-// paused (the receiver is still powered); pausing only matters for
-// foreground applications.
-func (p *PNA) PauseXlet() {}
 
 // DestroyXlet implements xlet.Xlet.
 func (p *PNA) DestroyXlet(unconditional bool) error {
@@ -285,9 +261,6 @@ func (p *PNA) checkConfig() {
 		}
 		msgs, err := control.OpenAll(data, p.cfg.ControllerKey)
 		if err != nil {
-			p.mu.Lock()
-			p.Rejections++
-			p.mu.Unlock()
 			p.met.rejections.Inc()
 			return
 		}
@@ -326,7 +299,6 @@ func (p *PNA) handleWakeup(w *control.Wakeup) {
 	draw := p.cfg.Rng.Float64()
 	p.rngMu.Unlock()
 	if draw >= w.Probability {
-		p.Drops++
 		p.mu.Unlock()
 		p.met.drops.Inc()
 		return
@@ -387,9 +359,6 @@ func (p *PNA) handleWakeup(w *control.Wakeup) {
 		// check: each node verifies the bytes it was handed.
 		img, err := appimage.Verify(data, w.ImageDigest)
 		if err != nil {
-			p.mu.Lock()
-			p.Rejections++
-			p.mu.Unlock()
 			p.met.rejections.Inc()
 			p.abortJoin(w.InstanceID, err)
 			return
@@ -491,9 +460,6 @@ func (p *PNA) launchDVE(w *control.Wakeup, img *appimage.Image) {
 		}
 		dveSp.SetError()
 		dveSp.End()
-		p.mu.Lock()
-		p.Rejections++
-		p.mu.Unlock()
 		p.met.rejections.Inc()
 		p.abortJoin(w.InstanceID, err)
 		return

@@ -13,10 +13,25 @@ import (
 	"oddci/internal/core/dve"
 	"oddci/internal/core/instance"
 	"oddci/internal/netsim"
+	"oddci/internal/obs"
 	"oddci/internal/simtime"
 )
 
 var epoch = time.Date(2009, 11, 1, 0, 0, 0, 0, time.UTC)
+
+// snapshot returns the agent's current state and instance.
+func (p *PNA) snapshot() (control.NodeState, instance.ID) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.state, p.instID
+}
+
+// doneTasks returns the completed-task counter.
+func (p *PNA) doneTasks() uint32 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.tasksDone
+}
 
 // fakeCtx is a scripted xlet.Context: a mutable in-memory carousel with
 // a fixed delivery delay.
@@ -27,7 +42,6 @@ type fakeCtx struct {
 	delay     time.Duration
 	listeners map[int]func()
 	nextID    int
-	destroyed bool
 }
 
 func newFakeCtx(clk *simtime.Sim) *fakeCtx {
@@ -40,12 +54,7 @@ func newFakeCtx(clk *simtime.Sim) *fakeCtx {
 }
 
 func (c *fakeCtx) Clock() simtime.Clock { return c.clk }
-func (c *fakeCtx) AppKey() uint64       { return 1 }
 func (c *fakeCtx) Go(fn func())         { c.clk.Go(fn) }
-func (c *fakeCtx) After(d time.Duration, fn func()) simtime.Timer {
-	return c.clk.AfterFunc(d, fn)
-}
-func (c *fakeCtx) NotifyDestroyed() { c.destroyed = true }
 
 func (c *fakeCtx) ReadFile(name string, fn func([]byte, error)) {
 	c.clk.AfterFunc(c.delay, func() {
@@ -254,7 +263,7 @@ func TestWakeupJoinsAndHeartbeatsBusy(t *testing.T) {
 }
 
 func TestWrongSignatureRejected(t *testing.T) {
-	r := newRig(t, nil)
+	r := newRig(t, func(c *Config) { c.Obs = obs.NewRegistry() })
 	_, imgRaw, digest := r.image(t)
 	_, rogueKey, _ := ed25519.GenerateKey(rand.New(rand.NewSource(666)))
 	rogue, err := control.SignWakeup(r.baseWakeup(digest), rogueKey)
@@ -268,10 +277,10 @@ func TestWrongSignatureRejected(t *testing.T) {
 	if r.appRuns != 0 {
 		t.Fatal("rogue wakeup executed")
 	}
-	if r.agent.Rejections == 0 {
+	if r.agent.met.rejections.Value() == 0 {
 		t.Fatal("rejection not recorded")
 	}
-	if st, _ := r.agent.State(); st != control.StateIdle {
+	if st, _ := r.agent.snapshot(); st != control.StateIdle {
 		t.Fatalf("state = %v", st)
 	}
 }
@@ -291,13 +300,13 @@ func TestImageDigestMismatchAborts(t *testing.T) {
 	if r.appRuns != 0 {
 		t.Fatal("tampered image executed")
 	}
-	if st, _ := r.agent.State(); st != control.StateIdle {
+	if st, _ := r.agent.snapshot(); st != control.StateIdle {
 		t.Fatalf("state = %v after aborted join", st)
 	}
 }
 
 func TestProbabilityZeroNeverJoins(t *testing.T) {
-	r := newRig(t, nil)
+	r := newRig(t, func(c *Config) { c.Obs = obs.NewRegistry() })
 	_, imgRaw, digest := r.image(t)
 	w := r.baseWakeup(digest)
 	w.Probability = 0
@@ -311,8 +320,8 @@ func TestProbabilityZeroNeverJoins(t *testing.T) {
 	if r.appRuns != 0 {
 		t.Fatal("joined despite probability 0")
 	}
-	if r.agent.Drops != 1 {
-		t.Fatalf("drops = %d", r.agent.Drops)
+	if d := r.agent.met.drops.Value(); d != 1 {
+		t.Fatalf("drops = %d", d)
 	}
 }
 
@@ -396,7 +405,7 @@ func TestHeartbeatResetCommand(t *testing.T) {
 	var state control.NodeState
 	var inst instance.ID
 	r.clk.AfterFunc(3*time.Minute, func() {
-		state, inst = r.agent.State()
+		state, inst = r.agent.snapshot()
 		r.agent.DestroyXlet(true)
 	})
 	r.clk.Wait()
@@ -423,7 +432,7 @@ func TestBroadcastResetReturnsToIdle(t *testing.T) {
 	})
 	var state control.NodeState
 	r.clk.AfterFunc(2*time.Minute, func() {
-		state, _ = r.agent.State()
+		state, _ = r.agent.snapshot()
 		r.agent.DestroyXlet(true)
 	})
 	r.clk.Wait()
@@ -444,7 +453,7 @@ func TestLifetimeAutoReset(t *testing.T) {
 	r.agent.StartXlet()
 	var state control.NodeState
 	r.clk.AfterFunc(5*time.Minute, func() {
-		state, _ = r.agent.State()
+		state, _ = r.agent.snapshot()
 		r.agent.DestroyXlet(true)
 	})
 	r.clk.Wait()
@@ -501,10 +510,9 @@ func TestTaskCounterAndPause(t *testing.T) {
 		"image.1":         raw,
 	})
 	r.agent.StartXlet()
-	r.agent.PauseXlet() // heartbeating continues; no state change
 	var tasks uint32
 	r.clk.AfterFunc(2*time.Minute, func() {
-		tasks = r.agent.TasksDone()
+		tasks = r.agent.doneTasks()
 		r.agent.DestroyXlet(true)
 	})
 	r.clk.Wait()
@@ -514,7 +522,7 @@ func TestTaskCounterAndPause(t *testing.T) {
 }
 
 func TestUnknownEntryPointAborts(t *testing.T) {
-	r := newRig(t, nil)
+	r := newRig(t, func(c *Config) { c.Obs = obs.NewRegistry() })
 	img := &appimage.Image{Name: "x", EntryPoint: "not-registered", Payload: []byte{1}}
 	raw, _ := img.Encode()
 	digest, _ := img.Digest()
@@ -525,14 +533,14 @@ func TestUnknownEntryPointAborts(t *testing.T) {
 	r.agent.StartXlet()
 	var state control.NodeState
 	r.clk.AfterFunc(time.Minute, func() {
-		state, _ = r.agent.State()
+		state, _ = r.agent.snapshot()
 		r.agent.DestroyXlet(true)
 	})
 	r.clk.Wait()
 	if state != control.StateIdle {
 		t.Fatalf("state = %v after unresolvable image", state)
 	}
-	if r.agent.Rejections == 0 {
+	if r.agent.met.rejections.Value() == 0 {
 		t.Fatal("unresolvable entry point not counted")
 	}
 }
@@ -558,7 +566,8 @@ func TestHeartbeatPeriodRetuneApplied(t *testing.T) {
 // hear one signed wakeup and receive different buffers of equal length,
 // only the one whose buffer matches the digest launches.
 func TestDigestCheckedPerNodeBuffer(t *testing.T) {
-	good, bad := newRig(t, nil), newRig(t, nil)
+	withObs := func(c *Config) { c.Obs = obs.NewRegistry() }
+	good, bad := newRig(t, withObs), newRig(t, withObs)
 	_, imgRaw, digest := good.image(t)
 	other := append([]byte(nil), imgRaw...)
 	other[len(other)/2] ^= 0x80 // inside the payload: still decodes, no longer the signed image
@@ -574,13 +583,13 @@ func TestDigestCheckedPerNodeBuffer(t *testing.T) {
 		n.r.clk.AfterFunc(time.Minute, func() { n.r.agent.DestroyXlet(true) })
 		n.r.clk.Wait()
 	}
-	if good.appRuns != 1 || good.agent.Rejections != 0 {
-		t.Fatalf("matching buffer: app ran %d times, %d rejections", good.appRuns, good.agent.Rejections)
+	if good.appRuns != 1 || good.agent.met.rejections.Value() != 0 {
+		t.Fatalf("matching buffer: app ran %d times, %d rejections", good.appRuns, good.agent.met.rejections.Value())
 	}
-	if bad.appRuns != 0 || bad.agent.Rejections == 0 {
-		t.Fatalf("mismatching buffer: app ran %d times, %d rejections", bad.appRuns, bad.agent.Rejections)
+	if bad.appRuns != 0 || bad.agent.met.rejections.Value() == 0 {
+		t.Fatalf("mismatching buffer: app ran %d times, %d rejections", bad.appRuns, bad.agent.met.rejections.Value())
 	}
-	if st, _ := bad.agent.State(); st != control.StateIdle {
+	if st, _ := bad.agent.snapshot(); st != control.StateIdle {
 		t.Fatalf("state = %v after aborted join", st)
 	}
 }

@@ -21,14 +21,13 @@ import (
 // pairs one of each — the multi-network generalization would add a
 // routing table here.)
 type Provider struct {
-	mu        sync.Mutex
-	ctrl      *controller.Controller
-	instances map[instance.ID]*Instance
+	mu   sync.Mutex
+	ctrl *controller.Controller
 }
 
 // New wraps a started Controller.
 func New(ctrl *controller.Controller) *Provider {
-	return &Provider{ctrl: ctrl, instances: make(map[instance.ID]*Instance)}
+	return &Provider{ctrl: ctrl}
 }
 
 // Rebind points the Provider (and every outstanding Instance handle) at
@@ -63,22 +62,7 @@ func (p *Provider) Create(spec controller.InstanceSpec) (*Instance, error) {
 	if err != nil {
 		return nil, err
 	}
-	inst := &Instance{id: id, p: p}
-	p.mu.Lock()
-	p.instances[id] = inst
-	p.mu.Unlock()
-	return inst, nil
-}
-
-// Instances lists live handles.
-func (p *Provider) Instances() []*Instance {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make([]*Instance, 0, len(p.instances))
-	for _, inst := range p.instances {
-		out = append(out, inst)
-	}
-	return out
+	return &Instance{id: id, p: p}, nil
 }
 
 // Population reports the Controller's view of the device population.
@@ -138,8 +122,5 @@ func (i *Instance) Destroy() error {
 	if err != nil && !errors.Is(err, controller.ErrInstanceGone) {
 		return fmt.Errorf("provider: destroy %d: %w", i.id, err)
 	}
-	i.p.mu.Lock()
-	delete(i.p.instances, i.id)
-	i.p.mu.Unlock()
 	return nil
 }

@@ -62,9 +62,6 @@ func TestCreateAndTrack(t *testing.T) {
 	if inst.ID() == 0 {
 		t.Fatal("zero instance id")
 	}
-	if got := p.Instances(); len(got) != 1 || got[0] != inst {
-		t.Fatalf("instances = %v", got)
-	}
 	st, err := inst.Status()
 	if err != nil {
 		t.Fatal(err)
@@ -84,9 +81,6 @@ func TestDestroyRemovesHandle(t *testing.T) {
 	}
 	if err := inst.Destroy(); err != nil {
 		t.Fatal(err)
-	}
-	if len(p.Instances()) != 0 {
-		t.Fatal("destroyed instance still tracked")
 	}
 	// Idempotent destroy; resize after destroy fails.
 	if err := inst.Destroy(); err != nil {
@@ -120,9 +114,6 @@ func TestCreateErrorPropagates(t *testing.T) {
 	p, clk, ctrl := newProvider(t)
 	if _, err := p.Create(controller.InstanceSpec{}); err == nil {
 		t.Fatal("invalid spec accepted")
-	}
-	if len(p.Instances()) != 0 {
-		t.Fatal("failed create left a handle")
 	}
 	ctrl.Stop()
 	clk.Wait()

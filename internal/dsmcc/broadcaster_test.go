@@ -212,7 +212,7 @@ func TestByteExactEndToEnd(t *testing.T) {
 	}
 	mux := mpegts.NewMux()
 	for _, s := range secs {
-		if err := mux.EnqueueSection(c.PID, s); err != nil {
+		if err := mux.EnqueueSection(c.pid, s); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -227,7 +227,7 @@ func TestByteExactEndToEnd(t *testing.T) {
 
 	recv := NewReceiver()
 	demux := mpegts.NewDemux()
-	demux.Handle(c.PID, recv.HandleSection)
+	demux.Handle(c.pid, recv.HandleSection)
 	if err := demux.PushBytes(stream); err != nil {
 		t.Fatal(err)
 	}
@@ -257,18 +257,18 @@ func TestByteExactMidCycleJoin(t *testing.T) {
 	secs, _ := c.EncodeCycle()
 	mux := mpegts.NewMux()
 	for _, s := range secs {
-		mux.EnqueueSection(c.PID, s)
+		mux.EnqueueSection(c.pid, s)
 	}
 	cycle1, _ := mux.DrainBytes()
 	// Second identical cycle (continuity counters continue).
 	for _, s := range secs {
-		mux.EnqueueSection(c.PID, s)
+		mux.EnqueueSection(c.pid, s)
 	}
 	cycle2, _ := mux.DrainBytes()
 
 	recv := NewReceiver()
 	demux := mpegts.NewDemux()
-	demux.Handle(c.PID, recv.HandleSection)
+	demux.Handle(c.pid, recv.HandleSection)
 	// Join mid-way through cycle 1, at a packet boundary.
 	skip := len(cycle1) / 2 / mpegts.PacketSize * mpegts.PacketSize
 	if err := demux.PushBytes(cycle1[skip:]); err != nil {

@@ -74,18 +74,6 @@ func (c *ChunkCache) Get(h ModuleHash) ([]byte, bool) {
 	return el.Value.(*chunkEntry).data, true
 }
 
-// contains reports whether h is cached without touching recency or the
-// hit/miss counters.
-func (c *ChunkCache) contains(h ModuleHash) bool {
-	if c == nil || h == 0 {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.items[h]
-	return ok
-}
-
 // Put stores data under h, evicting least-recently-used entries to stay
 // within the byte bound. Payloads larger than the whole cache are
 // ignored. The cache keeps data itself, not a copy, and Get hands the
@@ -117,26 +105,6 @@ func (c *ChunkCache) Put(h ModuleHash, data []byte) {
 		c.bytes -= int64(len(victim.data))
 		c.met.evict()
 	}
-}
-
-// Len returns the number of cached chunks.
-func (c *ChunkCache) Len() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.items)
-}
-
-// Bytes returns the cached payload bytes.
-func (c *ChunkCache) Bytes() int64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes
 }
 
 // CacheMetrics aggregates chunk-cache telemetry across a fleet of

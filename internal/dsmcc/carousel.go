@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
 	"oddci/internal/appimage"
 	"oddci/internal/mpegts"
@@ -26,9 +25,11 @@ type File struct {
 // mapped onto DSM-CC modules. It produces both the byte-exact section
 // stream for one cycle and the wire-byte Layout used for timing.
 type Carousel struct {
-	PID        uint16
-	DownloadID uint32
-	blockSize  int
+	// pid is the transport-stream PID the sections are muxed onto.
+	// The Broadcaster's timing model does not packetize; a section-level
+	// muxer reads it.
+	pid       uint16
+	blockSize int
 
 	generation uint32
 	moduleIDs  map[string]uint16
@@ -50,7 +51,7 @@ func NewCarousel(pid uint16, blockSize int) (*Carousel, error) {
 		return nil, fmt.Errorf("dsmcc: block size %d out of range [1,%d]", blockSize, maxBlockSize)
 	}
 	return &Carousel{
-		PID:       pid,
+		pid:       pid,
 		blockSize: blockSize,
 		moduleIDs: make(map[string]uint16),
 		versions:  make(map[string]uint8),
@@ -58,13 +59,6 @@ func NewCarousel(pid uint16, blockSize int) (*Carousel, error) {
 		changed:   make(map[string]bool),
 	}, nil
 }
-
-// Generation returns the current content generation (the DII transaction
-// id). It starts at 0 (empty) and increments on every SetFiles.
-func (c *Carousel) Generation() uint32 { return c.generation }
-
-// BlockSize returns the configured DDB payload size.
-func (c *Carousel) BlockSize() int { return c.blockSize }
 
 // CheckFiles reports whether files is a content set any carrier can
 // air: non-empty, every file named, no name twice.
@@ -155,7 +149,6 @@ func (c *Carousel) SetFiles(files []File) error {
 func (c *Carousel) DII() *DII {
 	d := &DII{
 		TransactionID: c.generation,
-		DownloadID:    c.DownloadID,
 		BlockSize:     uint16(c.blockSize),
 	}
 	for _, f := range c.files {
@@ -230,7 +223,6 @@ func (c *Carousel) appendModuleSections(out [][]byte, f File) ([][]byte, error) 
 			end = len(f.Data)
 		}
 		ddb := &DDB{
-			DownloadID:  c.DownloadID,
 			ModuleID:    id,
 			Version:     ver,
 			BlockNumber: uint16(blk),
@@ -265,9 +257,7 @@ func sectionWireBytes(sectionLen int) int64 {
 // in wire bytes.
 type LayoutEntry struct {
 	Name      string
-	ModuleID  uint16
 	Version   uint8
-	Size      int
 	WireStart int64
 	WireEnd   int64
 	// Hash is the module's content address (zero with the hash
@@ -333,9 +323,7 @@ func (c *Carousel) Layout() (*Layout, error) {
 	for _, f := range c.files {
 		e := LayoutEntry{
 			Name:      f.Name,
-			ModuleID:  c.moduleIDs[f.Name],
 			Version:   c.versions[f.Name],
-			Size:      len(f.Data),
 			WireStart: pos,
 			Changed:   c.changed[f.Name],
 			Data:      f.Data[:len(f.Data):len(f.Data)],
@@ -370,11 +358,6 @@ func (c *Carousel) Layout() (*Layout, error) {
 func (l *Layout) Entry(name string) (*LayoutEntry, bool) {
 	e, ok := l.byName[name]
 	return e, ok
-}
-
-// CycleDuration converts the cycle's wire bytes to air time at rateBps.
-func (l *Layout) CycleDuration(rateBps float64) time.Duration {
-	return time.Duration(float64(l.CycleWire) * 8 / rateBps * float64(time.Second))
 }
 
 // ReceiverStrategy selects how a receiver assembles a module from the

@@ -23,8 +23,8 @@ func mkCarousel(t *testing.T, files ...File) *Carousel {
 
 func TestCarouselVersioning(t *testing.T) {
 	c := mkCarousel(t, File{Name: "a", Data: []byte{1}}, File{Name: "b", Data: []byte{2}})
-	if c.Generation() != 1 {
-		t.Fatalf("generation = %d", c.Generation())
+	if c.generation != 1 {
+		t.Fatalf("generation = %d", c.generation)
 	}
 	d := c.DII()
 	if len(d.Modules) != 2 || d.Modules[0].Version != 0 {
@@ -56,8 +56,8 @@ func TestCarouselVersioning(t *testing.T) {
 	if ida != ida0 {
 		t.Fatalf("module id for a changed: %d → %d", ida0, ida)
 	}
-	if c.Generation() != 2 {
-		t.Fatalf("generation = %d", c.Generation())
+	if c.generation != 2 {
+		t.Fatalf("generation = %d", c.generation)
 	}
 }
 
@@ -104,7 +104,7 @@ func TestLayoutMatchesEncodedWireBytes(t *testing.T) {
 	// Enqueue in cycle order on one PID (sequential, as broadcast).
 	var wire int64
 	for _, s := range secs {
-		pkts, _, err := mpegts.PacketizeSection(c.PID, 0, s)
+		pkts, _, err := mpegts.PacketizeSection(c.pid, 0, s)
 		if err != nil {
 			t.Fatal(err)
 		}

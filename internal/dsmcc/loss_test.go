@@ -18,7 +18,7 @@ func encodeCyclePackets(t *testing.T, c *Carousel, mux *mpegts.Mux) [][]byte {
 		t.Fatal(err)
 	}
 	for _, s := range secs {
-		if err := mux.EnqueueSection(c.PID, s); err != nil {
+		if err := mux.EnqueueSection(c.pid, s); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -53,7 +53,7 @@ func TestCyclicRetransmissionHealsLoss(t *testing.T) {
 	mux := mpegts.NewMux()
 	recv := NewReceiver()
 	demux := mpegts.NewDemux()
-	demux.Handle(c.PID, recv.HandleSection)
+	demux.Handle(c.pid, recv.HandleSection)
 
 	// Cycle 1 with 5% packet loss.
 	dropped := 0
@@ -120,14 +120,14 @@ func TestLossRecoveryProperty(t *testing.T) {
 		mux := mpegts.NewMux()
 		recv := NewReceiver()
 		demux := mpegts.NewDemux()
-		demux.Handle(c.PID, recv.HandleSection)
+		demux.Handle(c.pid, recv.HandleSection)
 		for cycle := 0; cycle < 40; cycle++ {
 			secs, err := c.EncodeCycle()
 			if err != nil {
 				return false
 			}
 			for _, s := range secs {
-				if err := mux.EnqueueSection(c.PID, s); err != nil {
+				if err := mux.EnqueueSection(c.pid, s); err != nil {
 					return false
 				}
 			}

@@ -9,7 +9,7 @@ import (
 // sections — the byte-exact counterpart of the Broadcaster's timing
 // model. Feed it sections from an mpegts.Demux handler. Blocks may
 // arrive in any order and spanning cycle boundaries (the BlockCache
-// behaviour); completed files are surfaced through OnFile.
+// behaviour); completed files are read back with File.
 //
 // When the DII carries the content-hash extension, the receiver keys
 // correctness on hashes: assembled modules are verified against the
@@ -37,19 +37,8 @@ type Receiver struct {
 	done  map[moduleKey]bool
 	cache *ChunkCache
 
-	// OnFile, if set, runs when a file is fully assembled (including
-	// again after a version change). It is called without the receiver
-	// lock held.
-	OnFile func(name string, data []byte)
-	// OnDirectory, if set, runs whenever a DII with a newer transaction
-	// id is seen.
-	OnDirectory func(d *DII)
-
 	// SectionErrors counts undecodable sections.
 	SectionErrors int
-	// HashMismatches counts modules that assembled to bytes whose
-	// content hash contradicts the DII — corrupt deliveries, dropped.
-	HashMismatches int
 }
 
 type moduleKey struct {
@@ -61,11 +50,6 @@ type partialModule struct {
 	info   ModuleInfo
 	blocks map[uint16][]byte
 	need   int
-}
-
-type fileDelivery struct {
-	name string
-	data []byte
 }
 
 // NewReceiver returns an empty receiver.
@@ -138,7 +122,6 @@ func (r *Receiver) handleDII(d *DII) {
 		return
 	}
 	r.dii = d
-	var completed []fileDelivery
 	valid := make(map[moduleKey]ModuleInfo, len(d.Modules))
 	// Rebuild the done set from the new directory. This is the uint8
 	// version-wrap fix: a done mark recorded 256 content changes ago
@@ -166,7 +149,6 @@ func (r *Receiver) handleDII(d *DII) {
 				r.complete[m.Name] = data
 				r.meta[m.Name] = m
 				done[k] = true
-				completed = append(completed, fileDelivery{m.Name, data})
 			}
 		}
 	}
@@ -183,20 +165,9 @@ func (r *Receiver) handleDII(d *DII) {
 		p.need = blocksFor(int(m.Size), int(d.BlockSize))
 		if data, ok := r.assembleLocked(p); ok {
 			r.finishLocked(k, p, data)
-			completed = append(completed, fileDelivery{m.Name, data})
 		}
 	}
-	cb := r.OnDirectory
-	onFile := r.OnFile
 	r.mu.Unlock()
-	if cb != nil {
-		cb(d)
-	}
-	if onFile != nil {
-		for _, c := range completed {
-			onFile(c.name, c.data)
-		}
-	}
 }
 
 // currentLocked reports whether the completed bytes held for m.Name are
@@ -250,19 +221,12 @@ func (r *Receiver) handleDDB(b *DDB) {
 	if _, dup := p.blocks[b.BlockNumber]; !dup {
 		p.blocks[b.BlockNumber] = append([]byte(nil), b.Data...)
 	}
-	var name string
-	var data []byte
 	if p.need > 0 && len(p.blocks) >= p.need && r.dii != nil {
 		if d, ok := r.assembleLocked(p); ok {
-			name, data = p.info.Name, d
 			r.finishLocked(k, p, d)
 		}
 	}
-	onFile := r.OnFile
 	r.mu.Unlock()
-	if data != nil && onFile != nil {
-		onFile(name, data)
-	}
 }
 
 // assembleLocked stitches p and verifies the result against the DII's
@@ -275,7 +239,6 @@ func (r *Receiver) assembleLocked(p *partialModule) ([]byte, bool) {
 		return nil, false
 	}
 	if !r.DisableHashes && p.info.Hash != 0 && HashOf(data) != p.info.Hash {
-		r.HashMismatches++
 		p.blocks = make(map[uint16][]byte)
 		return nil, false
 	}

@@ -32,23 +32,15 @@ func TestReceiverDirectoryAndCallbacks(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewReceiver()
-	var dirSeen, fileSeen int
-	r.OnDirectory = func(d *DII) { dirSeen++ }
-	r.OnFile = func(name string, data []byte) {
-		fileSeen++
-		if name != "f" || string(data) != "hello" {
-			t.Errorf("OnFile %q %q", name, data)
-		}
-	}
-	// Two full cycles: the directory callback fires once per
-	// transaction id, the file completes once.
+	// Two full cycles: the file completes in the first and the second
+	// changes nothing.
 	for i := 0; i < 2; i++ {
 		for _, s := range secs {
 			r.HandleSection(s)
 		}
-	}
-	if dirSeen != 1 || fileSeen != 1 {
-		t.Fatalf("dir=%d file=%d, want 1,1", dirSeen, fileSeen)
+		if data, ok := r.File("f"); !ok || string(data) != "hello" {
+			t.Fatalf("cycle %d: File = %q, %v", i+1, data, ok)
+		}
 	}
 	if d := r.dii; d == nil || len(d.Modules) != 1 {
 		t.Fatalf("directory: %+v", d)
@@ -57,15 +49,15 @@ func TestReceiverDirectoryAndCallbacks(t *testing.T) {
 
 func TestCarouselAccessors(t *testing.T) {
 	c := mkCarousel(t, File{Name: "a", Data: make([]byte, 125000)})
-	if c.BlockSize() != DefaultBlockSize {
-		t.Fatalf("block size = %d", c.BlockSize())
+	if c.blockSize != DefaultBlockSize {
+		t.Fatalf("block size = %d", c.blockSize)
 	}
 	l, err := c.Layout()
 	if err != nil {
 		t.Fatal(err)
 	}
 	// ≈1 s of air time at 1 Mbps for 125 kB + framing.
-	d := l.CycleDuration(1e6)
+	d := time.Duration(float64(l.CycleWire) * 8 / 1e6 * float64(time.Second))
 	if d < time.Second || d > 1100*time.Millisecond {
 		t.Fatalf("cycle duration = %v", d)
 	}

@@ -26,8 +26,6 @@ type ByzantineScenario struct {
 	Replication int
 	// Fraction of nodes assigned a byzantine behavior.
 	Fraction float64
-	// Behaviors restricts the misbehavior pool (empty = all).
-	Behaviors []netsim.Behavior
 	// Mode is the backend credential policy (default CredEnforce — the
 	// full defence; credential-only attackers are invisible below it).
 	Mode backend.CredentialMode
@@ -38,11 +36,9 @@ type ByzantineScenario struct {
 // ByzantineOutcome is what one scenario run measured.
 type ByzantineOutcome struct {
 	Makespan time.Duration
-	// Committed counts tasks with a committed result; WrongCommits are
-	// the committed results that differ from the honest computation
-	// (tasks here carry no concrete payload, so the honest result is
-	// empty and any non-empty commit is wrong).
-	Committed    int
+	// WrongCommits are the committed results that differ from the
+	// honest computation (tasks here carry no concrete payload, so the
+	// honest result is empty and any non-empty commit is wrong).
 	WrongCommits int
 	// Byzantine counts nodes assigned a misbehavior; ByzQuarantined of
 	// those ended quarantined, HonestQuarantined counts collateral.
@@ -78,9 +74,8 @@ func RunByzantineScenario(sc ByzantineScenario) (*ByzantineOutcome, error) {
 	var plan *netsim.AdversaryPlan
 	if sc.Fraction > 0 {
 		plan = netsim.NewAdversaryPlan(netsim.AdversaryConfig{
-			Seed:      uint64(sc.Seed)*0x9E3779B97F4A7C15 + 1,
-			Fraction:  sc.Fraction,
-			Behaviors: sc.Behaviors,
+			Seed:     uint64(sc.Seed)*0x9E3779B97F4A7C15 + 1,
+			Fraction: sc.Fraction,
 		})
 	}
 	sys, err := system.New(system.Config{
@@ -132,7 +127,6 @@ func RunByzantineScenario(sc ByzantineScenario) (*ByzantineOutcome, error) {
 		Unresolved: sys.Backend.Unresolved,
 	}
 	for _, payload := range h.Results() {
-		out.Committed++
 		if len(payload) != 0 {
 			// Tasks carry no concrete work, so the honest result is
 			// empty; only an adversary-substituted payload can commit

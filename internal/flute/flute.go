@@ -69,7 +69,6 @@ func (s *Session) SetFiles(files []dsmcc.File) error {
 		l.Entries[i] = dsmcc.LayoutEntry{
 			Name:    f.Name,
 			Version: s.versions[f.Name],
-			Size:    len(f.Data),
 			Changed: changed,
 			Data:    f.Data[:len(f.Data):len(f.Data)],
 		}

@@ -40,9 +40,6 @@ func TestManagerContextMethods(t *testing.T) {
 	if ctx.Clock() != r.clk {
 		t.Fatal("Clock() wrong")
 	}
-	if ctx.AppKey() == 0 {
-		t.Fatal("AppKey() zero")
-	}
 
 	var fileData []byte
 	var fileErr error
@@ -57,13 +54,6 @@ func TestManagerContextMethods(t *testing.T) {
 	r.clk.Wait()
 	if !ran {
 		t.Fatal("Go() did not run")
-	}
-
-	fired := false
-	ctx.After(time.Second, func() { fired = true })
-	r.clk.Wait()
-	if !fired {
-		t.Fatal("After() did not fire")
 	}
 
 	updates := 0
@@ -92,7 +82,7 @@ func TestInitFailureDestroysXlet(t *testing.T) {
 	if fx.destroys != 1 {
 		t.Fatalf("destroys = %d after init failure", fx.destroys)
 	}
-	if m.LaunchErrors == 0 {
+	if m.launchErrors == 0 {
 		t.Fatal("init failure not counted")
 	}
 	if len(appStates(m)) != 0 {
@@ -107,8 +97,8 @@ func TestGarbageAITCounted(t *testing.T) {
 	// Raw garbage into the signalling listener path.
 	r.clk.Go(func() { m.handleAIT([]byte{0xDE, 0xAD}) })
 	r.clk.Wait()
-	if m.LaunchErrors != 1 {
-		t.Fatalf("launch errors = %d", m.LaunchErrors)
+	if m.launchErrors != 1 {
+		t.Fatalf("launch errors = %d", m.launchErrors)
 	}
 	m.Stop()
 	r.clk.Wait()

@@ -79,9 +79,9 @@ type Manager struct {
 	cancelSig func()
 	running   bool
 
-	// Counters for diagnostics and tests.
-	LaunchErrors int
-	AuthFailures int
+	// Launch and authentication failures, counted for diagnostics.
+	launchErrors int
+	authFailures int
 }
 
 type runningApp struct {
@@ -158,7 +158,7 @@ func (m *Manager) handleAIT(raw []byte) {
 	table, err := ait.Decode(raw)
 	if err != nil {
 		m.mu.Lock()
-		m.LaunchErrors++
+		m.launchErrors++
 		m.mu.Unlock()
 		return
 	}
@@ -186,7 +186,7 @@ func (m *Manager) launch(app ait.Application) {
 	}
 	factory := m.factories[app.ClassFile]
 	if factory == nil {
-		m.LaunchErrors++
+		m.launchErrors++
 		m.mu.Unlock()
 		return
 	}
@@ -206,7 +206,7 @@ func (m *Manager) launch(app ait.Application) {
 		}
 		if err != nil {
 			m.mu.Lock()
-			m.LaunchErrors++
+			m.launchErrors++
 			m.mu.Unlock()
 			abort()
 			return
@@ -214,7 +214,7 @@ func (m *Manager) launch(app ait.Application) {
 		if m.cfg.Authenticate != nil {
 			if err := m.cfg.Authenticate(app.ClassFile, code); err != nil {
 				m.mu.Lock()
-				m.AuthFailures++
+				m.authFailures++
 				m.mu.Unlock()
 				abort()
 				return
@@ -228,7 +228,7 @@ func (m *Manager) launch(app ait.Application) {
 		ra.x = factory()
 		m.mu.Unlock()
 
-		ctx := &managerContext{m: m, key: app.Key()}
+		ctx := &managerContext{m: m}
 		if err := ra.x.InitXlet(ctx); err != nil {
 			m.failLaunch(ra, app.Key(), fmt.Errorf("initXlet: %w", err))
 			return
@@ -250,7 +250,7 @@ func (m *Manager) transition(ra *runningApp, to xlet.State) {
 
 func (m *Manager) failLaunch(ra *runningApp, key uint64, _ error) {
 	m.mu.Lock()
-	m.LaunchErrors++
+	m.launchErrors++
 	if m.apps[key] == ra {
 		delete(m.apps, key)
 	}
@@ -279,12 +279,10 @@ func (m *Manager) destroy(key uint64, unconditional bool) {
 
 // managerContext implements xlet.Context.
 type managerContext struct {
-	m   *Manager
-	key uint64
+	m *Manager
 }
 
 func (c *managerContext) Clock() simtime.Clock { return c.m.clk }
-func (c *managerContext) AppKey() uint64       { return c.key }
 
 func (c *managerContext) ReadFile(name string, fn func([]byte, error)) {
 	c.m.bcast.RequestFile(name, c.m.cfg.Strategy, c.m.cfg.Cache, func(data []byte, _ time.Time, err error) {
@@ -294,20 +292,6 @@ func (c *managerContext) ReadFile(name string, fn func([]byte, error)) {
 
 func (c *managerContext) Go(fn func()) { c.m.clk.Go(fn) }
 
-func (c *managerContext) After(d time.Duration, fn func()) simtime.Timer {
-	return c.m.clk.AfterFunc(d, fn)
-}
-
 func (c *managerContext) OnCarouselUpdate(fn func()) (cancel func()) {
 	return c.m.bcast.OnGeneration(func(uint32, time.Time) { fn() })
-}
-
-func (c *managerContext) NotifyDestroyed() {
-	c.m.mu.Lock()
-	ra := c.m.apps[c.key]
-	if ra != nil {
-		ra.lc.To(xlet.Destroyed)
-		delete(c.m.apps, c.key)
-	}
-	c.m.mu.Unlock()
 }

@@ -22,7 +22,6 @@ type fakeXlet struct {
 	ctx        xlet.Context
 	inits      int
 	starts     int
-	pauses     int
 	destroys   int
 	initErr    error
 	refuseSoft bool
@@ -40,11 +39,6 @@ func (f *fakeXlet) StartXlet() error {
 	defer f.mu.Unlock()
 	f.starts++
 	return nil
-}
-func (f *fakeXlet) PauseXlet() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.pauses++
 }
 func (f *fakeXlet) DestroyXlet(unconditional bool) error {
 	f.mu.Lock()
@@ -121,8 +115,8 @@ func TestAutostartLaunchesXlet(t *testing.T) {
 	if len(apps) != 1 || apps[0] != xlet.Started {
 		t.Fatalf("apps: %+v", apps)
 	}
-	if m.LaunchErrors != 0 {
-		t.Fatalf("launch errors: %d", m.LaunchErrors)
+	if m.launchErrors != 0 {
+		t.Fatalf("launch errors: %d", m.launchErrors)
 	}
 }
 
@@ -176,8 +170,8 @@ func TestAuthenticationFailureBlocksLaunch(t *testing.T) {
 	if fx.inits != 0 {
 		t.Fatal("unauthenticated code ran")
 	}
-	if m.AuthFailures != 1 {
-		t.Fatalf("auth failures = %d", m.AuthFailures)
+	if m.authFailures != 1 {
+		t.Fatalf("auth failures = %d", m.authFailures)
 	}
 	if len(appStates(m)) != 0 {
 		t.Fatal("rejected app left registered")
@@ -190,7 +184,7 @@ func TestUnknownClassFileCountsError(t *testing.T) {
 	m.Start()
 	r.sig.Publish(pnaAIT(ait.Autostart))
 	r.clk.Wait()
-	if m.LaunchErrors == 0 {
+	if m.launchErrors == 0 {
 		t.Fatal("missing factory not recorded")
 	}
 }
@@ -234,20 +228,6 @@ func TestLaunchDelayIncludesCarouselCycle(t *testing.T) {
 	minDelay := time.Duration(float64(len(code)) * 8 / 1e6 * float64(time.Second))
 	if startedAt.Sub(epoch) < minDelay {
 		t.Fatalf("started after %v, carousel needs ≥ %v", startedAt.Sub(epoch), minDelay)
-	}
-}
-
-func TestNotifyDestroyedDeregisters(t *testing.T) {
-	r := newRig(t, dsmcc.File{Name: "pna.xlet", Data: make([]byte, 100)})
-	m := newManager(t, r, Config{})
-	fx := &fakeXlet{}
-	m.RegisterFactory("pna.xlet", func() xlet.Xlet { return fx })
-	m.Start()
-	r.sig.Publish(pnaAIT(ait.Autostart))
-	r.clk.Wait()
-	fx.ctx.NotifyDestroyed()
-	if len(appStates(m)) != 0 {
-		t.Fatal("self-destroyed app still registered")
 	}
 }
 

@@ -87,8 +87,8 @@ type Demux struct {
 	mu         sync.Mutex
 	assemblers map[uint16]*Assembler
 	handlers   map[uint16]func(section []byte)
-	// Unhandled counts packets on PIDs with no registered handler.
-	Unhandled int
+	// unhandled counts packets on PIDs with no registered handler.
+	unhandled int
 }
 
 // NewDemux returns an empty demultiplexer.
@@ -109,21 +109,13 @@ func (d *Demux) Handle(pid uint16, fn func(section []byte)) {
 	}
 }
 
-// unhandle removes the handler for pid.
-func (d *Demux) unhandle(pid uint16) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	delete(d.handlers, pid)
-	delete(d.assemblers, pid)
-}
-
 // PushPacket routes one decoded packet.
 func (d *Demux) PushPacket(p *Packet) {
 	d.mu.Lock()
 	a := d.assemblers[p.PID]
 	fn := d.handlers[p.PID]
 	if a == nil || fn == nil {
-		d.Unhandled++
+		d.unhandled++
 		d.mu.Unlock()
 		return
 	}

@@ -137,27 +137,7 @@ func TestDemuxCountsUnhandled(t *testing.T) {
 	demux := NewDemux()
 	p := &Packet{PID: 0x99, Payload: bytes.Repeat([]byte{0}, 184)}
 	demux.PushPacket(p)
-	if demux.Unhandled != 1 {
-		t.Fatalf("Unhandled = %d", demux.Unhandled)
-	}
-}
-
-func TestDemuxUnhandle(t *testing.T) {
-	demux := NewDemux()
-	n := 0
-	demux.Handle(5, func([]byte) { n++ })
-	s := &Section{TableID: 1, Payload: []byte{1}}
-	raw, _ := s.Encode()
-	pkts, _, _ := PacketizeSection(5, 0, raw)
-	for _, p := range pkts {
-		demux.PushPacket(p)
-	}
-	demux.unhandle(5)
-	pkts2, _, _ := PacketizeSection(5, 1, raw)
-	for _, p := range pkts2 {
-		demux.PushPacket(p)
-	}
-	if n != 1 {
-		t.Fatalf("handler ran %d times, want 1", n)
+	if demux.unhandled != 1 {
+		t.Fatalf("Unhandled = %d", demux.unhandled)
 	}
 }

@@ -173,10 +173,8 @@ type Assembler struct {
 	lastCC  int // -1 before first packet
 	started bool
 
-	// Completed counts CRC-valid sections produced; Errors counts
-	// discarded partials (continuity gaps, CRC failures).
-	Completed int
-	Errors    int
+	// discarded counts dropped partials (continuity gaps, CRC failures).
+	discarded int
 }
 
 // NewAssembler returns an assembler for pid.
@@ -193,7 +191,7 @@ func (a *Assembler) Push(p *Packet) [][]byte {
 	if a.lastCC >= 0 && int(p.Continuity) != (a.lastCC+1)&0x0F {
 		// Continuity break: discard any partial section.
 		if a.started {
-			a.Errors++
+			a.discarded++
 		}
 		a.buf = nil
 		a.started = false
@@ -207,7 +205,7 @@ func (a *Assembler) Push(p *Packet) [][]byte {
 		}
 		ptr := int(data[0])
 		if 1+ptr > len(data) {
-			a.Errors++
+			a.discarded++
 			return nil
 		}
 		tail := data[1 : 1+ptr]
@@ -249,10 +247,9 @@ func (a *Assembler) drain() [][]byte {
 		sec := append([]byte(nil), a.buf[:total]...)
 		a.buf = a.buf[total:]
 		if crc.SelfCheck(sec) {
-			a.Completed++
 			out = append(out, sec)
 		} else {
-			a.Errors++
+			a.discarded++
 		}
 	}
 }

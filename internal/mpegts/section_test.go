@@ -93,8 +93,8 @@ func TestPacketizeAssembleSingleSection(t *testing.T) {
 	if !bytes.Equal(sections[0], raw) {
 		t.Fatal("reassembled section differs")
 	}
-	if a.Errors != 0 {
-		t.Fatalf("assembler reported %d errors", a.Errors)
+	if a.discarded != 0 {
+		t.Fatalf("assembler reported %d errors", a.discarded)
 	}
 }
 
@@ -115,7 +115,7 @@ func TestAssemblerContinuityBreakDiscardsPartial(t *testing.T) {
 	if len(out) != 0 {
 		t.Fatal("section completed despite lost packet")
 	}
-	if a.Errors == 0 {
+	if a.discarded == 0 {
 		t.Fatal("loss not recorded")
 	}
 

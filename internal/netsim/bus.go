@@ -2,7 +2,6 @@ package netsim
 
 import (
 	"math/rand"
-	"slices"
 	"sync"
 	"time"
 
@@ -13,8 +12,6 @@ import (
 type BusConfig struct {
 	// RateBps is the spare broadcast capacity β in bits per second.
 	RateBps float64
-	// Latency is the air-interface propagation delay.
-	Latency time.Duration
 	// DropProb is an independent per-subscriber loss probability,
 	// modelling reception errors at individual receivers.
 	DropProb float64
@@ -32,13 +29,7 @@ type Bus struct {
 
 	mu        sync.Mutex
 	busyUntil time.Time
-	nextID    int
-	subs      []subscriber // in subscription order, so delivery and loss draws repeat
-}
-
-type subscriber struct {
-	id int
-	fn func(Packet)
+	subs      []func(Packet) // in subscription order, so delivery and loss draws repeat
 }
 
 // NewBus creates an idle broadcast channel.
@@ -46,35 +37,13 @@ func NewBus(clk simtime.Clock, cfg BusConfig) *Bus {
 	return &Bus{clk: clk, cfg: cfg}
 }
 
-// Subscription identifies a bus listener for later cancellation.
-type Subscription struct {
-	bus *Bus
-	id  int
-}
-
-// Cancel stops delivery to this subscriber.
-func (s *Subscription) Cancel() {
-	b := s.bus
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for i, sub := range b.subs {
-		if sub.id == s.id {
-			b.subs = slices.Delete(b.subs, i, i+1)
-			return
-		}
-	}
-}
-
 // Subscribe registers fn to receive every packet whose transmission
-// completes while the subscription is active. fn runs on the clock's
-// event loop and must not block.
-func (b *Bus) Subscribe(fn func(Packet)) *Subscription {
+// completes after it subscribed. fn runs on the clock's event loop and
+// must not block.
+func (b *Bus) Subscribe(fn func(Packet)) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	id := b.nextID
-	b.nextID++
-	b.subs = append(b.subs, subscriber{id: id, fn: fn})
-	return &Subscription{bus: b, id: id}
+	b.subs = append(b.subs, fn)
 }
 
 // Publish transmits payload of the given wire size. Delivery happens to
@@ -94,16 +63,14 @@ func (b *Bus) Publish(from string, payload any, size int) {
 	b.busyUntil = done
 	b.mu.Unlock()
 
-	arrival := done.Add(b.cfg.Latency)
-	b.clk.AfterFunc(arrival.Sub(now), func() {
-		p.ArrivedAt = b.clk.Now()
+	b.clk.AfterFunc(done.Sub(now), func() {
 		b.mu.Lock()
 		targets := make([]func(Packet), 0, len(b.subs))
-		for _, sub := range b.subs {
+		for _, fn := range b.subs {
 			if b.cfg.DropProb > 0 && b.cfg.Rng != nil && b.cfg.Rng.Float64() < b.cfg.DropProb {
 				continue
 			}
-			targets = append(targets, sub.fn)
+			targets = append(targets, fn)
 		}
 		b.mu.Unlock()
 		for _, fn := range targets {

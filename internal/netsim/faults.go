@@ -3,7 +3,6 @@ package netsim
 import (
 	"math/rand"
 	"sync"
-	"time"
 
 	"oddci/internal/obs"
 )
@@ -24,13 +23,8 @@ type FaultPlan struct {
 	// are tested against.
 	maxConsecutive int
 	consecutive    int
-	// forced failures are consumed before any probabilistic draw.
-	forced   int
-	injected int64
-	failed   int64
-	// delay, if positive, is reported by Delay for callers modelling
-	// slow (rather than failing) operations.
-	delay time.Duration
+	injected       int64
+	failed         int64
 }
 
 // NewFaultPlan builds a plan failing each operation with probability
@@ -40,26 +34,11 @@ func NewFaultPlan(rng *rand.Rand, failProb float64, maxConsecutive int) *FaultPl
 	return &FaultPlan{rng: rng, failProb: failProb, maxConsecutive: maxConsecutive}
 }
 
-// withDelay sets the slow-operation latency reported by opDelay and
-// returns the plan (builder style).
-func (f *FaultPlan) withDelay(d time.Duration) *FaultPlan {
-	f.mu.Lock()
-	f.delay = d
-	f.mu.Unlock()
-	return f
-}
-
 // Next draws one operation: true means the caller should fail it.
 func (f *FaultPlan) Next() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.injected++
-	if f.forced > 0 {
-		f.forced--
-		f.consecutive++
-		f.failed++
-		return true
-	}
 	fail := false
 	switch {
 	case f.failProb >= 1:
@@ -77,22 +56,6 @@ func (f *FaultPlan) Next() bool {
 		f.consecutive = 0
 	}
 	return fail
-}
-
-// failNext forces the next n draws to fail regardless of probability
-// and the consecutive bound — deterministic scripts use it to stage
-// exact failure bursts.
-func (f *FaultPlan) failNext(n int) {
-	f.mu.Lock()
-	f.forced += n
-	f.mu.Unlock()
-}
-
-// opDelay reports the configured slow-operation latency (0 = fast).
-func (f *FaultPlan) opDelay() time.Duration {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.delay
 }
 
 // Stats reports operations seen and failures injected.

@@ -3,7 +3,6 @@ package netsim
 import (
 	"math/rand"
 	"testing"
-	"time"
 )
 
 func TestFaultPlanAlwaysAndNever(t *testing.T) {
@@ -42,19 +41,6 @@ func TestFaultPlanBoundsConsecutiveFailures(t *testing.T) {
 	}
 }
 
-func TestFaultPlanForcedBurst(t *testing.T) {
-	p := NewFaultPlan(nil, 0, 1)
-	p.failNext(4)
-	for i := 0; i < 4; i++ {
-		if !p.Next() {
-			t.Fatalf("forced draw %d did not fail", i)
-		}
-	}
-	if p.Next() {
-		t.Fatal("draw after forced burst failed")
-	}
-}
-
 func TestFaultPlanDeterministicUnderSeed(t *testing.T) {
 	draw := func() []bool {
 		p := NewFaultPlan(rand.New(rand.NewSource(42)), 0.5, 0)
@@ -69,12 +55,5 @@ func TestFaultPlanDeterministicUnderSeed(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("draw %d differs across equal seeds", i)
 		}
-	}
-}
-
-func TestFaultPlanDelay(t *testing.T) {
-	p := NewFaultPlan(nil, 0, 0).withDelay(250 * time.Millisecond)
-	if p.opDelay() != 250*time.Millisecond {
-		t.Fatalf("delay = %v", p.opDelay())
 	}
 }

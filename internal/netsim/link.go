@@ -13,12 +13,10 @@ import (
 // content handed to the receiver (the simulation does not re-serialize
 // application objects, it accounts for their size).
 type Packet struct {
-	From      string
-	To        string
-	Payload   any
-	Size      int
-	SentAt    time.Time
-	ArrivedAt time.Time
+	From    string
+	Payload any
+	Size    int
+	SentAt  time.Time
 }
 
 // LinkConfig describes one direction of a point-to-point channel.
@@ -54,9 +52,6 @@ type Link struct {
 	mu        sync.Mutex
 	busyUntil time.Time
 	inflight  Ring[Packet]
-	sent      int64
-	dropped   int64
-	bytesSent int64
 }
 
 // NewLink creates a link feeding dst.
@@ -71,7 +66,6 @@ func (l *Link) deliver() {
 	l.mu.Lock()
 	p, _ := l.inflight.PopFront()
 	l.mu.Unlock()
-	p.ArrivedAt = l.clk.Now()
 	l.dst.Put(p)
 }
 
@@ -97,23 +91,13 @@ func (l *Link) Send(p Packet) {
 	}
 	done := start.Add(serialization(p.Size, l.cfg.RateBps))
 	l.busyUntil = done
-	l.sent++
-	l.bytesSent += int64(p.Size)
 	if l.cfg.DropProb > 0 && l.cfg.Rng != nil && l.cfg.Rng.Float64() < l.cfg.DropProb {
-		l.dropped++
 		l.mu.Unlock()
 		return
 	}
 	l.inflight.PushBack(p)
 	l.clk.AfterFunc(done.Add(l.cfg.Latency).Sub(now), l.deliverFn)
 	l.mu.Unlock()
-}
-
-// Stats reports packets sent, packets dropped, and bytes accepted.
-func (l *Link) Stats() (sent, dropped, bytes int64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.sent, l.dropped, l.bytesSent
 }
 
 // Endpoint is one side of a duplex channel: an outgoing link plus an
@@ -139,7 +123,7 @@ func (e *Endpoint) Send(to string, payload any, size int) {
 		}
 		payload = mutated
 	}
-	e.out.Send(Packet{From: e.Name, To: to, Payload: payload, Size: size})
+	e.out.Send(Packet{From: e.Name, Payload: payload, Size: size})
 }
 
 // Recv blocks for the next packet.

@@ -53,10 +53,8 @@ func TestLinkLatencyOnly(t *testing.T) {
 	dst := NewMailbox[Packet](clk)
 	l := NewLink(clk, LinkConfig{Latency: 250 * time.Millisecond}, dst)
 	l.Send(Packet{Payload: 1, Size: 1 << 20}) // infinite rate: pure latency
-	clk.Wait()
-	p, ok := dst.tryRecv()
-	if !ok || !p.ArrivedAt.Equal(epoch.Add(250*time.Millisecond)) {
-		t.Fatalf("arrival %v", p.ArrivedAt)
+	if _, arrivals := recvAll(clk, dst, 1); len(arrivals) != 1 || !arrivals[0].Equal(epoch.Add(250*time.Millisecond)) {
+		t.Fatalf("arrivals %v", arrivals)
 	}
 }
 

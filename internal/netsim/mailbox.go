@@ -125,21 +125,6 @@ func (m *Mailbox[T]) register(wake func()) (uint64, bool) {
 	return seq, true
 }
 
-// Len reports the number of queued items.
-func (m *Mailbox[T]) Len() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.q.Len()
-}
-
-// waiterCount reports the registered wake closures; the leak regression
-// tests assert it returns to zero after timed-out receives.
-func (m *Mailbox[T]) waiterCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.waiters)
-}
-
 // dropWaiter removes the entry registered under seq, if a Put or Close
 // has not already consumed the whole list.
 func (m *Mailbox[T]) dropWaiter(seq uint64) {
@@ -151,13 +136,6 @@ func (m *Mailbox[T]) dropWaiter(seq uint64) {
 			return
 		}
 	}
-}
-
-// tryRecv dequeues without blocking.
-func (m *Mailbox[T]) tryRecv() (T, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.q.PopFront()
 }
 
 // Recv blocks until an item is available or the mailbox is closed and

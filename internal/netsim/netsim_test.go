@@ -101,14 +101,10 @@ func TestLinkSerializationDelay(t *testing.T) {
 	// 1 Mbps, 100ms latency: 125000 bytes take 1s on the wire.
 	l := NewLink(clk, LinkConfig{RateBps: 1e6, Latency: 100 * time.Millisecond}, dst)
 	l.Send(Packet{Payload: "a", Size: 125000})
-	clk.Wait()
-	p, ok := dst.tryRecv()
-	if !ok {
-		t.Fatal("packet not delivered")
-	}
+	_, arrivals := recvAll(clk, dst, 1)
 	want := epoch.Add(1*time.Second + 100*time.Millisecond)
-	if !p.ArrivedAt.Equal(want) {
-		t.Fatalf("arrived at %v, want %v", p.ArrivedAt, want)
+	if len(arrivals) != 1 || !arrivals[0].Equal(want) {
+		t.Fatalf("arrived at %v, want %v", arrivals, want)
 	}
 }
 
@@ -119,15 +115,7 @@ func TestLinkBackToBackSerializes(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		l.Send(Packet{Payload: i, Size: 1 << 20}) // 1 MiB each
 	}
-	clk.Wait()
-	var arrivals []time.Time
-	for {
-		p, ok := dst.tryRecv()
-		if !ok {
-			break
-		}
-		arrivals = append(arrivals, p.ArrivedAt)
-	}
+	_, arrivals := recvAll(clk, dst, 3)
 	if len(arrivals) != 3 {
 		t.Fatalf("delivered %d packets, want 3", len(arrivals))
 	}
@@ -150,14 +138,7 @@ func TestLinkLoss(t *testing.T) {
 		l.Send(Packet{Size: 10})
 	}
 	clk.Wait()
-	sent, dropped, _ := l.Stats()
-	if sent != n {
-		t.Fatalf("sent %d, want %d", sent, n)
-	}
-	got := dst.Len()
-	if got+int(dropped) != n {
-		t.Fatalf("delivered %d + dropped %d != %d", got, dropped, n)
-	}
+	got := dst.len()
 	if got < n/2-150 || got > n/2+150 {
 		t.Fatalf("delivered %d of %d with p=0.5; outside tolerance", got, n)
 	}
@@ -218,7 +199,7 @@ func TestBusDeliveryTimeIndependentOfN(t *testing.T) {
 		bus := NewBus(clk, BusConfig{RateBps: 1e6})
 		var at time.Time
 		for i := 0; i < n; i++ {
-			bus.Subscribe(func(p Packet) { at = p.ArrivedAt })
+			bus.Subscribe(func(Packet) { at = clk.Now() })
 		}
 		bus.Publish("c", "img", 1<<20)
 		clk.Wait()
@@ -229,32 +210,11 @@ func TestBusDeliveryTimeIndependentOfN(t *testing.T) {
 	}
 }
 
-func TestBusUnsubscribe(t *testing.T) {
-	clk := simtime.NewSim(epoch)
-	bus := NewBus(clk, BusConfig{})
-	count := 0
-	sub := bus.Subscribe(func(p Packet) { count++ })
-	bus.Publish("c", 1, 10)
-	clk.Wait()
-	sub.Cancel()
-	bus.Publish("c", 2, 10)
-	clk.Wait()
-	if count != 1 {
-		t.Fatalf("received %d packets, want 1 (unsubscribed before second)", count)
-	}
-	bus.mu.Lock()
-	subs := len(bus.subs)
-	bus.mu.Unlock()
-	if subs != 0 {
-		t.Fatalf("subscribers = %d, want 0", subs)
-	}
-}
-
 func TestBusSerializesTransmissions(t *testing.T) {
 	clk := simtime.NewSim(epoch)
 	bus := NewBus(clk, BusConfig{RateBps: 8e6})
 	var arrivals []time.Time
-	bus.Subscribe(func(p Packet) { arrivals = append(arrivals, p.ArrivedAt) })
+	bus.Subscribe(func(Packet) { arrivals = append(arrivals, clk.Now()) })
 	bus.Publish("c", "m1", 1<<20)
 	bus.Publish("c", "m2", 1<<20)
 	clk.Wait()
@@ -298,14 +258,13 @@ func TestLinkSameInstantInSendOrder(t *testing.T) {
 	for i := 0; i < n; i++ {
 		l.Send(Packet{Payload: i, Size: 100})
 	}
-	clk.Wait()
-	for i := 0; i < n; i++ {
-		p, ok := dst.tryRecv()
-		if !ok {
-			t.Fatalf("%d of %d packets delivered", i, n)
-		}
-		if p.Payload != i || !p.ArrivedAt.Equal(epoch.Add(time.Second)) {
-			t.Fatalf("delivery %d: payload %v at %v, want %d at epoch+1s", i, p.Payload, p.ArrivedAt, i)
+	ps, arrivals := recvAll(clk, dst, n)
+	if len(ps) != n {
+		t.Fatalf("%d of %d packets delivered", len(ps), n)
+	}
+	for i, p := range ps {
+		if p.Payload != i || !arrivals[i].Equal(epoch.Add(time.Second)) {
+			t.Fatalf("delivery %d: payload %v at %v, want %d at epoch+1s", i, p.Payload, arrivals[i], i)
 		}
 	}
 }
@@ -348,7 +307,7 @@ func TestLinkHopAllocs(t *testing.T) {
 	var allocs float64
 	clk.Go(func() {
 		allocs = testing.AllocsPerRun(100, func() {
-			l.Send(Packet{From: "a", To: "b", Payload: payload, Size: 188})
+			l.Send(Packet{From: "a", Payload: payload, Size: 188})
 			if p, err := dst.Recv(); err != nil || p.Payload != payload {
 				t.Errorf("Recv = %v, %v", p.Payload, err)
 			}

@@ -42,15 +42,6 @@ func (r *Ring[T]) PopFront() (T, bool) {
 	return v, true
 }
 
-// peek returns the oldest item without removing it.
-func (r *Ring[T]) peek() (T, bool) {
-	if r.n == 0 {
-		var zero T
-		return zero, false
-	}
-	return r.buf[r.head], true
-}
-
 func (r *Ring[T]) grow() {
 	capacity := 2 * len(r.buf)
 	if capacity < 8 {

@@ -137,13 +137,10 @@ func run(cfg ChurnJobConfig) (ChurnJobResult, error) {
 	}
 
 	for i := 0; i < cfg.Nodes; i++ {
-		var w time.Duration
-		switch cfg.Join {
-		case JoinSynchronized:
-			w = secs(cycle)
-		default:
-			w = secs(cycle * (1 + rng.Float64()))
-		}
+		// Receivers begin reading at a uniformly random carousel phase:
+		// W ~ U(C, 2C) for an image-dominated carousel, the paper's
+		// 1.5·I/β expectation.
+		w := secs(cycle * (1 + rng.Float64()))
 		wakeSum += w
 		if w > out.WakeupMax {
 			out.WakeupMax = w

@@ -20,17 +20,6 @@ import (
 	"oddci/internal/analytic"
 )
 
-// JoinModel selects how nodes' wakeup completion times are drawn. The
-// zero value models receivers whose carousel reads begin at a uniformly
-// random phase: W ~ U(C, 2C) for an image-dominated carousel — the
-// paper's 1.5·I/β expectation.
-type JoinModel int
-
-// JoinSynchronized models receivers that all begin reading at the
-// carousel commit: W = C for everyone (the block-cache receiver's best
-// case).
-const JoinSynchronized JoinModel = 1
-
 // JobConfig parameterizes one run.
 type JobConfig struct {
 	Nodes      int
@@ -44,7 +33,6 @@ type JobConfig struct {
 	TaskSeconds  float64
 	// RequestBytes is the per-pull request overhead (default 64).
 	RequestBytes int
-	Join         JoinModel
 	Seed         int64
 }
 

@@ -84,19 +84,6 @@ func TestRunJobWakeupModels(t *testing.T) {
 	if r.WakeupMax > 2*cycle {
 		t.Fatalf("wakeup max %v exceeds 2 cycles", r.WakeupMax)
 	}
-
-	cfgS := cfgR
-	cfgS.Join = JoinSynchronized
-	s, err := RunJob(cfgS)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.WakeupMean != cycle || s.WakeupMax != cycle {
-		t.Fatalf("synchronized wakeup = %v/%v, want exactly one cycle", s.WakeupMean, s.WakeupMax)
-	}
-	if s.Makespan >= r.Makespan {
-		t.Fatal("synchronized join should beat random phase")
-	}
 }
 
 func TestRunJobLoadBalance(t *testing.T) {
@@ -146,25 +133,6 @@ func BenchmarkRunJob100kTasks(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := RunJob(cfg); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-// The synchronized-join DES must match the discrete closed form
-// MakespanSynchronized exactly: both are deterministic.
-func TestSynchronizedDESMatchesDiscreteModel(t *testing.T) {
-	for _, ratio := range []int{1, 7, 100} {
-		cfg := fig6Config(ratio, 50, 250)
-		cfg.Join = JoinSynchronized
-		cfg.RequestBytes = 64 // pin the default so the model sees it too
-		res, err := RunJob(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := cfg.Params().MakespanSynchronized(float64(cfg.RequestBytes) * 8)
-		got := res.Makespan.Seconds()
-		if math.Abs(got-want) > 1e-6 {
-			t.Fatalf("ratio=%d: DES %.9fs vs discrete model %.9fs", ratio, got, want)
 		}
 	}
 }

@@ -44,10 +44,6 @@ type Clock interface {
 	// Now returns the current (virtual or wall) time.
 	Now() time.Time
 
-	// Sleep blocks the calling goroutine for d. Non-positive d yields
-	// without advancing time ordering guarantees.
-	Sleep(d time.Duration)
-
 	// AfterFunc schedules fn to run once, d from now.
 	AfterFunc(d time.Duration, fn func()) Timer
 

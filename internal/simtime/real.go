@@ -17,9 +17,6 @@ func NewReal() *Real { return &Real{} }
 // Now implements Clock.
 func (r *Real) Now() time.Time { return time.Now() }
 
-// Sleep implements Clock.
-func (r *Real) Sleep(d time.Duration) { time.Sleep(d) }
-
 type realTimer struct{ t *time.Timer }
 
 func (rt realTimer) Stop() bool { return rt.t.Stop() }

@@ -85,10 +85,6 @@ func (w *Wheel) Reset(start int64) {
 	w.resident = [wheelLevels]int{}
 }
 
-// Now returns the cursor tick: all ticks ≤ Now have fired or were
-// verified empty.
-func (w *Wheel) Now() int64 { return w.now }
-
 // Len reports the number of scheduled items, including lazily-cancelled
 // ones the caller will skip at fire time.
 func (w *Wheel) Len() int { return w.count }

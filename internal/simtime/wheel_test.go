@@ -92,8 +92,8 @@ func TestWheelAdvanceStopsAtLimit(t *testing.T) {
 func TestWheelEmptyAdvanceMovesCursor(t *testing.T) {
 	w := NewWheel(0)
 	w.AdvanceTo(1_000_000, func(int64, []int32) { t.Fatal("fired on empty wheel") })
-	if w.Now() != 1_000_000 {
-		t.Fatalf("cursor = %d, want 1000000", w.Now())
+	if w.now != 1_000_000 {
+		t.Fatalf("cursor = %d, want 1000000", w.now)
 	}
 	w.Schedule(1_000_001, 7)
 	ticks, _ := collect(w, 2_000_000)
@@ -278,8 +278,8 @@ func TestWheelResetMatchesNewWheel(t *testing.T) {
 		start := referenceStart(rand.New(rand.NewSource(seed)), trial)
 		limit := start + 1<<22
 		reused.Reset(start)
-		if reused.Len() != 0 || reused.Now() != start {
-			t.Fatalf("trial %d: after Reset(%d) Len = %d, Now = %d", trial, start, reused.Len(), reused.Now())
+		if reused.Len() != 0 || reused.now != start {
+			t.Fatalf("trial %d: after Reset(%d) Len = %d, Now = %d", trial, start, reused.Len(), reused.now)
 		}
 		fresh := NewWheel(start)
 		want, _ := playReference(fresh, rand.New(rand.NewSource(seed)), start, limit)
@@ -325,12 +325,12 @@ func BenchmarkWheelScheduleFire(b *testing.B) {
 	w := NewWheel(0)
 	var fired int
 	for i := 0; i < b.N; i++ {
-		w.Schedule(w.Now()+1+int64(i%1000), int32(i))
+		w.Schedule(w.now+1+int64(i%1000), int32(i))
 		if i%64 == 63 {
-			w.AdvanceTo(w.Now()+32, func(_ int64, ids []int32) { fired += len(ids) })
+			w.AdvanceTo(w.now+32, func(_ int64, ids []int32) { fired += len(ids) })
 		}
 	}
-	w.AdvanceTo(w.Now()+2000, func(_ int64, ids []int32) { fired += len(ids) })
+	w.AdvanceTo(w.now+2000, func(_ int64, ids []int32) { fired += len(ids) })
 	if fired != b.N {
 		b.Fatalf("fired %d of %d", fired, b.N)
 	}

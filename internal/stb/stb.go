@@ -86,7 +86,6 @@ type Config struct {
 	Broadcaster middleware.ObjectCarousel
 	Signalling  *middleware.Signalling
 	Profile     instance.DeviceProfile
-	Perf        PerfModel
 	Mode        Mode
 	// Strategy selects the carousel receiver behaviour.
 	Strategy dsmcc.ReceiverStrategy
@@ -143,9 +142,6 @@ func New(cfg Config) (*STB, error) {
 	if cfg.Rng == nil {
 		return nil, errors.New("stb: rng is required")
 	}
-	if cfg.Perf.SlowdownVsPC == 0 {
-		cfg.Perf = DefaultPerf()
-	}
 	s := &STB{cfg: cfg, mode: cfg.Mode, factories: make(map[string]xlet.Factory)}
 	if cfg.SharedCache != nil {
 		s.cache = cfg.SharedCache
@@ -194,7 +190,7 @@ func (s *STB) TaskDuration(refSTBSeconds float64) time.Duration {
 	s.mu.Lock()
 	mode := s.mode
 	s.mu.Unlock()
-	return s.cfg.Perf.TaskDuration(refSTBSeconds, mode)
+	return DefaultPerf().TaskDuration(refSTBSeconds, mode)
 }
 
 // RegisterApp maps a carousel class file to an Xlet implementation; the

@@ -108,7 +108,7 @@ func TestRegisteredAppsSurvivePowerCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Registration is reflected in the fresh manager: launching through
-	// it would find the factory (counted indirectly: no LaunchErrors
+	// it would find the factory (counted indirectly: no launchErrors
 	// path is exercised here, so check the internal map via a second
 	// registration being idempotent).
 	s.RegisterApp("a.xlet", func() xlet.Xlet { return nil })

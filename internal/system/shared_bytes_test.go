@@ -21,13 +21,13 @@ import (
 // means some consumer wrote into shared bytes.
 func assertCarouselIntact(t *testing.T, sys *System, wantImageBytes int) {
 	t.Helper()
-	l := sys.Broadcaster.(*dsmcc.Broadcaster).Layout()
+	l := sys.bcast.Layout()
 	staged := false
 	for _, e := range l.Entries {
 		if got := dsmcc.HashOf(e.Data); got != e.Hash {
-			t.Errorf("carousel file %q (%d bytes) hashes to %x, staged as %x", e.Name, e.Size, got, e.Hash)
+			t.Errorf("carousel file %q (%d bytes) hashes to %x, staged as %x", e.Name, len(e.Data), got, e.Hash)
 		}
-		staged = staged || e.Size >= wantImageBytes
+		staged = staged || len(e.Data) >= wantImageBytes
 	}
 	if !staged {
 		t.Fatalf("no image of ≥ %d bytes among the %d carousel files", wantImageBytes, len(l.Entries))

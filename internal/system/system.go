@@ -55,8 +55,6 @@ type Config struct {
 	Strategy dsmcc.ReceiverStrategy
 	// StandbyFraction of nodes idle in standby; the rest are in use.
 	StandbyFraction float64
-	// Perf is the device performance model (default: paper calibration).
-	Perf stb.PerfModel
 	// InitialPowerOn is the fraction of nodes powered at Start
 	// (default 1).
 	InitialPowerOn float64
@@ -112,12 +110,6 @@ type Config struct {
 	// RestartController exercise a hard stop + journal recovery
 	// while the carousel keeps cycling and the devices stay up.
 	StateDir string
-	// ChunkCacheBytes gives every set-top box a persistent
-	// content-addressed chunk cache of this size (surviving power
-	// cycles), so image updates re-stage as deltas: unchanged carousel
-	// modules are served locally at DII latency. Zero disables caching;
-	// negative selects dsmcc.DefaultChunkCacheBytes.
-	ChunkCacheBytes int64
 }
 
 // DeviceSpec is one stratum of a heterogeneous population.
@@ -167,15 +159,14 @@ func (c *Config) fill() error {
 type System struct {
 	cfg Config
 
-	Clock       simtime.Clock
-	Controller  *controller.Controller
-	Provider    *provider.Provider
-	Backend     *backend.Backend
-	Broadcaster middleware.ObjectCarousel
-	Signalling  *middleware.Signalling
-	Registry    *dve.Registry
-	STBs        []*stb.STB
+	Clock      simtime.Clock
+	Controller *controller.Controller
+	Provider   *provider.Provider
+	Backend    *backend.Backend
+	Registry   *dve.Registry
+	STBs       []*stb.STB
 
+	bcast         *dsmcc.Broadcaster
 	controllerPub ed25519.PublicKey
 
 	// Durable control-plane state (Config.StateDir): the journal store,
@@ -290,9 +281,8 @@ func New(cfg Config) (*System, error) {
 		Controller:    ctrl,
 		Provider:      provider.New(ctrl),
 		Backend:       be,
-		Broadcaster:   bcast,
-		Signalling:    sig,
 		Registry:      reg,
+		bcast:         bcast,
 		controllerPub: pub,
 		store:         store,
 		head:          head,
@@ -322,10 +312,6 @@ func New(cfg Config) (*System, error) {
 		return cfg.DeviceMix[len(cfg.DeviceMix)-1].Profile
 	}
 
-	var cacheMet *dsmcc.CacheMetrics
-	if cfg.ChunkCacheBytes != 0 {
-		cacheMet = dsmcc.NewCacheMetrics(cfg.Obs)
-	}
 	linkCfg := netsim.LinkConfig{RateBps: cfg.Delta}
 	for i := 0; i < cfg.Nodes; i++ {
 		nodeID := uint64(i + 1)
@@ -340,13 +326,9 @@ func New(cfg Config) (*System, error) {
 			Broadcaster: bcast,
 			Signalling:  sig,
 			Profile:     drawProfile(nodeRng),
-			Perf:        cfg.Perf,
 			Mode:        mode,
 			Strategy:    cfg.Strategy,
 			Rng:         nodeRng,
-
-			ChunkCacheBytes: cfg.ChunkCacheBytes,
-			CacheMetrics:    cacheMet,
 		})
 		if err != nil {
 			return nil, err

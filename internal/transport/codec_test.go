@@ -12,6 +12,14 @@ import (
 	"oddci/internal/span"
 )
 
+// has reports membership.
+func (s *nodeSet) has(id uint64) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	_, ok := s.m[id]
+	return ok
+}
+
 func TestTaskPlaneCodecRoundTrip(t *testing.T) {
 	reqs := []TaskRequestMsg{{}, {NodeID: 1}, {NodeID: ^uint64(0)}}
 	for _, in := range reqs {

@@ -147,14 +147,6 @@ func (s *nodeSet) Add(id uint64) {
 	}
 }
 
-// has reports membership.
-func (s *nodeSet) has(id uint64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.m[id]
-	return ok
-}
-
 // Len returns the distinct-node count without taking the lock.
 func (s *nodeSet) Len() int { return int(s.count.Load()) }
 
@@ -456,10 +448,6 @@ func (c *Coordinator) Seq() uint32 {
 	return st.Seq
 }
 
-// stagedChunks returns how many distinct content-addressed chunk frames
-// the current stage holds.
-func (c *Coordinator) stagedChunks() int { return len(c.stage.Load().chunks) }
-
 // Recovered reports whether this coordinator resumed from a StateDir
 // written by a previous run.
 func (c *Coordinator) Recovered() bool { return c.ctrl.Recovered() }
@@ -475,11 +463,6 @@ func (c *Coordinator) NodeCount() int { return c.nodes.Len() }
 // file, manifest, chunks) encoded since construction — flat in the
 // number of sessions by design.
 func (c *Coordinator) BroadcastEncodes() int64 { return c.encodeOps.Load() }
-
-// broadcastBytes returns the size of the pre-encoded staged broadcast
-// (control + manifest + distinct chunk frames) each joining session
-// receives.
-func (c *Coordinator) broadcastBytes() int { return c.stage.Load().bytes }
 
 // Submit enqueues a job and marks the backend draining so nodes go home
 // when it finishes.

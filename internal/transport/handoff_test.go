@@ -12,6 +12,7 @@ import (
 
 	"oddci/internal/appimage"
 	"oddci/internal/core/backend"
+	"oddci/internal/obs"
 	"oddci/internal/span"
 	"oddci/internal/workload"
 )
@@ -310,7 +311,8 @@ func TestHandoffFlushesBeforeEveryRead(t *testing.T) {
 // after the first holds its task; a node that asked for LeaseSlack tasks
 // up front would take both.
 func TestNoHoardingOverLoopback(t *testing.T) {
-	coord := serveCoordinator(t, CoordinatorConfig{Image: testImage(), RetryAfter: 10 * time.Millisecond})
+	reg := obs.NewRegistry()
+	coord := serveCoordinator(t, CoordinatorConfig{Image: testImage(), RetryAfter: 10 * time.Millisecond, Obs: reg})
 	job := &workload.Job{Name: "hoard", Tasks: []workload.Task{{ID: 0, STBSeconds: 0.3}, {ID: 1, STBSeconds: 0.3}}}
 	h, err := coord.Submit(job)
 	if err != nil {
@@ -329,7 +331,7 @@ func TestNoHoardingOverLoopback(t *testing.T) {
 		}()
 	}
 	run(0)
-	waitFor(t, "the first node's assignment", func() bool { return atomic.LoadInt64(&coord.be.Assigned) > 0 })
+	waitFor(t, "the first node's assignment", func() bool { return reg.Counter("oddci_backend_tasks_dispatched_total", "").Value() > 0 })
 	run(1)
 	wg.Wait()
 	for n := range reports {

@@ -17,6 +17,15 @@ import (
 	"oddci/internal/obs"
 )
 
+// broadcastBytes returns the size of the pre-encoded staged broadcast
+// (control + manifest + distinct chunk frames) each joining session
+// receives.
+func (c *Coordinator) broadcastBytes() int { return c.stage.Load().bytes }
+
+// stagedChunks returns how many distinct content-addressed chunk frames
+// the current stage holds.
+func (c *Coordinator) stagedChunks() int { return len(c.stage.Load().chunks) }
+
 // chunkedImage builds an image whose payload is incompressible random
 // bytes, so every chunk carries a distinct content hash.
 func chunkedImage(t *testing.T, seed int64, payloadBytes int) *appimage.Image {

@@ -115,23 +115,6 @@ func (g *Generator) Generate() (*Job, error) {
 	return j, nil
 }
 
-// fromParams builds the uniform job described by an analytic parameter
-// set — the inverse of Job.Params.
-func fromParams(p analytic.Params, name string) (*Job, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	g := &Generator{
-		Name:        name,
-		ImageBytes:  int(p.ImageBits / 8),
-		Tasks:       int(p.Tasks),
-		InputBytes:  int(p.TaskInBits / 8),
-		OutputBytes: int(p.TaskOutBits / 8),
-		MeanSeconds: p.TaskSeconds,
-	}
-	return g.Generate()
-}
-
 // Params derives the analytic parameters that describe this job on an
 // instance of N nodes with channel capacities beta and delta.
 func (j *Job) Params(nodes int, beta, delta float64) analytic.Params {

@@ -8,6 +8,23 @@ import (
 	"oddci/internal/analytic"
 )
 
+// fromParams builds the uniform job described by an analytic parameter
+// set — the inverse of Job.Params.
+func fromParams(p analytic.Params, name string) (*Job, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	g := &Generator{
+		Name:        name,
+		ImageBytes:  int(p.ImageBits / 8),
+		Tasks:       int(p.Tasks),
+		InputBytes:  int(p.TaskInBits / 8),
+		OutputBytes: int(p.TaskOutBits / 8),
+		MeanSeconds: p.TaskSeconds,
+	}
+	return g.Generate()
+}
+
 func TestGeneratorUniform(t *testing.T) {
 	g := &Generator{Name: "u", ImageBytes: 1 << 20, Tasks: 100,
 		InputBytes: 512, OutputBytes: 512, MeanSeconds: 2}

@@ -13,7 +13,6 @@ package xlet
 
 import (
 	"fmt"
-	"time"
 
 	"oddci/internal/simtime"
 )
@@ -51,8 +50,6 @@ func (s State) String() string {
 type Context interface {
 	// Clock is the receiver's notion of time.
 	Clock() simtime.Clock
-	// AppKey identifies the application (orgID<<16 | appID).
-	AppKey() uint64
 	// ReadFile requests a carousel file. fn runs when the object
 	// carousel delivers it (possibly a full cycle later), or with err on
 	// failure. data is the carousel's own staged bytes, shared with
@@ -63,11 +60,6 @@ type Context interface {
 	// Go spawns a goroutine owned by the Xlet; the middleware tracks it
 	// via the clock.
 	Go(fn func())
-	// NotifyDestroyed tells the application manager the Xlet terminated
-	// on its own initiative.
-	NotifyDestroyed()
-	// After schedules fn on the receiver's timer wheel.
-	After(d time.Duration, fn func()) simtime.Timer
 	// OnCarouselUpdate registers fn to run whenever the object carousel
 	// changes generation (new files on air) — how a resident application
 	// notices fresh control messages. It returns a cancel function.
@@ -80,8 +72,6 @@ type Xlet interface {
 	InitXlet(ctx Context) error
 	// StartXlet begins or resumes service; Paused → Started.
 	StartXlet() error
-	// PauseXlet suspends service; Started → Paused.
-	PauseXlet()
 	// DestroyXlet terminates the Xlet; any state → Destroyed. If
 	// unconditional is false the Xlet may refuse by returning an error.
 	DestroyXlet(unconditional bool) error
