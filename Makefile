@@ -37,10 +37,11 @@ race:
 	$(GO) test -race ./...
 
 ## cores: appimage.DigestOf streams on one core and fans chunks out on
-## several, and the fleet engine's init and wakeup sweeps run inline on
-## one core and split by id range on several, both chosen by GOMAXPROCS,
-## so their packages run at 1, 2 and 4 to gate both paths whatever the
-## machine's default (the fleet golden results must not move). simtime
+## several, and the fleet engine plays a run as one id range on one core
+## and as one range per core, each whole on its own wheel, on several,
+## both chosen by GOMAXPROCS, so their packages run at 1, 2 and 4 to gate
+## both paths whatever the machine's default (the fleet golden results
+## must not move). simtime
 ## and netsim run there too: Sim hands a parked actor a parker reused
 ## from its free list, and a Link delivers from a FIFO ring that each
 ## arrival pops, so a stale wake or an out-of-order pop shows up as a

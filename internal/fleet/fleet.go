@@ -9,17 +9,22 @@
 // it keeps only what the paper's population-scale questions need — each
 // node's power phase, its next deadline, and a private RNG stream — in
 // struct-of-arrays form (25 bytes per node), and schedules the node
-// deadlines that fall inside the run on one hierarchical timing wheel
+// deadlines that fall inside the run on hierarchical timing wheels
 // (simtime.Wheel); a deadline past the window is remembered, not
-// booked, so the wheel's size follows the events that happen. The engine
-// drives the wheel itself — a run is one Wheel.AdvanceTo to the end of
-// the window — and the wheel delivers every deadline due at a tick as a
-// single batch, so one advance step turns into thousands of node
-// transitions; that batching is what makes 10⁶ nodes tractable in one
-// process. A run hands its node arrays and wheel to the next one, which
-// then allocates almost nothing (takeNodeState), and the two sweeps over
-// every node — the initial draws and the wakeup — split into one id range
-// per core (sweep). Neither moves a result: it is bit-identical at any
+// booked, so a wheel's size follows the events that happen. A wheel
+// delivers every deadline due at a tick as a single batch, so one
+// advance step turns into thousands of node transitions; that batching
+// is what makes 10⁶ nodes tractable in one process.
+//
+// A run is cut into one contiguous id range per core (sweepRanges), and
+// each range plays the whole run on a goroutine of its own: its own
+// draws, counters and wheel, its own copy of every sentinel (wakeup,
+// samplers, heartbeat cohorts, the sharded overlay's events), one
+// Wheel.AdvanceTo to the end of the window, and no synchronisation until
+// every range is there. The ranges record raw counts, and a merge builds
+// the Result from them (play). A run hands its node arrays, wheels and
+// records to the next one, which then allocates almost nothing
+// (takeNodeState). Neither moves a result: it is bit-identical at any
 // core count and after any earlier run.
 //
 // The model: each node alternates exponentially distributed on and off
@@ -57,6 +62,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"sync"
 	"time"
@@ -251,17 +257,34 @@ const (
 
 const maxCohorts = 256
 
-// nodeState is the part of an engine a run hands to the next one: the
-// struct-of-arrays node state, indexed by node id, and the wheel. init
-// writes every element of every array and Reset empties the wheel, so
-// nothing of the run that left them can be read.
+// nodeState is the part of a run the next one reuses: the
+// struct-of-arrays node state, indexed by node id, and one rangeState
+// per id range. A range writes every element of its own nodes' arrays
+// and resets its wheel and records before it reads them, so nothing of
+// the run that left them can be read.
 type nodeState struct {
-	whl *simtime.Wheel
-
 	phase    []uint8
 	offAt    []int64 // on nodes: power-off tick; off nodes: 0
 	deadline []int64 // tick of the node's (single) live wheel entry
 	rng      []uint64
+	ranges   []rangeState
+}
+
+// rangeState is what one id range keeps between runs: its wheel, its
+// join queue, and the raw records the merge reads once every range has
+// reached the end of the window.
+type rangeState struct {
+	whl *simtime.Wheel
+	// joinq defers load completions out of the wheel's fire batch; it
+	// reuses netsim.Ring, the same structure that fixed the Mailbox
+	// dequeue retention.
+	joinq netsim.Ring[int32]
+
+	fired    []uint64 // bitset over ticks [0, endTick]: the wheel fired a batch there
+	directAt []int32  // direct-on at the end of each window tick, by tick−wakeTick
+	joinAt   []uint64 // bitset over window ticks: a direct node joined there
+	availAt  []int32  // on nodes at each availability sample
+	rampAt   []int32  // direct-on at each ramp sample
 }
 
 // spare holds the nodeState of the last run to finish. One slot, not a
@@ -273,11 +296,11 @@ var spare struct {
 	st nodeState
 }
 
-// takeNodeState returns node arrays of length n and an empty wheel at
-// tick 0: the spare's when its arrays hold n nodes, fresh ones when they
-// do not or when another run holds the spare. The wheel is reused
-// whenever there is one.
-func takeNodeState(n int) nodeState {
+// takeNodeState returns node arrays of length n and at least k range
+// states: the spare's when its arrays hold n nodes, fresh ones when they
+// do not or when another run holds the spare. Range states and their
+// wheels are reused whenever there are any.
+func takeNodeState(n, k int) nodeState {
 	spare.Lock()
 	st := spare.st
 	spare.st = nodeState{}
@@ -287,10 +310,8 @@ func takeNodeState(n int) nodeState {
 		st.deadline, st.rng = make([]int64, n), make([]uint64, n)
 	}
 	st.phase, st.offAt, st.deadline, st.rng = st.phase[:n], st.offAt[:n], st.deadline[:n], st.rng[:n]
-	if st.whl == nil {
-		st.whl = simtime.NewWheel(0)
-	} else {
-		st.whl.Reset(0)
+	for len(st.ranges) < k {
+		st.ranges = append(st.ranges, rangeState{whl: simtime.NewWheel(0)})
 	}
 	return st
 }
@@ -302,91 +323,165 @@ func putNodeState(st nodeState) {
 	spare.Unlock()
 }
 
-type engine struct {
-	cfg Config
-	nodeState
+// resize returns s with length n, reusing its array when it is large
+// enough. The elements are not cleared.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
 
-	// joinq defers load completions out of the wheel's fire batch; it
-	// reuses netsim.Ring, the same structure that fixed the Mailbox
-	// dequeue retention.
-	joinq netsim.Ring[int32]
-
-	secPerTick  float64
-	wakeTick    int64
-	endTick     int64
-	meanOnSec   float64
-	meanOffSec  float64
-	cycleSec    float64
-	params      analytic.Params
-	avail       float64
-	ncoh        int32
-	hbTicks     int64
-	cohortOn    []int32
-	onCount     int
-	joined      int
-	directOn    int
-	directJoins int
-	availAtWake int
-	quorumTick  int64
-	quorumNeed  int
+// plan is what every id range of a run reads and none writes.
+type plan struct {
+	cfg        Config
+	secPerTick float64
+	meanOnSec  float64
+	meanOffSec float64
+	cycleSec   float64
+	avail      float64
+	params     analytic.Params
+	wakeTick   int64
+	endTick    int64
+	hbTicks    int64
+	ncoh       int32
 
 	availTicks, rampTicks []int64
-	availIdx, rampIdx     int
-	res                   *Result
+
+	shards *shardPlan // nil: no sharded overlay
+}
+
+func newPlan(cfg Config) *plan {
+	p := &plan{
+		cfg:        cfg,
+		secPerTick: cfg.Tick.Seconds(),
+		meanOnSec:  cfg.MeanOn.Seconds(),
+		meanOffSec: cfg.MeanOff.Seconds(),
+		cycleSec:   cfg.ImageBytes * 8 / cfg.Beta,
+		params:     analytic.Params{ImageBits: cfg.ImageBytes * 8, Beta: cfg.Beta},
+		wakeTick:   int64(cfg.Warmup / cfg.Tick),
+		ncoh:       int32(min(cfg.Nodes, maxCohorts)),
+		hbTicks:    max(int64(cfg.HeartbeatPeriod/cfg.Tick), 1),
+	}
+	p.avail = analytic.Availability(p.meanOnSec, p.meanOffSec)
+	p.endTick = p.wakeTick + int64(cfg.Window/cfg.Tick)
+	p.availTicks = sampleGrid(0, p.wakeTick, cfg.Samples)
+	p.rampTicks = sampleGrid(p.wakeTick, p.endTick, cfg.Samples)
+	return p
+}
+
+// engine plays one id range [lo, hi) of a run from start to end: its
+// own nodes' draws and deadlines, its own counters, and its own copy of
+// every sentinel, on its own wheel. Nothing it writes is read by another
+// range before the merge.
+type engine struct {
+	*plan
+	rangeState
+
+	phase    []uint8
+	offAt    []int64
+	deadline []int64
+	rng      []uint64
+	lo, hi   int
+
+	cohortOn          [maxCohorts]int32
+	onCount           int
+	joined            int
+	directOn          int
+	directJoins       int
+	availAtWake       int
+	woke              bool
+	nodeEvents        uint64
+	heartbeats        uint64
+	availIdx, rampIdx int
 
 	// ext, when non-nil, overlays the sharded-coordinator view on the
 	// node dynamics (see sharded.go). Node behavior is identical with
 	// and without it: the broadcast plane does not depend on which
 	// coordinator shard consolidates a node's heartbeats.
 	ext *shardExt
+
+	_ [64]byte // keeps the next range's counters off this one's cache lines
 }
 
 // Run executes one fleet simulation and returns its (self-validating)
 // result. It does not call Result.Validate; callers decide whether a
 // bound violation is fatal.
 func Run(cfg Config) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+	r, err := play(ShardedConfig{Config: cfg}, false, sweepRanges(cfg.Nodes))
+	return r.Result, err
+}
+
+// play is Run's and RunSharded's common entry. It checks cfg (the
+// overlay's fields too when sharded), cuts the population into k
+// contiguous id ranges, plays each range whole on a goroutine of its own
+// with no synchronisation until every range has reached the end of the
+// window, and merges the ranges' records. The result does not depend on
+// k: a range's wheel gets its own nodes' bookings and its sentinel copies
+// at the cursors and window rolls the one-wheel run booked them at, so
+// every batch, restricted to the range, keeps its order, and every
+// sentinel of the one-wheel run reads a sum of per-node terms that the
+// ranges' copies read in parts.
+func play(cfg ShardedConfig, sharded bool, k int) (ShardedResult, error) {
+	cfg.Config = cfg.Config.withDefaults()
+	if err := cfg.Config.Validate(); err != nil {
+		return ShardedResult{}, err
 	}
-	e := newEngine(cfg)
+	p := newPlan(cfg.Config)
+	if sharded {
+		sp, err := newShardPlan(cfg, p)
+		if err != nil {
+			return ShardedResult{}, err
+		}
+		p.shards = sp
+	}
+	st := takeNodeState(cfg.Nodes, k)
+	es := make([]engine, k)
+	sweep(k, cfg.Nodes, func(r, lo, hi int) {
+		e := &es[r]
+		*e = engine{
+			plan: p, rangeState: st.ranges[r],
+			phase: st.phase, offAt: st.offAt, deadline: st.deadline, rng: st.rng,
+			lo: lo, hi: hi,
+		}
+		e.run()
+		st.ranges[r] = e.rangeState
+	})
+	res := p.merge(es)
+	putNodeState(st)
+	return res, nil
+}
+
+// run sizes the range's records, draws its nodes, books their deadlines
+// and the range's sentinel copies, and plays the wheel out to the end of
+// the window in one advance, fire booking follow-ups into it.
+func (e *engine) run() {
+	e.whl.Reset(0)
+	e.fired = resize(e.fired, int(e.endTick>>6)+1)
+	clear(e.fired)
+	window := e.endTick - e.wakeTick
+	e.directAt = resize(e.directAt, int(window)+1)
+	e.joinAt = resize(e.joinAt, int(window>>6)+1)
+	clear(e.joinAt)
+	e.availAt = resize(e.availAt, e.cfg.Samples)
+	e.rampAt = resize(e.rampAt, e.cfg.Samples)
+	if e.shards != nil {
+		e.ext = e.shards.newExt(e.whl, e.lo, e.hi)
+	}
+
 	e.init()
-	r := e.run()
-	putNodeState(e.nodeState)
-	return r, nil
-}
-
-// run plays the booked events out to the end of the window: one wheel
-// advance, every batch in tick order, fire booking follow-ups into it.
-func (e *engine) run() *Result {
 	e.whl.AdvanceTo(e.endTick, e.fire)
-	return e.finish()
-}
 
-func newEngine(cfg Config) *engine {
-	n := cfg.Nodes
-	e := &engine{
-		cfg:        cfg,
-		nodeState:  takeNodeState(n),
-		secPerTick: cfg.Tick.Seconds(),
-		meanOnSec:  cfg.MeanOn.Seconds(),
-		meanOffSec: cfg.MeanOff.Seconds(),
-		cycleSec:   cfg.ImageBytes * 8 / cfg.Beta,
-		quorumTick: -1,
+	// Carry direct-on across the window ticks this range did not fire:
+	// nothing changed it there.
+	var last int32
+	for w := range e.directAt {
+		if bit(e.fired, e.wakeTick+int64(w)) {
+			last = e.directAt[w]
+		} else {
+			e.directAt[w] = last
+		}
 	}
-	e.params = analytic.Params{ImageBits: cfg.ImageBytes * 8, Beta: cfg.Beta}
-	e.avail = analytic.Availability(e.meanOnSec, e.meanOffSec)
-	e.wakeTick = int64(cfg.Warmup / cfg.Tick)
-	e.endTick = e.wakeTick + int64(cfg.Window/cfg.Tick)
-	e.ncoh = int32(min(n, maxCohorts))
-	e.hbTicks = max(int64(cfg.HeartbeatPeriod/cfg.Tick), 1)
-	e.cohortOn = make([]int32, e.ncoh)
-	e.res = &Result{
-		Nodes:        n,
-		Availability: e.avail,
-		QuorumFrac:   cfg.QuorumFrac,
-	}
-	return e
 }
 
 // setDeadline records id's single live deadline and books it on the
@@ -394,8 +489,7 @@ func newEngine(cfg Config) *engine {
 // (most of them — the power-cycle means dwarf the window) is only
 // remembered, which is all the staleness check needs. Superseded
 // entries are cancelled lazily — nodeEvent skips a fired (tick, id)
-// whose deadline has moved on. init and wakeup store their deadlines in
-// a sweep and book them by the same rule in one scan after it.
+// whose deadline has moved on.
 func (e *engine) setDeadline(id int32, tick int64) {
 	e.deadline[id] = tick
 	if tick <= e.endTick {
@@ -420,92 +514,64 @@ func unitOpen(s *uint64) float64 { return (float64(nextU64(s)>>11) + 1) / (1 << 
 func unitHalf(s *uint64) float64 { return float64(nextU64(s)>>11) / (1 << 53) }
 
 // expTicks draws Exp(mean seconds) rounded to ticks, at least 1.
-func (e *engine) expTicks(s *uint64, mean float64) int64 {
-	return max(int64(math.Round(-mean*math.Log(unitOpen(s))/e.secPerTick)), 1)
+func (p *plan) expTicks(s *uint64, mean float64) int64 {
+	return max(int64(math.Round(-mean*math.Log(unitOpen(s))/p.secPerTick)), 1)
 }
 
 // loadTicks draws the carousel load time W ~ U(C, 2C) in ticks: the
 // node joins the cyclic carousel at a uniformly random phase and needs
 // the remainder of the current cycle plus one full cycle.
-func (e *engine) loadTicks(s *uint64) int64 {
-	w := e.cycleSec * (1 + unitHalf(s))
-	return max(int64(math.Round(w/e.secPerTick)), 1)
+func (p *plan) loadTicks(s *uint64) int64 {
+	w := p.cycleSec * (1 + unitHalf(s))
+	return max(int64(math.Round(w/p.secPerTick)), 1)
 }
 
-// init draws the stationary initial state and books the fixed events:
-// the wakeup broadcast, the first availability and ramp samplers, and
-// one staggered heartbeat generator per cohort.
+// init draws the range's stationary initial state, booking each node's
+// deadline as it is drawn, then books the range's copies of the fixed
+// events: the wakeup broadcast, the first availability and ramp
+// samplers, one staggered heartbeat generator per cohort, and the
+// overlay's. Node deadlines go first, in id order, as they did on the
+// one wheel every range shared before.
 //
 // Stationary initialization is what makes the availability samples
 // exactly Binomial(Nodes, a): each node is on with probability a, and
 // its residual period is a fresh exponential draw (legitimate by
 // memorylessness), so the alternating process starts in equilibrium
 // instead of converging toward it during warm-up.
-//
-// The draws run as a sweep over id ranges, each range tallying its own
-// on-count; the deadlines are booked afterwards in id order, so the
-// wheel sees the same insertion sequence at any core count.
 func (e *engine) init() {
-	k := sweepRanges(len(e.phase))
-	tallies := make([]initTally, k)
-	sweep(k, len(e.phase), func(r, lo, hi int) { tallies[r] = e.initRange(lo, hi) })
-	for r := range tallies {
-		e.onCount += tallies[r].on
-		for c := range e.cohortOn {
-			e.cohortOn[c] += tallies[r].cohortOn[c]
-		}
-	}
-	for i, d := range e.deadline {
-		if d <= e.endTick {
-			e.whl.Schedule(d, int32(i))
-		}
-	}
-
-	e.whl.Schedule(e.wakeTick, idWakeup)
-
-	e.availTicks = sampleGrid(0, e.wakeTick, e.cfg.Samples)
-	e.rampTicks = sampleGrid(e.wakeTick, e.endTick, e.cfg.Samples)
-	e.whl.Schedule(e.availTicks[0], idAvail)
-	e.whl.Schedule(e.rampTicks[0], idRamp)
-
-	for k := int32(0); k < e.ncoh; k++ {
-		first := (int64(k)*e.hbTicks)/int64(e.ncoh) + 1
-		e.whl.Schedule(first, idCohortBase-k)
-	}
-}
-
-// initTally is one id range's share of the initial on-counts.
-type initTally struct {
-	on       int
-	cohortOn [maxCohorts]int32
-}
-
-// initRange draws nodes [lo, hi): seed, phase, offAt and deadline, every
-// one written, and tallies the on nodes.
-func (e *engine) initRange(lo, hi int) (tl initTally) {
-	for i := lo; i < hi; i++ {
+	for i := e.lo; i < e.hi; i++ {
 		s := &e.rng[i]
 		*s = uint64(e.cfg.Seed)*0xD1342543DE82EF95 + (uint64(i)+1)*0x9E3779B97F4A7C15
 		if unitHalf(s) < e.avail {
 			e.phase[i] = phaseIdle
-			tl.on++
-			tl.cohortOn[int32(i)%e.ncoh]++
+			e.onCount++
+			e.cohortOn[int32(i)%e.ncoh]++
 			e.offAt[i] = e.expTicks(s, e.meanOnSec)
-			e.deadline[i] = e.offAt[i]
+			e.setDeadline(int32(i), e.offAt[i])
 		} else {
 			e.phase[i] = phaseOff
 			e.offAt[i] = 0
-			e.deadline[i] = e.expTicks(s, e.meanOffSec)
+			e.setDeadline(int32(i), e.expTicks(s, e.meanOffSec))
 		}
 	}
-	return tl
+
+	e.whl.Schedule(e.wakeTick, idWakeup)
+	e.whl.Schedule(e.availTicks[0], idAvail)
+	e.whl.Schedule(e.rampTicks[0], idRamp)
+	for k := int32(0); k < e.ncoh; k++ {
+		first := (int64(k)*e.hbTicks)/int64(e.ncoh) + 1
+		e.whl.Schedule(first, idCohortBase-k)
+	}
+	if e.ext != nil {
+		e.ext.book()
+	}
 }
 
-// minSweepRange is the fewest nodes worth a goroutine of their own in a
-// sweep (~0.7 ms of init draws).
+// minSweepRange is the fewest nodes worth a goroutine of their own (a
+// default run of them takes ~1.6 ms).
 const minSweepRange = 1 << 14
 
-// sweepRanges is the number of id ranges a sweep over n nodes uses: one
+// sweepRanges is the number of id ranges a run over n nodes uses: one
 // per core, but no range under minSweepRange nodes.
 func sweepRanges(n int) int {
 	return max(min(runtime.GOMAXPROCS(0), n/minSweepRange), 1)
@@ -542,9 +608,9 @@ func sampleGrid(from, to int64, n int) []int64 {
 }
 
 // fire applies one tick's batch: every node deadline and sentinel due
-// there, then the joins the batch deferred.
+// there, then the joins the batch deferred, and records the tick.
 func (e *engine) fire(tick int64, ids []int32) {
-	e.res.WheelBatches++
+	e.fired[tick>>6] |= 1 << (tick & 63)
 	for _, id := range ids {
 		if id >= 0 {
 			e.nodeEvent(tick, id)
@@ -553,6 +619,9 @@ func (e *engine) fire(tick int64, ids []int32) {
 		}
 	}
 	e.drainJoins(tick)
+	if tick >= e.wakeTick {
+		e.directAt[tick-e.wakeTick] = int32(e.directOn)
+	}
 }
 
 // nodeEvent applies one node's due transition. The staleness check is
@@ -563,7 +632,7 @@ func (e *engine) nodeEvent(tick int64, id int32) {
 	if e.deadline[id] != tick {
 		return
 	}
-	e.res.NodeEvents++
+	e.nodeEvents++
 	switch e.phase[id] & phaseMask {
 	case phaseOff:
 		e.powerOn(tick, id)
@@ -612,7 +681,8 @@ func (e *engine) powerOff(tick int64, id int32) {
 }
 
 // drainJoins completes the load→join transitions deferred by the fire
-// batch and checks the quorum crossing.
+// batch and marks the tick if a direct node joined: the quorum can only
+// be crossed at such a tick, where the one-wheel run checked it.
 func (e *engine) drainJoins(tick int64) {
 	for {
 		id, ok := e.joinq.PopFront()
@@ -628,9 +698,8 @@ func (e *engine) drainJoins(tick int64) {
 		if e.phase[id]&flagDirect != 0 {
 			e.directOn++
 			e.directJoins++
-			if e.quorumTick < 0 && e.directOn >= e.quorumNeed {
-				e.quorumTick = tick
-			}
+			w := tick - e.wakeTick
+			e.joinAt[w>>6] |= 1 << (w & 63)
 		}
 	}
 }
@@ -640,9 +709,17 @@ func (e *engine) sentinel(tick int64, id int32) {
 	case idWakeup:
 		e.wakeup(tick)
 	case idAvail:
-		e.sampleAvail(tick)
+		e.availAt[e.availIdx] = int32(e.onCount)
+		e.availIdx++
+		if e.availIdx < len(e.availTicks) {
+			e.whl.Schedule(e.availTicks[e.availIdx], idAvail)
+		}
 	case idRamp:
-		e.sampleRamp(tick)
+		e.rampAt[e.rampIdx] = int32(e.directOn)
+		e.rampIdx++
+		if e.rampIdx < len(e.rampTicks) {
+			e.whl.Schedule(e.rampTicks[e.rampIdx], idRamp)
+		}
 	default:
 		// Sharded-overlay sentinels sit far below the cohort range;
 		// give the extension first refusal before the cohort decode.
@@ -653,73 +730,26 @@ func (e *engine) sentinel(tick int64, id int32) {
 	}
 }
 
-// wakeup broadcasts the instance creation: every on node joins the
-// carousel at a random phase. This is the one O(Nodes) event; all
-// other work is proportional to transitions, not population. Like init,
-// it draws in a sweep over id ranges and books in id order after.
+// wakeup broadcasts the instance creation: every on node of the range
+// joins the carousel at a random phase. This is the one O(Nodes) event;
+// all other work is proportional to transitions, not population.
 func (e *engine) wakeup(tick int64) {
+	e.woke = true
 	e.availAtWake = e.onCount
-	e.quorumNeed = int(math.Ceil(e.cfg.QuorumFrac * float64(e.availAtWake)))
-	n := len(e.phase)
-	sweep(sweepRanges(n), n, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if e.phase[i] == phaseIdle {
-				e.phase[i] = phaseLoading | flagDirect
-				e.deadline[i] = min(tick+e.loadTicks(&e.rng[i]), e.offAt[i])
-			}
-		}
-	})
-	// Only this sweep sets phaseLoading|flagDirect, so the scan books
-	// exactly its deadlines, in id order.
-	for i, p := range e.phase {
-		if p == phaseLoading|flagDirect && e.deadline[i] <= e.endTick {
-			e.whl.Schedule(e.deadline[i], int32(i))
+	for i := e.lo; i < e.hi; i++ {
+		if e.phase[i] == phaseIdle {
+			e.phase[i] = phaseLoading | flagDirect
+			e.setDeadline(int32(i), min(tick+e.loadTicks(&e.rng[i]), e.offAt[i]))
 		}
 	}
-	if e.ext != nil {
-		e.ext.onWakeup()
-	}
 }
 
-func (e *engine) sampleAvail(tick int64) {
-	t := float64(tick) * e.secPerTick
-	e.res.Avail = append(e.res.Avail, Point{
-		T:     t,
-		Sim:   float64(e.onCount) / float64(e.cfg.Nodes),
-		Model: e.avail,
-		Tol:   e.tolFor(e.avail, e.cfg.Nodes),
-	})
-	e.availIdx++
-	if e.availIdx < len(e.availTicks) {
-		e.whl.Schedule(e.availTicks[e.availIdx], idAvail)
-	}
-}
-
-func (e *engine) sampleRamp(tick int64) {
-	t := float64(tick-e.wakeTick) * e.secPerTick
-	model := e.params.RampUpWithChurn(t, e.meanOnSec)
-	sim := 0.0
-	if e.availAtWake > 0 {
-		sim = float64(e.directOn) / float64(e.availAtWake)
-	}
-	e.res.Ramp = append(e.res.Ramp, Point{
-		T:     t,
-		Sim:   sim,
-		Model: model,
-		Tol:   e.tolFor(model, e.availAtWake),
-	})
-	e.rampIdx++
-	if e.rampIdx < len(e.rampTicks) {
-		e.whl.Schedule(e.rampTicks[e.rampIdx], idRamp)
-	}
-}
-
-// heartbeat generates one cohort's heartbeats as a single counted
-// batch: cohortOn[k] nodes each owe one heartbeat this period. Nothing
-// per-node is materialized — this is the batched generation that keeps
-// 10⁶ nodes from costing 10⁶ events every period.
+// heartbeat generates the range's share of one cohort's heartbeats as a
+// single counted batch: cohortOn[k] nodes each owe one heartbeat this
+// period. Nothing per-node is materialized — this is the batched
+// generation that keeps 10⁶ nodes from costing 10⁶ events every period.
 func (e *engine) heartbeat(tick int64, k int32) {
-	e.res.Heartbeats += uint64(e.cohortOn[k])
+	e.heartbeats += uint64(e.cohortOn[k])
 	if next := tick + e.hbTicks; next <= e.endTick {
 		e.whl.Schedule(next, idCohortBase-k)
 	}
@@ -730,34 +760,108 @@ func (e *engine) heartbeat(tick int64, k int32) {
 // completions and power flips are quantized to ticks). p is clamped
 // away from {0, 1} by the discretization floor so the bound never
 // collapses to zero at the curve's flats.
-func (e *engine) tolFor(p float64, n int) float64 {
+func (p *plan) tolFor(pr float64, n int) float64 {
 	if n <= 0 {
 		return 1
 	}
-	floor := e.secPerTick / e.cycleSec
-	p = min(max(p, floor), 1-floor)
-	return 5*math.Sqrt(p*(1-p)/float64(n)) + floor
+	floor := p.secPerTick / p.cycleSec
+	pr = min(max(pr, floor), 1-floor)
+	return 5*math.Sqrt(pr*(1-pr)/float64(n)) + floor
 }
 
-// finish assembles the result, computing the model quorum time by
-// bisecting the churn-adjusted ramp and converting the binomial count
-// fluctuation into seconds through the curve's local slope.
-func (e *engine) finish() *Result {
-	r := e.res
-	r.AvailAtWake = e.availAtWake
-	r.DirectJoins = e.directJoins
-	r.FinalJoined = e.joined
+// bit reports bit i of a bitset.
+func bit(set []uint64, i int64) bool { return set[i>>6]&(1<<(i&63)) != 0 }
+
+// merge builds the result from the ranges' records once all of them have
+// reached the end of the window. Every count is a sum over the ranges,
+// the wheel batches are the union of the ticks they fired, and the
+// quorum tick is the first window tick at which some range saw a direct
+// join and the ranges' direct-on counts at the end of that tick reach
+// the quorum: the one-wheel run checked after each direct join, and
+// within a tick's joins direct-on only grows.
+func (p *plan) merge(es []engine) ShardedResult {
+	r := &Result{
+		Nodes:        p.cfg.Nodes,
+		Availability: p.avail,
+		QuorumFrac:   p.cfg.QuorumFrac,
+		Avail:        make([]Point, p.cfg.Samples),
+		Ramp:         make([]Point, p.cfg.Samples),
+	}
+	for i := range es {
+		e := &es[i]
+		r.AvailAtWake += e.availAtWake
+		r.DirectJoins += e.directJoins
+		r.FinalJoined += e.joined
+		r.Heartbeats += e.heartbeats
+		r.NodeEvents += e.nodeEvents
+	}
+	for w := range es[0].fired {
+		var u uint64
+		for i := range es {
+			u |= es[i].fired[w]
+		}
+		r.WheelBatches += uint64(bits.OnesCount64(u))
+	}
 	r.SimEvents = r.WheelBatches
-	r.QuorumSimSeconds = -1
-	if e.quorumTick >= 0 {
-		r.QuorumSimSeconds = float64(e.quorumTick-e.wakeTick) * e.secPerTick
+
+	tolAvail := p.tolFor(p.avail, p.cfg.Nodes)
+	for j := range r.Avail {
+		on := 0
+		for i := range es {
+			on += int(es[i].availAt[j])
+		}
+		r.Avail[j] = Point{
+			T:     float64(p.availTicks[j]) * p.secPerTick,
+			Sim:   float64(on) / float64(p.cfg.Nodes),
+			Model: p.avail,
+			Tol:   tolAvail,
+		}
+	}
+	for j := range r.Ramp {
+		direct := 0
+		for i := range es {
+			direct += int(es[i].rampAt[j])
+		}
+		t := float64(p.rampTicks[j]-p.wakeTick) * p.secPerTick
+		model := p.params.RampUpWithChurn(t, p.meanOnSec)
+		sim := 0.0
+		if r.AvailAtWake > 0 {
+			sim = float64(direct) / float64(r.AvailAtWake)
+		}
+		r.Ramp[j] = Point{T: t, Sim: sim, Model: model, Tol: p.tolFor(model, r.AvailAtWake)}
 	}
 
-	q := e.cfg.QuorumFrac
-	curve := func(t float64) float64 { return e.params.RampUpWithChurn(t, e.meanOnSec) }
+	r.QuorumSimSeconds = -1
+	need := int(math.Ceil(p.cfg.QuorumFrac * float64(r.AvailAtWake)))
+	for w := range int64(len(es[0].directAt)) {
+		joined, on := false, 0
+		for i := range es {
+			joined = joined || bit(es[i].joinAt, w)
+			on += int(es[i].directAt[w])
+		}
+		if joined && on >= need {
+			r.QuorumSimSeconds = float64(w) * p.secPerTick
+			break
+		}
+	}
+	p.quorumModel(r)
+
+	res := ShardedResult{Result: r}
+	if p.shards != nil {
+		p.shards.merge(&res, p, es)
+	}
+	return res
+}
+
+// quorumModel computes the model quorum time by bisecting the
+// churn-adjusted ramp and converts the binomial count fluctuation into
+// seconds through the curve's local slope.
+func (p *plan) quorumModel(r *Result) {
+	q := p.cfg.QuorumFrac
+	curve := func(t float64) float64 { return p.params.RampUpWithChurn(t, p.meanOnSec) }
 	r.QuorumModelSeconds = math.Inf(1)
-	if hi := 2 * e.cycleSec; curve(hi) >= q {
-		lo := e.cycleSec
+	if hi := 2 * p.cycleSec; curve(hi) >= q {
+		lo := p.cycleSec
 		for i := 0; i < 64; i++ {
 			mid := (lo + hi) / 2
 			if curve(mid) < q {
@@ -772,13 +876,12 @@ func (e *engine) finish() *Result {
 		// tolerance conversion. Six standard deviations rather than
 		// five: the first-crossing time of a fluctuating count is
 		// biased slightly early relative to the mean crossing.
-		h := e.secPerTick
+		h := p.secPerTick
 		slope := (curve(t+h) - curve(t-h)) / (2 * h)
 		if slope <= 0 {
-			slope = 1 / e.cycleSec
+			slope = 1 / p.cycleSec
 		}
-		sigma := math.Sqrt(q * (1 - q) / float64(max(e.availAtWake, 1)))
-		r.QuorumTolSeconds = (6*sigma+e.secPerTick/e.cycleSec)/slope + 2*e.secPerTick
+		sigma := math.Sqrt(q * (1 - q) / float64(max(r.AvailAtWake, 1)))
+		r.QuorumTolSeconds = (6*sigma+p.secPerTick/p.cycleSec)/slope + 2*p.secPerTick
 	}
-	return r
 }

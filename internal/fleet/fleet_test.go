@@ -219,15 +219,21 @@ func TestConfigValidateWheelHorizon(t *testing.T) {
 }
 
 // TestWheelEmptyAtEnd: only deadlines that can fire are booked, so a
-// finished run leaves nothing on the wheel. Before PR 23 every deadline
-// past the window was booked at endTick+1 and ~1.7 entries per node were
+// finished run leaves nothing on any range's wheel. When every deadline
+// past the window was booked at endTick+1, ~1.7 entries per node were
 // still there, having been appended, cascaded and never fired.
 func TestWheelEmptyAtEnd(t *testing.T) {
-	e := newEngine(Config{Nodes: 100_000, Seed: 1}.withDefaults())
-	e.init()
-	e.run()
-	if n := e.whl.Len(); n != 0 {
-		t.Fatalf("%d entries left on the wheel after the run (%.2f per node)", n, float64(n)/100_000)
+	for _, k := range []int{1, 3} {
+		if _, err := play(ShardedConfig{Config: Config{Nodes: 100_000, Seed: 1}}, false, k); err != nil {
+			t.Fatal(err)
+		}
+		spare.Lock()
+		for r := range spare.st.ranges[:k] {
+			if n := spare.st.ranges[r].whl.Len(); n != 0 {
+				t.Errorf("k=%d: %d entries left on range %d's wheel after the run (%.2f per node)", k, n, r, float64(n)/100_000)
+			}
+		}
+		spare.Unlock()
 	}
 }
 
@@ -243,16 +249,19 @@ func allocatedBy(f func()) (bytes, mallocs uint64) {
 // TestRunAllocBudget bounds what a run allocates, in bytes and in
 // mallocs, cold and warm. A cold run (no spare node state) allocates 25
 // B/node of SoA state plus 8-byte wheel entries for the deadlines that
-// fire: ~53 B/node (~94 with 16-byte entries); slot growth and the curves
-// are ~3.5 k mallocs, where a Sim timer and a closure per wheel batch
-// made it ~72 k. A warm run at the same N reuses the last run's arrays
-// and wheel slots and allocates only its result, its tallies and its
-// sweep goroutines: ~12 KB in ~25 mallocs on one core, ~21 KB in ~44 at
-// six ranges, the most a sweep splits 10⁵ nodes into.
+// fire: ~50 B/node on one range, ~58 on four (~94 with 16-byte
+// entries); slot growth and the curves are ~1.4 k mallocs on one range
+// and ~4.1 k on four (~5.7 k on six, the most 10⁵ nodes are cut into),
+// where a Sim timer and a closure per wheel batch made it ~72 k and slots
+// grown from one entry ~11.3 k on four. A warm run at the same N reuses
+// the last run's arrays, wheel slots, join queues and records and
+// allocates only its result, its sample grids, its engines and one
+// goroutine per range past the first: ~6 KB in 8 mallocs on one core,
+// ~12 KB in 15 on four ranges, ~16 KB in 17 on six.
 func TestRunAllocBudget(t *testing.T) {
 	const nodes, byteBudget, mallocBudget = 100_000, 80, 8_000
 	const warmByteBudget, warmMallocBudget = 24 << 10, 48
-	takeNodeState(0) // empty the spare: the first run below is cold
+	takeNodeState(0, 0) // empty the spare: the first run below is cold
 	run := func() {
 		if _, err := Run(Config{Nodes: nodes, Seed: 1}); err != nil {
 			t.Fatal(err)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -81,4 +82,72 @@ func firstDiff(got, want []byte) string {
 		}
 	}
 	return fmt.Sprintf("lengths differ: got %d lines, want %d", len(g), len(w))
+}
+
+// TestResultsIndependentOfRangeCount: a run cut into k id ranges, each
+// played whole on its own wheel, returns the one-range result byte for
+// byte, whatever the machine's core count. The cases are the golden
+// configs; a run whose quorum is never reached (QuorumFrac 1: some
+// wakeup-time node always powers off before it joins); and a run with no
+// node on at the wakeup, which has nobody to form a quorum from.
+func TestResultsIndependentOfRangeCount(t *testing.T) {
+	cases := []struct {
+		name    string
+		cfg     ShardedConfig
+		sharded bool
+		quorum  func(*Result) bool
+	}{
+		{name: "run_1e5_seed1", cfg: ShardedConfig{Config: Config{Nodes: 100_000, Seed: 1}}},
+		{name: "run_1e5_seed2", cfg: ShardedConfig{Config: Config{Nodes: 100_000, Seed: 2}}},
+		{name: "sharded_5e4_kill_recover", cfg: goldenSharded, sharded: true},
+		{
+			name:   "quorum_unreached",
+			cfg:    ShardedConfig{Config: Config{Nodes: 2_000, Seed: 4, QuorumFrac: 1}},
+			quorum: func(r *Result) bool { return r.AvailAtWake > 0 && r.QuorumSimSeconds == -1 },
+		},
+		{
+			name: "none_on_at_wakeup",
+			cfg: ShardedConfig{Config: Config{
+				Nodes: 2_000, Seed: 4, MeanOn: time.Second, MeanOff: 1000 * time.Hour,
+			}},
+			quorum: func(r *Result) bool { return r.AvailAtWake == 0 && r.QuorumSimSeconds == -1 },
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var want []byte
+			for _, k := range []int{1, 2, 3, 5, 8} {
+				res, err := play(tc.cfg, tc.sharded, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				// JSON has no +Inf, the model time of a quorum the
+				// churn-adjusted curve never reaches; compare it apart.
+				r := *res.Result
+				if math.IsInf(r.QuorumModelSeconds, 1) {
+					r.QuorumModelSeconds = -1
+				}
+				var v any = &r
+				if tc.sharded {
+					res.Result = &r
+					v = res
+				}
+				got, err := json.MarshalIndent(v, "", " ")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if k == 1 {
+					want = got
+					if tc.quorum != nil && !tc.quorum(res.Result) {
+						t.Fatalf("avail at wake %d, quorum at %vs: not the case this config is for",
+							res.AvailAtWake, res.QuorumSimSeconds)
+					}
+					continue
+				}
+				if !bytes.Equal(got, want) {
+					t.Fatalf("k=%d differs from k=1: %s", k, firstDiff(got, want))
+				}
+			}
+		})
+	}
 }

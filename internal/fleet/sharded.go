@@ -3,10 +3,11 @@ package fleet
 import (
 	"errors"
 	"fmt"
-	"math"
+	"slices"
 	"time"
 
 	"oddci/internal/federation"
+	"oddci/internal/simtime"
 )
 
 // ShardedConfig runs a fleet simulation with the PNA population split
@@ -92,30 +93,38 @@ const (
 	idShardSample  int32 = -302
 )
 
-const shardSamples = 32
-
-type shardExt struct {
-	e    *engine
-	res  *ShardedResult
-	ring *federation.Ring
-
-	shardOf []uint8
-	truth   []int // joined nodes per shard (ground truth)
-	view    []int // coordinator-consolidated count per shard
-	down    []bool
-
-	killShard   int
-	sampleTicks []int64
-	sampleIdx   int
-}
+const (
+	shardSamples = 32
+	maxShards    = 64
+)
 
 // RunSharded executes one sharded fleet simulation.
 func RunSharded(cfg ShardedConfig) (*ShardedResult, error) {
-	cfg.Config = cfg.Config.withDefaults()
-	if err := cfg.Config.Validate(); err != nil {
+	r, err := play(cfg, true, sweepRanges(cfg.Nodes))
+	if err != nil {
 		return nil, err
 	}
-	if cfg.Shards <= 0 || cfg.Shards > 64 {
+	return &r, nil
+}
+
+// shardPlan is the overlay's part of a run's plan: what every range
+// reads, plus the node→shard map, which each range fills for its own
+// nodes.
+type shardPlan struct {
+	ring        *federation.Ring
+	shards      int
+	killShard   int // -1: no kill
+	killTick    int64
+	recoverTick int64
+	sampleTicks []int64
+	shardOf     []uint8
+}
+
+// newShardPlan checks the overlay's fields of cfg, whose Config is
+// already defaulted and valid, and plans them on p's ticks. It allocates
+// nothing per node before the checks pass.
+func newShardPlan(cfg ShardedConfig, p *plan) (*shardPlan, error) {
+	if cfg.Shards <= 0 || cfg.Shards > maxShards {
 		return nil, errors.New("fleet: Shards must be in [1, 64]")
 	}
 	if cfg.KillShard >= cfg.Shards {
@@ -132,59 +141,57 @@ func RunSharded(cfg ShardedConfig) (*ShardedResult, error) {
 	if err != nil {
 		return nil, err
 	}
-
-	e := newEngine(cfg.Config)
-	x := &shardExt{
-		e: e, ring: ring,
-		shardOf:   make([]uint8, cfg.Nodes),
-		truth:     make([]int, cfg.Shards),
-		view:      make([]int, cfg.Shards),
-		down:      make([]bool, cfg.Shards),
-		killShard: -1,
-	}
-	counts := make([]int, cfg.Shards)
-	for i := range x.shardOf {
-		s := ring.Owner(uint64(i) + 1)
-		x.shardOf[i] = uint8(s)
-		counts[int(s)]++
-	}
-	maxCount := 0
-	for _, c := range counts {
-		if c > maxCount {
-			maxCount = c
-		}
-	}
-	x.res = &ShardedResult{
-		Result:           e.res,
-		Shards:           cfg.Shards,
-		MaxOwnershipSkew: float64(maxCount) * float64(cfg.Shards) / float64(cfg.Nodes),
-		KilledShard:      -1,
-		KillAtSeconds:    -1,
-		RecoverAtSeconds: -1,
-	}
-	e.ext = x
-
-	e.init()
-
-	// Reconciliation samples across the post-wakeup window.
-	x.sampleTicks = sampleGrid(e.wakeTick, e.endTick, shardSamples)
-	e.whl.Schedule(x.sampleTicks[0], idShardSample)
-
-	if cfg.KillShard >= 0 {
-		x.killShard = cfg.KillShard
-		e.whl.Schedule(e.wakeTick+killAfter, idShardKill)
-		e.whl.Schedule(e.wakeTick+recoverAfter, idShardRecover)
-	}
-
-	e.run()
-	r := x.finish()
-	putNodeState(e.nodeState)
-	return r, nil
+	return &shardPlan{
+		ring:        ring,
+		shards:      cfg.Shards,
+		killShard:   max(cfg.KillShard, -1),
+		killTick:    p.wakeTick + killAfter,
+		recoverTick: p.wakeTick + recoverAfter,
+		sampleTicks: sampleGrid(p.wakeTick, p.endTick, shardSamples),
+		shardOf:     make([]uint8, cfg.Nodes),
+	}, nil
 }
 
-// onWakeup: every shard's carousel airs its own copy of the signed
-// wakeup — k broadcasts for k shards, and none ever again.
-func (x *shardExt) onWakeup() { x.res.WakeupBroadcasts += x.res.Shards }
+// shardExt is one id range's overlay: its nodes' share of every shard's
+// ground truth and coordinator view, and what the merge needs of them.
+type shardExt struct {
+	*shardPlan
+	whl *simtime.Wheel
+
+	owned [maxShards]int // nodes of the range each shard owns
+	truth [maxShards]int // joined nodes per shard (ground truth)
+	view  [maxShards]int // coordinator-consolidated count per shard
+	down  [maxShards]bool
+
+	readopted int // truth of the killed shard at recovery
+	sampleIdx int
+	sampleAt  [shardSamples]int64            // tick each reconciliation sample fired at
+	diffAt    [shardSamples][maxShards]int32 // view − truth per shard at each sample
+	downAt    [shardSamples]uint64           // down shards at each sample
+}
+
+// newExt maps nodes [lo, hi) to their shards and returns the range's
+// overlay on whl.
+func (sp *shardPlan) newExt(whl *simtime.Wheel, lo, hi int) *shardExt {
+	x := &shardExt{shardPlan: sp, whl: whl}
+	for i := lo; i < hi; i++ {
+		s := sp.ring.Owner(uint64(i) + 1)
+		sp.shardOf[i] = uint8(s)
+		x.owned[s]++
+	}
+	return x
+}
+
+// book schedules the range's copies of the overlay's sentinels:
+// reconciliation samples across the post-wakeup window, and the kill and
+// recovery.
+func (x *shardExt) book() {
+	x.whl.Schedule(x.sampleTicks[0], idShardSample)
+	if x.killShard >= 0 {
+		x.whl.Schedule(x.killTick, idShardKill)
+		x.whl.Schedule(x.recoverTick, idShardRecover)
+	}
+}
 
 // onJoin consolidates a node's join into its home coordinator's view —
 // unless that coordinator is down, in which case the heartbeat is
@@ -212,9 +219,9 @@ func (x *shardExt) onLeave(id int32) {
 func (x *shardExt) sentinel(tick int64, id int32) bool {
 	switch id {
 	case idShardKill:
-		x.kill(tick)
+		x.down[x.killShard] = true
 	case idShardRecover:
-		x.recover(tick)
+		x.recover()
 	case idShardSample:
 		x.sample(tick)
 	default:
@@ -223,53 +230,87 @@ func (x *shardExt) sentinel(tick int64, id int32) bool {
 	return true
 }
 
-func (x *shardExt) kill(tick int64) {
-	s := x.killShard
-	x.down[s] = true
-	x.res.KilledShard = s
-	x.res.KillAtSeconds = float64(tick-x.e.wakeTick) * x.e.secPerTick
-}
-
 // recover models the journal failover: the ring successor replays the
 // dead shard's journal, restarts the controller, and the heartbeat
 // grace window re-adopts every member still alive — the view snaps to
 // the truth with no wakeup broadcast.
-func (x *shardExt) recover(tick int64) {
+func (x *shardExt) recover() {
 	s := x.killShard
 	x.down[s] = false
-	x.res.RecoverAtSeconds = float64(tick-x.e.wakeTick) * x.e.secPerTick
-	x.res.Readopted = x.truth[s]
+	x.readopted = x.truth[s]
 	x.view[s] = x.truth[s]
 }
 
 func (x *shardExt) sample(tick int64) {
-	smp := ShardSample{T: float64(tick-x.e.wakeTick) * x.e.secPerTick}
-	for s := range x.truth {
-		d := x.view[s] - x.truth[s]
-		if d < 0 {
-			d = -d
-		}
+	j := x.sampleIdx
+	x.sampleAt[j] = tick
+	for s := range x.shards {
+		x.diffAt[j][s] = int32(x.view[s] - x.truth[s])
 		if x.down[s] {
-			smp.DownLag += d
-		} else {
-			smp.LiveMismatch += d
+			x.downAt[j] |= 1 << s
 		}
 	}
-	if smp.DownLag > x.res.PeakDownLag {
-		x.res.PeakDownLag = smp.DownLag
-	}
-	x.res.ViewSamples = append(x.res.ViewSamples, smp)
 	x.sampleIdx++
 	if x.sampleIdx < len(x.sampleTicks) {
-		x.e.whl.Schedule(x.sampleTicks[x.sampleIdx], idShardSample)
+		x.whl.Schedule(x.sampleTicks[x.sampleIdx], idShardSample)
 	}
 }
 
-func (x *shardExt) finish() *ShardedResult {
-	lost := 0
-	for s := range x.truth {
-		lost += int(math.Abs(float64(x.view[s] - x.truth[s])))
+// merge fills res's overlay fields from the ranges' overlays: each
+// shard's view − truth is a sum over the ranges, and only that sum's
+// magnitude is a mismatch. Every range fires the same kill, recovery and
+// samples at the same ticks, so those come from range 0.
+func (sp *shardPlan) merge(res *ShardedResult, p *plan, es []engine) {
+	x0 := es[0].ext
+	res.Shards = sp.shards
+	res.KilledShard, res.KillAtSeconds, res.RecoverAtSeconds = -1, -1, -1
+	if sp.killShard >= 0 {
+		res.KilledShard = sp.killShard
+		res.KillAtSeconds = float64(sp.killTick-p.wakeTick) * p.secPerTick
+		res.RecoverAtSeconds = float64(sp.recoverTick-p.wakeTick) * p.secPerTick
 	}
-	x.res.LostNodes = lost
-	return x.res
+	// Every shard's carousel airs its own copy of the signed wakeup —
+	// k broadcasts for k shards, and none ever again.
+	if es[0].woke {
+		res.WakeupBroadcasts = sp.shards
+	}
+
+	var owned, diff [maxShards]int
+	for i := range es {
+		x := es[i].ext
+		res.Readopted += x.readopted
+		for s := range sp.shards {
+			owned[s] += x.owned[s]
+			diff[s] += x.view[s] - x.truth[s]
+		}
+	}
+	res.MaxOwnershipSkew = float64(slices.Max(owned[:sp.shards])) * float64(sp.shards) / float64(p.cfg.Nodes)
+	for s := range sp.shards {
+		res.LostNodes += abs(diff[s])
+	}
+
+	res.ViewSamples = make([]ShardSample, x0.sampleIdx)
+	for j := range res.ViewSamples {
+		smp := ShardSample{T: float64(x0.sampleAt[j]-p.wakeTick) * p.secPerTick}
+		for s := range sp.shards {
+			d := 0
+			for i := range es {
+				d += int(es[i].ext.diffAt[j][s])
+			}
+			if x0.downAt[j]&(1<<s) != 0 {
+				smp.DownLag += abs(d)
+			} else {
+				smp.LiveMismatch += abs(d)
+			}
+		}
+		res.PeakDownLag = max(res.PeakDownLag, smp.DownLag)
+		res.ViewSamples[j] = smp
+	}
+}
+
+func abs(d int) int {
+	if d < 0 {
+		return -d
+	}
+	return d
 }

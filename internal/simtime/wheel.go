@@ -16,11 +16,12 @@ import "fmt"
 //   - events are (tick, id) pairs, not closures: no per-event allocation
 //     beyond slot array growth, and a resident entry is 8 bytes — the id
 //     and the low 32 bits of the tick, which is all of the tick the
-//     2³²-tick horizon leaves undetermined (see wheelItem). A drained
-//     slot keeps its own backing array for the next items that land in
-//     it; nothing is shared or pooled between slots, so a burst's
-//     capacity stays where it fell, and Reset keeps all of it for the
-//     next schedule;
+//     2³²-tick horizon leaves undetermined (see wheelItem). A slot's
+//     first array holds minSlotCap entries and a full slot doubles; a
+//     drained slot keeps its own backing array for the next items that
+//     land in it; nothing is shared or pooled between slots, so a
+//     burst's capacity stays where it fell, and Reset keeps all of it
+//     for the next schedule;
 //   - insertion and cancellation are O(1); cancellation is lazy — callers
 //     skip a fired (tick, id) whose id no longer expects that tick;
 //   - all events due at one tick are delivered as a single batch, which
@@ -29,8 +30,9 @@ import "fmt"
 //
 // A Wheel is not a Clock and is not safe for concurrent use. It needs no
 // event heap beside it: a single goroutine calls AdvanceTo with the tick
-// to play out to (the fleet engine makes that one call per run), or Next
-// to learn the next non-empty tick first.
+// to play out to (the fleet engine makes that one call per id range of a
+// run, each range on a wheel of its own), or Next to learn the next
+// non-empty tick first.
 type Wheel struct {
 	// now is the cursor: every tick ≤ now has been fired or verified
 	// empty. Next may advance it across verified-empty gaps.
@@ -54,6 +56,17 @@ const (
 	// WheelHorizon is the farthest a tick may be scheduled beyond the
 	// cursor: the span of the top level ring.
 	WheelHorizon = int64(1) << (wheelBits * wheelLevels)
+	// minSlotCap is the capacity of a slot's first array (128 bytes),
+	// and a full slot doubles. Most slots hold a few entries at a time:
+	// append's growth from one entry made a cold 10⁵-node fleet run
+	// allocate ~3,500 times on one wheel and ~11,300 on four (~1,400 and
+	// ~4,100 now). Doubling rather than append's 1.25× for large arrays
+	// is for the fleet's wakeup burst, ~750 k entries into ~32 slots at
+	// one tick at 10⁶ nodes: 1.25× steps leave outgrown arrays of ~4×
+	// what the slots end up holding, doubling ~1×, which took a cold
+	// 10⁶ run's peak resident size on two cores from ~57 MB to ~49 MB,
+	// for ~1.7 MB more capacity held after it.
+	minSlotCap = 16
 )
 
 // wheelItem is one resident entry. Only the low word of the tick is
@@ -120,8 +133,13 @@ func (w *Wheel) place(tick int64, id int32) {
 			break
 		}
 	}
-	slot := (tick >> (wheelBits * uint(l))) & wheelMask
-	w.slots[l][slot] = append(w.slots[l][slot], wheelItem{lo: uint32(tick), id: id})
+	s := &w.slots[l][(tick>>(wheelBits*uint(l)))&wheelMask]
+	if len(*s) == cap(*s) {
+		grown := make([]wheelItem, len(*s), max(2*cap(*s), minSlotCap))
+		copy(grown, *s)
+		*s = grown
+	}
+	*s = append(*s, wheelItem{lo: uint32(tick), id: id})
 	w.resident[l]++
 }
 
