@@ -3,10 +3,10 @@ GO ?= go
 .PHONY: check fmt vet test test-benchmark race cores build cover bench loc
 
 ## check: the full tier-1 gate — formatting, vet, build, tests with the
-## race detector (the lifecycle churn stress and the federation
-## cross-shard churn stress must pass under -race), the image digest, the
-## fleet engine and the virtual-time kernel at several core counts, the coverage floor on the
-## telemetry packages, and the benchmark module's tests.
+## race detector (the lifecycle churn stress must pass under -race), the
+## image digest, the fleet engine and the virtual-time kernel at several
+## core counts, the coverage floor on the telemetry packages, and the
+## benchmark module's tests.
 check: fmt vet race cores cover test-benchmark
 
 fmt:
@@ -54,12 +54,12 @@ cores:
 ## timeline renders), the Controller (lifecycle plus crash recovery),
 ## the journal persistence layer, the Backend
 ## scheduler (dispatch, lease reclaim, draining), the Provider facade
-## (capacity splitting, recompose, rebind), the transport
+## (recompose, rebind), the transport
 ## fast path (framing, codec, coordinator/node loops), the fleet
 ## simulation harness (SoA engine, timing wheel integration, analytic
 ## cross-validation) and the simtime package under it (the virtual
-## clock and the wheel itself), the federation layer (consistent-hash ring,
-## cross-shard rebalancing, journal failover), the netsim layer (links,
+## clock and the wheel itself), the consistent-hash ring the fleet's
+## sharded overlay maps nodes to shards with, the netsim layer (links,
 ## faults, and the byzantine adversary plan), the DSM-CC carousel
 ## codec (hashes, delta cycles, chunk cache, receiver interop), the
 ## packages a carousel delivery passes through by reference, shared and

@@ -80,9 +80,6 @@ type Config struct {
 	// consume too much of the Controller's ... resources". Busy nodes
 	// keep their instance's period.
 	TargetHeartbeatRate float64
-	// OnWakeup, if set, observes every wakeup broadcast (initial and
-	// recompositions): the federation driver recruits from it.
-	OnWakeup func(id instance.ID, seq uint32, probability float64)
 	// Obs, if set, receives live telemetry (oddci_controller_* metrics)
 	// and the carousel-refresh / heartbeat-silence health checks. Hot
 	// paths touch only pre-created handles via atomics.
@@ -1015,9 +1012,6 @@ func (c *Controller) CreateInstance(spec InstanceSpec) (instance.ID, error) {
 	if c.cfg.Spans != nil {
 		c.eventLocked(id, "create", "instance=%d target=%d", id, spec.Target)
 	}
-	if c.cfg.OnWakeup != nil {
-		c.cfg.OnWakeup(id, st.seq, prob)
-	}
 	return id, nil
 }
 
@@ -1293,9 +1287,6 @@ func (c *Controller) maintain() {
 				}})
 				c.met.wakeups.Inc()
 				c.wakeupSpanLocked(st, w.Probability)
-				if c.cfg.OnWakeup != nil {
-					c.cfg.OnWakeup(st.id, st.seq, w.Probability)
-				}
 			}
 		}
 	}
@@ -1347,7 +1338,7 @@ func replyOf(cmd control.Command, period time.Duration) *control.HeartbeatReply 
 // HandleHeartbeat consolidates one report and decides the reply, which
 // is read-only: a reply with no news is one value shared by every call.
 // It is the hot path behind every heartbeat sink: the system's node
-// channels, the federation driver and the TCP coordinator's sessions.
+// channels and the TCP coordinator's sessions.
 // Idle heartbeats (the bulk at scale) touch only the node's shard; busy
 // ones additionally take the instance table. Shard locks are never held
 // while acquiring c.mu.

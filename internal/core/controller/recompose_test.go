@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"crypto/ed25519"
 	"errors"
 	"os"
 	"path/filepath"
@@ -11,6 +12,7 @@ import (
 	"oddci/internal/appimage"
 	"oddci/internal/control"
 	"oddci/internal/core/instance"
+	"oddci/internal/dsmcc"
 	"oddci/internal/journal"
 )
 
@@ -19,16 +21,7 @@ import (
 // target (probability 0), and the sequence advances so receivers
 // re-evaluate.
 func TestRecomposeSemantics(t *testing.T) {
-	type wake struct {
-		seq  uint32
-		prob float64
-	}
-	var wakes []wake
-	r := newRigWith(t, nil, func(cfg *Config) {
-		cfg.OnWakeup = func(_ instance.ID, seq uint32, prob float64) {
-			wakes = append(wakes, wake{seq, prob})
-		}
-	})
+	r := newRig(t)
 	defer r.ctrl.Stop()
 
 	for n := uint64(1); n <= 8; n++ {
@@ -73,17 +66,6 @@ func TestRecomposeSemantics(t *testing.T) {
 	if st.Busy != 4 || st.Resets != 0 {
 		t.Fatalf("busy=%d resets=%d after recompose, want 4/0", st.Busy, st.Resets)
 	}
-	// A recomposition is a content update, not a recruitment round: the
-	// OnWakeup recruitment hook fires only for the original create —
-	// downstream wakeup accounting (the federation's duplicate-wakeup
-	// gate) never sees recompositions.
-	if len(wakes) != 1 {
-		t.Fatalf("observed %d recruitment wakeups, want the create only", len(wakes))
-	}
-	if wakes[0].seq != 1 || wakes[0].prob != 1 {
-		t.Fatalf("create wakeup seq=%d prob=%v, want 1/1", wakes[0].seq, wakes[0].prob)
-	}
-
 	// A destroyed instance refuses recomposition.
 	if err := r.ctrl.DestroyInstance(id); err != nil {
 		t.Fatal(err)
@@ -102,20 +84,65 @@ func TestRecomposeRequiresStarted(t *testing.T) {
 	}
 }
 
+// airLog wraps a HeadEnd and keeps a copy of every control file staged
+// through it, in staging order.
+type airLog struct {
+	inner  HeadEnd
+	staged [][]byte
+}
+
+func (a *airLog) Start(files []dsmcc.File) error {
+	a.record(files)
+	return a.inner.Start(files)
+}
+
+func (a *airLog) Update(files []dsmcc.File) error {
+	a.record(files)
+	return a.inner.Update(files)
+}
+
+func (a *airLog) record(files []dsmcc.File) {
+	for _, f := range files {
+		if f.Name == ControlFile {
+			a.staged = append(a.staged, slices.Clone(f.Data))
+		}
+	}
+}
+
+// wakeupSeqs returns the distinct wakeup seqs staged for id, in staging
+// order: a refresh that restages the same wakeup adds nothing.
+func (a *airLog) wakeupSeqs(t *testing.T, pub ed25519.PublicKey, id instance.ID) []uint32 {
+	t.Helper()
+	var seqs []uint32
+	for _, raw := range a.staged {
+		msgs, err := control.OpenAll(raw, pub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range msgs {
+			if w, ok := m.(*control.Wakeup); ok && w.InstanceID == id &&
+				(len(seqs) == 0 || seqs[len(seqs)-1] != w.Seq) {
+				seqs = append(seqs, w.Seq)
+			}
+		}
+	}
+	return seqs
+}
+
 // TestRecompositionWakeupAdvancesSeq loses members after convergence so
 // the maintenance loop has to recompose, and holds the loop to the rule
-// PNAs dedupe on: every wakeup aired for an instance carries a sequence
-// number strictly greater than the last. A fault-free run airs no
-// recomposition, which is how dropping the loop's st.seq++ once passed
-// every test here and in federation.
+// PNAs dedupe on: every wakeup staged for an instance carries a sequence
+// number strictly greater than the last, one per counted wakeup. A
+// fault-free run airs no recomposition, which is how dropping the loop's
+// st.seq++ once passed every other test.
 func TestRecompositionWakeupAdvancesSeq(t *testing.T) {
 	dir := t.TempDir()
 	store := openRecoveryStore(t, dir, journal.Options{})
-	var aired []uint32
-	r := newRigWith(t, nil, func(cfg *Config) {
-		cfg.Journal = store
-		cfg.OnWakeup = func(_ instance.ID, seq uint32, _ float64) { aired = append(aired, seq) }
-	})
+	air := &airLog{}
+	r := newRigWith(t, func(h HeadEnd) HeadEnd {
+		air.inner = h
+		return air
+	}, func(cfg *Config) { cfg.Journal = store })
 	id, err := r.ctrl.CreateInstance(InstanceSpec{
 		Image: testImage(t), Target: 3, InitialProbability: 1,
 		HeartbeatPeriod: 30 * time.Second,
@@ -136,8 +163,9 @@ func TestRecompositionWakeupAdvancesSeq(t *testing.T) {
 		beat(1, 2, 3)
 		r.advance(30 * time.Second)
 	}
-	if st, _ := r.ctrl.Status(id); st.Busy != 3 || len(aired) != 1 {
-		t.Fatalf("before the loss: busy=%d wakeups aired=%v, want 3 and one", st.Busy, aired)
+	before, _ := r.ctrl.Status(id)
+	if aired := air.wakeupSeqs(t, r.pub, id); before.Busy != 3 || len(aired) != 1 {
+		t.Fatalf("before the loss: busy=%d wakeups staged=%v, want 3 and one", before.Busy, aired)
 	}
 	// Nodes 2 and 3 fall silent. Past the grace window the loop sees a
 	// deficit of two with idle nodes to recruit, and recomposes.
@@ -145,12 +173,20 @@ func TestRecompositionWakeupAdvancesSeq(t *testing.T) {
 		beat(1)
 		r.advance(30 * time.Second)
 	}
-	if len(aired) < 2 {
-		t.Fatalf("no recomposition aired after losing two members: %v", aired)
+	st, err := r.ctrl.Status(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aired := air.wakeupSeqs(t, r.pub, id)
+	if st.Wakeups < 2 {
+		t.Fatalf("no recomposition after losing two members: wakeups=%d", st.Wakeups)
+	}
+	if len(aired) != st.Wakeups {
+		t.Fatalf("wakeups=%d, staged seqs %v: each wakeup must stage a new seq", st.Wakeups, aired)
 	}
 	for i := 1; i < len(aired); i++ {
 		if aired[i] <= aired[i-1] {
-			t.Fatalf("wakeup seq did not advance: %v (OnWakeup reported a repeated or older (instance, seq))", aired)
+			t.Fatalf("wakeup seq did not advance: staged seqs %v", aired)
 		}
 	}
 	latest := aired[len(aired)-1]
@@ -178,7 +214,7 @@ func TestRecompositionWakeupAdvancesSeq(t *testing.T) {
 		}
 	}
 	if want := aired[1:]; !slices.Equal(journaled, want) {
-		t.Fatalf("journaled recompose seqs = %v, aired %v", journaled, want)
+		t.Fatalf("journaled recompose seqs = %v, staged %v", journaled, want)
 	}
 }
 

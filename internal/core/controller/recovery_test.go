@@ -13,7 +13,6 @@ import (
 
 func openRecoveryStore(t *testing.T, dir string, opts journal.Options) *journal.Store {
 	t.Helper()
-	opts.NoSync = true
 	s, err := journal.Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)

@@ -91,14 +91,16 @@ func TestBroadcasterWakeupMatchesPaperModel(t *testing.T) {
 	b := startBroadcaster(t, clk, beta, File{Name: "image", Data: make([]byte, I)})
 	cycle := b.CycleDuration()
 
+	// Every tune-in is booked at a fixed phase of the first cycle before
+	// Wait: with no actor running, nothing can advance the clock until
+	// all of them are on the calendar.
 	const n = 200
 	var total time.Duration
 	var count int
 	for i := 0; i < n; i++ {
 		offset := time.Duration(i) * cycle / n
-		clk.Go(func() {
-			clk.Sleep(offset)
-			start := clk.Now()
+		start := epoch.Add(offset)
+		clk.AfterFunc(offset, func() {
 			b.RequestFile("image", FileGranularity, nil, func(_ []byte, when time.Time, err error) {
 				if err == nil {
 					total += when.Sub(start)

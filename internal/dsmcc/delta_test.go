@@ -571,28 +571,28 @@ func TestCachedRequestDeliveryTiming(t *testing.T) {
 	}
 }
 
-// The federated seam: four shard carousels air one image and stage it
-// through one content-addressed store, so only the first goes to the air
-// for it and the aggregate hit rate is (k−1)/k.
+// Four carousels air one image and stage it through one
+// content-addressed store, so only the first goes to the air for it and
+// the aggregate hit rate is (k−1)/k.
 func TestSharedChunkCacheAcrossBroadcasters(t *testing.T) {
-	const shards = 4
+	const carousels = 4
 	clk := simtime.NewSim(epoch)
 	img := randBytes(rand.New(rand.NewSource(9)), 1<<20)
 	met := NewCacheMetrics(obs.NewRegistry())
 	shared := NewChunkCache(8 << 20)
 	shared.Instrument(met)
-	for s := 0; s < shards; s++ {
+	for c := 0; c < carousels; c++ {
 		b := startBroadcaster(t, clk, 1e6, File{Name: "image", Data: img})
 		b.RequestFile("image", FileGranularity, shared, func(data []byte, _ time.Time, err error) {
 			if err != nil || !bytes.Equal(data, img) {
-				t.Errorf("shard %d: wrong image delivered, err=%v", s, err)
+				t.Errorf("carousel %d: wrong image delivered, err=%v", c, err)
 			}
 		})
 		clk.Wait()
 	}
 	hits, misses := met.Hits(), met.Misses()
 	if total := hits + misses; total == 0 || float64(hits)/float64(total) < 0.70 {
-		t.Fatalf("shared cache saw %d hits and %d misses across %d shards, want a hit rate ≥0.70", hits, misses, shards)
+		t.Fatalf("shared cache saw %d hits and %d misses across %d carousels, want a hit rate ≥0.70", hits, misses, carousels)
 	}
 }
 

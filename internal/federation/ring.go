@@ -1,10 +1,7 @@
-// Package federation shards the OddCI control plane: N coordinator
-// shards each own a consistent-hash slice of the PNA population, a
-// federated provider splits instance targets across shards in
-// proportion to live idle capacity, and journal-backed failover lets a
-// ring successor re-adopt a failed shard's sessions without re-airing
-// wakeups. This generalizes §3.1's single Provider/Controller pair to a
-// control plane that scales horizontally with the device population.
+// Package federation holds the consistent-hash ring that
+// fleet.RunSharded uses to map set-top boxes to coordinator shards: a
+// node belongs to the shard of the first ring point at or after its
+// hash, so the population splits into near-equal slices without a table.
 package federation
 
 import (
@@ -12,23 +9,20 @@ import (
 	"sort"
 )
 
-// ShardID identifies one coordinator shard in the federation.
+// ShardID identifies one coordinator shard.
 type ShardID int
 
 // DefaultVNodes is the per-shard virtual-node count. 64 points per
 // shard keeps the maximum/mean ownership skew under ~1.25 for up to a
-// few dozen shards — tight enough that a proportional split by idle
-// population stays close to a split by ring ownership.
+// few dozen shards.
 const DefaultVNodes = 64
 
 // Ring is a consistent-hash ring mapping node identities to shards.
-// Each shard contributes VNodes points; a node is owned by the shard
+// Each shard contributes vnodes points; a node is owned by the shard
 // whose point is the first at or clockwise of the node's own hash.
 // The zero value is not usable; construct with NewRing.
 type Ring struct {
-	vnodes int
 	points []ringPoint // sorted by hash
-	shards map[ShardID]struct{}
 }
 
 type ringPoint struct {
@@ -63,20 +57,11 @@ func NewRing(shards, vnodes int) (*Ring, error) {
 	if vnodes <= 0 {
 		vnodes = DefaultVNodes
 	}
-	r := &Ring{vnodes: vnodes, shards: make(map[ShardID]struct{})}
+	r := &Ring{points: make([]ringPoint, 0, shards*vnodes)}
 	for s := 0; s < shards; s++ {
-		r.addLocked(ShardID(s))
-	}
-	return r, nil
-}
-
-func (r *Ring) addLocked(s ShardID) {
-	if _, ok := r.shards[s]; ok {
-		return
-	}
-	r.shards[s] = struct{}{}
-	for v := 0; v < r.vnodes; v++ {
-		r.points = append(r.points, ringPoint{hash: pointHash(s, v), shard: s})
+		for v := 0; v < vnodes; v++ {
+			r.points = append(r.points, ringPoint{hash: pointHash(ShardID(s), v), shard: ShardID(s)})
+		}
 	}
 	sort.Slice(r.points, func(a, b int) bool {
 		if r.points[a].hash != r.points[b].hash {
@@ -84,41 +69,8 @@ func (r *Ring) addLocked(s ShardID) {
 		}
 		return r.points[a].shard < r.points[b].shard
 	})
+	return r, nil
 }
-
-// Add inserts a shard's points into the ring. Only the keys that land
-// between the new points and their predecessors move — the classic
-// consistent-hashing minimal-disruption property.
-func (r *Ring) Add(s ShardID) { r.addLocked(s) }
-
-// Remove deletes a shard's points. Nodes it owned fall to the next
-// point clockwise, i.e. to the ring successors.
-func (r *Ring) Remove(s ShardID) {
-	if _, ok := r.shards[s]; !ok {
-		return
-	}
-	delete(r.shards, s)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.shard != s {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-}
-
-// Shards returns the member shard ids in ascending order.
-func (r *Ring) Shards() []ShardID {
-	out := make([]ShardID, 0, len(r.shards))
-	for s := range r.shards {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
-}
-
-// Size reports the number of member shards.
-func (r *Ring) Size() int { return len(r.shards) }
 
 // Owner maps a node identity to its owning shard: the shard of the
 // first ring point at or clockwise of mix64(nodeID).
@@ -129,74 +81,4 @@ func (r *Ring) Owner(nodeID uint64) ShardID {
 		i = 0 // wrap around
 	}
 	return r.points[i].shard
-}
-
-// Successor returns the first distinct shard clockwise of s's lowest
-// ring point — the deterministic adopter when s fails. Returns s itself
-// if it is the only member, and -1 if s is not on the ring.
-func (r *Ring) Successor(s ShardID) ShardID {
-	if _, ok := r.shards[s]; !ok {
-		return -1
-	}
-	if len(r.shards) == 1 {
-		return s
-	}
-	// Walk clockwise from s's first point until another shard appears.
-	start := -1
-	for i, p := range r.points {
-		if p.shard == s {
-			start = i
-			break
-		}
-	}
-	for off := 1; off < len(r.points); off++ {
-		p := r.points[(start+off)%len(r.points)]
-		if p.shard != s {
-			return p.shard
-		}
-	}
-	return s
-}
-
-// Neighbors returns up to k distinct shards encountered clockwise of
-// s's lowest point, excluding s — the borrowing order for deficit
-// rebalancing.
-func (r *Ring) Neighbors(s ShardID, k int) []ShardID {
-	if k <= 0 {
-		return nil
-	}
-	if _, ok := r.shards[s]; !ok {
-		return nil
-	}
-	start := -1
-	for i, p := range r.points {
-		if p.shard == s {
-			start = i
-			break
-		}
-	}
-	seen := map[ShardID]struct{}{s: {}}
-	var out []ShardID
-	for off := 1; off < len(r.points) && len(out) < k; off++ {
-		p := r.points[(start+off)%len(r.points)]
-		if _, dup := seen[p.shard]; dup {
-			continue
-		}
-		seen[p.shard] = struct{}{}
-		out = append(out, p.shard)
-	}
-	return out
-}
-
-// OwnershipCounts tallies how many of the given node ids each shard
-// owns — the skew diagnostic used by the federation sweep.
-func (r *Ring) OwnershipCounts(nodeIDs []uint64) map[ShardID]int {
-	out := make(map[ShardID]int, len(r.shards))
-	for s := range r.shards {
-		out[s] = 0
-	}
-	for _, id := range nodeIDs {
-		out[r.Owner(id)]++
-	}
-	return out
 }

@@ -35,15 +35,12 @@ func TestRingBalance(t *testing.T) {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(int64(shards)))
-		ids := make([]uint64, 200000)
-		for i := range ids {
-			ids[i] = rng.Uint64()
+		const ids = 200000
+		counts := make([]int, shards)
+		for i := 0; i < ids; i++ {
+			counts[r.Owner(rng.Uint64())]++
 		}
-		counts := r.OwnershipCounts(ids)
-		if len(counts) != shards {
-			t.Fatalf("%d shards: ownership table has %d entries", shards, len(counts))
-		}
-		uniform := float64(len(ids)) / float64(shards)
+		uniform := float64(ids) / float64(shards)
 		for s, c := range counts {
 			if skew := float64(c) / uniform; skew > 1.6 || skew < 0.4 {
 				t.Fatalf("%d shards: shard %d owns %d nodes (skew %.2f)", shards, s, c, skew)
@@ -52,100 +49,8 @@ func TestRingBalance(t *testing.T) {
 	}
 }
 
-// TestRingMinimalMovement: removing one shard must only reassign the
-// nodes that shard owned; everything else keeps its owner.
-func TestRingMinimalMovement(t *testing.T) {
-	r, err := NewRing(8, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(7))
-	ids := make([]uint64, 50000)
-	before := make([]ShardID, len(ids))
-	for i := range ids {
-		ids[i] = rng.Uint64()
-		before[i] = r.Owner(ids[i])
-	}
-	const victim = ShardID(3)
-	r.Remove(victim)
-	for i, id := range ids {
-		after := r.Owner(id)
-		if after == victim {
-			t.Fatalf("node %d still owned by removed shard", id)
-		}
-		if before[i] != victim && after != before[i] {
-			t.Fatalf("node %d moved %d→%d though its owner survived", id, before[i], after)
-		}
-	}
-	// Re-adding restores the original assignment exactly.
-	r.Add(victim)
-	for i, id := range ids {
-		if got := r.Owner(id); got != before[i] {
-			t.Fatalf("node %d owner %d after re-add, want %d", id, got, before[i])
-		}
-	}
-}
-
-func TestRingSuccessorAndNeighbors(t *testing.T) {
-	r, err := NewRing(5, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for s := ShardID(0); s < 5; s++ {
-		succ := r.Successor(s)
-		if succ == s || succ < 0 || int(succ) >= 5 {
-			t.Fatalf("successor of %d = %d", s, succ)
-		}
-		ns := r.Neighbors(s, 4)
-		if len(ns) != 4 {
-			t.Fatalf("neighbors of %d = %v, want 4 distinct", s, ns)
-		}
-		if ns[0] != succ {
-			t.Fatalf("first neighbor %d != successor %d", ns[0], succ)
-		}
-		seen := map[ShardID]struct{}{s: {}}
-		for _, n := range ns {
-			if _, dup := seen[n]; dup {
-				t.Fatalf("neighbors of %d contain duplicate/self: %v", s, ns)
-			}
-			seen[n] = struct{}{}
-		}
-	}
-	// Degenerate cases.
-	if got := r.Successor(99); got != -1 {
-		t.Fatalf("successor of unknown shard = %d, want -1", got)
-	}
-	single, _ := NewRing(1, 4)
-	if got := single.Successor(0); got != 0 {
-		t.Fatalf("sole shard's successor = %d, want itself", got)
-	}
-	if ns := r.Neighbors(0, 0); ns != nil {
-		t.Fatalf("Neighbors k=0 = %v", ns)
-	}
-}
-
 func TestRingRejectsEmpty(t *testing.T) {
 	if _, err := NewRing(0, 8); err == nil {
 		t.Fatal("empty ring accepted")
-	}
-}
-
-func TestRingShardsEnumerates(t *testing.T) {
-	r, err := NewRing(3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := r.Shards()
-	if len(got) != 3 {
-		t.Fatalf("Shards() = %v, want 3 entries", got)
-	}
-	seen := map[ShardID]bool{}
-	for _, s := range got {
-		seen[s] = true
-	}
-	for s := ShardID(0); s < 3; s++ {
-		if !seen[s] {
-			t.Fatalf("Shards() = %v missing %d", got, s)
-		}
 	}
 }

@@ -32,9 +32,6 @@ const compactEvery = 256
 
 // Options tunes a Store.
 type Options struct {
-	// NoSync skips the fsync after each append. Tests use it; a real
-	// coordinator should not.
-	NoSync bool
 	// Obs, when set, instruments the store: append/byte/fsync/
 	// compaction/error counters, a record-count gauge, replay timing,
 	// and a "journal-stalled" health check that fails once any append
@@ -206,7 +203,7 @@ func (s *Store) Load() (*State, error) {
 	return st, nil
 }
 
-// Append writes one record, fsyncing unless NoSync: a create or image
+// Append writes one record and fsyncs it: a create or image
 // replacement goes in as the chunks of its image the state dir does not
 // hold yet, then the record with its manifest, in one write and one
 // fsync (which also covers a torn tail Load left to cut). The
@@ -233,12 +230,10 @@ func (s *Store) Append(r Record) error {
 	}
 	if _, err = s.f.Write(frames); err != nil {
 		err = fmt.Errorf("journal: append: %w", err)
-	} else if !s.opts.NoSync {
-		if err = s.f.Sync(); err != nil {
-			err = fmt.Errorf("journal: fsync: %w", err)
-		} else {
-			s.fsynced(1)
-		}
+	} else if err = s.f.Sync(); err != nil {
+		err = fmt.Errorf("journal: fsync: %w", err)
+	} else {
+		s.fsynced(1)
 	}
 	if err != nil {
 		forgetChunks(frames, s.held)
@@ -328,16 +323,14 @@ func (s *Store) Compact(st *State) error {
 	if err != nil {
 		return s.failLocked(err)
 	}
-	f, err := replaceFile(s.dir, journalFile, b, 0o644, !s.opts.NoSync)
+	f, err := replaceFile(s.dir, journalFile, b, 0o644)
 	if err != nil {
 		return s.failLocked(err)
 	}
-	if !s.opts.NoSync {
-		s.fsynced(1)
-	}
+	s.fsynced(1)
 	s.f.Close() // the replaced file: the new one holds its state
 	s.f, s.size, s.held = f, int64(len(b)), held
-	s.reset, s.syncDir = false, !s.opts.NoSync
+	s.reset, s.syncDir = false, true
 	s.recs, s.recBytes, s.baseBytes = 0, 0, int64(len(b)-journalHeaderLen)
 	if err := s.resetLocked(); err != nil {
 		return s.failLocked(err)
@@ -352,9 +345,8 @@ func (s *Store) Compact(st *State) error {
 // name.tmp, fsyncs it and renames it over name, so a crash leaves the
 // old file or the new one, and returns the new file, open for appending.
 // A leftover name.tmp from an earlier crash is overwritten. The rename
-// is durable only once dir is fsynced (syncDir). sync false skips the
-// fsync (tests).
-func replaceFile(dir, name string, b []byte, perm os.FileMode, sync bool) (*os.File, error) {
+// is durable only once dir is fsynced (syncDir).
+func replaceFile(dir, name string, b []byte, perm os.FileMode) (*os.File, error) {
 	path := filepath.Join(dir, name)
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC|os.O_APPEND, perm)
@@ -362,7 +354,7 @@ func replaceFile(dir, name string, b []byte, perm os.FileMode, sync bool) (*os.F
 		return nil, fmt.Errorf("journal: write %s: %w", name, err)
 	}
 	_, err = f.Write(b)
-	if err == nil && sync {
+	if err == nil {
 		err = f.Sync()
 	}
 	if err == nil {
@@ -417,11 +409,9 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	if !s.opts.NoSync {
-		if err := s.f.Sync(); err != nil {
-			s.f.Close()
-			return fmt.Errorf("journal: fsync on close: %w", err)
-		}
+	if err := s.f.Sync(); err != nil {
+		s.f.Close()
+		return fmt.Errorf("journal: fsync on close: %w", err)
 	}
 	return s.f.Close()
 }
@@ -450,7 +440,7 @@ func LoadOrCreateKey(dir string) (ed25519.PrivateKey, error) {
 	if err != nil {
 		return nil, fmt.Errorf("journal: generate key: %w", err)
 	}
-	f, err := replaceFile(dir, keyFile, priv, 0o600, true)
+	f, err := replaceFile(dir, keyFile, priv, 0o600)
 	if err != nil {
 		return nil, err
 	}

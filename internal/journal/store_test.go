@@ -28,7 +28,6 @@ func liveInstance(rng *rand.Rand, id uint64) InstanceRecord {
 
 func openTestStore(t *testing.T, dir string, opts Options) *Store {
 	t.Helper()
-	opts.NoSync = true
 	s, err := Open(dir, opts)
 	if err != nil {
 		t.Fatalf("Open(%s): %v", dir, err)

@@ -78,6 +78,9 @@ func TestMailboxTimeoutsInterleavedWithDeliveries(t *testing.T) {
 func TestMailboxRecvTimeoutZeroAfterClose(t *testing.T) {
 	clk := simtime.NewSim(epoch)
 	m := NewMailbox[int](clk)
+	// Book the close before the actor exists: once it parks, the clock
+	// may advance before this goroutine books anything more.
+	clk.AfterFunc(2*time.Second, m.Close)
 	clk.Go(func() {
 		if _, err := m.RecvTimeout(time.Second); !errors.Is(err, ErrTimeout) {
 			t.Errorf("first recv: %v, want ErrTimeout", err)
@@ -86,7 +89,6 @@ func TestMailboxRecvTimeoutZeroAfterClose(t *testing.T) {
 			t.Errorf("second recv: %v, want ErrClosed", err)
 		}
 	})
-	clk.AfterFunc(2*time.Second, m.Close)
 	clk.Wait()
 	if w := m.waiterCount(); w != 0 {
 		t.Fatalf("%d stale waiters after close, want 0", w)

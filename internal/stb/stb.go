@@ -97,14 +97,6 @@ type Config struct {
 	// (flash-backed, so it survives power cycles). Zero disables
 	// caching; negative selects dsmcc.DefaultChunkCacheBytes.
 	ChunkCacheBytes int64
-	// SharedCache, if set, is used as the chunk store instead of a
-	// per-box allocation, and ChunkCacheBytes is ignored. This is the
-	// federated deployment seam: coordinator shards air the same image
-	// on their own carousels, so receivers behind one regional
-	// content-addressed store turn every shard after the first into
-	// cache hits. The owner instruments the shared store; this receiver
-	// does not re-instrument it.
-	SharedCache *dsmcc.ChunkCache
 	// CacheMetrics, if set, aggregates the chunk cache's telemetry
 	// (typically shared across the deployment's whole fleet).
 	CacheMetrics *dsmcc.CacheMetrics
@@ -143,9 +135,7 @@ func New(cfg Config) (*STB, error) {
 		return nil, errors.New("stb: rng is required")
 	}
 	s := &STB{cfg: cfg, mode: cfg.Mode, factories: make(map[string]xlet.Factory)}
-	if cfg.SharedCache != nil {
-		s.cache = cfg.SharedCache
-	} else if cfg.ChunkCacheBytes != 0 {
+	if cfg.ChunkCacheBytes != 0 {
 		size := cfg.ChunkCacheBytes
 		if size < 0 {
 			size = dsmcc.DefaultChunkCacheBytes

@@ -60,11 +60,6 @@ type CoordinatorConfig struct {
 	// sessions record under it, and the backend closes each task's tree
 	// with dispatch/lease-expiry/commit spans.
 	Spans *span.Collector
-	// Shard identifies this coordinator's slice of a federated control
-	// plane; it rides in the banner so nodes can confirm which shard
-	// answered. 0 (the default) is also the first shard id — single-
-	// coordinator deployments simply never check it.
-	Shard int
 	// RetryAfter is the backend's no-task polling hint (default 1 s).
 	RetryAfter time.Duration
 	// LeaseBase is the backend's minimum task lease (default 30 s);
@@ -308,7 +303,7 @@ func (c *Coordinator) start() error {
 
 	bannerRaw, err := json.Marshal(&Banner{
 		Wire: WireVersion, ControllerKey: c.pub, Name: cfg.Name,
-		Trace: c.wakeupCtx, Shard: cfg.Shard,
+		Trace: c.wakeupCtx,
 	})
 	if err != nil {
 		return err

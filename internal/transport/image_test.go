@@ -263,7 +263,7 @@ func TestUpdateJournalsAndHashesOnlyChanges(t *testing.T) {
 	seq := coord.Seq()
 	coord.Close()
 
-	store, err := journal.Open(dir, journal.Options{NoSync: true})
+	store, err := journal.Open(dir, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,9 +60,6 @@ type NodeReport struct {
 	// Restages counts mid-session image updates this node assembled and
 	// verified from pushed chunks.
 	Restages int
-	// BannerShard echoes the serving coordinator's federation shard id
-	// from its banner (0 for unsharded coordinators).
-	BannerShard int
 	// Reset reports that the Controller told this node to leave (a trim
 	// or a dismantled instance) and the node ended its session.
 	Reset bool
@@ -286,7 +283,6 @@ func runNode(cfg NodeConfig, conn net.Conn) (report NodeReport, err error) {
 	if cfg.PinnedKey != nil && !key.Equal(cfg.PinnedKey) {
 		return report, errors.New("transport: coordinator key does not match pin")
 	}
-	report.BannerShard = banner.Shard
 	nodeName := fmt.Sprintf("node-%d", cfg.NodeID)
 	// The join span parents under the coordinator's wakeup broadcast
 	// (its context rides in the banner), covering control verification

@@ -113,9 +113,6 @@ type Banner struct {
 	// coordinator stages. A constant for the coordinator's lifetime, so
 	// the pre-encoded banner stays encode-once.
 	Trace span.Context `json:"trace,omitempty"`
-	// Shard identifies this coordinator's slice of a federated control
-	// plane (federation.ShardID). Single-coordinator deployments omit it.
-	Shard int `json:"shard,omitempty"`
 }
 
 // ImageManifest describes one content-addressed image: the full SHA-256
