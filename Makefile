@@ -4,9 +4,10 @@ GO ?= go
 
 ## check: the full tier-1 gate — formatting, vet, build, tests with the
 ## race detector (the lifecycle churn stress must pass under -race), the
-## image digest, the fleet engine and the virtual-time kernel at several
-## core counts, the coverage floor on the telemetry packages, and the
-## benchmark module's tests.
+## image digest, the fleet engine, the virtual-time kernel, the carousel
+## check stage and the facade golden at several core counts, the
+## coverage floor on the telemetry packages, and the benchmark module's
+## tests.
 check: fmt vet race cores cover test-benchmark
 
 fmt:
@@ -45,9 +46,14 @@ race:
 ## and netsim run there too: Sim hands a parked actor a parker reused
 ## from its free list, and a Link delivers from a FIFO ring that each
 ## arrival pops, so a stale wake or an out-of-order pop shows up as a
-## different interleaving of actors on another core count.
+## different interleaving of actors on another core count. dsmcc and
+## the PNA run there because a Broadcaster shares the check stages of
+## reads that complete at one instant out over GOMAXPROCS-1 helpers and
+## runs them all inline on one core, and the facade golden because the
+## deployment it pins must come out byte-identical either way.
 cores:
-	$(GO) test -cpu 1,2,4 ./internal/appimage ./internal/fleet ./internal/simtime ./internal/netsim
+	$(GO) test -cpu 1,2,4 ./internal/appimage ./internal/fleet ./internal/simtime ./internal/netsim ./internal/dsmcc ./internal/core/pna
+	$(GO) test -cpu 1,2,4 -run TestFacadeGoldenDeploy .
 
 ## cover: enforce per-package coverage floors — the observability layer
 ## (obs registry/exposition, the span collector with its trace and

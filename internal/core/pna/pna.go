@@ -255,24 +255,36 @@ func (p *PNA) checkConfig() {
 	if destroyed || ctx == nil {
 		return
 	}
-	ctx.ReadFile(DefaultConfigFile, func(data []byte, err error) {
-		if err != nil {
-			return // no control message on air
+	ctx.ReadFile(DefaultConfigFile, &configRead{p: p, key: p.cfg.ControllerKey})
+}
+
+// configRead is one read of the control file; OpenAll is its check.
+type configRead struct {
+	p    *PNA
+	key  ed25519.PublicKey
+	msgs []any
+	err  error
+}
+
+func (r *configRead) Check(data []byte) { r.msgs, r.err = control.OpenAll(data, r.key) }
+
+// Deliver applies the control messages the check authenticated.
+func (r *configRead) Deliver(_ []byte, _ time.Time, err error) {
+	if err != nil {
+		return // no control message on air
+	}
+	if r.err != nil {
+		r.p.met.rejections.Inc()
+		return
+	}
+	for _, msg := range r.msgs {
+		switch m := msg.(type) {
+		case *control.Wakeup:
+			r.p.handleWakeup(m)
+		case *control.Reset:
+			r.p.handleReset(m)
 		}
-		msgs, err := control.OpenAll(data, p.cfg.ControllerKey)
-		if err != nil {
-			p.met.rejections.Inc()
-			return
-		}
-		for _, msg := range msgs {
-			switch m := msg.(type) {
-			case *control.Wakeup:
-				p.handleWakeup(m)
-			case *control.Reset:
-				p.handleReset(m)
-			}
-		}
-	})
+	}
 }
 
 // handleWakeup applies §3.2's wakeup rules.
@@ -322,7 +334,7 @@ func (p *PNA) handleWakeup(w *control.Wakeup) {
 	// open the join span under it. A miss (old controller, evicted
 	// link, sampled-out trace) degrades to untraced — never an error.
 	rootCtx, _ := p.cfg.Spans.GetLink(span.LinkKey(uint64(w.InstanceID), uint64(w.Seq)))
-	joinSp := p.cfg.Spans.Start(rootCtx, "join", p.nodeName())
+	joinSp := p.startSpan(rootCtx, "join")
 	if joinSp != nil {
 		joinSp.SetDetail("instance=%d seq=%d", w.InstanceID, w.Seq)
 		p.mu.Lock()
@@ -337,34 +349,61 @@ func (p *PNA) handleWakeup(w *control.Wakeup) {
 		hook(p.cfg.NodeID, control.StateBusy, w.InstanceID)
 	}
 
-	imgSp := p.cfg.Spans.Start(joinSp.Context(), "image-load", p.nodeName())
-	ctx.ReadFile(w.ImageFile, func(data []byte, err error) {
-		if err != nil {
-			imgSp.SetError()
-			imgSp.End()
-			p.abortJoin(w.InstanceID, fmt.Errorf("image fetch: %w", err))
-			return
-		}
-		loadDur := clk.Now().Sub(start)
-		if imgSp != nil {
-			imgSp.SetDetail("bytes=%d file=%s", len(data), w.ImageFile)
-			imgSp.End()
-			p.met.imageLoad.ObserveWithExemplar(loadDur.Seconds(), joinSp.Context().Trace.String())
-		} else {
-			p.met.imageLoad.ObserveDuration(loadDur)
-		}
-		// data is shared with every other PNA this generation reached
-		// and img.Payload aliases it into the DVE (read-only, see
-		// xlet.Context.ReadFile). Sharing the slice does not share the
-		// check: each node verifies the bytes it was handed.
-		img, err := appimage.Verify(data, w.ImageDigest)
-		if err != nil {
-			p.met.rejections.Inc()
-			p.abortJoin(w.InstanceID, err)
-			return
-		}
-		p.launchDVE(w, img)
+	ctx.ReadFile(w.ImageFile, &imageRead{
+		p: p, w: w, start: start, joinSp: joinSp,
+		imgSp: p.startSpan(joinSp.Context(), "image-load"),
 	})
+}
+
+// imageRead is one node's read of its wakeup's image; Verify is its
+// check.
+type imageRead struct {
+	p             *PNA
+	w             *control.Wakeup
+	start         time.Time // wakeup commitment
+	joinSp, imgSp *span.Span
+	img           *appimage.Image
+	err           error
+}
+
+// Check verifies the bytes this node was handed. They are shared with
+// every other PNA this generation reached, and img.Payload aliases them
+// into the DVE (read-only, see xlet.Context.ReadFile): sharing the
+// slice does not share the check.
+func (r *imageRead) Check(data []byte) { r.img, r.err = appimage.Verify(data, r.w.ImageDigest) }
+
+// Deliver launches the verified image.
+func (r *imageRead) Deliver(data []byte, at time.Time, err error) {
+	p, w := r.p, r.w
+	if err != nil {
+		r.imgSp.SetError()
+		r.imgSp.End()
+		p.abortJoin(w.InstanceID, fmt.Errorf("image fetch: %w", err))
+		return
+	}
+	loadDur := at.Sub(r.start)
+	if r.imgSp != nil {
+		r.imgSp.SetDetail("bytes=%d file=%s", len(data), w.ImageFile)
+		r.imgSp.End()
+		p.met.imageLoad.ObserveWithExemplar(loadDur.Seconds(), r.joinSp.Context().Trace.String())
+	} else {
+		p.met.imageLoad.ObserveDuration(loadDur)
+	}
+	if r.err != nil {
+		p.met.rejections.Inc()
+		p.abortJoin(w.InstanceID, r.err)
+		return
+	}
+	p.launchDVE(w, r.img)
+}
+
+// startSpan opens a span of this node under parent; untraced, it
+// returns nil without building the node's name.
+func (p *PNA) startSpan(parent span.Context, name string) *span.Span {
+	if p.cfg.Spans == nil {
+		return nil
+	}
+	return p.cfg.Spans.Start(parent, name, p.nodeName())
 }
 
 func (p *PNA) nodeName() string { return fmt.Sprintf("node-%d", p.cfg.NodeID) }
@@ -424,7 +463,7 @@ func (p *PNA) launchDVE(w *control.Wakeup, img *appimage.Image) {
 	joinSp := p.joinSpan
 	p.mu.Unlock()
 
-	dveSp := p.cfg.Spans.Start(joinSp.Context(), "dve-start", p.nodeName())
+	dveSp := p.startSpan(joinSp.Context(), "dve-start")
 	var backend *netsim.Endpoint
 	var hangup func()
 	if p.cfg.DialBackend != nil {

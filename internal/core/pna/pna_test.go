@@ -4,6 +4,7 @@ import (
 	"crypto/ed25519"
 	"errors"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,9 +13,11 @@ import (
 	"oddci/internal/control"
 	"oddci/internal/core/dve"
 	"oddci/internal/core/instance"
+	"oddci/internal/dsmcc"
 	"oddci/internal/netsim"
 	"oddci/internal/obs"
 	"oddci/internal/simtime"
+	"oddci/internal/span"
 )
 
 var epoch = time.Date(2009, 11, 1, 0, 0, 0, 0, time.UTC)
@@ -34,7 +37,9 @@ func (p *PNA) doneTasks() uint32 {
 }
 
 // fakeCtx is a scripted xlet.Context: a mutable in-memory carousel with
-// a fixed delivery delay.
+// a fixed delivery delay, each read handed its own copy. With bcast
+// set, reads go through that broadcaster instead, with cache as the
+// node's chunk store.
 type fakeCtx struct {
 	clk       *simtime.Sim
 	mu        sync.Mutex
@@ -42,6 +47,9 @@ type fakeCtx struct {
 	delay     time.Duration
 	listeners map[int]func()
 	nextID    int
+
+	bcast *dsmcc.Broadcaster
+	cache *dsmcc.ChunkCache
 }
 
 func newFakeCtx(clk *simtime.Sim) *fakeCtx {
@@ -56,16 +64,22 @@ func newFakeCtx(clk *simtime.Sim) *fakeCtx {
 func (c *fakeCtx) Clock() simtime.Clock { return c.clk }
 func (c *fakeCtx) Go(fn func())         { c.clk.Go(fn) }
 
-func (c *fakeCtx) ReadFile(name string, fn func([]byte, error)) {
+func (c *fakeCtx) ReadFile(name string, r dsmcc.Read) {
+	if c.bcast != nil {
+		c.bcast.RequestFile(name, dsmcc.FileGranularity, c.cache, r)
+		return
+	}
 	c.clk.AfterFunc(c.delay, func() {
 		c.mu.Lock()
 		data, ok := c.files[name]
 		c.mu.Unlock()
 		if !ok {
-			fn(nil, errors.New("no such file"))
+			r.Deliver(nil, c.clk.Now(), errors.New("no such file"))
 			return
 		}
-		fn(append([]byte(nil), data...), nil)
+		data = append([]byte(nil), data...)
+		r.Check(data)
+		r.Deliver(data, c.clk.Now(), nil)
 	})
 }
 
@@ -154,7 +168,13 @@ type rig struct {
 
 func newRig(t *testing.T, mutate func(*Config)) *rig {
 	t.Helper()
-	clk := simtime.NewSim(epoch)
+	return newRigOn(t, simtime.NewSim(epoch), mutate)
+}
+
+// newRigOn builds a rig on clk, which several rigs may share. Every rig
+// has the same controller key.
+func newRigOn(t *testing.T, clk *simtime.Sim, mutate func(*Config)) *rig {
+	t.Helper()
 	r := &rig{clk: clk, ctx: newFakeCtx(clk), hbSrv: &heartbeatServer{}, reg: dve.NewRegistry()}
 	var err error
 	r.pub, r.priv, err = ed25519.GenerateKey(rand.New(rand.NewSource(1)))
@@ -302,6 +322,30 @@ func TestImageDigestMismatchAborts(t *testing.T) {
 	}
 	if st, _ := r.agent.snapshot(); st != control.StateIdle {
 		t.Fatalf("state = %v after aborted join", st)
+	}
+}
+
+// An image the carousel does not carry aborts the join as a failed
+// fetch, not a rejection: its check never ran. Traced, the membership
+// still ends on the timeline.
+func TestImageFetchFailureAborts(t *testing.T) {
+	clk := simtime.NewSim(epoch)
+	spans := span.NewCollector(span.Config{Clock: clk, Capacity: 64})
+	r := newRigOn(t, clk, func(c *Config) { c.Obs, c.Spans = obs.NewRegistry(), spans })
+	_, _, digest := r.image(t)
+	r.ctx.setFiles(map[string][]byte{DefaultConfigFile: r.wakeupConfig(t, r.baseWakeup(digest))})
+	r.agent.StartXlet()
+	r.clk.AfterFunc(time.Minute, func() { r.agent.DestroyXlet(true) })
+	r.clk.Wait()
+	if r.appRuns != 0 || r.agent.met.aborts.Value() != 1 || r.agent.met.rejections.Value() != 0 {
+		t.Fatalf("app ran %d times, %d aborts, %d rejections; want 0, 1, 0",
+			r.appRuns, r.agent.met.aborts.Value(), r.agent.met.rejections.Value())
+	}
+	if st, _ := r.agent.snapshot(); st != control.StateIdle {
+		t.Fatalf("state = %v after aborted join", st)
+	}
+	if tl := spans.RenderTimeline(0); !strings.Contains(tl, "leave") || !strings.Contains(tl, "node-7") {
+		t.Fatalf("timeline has no leave of node-7:\n%s", tl)
 	}
 }
 
@@ -564,7 +608,10 @@ func TestHeartbeatPeriodRetuneApplied(t *testing.T) {
 
 // Each PNA verifies the bytes it was itself handed: of two nodes that
 // hear one signed wakeup and receive different buffers of equal length,
-// only the one whose buffer matches the digest launches.
+// only the one whose buffer matches the digest launches. The same holds
+// when the reads complete at one instant on one broadcaster, so their
+// checks form one delivery group shared out over the cores: the node
+// handed other bytes is the one rejected.
 func TestDigestCheckedPerNodeBuffer(t *testing.T) {
 	withObs := func(c *Config) { c.Obs = obs.NewRegistry() }
 	good, bad := newRig(t, withObs), newRig(t, withObs)
@@ -591,5 +638,61 @@ func TestDigestCheckedPerNodeBuffer(t *testing.T) {
 	}
 	if st, _ := bad.agent.snapshot(); st != control.StateIdle {
 		t.Fatalf("state = %v after aborted join", st)
+	}
+
+	// Six nodes on one clock and carousel, each with its image already
+	// in its chunk cache, so every image read completes at the next
+	// directory. Node 3's cache holds the other buffer under the hash
+	// the directory advertises.
+	clk := simtime.NewSim(epoch)
+	nodes := make([]*rig, 6)
+	for i := range nodes {
+		nodes[i] = newRigOn(t, clk, withObs)
+	}
+	const badNode = 3
+	car, err := dsmcc.NewCarousel(0x300, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := dsmcc.NewBroadcaster(clk, car, 1e6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Start([]dsmcc.File{
+		{Name: DefaultConfigFile, Data: good.wakeupConfig(t, good.baseWakeup(digest))},
+		{Name: "image.1", Data: imgRaw},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range nodes {
+		held := append([]byte(nil), imgRaw...)
+		if i == badNode {
+			held = other
+		}
+		n.ctx.bcast, n.ctx.cache = b, dsmcc.NewChunkCache(1<<20)
+		n.ctx.cache.Put(dsmcc.HashOf(imgRaw), held)
+	}
+	// One event starts every agent, so all reads are booked at one
+	// virtual instant.
+	clk.AfterFunc(0, func() {
+		for _, n := range nodes {
+			n.agent.StartXlet()
+		}
+	})
+	clk.AfterFunc(time.Minute, func() {
+		for _, n := range nodes {
+			n.agent.DestroyXlet(true)
+		}
+	})
+	clk.Wait()
+	for i, n := range nodes {
+		runs, rejected := n.appRuns, n.agent.met.rejections.Value()
+		if i == badNode {
+			if runs != 0 || rejected == 0 {
+				t.Fatalf("node %d, other bytes: app ran %d times, %d rejections", i, runs, rejected)
+			}
+		} else if runs != 1 || rejected != 0 {
+			t.Fatalf("node %d, signed bytes: app ran %d times, %d rejections", i, runs, rejected)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package dsmcc
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -46,6 +47,9 @@ type Broadcaster struct {
 	pending      []File    // queued update (never empty); nil when none is
 	genListeners map[int]func(gen uint32, at time.Time)
 	nextListener int
+	// groups holds the delivery groups no delivery of which has fired
+	// yet, each by file version and completion instant.
+	groups map[groupKey]*group
 	// airedWire accumulates the wire bytes broadcast by generations that
 	// have already been replaced; the live generation's contribution is
 	// its stream position (telemetry).
@@ -253,13 +257,44 @@ func (b *Broadcaster) OnGeneration(fn func(gen uint32, at time.Time)) (cancel fu
 // carousel directory.
 var ErrNoSuchFile = errors.New("dsmcc: no such file in carousel")
 
+// Read is one receiver's read of a carousel file, in two stages: a pure
+// check of the delivered bytes, then the callback that acts on them. A
+// Read serves one RequestFile.
+type Read interface {
+	// Check is the read's check stage: it runs once over the bytes about
+	// to be delivered, never before the delivery's virtual instant, and
+	// finishes before Deliver is called with them. It may run on another
+	// goroutine while the clock's event loop delivers other files, so it
+	// reads only data and what the Read was built with, writes only the
+	// Read's own fields, and touches no clock, span, metric or shared
+	// state. It may have run over bytes a later generation replaced
+	// before delivery; it then runs again over what is delivered, so it
+	// must overwrite what it stores, not add to it.
+	Check(data []byte)
+	// Deliver is the callback, called exactly once on the clock's event
+	// loop at the delivery instant at. With err == nil, Check has just
+	// run over data; with err != nil (the file left the carousel), data
+	// is nil and Check did not run.
+	Deliver(data []byte, at time.Time, err error)
+}
+
 // RequestFile asks for the named file as a receiver that starts
-// listening now would obtain it. fn is invoked exactly once with the
-// file data and delivery time, or with err != nil if the file
+// listening now would obtain it. r.Deliver is invoked exactly once with
+// the file data and delivery time, or with err != nil if the file
 // disappears from the carousel before delivery. If the carousel content
 // changes mid-read (version bump), the read restarts against the new
 // generation, exactly as a receiver re-acquiring a new module version
 // would.
+//
+// Reads of one file version that complete at one instant form a
+// delivery group. Each delivery stays its own event, booked in request
+// order, but the first of a group to fire runs its own r.Check and
+// hands the group's other checks to up to GOMAXPROCS-1 helper
+// goroutines, which claim from the far end of the group; each later
+// delivery takes its finished check, waits for the helper running it,
+// or runs it itself. Checks are pure, so what each Deliver sees, and
+// when, is the same on any core count; on one core every check runs
+// inside its own delivery.
 //
 // cache, if non-nil, is the receiver's persistent chunk store. When it
 // already holds the module's current content (by the hash the directory
@@ -274,22 +309,22 @@ var ErrNoSuchFile = errors.New("dsmcc: no such file in carousel")
 // The data is shared and read-only: the carousel's own slice
 // (LayoutEntry.Data), the same one for every receiver of that
 // generation, or on a hit the cache's.
-func (b *Broadcaster) RequestFile(name string, strategy ReceiverStrategy, cache *ChunkCache, fn func(data []byte, at time.Time, err error)) {
+func (b *Broadcaster) RequestFile(name string, strategy ReceiverStrategy, cache *ChunkCache, r Read) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.layout == nil {
 		now := b.clk.Now()
-		b.clk.AfterFunc(0, func() { fn(nil, now, errors.New("dsmcc: broadcaster not started")) })
+		b.clk.AfterFunc(0, func() { r.Deliver(nil, now, errors.New("dsmcc: broadcaster not started")) })
 		return
 	}
-	b.scheduleDeliveryLocked(name, strategy, cache, fn)
+	b.scheduleDeliveryLocked(name, strategy, cache, r)
 }
 
-func (b *Broadcaster) scheduleDeliveryLocked(name string, strategy ReceiverStrategy, cache *ChunkCache, fn func([]byte, time.Time, error)) {
+func (b *Broadcaster) scheduleDeliveryLocked(name string, strategy ReceiverStrategy, cache *ChunkCache, r Read) {
 	now := b.clk.Now()
 	e, ok := b.layout.Entry(name)
 	if !ok {
-		b.clk.AfterFunc(0, func() { fn(nil, now, ErrNoSuchFile) })
+		b.clk.AfterFunc(0, func() { r.Deliver(nil, now, ErrNoSuchFile) })
 		return
 	}
 	var cached []byte
@@ -310,18 +345,40 @@ func (b *Broadcaster) scheduleDeliveryLocked(name string, strategy ReceiverStrat
 	if delay < 0 {
 		delay = 0
 	}
+	key := groupKey{name: name, version: version, at: now.Add(delay).UnixNano()}
+	g := b.groups[key]
+	if g == nil {
+		g = &group{}
+		g.cond.L = &g.mu
+		if b.groups == nil {
+			b.groups = make(map[groupKey]*group)
+		}
+		b.groups[key] = g
+	}
+	i := len(g.slots)
+	slotData := e.Data
+	if hit {
+		slotData = cached
+	}
+	g.slots = append(g.slots, slot{r: r, data: slotData})
 	b.clk.AfterFunc(delay, func() {
 		b.mu.Lock()
+		if b.groups[key] == g {
+			delete(b.groups, key) // on air: a later read starts a group of its own
+		}
 		cur, ok := b.layout.Entry(name)
 		switch {
 		case !ok:
 			b.mu.Unlock()
-			fn(nil, b.clk.Now(), ErrNoSuchFile)
+			g.drop(i)
+			r.Deliver(nil, b.clk.Now(), ErrNoSuchFile)
 			return
 		case cur.Version != version:
 			// Content changed under the read: restart on the new
-			// generation — the new content may be cached too.
-			b.scheduleDeliveryLocked(name, strategy, cache, fn)
+			// generation — the new content may be cached too. A check a
+			// helper already ran on the old bytes is discarded.
+			g.drop(i)
+			b.scheduleDeliveryLocked(name, strategy, cache, r)
 			b.mu.Unlock()
 			return
 		}
@@ -336,6 +393,114 @@ func (b *Broadcaster) scheduleDeliveryLocked(name string, strategy ReceiverStrat
 		case cache != nil:
 			cache.Put(HashOf(data), data)
 		}
-		fn(data, b.clk.Now(), nil)
+		g.check(i, data)
+		r.Deliver(data, b.clk.Now(), nil)
 	})
+}
+
+// groupKey names a delivery group: the reads of one file version that
+// complete at one instant (Unix nanoseconds).
+type groupKey struct {
+	name    string
+	version uint8
+	at      int64
+}
+
+// A group holds the check stages of one delivery group, one slot per
+// read in booking order. Reads join it until its first delivery fires;
+// from then on its slots are claimed, under mu, by their own deliveries
+// from the front and by helpers from the back.
+type group struct {
+	mu      sync.Mutex
+	cond    sync.Cond // signalled when a helper finishes a check
+	slots   []slot
+	started bool // the first check ran and helpers were handed the rest
+	back    int  // helpers claim slots below this index, highest first
+}
+
+// slot states.
+const (
+	unclaimed = iota
+	checking
+	checked
+)
+
+type slot struct {
+	r     Read
+	data  []byte // the bytes the check runs over
+	state uint8
+}
+
+// check returns once slot i's read has been checked over data, the
+// bytes its delivery hands over: it takes a helper's finished check,
+// waits for the helper running it, or runs it here. The first check of
+// the group starts its helpers.
+func (g *group) check(i int, data []byte) {
+	g.mu.Lock()
+	s := &g.slots[i]
+	for s.state == checking {
+		g.cond.Wait()
+	}
+	if s.state == checked && sameSlice(s.data, data) {
+		g.mu.Unlock()
+		return
+	}
+	// Unclaimed, or checked over another slice of the same version:
+	// check what is delivered.
+	s.state, s.data = checking, data
+	helpers := 0
+	if !g.started {
+		g.started, g.back = true, len(g.slots)
+		helpers = min(runtime.GOMAXPROCS(0)-1, len(g.slots)-1-i)
+	}
+	g.mu.Unlock()
+	for range helpers {
+		go g.help()
+	}
+	s.r.Check(data)
+	g.mu.Lock()
+	s.state = checked
+	g.mu.Unlock()
+}
+
+// drop takes slot i out of the group without delivering it: no helper
+// claims it afterwards, and one already running its check finishes
+// first, so the read's next check never runs beside it.
+func (g *group) drop(i int) {
+	g.mu.Lock()
+	s := &g.slots[i]
+	for s.state == checking {
+		g.cond.Wait()
+	}
+	s.state = checked
+	g.mu.Unlock()
+}
+
+// help runs unclaimed checks from the back of the group until it meets
+// a slot its deliveries already reached, then returns. Nothing waits
+// for a helper as such: a delivery whose slot a helper claimed waits
+// for that slot's check, so once the group's last delivery has
+// returned, no helper touches any of its reads again.
+func (g *group) help() {
+	g.mu.Lock()
+	for g.back > 0 {
+		g.back--
+		s := &g.slots[g.back]
+		if s.state != unclaimed {
+			g.back = 0
+			break
+		}
+		s.state = checking
+		g.mu.Unlock()
+		s.r.Check(s.data)
+		g.mu.Lock()
+		s.state = checked
+		g.cond.Broadcast()
+	}
+	g.mu.Unlock()
+}
+
+// sameSlice reports whether a and b are the same bytes in memory.
+func sameSlice(a, b []byte) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }

@@ -35,13 +35,13 @@ func TestBroadcasterDeliveryAtPhaseZero(t *testing.T) {
 
 	var at time.Time
 	var got []byte
-	b.RequestFile("image", FileGranularity, nil, func(data []byte, when time.Time, err error) {
+	b.RequestFile("image", FileGranularity, nil, readFunc(func(data []byte, when time.Time, err error) {
 		if err != nil {
 			t.Errorf("request: %v", err)
 			return
 		}
 		got, at = data, when
-	})
+	}))
 	clk.Wait()
 	if !bytes.Equal(got, img) {
 		t.Fatal("image data mismatch")
@@ -64,12 +64,12 @@ func TestBroadcasterMidCycleWaitsFullRetransmission(t *testing.T) {
 	var at time.Time
 	clk.Go(func() {
 		clk.Sleep(cycle / 2) // tune mid-module
-		b.RequestFile("image", FileGranularity, nil, func(_ []byte, when time.Time, err error) {
+		b.RequestFile("image", FileGranularity, nil, readFunc(func(_ []byte, when time.Time, err error) {
 			if err != nil {
 				t.Errorf("request: %v", err)
 			}
 			at = when
-		})
+		}))
 	})
 	clk.Wait()
 	// Tuned at 0.5 cycles: wait the remaining half cycle for the next
@@ -101,12 +101,12 @@ func TestBroadcasterWakeupMatchesPaperModel(t *testing.T) {
 		offset := time.Duration(i) * cycle / n
 		start := epoch.Add(offset)
 		clk.AfterFunc(offset, func() {
-			b.RequestFile("image", FileGranularity, nil, func(_ []byte, when time.Time, err error) {
+			b.RequestFile("image", FileGranularity, nil, readFunc(func(_ []byte, when time.Time, err error) {
 				if err == nil {
 					total += when.Sub(start)
 					count++
 				}
-			})
+			}))
 		})
 	}
 	clk.Wait()
@@ -172,7 +172,7 @@ func TestBroadcasterRequestUnknownFile(t *testing.T) {
 	clk := simtime.NewSim(epoch)
 	b := startBroadcaster(t, clk, 1e6, File{Name: "a", Data: []byte{1}})
 	var got error
-	b.RequestFile("missing", FileGranularity, nil, func(_ []byte, _ time.Time, err error) { got = err })
+	b.RequestFile("missing", FileGranularity, nil, readFunc(func(_ []byte, _ time.Time, err error) { got = err }))
 	clk.Wait()
 	if got != ErrNoSuchFile {
 		t.Fatalf("err = %v, want ErrNoSuchFile", got)
@@ -300,20 +300,20 @@ func TestDeliverySharesStagedBytes(t *testing.T) {
 	var air [2][]byte
 	for i := range air {
 		i := i
-		b.RequestFile("image", FileGranularity, nil, func(d []byte, _ time.Time, err error) {
+		b.RequestFile("image", FileGranularity, nil, readFunc(func(d []byte, _ time.Time, err error) {
 			if err != nil {
 				t.Errorf("air receiver %d: %v", i, err)
 			}
 			air[i] = d
-		})
+		}))
 	}
 	var cold []byte
-	b.RequestFile("image", FileGranularity, cache, func(d []byte, _ time.Time, err error) {
+	b.RequestFile("image", FileGranularity, cache, readFunc(func(d []byte, _ time.Time, err error) {
 		if err != nil {
 			t.Errorf("cold cached receiver: %v", err)
 		}
 		cold = d
-	})
+	}))
 	clk.Wait()
 	for i, d := range [][]byte{air[0], air[1], cold} {
 		if len(d) != len(img) || &d[0] != &img[0] {
@@ -336,12 +336,12 @@ func TestDeliverySharesStagedBytes(t *testing.T) {
 	var hit [2][]byte
 	for i := range hit {
 		i := i
-		b.RequestFile("image", FileGranularity, warm, func(d []byte, _ time.Time, err error) {
+		b.RequestFile("image", FileGranularity, warm, readFunc(func(d []byte, _ time.Time, err error) {
 			if err != nil {
 				t.Errorf("warm receiver %d: %v", i, err)
 			}
 			hit[i] = d
-		})
+		}))
 	}
 	clk.Wait()
 	for i, d := range hit {
@@ -362,8 +362,8 @@ func TestBroadcasterFileRemovedMidRead(t *testing.T) {
 	var goneErr, keepErr error
 	clk.Go(func() {
 		clk.Sleep(b.CycleDuration() * 3 / 4) // past "keep", inside "gone": both reads span the commit
-		b.RequestFile("gone", FileGranularity, nil, func(d []byte, _ time.Time, err error) { goneData, goneErr = d, err })
-		b.RequestFile("keep", FileGranularity, nil, func(d []byte, _ time.Time, err error) { keepData, keepErr = d, err })
+		b.RequestFile("gone", FileGranularity, nil, readFunc(func(d []byte, _ time.Time, err error) { goneData, goneErr = d, err }))
+		b.RequestFile("keep", FileGranularity, nil, readFunc(func(d []byte, _ time.Time, err error) { keepData, keepErr = d, err }))
 		if err := b.Update([]File{{Name: "keep", Data: keep}}); err != nil {
 			t.Error(err)
 		}

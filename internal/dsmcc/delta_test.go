@@ -533,12 +533,12 @@ func TestCachedRequestDeliveryTiming(t *testing.T) {
 
 	// Cold: same completion as an uncached receiver, and the cache warms.
 	var coldAt time.Time
-	b.RequestFile("image", FileGranularity, cache, func(data []byte, at time.Time, err error) {
+	b.RequestFile("image", FileGranularity, cache, readFunc(func(data []byte, at time.Time, err error) {
 		if err != nil || !bytes.Equal(data, img) {
 			t.Errorf("cold fetch: err=%v", err)
 		}
 		coldAt = at
-	})
+	}))
 	clk.Wait()
 	l, _ := b.car.Layout()
 	e, _ := l.Entry("image")
@@ -553,12 +553,12 @@ func TestCachedRequestDeliveryTiming(t *testing.T) {
 	// DII, not after the megabyte module re-airs.
 	start := clk.Now()
 	var warmAt time.Time
-	b.RequestFile("image", FileGranularity, cache, func(data []byte, at time.Time, err error) {
+	b.RequestFile("image", FileGranularity, cache, readFunc(func(data []byte, at time.Time, err error) {
 		if err != nil || !bytes.Equal(data, img) {
 			t.Errorf("warm fetch: err=%v", err)
 		}
 		warmAt = at
-	})
+	}))
 	clk.Wait()
 	warmWait := warmAt.Sub(start)
 	cycle := b.airTime(l.CycleWire)
@@ -583,11 +583,11 @@ func TestSharedChunkCacheAcrossBroadcasters(t *testing.T) {
 	shared.Instrument(met)
 	for c := 0; c < carousels; c++ {
 		b := startBroadcaster(t, clk, 1e6, File{Name: "image", Data: img})
-		b.RequestFile("image", FileGranularity, shared, func(data []byte, _ time.Time, err error) {
+		b.RequestFile("image", FileGranularity, shared, readFunc(func(data []byte, _ time.Time, err error) {
 			if err != nil || !bytes.Equal(data, img) {
 				t.Errorf("carousel %d: wrong image delivered, err=%v", c, err)
 			}
-		})
+		}))
 		clk.Wait()
 	}
 	hits, misses := met.Hits(), met.Misses()
@@ -608,12 +608,12 @@ func TestCachedRequestRestartsOnUpdate(t *testing.T) {
 
 	v2 := randBytes(rng, 500000)
 	var got []byte
-	b.RequestFile("image", FileGranularity, cache, func(data []byte, at time.Time, err error) {
+	b.RequestFile("image", FileGranularity, cache, readFunc(func(data []byte, at time.Time, err error) {
 		if err != nil {
 			t.Errorf("fetch: %v", err)
 		}
 		got = data
-	})
+	}))
 	// Commit v2 at the next cycle boundary — before the pending cached
 	// delivery's DII confirmation would fire for a mid-cycle joiner.
 	if err := b.Update([]File{{Name: "image", Data: v2}}); err != nil {

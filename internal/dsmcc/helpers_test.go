@@ -1,6 +1,15 @@
 package dsmcc
 
-// Test-only views of a chunk cache and a carousel.
+import "time"
+
+// Test-only views of a chunk cache and a carousel, and a plain read.
+
+// readFunc is a read with no check stage: the callback alone.
+type readFunc func(data []byte, at time.Time, err error)
+
+func (readFunc) Check([]byte) {}
+
+func (f readFunc) Deliver(data []byte, at time.Time, err error) { f(data, at, err) }
 
 // contains reports whether h is cached without touching recency or the
 // hit/miss counters.

@@ -77,7 +77,7 @@ func TestBroadcasterConstructionErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got error
-	b.RequestFile("x", FileGranularity, nil, func(_ []byte, _ time.Time, err error) { got = err })
+	b.RequestFile("x", FileGranularity, nil, readFunc(func(_ []byte, _ time.Time, err error) { got = err }))
 	clk.Wait()
 	if got == nil {
 		t.Fatal("request before start accepted")

@@ -120,13 +120,13 @@ func TestRequestFileDeliversContent(t *testing.T) {
 	c := startCaster(t, clk, 1e6, dsmcc.File{Name: "image", Data: img})
 	var got []byte
 	var at time.Time
-	c.RequestFile("image", dsmcc.FileGranularity, nil, func(data []byte, when time.Time, err error) {
+	c.RequestFile("image", dsmcc.FileGranularity, nil, readFunc(func(data []byte, when time.Time, err error) {
 		if err != nil {
 			t.Errorf("request: %v", err)
 			return
 		}
 		got, at = data, when
-	})
+	}))
 	clk.Wait()
 	if !bytes.Equal(got, img) {
 		t.Fatal("content mismatch")
@@ -203,7 +203,7 @@ func TestUpdateAtCycleBoundary(t *testing.T) {
 		t.Fatalf("commit at %v, want one cycle", at)
 	}
 	var got []byte
-	c.RequestFile("a", dsmcc.FileGranularity, nil, func(data []byte, _ time.Time, err error) { got = data })
+	c.RequestFile("a", dsmcc.FileGranularity, nil, readFunc(func(data []byte, _ time.Time, err error) { got = data }))
 	clk.Wait()
 	if string(got) != "final" {
 		t.Fatalf("content %q, want coalesced final", got)
@@ -214,7 +214,7 @@ func TestRequestUnknownFile(t *testing.T) {
 	clk := simtime.NewSim(epoch)
 	c := startCaster(t, clk, 1e6, dsmcc.File{Name: "a", Data: []byte{1}})
 	var got error
-	c.RequestFile("missing", dsmcc.FileGranularity, nil, func(_ []byte, _ time.Time, err error) { got = err })
+	c.RequestFile("missing", dsmcc.FileGranularity, nil, readFunc(func(_ []byte, _ time.Time, err error) { got = err }))
 	clk.Wait()
 	if got != dsmcc.ErrNoSuchFile {
 		t.Fatalf("err = %v", got)
@@ -255,7 +255,7 @@ func TestAccessorsAndListenerCancel(t *testing.T) {
 		t.Fatal("completion on unstarted caster")
 	}
 	var got error
-	c.RequestFile("x", dsmcc.FileGranularity, nil, func(_ []byte, _ time.Time, err error) { got = err })
+	c.RequestFile("x", dsmcc.FileGranularity, nil, readFunc(func(_ []byte, _ time.Time, err error) { got = err }))
 	clk.Wait()
 	if got == nil {
 		t.Fatal("request before start accepted")
@@ -287,11 +287,11 @@ func TestRequestRestartsOnContentChange(t *testing.T) {
 	var got []byte
 	clk.Go(func() {
 		clk.Sleep(c.CycleDuration() / 2)
-		c.RequestFile("a", dsmcc.FileGranularity, nil, func(data []byte, _ time.Time, err error) {
+		c.RequestFile("a", dsmcc.FileGranularity, nil, readFunc(func(data []byte, _ time.Time, err error) {
 			if err == nil {
 				got = data
 			}
-		})
+		}))
 		// The update commits before the read completes.
 		c.Update([]dsmcc.File{{Name: "a", Data: []byte("fresh")}})
 	})
@@ -313,12 +313,12 @@ func TestDeliverySharesStagedBytes(t *testing.T) {
 		clk.Sleep(c.CycleDuration() / 2)
 		for i := range got {
 			i := i
-			c.RequestFile("image", dsmcc.FileGranularity, nil, func(d []byte, _ time.Time, err error) {
+			c.RequestFile("image", dsmcc.FileGranularity, nil, readFunc(func(d []byte, _ time.Time, err error) {
 				if err != nil {
 					t.Errorf("receiver %d: %v", i, err)
 				}
 				got[i] = d
-			})
+			}))
 		}
 		// Only the control file changes; the image slice is handed over
 		// again unchanged, as the Controller does on every refresh.
@@ -349,17 +349,24 @@ func TestCachedReadFallsThroughToAir(t *testing.T) {
 	var plain, cached time.Time
 	clk.Go(func() {
 		clk.Sleep(c.CycleDuration() / 3)
-		c.RequestFile("image", dsmcc.FileGranularity, nil, func(_ []byte, at time.Time, _ error) { plain = at })
-		c.RequestFile("image", dsmcc.FileGranularity, cache, func(_ []byte, at time.Time, _ error) { cached = at })
+		c.RequestFile("image", dsmcc.FileGranularity, nil, readFunc(func(_ []byte, at time.Time, _ error) { plain = at }))
+		c.RequestFile("image", dsmcc.FileGranularity, cache, readFunc(func(_ []byte, at time.Time, _ error) { cached = at }))
 	})
 	clk.Wait()
 	if plain.IsZero() || !cached.Equal(plain) {
 		t.Fatalf("warm-cache read delivered at %v, uncached at %v", cached, plain)
 	}
 	cold := dsmcc.NewChunkCache(1 << 20)
-	c.RequestFile("image", dsmcc.FileGranularity, cold, func([]byte, time.Time, error) {})
+	c.RequestFile("image", dsmcc.FileGranularity, cold, readFunc(func([]byte, time.Time, error) {}))
 	clk.Wait()
 	if d, ok := cold.Get(dsmcc.HashOf(img)); !ok || &d[0] != &img[0] {
 		t.Fatal("air delivery not published into the receiver's cache")
 	}
 }
+
+// readFunc is a read with no check stage: the callback alone.
+type readFunc func(data []byte, at time.Time, err error)
+
+func (readFunc) Check([]byte) {}
+
+func (f readFunc) Deliver(data []byte, at time.Time, err error) { f(data, at, err) }

@@ -2,6 +2,7 @@ package middleware
 
 import (
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -43,7 +44,7 @@ func TestManagerContextMethods(t *testing.T) {
 
 	var fileData []byte
 	var fileErr error
-	ctx.ReadFile("extra", func(data []byte, err error) { fileData, fileErr = data, err })
+	ctx.ReadFile("extra", readFunc(func(data []byte, _ time.Time, err error) { fileData, fileErr = data, err }))
 	r.clk.Wait()
 	if fileErr != nil || string(fileData) != "payload" {
 		t.Fatalf("ReadFile = %q, %v", fileData, fileErr)
@@ -140,8 +141,16 @@ func TestDeliveryReachesXletsByReference(t *testing.T) {
 	code := make([]byte, 1000)
 	image := make([]byte, 50000)
 	r := newRig(t, dsmcc.File{Name: "pna.xlet", Data: code}, dsmcc.File{Name: "image", Data: image})
+	// Both boxes get the code at one instant, so the two checks may run
+	// on two cores at once.
+	var authMu sync.Mutex
 	var authSaw [][]byte
-	auth := func(_ string, c []byte) error { authSaw = append(authSaw, c); return nil }
+	auth := func(_ string, c []byte) error {
+		authMu.Lock()
+		defer authMu.Unlock()
+		authSaw = append(authSaw, c)
+		return nil
+	}
 	probes := []*ctxProbe{{}, {}}
 	for i, cfg := range []Config{
 		{Authenticate: auth},
@@ -163,12 +172,12 @@ func TestDeliveryReachesXletsByReference(t *testing.T) {
 	for round := 0; round < 2; round++ { // the second round is a cache hit for probe 1
 		for i, p := range probes {
 			var got []byte
-			p.ctx.ReadFile("image", func(data []byte, err error) {
+			p.ctx.ReadFile("image", readFunc(func(data []byte, _ time.Time, err error) {
 				if err != nil {
 					t.Errorf("round %d probe %d: %v", round, i, err)
 				}
 				got = data
-			})
+			}))
 			r.clk.Wait()
 			if len(got) != len(image) || &got[0] != &image[0] {
 				t.Fatalf("round %d probe %d read a copy (len %d), want the staged slice", round, i, len(got))
@@ -176,3 +185,10 @@ func TestDeliveryReachesXletsByReference(t *testing.T) {
 		}
 	}
 }
+
+// readFunc is a read with no check stage: the callback alone.
+type readFunc func(data []byte, at time.Time, err error)
+
+func (readFunc) Check([]byte) {}
+
+func (f readFunc) Deliver(data []byte, at time.Time, err error) { f(data, at, err) }

@@ -31,12 +31,16 @@ import (
 // consumer that needs to change them copies first.
 type ObjectCarousel interface {
 	// RequestFile delivers the named file as a receiver starting to
-	// listen now would obtain it. cache, if non-nil, is the receiver's
-	// chunk store: a carrier that advertises content hashes satisfies a
-	// read of content already in it at directory latency, and every
-	// carrier publishes what it delivers into it. data is shared and
-	// read-only, and so is what the cache keeps.
-	RequestFile(name string, strategy dsmcc.ReceiverStrategy, cache *dsmcc.ChunkCache, fn func(data []byte, at time.Time, err error))
+	// listen now would obtain it: r.Check runs over the delivered bytes,
+	// then r.Deliver gets them. Reads that complete together have their
+	// checks shared out over the cores, each over its own delivery, and
+	// each Deliver still runs on the event loop in request order. cache,
+	// if non-nil, is the receiver's chunk store: a carrier that
+	// advertises content hashes satisfies a read of content already in
+	// it at directory latency, and every carrier publishes what it
+	// delivers into it. data is shared and read-only, and so is what
+	// the cache keeps.
+	RequestFile(name string, strategy dsmcc.ReceiverStrategy, cache *dsmcc.ChunkCache, r dsmcc.Read)
 	// OnGeneration notifies of content changes; it returns a cancel.
 	OnGeneration(fn func(gen uint32, at time.Time)) (cancel func())
 }
@@ -45,7 +49,9 @@ type ObjectCarousel interface {
 // before it runs — the DTV security hook ("the receiver can authenticate
 // downloaded applications signed by application developers or
 // transmitters"). A nil Authenticator accepts everything. code is the
-// carousel's shared delivery (see ObjectCarousel): read-only.
+// carousel's shared delivery (see ObjectCarousel): read-only. It runs as
+// the code read's check stage, possibly off the event loop, so it must
+// be pure in the sense of dsmcc.Read.Check.
 type Authenticator func(classFile string, code []byte) error
 
 // Config parameterizes an application manager.
@@ -196,50 +202,68 @@ func (m *Manager) launch(app ait.Application) {
 	m.apps[app.Key()] = ra
 	m.mu.Unlock()
 
-	m.bcast.RequestFile(app.ClassFile, m.cfg.Strategy, nil, func(code []byte, _ time.Time, err error) {
-		abort := func() {
-			m.mu.Lock()
-			if m.apps[app.Key()] == ra {
-				delete(m.apps, app.Key())
-			}
-			m.mu.Unlock()
-		}
-		if err != nil {
-			m.mu.Lock()
-			m.launchErrors++
-			m.mu.Unlock()
-			abort()
-			return
-		}
-		if m.cfg.Authenticate != nil {
-			if err := m.cfg.Authenticate(app.ClassFile, code); err != nil {
-				m.mu.Lock()
-				m.authFailures++
-				m.mu.Unlock()
-				abort()
-				return
-			}
-		}
-		m.mu.Lock()
-		if !m.running || m.apps[app.Key()] != ra {
-			m.mu.Unlock()
-			return // powered off or superseded while downloading
-		}
-		ra.x = factory()
-		m.mu.Unlock()
+	m.bcast.RequestFile(app.ClassFile, m.cfg.Strategy, nil, &codeRead{m: m, app: app, ra: ra, factory: factory, auth: m.cfg.Authenticate})
+}
 
-		ctx := &managerContext{m: m}
-		if err := ra.x.InitXlet(ctx); err != nil {
-			m.failLaunch(ra, app.Key(), fmt.Errorf("initXlet: %w", err))
-			return
+// codeRead fetches one application's code; Authenticate is its check.
+type codeRead struct {
+	m       *Manager
+	app     ait.Application
+	ra      *runningApp
+	factory xlet.Factory
+	auth    Authenticator
+	authErr error
+}
+
+func (r *codeRead) Check(code []byte) {
+	if r.auth != nil {
+		r.authErr = r.auth(r.app.ClassFile, code)
+	}
+}
+
+// Deliver walks the fetched application to Started.
+func (r *codeRead) Deliver(_ []byte, _ time.Time, err error) {
+	m, app, ra := r.m, r.app, r.ra
+	abort := func() {
+		m.mu.Lock()
+		if m.apps[app.Key()] == ra {
+			delete(m.apps, app.Key())
 		}
-		m.transition(ra, xlet.Paused)
-		if err := ra.x.StartXlet(); err != nil {
-			m.failLaunch(ra, app.Key(), fmt.Errorf("startXlet: %w", err))
-			return
-		}
-		m.transition(ra, xlet.Started)
-	})
+		m.mu.Unlock()
+	}
+	if err != nil {
+		m.mu.Lock()
+		m.launchErrors++
+		m.mu.Unlock()
+		abort()
+		return
+	}
+	if r.authErr != nil {
+		m.mu.Lock()
+		m.authFailures++
+		m.mu.Unlock()
+		abort()
+		return
+	}
+	m.mu.Lock()
+	if !m.running || m.apps[app.Key()] != ra {
+		m.mu.Unlock()
+		return // powered off or superseded while downloading
+	}
+	ra.x = r.factory()
+	m.mu.Unlock()
+
+	ctx := &managerContext{m: m}
+	if err := ra.x.InitXlet(ctx); err != nil {
+		m.failLaunch(ra, app.Key(), fmt.Errorf("initXlet: %w", err))
+		return
+	}
+	m.transition(ra, xlet.Paused)
+	if err := ra.x.StartXlet(); err != nil {
+		m.failLaunch(ra, app.Key(), fmt.Errorf("startXlet: %w", err))
+		return
+	}
+	m.transition(ra, xlet.Started)
 }
 
 func (m *Manager) transition(ra *runningApp, to xlet.State) {
@@ -284,10 +308,8 @@ type managerContext struct {
 
 func (c *managerContext) Clock() simtime.Clock { return c.m.clk }
 
-func (c *managerContext) ReadFile(name string, fn func([]byte, error)) {
-	c.m.bcast.RequestFile(name, c.m.cfg.Strategy, c.m.cfg.Cache, func(data []byte, _ time.Time, err error) {
-		fn(data, err)
-	})
+func (c *managerContext) ReadFile(name string, r dsmcc.Read) {
+	c.m.bcast.RequestFile(name, c.m.cfg.Strategy, c.m.cfg.Cache, r)
 }
 
 func (c *managerContext) Go(fn func()) { c.m.clk.Go(fn) }

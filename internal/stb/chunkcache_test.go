@@ -50,11 +50,11 @@ func TestChunkCacheOffByDefaultAndPerBox(t *testing.T) {
 	if boxes[0].ChunkCache() == nil || boxes[0].ChunkCache() == boxes[1].ChunkCache() {
 		t.Fatal("per-box chunk caches missing or shared")
 	}
-	b.RequestFile("image", dsmcc.FileGranularity, boxes[0].ChunkCache(), func(_ []byte, _ time.Time, err error) {
+	b.RequestFile("image", dsmcc.FileGranularity, boxes[0].ChunkCache(), readFunc(func(_ []byte, _ time.Time, err error) {
 		if err != nil {
 			t.Errorf("staging through box 0: %v", err)
 		}
-	})
+	}))
 	clk.Wait()
 	if kept, ok := boxes[0].ChunkCache().Get(dsmcc.HashOf(img)); !ok || &kept[0] != &img[0] {
 		t.Fatal("box 0's cache does not hold the staged slice")
@@ -63,3 +63,10 @@ func TestChunkCacheOffByDefaultAndPerBox(t *testing.T) {
 		t.Fatal("box 1's private cache saw box 0's staging")
 	}
 }
+
+// readFunc is a read with no check stage: the callback alone.
+type readFunc func(data []byte, at time.Time, err error)
+
+func (readFunc) Check([]byte) {}
+
+func (f readFunc) Deliver(data []byte, at time.Time, err error) { f(data, at, err) }

@@ -14,6 +14,7 @@ package xlet
 import (
 	"fmt"
 
+	"oddci/internal/dsmcc"
 	"oddci/internal/simtime"
 )
 
@@ -50,13 +51,16 @@ func (s State) String() string {
 type Context interface {
 	// Clock is the receiver's notion of time.
 	Clock() simtime.Clock
-	// ReadFile requests a carousel file. fn runs when the object
+	// ReadFile requests a carousel file. r.Deliver runs when the object
 	// carousel delivers it (possibly a full cycle later), or with err on
-	// failure. data is the carousel's own staged bytes, shared with
-	// every other receiver of that generation (middleware.ObjectCarousel
-	// states the contract): read them, keep them as long as needed,
-	// never write them.
-	ReadFile(name string, fn func(data []byte, err error))
+	// failure; r.Check, the read's pure check stage, has run over the
+	// delivered bytes just before, possibly on another core while other
+	// receivers of the same delivery are served (dsmcc.Read states what
+	// a check may touch). data is the carousel's own staged bytes,
+	// shared with every other receiver of that generation
+	// (middleware.ObjectCarousel states the contract): read them, keep
+	// them as long as needed, never write them.
+	ReadFile(name string, r dsmcc.Read)
 	// Go spawns a goroutine owned by the Xlet; the middleware tracks it
 	// via the clock.
 	Go(fn func())
