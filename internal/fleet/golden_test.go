@@ -21,39 +21,76 @@ var goldenSharded = ShardedConfig{
 	Shards: 8, KillShard: 3, KillAfter: 90 * time.Second, RecoverAfter: 60 * time.Second,
 }
 
+// goldenCases are the results pinned under testdata/, by file name.
+// run_1e6_seed1 is the benchmark's fleet_ramp op itself; in
+// run_1e5_short_means most power periods end inside the window, so it
+// reaches the exact draws and the deadlines a power-off cuts short that
+// the default means, whose periods mostly end past the window, rarely do.
+var goldenCases = []struct {
+	name    string
+	cfg     ShardedConfig
+	sharded bool
+}{
+	{name: "run_1e5_seed1", cfg: ShardedConfig{Config: Config{Nodes: 100_000, Seed: 1}}},
+	{name: "run_1e5_seed2", cfg: ShardedConfig{Config: Config{Nodes: 100_000, Seed: 2}}},
+	{name: "sharded_5e4_kill_recover", cfg: goldenSharded, sharded: true},
+	{name: "run_1e6_seed1", cfg: ShardedConfig{Config: Config{Nodes: 1_000_000, Seed: 1}}},
+	{name: "run_1e5_short_means", cfg: goldenShortMeans},
+}
+
+// goldenShortMeans is the golden case whose power periods mostly end
+// inside the window.
+var goldenShortMeans = ShardedConfig{Config: Config{
+	Nodes: 100_000, Seed: 3, MeanOn: 10 * time.Minute, MeanOff: 5 * time.Minute,
+}}
+
+// resultJSON renders a result the way the golden files hold it. JSON has
+// no +Inf, the model time of a quorum the churn-adjusted curve never
+// reaches, so that is written as -1.
+func resultJSON(res ShardedResult, sharded bool) ([]byte, error) {
+	r := *res.Result
+	if math.IsInf(r.QuorumModelSeconds, 1) {
+		r.QuorumModelSeconds = -1
+	}
+	var v any = &r
+	if sharded {
+		res.Result = &r
+		v = res
+	}
+	return json.MarshalIndent(v, "", " ")
+}
+
 // TestGoldenResults pins whole results — every counter, curve point and
 // quorum time, to the last bit of every float — to values recorded
-// before the wheel stopped booking deadlines past the window (PR 23). A
-// change to how the engine books, batches or stores must leave them
-// untouched; a change to the model itself regenerates them with
+// before the engine changed how it books, batches or stores them. A
+// change of that kind must leave them untouched; a change to the model
+// itself regenerates them with
 // `go test ./internal/fleet -run TestGoldenResults -update` and says so.
 func TestGoldenResults(t *testing.T) {
-	cases := []struct {
-		name string
-		run  func() (any, error)
-	}{
-		{"run_1e5_seed1", func() (any, error) { return Run(Config{Nodes: 100_000, Seed: 1}) }},
-		{"run_1e5_seed2", func() (any, error) { return Run(Config{Nodes: 100_000, Seed: 2}) }},
-		{"sharded_5e4_kill_recover", func() (any, error) { return RunSharded(goldenSharded) }},
-	}
-	for _, tc := range cases {
+	for _, tc := range goldenCases {
 		t.Run(tc.name, func(t *testing.T) {
-			res, err := tc.run()
-			if err != nil {
-				t.Fatal(err)
+			var res ShardedResult
+			if tc.sharded {
+				r, err := RunSharded(tc.cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res = *r
+			} else {
+				r, err := Run(tc.cfg.Config)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res.Result = r
 			}
-			got, err := json.MarshalIndent(res, "", " ")
+			got, err := resultJSON(res, tc.sharded)
 			if err != nil {
 				t.Fatal(err)
 			}
 			got = append(got, '\n')
 			// sim_events is a retained alias of wheel_batches; hold it there.
-			var n struct {
-				SimEvents    uint64 `json:"sim_events"`
-				WheelBatches uint64 `json:"wheel_batches"`
-			}
-			if err := json.Unmarshal(got, &n); err != nil || n.SimEvents != n.WheelBatches || n.SimEvents == 0 {
-				t.Fatalf("sim_events %d != wheel_batches %d (%v)", n.SimEvents, n.WheelBatches, err)
+			if n := res.Result; n.SimEvents != n.WheelBatches || n.SimEvents == 0 {
+				t.Fatalf("sim_events %d != wheel_batches %d", n.SimEvents, n.WheelBatches)
 			}
 			path := filepath.Join("testdata", tc.name+".json")
 			if *update {
@@ -87,7 +124,7 @@ func firstDiff(got, want []byte) string {
 // TestResultsIndependentOfRangeCount: a run cut into k id ranges, each
 // played whole on its own wheel, returns the one-range result byte for
 // byte, whatever the machine's core count. The cases are the golden
-// configs; a run whose quorum is never reached (QuorumFrac 1: some
+// configs but the 10⁶ one; a run whose quorum is never reached (QuorumFrac 1: some
 // wakeup-time node always powers off before it joins); and a run with no
 // node on at the wakeup, which has nobody to form a quorum from.
 func TestResultsIndependentOfRangeCount(t *testing.T) {
@@ -100,6 +137,11 @@ func TestResultsIndependentOfRangeCount(t *testing.T) {
 		{name: "run_1e5_seed1", cfg: ShardedConfig{Config: Config{Nodes: 100_000, Seed: 1}}},
 		{name: "run_1e5_seed2", cfg: ShardedConfig{Config: Config{Nodes: 100_000, Seed: 2}}},
 		{name: "sharded_5e4_kill_recover", cfg: goldenSharded, sharded: true},
+		{
+			name:   "run_1e5_short_means",
+			cfg:    goldenShortMeans,
+			quorum: func(r *Result) bool { return math.IsInf(r.QuorumModelSeconds, 1) },
+		},
 		{
 			name:   "quorum_unreached",
 			cfg:    ShardedConfig{Config: Config{Nodes: 2_000, Seed: 4, QuorumFrac: 1}},
