@@ -218,6 +218,91 @@ func TestRecompositionWakeupAdvancesSeq(t *testing.T) {
 	}
 }
 
+// TestDestroyResetAdvancesSeq holds a destroy to the rule that an
+// (instance, seq) pair airs one content only: the reset is staged under a
+// seq above every wakeup the instance aired, and that seq is the one
+// Status reports and the journal's destroy record holds. Dropping
+// DestroyInstance's st.seq++ puts the reset on air under the last
+// wakeup's pair, which no other test noticed.
+func TestDestroyResetAdvancesSeq(t *testing.T) {
+	dir := t.TempDir()
+	store := openRecoveryStore(t, dir, journal.Options{})
+	air := &airLog{}
+	r := newRigWith(t, func(h HeadEnd) HeadEnd {
+		air.inner = h
+		return air
+	}, func(cfg *Config) { cfg.Journal = store })
+	id, err := r.ctrl.CreateInstance(InstanceSpec{
+		Image: testImage(t), Target: 2, InitialProbability: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.advance(time.Second)
+	img2 := testImage(t)
+	img2.Version = 2
+	img2.Payload[0] ^= 0xFF
+	if err := r.ctrl.Recompose(id, img2); err != nil {
+		t.Fatal(err)
+	}
+	r.advance(time.Second)
+	if err := r.ctrl.DestroyInstance(id); err != nil {
+		t.Fatal(err)
+	}
+	r.advance(time.Second)
+
+	wakeups := air.wakeupSeqs(t, r.pub, id)
+	if len(wakeups) != 2 {
+		t.Fatalf("staged wakeup seqs %v, want create and recompose", wakeups)
+	}
+	var resets []uint32
+	for _, raw := range air.staged {
+		msgs, err := control.OpenAll(raw, r.pub)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range msgs {
+			if rs, ok := m.(*control.Reset); ok && rs.InstanceID == id &&
+				(len(resets) == 0 || resets[len(resets)-1] != rs.Seq) {
+				resets = append(resets, rs.Seq)
+			}
+		}
+	}
+	if len(resets) != 1 {
+		t.Fatalf("staged reset seqs %v, want one", resets)
+	}
+	reset := resets[0]
+	if last := slices.Max(wakeups); reset <= last {
+		t.Fatalf("reset staged at seq %d, wakeups at %v: the pair (instance, %d) aired twice", reset, wakeups, last)
+	}
+	st, err := r.ctrl.Status(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.Destroyed || st.Seq != reset {
+		t.Fatalf("status destroyed=%v seq=%d, want the reset's seq %d", st.Destroyed, st.Seq, reset)
+	}
+	r.ctrl.Stop()
+	store.Close()
+	raw, err := os.ReadFile(filepath.Join(dir, "state.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, recs, err := journal.DecodeJournal(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var journaled []uint32
+	for _, rec := range recs {
+		if rec.Op == journal.OpDestroy && rec.Inst.ID == uint64(id) {
+			journaled = append(journaled, rec.Inst.Seq)
+		}
+	}
+	if !slices.Equal(journaled, []uint32{reset}) {
+		t.Fatalf("journaled destroy seqs %v, want [%d]", journaled, reset)
+	}
+}
+
 // onAirWakeup opens the committed control file and returns its one
 // wakeup.
 func onAirWakeup(t *testing.T, r *rig) *control.Wakeup {

@@ -7,11 +7,13 @@
 // code and tops out around 10³–10⁴ nodes per run; the analytic package
 // gives closed forms with no variance at all. fleet sits between them:
 // it keeps only what the paper's population-scale questions need — each
-// node's power phase, its next deadline, and a private RNG stream — in
-// struct-of-arrays form (25 bytes per node), and schedules the node
-// deadlines that fall inside the run on hierarchical timing wheels
-// (simtime.Wheel); a deadline past the window is remembered, not
-// booked, so a wheel's size follows the events that happen. A wheel
+// node's power phase, its power-off tick, its next deadline, and a
+// private RNG stream — in struct-of-arrays form (17 bytes per node, ticks
+// in int32), and schedules the node deadlines that fall inside the run
+// on hierarchical timing wheels (simtime.Wheel). A tick past the window
+// is stored as the first tick after it and never booked, so a wheel's
+// size follows the events that happen, and an initial power period whose
+// draw puts it past the window skips its logarithm (firstTicks). A wheel
 // delivers every deadline due at a tick as a single batch, so one
 // advance step turns into thousands of node transitions; that batching
 // is what makes 10⁶ nodes tractable in one process.
@@ -163,8 +165,10 @@ func (c Config) Validate() error {
 		return errors.New("fleet: Warmup too short for Samples distinct ticks")
 	case int64(c.Window/c.Tick) < int64(c.Samples):
 		return errors.New("fleet: Window too short for Samples distinct ticks")
-	case int64(c.Warmup/c.Tick)+int64(c.Window/c.Tick) >= simtime.WheelHorizon:
-		return errors.New("fleet: (Warmup+Window)/Tick exceeds the timing wheel horizon")
+	case int64(c.Window/c.Tick) >= math.MaxInt32-int64(c.Warmup/c.Tick):
+		// endTick+1, the stored form of every tick past the window, must
+		// fit the int32 tick arrays (and so the wheel's 2³² horizon).
+		return errors.New("fleet: (Warmup+Window)/Tick exceeds the int32 tick range")
 	}
 	return nil
 }
@@ -264,8 +268,8 @@ const maxCohorts = 256
 // the run that left them can be read.
 type nodeState struct {
 	phase    []uint8
-	offAt    []int64 // on nodes: power-off tick; off nodes: 0
-	deadline []int64 // tick of the node's (single) live wheel entry
+	offAt    []int32 // on nodes: power-off tick; off nodes: 0
+	deadline []int32 // tick of the node's (single) live wheel entry
 	rng      []uint64
 	ranges   []rangeState
 }
@@ -306,8 +310,8 @@ func takeNodeState(n, k int) nodeState {
 	spare.st = nodeState{}
 	spare.Unlock()
 	if cap(st.phase) < n {
-		st.phase, st.offAt = make([]uint8, n), make([]int64, n)
-		st.deadline, st.rng = make([]int64, n), make([]uint64, n)
+		st.phase, st.offAt = make([]uint8, n), make([]int32, n)
+		st.deadline, st.rng = make([]int32, n), make([]uint64, n)
 	}
 	st.phase, st.offAt, st.deadline, st.rng = st.phase[:n], st.offAt[:n], st.deadline[:n], st.rng[:n]
 	for len(st.ranges) < k {
@@ -346,6 +350,10 @@ type plan struct {
 	hbTicks    int64
 	ncoh       int32
 
+	// farOn and farOff are the unit draws below which an initial on or
+	// off period ends past the window (farDraw).
+	farOn, farOff float64
+
 	availTicks, rampTicks []int64
 
 	shards *shardPlan // nil: no sharded overlay
@@ -365,6 +373,7 @@ func newPlan(cfg Config) *plan {
 	}
 	p.avail = analytic.Availability(p.meanOnSec, p.meanOffSec)
 	p.endTick = p.wakeTick + int64(cfg.Window/cfg.Tick)
+	p.farOn, p.farOff = p.farDraw(p.meanOnSec), p.farDraw(p.meanOffSec)
 	p.availTicks = sampleGrid(0, p.wakeTick, cfg.Samples)
 	p.rampTicks = sampleGrid(p.wakeTick, p.endTick, cfg.Samples)
 	return p
@@ -379,8 +388,8 @@ type engine struct {
 	rangeState
 
 	phase    []uint8
-	offAt    []int64
-	deadline []int64
+	offAt    []int32
+	deadline []int32
 	rng      []uint64
 	lo, hi   int
 
@@ -484,6 +493,13 @@ func (e *engine) run() {
 	}
 }
 
+// stored is the form every node tick takes in the int32 arrays: a tick
+// past the window becomes endTick+1. Every reader asks of such a tick
+// only whether it is past endTick (the staleness check, tick >= offAt,
+// min(tick+load, offAt)), and endTick+1 answers each as the tick itself
+// would.
+func (p *plan) stored(tick int64) int32 { return int32(min(tick, p.endTick+1)) }
+
 // setDeadline records id's single live deadline and books it on the
 // wheel if it can fire: the run stops at endTick, so a later deadline
 // (most of them — the power-cycle means dwarf the window) is only
@@ -491,7 +507,7 @@ func (e *engine) run() {
 // entries are cancelled lazily — nodeEvent skips a fired (tick, id)
 // whose deadline has moved on.
 func (e *engine) setDeadline(id int32, tick int64) {
-	e.deadline[id] = tick
+	e.deadline[id] = e.stored(tick)
 	if tick <= e.endTick {
 		e.whl.Schedule(tick, id)
 	}
@@ -513,9 +529,41 @@ func unitOpen(s *uint64) float64 { return (float64(nextU64(s)>>11) + 1) / (1 << 
 // unitHalf returns a uniform draw in [0, 1).
 func unitHalf(s *uint64) float64 { return float64(nextU64(s)>>11) / (1 << 53) }
 
-// expTicks draws Exp(mean seconds) rounded to ticks, at least 1.
-func (p *plan) expTicks(s *uint64, mean float64) int64 {
-	return max(int64(math.Round(-mean*math.Log(unitOpen(s))/p.secPerTick)), 1)
+// expTicks turns a unitOpen draw u into Exp(mean seconds) rounded to
+// ticks, at least 1.
+func (p *plan) expTicks(u, mean float64) int64 {
+	return max(int64(math.Round(-mean*math.Log(u)/p.secPerTick)), 1)
+}
+
+// farDraw is the threshold below which a unitOpen draw u makes expTicks
+// end past the window: u < exp(−(endTick+1)·secPerTick/mean).
+//
+// expTicks ends past endTick exactly when −mean·ln(u)/secPerTick, as
+// computed, is at least endTick+½ (it rounds half away from zero). The
+// threshold asks for endTick+1, and that half tick of margin covers the
+// rounding. The product and quotient here, and the log, product and
+// quotient there, each err by an ulp or so of a value of about endTick
+// ticks: a few ε·endTick ticks, ~10⁻⁶ at 2³¹. The exp errs by a few ulps
+// of the threshold, which the log reads back as a few ε·mean/secPerTick
+// ticks: 0.11 per ulp at mean/secPerTick = 10¹⁵, so up to 4 ulps fit the
+// margin there. Past that ratio the threshold is 0 and nothing is
+// skipped. A draw at or above the threshold takes expTicks itself, so
+// the verdict near it is the exact one (TestFarDrawExact).
+func (p *plan) farDraw(mean float64) float64 {
+	if mean/p.secPerTick > 1e15 {
+		return 0
+	}
+	return math.Exp(-float64(p.endTick+1) * p.secPerTick / mean)
+}
+
+// firstTicks is expTicks for a node's initial period, most of which end
+// past the window: a draw below far (farDraw) returns endTick+1 without
+// the log, which is what stored makes of expTicks' value there.
+func (p *plan) firstTicks(u, mean, far float64) int64 {
+	if u < far {
+		return p.endTick + 1
+	}
+	return p.expTicks(u, mean)
 }
 
 // loadTicks draws the carousel load time W ~ U(C, 2C) in ticks: the
@@ -537,7 +585,8 @@ func (p *plan) loadTicks(s *uint64) int64 {
 // exactly Binomial(Nodes, a): each node is on with probability a, and
 // its residual period is a fresh exponential draw (legitimate by
 // memorylessness), so the alternating process starts in equilibrium
-// instead of converging toward it during warm-up.
+// instead of converging toward it during warm-up. Most of those residual
+// periods end past the window, where firstTicks skips the log.
 func (e *engine) init() {
 	for i := e.lo; i < e.hi; i++ {
 		s := &e.rng[i]
@@ -546,12 +595,13 @@ func (e *engine) init() {
 			e.phase[i] = phaseIdle
 			e.onCount++
 			e.cohortOn[int32(i)%e.ncoh]++
-			e.offAt[i] = e.expTicks(s, e.meanOnSec)
-			e.setDeadline(int32(i), e.offAt[i])
+			off := e.firstTicks(unitOpen(s), e.meanOnSec, e.farOn)
+			e.offAt[i] = e.stored(off)
+			e.setDeadline(int32(i), off)
 		} else {
 			e.phase[i] = phaseOff
 			e.offAt[i] = 0
-			e.setDeadline(int32(i), e.expTicks(s, e.meanOffSec))
+			e.setDeadline(int32(i), e.firstTicks(unitOpen(s), e.meanOffSec, e.farOff))
 		}
 	}
 
@@ -629,7 +679,7 @@ func (e *engine) fire(tick int64, ids []int32) {
 // was scheduled leaves the stale (tick, id) behind, and it is dropped
 // here.
 func (e *engine) nodeEvent(tick int64, id int32) {
-	if e.deadline[id] != tick {
+	if int64(e.deadline[id]) != tick {
 		return
 	}
 	e.nodeEvents++
@@ -639,7 +689,7 @@ func (e *engine) nodeEvent(tick int64, id int32) {
 	case phaseIdle, phaseJoined:
 		e.powerOff(tick, id)
 	case phaseLoading:
-		if tick >= e.offAt[id] {
+		if tick >= int64(e.offAt[id]) {
 			e.powerOff(tick, id) // powered off mid-load
 		} else {
 			e.joinq.PushBack(id) // load complete; join after the batch
@@ -651,16 +701,17 @@ func (e *engine) powerOn(tick int64, id int32) {
 	e.onCount++
 	e.cohortOn[id%e.ncoh]++
 	s := &e.rng[id]
-	e.offAt[id] = tick + e.expTicks(s, e.meanOnSec)
+	off := tick + e.expTicks(unitOpen(s), e.meanOnSec)
+	e.offAt[id] = e.stored(off)
 	if tick >= e.wakeTick {
 		// The wakeup message and image are still on the carousel:
 		// late arrivals load and join too (they are counted in the
 		// instance, but not in the direct ramp statistic).
 		e.phase[id] = phaseLoading
-		e.setDeadline(id, min(tick+e.loadTicks(s), e.offAt[id]))
+		e.setDeadline(id, min(tick+e.loadTicks(s), off))
 	} else {
 		e.phase[id] = phaseIdle
-		e.setDeadline(id, e.offAt[id])
+		e.setDeadline(id, off)
 	}
 }
 
@@ -677,7 +728,7 @@ func (e *engine) powerOff(tick int64, id int32) {
 		}
 	}
 	e.phase[id] = phaseOff
-	e.setDeadline(id, tick+e.expTicks(&e.rng[id], e.meanOffSec))
+	e.setDeadline(id, tick+e.expTicks(unitOpen(&e.rng[id]), e.meanOffSec))
 }
 
 // drainJoins completes the load→join transitions deferred by the fire
@@ -690,7 +741,7 @@ func (e *engine) drainJoins(tick int64) {
 			return
 		}
 		e.phase[id] = phaseJoined | e.phase[id]&flagDirect
-		e.setDeadline(id, e.offAt[id])
+		e.setDeadline(id, int64(e.offAt[id]))
 		e.joined++
 		if e.ext != nil {
 			e.ext.onJoin(id)
@@ -739,7 +790,7 @@ func (e *engine) wakeup(tick int64) {
 	for i := e.lo; i < e.hi; i++ {
 		if e.phase[i] == phaseIdle {
 			e.phase[i] = phaseLoading | flagDirect
-			e.setDeadline(int32(i), min(tick+e.loadTicks(&e.rng[i]), e.offAt[i]))
+			e.setDeadline(int32(i), min(tick+e.loadTicks(&e.rng[i]), int64(e.offAt[i])))
 		}
 	}
 }

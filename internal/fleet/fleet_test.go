@@ -205,9 +205,12 @@ func TestResultValidateFlagsViolations(t *testing.T) {
 	}
 }
 
-// TestConfigValidateWheelHorizon: a window the wheel cannot span is a
-// config error, not a panic in Wheel.Schedule when the wakeup sentinel
-// is booked 7.2·10⁹ ticks out.
+// TestConfigValidateWheelHorizon: a window whose first tick past it,
+// endTick+1, does not fit the int32 tick arrays is a config error: not a
+// panic in Wheel.Schedule when the wakeup sentinel is booked 7.2·10⁹
+// ticks out, and not a tick that wraps in the arrays at 2.6·10⁹, inside
+// the wheel's 2³² horizon. The second is checked with Validate alone: a
+// run that got past it would allocate gigabytes of per-tick records.
 func TestConfigValidateWheelHorizon(t *testing.T) {
 	cfg := Config{Nodes: 100, Tick: time.Microsecond, Warmup: 2 * time.Hour}
 	if _, err := Run(cfg); err == nil {
@@ -215,6 +218,69 @@ func TestConfigValidateWheelHorizon(t *testing.T) {
 	}
 	if _, err := RunSharded(ShardedConfig{Config: cfg, Shards: 2, KillShard: -1}); err == nil {
 		t.Fatal("RunSharded accepted a window past the wheel horizon")
+	}
+	cfg.Warmup = 40 * time.Minute
+	if err := cfg.withDefaults().Validate(); err == nil {
+		t.Fatal("a window of 2.6·10⁹ ticks accepted")
+	}
+	// The bound itself: endTick = 2³¹−2 is the last window accepted.
+	window := 200 * time.Second
+	last := Config{
+		Nodes: 100, Tick: time.Microsecond, Window: window,
+		Warmup: (math.MaxInt32-1)*time.Microsecond - window,
+	}
+	if err := last.withDefaults().Validate(); err != nil {
+		t.Fatalf("endTick %d rejected: %v", newPlan(last.withDefaults()).endTick, err)
+	}
+	last.Warmup += time.Microsecond
+	if err := last.withDefaults().Validate(); err == nil {
+		t.Fatalf("endTick %d accepted", newPlan(last.withDefaults()).endTick)
+	}
+}
+
+// TestFarDrawExact: an initial period firstTicks reports past the window
+// is exactly one expTicks ends past it, at mean/tick ratios from 1 to
+// 10¹² (and one past 10¹⁵, where nothing is skipped), for the default
+// window and the longest Validate accepts: at the threshold, 64
+// representable draws either side of it, and 10⁵ seeded draws.
+func TestFarDrawExact(t *testing.T) {
+	def := newPlan(Config{Nodes: 1}.withDefaults())
+	longest := &plan{secPerTick: def.secPerTick, endTick: math.MaxInt32 - 1}
+	ratios := []float64{1e12, 1e16}
+	for r := 1.0; r < 1e12; r *= 7 {
+		ratios = append(ratios, r)
+	}
+	skipped := 0
+	for _, p := range []*plan{def, longest} {
+		for _, ratio := range ratios {
+			mean := ratio * p.secPerTick
+			far := p.farDraw(mean)
+			check := func(u float64) {
+				cheap := p.firstTicks(u, mean, far) > p.endTick
+				if exact := p.expTicks(u, mean) > p.endTick; cheap != exact {
+					t.Fatalf("endTick %d, mean/tick %g, far %v: u = %v ends past the window %v by the threshold, %v by expTicks",
+						p.endTick, ratio, far, u, cheap, exact)
+				}
+				if u < far {
+					skipped++
+				}
+			}
+			u := far
+			for range 64 {
+				u = math.Nextafter(u, 0)
+			}
+			for range 129 {
+				check(u)
+				u = math.Nextafter(u, 1)
+			}
+			s := uint64(ratio)
+			for range 100_000 {
+				check(unitOpen(&s))
+			}
+		}
+	}
+	if skipped == 0 {
+		t.Fatal("no draw was below its threshold: the test checked nothing the threshold decides")
 	}
 }
 
@@ -247,19 +313,20 @@ func allocatedBy(f func()) (bytes, mallocs uint64) {
 }
 
 // TestRunAllocBudget bounds what a run allocates, in bytes and in
-// mallocs, cold and warm. A cold run (no spare node state) allocates 25
+// mallocs, cold and warm. A cold run (no spare node state) allocates 17
 // B/node of SoA state plus 8-byte wheel entries for the deadlines that
-// fire: ~50 B/node on one range, ~58 on four (~94 with 16-byte
-// entries); slot growth and the curves are ~1.4 k mallocs on one range
-// and ~4.1 k on four (~5.7 k on six, the most 10⁵ nodes are cut into),
-// where a Sim timer and a closure per wheel batch made it ~72 k and slots
-// grown from one entry ~11.3 k on four. A warm run at the same N reuses
-// the last run's arrays, wheel slots, join queues and records and
-// allocates only its result, its sample grids, its engines and one
-// goroutine per range past the first: ~6 KB in 8 mallocs on one core,
-// ~12 KB in 15 on four ranges, ~16 KB in 17 on six.
+// fire: ~42 B/node on one range, ~50 on four (~50 and ~58 with int64
+// ticks, ~94 with 16-byte entries); slot growth and the curves are
+// ~1.4 k mallocs on one range and ~4.1 k on four (~5.7 k on six, the
+// most 10⁵ nodes are cut into), where a Sim timer and a closure per
+// wheel batch made it ~72 k and slots grown from one entry ~11.3 k on
+// four. A warm run at the same N reuses the last run's arrays, wheel
+// slots, join queues and records and allocates only its result, its
+// sample grids, its engines and one goroutine per range past the first:
+// ~6 KB in 8 mallocs on one core, ~12 KB in 15 on four ranges, ~16 KB in
+// 17 on six.
 func TestRunAllocBudget(t *testing.T) {
-	const nodes, byteBudget, mallocBudget = 100_000, 80, 8_000
+	const nodes, byteBudget, mallocBudget = 100_000, 72, 8_000
 	const warmByteBudget, warmMallocBudget = 24 << 10, 48
 	takeNodeState(0, 0) // empty the spare: the first run below is cold
 	run := func() {

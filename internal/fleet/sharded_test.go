@@ -79,7 +79,7 @@ func TestShardedRejectsBadConfig(t *testing.T) {
 	}
 	// A schedule only the recovery overshoots is the same config error,
 	// and it is returned before the population is allocated and drawn:
-	// 10⁶ nodes of SoA state alone would be 25 MB.
+	// 10⁶ nodes of SoA state alone would be 17 MB.
 	bytes, _ := allocatedBy(func() {
 		if _, err := RunSharded(ShardedConfig{
 			Config: Config{Nodes: 1_000_000}, Shards: 2,
