@@ -96,7 +96,8 @@ bench:
 
 ## loc: the size figures ROADMAP's "Current state" and every simplicity
 ## PR quote — non-test and test Go lines and the package count, for the
-## root module and for benchmark/ (a module of its own).
+## root module and for benchmark/ (a module of its own), and the exports
+## allowlist's lines per tag (oracle:, seam:, roadmap N:).
 loc:
 	@for mod in . benchmark; do \
 		nontest="$$(find $$mod -path ./benchmark -prune -o -name '*.go' ! -name '*_test.go' -print0 | xargs -0 cat | wc -l)"; \
@@ -104,3 +105,7 @@ loc:
 		pkgs="$$($(GO) list -C $$mod ./... | wc -l)"; \
 		echo "$$mod: $$nontest non-test + $$test test Go lines, $$pkgs packages"; \
 	done
+	@awk '!/^#/ && NF { k = ($$2 == "oracle:") ? 0 : ($$2 == "seam:") ? 1 : 2 + $$3; \
+		tag[k] = ($$2 == "roadmap") ? $$2 " " $$3 : $$2; n[k]++ } \
+		END { for (k in n) print k "\t" n[k] " " tag[k] }' testdata/exports_allowlist.txt | \
+		sort -n | cut -f2 | paste -sd, - | sed 's/,/, /g; s/^/exports allowlist lines per tag: /'

@@ -52,6 +52,13 @@ func TestBinaries(t *testing.T) {
 		}
 	})
 
+	t.Run("oddci-sim -exp fleet -quick", func(t *testing.T) {
+		out := run(t, "oddci-sim", "-exp", "fleet", "-quick")
+		if !strings.Contains(out, "== fleet:") || strings.Count(out, "  hold") != 2 {
+			t.Fatalf("want both fleet runs inside their analytic bounds:\n%s", out)
+		}
+	})
+
 	t.Run("oddci-blast finds planted fragments", func(t *testing.T) {
 		out := run(t, "oddci-blast", "-synth-db", "50x400", "-synth-query", "120", "-plant", "2")
 		m := regexp.MustCompile(`hits ≥ \d+: (\d+)`).FindStringSubmatch(out)

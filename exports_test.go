@@ -36,8 +36,16 @@ const exportsAllowlist = "testdata/exports_allowlist.txt"
 // Package oddci itself, package main and the methods and fields of the
 // types oddci.go aliases are public surface and exempt.
 //
-// On a failure, delete the declaration, unexport it if only its own
-// package's tests use it, or allowlist it under a tagged reason.
+// A knob, an exported field of an exported struct whose name ends in
+// Config, Options or Spec, must also be turned: non-test code outside
+// its package must give it two or more distinct values, or one value
+// that is not a constant. A composite literal that omits the field
+// gives it its zero value.
+//
+// On a failure, delete the declaration, or fold a knob into its default
+// as a constant; unexport it if only its own package's tests use it;
+// reach it from a surface (a facade option, a flag, an oddci-sim
+// experiment); or allowlist it under a tagged reason.
 func TestExportsReachedOutsideTests(t *testing.T) {
 	root, err := readModule(".", "oddci", "benchmark")
 	if err != nil {
@@ -56,7 +64,7 @@ func TestExportsReachedOutsideTests(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, u := range rep.unused {
-		t.Errorf("%s: %s is %s outside tests (delete it, unexport it, or allowlist it with a tagged reason in %s)",
+		t.Errorf("%s: %s is %s outside tests (delete or fold it, unexport it, reach it from a surface, or allowlist it with a tagged reason in %s)",
 			u.pos, u.key, u.why, exportsAllowlist)
 	}
 	for _, s := range rep.stale {
@@ -259,6 +267,9 @@ func (f importerFunc) Import(path string) (*types.Package, error) { return f(pat
 type reach struct {
 	used          map[types.Object]bool // named by Info.Uses, by Origin
 	read, written map[*types.Var]bool   // struct fields
+	// vals holds, per struct field, the values that code outside the
+	// field's package gives it.
+	vals map[*types.Var]*fieldVals
 	// conv lists the concrete types converted to an interface, and
 	// widen the interface-to-interface flows (assignments, assertions,
 	// type switches), both keyed by the interface's type string.
@@ -267,6 +278,62 @@ type reach struct {
 }
 
 type conversion struct{ from, to types.Type }
+
+// fieldVals is what outside code writes to one field: the distinct
+// constants, by exact value, and whether any write is not a constant.
+type fieldVals struct {
+	consts map[string]bool
+	varied bool
+}
+
+// set records one outside write of v: the value expression, or nil for
+// a write whose value is not one expression (x.F += 1, &x.F, x.F[i] = y).
+func (r *reach) set(v *types.Var, val ast.Expr, info *types.Info) {
+	if val == nil {
+		r.setKey(v, "")
+		return
+	}
+	switch tv := info.Types[val]; {
+	case tv.Value != nil:
+		r.setKey(v, tv.Value.ExactString())
+	case tv.IsNil():
+		r.setKey(v, zeroKey(v.Type()))
+	default:
+		r.setKey(v, "")
+	}
+}
+
+// setKey records one outside write of v: the exact constant, or "" for
+// a value that is not a constant.
+func (r *reach) setKey(v *types.Var, c string) {
+	fv := r.vals[v]
+	if fv == nil {
+		fv = &fieldVals{consts: map[string]bool{}}
+		r.vals[v] = fv
+	}
+	if c == "" {
+		fv.varied = true
+	} else {
+		fv.consts[c] = true
+	}
+}
+
+// zeroKey is what a composite literal that omits a field of type t
+// writes to it: the exact zero constant of a basic type, and for any
+// other type one key that nil shares.
+func zeroKey(t types.Type) string {
+	if b, ok := t.Underlying().(*types.Basic); ok {
+		switch {
+		case b.Info()&types.IsBoolean != 0:
+			return "false"
+		case b.Info()&types.IsString != 0:
+			return `""`
+		case b.Info()&types.IsNumeric != 0:
+			return "0"
+		}
+	}
+	return "the zero value"
+}
 
 // origin maps an instantiated generic func, method or field to its
 // declaration.
@@ -338,35 +405,39 @@ func (r *reach) pkg(p *checkedPkg) {
 		}
 	}
 	for _, f := range p.files {
-		r.file(f, p.info)
+		r.file(f, p.info, p.types)
 	}
 }
 
-// file records the field reads and writes and the interface conversions
-// in one file.
-func (r *reach) file(f *ast.File, info *types.Info) {
+// file records the field reads and writes, the values written to the
+// fields of other packages and the interface conversions in one file of
+// package pkg.
+func (r *reach) file(f *ast.File, info *types.Info, pkg *types.Package) {
 	field := func(id *ast.Ident) *types.Var {
 		if v, ok := info.Uses[id].(*types.Var); ok && v.IsField() {
 			return v.Origin()
 		}
 		return nil
 	}
-	writes := map[ast.Expr]bool{}
-	write := func(e ast.Expr) {
+	// writes maps each written expression to the value a plain
+	// assignment gives it, or to nil.
+	writes := map[ast.Expr]ast.Expr{}
+	write := func(e, val ast.Expr) {
 		for {
 			switch x := e.(type) {
 			case *ast.ParenExpr:
 				e = x.X
 			case *ast.IndexExpr:
-				e = x.X
+				e, val = x.X, nil
 			case *ast.StarExpr:
-				e = x.X
+				e, val = x.X, nil
 			default:
-				writes[e] = true
+				writes[e] = val
 				return
 			}
 		}
 	}
+	outside := func(v *types.Var) bool { return v.Pkg() != pkg }
 	var stack []ast.Node
 	ast.Inspect(f, func(n ast.Node) bool {
 		if n == nil {
@@ -376,23 +447,30 @@ func (r *reach) file(f *ast.File, info *types.Info) {
 		stack = append(stack, n)
 		switch n := n.(type) {
 		case *ast.AssignStmt:
-			for _, l := range n.Lhs {
-				write(l)
+			for i, l := range n.Lhs {
+				var val ast.Expr
+				if n.Tok == token.ASSIGN && len(n.Rhs) == len(n.Lhs) {
+					val = n.Rhs[i]
+				}
+				write(l, val)
 			}
 			if n.Tok == token.ASSIGN {
 				r.flowTuple(info, n.Rhs, func(i int) types.Type { return info.TypeOf(n.Lhs[i]) }, len(n.Lhs))
 			}
 		case *ast.IncDecStmt:
-			write(n.X)
+			write(n.X, nil)
 		case *ast.UnaryExpr:
 			if n.Op == token.AND {
-				write(n.X)
+				write(n.X, nil)
 			}
 		case *ast.SelectorExpr:
 			if sel := info.Selections[n]; sel != nil && sel.Kind() == types.FieldVal {
 				v := sel.Obj().(*types.Var).Origin()
-				if writes[n] {
+				if val, ok := writes[n]; ok {
 					r.written[v] = true
+					if outside(v) {
+						r.set(v, val, info)
+					}
 				} else {
 					r.read[v] = true
 				}
@@ -400,15 +478,30 @@ func (r *reach) file(f *ast.File, info *types.Info) {
 		case *ast.CompositeLit:
 			switch u := info.TypeOf(n).Underlying().(type) {
 			case *types.Struct:
+				named := map[*types.Var]bool{}
 				for i, e := range n.Elts {
 					if kv, ok := e.(*ast.KeyValueExpr); ok {
 						if v := field(kv.Key.(*ast.Ident)); v != nil {
 							r.written[v] = true
+							named[v] = true
 							r.flow(info.TypeOf(kv.Value), v.Type())
+							if outside(v) {
+								r.set(v, kv.Value, info)
+							}
 						}
 					} else if i < u.NumFields() {
-						r.written[u.Field(i).Origin()] = true
+						v := u.Field(i).Origin()
+						r.written[v] = true
+						named[v] = true
 						r.flow(info.TypeOf(e), u.Field(i).Type())
+						if outside(v) {
+							r.set(v, e, info)
+						}
+					}
+				}
+				for i := 0; i < u.NumFields(); i++ {
+					if v := u.Field(i).Origin(); !named[v] && outside(v) {
+						r.setKey(v, zeroKey(v.Type()))
 					}
 				}
 			case *types.Map:
@@ -565,7 +658,7 @@ func scanExports(root module, others []module, allow map[string]string) (exportR
 	}
 	r := &reach{
 		used: map[types.Object]bool{}, read: map[*types.Var]bool{}, written: map[*types.Var]bool{},
-		widen: map[string][]types.Type{},
+		vals: map[*types.Var]*fieldVals{}, widen: map[string][]types.Type{},
 	}
 	for _, p := range pkgs {
 		r.pkg(p)
@@ -663,19 +756,26 @@ func scanExports(root module, others []module, allow map[string]string) (exportR
 				if !ok || !obj.Exported() {
 					continue
 				}
+				knobs := strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Spec")
 				for i := 0; i < st.NumFields(); i++ {
 					v := st.Field(i)
 					if !v.Exported() || v.Embedded() {
 						continue
 					}
 					read := r.read[v] || reflect.StructTag(st.Tag(i)).Get("json") != ""
-					switch {
+					switch fv := r.vals[v]; {
 					case !r.written[v] && !read:
 						flag(key+"."+v.Name(), "neither written nor read", v.Pos())
 					case !r.written[v]:
 						flag(key+"."+v.Name(), "read but never written", v.Pos())
 					case !read:
 						flag(key+"."+v.Name(), "written but never read", v.Pos())
+					case knobs && fv == nil:
+						flag(key+"."+v.Name(), "a knob other packages never set", v.Pos())
+					case knobs && !fv.varied && len(fv.consts) < 2:
+						for c := range fv.consts {
+							flag(key+"."+v.Name(), "a knob other packages set only to "+c, v.Pos())
+						}
 					}
 				}
 			}
@@ -746,7 +846,7 @@ func Start(r Runner) { r.Run() }
 
 // Rate is written and read; only a test writes Knob; nothing touches
 // Dead. N is read by encoding/json; nothing reads Raw.
-type Config struct {
+type Params struct {
 	Rate int
 	Knob int
 	Dead int
@@ -756,12 +856,37 @@ type Result struct {
 	Raw int
 }
 
-func Run(c Config) Result { return Result{N: c.Rate + c.Knob, Raw: 1} }
+func Run(c Params) Result { return Result{N: c.Rate + c.Knob, Raw: 1} }
 
-// oddci.go aliases Alias, so its method is public surface.
+// The knob rule, as main sets these fields: it omits Unnamed (so gives
+// it only 0), sets One to 1 twice, omits Two once and sets it to 5 once,
+// and sets Var to one non-constant. No outside code builds a RunSpec.
+type KnobConfig struct {
+	Unnamed int
+	One     int
+	Two     int
+	Var     int
+}
+type RunSpec struct{ Depth int }
+
+func NewSpec() RunSpec { return RunSpec{Depth: 2} }
+
+func Tune(c KnobConfig, a AliasConfig) int {
+	if c.Unnamed == 0 {
+		c.Unnamed = 3
+	}
+	return c.Unnamed + c.One + c.Two + c.Var + a.Fixed
+}
+
+// oddci.go aliases Alias and AliasConfig, so their methods and fields
+// are public surface.
 type Alias struct{}
 
 func (Alias) Method() {}
+
+type AliasConfig struct{ Fixed int }
+
+func NewAlias() AliasConfig { return AliasConfig{Fixed: 1} }
 
 // Stdlib interfaces: sort and fmt call these.
 type h []int
@@ -782,7 +907,7 @@ func Entry() {
 	Used{}.Close()
 	Start(impl{})
 	sort.Sort(h{})
-	fmt.Println(Run(Config{Rate: 1}))
+	fmt.Println(Run(Params{Rate: 1}))
 }
 `
 	const testA = `package a
@@ -795,22 +920,43 @@ func TestOracle(t *testing.T) {
 	Unused{}.Close()
 	var r Runner = impl{}
 	r.Probe()
-	_ = Config{Knob: 1}
+	_ = Params{Knob: 1}
+}
+`
+	const mainX = `package main
+
+import (
+	"os"
+
+	"m/internal/a"
+)
+
+func Exported() {}
+
+func main() {
+	a.Entry()
+	n := len(os.Args)
+	a.Tune(a.KnobConfig{One: 1, Var: n}, a.NewAlias())
+	a.Tune(a.KnobConfig{One: 1, Two: 5, Var: n}, a.AliasConfig{})
+	println(a.NewSpec().Depth)
 }
 `
 	root := module{path: "m", files: []srcFile{
-		{"oddci.go", []byte("package m\n\nimport \"m/internal/a\"\n\ntype Alias = a.Alias\n")},
+		{"oddci.go", []byte("package m\n\nimport \"m/internal/a\"\n\ntype Alias = a.Alias\ntype AliasConfig = a.AliasConfig\n")},
 		{"internal/a/a.go", []byte(pkgA)},
 		{"internal/a/a_test.go", []byte(testA)},
-		{"cmd/x/main.go", []byte("package main\n\nimport \"m/internal/a\"\n\nfunc Exported() {}\n\nfunc main() { a.Entry() }\n")},
+		{"cmd/x/main.go", []byte(mainX)},
 	}}
 	bench := module{path: "m/benchmark", files: []srcFile{
 		{"main.go", []byte("package main\n\nimport \"m/internal/a\"\n\nfunc main() { a.BenchOnly() }\n")},
 	}}
 	all := []string{
-		"internal/a.Config.Dead: neither written nor read",
-		"internal/a.Config.Knob: read but never written",
+		"internal/a.KnobConfig.One: a knob other packages set only to 1",
+		"internal/a.KnobConfig.Unnamed: a knob other packages set only to 0",
+		"internal/a.Params.Dead: neither written nor read",
+		"internal/a.Params.Knob: read but never written",
 		"internal/a.Result.Raw: written but never read",
+		"internal/a.RunSpec.Depth: a knob other packages never set",
 		"internal/a.Runner.Probe: not reached",
 		"internal/a.TestOnly: not reached",
 		"internal/a.Unused: not reached",
@@ -828,7 +974,9 @@ func TestOracle(t *testing.T) {
 		{
 			name: "allowlisted names excused",
 			allow: map[string]string{
-				"internal/a.Config.Dead": "roadmap 3: x", "internal/a.Config.Knob": "seam: TestOracle sets it",
+				"internal/a.KnobConfig.One": "roadmap 1: x", "internal/a.KnobConfig.Unnamed": "roadmap 1: x",
+				"internal/a.RunSpec.Depth": "roadmap 1: x",
+				"internal/a.Params.Dead":   "roadmap 3: x", "internal/a.Params.Knob": "seam: TestOracle sets it",
 				"internal/a.Result.Raw": "roadmap 3: x", "internal/a.Runner.Probe": "oracle: TestOracle calls it",
 				"internal/a.TestOnly": "roadmap 3: x", "internal/a.Unused": "roadmap 3: x",
 				"internal/a.Unused.Close": "roadmap 3: x", "internal/a.helper": "roadmap 3: x",
@@ -840,6 +988,12 @@ func TestOracle(t *testing.T) {
 			allow:  map[string]string{"internal/a.Entry": "roadmap 1: x", "internal/a.h.Len": "roadmap 1: x"},
 			unused: all,
 			stale:  []string{"internal/a.Entry: " + allowStale, "internal/a.h.Len: " + allowStale},
+		},
+		{
+			name:   "stale when a knob gets a second value",
+			allow:  map[string]string{"internal/a.KnobConfig.Two": "roadmap 1: x"},
+			unused: all,
+			stale:  []string{"internal/a.KnobConfig.Two: " + allowStale},
 		},
 		{
 			name:   "stale when gone",

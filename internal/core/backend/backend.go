@@ -112,16 +112,16 @@ type Config struct {
 	// commits the majority result — the voluntary-computing defence
 	// against faulty or malicious devices (default 1 = no redundancy).
 	Replication int
-	// MaxReplicas caps conflict-driven extra dispatches per task
+	// maxReplicas caps conflict-driven extra dispatches per task
 	// (default 2×Replication). Lease-expiry retries do not consume this
 	// budget: an expired slot is refunded, so stragglers cannot force a
 	// premature plurality commit.
-	MaxReplicas int
-	// Shards is the number of scheduler stripes (rounded up to a power
+	maxReplicas int
+	// shards is the number of scheduler stripes (rounded up to a power
 	// of two, default 16). Each task is pinned to one stripe; worker
 	// requests scan stripes starting at a node-hash offset, so
 	// concurrent connections spread across locks.
-	Shards int
+	shards int
 	// CredentialMode enables result credentials: every dispatch carries
 	// an opaque token bound to (seq, node, job, task) that the worker
 	// must echo with its result. CredWarn verifies and counts bad echoes
@@ -133,12 +133,12 @@ type Config struct {
 	// CredentialMode is on. Inject a seeded secret for deterministic
 	// simulation runs.
 	CredentialSecret []byte
-	// QuarantineBelow is the credibility floor in milli-credits (full
+	// quarantineBelow is the credibility floor in milli-credits (full
 	// trust = 1000): a node whose score falls below it is quarantined —
 	// leases revoked, excluded from dispatch, votes dropped. 0 selects
 	// the default (300); negative disables quarantine while keeping the
 	// scores.
-	QuarantineBelow int64
+	quarantineBelow int64
 	// TrackCredibility arms per-node credibility scoring even when
 	// Replication and CredentialMode alone would not (scores only move
 	// on conflicts and credential rejections, so arming it on an honest
@@ -169,27 +169,27 @@ func (c *Config) fill() error {
 	if c.Replication <= 0 {
 		c.Replication = 1
 	}
-	if c.MaxReplicas < c.Replication {
-		c.MaxReplicas = 2 * c.Replication
+	if c.maxReplicas < c.Replication {
+		c.maxReplicas = 2 * c.Replication
 	}
-	if c.Shards <= 0 {
-		c.Shards = 16
+	if c.shards <= 0 {
+		c.shards = 16
 	}
 	if c.CredentialMode < CredOff || c.CredentialMode > CredEnforce {
 		return errors.New("backend: unknown credential mode")
 	}
-	if c.QuarantineBelow == 0 {
-		c.QuarantineBelow = defaultQuarantineBelow
-	} else if c.QuarantineBelow < 0 {
-		c.QuarantineBelow = 0 // scores tracked, quarantine disabled
+	if c.quarantineBelow == 0 {
+		c.quarantineBelow = defaultQuarantineBelow
+	} else if c.quarantineBelow < 0 {
+		c.quarantineBelow = 0 // scores tracked, quarantine disabled
 	}
 	// Round the stripe count up to a power of two so shard selection is
 	// a mask, not a modulo.
 	n := 1
-	for n < c.Shards {
+	for n < c.shards {
 		n *= 2
 	}
-	c.Shards = n
+	c.shards = n
 	return nil
 }
 
@@ -303,7 +303,7 @@ type taskState struct {
 	// votes starts on firstVote, so the first vote is stored inline.
 	votes     []vote
 	firstVote [1]vote
-	// launched counts replica slots consumed against the MaxReplicas
+	// launched counts replica slots consumed against the maxReplicas
 	// budget. A lease that expires is refunded (and tallied in retries
 	// instead), so only slots that can still produce a vote are charged.
 	launched   int
@@ -480,8 +480,8 @@ func New(cfg Config) (*Backend, error) {
 	b := &Backend{
 		cfg:       cfg,
 		jobs:      make(map[int]*JobHandle),
-		shards:    make([]*shard, cfg.Shards),
-		shardMask: uint64(cfg.Shards - 1),
+		shards:    make([]*shard, cfg.shards),
+		shardMask: uint64(cfg.shards - 1),
 		retry:     &NoTask{RetryAfter: cfg.RetryAfter},
 		done:      &NoTask{RetryAfter: cfg.RetryAfter, Done: true},
 	}
@@ -686,7 +686,7 @@ func (b *Backend) slotDeficitLocked(ts *taskState) bool {
 	if bestW+int64(inFlight)*credFullScore >= b.quorumWeight() {
 		return false
 	}
-	return ts.launched+ts.queued < b.cfg.MaxReplicas
+	return ts.launched+ts.queued < b.cfg.maxReplicas
 }
 
 // reclaimLocked harvests expired leases from s's heap at time now. Each
@@ -884,7 +884,7 @@ func (b *Backend) noTask() *NoTask {
 // HandleResult records one replica's result (transport-agnostic, like
 // HandleRequest). With Replication = 1 the first result commits; with
 // redundancy, a majority of identical payloads commits, disagreements
-// trigger extra replicas up to MaxReplicas, and an exhausted task
+// trigger extra replicas up to maxReplicas, and an exhausted task
 // commits its plurality.
 func (b *Backend) HandleResult(res *TaskResult) {
 	// A quarantined node's submissions are dropped outright — exclusion
@@ -968,7 +968,7 @@ func (b *Backend) HandleResult(res *TaskResult) {
 		// there, topping up with extra replicas within the budget?
 		// In-flight slots count optimistically at full weight.
 		inFlight := ts.leaseCount() + ts.queued
-		for bestW+int64(inFlight)*credFullScore < b.quorumWeight() && ts.launched+ts.queued < b.cfg.MaxReplicas {
+		for bestW+int64(inFlight)*credFullScore < b.quorumWeight() && ts.launched+ts.queued < b.cfg.maxReplicas {
 			s.ready.pushBack(ts)
 			ts.queued++
 			inFlight++

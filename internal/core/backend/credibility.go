@@ -18,7 +18,7 @@ import (
 // Scores move at commit time: votes on the committed payload earn
 // credWinReward (capped at credFullScore), votes on a losing payload
 // halve the holder's score, and an enforce-mode credential rejection
-// halves it too. A node falling below Config.QuarantineBelow is
+// halves it too. A node falling below Config.quarantineBelow is
 // quarantined: its outstanding leases are revoked and refunded, it no
 // longer receives dispatches, and its future votes are dropped.
 //
@@ -155,7 +155,7 @@ func (b *Backend) applyVerdicts(winner []byte, votes []vote) {
 			continue
 		}
 		b.met.byzLosses.Inc()
-		if quarantinedNow, score := b.trust.penalize(v.node, false, b.cfg.QuarantineBelow); quarantinedNow {
+		if quarantinedNow, score := b.trust.penalize(v.node, false, b.cfg.quarantineBelow); quarantinedNow {
 			b.quarantineNode(v.node, score)
 		}
 	}
@@ -166,7 +166,7 @@ func (b *Backend) penalizeRejection(node uint64) {
 	if b.trust == nil {
 		return
 	}
-	if quarantinedNow, score := b.trust.penalize(node, true, b.cfg.QuarantineBelow); quarantinedNow {
+	if quarantinedNow, score := b.trust.penalize(node, true, b.cfg.quarantineBelow); quarantinedNow {
 		b.quarantineNode(node, score)
 	}
 }

@@ -214,7 +214,7 @@ func TestLeaseBookkeeping(t *testing.T) {
 	// inline and spilled, and leaves the others'. One stripe keeps the
 	// dispatch order fixed: node 1 is task 0's first lease (inline) and
 	// task 1's second (spilled).
-	rb, err := New(Config{Clock: simtime.NewSim(epoch), Replication: 3, Shards: 1, LeaseBase: time.Hour})
+	rb, err := New(Config{Clock: simtime.NewSim(epoch), Replication: 3, shards: 1, LeaseBase: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestTallyLoneVote(t *testing.T) {
 // slots it skips collect in the shard's scratch, not a fresh slice.
 func TestSkippingDispatchAllocatesNothing(t *testing.T) {
 	const runs = 200
-	b, err := New(Config{Clock: simtime.NewReal(), LeaseBase: time.Hour, Replication: 3, Shards: 1})
+	b, err := New(Config{Clock: simtime.NewReal(), LeaseBase: time.Hour, Replication: 3, shards: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +383,7 @@ func TestReplicaCredentialBindings(t *testing.T) {
 	clk := simtime.NewSim(epoch)
 	reg := obs.NewRegistry()
 	b, err := New(Config{Clock: clk, Replication: 3, CredentialMode: CredEnforce, Obs: reg,
-		QuarantineBelow: -1, RetryAfter: 5 * time.Second, LeaseBase: 30 * time.Second})
+		quarantineBelow: -1, RetryAfter: 5 * time.Second, LeaseBase: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

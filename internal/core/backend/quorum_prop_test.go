@@ -11,12 +11,12 @@ import (
 
 // Property test for the quorum top-up math (slotDeficitLocked and the
 // HandleResult top-up loop): over a randomized Replication ×
-// MaxReplicas × vote-order grid with liars, dropped leases, duplicate
+// maxReplicas × vote-order grid with liars, dropped leases, duplicate
 // submissions, and lease expiries interleaved, it holds that
 //
 //  1. a committed value is always a weighted-plurality winner of the
 //     votes the backend actually accepted,
-//  2. launched+queued never exceeds MaxReplicas (the replica budget),
+//  2. launched+queued never exceeds maxReplicas (the replica budget),
 //  3. expiry refunds never drive a slot counter negative, and the
 //     outstanding-lease count never exceeds the launched slots.
 
@@ -31,9 +31,9 @@ func budgetViolations(b *Backend) []string {
 				bad = append(bad, fmt.Sprintf("task %+v: negative counter launched=%d queued=%d retries=%d",
 					ts.key, ts.launched, ts.queued, ts.retries))
 			}
-			if ts.launched+ts.queued > b.cfg.MaxReplicas {
-				bad = append(bad, fmt.Sprintf("task %+v: launched+queued = %d+%d exceeds MaxReplicas %d",
-					ts.key, ts.launched, ts.queued, b.cfg.MaxReplicas))
+			if ts.launched+ts.queued > b.cfg.maxReplicas {
+				bad = append(bad, fmt.Sprintf("task %+v: launched+queued = %d+%d exceeds maxReplicas %d",
+					ts.key, ts.launched, ts.queued, b.cfg.maxReplicas))
 			}
 			if ts.leaseCount() > ts.launched {
 				bad = append(bad, fmt.Sprintf("task %+v: %d outstanding leases exceed %d launched slots",
@@ -124,7 +124,7 @@ func (p *propTrial) check() {
 			}
 		}
 		if string(got) != "ok" {
-			// With fewer than quorum liars and MaxReplicas ≥ Replication
+			// With fewer than quorum liars and maxReplicas ≥ Replication
 			// this is unreachable (see the exhaustion-commit analysis in
 			// DESIGN.md) — a wrong commit here is a safety regression.
 			p.t.Errorf("trial %d: task %d committed liar payload %q", p.trial, id, got)
@@ -149,7 +149,7 @@ func runQuorumTrial(t *testing.T, trial int, seed int64) {
 	tasks := 1 + rng.Intn(6)
 
 	clk := simtime.NewSim(epoch)
-	b, err := New(Config{Clock: clk, Replication: repl, MaxReplicas: maxR,
+	b, err := New(Config{Clock: clk, Replication: repl, maxReplicas: maxR,
 		LeaseBase: 30 * time.Second, RetryAfter: 5 * time.Second})
 	if err != nil {
 		t.Fatal(err)

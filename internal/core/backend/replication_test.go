@@ -108,7 +108,7 @@ func TestReplicationConflictTriggersExtraReplica(t *testing.T) {
 
 func TestReplicationExhaustedCommitsPlurality(t *testing.T) {
 	clk := simtime.NewSim(epoch)
-	b := newReplicatedBackend(t, clk, 3) // MaxReplicas = 6
+	b := newReplicatedBackend(t, clk, 3) // maxReplicas = 6
 	h, err := b.Submit(mkJob(t, 1, 1))
 	if err != nil {
 		t.Fatal(err)

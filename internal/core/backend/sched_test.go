@@ -10,14 +10,14 @@ import (
 	"oddci/internal/simtime"
 )
 
-// Lease-expiry retries must not consume the MaxReplicas budget: a first
+// Lease-expiry retries must not consume the maxReplicas budget: a first
 // wave of stragglers whose leases expire is refunded, so a second wave
 // plus the conflict top-up still fit. Before the fix, the three expired
 // slots burned half the 2×3 budget and the split vote below was forced
 // into a premature Unresolved plurality commit.
 func TestLeaseRetryDoesNotBurnReplicaBudget(t *testing.T) {
 	clk := simtime.NewSim(epoch)
-	b := newReplicatedBackend(t, clk, 3) // quorum 2, MaxReplicas 6, lease ≈ 34 s
+	b := newReplicatedBackend(t, clk, 3) // quorum 2, maxReplicas 6, lease ≈ 34 s
 	h, err := b.Submit(mkJob(t, 1, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -344,7 +344,7 @@ func TestLeaseHeapOrdering(t *testing.T) {
 // any node regardless of its hash offset.
 func TestShardScanFindsWorkAnywhere(t *testing.T) {
 	clk := simtime.NewSim(epoch)
-	b, err := New(Config{Clock: clk, Shards: 8, LeaseBase: 30 * time.Second})
+	b, err := New(Config{Clock: clk, shards: 8, LeaseBase: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}

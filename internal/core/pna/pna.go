@@ -59,8 +59,8 @@ type Config struct {
 	Rng *rand.Rand
 	// DefaultHeartbeat applies before any wakeup tunes the period.
 	DefaultHeartbeat time.Duration
-	// HeartbeatTimeout bounds the reply wait.
-	HeartbeatTimeout time.Duration
+	// heartbeatTimeout bounds the reply wait.
+	heartbeatTimeout time.Duration
 	// OnStateChange observes idle/busy transitions (experiment hooks).
 	OnStateChange func(nodeID uint64, st control.NodeState, inst instance.ID)
 	// Obs, if set, receives fleet-wide agent telemetry (oddci_pna_*
@@ -90,8 +90,8 @@ func (c *Config) fill() error {
 	if c.DefaultHeartbeat <= 0 {
 		c.DefaultHeartbeat = time.Minute
 	}
-	if c.HeartbeatTimeout <= 0 {
-		c.HeartbeatTimeout = 10 * time.Second
+	if c.heartbeatTimeout <= 0 {
+		c.heartbeatTimeout = 10 * time.Second
 	}
 	return nil
 }
@@ -603,7 +603,7 @@ func (p *PNA) heartbeatLoop() {
 		p.mu.Unlock()
 
 		ctrl.Send("controller", control.EncodeHeartbeat(hb), control.HeartbeatWireSize)
-		pkt, err := ctrl.RecvTimeout(p.cfg.HeartbeatTimeout)
+		pkt, err := ctrl.RecvTimeout(p.cfg.heartbeatTimeout)
 		if err == nil {
 			if raw, ok := pkt.Payload.([]byte); ok {
 				if reply, derr := control.DecodeHeartbeatReply(raw); derr == nil {

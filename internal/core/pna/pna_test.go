@@ -196,7 +196,7 @@ func newRigOn(t *testing.T, clk *simtime.Sim, mutate func(*Config)) *rig {
 		Registry:         r.reg,
 		Rng:              rand.New(rand.NewSource(2)),
 		DefaultHeartbeat: 10 * time.Second,
-		HeartbeatTimeout: 5 * time.Second,
+		heartbeatTimeout: 5 * time.Second,
 		DialController: func() (*netsim.Endpoint, func()) {
 			cfgL := netsim.LinkConfig{RateBps: 150e3}
 			client, srv := netsim.NewDuplex(clk, "node", "controller", cfgL, cfgL)

@@ -37,7 +37,7 @@ func TestUnknownExperiment(t *testing.T) {
 func TestIDsStable(t *testing.T) {
 	want := []string{"table1", "table2", "table3", "wakeup", "fig6", "fig7",
 		"abl-prob", "abl-churn", "abl-heartbeat", "abl-carousel", "abl-transport", "churn-eff",
-		"lifecycle", "byzantine"}
+		"lifecycle", "byzantine", "fleet"}
 	got := IDs()
 	if len(got) != len(want) {
 		t.Fatalf("IDs = %v", got)

@@ -16,7 +16,7 @@ var update = flag.Bool("update", false, "rewrite testdata/*.txt from this build'
 // host clock (hostclock.go) and are left out.
 var goldenIDs = []string{
 	"abl-prob", "abl-churn", "abl-carousel", "abl-transport", "byzantine",
-	"churn-eff", "fig6", "fig7", "lifecycle", "table1", "wakeup",
+	"churn-eff", "fig6", "fig7", "fleet", "lifecycle", "table1", "wakeup",
 }
 
 // TestGoldenQuickOutput pins what `oddci-sim -exp <id> -quick` prints at

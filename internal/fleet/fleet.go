@@ -34,11 +34,11 @@
 // being on is a = MeanOn/(MeanOn+MeanOff) (analytic.Availability). At
 // a configured instant a wakeup message is broadcast; every node that
 // is on joins the image carousel at a uniformly random phase and
-// completes the load after W ~ U(C, 2C) with C = ImageBytes·8/Beta —
-// the random-phase model behind the paper's W = 1.5·I/β. Nodes that
-// power on later join the still-cycling carousel the same way. Joined
-// nodes heartbeat every HeartbeatPeriod (generated per cohort, not per
-// node) and leave when they power off.
+// completes the load after W ~ U(C, 2C) with C = I·8/β = 80 s — the
+// random-phase model behind the paper's W = 1.5·I/β. Nodes that power on
+// later join the still-cycling carousel the same way. Joined nodes
+// heartbeat every 30 s (generated per cohort, not per node) and leave
+// when they power off.
 //
 // Every run cross-validates itself against internal/analytic:
 //
@@ -51,9 +51,10 @@
 //     by the memorylessness of exponential on-times, so each sample
 //     must sit within 5σ (plus a one-tick discretization term) of
 //     analytic.RampUpWithChurn;
-//   - quorum: the first instant that fraction reaches QuorumFrac must
-//     match the numerical inverse of the churn-adjusted ramp within
-//     the binomial fluctuation divided by the curve's local slope.
+//   - quorum: the first instant that fraction reaches the quorum
+//     (Result.QuorumFrac) must match the numerical inverse of the
+//     churn-adjusted ramp within the binomial fluctuation divided by
+//     the curve's local slope.
 //
 // Result.Validate applies all three bounds; TestRunValidates holds
 // runs of 2·10³ to 10⁵ nodes to them, and the repository benchmark's
@@ -74,101 +75,98 @@ import (
 	"oddci/internal/simtime"
 )
 
+// The fixed parameters of every run: the Figure 6 image of I = 10 MB on
+// a β = 1 Mbps carousel, so one cycle is C = I·8/β = 80 s, a 30 s
+// heartbeat, and 48 availability and 48 ramp-up sample points.
+const (
+	imageBytes      = 10e6
+	beta            = 1e6
+	heartbeatPeriod = 30 * time.Second
+	samples         = 48
+)
+
 // Config parameterizes one fleet run. The zero value of every field
 // selects the documented default.
 type Config struct {
 	// Nodes is the PNA population size.
 	Nodes int
-	// ImageBytes is the application image size I (default 10 MB, the
-	// Figure 6 scenario).
-	ImageBytes float64
-	// Beta is the broadcast carousel capacity in bits/s (default 1 Mbps),
-	// so one carousel cycle is C = ImageBytes·8/Beta seconds.
-	Beta float64
 	// MeanOn and MeanOff are the exponential power-cycle means
 	// (defaults 3 h on, 1 h off: availability 0.75).
 	MeanOn, MeanOff time.Duration
-	// HeartbeatPeriod is the joined-node heartbeat interval (default 30 s).
-	HeartbeatPeriod time.Duration
-	// QuorumFrac is the fraction of the wakeup-time population whose
-	// join ends the ramp measurement (default 0.8).
-	QuorumFrac float64
-	// Tick is the wheel resolution (default 10 ms).
-	Tick time.Duration
-	// Warmup is the virtual time before the wakeup broadcast, used to
-	// measure stationary availability (default 10 min).
-	Warmup time.Duration
-	// Window is the observation window after the wakeup (default 2.5·C).
-	Window time.Duration
-	// Samples is the number of availability and of ramp-up sample
-	// points (default 48 each).
-	Samples int
 	// Seed selects the deterministic per-node RNG streams.
 	Seed int64
+
+	// quorumFrac is the fraction of the wakeup-time population whose
+	// join ends the ramp measurement (default 0.8).
+	quorumFrac float64
+	// tick is the wheel resolution (default 10 ms).
+	tick time.Duration
+	// warmup is the virtual time before the wakeup broadcast, used to
+	// measure stationary availability (default 10 min).
+	warmup time.Duration
+	// window is the observation window after the wakeup (default 2.5·C).
+	window time.Duration
 }
 
 func (c Config) withDefaults() Config {
-	if c.ImageBytes == 0 {
-		c.ImageBytes = 10e6
-	}
-	if c.Beta == 0 {
-		c.Beta = 1e6
-	}
 	if c.MeanOn == 0 {
 		c.MeanOn = 3 * time.Hour
 	}
 	if c.MeanOff == 0 {
 		c.MeanOff = time.Hour
 	}
-	if c.HeartbeatPeriod == 0 {
-		c.HeartbeatPeriod = 30 * time.Second
+	if c.quorumFrac == 0 {
+		c.quorumFrac = 0.8
 	}
-	if c.QuorumFrac == 0 {
-		c.QuorumFrac = 0.8
+	if c.tick == 0 {
+		c.tick = 10 * time.Millisecond
 	}
-	if c.Tick == 0 {
-		c.Tick = 10 * time.Millisecond
+	if c.warmup == 0 {
+		c.warmup = 10 * time.Minute
 	}
-	if c.Warmup == 0 {
-		c.Warmup = 10 * time.Minute
-	}
-	if c.Window == 0 {
-		cycle := c.ImageBytes * 8 / c.Beta
-		c.Window = time.Duration(2.5 * cycle * float64(time.Second))
-	}
-	if c.Samples == 0 {
-		c.Samples = 48
+	if c.window == 0 {
+		c.window = time.Duration(2.5 * imageBytes * 8 / beta * float64(time.Second))
 	}
 	return c
 }
 
+// maxRecordBytes bounds the tick-indexed records of one id range (the
+// fired, directAt and joinAt of rangeState), which grow with the run's
+// length in ticks and not with its events: a default run keeps ~90 kB,
+// and a 1 µs tick reaches the bound near a 16 s window. It also keeps
+// endTick+1, the stored form of every tick past the window, far inside
+// the int32 tick arrays and the wheel's 2³² horizon.
+const maxRecordBytes = 64 << 20
+
+// recordBytes is the size of one range's tick-indexed records for a run
+// of end ticks whose last window ticks follow the wakeup.
+func recordBytes(end, window int64) int64 {
+	return 8*(end>>6+1) + 4*(window+1) + 8*(window>>6+1)
+}
+
 // Validate reports structural problems with the (defaulted) config.
 func (c Config) Validate() error {
+	var wake, window int64
+	if c.tick > 0 {
+		wake, window = int64(c.warmup/c.tick), int64(c.window/c.tick)
+	}
 	switch {
 	case c.Nodes <= 0:
 		return errors.New("fleet: Nodes must be positive")
 	case c.Nodes > math.MaxInt32:
 		return errors.New("fleet: Nodes exceeds int32 ids")
-	case c.ImageBytes <= 0 || c.Beta <= 0:
-		return errors.New("fleet: ImageBytes and Beta must be positive")
 	case c.MeanOn <= 0 || c.MeanOff <= 0:
 		return errors.New("fleet: MeanOn and MeanOff must be positive")
-	case c.HeartbeatPeriod < c.Tick:
-		return errors.New("fleet: HeartbeatPeriod must be at least one tick")
-	case c.QuorumFrac <= 0 || c.QuorumFrac > 1:
-		return errors.New("fleet: QuorumFrac must be in (0, 1]")
-	case c.Tick <= 0:
-		return errors.New("fleet: Tick must be positive")
-	case c.Samples <= 0:
-		return errors.New("fleet: Samples must be positive")
-	case int64(c.Warmup/c.Tick) < int64(c.Samples):
-		return errors.New("fleet: Warmup too short for Samples distinct ticks")
-	case int64(c.Window/c.Tick) < int64(c.Samples):
-		return errors.New("fleet: Window too short for Samples distinct ticks")
-	case int64(c.Window/c.Tick) >= math.MaxInt32-int64(c.Warmup/c.Tick):
-		// endTick+1, the stored form of every tick past the window, must
-		// fit the int32 tick arrays (and so the wheel's 2³² horizon).
-		return errors.New("fleet: (Warmup+Window)/Tick exceeds the int32 tick range")
+	case c.quorumFrac <= 0 || c.quorumFrac > 1:
+		return errors.New("fleet: quorumFrac must be in (0, 1]")
+	case c.tick <= 0:
+		return errors.New("fleet: tick must be positive")
+	case wake < samples:
+		return errors.New("fleet: warmup too short for the sample ticks")
+	case window < samples:
+		return errors.New("fleet: window too short for the sample ticks")
+	case max(wake, window) > maxRecordBytes || recordBytes(wake+window, window) > maxRecordBytes:
+		return fmt.Errorf("fleet: (warmup+window)/tick needs over %d MiB of tick records per range", maxRecordBytes>>20)
 	}
 	return nil
 }
@@ -362,20 +360,20 @@ type plan struct {
 func newPlan(cfg Config) *plan {
 	p := &plan{
 		cfg:        cfg,
-		secPerTick: cfg.Tick.Seconds(),
+		secPerTick: cfg.tick.Seconds(),
 		meanOnSec:  cfg.MeanOn.Seconds(),
 		meanOffSec: cfg.MeanOff.Seconds(),
-		cycleSec:   cfg.ImageBytes * 8 / cfg.Beta,
-		params:     analytic.Params{ImageBits: cfg.ImageBytes * 8, Beta: cfg.Beta},
-		wakeTick:   int64(cfg.Warmup / cfg.Tick),
+		cycleSec:   imageBytes * 8 / beta,
+		params:     analytic.Params{ImageBits: imageBytes * 8, Beta: beta},
+		wakeTick:   int64(cfg.warmup / cfg.tick),
 		ncoh:       int32(min(cfg.Nodes, maxCohorts)),
-		hbTicks:    max(int64(cfg.HeartbeatPeriod/cfg.Tick), 1),
+		hbTicks:    max(int64(heartbeatPeriod/cfg.tick), 1),
 	}
 	p.avail = analytic.Availability(p.meanOnSec, p.meanOffSec)
-	p.endTick = p.wakeTick + int64(cfg.Window/cfg.Tick)
+	p.endTick = p.wakeTick + int64(cfg.window/cfg.tick)
 	p.farOn, p.farOff = p.farDraw(p.meanOnSec), p.farDraw(p.meanOffSec)
-	p.availTicks = sampleGrid(0, p.wakeTick, cfg.Samples)
-	p.rampTicks = sampleGrid(p.wakeTick, p.endTick, cfg.Samples)
+	p.availTicks = sampleGrid(0, p.wakeTick, samples)
+	p.rampTicks = sampleGrid(p.wakeTick, p.endTick, samples)
 	return p
 }
 
@@ -472,8 +470,8 @@ func (e *engine) run() {
 	e.directAt = resize(e.directAt, int(window)+1)
 	e.joinAt = resize(e.joinAt, int(window>>6)+1)
 	clear(e.joinAt)
-	e.availAt = resize(e.availAt, e.cfg.Samples)
-	e.rampAt = resize(e.rampAt, e.cfg.Samples)
+	e.availAt = resize(e.availAt, samples)
+	e.rampAt = resize(e.rampAt, samples)
 	if e.shards != nil {
 		e.ext = e.shards.newExt(e.whl, e.lo, e.hi)
 	}
@@ -530,9 +528,11 @@ func unitOpen(s *uint64) float64 { return (float64(nextU64(s)>>11) + 1) / (1 << 
 func unitHalf(s *uint64) float64 { return float64(nextU64(s)>>11) / (1 << 53) }
 
 // expTicks turns a unitOpen draw u into Exp(mean seconds) rounded to
-// ticks, at least 1.
+// ticks, at least 1 and at most endTick+1. A draw past the window reads
+// as endTick+1 to every reader (stored), and the cap keeps the
+// conversion to int64 in range however far past the window a draw ends.
 func (p *plan) expTicks(u, mean float64) int64 {
-	return max(int64(math.Round(-mean*math.Log(u)/p.secPerTick)), 1)
+	return max(int64(math.Round(min(-mean*math.Log(u)/p.secPerTick, float64(p.endTick+1)))), 1)
 }
 
 // farDraw is the threshold below which a unitOpen draw u makes expTicks
@@ -834,9 +834,9 @@ func (p *plan) merge(es []engine) ShardedResult {
 	r := &Result{
 		Nodes:        p.cfg.Nodes,
 		Availability: p.avail,
-		QuorumFrac:   p.cfg.QuorumFrac,
-		Avail:        make([]Point, p.cfg.Samples),
-		Ramp:         make([]Point, p.cfg.Samples),
+		QuorumFrac:   p.cfg.quorumFrac,
+		Avail:        make([]Point, samples),
+		Ramp:         make([]Point, samples),
 	}
 	for i := range es {
 		e := &es[i]
@@ -883,7 +883,7 @@ func (p *plan) merge(es []engine) ShardedResult {
 	}
 
 	r.QuorumSimSeconds = -1
-	need := int(math.Ceil(p.cfg.QuorumFrac * float64(r.AvailAtWake)))
+	need := int(math.Ceil(p.cfg.quorumFrac * float64(r.AvailAtWake)))
 	for w := range int64(len(es[0].directAt)) {
 		joined, on := false, 0
 		for i := range es {
@@ -908,7 +908,7 @@ func (p *plan) merge(es []engine) ShardedResult {
 // churn-adjusted ramp and converts the binomial count fluctuation into
 // seconds through the curve's local slope.
 func (p *plan) quorumModel(r *Result) {
-	q := p.cfg.QuorumFrac
+	q := p.cfg.quorumFrac
 	curve := func(t float64) float64 { return p.params.RampUpWithChurn(t, p.meanOnSec) }
 	r.QuorumModelSeconds = math.Inf(1)
 	if hi := 2 * p.cycleSec; curve(hi) >= q {

@@ -155,11 +155,9 @@ func TestRunAgainstAnalyticForms(t *testing.T) {
 func TestConfigValidate(t *testing.T) {
 	bad := []Config{
 		{Nodes: 0},
-		{Nodes: 100, Beta: -1},
 		{Nodes: 100, MeanOn: -time.Second},
-		{Nodes: 100, QuorumFrac: 1.5},
-		{Nodes: 100, HeartbeatPeriod: time.Millisecond, Tick: time.Second},
-		{Nodes: 100, Warmup: time.Second, Tick: time.Second, Samples: 48},
+		{Nodes: 100, quorumFrac: 1.5},
+		{Nodes: 100, warmup: time.Second, tick: time.Second},
 	}
 	for i, cfg := range bad {
 		if _, err := Run(cfg); err == nil {
@@ -205,43 +203,84 @@ func TestResultValidateFlagsViolations(t *testing.T) {
 	}
 }
 
-// TestConfigValidateWheelHorizon: a window whose first tick past it,
-// endTick+1, does not fit the int32 tick arrays is a config error: not a
-// panic in Wheel.Schedule when the wakeup sentinel is booked 7.2·10⁹
-// ticks out, and not a tick that wraps in the arrays at 2.6·10⁹, inside
-// the wheel's 2³² horizon. The second is checked with Validate alone: a
-// run that got past it would allocate gigabytes of per-tick records.
+// TestConfigValidateWheelHorizon: a run whose tick-indexed records
+// (sized by ticks, not by events) would pass maxRecordBytes per range is
+// a config error: not gigabytes allocated for a long window at a fine
+// tick, and not a panic in Wheel.Schedule when the wakeup sentinel is
+// booked 7.2·10⁹ ticks out. A 10 s window at 1 µs keeps ~43 MB and runs;
+// a 30 min one would keep 7.2 GB and is checked with Validate alone.
 func TestConfigValidateWheelHorizon(t *testing.T) {
-	cfg := Config{Nodes: 100, Tick: time.Microsecond, Warmup: 2 * time.Hour}
-	if _, err := Run(cfg); err == nil {
+	horizon := Config{Nodes: 100, tick: time.Microsecond, warmup: 2 * time.Hour}
+	if _, err := Run(horizon); err == nil {
 		t.Fatal("Run accepted a window past the wheel horizon")
 	}
-	if _, err := RunSharded(ShardedConfig{Config: cfg, Shards: 2, KillShard: -1}); err == nil {
+	if _, err := RunSharded(ShardedConfig{Config: horizon, Shards: 2, KillShard: -1}); err == nil {
 		t.Fatal("RunSharded accepted a window past the wheel horizon")
 	}
-	cfg.Warmup = 40 * time.Minute
-	if err := cfg.withDefaults().Validate(); err == nil {
-		t.Fatal("a window of 2.6·10⁹ ticks accepted")
+	long := Config{Nodes: 100, tick: time.Microsecond, warmup: time.Second, window: 30 * time.Minute}
+	if err := long.withDefaults().Validate(); err == nil {
+		t.Fatal("a 30 min window at 1 µs accepted")
 	}
-	// The bound itself: endTick = 2³¹−2 is the last window accepted.
-	window := 200 * time.Second
-	last := Config{
-		Nodes: 100, Tick: time.Microsecond, Window: window,
-		Warmup: (math.MaxInt32-1)*time.Microsecond - window,
+	fine := Config{Nodes: 100, Seed: 1, tick: time.Microsecond, warmup: time.Second, window: 10 * time.Second}
+	p := newPlan(fine.withDefaults())
+	if b := recordBytes(p.endTick, p.endTick-p.wakeTick); b > maxRecordBytes || b < 40e6 {
+		t.Fatalf("a 10 s window at 1 µs keeps %d B of tick records, want ~43 MB under the %d B bound", b, maxRecordBytes)
 	}
+	if r, err := Run(fine); err != nil || r.Nodes != 100 {
+		t.Fatalf("a 10 s window at 1 µs: %v", err)
+	}
+	// The bound itself, at a 1 s warm-up: the longest window accepted,
+	// and one tick more.
+	window := int64(maxRecordBytes / 4)
+	for recordBytes(1e6+window, window) > maxRecordBytes {
+		window--
+	}
+	last := Config{Nodes: 100, tick: time.Microsecond, warmup: time.Second, window: time.Duration(window) * time.Microsecond}
 	if err := last.withDefaults().Validate(); err != nil {
-		t.Fatalf("endTick %d rejected: %v", newPlan(last.withDefaults()).endTick, err)
+		t.Fatalf("a window of %d ticks rejected: %v", window, err)
 	}
-	last.Warmup += time.Microsecond
+	last.window += time.Microsecond
 	if err := last.withDefaults().Validate(); err == nil {
-		t.Fatalf("endTick %d accepted", newPlan(last.withDefaults()).endTick)
+		t.Fatalf("a window of %d ticks accepted", window+1)
+	}
+}
+
+// TestExpTicksSaturates: a draw is at least one tick, at most endTick+1,
+// and never grows with u, even where −mean·ln(u)/tick passes the int64
+// range: at a 1 ns tick a mean of ~32 years reaches 3.7·10¹⁹ ticks at
+// u = 2⁻⁵³, which converted unsaturated to MinInt64 and so to 1 tick.
+func TestExpTicksSaturates(t *testing.T) {
+	def := newPlan(Config{Nodes: 1}.withDefaults())
+	nano := &plan{secPerTick: 1e-9, endTick: math.MaxInt32 - 1}
+	cases := []struct {
+		name string
+		p    *plan
+		mean float64
+	}{
+		{"default", def, def.meanOnSec},
+		{"1ns tick, 32 years", nano, 32 * 365.25 * 86400},
+		{"1ns tick, 1 s", nano, 1},
+	}
+	for _, tc := range cases {
+		prev := int64(math.MaxInt64)
+		for u := 1.0 / (1 << 53); u <= 1; u *= 1.5 {
+			d := tc.p.expTicks(u, tc.mean)
+			if d < 1 || d > tc.p.endTick+1 || d > prev {
+				t.Fatalf("%s: expTicks(%v) = %d after %d: want 1 ≤ d ≤ %d, non-increasing in u",
+					tc.name, u, d, prev, tc.p.endTick+1)
+			}
+			prev = d
+		}
+	}
+	if d := nano.expTicks(1.0/(1<<53), 32*365.25*86400); d != nano.endTick+1 {
+		t.Fatalf("a draw of 3.7·10¹⁹ ticks is %d, want endTick+1 = %d", d, nano.endTick+1)
 	}
 }
 
 // TestFarDrawExact: an initial period firstTicks reports past the window
 // is exactly one expTicks ends past it, at mean/tick ratios from 1 to
 // 10¹² (and one past 10¹⁵, where nothing is skipped), for the default
-// window and the longest Validate accepts: at the threshold, 64
+// window and one of 2³¹−1 ticks, past the longest Validate accepts: at the threshold, 64
 // representable draws either side of it, and 10⁵ seeded draws.
 func TestFarDrawExact(t *testing.T) {
 	def := newPlan(Config{Nodes: 1}.withDefaults())

@@ -144,7 +144,7 @@ func TestResultsIndependentOfRangeCount(t *testing.T) {
 		},
 		{
 			name:   "quorum_unreached",
-			cfg:    ShardedConfig{Config: Config{Nodes: 2_000, Seed: 4, QuorumFrac: 1}},
+			cfg:    ShardedConfig{Config: Config{Nodes: 2_000, Seed: 4, quorumFrac: 1}},
 			quorum: func(r *Result) bool { return r.AvailAtWake > 0 && r.QuorumSimSeconds == -1 },
 		},
 		{

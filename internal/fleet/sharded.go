@@ -130,10 +130,10 @@ func newShardPlan(cfg ShardedConfig, p *plan) (*shardPlan, error) {
 	if cfg.KillShard >= cfg.Shards {
 		return nil, errors.New("fleet: KillShard out of range")
 	}
-	killAfter := int64(cfg.KillAfter / cfg.Tick)
-	recoverAfter := killAfter + int64(cfg.RecoverAfter/cfg.Tick)
+	killAfter := int64(cfg.KillAfter / cfg.tick)
+	recoverAfter := killAfter + int64(cfg.RecoverAfter/cfg.tick)
 	if cfg.KillShard >= 0 {
-		if window := int64(cfg.Window / cfg.Tick); killAfter > window || recoverAfter > window {
+		if window := int64(cfg.window / cfg.tick); killAfter > window || recoverAfter > window {
 			return nil, errors.New("fleet: kill/recover schedule exceeds the observation window")
 		}
 	}

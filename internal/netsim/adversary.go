@@ -45,7 +45,7 @@ const (
 	ForgeCred
 	// Collude submits the same garbage as the other members of its
 	// group, trying to assemble a lying quorum. Groups are ID-adjacent
-	// blocks of ColludeGroup nodes, so the group size — and therefore
+	// blocks of colludeGroup nodes, so the group size — and therefore
 	// the maximum agreeing-liar weight — is structurally capped.
 	Collude
 )
@@ -75,15 +75,15 @@ type AdversaryConfig struct {
 	Seed uint64
 	// Fraction is the per-node probability of being byzantine.
 	Fraction float64
-	// Behaviors is the misbehavior pool byzantine nodes draw from.
+	// behaviors is the misbehavior pool byzantine nodes draw from.
 	// Empty means all non-honest behaviors.
-	Behaviors []Behavior
-	// FlipFlopHonest is the honest streak before a FlipFlop node turns
+	behaviors []Behavior
+	// flipFlopHonest is the honest streak before a FlipFlop node turns
 	// (0 = default 2).
-	FlipFlopHonest int
-	// ColludeGroup is the colluding group size (0 = default 2). Groups
+	flipFlopHonest int
+	// colludeGroup is the colluding group size (0 = default 2). Groups
 	// are blocks of adjacent node IDs, so no group can exceed this.
-	ColludeGroup int
+	colludeGroup int
 }
 
 // adversaryNode is one byzantine node's mutable state.
@@ -110,14 +110,14 @@ var allBehaviors = []Behavior{WrongResult, FlipFlop, ReplayCred, ForgeCred, Coll
 // NewAdversaryPlan builds a plan; Fraction 0 yields an all-honest plan
 // that passes everything through.
 func NewAdversaryPlan(cfg AdversaryConfig) *AdversaryPlan {
-	if len(cfg.Behaviors) == 0 {
-		cfg.Behaviors = allBehaviors
+	if len(cfg.behaviors) == 0 {
+		cfg.behaviors = allBehaviors
 	}
-	if cfg.FlipFlopHonest <= 0 {
-		cfg.FlipFlopHonest = 2
+	if cfg.flipFlopHonest <= 0 {
+		cfg.flipFlopHonest = 2
 	}
-	if cfg.ColludeGroup <= 0 {
-		cfg.ColludeGroup = 2
+	if cfg.colludeGroup <= 0 {
+		cfg.colludeGroup = 2
 	}
 	return &AdversaryPlan{cfg: cfg, nodes: make(map[uint64]*adversaryNode)}
 }
@@ -148,7 +148,7 @@ func (p *AdversaryPlan) Behavior(node uint64) Behavior {
 	if u >= p.cfg.Fraction {
 		return Honest
 	}
-	return p.cfg.Behaviors[splitmix64(&s)%uint64(len(p.cfg.Behaviors))]
+	return p.cfg.behaviors[splitmix64(&s)%uint64(len(p.cfg.behaviors))]
 }
 
 // IsByzantine reports whether node was assigned a misbehavior.
@@ -180,7 +180,7 @@ func (p *AdversaryPlan) ShouldLie(node uint64) bool {
 		p.lies++
 		return true
 	case FlipFlop:
-		if an.submitted > int64(p.cfg.FlipFlopHonest) {
+		if an.submitted > int64(p.cfg.flipFlopHonest) {
 			p.lies++
 			return true
 		}
@@ -194,7 +194,7 @@ func (p *AdversaryPlan) ShouldLie(node uint64) bool {
 func (p *AdversaryPlan) WrongPayload(node uint64, job, task int) []byte {
 	key := node
 	if p.Behavior(node) == Collude {
-		key = node / uint64(p.cfg.ColludeGroup) // ID-adjacent block
+		key = node / uint64(p.cfg.colludeGroup) // ID-adjacent block
 		key = ^key                              // never collides with a node-keyed stream
 	}
 	s := p.nodeStream(key) ^ uint64(int64(job))*0xBF58476D1CE4E5B9 ^ uint64(int64(task))*0x94D049BB133111EB

@@ -64,7 +64,7 @@ func TestAdversaryShouldLie(t *testing.T) {
 		t.Fatalf("no node drew behavior %v", want)
 		return 0
 	}
-	p := planWith(AdversaryConfig{Seed: 7, Fraction: 0.9, FlipFlopHonest: 3})
+	p := planWith(AdversaryConfig{Seed: 7, Fraction: 0.9, flipFlopHonest: 3})
 	wrong, flip := pick(p, WrongResult), pick(p, FlipFlop)
 	for i := 0; i < 5; i++ {
 		if !p.ShouldLie(wrong) {
@@ -91,7 +91,7 @@ func TestAdversaryShouldLie(t *testing.T) {
 // group members agree exactly, and the payload varies by (job, task).
 func TestAdversaryWrongPayload(t *testing.T) {
 	p := planWith(AdversaryConfig{Seed: 9, Fraction: 1,
-		Behaviors: []Behavior{Collude}, ColludeGroup: 2})
+		behaviors: []Behavior{Collude}, colludeGroup: 2})
 	// Groups are ID-adjacent blocks: {2k, 2k+1}.
 	if !bytes.Equal(p.WrongPayload(4, 1, 2), p.WrongPayload(5, 1, 2)) {
 		t.Fatal("colluding group members disagree")
@@ -103,7 +103,7 @@ func TestAdversaryWrongPayload(t *testing.T) {
 		t.Fatal("payload constant across tasks")
 	}
 	ind := planWith(AdversaryConfig{Seed: 9, Fraction: 1,
-		Behaviors: []Behavior{WrongResult}})
+		behaviors: []Behavior{WrongResult}})
 	if bytes.Equal(ind.WrongPayload(4, 1, 2), ind.WrongPayload(5, 1, 2)) {
 		t.Fatal("independent liars agree")
 	}
@@ -180,7 +180,7 @@ func TestAdversarySendHook(t *testing.T) {
 
 // TestAdversaryInstrument: the ops/lies gauges follow Stats.
 func TestAdversaryInstrument(t *testing.T) {
-	p := planWith(AdversaryConfig{Seed: 11, Fraction: 1, Behaviors: []Behavior{WrongResult}})
+	p := planWith(AdversaryConfig{Seed: 11, Fraction: 1, behaviors: []Behavior{WrongResult}})
 	reg := obs.NewRegistry()
 	p.Instrument(reg, "adversary")
 	p.Instrument(nil, "ignored") // nil registry is a no-op

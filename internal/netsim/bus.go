@@ -12,11 +12,11 @@ import (
 type BusConfig struct {
 	// RateBps is the spare broadcast capacity β in bits per second.
 	RateBps float64
-	// DropProb is an independent per-subscriber loss probability,
+	// dropProb is an independent per-subscriber loss probability,
 	// modelling reception errors at individual receivers.
-	DropProb float64
-	// Rng drives per-subscriber loss; required when DropProb > 0.
-	Rng *rand.Rand
+	dropProb float64
+	// rng drives per-subscriber loss; required when dropProb > 0.
+	rng *rand.Rand
 }
 
 // Bus is the one-to-many broadcast channel. A single transmission reaches
@@ -67,7 +67,7 @@ func (b *Bus) Publish(from string, payload any, size int) {
 		b.mu.Lock()
 		targets := make([]func(Packet), 0, len(b.subs))
 		for _, fn := range b.subs {
-			if b.cfg.DropProb > 0 && b.cfg.Rng != nil && b.cfg.Rng.Float64() < b.cfg.DropProb {
+			if b.cfg.dropProb > 0 && b.cfg.rng != nil && b.cfg.rng.Float64() < b.cfg.dropProb {
 				continue
 			}
 			targets = append(targets, fn)

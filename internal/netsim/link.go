@@ -25,10 +25,10 @@ type LinkConfig struct {
 	RateBps float64
 	// Latency is the propagation delay added after serialization.
 	Latency time.Duration
-	// DropProb is the probability that a packet is silently lost.
-	DropProb float64
-	// Rng drives loss decisions; required when DropProb > 0.
-	Rng *rand.Rand
+	// dropProb is the probability that a packet is silently lost.
+	dropProb float64
+	// rng drives loss decisions; required when dropProb > 0.
+	rng *rand.Rand
 }
 
 // Link is a unidirectional bandwidth/latency-modelled channel delivering
@@ -91,7 +91,7 @@ func (l *Link) Send(p Packet) {
 	}
 	done := start.Add(serialization(p.Size, l.cfg.RateBps))
 	l.busyUntil = done
-	if l.cfg.DropProb > 0 && l.cfg.Rng != nil && l.cfg.Rng.Float64() < l.cfg.DropProb {
+	if l.cfg.dropProb > 0 && l.cfg.rng != nil && l.cfg.rng.Float64() < l.cfg.dropProb {
 		l.mu.Unlock()
 		return
 	}

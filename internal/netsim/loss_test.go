@@ -12,7 +12,7 @@ import (
 func TestBusPerSubscriberLoss(t *testing.T) {
 	clk := simtime.NewSim(epoch)
 	rng := rand.New(rand.NewSource(13))
-	bus := NewBus(clk, BusConfig{RateBps: 0, DropProb: 0.3, Rng: rng})
+	bus := NewBus(clk, BusConfig{RateBps: 0, dropProb: 0.3, rng: rng})
 	const subs = 400
 	received := make([]int, subs)
 	for i := 0; i < subs; i++ {

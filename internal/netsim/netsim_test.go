@@ -132,7 +132,7 @@ func TestLinkLoss(t *testing.T) {
 	clk := simtime.NewSim(epoch)
 	dst := NewMailbox[Packet](clk)
 	rng := rand.New(rand.NewSource(7))
-	l := NewLink(clk, LinkConfig{RateBps: 0, DropProb: 0.5, Rng: rng}, dst)
+	l := NewLink(clk, LinkConfig{RateBps: 0, dropProb: 0.5, rng: rng}, dst)
 	const n = 2000
 	for i := 0; i < n; i++ {
 		l.Send(Packet{Size: 10})
@@ -274,7 +274,7 @@ func TestLinkSameInstantInSendOrder(t *testing.T) {
 func TestBusDeliveryRepeats(t *testing.T) {
 	run := func() []int {
 		clk := simtime.NewSim(epoch)
-		bus := NewBus(clk, BusConfig{DropProb: 0.5, Rng: rand.New(rand.NewSource(1))})
+		bus := NewBus(clk, BusConfig{dropProb: 0.5, rng: rand.New(rand.NewSource(1))})
 		var got []int
 		for i := 0; i < 16; i++ {
 			i := i

@@ -28,6 +28,8 @@ const (
 	rejoinSlack = time.Minute
 	// retryAfter is the idle-node poll backoff.
 	retryAfter = 30 * time.Second
+	// requestBytes is the per-pull request overhead.
+	requestBytes = 64
 )
 
 // ChurnJobResult extends the base result with churn accounting.
@@ -61,7 +63,7 @@ func run(cfg ChurnJobConfig) (ChurnJobResult, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	epoch := time.Date(2009, 11, 1, 0, 0, 0, 0, time.UTC)
 	clk := simtime.NewSim(epoch)
-	perTask := secs(float64(cfg.RequestBytes+cfg.TaskInBytes)*8/cfg.Delta) +
+	perTask := secs(float64(requestBytes+cfg.TaskInBytes)*8/cfg.Delta) +
 		secs(cfg.TaskSeconds) +
 		secs(float64(cfg.TaskOutBytes)*8/cfg.Delta)
 

@@ -31,8 +31,6 @@ type JobConfig struct {
 	TaskInBytes  int
 	TaskOutBytes int
 	TaskSeconds  float64
-	// RequestBytes is the per-pull request overhead (default 64).
-	RequestBytes int
 	Seed         int64
 }
 
@@ -46,9 +44,6 @@ func (c *JobConfig) validate() error {
 		return errors.New("sim: task time must be positive")
 	case c.ImageBytes < 0 || c.TaskInBytes < 0 || c.TaskOutBytes < 0:
 		return errors.New("sim: sizes must be non-negative")
-	}
-	if c.RequestBytes == 0 {
-		c.RequestBytes = 64
 	}
 	return nil
 }

@@ -55,9 +55,9 @@ type Config struct {
 	Strategy dsmcc.ReceiverStrategy
 	// StandbyFraction of nodes idle in standby; the rest are in use.
 	StandbyFraction float64
-	// InitialPowerOn is the fraction of nodes powered at Start
+	// initialPowerOn is the fraction of nodes powered at Start
 	// (default 1).
-	InitialPowerOn float64
+	initialPowerOn float64
 	// Replication runs every task on this many distinct nodes with
 	// majority voting at the Backend (default 1).
 	Replication int
@@ -146,10 +146,10 @@ func (c *Config) fill() error {
 	if c.MaintenancePeriod <= 0 {
 		c.MaintenancePeriod = time.Minute
 	}
-	if c.InitialPowerOn == 0 {
-		c.InitialPowerOn = 1
+	if c.initialPowerOn == 0 {
+		c.initialPowerOn = 1
 	}
-	if c.InitialPowerOn < 0 || c.InitialPowerOn > 1 || c.StandbyFraction < 0 || c.StandbyFraction > 1 {
+	if c.initialPowerOn < 0 || c.initialPowerOn > 1 || c.StandbyFraction < 0 || c.StandbyFraction > 1 {
 		return errors.New("system: fractions must be in [0,1]")
 	}
 	return nil
@@ -615,7 +615,7 @@ func (s *System) Start() error {
 	}
 	rng := rand.New(rand.NewSource(s.cfg.Seed ^ 0x51B0))
 	for _, box := range s.STBs {
-		if rng.Float64() < s.cfg.InitialPowerOn {
+		if rng.Float64() < s.cfg.initialPowerOn {
 			if err := box.PowerOn(); err != nil {
 				return err
 			}

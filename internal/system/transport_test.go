@@ -61,7 +61,7 @@ func TestMulticastJoinNotSlowerThanDTV(t *testing.T) {
 			Transport:         tr,
 			HeartbeatPeriod:   30 * time.Second,
 			MaintenancePeriod: time.Hour,
-			InitialPowerOn:    0.001, // almost everyone joins late
+			initialPowerOn:    0.001, // almost everyone joins late
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -43,13 +43,6 @@ type CoordinatorConfig struct {
 	Requirements instance.Requirements
 	// HeartbeatPeriod instructs the nodes (default 10 s).
 	HeartbeatPeriod time.Duration
-	// Clock drives the Controller, the backend's lease timestamps and
-	// the coordinator's telemetry (default wall clock). Injecting a
-	// simulated clock keeps transport timestamps consistent with
-	// simtime-driven tests.
-	Clock simtime.Clock
-	// Key signs control frames; generated if nil.
-	Key ed25519.PrivateKey
 	// Obs, if set, collects controller, coordinator, transport and
 	// backend telemetry (oddci_controller_*, oddci_coordinator_*,
 	// oddci_transport_*, oddci_backend_*) and the Controller's health
@@ -60,25 +53,31 @@ type CoordinatorConfig struct {
 	// sessions record under it, and the backend closes each task's tree
 	// with dispatch/lease-expiry/commit spans.
 	Spans *span.Collector
-	// RetryAfter is the backend's no-task polling hint (default 1 s).
-	RetryAfter time.Duration
-	// LeaseBase is the backend's minimum task lease (default 30 s);
-	// fault-injection tests shorten it to force lease-expiry retries.
-	LeaseBase time.Duration
 	// CredentialMode selects the backend's result-credential policy.
 	// Any mode but CredOff attaches a credential to every assignment;
 	// what happens to a result that comes back without it is this
 	// policy's call (CredWarn tolerates, CredEnforce rejects).
 	CredentialMode backend.CredentialMode
 	// StateDir, if set, makes the coordinator durable across restarts:
-	// the signing key persists (nodes keep verifying the same identity,
-	// unless Key is given explicitly) and the Controller journals its
-	// instance there. A restart recomposes the recorded instance with
-	// Image, so the wakeup sequence resumes past its pre-crash value and
-	// nodes that already evaluated the old broadcast re-evaluate the new
-	// one; the instance keeps its recorded probability, requirements and
-	// heartbeat period.
+	// the signing key persists (nodes keep verifying the same identity;
+	// without a StateDir each coordinator generates its own key) and the
+	// Controller journals its instance there. A restart recomposes the
+	// recorded instance with Image, so the wakeup sequence resumes past
+	// its pre-crash value and nodes that already evaluated the old
+	// broadcast re-evaluate the new one; the instance keeps its recorded
+	// probability, requirements and heartbeat period.
 	StateDir string
+
+	// clock drives the Controller, the backend's lease timestamps and
+	// the coordinator's telemetry (default wall clock). Injecting a
+	// simulated clock keeps transport timestamps consistent with
+	// simtime-driven tests.
+	clock simtime.Clock
+	// retryAfter is the backend's no-task polling hint (default 1 s).
+	retryAfter time.Duration
+	// leaseBase is the backend's minimum task lease (default 30 s);
+	// fault-injection tests shorten it to force lease-expiry retries.
+	leaseBase time.Duration
 }
 
 // EveryNode is the target size of a coordinator's instance: every node
@@ -221,14 +220,14 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.HeartbeatPeriod <= 0 {
 		cfg.HeartbeatPeriod = 10 * time.Second
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = simtime.NewReal()
+	if cfg.clock == nil {
+		cfg.clock = simtime.NewReal()
 	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = time.Second
+	if cfg.retryAfter <= 0 {
+		cfg.retryAfter = time.Second
 	}
-	if cfg.LeaseBase <= 0 {
-		cfg.LeaseBase = 30 * time.Second
+	if cfg.leaseBase <= 0 {
+		cfg.leaseBase = 30 * time.Second
 	}
 	c := &Coordinator{cfg: cfg, nodes: nodeSet{m: make(map[uint64]struct{})}}
 	c.stage.Store(&imageStage{})
@@ -244,27 +243,25 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 // it got to.
 func (c *Coordinator) start() error {
 	cfg := &c.cfg
-	var err error
+	var (
+		key ed25519.PrivateKey
+		err error
+	)
 	if cfg.StateDir != "" {
-		if cfg.Key == nil {
-			if cfg.Key, err = journal.LoadOrCreateKey(cfg.StateDir); err != nil {
-				return err
-			}
-		}
-		if c.store, err = journal.Open(cfg.StateDir, journal.Options{Obs: cfg.Obs, Clock: cfg.Clock}); err != nil {
+		if key, err = journal.LoadOrCreateKey(cfg.StateDir); err != nil {
 			return err
 		}
-	}
-	if cfg.Key == nil {
-		if _, cfg.Key, err = ed25519.GenerateKey(rand.Reader); err != nil {
+		if c.store, err = journal.Open(cfg.StateDir, journal.Options{Obs: cfg.Obs, Clock: cfg.clock}); err != nil {
 			return err
 		}
+	} else if _, key, err = ed25519.GenerateKey(rand.Reader); err != nil {
+		return err
 	}
-	c.pub = cfg.Key.Public().(ed25519.PublicKey)
+	c.pub = key.Public().(ed25519.PublicKey)
 	if c.be, err = backend.New(backend.Config{
-		Clock:          cfg.Clock,
-		RetryAfter:     cfg.RetryAfter,
-		LeaseBase:      cfg.LeaseBase,
+		Clock:          cfg.clock,
+		RetryAfter:     cfg.retryAfter,
+		LeaseBase:      cfg.leaseBase,
 		Obs:            cfg.Obs,
 		Spans:          cfg.Spans,
 		CredentialMode: cfg.CredentialMode,
@@ -275,7 +272,7 @@ func (c *Coordinator) start() error {
 		return err
 	}
 	if c.ctrl, err = controller.New(controller.Config{
-		Clock: cfg.Clock, Broadcaster: c, Key: cfg.Key,
+		Clock: cfg.clock, Broadcaster: c, Key: key,
 		Obs: cfg.Obs, Spans: cfg.Spans, Journal: c.store,
 	}); err != nil {
 		return err
@@ -536,7 +533,7 @@ func (c *Coordinator) session(conn net.Conn) {
 	bw := bufio.NewWriterSize(conn, sessionWriteBuf)
 	fr := NewFrameReader(conn)
 	defer fr.Close()
-	fr.Instrument(c.met.readLat, c.cfg.Clock)
+	fr.Instrument(c.met.readLat, c.cfg.clock)
 
 	flush := func() error {
 		if bw.Buffered() == 0 {
@@ -544,13 +541,13 @@ func (c *Coordinator) session(conn net.Conn) {
 		}
 		var t0 time.Time
 		if c.met.writeLat != nil {
-			t0 = c.cfg.Clock.Now()
+			t0 = c.cfg.clock.Now()
 		}
 		if err := bw.Flush(); err != nil {
 			return err
 		}
 		if c.met.writeLat != nil {
-			c.met.writeLat.ObserveDuration(c.cfg.Clock.Now().Sub(t0))
+			c.met.writeLat.ObserveDuration(c.cfg.clock.Now().Sub(t0))
 		}
 		return nil
 	}

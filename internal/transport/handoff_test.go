@@ -312,7 +312,7 @@ func TestHandoffFlushesBeforeEveryRead(t *testing.T) {
 // up front would take both.
 func TestNoHoardingOverLoopback(t *testing.T) {
 	reg := obs.NewRegistry()
-	coord := serveCoordinator(t, CoordinatorConfig{Image: testImage(), RetryAfter: 10 * time.Millisecond, Obs: reg})
+	coord := serveCoordinator(t, CoordinatorConfig{Image: testImage(), retryAfter: 10 * time.Millisecond, Obs: reg})
 	job := &workload.Job{Name: "hoard", Tasks: []workload.Task{{ID: 0, STBSeconds: 0.3}, {ID: 1, STBSeconds: 0.3}}}
 	h, err := coord.Submit(job)
 	if err != nil {

@@ -21,8 +21,8 @@ func TestResizeTrimsSessions(t *testing.T) {
 	coord := serveCoordinator(t, CoordinatorConfig{
 		Image:           testImage(),
 		HeartbeatPeriod: time.Second, // 1 ms at TimeScale 1000
-		Clock:           clk,
-		LeaseBase:       time.Second,
+		clock:           clk,
+		leaseBase:       time.Second,
 	})
 	ctrl := coord.Controller()
 	h, err := coord.Submit(testJob(t, 400)) // 2 ms per task
@@ -136,7 +136,7 @@ func TestCloseLeaksNothing(t *testing.T) {
 
 	clk := simtime.NewSim(time.Date(2009, 11, 1, 0, 0, 0, 0, time.UTC))
 	coord, err := NewCoordinator(CoordinatorConfig{
-		Listen: "127.0.0.1:0", Image: testImage(), Clock: clk, StateDir: t.TempDir(),
+		Listen: "127.0.0.1:0", Image: testImage(), clock: clk, StateDir: t.TempDir(),
 	})
 	if err != nil {
 		t.Fatal(err)

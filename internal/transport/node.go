@@ -30,8 +30,6 @@ type NodeConfig struct {
 	NodeID uint64
 	// Profile describes it (defaults to a reference STB).
 	Profile instance.DeviceProfile
-	// Perf is the device performance model.
-	Perf stb.PerfModel
 	// Mode selects in-use or standby.
 	Mode stb.Mode
 	// TimeScale divides task durations so demos finish quickly
@@ -40,9 +38,6 @@ type NodeConfig struct {
 	// PinnedKey, if set, must match the coordinator's banner key
 	// (otherwise trust-on-first-use).
 	PinnedKey ed25519.PublicKey
-	// Clock stamps outgoing heartbeats (default wall clock), so
-	// transport timestamps agree with simtime-driven tests.
-	Clock simtime.Clock
 	// Seed drives the probability draw.
 	Seed int64
 	// Spans, if set, records this agent's join/image-load/execute spans
@@ -50,6 +45,10 @@ type NodeConfig struct {
 	// collector sends none; contexts the coordinator sends are accepted
 	// either way.
 	Spans *span.Collector
+
+	// clock stamps outgoing heartbeats (default wall clock), so
+	// transport timestamps agree with simtime-driven tests.
+	clock simtime.Clock
 }
 
 // NodeReport summarizes one agent run.
@@ -251,14 +250,12 @@ func runNode(cfg NodeConfig, conn net.Conn) (report NodeReport, err error) {
 	if cfg.TimeScale <= 0 {
 		cfg.TimeScale = 1
 	}
-	if cfg.Perf.SlowdownVsPC == 0 {
-		cfg.Perf = stb.DefaultPerf()
-	}
+	perf := stb.DefaultPerf()
 	if cfg.Profile == (instance.DeviceProfile{}) {
 		cfg.Profile = instance.DeviceProfile{Class: instance.ClassSTB, MemMB: 256, CPUScore: 100}
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = simtime.NewReal()
+	if cfg.clock == nil {
+		cfg.clock = simtime.NewReal()
 	}
 	rng := rand.New(rand.NewSource(cfg.Seed ^ int64(cfg.NodeID)))
 
@@ -388,7 +385,7 @@ func runNode(cfg NodeConfig, conn net.Conn) (report NodeReport, err error) {
 				hb := &control.Heartbeat{
 					NodeID: cfg.NodeID, State: control.StateBusy,
 					InstanceID: hbInstance, Profile: cfg.Profile,
-					SentAt: cfg.Clock.Now(),
+					SentAt: cfg.clock.Now(),
 				}
 				if err := send(FrameHeartbeat, control.EncodeHeartbeat(hb)); err != nil {
 					return
@@ -498,7 +495,7 @@ func runNode(cfg NodeConfig, conn net.Conn) (report NodeReport, err error) {
 			}
 			// Results batched behind zero-length tasks leave before a task
 			// that takes time starts, not after it ends.
-			d := time.Duration(float64(cfg.Perf.TaskDuration(assign.RefSeconds, cfg.Mode)) / cfg.TimeScale)
+			d := time.Duration(float64(perf.TaskDuration(assign.RefSeconds, cfg.Mode)) / cfg.TimeScale)
 			if d > 0 {
 				if err := flush(); err != nil {
 					return report, err

@@ -64,8 +64,8 @@ func TestTraceEndToEndLeaseExpiryRetry(t *testing.T) {
 		Image:           testImage(),
 		HeartbeatPeriod: 5 * time.Second,
 		Spans:           spans,
-		RetryAfter:      20 * time.Millisecond,
-		LeaseBase:       60 * time.Millisecond,
+		retryAfter:      20 * time.Millisecond,
+		leaseBase:       60 * time.Millisecond,
 	})
 
 	const tasks = 6
@@ -206,7 +206,7 @@ func TestTraceOneSidedCollector(t *testing.T) {
 			Image:           testImage(),
 			HeartbeatPeriod: 5 * time.Second,
 			Spans:           spans,
-			RetryAfter:      20 * time.Millisecond,
+			retryAfter:      20 * time.Millisecond,
 		})
 		h, err := coord.Submit(tracedJob(t, 4))
 		if err != nil {
@@ -246,7 +246,7 @@ func TestTraceOneSidedCollector(t *testing.T) {
 		coord := serveCoordinator(t, CoordinatorConfig{
 			Image:           testImage(),
 			HeartbeatPeriod: 5 * time.Second, // Spans nil: an untraced coordinator
-			RetryAfter:      20 * time.Millisecond,
+			retryAfter:      20 * time.Millisecond,
 		})
 		h, err := coord.Submit(tracedJob(t, 4))
 		if err != nil {

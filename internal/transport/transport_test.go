@@ -352,7 +352,7 @@ func TestInjectedClockStampsTransport(t *testing.T) {
 		Name:            "clock-test",
 		Image:           testImage(),
 		HeartbeatPeriod: 5 * time.Second,
-		Clock:           clk,
+		clock:           clk,
 		Obs:             reg,
 	})
 
@@ -366,7 +366,7 @@ func TestInjectedClockStampsTransport(t *testing.T) {
 		TimeScale: 200,
 		Seed:      9,
 		PinnedKey: coord.PublicKey(),
-		Clock:     clk,
+		clock:     clk,
 	})
 	if err != nil {
 		t.Fatal(err)
