@@ -289,18 +289,16 @@ type fieldVals struct {
 // set records one outside write of v: the value expression, or nil for
 // a write whose value is not one expression (x.F += 1, &x.F, x.F[i] = y).
 func (r *reach) set(v *types.Var, val ast.Expr, info *types.Info) {
-	if val == nil {
-		r.setKey(v, "")
-		return
+	key := "" // not a constant
+	if val != nil {
+		switch tv := info.Types[val]; {
+		case tv.Value != nil:
+			key = tv.Value.ExactString()
+		case tv.IsNil():
+			key = zeroKey(v.Type())
+		}
 	}
-	switch tv := info.Types[val]; {
-	case tv.Value != nil:
-		r.setKey(v, tv.Value.ExactString())
-	case tv.IsNil():
-		r.setKey(v, zeroKey(v.Type()))
-	default:
-		r.setKey(v, "")
-	}
+	r.setKey(v, key)
 }
 
 // setKey records one outside write of v: the exact constant, or "" for
