@@ -44,16 +44,20 @@ race:
 ## both paths whatever the machine's default (the fleet golden results
 ## must not move). simtime
 ## and netsim run there too: Sim hands a parked actor a parker reused
-## from its free list, and a Link delivers from a FIFO ring that each
-## arrival pops, so a stale wake or an out-of-order pop shows up as a
-## different interleaving of actors on another core count. dsmcc and
+## from its free list and books timers on recycled events, each behind a
+## generation-checked Waker or Timer value, and a Link delivers from a
+## FIFO ring that each arrival pops, so a stale wake or stop, or an
+## out-of-order pop, shows up as a different interleaving of actors on
+## another core count (the stale-handle tests pin each case). dsmcc and
 ## the PNA run there because a Broadcaster shares the check stages of
 ## reads that complete at one instant out over GOMAXPROCS-1 helpers and
 ## runs them all inline on one core, and the facade golden because the
-## deployment it pins must come out byte-identical either way.
+## deployment it pins must come out byte-identical either way, beside the
+## allocation budget of a small deployment, which a per-timer or per-park
+## allocation coming back breaks.
 cores:
 	$(GO) test -cpu 1,2,4 ./internal/appimage ./internal/fleet ./internal/simtime ./internal/netsim ./internal/dsmcc ./internal/core/pna
-	$(GO) test -cpu 1,2,4 -run TestFacadeGoldenDeploy .
+	$(GO) test -cpu 1,2,4 -run 'TestFacadeGoldenDeploy|TestSimDeployAllocBudget' .
 
 ## cover: enforce per-package coverage floors — the observability layer
 ## (obs registry/exposition, the span collector with its trace and

@@ -175,7 +175,11 @@ func TestHeartbeatRoundTrip(t *testing.T) {
 		TasksDone:  17,
 		SentAt:     time.Date(2009, 11, 1, 12, 0, 0, 123, time.UTC),
 	}
-	got, err := DecodeHeartbeat(EncodeHeartbeat(h))
+	raw := EncodeHeartbeat(h)
+	if len(raw) > heartbeatLen {
+		t.Fatalf("encoded heartbeat is %d bytes, AppendHeartbeat grows by %d", len(raw), heartbeatLen)
+	}
+	got, err := DecodeHeartbeat(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +194,7 @@ func TestHeartbeatReplyRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, r) {
+	if !reflect.DeepEqual(got, *r) {
 		t.Fatalf("got %+v", got)
 	}
 }

@@ -3,6 +3,7 @@ package control
 import (
 	"encoding/binary"
 	"errors"
+	"slices"
 	"time"
 
 	"oddci/internal/core/instance"
@@ -41,9 +42,20 @@ type Heartbeat struct {
 // direct-channel pacing.
 const HeartbeatWireSize = 64
 
-// EncodeHeartbeat serializes a heartbeat.
+// heartbeatLen bounds an encoded heartbeat: 38 bytes with a 9-byte
+// profile.
+const heartbeatLen = 40
+
+// EncodeHeartbeat serializes a heartbeat into a new slice.
 func EncodeHeartbeat(h *Heartbeat) []byte {
-	b := make([]byte, 0, 40)
+	return AppendHeartbeat(nil, h)
+}
+
+// AppendHeartbeat appends the encoding of h to b, growing b at most once,
+// so a sender that beats into one reused buffer allocates only for its
+// first beat.
+func AppendHeartbeat(b []byte, h *Heartbeat) []byte {
+	b = slices.Grow(b, heartbeatLen)
 	b = binary.BigEndian.AppendUint64(b, h.NodeID)
 	b = append(b, byte(h.State))
 	b = binary.BigEndian.AppendUint64(b, uint64(h.InstanceID))
@@ -53,27 +65,35 @@ func EncodeHeartbeat(h *Heartbeat) []byte {
 	return b
 }
 
-// DecodeHeartbeat reverses EncodeHeartbeat.
+// DecodeHeartbeat reverses EncodeHeartbeat into a new Heartbeat.
 func DecodeHeartbeat(b []byte) (*Heartbeat, error) {
+	h := new(Heartbeat)
+	if err := DecodeHeartbeatInto(b, h); err != nil {
+		return nil, err
+	}
+	return h, nil
+}
+
+// DecodeHeartbeatInto reverses EncodeHeartbeat into *h, which a receiver
+// reuses across beats. On an error *h holds no meaningful report.
+func DecodeHeartbeatInto(b []byte, h *Heartbeat) error {
 	if len(b) < 17 {
-		return nil, errors.New("control: truncated heartbeat")
+		return errors.New("control: truncated heartbeat")
 	}
-	h := &Heartbeat{
-		NodeID:     binary.BigEndian.Uint64(b),
-		State:      NodeState(b[8]),
-		InstanceID: instance.ID(binary.BigEndian.Uint64(b[9:])),
-	}
+	h.NodeID = binary.BigEndian.Uint64(b)
+	h.State = NodeState(b[8])
+	h.InstanceID = instance.ID(binary.BigEndian.Uint64(b[9:]))
 	var err error
 	h.Profile, b, err = instance.DecodeProfile(b[17:])
 	if err != nil {
-		return nil, err
+		return err
 	}
 	if len(b) < 12 {
-		return nil, errors.New("control: truncated heartbeat tail")
+		return errors.New("control: truncated heartbeat tail")
 	}
 	h.TasksDone = binary.BigEndian.Uint32(b)
 	h.SentAt = time.Unix(0, int64(binary.BigEndian.Uint64(b[4:]))).UTC()
-	return h, nil
+	return nil
 }
 
 // Command is the Controller's instruction in a heartbeat reply —
@@ -106,12 +126,13 @@ func EncodeHeartbeatReply(r *HeartbeatReply) []byte {
 	return b
 }
 
-// DecodeHeartbeatReply reverses EncodeHeartbeatReply.
-func DecodeHeartbeatReply(b []byte) (*HeartbeatReply, error) {
+// DecodeHeartbeatReply reverses EncodeHeartbeatReply. The reply is
+// returned by value, so decoding one allocates nothing.
+func DecodeHeartbeatReply(b []byte) (HeartbeatReply, error) {
 	if len(b) < 9 {
-		return nil, errors.New("control: truncated heartbeat reply")
+		return HeartbeatReply{}, errors.New("control: truncated heartbeat reply")
 	}
-	return &HeartbeatReply{
+	return HeartbeatReply{
 		Command: Command(b[0]),
 		Period:  time.Duration(binary.BigEndian.Uint64(b[1:])),
 	}, nil

@@ -206,13 +206,12 @@ type JobHandle struct {
 	// their position. Built once at Submit, read-only afterwards.
 	taskIndex map[int]int
 
-	mu          sync.Mutex
-	submitted   time.Time
-	firstResult time.Time
-	completed   time.Time
-	done        bool
-	results     map[int][]byte
-	redispatch  int
+	mu         sync.Mutex
+	submitted  time.Time
+	completed  time.Time
+	done       bool
+	results    map[int][]byte
+	redispatch int
 	// onDone callbacks fire once, at completion.
 	onDone []func(at time.Time)
 }
@@ -1012,9 +1011,6 @@ func (b *Backend) HandleResult(res *TaskResult) {
 
 	h.mu.Lock()
 	h.results[res.TaskID] = winner
-	if h.firstResult.IsZero() {
-		h.firstResult = now
-	}
 	complete := len(h.results) == len(h.Job.Tasks) && !h.done
 	var cbs []func(time.Time)
 	if complete {

@@ -620,16 +620,12 @@ func (c *Controller) Stop() {
 	c.mu.Lock()
 	c.stopped = true
 	t := c.maint
-	c.maint = nil
+	c.maint = simtime.Timer{}
 	rt := c.refreshTimer
-	c.refreshTimer = nil
+	c.refreshTimer = simtime.Timer{}
 	c.mu.Unlock()
-	if t != nil {
-		t.Stop()
-	}
-	if rt != nil {
-		rt.Stop()
-	}
+	t.Stop()
+	rt.Stop()
 }
 
 func (c *Controller) scheduleMaintenanceLocked() {
@@ -749,10 +745,8 @@ func (c *Controller) refreshDoneLocked() {
 	c.refreshPending = false
 	c.refreshAttempts = 0
 	c.met.refreshDelay.Set(0)
-	if c.refreshTimer != nil {
-		c.refreshTimer.Stop()
-		c.refreshTimer = nil
-	}
+	c.refreshTimer.Stop()
+	c.refreshTimer = simtime.Timer{}
 }
 
 // refreshFailedLocked marks the on-air content stale and schedules a
@@ -764,7 +758,7 @@ func (c *Controller) refreshFailedLocked() {
 	if c.cfg.Spans != nil {
 		c.eventLocked(0, "refresh-retry", "attempt=%d", c.refreshAttempts)
 	}
-	if c.stopped || c.refreshTimer != nil {
+	if c.stopped || c.refreshTimer != (simtime.Timer{}) {
 		return
 	}
 	delay := c.cfg.RefreshRetryBase
@@ -782,7 +776,7 @@ func (c *Controller) refreshFailedLocked() {
 func (c *Controller) retryRefresh() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.refreshTimer = nil
+	c.refreshTimer = simtime.Timer{}
 	if c.stopped || !c.refreshPending {
 		return
 	}

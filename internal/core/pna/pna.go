@@ -229,9 +229,7 @@ func (p *PNA) DestroyXlet(unconditional bool) error {
 	if cancelCarousel != nil {
 		cancelCarousel()
 	}
-	if lt != nil {
-		lt.Stop()
-	}
+	lt.Stop()
 	p.hbInterrupt.Cancel()
 	if d != nil {
 		d.Destroy()
@@ -549,15 +547,13 @@ func (p *PNA) resetInstance(id instance.ID) {
 	d := p.d
 	p.d = nil
 	lt := p.lifetimeTimer
-	p.lifetimeTimer = nil
+	p.lifetimeTimer = simtime.Timer{}
 	p.state = control.StateIdle
 	p.instID = 0
 	hook := p.cfg.OnStateChange
 	p.mu.Unlock()
 	p.met.resets.Inc()
-	if lt != nil {
-		lt.Stop()
-	}
+	lt.Stop()
 	if d != nil {
 		d.Destroy()
 	}
@@ -623,7 +619,7 @@ func (p *PNA) heartbeatLoop() {
 	}
 }
 
-func (p *PNA) applyReply(r *control.HeartbeatReply) {
+func (p *PNA) applyReply(r control.HeartbeatReply) {
 	if r.Period > 0 {
 		p.mu.Lock()
 		p.hbPeriod = r.Period

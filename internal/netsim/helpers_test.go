@@ -34,7 +34,7 @@ func (m *Mailbox[T]) len() int {
 	return m.q.Len()
 }
 
-// waiterCount reports the registered wake closures; the leak regression
+// waiterCount reports the registered Wakers; the leak regression
 // tests assert it returns to zero after timed-out receives.
 func (m *Mailbox[T]) waiterCount() int {
 	m.mu.Lock()

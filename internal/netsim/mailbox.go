@@ -23,13 +23,13 @@ var (
 	ErrTimeout = errors.New("netsim: timeout")
 )
 
-// waiter is one registered wake callback. The sequence number lets a
-// timed-out receiver deregister its own spent closure: wake closures are
-// single-shot, so an entry whose wake already fired is dead weight that
-// would otherwise accumulate until the next Put.
+// waiter is one registered receiver's Waker. The sequence number lets a
+// timed-out receiver deregister its own spent entry: a Waker resumes one
+// park only, so an entry whose park is over is dead weight that would
+// otherwise accumulate until the next Put.
 type waiter struct {
-	seq  uint64
-	wake func()
+	seq uint64
+	w   simtime.Waker
 }
 
 // Mailbox is a clock-aware unbounded FIFO queue. Senders never block;
@@ -37,20 +37,35 @@ type waiter struct {
 // receives participate correctly in virtual-time advancement.
 type Mailbox[T any] struct {
 	clk  simtime.Clock
-	park func(wake func()) // Recv's publish func, bound once
+	park func(simtime.Waker) // Recv's publish func, bound once
 
 	mu      sync.Mutex
 	q       Ring[T]
 	waiters []waiter
-	spare   []waiter // a drained, cleared waiter array for the next park
+	spare   []waiter      // a drained, cleared waiter array for the next park
+	first   [1]waiter     // the first spare, all a lone receiver needs
+	timed   *timedRecv[T] // the last finished RecvTimeout park, for the next to reuse
 	wseq    uint64
 	closed  bool
+}
+
+// timedRecv is the state of one RecvTimeout park, kept in one struct
+// whose publish func is bound once, when the struct is made, so a timed
+// receive builds no closure. Concurrent receivers each take their own.
+type timedRecv[T any] struct {
+	m          *Mailbox[T]
+	d          time.Duration
+	tm         simtime.Timer
+	seq        uint64 // set, with tm, only if registered
+	registered bool
+	publish    func(simtime.Waker)
 }
 
 // NewMailbox returns an empty mailbox bound to clk.
 func NewMailbox[T any](clk simtime.Clock) *Mailbox[T] {
 	m := &Mailbox[T]{clk: clk}
-	m.park = func(wake func()) { m.register(wake) }
+	m.spare = m.first[:0]
+	m.park = func(w simtime.Waker) { m.register(w) }
 	return m
 }
 
@@ -88,14 +103,14 @@ func (m *Mailbox[T]) takeWaitersLocked() []waiter {
 	return w
 }
 
-// wakeAll calls every waiter in w, then hands the array back, cleared,
+// wakeAll wakes every waiter in w, then hands the array back, cleared,
 // as the spare the next park appends to.
 func (m *Mailbox[T]) wakeAll(w []waiter) {
 	if w == nil {
 		return
 	}
 	for _, wt := range w {
-		wt.wake()
+		wt.w.Wake()
 	}
 	clear(w)
 	m.mu.Lock()
@@ -105,14 +120,14 @@ func (m *Mailbox[T]) wakeAll(w []waiter) {
 	m.mu.Unlock()
 }
 
-// register files wake for the next Put or Close, or calls it at once if
-// an item or the close is already there. It reports the entry's sequence
+// register files w for the next Put or Close, or wakes it at once if an
+// item or the close is already there. It reports the entry's sequence
 // number and whether it was filed.
-func (m *Mailbox[T]) register(wake func()) (uint64, bool) {
+func (m *Mailbox[T]) register(w simtime.Waker) (uint64, bool) {
 	m.mu.Lock()
 	if m.q.Len() > 0 || m.closed {
 		m.mu.Unlock()
-		wake()
+		w.Wake()
 		return 0, false
 	}
 	if m.waiters == nil {
@@ -120,21 +135,27 @@ func (m *Mailbox[T]) register(wake func()) (uint64, bool) {
 	}
 	seq := m.wseq
 	m.wseq++
-	m.waiters = append(m.waiters, waiter{seq: seq, wake: wake})
+	m.waiters = append(m.waiters, waiter{seq: seq, w: w})
 	m.mu.Unlock()
 	return seq, true
 }
 
-// dropWaiter removes the entry registered under seq, if a Put or Close
-// has not already consumed the whole list.
-func (m *Mailbox[T]) dropWaiter(seq uint64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+// dropWaiterLocked removes the entry registered under seq, if a Put or
+// Close has not already consumed the whole list.
+func (m *Mailbox[T]) dropWaiterLocked(seq uint64) {
 	for i, wt := range m.waiters {
 		if wt.seq == seq {
 			m.waiters = slices.Delete(m.waiters, i, i+1)
 			return
 		}
+	}
+}
+
+// park is a timed receive's publish func: it files w and books the
+// timeout on it, unless an item or the close is already there.
+func (r *timedRecv[T]) park(w simtime.Waker) {
+	if r.seq, r.registered = r.m.register(w); r.registered {
+		r.tm = r.m.clk.WakeAfter(r.d, w)
 	}
 }
 
@@ -179,26 +200,26 @@ func (m *Mailbox[T]) RecvTimeout(d time.Duration) (T, error) {
 			var zero T
 			return zero, ErrTimeout
 		}
-		// One struct for what the publish func sets, so it escapes as
-		// one object rather than one per variable.
-		var st struct {
-			tm         simtime.Timer
-			seq        uint64
-			registered bool
+		m.mu.Lock()
+		r := m.timed
+		m.timed = nil
+		m.mu.Unlock()
+		if r == nil {
+			r = &timedRecv[T]{m: m}
+			r.publish = r.park
 		}
-		m.clk.Suspend(func(wake func()) {
-			if st.seq, st.registered = m.register(wake); st.registered {
-				st.tm = m.clk.AfterFunc(remaining, wake)
-			}
-		})
-		if st.tm != nil {
-			st.tm.Stop()
+		r.d = remaining
+		m.clk.Suspend(r.publish)
+		r.tm.Stop()
+		m.mu.Lock()
+		if r.registered {
+			// Whatever woke us, this Waker is spent: if the timer fired
+			// (or a Put raced the registration), the entry is still on
+			// the list and would pile up across repeated timeouts.
+			m.dropWaiterLocked(r.seq)
 		}
-		if st.registered {
-			// Whatever woke us, this wake closure is spent: if the timer
-			// fired (or a Put raced the registration), the entry is still
-			// on the list and would pile up across repeated timeouts.
-			m.dropWaiter(st.seq)
-		}
+		*r = timedRecv[T]{m: m, publish: r.publish}
+		m.timed = r
+		m.mu.Unlock()
 	}
 }

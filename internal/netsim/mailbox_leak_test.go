@@ -96,16 +96,18 @@ func TestMailboxRecvTimeoutZeroAfterClose(t *testing.T) {
 }
 
 // lateTimers is a Sim whose timers cannot be stopped, as on a wall clock
-// where the timer fires while the receiver it woke is still resuming.
+// where the timer fires while the receiver it woke is still resuming: it
+// books on the Sim and hands back the zero Timer, whose Stop does nothing.
 type lateTimers struct{ *simtime.Sim }
-
-type unstoppable struct{}
-
-func (unstoppable) Stop() bool { return false }
 
 func (c lateTimers) AfterFunc(d time.Duration, fn func()) simtime.Timer {
 	c.Sim.AfterFunc(d, fn)
-	return unstoppable{}
+	return simtime.Timer{}
+}
+
+func (c lateTimers) WakeAfter(d time.Duration, w simtime.Waker) simtime.Timer {
+	c.Sim.WakeAfter(d, w)
+	return simtime.Timer{}
 }
 
 // TestMailboxTimeoutTimerAfterPut: a RecvTimeout that a Put ended leaves

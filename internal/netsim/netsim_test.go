@@ -296,9 +296,10 @@ func TestBusDeliveryRepeats(t *testing.T) {
 }
 
 // TestLinkHopAllocs holds one Link.Send → Mailbox.Recv hop inside an
-// actor to the arrival event and the receiver's wake func: the packet
-// waits in the link's ring and the mailbox's, and Recv's publish func
-// and waiter array are reused.
+// actor to no allocation: the arrival event and the receiver's parker
+// come off the clock's free lists, the packet waits in the link's ring
+// and the mailbox's, and Recv's publish func and waiter array are
+// reused.
 func TestLinkHopAllocs(t *testing.T) {
 	clk := simtime.NewSim(epoch)
 	dst := NewMailbox[Packet](clk)
@@ -315,7 +316,7 @@ func TestLinkHopAllocs(t *testing.T) {
 	})
 	clk.Wait()
 	t.Logf("%.1f allocations per hop", allocs)
-	if allocs > 2 {
-		t.Fatalf("a hop allocates %.1f objects, want <= 2", allocs)
+	if allocs != 0 {
+		t.Fatalf("a hop allocates %.1f objects, want 0", allocs)
 	}
 }

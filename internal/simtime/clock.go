@@ -18,13 +18,71 @@
 // large-N experiment models in internal/sim execute.
 package simtime
 
-import "time"
+import (
+	"sync"
+	"sync/atomic"
+	"time"
+)
 
-// Timer is a handle to a pending AfterFunc callback.
-type Timer interface {
-	// Stop cancels the timer. It reports whether the call prevented the
-	// callback from firing (false if it already fired or was stopped).
-	Stop() bool
+// Timer is a handle to a pending AfterFunc or WakeAfter booking. It is a
+// small comparable value; the zero Timer means "no timer", and its Stop
+// reports false.
+//
+// Under Sim a Timer names its event and the generation the event had
+// when it was booked. Sim recycles an event once it is popped, fired or
+// stopped, and bumps its generation, so Stop through a handle held past
+// that point reports false and leaves the event's later booking alone.
+type Timer struct {
+	ev  *event      // the Sim booking, or nil
+	gen uint64      // ev's generation when booked
+	rt  *time.Timer // the Real booking, or nil
+}
+
+// Stop cancels the timer. It reports whether the call prevented the
+// callback from firing (false if it already fired or was stopped, or if
+// t is the zero Timer).
+func (t Timer) Stop() bool {
+	switch {
+	case t.rt != nil:
+		return t.rt.Stop()
+	case t.ev != nil:
+		return t.ev.s.stop(t.ev, t.gen)
+	}
+	return false
+}
+
+// Waker resumes one park of an actor blocked in Suspend. It is a value
+// naming the parker the actor blocks on and that parker's generation:
+// once the actor has resumed, the generation moves on, and Wake through
+// a Waker of the finished park does nothing, even while the same parker
+// carries the actor's next park. The zero Waker wakes nothing.
+type Waker struct {
+	p   *parker
+	gen uint64
+}
+
+// Wake resumes the park w names. Only the first call has an effect; it
+// may come from any goroutine, including from inside the publish func
+// that was handed w.
+func (w Waker) Wake() {
+	switch {
+	case w.p == nil:
+	case w.p.s != nil:
+		w.p.s.wake(w.p, w.gen)
+	case w.p.woken.CompareAndSwap(false, true):
+		w.p.wg.Done() // Real: the parker serves one park
+	}
+}
+
+// A parker is what an actor blocks on inside Suspend: the actor adds one
+// to wg, waits on it, and the park's one effective Wake marks it done.
+// Sim keeps idle parkers on a free list and bumps a parker's generation
+// each time its actor resumes; Real makes one per park.
+type parker struct {
+	s     *Sim // the clock whose runnable count a wake raises; nil under Real
+	wg    sync.WaitGroup
+	gen   uint64      // under Sim, guarded by s.mu
+	woken atomic.Bool // under Sim, also guarded by s.mu
 }
 
 // Clock abstracts the flow of time for simulated components.
@@ -47,15 +105,20 @@ type Clock interface {
 	// AfterFunc schedules fn to run once, d from now.
 	AfterFunc(d time.Duration, fn func()) Timer
 
+	// WakeAfter schedules w.Wake to run once, d from now. It books what
+	// AfterFunc(d, w.Wake) would, without the closure the method value
+	// costs, so a timed park allocates nothing under Sim.
+	WakeAfter(d time.Duration, w Waker) Timer
+
 	// Go spawns a participating goroutine running fn.
 	Go(fn func())
 
-	// Suspend blocks the calling goroutine until the wake function passed
-	// to publish is invoked. publish runs synchronously before blocking;
-	// it must hand wake to whoever will eventually call it (exactly once).
-	// wake may be called from any goroutine, including before publish
-	// returns.
-	Suspend(publish func(wake func()))
+	// Suspend blocks the calling goroutine until the Waker passed to
+	// publish is woken. publish runs synchronously before blocking; it
+	// must hand the Waker to whoever will eventually wake it. Wake may
+	// be called from any goroutine, including before publish returns,
+	// and any number of times: only the first call resumes this park.
+	Suspend(publish func(Waker))
 
 	// Wait blocks until the system is quiescent: all goroutines spawned
 	// with Go have returned and (for the Sim clock) no pending events

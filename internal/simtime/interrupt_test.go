@@ -72,7 +72,7 @@ func TestInterrupterMultipleSleepers(t *testing.T) {
 	}
 }
 
-// wakerCount reports the registered wake callbacks.
+// wakerCount reports the registered Wakers.
 func (i *Interrupter) wakerCount() int {
 	i.mu.Lock()
 	defer i.mu.Unlock()
@@ -103,22 +103,22 @@ func TestInterrupterFinishedSleepsLeaveNoWaker(t *testing.T) {
 	}
 }
 
-// wakeRecorder is a Sim that keeps every wake func it hands to a
-// publish, so a test can call one after its park is over.
+// wakeRecorder is a Sim that keeps every Waker it hands to a publish,
+// so a test can wake one after its park is over.
 type wakeRecorder struct {
 	*Sim
-	wakes []func()
+	wakes []Waker
 }
 
-func (r *wakeRecorder) Suspend(publish func(wake func())) {
-	r.Sim.Suspend(func(wake func()) {
-		r.wakes = append(r.wakes, wake)
-		publish(wake)
+func (r *wakeRecorder) Suspend(publish func(Waker)) {
+	r.Sim.Suspend(func(w Waker) {
+		r.wakes = append(r.wakes, w)
+		publish(w)
 	})
 }
 
 // TestInterrupterStaleWakeAfterTimer: once a sleep's timer has woken it,
-// neither a Cancel nor that sleep's own wake func may end the actor's
+// neither a Cancel nor that sleep's own Waker may end the actor's
 // next park, which runs on the same reused parker.
 func TestInterrupterStaleWakeAfterTimer(t *testing.T) {
 	clk := &wakeRecorder{Sim: NewSim(epoch)}
@@ -127,8 +127,8 @@ func TestInterrupterStaleWakeAfterTimer(t *testing.T) {
 	var woke time.Time
 	clk.AfterFunc(5*time.Second, func() {
 		it.Cancel()
-		for _, wake := range clk.wakes {
-			wake()
+		for _, w := range clk.wakes {
+			w.Wake()
 		}
 	})
 	clk.Go(func() {

@@ -17,13 +17,14 @@ func NewReal() *Real { return &Real{} }
 // Now implements Clock.
 func (r *Real) Now() time.Time { return time.Now() }
 
-type realTimer struct{ t *time.Timer }
-
-func (rt realTimer) Stop() bool { return rt.t.Stop() }
-
 // AfterFunc implements Clock.
 func (r *Real) AfterFunc(d time.Duration, fn func()) Timer {
-	return realTimer{time.AfterFunc(d, fn)}
+	return Timer{rt: time.AfterFunc(d, fn)}
+}
+
+// WakeAfter implements Clock.
+func (r *Real) WakeAfter(d time.Duration, w Waker) Timer {
+	return Timer{rt: time.AfterFunc(d, w.Wake)}
 }
 
 // Go implements Clock.
@@ -35,12 +36,14 @@ func (r *Real) Go(fn func()) {
 	}()
 }
 
-// Suspend implements Clock.
-func (r *Real) Suspend(publish func(wake func())) {
-	ch := make(chan struct{})
-	var once sync.Once
-	publish(func() { once.Do(func() { close(ch) }) })
-	<-ch
+// Suspend implements Clock. Each park gets a parker of its own, so a
+// late Wake, say from a timer that fired as its sleep was cancelled,
+// lands on a parker nobody waits on again.
+func (r *Real) Suspend(publish func(Waker)) {
+	p := &parker{}
+	p.wg.Add(1)
+	publish(Waker{p: p})
+	p.wg.Wait()
 }
 
 // Wait implements Clock.

@@ -1,8 +1,8 @@
 package simtime
 
 import (
-	"container/heap"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 )
@@ -23,12 +23,17 @@ import (
 // With no participating goroutines, Sim degenerates into a classic
 // single-threaded event loop: schedule callbacks with AfterFunc and drive
 // them with Wait. This is the mode used by the large-N experiment models.
+//
+// In steady state Sim allocates nothing per timer or park: events and
+// parkers come off free lists, and the Timer and Waker handed out are
+// values that carry the generation they were issued under.
 type Sim struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	now time.Time
-	seq uint64
+	now   time.Time
+	nowNS int64 // now, in nanoseconds since the clock's start
+	seq   uint64
 
 	events eventHeap
 	live   int // non-stopped events in the heap
@@ -40,6 +45,7 @@ type Sim struct {
 
 	fired uint64 // total events fired, for diagnostics
 
+	idle    []*event  // recycled events for AfterFunc and WakeAfter to reuse
 	parkers []*parker // idle parkers for Suspend to reuse
 }
 
@@ -50,24 +56,22 @@ func NewSim(start time.Time) *Sim {
 	return s
 }
 
-// An event is its own Timer. Events are never recycled: a caller may
-// hold a Timer long after it fired, and its Stop must not reach a later
-// booking.
+// An event is one booking's callback: fn, or a wake of w when fn is nil.
+// Sim recycles an event once it leaves the heap and bumps gen, which
+// turns every Timer issued for the old booking stale.
 type event struct {
 	s       *Sim
-	at      time.Time
-	seq     uint64
 	fn      func()
+	w       Waker
+	gen     uint64
 	stopped bool
-	index   int // heap index, -1 once popped
 }
 
-// Stop implements Timer.
-func (ev *event) Stop() bool {
-	s := ev.s
+// stop implements Timer.Stop for a booking of ev made in generation gen.
+func (s *Sim) stop(ev *event, gen uint64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if ev.stopped || ev.index == -1 {
+	if ev.gen != gen || ev.stopped {
 		return false
 	}
 	ev.stopped = true
@@ -75,33 +79,64 @@ func (ev *event) Stop() bool {
 	return true
 }
 
-type eventHeap []*event
+// slot is one heap entry. The ordering key sits inline, so sifting
+// compares without dereferencing an event.
+type slot struct {
+	at  int64 // nanoseconds since the clock's start
+	seq uint64
+	ev  *event
+}
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if !h[i].at.Equal(h[j].at) {
-		return h[i].at.Before(h[j].at)
+func (a slot) before(b slot) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
+}
+
+// eventHeap is a binary min-heap of slots by (at, seq).
+type eventHeap []slot
+
+func (h *eventHeap) push(x slot) {
+	*h = append(*h, x)
+	q := *h
+	j := len(q) - 1
+	for j > 0 {
+		i := (j - 1) / 2
+		if !x.before(q[i]) {
+			break
+		}
+		q[j] = q[i]
+		j = i
 	}
-	return h[i].seq < h[j].seq
+	q[j] = x
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
+
+func (h *eventHeap) pop() slot {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	x := q[n]
+	q[n] = slot{}
+	q = q[:n]
+	*h = q
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && q[r].before(q[c]) {
+			c = r
+		}
+		if !q[c].before(x) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	q[i] = x
+	return top
 }
 
 // Now implements Clock.
@@ -121,17 +156,37 @@ func (s *Sim) Fired() uint64 {
 
 // AfterFunc implements Clock.
 func (s *Sim) AfterFunc(d time.Duration, fn func()) Timer {
+	return s.book(d, fn, Waker{})
+}
+
+// WakeAfter implements Clock.
+func (s *Sim) WakeAfter(d time.Duration, w Waker) Timer {
+	return s.book(d, nil, w)
+}
+
+// book files an event that runs fn, or wakes w if fn is nil, d from now.
+// An instant past the int64 nanosecond range, some 292 years after the
+// start, is held at its end.
+func (s *Sim) book(d time.Duration, fn func(), w Waker) Timer {
 	if d < 0 {
 		d = 0
 	}
 	s.mu.Lock()
-	ev := &event{s: s, at: s.now.Add(d), seq: s.seq, fn: fn}
+	var ev *event
+	if n := len(s.idle); n > 0 {
+		ev = s.idle[n-1]
+		s.idle = s.idle[:n-1]
+	} else {
+		ev = &event{s: s}
+	}
+	ev.fn, ev.w = fn, w
+	t := Timer{ev: ev, gen: ev.gen}
+	s.events.push(slot{at: addNS(s.nowNS, d), seq: s.seq, ev: ev})
 	s.seq++
-	heap.Push(&s.events, ev)
 	s.live++
 	s.cond.Broadcast()
 	s.mu.Unlock()
-	return ev
+	return t
 }
 
 // Go implements Clock.
@@ -153,34 +208,26 @@ func (s *Sim) Go(fn func()) {
 	}()
 }
 
-// A parker is what an actor blocks on inside Suspend. Sim keeps idle
-// parkers on a free list, so a park costs only its wake closure. That
-// closure is bound to one generation: once the actor has resumed and
-// the parker gone back on the list, gen has moved on, and a late or
-// repeated call (an Interrupter's Cancel after its timer fired, a
-// RecvTimeout timer after a Put) does nothing.
-type parker struct {
-	ch    chan struct{} // capacity 1: the one send per generation never blocks
-	gen   uint64
-	woken bool
-}
-
 // wake resumes the actor parked on p in generation gen, at most once.
 func (s *Sim) wake(p *parker, gen uint64) {
 	s.mu.Lock()
-	if p.gen != gen || p.woken {
+	if p.gen != gen || p.woken.Load() {
 		s.mu.Unlock()
 		return
 	}
-	p.woken = true
+	p.woken.Store(true)
 	s.runnable++
 	s.cond.Broadcast()
 	s.mu.Unlock()
-	p.ch <- struct{}{}
+	p.wg.Done()
 }
 
-// Suspend implements Clock.
-func (s *Sim) Suspend(publish func(wake func())) {
+// Suspend implements Clock. The parker comes off the free list; the
+// Waker handed to publish is bound to its current generation, which moves
+// on when the actor resumes, so a late or repeated Wake (an Interrupter's
+// Cancel after its timer fired, a RecvTimeout timer after a Put) does
+// nothing to the parker's next park.
+func (s *Sim) Suspend(publish func(Waker)) {
 	s.mu.Lock()
 	var p *parker
 	if n := len(s.parkers); n > 0 {
@@ -188,14 +235,15 @@ func (s *Sim) Suspend(publish func(wake func())) {
 		s.parkers[n-1] = nil
 		s.parkers = s.parkers[:n-1]
 	} else {
-		p = &parker{ch: make(chan struct{}, 1)}
+		p = &parker{s: s}
 	}
+	p.wg.Add(1)
 	gen := p.gen
 	s.runnable--
 	s.publishing++
 	s.mu.Unlock()
 
-	publish(func() { s.wake(p, gen) })
+	publish(Waker{p: p, gen: gen})
 
 	s.mu.Lock()
 	s.publishing--
@@ -203,31 +251,76 @@ func (s *Sim) Suspend(publish func(wake func())) {
 	s.cond.Broadcast()
 	s.mu.Unlock()
 
-	<-p.ch
+	p.wg.Wait()
 
 	s.mu.Lock()
 	p.gen++
-	p.woken = false
+	p.woken.Store(false)
 	s.parkers = append(s.parkers, p)
 	s.mu.Unlock()
 }
 
-// Sleep implements Clock.
+// Sleep blocks the calling actor for d of virtual time. Its timer wakes
+// the park's Waker directly, so a steady-state Sleep allocates nothing.
 func (s *Sim) Sleep(d time.Duration) {
-	s.Suspend(func(wake func()) { s.AfterFunc(d, wake) })
+	s.Suspend(func(w Waker) { s.WakeAfter(d, w) })
 }
 
-// popLocked removes and returns the earliest live event, or nil.
-func (s *Sim) popLocked() *event {
-	for s.events.Len() > 0 {
-		ev := heap.Pop(&s.events).(*event)
-		if ev.stopped {
+// popLocked removes the earliest live event, recycling it and every
+// stopped event popped on the way, and returns its instant and what it
+// runs. ok is false once nothing live is left.
+func (s *Sim) popLocked() (at int64, fn func(), w Waker, ok bool) {
+	for len(s.events) > 0 {
+		top := s.events.pop()
+		ev := top.ev
+		stopped := ev.stopped
+		fn, w = ev.fn, ev.w
+		s.recycleLocked(ev)
+		if stopped {
 			continue
 		}
 		s.live--
-		return ev
+		return top.at, fn, w, true
 	}
-	return nil
+	return 0, nil, Waker{}, false
+}
+
+// recycleLocked puts a popped event on the free list under a new
+// generation, which every Timer issued for its last booking no longer
+// matches.
+func (s *Sim) recycleLocked(ev *event) {
+	ev.fn, ev.w, ev.stopped = nil, Waker{}, false
+	ev.gen++
+	s.idle = append(s.idle, ev)
+}
+
+// addNS returns ns+d, held at the ends of the int64 range.
+func addNS(ns int64, d time.Duration) int64 {
+	sum := ns + int64(d)
+	switch {
+	case d > 0 && sum < ns:
+		return math.MaxInt64
+	case d < 0 && sum > ns:
+		return math.MinInt64
+	}
+	return sum
+}
+
+// fireLocked advances now to at, counts the event, and runs it with s.mu
+// released. Caller holds s.mu; it is held again on return.
+func (s *Sim) fireLocked(at int64, fn func(), w Waker) {
+	if at > s.nowNS {
+		s.now = s.now.Add(time.Duration(at - s.nowNS))
+		s.nowNS = at
+	}
+	s.fired++
+	s.mu.Unlock()
+	if fn != nil {
+		fn()
+	} else {
+		w.Wake()
+	}
+	s.mu.Lock()
 }
 
 // maybeAdvanceLocked fires pending events while no actor is runnable.
@@ -238,18 +331,11 @@ func (s *Sim) maybeAdvanceLocked() {
 	}
 	s.advancing = true
 	for s.runnable == 0 && s.publishing == 0 {
-		ev := s.popLocked()
-		if ev == nil {
+		at, fn, w, ok := s.popLocked()
+		if !ok {
 			break
 		}
-		if ev.at.After(s.now) {
-			s.now = ev.at
-		}
-		s.fired++
-		fn := ev.fn
-		s.mu.Unlock()
-		fn()
-		s.mu.Lock()
+		s.fireLocked(at, fn, w)
 	}
 	s.advancing = false
 	s.cond.Broadcast()
@@ -295,33 +381,28 @@ func (s *Sim) RunUntil(t time.Time) {
 			s.mu.Unlock()
 			panic("simtime: RunUntil requires a goroutine-free simulation")
 		}
-		ev := s.peekLocked()
-		if ev == nil || ev.at.After(t) {
-			if s.now.Before(t) && (ev == nil || ev.at.After(t)) {
-				s.now = t
+		limit := addNS(s.nowNS, t.Sub(s.now))
+		if at, ok := s.peekLocked(); !ok || at > limit {
+			if s.now.Before(t) {
+				s.now, s.nowNS = t, limit
 			}
 			s.mu.Unlock()
 			return
 		}
-		ev = s.popLocked()
-		if ev.at.After(s.now) {
-			s.now = ev.at
-		}
-		s.fired++
-		fn := ev.fn
+		at, fn, w, _ := s.popLocked()
+		s.fireLocked(at, fn, w)
 		s.mu.Unlock()
-		fn()
 	}
 }
 
-// peekLocked returns the earliest live event without removing it.
-func (s *Sim) peekLocked() *event {
-	for s.events.Len() > 0 {
-		if s.events[0].stopped {
-			heap.Pop(&s.events)
-			continue
+// peekLocked returns the instant of the earliest live event without
+// removing it, recycling the stopped events ahead of it.
+func (s *Sim) peekLocked() (int64, bool) {
+	for len(s.events) > 0 {
+		if top := s.events[0]; !top.ev.stopped {
+			return top.at, true
 		}
-		return s.events[0]
+		s.recycleLocked(s.events.pop().ev)
 	}
-	return nil
+	return 0, false
 }

@@ -122,10 +122,10 @@ func TestSimSuspendWake(t *testing.T) {
 	clk := NewSim(epoch)
 	var delivered string
 	clk.Go(func() {
-		clk.Suspend(func(wake func()) {
+		clk.Suspend(func(w Waker) {
 			clk.AfterFunc(3*time.Second, func() {
 				delivered = "msg"
-				wake()
+				w.Wake()
 			})
 		})
 		if delivered != "msg" {
@@ -142,11 +142,11 @@ func TestSimSuspendWake(t *testing.T) {
 }
 
 func TestSimWakeBeforeParkIsSafe(t *testing.T) {
-	// wake invoked synchronously inside publish (message already waiting).
+	// Wake invoked synchronously inside publish (message already waiting).
 	clk := NewSim(epoch)
 	done := false
 	clk.Go(func() {
-		clk.Suspend(func(wake func()) { wake() })
+		clk.Suspend(func(w Waker) { w.Wake() })
 		done = true
 	})
 	clk.Wait()
@@ -155,21 +155,25 @@ func TestSimWakeBeforeParkIsSafe(t *testing.T) {
 	}
 }
 
-// TestSimStaleWakeIgnored: a wake func whose park is over must not
-// resume a later park, though Sim hands that park the same parker.
+// TestSimStaleWakeIgnored: a Waker whose park is over must not resume a
+// later park, though Sim hands that park the same parker.
 func TestSimStaleWakeIgnored(t *testing.T) {
 	clk := NewSim(epoch)
-	var stale func()
+	var stale Waker
 	var woke time.Time
 	clk.Go(func() {
-		clk.Suspend(func(wake func()) {
-			stale = wake
-			clk.AfterFunc(time.Second, wake)
+		clk.Suspend(func(w Waker) {
+			stale = w
+			clk.WakeAfter(time.Second, w)
 		})
-		stale() // the park is over: this call must do nothing
-		clk.Suspend(func(wake func()) {
-			clk.AfterFunc(2*time.Second, stale)
-			clk.AfterFunc(10*time.Second, wake)
+		stale.Wake() // the park is over: this call must do nothing
+		clk.Suspend(func(w Waker) {
+			if w.p != stale.p {
+				t.Error("the second park did not reuse the first park's parker")
+			}
+			clk.WakeAfter(2*time.Second, stale)
+			clk.AfterFunc(3*time.Second, stale.Wake)
+			clk.WakeAfter(10*time.Second, w)
 		})
 		woke = clk.Now()
 	})
@@ -179,9 +183,9 @@ func TestSimStaleWakeIgnored(t *testing.T) {
 	}
 }
 
-// TestSimSleepAllocs holds a steady-state Sleep inside an actor to its
-// wake func and its event: the parker comes off the free list, and the
-// event is its own Timer.
+// TestSimSleepAllocs holds a steady-state Sleep inside an actor to no
+// allocation: the parker and the event come off their free lists, and
+// the Waker and the Timer are values.
 func TestSimSleepAllocs(t *testing.T) {
 	clk := NewSim(epoch)
 	var allocs float64
@@ -190,8 +194,8 @@ func TestSimSleepAllocs(t *testing.T) {
 	})
 	clk.Wait()
 	t.Logf("%.1f allocations per Sleep", allocs)
-	if allocs > 2 {
-		t.Fatalf("Sleep allocates %.1f objects, want <= 2", allocs)
+	if allocs != 0 {
+		t.Fatalf("Sleep allocates %.1f objects, want 0", allocs)
 	}
 }
 
@@ -209,7 +213,7 @@ func waitPanic(clk *Sim) <-chan any {
 func TestSimDeadlockPanics(t *testing.T) {
 	clk := NewSim(epoch)
 	clk.Go(func() {
-		clk.Suspend(func(wake func()) {}) // nobody will ever wake us
+		clk.Suspend(func(Waker) {}) // nobody will ever wake us
 	})
 	select {
 	case p := <-waitPanic(clk):
@@ -224,21 +228,21 @@ func TestSimDeadlockPanics(t *testing.T) {
 // TestSimParkBeforeDriverBooksIsNotDeadlock: actors that park while the
 // owning goroutine has yet to book the event that wakes them are not
 // deadlocked — the owner is not in Wait, so it can still call AfterFunc.
-// parked closes when the last actor has published its wake, and the
+// parked closes when the last actor has published its Waker, and the
 // sleep then lets it finish parking, so the event is booked only once
 // every actor is blocked with nothing pending.
 func TestSimParkBeforeDriverBooksIsNotDeadlock(t *testing.T) {
 	clk := NewSim(epoch)
 	const actors = 3
 	var mu sync.Mutex
-	var wakes []func()
+	var wakes []Waker
 	parked := make(chan struct{})
 	resumed := 0
 	for i := 0; i < actors; i++ {
 		clk.Go(func() {
-			clk.Suspend(func(wake func()) {
+			clk.Suspend(func(w Waker) {
 				mu.Lock()
-				wakes = append(wakes, wake)
+				wakes = append(wakes, w)
 				if len(wakes) == actors {
 					close(parked)
 				}
@@ -252,8 +256,8 @@ func TestSimParkBeforeDriverBooksIsNotDeadlock(t *testing.T) {
 	<-parked
 	time.Sleep(100 * time.Millisecond)
 	clk.AfterFunc(time.Second, func() {
-		for _, wake := range wakes {
-			wake()
+		for _, w := range wakes {
+			w.Wake()
 		}
 	})
 	clk.Wait()
@@ -268,7 +272,7 @@ func TestSimParkBeforeDriverBooksIsNotDeadlock(t *testing.T) {
 func TestSimDeadlockAfterEventsDrain(t *testing.T) {
 	clk := NewSim(epoch)
 	for i := 0; i < 3; i++ {
-		clk.Go(func() { clk.Suspend(func(wake func()) {}) })
+		clk.Go(func() { clk.Suspend(func(Waker) {}) })
 	}
 	clk.AfterFunc(time.Second, func() {})
 	select {
@@ -405,8 +409,8 @@ func TestRealClockBasics(t *testing.T) {
 
 	woke := false
 	clk.Go(func() {
-		clk.Suspend(func(wake func()) {
-			clk.AfterFunc(time.Millisecond, wake)
+		clk.Suspend(func(w Waker) {
+			clk.WakeAfter(time.Millisecond, w)
 		})
 		woke = true
 	})

@@ -293,11 +293,9 @@ func (s *STB) StopChurn() {
 	s.mu.Lock()
 	s.churning = false
 	t := s.churnTimer
-	s.churnTimer = nil
+	s.churnTimer = simtime.Timer{}
 	s.mu.Unlock()
-	if t != nil {
-		t.Stop()
-	}
+	t.Stop()
 }
 
 func (s *STB) scheduleToggle() {

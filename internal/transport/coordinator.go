@@ -634,6 +634,7 @@ func (c *Coordinator) session(conn net.Conn) {
 	var (
 		reset bool
 		wbuf  []byte
+		hb    control.Heartbeat
 		req   TaskRequestMsg
 		res   TaskResultMsg
 		beReq backend.TaskRequest
@@ -682,14 +683,13 @@ func (c *Coordinator) session(conn net.Conn) {
 		switch t {
 		case FrameHeartbeat:
 			c.met.framesInHB.Inc()
-			hb, err := control.DecodeHeartbeat(payload)
-			if err != nil || reset {
+			if err := control.DecodeHeartbeatInto(payload, &hb); err != nil || reset {
 				continue
 			}
 			// The Controller consolidates the report; a reply with no news
 			// goes out as the pre-encoded frame.
 			frame := c.hbReplyFrame
-			if r := c.ctrl.HandleHeartbeat(hb); r.Command != control.CmdNone || r.Period != 0 {
+			if r := c.ctrl.HandleHeartbeat(&hb); r.Command != control.CmdNone || r.Period != 0 {
 				if wbuf, err = AppendFrame(wbuf[:0], FrameHeartbeatReply, control.EncodeHeartbeatReply(r)); err != nil {
 					return
 				}

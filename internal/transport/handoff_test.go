@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"oddci/internal/appimage"
+	"oddci/internal/control"
 	"oddci/internal/core/backend"
 	"oddci/internal/obs"
 	"oddci/internal/span"
@@ -509,6 +510,49 @@ func TestLoopbackHandoffAllocatesNothing(t *testing.T) {
 		if got := handoffAllocs(t, nil, mode); got != 0 {
 			t.Errorf("credential mode %d: a loopback hand-off allocates %.0f times", mode, got)
 		}
+	}
+}
+
+// TestLoopbackHeartbeatAllocatesNothing: a whole heartbeat over loopback
+// — the node's append-encode into its reused buffer, the session's decode
+// into its reused report, the Controller's consolidation, the
+// pre-encoded reply and the node's decode of it by value — allocates
+// nothing anywhere in the process, so what a session allocates does not
+// grow with how long it lasts.
+func TestLoopbackHeartbeatAllocatesNothing(t *testing.T) {
+	coord := serveCoordinator(t, CoordinatorConfig{Image: testImage()})
+	p, err := dialRaw(coord.Addr(), Hello{Wire: WireVersion, NodeID: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	p.conn.SetDeadline(time.Now().Add(30 * time.Second))
+	hb := control.Heartbeat{NodeID: 1, State: control.StateBusy, InstanceID: coord.id}
+	var wbuf []byte
+	beat := func() {
+		hb.SentAt = time.Now()
+		wbuf = BeginFrame(wbuf[:0], FrameHeartbeat)
+		wbuf = control.AppendHeartbeat(wbuf, &hb)
+		wbuf, err = EndFrame(wbuf, 0)
+		if err == nil {
+			_, err = p.conn.Write(wbuf)
+		}
+		var typ FrameType
+		var payload []byte
+		for err == nil && typ != FrameHeartbeatReply { // the staged broadcast, ahead of the first reply
+			typ, payload, err = p.fr.Next()
+		}
+		var r control.HeartbeatReply
+		if err == nil {
+			r, err = control.DecodeHeartbeatReply(payload)
+		}
+		if err != nil || r.Command != control.CmdNone {
+			t.Fatalf("heartbeat reply %+v, %v", r, err)
+		}
+	}
+	beat()
+	if got := testing.AllocsPerRun(300, beat); got != 0 {
+		t.Errorf("a loopback heartbeat allocates %.0f times", got)
 	}
 }
 

@@ -377,17 +377,21 @@ func runNode(cfg NodeConfig, conn net.Conn) (report NodeReport, err error) {
 		period = max(time.Duration(float64(period)/cfg.TimeScale), minHeartbeatPeriod)
 		tick := time.NewTicker(period)
 		defer tick.Stop()
+		// A beat encodes into one reused buffer: send has written it out
+		// before it returns.
+		hb := control.Heartbeat{
+			NodeID: cfg.NodeID, State: control.StateBusy,
+			InstanceID: hbInstance, Profile: cfg.Profile,
+		}
+		var buf []byte
 		for {
 			select {
 			case <-stopHB:
 				return
 			case <-tick.C:
-				hb := &control.Heartbeat{
-					NodeID: cfg.NodeID, State: control.StateBusy,
-					InstanceID: hbInstance, Profile: cfg.Profile,
-					SentAt: cfg.clock.Now(),
-				}
-				if err := send(FrameHeartbeat, control.EncodeHeartbeat(hb)); err != nil {
+				hb.SentAt = cfg.clock.Now()
+				buf = control.AppendHeartbeat(buf[:0], &hb)
+				if err := send(FrameHeartbeat, buf); err != nil {
 					return
 				}
 				hbCount.Add(1)

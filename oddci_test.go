@@ -461,3 +461,22 @@ func TestFacadeLiveScale1024(t *testing.T) {
 		t.Fatalf("deployment allocated %d MiB, want < 256 MiB", grew>>20)
 	}
 }
+
+// TestSimDeployAllocBudget holds the benchmark's -quick sim_deploy shape
+// (16 boxes, 64 tasks, a 1 MiB image) to an allocation budget for the
+// whole deployment. Under simtime.Sim a timer and a park allocate
+// nothing once the clock's free lists are warm, so a per-timer or
+// per-park allocation coming back (a wake closure per Suspend, an event
+// per AfterFunc) breaks the budget here, not only in the benchmark.
+func TestSimDeployAllocBudget(t *testing.T) {
+	const budget = 2500 // 2287 measured
+	seed := int64(0)
+	allocs := testing.AllocsPerRun(5, func() {
+		seed++
+		deployAndRun(t, 16, 64, seed)
+	})
+	t.Logf("%.0f allocations per deployment", allocs)
+	if allocs > budget {
+		t.Fatalf("a 16-box deployment allocates %.0f objects, budget %d", allocs, budget)
+	}
+}
