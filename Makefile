@@ -42,13 +42,15 @@ race:
 ## and as one range per core, each whole on its own wheel, on several,
 ## both chosen by GOMAXPROCS, so their packages run at 1, 2 and 4 to gate
 ## both paths whatever the machine's default (the fleet golden results
-## must not move). simtime
-## and netsim run there too: Sim hands a parked actor a parker reused
+## must not move). simtime,
+## netsim and dve run there too: Sim hands a parked actor a parker reused
 ## from its free list and books timers on recycled events, each behind a
-## generation-checked Waker or Timer value, and a Link delivers from a
-## FIFO ring that each arrival pops, so a stale wake or stop, or an
-## out-of-order pop, shows up as a different interleaving of actors on
-## another core count (the stale-handle tests pin each case). dsmcc and
+## generation-checked waker or Timer value, every park but Sim.Sleep goes
+## through a simtime.Cond (netsim's mailboxes, the Interrupter a DVE
+## sleeps on), and a Link delivers from a FIFO ring that each arrival
+## pops, so a stale wake or stop, or an out-of-order pop, shows up as a
+## different interleaving of actors on another core count (the
+## stale-handle and Cond tests pin each case). dsmcc and
 ## the PNA run there because a Broadcaster shares the check stages of
 ## reads that complete at one instant out over GOMAXPROCS-1 helpers and
 ## runs them all inline on one core, and the facade golden because the
@@ -56,7 +58,7 @@ race:
 ## allocation budget of a small deployment, which a per-timer or per-park
 ## allocation coming back breaks.
 cores:
-	$(GO) test -cpu 1,2,4 ./internal/appimage ./internal/fleet ./internal/simtime ./internal/netsim ./internal/dsmcc ./internal/core/pna
+	$(GO) test -cpu 1,2,4 ./internal/appimage ./internal/fleet ./internal/simtime ./internal/netsim ./internal/core/dve ./internal/dsmcc ./internal/core/pna
 	$(GO) test -cpu 1,2,4 -run 'TestFacadeGoldenDeploy|TestSimDeployAllocBudget' .
 
 ## cover: enforce per-package coverage floors — the observability layer

@@ -138,6 +138,11 @@ func (c Config) withDefaults() Config {
 // the int32 tick arrays and the wheel's 2³² horizon.
 const maxRecordBytes = 64 << 20
 
+// minMeanTicks is the shortest power-cycle mean a run takes, in ticks: a
+// period is drawn in whole ticks, at least one, which at 100 moves the
+// exponential model's availability by ~10⁻⁵ and at a few ticks by far more.
+const minMeanTicks = 100
+
 // recordBytes is the size of one range's tick-indexed records for a run
 // of end ticks whose last window ticks follow the wakeup.
 func recordBytes(end, window int64) int64 {
@@ -161,6 +166,8 @@ func (c Config) Validate() error {
 		return errors.New("fleet: quorumFrac must be in (0, 1]")
 	case c.tick <= 0:
 		return errors.New("fleet: tick must be positive")
+	case c.MeanOn/c.tick < minMeanTicks || c.MeanOff/c.tick < minMeanTicks:
+		return fmt.Errorf("fleet: MeanOn and MeanOff must each be at least %d ticks", minMeanTicks)
 	case wake < samples:
 		return errors.New("fleet: warmup too short for the sample ticks")
 	case window < samples:
@@ -223,9 +230,17 @@ func (r *Result) Validate() error {
 		}
 	}
 	if !math.IsInf(r.QuorumModelSeconds, 1) {
+		// A quorum never reached leaves every ramp sample below it, which
+		// the ramp bounds above already hold to the model.
 		if r.QuorumSimSeconds < 0 {
-			return fmt.Errorf("fleet: quorum %.2f never reached (model predicts %.1fs)",
-				r.QuorumFrac, r.QuorumModelSeconds)
+			need := max(math.Ceil(r.QuorumFrac*float64(r.AvailAtWake)), 1)
+			for _, p := range r.Ramp {
+				if math.Round(p.Sim*float64(r.AvailAtWake)) >= need {
+					return fmt.Errorf("fleet: quorum %.2f never reached, but the ramp is at %.5f at t=%.1fs",
+						r.QuorumFrac, p.Sim, p.T)
+				}
+			}
+			return nil
 		}
 		if d := math.Abs(r.QuorumSimSeconds - r.QuorumModelSeconds); d > r.QuorumTolSeconds {
 			return fmt.Errorf("fleet: quorum time: sim %.2fs vs model %.2fs exceeds tol %.2fs",
@@ -278,8 +293,8 @@ type nodeState struct {
 type rangeState struct {
 	whl *simtime.Wheel
 	// joinq defers load completions out of the wheel's fire batch; it
-	// reuses netsim.Ring, the same structure that fixed the Mailbox
-	// dequeue retention.
+	// reuses netsim.Ring, the same structure that fixed the netsim
+	// mailbox's dequeue retention.
 	joinq netsim.Ring[int32]
 
 	fired    []uint64 // bitset over ticks [0, endTick]: the wheel fired a batch there

@@ -158,6 +158,7 @@ func TestConfigValidate(t *testing.T) {
 		{Nodes: 100, MeanOn: -time.Second},
 		{Nodes: 100, quorumFrac: 1.5},
 		{Nodes: 100, warmup: time.Second, tick: time.Second},
+		{Nodes: 100, MeanOff: 99 * 10 * time.Millisecond},
 	}
 	for i, cfg := range bad {
 		if _, err := Run(cfg); err == nil {

@@ -8,7 +8,7 @@ import (
 
 // recvAll receives n packets from dst in an actor and runs the clock to
 // quiescence. It returns the packets and the virtual time each arrived.
-func recvAll(clk *simtime.Sim, dst *Mailbox[Packet], n int) ([]Packet, []time.Time) {
+func recvAll(clk *simtime.Sim, dst *mailbox, n int) ([]Packet, []time.Time) {
 	var ps []Packet
 	var at []time.Time
 	clk.Go(func() {
@@ -25,25 +25,24 @@ func recvAll(clk *simtime.Sim, dst *Mailbox[Packet], n int) ([]Packet, []time.Ti
 	return ps, at
 }
 
+// newMailbox returns an empty mailbox bound to clk, outside an Endpoint.
+func newMailbox(clk simtime.Clock) *mailbox {
+	m := &mailbox{}
+	m.init(clk)
+	return m
+}
+
 // Test-only views of a mailbox's and a ring's state.
 
-// len reports the number of queued items.
-func (m *Mailbox[T]) len() int {
+// len reports the number of queued packets.
+func (m *mailbox) len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.q.Len()
 }
 
-// waiterCount reports the registered Wakers; the leak regression
-// tests assert it returns to zero after timed-out receives.
-func (m *Mailbox[T]) waiterCount() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.waiters)
-}
-
 // tryRecv dequeues without blocking.
-func (m *Mailbox[T]) tryRecv() (T, bool) {
+func (m *mailbox) tryRecv() (Packet, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.q.PopFront()

@@ -32,7 +32,7 @@ type LinkConfig struct {
 }
 
 // Link is a unidirectional bandwidth/latency-modelled channel delivering
-// into a destination mailbox. Packets serialize one after another: a
+// into an endpoint's mailbox. Packets serialize one after another: a
 // packet's transmission starts when the previous one finishes, which is
 // what makes a shared uplink (e.g. a desktop-grid master staging images
 // over unicast) a bottleneck.
@@ -46,7 +46,7 @@ type LinkConfig struct {
 type Link struct {
 	clk       simtime.Clock
 	cfg       LinkConfig
-	dst       *Mailbox[Packet]
+	dst       *mailbox
 	deliverFn func()
 
 	mu        sync.Mutex
@@ -54,8 +54,8 @@ type Link struct {
 	inflight  Ring[Packet]
 }
 
-// NewLink creates a link feeding dst.
-func NewLink(clk simtime.Clock, cfg LinkConfig, dst *Mailbox[Packet]) *Link {
+// newLink creates a link feeding dst.
+func newLink(clk simtime.Clock, cfg LinkConfig, dst *mailbox) *Link {
 	l := &Link{clk: clk, cfg: cfg, dst: dst}
 	l.deliverFn = l.deliver
 	return l
@@ -101,11 +101,11 @@ func (l *Link) Send(p Packet) {
 }
 
 // Endpoint is one side of a duplex channel: an outgoing link plus an
-// incoming mailbox.
+// incoming mailbox, which the peer's link feeds.
 type Endpoint struct {
 	Name string
 	out  *Link
-	In   *Mailbox[Packet]
+	in   mailbox
 
 	// SendHook, when set, may rewrite (or suppress, by returning false)
 	// every outgoing payload before it hits the link. It is the seam the
@@ -127,22 +127,21 @@ func (e *Endpoint) Send(to string, payload any, size int) {
 }
 
 // Recv blocks for the next packet.
-func (e *Endpoint) Recv() (Packet, error) { return e.In.Recv() }
+func (e *Endpoint) Recv() (Packet, error) { return e.in.Recv() }
 
 // RecvTimeout blocks for the next packet up to d.
-func (e *Endpoint) RecvTimeout(d time.Duration) (Packet, error) { return e.In.RecvTimeout(d) }
+func (e *Endpoint) RecvTimeout(d time.Duration) (Packet, error) { return e.in.RecvTimeout(d) }
 
 // Close tears down the receive side.
-func (e *Endpoint) Close() { e.In.Close() }
+func (e *Endpoint) Close() { e.in.Close() }
 
 // NewDuplex builds a full-duplex channel between two named parties with
 // per-direction configs, returning a's endpoint first.
 func NewDuplex(clk simtime.Clock, a, b string, aToB, bToA LinkConfig) (*Endpoint, *Endpoint) {
-	inA := NewMailbox[Packet](clk)
-	inB := NewMailbox[Packet](clk)
-	epA := &Endpoint{Name: a, In: inA}
-	epB := &Endpoint{Name: b, In: inB}
-	epA.out = NewLink(clk, aToB, inB)
-	epB.out = NewLink(clk, bToA, inA)
+	epA, epB := &Endpoint{Name: a}, &Endpoint{Name: b}
+	epA.in.init(clk)
+	epB.in.init(clk)
+	epA.out = newLink(clk, aToB, &epB.in)
+	epB.out = newLink(clk, bToA, &epA.in)
 	return epA, epB
 }

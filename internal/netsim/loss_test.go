@@ -50,8 +50,8 @@ func TestBusPerSubscriberLoss(t *testing.T) {
 
 func TestLinkLatencyOnly(t *testing.T) {
 	clk := simtime.NewSim(epoch)
-	dst := NewMailbox[Packet](clk)
-	l := NewLink(clk, LinkConfig{Latency: 250 * time.Millisecond}, dst)
+	dst := newMailbox(clk)
+	l := newLink(clk, LinkConfig{Latency: 250 * time.Millisecond}, dst)
 	l.Send(Packet{Payload: 1, Size: 1 << 20}) // infinite rate: pure latency
 	if _, arrivals := recvAll(clk, dst, 1); len(arrivals) != 1 || !arrivals[0].Equal(epoch.Add(250*time.Millisecond)) {
 		t.Fatalf("arrivals %v", arrivals)
@@ -60,23 +60,23 @@ func TestLinkLatencyOnly(t *testing.T) {
 
 func TestMailboxManyWaiters(t *testing.T) {
 	clk := simtime.NewSim(epoch)
-	m := NewMailbox[int](clk)
+	m := newMailbox(clk)
 	const readers = 20
 	var mu sync.Mutex
 	got := make([]int, 0, readers)
 	for i := 0; i < readers; i++ {
 		clk.Go(func() {
-			v, err := m.Recv()
+			p, err := m.Recv()
 			if err == nil {
 				mu.Lock()
-				got = append(got, v)
+				got = append(got, p.Payload.(int))
 				mu.Unlock()
 			}
 		})
 	}
 	clk.AfterFunc(time.Second, func() {
 		for i := 0; i < readers; i++ {
-			m.Put(i)
+			m.Put(Packet{Payload: i})
 		}
 	})
 	clk.Wait()

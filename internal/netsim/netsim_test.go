@@ -14,14 +14,14 @@ var epoch = time.Date(2009, 11, 1, 0, 0, 0, 0, time.UTC)
 
 func TestMailboxFIFO(t *testing.T) {
 	clk := simtime.NewSim(epoch)
-	m := NewMailbox[int](clk)
+	m := newMailbox(clk)
 	for i := 0; i < 10; i++ {
-		m.Put(i)
+		m.Put(Packet{Payload: i})
 	}
 	for i := 0; i < 10; i++ {
-		v, ok := m.tryRecv()
-		if !ok || v != i {
-			t.Fatalf("tryRecv = %d,%v want %d,true", v, ok, i)
+		p, ok := m.tryRecv()
+		if !ok || p.Payload != i {
+			t.Fatalf("tryRecv = %v,%v want %d,true", p.Payload, ok, i)
 		}
 	}
 	if _, ok := m.tryRecv(); ok {
@@ -31,17 +31,18 @@ func TestMailboxFIFO(t *testing.T) {
 
 func TestMailboxBlockingRecv(t *testing.T) {
 	clk := simtime.NewSim(epoch)
-	m := NewMailbox[string](clk)
+	m := newMailbox(clk)
 	var got string
 	var at time.Time
 	clk.Go(func() {
-		v, err := m.Recv()
+		p, err := m.Recv()
 		if err != nil {
 			t.Errorf("Recv error: %v", err)
 		}
-		got, at = v, clk.Now()
+		got, _ = p.Payload.(string)
+		at = clk.Now()
 	})
-	clk.AfterFunc(5*time.Second, func() { m.Put("hello") })
+	clk.AfterFunc(5*time.Second, func() { m.Put(Packet{Payload: "hello"}) })
 	clk.Wait()
 	if got != "hello" {
 		t.Fatalf("got %q", got)
@@ -53,19 +54,19 @@ func TestMailboxBlockingRecv(t *testing.T) {
 
 func TestMailboxClose(t *testing.T) {
 	clk := simtime.NewSim(epoch)
-	m := NewMailbox[int](clk)
-	m.Put(1)
+	m := newMailbox(clk)
+	m.Put(Packet{Payload: 1})
 	m.Close()
-	v, err := m.Recv()
-	if err != nil || v != 1 {
-		t.Fatalf("Recv after close should drain queue first, got %v,%v", v, err)
+	p, err := m.Recv()
+	if err != nil || p.Payload != 1 {
+		t.Fatalf("Recv after close should drain queue first, got %v,%v", p.Payload, err)
 	}
 	if _, err := m.Recv(); err != ErrClosed {
 		t.Fatalf("Recv on drained closed mailbox = %v, want ErrClosed", err)
 	}
 	var blockedErr error
 	clk.Go(func() {
-		m2 := NewMailbox[int](clk)
+		m2 := newMailbox(clk)
 		clk.AfterFunc(time.Second, m2.Close)
 		_, blockedErr = m2.Recv()
 	})
@@ -77,29 +78,29 @@ func TestMailboxClose(t *testing.T) {
 
 func TestMailboxRecvTimeout(t *testing.T) {
 	clk := simtime.NewSim(epoch)
-	m := NewMailbox[int](clk)
+	m := newMailbox(clk)
 	var err1 error
-	var v2 int
+	var p2 Packet
 	var err2 error
 	clk.Go(func() {
 		_, err1 = m.RecvTimeout(2 * time.Second) // nothing arrives: timeout at +2s
-		clk.AfterFunc(time.Second, func() { m.Put(42) })
-		v2, err2 = m.RecvTimeout(5 * time.Second) // arrives at +3s
+		clk.AfterFunc(time.Second, func() { m.Put(Packet{Payload: 42}) })
+		p2, err2 = m.RecvTimeout(5 * time.Second) // arrives at +3s
 	})
 	clk.Wait()
 	if err1 != ErrTimeout {
 		t.Fatalf("first RecvTimeout = %v, want ErrTimeout", err1)
 	}
-	if err2 != nil || v2 != 42 {
-		t.Fatalf("second RecvTimeout = %d,%v want 42,nil", v2, err2)
+	if err2 != nil || p2.Payload != 42 {
+		t.Fatalf("second RecvTimeout = %v,%v want 42,nil", p2.Payload, err2)
 	}
 }
 
 func TestLinkSerializationDelay(t *testing.T) {
 	clk := simtime.NewSim(epoch)
-	dst := NewMailbox[Packet](clk)
+	dst := newMailbox(clk)
 	// 1 Mbps, 100ms latency: 125000 bytes take 1s on the wire.
-	l := NewLink(clk, LinkConfig{RateBps: 1e6, Latency: 100 * time.Millisecond}, dst)
+	l := newLink(clk, LinkConfig{RateBps: 1e6, Latency: 100 * time.Millisecond}, dst)
 	l.Send(Packet{Payload: "a", Size: 125000})
 	_, arrivals := recvAll(clk, dst, 1)
 	want := epoch.Add(1*time.Second + 100*time.Millisecond)
@@ -110,8 +111,8 @@ func TestLinkSerializationDelay(t *testing.T) {
 
 func TestLinkBackToBackSerializes(t *testing.T) {
 	clk := simtime.NewSim(epoch)
-	dst := NewMailbox[Packet](clk)
-	l := NewLink(clk, LinkConfig{RateBps: 8e6}, dst) // 1 MB/s
+	dst := newMailbox(clk)
+	l := newLink(clk, LinkConfig{RateBps: 8e6}, dst) // 1 MB/s
 	for i := 0; i < 3; i++ {
 		l.Send(Packet{Payload: i, Size: 1 << 20}) // 1 MiB each
 	}
@@ -130,9 +131,9 @@ func TestLinkBackToBackSerializes(t *testing.T) {
 
 func TestLinkLoss(t *testing.T) {
 	clk := simtime.NewSim(epoch)
-	dst := NewMailbox[Packet](clk)
+	dst := newMailbox(clk)
 	rng := rand.New(rand.NewSource(7))
-	l := NewLink(clk, LinkConfig{RateBps: 0, dropProb: 0.5, rng: rng}, dst)
+	l := newLink(clk, LinkConfig{RateBps: 0, dropProb: 0.5, rng: rng}, dst)
 	const n = 2000
 	for i := 0; i < n; i++ {
 		l.Send(Packet{Size: 10})
@@ -252,8 +253,8 @@ func TestSerializationZeroRateInstant(t *testing.T) {
 // leave the link's in-flight ring in the order they were sent.
 func TestLinkSameInstantInSendOrder(t *testing.T) {
 	clk := simtime.NewSim(epoch)
-	dst := NewMailbox[Packet](clk)
-	l := NewLink(clk, LinkConfig{Latency: time.Second}, dst)
+	dst := newMailbox(clk)
+	l := newLink(clk, LinkConfig{Latency: time.Second}, dst)
 	const n = 20
 	for i := 0; i < n; i++ {
 		l.Send(Packet{Payload: i, Size: 100})
@@ -295,15 +296,15 @@ func TestBusDeliveryRepeats(t *testing.T) {
 	}
 }
 
-// TestLinkHopAllocs holds one Link.Send → Mailbox.Recv hop inside an
+// TestLinkHopAllocs holds one Link.Send → mailbox Recv hop inside an
 // actor to no allocation: the arrival event and the receiver's parker
 // come off the clock's free lists, the packet waits in the link's ring
-// and the mailbox's, and Recv's publish func and waiter array are
-// reused.
+// and the mailbox's, and the mailbox's Cond lists its lone waiter in an
+// array it holds inline.
 func TestLinkHopAllocs(t *testing.T) {
 	clk := simtime.NewSim(epoch)
-	dst := NewMailbox[Packet](clk)
-	l := NewLink(clk, LinkConfig{RateBps: 1e6, Latency: time.Millisecond}, dst)
+	dst := newMailbox(clk)
+	l := newLink(clk, LinkConfig{RateBps: 1e6, Latency: time.Millisecond}, dst)
 	payload := new(int)
 	var allocs float64
 	clk.Go(func() {
@@ -318,5 +319,19 @@ func TestLinkHopAllocs(t *testing.T) {
 	t.Logf("%.1f allocations per hop", allocs)
 	if allocs != 0 {
 		t.Fatalf("a hop allocates %.1f objects, want 0", allocs)
+	}
+}
+
+// TestNewDuplexAllocs holds what a channel costs to set up: two
+// Endpoints, each holding its mailbox inline, and two Links with their
+// bound delivery funcs. A mailbox of its own or a func bound per
+// mailbox or per Cond adds two.
+func TestNewDuplexAllocs(t *testing.T) {
+	clk := simtime.NewSim(epoch)
+	cfg := LinkConfig{RateBps: 1e6, Latency: time.Millisecond}
+	allocs := testing.AllocsPerRun(100, func() { NewDuplex(clk, "a", "b", cfg, cfg) })
+	t.Logf("%.1f allocations per duplex", allocs)
+	if allocs > 6 {
+		t.Fatalf("NewDuplex allocates %.1f objects, want <= 6", allocs)
 	}
 }

@@ -8,7 +8,7 @@ package netsim
 // pointer payloads become collectable the moment they are consumed.
 //
 // The zero value is an empty, ready-to-use ring. Ring is not
-// synchronized; callers guard it with their own locking (the Mailbox
+// synchronized; callers guard it with their own locking (the mailbox
 // mutex, or the fleet harness's single-threaded event loop, which uses
 // the same type for its join/event queues).
 type Ring[T any] struct {

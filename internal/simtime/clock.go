@@ -8,9 +8,10 @@
 //   - Sim: a deterministic discrete-event clock. Goroutines spawned with
 //     Go participate in a runnable-count protocol: virtual time only
 //     advances when every participating goroutine is blocked in a clock
-//     primitive (Sleep or Suspend), at which point the earliest pending
-//     timer fires. This yields deterministic, faster-than-real-time
-//     execution of unmodified concurrent component code.
+//     primitive (Sim.Sleep, or a Cond's Wait or WaitFor), at which point
+//     the earliest pending timer fires. This yields deterministic,
+//     faster-than-real-time execution of unmodified concurrent component
+//     code.
 //
 // The Sim clock doubles as a plain discrete-event engine: with zero
 // participating goroutines, scheduling work with AfterFunc and calling
@@ -24,9 +25,9 @@ import (
 	"time"
 )
 
-// Timer is a handle to a pending AfterFunc or WakeAfter booking. It is a
-// small comparable value; the zero Timer means "no timer", and its Stop
-// reports false.
+// Timer is a handle to a pending AfterFunc booking, or to the timer of a
+// Cond's timed wait. It is a small comparable value; the zero Timer
+// means "no timer", and its Stop reports false.
 //
 // Under Sim a Timer names its event and the generation the event had
 // when it was booked. Sim recycles an event once it is popped, fired or
@@ -51,20 +52,20 @@ func (t Timer) Stop() bool {
 	return false
 }
 
-// Waker resumes one park of an actor blocked in Suspend. It is a value
-// naming the parker the actor blocks on and that parker's generation:
-// once the actor has resumed, the generation moves on, and Wake through
-// a Waker of the finished park does nothing, even while the same parker
-// carries the actor's next park. The zero Waker wakes nothing.
-type Waker struct {
+// A waker resumes one park of an actor. It is a value naming the parker
+// the actor blocks on and that parker's generation: once the actor has
+// resumed, the generation moves on, and wake through a waker of the
+// finished park does nothing, even while the same parker carries the
+// actor's next park. The zero waker wakes nothing.
+type waker struct {
 	p   *parker
 	gen uint64
 }
 
-// Wake resumes the park w names. Only the first call has an effect; it
-// may come from any goroutine, including from inside the publish func
+// wake resumes the park w names. Only the first call has an effect; it
+// may come from any goroutine, including from inside the publish step
 // that was handed w.
-func (w Waker) Wake() {
+func (w waker) wake() {
 	switch {
 	case w.p == nil:
 	case w.p.s != nil:
@@ -74,8 +75,8 @@ func (w Waker) Wake() {
 	}
 }
 
-// A parker is what an actor blocks on inside Suspend: the actor adds one
-// to wg, waits on it, and the park's one effective Wake marks it done.
+// A parker is what an actor blocks on while parked: the actor adds one
+// to wg, waits on it, and the park's one effective wake marks it done.
 // Sim keeps idle parkers on a free list and bumps a parker's generation
 // each time its actor resumes; Real makes one per park.
 type parker struct {
@@ -91,13 +92,15 @@ type parker struct {
 //
 //   - Every long-lived goroutine must be spawned through Go, never the go
 //     statement, so the clock can account for it.
-//   - Goroutines must block only through clock primitives (Sleep, Suspend)
-//     or on synchronization that is itself driven by clock callbacks
-//     (e.g. netsim mailboxes). Blocking on anything else stalls virtual
-//     time and is reported as a deadlock.
-//   - AfterFunc callbacks run on the clock's event loop and must not call
-//     blocking clock primitives; they should do bounded work (deliver a
-//     message, wake a waiter, schedule more events).
+//   - Goroutines must block only through Sim.Sleep or a Cond (netsim's
+//     mailboxes and Interrupter wait on one). Blocking on anything else
+//     stalls virtual time and is reported as a deadlock.
+//   - AfterFunc callbacks run on the clock's event loop and must not
+//     block; they should do bounded work (deliver a message, Broadcast a
+//     Cond, schedule more events).
+//
+// Sim and Real are the only implementations: the unexported methods are
+// the kernel's own park protocol, which Cond drives.
 type Clock interface {
 	// Now returns the current (virtual or wall) time.
 	Now() time.Time
@@ -105,23 +108,22 @@ type Clock interface {
 	// AfterFunc schedules fn to run once, d from now.
 	AfterFunc(d time.Duration, fn func()) Timer
 
-	// WakeAfter schedules w.Wake to run once, d from now. It books what
-	// AfterFunc(d, w.Wake) would, without the closure the method value
-	// costs, so a timed park allocates nothing under Sim.
-	WakeAfter(d time.Duration, w Waker) Timer
-
 	// Go spawns a participating goroutine running fn.
 	Go(fn func())
-
-	// Suspend blocks the calling goroutine until the Waker passed to
-	// publish is woken. publish runs synchronously before blocking; it
-	// must hand the Waker to whoever will eventually wake it. Wake may
-	// be called from any goroutine, including before publish returns,
-	// and any number of times: only the first call resumes this park.
-	Suspend(publish func(Waker))
 
 	// Wait blocks until the system is quiescent: all goroutines spawned
 	// with Go have returned and (for the Sim clock) no pending events
 	// remain that could wake anything.
 	Wait()
+
+	// suspend parks the calling actor, which holds c.L, until the waker
+	// of the park is woken. It hands the waker to c.file, which files it
+	// and releases c.L, before the actor blocks; under Sim, time does not
+	// advance until file has returned.
+	suspend(c *Cond)
+
+	// wakeAfter schedules w.wake to run once, d from now. It books what
+	// AfterFunc(d, w.wake) would, without the closure the method value
+	// costs, so a timed park allocates nothing under Sim.
+	wakeAfter(d time.Duration, w waker) Timer
 }

@@ -72,11 +72,11 @@ func TestInterrupterMultipleSleepers(t *testing.T) {
 	}
 }
 
-// wakerCount reports the registered Wakers.
+// wakerCount reports the wakers the Interrupter's Cond lists.
 func (i *Interrupter) wakerCount() int {
 	i.mu.Lock()
 	defer i.mu.Unlock()
-	return len(i.wakers)
+	return len(i.c.waiters)
 }
 
 // TestInterrupterFinishedSleepsLeaveNoWaker is the waker-leak
@@ -103,22 +103,22 @@ func TestInterrupterFinishedSleepsLeaveNoWaker(t *testing.T) {
 	}
 }
 
-// wakeRecorder is a Sim that keeps every Waker it hands to a publish,
-// so a test can wake one after its park is over.
+// wakeRecorder is a Sim that keeps every waker a Cond files with it, so
+// a test can wake one after its park is over.
 type wakeRecorder struct {
 	*Sim
-	wakes []Waker
+	wakes []waker
 }
 
-func (r *wakeRecorder) Suspend(publish func(Waker)) {
-	r.Sim.Suspend(func(w Waker) {
+func (r *wakeRecorder) suspend(c *Cond) {
+	r.Sim.park(func(w waker) {
 		r.wakes = append(r.wakes, w)
-		publish(w)
+		c.file(w)
 	})
 }
 
 // TestInterrupterStaleWakeAfterTimer: once a sleep's timer has woken it,
-// neither a Cancel nor that sleep's own Waker may end the actor's
+// neither a Cancel nor that sleep's own waker may end the actor's
 // next park, which runs on the same reused parker.
 func TestInterrupterStaleWakeAfterTimer(t *testing.T) {
 	clk := &wakeRecorder{Sim: NewSim(epoch)}
@@ -128,7 +128,7 @@ func TestInterrupterStaleWakeAfterTimer(t *testing.T) {
 	clk.AfterFunc(5*time.Second, func() {
 		it.Cancel()
 		for _, w := range clk.wakes {
-			w.Wake()
+			w.wake()
 		}
 	})
 	clk.Go(func() {

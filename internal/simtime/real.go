@@ -22,9 +22,9 @@ func (r *Real) AfterFunc(d time.Duration, fn func()) Timer {
 	return Timer{rt: time.AfterFunc(d, fn)}
 }
 
-// WakeAfter implements Clock.
-func (r *Real) WakeAfter(d time.Duration, w Waker) Timer {
-	return Timer{rt: time.AfterFunc(d, w.Wake)}
+// wakeAfter implements Clock.
+func (r *Real) wakeAfter(d time.Duration, w waker) Timer {
+	return Timer{rt: time.AfterFunc(d, w.wake)}
 }
 
 // Go implements Clock.
@@ -36,13 +36,13 @@ func (r *Real) Go(fn func()) {
 	}()
 }
 
-// Suspend implements Clock. Each park gets a parker of its own, so a
-// late Wake, say from a timer that fired as its sleep was cancelled,
+// suspend implements Clock. Each park gets a parker of its own, so a
+// late wake, say from a timer that fired as a Broadcast woke its waiter,
 // lands on a parker nobody waits on again.
-func (r *Real) Suspend(publish func(Waker)) {
+func (r *Real) suspend(c *Cond) {
 	p := &parker{}
 	p.wg.Add(1)
-	publish(Waker{p: p})
+	c.file(waker{p: p})
 	p.wg.Wait()
 }
 

@@ -25,7 +25,7 @@ import (
 // them with Wait. This is the mode used by the large-N experiment models.
 //
 // In steady state Sim allocates nothing per timer or park: events and
-// parkers come off free lists, and the Timer and Waker handed out are
+// parkers come off free lists, and the Timer and waker handed out are
 // values that carry the generation they were issued under.
 type Sim struct {
 	mu   sync.Mutex
@@ -39,14 +39,14 @@ type Sim struct {
 	live   int // non-stopped events in the heap
 
 	actors     int // goroutines spawned via Go that have not returned
-	runnable   int // actors not currently parked in Sleep/Suspend
+	runnable   int // actors not currently parked in Sleep or a Cond
 	publishing int // actors between runnable-- and their publish returning
 	advancing  bool
 
 	fired uint64 // total events fired, for diagnostics
 
-	idle    []*event  // recycled events for AfterFunc and WakeAfter to reuse
-	parkers []*parker // idle parkers for Suspend to reuse
+	idle    []*event  // recycled events for AfterFunc and wakeAfter to reuse
+	parkers []*parker // idle parkers for park to reuse
 }
 
 // NewSim returns a Sim clock whose virtual time starts at start.
@@ -62,7 +62,7 @@ func NewSim(start time.Time) *Sim {
 type event struct {
 	s       *Sim
 	fn      func()
-	w       Waker
+	w       waker
 	gen     uint64
 	stopped bool
 }
@@ -156,18 +156,18 @@ func (s *Sim) Fired() uint64 {
 
 // AfterFunc implements Clock.
 func (s *Sim) AfterFunc(d time.Duration, fn func()) Timer {
-	return s.book(d, fn, Waker{})
+	return s.book(d, fn, waker{})
 }
 
-// WakeAfter implements Clock.
-func (s *Sim) WakeAfter(d time.Duration, w Waker) Timer {
+// wakeAfter implements Clock.
+func (s *Sim) wakeAfter(d time.Duration, w waker) Timer {
 	return s.book(d, nil, w)
 }
 
 // book files an event that runs fn, or wakes w if fn is nil, d from now.
 // An instant past the int64 nanosecond range, some 292 years after the
 // start, is held at its end.
-func (s *Sim) book(d time.Duration, fn func(), w Waker) Timer {
+func (s *Sim) book(d time.Duration, fn func(), w waker) Timer {
 	if d < 0 {
 		d = 0
 	}
@@ -222,12 +222,15 @@ func (s *Sim) wake(p *parker, gen uint64) {
 	p.wg.Done()
 }
 
-// Suspend implements Clock. The parker comes off the free list; the
-// Waker handed to publish is bound to its current generation, which moves
-// on when the actor resumes, so a late or repeated Wake (an Interrupter's
-// Cancel after its timer fired, a RecvTimeout timer after a Put) does
-// nothing to the parker's next park.
-func (s *Sim) Suspend(publish func(Waker)) {
+// suspend implements Clock.
+func (s *Sim) suspend(c *Cond) { s.park(c.file) }
+
+// park, the one place an actor gives up its turn (Sleep and suspend call
+// it), runs publish with a waker and blocks until it is woken; time does
+// not advance before publish returns. The waker is bound to the reused
+// parker's generation, which moves on when the actor resumes, so a late
+// or repeated wake does nothing to the parker's next park.
+func (s *Sim) park(publish func(waker)) {
 	s.mu.Lock()
 	var p *parker
 	if n := len(s.parkers); n > 0 {
@@ -243,7 +246,7 @@ func (s *Sim) Suspend(publish func(Waker)) {
 	s.publishing++
 	s.mu.Unlock()
 
-	publish(Waker{p: p, gen: gen})
+	publish(waker{p: p, gen: gen})
 
 	s.mu.Lock()
 	s.publishing--
@@ -261,15 +264,15 @@ func (s *Sim) Suspend(publish func(Waker)) {
 }
 
 // Sleep blocks the calling actor for d of virtual time. Its timer wakes
-// the park's Waker directly, so a steady-state Sleep allocates nothing.
+// the park's waker directly, so a steady-state Sleep allocates nothing.
 func (s *Sim) Sleep(d time.Duration) {
-	s.Suspend(func(w Waker) { s.WakeAfter(d, w) })
+	s.park(func(w waker) { s.wakeAfter(d, w) })
 }
 
 // popLocked removes the earliest live event, recycling it and every
 // stopped event popped on the way, and returns its instant and what it
 // runs. ok is false once nothing live is left.
-func (s *Sim) popLocked() (at int64, fn func(), w Waker, ok bool) {
+func (s *Sim) popLocked() (at int64, fn func(), w waker, ok bool) {
 	for len(s.events) > 0 {
 		top := s.events.pop()
 		ev := top.ev
@@ -282,14 +285,14 @@ func (s *Sim) popLocked() (at int64, fn func(), w Waker, ok bool) {
 		s.live--
 		return top.at, fn, w, true
 	}
-	return 0, nil, Waker{}, false
+	return 0, nil, waker{}, false
 }
 
 // recycleLocked puts a popped event on the free list under a new
 // generation, which every Timer issued for its last booking no longer
 // matches.
 func (s *Sim) recycleLocked(ev *event) {
-	ev.fn, ev.w, ev.stopped = nil, Waker{}, false
+	ev.fn, ev.w, ev.stopped = nil, waker{}, false
 	ev.gen++
 	s.idle = append(s.idle, ev)
 }
@@ -308,7 +311,7 @@ func addNS(ns int64, d time.Duration) int64 {
 
 // fireLocked advances now to at, counts the event, and runs it with s.mu
 // released. Caller holds s.mu; it is held again on return.
-func (s *Sim) fireLocked(at int64, fn func(), w Waker) {
+func (s *Sim) fireLocked(at int64, fn func(), w waker) {
 	if at > s.nowNS {
 		s.now = s.now.Add(time.Duration(at - s.nowNS))
 		s.nowNS = at
@@ -318,7 +321,7 @@ func (s *Sim) fireLocked(at int64, fn func(), w Waker) {
 	if fn != nil {
 		fn()
 	} else {
-		w.Wake()
+		w.wake()
 	}
 	s.mu.Lock()
 }

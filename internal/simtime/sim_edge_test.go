@@ -128,7 +128,7 @@ func TestSimRunUntilRejectsActors(t *testing.T) {
 func TestSimDeadlockPanicMessage(t *testing.T) {
 	clk := NewSim(epoch)
 	clk.Go(func() {
-		clk.Suspend(func(Waker) {}) // the Waker is dropped: nothing can ever fire
+		clk.park(func(waker) {}) // the waker is dropped: nothing can ever fire
 	})
 	select {
 	case p := <-waitPanic(clk):

@@ -122,10 +122,10 @@ func TestSimSuspendWake(t *testing.T) {
 	clk := NewSim(epoch)
 	var delivered string
 	clk.Go(func() {
-		clk.Suspend(func(w Waker) {
+		clk.park(func(w waker) {
 			clk.AfterFunc(3*time.Second, func() {
 				delivered = "msg"
-				w.Wake()
+				w.wake()
 			})
 		})
 		if delivered != "msg" {
@@ -142,11 +142,11 @@ func TestSimSuspendWake(t *testing.T) {
 }
 
 func TestSimWakeBeforeParkIsSafe(t *testing.T) {
-	// Wake invoked synchronously inside publish (message already waiting).
+	// wake invoked synchronously inside publish (message already waiting).
 	clk := NewSim(epoch)
 	done := false
 	clk.Go(func() {
-		clk.Suspend(func(w Waker) { w.Wake() })
+		clk.park(func(w waker) { w.wake() })
 		done = true
 	})
 	clk.Wait()
@@ -155,25 +155,25 @@ func TestSimWakeBeforeParkIsSafe(t *testing.T) {
 	}
 }
 
-// TestSimStaleWakeIgnored: a Waker whose park is over must not resume a
+// TestSimStaleWakeIgnored: a waker whose park is over must not resume a
 // later park, though Sim hands that park the same parker.
 func TestSimStaleWakeIgnored(t *testing.T) {
 	clk := NewSim(epoch)
-	var stale Waker
+	var stale waker
 	var woke time.Time
 	clk.Go(func() {
-		clk.Suspend(func(w Waker) {
+		clk.park(func(w waker) {
 			stale = w
-			clk.WakeAfter(time.Second, w)
+			clk.wakeAfter(time.Second, w)
 		})
-		stale.Wake() // the park is over: this call must do nothing
-		clk.Suspend(func(w Waker) {
+		stale.wake() // the park is over: this call must do nothing
+		clk.park(func(w waker) {
 			if w.p != stale.p {
 				t.Error("the second park did not reuse the first park's parker")
 			}
-			clk.WakeAfter(2*time.Second, stale)
-			clk.AfterFunc(3*time.Second, stale.Wake)
-			clk.WakeAfter(10*time.Second, w)
+			clk.wakeAfter(2*time.Second, stale)
+			clk.AfterFunc(3*time.Second, stale.wake)
+			clk.wakeAfter(10*time.Second, w)
 		})
 		woke = clk.Now()
 	})
@@ -185,7 +185,7 @@ func TestSimStaleWakeIgnored(t *testing.T) {
 
 // TestSimSleepAllocs holds a steady-state Sleep inside an actor to no
 // allocation: the parker and the event come off their free lists, and
-// the Waker and the Timer are values.
+// the waker and the Timer are values.
 func TestSimSleepAllocs(t *testing.T) {
 	clk := NewSim(epoch)
 	var allocs float64
@@ -213,7 +213,7 @@ func waitPanic(clk *Sim) <-chan any {
 func TestSimDeadlockPanics(t *testing.T) {
 	clk := NewSim(epoch)
 	clk.Go(func() {
-		clk.Suspend(func(Waker) {}) // nobody will ever wake us
+		clk.park(func(waker) {}) // nobody will ever wake us
 	})
 	select {
 	case p := <-waitPanic(clk):
@@ -228,19 +228,19 @@ func TestSimDeadlockPanics(t *testing.T) {
 // TestSimParkBeforeDriverBooksIsNotDeadlock: actors that park while the
 // owning goroutine has yet to book the event that wakes them are not
 // deadlocked — the owner is not in Wait, so it can still call AfterFunc.
-// parked closes when the last actor has published its Waker, and the
+// parked closes when the last actor has published its waker, and the
 // sleep then lets it finish parking, so the event is booked only once
 // every actor is blocked with nothing pending.
 func TestSimParkBeforeDriverBooksIsNotDeadlock(t *testing.T) {
 	clk := NewSim(epoch)
 	const actors = 3
 	var mu sync.Mutex
-	var wakes []Waker
+	var wakes []waker
 	parked := make(chan struct{})
 	resumed := 0
 	for i := 0; i < actors; i++ {
 		clk.Go(func() {
-			clk.Suspend(func(w Waker) {
+			clk.park(func(w waker) {
 				mu.Lock()
 				wakes = append(wakes, w)
 				if len(wakes) == actors {
@@ -257,7 +257,7 @@ func TestSimParkBeforeDriverBooksIsNotDeadlock(t *testing.T) {
 	time.Sleep(100 * time.Millisecond)
 	clk.AfterFunc(time.Second, func() {
 		for _, w := range wakes {
-			w.Wake()
+			w.wake()
 		}
 	})
 	clk.Wait()
@@ -272,7 +272,7 @@ func TestSimParkBeforeDriverBooksIsNotDeadlock(t *testing.T) {
 func TestSimDeadlockAfterEventsDrain(t *testing.T) {
 	clk := NewSim(epoch)
 	for i := 0; i < 3; i++ {
-		clk.Go(func() { clk.Suspend(func(Waker) {}) })
+		clk.Go(func() { clk.park(func(waker) {}) })
 	}
 	clk.AfterFunc(time.Second, func() {})
 	select {
@@ -407,16 +407,12 @@ func TestRealClockBasics(t *testing.T) {
 		t.Fatal("Go goroutine did not run before Wait returned")
 	}
 
+	var it Interrupter
 	woke := false
-	clk.Go(func() {
-		clk.Suspend(func(w Waker) {
-			clk.WakeAfter(time.Millisecond, w)
-		})
-		woke = true
-	})
+	clk.Go(func() { woke = it.Sleep(clk, time.Millisecond) })
 	clk.Wait()
 	if !woke {
-		t.Fatal("real Suspend never woke")
+		t.Fatal("real sleep never woke")
 	}
 }
 

@@ -1,6 +1,7 @@
 package simtime
 
 import (
+	"sync"
 	"testing"
 	"time"
 )
@@ -57,35 +58,46 @@ func TestRealTimerStaleStop(t *testing.T) {
 	}
 }
 
-// TestRealStaleWakeIgnored: a Waker whose park is over must not resume
+// wakeTap is a clock that hands the waker of every timed wait to taps.
+type wakeTap struct {
+	Clock
+	taps chan waker
+}
+
+func (c wakeTap) wakeAfter(d time.Duration, w waker) Timer {
+	c.taps <- w
+	return c.Clock.wakeAfter(d, w)
+}
+
+// TestRealStaleWakeIgnored: a waker whose park is over must not resume
 // the actor's next park under Real either.
 func TestRealStaleWakeIgnored(t *testing.T) {
-	clk := NewReal()
-	var stale Waker
-	parked := make(chan Waker)
+	clk := wakeTap{Clock: NewReal(), taps: make(chan waker, 2)}
+	var c Cond
+	var mu sync.Mutex
+	c.L = &mu
 	resumed := make(chan struct{})
 	clk.Go(func() {
-		clk.Suspend(func(w Waker) {
-			stale = w
-			w.Wake()
-		})
-		clk.Suspend(func(w Waker) { parked <- w })
+		mu.Lock()
+		c.WaitFor(clk, time.Millisecond) // its timer ends it
+		c.WaitFor(clk, time.Hour)
+		mu.Unlock()
 		close(resumed)
 	})
-	w := <-parked
-	stale.Wake()
+	stale, w := <-clk.taps, <-clk.taps
+	stale.wake()
 	select {
 	case <-resumed:
-		t.Fatal("a stale Waker resumed the next park")
+		t.Fatal("a stale waker resumed the next park")
 	case <-time.After(20 * time.Millisecond):
 	}
-	w.Wake()
-	w.Wake() // a repeated wake is a no-op
+	w.wake()
+	w.wake() // a repeated wake is a no-op
 	clk.Wait()
 }
 
-// raceClock is a Sim whose WakeAfter timer runs the wake and a Cancel in
-// one event, in either order, so both reach the same Waker before the
+// raceClock is a Sim whose wakeAfter timer runs the wake and a Cancel in
+// one event, in either order, so both reach the same waker before the
 // sleeping actor can resume and drop its entry.
 type raceClock struct {
 	*Sim
@@ -93,14 +105,14 @@ type raceClock struct {
 	cancelFirst bool
 }
 
-func (c *raceClock) WakeAfter(d time.Duration, w Waker) Timer {
+func (c *raceClock) wakeAfter(d time.Duration, w waker) Timer {
 	return c.Sim.AfterFunc(d, func() {
 		if c.cancelFirst {
 			c.it.Cancel()
-			w.Wake()
+			w.wake()
 			return
 		}
-		w.Wake()
+		w.wake()
 		c.it.Cancel()
 	})
 }
@@ -132,7 +144,7 @@ func TestInterrupterTimerRacesCancel(t *testing.T) {
 }
 
 // TestRealInterrupterTimerRacesCancel: under Real the timer and Cancel
-// race for real. Whichever wins, the loser's late Wake must not end the
+// race for real. Whichever wins, the loser's late wake must not end the
 // actor's next sleep.
 func TestRealInterrupterTimerRacesCancel(t *testing.T) {
 	clk := NewReal()
