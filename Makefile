@@ -50,7 +50,12 @@ race:
 ## sleeps on), and a Link delivers from a FIFO ring that each arrival
 ## pops, so a stale wake or stop, or an out-of-order pop, shows up as a
 ## different interleaving of actors on another core count (the
-## stale-handle and Cond tests pin each case). dsmcc and
+## stale-handle and Cond tests pin each case). The backend runs there
+## because Serve and Worker reuse one assignment and one result per
+## connection, which is sound only while the connection delivers in
+## order and Serve handles a result before the request behind it, so a
+## reuse that goes wrong shows up as a refused credential on some core
+## count. dsmcc and
 ## the PNA run there because a Broadcaster shares the check stages of
 ## reads that complete at one instant out over GOMAXPROCS-1 helpers and
 ## runs them all inline on one core, and the facade golden because the
@@ -58,7 +63,7 @@ race:
 ## allocation budget of a small deployment, which a per-timer or per-park
 ## allocation coming back breaks.
 cores:
-	$(GO) test -cpu 1,2,4 ./internal/appimage ./internal/fleet ./internal/simtime ./internal/netsim ./internal/core/dve ./internal/dsmcc ./internal/core/pna
+	$(GO) test -cpu 1,2,4 ./internal/appimage ./internal/fleet ./internal/simtime ./internal/netsim ./internal/core/dve ./internal/core/backend ./internal/dsmcc ./internal/core/pna
 	$(GO) test -cpu 1,2,4 -run 'TestFacadeGoldenDeploy|TestSimDeployAllocBudget' .
 
 ## cover: enforce per-package coverage floors — the observability layer

@@ -44,14 +44,15 @@ type (
 		Trace  span.Context
 	}
 	// TaskAssign hands one task to a worker; its wire size is the
-	// task's input size s. Trace is the dispatch span's context, so the
-	// worker's execution span parents under this dispatch. Credential is
-	// the opaque result token the worker must echo (nil when the
-	// deployment runs pre-credential).
+	// task's input size s, InputSize. Trace is the dispatch span's
+	// context, so the worker's execution span parents under this
+	// dispatch. Credential is the opaque result token the worker must
+	// echo (nil when the deployment runs pre-credential).
 	TaskAssign struct {
 		JobID      int
 		TaskID     int
 		RefSeconds float64
+		InputSize  int
 		OutputSize int
 		Payload    []byte
 		Credential []byte
@@ -200,11 +201,6 @@ func (c *Config) quorum() int { return c.Replication/2 + 1 }
 type JobHandle struct {
 	ID  int
 	Job *workload.Job
-
-	// taskIndex maps task IDs to slice positions in Job.Tasks: task
-	// IDs are caller-chosen and need not be contiguous or equal to
-	// their position. Built once at Submit, read-only afterwards.
-	taskIndex map[int]int
 
 	mu         sync.Mutex
 	submitted  time.Time
@@ -597,23 +593,22 @@ func (b *Backend) Submit(job *workload.Job) (*JobHandle, error) {
 	}
 	// Task IDs key leases and results, so they must be usable as map
 	// keys: non-negative and unique. They need not be contiguous.
-	taskIndex := make(map[int]int, len(job.Tasks))
+	seen := make(map[int]int, len(job.Tasks))
 	for i := range job.Tasks {
 		id := job.Tasks[i].ID
 		if id < 0 {
 			return nil, fmt.Errorf("backend: task %d has negative ID %d", i, id)
 		}
-		if prev, dup := taskIndex[id]; dup {
+		if prev, dup := seen[id]; dup {
 			return nil, fmt.Errorf("backend: tasks %d and %d share ID %d", prev, i, id)
 		}
-		taskIndex[id] = i
+		seen[id] = i
 	}
 	b.jmu.Lock()
 	b.nextJob++
 	h := &JobHandle{
 		ID:        b.nextJob,
 		Job:       job,
-		taskIndex: taskIndex,
 		submitted: b.cfg.Clock.Now(),
 		results:   make(map[int][]byte, len(job.Tasks)),
 	}
@@ -849,7 +844,8 @@ func (b *Backend) dispatch(req *TaskRequest, a *TaskAssign) any {
 			a = new(TaskAssign)
 		}
 		a.JobID, a.TaskID = ts.job.ID, ts.task.ID
-		a.RefSeconds, a.OutputSize = ts.task.STBSeconds, ts.task.OutputBytes
+		a.RefSeconds = ts.task.STBSeconds
+		a.InputSize, a.OutputSize = ts.task.InputBytes, ts.task.OutputBytes
 		a.Payload, a.Credential, a.Trace = payload, a.Credential[:0], span.Context{}
 		if b.cfg.CredentialMode != CredOff {
 			a.Credential = s.issueCredentialLocked(ts, req.NodeID, b.trust.seq.Add(1), a.Credential)
@@ -1034,7 +1030,15 @@ func (b *Backend) HandleResult(res *TaskResult) {
 
 // Serve runs the request loop for one worker's direct channel; the
 // system wiring spawns one per dialled connection.
+//
+// Every assignment Serve sends is the connection's one TaskAssign,
+// dispatched into afresh per request, as the TCP session does. That is
+// safe because the channel is FIFO and Serve is one goroutine: a worker
+// sends its result (which may alias the assignment's credential) before
+// its next request, so Serve has handled the result before it rewrites
+// the assignment.
 func (b *Backend) Serve(ep *netsim.Endpoint) {
+	var a TaskAssign
 	for {
 		pkt, err := ep.Recv()
 		if err != nil {
@@ -1042,31 +1046,14 @@ func (b *Backend) Serve(ep *netsim.Endpoint) {
 		}
 		switch m := pkt.Payload.(type) {
 		case *TaskRequest:
-			reply := b.HandleRequest(m)
+			reply := b.HandleRequestInto(m, &a)
 			size := NoTaskWireSize
-			if a, ok := reply.(*TaskAssign); ok {
-				size = assignOverhead + taskInputSize(b, a)
+			if reply == &a {
+				size = assignOverhead + a.InputSize
 			}
 			ep.Send(pkt.From, reply, size)
 		case *TaskResult:
 			b.HandleResult(m)
 		}
 	}
-}
-
-// taskInputSize looks up the assignment's input size s for wire pacing.
-// Tasks are resolved by their ID field — IDs are caller-chosen and need
-// not equal the task's slice position.
-func taskInputSize(b *Backend, a *TaskAssign) int {
-	b.jmu.RLock()
-	h, ok := b.jobs[a.JobID]
-	b.jmu.RUnlock()
-	if !ok {
-		return len(a.Payload)
-	}
-	i, ok := h.taskIndex[a.TaskID]
-	if !ok {
-		return len(a.Payload)
-	}
-	return h.Job.Tasks[i].InputBytes
 }

@@ -291,10 +291,10 @@ func TestWorkerLoopDirect(t *testing.T) {
 	}
 }
 
-// Task IDs are caller-chosen: non-contiguous IDs must resolve to the
-// right task for wire pacing (taskInputSize previously indexed the
-// task slice by ID, silently returning the wrong s — or panicking —
-// whenever IDs were not 0..n-1).
+// Task IDs are caller-chosen: with non-contiguous IDs every assignment
+// must still carry its own task's input size s for wire pacing (a lookup
+// that indexed the task slice by ID once returned the wrong s, or
+// panicked, whenever IDs were not 0..n-1).
 func TestNonContiguousTaskIDs(t *testing.T) {
 	clk := simtime.NewSim(epoch)
 	b := newBackend(t, clk)
@@ -321,7 +321,7 @@ func TestNonContiguousTaskIDs(t *testing.T) {
 			t.Fatalf("task %d assigned twice", a.TaskID)
 		}
 		seen[a.TaskID] = true
-		if got := taskInputSize(b, a); got != want[a.TaskID] {
+		if got := a.InputSize; got != want[a.TaskID] {
 			t.Fatalf("task %d input size = %d, want %d", a.TaskID, got, want[a.TaskID])
 		}
 		b.HandleResult(&TaskResult{NodeID: uint64(i + 1), JobID: a.JobID, TaskID: a.TaskID, Payload: []byte("r")})
@@ -344,23 +344,5 @@ func TestSubmitRejectsBadTaskIDs(t *testing.T) {
 		{ID: 3, STBSeconds: 1}, {ID: 3, STBSeconds: 1},
 	}}); err == nil {
 		t.Fatal("duplicate task IDs accepted")
-	}
-}
-
-// taskInputSize falls back to the payload length for unknown jobs and
-// unknown task IDs instead of misreading another task's size.
-func TestTaskInputSizeUnknownFallsBack(t *testing.T) {
-	clk := simtime.NewSim(epoch)
-	b := newBackend(t, clk)
-	if _, err := b.Submit(mkJob(t, 2, 1)); err != nil {
-		t.Fatal(err)
-	}
-	a := &TaskAssign{JobID: 99, TaskID: 0, Payload: []byte("xyz")}
-	if got := taskInputSize(b, a); got != 3 {
-		t.Fatalf("unknown job size = %d, want payload length 3", got)
-	}
-	a = &TaskAssign{JobID: 1, TaskID: 12345, Payload: []byte("xy")}
-	if got := taskInputSize(b, a); got != 2 {
-		t.Fatalf("unknown task size = %d, want payload length 2", got)
 	}
 }

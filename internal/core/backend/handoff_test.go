@@ -1,10 +1,14 @@
 package backend
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"oddci/internal/appimage"
+	"oddci/internal/core/dve"
 	"oddci/internal/obs"
 	"oddci/internal/simtime"
 	"oddci/internal/span"
@@ -47,6 +51,103 @@ func TestHandoffAllocCeiling(t *testing.T) {
 	}
 	if avg > 0 {
 		t.Fatalf("CredEnforce dispatch+commit allocates %.1f times, ceiling 0", avg)
+	}
+}
+
+// serveHandoffs runs a job of tasks through workers netsim channels,
+// each a Worker in a DVE against Serve, under Sim at CredEnforce. Every
+// worker echoes the credential each assignment carries. It returns the
+// backend, the job's handle and the heap objects allocated per task
+// between the warm-th result and the warm-th from last.
+func serveHandoffs(t *testing.T, obsReg *obs.Registry, workers, tasks, warm int) (*Backend, *JobHandle, uint64) {
+	t.Helper()
+	clk := simtime.NewSim(epoch)
+	b, err := New(Config{Clock: clk, CredentialMode: CredEnforce, Obs: obsReg,
+		RetryAfter: 5 * time.Second, LeaseBase: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := b.Submit(benchJob(t, tasks))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.SetDraining(true)
+	reg := dve.NewRegistry()
+	reg.Register(WorkerEntryPoint, Worker)
+	image := &appimage.Image{Name: "w", EntryPoint: WorkerEntryPoint, Payload: []byte{1}}
+	var results atomic.Int64
+	var from, to runtime.MemStats // each written by one worker, read after Wait
+	onTask := func() {
+		switch results.Add(1) {
+		case int64(warm):
+			runtime.ReadMemStats(&from)
+		case int64(tasks - warm):
+			runtime.ReadMemStats(&to)
+		}
+	}
+	dves := make([]*dve.DVE, workers)
+	for w := range dves {
+		ep, hangup := dial(clk, b)
+		dves[w], err = dve.Launch(dve.Config{Clock: clk, Registry: reg, Image: image,
+			NodeID: uint64(w + 1), Backend: ep, Hangup: hangup, OnTask: onTask,
+			OnExit: func(error) { hangup() }})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A worker refused every vote would poll for ever; end the run a day
+	// in, long after an honest one has finished.
+	clk.AfterFunc(24*time.Hour, func() {
+		for _, d := range dves {
+			d.Destroy()
+		}
+	})
+	clk.Wait()
+	if got := results.Load(); got != int64(tasks) {
+		t.Errorf("%d of %d tasks' results sent", got, tasks)
+	}
+	return b, h, (to.Mallocs - from.Mallocs) / uint64(tasks-2*warm)
+}
+
+// TestServeHandoffAllocatesNothing is the netsim twin of the loopback
+// hand-off test: once warm, a task's whole round over a Worker↔Serve
+// channel under Sim at CredEnforce (request, dispatch into Serve's
+// reused assignment, the credential's issue, the device time, the
+// result in the worker's reused TaskResult, its verify and commit, and
+// every link hop and park between) allocates nothing.
+func TestServeHandoffAllocatesNothing(t *testing.T) {
+	_, _, perTask := serveHandoffs(t, nil, 2, 512, 128)
+	t.Logf("%d allocations per task", perTask)
+	if perTask != 0 {
+		t.Fatalf("a netsim hand-off allocates %d times per task, want 0", perTask)
+	}
+}
+
+// TestServeEchoedCredentialsAllCommit: at CredEnforce a netsim run whose
+// workers echo every credential has no vote refused, no slot handed out
+// twice, and every task committed. Serve hands its reused assignment to
+// the next request only after handling the result before it; one that
+// dispatched first would rewrite the token the pending result echoes,
+// and that result would be refused.
+func TestServeEchoedCredentialsAllCommit(t *testing.T) {
+	reg := obs.NewRegistry()
+	const tasks = 64
+	b, h, _ := serveHandoffs(t, reg, 4, tasks, 0)
+	for _, name := range []string{
+		"oddci_backend_byzantine_cred_rejected_total",
+		"oddci_backend_byzantine_cred_missing_total",
+		"oddci_backend_byzantine_cred_forged_total",
+		"oddci_backend_byzantine_cred_replayed_total",
+	} {
+		if got := counter(t, reg, name); got != 0 {
+			t.Errorf("%s = %v, want 0", name, got)
+		}
+	}
+	if _, done := h.Done(); !done || len(h.Results()) != tasks {
+		t.Fatalf("job done=%v with %d of %d results", done, len(h.Results()), tasks)
+	}
+	if b.Completed != tasks || h.Redispatches() != 0 {
+		t.Fatalf("completed %d of %d with %d redispatches", b.Completed, tasks, h.Redispatches())
 	}
 }
 

@@ -19,7 +19,12 @@ func Worker(env *dve.Env) error {
 	// Propagate the DVE's trace context (the PNA's dve-start span) so the
 	// Backend's dispatch span joins this node's wakeup trace. The request
 	// never changes and the Backend only reads it, so one serves the run.
+	// One result serves it too, rewritten per task: the channel is FIFO,
+	// so the Backend has handled a result before it sees the request that
+	// follows it, and the worker rewrites the result only after the reply
+	// to that request.
 	req := &TaskRequest{NodeID: env.NodeID, Trace: env.Trace}
+	result := &TaskResult{NodeID: env.NodeID}
 	for !env.Destroyed() {
 		env.Backend.Send("backend", req, RequestWireSize)
 		pkt, err := env.Backend.Recv()
@@ -38,14 +43,9 @@ func Worker(env *dve.Env) error {
 			if !resTrace.Valid() {
 				resTrace = env.Trace
 			}
-			result := &TaskResult{
-				NodeID:     env.NodeID,
-				JobID:      m.JobID,
-				TaskID:     m.TaskID,
-				Payload:    runPayload(env, m),
-				Trace:      resTrace,
-				Credential: m.Credential, // opaque echo; the Backend verifies
-			}
+			result.JobID, result.TaskID = m.JobID, m.TaskID
+			result.Payload, result.Trace = runPayload(env, m), resTrace
+			result.Credential = m.Credential // opaque echo; the Backend verifies
 			env.Backend.Send("backend", result, resultOverhead+m.OutputSize)
 			env.NoteTaskDone()
 		case *NoTask:

@@ -25,6 +25,13 @@ func recvAll(clk *simtime.Sim, dst *mailbox, n int) ([]Packet, []time.Time) {
 	return ps, at
 }
 
+// newLink returns a link feeding dst, outside a duplex.
+func newLink(clk simtime.Clock, cfg LinkConfig, dst *mailbox) *Link {
+	l := &Link{}
+	l.init(clk, cfg, dst)
+	return l
+}
+
 // newMailbox returns an empty mailbox bound to clk, outside an Endpoint.
 func newMailbox(clk simtime.Clock) *mailbox {
 	m := &mailbox{}
@@ -54,5 +61,5 @@ func (r *Ring[T]) peek() (T, bool) {
 		var zero T
 		return zero, false
 	}
-	return r.buf[r.head], true
+	return r.slots()[r.head], true
 }

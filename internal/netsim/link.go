@@ -54,11 +54,10 @@ type Link struct {
 	inflight  Ring[Packet]
 }
 
-// newLink creates a link feeding dst.
-func newLink(clk simtime.Clock, cfg LinkConfig, dst *mailbox) *Link {
-	l := &Link{clk: clk, cfg: cfg, dst: dst}
+// init binds l, in place, to feed dst.
+func (l *Link) init(clk simtime.Clock, cfg LinkConfig, dst *mailbox) {
+	l.clk, l.cfg, l.dst = clk, cfg, dst
 	l.deliverFn = l.deliver
-	return l
 }
 
 // deliver hands the oldest in-flight packet to the destination.
@@ -135,13 +134,23 @@ func (e *Endpoint) RecvTimeout(d time.Duration) (Packet, error) { return e.in.Re
 // Close tears down the receive side.
 func (e *Endpoint) Close() { e.in.Close() }
 
+// duplex is one full-duplex channel: both endpoints and both links in
+// one object, which lives as long as either endpoint does.
+type duplex struct {
+	a, b   Endpoint
+	ab, ba Link
+}
+
 // NewDuplex builds a full-duplex channel between two named parties with
-// per-direction configs, returning a's endpoint first.
+// per-direction configs, returning a's endpoint first. It allocates the
+// channel and the two links' bound delivery funcs, and nothing more.
 func NewDuplex(clk simtime.Clock, a, b string, aToB, bToA LinkConfig) (*Endpoint, *Endpoint) {
-	epA, epB := &Endpoint{Name: a}, &Endpoint{Name: b}
-	epA.in.init(clk)
-	epB.in.init(clk)
-	epA.out = newLink(clk, aToB, &epB.in)
-	epB.out = newLink(clk, bToA, &epA.in)
-	return epA, epB
+	d := &duplex{}
+	d.a.Name, d.b.Name = a, b
+	d.a.in.init(clk)
+	d.b.in.init(clk)
+	d.ab.init(clk, aToB, &d.b.in)
+	d.ba.init(clk, bToA, &d.a.in)
+	d.a.out, d.b.out = &d.ab, &d.ba
+	return &d.a, &d.b
 }

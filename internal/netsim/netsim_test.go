@@ -322,16 +322,16 @@ func TestLinkHopAllocs(t *testing.T) {
 	}
 }
 
-// TestNewDuplexAllocs holds what a channel costs to set up: two
-// Endpoints, each holding its mailbox inline, and two Links with their
-// bound delivery funcs. A mailbox of its own or a func bound per
-// mailbox or per Cond adds two.
+// TestNewDuplexAllocs holds what a channel costs to set up: one object
+// holding both endpoints (each with its mailbox inline) and both links,
+// plus the links' two bound delivery funcs. An endpoint or link of its
+// own, or a func bound per mailbox or per Cond, adds at least one.
 func TestNewDuplexAllocs(t *testing.T) {
 	clk := simtime.NewSim(epoch)
 	cfg := LinkConfig{RateBps: 1e6, Latency: time.Millisecond}
 	allocs := testing.AllocsPerRun(100, func() { NewDuplex(clk, "a", "b", cfg, cfg) })
 	t.Logf("%.1f allocations per duplex", allocs)
-	if allocs > 6 {
-		t.Fatalf("NewDuplex allocates %.1f objects, want <= 6", allocs)
+	if allocs > 3 {
+		t.Fatalf("NewDuplex allocates %.1f objects, want <= 3", allocs)
 	}
 }

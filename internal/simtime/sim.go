@@ -11,9 +11,14 @@ import (
 //
 // Virtual time advances only when every goroutine spawned through Go is
 // blocked inside a clock primitive; then the earliest pending timer fires.
-// Events scheduled for the same instant fire in scheduling order, and a
-// fired event's effects (typically waking one goroutine) are fully drained
-// before the next event at the same instant fires, so runs are repeatable.
+// Events scheduled for the same instant fire in scheduling order, and the
+// next event does not fire until every actor the last one made runnable
+// has parked again. That much repeats run to run: the results, the
+// virtual times they carry, and Fired. The host order of actors that
+// run at once does not: when one actor wakes another (a mailbox send, a
+// Cond Broadcast), both run on host threads together, so anything
+// recorded in host order, such as the order of same-instant spans in a
+// timeline, can differ between runs of one seed (ROADMAP item 22).
 //
 // A driver that is not itself an actor (a goroutine spawned through Go)
 // and spawns several actors gets no such ordering guarantee: once every
@@ -26,7 +31,9 @@ import (
 //
 // In steady state Sim allocates nothing per timer or park: events and
 // parkers come off free lists, and the Timer and waker handed out are
-// values that carry the generation they were issued under.
+// values that carry the generation they were issued under. The lists
+// refill a slab at a time, doubling, so a Sim's first thousand events or
+// parks cost a handful of allocations, not one each.
 type Sim struct {
 	mu   sync.Mutex
 	cond *sync.Cond
@@ -47,6 +54,37 @@ type Sim struct {
 
 	idle    []*event  // recycled events for AfterFunc and wakeAfter to reuse
 	parkers []*parker // idle parkers for park to reuse
+	// madeEvents and madeParkers count what the free lists were ever
+	// filled with, which sizes their next slab.
+	madeEvents, madeParkers int
+}
+
+// Free lists refill a slab at a time: as many items as the list was
+// ever filled with, at least slabMin and at most slabMax, so a Sim with n
+// events or parkers live at once allocates O(log n) slabs for them.
+const (
+	slabMin = 16
+	slabMax = 1024
+)
+
+// take pops an item off the free list *free. An empty list first refills
+// with a slab of fresh items, counted in *made, each handed to own once.
+// The caller guards *free and *made (Sim holds s.mu).
+func take[T any](free *[]*T, made *int, own func(*T)) *T {
+	if len(*free) == 0 {
+		slab := make([]T, min(max(*made, slabMin), slabMax))
+		*made += len(slab)
+		for i := range slab {
+			own(&slab[i])
+			*free = append(*free, &slab[i])
+		}
+	}
+	l := *free
+	n := len(l) - 1
+	x := l[n]
+	l[n] = nil
+	*free = l[:n]
+	return x
 }
 
 // NewSim returns a Sim clock whose virtual time starts at start.
@@ -172,13 +210,7 @@ func (s *Sim) book(d time.Duration, fn func(), w waker) Timer {
 		d = 0
 	}
 	s.mu.Lock()
-	var ev *event
-	if n := len(s.idle); n > 0 {
-		ev = s.idle[n-1]
-		s.idle = s.idle[:n-1]
-	} else {
-		ev = &event{s: s}
-	}
+	ev := take(&s.idle, &s.madeEvents, func(ev *event) { ev.s = s })
 	ev.fn, ev.w = fn, w
 	t := Timer{ev: ev, gen: ev.gen}
 	s.events.push(slot{at: addNS(s.nowNS, d), seq: s.seq, ev: ev})
@@ -232,14 +264,7 @@ func (s *Sim) suspend(c *Cond) { s.park(c.file) }
 // or repeated wake does nothing to the parker's next park.
 func (s *Sim) park(publish func(waker)) {
 	s.mu.Lock()
-	var p *parker
-	if n := len(s.parkers); n > 0 {
-		p = s.parkers[n-1]
-		s.parkers[n-1] = nil
-		s.parkers = s.parkers[:n-1]
-	} else {
-		p = &parker{s: s}
-	}
+	p := take(&s.parkers, &s.madeParkers, func(p *parker) { p.s = s })
 	p.wg.Add(1)
 	gen := p.gen
 	s.runnable--

@@ -2,6 +2,7 @@ package simtime
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -156,9 +157,22 @@ func TestSimWakeBeforeParkIsSafe(t *testing.T) {
 }
 
 // TestSimStaleWakeIgnored: a waker whose park is over must not resume a
-// later park, though Sim hands that park the same parker.
+// later park, though Sim hands that park the same parker, whether the
+// parker came from the clock's first slab or a later one.
 func TestSimStaleWakeIgnored(t *testing.T) {
-	clk := NewSim(epoch)
+	for _, second := range []bool{false, true} {
+		clk := NewSim(epoch)
+		if second {
+			holdFirstSlabs(t, clk)
+		}
+		simStaleWakeIgnored(t, clk)
+		if second && clk.madeParkers != 2*slabMin {
+			t.Fatalf("second slab: %d parkers made, want %d", clk.madeParkers, 2*slabMin)
+		}
+	}
+}
+
+func simStaleWakeIgnored(t *testing.T, clk *Sim) {
 	var stale waker
 	var woke time.Time
 	clk.Go(func() {
@@ -196,6 +210,26 @@ func TestSimSleepAllocs(t *testing.T) {
 	t.Logf("%.1f allocations per Sleep", allocs)
 	if allocs != 0 {
 		t.Fatalf("Sleep allocates %.1f objects, want 0", allocs)
+	}
+}
+
+// TestTakeRefillsDoublingToCap: an empty free list refills with as many
+// items as it was ever filled with, from slabMin up to slabMax, and
+// hands each fresh item to its owner once.
+func TestTakeRefillsDoublingToCap(t *testing.T) {
+	made, owned := 0, 0
+	var sizes []int
+	for made < 4*slabMax {
+		var free []*event
+		take(&free, &made, func(*event) { owned++ })
+		sizes = append(sizes, len(free)+1)
+	}
+	if owned != made {
+		t.Fatalf("%d of %d fresh items handed to their owner", owned, made)
+	}
+	want := []int{16, 16, 32, 64, 128, 256, 512, 1024, 1024, 1024}
+	if !slices.Equal(sizes, want) || made != 4*slabMax {
+		t.Fatalf("slab sizes %v (made %d), want %v", sizes, made, want)
 	}
 }
 

@@ -6,11 +6,44 @@ import (
 	"time"
 )
 
+// holdFirstSlabs takes every event and parker of clk's first slabs off
+// its free lists and keeps them, so the clock's next booking and park
+// come from its second slabs.
+func holdFirstSlabs(t *testing.T, clk *Sim) {
+	t.Helper()
+	clk.mu.Lock()
+	defer clk.mu.Unlock()
+	for range slabMin {
+		take(&clk.idle, &clk.madeEvents, func(ev *event) { ev.s = clk })
+		take(&clk.parkers, &clk.madeParkers, func(p *parker) { p.s = clk })
+	}
+	if clk.madeEvents != slabMin || clk.madeParkers != slabMin || len(clk.idle) != 0 || len(clk.parkers) != 0 {
+		t.Fatalf("first slabs: %d events, %d parkers made, %d and %d idle",
+			clk.madeEvents, clk.madeParkers, len(clk.idle), len(clk.parkers))
+	}
+}
+
 // TestSimTimerStaleStop: Sim recycles an event once it leaves the heap,
 // fired or stopped, and the next booking takes it. Stop through the old
-// Timer must report false and leave that booking alone.
+// Timer must report false and leave that booking alone, whether the
+// event came from the clock's first slab or a later one.
 func TestSimTimerStaleStop(t *testing.T) {
-	clk := NewSim(epoch)
+	for _, second := range []bool{false, true} {
+		clk := NewSim(epoch)
+		if second {
+			holdFirstSlabs(t, clk)
+		}
+		simTimerStaleStop(t, clk)
+		if second && clk.madeEvents != 2*slabMin {
+			t.Fatalf("second slab: %d events made, want %d", clk.madeEvents, 2*slabMin)
+		}
+	}
+	if (Timer{}).Stop() {
+		t.Fatal("the zero Timer's Stop reported true")
+	}
+}
+
+func simTimerStaleStop(t *testing.T, clk *Sim) {
 	for _, stop := range []bool{false, true} {
 		old := clk.AfterFunc(time.Second, func() {
 			if stop {
@@ -33,9 +66,6 @@ func TestSimTimerStaleStop(t *testing.T) {
 		if !ran {
 			t.Fatalf("stop=%v: a stale Stop cancelled the event's next booking", stop)
 		}
-	}
-	if (Timer{}).Stop() {
-		t.Fatal("the zero Timer's Stop reported true")
 	}
 }
 
