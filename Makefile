@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check fmt vet test test-benchmark race cores build cover bench loc
+.PHONY: check fmt vet test test-benchmark race cores build cover bench loc fuzz
 
 ## check: the full tier-1 gate — formatting, vet, build, tests with the
 ## race detector (the lifecycle churn stress must pass under -race), the
@@ -120,3 +120,25 @@ loc:
 		tag[k] = ($$2 == "roadmap") ? $$2 " " $$3 : $$2; n[k]++ } \
 		END { for (k in n) print k "\t" n[k] " " tag[k] }' testdata/exports_allowlist.txt | \
 		sort -n | cut -f2 | paste -sd, - | sed 's/,/, /g; s/^/exports allowlist lines per tag: /'
+
+## fuzz: explore each Fuzz target for FUZZTIME (default 10s), one
+## `go test -fuzz` call per target, since one call fuzzes one target.
+## It runs every target and then fails if any found an input that fails
+## it; go test writes that input under the package's testdata/fuzz,
+## where it is committed with its fix. check does not run it: tier-1
+## replays the committed corpora instead.
+FUZZTIME ?= 10s
+FUZZ_TARGETS = ./internal/control:FuzzOpenAll ./internal/control:FuzzDecodeHeartbeat \
+	./internal/control:FuzzAppImageDecode ./internal/journal:FuzzDecodeJournal \
+	./internal/mpegts:FuzzDecodeSection ./internal/mpegts:FuzzParsePacket \
+	./internal/mpegts:FuzzAssembler ./internal/transport:FuzzReadFrame \
+	./internal/transport:FuzzTaskPlaneCodec ./internal/transport:FuzzImagePlaneCodec \
+	./internal/fleet:FuzzFleetConfig ./internal/core/backend:FuzzCredential
+fuzz:
+	@failed=""; \
+	for entry in $(FUZZ_TARGETS); do \
+		pkg="$${entry%%:*}"; fn="$${entry##*:}"; \
+		echo "== $$fn ($$pkg, $(FUZZTIME))"; \
+		$(GO) test -run '^$$' -fuzz "^$$fn\$$" -fuzztime $(FUZZTIME) $$pkg || failed="$$failed $$fn"; \
+	done; \
+	if [ -n "$$failed" ]; then echo "fuzz failures:$$failed"; exit 1; fi

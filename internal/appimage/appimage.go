@@ -36,12 +36,18 @@ type Image struct {
 
 const magic = 0x0DDC1136
 
+// EncodedLen is the length of the image's canonical wire form, known
+// without encoding it.
+func (im *Image) EncodedLen() int {
+	return 14 + len(im.Name) + len(im.EntryPoint) + len(im.Payload)
+}
+
 // Encode serializes the image into its canonical wire form.
 func (im *Image) Encode() ([]byte, error) {
 	if len(im.Name) > 255 || len(im.EntryPoint) > 255 {
 		return nil, errors.New("appimage: name or entry point too long")
 	}
-	b := make([]byte, 0, 16+len(im.Name)+len(im.EntryPoint)+len(im.Payload))
+	b := make([]byte, 0, im.EncodedLen())
 	b = binary.BigEndian.AppendUint32(b, magic)
 	b = binary.BigEndian.AppendUint32(b, im.Version)
 	b = append(b, byte(len(im.Name)))
@@ -191,6 +197,40 @@ func ChunkCount(size int) int { return (size + ChunkBytes - 1) / ChunkBytes }
 // encoded image is split.
 func Chunk(raw []byte, i int) []byte {
 	return raw[i*ChunkBytes : min((i+1)*ChunkBytes, len(raw))]
+}
+
+// AppendManifest appends to dst the manifest of a size-byte encoded
+// image whose chunks hash to chunks: size(4) digest(32)..., with
+// ChunkCount(size) digests in chunk order. It is the one encoding of an
+// image as its chunk list, which the TCP image plane and the journal
+// both carry.
+func AppendManifest(dst []byte, size int, chunks []Digest) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(size))
+	for i := range chunks {
+		dst = append(dst, chunks[i][:]...)
+	}
+	return dst
+}
+
+// DecodeManifest reverses AppendManifest on exactly one manifest. It
+// checks the digest count against the bytes present before it allocates
+// the list, which is nil for a 0-byte image.
+func DecodeManifest(b []byte) (size int, chunks []Digest, err error) {
+	if len(b) < 4 {
+		return 0, nil, errors.New("appimage: short manifest")
+	}
+	size, b = int(binary.BigEndian.Uint32(b)), b[4:]
+	n := ChunkCount(size)
+	if len(b) != n*sha256.Size {
+		return 0, nil, fmt.Errorf("appimage: manifest of a %d-byte image holds %d digest bytes, want %d digests", size, len(b), n)
+	}
+	if n > 0 {
+		chunks = make([]Digest, n)
+		for i := range chunks {
+			chunks[i] = Digest(b[i*sha256.Size:])
+		}
+	}
+	return size, chunks, nil
 }
 
 // chunkDigest is the SHA-256 of chunk i of raw: the one place a chunk is

@@ -119,10 +119,40 @@ func TestRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return reflect.DeepEqual(got, im)
+		return len(raw) == im.EncodedLen() && reflect.DeepEqual(got, im)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestManifestCodec: a manifest decodes to its size and digests and
+// re-encodes to its bytes, a 0-byte image lists no chunks, and a header
+// cut short or a digest list other than ChunkCount(size) long is refused.
+func TestManifestCodec(t *testing.T) {
+	ds := []Digest{{1}, {2}, {1}}
+	raw := AppendManifest(nil, 2*ChunkBytes+1, ds)
+	if len(raw) != 4+3*sha256.Size {
+		t.Fatalf("manifest of 3 chunks is %d bytes", len(raw))
+	}
+	size, got, err := DecodeManifest(raw)
+	if err != nil || size != 2*ChunkBytes+1 || !slices.Equal(got, ds) || !bytes.Equal(AppendManifest(nil, size, got), raw) {
+		t.Fatalf("round trip: size %d, %x, %v", size, got, err)
+	}
+	if size, got, err := DecodeManifest(AppendManifest(nil, 0, nil)); err != nil || size != 0 || got != nil {
+		t.Fatalf("0-byte image: size %d, %x, %v", size, got, err)
+	}
+	for name, b := range map[string][]byte{
+		"no header":       nil,
+		"short header":    raw[:3],
+		"a digest short":  raw[:len(raw)-sha256.Size],
+		"a byte short":    raw[:len(raw)-1],
+		"a trailing byte": append(raw[:len(raw):len(raw)], 0),
+		"4 GiB, no list":  AppendManifest(nil, 0xFFFFFFFF, nil),
+	} {
+		if _, _, err := DecodeManifest(b); err == nil {
+			t.Errorf("manifest with %s accepted", name)
+		}
 	}
 }
 

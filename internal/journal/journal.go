@@ -38,6 +38,7 @@ package journal
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -185,8 +186,6 @@ func parseJournalHeader(b []byte) (nextID uint64, frames []byte, err error) {
 // precedes the first record whose manifest names it.
 const opChunk Op = 6
 
-const digestLen = len(appimage.Digest{})
-
 // chunksOf returns the chunk digests of r's image: r.Chunks, which must
 // hold one digest per chunk, or, when the caller left them out, Image
 // hashed here.
@@ -201,36 +200,6 @@ func chunksOf(r *InstanceRecord) ([]appimage.Digest, error) {
 		return nil, fmt.Errorf("journal: %d chunk digests for a %d-byte image (want %d)", len(r.Chunks), len(r.Image), n)
 	}
 	return r.Chunks, nil
-}
-
-// appendManifest encodes an image as its manifest: size(4), then the
-// digest of each of its appimage.ChunkCount(size) chunks.
-func appendManifest(b []byte, size int, chunks []appimage.Digest) []byte {
-	b = binary.BigEndian.AppendUint32(b, uint32(size))
-	for i := range chunks {
-		b = append(b, chunks[i][:]...)
-	}
-	return b
-}
-
-// decodeManifest parses a manifest off the front of b.
-func decodeManifest(b []byte) (size int, chunks []appimage.Digest, rest []byte, err error) {
-	if len(b) < 4 {
-		return 0, nil, nil, fmt.Errorf("%w: short image manifest", ErrCorrupt)
-	}
-	size = int(binary.BigEndian.Uint32(b))
-	n := appimage.ChunkCount(size)
-	b = b[4:]
-	if len(b)/digestLen < n {
-		return 0, nil, nil, fmt.Errorf("%w: manifest of a %d-byte image lists %d of %d chunks", ErrCorrupt, size, len(b)/digestLen, n)
-	}
-	if n > 0 {
-		chunks = make([]appimage.Digest, n)
-		for i := range chunks {
-			chunks[i] = appimage.Digest(b[i*digestLen:])
-		}
-	}
-	return size, chunks, b[n*digestLen:], nil
 }
 
 func appendInstance(b []byte, r *InstanceRecord, chunks []appimage.Digest) ([]byte, error) {
@@ -260,15 +229,15 @@ func appendInstance(b []byte, r *InstanceRecord, chunks []appimage.Digest) ([]by
 	b = r.Requirements.Encode(b)
 	b = append(b, byte(len(r.ImageFile)))
 	b = append(b, r.ImageFile...)
-	return appendManifest(b, len(r.Image), chunks), nil
+	return appimage.AppendManifest(b, len(r.Image), chunks), nil
 }
 
 // decodeInstance parses an instance record whose image is still a
 // manifest: size and chunks, for a chunkTable to resolve.
-func decodeInstance(b []byte) (r InstanceRecord, size int, rest []byte, err error) {
+func decodeInstance(b []byte) (r InstanceRecord, size int, err error) {
 	const fixed = 8 + 4 + 4 + 4 + 8 + 1 + 4 + 4 + 8 + 8
 	if len(b) < fixed {
-		return r, 0, nil, fmt.Errorf("%w: short instance record", ErrCorrupt)
+		return r, 0, fmt.Errorf("%w: short instance record", ErrCorrupt)
 	}
 	r = InstanceRecord{
 		ID:      binary.BigEndian.Uint64(b),
@@ -278,11 +247,11 @@ func decodeInstance(b []byte) (r InstanceRecord, size int, rest []byte, err erro
 	}
 	r.Probability = math.Float64frombits(binary.BigEndian.Uint64(b[20:]))
 	if r.Probability < 0 || r.Probability > 1 || math.IsNaN(r.Probability) {
-		return r, 0, nil, fmt.Errorf("%w: probability out of range", ErrCorrupt)
+		return r, 0, fmt.Errorf("%w: probability out of range", ErrCorrupt)
 	}
 	flags := b[28]
 	if flags&^byte(1) != 0 {
-		return r, 0, nil, fmt.Errorf("%w: unknown instance flags %#x", ErrCorrupt, flags)
+		return r, 0, fmt.Errorf("%w: unknown instance flags %#x", ErrCorrupt, flags)
 	}
 	r.Destroyed = flags&1 != 0
 	r.ResetTicks = int32(binary.BigEndian.Uint32(b[29:]))
@@ -290,23 +259,25 @@ func decodeInstance(b []byte) (r InstanceRecord, size int, rest []byte, err erro
 	r.HeartbeatPeriod = time.Duration(binary.BigEndian.Uint64(b[37:]))
 	r.Lifetime = time.Duration(binary.BigEndian.Uint64(b[45:]))
 	if r.HeartbeatPeriod < 0 || r.Lifetime < 0 {
-		return r, 0, nil, fmt.Errorf("%w: negative durations", ErrCorrupt)
+		return r, 0, fmt.Errorf("%w: negative durations", ErrCorrupt)
 	}
 	r.Requirements, b, err = instance.DecodeRequirements(b[53:])
 	if err != nil {
-		return r, 0, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		return r, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	if len(b) < 1 {
-		return r, 0, nil, fmt.Errorf("%w: missing image name", ErrCorrupt)
+		return r, 0, fmt.Errorf("%w: missing image name", ErrCorrupt)
 	}
 	nameLen := int(b[0])
 	b = b[1:]
 	if len(b) < nameLen {
-		return r, 0, nil, fmt.Errorf("%w: short image name", ErrCorrupt)
+		return r, 0, fmt.Errorf("%w: short image name", ErrCorrupt)
 	}
 	r.ImageFile = string(b[:nameLen])
-	size, r.Chunks, rest, err = decodeManifest(b[nameLen:])
-	return r, size, rest, err
+	if size, r.Chunks, err = appimage.DecodeManifest(b[nameLen:]); err != nil {
+		return r, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	return r, size, nil
 }
 
 // hasImage reports whether r carries an image: every create, and a
@@ -341,7 +312,7 @@ func appendRecordPayload(b []byte, r *Record, chunks []appimage.Digest) ([]byte,
 		// image's manifest so replay re-enters the head-end with the new
 		// content; a sequence bump ends here.
 		if hasImage(r) {
-			b = appendManifest(b, len(r.Inst.Image), chunks)
+			b = appimage.AppendManifest(b, len(r.Inst.Image), chunks)
 		}
 		return b, nil
 	case OpDestroy:
@@ -375,12 +346,8 @@ func decodeRecordPayload(b []byte) (r Record, size int, err error) {
 	}
 	switch r.Op {
 	case OpCreate:
-		var rest []byte
-		if r.Inst, size, rest, err = decodeInstance(b); err != nil {
+		if r.Inst, size, err = decodeInstance(b); err != nil {
 			return r, 0, err
-		}
-		if len(rest) != 0 {
-			return r, 0, fmt.Errorf("%w: trailing bytes in create record", ErrCorrupt)
 		}
 	case OpResize:
 		if err := need(12); err != nil {
@@ -399,12 +366,12 @@ func decodeRecordPayload(b []byte) (r Record, size int, err error) {
 		if r.Inst.Probability < 0 || r.Inst.Probability > 1 || math.IsNaN(r.Inst.Probability) {
 			return r, 0, fmt.Errorf("%w: probability out of range", ErrCorrupt)
 		}
-		if rest := b[24:]; len(rest) > 0 {
-			if size, r.Inst.Chunks, rest, err = decodeManifest(rest); err != nil {
-				return r, 0, err
+		if manifest := b[24:]; len(manifest) > 0 {
+			if size, r.Inst.Chunks, err = appimage.DecodeManifest(manifest); err != nil {
+				return r, 0, fmt.Errorf("%w: %v", ErrCorrupt, err)
 			}
-			if size == 0 || len(rest) != 0 {
-				return r, 0, fmt.Errorf("%w: recompose manifest of %d bytes with %d trailing", ErrCorrupt, size, len(rest))
+			if size == 0 {
+				return r, 0, fmt.Errorf("%w: recompose manifest of an empty image", ErrCorrupt)
 			}
 		}
 	case OpDestroy:
@@ -446,14 +413,14 @@ func appendRecordFrames(b []byte, r Record, held map[appimage.Digest]struct{}) (
 			return nil, err
 		}
 	}
-	payload, err := appendRecordPayload(make([]byte, 0, 128+len(r.Inst.ImageFile)+len(chunks)*digestLen), &r, chunks)
+	payload, err := appendRecordPayload(make([]byte, 0, 128+len(r.Inst.ImageFile)+len(chunks)*sha256.Size), &r, chunks)
 	if err != nil {
 		return nil, err
 	}
 	need := len(payload) + 8
 	for i, d := range chunks {
 		if _, ok := held[d]; !ok {
-			need += 8 + 1 + digestLen + len(appimage.Chunk(r.Inst.Image, i))
+			need += 8 + 1 + sha256.Size + len(appimage.Chunk(r.Inst.Image, i))
 		}
 	}
 	b = slices.Grow(b, need)
@@ -463,7 +430,7 @@ func appendRecordFrames(b []byte, r Record, held map[appimage.Digest]struct{}) (
 		}
 		held[d] = struct{}{}
 		data := appimage.Chunk(r.Inst.Image, i)
-		b = binary.BigEndian.AppendUint32(b, uint32(1+digestLen+len(data)))
+		b = binary.BigEndian.AppendUint32(b, uint32(1+sha256.Size+len(data)))
 		start := len(b)
 		b = append(b, byte(opChunk))
 		b = append(b, d[:]...)
@@ -604,10 +571,10 @@ func decodeJournal(b []byte, t *chunkTable, apply func(r Record, end int)) error
 			return fmt.Errorf("%w: frame %d checksum mismatch", ErrCorrupt, n)
 		}
 		if len(payload) > 0 && Op(payload[0]) == opChunk {
-			if len(payload) < 1+digestLen {
+			if len(payload) < 1+sha256.Size {
 				return fmt.Errorf("%w: short chunk frame", ErrCorrupt)
 			}
-			t.pending = append(t.pending, storedChunk{appimage.Digest(payload[1:]), payload[1+digestLen:]})
+			t.pending = append(t.pending, storedChunk{appimage.Digest(payload[1:]), payload[1+sha256.Size:]})
 			continue
 		}
 		r, size, err := decodeRecordPayload(payload)

@@ -21,19 +21,19 @@ type asmFrame struct {
 // pushes it — control, manifest, then the chunk of each slot in send.
 func generationFrames(t *testing.T, key ed25519.PrivateKey, raw []byte, send []int) []asmFrame {
 	t.Helper()
-	m := ImageManifest{Name: "image.1", Size: len(raw)}
+	var digests []appimage.Digest
 	var chunks [][]byte
 	for off := 0; off < len(raw); off += appimage.ChunkBytes {
 		ch := raw[off:min(off+appimage.ChunkBytes, len(raw))]
-		m.Digests = append(m.Digests, sha256.Sum256(ch))
+		digests = append(digests, sha256.Sum256(ch))
 		chunks = append(chunks, ch)
 	}
 	frames := []asmFrame{
 		{FrameControl, signedWakeup(t, key, appimage.DigestOf(raw))},
-		{FrameImageManifest, AppendImageManifest(nil, &m)},
+		{FrameImageManifest, AppendImageManifest(nil, "image.1", len(raw), digests)},
 	}
 	for _, i := range send {
-		frames = append(frames, asmFrame{FrameImageChunk, AppendImageChunk(nil, m.Digests[i], chunks[i])})
+		frames = append(frames, asmFrame{FrameImageChunk, AppendImageChunk(nil, digests[i], chunks[i])})
 	}
 	return frames
 }
@@ -147,7 +147,7 @@ func TestAssemblerEconomy(t *testing.T) {
 	}
 	// A chunk longer than its slot is refused before it is hashed.
 	hashed := a.hashed
-	oversized := AppendImageChunk(nil, a.manifest.Digests[0], make([]byte, appimage.ChunkBytes+1))
+	oversized := AppendImageChunk(nil, a.digests[0], make([]byte, appimage.ChunkBytes+1))
 	if _, err := a.feed(FrameImageChunk, oversized); err == nil || a.hashed != hashed {
 		t.Errorf("oversized chunk: err = %v after hashing %d bytes, want it refused unhashed", err, a.hashed-hashed)
 	}

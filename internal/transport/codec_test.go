@@ -3,12 +3,15 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"oddci/internal/appimage"
+	"oddci/internal/core/backend"
 	"oddci/internal/span"
 )
 
@@ -21,9 +24,9 @@ func (s *nodeSet) has(id uint64) bool {
 }
 
 func TestTaskPlaneCodecRoundTrip(t *testing.T) {
-	reqs := []TaskRequestMsg{{}, {NodeID: 1}, {NodeID: ^uint64(0)}}
+	reqs := []backend.TaskRequest{{}, {NodeID: 1}, {NodeID: ^uint64(0)}}
 	for _, in := range reqs {
-		var out TaskRequestMsg
+		var out backend.TaskRequest
 		if err := DecodeTaskRequest(AppendTaskRequest(nil, &in), &out); err != nil {
 			t.Fatalf("request %+v: %v", in, err)
 		}
@@ -31,20 +34,22 @@ func TestTaskPlaneCodecRoundTrip(t *testing.T) {
 			t.Fatalf("request round trip: %+v != %+v", out, in)
 		}
 	}
-	assigns := []TaskAssignMsg{
+	// InputSize is netsim's pacing size and stays off the wire: a decoded
+	// assignment's is len(Payload).
+	assigns := []backend.TaskAssign{
 		{},
 		{JobID: 3, TaskID: 77, RefSeconds: 2.5, OutputSize: 64},
-		{JobID: -1, TaskID: -9, RefSeconds: 0.001, OutputSize: 1 << 30, Payload: []byte("in")},
+		{JobID: -1, TaskID: -9, RefSeconds: 0.001, InputSize: 2, OutputSize: 1 << 30, Payload: []byte("in")},
 	}
 	for _, in := range assigns {
 		raw := AppendTaskAssign(nil, &in)
-		var out TaskAssignMsg
+		var out backend.TaskAssign
 		if err := DecodeTaskAssign(raw, &out); err != nil {
 			t.Fatalf("assign %+v: %v", in, err)
 		}
 		if out.JobID != in.JobID || out.TaskID != in.TaskID ||
 			out.RefSeconds != in.RefSeconds || out.OutputSize != in.OutputSize ||
-			!bytes.Equal(out.Payload, in.Payload) {
+			out.InputSize != len(in.Payload) || !bytes.Equal(out.Payload, in.Payload) {
 			t.Fatalf("assign round trip: %+v != %+v", out, in)
 		}
 		// The decoded payload must not alias the wire buffer (frame
@@ -56,9 +61,9 @@ func TestTaskPlaneCodecRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	noTasks := []NoTaskMsg{{}, {RetryAfterMS: 1500}, {Done: true}, {RetryAfterMS: -1, Done: true}}
+	noTasks := []backend.NoTask{{}, {RetryAfter: 1500 * time.Millisecond}, {Done: true}, {RetryAfter: -time.Millisecond, Done: true}}
 	for _, in := range noTasks {
-		var out NoTaskMsg
+		var out backend.NoTask
 		if err := DecodeNoTask(AppendNoTask(nil, &in), &out); err != nil {
 			t.Fatalf("no-task %+v: %v", in, err)
 		}
@@ -66,12 +71,12 @@ func TestTaskPlaneCodecRoundTrip(t *testing.T) {
 			t.Fatalf("no-task round trip: %+v != %+v", out, in)
 		}
 	}
-	results := []TaskResultMsg{
+	results := []backend.TaskResult{
 		{},
 		{NodeID: 8, JobID: 1, TaskID: 2, Payload: []byte("out")},
 	}
 	for _, in := range results {
-		var out TaskResultMsg
+		var out backend.TaskResult
 		if err := DecodeTaskResult(AppendTaskResult(nil, &in), &out); err != nil {
 			t.Fatalf("result %+v: %v", in, err)
 		}
@@ -83,7 +88,7 @@ func TestTaskPlaneCodecRoundTrip(t *testing.T) {
 }
 
 func TestTaskPlaneCodecRejectsMalformed(t *testing.T) {
-	good := AppendTaskAssign(nil, &TaskAssignMsg{JobID: 1, Payload: []byte("abc")})
+	good := AppendTaskAssign(nil, &backend.TaskAssign{JobID: 1, Payload: []byte("abc")})
 	cases := [][]byte{
 		nil,
 		{1, 2, 3},
@@ -91,28 +96,34 @@ func TestTaskPlaneCodecRejectsMalformed(t *testing.T) {
 		append(good[:len(good):len(good)], 0), // trailing byte
 	}
 	for i, b := range cases {
-		var a TaskAssignMsg
+		var a backend.TaskAssign
 		if err := DecodeTaskAssign(b, &a); err == nil {
 			t.Errorf("case %d: malformed assign accepted", i)
 		}
-		var r TaskResultMsg
+		var r backend.TaskResult
 		if err := DecodeTaskResult(b, &r); err == nil && len(b) >= 29 {
 			t.Errorf("case %d: malformed result accepted", i)
 		}
 	}
-	var req TaskRequestMsg
+	var req backend.TaskRequest
 	if err := DecodeTaskRequest(make([]byte, 8), &req); err == nil {
 		t.Error("request without a flags byte accepted")
 	}
 	if err := DecodeTaskRequest(make([]byte, 10), &req); err == nil {
 		t.Error("long request accepted")
 	}
-	var nt NoTaskMsg
+	var nt backend.NoTask
 	if err := DecodeNoTask(make([]byte, 8), &nt); err == nil {
 		t.Error("short no-task accepted")
 	}
 	if err := DecodeNoTask([]byte{0, 0, 0, 0, 0, 0, 0, 0, 7}, &nt); err == nil {
 		t.Error("no-task with junk done byte accepted")
+	}
+	// A back-off no time.Duration holds would not re-encode to its bytes.
+	for _, ms := range []int64{math.MaxInt64/int64(time.Millisecond) + 1, math.MinInt64} {
+		if err := DecodeNoTask(append(binary.BigEndian.AppendUint64(nil, uint64(ms)), 0), &nt); err == nil {
+			t.Errorf("no-task backing off %d ms accepted", ms)
+		}
 	}
 }
 
@@ -120,14 +131,14 @@ func TestTaskPlaneCodecRejectsMalformed(t *testing.T) {
 // arbitrary messages, and every accepted input re-encodes bit-exactly.
 func TestTaskAssignCodecProperty(t *testing.T) {
 	f := func(job, task int32, ref float64, outSize int32, payload []byte) bool {
-		in := TaskAssignMsg{JobID: int(job), TaskID: int(task),
+		in := backend.TaskAssign{JobID: int(job), TaskID: int(task),
 			RefSeconds: ref, OutputSize: int(outSize), Payload: payload}
 		raw := AppendTaskAssign(nil, &in)
-		var out TaskAssignMsg
+		var out backend.TaskAssign
 		if err := DecodeTaskAssign(raw, &out); err != nil {
 			return false
 		}
-		return bytes.Equal(AppendTaskAssign(nil, &out), raw)
+		return out.InputSize == len(payload) && bytes.Equal(AppendTaskAssign(nil, &out), raw)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -136,7 +147,7 @@ func TestTaskAssignCodecProperty(t *testing.T) {
 
 func TestBeginEndFrame(t *testing.T) {
 	b := BeginFrame(nil, FrameTaskRequest)
-	b = AppendTaskRequest(b, &TaskRequestMsg{NodeID: 42})
+	b = AppendTaskRequest(b, &backend.TaskRequest{NodeID: 42})
 	b, err := EndFrame(b, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +156,7 @@ func TestBeginEndFrame(t *testing.T) {
 	if err != nil || typ != FrameTaskRequest {
 		t.Fatalf("typ=%d err=%v", typ, err)
 	}
-	var req TaskRequestMsg
+	var req backend.TaskRequest
 	if err := DecodeTaskRequest(payload, &req); err != nil || req.NodeID != 42 {
 		t.Fatalf("req=%+v err=%v", req, err)
 	}
@@ -252,9 +263,9 @@ func TestNodeSet(t *testing.T) {
 // BenchmarkTaskCodec: one assign through the codec, for
 // `go test -bench TaskCodec`.
 func BenchmarkTaskCodec(b *testing.B) {
-	assign := TaskAssignMsg{JobID: 1, TaskID: 12345, RefSeconds: 2, OutputSize: 64}
+	assign := backend.TaskAssign{JobID: 1, TaskID: 12345, RefSeconds: 2, OutputSize: 64}
 	var buf []byte
-	var out TaskAssignMsg
+	var out backend.TaskAssign
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		buf = AppendTaskAssign(buf[:0], &assign)
@@ -270,51 +281,51 @@ func BenchmarkTaskCodec(b *testing.B) {
 // the tail in both directions.
 func TestTaskPlaneCodecFlags(t *testing.T) {
 	ctx := span.Context{Trace: span.TraceID{0xDEADBEEF, 0xCAFED00D}, Span: 0x1234, Sampled: true}
-	cred := bytes.Repeat([]byte{0xAB}, credentialLen)
+	cred := bytes.Repeat([]byte{0xAB}, backend.CredentialLen)
 
 	for _, trace := range []span.Context{{}, ctx} {
-		req := TaskRequestMsg{NodeID: 7, Trace: trace}
+		req := backend.TaskRequest{NodeID: 7, Trace: trace}
 		raw := AppendTaskRequest(nil, &req)
-		out := TaskRequestMsg{Trace: span.Context{Span: 99}} // stale reused target
+		out := backend.TaskRequest{Trace: span.Context{Span: 99}} // stale reused target
 		if err := DecodeTaskRequest(raw, &out); err != nil || out != req {
 			t.Fatalf("request trace=%v round trip: %+v err=%v", trace.Valid(), out, err)
 		}
 		for _, c := range [][]byte{nil, cred} {
-			assign := TaskAssignMsg{JobID: 2, TaskID: 5, RefSeconds: 1.5, OutputSize: 64,
-				Payload: []byte("in"), Cred: c, Trace: trace}
+			assign := backend.TaskAssign{JobID: 2, TaskID: 5, RefSeconds: 1.5, OutputSize: 64,
+				Payload: []byte("in"), Credential: c, Trace: trace}
 			rawA := AppendTaskAssign(nil, &assign)
-			outA := TaskAssignMsg{Cred: []byte("stale"), Trace: span.Context{Span: 99}}
+			outA := backend.TaskAssign{Credential: []byte("stale"), Trace: span.Context{Span: 99}}
 			if err := DecodeTaskAssign(rawA, &outA); err != nil {
 				t.Fatal(err)
 			}
-			if outA.Trace != trace || !bytes.Equal(outA.Cred, c) || !bytes.Equal(AppendTaskAssign(nil, &outA), rawA) {
+			if outA.Trace != trace || !bytes.Equal(outA.Credential, c) || !bytes.Equal(AppendTaskAssign(nil, &outA), rawA) {
 				t.Fatalf("assign cred=%t trace=%t not canonical: %+v", c != nil, trace.Valid(), outA)
 			}
-			res := TaskResultMsg{NodeID: 7, JobID: 2, TaskID: 5, Payload: []byte("out"), Cred: c, Trace: trace}
+			res := backend.TaskResult{NodeID: 7, JobID: 2, TaskID: 5, Payload: []byte("out"), Credential: c, Trace: trace}
 			rawR := AppendTaskResult(nil, &res)
-			outR := TaskResultMsg{Cred: []byte("stale"), Trace: span.Context{Span: 99}}
+			outR := backend.TaskResult{Credential: []byte("stale"), Trace: span.Context{Span: 99}}
 			if err := DecodeTaskResult(rawR, &outR); err != nil {
 				t.Fatal(err)
 			}
-			if outR.Trace != trace || !bytes.Equal(outR.Cred, c) || !bytes.Equal(AppendTaskResult(nil, &outR), rawR) {
+			if outR.Trace != trace || !bytes.Equal(outR.Credential, c) || !bytes.Equal(AppendTaskResult(nil, &outR), rawR) {
 				t.Fatalf("result cred=%t trace=%t not canonical: %+v", c != nil, trace.Valid(), outR)
 			}
 		}
 	}
 
 	// flagsAt is where each shape keeps its flags byte.
-	reqRaw := AppendTaskRequest(nil, &TaskRequestMsg{NodeID: 7, Trace: ctx})
-	asgRaw := AppendTaskAssign(nil, &TaskAssignMsg{Payload: []byte("in"), Cred: cred, Trace: ctx})
-	resRaw := AppendTaskResult(nil, &TaskResultMsg{Payload: []byte("out"), Cred: cred, Trace: ctx})
+	reqRaw := AppendTaskRequest(nil, &backend.TaskRequest{NodeID: 7, Trace: ctx})
+	asgRaw := AppendTaskAssign(nil, &backend.TaskAssign{Payload: []byte("in"), Credential: cred, Trace: ctx})
+	resRaw := AppendTaskResult(nil, &backend.TaskResult{Payload: []byte("out"), Credential: cred, Trace: ctx})
 	shapes := []struct {
 		name    string
 		raw     []byte
 		flagsAt int
 		decode  func([]byte) error
 	}{
-		{"request", reqRaw, 8, func(b []byte) error { return DecodeTaskRequest(b, new(TaskRequestMsg)) }},
-		{"assign", asgRaw, 32, func(b []byte) error { return DecodeTaskAssign(b, new(TaskAssignMsg)) }},
-		{"result", resRaw, 24, func(b []byte) error { return DecodeTaskResult(b, new(TaskResultMsg)) }},
+		{"request", reqRaw, 8, func(b []byte) error { return DecodeTaskRequest(b, new(backend.TaskRequest)) }},
+		{"assign", asgRaw, 32, func(b []byte) error { return DecodeTaskAssign(b, new(backend.TaskAssign)) }},
+		{"result", resRaw, 24, func(b []byte) error { return DecodeTaskResult(b, new(backend.TaskResult)) }},
 	}
 	for _, sh := range shapes {
 		mutate := func(what string, f func(b []byte) []byte) {
@@ -333,37 +344,40 @@ func TestTaskPlaneCodecFlags(t *testing.T) {
 	}
 	// A request may not carry a credential, whatever its tail holds.
 	credReq := append(binary.BigEndian.AppendUint64(nil, 7), extCred)
-	if DecodeTaskRequest(append(credReq, cred...), new(TaskRequestMsg)) == nil {
+	if DecodeTaskRequest(append(credReq, cred...), new(backend.TaskRequest)) == nil {
 		t.Error("request with a credential accepted")
 	}
 }
 
 func TestImagePlaneCodec(t *testing.T) {
 	const cb = appimage.ChunkBytes
-	ones := appimage.Digest(bytes.Repeat([]byte{0xFF}, digestLen))
-	in := ImageManifest{Name: "image.1", Size: 2*cb + 1, Digests: []appimage.Digest{{1}, ones, {3}}}
-	raw := AppendImageManifest(nil, &in)
-	var out ImageManifest
-	if err := DecodeImageManifest(raw, &out); err != nil {
+	ones := appimage.Digest(bytes.Repeat([]byte{0xFF}, len(appimage.Digest{})))
+	digests := []appimage.Digest{{1}, ones, {3}}
+	raw := AppendImageManifest(nil, "image.1", 2*cb+1, digests)
+	name, size, ds, err := DecodeImageManifest(raw)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Name != in.Name || out.Size != in.Size ||
-		!slices.Equal(out.Digests, in.Digests) || !bytes.Equal(AppendImageManifest(nil, &out), raw) {
-		t.Fatalf("manifest round trip: %+v != %+v", out, in)
+	if name != "image.1" || size != 2*cb+1 ||
+		!slices.Equal(ds, digests) || !bytes.Equal(AppendImageManifest(nil, name, size, ds), raw) {
+		t.Fatalf("manifest round trip: %q %d %x", name, size, ds)
 	}
-	bad := map[string]ImageManifest{
-		"size 0":          {Name: "x", Size: 0},
-		"size > MaxFrame": {Name: "x", Size: MaxFrame + 1, Digests: make([]appimage.Digest, MaxFrame/cb+1)},
-		"a digest short":  {Name: "x", Size: 2*cb + 1, Digests: []appimage.Digest{{1}, {2}}},
-		"a digest over":   {Name: "x", Size: 2 * cb, Digests: []appimage.Digest{{1}, {2}, {3}}},
+	bad := map[string]struct {
+		size int
+		ds   []appimage.Digest
+	}{
+		"size 0":              {0, nil},
+		"size > maxImageSize": {maxImageSize + 1, make([]appimage.Digest, maxImageSize/cb+1)},
+		"a digest short":      {2*cb + 1, []appimage.Digest{{1}, {2}}},
+		"a digest over":       {2 * cb, []appimage.Digest{{1}, {2}, {3}}},
 	}
-	for name, m := range bad {
-		if DecodeImageManifest(AppendImageManifest(nil, &m), &out) == nil {
-			t.Errorf("manifest with %s accepted", name)
+	for what, m := range bad {
+		if _, _, _, err := DecodeImageManifest(AppendImageManifest(nil, "x", m.size, m.ds)); err == nil {
+			t.Errorf("manifest with %s accepted", what)
 		}
 	}
 	for _, b := range [][]byte{nil, {0}, raw[:5], raw[:len(raw)-1], append(raw[:len(raw):len(raw)], 0)} {
-		if DecodeImageManifest(b, &out) == nil {
+		if _, _, _, err := DecodeImageManifest(b); err == nil {
 			t.Errorf("malformed manifest %x accepted", b)
 		}
 	}
@@ -373,7 +387,7 @@ func TestImagePlaneCodec(t *testing.T) {
 	if err != nil || d != ones || string(data) != "data" || !bytes.Equal(AppendImageChunk(nil, d, data), chunk) {
 		t.Fatalf("chunk round trip: d=%x data=%q err=%v", d, data, err)
 	}
-	for _, b := range [][]byte{nil, chunk[:digestLen-1], chunk[:digestLen]} {
+	for _, b := range [][]byte{nil, chunk[:len(d)-1], chunk[:len(d)]} {
 		if _, _, err := DecodeImageChunk(b); err == nil {
 			t.Errorf("chunk of %d bytes accepted", len(b))
 		}

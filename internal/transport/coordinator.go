@@ -214,6 +214,9 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.Image == nil {
 		return nil, errors.New("transport: coordinator needs an image")
 	}
+	if err := checkImageSize(cfg.Image); err != nil {
+		return nil, err
+	}
 	if cfg.Probability == 0 {
 		cfg.Probability = 1
 	}
@@ -356,15 +359,14 @@ func (c *Coordinator) Update(files []dsmcc.File) error {
 		if len(img.Chunks) != appimage.ChunkCount(len(st.raw)) {
 			return fmt.Errorf("transport: image file %s comes with %d chunk digests for %d bytes", img.Name, len(img.Chunks), len(st.raw))
 		}
-		manifest := ImageManifest{Name: img.Name, Size: len(st.raw), Digests: img.Chunks}
-		for i, d := range manifest.Digests {
+		for i, d := range img.Chunks {
 			if _, ok := st.chunks[d]; ok {
 				continue // duplicate content within the image
 			}
 			n := len(appimage.Chunk(st.raw, i))
 			hdr := prev.chunks[d].hdr // unchanged content: reused, no encode
 			if hdr == nil {
-				hdr = binary.BigEndian.AppendUint32([]byte{byte(FrameImageChunk)}, uint32(digestLen+n))
+				hdr = binary.BigEndian.AppendUint32([]byte{byte(FrameImageChunk)}, uint32(len(d)+n))
 				hdr = AppendImageChunk(hdr, d, nil) // the frame up to the chunk's bytes
 				c.encodeOps.Add(1)
 			}
@@ -372,7 +374,7 @@ func (c *Coordinator) Update(files []dsmcc.File) error {
 			st.chunks[d] = stagedChunk{hdr: hdr, slot: i}
 			st.bytes += len(hdr) + n
 		}
-		if st.manifestFrame, err = AppendFrame(nil, FrameImageManifest, AppendImageManifest(nil, &manifest)); err != nil {
+		if st.manifestFrame, err = AppendFrame(nil, FrameImageManifest, AppendImageManifest(nil, img.Name, len(st.raw), img.Chunks)); err != nil {
 			return err
 		}
 		c.encodeOps.Add(1)
@@ -386,8 +388,12 @@ func (c *Coordinator) Update(files []dsmcc.File) error {
 // the wakeup re-airs under the next sequence, the manifest re-encodes,
 // and chunk frames re-encode only for changed content. Connected
 // sessions are re-staged at their next heartbeat with just the chunks
-// the new manifest lists and their previous one did not.
+// the new manifest lists and their previous one did not. An image no
+// node would accept is refused before anything is journaled or aired.
 func (c *Coordinator) UpdateImage(img *appimage.Image) error {
+	if err := checkImageSize(img); err != nil {
+		return err
+	}
 	return c.ctrl.Recompose(c.id, img)
 }
 
@@ -628,16 +634,16 @@ func (c *Coordinator) session(conn net.Conn) {
 	// Reused hot-path state: decode targets, the frame build buffer and
 	// the assignment the backend writes into live for the whole session.
 	// reply encodes the assignment before the next read, so the next
-	// dispatch may overwrite it, token included. reset is set once the
-	// Controller has told this node to leave: from then on its heartbeats
-	// are not consolidated again and its requests get no task.
+	// dispatch may overwrite it, token included; HandleResult keeps no
+	// pointer to res. reset is set once the Controller has told this node
+	// to leave: from then on its heartbeats are not consolidated again
+	// and its requests get no task.
 	var (
 		reset bool
 		wbuf  []byte
 		hb    control.Heartbeat
-		req   TaskRequestMsg
-		res   TaskResultMsg
-		beReq backend.TaskRequest
+		req   backend.TaskRequest
+		res   backend.TaskResult
 		asg   backend.TaskAssign
 	)
 	reply := func(resp any) error {
@@ -646,15 +652,9 @@ func (c *Coordinator) session(conn net.Conn) {
 			// The backend attaches a credential iff its mode issues them
 			// and a dispatch context iff it has a collector; both ride
 			// whenever present.
-			wbuf = BeginFrame(wbuf[:0], FrameTaskAssign)
-			wbuf = AppendTaskAssign(wbuf, &TaskAssignMsg{
-				JobID: m.JobID, TaskID: m.TaskID,
-				RefSeconds: m.RefSeconds, OutputSize: m.OutputSize,
-				Payload: m.Payload, Cred: m.Credential, Trace: m.Trace,
-			})
+			wbuf = AppendTaskAssign(BeginFrame(wbuf[:0], FrameTaskAssign), m)
 		case *backend.NoTask:
-			wbuf = BeginFrame(wbuf[:0], FrameNoTask)
-			wbuf = AppendNoTask(wbuf, &NoTaskMsg{RetryAfterMS: m.RetryAfter.Milliseconds(), Done: m.Done})
+			wbuf = AppendNoTask(BeginFrame(wbuf[:0], FrameNoTask), m)
 		default:
 			return nil
 		}
@@ -716,9 +716,7 @@ func (c *Coordinator) session(conn net.Conn) {
 			if err := DecodeTaskRequest(payload, &req); err != nil || reset {
 				continue
 			}
-			beReq.NodeID = req.NodeID
-			beReq.Trace = req.Trace
-			if err := reply(c.be.HandleRequestInto(&beReq, &asg)); err != nil {
+			if err := reply(c.be.HandleRequestInto(&req, &asg)); err != nil {
 				return
 			}
 		case FrameTaskResult:
@@ -726,10 +724,7 @@ func (c *Coordinator) session(conn net.Conn) {
 			if err := DecodeTaskResult(payload, &res); err != nil {
 				continue
 			}
-			c.be.HandleResult(&backend.TaskResult{
-				NodeID: res.NodeID, JobID: res.JobID, TaskID: res.TaskID,
-				Payload: res.Payload, Credential: res.Cred, Trace: res.Trace,
-			})
+			c.be.HandleResult(&res)
 		default:
 			// Unknown frames are ignored for forward compatibility.
 			c.met.framesInOther.Inc()

@@ -72,11 +72,11 @@ func TestCredentialEnforceRejectsBareResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	if err := WriteFrame(p.conn, FrameTaskRequest, AppendTaskRequest(nil, &TaskRequestMsg{NodeID: 99})); err != nil {
+	if err := WriteFrame(p.conn, FrameTaskRequest, AppendTaskRequest(nil, &backend.TaskRequest{NodeID: 99})); err != nil {
 		t.Fatal(err)
 	}
-	var assign TaskAssignMsg
-	for assign.Cred == nil {
+	var assign backend.TaskAssign
+	for assign.Credential == nil {
 		typ, payload, err := p.fr.Next()
 		if err != nil {
 			t.Fatalf("awaiting assign: %v", err)
@@ -87,11 +87,11 @@ func TestCredentialEnforceRejectsBareResult(t *testing.T) {
 		if err := DecodeTaskAssign(payload, &assign); err != nil {
 			t.Fatal(err)
 		}
-		if len(assign.Cred) != backend.CredentialLen {
-			t.Fatalf("enforce-mode assign carries a %d-byte credential, want %d", len(assign.Cred), backend.CredentialLen)
+		if len(assign.Credential) != backend.CredentialLen {
+			t.Fatalf("enforce-mode assign carries a %d-byte credential, want %d", len(assign.Credential), backend.CredentialLen)
 		}
 	}
-	bare := TaskResultMsg{NodeID: 99, JobID: assign.JobID, TaskID: assign.TaskID, Payload: []byte("unsigned")}
+	bare := backend.TaskResult{NodeID: 99, JobID: assign.JobID, TaskID: assign.TaskID, Payload: []byte("unsigned")}
 	if err := WriteFrame(p.conn, FrameTaskResult, AppendTaskResult(nil, &bare)); err != nil {
 		t.Fatal(err)
 	}

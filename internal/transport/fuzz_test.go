@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"testing"
+	"time"
 
 	"oddci/internal/appimage"
+	"oddci/internal/core/backend"
 	"oddci/internal/span"
 )
 
@@ -55,23 +57,23 @@ func FuzzReadFrame(f *testing.F) {
 // the decoded message reproduces the input bit-exactly.
 func FuzzTaskPlaneCodec(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(append([]byte{2}, AppendNoTask(nil, &NoTaskMsg{RetryAfterMS: 1500})...))
-	f.Add(append([]byte{2}, AppendNoTask(nil, &NoTaskMsg{Done: true})...))
+	f.Add(append([]byte{2}, AppendNoTask(nil, &backend.NoTask{RetryAfter: 1500 * time.Millisecond})...))
+	f.Add(append([]byte{2}, AppendNoTask(nil, &backend.NoTask{Done: true})...))
 	// Every flag class per shape: bare, cred, trace, cred+trace. A
 	// request may carry only the trace, so its cred classes are seeds
 	// the decoder must reject.
-	cred := bytes.Repeat([]byte{0xAB}, credentialLen)
+	cred := bytes.Repeat([]byte{0xAB}, backend.CredentialLen)
 	ctx := span.Context{Trace: span.TraceID{0xDEAD, 0xBEEF}, Span: 0x77, Sampled: true}
 	for _, trace := range []span.Context{{}, ctx} {
-		req := AppendTaskRequest(nil, &TaskRequestMsg{NodeID: 7, Trace: trace})
+		req := AppendTaskRequest(nil, &backend.TaskRequest{NodeID: 7, Trace: trace})
 		f.Add(append([]byte{0}, req...))
 		req[8] |= extCred
 		f.Add(append(append([]byte{0}, req...), cred...))
 		for _, c := range [][]byte{nil, cred} {
-			f.Add(append([]byte{1}, AppendTaskAssign(nil, &TaskAssignMsg{
-				JobID: 1, TaskID: 2, RefSeconds: 2.5, OutputSize: 64, Payload: []byte("in"), Cred: c, Trace: trace})...))
-			f.Add(append([]byte{3}, AppendTaskResult(nil, &TaskResultMsg{
-				NodeID: 9, JobID: 1, TaskID: 2, Payload: []byte("out"), Cred: c, Trace: trace})...))
+			f.Add(append([]byte{1}, AppendTaskAssign(nil, &backend.TaskAssign{
+				JobID: 1, TaskID: 2, RefSeconds: 2.5, OutputSize: 64, Payload: []byte("in"), Credential: c, Trace: trace})...))
+			f.Add(append([]byte{3}, AppendTaskResult(nil, &backend.TaskResult{
+				NodeID: 9, JobID: 1, TaskID: 2, Payload: []byte("out"), Credential: c, Trace: trace})...))
 		}
 	}
 	f.Add([]byte{1, 0, 0, 0})
@@ -83,28 +85,28 @@ func FuzzTaskPlaneCodec(f *testing.F) {
 		sel, body := data[0], data[1:]
 		switch sel % 4 {
 		case 0:
-			var m TaskRequestMsg
+			var m backend.TaskRequest
 			if DecodeTaskRequest(body, &m) == nil {
 				if !bytes.Equal(AppendTaskRequest(nil, &m), body) {
 					t.Fatal("non-canonical task request accepted")
 				}
 			}
 		case 1:
-			var m TaskAssignMsg
+			var m backend.TaskAssign
 			if DecodeTaskAssign(body, &m) == nil {
 				if !bytes.Equal(AppendTaskAssign(nil, &m), body) {
 					t.Fatal("non-canonical task assign accepted")
 				}
 			}
 		case 2:
-			var m NoTaskMsg
+			var m backend.NoTask
 			if DecodeNoTask(body, &m) == nil {
 				if !bytes.Equal(AppendNoTask(nil, &m), body) {
 					t.Fatal("non-canonical no-task accepted")
 				}
 			}
 		case 3:
-			var m TaskResultMsg
+			var m backend.TaskResult
 			if DecodeTaskResult(body, &m) == nil {
 				if !bytes.Equal(AppendTaskResult(nil, &m), body) {
 					t.Fatal("non-canonical task result accepted")
@@ -120,14 +122,11 @@ func FuzzTaskPlaneCodec(f *testing.F) {
 // accepted payload must be canonical.
 func FuzzImagePlaneCodec(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(append([]byte{0}, AppendImageManifest(nil, &ImageManifest{
-		Name: "image.1", Size: appimage.ChunkBytes + 1, Digests: []appimage.Digest{{1}, {2}}})...))
-	f.Add(append([]byte{0}, AppendImageManifest(nil, &ImageManifest{
-		Name: "image.1", Size: 0xFFFFFFFF})...)) // the "size: -1" manifest
-	f.Add(append([]byte{0}, AppendImageManifest(nil, &ImageManifest{
-		Name: "", Size: MaxFrame})...)) // 256 digests promised, none sent
+	f.Add(append([]byte{0}, AppendImageManifest(nil, "image.1", appimage.ChunkBytes+1, []appimage.Digest{{1}, {2}})...))
+	f.Add(append([]byte{0}, AppendImageManifest(nil, "image.1", 0xFFFFFFFF, nil)...)) // the "size: -1" manifest
+	f.Add(append([]byte{0}, AppendImageManifest(nil, "", maxImageSize, nil)...))      // 256 digests promised, none sent
 	f.Add(append([]byte{1}, AppendImageChunk(nil, sha256.Sum256([]byte("chunk")), []byte("chunk"))...))
-	f.Add(append([]byte{1}, make([]byte, digestLen)...)) // a digest and no bytes
+	f.Add(append([]byte{1}, make([]byte, sha256.Size)...)) // a digest and no bytes
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
@@ -135,12 +134,11 @@ func FuzzImagePlaneCodec(f *testing.F) {
 		}
 		sel, body := data[0], data[1:]
 		if sel%2 == 0 {
-			var m ImageManifest
-			if DecodeImageManifest(body, &m) == nil {
-				if len(m.Digests)*digestLen > len(body) {
+			if name, size, ds, err := DecodeImageManifest(body); err == nil {
+				if len(ds)*sha256.Size > len(body) {
 					t.Fatal("manifest decoded more digests than it carried")
 				}
-				if !bytes.Equal(AppendImageManifest(nil, &m), body) {
+				if !bytes.Equal(AppendImageManifest(nil, name, size, ds), body) {
 					t.Fatal("non-canonical image manifest accepted")
 				}
 			}

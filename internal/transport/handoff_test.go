@@ -108,7 +108,7 @@ func (p *scriptedPeer) expect(types ...FrameType) {
 // assignFrame hands over task, refSeconds long on the reference device:
 // at the node's TimeScale of 1, that is how long it sleeps.
 func assignFrame(task int, refSeconds float64) []byte {
-	f, _ := AppendFrame(nil, FrameTaskAssign, AppendTaskAssign(nil, &TaskAssignMsg{
+	f, _ := AppendFrame(nil, FrameTaskAssign, AppendTaskAssign(nil, &backend.TaskAssign{
 		JobID: 1, TaskID: task, RefSeconds: refSeconds, Payload: []byte("in")}))
 	return f
 }
@@ -116,7 +116,7 @@ func assignFrame(task int, refSeconds float64) []byte {
 // longTask outlasts a round trip over a pipe many times over.
 const longTask = 0.05
 
-func noTaskFrame(m NoTaskMsg) []byte {
+func noTaskFrame(m backend.NoTask) []byte {
 	f, _ := AppendFrame(nil, FrameNoTask, AppendNoTask(nil, &m))
 	return f
 }
@@ -189,7 +189,7 @@ func TestHandoffCadence(t *testing.T) {
 		req = FrameTaskRequest
 		res = FrameTaskResult
 	)
-	backOff := noTaskFrame(NoTaskMsg{RetryAfterMS: 1})
+	backOff := noTaskFrame(backend.NoTask{RetryAfter: time.Millisecond})
 	for _, c := range []struct {
 		name   string
 		script func(p *scriptedPeer)
@@ -208,7 +208,7 @@ func TestHandoffCadence(t *testing.T) {
 			p.expect(req)
 			p.send(assignFrame(1, longTask))
 			p.expect(res, req)
-			p.send(noTaskFrame(NoTaskMsg{Done: true}))
+			p.send(noTaskFrame(backend.NoTask{Done: true}))
 		},
 		tasks: 2,
 		want:  [][]FrameType{{req}, {res, req}, {req}, {res, req}},
@@ -227,7 +227,7 @@ func TestHandoffCadence(t *testing.T) {
 			p.expect(res, req, res, req, res, req)
 			p.send(backOff, backOff, backOff)
 			p.expect(req)
-			p.send(noTaskFrame(NoTaskMsg{Done: true}))
+			p.send(noTaskFrame(backend.NoTask{Done: true}))
 		},
 		tasks: 4,
 		want:  [][]FrameType{{req}, {res, req, req, req, req}, {res, req, res, req, res, req}, {req}},
@@ -243,7 +243,7 @@ func TestHandoffCadence(t *testing.T) {
 			p.expect(res, req, req, req, req)
 			p.send(assignFrame(1, longTask), assignFrame(2, longTask), assignFrame(3, longTask), assignFrame(4, longTask))
 			p.expect(res, res, res, res, req)
-			p.send(noTaskFrame(NoTaskMsg{Done: true}))
+			p.send(noTaskFrame(backend.NoTask{Done: true}))
 		},
 		tasks: 5,
 		want:  [][]FrameType{{req}, {res, req, req, req, req}, {res}, {res}, {res}, {res, req}},
@@ -297,7 +297,7 @@ func TestHandoffFlushesBeforeEveryRead(t *testing.T) {
 				p.expect(FrameTaskRequest)
 				p.send(append([][]byte{assignFrame(0, longTask)}, c.after...)...)
 				p.expect(FrameTaskResult, FrameTaskRequest) // nothing more is sent until the result is in
-				p.send(noTaskFrame(NoTaskMsg{Done: true}))
+				p.send(noTaskFrame(backend.NoTask{Done: true}))
 			})
 			if report.TasksDone != 1 || report.Restages != c.restages {
 				t.Fatalf("report = %+v, want 1 task done and %d re-stages", report, c.restages)
@@ -374,7 +374,7 @@ func TestHandoffFoldsInterleavedFrames(t *testing.T) {
 		p.send(delta...)
 		p.send(assignFrame(1, longTask))
 		p.expect(FrameTaskResult, FrameTaskRequest)
-		p.send(noTaskFrame(NoTaskMsg{Done: true}))
+		p.send(noTaskFrame(backend.NoTask{Done: true}))
 	})
 	if report.Restages != 1 || report.TasksDone != 2 {
 		t.Fatalf("report = %+v, want 1 re-stage folded in and 2 tasks done", report)
@@ -388,14 +388,14 @@ func TestHandoffFoldsInterleavedFrames(t *testing.T) {
 // collector nothing for an assignment and exactly the kept payload copy
 // for a result; reading the frame costs nothing either.
 func TestTaskDecodeAllocCeilings(t *testing.T) {
-	cred := make([]byte, credentialLen)
+	cred := make([]byte, backend.CredentialLen)
 	payload := make([]byte, 512)
-	asgRaw := AppendTaskAssign(nil, &TaskAssignMsg{JobID: 1, TaskID: 2, Payload: payload, Cred: cred})
-	resRaw := AppendTaskResult(nil, &TaskResultMsg{NodeID: 7, JobID: 1, TaskID: 2, Payload: payload, Cred: cred})
-	bareRaw := AppendTaskResult(nil, &TaskResultMsg{NodeID: 7, JobID: 1, TaskID: 2, Cred: cred})
+	asgRaw := AppendTaskAssign(nil, &backend.TaskAssign{JobID: 1, TaskID: 2, Payload: payload, Credential: cred})
+	resRaw := AppendTaskResult(nil, &backend.TaskResult{NodeID: 7, JobID: 1, TaskID: 2, Payload: payload, Credential: cred})
+	bareRaw := AppendTaskResult(nil, &backend.TaskResult{NodeID: 7, JobID: 1, TaskID: 2, Credential: cred})
 
-	var asg TaskAssignMsg
-	var res TaskResultMsg
+	var asg backend.TaskAssign
+	var res backend.TaskResult
 	for _, c := range []struct {
 		name    string
 		ceiling float64
@@ -413,9 +413,9 @@ func TestTaskDecodeAllocCeilings(t *testing.T) {
 			t.Errorf("decoding a %s into a reused message allocates %.0f times, ceiling %.0f", c.name, got, c.ceiling)
 		}
 	}
-	if len(asg.Payload) != len(payload) || len(asg.Cred) != credentialLen || len(res.Cred) != credentialLen || res.Payload != nil {
+	if len(asg.Payload) != len(payload) || len(asg.Credential) != backend.CredentialLen || len(res.Credential) != backend.CredentialLen || res.Payload != nil {
 		t.Fatalf("decoded lengths: assign payload %d cred %d, result payload %d cred %d",
-			len(asg.Payload), len(asg.Cred), len(res.Payload), len(res.Cred))
+			len(asg.Payload), len(asg.Credential), len(res.Payload), len(res.Credential))
 	}
 
 	// A stream that never ends: the same result frame over and over.
@@ -452,12 +452,12 @@ func handoffAllocs(t *testing.T, spans *span.Collector, mode backend.CredentialM
 	}
 	defer p.Close()
 	p.conn.SetDeadline(time.Now().Add(30 * time.Second))
-	reqFrame, _ := AppendFrame(nil, FrameTaskRequest, AppendTaskRequest(nil, &TaskRequestMsg{NodeID: 1}))
+	reqFrame, _ := AppendFrame(nil, FrameTaskRequest, AppendTaskRequest(nil, &backend.TaskRequest{NodeID: 1}))
 	if _, err := p.conn.Write(reqFrame); err != nil {
 		t.Fatal(err)
 	}
 	var wbuf []byte
-	var assign TaskAssignMsg
+	var assign backend.TaskAssign
 	handoff := func() {
 		typ, payload, err := p.fr.Next()
 		for err == nil && typ != FrameTaskAssign { // the staged broadcast, ahead of the first reply
@@ -468,7 +468,7 @@ func handoffAllocs(t *testing.T, spans *span.Collector, mode backend.CredentialM
 		}
 		if err == nil {
 			wbuf = BeginFrame(wbuf[:0], FrameTaskResult)
-			wbuf = AppendTaskResult(wbuf, &TaskResultMsg{NodeID: 1, JobID: assign.JobID, TaskID: assign.TaskID, Cred: assign.Cred})
+			wbuf = AppendTaskResult(wbuf, &backend.TaskResult{NodeID: 1, JobID: assign.JobID, TaskID: assign.TaskID, Credential: assign.Credential})
 			wbuf, err = EndFrame(wbuf, 0)
 		}
 		if err == nil {
@@ -481,8 +481,8 @@ func handoffAllocs(t *testing.T, spans *span.Collector, mode backend.CredentialM
 	}
 	handoff()
 	allocs := testing.AllocsPerRun(runs, handoff)
-	if mode != backend.CredOff && len(assign.Cred) != backend.CredentialLen {
-		t.Fatalf("assignment carried a %d-byte credential", len(assign.Cred))
+	if mode != backend.CredOff && len(assign.Credential) != backend.CredentialLen {
+		t.Fatalf("assignment carried a %d-byte credential", len(assign.Credential))
 	}
 	if got := atomic.LoadInt64(&coord.be.Completed); got < runs {
 		t.Fatalf("%d of %d hand-offs committed", got, runs)

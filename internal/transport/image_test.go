@@ -412,20 +412,16 @@ func TestHostileImagePlaneRejected(t *testing.T) {
 	rawManifest := func(size uint32, digests int) []byte {
 		b := append([]byte{0, 7}, "image.1"...)
 		b = binary.BigEndian.AppendUint32(b, size)
-		return frame(FrameImageManifest, append(b, make([]byte, digestLen*digests)...))
+		return frame(FrameImageManifest, append(b, make([]byte, sha256.Size*digests)...))
 	}
 	chunk := func(d appimage.Digest, data []byte) []byte {
 		return frame(FrameImageChunk, AppendImageChunk(nil, d, data))
 	}
 	// A full slot then a 16-byte one, under digests no bytes have.
 	data := []byte("sixteen byte blk")
-	listed := frame(FrameImageManifest, AppendImageManifest(nil, &ImageManifest{
-		Name: "image.1", Size: appimage.ChunkBytes + 16, Digests: []appimage.Digest{{1}, {2}},
-	}))
+	listed := frame(FrameImageManifest, AppendImageManifest(nil, "image.1", appimage.ChunkBytes+16, []appimage.Digest{{1}, {2}}))
 	short := data[:5]
-	shortListed := frame(FrameImageManifest, AppendImageManifest(nil, &ImageManifest{
-		Name: "image.1", Size: appimage.ChunkBytes + 16, Digests: []appimage.Digest{sha256.Sum256(short), {2}},
-	}))
+	shortListed := frame(FrameImageManifest, AppendImageManifest(nil, "image.1", appimage.ChunkBytes+16, []appimage.Digest{sha256.Sum256(short), {2}}))
 	// A real image of three slots, signed, and two unsigned variants that
 	// decode as well as it does.
 	raw := encodeImage(t, chunkedImage(t, 41, 2*appimage.ChunkBytes+500))

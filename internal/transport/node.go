@@ -73,7 +73,7 @@ var errReset = errors.New("transport: reset by the controller")
 // re-staging are one code path: a delta against whatever is held.
 //
 // The image is assembled in place and each byte is hashed once: each
-// manifest gets one buffer of its Size; a chunk is checked against its
+// manifest gets one buffer of its size; a chunk is checked against its
 // manifest digest when its frame arrives and copied once into every slot
 // that digest fills; a chunk the previous buffer held is copied across
 // unhashed, having been checked under the same digest. When the last
@@ -82,17 +82,19 @@ var errReset = errors.New("transport: reset by the controller")
 type imageAssembler struct {
 	key    ed25519.PublicKey
 	wakeup *control.Wakeup
-	// manifest is the last one received (nil before the first) and buf
-	// its image. chains has one entry per distinct digest it lists and
-	// nothing else, so what a node holds is bounded by the manifest;
-	// next[i] is the next slot after i that the same digest fills (0
-	// ends a chain: no later slot is slot 0). missing counts the digests
-	// whose bytes are not in buf yet.
-	manifest *ImageManifest
-	buf      []byte
-	chains   map[appimage.Digest]chain
-	next     []int
-	missing  int
+	// name, size and digests are the last manifest received (empty
+	// before the first) and buf its image. chains has one entry per
+	// distinct digest it lists and nothing else, so what a node holds is
+	// bounded by the manifest; next[i] is the next slot after i that the
+	// same digest fills (0 ends a chain: no later slot is slot 0).
+	// missing counts the digests whose bytes are not in buf yet.
+	name    string
+	size    int
+	digests []appimage.Digest
+	buf     []byte
+	chains  map[appimage.Digest]chain
+	next    []int
+	missing int
 	// hashed counts the chunk bytes hashed, for tests.
 	hashed int
 	// img is the last image verified, against digest. Its Payload
@@ -131,24 +133,24 @@ func (a *imageAssembler) feed(t FrameType, payload []byte) (staged bool, err err
 		a.wakeup = w
 		return false, nil
 	case FrameImageManifest:
-		var m ImageManifest
-		if err := DecodeImageManifest(payload, &m); err != nil {
+		name, size, ds, err := DecodeImageManifest(payload)
+		if err != nil {
 			return false, err
 		}
 		// A fresh buffer, never the previous one (the last verified image
 		// aliases it). Chunks the new manifest still lists are copied
 		// across from the previous buffer; the rest are dropped.
 		prev := *a
-		a.manifest, a.buf, a.missing = &m, make([]byte, m.Size), 0
-		a.chains, a.next = make(map[appimage.Digest]chain, len(m.Digests)), make([]int, len(m.Digests))
-		for i := len(m.Digests) - 1; i >= 0; i-- { // backwards, so a chain runs in slot order
-			c, dup := a.chains[m.Digests[i]]
+		a.name, a.size, a.digests, a.buf, a.missing = name, size, ds, make([]byte, size), 0
+		a.chains, a.next = make(map[appimage.Digest]chain, len(ds)), make([]int, len(ds))
+		for i := len(ds) - 1; i >= 0; i-- { // backwards, so a chain runs in slot order
+			c, dup := a.chains[ds[i]]
 			if dup {
 				a.next[i] = c.first
 			} else {
 				a.missing++
 			}
-			a.chains[m.Digests[i]] = chain{first: i}
+			a.chains[ds[i]] = chain{first: i}
 		}
 		for d, c := range prev.chains {
 			if _, listed := a.chains[d]; listed && c.held {
@@ -180,13 +182,13 @@ func (a *imageAssembler) feed(t FrameType, payload []byte) (staged bool, err err
 	default:
 		return false, nil
 	}
-	if a.missing > 0 || a.wakeup == nil || a.manifest.Name != a.wakeup.ImageFile {
+	if a.missing > 0 || a.wakeup == nil || a.name != a.wakeup.ImageFile {
 		return false, nil // incomplete, or nothing to assemble against yet
 	}
 	if a.img != nil && a.wakeup.ImageDigest == a.digest {
 		return false, nil // no new image generation yet
 	}
-	if appimage.RootOf(a.manifest.Size, a.manifest.Digests) != a.wakeup.ImageDigest {
+	if appimage.RootOf(a.size, a.digests) != a.wakeup.ImageDigest {
 		return false, errors.New("transport: image rejected: manifest does not root to the signed digest")
 	}
 	img, err := appimage.Decode(a.buf)
@@ -201,7 +203,7 @@ func (a *imageAssembler) feed(t FrameType, payload []byte) (staged bool, err err
 // long, the last one shorter.
 func (a *imageAssembler) slot(i int) (lo, hi int) {
 	lo = i * appimage.ChunkBytes
-	return lo, min(lo+appimage.ChunkBytes, a.manifest.Size)
+	return lo, min(lo+appimage.ChunkBytes, a.size)
 }
 
 // fill copies a listed chunk into every slot its digest fills, the first
@@ -311,10 +313,7 @@ func runNode(cfg NodeConfig, conn net.Conn) (report NodeReport, err error) {
 		}
 		return bw.Flush()
 	}
-	hello, err := json.Marshal(&Hello{
-		Wire: WireVersion, NodeID: cfg.NodeID, Class: uint8(cfg.Profile.Class),
-		MemMB: cfg.Profile.MemMB, CPUScore: cfg.Profile.CPUScore,
-	})
+	hello, err := json.Marshal(&Hello{Wire: WireVersion, NodeID: cfg.NodeID})
 	if err != nil {
 		return report, err
 	}
@@ -349,7 +348,7 @@ func runNode(cfg NodeConfig, conn net.Conn) (report NodeReport, err error) {
 	// SetDetail's variadic arguments are boxed before it can see a nil
 	// span, so an untraced node is spared the call, not just its body.
 	if imgSp := cfg.Spans.Start(joinSp.Context(), "image-load", nodeName); imgSp != nil {
-		imgSp.SetDetail("bytes=%d chunks=%d file=%s", asm.manifest.Size, len(asm.manifest.Digests), asm.manifest.Name)
+		imgSp.SetDetail("bytes=%d chunks=%d file=%s", asm.size, len(asm.digests), asm.name)
 		imgSp.End()
 	}
 	report.Joined = true
@@ -461,7 +460,7 @@ func runNode(cfg NodeConfig, conn net.Conn) (report NodeReport, err error) {
 	// Result frames build into wbuf. A node stamps contexts iff it has a
 	// collector; joinCtx is zero without one.
 	reqFrame := BeginFrame(nil, FrameTaskRequest)
-	reqFrame = AppendTaskRequest(reqFrame, &TaskRequestMsg{NodeID: cfg.NodeID, Trace: joinCtx})
+	reqFrame = AppendTaskRequest(reqFrame, &backend.TaskRequest{NodeID: cfg.NodeID, Trace: joinCtx})
 	if reqFrame, err = EndFrame(reqFrame, 0); err != nil {
 		return report, err
 	}
@@ -477,10 +476,8 @@ func runNode(cfg NodeConfig, conn net.Conn) (report NodeReport, err error) {
 			wbuf = append(wbuf, reqFrame...)
 		}
 	}
-	var (
-		assign TaskAssignMsg
-		noTask NoTaskMsg
-	)
+	var assign backend.TaskAssign
+	var noTask backend.NoTask
 	request()
 	for {
 		t, payload, err := readTaskReply()
@@ -520,7 +517,7 @@ func runNode(cfg NodeConfig, conn net.Conn) (report NodeReport, err error) {
 			exeSp.End()
 			// The credential is an opaque echo of whatever was given; the
 			// backend verifies.
-			res := TaskResultMsg{NodeID: cfg.NodeID, JobID: assign.JobID, TaskID: assign.TaskID, Cred: assign.Cred}
+			res := backend.TaskResult{NodeID: cfg.NodeID, JobID: assign.JobID, TaskID: assign.TaskID, Credential: assign.Credential}
 			if cfg.Spans != nil {
 				// Results parent under the dispatch context so the
 				// backend's commit span closes the same subtree.
@@ -547,7 +544,7 @@ func runNode(cfg NodeConfig, conn net.Conn) (report NodeReport, err error) {
 			}
 			window = 1
 			if inflight == 0 {
-				time.Sleep(time.Duration(float64(noTask.RetryAfter()) / cfg.TimeScale))
+				time.Sleep(time.Duration(float64(noTask.RetryAfter) / cfg.TimeScale))
 				request()
 			}
 		default:

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"oddci/internal/core/backend"
 	"oddci/internal/span"
 	"oddci/internal/workload"
 )
@@ -35,7 +36,7 @@ func stealTask(t *testing.T, addr string, wakeup span.Context) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	req := AppendTaskRequest(nil, &TaskRequestMsg{NodeID: 99, Trace: wakeup})
+	req := AppendTaskRequest(nil, &backend.TaskRequest{NodeID: 99, Trace: wakeup})
 	if err := WriteFrame(p.conn, FrameTaskRequest, req); err != nil {
 		t.Fatal(err)
 	}

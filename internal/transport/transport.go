@@ -1,10 +1,12 @@
 // Package transport carries the OddCI protocol over real TCP: the
 // deployment skeleton for running the coordinator (Controller head-end
-// + Backend) and the node agents as separate processes. Frames are
+// + Backend) and the node agents as separate processes, a codec and
+// socket adapter over messages other packages own. Frames are
 // length-prefixed with a one-byte type; the handshake is two small JSON
 // structs, control-plane payloads reuse the signed binary codecs from
-// internal/control, and the task and image planes are length-delimited
-// binary messages. There is one wire, WireVersion: both handshake
+// internal/control, the task plane encodes the Backend's own messages
+// (backend.TaskRequest, TaskAssign, NoTask, TaskResult), and an image
+// manifest is appimage's. There is one wire, WireVersion: both handshake
 // frames carry it and each side refuses a peer that speaks another.
 //
 // Scope note: across processes the broadcast channel is emulated as a
@@ -39,13 +41,14 @@ import (
 	"time"
 
 	"oddci/internal/appimage"
+	"oddci/internal/core/backend"
 	"oddci/internal/obs"
 	"oddci/internal/simtime"
 	"oddci/internal/span"
 )
 
 // WireVersion is the protocol generation both handshake frames carry.
-// Any change to a frame layout below bumps it.
+// Any change a peer of the other layout would misread bumps it.
 const WireVersion = 3
 
 // ErrWireVersion reports a peer whose handshake carries another
@@ -89,15 +92,11 @@ const (
 // MaxFrame bounds a frame's payload (images dominate).
 const MaxFrame = 64 << 20
 
-// Hello introduces a node.
+// Hello introduces a node; its device profile rides in heartbeats.
 type Hello struct {
 	// Wire is the node's WireVersion.
 	Wire   int    `json:"wire"`
 	NodeID uint64 `json:"node_id"`
-	// Class/MemMB/CPUScore describe the device.
-	Class    uint8  `json:"class"`
-	MemMB    uint32 `json:"mem_mb"`
-	CPUScore uint32 `json:"cpu_score"`
 }
 
 // Banner introduces the coordinator.
@@ -115,67 +114,6 @@ type Banner struct {
 	Trace span.Context `json:"trace,omitempty"`
 }
 
-// ImageManifest describes one content-addressed image: the full SHA-256
-// of each appimage.ChunkBytes chunk, in concatenation order, whose
-// payloads reassemble the encoded image. appimage.RootOf(Size, Digests)
-// is the image digest the signed wakeup carries, so a manifest that
-// roots to it authenticates every chunk it lists.
-type ImageManifest struct {
-	Name string
-	// Size is the assembled image's byte length.
-	Size int
-	// Digests lists the chunks in assembly order: ⌈Size/ChunkBytes⌉ of
-	// them, exactly.
-	Digests []appimage.Digest
-}
-
-// TaskRequestMsg asks for work.
-type TaskRequestMsg struct {
-	NodeID uint64
-	// Trace is the requesting worker's span context (zero when the hop
-	// is untraced).
-	Trace span.Context
-}
-
-// TaskAssignMsg hands a task over.
-type TaskAssignMsg struct {
-	JobID      int
-	TaskID     int
-	RefSeconds float64
-	OutputSize int
-	Payload    []byte
-	// Cred is the result credential the worker must echo (empty when the
-	// backend issues none). See DecodeTaskAssign for how long a decoded
-	// Payload and Cred stay valid.
-	Cred []byte
-	// Trace is the backend dispatch span context for this assignment.
-	Trace span.Context
-}
-
-// NoTaskMsg backs a worker off.
-type NoTaskMsg struct {
-	RetryAfterMS int64
-	Done         bool
-}
-
-// RetryAfter converts the wire field.
-func (m NoTaskMsg) RetryAfter() time.Duration {
-	return time.Duration(m.RetryAfterMS) * time.Millisecond
-}
-
-// TaskResultMsg returns output.
-type TaskResultMsg struct {
-	NodeID  uint64
-	JobID   int
-	TaskID  int
-	Payload []byte
-	// Cred echoes the assignment's credential back to the coordinator
-	// (decoded: valid until the next DecodeTaskResult into this message).
-	Cred []byte
-	// Trace is the worker's upload span context for this result.
-	Trace span.Context
-}
-
 // Binary task-plane codec. Deterministic big-endian layouts in the
 // style of internal/control:
 //
@@ -190,21 +128,18 @@ type TaskResultMsg struct {
 // bit over an empty value are all rejected — so every accepted input is
 // the canonical encoding of its message.
 //
-// A new optional field is declared here and nowhere else: one bit in
-// this block, one clause each in appendExt and decodeExt.
+// A no-task's back-off travels in whole milliseconds; an assignment's
+// InputSize (netsim's pacing size) does not travel. A new optional field is one field of the backend message and, here,
+// one bit in this block and one clause each in appendExt and decodeExt.
 const (
-	extCred  byte = 1 << 0 // result credential, credentialLen bytes
+	extCred  byte = 1 << 0 // result credential, backend.CredentialLen bytes
 	extTrace byte = 1 << 1 // span context, span.EncodedLen bytes
 )
-
-// credentialLen mirrors backend.CredentialLen; the codec treats the
-// token as opaque fixed-size bytes.
-const credentialLen = 64
 
 // appendExt appends the optional fields that are present and announces
 // each in the flags byte at dst[flagsAt].
 func appendExt(dst []byte, flagsAt int, cred []byte, trace span.Context) []byte {
-	if len(cred) == credentialLen {
+	if len(cred) == backend.CredentialLen {
 		dst[flagsAt] |= extCred
 		dst = append(dst, cred...)
 	}
@@ -224,11 +159,11 @@ func decodeExt(tail []byte, flags, allowed byte, cred *[]byte, trace *span.Conte
 		return fmt.Errorf("flags %#02x not allowed here", flags)
 	}
 	if flags&extCred != 0 {
-		if len(tail) < credentialLen {
+		if len(tail) < backend.CredentialLen {
 			return errors.New("truncated credential")
 		}
-		*cred = append(*cred, tail[:credentialLen]...)
-		tail = tail[credentialLen:]
+		*cred = append(*cred, tail[:backend.CredentialLen]...)
+		tail = tail[backend.CredentialLen:]
 	}
 	if flags&extTrace != 0 {
 		if len(tail) < span.EncodedLen {
@@ -248,14 +183,14 @@ func decodeExt(tail []byte, flags, allowed byte, cred *[]byte, trace *span.Conte
 }
 
 // AppendTaskRequest appends the binary task-request payload to dst.
-func AppendTaskRequest(dst []byte, m *TaskRequestMsg) []byte {
+func AppendTaskRequest(dst []byte, m *backend.TaskRequest) []byte {
 	dst = binary.BigEndian.AppendUint64(dst, m.NodeID)
 	dst = append(dst, 0)
 	return appendExt(dst, len(dst)-1, nil, m.Trace)
 }
 
 // DecodeTaskRequest reverses AppendTaskRequest into m.
-func DecodeTaskRequest(b []byte, m *TaskRequestMsg) error {
+func DecodeTaskRequest(b []byte, m *backend.TaskRequest) error {
 	if len(b) < 9 {
 		return errors.New("transport: truncated task request")
 	}
@@ -267,46 +202,64 @@ func DecodeTaskRequest(b []byte, m *TaskRequestMsg) error {
 	return nil
 }
 
+// appendBody appends what assigns and results end with: flags(1) len(4)
+// payload, then the optional fields.
+func appendBody(dst, payload, cred []byte, trace span.Context) []byte {
+	dst = append(dst, 0)
+	flagsAt := len(dst) - 1
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
+	return appendExt(append(dst, payload...), flagsAt, cred, trace)
+}
+
+// decodeBody reverses appendBody on b past its at bytes of fixed fields:
+// it returns the payload, aliasing b, and decodes the optional fields
+// into *cred, which it empties first, and *trace.
+func decodeBody(b []byte, at int, cred *[]byte, trace *span.Context) ([]byte, error) {
+	if len(b) < at+5 {
+		return nil, errors.New("truncated")
+	}
+	end := at + 5 + int(binary.BigEndian.Uint32(b[at+1:]))
+	if end > len(b) {
+		return nil, errors.New("payload length mismatch")
+	}
+	*cred, *trace = (*cred)[:0], span.Context{}
+	if err := decodeExt(b[end:], b[at], extCred|extTrace, cred, trace); err != nil {
+		return nil, err
+	}
+	return b[at+5 : end], nil
+}
+
 // AppendTaskAssign appends the binary task-assign payload to dst.
-func AppendTaskAssign(dst []byte, m *TaskAssignMsg) []byte {
+func AppendTaskAssign(dst []byte, m *backend.TaskAssign) []byte {
 	dst = binary.BigEndian.AppendUint64(dst, uint64(int64(m.JobID)))
 	dst = binary.BigEndian.AppendUint64(dst, uint64(int64(m.TaskID)))
 	dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(m.RefSeconds))
 	dst = binary.BigEndian.AppendUint64(dst, uint64(int64(m.OutputSize)))
-	dst = append(dst, 0)
-	flagsAt := len(dst) - 1
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(m.Payload)))
-	dst = append(dst, m.Payload...)
-	return appendExt(dst, flagsAt, m.Cred, m.Trace)
+	return appendBody(dst, m.Payload, m.Credential, m.Trace)
 }
 
-// DecodeTaskAssign reverses AppendTaskAssign into m. Payload and Cred
-// are copied out of b, which may therefore be a reused frame buffer,
-// into m's own buffers: they are valid until the next decode into m,
-// and a session that reuses m allocates nothing per assignment.
-func DecodeTaskAssign(b []byte, m *TaskAssignMsg) error {
-	if len(b) < 37 {
-		return errors.New("transport: truncated task assign")
-	}
-	n := binary.BigEndian.Uint32(b[33:])
-	if uint64(n) > uint64(len(b)-37) {
-		return errors.New("transport: task assign payload length mismatch")
-	}
-	m.Cred, m.Trace = m.Cred[:0], span.Context{}
-	if err := decodeExt(b[37+int(n):], b[32], extCred|extTrace, &m.Cred, &m.Trace); err != nil {
+// DecodeTaskAssign reverses AppendTaskAssign into m, setting InputSize
+// to len(Payload). Payload and Credential are copied out of b, which may
+// therefore be a reused frame buffer, into m's own buffers: they are
+// valid until the next decode into m, and a session that reuses m
+// allocates nothing per assignment.
+func DecodeTaskAssign(b []byte, m *backend.TaskAssign) error {
+	payload, err := decodeBody(b, 32, &m.Credential, &m.Trace)
+	if err != nil {
 		return fmt.Errorf("transport: task assign: %w", err)
 	}
 	m.JobID = int(int64(binary.BigEndian.Uint64(b)))
 	m.TaskID = int(int64(binary.BigEndian.Uint64(b[8:])))
 	m.RefSeconds = math.Float64frombits(binary.BigEndian.Uint64(b[16:]))
 	m.OutputSize = int(int64(binary.BigEndian.Uint64(b[24:])))
-	m.Payload = append(m.Payload[:0], b[37:37+int(n)]...)
+	m.Payload = append(m.Payload[:0], payload...)
+	m.InputSize = len(m.Payload)
 	return nil
 }
 
 // AppendNoTask appends the binary no-task payload to dst.
-func AppendNoTask(dst []byte, m *NoTaskMsg) []byte {
-	dst = binary.BigEndian.AppendUint64(dst, uint64(m.RetryAfterMS))
+func AppendNoTask(dst []byte, m *backend.NoTask) []byte {
+	dst = binary.BigEndian.AppendUint64(dst, uint64(m.RetryAfter.Milliseconds()))
 	done := byte(0)
 	if m.Done {
 		done = 1
@@ -314,52 +267,43 @@ func AppendNoTask(dst []byte, m *NoTaskMsg) []byte {
 	return append(dst, done)
 }
 
-// DecodeNoTask reverses AppendNoTask into m.
-func DecodeNoTask(b []byte, m *NoTaskMsg) error {
+// DecodeNoTask reverses AppendNoTask into m. A back-off too long for a
+// time.Duration is refused.
+func DecodeNoTask(b []byte, m *backend.NoTask) error {
 	if len(b) != 9 || b[8] > 1 {
 		return errors.New("transport: malformed no-task")
 	}
-	m.RetryAfterMS = int64(binary.BigEndian.Uint64(b))
+	ms := int64(binary.BigEndian.Uint64(b))
+	if ms > math.MaxInt64/int64(time.Millisecond) || ms < math.MinInt64/int64(time.Millisecond) {
+		return errors.New("transport: no-task back-off out of range")
+	}
+	m.RetryAfter = time.Duration(ms) * time.Millisecond
 	m.Done = b[8] == 1
 	return nil
 }
 
 // AppendTaskResult appends the binary task-result payload to dst.
-func AppendTaskResult(dst []byte, m *TaskResultMsg) []byte {
+func AppendTaskResult(dst []byte, m *backend.TaskResult) []byte {
 	dst = binary.BigEndian.AppendUint64(dst, m.NodeID)
 	dst = binary.BigEndian.AppendUint64(dst, uint64(int64(m.JobID)))
 	dst = binary.BigEndian.AppendUint64(dst, uint64(int64(m.TaskID)))
-	dst = append(dst, 0)
-	flagsAt := len(dst) - 1
-	dst = binary.BigEndian.AppendUint32(dst, uint32(len(m.Payload)))
-	dst = append(dst, m.Payload...)
-	return appendExt(dst, flagsAt, m.Cred, m.Trace)
+	return appendBody(dst, m.Payload, m.Credential, m.Trace)
 }
 
 // DecodeTaskResult reverses AppendTaskResult into m, copying out of b,
-// which may therefore be a reused frame buffer. Cred goes into m's own
-// buffer and is valid until the next decode into m: the backend reads a
-// credential and never keeps it. Payload is a fresh copy every time,
-// because the backend keeps it as a vote.
-func DecodeTaskResult(b []byte, m *TaskResultMsg) error {
-	if len(b) < 29 {
-		return errors.New("transport: truncated task result")
-	}
-	n := binary.BigEndian.Uint32(b[25:])
-	if uint64(n) > uint64(len(b)-29) {
-		return errors.New("transport: task result payload length mismatch")
-	}
-	m.Cred, m.Trace = m.Cred[:0], span.Context{}
-	if err := decodeExt(b[29+int(n):], b[24], extCred|extTrace, &m.Cred, &m.Trace); err != nil {
+// which may therefore be a reused frame buffer. Credential goes into m's
+// own buffer and is valid until the next decode into m: the backend
+// reads a credential and never keeps it. Payload is a fresh copy every
+// time (nil when empty), because the backend keeps it as a vote.
+func DecodeTaskResult(b []byte, m *backend.TaskResult) error {
+	payload, err := decodeBody(b, 24, &m.Credential, &m.Trace)
+	if err != nil {
 		return fmt.Errorf("transport: task result: %w", err)
 	}
 	m.NodeID = binary.BigEndian.Uint64(b)
 	m.JobID = int(int64(binary.BigEndian.Uint64(b[8:])))
 	m.TaskID = int(int64(binary.BigEndian.Uint64(b[16:])))
-	m.Payload = nil
-	if n > 0 {
-		m.Payload = append([]byte(nil), b[29:29+int(n)]...)
-	}
+	m.Payload = append([]byte(nil), payload...)
 	return nil
 }
 
@@ -368,51 +312,44 @@ func DecodeTaskResult(b []byte, m *TaskResultMsg) error {
 //	manifest = nameLen(2) name size(4) digest(32)...
 //	chunk    = digest(32) bytes
 //
-// The manifest's digest count is implied: ⌈size/appimage.ChunkBytes⌉,
-// exactly.
+// The manifest is the image file's name, then appimage.AppendManifest's
+// encoding, the one the journal stores.
 
-// digestLen is one chunk digest's length on the wire.
-const digestLen = len(appimage.Digest{})
+// maxImageSize bounds the size a manifest may name: a node assembles the
+// image in one buffer, no larger than a frame.
+const maxImageSize = MaxFrame
 
-// AppendImageManifest appends the binary manifest payload to dst.
-func AppendImageManifest(dst []byte, m *ImageManifest) []byte {
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(m.Name)))
-	dst = append(dst, m.Name...)
-	dst = binary.BigEndian.AppendUint32(dst, uint32(m.Size))
-	for i := range m.Digests {
-		dst = append(dst, m.Digests[i][:]...)
-	}
-	return dst
-}
-
-// DecodeImageManifest reverses AppendImageManifest into m. Size is
-// bounded to (0, MaxFrame] and the digest list must be exactly as long
-// as it implies, so a manifest can never ask its reader for more memory
-// than one frame may carry.
-func DecodeImageManifest(b []byte, m *ImageManifest) error {
-	if len(b) < 2 {
-		return errors.New("transport: truncated image manifest")
-	}
-	nameLen := int(binary.BigEndian.Uint16(b))
-	if len(b) < 2+nameLen+4 {
-		return errors.New("transport: truncated image manifest")
-	}
-	name, rest := b[2:2+nameLen], b[2+nameLen:]
-	size := binary.BigEndian.Uint32(rest)
-	if size == 0 || size > MaxFrame {
-		return fmt.Errorf("transport: image manifest size %d out of range", size)
-	}
-	rest = rest[4:]
-	count := (int(size) + appimage.ChunkBytes - 1) / appimage.ChunkBytes
-	if len(rest) != count*digestLen {
-		return fmt.Errorf("transport: image manifest lists %d digest bytes, want %d chunks", len(rest), count)
-	}
-	m.Name, m.Size = string(name), int(size)
-	m.Digests = make([]appimage.Digest, count)
-	for i := range m.Digests {
-		copy(m.Digests[i][:], rest[i*digestLen:])
+// checkImageSize refuses, without encoding it, an image that encodes
+// past maxImageSize, which no node would accept. A nil image passes.
+func checkImageSize(img *appimage.Image) error {
+	if img != nil && img.EncodedLen() > maxImageSize {
+		return fmt.Errorf("transport: image encodes to %d bytes, over the %d a node accepts", img.EncodedLen(), maxImageSize)
 	}
 	return nil
+}
+
+// AppendImageManifest appends the manifest payload of image file name,
+// size bytes whose chunks hash to chunks, to dst.
+func AppendImageManifest(dst []byte, name string, size int, chunks []appimage.Digest) []byte {
+	dst = binary.BigEndian.AppendUint16(dst, uint16(len(name)))
+	dst = append(dst, name...)
+	return appimage.AppendManifest(dst, size, chunks)
+}
+
+// DecodeImageManifest reverses AppendImageManifest, bounding size to
+// (0, maxImageSize].
+func DecodeImageManifest(b []byte) (name string, size int, chunks []appimage.Digest, err error) {
+	if len(b) < 2 || len(b) < 2+int(binary.BigEndian.Uint16(b)) {
+		return "", 0, nil, errors.New("transport: truncated image manifest")
+	}
+	n := 2 + int(binary.BigEndian.Uint16(b))
+	if size, chunks, err = appimage.DecodeManifest(b[n:]); err != nil {
+		return "", 0, nil, fmt.Errorf("transport: %w", err)
+	}
+	if size == 0 || size > maxImageSize {
+		return "", 0, nil, fmt.Errorf("transport: image manifest size %d out of range", size)
+	}
+	return string(b[2:n]), size, chunks, nil
 }
 
 // AppendImageChunk appends the binary chunk payload to dst.
@@ -424,10 +361,10 @@ func AppendImageChunk(dst []byte, digest appimage.Digest, data []byte) []byte {
 // DecodeImageChunk reverses AppendImageChunk. data aliases b; whether
 // it hashes to digest is the receiver's check, not the codec's.
 func DecodeImageChunk(b []byte) (digest appimage.Digest, data []byte, err error) {
-	if len(b) <= digestLen {
+	if len(b) <= len(digest) {
 		return digest, nil, errors.New("transport: truncated image chunk")
 	}
-	return appimage.Digest(b[:digestLen]), b[digestLen:], nil
+	return appimage.Digest(b), b[len(digest):], nil
 }
 
 // Frame buffer pool: payload buffers for reads and contiguous write

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"crypto/ed25519"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -251,6 +253,47 @@ func TestTCPRequirementsFilter(t *testing.T) {
 func TestCoordinatorValidation(t *testing.T) {
 	if _, err := NewCoordinator(CoordinatorConfig{Listen: "127.0.0.1:0"}); err == nil {
 		t.Fatal("missing image accepted")
+	}
+}
+
+// TestOversizedImageRefused: an image that encodes past maxImageSize is
+// one no node accepts (its manifest fails to decode), so NewCoordinator
+// and UpdateImage refuse it before the Controller journals or airs
+// anything, and without encoding it.
+func TestOversizedImageRefused(t *testing.T) {
+	big := &appimage.Image{Name: "big", Version: 1, EntryPoint: "w"}
+	big.Payload = make([]byte, maxImageSize-big.EncodedLen()+1)
+	if big.EncodedLen() != maxImageSize+1 {
+		t.Fatalf("image encodes to %d bytes, want %d", big.EncodedLen(), maxImageSize+1)
+	}
+	fresh := t.TempDir()
+	if _, err := NewCoordinator(CoordinatorConfig{Listen: "127.0.0.1:0", Image: big, StateDir: fresh}); err == nil {
+		t.Fatal("NewCoordinator staged an image no node accepts")
+	}
+	if left, _ := os.ReadDir(fresh); len(left) != 0 {
+		t.Fatalf("a refused NewCoordinator wrote %d files to its state dir", len(left))
+	}
+
+	dir := t.TempDir()
+	coord := serveCoordinator(t, CoordinatorConfig{Image: testImage(), StateDir: dir})
+	journalSize := func() int64 {
+		fi, err := os.Stat(filepath.Join(dir, "state.journal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	seq, size, encodes := coord.Seq(), journalSize(), coord.BroadcastEncodes()
+	if err := coord.UpdateImage(big); err == nil {
+		t.Fatal("UpdateImage staged an image no node accepts")
+	}
+	if coord.Seq() != seq || journalSize() != size || coord.BroadcastEncodes() != encodes {
+		t.Fatalf("a refused update moved seq %d->%d, journal %d->%d bytes, encodes %d->%d",
+			seq, coord.Seq(), size, journalSize(), encodes, coord.BroadcastEncodes())
+	}
+	big.Payload = big.Payload[:len(big.Payload)-1]
+	if err := checkImageSize(big); err != nil {
+		t.Fatalf("an image at the bound refused: %v", err)
 	}
 }
 

@@ -1,10 +1,12 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -21,7 +23,7 @@ type rawPeer struct {
 }
 
 // dialRaw connects, reads the banner and sends hello.
-func dialRaw(addr string, hello Hello) (*rawPeer, error) {
+func dialRaw(addr string, hello any) (*rawPeer, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
@@ -136,6 +138,37 @@ func TestWireVersionMismatch(t *testing.T) {
 	}
 }
 
+// TestHelloWithDeviceFieldsAccepted: nodes of wire 3 once sent their
+// device profile in the hello too. A coordinator reads that hello as it
+// reads the one without, so the two vintages interoperate with no
+// version bump: the profile reaches the Controller in heartbeats.
+func TestHelloWithDeviceFieldsAccepted(t *testing.T) {
+	raw, err := os.ReadFile("testdata/hello_wire3_profile.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var h Hello
+	if err := json.Unmarshal(raw, &h); err != nil || h != (Hello{Wire: WireVersion, NodeID: 7}) {
+		t.Fatalf("hello %s decodes to %+v, %v", raw, h, err)
+	}
+	if b, _ := json.Marshal(&h); string(b) != `{"wire":3,"node_id":7}` {
+		t.Fatalf("hello encodes to %s", b)
+	}
+	coord := serveCoordinator(t, CoordinatorConfig{Image: testImage()})
+	p, err := dialRaw(coord.Addr(), json.RawMessage(bytes.TrimSpace(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	p.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if typ, _, err := p.fr.Next(); err != nil || typ != FrameControl {
+		t.Fatalf("first staged frame: type %d, %v; want the control file", typ, err)
+	}
+	if coord.NodeCount() != 1 {
+		t.Fatalf("NodeCount = %d, want 1", coord.NodeCount())
+	}
+}
+
 // stageOnly connects, completes the hello/broadcast exchange, and
 // disconnects without requesting work. It returns the number of
 // broadcast frame bytes received.
@@ -154,15 +187,15 @@ func stageOnly(addr string, nodeID uint64) (int, error) {
 		got += 5 + len(payload)
 		switch typ {
 		case FrameImageManifest:
-			var m ImageManifest
-			if err := DecodeImageManifest(payload, &m); err != nil {
+			_, n, ds, err := DecodeImageManifest(payload)
+			if err != nil {
 				return 0, err
 			}
 			distinct := map[appimage.Digest]bool{}
-			for _, d := range m.Digests {
+			for _, d := range ds {
 				distinct[d] = true
 			}
-			want, size = len(distinct), m.Size
+			want, size = len(distinct), n
 		case FrameImageChunk:
 			want--
 		}
