@@ -51,11 +51,11 @@ race:
 ## pops, so a stale wake or stop, or an out-of-order pop, shows up as a
 ## different interleaving of actors on another core count (the
 ## stale-handle and Cond tests pin each case). The backend runs there
-## because Serve and Worker reuse one assignment and one result per
-## connection, which is sound only while the connection delivers in
-## order and Serve handles a result before the request behind it, so a
-## reuse that goes wrong shows up as a refused credential on some core
-## count. dsmcc and
+## because Serve and Worker rotate LeaseSlack assignments and results
+## per connection, which is sound only while the connection delivers in
+## order, the worker keeps at most LeaseSlack requests out, and Serve
+## handles a result before the request behind it, so a reuse that goes
+## wrong shows up as a refused credential on some core count. dsmcc and
 ## the PNA run there because a Broadcaster shares the check stages of
 ## reads that complete at one instant out over GOMAXPROCS-1 helpers and
 ## runs them all inline on one core, and the facade golden because the

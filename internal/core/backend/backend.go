@@ -1031,14 +1031,17 @@ func (b *Backend) HandleResult(res *TaskResult) {
 // Serve runs the request loop for one worker's direct channel; the
 // system wiring spawns one per dialled connection.
 //
-// Every assignment Serve sends is the connection's one TaskAssign,
-// dispatched into afresh per request, as the TCP session does. That is
-// safe because the channel is FIFO and Serve is one goroutine: a worker
-// sends its result (which may alias the assignment's credential) before
-// its next request, so Serve has handled the result before it rewrites
-// the assignment.
+// Serve dispatches into LeaseSlack assignments of its own, one slot per
+// assignment in turn, as the TCP session dispatches into its one. That
+// is safe because the channel is FIFO, Serve is one goroutine, and a
+// worker keeps at most LeaseSlack requests out and sends each result
+// (which may alias the assignment's credential) before its next request:
+// the request that draws the assignment reusing a slot was sent after
+// the result of the slot's last task, so Serve has handled that result
+// before it rewrites the slot.
 func (b *Backend) Serve(ep *netsim.Endpoint) {
-	var a TaskAssign
+	a := new([LeaseSlack]TaskAssign)
+	next := 0
 	for {
 		pkt, err := ep.Recv()
 		if err != nil {
@@ -1046,10 +1049,12 @@ func (b *Backend) Serve(ep *netsim.Endpoint) {
 		}
 		switch m := pkt.Payload.(type) {
 		case *TaskRequest:
-			reply := b.HandleRequestInto(m, &a)
+			slot := &a[next]
+			reply := b.HandleRequestInto(m, slot)
 			size := NoTaskWireSize
-			if reply == &a {
-				size = assignOverhead + a.InputSize
+			if reply == slot {
+				size = assignOverhead + slot.InputSize
+				next = (next + 1) % LeaseSlack
 			}
 			ep.Send(pkt.From, reply, size)
 		case *TaskResult:

@@ -9,9 +9,11 @@ import (
 
 	"oddci/internal/appimage"
 	"oddci/internal/core/dve"
+	"oddci/internal/netsim"
 	"oddci/internal/obs"
 	"oddci/internal/simtime"
 	"oddci/internal/span"
+	"oddci/internal/workload"
 )
 
 // TestHandoffAllocCeiling pins what one credentialed hand-off into a
@@ -148,6 +150,96 @@ func TestServeEchoedCredentialsAllCommit(t *testing.T) {
 	}
 	if b.Completed != tasks || h.Redispatches() != 0 {
 		t.Fatalf("completed %d of %d with %d redispatches", b.Completed, tasks, h.Redispatches())
+	}
+}
+
+// windowProbe is a worker's channel that records the most requests it
+// had unanswered at once.
+type windowProbe struct {
+	dve.Channel
+	out, most int
+}
+
+func (w *windowProbe) Send(to string, payload any, size int) {
+	if _, ok := payload.(*TaskRequest); ok {
+		w.out++
+		w.most = max(w.most, w.out)
+	}
+	w.Channel.Send(to, payload, size)
+}
+
+func (w *windowProbe) Recv() (netsim.Packet, error) {
+	pkt, err := w.Channel.Recv()
+	if err == nil {
+		w.out--
+	}
+	return pkt, err
+}
+
+// TestServePipelinedCredentialsAllCommit: zero-time tasks open each
+// Worker's request window to LeaseSlack over netsim, so assignments and
+// results pass each other on the link while Serve's assignment slots and
+// the Worker's result slots are reused. At CredEnforce every task must
+// still commit once with its own credential: a slot rewritten while its
+// message was still unread carries another task's token, and the vote is
+// refused.
+func TestServePipelinedCredentialsAllCommit(t *testing.T) {
+	clk := simtime.NewSim(epoch)
+	reg := obs.NewRegistry()
+	b, err := New(Config{Clock: clk, CredentialMode: CredEnforce, Obs: reg,
+		RetryAfter: 5 * time.Second, LeaseBase: 30 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const tasks = 256
+	job := &workload.Job{Name: "pipelined", Tasks: make([]workload.Task, tasks)}
+	for i := range job.Tasks {
+		job.Tasks[i] = workload.Task{ID: i, InputBytes: 64, OutputBytes: 32}
+	}
+	h, err := b.Submit(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.SetDraining(true)
+	apps := dve.NewRegistry()
+	apps.Register(WorkerEntryPoint, Worker)
+	image := &appimage.Image{Name: "w", EntryPoint: WorkerEntryPoint, Payload: []byte{1}}
+	probes := make([]*windowProbe, 3)
+	dves := make([]*dve.DVE, len(probes))
+	for w := range probes {
+		ep, hangup := dial(clk, b)
+		probes[w] = &windowProbe{Channel: ep}
+		if dves[w], err = dve.Launch(dve.Config{Clock: clk, Registry: apps, Image: image,
+			NodeID: uint64(w + 1), Backend: probes[w], Hangup: hangup,
+			OnExit: func(error) { hangup() }}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Workers refused their votes would poll for ever; end the run a day
+	// in, long after honest ones have finished.
+	clk.AfterFunc(24*time.Hour, func() {
+		for _, d := range dves {
+			d.Destroy()
+		}
+	})
+	clk.Wait()
+	for _, name := range []string{
+		"oddci_backend_byzantine_cred_rejected_total",
+		"oddci_backend_byzantine_cred_missing_total",
+		"oddci_backend_byzantine_cred_forged_total",
+		"oddci_backend_byzantine_cred_replayed_total",
+	} {
+		if got := counter(t, reg, name); got != 0 {
+			t.Errorf("%s = %v, want 0", name, got)
+		}
+	}
+	if _, done := h.Done(); !done || b.Completed != tasks || h.Redispatches() != 0 {
+		t.Fatalf("job done=%v, completed %d of %d with %d redispatches", done, b.Completed, tasks, h.Redispatches())
+	}
+	for w, p := range probes {
+		if p.most != LeaseSlack {
+			t.Errorf("worker %d kept at most %d requests out, want the window of %d", w+1, p.most, LeaseSlack)
+		}
 	}
 }
 

@@ -11,7 +11,15 @@ const WorkerEntryPoint = "oddci.worker"
 // Worker is the paper's "client module": the application that runs
 // inside a DVE, pulling tasks from the Backend over the direct channel,
 // executing them on the device CPU, and pushing results back. It runs
-// until the Backend reports the work done or the DVE is destroyed.
+// until the Backend reports the work done or the DVE is destroyed. Both
+// deployment planes run it: over a netsim endpoint, and over the TCP
+// node's framed connection.
+//
+// Request window: after a task that takes no device time the worker
+// keeps up to LeaseSlack requests unanswered, so it asks for its next
+// tasks before it is answered; after any other task it keeps one, and a
+// request follows each result. A NoTask closes the window to one and
+// backs off only when no request is outstanding.
 func Worker(env *dve.Env) error {
 	if env.Backend == nil {
 		return nil
@@ -19,20 +27,29 @@ func Worker(env *dve.Env) error {
 	// Propagate the DVE's trace context (the PNA's dve-start span) so the
 	// Backend's dispatch span joins this node's wakeup trace. The request
 	// never changes and the Backend only reads it, so one serves the run.
-	// One result serves it too, rewritten per task: the channel is FIFO,
-	// so the Backend has handled a result before it sees the request that
-	// follows it, and the worker rewrites the result only after the reply
-	// to that request.
+	//
+	// Results rotate through LeaseSlack slots, rewritten per task. The
+	// channel is FIFO and at most LeaseSlack requests are out, so the
+	// assignment that reuses a slot answers a request sent after the
+	// slot's last result: the Backend has handled that result by then.
 	req := &TaskRequest{NodeID: env.NodeID, Trace: env.Trace}
-	result := &TaskResult{NodeID: env.NodeID}
+	results := new([LeaseSlack]TaskResult)
+	window, inflight, next := 1, 0, 0
 	for !env.Destroyed() {
-		env.Backend.Send("backend", req, RequestWireSize)
+		for ; inflight < window; inflight++ {
+			env.Backend.Send("backend", req, RequestWireSize)
+		}
 		pkt, err := env.Backend.Recv()
 		if err != nil {
 			return nil // channel closed: DVE destroyed
 		}
 		switch m := pkt.Payload.(type) {
 		case *TaskAssign:
+			inflight--
+			window = 1
+			if env.Duration(m.RefSeconds) <= 0 {
+				window = LeaseSlack
+			}
 			if !env.Execute(m.RefSeconds) {
 				return nil // destroyed mid-task: result discarded
 			}
@@ -43,16 +60,20 @@ func Worker(env *dve.Env) error {
 			if !resTrace.Valid() {
 				resTrace = env.Trace
 			}
-			result.JobID, result.TaskID = m.JobID, m.TaskID
-			result.Payload, result.Trace = runPayload(env, m), resTrace
+			result := &results[next]
+			next = (next + 1) % LeaseSlack
+			result.NodeID, result.JobID, result.TaskID = env.NodeID, m.JobID, m.TaskID
+			result.Payload, result.Trace = runPayload(m), resTrace
 			result.Credential = m.Credential // opaque echo; the Backend verifies
 			env.Backend.Send("backend", result, resultOverhead+m.OutputSize)
 			env.NoteTaskDone()
 		case *NoTask:
+			inflight--
 			if m.Done {
 				return nil
 			}
-			if !env.Sleep(m.RetryAfter) {
+			window = 1
+			if inflight == 0 && !env.Sleep(m.RetryAfter) {
 				return nil
 			}
 		}
@@ -63,7 +84,7 @@ func Worker(env *dve.Env) error {
 // runPayload produces the task's result payload. Tasks that carry
 // concrete work (a BLAST work unit) are actually executed; pure timing
 // tasks return nothing.
-func runPayload(env *dve.Env, a *TaskAssign) []byte {
+func runPayload(a *TaskAssign) []byte {
 	if len(a.Payload) == 0 {
 		return nil
 	}

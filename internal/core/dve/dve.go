@@ -54,6 +54,18 @@ func (r *Registry) Lookup(entryPoint string) (AppFunc, bool) {
 	return fn, ok
 }
 
+// Channel is a DVE's direct channel to the Backend: point to point and
+// FIFO, carrying the Backend's task messages by pointer. A
+// *netsim.Endpoint is one; the TCP node adapts its connection to it. A
+// sender keeps ownership of what it sends, so it must not rewrite a
+// message until the reply to a later message proves the peer is done
+// with it.
+type Channel interface {
+	Send(to string, payload any, size int)
+	Recv() (netsim.Packet, error)
+	Close()
+}
+
 // Env is the application's view of its sandbox.
 type Env struct {
 	Clk        simtime.Clock
@@ -63,8 +75,9 @@ type Env struct {
 	// the carousel delivered, which every node of the instance shares:
 	// applications read it and never write it.
 	Image *appimage.Image
-	// Backend is the direct channel to the Backend component.
-	Backend *netsim.Endpoint
+	// Backend is the direct channel to the Backend component, nil when
+	// the node has none.
+	Backend Channel
 	// TaskDuration converts a reference-STB processing time to this
 	// device's wall time (the STB performance model).
 	TaskDuration func(refSTBSeconds float64) time.Duration
@@ -85,13 +98,23 @@ func (e *Env) NoteTaskDone() {
 	}
 }
 
+// Duration is the device time a task of the given reference duration
+// takes here: TaskDuration, or the reference time itself without one.
+func (e *Env) Duration(refSTBSeconds float64) time.Duration {
+	if e.TaskDuration != nil {
+		return e.TaskDuration(refSTBSeconds)
+	}
+	return time.Duration(refSTBSeconds * float64(time.Second))
+}
+
 // Execute runs one task of the given reference duration, honouring the
 // device performance model. It reports false if the DVE was destroyed
-// before the task completed (the result must then be discarded).
+// before the task completed (the result must then be discarded). A task
+// that takes no device time returns at once: it does not park.
 func (e *Env) Execute(refSTBSeconds float64) bool {
-	d := time.Duration(refSTBSeconds * float64(time.Second))
-	if e.TaskDuration != nil {
-		d = e.TaskDuration(refSTBSeconds)
+	d := e.Duration(refSTBSeconds)
+	if d <= 0 {
+		return !e.Destroyed()
 	}
 	return e.interrupt.Sleep(e.Clk, d)
 }
@@ -121,9 +144,9 @@ type Config struct {
 	Image      *appimage.Image
 	NodeID     uint64
 	InstanceID instance.ID
-	// Backend is the freshly dialled channel to the Backend; Hangup
-	// releases it on destruction.
-	Backend *netsim.Endpoint
+	// Backend is the freshly dialled channel to the Backend (nil for
+	// none, never a typed nil); Hangup releases it on destruction.
+	Backend Channel
 	Hangup  func()
 	// TaskDuration is the device performance model hook.
 	TaskDuration func(refSTBSeconds float64) time.Duration

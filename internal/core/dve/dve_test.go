@@ -107,6 +107,25 @@ func TestDestroyInterruptsExecute(t *testing.T) {
 	}
 }
 
+// TestExecuteZeroTimeDoesNotPark: a task that takes no device time
+// returns at once. On the wall clock a park builds a parker and a
+// runtime timer, so a zero-time Execute must allocate nothing; once the
+// DVE is destroyed it reports the result discarded.
+func TestExecuteZeroTimeDoesNotPark(t *testing.T) {
+	env := &Env{Clk: simtime.NewReal(), TaskDuration: func(float64) time.Duration { return 0 }}
+	if got := testing.AllocsPerRun(100, func() {
+		if !env.Execute(1) {
+			t.Fatal("zero-time task reported destroyed")
+		}
+	}); got != 0 {
+		t.Fatalf("a zero-time Execute allocates %.0f times", got)
+	}
+	env.interrupt.Cancel()
+	if env.Execute(1) {
+		t.Fatal("zero-time task on a destroyed DVE reported completion")
+	}
+}
+
 func TestOnTaskCounter(t *testing.T) {
 	clk := simtime.NewSim(epoch)
 	reg := NewRegistry()

@@ -462,10 +462,14 @@ func (p *PNA) launchDVE(w *control.Wakeup, img *appimage.Image) {
 	p.mu.Unlock()
 
 	dveSp := p.startSpan(joinSp.Context(), "dve-start")
-	var backend *netsim.Endpoint
+	// A node without a backend channel hands the DVE a nil Channel, not
+	// a typed nil endpoint, so the worker sees it has none.
+	var backend dve.Channel
 	var hangup func()
 	if p.cfg.DialBackend != nil {
-		backend, hangup = p.cfg.DialBackend()
+		var ep *netsim.Endpoint
+		ep, hangup = p.cfg.DialBackend()
+		backend = ep
 	}
 	// Hand the DVE the dve-start span's context (falling back to the
 	// join context) so worker task requests parent under this launch.

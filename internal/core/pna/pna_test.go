@@ -533,8 +533,12 @@ func TestFactoryValidation(t *testing.T) {
 
 func TestTaskCounterAndPause(t *testing.T) {
 	r := newRig(t, nil)
-	// An app that reports three tasks then stays resident.
+	// An app that reports three tasks then stays resident. The rig dials
+	// no backend, so the app must see a nil channel, not a typed nil
+	// endpoint the worker's nil check would miss.
+	var noBackend bool
 	r.reg.Register("counter", func(env *dve.Env) error {
+		noBackend = env.Backend == nil
 		for i := 0; i < 3; i++ {
 			env.Execute(1)
 			env.NoteTaskDone()
@@ -562,6 +566,9 @@ func TestTaskCounterAndPause(t *testing.T) {
 	r.clk.Wait()
 	if tasks != 3 {
 		t.Fatalf("tasks done = %d", tasks)
+	}
+	if !noBackend {
+		t.Fatal("a node without a backend dialer handed its DVE a non-nil channel")
 	}
 }
 

@@ -185,7 +185,7 @@ func TestFrameReaderSequence(t *testing.T) {
 		rng.Read(p)
 		fr := frame{FrameType(rng.Intn(14) + 1), p}
 		frames = append(frames, fr)
-		if err := WriteFrame(&buf, fr.t, fr.p); err != nil {
+		if err := writeFrame(&buf, fr.t, fr.p); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -211,10 +211,10 @@ func TestFrameReaderOversizedPayload(t *testing.T) {
 	big := make([]byte, poolBufCap+poolBufCap/2)
 	rand.New(rand.NewSource(3)).Read(big)
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, FrameImageChunk, big); err != nil {
+	if err := writeFrame(&buf, FrameImageChunk, big); err != nil {
 		t.Fatal(err)
 	}
-	WriteFrame(&buf, FrameHello, []byte("after"))
+	writeFrame(&buf, FrameHello, []byte("after"))
 	_, m0 := FramePoolStats()
 	fr := NewFrameReader(&buf)
 	defer fr.Close()

@@ -423,11 +423,11 @@ func (c *Coordinator) instrument(reg *obs.Registry) {
 	reg.GaugeFunc("oddci_transport_broadcast_encodes", "Broadcast artifacts encoded since start (flat in the session count)", func() float64 {
 		return float64(c.encodeOps.Load())
 	})
-	reg.GaugeFunc("oddci_transport_frame_pool_hits", "Frame buffer requests served within the pool size cap (process-wide)", func() float64 {
+	reg.GaugeFunc("oddci_transport_frame_pool_hits", "Frames read into a pooled buffer (process-wide)", func() float64 {
 		h, _ := FramePoolStats()
 		return float64(h)
 	})
-	reg.GaugeFunc("oddci_transport_frame_pool_misses", "Frame buffer requests above the pool size cap (process-wide)", func() float64 {
+	reg.GaugeFunc("oddci_transport_frame_pool_misses", "Frames read into a buffer above the pool size cap (process-wide)", func() float64 {
 		_, m := FramePoolStats()
 		return float64(m)
 	})

@@ -72,7 +72,7 @@ func TestCredentialEnforceRejectsBareResult(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	if err := WriteFrame(p.conn, FrameTaskRequest, AppendTaskRequest(nil, &backend.TaskRequest{NodeID: 99})); err != nil {
+	if err := writeFrame(p.conn, FrameTaskRequest, AppendTaskRequest(nil, &backend.TaskRequest{NodeID: 99})); err != nil {
 		t.Fatal(err)
 	}
 	var assign backend.TaskAssign
@@ -92,7 +92,7 @@ func TestCredentialEnforceRejectsBareResult(t *testing.T) {
 		}
 	}
 	bare := backend.TaskResult{NodeID: 99, JobID: assign.JobID, TaskID: assign.TaskID, Payload: []byte("unsigned")}
-	if err := WriteFrame(p.conn, FrameTaskResult, AppendTaskResult(nil, &bare)); err != nil {
+	if err := writeFrame(p.conn, FrameTaskResult, AppendTaskResult(nil, &bare)); err != nil {
 		t.Fatal(err)
 	}
 	waitFor(t, "the bare result's rejection", func() bool {

@@ -13,14 +13,14 @@ import (
 
 // FuzzReadFrame hammers the frame parsers with arbitrary bytes:
 // readFrame and FrameReader.Next must never panic, must agree with
-// each other, and anything accepted must re-encode through WriteFrame
+// each other, and anything accepted must re-encode through AppendFrame
 // to the identical byte prefix.
 func FuzzReadFrame(f *testing.F) {
 	var seed bytes.Buffer
-	WriteFrame(&seed, FrameHello, []byte(`{"node_id":1}`))
+	writeFrame(&seed, FrameHello, []byte(`{"node_id":1}`))
 	f.Add(append([]byte(nil), seed.Bytes()...))
 	seed.Reset()
-	WriteFrame(&seed, FrameHeartbeat, []byte("beat"))
+	writeFrame(&seed, FrameHeartbeat, []byte("beat"))
 	f.Add(append([]byte(nil), seed.Bytes()...))
 	f.Add([]byte{})
 	f.Add([]byte{byte(FrameControl), 0, 0, 0, 0})
@@ -42,7 +42,7 @@ func FuzzReadFrame(f *testing.F) {
 			t.Fatal("readFrame and FrameReader disagree on an accepted frame")
 		}
 		var re bytes.Buffer
-		if err := WriteFrame(&re, typ, payload); err != nil {
+		if err := writeFrame(&re, typ, payload); err != nil {
 			t.Fatalf("accepted frame does not re-encode: %v", err)
 		}
 		if !bytes.Equal(re.Bytes(), data[:5+len(payload)]) {

@@ -19,9 +19,9 @@ import (
 )
 
 // writeLog is the node's connection with every Write recorded as the
-// frame types it carried: runNode flushes its bufio.Writer once per send,
-// so one entry is one write syscall on a real socket. The node already
-// serialises its writers.
+// frame types it carried: the node writes whole frames in one Write per
+// flush, so one entry is one write syscall on a real socket. The node
+// already serialises its writers.
 type writeLog struct {
 	net.Conn
 	writes [][]FrameType

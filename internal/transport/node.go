@@ -1,22 +1,23 @@
 package transport
 
 import (
-	"bufio"
+	"cmp"
 	"crypto/ed25519"
 	"crypto/sha256"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand"
+	"math/rand/v2"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"oddci/internal/appimage"
 	"oddci/internal/control"
 	"oddci/internal/core/backend"
+	"oddci/internal/core/dve"
 	"oddci/internal/core/instance"
+	"oddci/internal/netsim"
 	"oddci/internal/simtime"
 	"oddci/internal/span"
 	"oddci/internal/stb"
@@ -38,7 +39,8 @@ type NodeConfig struct {
 	// PinnedKey, if set, must match the coordinator's banner key
 	// (otherwise trust-on-first-use).
 	PinnedKey ed25519.PublicKey
-	// Seed drives the probability draw.
+	// Seed, with NodeID, seeds the one draw against the wakeup's
+	// probability.
 	Seed int64
 	// Spans, if set, records this agent's join/image-load/execute spans
 	// and stamps their contexts onto its requests and results. A nil
@@ -234,6 +236,10 @@ func (a *imageAssembler) fill(d appimage.Digest, data []byte) error {
 // time.NewTicker refuses.
 const minHeartbeatPeriod = time.Millisecond
 
+// wall is the clock a node runs tasks and back-offs on, whatever clock
+// stamps its heartbeats: TimeScale divides wall time.
+var wall = simtime.NewReal()
+
 // RunNode connects, obeys the broadcast control plane, executes tasks
 // until the Backend reports done, and returns.
 func RunNode(cfg NodeConfig) (NodeReport, error) {
@@ -245,21 +251,26 @@ func RunNode(cfg NodeConfig) (NodeReport, error) {
 	return runNode(cfg, conn)
 }
 
+// admissionDraw is a node's one draw in [0, 1) against a wakeup's
+// probability, from a PCG seeded with (seed, node).
+func admissionDraw(seed int64, node uint64) float64 {
+	pcg := rand.NewPCG(uint64(seed), node)
+	return float64(pcg.Uint64()<<11>>11) / (1 << 53)
+}
+
 // runNode is RunNode over an established connection, which it reads
-// through one FrameReader and writes through one bufio.Writer: a Write on
-// conn is a write syscall on the node's socket.
+// through one FrameReader. Every write on conn is whole frames, so one
+// write is one syscall on the node's socket.
 func runNode(cfg NodeConfig, conn net.Conn) (report NodeReport, err error) {
 	if cfg.TimeScale <= 0 {
 		cfg.TimeScale = 1
 	}
-	perf := stb.DefaultPerf()
 	if cfg.Profile == (instance.DeviceProfile{}) {
 		cfg.Profile = instance.DeviceProfile{Class: instance.ClassSTB, MemMB: 256, CPUScore: 100}
 	}
 	if cfg.clock == nil {
-		cfg.clock = simtime.NewReal()
+		cfg.clock = wall
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed ^ int64(cfg.NodeID)))
 
 	fr := NewFrameReader(conn)
 	defer fr.Close()
@@ -282,49 +293,27 @@ func runNode(cfg NodeConfig, conn net.Conn) (report NodeReport, err error) {
 	if cfg.PinnedKey != nil && !key.Equal(cfg.PinnedKey) {
 		return report, errors.New("transport: coordinator key does not match pin")
 	}
-	nodeName := fmt.Sprintf("node-%d", cfg.NodeID)
+	ch := &taskChannel{asm: imageAssembler{key: key}, conn: conn, fr: fr, spans: cfg.Spans, scale: cfg.TimeScale, name: fmt.Sprintf("node-%d", cfg.NodeID)}
+	asm := &ch.asm
 	// The join span parents under the coordinator's wakeup broadcast
 	// (its context rides in the banner), covering control verification
 	// through image acquisition. End is idempotent, so the deferred
 	// call only stamps early exits.
-	joinSp := cfg.Spans.Start(banner.Trace, "join", nodeName)
-	joinSp.SetDetail("instance=1")
+	joinSp := cfg.Spans.Start(banner.Trace, "join", ch.name)
 	defer joinSp.End()
 
-	// The heartbeat goroutine and the worker loop interleave writes on
-	// the one connection, so sends serialize on wmu; the bufio writer
-	// turns each send, of one frame or several, into a single contiguous
-	// syscall at flush.
-	var wmu sync.Mutex
-	bw := bufio.NewWriterSize(conn, 4<<10)
-	send := func(t FrameType, payload []byte) error {
-		wmu.Lock()
-		defer wmu.Unlock()
-		if err := WriteFrame(bw, t, payload); err != nil {
-			return err
-		}
-		return bw.Flush()
-	}
-	sendRaw := func(frame []byte) error {
-		wmu.Lock()
-		defer wmu.Unlock()
-		if _, err := bw.Write(frame); err != nil {
-			return err
-		}
-		return bw.Flush()
-	}
-	hello, err := json.Marshal(&Hello{Wire: WireVersion, NodeID: cfg.NodeID})
-	if err != nil {
-		return report, err
-	}
-	if err := send(FrameHello, hello); err != nil {
+	// A hello is a few bytes of JSON: neither its encoding nor its frame
+	// can fail.
+	hello, _ := json.Marshal(&Hello{Wire: WireVersion, NodeID: cfg.NodeID})
+	ch.wbuf, _ = AppendFrame(ch.wbuf, FrameHello, hello)
+	if err := ch.flush(); err != nil {
 		return report, err
 	}
 
 	// Acquire the wakeup and its image from the pushed "broadcast": a
 	// manifest plus digest-addressed chunks, assembled and verified
 	// against the signed root.
-	asm := &imageAssembler{key: key}
+	draw := admissionDraw(cfg.Seed, cfg.NodeID)
 	for asm.img == nil {
 		t, payload, err := fr.Next()
 		if err != nil {
@@ -336,219 +325,207 @@ func runNode(cfg NodeConfig, conn net.Conn) (report NodeReport, err error) {
 			joinSp.SetError()
 			return report, err
 		}
-		if t == FrameControl {
-			if !asm.wakeup.Requirements.Match(cfg.Profile) {
-				return report, nil // not eligible; report.Joined stays false
+		if w := asm.wakeup; t == FrameControl {
+			if !w.Requirements.Match(cfg.Profile) || draw >= w.Probability {
+				return report, nil // not eligible or drawn out; report.Joined stays false
 			}
-			if rng.Float64() >= asm.wakeup.Probability {
-				return report, nil // probability gate dropped us
+			// SetDetail's arguments are boxed before it sees a nil span:
+			// an untraced node is spared the call.
+			if joinSp != nil {
+				joinSp.SetDetail("instance=%d seq=%d", w.InstanceID, w.Seq)
 			}
 		}
 	}
-	// SetDetail's variadic arguments are boxed before it can see a nil
-	// span, so an untraced node is spared the call, not just its body.
-	if imgSp := cfg.Spans.Start(joinSp.Context(), "image-load", nodeName); imgSp != nil {
+	if imgSp := cfg.Spans.Start(joinSp.Context(), "image-load", ch.name); imgSp != nil {
 		imgSp.SetDetail("bytes=%d chunks=%d file=%s", asm.size, len(asm.digests), asm.name)
 		imgSp.End()
 	}
-	report.Joined = true
-	joinCtx := joinSp.Context()
+	ch.report.Joined = true
 	joinSp.End()
 
-	// Heartbeat loop (busy state). The counter is atomic because the
-	// loop runs concurrently with the worker below; the deferred wait
-	// folds the final count into the named return.
-	var hbCount atomic.Int64
-	stopHB := make(chan struct{})
-	var hbWG sync.WaitGroup
-	hbWG.Add(1)
-	// Snapshot the session constants: a mid-flight re-stage swaps the
-	// assembler's wakeup under the worker loop, but the instance identity
-	// and heartbeat cadence are fixed for the connection's lifetime.
-	hbInstance := asm.wakeup.InstanceID
-	hbPeriod := asm.wakeup.HeartbeatPeriod
+	// Heartbeat loop (busy state), beside the worker. Its instance and
+	// cadence are the admitted wakeup's, fixed for the session: a re-stage
+	// swaps the assembler's wakeup under the worker. The deferred stop
+	// waits for the loop and folds its count into the report.
+	inst, period := asm.wakeup.InstanceID, asm.wakeup.HeartbeatPeriod
+	if period <= 0 {
+		period = 10 * time.Second
+	}
+	period = max(time.Duration(float64(period)/cfg.TimeScale), minHeartbeatPeriod)
+	stopHB, beats := make(chan struct{}), make(chan int)
 	go func() {
-		defer hbWG.Done()
-		period := hbPeriod
-		if period <= 0 {
-			period = 10 * time.Second
-		}
-		period = max(time.Duration(float64(period)/cfg.TimeScale), minHeartbeatPeriod)
+		n := 0
+		defer func() { beats <- n }()
 		tick := time.NewTicker(period)
 		defer tick.Stop()
-		// A beat encodes into one reused buffer: send has written it out
+		// A beat encodes into one reused buffer: write has sent it
 		// before it returns.
-		hb := control.Heartbeat{
-			NodeID: cfg.NodeID, State: control.StateBusy,
-			InstanceID: hbInstance, Profile: cfg.Profile,
-		}
+		hb := control.Heartbeat{NodeID: cfg.NodeID, State: control.StateBusy, InstanceID: inst, Profile: cfg.Profile}
 		var buf []byte
+		var err error
 		for {
 			select {
 			case <-stopHB:
 				return
 			case <-tick.C:
 				hb.SentAt = cfg.clock.Now()
-				buf = control.AppendHeartbeat(buf[:0], &hb)
-				if err := send(FrameHeartbeat, buf); err != nil {
+				buf, err = EndFrame(control.AppendHeartbeat(BeginFrame(buf[:0], FrameHeartbeat), &hb), 0)
+				if err != nil || ch.write(buf) != nil {
 					return
 				}
-				hbCount.Add(1)
+				n++
 			}
 		}
 	}()
 	defer func() {
 		close(stopHB)
-		hbWG.Wait()
-		report.Heartbeats = int(hbCount.Load())
+		report.Heartbeats = <-beats
 	}()
 
-	// Worker loop: pull → execute (scaled by the device model) → push.
-	// Heartbeat replies interleave with task replies on the same
-	// connection, so reads skip them unless one is a reset, which ends
-	// the session. Re-staging frames (a fresh signed
-	// control, manifest, and only the chunks not held) also interleave
-	// here; the assembler folds them in and re-verifies the image when
-	// the set completes.
-	//
-	// Hand-off cadence: results and requests collect in wbuf and leave in
-	// one write when the next read would block, the coordinator's flush
-	// rule, so it reads them at once and answers them with one write of
-	// its own. The flush sits before every read of the loop, not only
-	// before the first: a heartbeat reply read ahead of a task reply must
-	// not hold a result back.
-	var wbuf []byte
-	flush := func() error {
-		if len(wbuf) == 0 {
-			return nil
-		}
-		err := sendRaw(wbuf)
-		wbuf = wbuf[:0]
-		return err
+	// The client module is the Backend's own worker, over the
+	// connection. Task durations follow the device model over TimeScale.
+	perf, mode, scale := stb.DefaultPerf(), cfg.Mode, ch.scale
+	env := &ch.env
+	env.Clk, env.NodeID, env.InstanceID, env.Image, env.Trace = wall, cfg.NodeID, inst, asm.img, joinSp.Context()
+	env.TaskDuration = func(ref float64) time.Duration {
+		return time.Duration(float64(perf.TaskDuration(ref, mode)) / scale)
 	}
-	readTaskReply := func() (FrameType, []byte, error) {
-		for {
-			if fr.Buffered() == 0 {
-				if err := flush(); err != nil {
-					return 0, nil, err
-				}
-			}
-			t, payload, err := fr.Next()
-			if err != nil {
-				return 0, nil, err
-			}
-			switch t {
-			case FrameHeartbeatReply:
-				if r, err := control.DecodeHeartbeatReply(payload); err == nil && r.Command == control.CmdReset {
-					return 0, nil, errReset
-				}
-			case FrameControl, FrameImageManifest, FrameImageChunk:
-				staged, err := asm.feed(t, payload)
-				if err != nil {
-					return 0, nil, err
-				}
-				if staged {
-					report.Restages++
-				}
-			default:
-				return t, payload, nil
-			}
-		}
+	env.Backend = ch
+	err = backend.Worker(env)
+	if ch.err == errReset {
+		ch.report.Reset, ch.err = true, nil
 	}
-	// The request frame is identical every round: build it once (the
-	// join context is constant after joining, so it stays immutable).
-	// Result frames build into wbuf. A node stamps contexts iff it has a
-	// collector; joinCtx is zero without one.
-	reqFrame := BeginFrame(nil, FrameTaskRequest)
-	reqFrame = AppendTaskRequest(reqFrame, &backend.TaskRequest{NodeID: cfg.NodeID, Trace: joinCtx})
-	if reqFrame, err = EndFrame(reqFrame, 0); err != nil {
-		return report, err
+	return ch.report, cmp.Or(err, ch.err)
+}
+
+// taskChannel is the dve.Channel backend.Worker runs over on a TCP node:
+// requests and results encode into wbuf, and replies decode into one
+// reused TaskAssign or NoTask, which the worker is done with before it
+// reads the next. A node stamps trace contexts iff it has a collector.
+//
+// Hand-off cadence: wbuf leaves in one write when the next read would
+// block, the coordinator's flush rule, and before an assignment that
+// takes device time is handed over, so results batched behind zero-time
+// tasks do not wait for it. Heartbeat replies and re-staging frames
+// interleave with task replies: Recv folds them in, and a reset ends the
+// session.
+type taskChannel struct {
+	env    dve.Env
+	asm    imageAssembler
+	conn   net.Conn
+	fr     *FrameReader
+	spans  *span.Collector
+	scale  float64    // the node's TimeScale
+	name   string     // the node's, in its spans
+	report NodeReport // the session's, but for its heartbeat count
+	exe    *span.Span // the task handed over last, until its result is sent
+
+	// wmu serialises the worker's and the heartbeat goroutine's writes.
+	wmu    sync.Mutex
+	wbuf   []byte
+	assign backend.TaskAssign
+	noTask backend.NoTask
+	err    error // the first failure; the session ends with it
+}
+
+// write sends b, whole frames, in one write.
+func (c *taskChannel) write(b []byte) error {
+	c.wmu.Lock()
+	defer c.wmu.Unlock()
+	_, err := c.conn.Write(b)
+	return err
+}
+
+// flush writes what wbuf holds, keeping the first failure.
+func (c *taskChannel) flush() error {
+	if len(c.wbuf) > 0 && c.err == nil {
+		c.err = c.write(c.wbuf)
 	}
-	// The node keeps window requests unanswered; inflight counts them.
-	// After a task that takes no device time the window is
-	// backend.LeaseSlack, so the node asks for its next tasks before it is
-	// answered; after any other task it is 1, and a request rides with
-	// each result. A NoTask closes the window to one: when the last reply
-	// is in, the back-off sends a lone request.
-	window, inflight := 1, 0
-	request := func() {
-		for ; inflight < window; inflight++ {
-			wbuf = append(wbuf, reqFrame...)
-		}
+	c.wbuf = c.wbuf[:0]
+	return c.err
+}
+
+// Send encodes a request or a result into wbuf. A result ends its
+// task's execute span and counts the task done.
+func (c *taskChannel) Send(_ string, payload any, _ int) {
+	start := len(c.wbuf)
+	switch m := payload.(type) {
+	case *backend.TaskRequest:
+		c.wbuf = AppendTaskRequest(BeginFrame(c.wbuf, FrameTaskRequest), m)
+	case *backend.TaskResult:
+		c.exe.End()
+		c.wbuf = AppendTaskResult(BeginFrame(c.wbuf, FrameTaskResult), m)
+		c.report.TasksDone++
 	}
-	var assign backend.TaskAssign
-	var noTask backend.NoTask
-	request()
-	for {
-		t, payload, err := readTaskReply()
-		if err == errReset {
-			report.Reset = true
-			return report, nil
+	var err error
+	c.wbuf, err = EndFrame(c.wbuf, start)
+	c.err = cmp.Or(c.err, err)
+}
+
+// Recv returns the next task reply, folding in the frames that
+// interleave with it. A NoTask's back-off is divided by TimeScale.
+func (c *taskChannel) Recv() (netsim.Packet, error) {
+	for c.err == nil {
+		if c.fr.Buffered() == 0 && c.flush() != nil {
+			break
 		}
+		t, payload, err := c.fr.Next()
 		if err != nil {
-			return report, err
+			c.err = err
+			break
 		}
 		switch t {
+		case FrameHeartbeatReply:
+			if r, err := control.DecodeHeartbeatReply(payload); err == nil && r.Command == control.CmdReset {
+				c.err = errReset
+			}
+		case FrameControl, FrameImageManifest, FrameImageChunk:
+			staged, err := c.asm.feed(t, payload)
+			if staged {
+				c.report.Restages++
+			}
+			c.err = err
 		case FrameTaskAssign:
-			inflight--
-			if err := DecodeTaskAssign(payload, &assign); err != nil {
-				return report, err
+			if c.err = DecodeTaskAssign(payload, &c.assign); c.err != nil {
+				break
 			}
-			// Results batched behind zero-length tasks leave before a task
+			// Results batched behind zero-time tasks leave before a task
 			// that takes time starts, not after it ends.
-			d := time.Duration(float64(perf.TaskDuration(assign.RefSeconds, cfg.Mode)) / cfg.TimeScale)
-			if d > 0 {
-				if err := flush(); err != nil {
-					return report, err
-				}
+			if c.env.Duration(c.assign.RefSeconds) > 0 && c.flush() != nil {
+				break
 			}
-			// The execute span parents under the dispatch that assigned
-			// the task; an untraced coordinator sends no context, so the
-			// fallback keeps execution visible in the node's own trace.
-			exeParent := assign.Trace
-			if !exeParent.Valid() {
-				exeParent = joinCtx
-			}
-			exeSp := cfg.Spans.Start(exeParent, "execute", nodeName)
-			if exeSp != nil {
-				exeSp.SetDetail("job=%d task=%d", assign.JobID, assign.TaskID)
-			}
-			time.Sleep(d)
-			exeSp.End()
-			// The credential is an opaque echo of whatever was given; the
-			// backend verifies.
-			res := backend.TaskResult{NodeID: cfg.NodeID, JobID: assign.JobID, TaskID: assign.TaskID, Credential: assign.Credential}
-			if cfg.Spans != nil {
-				// Results parent under the dispatch context so the
-				// backend's commit span closes the same subtree.
-				res.Trace = exeParent
-			}
-			start := len(wbuf)
-			wbuf = AppendTaskResult(BeginFrame(wbuf, FrameTaskResult), &res)
-			if wbuf, err = EndFrame(wbuf, start); err != nil {
-				return report, err
-			}
-			report.TasksDone++
-			window = 1
-			if d == 0 {
-				window = backend.LeaseSlack
-			}
-			request()
+			c.startExecute()
+			return netsim.Packet{Payload: &c.assign}, nil
 		case FrameNoTask:
-			inflight--
-			if err := DecodeNoTask(payload, &noTask); err != nil {
-				return report, err
-			}
-			if noTask.Done {
-				return report, nil
-			}
-			window = 1
-			if inflight == 0 {
-				time.Sleep(time.Duration(float64(noTask.RetryAfter) / cfg.TimeScale))
-				request()
+			if c.err = DecodeNoTask(payload, &c.noTask); c.err == nil {
+				c.noTask.RetryAfter = time.Duration(float64(c.noTask.RetryAfter) / c.scale)
+				return netsim.Packet{Payload: &c.noTask}, nil
 			}
 		default:
-			return report, fmt.Errorf("transport: unexpected frame %d awaiting task reply", t)
+			c.err = fmt.Errorf("transport: unexpected frame %d awaiting task reply", t)
 		}
 	}
+	return netsim.Packet{}, c.err
 }
+
+// startExecute opens the execute span of the assignment just decoded,
+// under the dispatch that assigned it, or under the join when an
+// untraced coordinator sent no context. An untraced node drops the
+// dispatch context, so its result carries none.
+func (c *taskChannel) startExecute() {
+	if c.spans == nil {
+		c.assign.Trace = span.Context{}
+		return
+	}
+	parent := c.assign.Trace
+	if !parent.Valid() {
+		parent = c.env.Trace
+	}
+	if c.exe = c.spans.Start(parent, "execute", c.name); c.exe != nil {
+		c.exe.SetDetail("job=%d task=%d", c.assign.JobID, c.assign.TaskID)
+	}
+}
+
+// Close is part of dve.Channel; the session closes the connection once
+// the worker returns.
+func (c *taskChannel) Close() {}

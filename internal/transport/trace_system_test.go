@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -37,7 +38,7 @@ func stealTask(t *testing.T, addr string, wakeup span.Context) {
 	}
 	defer p.Close()
 	req := AppendTaskRequest(nil, &backend.TaskRequest{NodeID: 99, Trace: wakeup})
-	if err := WriteFrame(p.conn, FrameTaskRequest, req); err != nil {
+	if err := writeFrame(p.conn, FrameTaskRequest, req); err != nil {
 		t.Fatal(err)
 	}
 	for {
@@ -163,6 +164,13 @@ func TestTraceEndToEndLeaseExpiryRetry(t *testing.T) {
 	}
 	if byNode["node-1"] == 0 || byNode["node-2"] == 0 {
 		t.Fatalf("both nodes must appear in the tree: %v", byNode)
+	}
+	// A join names the wakeup the node admitted, as a PNA's does.
+	wantJoin := fmt.Sprintf("instance=%d seq=%d", coord.id, coord.Seq())
+	for _, d := range tree.Spans {
+		if d.Name == "join" && d.Detail != wantJoin {
+			t.Errorf("%s join detail = %q, want %q", d.Node, d.Detail, wantJoin)
+		}
 	}
 
 	// The retry span must hang off a dispatch span and carry the flag.

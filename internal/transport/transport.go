@@ -22,11 +22,11 @@
 // encodes on the coordinator CPU — the broadcast invariant the paper's
 // cost model rests on. Task-plane frames are built into reused buffers
 // (BeginFrame/EndFrame), read through pooled payload buffers
-// (FrameReader), and batched behind bufio writers with explicit flush
-// points. Task frames are pipelined, not one per round trip: each side
-// flushes only when its next read would block, and a node whose tasks
-// take no device time keeps up to backend.LeaseSlack requests in flight
-// (runNode).
+// (FrameReader), and written in batches with explicit flush points.
+// Task frames are pipelined, not one per round trip: each side flushes
+// only when its next read would block, and a node runs backend.Worker,
+// whose request window asks ahead while tasks take no device time, over
+// its connection (taskChannel).
 package transport
 
 import (
@@ -367,10 +367,9 @@ func DecodeImageChunk(b []byte) (digest appimage.Digest, data []byte, err error)
 	return appimage.Digest(b), b[len(digest):], nil
 }
 
-// Frame buffer pool: payload buffers for reads and contiguous write
-// staging share one size-capped sync.Pool. Buffers above poolBufCap
-// are allocated one-shot and never pooled, so an occasional huge image
-// frame cannot pin memory.
+// Frame buffer pool: FrameReaders' payload buffers share one
+// size-capped sync.Pool. Buffers above poolBufCap are allocated one-shot
+// and never pooled, so an occasional huge image frame cannot pin memory.
 const poolBufCap = 64 << 10
 
 var framePool = sync.Pool{New: func() any {
@@ -380,22 +379,12 @@ var framePool = sync.Pool{New: func() any {
 
 var poolHits, poolMisses atomic.Uint64
 
-// FramePoolStats reports how many frame-buffer requests were served
-// within the pooled size cap (hits) versus forced to allocate an
-// oversized one-shot buffer (misses), process-wide. A FrameReader counts
-// its own frames and adds them here when it closes.
+// FramePoolStats reports how many frames were read into a pooled
+// buffer (hits) versus an oversized one-shot buffer (misses),
+// process-wide. A FrameReader counts its own frames and adds them here
+// when it closes.
 func FramePoolStats() (hits, misses uint64) {
 	return poolHits.Load(), poolMisses.Load()
-}
-
-func getFrameBuf(n int) *[]byte {
-	if n <= poolBufCap {
-		poolHits.Add(1)
-		return framePool.Get().(*[]byte)
-	}
-	poolMisses.Add(1)
-	b := make([]byte, 0, n)
-	return &b
 }
 
 func putFrameBuf(b *[]byte) {
@@ -403,32 +392,6 @@ func putFrameBuf(b *[]byte) {
 		*b = (*b)[:0]
 		framePool.Put(b)
 	}
-}
-
-// WriteFrame emits one frame as a single contiguous write: either
-// directly into a *bufio.Writer (coalesced at flush) or through a
-// pooled staging buffer, so the header and payload never split into
-// two short writes on the socket.
-func WriteFrame(w io.Writer, t FrameType, payload []byte) error {
-	if len(payload) > MaxFrame {
-		return fmt.Errorf("transport: frame of %d bytes exceeds limit", len(payload))
-	}
-	var hdr [5]byte
-	hdr[0] = byte(t)
-	binary.BigEndian.PutUint32(hdr[1:], uint32(len(payload)))
-	if bw, ok := w.(*bufio.Writer); ok {
-		if _, err := bw.Write(hdr[:]); err != nil {
-			return err
-		}
-		_, err := bw.Write(payload)
-		return err
-	}
-	bp := getFrameBuf(5 + len(payload))
-	b := append(append((*bp)[:0], hdr[:]...), payload...)
-	_, err := w.Write(b)
-	*bp = b
-	putFrameBuf(bp)
-	return err
 }
 
 // AppendFrame appends a complete frame (header + payload) to dst — the

@@ -3,6 +3,7 @@ package transport
 import (
 	"bytes"
 	"crypto/ed25519"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -21,7 +22,7 @@ import (
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	payload := []byte("hello frames")
-	if err := WriteFrame(&buf, FrameControl, payload); err != nil {
+	if err := writeFrame(&buf, FrameControl, payload); err != nil {
 		t.Fatal(err)
 	}
 	typ, got, err := readFrame(&buf)
@@ -49,7 +50,7 @@ func TestFrameSequenceProperty(t *testing.T) {
 			rng.Read(p)
 			fr := frame{FrameType(rng.Intn(10) + 1), p}
 			frames = append(frames, fr)
-			if err := WriteFrame(&buf, fr.t, fr.p); err != nil {
+			if err := writeFrame(&buf, fr.t, fr.p); err != nil {
 				return false
 			}
 		}
@@ -68,7 +69,7 @@ func TestFrameSequenceProperty(t *testing.T) {
 
 func TestReadFrameTruncated(t *testing.T) {
 	var buf bytes.Buffer
-	WriteFrame(&buf, FrameHello, []byte("abcdef"))
+	writeFrame(&buf, FrameHello, []byte("abcdef"))
 	raw := buf.Bytes()
 	for _, cut := range []int{0, 3, len(raw) - 1} {
 		if _, _, err := readFrame(bytes.NewReader(raw[:cut])); err == nil {
@@ -433,4 +434,14 @@ func TestInjectedClockStampsTransport(t *testing.T) {
 	if err := reg.Health()["heartbeat-silence"]; err != nil {
 		t.Fatalf("heartbeat-silence = %v (heartbeat timestamps must come from the configured clock)", err)
 	}
+}
+
+// writeFrame writes one frame to w in a single write.
+func writeFrame(w io.Writer, t FrameType, payload []byte) error {
+	f, err := AppendFrame(nil, t, payload)
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(f)
+	return err
 }

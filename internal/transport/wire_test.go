@@ -39,7 +39,7 @@ func dialRaw(addr string, hello any) (*rawPeer, error) {
 	if err == nil {
 		var raw []byte
 		if raw, err = json.Marshal(&hello); err == nil {
-			err = WriteFrame(conn, FrameHello, raw)
+			err = writeFrame(conn, FrameHello, raw)
 		}
 	}
 	if err != nil {
@@ -71,7 +71,7 @@ func fakeCoordinator(t *testing.T, banner any, frames []byte) (addr string) {
 		}
 		defer conn.Close()
 		raw, _ := json.Marshal(banner)
-		if WriteFrame(conn, FrameBanner, raw) != nil {
+		if writeFrame(conn, FrameBanner, raw) != nil {
 			return
 		}
 		if _, _, err := readFrame(conn); err != nil {
