@@ -53,13 +53,13 @@ func main() {
 		log.Fatal(err)
 	}
 	if !report.Joined {
-		fmt.Printf("node %d: did not join (requirements or probability gate)\n", *id)
+		fmt.Printf("node %d (%s): did not join (requirements or probability gate)\n", *id, report.Deployment)
 		return
 	}
 	end := "done"
 	if report.Reset {
 		end = "reset by the controller"
 	}
-	fmt.Printf("node %d: %s — %d tasks executed, %d heartbeats sent, %d image updates restaged\n",
-		*id, end, report.TasksDone, report.Heartbeats, report.Restages)
+	fmt.Printf("node %d (%s): %s — %d tasks executed, %d heartbeats sent, %d image updates restaged\n",
+		*id, report.Deployment, end, report.TasksDone, report.Heartbeats, report.Restages)
 }

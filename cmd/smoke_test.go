@@ -154,7 +154,7 @@ func TestBinaries(t *testing.T) {
 		if err := nodeCmd.Wait(); err != nil {
 			t.Fatalf("oddci-node: %v\n%s", err, node.Bytes())
 		}
-		if !strings.Contains(node.String(), "4 tasks executed") {
+		if !strings.Contains(node.String(), "(oddci-demo)") || !strings.Contains(node.String(), "4 tasks executed") {
 			t.Fatalf("node output:\n%s", node.Bytes())
 		}
 		for lines.Scan() {

@@ -36,12 +36,16 @@ import (
 // HeadEnd is the transmitter-side view of any cyclic file-broadcast
 // service the Controller can manage content on: the playout engine
 // (dsmcc.Broadcaster, over a DSM-CC or a flute layout), a wrapper that
-// injects faults or resumes one already cycling, or the TCP coordinator
-// (transport.Coordinator), which pushes the same files to its sessions.
+// injects faults, or the TCP coordinator (transport.Coordinator), which
+// pushes the same files to its sessions.
 type HeadEnd interface {
-	// Start begins cycling the initial contents.
-	Start(files []dsmcc.File) error
-	// Update replaces the contents at the next cycle boundary.
+	// Check reports the error Update would return for files because
+	// they can never air (a carrier's limits, a coordinator's one
+	// image), changing nothing. Update refuses a set that passed only
+	// for a passing fault.
+	Check(files []dsmcc.File) error
+	// Update puts files on air: at once on a head-end with nothing on
+	// air yet, otherwise at the next cycle boundary.
 	Update(files []dsmcc.File) error
 }
 
@@ -582,31 +586,29 @@ func (c *Controller) durableStateLocked() *journal.State {
 
 // Start puts the PNA Xlet and the control file on air, signals
 // AUTOSTART, and begins the maintenance loop. On a recovered Controller
-// the initial contents already hold the replayed instances — one
-// head-end update re-airs everything — and a failed initial staging is
-// not fatal: it enters the refresh-retry backoff path, because the
-// durable state must come back up even when the head-end is flapping.
+// the contents already hold the replayed instances, so one head-end
+// update re-airs everything, and each live instance gets an adoption
+// grace window. Contents the head-end can never air are Start's error.
+// A failed staging is not: like every later update it enters the
+// refresh-retry backoff, because the durable state must come back up
+// even when the head-end is flapping.
 func (c *Controller) Start() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.started {
 		return errors.New("controller: already started")
 	}
+	if err := c.cfg.Broadcaster.Check(c.carouselFilesLocked()); err != nil {
+		return fmt.Errorf("controller: start: %w", err)
+	}
 	c.started = true
-	if err := c.cfg.Broadcaster.Start(c.carouselFilesLocked()); err != nil {
-		if !c.recovered {
-			return fmt.Errorf("controller: start carousel: %w", err)
-		}
-		c.refreshFailedLocked()
-	}
-	if c.recovered {
-		now := c.cfg.Clock.Now()
-		for _, st := range c.instances {
-			if !st.destroyed {
-				st.adoptUntil = c.adoptGraceLocked(st, now)
-			}
+	now := c.cfg.Clock.Now()
+	for _, st := range c.instances {
+		if !st.destroyed {
+			st.adoptUntil = c.adoptGraceLocked(st, now)
 		}
 	}
+	c.requestRefreshLocked()
 	if err := c.publishAITLocked(); err != nil {
 		return err
 	}
@@ -714,19 +716,14 @@ func (c *Controller) publishAITLocked() error {
 	return c.cfg.Signalling.Publish(table)
 }
 
-// refreshCarouselLocked pushes the current contents to the broadcaster
-// (committed at the next cycle boundary). It is the raw attempt;
-// callers that must not strand on-air state behind already-bumped
-// sequence numbers go through requestRefreshLocked instead.
-func (c *Controller) refreshCarouselLocked() error {
-	return c.cfg.Broadcaster.Update(c.carouselFilesLocked())
-}
-
 // requestRefreshLocked pushes the current contents to the head-end and,
 // on failure, arms the exponential-backoff retry path so the update is
-// eventually re-attempted even if no further state change occurs.
+// eventually re-attempted even if no further state change occurs. It is
+// the one way state goes on air, and every mutation calls it after its
+// journal append: while the journal accepts appends, nothing airs that
+// a restart would not recover.
 func (c *Controller) requestRefreshLocked() {
-	if err := c.refreshCarouselLocked(); err != nil {
+	if err := c.cfg.Broadcaster.Update(c.carouselFilesLocked()); err != nil {
 		c.refreshFailedLocked()
 		return
 	}
@@ -927,7 +924,12 @@ func (c *Controller) probabilityFor(deficit, pop int) float64 {
 }
 
 // CreateInstance provisions a new OddCI instance: the image goes on the
-// carousel and a signed wakeup is broadcast.
+// carousel and a signed wakeup is broadcast. Like every other mutation
+// it journals first and then airs, so no wakeup is on air whose ID a
+// restarted Controller could issue again. Content the head-end can
+// never air is refused before the journal sees it; a head-end that
+// fails the staging otherwise leaves the instance created and the
+// refresh retrying with backoff.
 func (c *Controller) CreateInstance(spec InstanceSpec) (instance.ID, error) {
 	if spec.Image == nil {
 		return 0, errors.New("controller: instance needs an image")
@@ -986,19 +988,13 @@ func (c *Controller) CreateInstance(spec InstanceSpec) (instance.ID, error) {
 	}
 	c.instances[id] = st
 	c.order = append(c.order, id)
-	if err := c.refreshCarouselLocked(); err != nil {
-		// Roll back: the head-end rejected the update, so nothing of
-		// this instance is on air. A refresh already pending from an
-		// earlier failure keeps its retry schedule.
+	if err := c.cfg.Broadcaster.Check(c.carouselFilesLocked()); err != nil {
+		// Retrying would refuse every later update too. Nothing of the
+		// instance is journaled or on air yet, so it goes.
 		delete(c.instances, id)
 		c.order = c.order[:len(c.order)-1]
 		return 0, fmt.Errorf("controller: stage instance %d: %w", id, err)
 	}
-	c.refreshDoneLocked()
-	// Journal after the head-end accepted the staging: a crash in the
-	// window between commit and append loses only this instance, which
-	// the PNAs' stray-member resets and the GC path reconcile; journaling
-	// first would resurrect rolled-back instances instead.
 	c.journalAppendLocked(journal.Record{Op: journal.OpCreate, Inst: journalRecordLocked(st)})
 	c.met.created.Inc()
 	c.met.wakeups.Inc()
@@ -1006,6 +1002,7 @@ func (c *Controller) CreateInstance(spec InstanceSpec) (instance.ID, error) {
 	if c.cfg.Spans != nil {
 		c.eventLocked(id, "create", "instance=%d target=%d", id, spec.Target)
 	}
+	c.requestRefreshLocked()
 	return id, nil
 }
 
@@ -1046,9 +1043,10 @@ func (c *Controller) Resize(id instance.ID, target int) error {
 // bump; below target it keeps the last wakeup's probability, so a node
 // that first hears the instance now still joins. The journal records
 // the replacement, probability included, so a recovered Controller
-// re-enters the head-end with the new image. Like DestroyInstance the
-// mutation commits even when the head-end update fails; the refresh
-// retries with backoff.
+// re-enters the head-end with the new image. An image the head-end can
+// never air is refused with nothing changed; otherwise, like
+// DestroyInstance, the mutation commits even when the head-end update
+// fails, and the refresh retries with backoff.
 func (c *Controller) Recompose(id instance.ID, img *appimage.Image) error {
 	if img == nil {
 		return errors.New("controller: recompose needs an image")
@@ -1082,6 +1080,17 @@ func (c *Controller) Recompose(id instance.ID, img *appimage.Image) error {
 	}
 	if st.destroyed {
 		return fmt.Errorf("%w: %d", ErrInstanceGone, id)
+	}
+	// The set to check: the new image in the old one's place. The
+	// control file's new wakeup is the old one's length.
+	files := c.carouselFilesLocked()
+	for i := range files {
+		if files[i].Name == st.imageFile {
+			files[i].Data, files[i].Chunks = imageRaw, chunks
+		}
+	}
+	if err := c.cfg.Broadcaster.Check(files); err != nil {
+		return fmt.Errorf("controller: recompose instance %d: %w", id, err)
 	}
 	st.spec.Image = img
 	st.imageRaw, st.chunks = imageRaw, chunks

@@ -35,8 +35,15 @@ func newRig(t *testing.T) *rig {
 // before construction.
 func newRigWith(t *testing.T, wrap func(HeadEnd) HeadEnd, tweak func(*Config)) *rig {
 	t.Helper()
+	return newRigBlocks(t, 0, wrap, tweak)
+}
+
+// newRigBlocks is newRigWith over a carousel of blockSize-byte blocks
+// (0 for the default).
+func newRigBlocks(t *testing.T, blockSize int, wrap func(HeadEnd) HeadEnd, tweak func(*Config)) *rig {
+	t.Helper()
 	clk := simtime.NewSim(epoch)
-	car, err := dsmcc.NewCarousel(0x300, 0)
+	car, err := dsmcc.NewCarousel(0x300, blockSize)
 	if err != nil {
 		t.Fatal(err)
 	}

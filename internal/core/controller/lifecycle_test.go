@@ -1,6 +1,7 @@
 package controller
 
 import (
+	"crypto/ed25519"
 	"errors"
 	"math/rand"
 	"strings"
@@ -8,33 +9,36 @@ import (
 	"testing"
 	"time"
 
+	"oddci/internal/appimage"
 	"oddci/internal/control"
 	"oddci/internal/dsmcc"
+	"oddci/internal/journal"
 	"oddci/internal/netsim"
+	"oddci/internal/simtime"
 	"oddci/internal/span"
 )
 
 // flakyHead wraps a HeadEnd so carousel updates fail whenever fail
-// says so: a deterministic netsim.FaultPlan's Next, or a burst's. Start
-// is never injected: the tests target steady-state refresh, not
-// bring-up.
+// says so: a deterministic netsim.FaultPlan's Next, or a burst's. The
+// first airing and Check are never injected: the tests target
+// steady-state refresh, not bring-up or refused content.
 type flakyHead struct {
-	inner HeadEnd
+	HeadEnd
 	fail  func() bool
+	aired bool
 }
 
-func (f *flakyHead) Start(files []dsmcc.File) error { return f.inner.Start(files) }
-
 func (f *flakyHead) Update(files []dsmcc.File) error {
-	if f.fail() {
+	if f.aired && f.fail() {
 		return errors.New("injected head-end update failure")
 	}
-	return f.inner.Update(files)
+	f.aired = true
+	return f.HeadEnd.Update(files)
 }
 
 func newFlakyRig(t *testing.T, fail func() bool, tweak func(*Config)) *rig {
 	t.Helper()
-	return newRigWith(t, func(h HeadEnd) HeadEnd { return &flakyHead{inner: h, fail: fail} }, tweak)
+	return newRigWith(t, func(h HeadEnd) HeadEnd { return &flakyHead{HeadEnd: h, fail: fail} }, tweak)
 }
 
 // burst fails exactly the next n head-end updates once armed with n.
@@ -181,26 +185,40 @@ func TestRefreshRetryBacksOffAndRecovers(t *testing.T) {
 	r.clk.Wait()
 }
 
-func TestCreateRollsBackWhenStagingFails(t *testing.T) {
+// TestCreateCommitsWhenStagingFails: a create commits like every other
+// mutation. The head-end refusing the staging leaves the instance
+// journaled and the refresh pending, and the backoff retry airs its
+// wakeup with no second create.
+func TestCreateCommitsWhenStagingFails(t *testing.T) {
 	var plan burst
-	r := newFlakyRig(t, plan.next, nil)
+	dir := t.TempDir()
+	store := openRecoveryStore(t, dir, journal.Options{})
+	r := newFlakyRig(t, plan.next, func(cfg *Config) {
+		cfg.Journal = store
+		cfg.RefreshRetryBase = 2 * time.Second
+	})
 	plan.n.Store(1)
-	if _, err := r.ctrl.CreateInstance(InstanceSpec{Image: testImage(t), Target: 3, InitialProbability: 0.5}); err == nil {
-		t.Fatal("CreateInstance succeeded despite staging failure")
-	}
-	if bytes, files, live, onAir := r.ctrl.ContentStats(); bytes != 0 || files != 2 || live != 0 || onAir != 0 {
-		t.Fatalf("state after rollback: bytes=%d files=%d live=%d onAir=%d", bytes, files, live, onAir)
-	}
-	if pending, _ := r.ctrl.RefreshPending(); pending {
-		t.Fatal("rolled-back create left a refresh pending")
-	}
-	// The controller recovers fully: the next create succeeds and goes
-	// on air alone.
 	id, err := r.ctrl.CreateInstance(InstanceSpec{Image: testImage(t), Target: 3, InitialProbability: 0.5})
 	if err != nil {
-		t.Fatalf("create after rollback: %v", err)
+		t.Fatalf("CreateInstance with failing head-end: %v", err)
+	}
+	if pending, attempts := r.ctrl.RefreshPending(); !pending || attempts != 1 {
+		t.Fatalf("pending=%v attempts=%d after a refused staging", pending, attempts)
+	}
+	durable, err := openRecoveryStore(t, dir, journal.Options{}).Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := durable.Instances[uint64(id)]; rec == nil || rec.Seq != 1 || durable.NextID != uint64(id)+1 {
+		t.Fatalf("journal before airing: next id %d, instance %d record %+v", durable.NextID, id, rec)
+	}
+	if raw := r.currentControlFile(t); len(raw) != 0 {
+		t.Fatalf("control file on air before the retry = %d bytes, want 0", len(raw))
 	}
 	r.advance(5 * time.Second)
+	if pending, _ := r.ctrl.RefreshPending(); pending {
+		t.Fatal("refresh still pending after the retry")
+	}
 	msgs, err := control.OpenAll(r.currentControlFile(t), r.pub)
 	if err != nil {
 		t.Fatal(err)
@@ -208,11 +226,105 @@ func TestCreateRollsBackWhenStagingFails(t *testing.T) {
 	if len(msgs) != 1 {
 		t.Fatalf("envelopes = %d, want 1", len(msgs))
 	}
-	if w, ok := msgs[0].(*control.Wakeup); !ok || w.InstanceID != id {
-		t.Fatalf("on-air message %T, want wakeup for %d", msgs[0], id)
+	if w, ok := msgs[0].(*control.Wakeup); !ok || w.InstanceID != id || w.Seq != 1 {
+		t.Fatalf("on-air message %T %+v, want wakeup (%d, 1)", msgs[0], msgs[0], id)
+	}
+	if st, err := r.ctrl.Status(id); err != nil || st.Wakeups != 1 {
+		t.Fatalf("status after the retry = %+v, %v", st, err)
 	}
 	r.ctrl.Stop()
 	r.clk.Wait()
+}
+
+// TestRefusedContentChangesNothing: content the head-end can never air
+// (an image past the carousel's 65,535 blocks) is the caller's error at
+// create and at recompose, not a retry, since every later update would
+// carry it. Nothing is journaled, no refresh is pending, later creates
+// and destroys air, and a Controller restarted over the journal comes
+// up airing without a retry.
+func TestRefusedContentChangesNothing(t *testing.T) {
+	const blockSize = 16
+	dir := t.TempDir()
+	store := openRecoveryStore(t, dir, journal.Options{})
+	r := newRigBlocks(t, blockSize, nil, func(cfg *Config) { cfg.Journal = store })
+	big := &appimage.Image{Name: "big", EntryPoint: "e", Payload: make([]byte, blockSize<<16)}
+	idA, err := r.ctrl.CreateInstance(InstanceSpec{Image: testImage(t), Target: 1, InitialProbability: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.ctrl.CreateInstance(InstanceSpec{Image: big, Target: 1, InitialProbability: 1}); err == nil {
+		t.Fatal("created an instance whose image the carousel cannot carry")
+	}
+	if err := r.ctrl.Recompose(idA, big); err == nil {
+		t.Fatal("recomposed to an image the carousel cannot carry")
+	}
+	idC, err := r.ctrl.CreateInstance(InstanceSpec{Image: testImage(t), Target: 1, InitialProbability: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.ctrl.DestroyInstance(idC); err != nil {
+		t.Fatal(err)
+	}
+	if pending, attempts := r.ctrl.RefreshPending(); pending {
+		t.Fatalf("refresh pending after %d attempts", attempts)
+	}
+	r.advance(5 * time.Second)
+	msgs, err := control.OpenAll(r.currentControlFile(t), r.pub)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(msgs) != 2 {
+		t.Fatalf("envelopes on air = %d, want A's wakeup and C's reset", len(msgs))
+	}
+	if w, ok := msgs[0].(*control.Wakeup); !ok || w.InstanceID != idA || w.Seq != 1 {
+		t.Fatalf("first envelope %T %+v, want wakeup (%d, 1)", msgs[0], msgs[0], idA)
+	}
+	if rs, ok := msgs[1].(*control.Reset); !ok || rs.InstanceID != idC {
+		t.Fatalf("second envelope %T %+v, want C's reset", msgs[1], msgs[1])
+	}
+	r.ctrl.Stop()
+	r.clk.Wait()
+	store.Close()
+
+	r2 := newRigBlocks(t, blockSize, nil, func(cfg *Config) { cfg.Journal = openRecoveryStore(t, dir, journal.Options{}) })
+	if pending, _ := r2.ctrl.RefreshPending(); pending {
+		t.Fatal("restarted Controller is retrying its first airing")
+	}
+	if st, err := r2.ctrl.Status(idA); err != nil || st.Wakeups != 1 {
+		t.Fatalf("recovered A = %+v, %v; want its one wakeup", st, err)
+	}
+	if st, err := r2.ctrl.Status(idC); err != nil || !st.Destroyed {
+		t.Fatalf("recovered C = %+v, %v; want destroyed", st, err)
+	}
+	r2.ctrl.Stop()
+	r2.clk.Wait()
+}
+
+// refuseAll is a head-end that can air nothing.
+type refuseAll struct{}
+
+func (refuseAll) Check([]dsmcc.File) error  { return errors.New("refused") }
+func (refuseAll) Update([]dsmcc.File) error { return errors.New("refused") }
+
+// TestStartRefusedContentIsAnError: a head-end that can never air the
+// bring-up contents fails Start, and the Controller stays unstarted,
+// rather than retrying in the background with nothing on air.
+func TestStartRefusedContentIsAnError(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	_, priv, err := ed25519.GenerateKey(rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(Config{Clock: simtime.NewSim(epoch), Broadcaster: refuseAll{}, Key: priv, Rng: rng})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Start(); err == nil {
+		t.Fatal("Start over a head-end that refuses its contents succeeded")
+	}
+	if _, err := c.CreateInstance(InstanceSpec{Image: testImage(t), Target: 1}); err == nil {
+		t.Fatal("created an instance on a Controller whose Start failed")
+	}
 }
 
 func TestDestroyCreateCyclesReturnToBaseline(t *testing.T) {
@@ -255,15 +367,11 @@ func TestChurnWithInjectedFaultsStaysBounded(t *testing.T) {
 		cfg.RefreshRetryBase = 2 * time.Second
 		cfg.RefreshRetryMax = 8 * time.Second
 	})
-	created := 0
 	for cycle := 0; cycle < 120; cycle++ {
 		id, err := r.ctrl.CreateInstance(InstanceSpec{Image: testImage(t), Target: 2, InitialProbability: 0.5})
 		if err != nil {
-			// Injected staging failure: rolled back, try next cycle.
-			r.advance(10 * time.Second)
-			continue
+			t.Fatalf("cycle %d create: %v", cycle, err)
 		}
-		created++
 		r.advance(10 * time.Second)
 		if err := r.ctrl.DestroyInstance(id); err != nil {
 			t.Fatalf("cycle %d destroy: %v", cycle, err)
@@ -273,9 +381,6 @@ func TestChurnWithInjectedFaultsStaysBounded(t *testing.T) {
 		if live > 1 || onAir > 4 || files > 3+4 {
 			t.Fatalf("cycle %d state unbounded: files=%d live=%d onAir=%d", cycle, files, live, onAir)
 		}
-	}
-	if created < 60 {
-		t.Fatalf("only %d/120 cycles created an instance; fault plan too hostile", created)
 	}
 	// Quiet period: retries and the GC window drain everything.
 	r.advance(5 * time.Minute)

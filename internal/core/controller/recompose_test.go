@@ -87,26 +87,17 @@ func TestRecomposeRequiresStarted(t *testing.T) {
 // airLog wraps a HeadEnd and keeps a copy of every control file staged
 // through it, in staging order.
 type airLog struct {
-	inner  HeadEnd
+	HeadEnd
 	staged [][]byte
 }
 
-func (a *airLog) Start(files []dsmcc.File) error {
-	a.record(files)
-	return a.inner.Start(files)
-}
-
 func (a *airLog) Update(files []dsmcc.File) error {
-	a.record(files)
-	return a.inner.Update(files)
-}
-
-func (a *airLog) record(files []dsmcc.File) {
 	for _, f := range files {
 		if f.Name == ControlFile {
 			a.staged = append(a.staged, slices.Clone(f.Data))
 		}
 	}
+	return a.HeadEnd.Update(files)
 }
 
 // wakeupSeqs returns the distinct wakeup seqs staged for id, in staging
@@ -140,7 +131,7 @@ func TestRecompositionWakeupAdvancesSeq(t *testing.T) {
 	store := openRecoveryStore(t, dir, journal.Options{})
 	air := &airLog{}
 	r := newRigWith(t, func(h HeadEnd) HeadEnd {
-		air.inner = h
+		air.HeadEnd = h
 		return air
 	}, func(cfg *Config) { cfg.Journal = store })
 	id, err := r.ctrl.CreateInstance(InstanceSpec{
@@ -229,7 +220,7 @@ func TestDestroyResetAdvancesSeq(t *testing.T) {
 	store := openRecoveryStore(t, dir, journal.Options{})
 	air := &airLog{}
 	r := newRigWith(t, func(h HeadEnd) HeadEnd {
-		air.inner = h
+		air.HeadEnd = h
 		return air
 	}, func(cfg *Config) { cfg.Journal = store })
 	id, err := r.ctrl.CreateInstance(InstanceSpec{

@@ -2,11 +2,15 @@ package controller
 
 import (
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"oddci/internal/appimage"
 	"oddci/internal/core/instance"
+	"oddci/internal/dsmcc"
 	"oddci/internal/journal"
 	"oddci/internal/obs"
 )
@@ -226,6 +230,77 @@ func TestRecoveryFromCompactedSnapshot(t *testing.T) {
 	}
 	if got := r2.ctrl.dumpState(); got != want {
 		t.Fatalf("compacted recovery diverged:\n--- want ---\n%s--- got ---\n%s", want, got)
+	}
+	r2.ctrl.Stop()
+	r2.clk.Wait()
+}
+
+// crashPoints wraps a HeadEnd and, each time the Controller hands it
+// content to air, copies the state dir first: each copy is the durable
+// state of a crash the moment that content went on air.
+type crashPoints struct {
+	HeadEnd
+	t     *testing.T
+	dir   string
+	snaps []string
+}
+
+func (h *crashPoints) Update(files []dsmcc.File) error {
+	snap := h.t.TempDir()
+	entries, err := os.ReadDir(h.dir)
+	if err != nil {
+		h.t.Fatal(err)
+	}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(h.dir, e.Name()))
+		if err != nil {
+			h.t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(snap, e.Name()), b, 0o644); err != nil {
+			h.t.Fatal(err)
+		}
+	}
+	h.snaps = append(h.snaps, snap)
+	return h.HeadEnd.Update(files)
+}
+
+// TestCrashAfterAiringKeepsInstanceIdentity: a Controller that crashes
+// once an instance's wakeup is on air must come back knowing that
+// instance, so it never issues the aired ID to a different image. Were
+// the create aired before it is journaled, the restart would hand B's
+// ID to C, and a node running B's image would count as a member of C.
+func TestCrashAfterAiringKeepsInstanceIdentity(t *testing.T) {
+	dir := t.TempDir()
+	head := &crashPoints{t: t, dir: dir}
+	r1 := newRigWith(t, func(h HeadEnd) HeadEnd { head.HeadEnd = h; return head }, func(cfg *Config) {
+		cfg.Journal = openRecoveryStore(t, dir, journal.Options{})
+	})
+	if _, err := r1.ctrl.CreateInstance(InstanceSpec{Image: testImage(t), Target: 1, InitialProbability: 1}); err != nil {
+		t.Fatal(err)
+	}
+	airedB := len(head.snaps)
+	idB, err := r1.ctrl.CreateInstance(InstanceSpec{Image: testImage(t), Target: 1, InitialProbability: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(head.snaps) != airedB+1 {
+		t.Fatalf("creating B handed the head-end %d updates, want 1", len(head.snaps)-airedB)
+	}
+	r1.heartbeatBusy(7, idB)
+	r1.ctrl.Stop()
+
+	r2, _ := journaledRig(t, head.snaps[airedB], nil, journal.Options{})
+	imgC := &appimage.Image{Name: "other", EntryPoint: "e", Payload: make([]byte, 2000)}
+	idC, err := r2.ctrl.CreateInstance(InstanceSpec{Image: imgC, Target: 1, InitialProbability: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if idC == idB {
+		t.Fatalf("restarted Controller reissued aired instance id %d", idB)
+	}
+	r2.heartbeatBusy(7, idB)
+	if st, err := r2.ctrl.Status(idC); err != nil || st.Busy != 0 {
+		t.Fatalf("C after a busy heartbeat naming B: %+v, %v; want Busy 0", st, err)
 	}
 	r2.ctrl.Stop()
 	r2.clk.Wait()

@@ -38,6 +38,9 @@ import (
 // DefaultConfigFile is the carousel file carrying control messages.
 const DefaultConfigFile = "oddci.config"
 
+// heartbeatTimeout bounds the wait for a heartbeat reply.
+const heartbeatTimeout = 10 * time.Second
+
 // Dialer opens a direct channel, returning the local endpoint and a
 // hangup function.
 type Dialer func() (*netsim.Endpoint, func())
@@ -59,8 +62,6 @@ type Config struct {
 	Rng *rand.Rand
 	// DefaultHeartbeat applies before any wakeup tunes the period.
 	DefaultHeartbeat time.Duration
-	// heartbeatTimeout bounds the reply wait.
-	heartbeatTimeout time.Duration
 	// OnStateChange observes idle/busy transitions (experiment hooks).
 	OnStateChange func(nodeID uint64, st control.NodeState, inst instance.ID)
 	// Obs, if set, receives fleet-wide agent telemetry (oddci_pna_*
@@ -89,9 +90,6 @@ func (c *Config) fill() error {
 	}
 	if c.DefaultHeartbeat <= 0 {
 		c.DefaultHeartbeat = time.Minute
-	}
-	if c.heartbeatTimeout <= 0 {
-		c.heartbeatTimeout = 10 * time.Second
 	}
 	return nil
 }
@@ -603,7 +601,7 @@ func (p *PNA) heartbeatLoop() {
 		p.mu.Unlock()
 
 		ctrl.Send("controller", control.EncodeHeartbeat(hb), control.HeartbeatWireSize)
-		pkt, err := ctrl.RecvTimeout(p.cfg.heartbeatTimeout)
+		pkt, err := ctrl.RecvTimeout(heartbeatTimeout)
 		if err == nil {
 			if raw, ok := pkt.Payload.([]byte); ok {
 				if reply, derr := control.DecodeHeartbeatReply(raw); derr == nil {

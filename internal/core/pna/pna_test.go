@@ -196,7 +196,6 @@ func newRigOn(t *testing.T, clk *simtime.Sim, mutate func(*Config)) *rig {
 		Registry:         r.reg,
 		Rng:              rand.New(rand.NewSource(2)),
 		DefaultHeartbeat: 10 * time.Second,
-		heartbeatTimeout: 5 * time.Second,
 		DialController: func() (*netsim.Endpoint, func()) {
 			cfgL := netsim.LinkConfig{RateBps: 150e3}
 			client, srv := netsim.NewDuplex(clk, "node", "controller", cfgL, cfgL)
@@ -665,7 +664,7 @@ func TestDigestCheckedPerNodeBuffer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Start([]dsmcc.File{
+	if err := b.Update([]dsmcc.File{
 		{Name: DefaultConfigFile, Data: good.wakeupConfig(t, good.baseWakeup(digest))},
 		{Name: "image.1", Data: imgRaw},
 	}); err != nil {

@@ -1,10 +1,12 @@
 package provider
 
 import (
+	"errors"
 	"testing"
 
 	"oddci/internal/appimage"
 	"oddci/internal/control"
+	"oddci/internal/core/controller"
 )
 
 func TestProviderRecomposeAndRebind(t *testing.T) {
@@ -38,8 +40,11 @@ func TestProviderRecomposeAndRebind(t *testing.T) {
 	if err := inst.Destroy(); err != nil {
 		t.Fatal(err)
 	}
-	if err := inst.Recompose(v2); err == nil {
-		t.Fatal("recompose after destroy accepted")
+	if err := inst.Recompose(v2); !errors.Is(err, controller.ErrInstanceGone) {
+		t.Fatalf("recompose after destroy = %v, want ErrInstanceGone", err)
+	}
+	if err := inst.Resize(3); !errors.Is(err, controller.ErrInstanceGone) {
+		t.Fatalf("resize after destroy = %v, want ErrInstanceGone", err)
 	}
 	ctrl.Stop()
 	clk.Wait()

@@ -76,27 +76,17 @@ func (i *Instance) Status() (controller.InstanceStatus, error) {
 	return i.p.controller().Status(i.id)
 }
 
-// Resize adjusts the target size.
+// Resize adjusts the target size. On a destroyed instance it returns
+// the Controller's controller.ErrInstanceGone.
 func (i *Instance) Resize(target int) error {
-	i.mu.Lock()
-	if i.destroyed {
-		i.mu.Unlock()
-		return errors.New("provider: instance destroyed")
-	}
-	i.mu.Unlock()
 	return i.p.controller().Resize(i.id, target)
 }
 
 // Recompose replaces the instance's application image in place; live
 // members receive the new content as a delta (carousel module hashes on
-// the broadcast plane, manifest + chunk frames on TCP).
+// the broadcast plane, manifest + chunk frames on TCP). On a destroyed
+// instance it returns the Controller's controller.ErrInstanceGone.
 func (i *Instance) Recompose(img *appimage.Image) error {
-	i.mu.Lock()
-	if i.destroyed {
-		i.mu.Unlock()
-		return errors.New("provider: instance destroyed")
-	}
-	i.mu.Unlock()
 	return i.p.controller().Recompose(i.id, img)
 }
 

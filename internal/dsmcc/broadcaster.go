@@ -42,7 +42,7 @@ type Broadcaster struct {
 
 	mu           sync.Mutex
 	car          Content
-	layout       *Layout   // the generation on air; nil before Start
+	layout       *Layout   // the generation on air; nil before the first Update
 	origin       time.Time // when byte position 0 of the current layout aired
 	pending      []File    // queued update (never empty); nil when none is
 	genListeners map[int]func(gen uint32, at time.Time)
@@ -116,16 +116,6 @@ func (b *Broadcaster) airTime(bytes int64) time.Duration {
 	return time.Duration(float64(bytes) * 8 / b.rate * float64(time.Second))
 }
 
-// Start loads the initial contents and begins cycling immediately.
-func (b *Broadcaster) Start(files []File) error {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.layout != nil {
-		return errors.New("dsmcc: broadcaster already started")
-	}
-	return b.airLocked(files)
-}
-
 // airLocked makes files the generation on air, its cycle starting now.
 func (b *Broadcaster) airLocked(files []File) error {
 	if err := b.car.SetFiles(files); err != nil {
@@ -139,9 +129,9 @@ func (b *Broadcaster) airLocked(files []File) error {
 	return nil
 }
 
-// Layout returns the schedule of the generation on air (nil before
-// Start). A Layout is never modified once computed; its entries' Data is
-// the shared, read-only content RequestFile delivers.
+// Layout returns the schedule of the generation on air (nil before the
+// first Update). A Layout is never modified once computed; its entries'
+// Data is the shared, read-only content RequestFile delivers.
 func (b *Broadcaster) Layout() *Layout {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -178,17 +168,26 @@ func (b *Broadcaster) positionLocked(t time.Time) int64 {
 	return int64(elapsed.Seconds() * b.rate / 8)
 }
 
-// Update replaces the carousel contents at the next cycle boundary, as a
-// real playout server would (receivers mid-read of the old generation
-// finish their cycle). Successive updates before the boundary coalesce;
-// the last one wins. The content set is validated here, so an update the
-// carrier cannot air is the caller's error now and never reaches the
-// cycle boundary.
+// Check reports the error Update would return for files, changing
+// nothing: the Content's own check.
+func (b *Broadcaster) Check(files []File) error {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.car.Check(files)
+}
+
+// Update puts files on air. The first call airs them at once and
+// begins cycling; later calls replace the contents at the next cycle
+// boundary, as a real playout server would (receivers mid-read of the
+// old generation finish their cycle). Successive updates before the
+// boundary coalesce; the last one wins. The content set is validated
+// here, so an update the carrier cannot air is the caller's error now
+// and never reaches the cycle boundary.
 func (b *Broadcaster) Update(files []File) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.layout == nil {
-		return errors.New("dsmcc: broadcaster not started")
+		return b.airLocked(files)
 	}
 	if err := b.car.Check(files); err != nil {
 		return err

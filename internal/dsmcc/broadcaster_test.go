@@ -22,7 +22,7 @@ func startBroadcaster(t *testing.T, clk simtime.Clock, rate float64, files ...Fi
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Start(files); err != nil {
+	if err := b.Update(files); err != nil {
 		t.Fatal(err)
 	}
 	return b

@@ -82,17 +82,30 @@ func TestBroadcasterConstructionErrors(t *testing.T) {
 	if got == nil {
 		t.Fatal("request before start accepted")
 	}
-	if err := b.Update(nil); err == nil {
-		t.Fatal("update before start accepted")
-	}
 	if b.Generation() != 0 || b.CycleDuration() != 0 {
 		t.Fatal("unstarted accessors not zero")
 	}
-	if err := b.Start([]File{{Name: "a", Data: []byte{1}}}); err != nil {
+	if err := b.Update(nil); err == nil || b.Layout() != nil {
+		t.Fatal("empty first update accepted")
+	}
+	// The first Update airs at once; a second waits for the boundary.
+	if err := b.Update([]File{{Name: "a", Data: []byte{1}}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Start([]File{{Name: "a", Data: []byte{1}}}); err == nil {
-		t.Fatal("double start accepted")
+	first := b.Generation()
+	if first == 0 || b.CycleDuration() == 0 {
+		t.Fatal("first update did not air at once")
 	}
+	clk.Go(func() {
+		if err := b.Update([]File{{Name: "a", Data: []byte{2}}}); err != nil {
+			t.Error(err)
+		}
+		if b.Generation() != first {
+			t.Error("second update aired before the cycle boundary")
+		}
+	})
 	clk.Wait()
+	if b.Generation() == first {
+		t.Fatal("second update never aired")
+	}
 }

@@ -45,7 +45,7 @@ func TestUpdateRejectsInvalidContent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := b.Start([]dsmcc.File{{Name: "a", Data: make([]byte, 10000)}}); err != nil {
+			if err := b.Update([]dsmcc.File{{Name: "a", Data: make([]byte, 10000)}}); err != nil {
 				t.Fatal(err)
 			}
 			commits := 0

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"oddci/internal/core/controller"
-	"oddci/internal/core/provider"
 	"oddci/internal/experiments/stats"
 	"oddci/internal/netsim"
 	"oddci/internal/obs"
@@ -71,6 +70,7 @@ func runLifecycle(cfg Config) (*Result, error) {
 		}
 
 		var rounds, peakOnAir, finalFiles, finalBytes int
+		var runErr error
 		clk.Go(func() {
 			spec := controller.InstanceSpec{
 				Image:              workerImage(1 << 10),
@@ -79,18 +79,10 @@ func runLifecycle(cfg Config) (*Result, error) {
 				HeartbeatPeriod:    15 * time.Second,
 			}
 			for cycle := 0; cycle < cyclesFor(cfg.Quick); cycle++ {
-				var inst *provider.Instance
-				for attempt := 0; attempt < 8; attempt++ {
-					in, err := sys.Provider.Create(spec)
-					if err == nil {
-						inst = in
-						break
-					}
-					clk.Sleep(3 * time.Second)
-				}
-				if inst == nil {
-					clk.Sleep(5 * time.Second)
-					continue
+				inst, err := sys.Provider.Create(spec)
+				if err != nil {
+					runErr = err
+					break
 				}
 				clk.Sleep(10 * time.Second)
 				_ = inst.Destroy() // tolerant of already-gone instances
@@ -105,6 +97,9 @@ func runLifecycle(cfg Config) (*Result, error) {
 			sys.Shutdown()
 		})
 		clk.Wait()
+		if runErr != nil {
+			return nil, runErr
+		}
 
 		injected, failed := plan.Stats()
 		snap := reg.Snapshot()

@@ -23,7 +23,7 @@ func startCaster(t *testing.T, clk simtime.Clock, rate float64, files ...dsmcc.F
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Start(files); err != nil {
+	if err := c.Update(files); err != nil {
 		t.Fatal(err)
 	}
 	return c
@@ -227,22 +227,34 @@ func TestValidation(t *testing.T) {
 		t.Fatal("zero rate accepted")
 	}
 	c, _ := newCaster(clk, 1e6)
-	if err := c.Start(nil); err == nil {
-		t.Fatal("empty start accepted")
-	}
 	if err := c.Update(nil); err == nil {
-		t.Fatal("update before start accepted")
+		t.Fatal("empty first update accepted")
 	}
-	if err := c.Start([]dsmcc.File{{Name: "x", Data: []byte{1}}}); err != nil {
+	if err := c.Update([]dsmcc.File{{Name: "x"}, {Name: "x"}}); err == nil || c.Generation() != 0 {
+		t.Fatal("duplicate files aired")
+	}
+	// The first Update airs at once; a second waits for the boundary.
+	if err := c.Update([]dsmcc.File{{Name: "x", Data: []byte{1}}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Start([]dsmcc.File{{Name: "x"}}); err == nil {
-		t.Fatal("double start accepted")
+	if c.Generation() != 1 {
+		t.Fatalf("generation after the first update = %d, want 1", c.Generation())
 	}
 	if err := c.Update([]dsmcc.File{{Name: "x"}, {Name: "x"}}); err == nil {
 		t.Fatal("duplicate files accepted")
 	}
+	clk.Go(func() {
+		if err := c.Update([]dsmcc.File{{Name: "x", Data: []byte{2}}}); err != nil {
+			t.Error(err)
+		}
+		if c.Generation() != 1 {
+			t.Error("second update aired before the cycle boundary")
+		}
+	})
 	clk.Wait()
+	if c.Generation() != 2 {
+		t.Fatalf("generation after the boundary = %d, want 2", c.Generation())
+	}
 }
 
 func TestAccessorsAndListenerCancel(t *testing.T) {
@@ -260,7 +272,7 @@ func TestAccessorsAndListenerCancel(t *testing.T) {
 	if got == nil {
 		t.Fatal("request before start accepted")
 	}
-	if err := c.Start([]dsmcc.File{{Name: "a", Data: make([]byte, 5000)}}); err != nil {
+	if err := c.Update([]dsmcc.File{{Name: "a", Data: make([]byte, 5000)}}); err != nil {
 		t.Fatal(err)
 	}
 	if c.Generation() != 1 || cycleWire(c) == 0 {

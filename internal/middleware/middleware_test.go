@@ -67,7 +67,7 @@ func newRig(t *testing.T, files ...dsmcc.File) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Start(files); err != nil {
+	if err := b.Update(files); err != nil {
 		t.Fatal(err)
 	}
 	return &rig{clk: clk, bcast: b, sig: NewSignalling(clk, 0)}

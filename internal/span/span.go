@@ -19,6 +19,7 @@
 package span
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -86,9 +87,9 @@ func (c Context) AppendBinary(b []byte) []byte {
 	if c.Sampled {
 		flags = flagSampled
 	}
-	b = appendU64(b, c.Trace[0])
-	b = appendU64(b, c.Trace[1])
-	b = appendU64(b, uint64(c.Span))
+	b = binary.BigEndian.AppendUint64(b, c.Trace[0])
+	b = binary.BigEndian.AppendUint64(b, c.Trace[1])
+	b = binary.BigEndian.AppendUint64(b, uint64(c.Span))
 	return append(b, flags)
 }
 
@@ -101,9 +102,9 @@ func DecodeBinary(b []byte) (Context, error) {
 		return Context{}, fmt.Errorf("span: context length %d, want %d", len(b), EncodedLen)
 	}
 	var c Context
-	c.Trace[0] = readU64(b[0:8])
-	c.Trace[1] = readU64(b[8:16])
-	c.Span = SpanID(readU64(b[16:24]))
+	c.Trace[0] = binary.BigEndian.Uint64(b[0:8])
+	c.Trace[1] = binary.BigEndian.Uint64(b[8:16])
+	c.Span = SpanID(binary.BigEndian.Uint64(b[16:24]))
 	if b[24]&^flagSampled != 0 {
 		return Context{}, fmt.Errorf("span: unknown context flags %#02x", b[24])
 	}
@@ -125,19 +126,19 @@ func Parse(s string) (Context, error) {
 	}
 	var c Context
 	var ok bool
-	if c.Trace[0], ok = parseHex16(s[0:16]); !ok {
+	if c.Trace[0], ok = parseHex(s[0:16]); !ok {
 		return Context{}, fmt.Errorf("span: malformed context %q", s)
 	}
-	if c.Trace[1], ok = parseHex16(s[16:32]); !ok {
+	if c.Trace[1], ok = parseHex(s[16:32]); !ok {
 		return Context{}, fmt.Errorf("span: malformed context %q", s)
 	}
 	var sp uint64
-	if sp, ok = parseHex16(s[33:49]); !ok {
+	if sp, ok = parseHex(s[33:49]); !ok {
 		return Context{}, fmt.Errorf("span: malformed context %q", s)
 	}
 	c.Span = SpanID(sp)
 	var flags uint64
-	if flags, ok = parseHex16n(s[50:52]); !ok || flags&^flagSampled != 0 {
+	if flags, ok = parseHex(s[50:52]); !ok || flags&^flagSampled != 0 {
 		return Context{}, fmt.Errorf("span: malformed context %q", s)
 	}
 	c.Sampled = flags&flagSampled != 0
@@ -168,19 +169,9 @@ func (c *Context) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-func appendU64(b []byte, v uint64) []byte {
-	return append(b, byte(v>>56), byte(v>>48), byte(v>>40), byte(v>>32),
-		byte(v>>24), byte(v>>16), byte(v>>8), byte(v))
-}
-
-func readU64(b []byte) uint64 {
-	return uint64(b[0])<<56 | uint64(b[1])<<48 | uint64(b[2])<<40 | uint64(b[3])<<32 |
-		uint64(b[4])<<24 | uint64(b[5])<<16 | uint64(b[6])<<8 | uint64(b[7])
-}
-
-func parseHex16(s string) (uint64, bool) { return parseHex16n(s) }
-
-func parseHex16n(s string) (uint64, bool) {
+// parseHex parses up to 16 lowercase hex digits, the only form String
+// writes.
+func parseHex(s string) (uint64, bool) {
 	var v uint64
 	for i := 0; i < len(s); i++ {
 		c := s[i]

@@ -31,7 +31,7 @@ func TestChunkCacheOffByDefaultAndPerBox(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Start([]dsmcc.File{{Name: "image", Data: img}}); err != nil {
+	if err := b.Update([]dsmcc.File{{Name: "image", Data: img}}); err != nil {
 		t.Fatal(err)
 	}
 	var boxes [2]*STB

@@ -49,7 +49,7 @@ func newTestSTB(t *testing.T, clk simtime.Clock, id uint64) *STB {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Start([]dsmcc.File{{Name: "x", Data: []byte{1}}}); err != nil {
+	if err := b.Update([]dsmcc.File{{Name: "x", Data: []byte{1}}}); err != nil {
 		t.Fatal(err)
 	}
 	s, err := New(Config{

@@ -8,7 +8,6 @@ import (
 
 	"oddci/internal/core/backend"
 	"oddci/internal/core/controller"
-	"oddci/internal/core/provider"
 	"oddci/internal/netsim"
 	"oddci/internal/simtime"
 	"oddci/internal/workload"
@@ -115,25 +114,19 @@ func TestAdversarialChurnStress(t *testing.T) {
 			// alongside the adversarial task plane. Near-zero probability:
 			// it must not poach workers from the job instance for long.
 			if round%2 == 0 {
-				var aux *provider.Instance
-				for attempt := 0; attempt < 5; attempt++ {
-					in, err := sys.Provider.Create(controller.InstanceSpec{
-						Image:              testImage(1 << 10),
-						Target:             1,
-						InitialProbability: 0.05,
-						HeartbeatPeriod:    30 * time.Second,
-					})
-					if err == nil {
-						aux = in
-						break
-					}
-					clk.Sleep(3 * time.Second) // injected staging failure; retry
+				aux, err := sys.Provider.Create(controller.InstanceSpec{
+					Image:              testImage(1 << 10),
+					Target:             1,
+					InitialProbability: 0.05,
+					HeartbeatPeriod:    30 * time.Second,
+				})
+				if err != nil {
+					errs = append(errs, fmt.Errorf("round %d aux create: %w", round, err))
+					continue
 				}
-				if aux != nil {
-					clk.Sleep(5 * time.Second)
-					if err := aux.Destroy(); err != nil {
-						errs = append(errs, fmt.Errorf("round %d aux destroy: %w", round, err))
-					}
+				clk.Sleep(5 * time.Second)
+				if err := aux.Destroy(); err != nil {
+					errs = append(errs, fmt.Errorf("round %d aux destroy: %w", round, err))
 				}
 			}
 		}

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"oddci/internal/core/controller"
-	"oddci/internal/core/provider"
 	"oddci/internal/netsim"
 	"oddci/internal/obs"
 	"oddci/internal/simtime"
@@ -67,17 +66,6 @@ func TestControllerCrashRecoveryUnderFaults(t *testing.T) {
 	var jobDone atomic.Bool
 	h.OnComplete(func(time.Time) { jobDone.Store(true) })
 
-	createWithRetry := func(spec controller.InstanceSpec) *provider.Instance {
-		for attempt := 0; attempt < 8; attempt++ {
-			in, err := sys.Provider.Create(spec)
-			if err == nil {
-				return in
-			}
-			clk.Sleep(3 * time.Second) // injected staging failure, rolled back
-		}
-		return nil
-	}
-
 	var (
 		errs                                  []error
 		destroys                              int
@@ -87,12 +75,12 @@ func TestControllerCrashRecoveryUnderFaults(t *testing.T) {
 		finalLive, finalOnAir                 int
 	)
 	clk.Go(func() {
-		keeper := createWithRetry(controller.InstanceSpec{
+		keeper, err := sys.Provider.Create(controller.InstanceSpec{
 			Image: testImage(1 << 18), Target: nodes,
 			InitialProbability: 1, HeartbeatPeriod: 15 * time.Second,
 		})
-		if keeper == nil {
-			errs = append(errs, errors.New("keeper instance never staged"))
+		if err != nil {
+			errs = append(errs, fmt.Errorf("keeper create: %w", err))
 			sys.Shutdown()
 			return
 		}
@@ -110,20 +98,23 @@ func TestControllerCrashRecoveryUnderFaults(t *testing.T) {
 			InitialProbability: 0.5, HeartbeatPeriod: 15 * time.Second,
 		}
 		for round := 0; round < 4; round++ {
-			if in := createWithRetry(churnSpec); in != nil {
-				clk.Sleep(10 * time.Second)
-				if err := in.Destroy(); err != nil {
-					errs = append(errs, fmt.Errorf("churn round %d destroy: %w", round, err))
-				} else {
-					destroys++
-				}
+			in, err := sys.Provider.Create(churnSpec)
+			if err != nil {
+				errs = append(errs, fmt.Errorf("churn round %d create: %w", round, err))
+				continue
+			}
+			clk.Sleep(10 * time.Second)
+			if err := in.Destroy(); err != nil {
+				errs = append(errs, fmt.Errorf("churn round %d destroy: %w", round, err))
+			} else {
+				destroys++
 			}
 			clk.Sleep(10 * time.Second)
 		}
 		// Final round: crash inside the fresh reset-retransmission window.
-		last := createWithRetry(churnSpec)
-		if last == nil {
-			errs = append(errs, errors.New("final churn instance never staged"))
+		last, err := sys.Provider.Create(churnSpec)
+		if err != nil {
+			errs = append(errs, fmt.Errorf("final churn create: %w", err))
 			sys.Shutdown()
 			return
 		}

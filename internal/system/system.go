@@ -78,7 +78,7 @@ type Config struct {
 	Spans *span.Collector
 	// HeadEndFaults, if set, injects failures into the Controller's
 	// carousel updates (not into the receivers), exercising the
-	// refresh-retry path. Start is never injected.
+	// refresh-retry path. The first airing is never injected.
 	HeadEndFaults *netsim.FaultPlan
 	// Adversary, if set, turns the assigned fraction of nodes byzantine:
 	// their result submissions are rewritten on the wire (wrong payloads,
@@ -170,12 +170,11 @@ type System struct {
 	controllerPub ed25519.PublicKey
 
 	// Durable control-plane state (Config.StateDir): the journal store,
-	// the head-end handle and controller config template needed to
+	// the controller config template (head-end included) needed to
 	// rebuild a Controller after a crash, and a dedicated restart rng
 	// stream so recovery does not perturb the deployment's other
 	// deterministic draws.
 	store      *journal.Store
-	head       controller.HeadEnd
 	ctrlCfg    controller.Config
 	restartRng *rand.Rand
 
@@ -221,7 +220,7 @@ func New(cfg Config) (*System, error) {
 	// receivers keep reading whatever the carousel last committed.
 	head := controller.HeadEnd(bcast)
 	if cfg.HeadEndFaults != nil {
-		head = &faultyHeadEnd{inner: bcast, plan: cfg.HeadEndFaults}
+		head = &faultyHeadEnd{HeadEnd: bcast, plan: cfg.HeadEndFaults}
 		cfg.HeadEndFaults.Instrument(cfg.Obs, "headend")
 	}
 
@@ -285,7 +284,6 @@ func New(cfg Config) (*System, error) {
 		bcast:         bcast,
 		controllerPub: pub,
 		store:         store,
-		head:          head,
 		ctrlCfg:       ctrlCfg,
 		restartRng:    rand.New(rand.NewSource(rng.Int63())),
 		byInst:        make(map[instance.ID]map[uint64]bool),
@@ -372,20 +370,21 @@ func New(cfg Config) (*System, error) {
 }
 
 // faultyHeadEnd makes the Controller's carousel updates fail according
-// to a deterministic netsim.FaultPlan. Bring-up (Start) is passed
-// through untouched so injected runs always reach steady state.
+// to a deterministic netsim.FaultPlan. The first airing (bring-up) is
+// passed through untouched so injected runs always reach steady state,
+// and so is Check: a fault is never a refusal of the content.
 type faultyHeadEnd struct {
-	inner controller.HeadEnd
+	controller.HeadEnd
 	plan  *netsim.FaultPlan
+	aired bool
 }
 
-func (f *faultyHeadEnd) Start(files []dsmcc.File) error { return f.inner.Start(files) }
-
 func (f *faultyHeadEnd) Update(files []dsmcc.File) error {
-	if f.plan.Next() {
+	if f.aired && f.plan.Next() {
 		return errors.New("system: injected head-end update failure")
 	}
-	return f.inner.Update(files)
+	f.aired = true
+	return f.HeadEnd.Update(files)
 }
 
 // serveController is the head-end side of every node's direct channel.
@@ -450,14 +449,6 @@ func (s *System) CrashController() error {
 	return store.Close()
 }
 
-// resumedHeadEnd adapts an already-cycling head-end for a recovered
-// Controller: its Start maps to Update, since the broadcast never
-// stopped while the control plane was down.
-type resumedHeadEnd struct{ inner controller.HeadEnd }
-
-func (r resumedHeadEnd) Start(files []dsmcc.File) error  { return r.inner.Update(files) }
-func (r resumedHeadEnd) Update(files []dsmcc.File) error { return r.inner.Update(files) }
-
 // RestartController brings the control plane back from the state
 // directory: it reopens the journal store, replays the journal
 // into a fresh Controller, re-airs the recovered content in one
@@ -469,7 +460,6 @@ func (s *System) RestartController() error {
 		return errors.New("system: controller is not crashed")
 	}
 	cfg := s.ctrlCfg
-	cfg.Broadcaster = resumedHeadEnd{s.head}
 	cfg.Rng = rand.New(rand.NewSource(s.restartRng.Int63()))
 	s.mu.Unlock()
 

@@ -316,11 +316,8 @@ func (c *Coordinator) start() error {
 	return err
 }
 
-// Start stages the Controller's initial files. With Update it is the
-// controller.HeadEnd contract; the Controller calls both.
-func (c *Coordinator) Start(files []dsmcc.File) error { return c.Update(files) }
-
-// Update stages the Controller's files as the next generation. The
+// Update stages the Controller's files as the next generation: the
+// controller.HeadEnd contract. The
 // control file goes out verbatim as the control frame; the one image
 // file is split into appimage.ChunkBytes chunks, and a manifest frame
 // lists them under the digests the Controller hashed (File.Chunks), so
@@ -328,26 +325,15 @@ func (c *Coordinator) Start(files []dsmcc.File) error { return c.Update(files) }
 // chunk frame whose digest is unchanged, so only new content costs an
 // encode — the per-chunk form of the encode-once invariant; a first
 // staging is the same delta from a stage that holds nothing. The PNA
-// code file has no TCP counterpart (a node is its own agent), and a
-// second image file is an error: a coordinator serves one instance.
+// code file has no TCP counterpart (a node is its own agent), and
+// Check's refusals are Update's.
 func (c *Coordinator) Update(files []dsmcc.File) error {
-	var ctrlFile []byte
-	var img *dsmcc.File
-	for i := range files {
-		switch f := &files[i]; f.Name {
-		case controller.PNAClassFile: // a node is its own agent
-		case controller.ControlFile:
-			ctrlFile = f.Data
-		default:
-			if img != nil {
-				return fmt.Errorf("transport: a coordinator serves one instance, got images %s and %s", img.Name, f.Name)
-			}
-			img = f
-		}
+	ctrlFile, img, err := stageFiles(files)
+	if err != nil {
+		return err
 	}
 	prev := c.stage.Load()
 	st := &imageStage{chunks: make(map[appimage.Digest]stagedChunk)}
-	var err error
 	if len(ctrlFile) > 0 {
 		if st.ctrlFrame, err = AppendFrame(nil, FrameControl, ctrlFile); err != nil {
 			return err
@@ -356,9 +342,6 @@ func (c *Coordinator) Update(files []dsmcc.File) error {
 	}
 	if img != nil {
 		st.raw = img.Data
-		if len(img.Chunks) != appimage.ChunkCount(len(st.raw)) {
-			return fmt.Errorf("transport: image file %s comes with %d chunk digests for %d bytes", img.Name, len(img.Chunks), len(st.raw))
-		}
 		for i, d := range img.Chunks {
 			if _, ok := st.chunks[d]; ok {
 				continue // duplicate content within the image
@@ -382,6 +365,35 @@ func (c *Coordinator) Update(files []dsmcc.File) error {
 	st.bytes += len(st.ctrlFrame) + len(st.manifestFrame)
 	c.stage.Store(st)
 	return nil
+}
+
+// Check reports the error Update would return for files, changing
+// nothing: the controller.HeadEnd contract.
+func (c *Coordinator) Check(files []dsmcc.File) error {
+	_, _, err := stageFiles(files)
+	return err
+}
+
+// stageFiles picks the control file and the image file out of files,
+// refusing a second image (a coordinator serves one instance) and an
+// image its chunk digests do not cover.
+func stageFiles(files []dsmcc.File) (ctrlFile []byte, img *dsmcc.File, err error) {
+	for i := range files {
+		switch f := &files[i]; f.Name {
+		case controller.PNAClassFile: // a node is its own agent
+		case controller.ControlFile:
+			ctrlFile = f.Data
+		default:
+			if img != nil {
+				return nil, nil, fmt.Errorf("transport: a coordinator serves one instance, got images %s and %s", img.Name, f.Name)
+			}
+			img = f
+		}
+	}
+	if img != nil && len(img.Chunks) != appimage.ChunkCount(len(img.Data)) {
+		return nil, nil, fmt.Errorf("transport: image file %s comes with %d chunk digests for %d bytes", img.Name, len(img.Chunks), len(img.Data))
+	}
+	return ctrlFile, img, nil
 }
 
 // UpdateImage recomposes the instance with img (Controller.Recompose):

@@ -13,6 +13,7 @@ import (
 
 	"oddci/internal/appimage"
 	"oddci/internal/control"
+	"oddci/internal/core/controller"
 	"oddci/internal/journal"
 	"oddci/internal/obs"
 )
@@ -198,6 +199,40 @@ func TestUpdateImagePersistsAcrossRestart(t *testing.T) {
 	defer c2.Close()
 	if c2.Seq() != 3 {
 		t.Fatalf("restarted seq = %d, want 3 (bumped past the update's recorded wakeup)", c2.Seq())
+	}
+}
+
+// TestSecondInstanceRefused: a coordinator serves one instance, so a
+// second create on its Controller is refused before it is journaled,
+// rather than committed behind a refresh that could never air. The
+// coordinator restarted over its state dir airs its one instance with
+// no retry pending.
+func TestSecondInstanceRefused(t *testing.T) {
+	dir := t.TempDir()
+	cfg := CoordinatorConfig{Listen: "127.0.0.1:0", Image: chunkedImage(t, 5, 16<<10), StateDir: dir}
+	c1, err := NewCoordinator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := controller.InstanceSpec{Image: chunkedImage(t, 6, 16<<10), Target: 1, InitialProbability: 1}
+	if _, err := c1.Controller().CreateInstance(spec); err == nil {
+		t.Fatal("a coordinator's Controller created a second instance")
+	}
+	if pending, attempts := c1.Controller().RefreshPending(); pending {
+		t.Fatalf("refresh pending after %d attempts", attempts)
+	}
+	c1.Close()
+
+	c2, err := NewCoordinator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	if pending, _ := c2.Controller().RefreshPending(); pending {
+		t.Fatal("restarted coordinator is retrying its staging")
+	}
+	if c2.Seq() != 2 {
+		t.Fatalf("restarted seq = %d, want 2: the one instance, recomposed", c2.Seq())
 	}
 }
 

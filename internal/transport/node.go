@@ -55,6 +55,8 @@ type NodeConfig struct {
 
 // NodeReport summarizes one agent run.
 type NodeReport struct {
+	// Deployment is the name the coordinator's banner gave.
+	Deployment string
 	Joined     bool
 	TasksDone  int
 	Heartbeats int
@@ -289,11 +291,12 @@ func runNode(cfg NodeConfig, conn net.Conn) (report NodeReport, err error) {
 	if banner.Wire != WireVersion {
 		return report, fmt.Errorf("%w: coordinator says %d, this node %d", ErrWireVersion, banner.Wire, WireVersion)
 	}
+	report.Deployment = banner.Name
 	key := ed25519.PublicKey(banner.ControllerKey)
 	if cfg.PinnedKey != nil && !key.Equal(cfg.PinnedKey) {
 		return report, errors.New("transport: coordinator key does not match pin")
 	}
-	ch := &taskChannel{asm: imageAssembler{key: key}, conn: conn, fr: fr, spans: cfg.Spans, scale: cfg.TimeScale, name: fmt.Sprintf("node-%d", cfg.NodeID)}
+	ch := &taskChannel{asm: imageAssembler{key: key}, conn: conn, fr: fr, spans: cfg.Spans, scale: cfg.TimeScale, name: fmt.Sprintf("node-%d", cfg.NodeID), report: report}
 	asm := &ch.asm
 	// The join span parents under the coordinator's wakeup broadcast
 	// (its context rides in the banner), covering control verification

@@ -160,8 +160,8 @@ func TestTCPEndToEnd(t *testing.T) {
 	}
 	total := 0
 	for i, r := range reports {
-		if !r.Joined {
-			t.Fatalf("node %d never joined", i+1)
+		if !r.Joined || r.Deployment != "test" {
+			t.Fatalf("node %d: joined=%v deployment=%q, want joined to %q", i+1, r.Joined, r.Deployment, "test")
 		}
 		total += r.TasksDone
 	}
