@@ -61,9 +61,11 @@ race:
 ## runs them all inline on one core, and the facade golden because the
 ## deployment it pins must come out byte-identical either way, beside the
 ## allocation budget of a small deployment, which a per-timer or per-park
-## allocation coming back breaks.
+## allocation coming back breaks. The controller runs there because its
+## maintenance pass must journal the same bytes on any core count: it
+## walks the table's order, never a map's.
 cores:
-	$(GO) test -cpu 1,2,4 ./internal/appimage ./internal/fleet ./internal/simtime ./internal/netsim ./internal/core/dve ./internal/core/backend ./internal/dsmcc ./internal/core/pna
+	$(GO) test -cpu 1,2,4 ./internal/appimage ./internal/fleet ./internal/simtime ./internal/netsim ./internal/core/dve ./internal/core/backend ./internal/dsmcc ./internal/core/pna ./internal/core/controller
 	$(GO) test -cpu 1,2,4 -run 'TestFacadeGoldenDeploy|TestSimDeployAllocBudget' .
 
 ## cover: enforce per-package coverage floors — the observability layer

@@ -16,6 +16,7 @@ import (
 	"crypto/ed25519"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -99,12 +100,14 @@ type Config struct {
 	Spans *span.Collector
 	// Rng is unused: nothing in the Controller draws randomness.
 	Rng *rand.Rand
-	// Journal, if set, makes the control plane durable: lifecycle
-	// mutations (create/resize/recompose/destroy/gc) are appended as
-	// they commit, and New replays the store's journal so a
-	// restarted Controller re-enters the carousel at the recorded
-	// generation instead of re-staging every image. Live nodes are
-	// re-adopted from their next heartbeat — never re-woken.
+	// Journal, if set, makes the control plane durable. Each lifecycle
+	// mutation (create/resize/recompose/destroy/gc) is one journal.Record,
+	// appended before State.Apply folds it into the instance table, and
+	// New folds the store's journal with the same Apply, so a restarted
+	// Controller re-enters the carousel at the recorded generation instead
+	// of re-staging every image. An append the store refuses is the
+	// mutation's error. Live nodes are re-adopted from their next
+	// heartbeat — never re-woken.
 	Journal *journal.Store
 }
 
@@ -203,32 +206,26 @@ type InstanceStatus struct {
 	Destroyed bool
 }
 
+// instState is one instance at the Controller: its durable record, which
+// only commitLocked changes, and what the journal does not keep.
 type instState struct {
-	id          instance.ID
-	spec        InstanceSpec
-	imageFile   string
-	imageDigest appimage.Digest
-	// imageRaw is the image's serialized bytes, encoded exactly once at
-	// Create/recovery. Carousel refreshes re-stage these bytes verbatim
-	// (the encode-once property applied to the head-end): with
-	// content-hashed modules downstream, an unchanged image re-airs as a
-	// cache hit, never as a re-encode. Nothing writes to them, so the
-	// next generation compares against them to hash only what changed.
-	imageRaw []byte
-	// chunks are imageRaw's appimage.ChunkBytes chunk digests: the list
-	// imageDigest roots, handed to the head-end and the journal with the
-	// bytes, so neither hashes them again.
-	chunks       []appimage.Digest
-	seq          uint32
-	wakeups      int
-	resets       int
-	trimPending  int
-	members      map[uint64]time.Time // busy nodes → last heartbeat
-	destroyed    bool
-	lastWakeup   *control.Wakeup
-	resetEnvOpen bool // a reset envelope for this id is on air
+	// rec is the instance's entry in c.state. Its Image is the image's
+	// serialized bytes, encoded exactly once at create (or recompose) and
+	// re-staged verbatim by every refresh, and Chunks their
+	// appimage.ChunkBytes chunk digests, handed to the head-end and the
+	// journal with the bytes, so neither hashes them again. Nothing writes
+	// to them, so the next generation compares against them to hash only
+	// what changed.
+	rec         *journal.InstanceRecord
+	trimPending int
+	members     map[uint64]time.Time // busy nodes → last heartbeat
+	// replyResets counts the resets sent in heartbeat replies (trims, and
+	// strays of a destroyed instance). Like membership they are not
+	// journaled; Status adds them to the durable count.
+	replyResets int
 	// resetTicks counts the maintenance passes the reset envelope has
-	// left on air before the instance is garbage-collected.
+	// left on air before the instance is garbage-collected. A restart
+	// starts the window over.
 	resetTicks int
 	// Telemetry state: when the latest wakeup aired, whether a join has
 	// been observed since (wakeup→first-join latency), when the instance
@@ -272,11 +269,12 @@ type Controller struct {
 	started    bool
 	recovered  bool // state was replayed from a journal store
 	aitVersion uint8
-	instances  map[instance.ID]*instState
-	order      []instance.ID
-	nextID     instance.ID
-	maint      simtime.Timer
-	stopped    bool
+	// state is the durable instance table in carousel order, with the ID
+	// high-water mark: the fold of every committed record.
+	state     *journal.State
+	instances map[instance.ID]*instState
+	maint     simtime.Timer
+	stopped   bool
 
 	// Carousel-refresh retry state: when a head-end Update fails the
 	// pending flag stays set and a backoff timer (plus every
@@ -366,7 +364,7 @@ func (c *Controller) instrument(reg *obs.Registry) {
 		defer c.mu.Unlock()
 		n := 0
 		for _, st := range c.instances {
-			if !st.destroyed {
+			if !st.rec.Destroyed {
 				n++
 			}
 		}
@@ -377,10 +375,10 @@ func (c *Controller) instrument(reg *obs.Registry) {
 		defer c.mu.Unlock()
 		deficit := 0
 		for _, st := range c.instances {
-			if st.destroyed {
+			if st.rec.Destroyed {
 				continue
 			}
-			if d := st.spec.Target - len(st.members); d > 0 {
+			if d := int(st.rec.Target) - len(st.members); d > 0 {
 				deficit += d
 			}
 		}
@@ -426,8 +424,8 @@ func New(cfg Config) (*Controller, error) {
 	}
 	c := &Controller{
 		cfg:       cfg,
+		state:     journal.NewState(),
 		instances: make(map[instance.ID]*instState),
-		nextID:    1,
 	}
 	for i := range c.shards {
 		c.shards[i].nodes = make(map[uint64]*nodeInfo)
@@ -441,73 +439,36 @@ func New(cfg Config) (*Controller, error) {
 	return c, nil
 }
 
-// recover replays the journal store into the instance tables. Membership
-// is deliberately left empty: surviving members announce themselves on
-// their next heartbeat (re-adoption), and Start grants each live
-// instance an adoption grace window before maintenance may recompose.
+// recover takes the journal store's fold as the instance table, refusing
+// an image that does not decode. Membership is deliberately left empty:
+// surviving members announce themselves on their next heartbeat
+// (re-adoption), and Start grants each live instance an adoption grace
+// window before maintenance may recompose.
 func (c *Controller) recover() error {
 	st, err := c.cfg.Journal.Load()
 	if err != nil {
 		return fmt.Errorf("controller: recover: %w", err)
 	}
-	if st.NextID > 1 {
-		c.nextID = instance.ID(st.NextID)
-	}
-	if st.Empty() {
-		return nil
-	}
-	c.recovered = true
 	for _, id := range st.Order {
 		rec := st.Instances[id]
-		img, err := appimage.Decode(rec.Image)
-		if err != nil {
+		if _, err := appimage.Decode(rec.Image); err != nil {
 			return fmt.Errorf("controller: recover instance %d image: %w", id, err)
 		}
-		digest := appimage.RootOf(len(rec.Image), rec.Chunks) // Load checked them
-		is := &instState{
-			id:       instance.ID(rec.ID),
-			imageRaw: rec.Image,
-			chunks:   rec.Chunks,
-			spec: InstanceSpec{
-				Image:           img,
-				Target:          int(rec.Target),
-				Requirements:    rec.Requirements,
-				HeartbeatPeriod: rec.HeartbeatPeriod,
-				Lifetime:        rec.Lifetime,
-			},
-			imageFile:   rec.ImageFile,
-			imageDigest: digest,
-			seq:         rec.Seq,
-			wakeups:     int(rec.Wakeups),
-			resets:      int(rec.Resets),
-			destroyed:   rec.Destroyed,
-			// Suppress wakeup→join telemetry for re-adopted members: the
-			// pre-crash wakeup time is gone, so any latency would be
-			// measured against the restart instead.
-			joinSinceWakeup: true,
-		}
+		// Suppress wakeup→join telemetry for re-adopted members: the
+		// pre-crash wakeup time is gone, so any latency would be measured
+		// against the restart instead.
+		is := &instState{rec: rec, joinSinceWakeup: true}
 		if rec.Destroyed {
 			// Restart the full reset-retransmission window so every
 			// grace-windowed PNA gets another chance to observe the reset.
-			is.resetEnvOpen = true
 			is.resetTicks = c.cfg.ResetRetransmitTicks
 		} else {
 			is.members = make(map[uint64]time.Time)
-			is.lastWakeup = &control.Wakeup{
-				InstanceID:      is.id,
-				Seq:             rec.Seq,
-				Probability:     rec.Probability,
-				Requirements:    rec.Requirements,
-				ImageFile:       rec.ImageFile,
-				ImageDigest:     digest,
-				HeartbeatPeriod: rec.HeartbeatPeriod,
-				Lifetime:        rec.Lifetime,
-			}
 		}
-		c.instances[is.id] = is
-		c.order = append(c.order, is.id)
+		c.instances[instance.ID(id)] = is
 		c.met.recoveredInst.Inc()
 	}
+	c.state, c.recovered = st, !st.Empty()
 	return nil
 }
 
@@ -523,65 +484,35 @@ func (c *Controller) Recovered() bool {
 // default), so after HeartbeatGrace of those periods everyone alive has
 // had a chance to be counted.
 func (c *Controller) adoptGraceLocked(st *instState, now time.Time) time.Time {
-	period := st.spec.HeartbeatPeriod
+	period := st.rec.HeartbeatPeriod
 	if period <= 0 {
 		period = time.Minute // the PNA's default reporting period
 	}
 	return now.Add(time.Duration(HeartbeatGrace) * period)
 }
 
-// journalRecordLocked renders st as its full durable record (OpCreate
-// and compaction).
-func journalRecordLocked(st *instState) journal.InstanceRecord {
-	rec := journal.InstanceRecord{
-		ID:              uint64(st.id),
-		Seq:             st.seq,
-		Wakeups:         uint32(st.wakeups),
-		Resets:          uint32(st.resets),
-		Destroyed:       st.destroyed,
-		ResetTicks:      int32(st.resetTicks),
-		Target:          int32(st.spec.Target),
-		HeartbeatPeriod: st.spec.HeartbeatPeriod,
-		Lifetime:        st.spec.Lifetime,
-		Requirements:    st.spec.Requirements,
-		ImageFile:       st.imageFile,
-	}
-	if st.lastWakeup != nil {
-		rec.Probability = st.lastWakeup.Probability
-	}
-	rec.Image, rec.Chunks = st.imageRaw, st.chunks // encoded and hashed once
-	return rec
-}
-
-// journalAppendLocked persists one lifecycle mutation, then compacts
-// once the journal outgrows its threshold: the current tables replace
-// it, one create per instance, bounding replay time and disk growth.
-// Every append checks, because OpCreate and OpRecompose records carry a
-// whole image. Append and compaction errors do not fail the control
-// plane — the store latches the error into Err and the journal-stalled
-// health check, and the operator decides.
-func (c *Controller) journalAppendLocked(r journal.Record) {
+// commitLocked makes one lifecycle mutation durable and current: it
+// appends r to the journal, when there is one, and then folds r into the
+// table with the State.Apply that replay uses, so the live table and a
+// recovered one are folds of the same records. An append the store
+// refuses is the mutation's error, with nothing changed. After every
+// append, because create and image-replacing recompose records carry an
+// image, a journal past its threshold is compacted: the table replaces
+// it, one create per instance, bounding replay time and disk growth. A
+// failed compaction leaves the old file in use; the store latches it
+// into Err and the journal-stalled health check.
+func (c *Controller) commitLocked(r journal.Record) error {
 	j := c.cfg.Journal
-	if j == nil {
-		return
+	if j != nil {
+		if err := j.Append(r); err != nil {
+			return fmt.Errorf("controller: journal %s of instance %d: %w", r.Op, r.Inst.ID, err)
+		}
 	}
-	_ = j.Append(r)
-	if j.NeedsCompaction() {
-		_ = j.Compact(c.durableStateLocked())
+	c.state.Apply(r)
+	if j != nil && j.NeedsCompaction() {
+		_ = j.Compact(c.state)
 	}
-}
-
-// durableStateLocked rebuilds the journal State image of the current
-// tables (compaction input).
-func (c *Controller) durableStateLocked() *journal.State {
-	st := journal.NewState()
-	st.NextID = uint64(c.nextID)
-	for _, is := range c.orderedLocked() {
-		rec := journalRecordLocked(is)
-		st.Instances[rec.ID] = &rec
-		st.Order = append(st.Order, rec.ID)
-	}
-	return st
+	return nil
 }
 
 // Start puts the PNA Xlet and the control file on air, signals
@@ -598,13 +529,13 @@ func (c *Controller) Start() error {
 	if c.started {
 		return errors.New("controller: already started")
 	}
-	if err := c.cfg.Broadcaster.Check(c.carouselFilesLocked()); err != nil {
+	if err := c.cfg.Broadcaster.Check(c.carouselFilesLocked(nil)); err != nil {
 		return fmt.Errorf("controller: start: %w", err)
 	}
 	c.started = true
 	now := c.cfg.Clock.Now()
 	for _, st := range c.instances {
-		if !st.destroyed {
+		if !st.rec.Destroyed {
 			st.adoptUntil = c.adoptGraceLocked(st, now)
 		}
 	}
@@ -642,59 +573,55 @@ func (c *Controller) scheduleMaintenanceLocked() {
 	})
 }
 
-// carouselFilesLocked assembles the current carousel contents in
-// module order: PNA Xlet, control file, then one image per live
-// instance. Order matters: a PNA that has just read the control file
-// continues straight into the image within the same cycle.
-func (c *Controller) carouselFilesLocked() []dsmcc.File {
-	files := []dsmcc.File{
-		{Name: PNAClassFile, Data: pnaXlet},
-		{Name: ControlFile, Data: c.controlFileLocked()},
-	}
-	for _, st := range c.orderedLocked() {
-		if !st.destroyed {
-			files = append(files, dsmcc.File{Name: st.imageFile, Data: st.imageRaw, Chunks: st.chunks})
-		}
-	}
-	return files
-}
-
 // ControlFile names the signed control file on the carousel: the
 // concatenated wakeup and reset envelopes.
 const ControlFile = "oddci.config"
 
-func (c *Controller) orderedLocked() []*instState {
-	out := make([]*instState, 0, len(c.order))
-	for _, id := range c.order {
-		if st, ok := c.instances[id]; ok {
-			out = append(out, st)
+// carouselFilesLocked renders the table as carousel contents in module
+// order: PNA Xlet, the control file (the latest wakeup of each live
+// instance, a reset for each destroyed one still on air), then one image
+// per live instance. Order matters: a PNA that has just read the control
+// file continues straight into the image within the same cycle. A
+// non-nil next stands in for the record of its ID, or joins the end as a
+// new instance: the record a commit would produce, so a check sees
+// exactly the set that would air.
+func (c *Controller) carouselFilesLocked(next *journal.InstanceRecord) []dsmcc.File {
+	files := []dsmcc.File{{Name: PNAClassFile, Data: pnaXlet}, {Name: ControlFile}}
+	var envelopes []byte
+	put := func(rec *journal.InstanceRecord) {
+		var raw []byte
+		var err error
+		if rec.Destroyed {
+			raw, err = control.SignReset(&control.Reset{InstanceID: instance.ID(rec.ID), Seq: rec.Seq}, c.cfg.Key)
+		} else {
+			raw, err = control.SignWakeup(&control.Wakeup{
+				InstanceID:      instance.ID(rec.ID),
+				Seq:             rec.Seq,
+				Probability:     rec.Probability,
+				Requirements:    rec.Requirements,
+				ImageFile:       rec.ImageFile,
+				ImageDigest:     appimage.RootOf(len(rec.Image), rec.Chunks),
+				HeartbeatPeriod: rec.HeartbeatPeriod,
+				Lifetime:        rec.Lifetime,
+			}, c.cfg.Key)
+			files = append(files, dsmcc.File{Name: rec.ImageFile, Data: rec.Image, Chunks: rec.Chunks})
+		}
+		if err == nil {
+			envelopes = append(envelopes, raw...)
 		}
 	}
-	return out
-}
-
-// controlFileLocked concatenates the live signed envelopes: the latest
-// wakeup per live instance plus resets for recently destroyed ones.
-func (c *Controller) controlFileLocked() []byte {
-	var out []byte
-	for _, st := range c.orderedLocked() {
-		if st.destroyed {
-			if st.resetEnvOpen {
-				raw, err := control.SignReset(&control.Reset{InstanceID: st.id, Seq: st.seq}, c.cfg.Key)
-				if err == nil {
-					out = append(out, raw...)
-				}
-			}
-			continue
+	for _, id := range c.state.Order {
+		rec := c.state.Instances[id]
+		if next != nil && next.ID == id {
+			rec, next = next, nil
 		}
-		if st.lastWakeup != nil {
-			raw, err := control.SignWakeup(st.lastWakeup, c.cfg.Key)
-			if err == nil {
-				out = append(out, raw...)
-			}
-		}
+		put(rec)
 	}
-	return out
+	if next != nil {
+		put(next)
+	}
+	files[1].Data = envelopes
+	return files
 }
 
 func (c *Controller) publishAITLocked() error {
@@ -720,10 +647,9 @@ func (c *Controller) publishAITLocked() error {
 // on failure, arms the exponential-backoff retry path so the update is
 // eventually re-attempted even if no further state change occurs. It is
 // the one way state goes on air, and every mutation calls it after its
-// journal append: while the journal accepts appends, nothing airs that
-// a restart would not recover.
+// commit, so nothing airs that a restart would not recover.
 func (c *Controller) requestRefreshLocked() {
-	if err := c.cfg.Broadcaster.Update(c.carouselFilesLocked()); err != nil {
+	if err := c.cfg.Broadcaster.Update(c.carouselFilesLocked(nil)); err != nil {
 		c.refreshFailedLocked()
 		return
 	}
@@ -796,19 +722,19 @@ func (c *Controller) RefreshPending() (bool, int) {
 // to hang under. Sampling is decided here, at the head of the trace; a
 // wakeup that loses the draw still reaches the timeline, as an orphan
 // event.
-func (c *Controller) wakeupSpanLocked(st *instState, prob float64) {
+func (c *Controller) wakeupSpanLocked(rec *journal.InstanceRecord) {
 	sc := c.cfg.Spans
 	if sc == nil {
 		return
 	}
 	sp := sc.Root("wakeup", "controller")
 	if sp == nil {
-		sc.Event(span.Context{}, "wakeup", "controller", "instance=%d seq=%d p=%.2f", st.id, st.seq, prob)
+		sc.Event(span.Context{}, "wakeup", "controller", "instance=%d seq=%d p=%.2f", rec.ID, rec.Seq, rec.Probability)
 		return
 	}
-	sp.SetDetail("instance=%d seq=%d p=%.2f", st.id, st.seq, prob)
-	sc.SetLink(span.LinkKey(uint64(st.id), uint64(st.seq)), sp.Context())
-	sc.SetLink(span.LinkKey(uint64(st.id), 0), sp.Context())
+	sp.SetDetail("instance=%d seq=%d p=%.2f", rec.ID, rec.Seq, rec.Probability)
+	sc.SetLink(span.LinkKey(rec.ID, uint64(rec.Seq)), sp.Context())
+	sc.SetLink(span.LinkKey(rec.ID, 0), sp.Context())
 	sp.End()
 }
 
@@ -835,12 +761,12 @@ func (c *Controller) WakeupTraceContext(id instance.ID, seq uint32) span.Context
 // Controller never issued (ErrUnknownInstance) from instances already
 // garbage-collected after destruction (ErrInstanceGone). A destroyed
 // instance still inside its reset-retransmission window resolves
-// normally with st.destroyed set.
+// normally with st.rec.Destroyed set.
 func (c *Controller) lookupLocked(id instance.ID) (*instState, error) {
 	if st, ok := c.instances[id]; ok {
 		return st, nil
 	}
-	if id == 0 || id >= c.nextID {
+	if id == 0 || uint64(id) >= c.state.NextID {
 		return nil, fmt.Errorf("%w %d", ErrUnknownInstance, id)
 	}
 	return nil, fmt.Errorf("%w: %d garbage-collected", ErrInstanceGone, id)
@@ -853,11 +779,11 @@ func (c *Controller) lookupLocked(id instance.ID) (*instState, error) {
 func (c *Controller) ContentStats() (controlFileBytes, carouselFiles, live, destroyedOnAir int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	files := c.carouselFilesLocked()
+	files := c.carouselFilesLocked(nil)
 	carouselFiles = len(files)
 	controlFileBytes = len(files[1].Data)
 	for _, st := range c.instances {
-		if st.destroyed {
+		if st.rec.Destroyed {
 			destroyedOnAir++
 		} else {
 			live++
@@ -925,20 +851,24 @@ func (c *Controller) probabilityFor(deficit, pop int) float64 {
 
 // CreateInstance provisions a new OddCI instance: the image goes on the
 // carousel and a signed wakeup is broadcast. Like every other mutation
-// it journals first and then airs, so no wakeup is on air whose ID a
+// it commits first and then airs, so no wakeup is on air whose ID a
 // restarted Controller could issue again. Content the head-end can
-// never air is refused before the journal sees it; a head-end that
-// fails the staging otherwise leaves the instance created and the
-// refresh retrying with backoff.
+// never air, and an append the journal refuses, are the caller's error,
+// with nothing changed and no ID spent; a head-end that fails the
+// staging otherwise leaves the instance created and the refresh
+// retrying with backoff.
 func (c *Controller) CreateInstance(spec InstanceSpec) (instance.ID, error) {
 	if spec.Image == nil {
 		return 0, errors.New("controller: instance needs an image")
 	}
-	if spec.Target <= 0 {
-		return 0, errors.New("controller: target size must be positive")
+	if spec.Target <= 0 || spec.Target > math.MaxInt32 {
+		return 0, errors.New("controller: target size must be in [1, MaxInt32]")
 	}
 	if spec.InitialProbability < 0 || spec.InitialProbability > 1 {
 		return 0, errors.New("controller: initial probability out of [0,1]")
+	}
+	if spec.HeartbeatPeriod < 0 || spec.Lifetime < 0 {
+		return 0, errors.New("controller: negative heartbeat period or lifetime")
 	}
 	// Serialize and hash the image exactly once; every carousel refresh
 	// and journal record reuses these bytes and their chunk digests.
@@ -947,7 +877,6 @@ func (c *Controller) CreateInstance(spec InstanceSpec) (instance.ID, error) {
 		return 0, fmt.Errorf("controller: image: %w", err)
 	}
 	chunks := appimage.ChunkDigests(nil, imageRaw)
-	digest := appimage.RootOf(len(imageRaw), chunks)
 	c.met.imageEncodes.Inc()
 	c.met.chunksHashed.Add(int64(len(chunks)))
 
@@ -957,48 +886,42 @@ func (c *Controller) CreateInstance(spec InstanceSpec) (instance.ID, error) {
 		return 0, errors.New("controller: not started")
 	}
 	now := c.cfg.Clock.Now()
-	id := c.nextID
-	c.nextID++
-	st := &instState{
-		id:          id,
-		spec:        spec,
-		imageFile:   fmt.Sprintf("image.%d", id),
-		imageDigest: digest,
-		imageRaw:    imageRaw,
-		chunks:      chunks,
-		members:     make(map[uint64]time.Time),
-		wakeupAt:    now,
-		createdAt:   now,
-	}
+	id := instance.ID(c.state.NextID)
 	prob := spec.InitialProbability
 	if prob == 0 {
 		prob = c.probabilityFor(spec.Target, c.idleEligibleLocked(spec.Requirements, now))
 	}
-	st.seq = 1
-	st.wakeups = 1
-	st.lastWakeup = &control.Wakeup{
-		InstanceID:      id,
-		Seq:             st.seq,
+	rec := journal.InstanceRecord{
+		ID:              uint64(id),
+		Seq:             1,
+		Wakeups:         1,
 		Probability:     prob,
-		Requirements:    spec.Requirements,
-		ImageFile:       st.imageFile,
-		ImageDigest:     digest,
+		Target:          int32(spec.Target),
 		HeartbeatPeriod: spec.HeartbeatPeriod,
 		Lifetime:        spec.Lifetime,
+		Requirements:    spec.Requirements,
+		ImageFile:       fmt.Sprintf("image.%d", id),
+		Image:           imageRaw,
+		Chunks:          chunks,
 	}
-	c.instances[id] = st
-	c.order = append(c.order, id)
-	if err := c.cfg.Broadcaster.Check(c.carouselFilesLocked()); err != nil {
-		// Retrying would refuse every later update too. Nothing of the
-		// instance is journaled or on air yet, so it goes.
-		delete(c.instances, id)
-		c.order = c.order[:len(c.order)-1]
+	// Retrying content the head-end can never air would refuse every
+	// later update too, so it is refused before the journal sees it.
+	if err := c.cfg.Broadcaster.Check(c.carouselFilesLocked(&rec)); err != nil {
 		return 0, fmt.Errorf("controller: stage instance %d: %w", id, err)
 	}
-	c.journalAppendLocked(journal.Record{Op: journal.OpCreate, Inst: journalRecordLocked(st)})
+	if err := c.commitLocked(journal.Record{Op: journal.OpCreate, Inst: rec}); err != nil {
+		return 0, err
+	}
+	st := &instState{
+		rec:       c.state.Instances[rec.ID],
+		members:   make(map[uint64]time.Time),
+		wakeupAt:  now,
+		createdAt: now,
+	}
+	c.instances[id] = st
 	c.met.created.Inc()
 	c.met.wakeups.Inc()
-	c.wakeupSpanLocked(st, prob)
+	c.wakeupSpanLocked(st.rec)
 	if c.cfg.Spans != nil {
 		c.eventLocked(id, "create", "instance=%d target=%d", id, spec.Target)
 	}
@@ -1006,31 +929,33 @@ func (c *Controller) CreateInstance(spec InstanceSpec) (instance.ID, error) {
 	return id, nil
 }
 
+// liveLocked resolves an instance a mutation may change: issued, and
+// not destroyed.
+func (c *Controller) liveLocked(id instance.ID) (*instState, error) {
+	st, err := c.lookupLocked(id)
+	if err == nil && st.rec.Destroyed {
+		err = fmt.Errorf("%w: %d", ErrInstanceGone, id)
+	}
+	return st, err
+}
+
 // Resize changes an instance's target size. Shrinking trims via
 // heartbeat replies; growing is handled by the next maintenance pass.
 func (c *Controller) Resize(id instance.ID, target int) error {
-	if target < 0 {
-		return errors.New("controller: negative target")
+	if target < 0 || target > math.MaxInt32 {
+		return errors.New("controller: target out of [0, MaxInt32]")
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st, err := c.lookupLocked(id)
+	st, err := c.liveLocked(id)
 	if err != nil {
 		return err
 	}
-	if st.destroyed {
-		return fmt.Errorf("%w: %d", ErrInstanceGone, id)
+	r := journal.Record{Op: journal.OpResize, Inst: journal.InstanceRecord{ID: uint64(id), Target: int32(target)}}
+	if err := c.commitLocked(r); err != nil {
+		return err
 	}
-	st.spec.Target = target
-	if excess := len(st.members) - target; excess > 0 {
-		st.trimPending = excess
-	} else {
-		st.trimPending = 0
-	}
-	c.journalAppendLocked(journal.Record{Op: journal.OpResize, Inst: journal.InstanceRecord{
-		ID:     uint64(id),
-		Target: int32(target),
-	}})
+	st.trimPending = max(len(st.members)-target, 0)
 	return nil
 }
 
@@ -1044,9 +969,10 @@ func (c *Controller) Resize(id instance.ID, target int) error {
 // that first hears the instance now still joins. The journal records
 // the replacement, probability included, so a recovered Controller
 // re-enters the head-end with the new image. An image the head-end can
-// never air is refused with nothing changed; otherwise, like
-// DestroyInstance, the mutation commits even when the head-end update
-// fails, and the refresh retries with backoff.
+// never air, or an append the journal refuses, is the caller's error
+// with nothing changed; otherwise, like DestroyInstance, the mutation
+// commits even when the head-end update fails, and the refresh retries
+// with backoff.
 func (c *Controller) Recompose(id instance.ID, img *appimage.Image) error {
 	if img == nil {
 		return errors.New("controller: recompose needs an image")
@@ -1062,11 +988,10 @@ func (c *Controller) Recompose(id instance.ID, img *appimage.Image) error {
 	var prevChunks []appimage.Digest
 	c.mu.Lock()
 	if st := c.instances[id]; st != nil {
-		prevRaw, prevChunks = st.imageRaw, st.chunks
+		prevRaw, prevChunks = st.rec.Image, st.rec.Chunks
 	}
 	c.mu.Unlock()
 	chunks, hashed := appimage.ChunkDigestsSince(nil, imageRaw, prevRaw, prevChunks)
-	digest := appimage.RootOf(len(imageRaw), chunks)
 	c.met.chunksHashed.Add(int64(hashed))
 
 	c.mu.Lock()
@@ -1074,47 +999,26 @@ func (c *Controller) Recompose(id instance.ID, img *appimage.Image) error {
 	if !c.started {
 		return errors.New("controller: not started")
 	}
-	st, err := c.lookupLocked(id)
+	st, err := c.liveLocked(id)
 	if err != nil {
 		return err
 	}
-	if st.destroyed {
-		return fmt.Errorf("%w: %d", ErrInstanceGone, id)
+	next := *st.rec
+	next.Seq++
+	next.Wakeups++
+	if len(st.members) >= int(next.Target) {
+		next.Probability = 0 // a content update, not a recruitment round
 	}
-	// The set to check: the new image in the old one's place. The
-	// control file's new wakeup is the old one's length.
-	files := c.carouselFilesLocked()
-	for i := range files {
-		if files[i].Name == st.imageFile {
-			files[i].Data, files[i].Chunks = imageRaw, chunks
-		}
-	}
-	if err := c.cfg.Broadcaster.Check(files); err != nil {
+	next.Image, next.Chunks = imageRaw, chunks
+	if err := c.cfg.Broadcaster.Check(c.carouselFilesLocked(&next)); err != nil {
 		return fmt.Errorf("controller: recompose instance %d: %w", id, err)
 	}
-	st.spec.Image = img
-	st.imageRaw, st.chunks = imageRaw, chunks
-	st.imageDigest = digest
-	st.seq++
-	st.wakeups++
-	w := *st.lastWakeup
-	w.Seq = st.seq
-	if len(st.members) >= st.spec.Target {
-		w.Probability = 0 // a content update, not a recruitment round
+	if err := c.commitLocked(journal.Record{Op: journal.OpRecompose, Inst: next}); err != nil {
+		return err
 	}
-	w.ImageDigest = digest
-	st.lastWakeup = &w
-	c.journalAppendLocked(journal.Record{Op: journal.OpRecompose, Inst: journal.InstanceRecord{
-		ID:          uint64(id),
-		Seq:         st.seq,
-		Wakeups:     uint32(st.wakeups),
-		Probability: w.Probability,
-		Image:       imageRaw,
-		Chunks:      chunks,
-	}})
 	c.met.imageUpdates.Inc()
 	c.met.wakeups.Inc()
-	c.wakeupSpanLocked(st, w.Probability)
+	c.wakeupSpanLocked(st.rec)
 	c.requestRefreshLocked()
 	return nil
 }
@@ -1128,29 +1032,25 @@ func (c *Controller) Recompose(id instance.ID, img *appimage.Image) error {
 func (c *Controller) DestroyInstance(id instance.ID) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st, err := c.lookupLocked(id)
+	st, err := c.liveLocked(id)
 	if err != nil {
 		return err
 	}
-	if st.destroyed {
-		return fmt.Errorf("%w: %d", ErrInstanceGone, id)
+	r := journal.Record{Op: journal.OpDestroy, Inst: journal.InstanceRecord{
+		ID:         uint64(id),
+		Seq:        st.rec.Seq + 1,
+		Resets:     st.rec.Resets + 1,
+		ResetTicks: int32(c.cfg.ResetRetransmitTicks),
+	}}
+	if err := c.commitLocked(r); err != nil {
+		return err
 	}
-	st.destroyed = true
-	st.resetEnvOpen = true
 	st.resetTicks = c.cfg.ResetRetransmitTicks
-	st.seq++
-	st.resets++
 	st.trimPending = 0
 	st.members = nil // the frozen membership view is stale from here on
-	c.journalAppendLocked(journal.Record{Op: journal.OpDestroy, Inst: journal.InstanceRecord{
-		ID:         uint64(id),
-		Seq:        st.seq,
-		Resets:     uint32(st.resets),
-		ResetTicks: int32(st.resetTicks),
-	}})
 	c.met.destroyed.Inc()
 	if c.cfg.Spans != nil {
-		c.eventLocked(id, "destroy", "instance=%d seq=%d", id, st.seq)
+		c.eventLocked(id, "destroy", "instance=%d seq=%d", id, st.rec.Seq)
 	}
 	c.requestRefreshLocked()
 	return nil
@@ -1160,6 +1060,8 @@ func (c *Controller) DestroyInstance(id instance.ID) error {
 // still inside its reset-retransmission window reports Destroyed with
 // zeroed membership counters; a garbage-collected one returns
 // ErrInstanceGone, and an ID that never existed ErrUnknownInstance.
+// Resets counts the journaled ones (a destroy) and those sent in
+// heartbeat replies since the Controller started.
 func (c *Controller) Status(id instance.ID) (InstanceStatus, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -1167,24 +1069,17 @@ func (c *Controller) Status(id instance.ID) (InstanceStatus, error) {
 	if err != nil {
 		return InstanceStatus{}, err
 	}
-	if st.destroyed {
-		return InstanceStatus{
-			ID:        id,
-			Seq:       st.seq,
-			Wakeups:   st.wakeups,
-			Resets:    st.resets,
-			Destroyed: true,
-		}, nil
+	out := InstanceStatus{
+		ID:        id,
+		Seq:       st.rec.Seq,
+		Wakeups:   int(st.rec.Wakeups),
+		Resets:    int(st.rec.Resets) + st.replyResets,
+		Destroyed: st.rec.Destroyed,
 	}
-	return InstanceStatus{
-		ID:       id,
-		Target:   st.spec.Target,
-		Busy:     len(st.members),
-		Seq:      st.seq,
-		Wakeups:  st.wakeups,
-		Resets:   st.resets,
-		Trimming: st.trimPending,
-	}, nil
+	if !st.rec.Destroyed {
+		out.Target, out.Busy, out.Trimming = int(st.rec.Target), len(st.members), st.trimPending
+	}
+	return out, nil
 }
 
 // Population reports (alive idle, alive busy) node counts from
@@ -1237,11 +1132,17 @@ func (c *Controller) maintain() {
 		}
 		sh.mu.Unlock()
 	}
+	// The table's order, not the map's, so a pass journals and traces the
+	// same records in the same order on every run.
 	refresh := false
-	for _, st := range c.instances {
-		if st.destroyed {
+	var gced []uint64
+	for _, id := range c.state.Order {
+		st := c.instances[instance.ID(id)]
+		if st.rec.Destroyed {
 			// Count down the reset-retransmission window.
-			st.resetTicks--
+			if st.resetTicks--; st.resetTicks <= 0 {
+				gced = append(gced, id)
+			}
 			continue
 		}
 		// Drop members whose heartbeats stopped.
@@ -1249,13 +1150,13 @@ func (c *Controller) maintain() {
 			sh := c.shard(nid)
 			sh.mu.Lock()
 			ni := sh.nodes[nid]
-			gone := ni == nil || c.stale(ni, now) || ni.instanceID != st.id
+			gone := ni == nil || c.stale(ni, now) || uint64(ni.instanceID) != id
 			sh.mu.Unlock()
 			if gone {
 				delete(st.members, nid)
 			}
 		}
-		deficit := st.spec.Target - len(st.members)
+		deficit := int(st.rec.Target) - len(st.members)
 		if deficit <= 0 {
 			if !st.converged {
 				st.converged = true
@@ -1271,51 +1172,40 @@ func (c *Controller) maintain() {
 			st.trimPending = -deficit
 		}
 		if deficit > 0 && st.trimPending == 0 && !now.Before(st.adoptUntil) {
-			pop := c.idleEligibleLocked(st.spec.Requirements, now)
-			if pop > 0 {
-				st.seq++
-				st.wakeups++
-				w := *st.lastWakeup
-				w.Seq = st.seq
-				w.Probability = c.probabilityFor(deficit, pop)
-				st.lastWakeup = &w
-				st.wakeupAt = now
-				st.joinSinceWakeup = false
-				refresh = true
-				c.journalAppendLocked(journal.Record{Op: journal.OpRecompose, Inst: journal.InstanceRecord{
-					ID:          uint64(st.id),
-					Seq:         st.seq,
-					Wakeups:     uint32(st.wakeups),
-					Probability: w.Probability,
-				}})
-				c.met.wakeups.Inc()
-				c.wakeupSpanLocked(st, w.Probability)
+			pop := c.idleEligibleLocked(st.rec.Requirements, now)
+			if pop <= 0 {
+				continue
 			}
+			r := journal.Record{Op: journal.OpRecompose, Inst: journal.InstanceRecord{
+				ID:          id,
+				Seq:         st.rec.Seq + 1,
+				Wakeups:     st.rec.Wakeups + 1,
+				Probability: c.probabilityFor(deficit, pop),
+			}}
+			if c.commitLocked(r) != nil {
+				continue // the next pass tries again
+			}
+			st.wakeupAt = now
+			st.joinSinceWakeup = false
+			refresh = true
+			c.met.wakeups.Inc()
+			c.wakeupSpanLocked(st.rec)
 		}
 	}
 	// Garbage-collect destroyed instances whose retransmission window
 	// has closed: the reset envelope leaves the control file and the
-	// instState leaves the tables, so the head-end stays bounded under
-	// sustained create/destroy churn.
-	var gced []instance.ID
-	for id, st := range c.instances {
-		if st.destroyed && st.resetTicks <= 0 {
-			gced = append(gced, id)
-		}
-	}
+	// instance leaves the tables, so the head-end stays bounded under
+	// sustained create/destroy churn. A collection the journal refuses
+	// waits for the next pass.
 	for _, id := range gced {
-		delete(c.instances, id)
-		for i, oid := range c.order {
-			if oid == id {
-				c.order = append(c.order[:i], c.order[i+1:]...)
-				break
-			}
+		if c.commitLocked(journal.Record{Op: journal.OpGC, Inst: journal.InstanceRecord{ID: id}}) != nil {
+			continue
 		}
+		delete(c.instances, instance.ID(id))
 		refresh = true
-		c.journalAppendLocked(journal.Record{Op: journal.OpGC, Inst: journal.InstanceRecord{ID: uint64(id)}})
 		c.met.gced.Inc()
 		if c.cfg.Spans != nil {
-			c.eventLocked(id, "gc", "instance=%d", id)
+			c.eventLocked(instance.ID(id), "gc", "instance=%d", id)
 		}
 	}
 	if refresh || c.refreshPending {
@@ -1415,16 +1305,16 @@ func (c *Controller) HandleHeartbeat(hb *control.Heartbeat) *control.HeartbeatRe
 	if hb.State == control.StateBusy {
 		st, ok := c.instances[hb.InstanceID]
 		switch {
-		case !ok || st.destroyed:
+		case !ok || st.rec.Destroyed:
 			// Stray member of a dismantled instance: reset it.
 			cmd = control.CmdReset
 			c.met.resetsSent.Inc()
 			if ok {
-				st.resets++
+				st.replyResets++
 			}
 		case st.trimPending > 0:
 			st.trimPending--
-			st.resets++
+			st.replyResets++
 			delete(st.members, hb.NodeID)
 			trimmed = true
 			cmd = control.CmdReset
@@ -1433,7 +1323,7 @@ func (c *Controller) HandleHeartbeat(hb *control.Heartbeat) *control.HeartbeatRe
 			// A trim hangs under the wakeup that overshot, so the
 			// overshoot is visible in the broadcast's own trace.
 			if c.cfg.Spans != nil {
-				c.eventLocked(st.id, "trim", "instance=%d node=%d", st.id, hb.NodeID)
+				c.eventLocked(hb.InstanceID, "trim", "instance=%d node=%d", hb.InstanceID, hb.NodeID)
 			}
 		default:
 			if _, member := st.members[hb.NodeID]; !member && !st.joinSinceWakeup {
@@ -1442,8 +1332,8 @@ func (c *Controller) HandleHeartbeat(hb *control.Heartbeat) *control.HeartbeatRe
 			}
 			st.members[hb.NodeID] = now
 		}
-		if ok && st.spec.HeartbeatPeriod > 0 {
-			instancePeriod = st.spec.HeartbeatPeriod
+		if ok && st.rec.HeartbeatPeriod > 0 {
+			instancePeriod = st.rec.HeartbeatPeriod
 		}
 	}
 	c.mu.Unlock()
@@ -1467,24 +1357,21 @@ func (c *Controller) HandleHeartbeat(hb *control.Heartbeat) *control.HeartbeatRe
 	return replyOf(cmd, period)
 }
 
-// dumpState renders the durable control-plane state as deterministic
-// text: carousel order, fixed field order, no map iteration anywhere.
-// Two controllers that replayed the same journal produce
-// byte-identical dumps — the recovery determinism contract.
+// dumpState renders the durable table as deterministic text: carousel
+// order, fixed field order, no map iteration anywhere. A live Controller
+// and one that replayed its state dir produce byte-identical dumps — the
+// recovery determinism contract.
 func (c *Controller) dumpState() string {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var b []byte
-	b = fmt.Appendf(b, "nextID=%d instances=%d\n", c.nextID, len(c.instances))
-	for _, st := range c.orderedLocked() {
-		prob := 0.0
-		if st.lastWakeup != nil {
-			prob = st.lastWakeup.Probability
-		}
+	b = fmt.Appendf(b, "nextID=%d instances=%d\n", c.state.NextID, len(c.state.Order))
+	for _, id := range c.state.Order {
+		r := c.state.Instances[id]
 		b = fmt.Appendf(b, "instance %d seq=%d wakeups=%d resets=%d target=%d destroyed=%t resetTicks=%d prob=%.9f file=%s digest=%x req=%+v hb=%s life=%s\n",
-			st.id, st.seq, st.wakeups, st.resets, st.spec.Target, st.destroyed,
-			st.resetTicks, prob, st.imageFile, st.imageDigest,
-			st.spec.Requirements, st.spec.HeartbeatPeriod, st.spec.Lifetime)
+			r.ID, r.Seq, r.Wakeups, r.Resets, r.Target, r.Destroyed,
+			r.ResetTicks, r.Probability, r.ImageFile, appimage.RootOf(len(r.Image), r.Chunks),
+			r.Requirements, r.HeartbeatPeriod, r.Lifetime)
 	}
 	return string(b)
 }

@@ -2,6 +2,7 @@ package controller
 
 import (
 	"crypto/ed25519"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -118,6 +119,20 @@ func TestCreateInstanceValidation(t *testing.T) {
 	}
 	if _, err := r.ctrl.CreateInstance(InstanceSpec{Image: testImage(t), Target: 1, InitialProbability: 2}); err == nil {
 		t.Fatal("probability 2 accepted")
+	}
+	if _, err := r.ctrl.CreateInstance(InstanceSpec{Image: testImage(t), Target: 1, Lifetime: -time.Second}); err == nil {
+		t.Fatal("negative lifetime accepted")
+	}
+	// The table holds a target as the journal's int32.
+	if _, err := r.ctrl.CreateInstance(InstanceSpec{Image: testImage(t), Target: math.MaxInt32 + 1}); err == nil {
+		t.Fatal("target past MaxInt32 accepted")
+	}
+	id, err := r.ctrl.CreateInstance(InstanceSpec{Image: testImage(t), Target: math.MaxInt32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.ctrl.Resize(id, math.MaxInt32+1); err == nil {
+		t.Fatal("resize past MaxInt32 accepted")
 	}
 	r.ctrl.Stop()
 	r.clk.Wait()

@@ -1,9 +1,11 @@
 package controller
 
 import (
+	"bytes"
 	"crypto/ed25519"
 	"errors"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -239,9 +241,9 @@ func TestCreateCommitsWhenStagingFails(t *testing.T) {
 // TestRefusedContentChangesNothing: content the head-end can never air
 // (an image past the carousel's 65,535 blocks) is the caller's error at
 // create and at recompose, not a retry, since every later update would
-// carry it. Nothing is journaled, no refresh is pending, later creates
-// and destroys air, and a Controller restarted over the journal comes
-// up airing without a retry.
+// carry it. Nothing is journaled, no ID is spent, no refresh is
+// pending, later creates and destroys air, and a Controller restarted
+// over the journal comes up airing without a retry.
 func TestRefusedContentChangesNothing(t *testing.T) {
 	const blockSize = 16
 	dir := t.TempDir()
@@ -261,6 +263,9 @@ func TestRefusedContentChangesNothing(t *testing.T) {
 	idC, err := r.ctrl.CreateInstance(InstanceSpec{Image: testImage(t), Target: 1, InitialProbability: 1})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if idC != idA+1 {
+		t.Fatalf("create after a refused one got id %d, want %d: a refused create spends no ID", idC, idA+1)
 	}
 	if err := r.ctrl.DestroyInstance(idC); err != nil {
 		t.Fatal(err)
@@ -298,6 +303,55 @@ func TestRefusedContentChangesNothing(t *testing.T) {
 	}
 	r2.ctrl.Stop()
 	r2.clk.Wait()
+}
+
+// setLog wraps a HeadEnd and keeps the last file set it was asked to
+// check and the last one it was handed to air.
+type setLog struct {
+	HeadEnd
+	checked, aired []dsmcc.File
+}
+
+func (h *setLog) Check(files []dsmcc.File) error {
+	h.checked = files
+	return h.HeadEnd.Check(files)
+}
+
+func (h *setLog) Update(files []dsmcc.File) error {
+	h.aired = files
+	return h.HeadEnd.Update(files)
+}
+
+// TestCheckSeesTheSetThatAirs: CreateInstance and Recompose check
+// exactly the set their commit airs, the new instance's wakeup or the
+// replacement's new one included, byte for byte.
+func TestCheckSeesTheSetThatAirs(t *testing.T) {
+	head := &setLog{}
+	r := newRigWith(t, func(h HeadEnd) HeadEnd { head.HeadEnd = h; return head }, nil)
+	same := func(what string) {
+		t.Helper()
+		if len(head.checked) != len(head.aired) {
+			t.Fatalf("%s checked %d files and aired %d", what, len(head.checked), len(head.aired))
+		}
+		for i, f := range head.checked {
+			if a := head.aired[i]; f.Name != a.Name || !bytes.Equal(f.Data, a.Data) || !slices.Equal(f.Chunks, a.Chunks) {
+				t.Fatalf("%s checked another %s than it aired", what, f.Name)
+			}
+		}
+	}
+	id, err := r.ctrl.CreateInstance(InstanceSpec{Image: testImage(t), Target: 2, InitialProbability: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("create")
+	img2 := testImage(t)
+	img2.Version = 2
+	if err := r.ctrl.Recompose(id, img2); err != nil {
+		t.Fatal(err)
+	}
+	same("recompose")
+	r.ctrl.Stop()
+	r.clk.Wait()
 }
 
 // refuseAll is a head-end that can air nothing.

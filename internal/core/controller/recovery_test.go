@@ -1,7 +1,9 @@
 package controller
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -246,22 +248,29 @@ type crashPoints struct {
 }
 
 func (h *crashPoints) Update(files []dsmcc.File) error {
-	snap := h.t.TempDir()
-	entries, err := os.ReadDir(h.dir)
+	h.snaps = append(h.snaps, copyDir(h.t, h.dir))
+	return h.HeadEnd.Update(files)
+}
+
+// copyDir copies the files of dir into a fresh temp dir: the state dir
+// a crash at this instant would leave.
+func copyDir(t *testing.T, dir string) string {
+	t.Helper()
+	snap := t.TempDir()
+	entries, err := os.ReadDir(dir)
 	if err != nil {
-		h.t.Fatal(err)
+		t.Fatal(err)
 	}
 	for _, e := range entries {
-		b, err := os.ReadFile(filepath.Join(h.dir, e.Name()))
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
 		if err != nil {
-			h.t.Fatal(err)
+			t.Fatal(err)
 		}
 		if err := os.WriteFile(filepath.Join(snap, e.Name()), b, 0o644); err != nil {
-			h.t.Fatal(err)
+			t.Fatal(err)
 		}
 	}
-	h.snaps = append(h.snaps, snap)
-	return h.HeadEnd.Update(files)
+	return snap
 }
 
 // TestCrashAfterAiringKeepsInstanceIdentity: a Controller that crashes
@@ -304,4 +313,229 @@ func TestCrashAfterAiringKeepsInstanceIdentity(t *testing.T) {
 	}
 	r2.ctrl.Stop()
 	r2.clk.Wait()
+}
+
+// replayedDump restarts a Controller over a copy of dir and returns its
+// dumpState.
+func replayedDump(t *testing.T, dir string) string {
+	t.Helper()
+	r, _ := journaledRig(t, copyDir(t, dir), nil, journal.Options{})
+	defer r.ctrl.Stop()
+	return r.ctrl.dumpState()
+}
+
+// TestReplayMatchesLiveAtEveryStep runs one scripted history — creates,
+// busy heartbeats, a trim, an image replacement, a maintenance
+// recomposition, a destroy and the passes that collect it — and after
+// each step restarts a Controller over a copy of the state dir: its
+// durable table must equal the live one. Resets sent in heartbeat
+// replies show in the live Status but not in the table, because they
+// are not journaled.
+func TestReplayMatchesLiveAtEveryStep(t *testing.T) {
+	dir := t.TempDir()
+	r, _ := journaledRig(t, dir, nil, journal.Options{})
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	create := func(target int, p float64) instance.ID {
+		t.Helper()
+		id, err := r.ctrl.CreateInstance(InstanceSpec{Image: testImage(t), Target: target, InitialProbability: p, HeartbeatPeriod: 40 * time.Second})
+		must(err)
+		return id
+	}
+	resets := func(id instance.ID, want int) {
+		t.Helper()
+		if st, err := r.ctrl.Status(id); err != nil || st.Resets != want {
+			t.Fatalf("Status(%d) = %+v, %v; want %d resets", id, st, err, want)
+		}
+	}
+	img2 := testImage(t)
+	img2.Version = 2
+	var idA, idB instance.ID
+	type step struct {
+		name string
+		do   func()
+	}
+	steps := []step{
+		{"create A", func() { idA = create(3, 0.75) }},
+		{"create B", func() { idB = create(2, 0.5) }},
+		{"busy heartbeats", func() {
+			for n := uint64(1); n <= 3; n++ {
+				r.heartbeatBusy(n, idA)
+			}
+			r.heartbeatBusy(4, idB)
+		}},
+		{"resize A down", func() {
+			must(r.ctrl.Resize(idA, 1))
+			r.heartbeatBusy(2, idA)
+			r.heartbeatBusy(3, idA)
+			resets(idA, 2)
+		}},
+		{"recompose B", func() { must(r.ctrl.Recompose(idB, img2)) }},
+		{"maintenance recomposition", func() {
+			r.heartbeatIdle(9)
+			r.advance(30 * time.Second)
+			if st, err := r.ctrl.Status(idB); err != nil || st.Wakeups != 3 {
+				t.Fatalf("B after a pass short one member = %+v, %v; want 3 wakeups", st, err)
+			}
+		}},
+		{"destroy A", func() {
+			must(r.ctrl.DestroyInstance(idA))
+			resets(idA, 3)
+		}},
+	}
+	for pass := 1; pass <= 3; pass++ {
+		steps = append(steps, step{fmt.Sprintf("pass %d", pass), func() { r.advance(30 * time.Second) }})
+	}
+	for _, step := range steps {
+		step.do()
+		if live, replayed := r.ctrl.dumpState(), replayedDump(t, dir); live != replayed {
+			t.Fatalf("after %s, replay diverged from live:\n--- live ---\n%s--- replayed ---\n%s", step.name, live, replayed)
+		}
+	}
+	if _, err := r.ctrl.Status(idA); !errors.Is(err, ErrInstanceGone) {
+		t.Fatalf("A after its window = %v, want ErrInstanceGone", err)
+	}
+	// The destroy record carries the journaled resets (the destroy's own,
+	// not the trims') and the window at destroy.
+	b, err := os.ReadFile(filepath.Join(dir, "state.journal"))
+	must(err)
+	_, recs, err := journal.DecodeJournal(b)
+	must(err)
+	var destroys []journal.InstanceRecord
+	for _, rec := range recs {
+		if rec.Op == journal.OpDestroy {
+			destroys = append(destroys, rec.Inst)
+		}
+	}
+	if len(destroys) != 1 || destroys[0].Resets != 1 || destroys[0].ResetTicks != 3 {
+		t.Fatalf("destroy records %+v, want one with Resets 1 and ResetTicks 3", destroys)
+	}
+	r.ctrl.Stop()
+	r.clk.Wait()
+}
+
+// wraps reports whether err's chain holds an error reading as target:
+// the store's errors are made per call, so errors.Is cannot match them.
+func wraps(err, target error) bool {
+	for ; err != nil; err = errors.Unwrap(err) {
+		if err.Error() == target.Error() {
+			return true
+		}
+	}
+	return false
+}
+
+// TestRefusedAppendAirsNothing: a mutation the journal refuses is the
+// caller's error, changes nothing and airs nothing, and spends no ID:
+// the Controller restarted over the state dir issues the next one to a
+// different image, and no wakeup under that ID ever aired.
+func TestRefusedAppendAirsNothing(t *testing.T) {
+	dir := t.TempDir()
+	store := openRecoveryStore(t, dir, journal.Options{})
+	head := &airLog{}
+	r := newRigWith(t, func(h HeadEnd) HeadEnd { head.HeadEnd = h; return head }, func(cfg *Config) { cfg.Journal = store })
+	idA, err := r.ctrl.CreateInstance(InstanceSpec{Image: testImage(t), Target: 2, InitialProbability: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.heartbeatBusy(1, idA)
+	status, dump, aired := mustStatus(t, r.ctrl, idA), r.ctrl.dumpState(), len(head.staged)
+
+	store.Close()
+	refused := store.Append(journal.Record{Op: journal.OpResize, Inst: journal.InstanceRecord{ID: uint64(idA)}})
+	if refused == nil {
+		t.Fatal("a closed store took an append")
+	}
+	img2 := testImage(t)
+	img2.Version = 2
+	for _, m := range []struct {
+		name string
+		do   func() error
+	}{
+		{"create", func() error {
+			_, err := r.ctrl.CreateInstance(InstanceSpec{Image: testImage(t), Target: 1, InitialProbability: 1})
+			return err
+		}},
+		{"resize", func() error { return r.ctrl.Resize(idA, 0) }},
+		{"recompose", func() error { return r.ctrl.Recompose(idA, img2) }},
+		{"destroy", func() error { return r.ctrl.DestroyInstance(idA) }},
+	} {
+		if err := m.do(); !wraps(err, refused) {
+			t.Fatalf("%s over a closed store: %v, want the store's %q", m.name, err, refused)
+		}
+	}
+	if n := len(head.staged); n != aired {
+		t.Fatalf("refused mutations handed the head-end %d updates", n-aired)
+	}
+	if got := mustStatus(t, r.ctrl, idA); got != status {
+		t.Fatalf("status after refused mutations = %+v, want %+v", got, status)
+	}
+	if got := r.ctrl.dumpState(); got != dump {
+		t.Fatalf("table after refused mutations:\n%s\nwant\n%s", got, dump)
+	}
+	r.ctrl.Stop()
+	r.clk.Wait()
+
+	r2, _ := journaledRig(t, dir, nil, journal.Options{})
+	imgC := &appimage.Image{Name: "other", EntryPoint: "e", Payload: make([]byte, 2000)}
+	idC, err := r2.ctrl.CreateInstance(InstanceSpec{Image: imgC, Target: 1, InitialProbability: 1})
+	if err != nil || idC != idA+1 {
+		t.Fatalf("restarted create = %d, %v; want id %d", idC, err, idA+1)
+	}
+	if seqs := head.wakeupSeqs(t, r.pub, idC); len(seqs) != 0 {
+		t.Fatalf("wakeups (%d, %v) aired before the restart issued %d to another image", idC, seqs, idC)
+	}
+	r2.ctrl.Stop()
+	r2.clk.Wait()
+}
+
+func mustStatus(t *testing.T, c *Controller, id instance.ID) InstanceStatus {
+	t.Helper()
+	st, err := c.Status(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// TestMaintenanceJournalIsDeterministic: a maintenance pass walks the
+// table in carousel order, so one history of four instances short of
+// target, recomposed over three passes, writes the same journal bytes on
+// every run.
+func TestMaintenanceJournalIsDeterministic(t *testing.T) {
+	var first []byte
+	for run := 0; run < 8; run++ {
+		dir := t.TempDir()
+		r, s := journaledRig(t, dir, nil, journal.Options{})
+		for target := 4; target < 8; target++ {
+			if _, err := r.ctrl.CreateInstance(InstanceSpec{Image: testImage(t), Target: target, InitialProbability: 0.1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for pass := 0; pass < 3; pass++ {
+			for n := uint64(1); n <= 8; n++ {
+				r.heartbeatIdle(n)
+			}
+			r.advance(30 * time.Second)
+		}
+		r.ctrl.Stop()
+		r.clk.Wait()
+		s.Close()
+		b, err := os.ReadFile(filepath.Join(dir, "state.journal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, recs, err := journal.DecodeJournal(b); err != nil || len(recs) < 4+12 {
+			t.Fatalf("run %d journal: %d records, %v; want 4 creates and 12 recompositions", run, len(recs), err)
+		}
+		if run == 0 {
+			first = b
+		} else if !bytes.Equal(b, first) {
+			t.Fatalf("run %d wrote a different journal from run 0", run)
+		}
+	}
 }

@@ -70,9 +70,10 @@ var (
 // Op classifies one journaled lifecycle mutation.
 type Op uint8
 
-// Journal operations, mirroring the Controller's instance state
-// machine. OpRecompose also covers head-end wakeup retransmissions
-// (sequence bumps) outside the maintenance loop.
+// Journal operations: the Controller's lifecycle mutations, one op each.
+// OpRecompose covers both an image replacement (Controller.Recompose)
+// and a maintenance recomposition, a sequence bump with a new
+// probability and no image.
 const (
 	OpCreate Op = iota + 1
 	OpResize
@@ -102,12 +103,14 @@ func (o Op) String() string {
 // InstanceRecord is the durable image of one instance: everything the
 // Controller needs to re-enter the carousel at the recorded generation
 // — spec, image bytes, and counters — and nothing reconstructable from
-// heartbeats (membership, trim progress, back-pressure periods).
+// heartbeats (membership, trim progress, resets sent in heartbeat
+// replies, back-pressure periods).
 type InstanceRecord struct {
 	ID      uint64
 	Seq     uint32
 	Wakeups uint32
-	Resets  uint32
+	// Resets counts the journaled resets: the destroy's.
+	Resets uint32
 	// Probability is the last broadcast wakeup probability; the
 	// recovered wakeup envelope re-airs with it.
 	Probability float64
@@ -134,12 +137,15 @@ type InstanceRecord struct {
 	Chunks []appimage.Digest
 }
 
-// Record is one journal entry. Inst carries the full record for
-// OpCreate; the other ops use only the fields they mutate (ID always,
-// plus Seq/Wakeups/Probability — and, for image replacements, Image
-// and Chunks — for recompose, Seq/Resets/ResetTicks for destroy, Target for resize).
-// Fields are absolute values, never deltas, which is what makes replay
-// idempotent.
+// Record is one journal entry, and one Controller mutation: the
+// Controller appends it and then folds it into its table with
+// State.Apply, the fold replay runs, so its live table and a recovered
+// one are the same. Inst carries the full record for OpCreate; the other
+// ops use only the fields they mutate (ID always, plus
+// Seq/Wakeups/Probability — and, for image replacements, Image and
+// Chunks — for recompose, Seq/Resets/ResetTicks for destroy, Target for
+// resize). Fields are absolute values, never deltas, which is what makes
+// replay idempotent.
 type Record struct {
 	Op   Op
 	Inst InstanceRecord
